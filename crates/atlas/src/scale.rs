@@ -3,12 +3,12 @@
 //!
 //! The classic measurement engine ([`crate::run_measurement`]) keeps
 //! per-probe state in heap-allocated `Probe` structs and drives the
-//! schedule through a binary event queue — fine at the paper's ~9k
-//! probes, but at 10^5–10^6 probes the pointer chasing and per-event
-//! heap traffic dominate. This module flattens the hot per-probe state
-//! (next-fire time, popularity rank, resolver binding, per-probe
-//! counters) into cell-local [`ProbeFrame`] arrays and replaces the
-//! event queue with a **hierarchical timing-wheel sweep**:
+//! schedule through the netsim event queue — fine at the paper's ~9k
+//! probes, but at 10^5–10^6 probes the pointer chasing dominates. This
+//! module flattens the hot per-probe state (next-fire time, popularity
+//! rank, resolver binding, per-probe counters) into cell-local
+//! [`ProbeFrame`] arrays and replaces the event queue with a
+//! **hierarchical timing-wheel sweep**:
 //!
 //! * fires execute in canonical `(fire_time_ms, probe_idx)` order —
 //!   the wheel drains each slot bucket by full-key minimum, so the
@@ -16,11 +16,9 @@
 //!   memory layout;
 //! * schedules and reschedules are O(1) bucket pushes instead of
 //!   O(log n) heap sifts, and the wheel's slot buckets are reused for
-//!   the whole sweep — steady-state advancement allocates nothing
-//!   (the windowed linear sweep this replaced rescanned every probe
-//!   per window);
-//! * probes rescheduled past the campaign horizon drop out exactly as
-//!   they did under the heap.
+//!   the whole sweep — steady-state advancement allocates nothing;
+//! * probes rescheduled past the campaign horizon pop once more and
+//!   drop, exactly as in the oracle.
 //!
 //! That first point is what the differential harness leans on: a
 //! retained pointer-based oracle ([`ZipfEngine::Oracle`]) drives the
@@ -169,8 +167,8 @@ impl ZipfCampaignConfig {
 /// Which inner-loop engine drives a campaign.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ZipfEngine {
-    /// The production path: flattened struct-of-arrays probe state,
-    /// windowed linear sweep.
+    /// The production path: flattened struct-of-arrays probe state
+    /// swept by a timing wheel.
     Soa,
     /// The differential oracle: one boxed struct per probe behind a
     /// binary heap — the layout the SoA path replaced, retained so the
@@ -574,16 +572,6 @@ pub fn run_zipf_cell(
     }
 }
 
-/// Below this frame size the SoA sweep skips the timing wheel and
-/// linearly min-scans the fire-time column instead: for a handful of
-/// probes the scan touches a couple of cache lines, while the wheel
-/// pays struct construction plus per-pop occupancy-bitmap walks.
-/// Sharded cells (~20 probes quick, ~100 full) sit squarely under it;
-/// full zipf campaigns (thousands of probes per cell) stay on the
-/// wheel. Both paths drain in identical `(fire_time, probe_idx)`
-/// order, so the choice is invisible to the oracle suites.
-const SMALL_SWEEP_MAX: usize = 128;
-
 /// The production inner loop: a hierarchical timing wheel over the SoA
 /// frame. The frame's initial fire times seed the wheel once; every pop
 /// yields the globally earliest `(fire_time_ms, probe_idx)` pair — the
@@ -592,9 +580,7 @@ const SMALL_SWEEP_MAX: usize = 128;
 /// with one O(1) bucket push. Probes whose next fire crosses the
 /// campaign horizon pop once more and drop without rescheduling,
 /// mirroring the oracle. The wheel's slot buckets persist across the
-/// whole sweep, so steady-state advancement allocates nothing (the
-/// windowed linear sweep this replaced rebuilt a batch vector and
-/// rescanned every probe per window).
+/// whole sweep, so steady-state advancement allocates nothing.
 #[allow(clippy::too_many_arguments)]
 fn run_soa_sweep(
     cfg: &ZipfCampaignConfig,
@@ -608,47 +594,6 @@ fn run_soa_sweep(
     base_ms: u64,
     end_ms: u64,
 ) {
-    if frame.next_fire_ms.len() <= SMALL_SWEEP_MAX {
-        // Tiny frames (sharded cells hold ~20–100 probes): a linear
-        // min-scan over the contiguous fire-time column beats the
-        // wheel's per-pop bookkeeping, and picking the minimum
-        // `(fire_time, probe_idx)` key reproduces the wheel's (and the
-        // oracle heap's) drain order exactly. A probe whose next fire
-        // crosses the horizon is simply never the sub-horizon minimum
-        // again, which matches the wheel's pop-and-drop.
-        loop {
-            let mut best: Option<(u64, u32)> = None;
-            for (i, &t) in frame.next_fire_ms.iter().enumerate() {
-                let key = (t, i as u32);
-                if best.is_none_or(|b| key < b) {
-                    best = Some(key);
-                }
-            }
-            let Some((t, i)) = best else { break };
-            if t >= end_ms {
-                break; // the minimum crossed the horizon: all remaining did
-            }
-            let idx = i as usize;
-            let hit = fire_one(
-                t,
-                probe_base + i,
-                frame.rank[idx],
-                frame.resolver[idx],
-                frame.link_rtt_ms[idx],
-                names,
-                resolvers,
-                net,
-                telemetry,
-                dataset,
-            );
-            frame.queries[idx] += 1;
-            frame.hits[idx] += u32::from(hit);
-            let next = t + cfg.diurnal.interval_ms(base_ms, t);
-            debug_assert!(next > t, "warped intervals are always positive");
-            frame.next_fire_ms[idx] = next;
-        }
-        return;
-    }
     let mut wheel: TimingWheel<u32> = TimingWheel::new();
     for (i, &t) in frame.next_fire_ms.iter().enumerate() {
         wheel.insert(t, i as u32);

@@ -106,11 +106,6 @@ pub struct ResolverPolicy {
     /// Lock segments for the shared backend (rounded up to a power of
     /// two, clamped to `[1, 256]`). Ignored by the sequential engine.
     pub cache_segments: usize,
-    /// SLRU-style admission on the shared backend: cache hits promote
-    /// entries into a protected tier that is only evicted once the
-    /// probation tier drains. Off by default — admission changes
-    /// victim choice, so the equivalence oracle runs without it.
-    pub slru_admission: bool,
 }
 
 impl Default for ResolverPolicy {
@@ -134,7 +129,6 @@ impl Default for ResolverPolicy {
             qname_minimization: false,
             cache_backend: CacheBackendChoice::Sequential,
             cache_segments: 8,
-            slru_admission: false,
         }
     }
 }
@@ -237,17 +231,6 @@ impl ResolverPolicy {
     pub fn minimizing() -> ResolverPolicy {
         ResolverPolicy {
             qname_minimization: true,
-            ..ResolverPolicy::default()
-        }
-    }
-
-    /// An open-resolver-style shared cache: one concurrent
-    /// segment-locked cache serving every client thread, with SLRU
-    /// admission shielding popular names from scan pressure.
-    pub fn shared_cache() -> ResolverPolicy {
-        ResolverPolicy {
-            cache_backend: CacheBackendChoice::Shared,
-            slru_admission: true,
             ..ResolverPolicy::default()
         }
     }

@@ -686,6 +686,19 @@ fn main() {
         std::process::exit(2);
     }
 
+    // `--cells` partitions the sharded engine; only the Zipf campaign
+    // is cell-partitioned without `--shards`. Everywhere else the flag
+    // would be dropped silently, which misreads as "identity changed".
+    if cfg.cells.is_some()
+        && cfg.shards.is_none()
+        && wanted.iter().any(|id| module_of(id) != "zipf")
+    {
+        eprintln!(
+            "warning: --cells has no effect without --shards \
+             (except on zipf-population); running unsharded"
+        );
+    }
+
     // Deduplicate module runs: several artifacts share one experiment.
     let mut done_modules: Vec<&'static str> = Vec::new();
     for id in &wanted {

@@ -14,10 +14,7 @@ use crate::config::ExpConfig;
 use crate::report::Report;
 use crate::sharded::{self, WorldSpec};
 use dnsttl_analysis::{ascii_cdf_log, BehaviorCensus, CsvWriter, Ecdf, Table};
-use dnsttl_atlas::{
-    run_measurement, Dataset, MeasurementSpec, Population, PopulationConfig, QueryName,
-};
-use dnsttl_netsim::SimRng;
+use dnsttl_atlas::{Dataset, MeasurementSpec, QueryName};
 use dnsttl_wire::{Name, RecordType};
 
 struct Campaign {
@@ -39,25 +36,11 @@ fn campaign(
         qtype,
         hours,
     );
-    if let Some(workers) = cfg.shards {
-        let out = sharded::measurement_campaign(cfg, tag, world, &spec, workers);
-        return Campaign {
-            dataset: out.dataset,
-            vps: out.vps,
-            probes: out.probes,
-        };
-    }
-    let (mut net, roots, _) = world.build();
-    net.set_telemetry(cfg.telemetry.clone());
-    let mut rng = SimRng::seed_from(cfg.seed_for(tag));
-    let mut pop = Population::build(&PopulationConfig::small(cfg.probes), &roots, &mut rng);
-    pop.set_telemetry(&cfg.telemetry);
-    let dataset = run_measurement(&spec, &mut pop, &mut net, &mut rng);
-    crate::flightdeck::record_latency_quantiles(&cfg.telemetry, tag, &dataset);
+    let out = sharded::measurement_campaign(cfg, tag, world, &spec);
     Campaign {
-        dataset,
-        vps: pop.vp_count(),
-        probes: pop.probe_count(),
+        dataset: out.dataset,
+        vps: out.vps,
+        probes: out.probes,
     }
 }
 

@@ -18,10 +18,8 @@ use crate::config::ExpConfig;
 use crate::report::Report;
 use crate::sharded::{self, WorldSpec};
 use dnsttl_analysis::{ascii_cdf_multi, CsvWriter, Ecdf, Table};
-use dnsttl_atlas::{
-    run_measurement, Dataset, MeasurementSpec, Population, PopulationConfig, QueryName,
-};
-use dnsttl_netsim::{SimDuration, SimRng, SimTime};
+use dnsttl_atlas::{Dataset, MeasurementSpec, QueryName};
+use dnsttl_netsim::{SimDuration, SimTime};
 use dnsttl_wire::{Name, RecordType, Ttl};
 
 struct Campaign {
@@ -58,30 +56,13 @@ fn campaign(
         aaaa_ttl: ttl,
         anycast,
     };
-    if let Some(workers) = cfg.shards {
-        let out = sharded::measurement_campaign(cfg, tag, world, &spec, workers);
-        return Campaign {
-            label,
-            dataset: out.dataset,
-            auth_queries: out.auth_queries,
-            auth_sources: out.auth_sources,
-            vps: out.vps,
-        };
-    }
-    let (mut net, roots, test_addr) = world.build();
-    let test_addr = test_addr.expect("controlled world exposes its test address");
-    net.set_telemetry(cfg.telemetry.clone());
-    let mut rng = SimRng::seed_from(cfg.seed_for(tag));
-    let mut pop = Population::build(&PopulationConfig::small(cfg.probes), &roots, &mut rng);
-    pop.set_telemetry(&cfg.telemetry);
-    let dataset = run_measurement(&spec, &mut pop, &mut net, &mut rng);
-    crate::flightdeck::record_latency_quantiles(&cfg.telemetry, tag, &dataset);
+    let out = sharded::measurement_campaign(cfg, tag, world, &spec);
     Campaign {
         label,
-        dataset,
-        auth_queries: net.queries_received(test_addr),
-        auth_sources: net.distinct_sources(test_addr),
-        vps: pop.vp_count(),
+        dataset: out.dataset,
+        auth_queries: out.auth_queries,
+        auth_sources: out.auth_sources,
+        vps: out.vps,
     }
 }
 

@@ -85,55 +85,26 @@ fn run_cell(cfg: &ExpConfig, ttl: Ttl, policy: ResolverPolicy, seed_tag: &str) -
         let cell_count = cfg.cells.unwrap_or(dnsttl_atlas::LOGICAL_SHARDS).max(1);
         let sizes = dnsttl_atlas::partition(clients, cell_count);
         let bases = dnsttl_atlas::partition_bases(&sizes);
-        let enabled = cfg.telemetry.is_enabled();
-        let (ts_bucket_ms, ts_span_cap) = (cfg.ts_bucket_ms, cfg.ts_span_cap);
-        let progress = cfg.progress_ms.map(|ms| {
-            std::sync::Arc::new(dnsttl_atlas::ProgressSink::new(
-                seed_tag,
-                workers.max(1),
-                cell_count,
-                ms,
-            ))
-        });
-        let cells = dnsttl_atlas::run_cells(workers, cell_count, |cell| {
-            let telemetry = if enabled {
-                dnsttl_telemetry::Telemetry::new()
-            } else {
-                dnsttl_telemetry::Telemetry::disabled()
-            };
-            telemetry.configure_timeseries(ts_bucket_ms, ts_span_cap);
-            let result = simulate_clients(
-                &telemetry,
-                dnsttl_netsim::shard_seed(seed, cell as u64),
-                sizes[cell],
-                bases[cell],
-                ttl,
-                &policy,
-            );
-            if let Some(sink) = &progress {
+        let cells =
+            crate::sharded::fan_out(cfg, workers, cell_count, seed_tag, |cell, telemetry| {
+                let result = simulate_clients(
+                    telemetry,
+                    dnsttl_netsim::shard_seed(seed, cell as u64),
+                    sizes[cell],
+                    bases[cell],
+                    ttl,
+                    &policy,
+                );
                 // The scripted outage ends the cell's clock; queries
                 // are the cell's event count.
-                sink.cell_finished(
-                    SimTime::from_secs(OUTAGE_START_S + OUTAGE_SECS).as_millis(),
-                    result.queries,
-                );
-            }
-            (result, telemetry.take_parts())
-        });
-        let mut total = CellResult {
-            queries: 0,
-            failures: 0,
+                let end = SimTime::from_secs(OUTAGE_START_S + OUTAGE_SECS);
+                let progress = (end.as_millis(), result.queries);
+                (result, progress)
+            });
+        return CellResult {
+            queries: cells.iter().map(|c| c.queries).sum(),
+            failures: cells.iter().map(|c| c.failures).sum(),
         };
-        let mut parts = Vec::with_capacity(cells.len());
-        for (cell, part) in cells {
-            total.queries += cell.queries;
-            total.failures += cell.failures;
-            parts.push(part);
-        }
-        if enabled {
-            cfg.telemetry.absorb_shards(parts);
-        }
-        return total;
     }
     simulate_clients(&cfg.telemetry, seed, clients, 0, ttl, &policy)
 }

@@ -1,12 +1,12 @@
-//! The sharded measurement engine.
+//! The measurement-campaign engine, unsharded or sharded.
 //!
-//! The legacy engine builds one global population and drives one event
-//! queue — simple, but single-threaded. This module partitions a
-//! campaign into `cfg.cells` logical cells (default: the classic 16,
-//! tunable as a power of two via `--cells`), runs each cell
-//! as a self-contained simulation (its own world, population, resolver
-//! caches, and RNG stream derived via [`shard_seed`]), and merges the
-//! per-cell datasets and telemetry back together in fixed cell order.
+//! Without `--shards` a campaign builds one global population and
+//! drives one event queue. With it, the campaign is partitioned into
+//! `cfg.cells` logical cells (default: the classic 16, tunable as a
+//! power of two via `--cells`), each run as a self-contained
+//! simulation (its own world, population, resolver caches, and RNG
+//! stream derived via [`shard_seed`]), and the per-cell datasets and
+//! telemetry are merged back together in fixed cell order.
 //!
 //! The determinism contract (DESIGN.md §10): the cell partition and all
 //! per-cell seeds depend only on the run seed and the cell id, never on
@@ -15,12 +15,12 @@
 //! `tests/shard_equivalence.rs` asserts that every worker count
 //! reproduces its output byte for byte.
 //!
-//! Sharding changes the experiment relative to the legacy engine in one
+//! Sharding changes the experiment relative to the unsharded run in one
 //! deliberate way: resolver caches are shared within a cell, not across
 //! the whole population, so shared-cache effects (Figures 1–2 bands,
 //! cache-hit rates) are computed per cell and merged. Cells are large
 //! enough that the paper's qualitative findings survive — the
-//! experiment tests assert the same bands for both engines.
+//! experiment tests assert the same bands for both.
 
 use crate::config::ExpConfig;
 use crate::worlds;
@@ -30,10 +30,9 @@ use dnsttl_atlas::{
 };
 use dnsttl_netsim::{shard_seed, Network, SimRng};
 use dnsttl_resolver::RootHint;
-use dnsttl_telemetry::{Telemetry, TelemetryParts};
+use dnsttl_telemetry::Telemetry;
 use dnsttl_wire::Ttl;
 use std::net::IpAddr;
-use std::sync::Arc;
 
 /// A recipe for building one experiment world.
 ///
@@ -106,71 +105,126 @@ struct CellOut {
     vps: usize,
     auth_queries: u64,
     auth_sources: usize,
-    parts: TelemetryParts,
 }
 
-/// Runs one measurement campaign sharded over `cfg.cells` logical
-/// cells on `workers` threads and merges the results.
+/// Runs `cells` independent jobs on `workers` threads, each against its
+/// own telemetry handle configured like `cfg.telemetry`, and folds the
+/// drained per-cell telemetry into `cfg.telemetry` in cell order — so
+/// metrics, traces, and manifests are worker-count-invariant.
 ///
-/// The campaign seed is `cfg.seed_for(tag)`, exactly as in the legacy
-/// engine; each cell then derives its own stream with [`shard_seed`].
-/// Per-cell telemetry is drained with [`Telemetry::take_parts`] and
-/// folded into `cfg.telemetry` in cell order, so metrics, traces, and
-/// manifests are worker-count-invariant too. The cell count defaults
-/// to the classic 16 and, unlike the worker count, is part of the
-/// experiment's identity (different partitions, different per-cell
-/// seeds).
-pub fn measurement_campaign(
+/// A job returns its result plus `(sim-time frontier in ms, events
+/// processed)` for the `--progress` heartbeat, which goes to stderr
+/// only: the deterministic artifacts never see the wall clock behind
+/// it.
+pub fn fan_out<T: Send>(
     cfg: &ExpConfig,
-    tag: &str,
-    world: WorldSpec,
-    spec: &MeasurementSpec,
     workers: usize,
-) -> ShardedOutcome {
-    let cell_count = cfg.cells.unwrap_or(dnsttl_atlas::LOGICAL_SHARDS).max(1);
-    let sizes = partition(cfg.probes, cell_count);
-    let bases = partition_bases(&sizes);
-    let run_seed = cfg.seed_for(tag);
+    cells: usize,
+    tag: &str,
+    job: impl Fn(usize, &Telemetry) -> (T, (u64, u64)) + Sync,
+) -> Vec<T> {
     let enabled = cfg.telemetry.is_enabled();
     let (ts_bucket_ms, ts_span_cap) = (cfg.ts_bucket_ms, cfg.ts_span_cap);
-    // Live progress (off by default): heartbeats go to stderr only, so
-    // the deterministic artifacts never see the wall clock behind them.
     let progress = cfg
         .progress_ms
-        .map(|ms| Arc::new(ProgressSink::new(tag, workers.max(1), cell_count, ms)));
-
-    let cells = run_cells(workers, cell_count, |cell| {
+        .map(|ms| ProgressSink::new(tag, workers, cells, ms));
+    let (outs, parts): (Vec<T>, Vec<_>) = run_cells(workers, cells, |cell| {
         let telemetry = if enabled {
             Telemetry::new()
         } else {
             Telemetry::disabled()
         };
         telemetry.configure_timeseries(ts_bucket_ms, ts_span_cap);
-        let (mut net, roots, test_addr) = world.build();
-        net.set_telemetry(telemetry.clone());
-        let mut rng = SimRng::seed_from(shard_seed(run_seed, cell as u64));
-        let mut pop_cfg = PopulationConfig::small(sizes[cell]);
-        pop_cfg.probe_id_base = bases[cell] as u32;
-        let mut pop = Population::build(&pop_cfg, &roots, &mut rng);
-        pop.set_telemetry(&telemetry);
-        let dataset = run_measurement(spec, &mut pop, &mut net, &mut rng);
+        let (out, (frontier_ms, events)) = job(cell, &telemetry);
         if let Some(sink) = &progress {
-            let frontier = dataset.results().iter().map(|r| r.at.as_millis()).max();
-            sink.cell_finished(frontier.unwrap_or(0), dataset.results().len() as u64);
+            sink.cell_finished(frontier_ms, events);
         }
-        CellOut {
-            dataset,
-            probes: pop.probe_count(),
-            resolvers: pop.resolvers.len(),
-            vps: pop.vp_count(),
-            auth_queries: test_addr.map_or(0, |a| net.queries_received(a)),
-            auth_sources: test_addr.map_or(0, |a| net.distinct_sources(a)),
-            parts: telemetry.take_parts(),
-        }
+        (out, telemetry.take_parts())
+    })
+    .into_iter()
+    .unzip();
+    if enabled {
+        cfg.telemetry.absorb_shards(parts);
+    }
+    outs
+}
+
+/// Builds one world, populates it with `probes` probes numbered from
+/// `probe_id_base`, and runs `spec` against it — the whole campaign
+/// when unsharded, one cell of it otherwise.
+fn measure(
+    world: WorldSpec,
+    spec: &MeasurementSpec,
+    telemetry: &Telemetry,
+    seed: u64,
+    probes: usize,
+    probe_id_base: u32,
+) -> CellOut {
+    let (mut net, roots, test_addr) = world.build();
+    net.set_telemetry(telemetry.clone());
+    let mut rng = SimRng::seed_from(seed);
+    let mut pop_cfg = PopulationConfig::small(probes);
+    pop_cfg.probe_id_base = probe_id_base;
+    let mut pop = Population::build(&pop_cfg, &roots, &mut rng);
+    pop.set_telemetry(telemetry);
+    let dataset = run_measurement(spec, &mut pop, &mut net, &mut rng);
+    CellOut {
+        dataset,
+        probes: pop.probe_count(),
+        resolvers: pop.resolvers.len(),
+        vps: pop.vp_count(),
+        auth_queries: test_addr.map_or(0, |a| net.queries_received(a)),
+        auth_sources: test_addr.map_or(0, |a| net.distinct_sources(a)),
+    }
+}
+
+/// Runs one measurement campaign under the seed `cfg.seed_for(tag)`.
+///
+/// Without `cfg.shards` the whole population shares one world and one
+/// event queue. With it, the campaign is split over `cfg.cells` logical
+/// cells (default: the classic 16) on that many worker threads, each
+/// cell deriving its own stream with [`shard_seed`], and the results
+/// are merged in cell order. The cell count, unlike the worker count,
+/// is part of the experiment's identity (different partitions,
+/// different per-cell seeds).
+pub fn measurement_campaign(
+    cfg: &ExpConfig,
+    tag: &str,
+    world: WorldSpec,
+    spec: &MeasurementSpec,
+) -> ShardedOutcome {
+    let run_seed = cfg.seed_for(tag);
+    let Some(workers) = cfg.shards else {
+        let whole = measure(world, spec, &cfg.telemetry, run_seed, cfg.probes, 0);
+        crate::flightdeck::record_latency_quantiles(&cfg.telemetry, tag, &whole.dataset);
+        return ShardedOutcome {
+            dataset: whole.dataset,
+            probes: whole.probes,
+            vps: whole.vps,
+            auth_queries: whole.auth_queries,
+            auth_sources: whole.auth_sources,
+        };
+    };
+    let cell_count = cfg.cells.unwrap_or(dnsttl_atlas::LOGICAL_SHARDS).max(1);
+    let sizes = partition(cfg.probes, cell_count);
+    let bases = partition_bases(&sizes);
+    let cells = fan_out(cfg, workers, cell_count, tag, |cell, telemetry| {
+        let seed = shard_seed(run_seed, cell as u64);
+        let out = measure(
+            world,
+            spec,
+            telemetry,
+            seed,
+            sizes[cell],
+            bases[cell] as u32,
+        );
+        let rows = out.dataset.results();
+        let frontier = rows.iter().map(|r| r.at.as_millis()).max();
+        let progress = (frontier.unwrap_or(0), rows.len() as u64);
+        (out, progress)
     });
 
     let mut dataset_parts = Vec::with_capacity(cells.len());
-    let mut telemetry_parts = Vec::with_capacity(cells.len());
     let mut outcome = ShardedOutcome {
         dataset: Dataset::new(),
         probes: 0,
@@ -186,10 +240,6 @@ pub fn measurement_campaign(
         outcome.vps += out.vps;
         outcome.auth_queries += out.auth_queries;
         outcome.auth_sources += out.auth_sources;
-        telemetry_parts.push(out.parts);
-    }
-    if enabled {
-        cfg.telemetry.absorb_shards(telemetry_parts);
     }
     outcome.dataset = Dataset::merge_shards(dataset_parts);
     // Record latency quantiles over the *merged* dataset, never per
@@ -229,7 +279,7 @@ mod tests {
             ns_ttl: Ttl::from_secs(300),
             a_ttl: Ttl::from_secs(120),
         };
-        measurement_campaign(&cfg, "sharded-test", world, &uy_spec(), workers)
+        measurement_campaign(&cfg, "sharded-test", world, &uy_spec())
     }
 
     type Row = (u64, u32, usize, usize, Option<u64>, u64, bool);

@@ -295,41 +295,29 @@ pub fn run(cfg: &ExpConfig) -> Vec<Report> {
         .iter()
         .flat_map(|&ttl| [(ttl, false), (ttl, true)])
         .collect();
+    // The seed deliberately ignores the topology: both cells of a TTL
+    // row replay the same client streams.
+    let seed = cfg.seed_for("shared-cache");
     let results: Vec<CellResult> = if let Some(workers) = cfg.shards {
-        let enabled = cfg.telemetry.is_enabled();
-        let (ts_bucket_ms, ts_span_cap) = (cfg.ts_bucket_ms, cfg.ts_span_cap);
-        let seed = cfg.seed_for("shared-cache");
-        let cells = dnsttl_atlas::run_cells(workers, matrix.len(), |cell| {
-            let telemetry = if enabled {
-                dnsttl_telemetry::Telemetry::new()
-            } else {
-                dnsttl_telemetry::Telemetry::disabled()
-            };
-            telemetry.configure_timeseries(ts_bucket_ms, ts_span_cap);
-            let (ttl, shared) = matrix[cell];
-            let result = simulate_topology(
-                &telemetry,
-                seed ^ ttl as u64,
-                clients,
-                Ttl::from_secs(ttl),
-                shared,
-            );
-            (result, telemetry.take_parts())
-        });
-        let mut results = Vec::with_capacity(cells.len());
-        let mut parts = Vec::with_capacity(cells.len());
-        for (result, part) in cells {
-            results.push(result);
-            parts.push(part);
-        }
-        if enabled {
-            cfg.telemetry.absorb_shards(parts);
-        }
-        results
+        crate::sharded::fan_out(
+            cfg,
+            workers,
+            matrix.len(),
+            "shared-cache",
+            |cell, telemetry| {
+                let (ttl, shared) = matrix[cell];
+                let result = simulate_topology(
+                    telemetry,
+                    seed ^ ttl as u64,
+                    clients,
+                    Ttl::from_secs(ttl),
+                    shared,
+                );
+                let progress = (HORIZON_S * 1_000, result.queries);
+                (result, progress)
+            },
+        )
     } else {
-        // The seed deliberately ignores the topology: both cells of a
-        // TTL row replay the same client streams.
-        let seed = cfg.seed_for("shared-cache");
         matrix
             .iter()
             .map(|&(ttl, shared)| {

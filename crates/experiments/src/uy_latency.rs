@@ -11,10 +11,8 @@ use crate::config::ExpConfig;
 use crate::report::Report;
 use crate::sharded::{self, WorldSpec};
 use dnsttl_analysis::{ascii_cdf_multi, CsvWriter, Ecdf, Table};
-use dnsttl_atlas::{
-    run_measurement, Dataset, MeasurementSpec, Population, PopulationConfig, QueryName,
-};
-use dnsttl_netsim::{Region, SimRng};
+use dnsttl_atlas::{Dataset, MeasurementSpec, QueryName};
+use dnsttl_netsim::Region;
 use dnsttl_wire::{Name, RecordType, Ttl};
 
 fn measure(cfg: &ExpConfig, tag: &str, child_ns: Ttl, child_a: Ttl) -> Dataset {
@@ -27,17 +25,7 @@ fn measure(cfg: &ExpConfig, tag: &str, child_ns: Ttl, child_a: Ttl) -> Dataset {
         ns_ttl: child_ns,
         a_ttl: child_a,
     };
-    if let Some(workers) = cfg.shards {
-        return sharded::measurement_campaign(cfg, tag, world, &spec, workers).dataset;
-    }
-    let (mut net, roots, _) = world.build();
-    net.set_telemetry(cfg.telemetry.clone());
-    let mut rng = SimRng::seed_from(cfg.seed_for(tag));
-    let mut pop = Population::build(&PopulationConfig::small(cfg.probes), &roots, &mut rng);
-    pop.set_telemetry(&cfg.telemetry);
-    let dataset = run_measurement(&spec, &mut pop, &mut net, &mut rng);
-    crate::flightdeck::record_latency_quantiles(&cfg.telemetry, tag, &dataset);
-    dataset
+    sharded::measurement_campaign(cfg, tag, world, &spec).dataset
 }
 
 /// Runs the before/after comparison; returns fig10a and fig10b.

@@ -547,3 +547,27 @@ fn repro_shards_flag_matches_the_sequential_oracle() {
         .expect("runs");
     assert!(!out.status.success(), "--shards 0 must be rejected");
 }
+
+#[test]
+fn repro_warns_when_cells_is_given_without_shards() {
+    // `--cells` only partitions the sharded engine. Without `--shards`
+    // a measurement module runs unsharded, so the flag must be called
+    // out on stderr — and must not touch stdout.
+    let run = |args: &[&str]| {
+        let out = repro().args(args).output().expect("runs");
+        let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
+        (stdout_of(out), stderr)
+    };
+    let (plain_out, plain_err) = run(&["--quick", "resilience"]);
+    let (cells_out, cells_err) = run(&["--quick", "--cells", "64", "resilience"]);
+    assert!(!plain_err.contains("--cells"), "stderr: {plain_err}");
+    assert!(
+        cells_err.contains("warning: --cells has no effect without --shards"),
+        "stderr: {cells_err}"
+    );
+    assert_eq!(plain_out, cells_out, "the ignored flag changed the output");
+
+    // With `--shards` the flag is honoured, so no warning.
+    let (_, sharded_err) = run(&["--quick", "--shards", "2", "--cells", "64", "resilience"]);
+    assert!(!sharded_err.contains("warning"), "stderr: {sharded_err}");
+}

@@ -6,33 +6,19 @@
 //! lets two runs of an experiment with the same seed produce identical
 //! output.
 //!
-//! Since the timing-wheel rework the queue is **adaptive**: it starts on
-//! a plain `BinaryHeap` and promotes itself — once, irreversibly — to a
-//! [`TimingWheel`] when the pending-event count crosses
-//! [`WHEEL_PROMOTION_LEN`]. Small queues (a sharded measurement cell
-//! holds tens of probe ticks) pop faster from a contiguous heap than
-//! from wheel buckets, while large event-driven runs get the wheel's
-//! O(1) schedules and amortized-O(1) cascading pops instead of O(log n)
-//! sifts. Both backends drain in exact minimum-`(at_ms, seq)` order —
-//! the heap by its comparator, the wheel by full-key bucket scans — so
-//! the promotion is observably a no-op and the queue's contract is
-//! independent of which backend serviced any given event.
+//! The queue is a [`TimingWheel`] keyed by fire time with the schedule
+//! sequence number as the tie key: O(1) schedules, amortized-O(1) pops,
+//! drained in exact minimum-`(at_ms, seq)` order by the wheel's
+//! full-key bucket scans. The wheel is the workspace's only
+//! time-ordered structure (DESIGN.md §16 records the sizing that
+//! retired the small-queue binary heap).
 
 use crate::time::SimTime;
 use crate::wheel::TimingWheel;
-use std::cmp::{Ordering, Reverse};
-use std::collections::BinaryHeap;
+use std::cmp::Ordering;
 
-/// Pending-event count at which the queue trades its binary heap for
-/// the timing wheel. Below it, heap sifts on a contiguous array beat
-/// the wheel's per-pop occupancy-bitmap walks; above it, O(log n)
-/// comparator traffic loses to O(1) bucket pushes. The crossover is
-/// workload-dependent but sits in the hundreds; promotion is one-way,
-/// so a queue that grows large once never thrashes back.
-const WHEEL_PROMOTION_LEN: usize = 1_024;
-
-/// A pending event ordered by its schedule sequence number: both
-/// backends key by fire time first, so the tie key only needs to encode
+/// A pending event ordered by its schedule sequence number: the wheel
+/// keys by fire time first, so the tie key only needs to encode
 /// insertion order (which also spares `E` from needing `Ord`).
 struct Scheduled<E> {
     seq: u64,
@@ -56,13 +42,6 @@ impl<E> Ord for Scheduled<E> {
     }
 }
 
-/// The storage behind an [`EventQueue`]: a heap while small, the wheel
-/// once promoted.
-enum Backend<E> {
-    Heap(BinaryHeap<Reverse<(u64, Scheduled<E>)>>),
-    Wheel(TimingWheel<Scheduled<E>>),
-}
-
 /// A deterministic discrete-event queue.
 ///
 /// ```
@@ -75,7 +54,7 @@ enum Backend<E> {
 /// assert_eq!(order, ["a", "b", "c"]);
 /// ```
 pub struct EventQueue<E> {
-    backend: Backend<E>,
+    wheel: TimingWheel<Scheduled<E>>,
     next_seq: u64,
 }
 
@@ -83,7 +62,7 @@ impl<E> EventQueue<E> {
     /// An empty queue.
     pub fn new() -> EventQueue<E> {
         EventQueue {
-            backend: Backend::Heap(BinaryHeap::new()),
+            wheel: TimingWheel::new(),
             next_seq: 0,
         }
     }
@@ -92,62 +71,29 @@ impl<E> EventQueue<E> {
     pub fn schedule(&mut self, at: SimTime, event: E) {
         let seq = self.next_seq;
         self.next_seq += 1;
-        let scheduled = Scheduled { seq, event };
-        match &mut self.backend {
-            Backend::Heap(heap) => {
-                heap.push(Reverse((at.as_millis(), scheduled)));
-                if heap.len() > WHEEL_PROMOTION_LEN {
-                    self.promote();
-                }
-            }
-            Backend::Wheel(wheel) => wheel.insert(at.as_millis(), scheduled),
-        }
-    }
-
-    /// Moves every pending event from the heap into a timing wheel.
-    /// Order is unaffected: both backends pop the minimum `(at, seq)`.
-    fn promote(&mut self) {
-        let Backend::Heap(heap) = &mut self.backend else {
-            return;
-        };
-        let mut wheel = TimingWheel::new();
-        for Reverse((ms, scheduled)) in std::mem::take(heap).into_vec() {
-            wheel.insert(ms, scheduled);
-        }
-        self.backend = Backend::Wheel(wheel);
+        self.wheel.insert(at.as_millis(), Scheduled { seq, event });
     }
 
     /// Removes and returns the earliest event, with its fire time.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        match &mut self.backend {
-            Backend::Heap(heap) => heap
-                .pop()
-                .map(|Reverse((ms, s))| (SimTime::from_millis(ms), s.event)),
-            Backend::Wheel(wheel) => wheel
-                .pop_first()
-                .map(|(ms, s)| (SimTime::from_millis(ms), s.event)),
-        }
+        self.wheel
+            .pop_first()
+            .map(|(ms, s)| (SimTime::from_millis(ms), s.event))
     }
 
     /// Fire time of the next event without removing it. O(1).
     pub fn peek_time(&self) -> Option<SimTime> {
-        match &self.backend {
-            Backend::Heap(heap) => heap.peek().map(|Reverse((ms, _))| SimTime::from_millis(*ms)),
-            Backend::Wheel(wheel) => wheel.earliest_ms().map(SimTime::from_millis),
-        }
+        self.wheel.earliest_ms().map(SimTime::from_millis)
     }
 
     /// Number of pending events.
     pub fn len(&self) -> usize {
-        match &self.backend {
-            Backend::Heap(heap) => heap.len(),
-            Backend::Wheel(wheel) => wheel.len(),
-        }
+        self.wheel.len()
     }
 
     /// True when nothing is scheduled.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.wheel.is_empty()
     }
 }
 
@@ -224,16 +170,17 @@ mod tests {
     }
 
     #[test]
-    fn order_is_identical_across_the_wheel_promotion() {
-        // Fill well past the promotion threshold with adversarial
-        // times (dense ties plus scattered far futures), popping some
-        // events while still heap-backed and the rest after promotion.
-        // The drained order must equal the canonical sort of
-        // (time, schedule index) regardless of where the boundary fell.
-        let n = 3 * WHEEL_PROMOTION_LEN;
+    fn drain_is_the_stable_sort_of_time_then_schedule_order() {
+        // Adversarial times — dense ties, scattered far futures, and
+        // `u64::MAX`-adjacent sentinels that park in the wheel's
+        // overflow bucket — with some events popped mid-fill, so later
+        // schedules land both ahead of and behind the wheel's advanced
+        // base. The drained order must equal the canonical sort of
+        // (time, schedule index).
+        let n = 3_072;
         let mut expected: Vec<(u64, usize)> = Vec::with_capacity(n);
         let mut q = EventQueue::new();
-        let mut popped: Vec<(SimTime, usize)> = Vec::new();
+        let mut popped: Vec<(u64, usize)> = Vec::new();
         for i in 0..n {
             let ms = match i % 5 {
                 0 => 1_000,
@@ -244,37 +191,22 @@ mod tests {
             };
             expected.push((ms, i));
             q.schedule(SimTime::from_millis(ms), i);
-            // Interleave some early pops so part of the sequence drains
-            // from the heap backend.
-            if i == WHEEL_PROMOTION_LEN / 2 {
+            if i == 512 {
                 for _ in 0..64 {
                     let (at, e) = q.pop().expect("events pending");
-                    popped.push((at, e));
+                    popped.push((at.as_millis(), e));
                 }
             }
         }
         while let Some((at, e)) = q.pop() {
-            popped.push((at, e));
+            popped.push((at.as_millis(), e));
         }
-        // The early pops drained the then-minimum prefix, so the full
-        // popped sequence is a merge of two sorted runs over disjoint
-        // key ranges — overall it must match the canonical order.
+        // Each drain follows canonical order within itself…
+        assert!(popped[..64].is_sorted(), "mid-fill drain is sorted");
+        assert!(popped[64..].is_sorted(), "final drain is sorted");
+        // …and together they are exactly the scheduled events.
+        popped.sort();
         expected.sort();
-        let got: Vec<(u64, usize)> = popped
-            .into_iter()
-            .map(|(at, e)| (at.as_millis(), e))
-            .collect();
-        assert_eq!(got.len(), expected.len());
-        // The 64 early pops and the final drain each follow canonical
-        // order within themselves; re-sorting the popped sequence must
-        // be the identity on the tail (promotion did not reorder
-        // anything that was pending across the boundary).
-        let tail = &got[64..];
-        let mut tail_sorted = tail.to_vec();
-        tail_sorted.sort();
-        assert_eq!(tail, &tail_sorted[..], "post-promotion drain is sorted");
-        let mut all_sorted = got.clone();
-        all_sorted.sort();
-        assert_eq!(all_sorted, expected, "no event lost or duplicated");
+        assert_eq!(popped, expected, "no event lost or duplicated");
     }
 }

@@ -126,9 +126,9 @@ enum Placement {
 pub struct TimingWheel<T> {
     /// Slot levels, allocated on the first in-span insert. A fresh
     /// wheel is a handful of machine words, so wheels that never see a
-    /// timer — an SLRU tier with no promotions, a queue built per cell
-    /// "just in case" — cost nothing to construct: the ~25 KiB of slot
-    /// headers is only paid by wheels that actually hold entries.
+    /// timer — an unbounded cache that never stores, a queue built per
+    /// cell "just in case" — cost nothing to construct: the ~25 KiB of
+    /// slot headers is only paid by wheels that actually hold entries.
     levels: Option<Box<[Level<T>; LEVELS]>>,
     /// Entries further than the wheel span from `base`.
     overflow: Vec<(u64, T)>,

@@ -1,15 +1,13 @@
-//! The cache-backend abstraction: one trait over the full cache
-//! surface, implemented by the sequential oracle ([`Cache`]) and the
-//! concurrent segment-locked backend ([`SharedCache`]), plus the
-//! [`CacheEngine`] enum a resolver actually holds.
+//! [`CacheEngine`]: the cache a resolver holds, and the one place the
+//! cache surface is dispatched over its two implementations — the
+//! sequential reference ([`Cache`]) and the concurrent segment-locked
+//! backend ([`SharedCache`]).
 //!
-//! The trait exists for the differential harnesses: a workload driver
-//! written against [`CacheBackend`] replays the identical seeded op
-//! sequence through both engines, and the equivalence suite asserts
-//! the answers, victim sequences, ledgers, and counters agree. The
-//! resolver itself dispatches through [`CacheEngine`] (an enum, not a
-//! `dyn` object — `with_ledger` is generic, and enum dispatch keeps
-//! the sequential hot path free of vtable calls).
+//! An enum, not a `dyn` object: `with_ledger` is generic, and enum
+//! dispatch keeps the sequential hot path free of vtable calls. It
+//! carries exactly the methods the resolver, the experiments, and the
+//! bench harnesses call; differential suites drive `Cache` and
+//! `SharedCache` directly.
 
 use dnsttl_core::{CacheBackendChoice, ResolverPolicy};
 use dnsttl_netsim::{SimDuration, SimTime};
@@ -21,294 +19,6 @@ use crate::cache::{Cache, CachedAnswer, Credibility};
 use crate::ledger::{CacheStats, Ledger, StoreContext};
 use crate::shared::SharedCache;
 use crate::snapshot::CacheSnapshot;
-
-/// The full cache surface both backends implement. Mutators take
-/// `&mut self` so the sequential engine can implement them without
-/// interior mutability; the concurrent backend's inherent methods are
-/// all `&self` (internal locking) and the trait impl just forwards.
-pub trait CacheBackend {
-    /// Stores an RRset under the given credibility rank.
-    /// See [`Cache::store_with`].
-    fn store_with(
-        &mut self,
-        rrset: RRset,
-        rank: Credibility,
-        now: SimTime,
-        policy: &ResolverPolicy,
-        pinned: bool,
-        ctx: StoreContext,
-    );
-
-    /// Fetches a fresh entry, decrementing TTLs by age.
-    /// See [`Cache::get`].
-    fn get(&mut self, name: &Name, rtype: RecordType, now: SimTime) -> Option<CachedAnswer>;
-
-    /// Fetches an entry even if expired, for serve-stale.
-    /// See [`Cache::get_stale`].
-    fn get_stale(
-        &mut self,
-        name: &Name,
-        rtype: RecordType,
-        now: SimTime,
-        max_stale: Ttl,
-    ) -> Option<CachedAnswer>;
-
-    /// Caches a negative answer per RFC 2308. See [`Cache::store_negative`].
-    #[allow(clippy::too_many_arguments)]
-    fn store_negative(
-        &mut self,
-        name: Name,
-        rtype: RecordType,
-        rcode: Rcode,
-        soa_minimum: Ttl,
-        soa_ttl: Ttl,
-        now: SimTime,
-        policy: &ResolverPolicy,
-    );
-
-    /// Caches a resolution failure (SERVFAIL). See [`Cache::store_failure`].
-    fn store_failure(&mut self, name: Name, rtype: RecordType, ttl: Ttl, now: SimTime);
-
-    /// Fresh negative entry for the key, if any. See [`Cache::get_negative`].
-    fn get_negative(&self, name: &Name, rtype: RecordType, now: SimTime) -> Option<Rcode>;
-
-    /// Drops one positive entry. See [`Cache::invalidate`].
-    fn invalidate(&mut self, name: &Name, rtype: RecordType, now: SimTime) -> bool;
-
-    /// Drops every positive entry at or below `apex`.
-    /// See [`Cache::invalidate_zone`].
-    fn invalidate_zone(&mut self, apex: &Name, now: SimTime) -> usize;
-
-    /// Drops expired, unpinned entries. See [`Cache::purge_expired`].
-    fn purge_expired(&mut self, now: SimTime);
-
-    /// How long ago an expired entry's TTL ran out, if it is still
-    /// resident. See [`Cache::expired_since`].
-    fn expired_since(&self, name: &Name, rtype: RecordType, now: SimTime) -> Option<SimDuration>;
-
-    /// Remaining-TTL fraction of a fresh entry. See [`Cache::freshness`].
-    fn freshness(&self, name: &Name, rtype: RecordType, now: SimTime) -> Option<f64>;
-
-    /// Number of positive entries (fresh and expired).
-    fn len(&self) -> usize;
-
-    /// True if the backend holds no positive entries.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Entries evicted under capacity pressure so far.
-    fn evictions(&self) -> u64;
-
-    /// The always-on transaction counts.
-    fn stats(&self) -> CacheStats;
-
-    /// Turns on op journalling (provenance ledger / op log).
-    fn enable_ledger(&mut self);
-
-    /// Whether op journalling is recording.
-    fn ledger_enabled(&self) -> bool;
-
-    /// Removes every entry. See [`Cache::clear`].
-    fn clear(&mut self);
-
-    /// Deterministic sorted dump of positive contents.
-    fn snapshot(&self, now: SimTime) -> CacheSnapshot;
-}
-
-impl CacheBackend for Cache {
-    fn store_with(
-        &mut self,
-        rrset: RRset,
-        rank: Credibility,
-        now: SimTime,
-        policy: &ResolverPolicy,
-        pinned: bool,
-        ctx: StoreContext,
-    ) {
-        Cache::store_with(self, rrset, rank, now, policy, pinned, ctx);
-    }
-
-    fn get(&mut self, name: &Name, rtype: RecordType, now: SimTime) -> Option<CachedAnswer> {
-        Cache::get(self, name, rtype, now)
-    }
-
-    fn get_stale(
-        &mut self,
-        name: &Name,
-        rtype: RecordType,
-        now: SimTime,
-        max_stale: Ttl,
-    ) -> Option<CachedAnswer> {
-        Cache::get_stale(self, name, rtype, now, max_stale)
-    }
-
-    fn store_negative(
-        &mut self,
-        name: Name,
-        rtype: RecordType,
-        rcode: Rcode,
-        soa_minimum: Ttl,
-        soa_ttl: Ttl,
-        now: SimTime,
-        policy: &ResolverPolicy,
-    ) {
-        Cache::store_negative(self, name, rtype, rcode, soa_minimum, soa_ttl, now, policy);
-    }
-
-    fn store_failure(&mut self, name: Name, rtype: RecordType, ttl: Ttl, now: SimTime) {
-        Cache::store_failure(self, name, rtype, ttl, now);
-    }
-
-    fn get_negative(&self, name: &Name, rtype: RecordType, now: SimTime) -> Option<Rcode> {
-        Cache::get_negative(self, name, rtype, now)
-    }
-
-    fn invalidate(&mut self, name: &Name, rtype: RecordType, now: SimTime) -> bool {
-        Cache::invalidate(self, name, rtype, now)
-    }
-
-    fn invalidate_zone(&mut self, apex: &Name, now: SimTime) -> usize {
-        Cache::invalidate_zone(self, apex, now)
-    }
-
-    fn purge_expired(&mut self, now: SimTime) {
-        Cache::purge_expired(self, now);
-    }
-
-    fn expired_since(&self, name: &Name, rtype: RecordType, now: SimTime) -> Option<SimDuration> {
-        Cache::expired_since(self, name, rtype, now)
-    }
-
-    fn freshness(&self, name: &Name, rtype: RecordType, now: SimTime) -> Option<f64> {
-        Cache::freshness(self, name, rtype, now)
-    }
-
-    fn len(&self) -> usize {
-        Cache::len(self)
-    }
-
-    fn evictions(&self) -> u64 {
-        Cache::evictions(self)
-    }
-
-    fn stats(&self) -> CacheStats {
-        Cache::stats(self)
-    }
-
-    fn enable_ledger(&mut self) {
-        Cache::enable_ledger(self);
-    }
-
-    fn ledger_enabled(&self) -> bool {
-        Cache::ledger_enabled(self)
-    }
-
-    fn clear(&mut self) {
-        Cache::clear(self);
-    }
-
-    fn snapshot(&self, now: SimTime) -> CacheSnapshot {
-        Cache::snapshot(self, now)
-    }
-}
-
-impl CacheBackend for SharedCache {
-    fn store_with(
-        &mut self,
-        rrset: RRset,
-        rank: Credibility,
-        now: SimTime,
-        policy: &ResolverPolicy,
-        pinned: bool,
-        ctx: StoreContext,
-    ) {
-        SharedCache::store_with(self, rrset, rank, now, policy, pinned, ctx);
-    }
-
-    fn get(&mut self, name: &Name, rtype: RecordType, now: SimTime) -> Option<CachedAnswer> {
-        SharedCache::get(self, name, rtype, now)
-    }
-
-    fn get_stale(
-        &mut self,
-        name: &Name,
-        rtype: RecordType,
-        now: SimTime,
-        max_stale: Ttl,
-    ) -> Option<CachedAnswer> {
-        SharedCache::get_stale(self, name, rtype, now, max_stale)
-    }
-
-    fn store_negative(
-        &mut self,
-        name: Name,
-        rtype: RecordType,
-        rcode: Rcode,
-        soa_minimum: Ttl,
-        soa_ttl: Ttl,
-        now: SimTime,
-        policy: &ResolverPolicy,
-    ) {
-        SharedCache::store_negative(self, name, rtype, rcode, soa_minimum, soa_ttl, now, policy);
-    }
-
-    fn store_failure(&mut self, name: Name, rtype: RecordType, ttl: Ttl, now: SimTime) {
-        SharedCache::store_failure(self, name, rtype, ttl, now);
-    }
-
-    fn get_negative(&self, name: &Name, rtype: RecordType, now: SimTime) -> Option<Rcode> {
-        SharedCache::get_negative(self, name, rtype, now)
-    }
-
-    fn invalidate(&mut self, name: &Name, rtype: RecordType, now: SimTime) -> bool {
-        SharedCache::invalidate(self, name, rtype, now)
-    }
-
-    fn invalidate_zone(&mut self, apex: &Name, now: SimTime) -> usize {
-        SharedCache::invalidate_zone(self, apex, now)
-    }
-
-    fn purge_expired(&mut self, now: SimTime) {
-        SharedCache::purge_expired(self, now);
-    }
-
-    fn expired_since(&self, name: &Name, rtype: RecordType, now: SimTime) -> Option<SimDuration> {
-        SharedCache::expired_since(self, name, rtype, now)
-    }
-
-    fn freshness(&self, name: &Name, rtype: RecordType, now: SimTime) -> Option<f64> {
-        SharedCache::freshness(self, name, rtype, now)
-    }
-
-    fn len(&self) -> usize {
-        SharedCache::len(self)
-    }
-
-    fn evictions(&self) -> u64 {
-        SharedCache::evictions(self)
-    }
-
-    fn stats(&self) -> CacheStats {
-        SharedCache::stats(self)
-    }
-
-    fn enable_ledger(&mut self) {
-        SharedCache::enable_ledger(self);
-    }
-
-    fn ledger_enabled(&self) -> bool {
-        SharedCache::ledger_enabled(self)
-    }
-
-    fn clear(&mut self) {
-        SharedCache::clear(self);
-    }
-
-    fn snapshot(&self, now: SimTime) -> CacheSnapshot {
-        SharedCache::snapshot(self, now)
-    }
-}
 
 /// The cache a resolver holds: either the single-threaded
 /// expiry-indexed oracle or the concurrent segment-locked backend,
@@ -327,15 +37,9 @@ pub enum CacheEngine {
     Shared(Arc<SharedCache>),
 }
 
-impl Default for CacheEngine {
-    fn default() -> CacheEngine {
-        CacheEngine::Sequential(Cache::new())
-    }
-}
-
 impl CacheEngine {
     /// Builds the backend a policy asks for, honouring
-    /// `cache_capacity`, `cache_segments`, and `slru_admission`.
+    /// `cache_capacity` and `cache_segments`.
     pub fn from_policy(policy: &ResolverPolicy) -> CacheEngine {
         match policy.cache_backend {
             CacheBackendChoice::Sequential => {
@@ -347,22 +51,6 @@ impl CacheEngine {
             CacheBackendChoice::Shared => {
                 CacheEngine::Shared(Arc::new(SharedCache::from_policy(policy)))
             }
-        }
-    }
-
-    /// The sequential cache, if that's the active backend.
-    pub fn as_sequential(&self) -> Option<&Cache> {
-        match self {
-            CacheEngine::Sequential(cache) => Some(cache),
-            CacheEngine::Shared(_) => None,
-        }
-    }
-
-    /// Mutable access to the sequential cache, if active.
-    pub fn as_sequential_mut(&mut self) -> Option<&mut Cache> {
-        match self {
-            CacheEngine::Sequential(cache) => Some(cache),
-            CacheEngine::Shared(_) => None,
         }
     }
 
@@ -472,22 +160,6 @@ impl CacheEngine {
         }
     }
 
-    /// See [`Cache::invalidate`].
-    pub fn invalidate(&mut self, name: &Name, rtype: RecordType, now: SimTime) -> bool {
-        match self {
-            CacheEngine::Sequential(c) => c.invalidate(name, rtype, now),
-            CacheEngine::Shared(c) => c.invalidate(name, rtype, now),
-        }
-    }
-
-    /// See [`Cache::invalidate_zone`].
-    pub fn invalidate_zone(&mut self, apex: &Name, now: SimTime) -> usize {
-        match self {
-            CacheEngine::Sequential(c) => c.invalidate_zone(apex, now),
-            CacheEngine::Shared(c) => c.invalidate_zone(apex, now),
-        }
-    }
-
     /// See [`Cache::purge_expired`].
     pub fn purge_expired(&mut self, now: SimTime) {
         match self {
@@ -533,14 +205,6 @@ impl CacheEngine {
         }
     }
 
-    /// Entries evicted under capacity pressure so far.
-    pub fn evictions(&self) -> u64 {
-        match self {
-            CacheEngine::Sequential(c) => c.evictions(),
-            CacheEngine::Shared(c) => c.evictions(),
-        }
-    }
-
     /// The always-on transaction counts.
     pub fn stats(&self) -> CacheStats {
         match self {
@@ -554,14 +218,6 @@ impl CacheEngine {
         match self {
             CacheEngine::Sequential(c) => c.enable_ledger(),
             CacheEngine::Shared(c) => c.enable_ledger(),
-        }
-    }
-
-    /// Whether op journalling is recording.
-    pub fn ledger_enabled(&self) -> bool {
-        match self {
-            CacheEngine::Sequential(c) => c.ledger_enabled(),
-            CacheEngine::Shared(c) => c.ledger_enabled(),
         }
     }
 
@@ -612,49 +268,13 @@ mod tests {
         }
     }
 
-    // The same tiny workload through both engines via the trait, so
-    // the trait surface itself is exercised (not just the enum).
-    fn drive<B: CacheBackend>(backend: &mut B, policy: &ResolverPolicy) -> (u64, u64, usize) {
-        for i in 0..8 {
-            backend.store_with(
-                a_rrset(&format!("w{i}.pool.example"), 300),
-                Credibility::AuthAnswer,
-                SimTime::ZERO,
-                policy,
-                false,
-                StoreContext::default(),
-            );
-        }
-        let mut hits = 0;
-        for i in 0..8 {
-            let name = Name::parse(&format!("w{i}.pool.example")).unwrap();
-            if backend
-                .get(&name, RecordType::A, SimTime::from_secs(10))
-                .is_some()
-            {
-                hits += 1;
-            }
-        }
-        let stats = backend.stats();
-        (hits, stats.inserts, backend.len())
-    }
-
-    #[test]
-    fn trait_drives_both_backends_identically() {
-        let policy = policy_with(CacheBackendChoice::Sequential);
-        let mut seq = Cache::with_capacity(32);
-        let mut shared = SharedCache::with_capacity(4, 32);
-        assert_eq!(drive(&mut seq, &policy), drive(&mut shared, &policy));
-    }
-
     #[test]
     fn from_policy_picks_the_backend() {
         let seq = CacheEngine::from_policy(&policy_with(CacheBackendChoice::Sequential));
-        assert!(seq.as_sequential().is_some());
+        assert!(matches!(seq, CacheEngine::Sequential(_)));
         assert!(seq.shared().is_none());
 
         let shared = CacheEngine::from_policy(&policy_with(CacheBackendChoice::Shared));
-        assert!(shared.as_sequential().is_none());
         let handle = shared.shared().expect("shared handle");
         assert_eq!(handle.segment_count(), 8);
     }

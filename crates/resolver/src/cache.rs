@@ -61,9 +61,6 @@ pub(crate) struct Entry {
     /// True for entries a local-root (RFC 7706) resolver treats as a
     /// mirrored copy: served at full TTL, never expiring.
     pub(crate) pinned: bool,
-    /// SLRU tier: true once a hit promoted the entry out of probation.
-    /// Always false when admission control is off.
-    pub(crate) protected: bool,
     /// Where the entry came from (installing transaction, server,
     /// origin, bailiwick, published vs effective TTL).
     pub(crate) provenance: Provenance,
@@ -120,34 +117,27 @@ pub(crate) trait OpSink {
 }
 
 /// The cache state machine, engine-agnostic: entry table, negative
-/// table, and the expiry-ordered eviction indexes. `Send` by
+/// table, and the expiry-ordered eviction index. `Send` by
 /// construction (no `Rc`, no `RefCell`), so one core backs the
 /// sequential [`Cache`] and one core sits behind each lock of the
 /// concurrent [`crate::SharedCache`].
 ///
 /// Eviction order is deterministic and documented: the victim is the
-/// minimum of the probation index, then of the protected index —
-/// i.e. ordered by `(expires_at, canonical name order, type code)`,
-/// probation tier before protected tier. With SLRU admission off
-/// (the default, and always the case for the sequential engine) every
-/// entry is in probation and the order is exactly the pre-SLRU one.
+/// index minimum, i.e. ordered by `(expires_at, canonical name order,
+/// type code)`.
 #[derive(Debug)]
 pub(crate) struct CacheCore {
     pub(crate) entries: HashMap<(Name, RecordType), Entry>,
-    /// Expiry index over the *unpinned, unprotected* entries — a
-    /// hierarchical timing wheel bucketing `(name, rtype code)` ties by
-    /// `expires_at` milliseconds. Kept in lockstep with every
-    /// insert/remove so eviction and expiry purges are amortized-O(1)
-    /// wheel pops instead of O(log n) ordered-set operations, while
-    /// every pop drains in the exact `(expires_at, canonical name
-    /// order, type code)` order the previous `BTreeSet` index used (the
-    /// eviction-oracle differential suite pins this). Pinned entries
-    /// never expire and are never evicted, so they are not indexed.
-    probation: TimingWheel<(Name, u16)>,
-    /// SLRU protected tier: entries promoted by a hit. Evicted only
-    /// when probation is empty; demoted (oldest-expiry first) when the
-    /// tier outgrows `protected_cap`. Empty when admission is off.
-    protected: TimingWheel<(Name, u16)>,
+    /// Expiry index over the *unpinned* entries — a hierarchical timing
+    /// wheel bucketing `(name, rtype code)` ties by `expires_at`
+    /// milliseconds. Kept in lockstep with every insert/remove so
+    /// eviction and expiry purges are amortized-O(1) wheel pops instead
+    /// of O(log n) ordered-set operations, while every pop drains in
+    /// the exact `(expires_at, canonical name order, type code)` order
+    /// the previous `BTreeSet` index used (the eviction-oracle
+    /// differential suite pins this). Pinned entries never expire and
+    /// are never evicted, so they are not indexed.
+    expiry: TimingWheel<(Name, u16)>,
     negatives: HashMap<(Name, RecordType), NegEntry>,
     /// Maximum positive entries; `None` = unbounded. Real caches are
     /// bounded, and under pressure the *effective* TTL is the eviction
@@ -155,40 +145,23 @@ pub(crate) struct CacheCore {
     capacity: Option<usize>,
     /// Entries evicted due to capacity pressure.
     evictions: u64,
-    /// SLRU-style admission: hits promote entries into the protected
-    /// tier, shielding popular names from scan-like churn.
-    slru: bool,
-    /// Maximum protected-tier size before promotion demotes the
-    /// protected entry closest to expiry back to probation.
-    protected_cap: usize,
 }
 
 impl Default for CacheCore {
     fn default() -> CacheCore {
-        CacheCore::new(None, false)
+        CacheCore::new(None)
     }
 }
 
 impl CacheCore {
-    /// A core with the given capacity and admission mode.
-    pub(crate) fn new(capacity: Option<usize>, slru: bool) -> CacheCore {
-        let capacity = capacity.map(|c| c.max(1));
-        // The classic SLRU split: ~80% of a bounded cache may be
-        // protected; an unbounded cache never demotes.
-        let protected_cap = if slru {
-            capacity.map(|c| (c * 4 / 5).max(1)).unwrap_or(usize::MAX)
-        } else {
-            0
-        };
+    /// A core bounded to `capacity` positive entries (`None` = unbounded).
+    pub(crate) fn new(capacity: Option<usize>) -> CacheCore {
         CacheCore {
             entries: HashMap::new(),
-            probation: TimingWheel::new(),
-            protected: TimingWheel::new(),
+            expiry: TimingWheel::new(),
             negatives: HashMap::new(),
-            capacity,
+            capacity: capacity.map(|c| c.max(1)),
             evictions: 0,
-            slru,
-            protected_cap,
         }
     }
 
@@ -202,15 +175,10 @@ impl CacheCore {
         self.entries.values()
     }
 
-    /// Removes `key` from whichever tier holds it.
-    fn index_remove(&mut self, key: &(SimTime, Name, u16), protected: bool) {
-        let (expires_at, name, code) = key;
-        let tier = if protected {
-            &mut self.protected
-        } else {
-            &mut self.probation
-        };
-        tier.cancel_by(expires_at.as_millis(), |(n, c)| c == code && n == name);
+    /// Removes an entry's key from the expiry index.
+    fn index_remove(&mut self, expires_at: SimTime, name: &Name, code: u16) {
+        self.expiry
+            .cancel_by(expires_at.as_millis(), |(n, c)| *c == code && n == name);
     }
 
     /// Makes room for one more entry when at capacity.
@@ -228,15 +196,9 @@ impl CacheCore {
         // expiry (already-expired entries sort first by construction),
         // ties broken by canonical name order then type code — never by
         // HashMap iteration order, so the ledger is identical across
-        // reruns. Probation is drained before the protected tier (the
-        // SLRU admission promise); with admission off the protected
-        // tier is empty and this is the pre-SLRU order exactly. Pinned
-        // entries are mirrored zone data, never indexed, never evicted.
-        let victim = self
-            .probation
-            .pop_first()
-            .or_else(|| self.protected.pop_first());
-        if let Some((_, (name, code))) = victim {
+        // reruns. Pinned entries are mirrored zone data, never indexed,
+        // never evicted.
+        if let Some((_, (name, code))) = self.expiry.pop_first() {
             let rtype = RecordType::from_code(code).expect("index holds valid type codes");
             let e = self
                 .entries
@@ -282,13 +244,10 @@ impl CacheCore {
         // Removal cause for the entry currently under the key, if any.
         let mut displaced: Option<(CacheOp, Entry)> = None;
         let mut refresh = false;
-        // Index key + tier of the entry this store replaces (refreshes
+        // Indexed expiry of the entry this store replaces (refreshes
         // move an entry's expiry too, so the stale key must go either
         // way).
-        let mut old_index: Option<((SimTime, Name, u16), bool)> = None;
-        // A fresh replacement inherits the old entry's SLRU tier; an
-        // expired entry re-enters through probation like any newcomer.
-        let mut keep_protected = false;
+        let mut old_expiry: Option<SimTime> = None;
         let fingerprint = rrset.fingerprint();
         if let Some(existing) = self.entries.get(&key) {
             let fresh = existing.pinned || existing.expires_at > now;
@@ -309,17 +268,13 @@ impl CacheCore {
                 } else {
                     displaced = Some((CacheOp::Overwrite, existing.clone()));
                 }
-                keep_protected = existing.protected;
             } else {
                 // Past its TTL: whatever replaces it, the old entry
                 // died of expiry.
                 displaced = Some((CacheOp::Expire, existing.clone()));
             }
             if !existing.pinned {
-                old_index = Some((
-                    (existing.expires_at, key.0.clone(), key.1.code()),
-                    existing.protected,
-                ));
+                old_expiry = Some(existing.expires_at);
             }
         }
         let origin = if ctx.txn == 0 && ctx.server.is_none() {
@@ -352,8 +307,8 @@ impl CacheCore {
         }
         let mut rrset = rrset;
         rrset.ttl = ttl;
-        if let Some((stale_key, was_protected)) = old_index {
-            self.index_remove(&stale_key, was_protected);
+        if let Some(stale) = old_expiry {
+            self.index_remove(stale, &key.0, key.1.code());
         }
         self.evict_if_full(&key, now, sink);
         if refresh {
@@ -375,14 +330,9 @@ impl CacheCore {
             fingerprint,
         );
         let expires_at = now + ttl_span(ttl);
-        let protected = keep_protected && self.slru;
         if !pinned {
-            let tier = if protected {
-                &mut self.protected
-            } else {
-                &mut self.probation
-            };
-            tier.insert(expires_at.as_millis(), (key.0.clone(), key.1.code()));
+            self.expiry
+                .insert(expires_at.as_millis(), (key.0.clone(), key.1.code()));
         }
         self.entries.insert(
             key,
@@ -392,7 +342,6 @@ impl CacheCore {
                 rrset,
                 rank,
                 pinned,
-                protected,
                 provenance: prov,
                 fingerprint,
             },
@@ -410,7 +359,7 @@ impl CacheCore {
         match self.entries.remove(&(name.clone(), rtype)) {
             Some(e) => {
                 if !e.pinned {
-                    self.index_remove(&(e.expires_at, name.clone(), rtype.code()), e.protected);
+                    self.index_remove(e.expires_at, name, rtype.code());
                 }
                 sink.stats().invalidations += 1;
                 sink.note(
@@ -450,9 +399,8 @@ impl CacheCore {
         victims.len()
     }
 
-    /// See [`Cache::get`]. Read-only on the core: SLRU promotion is a
-    /// separate, explicit [`CacheCore::touch`] so the sequential engine
-    /// can keep its `&self` read path.
+    /// See [`Cache::get`]. Read-only on the core, so the sequential
+    /// engine keeps its `&self` read path.
     pub(crate) fn get<S: OpSink>(
         &self,
         name: &Name,
@@ -487,43 +435,6 @@ impl CacheCore {
         })
     }
 
-    /// SLRU promotion after a hit: moves the entry from probation into
-    /// the protected tier, demoting the protected entry closest to
-    /// expiry when the tier is full. No-op when admission is off, for
-    /// pinned entries, and for entries already protected — so the
-    /// sequential engine (which never calls this) and an
-    /// admission-off shared segment have identical index states.
-    pub(crate) fn touch(&mut self, name: &Name, rtype: RecordType) {
-        if !self.slru {
-            return;
-        }
-        let Some(e) = self.entries.get_mut(&(name.clone(), rtype)) else {
-            return;
-        };
-        if e.pinned || e.protected {
-            return;
-        }
-        let expires_ms = e.expires_at.as_millis();
-        let code = rtype.code();
-        if !self
-            .probation
-            .cancel_by(expires_ms, |(n, c)| *c == code && n == name)
-        {
-            return;
-        }
-        e.protected = true;
-        self.protected.insert(expires_ms, (name.clone(), code));
-        if self.protected.len() > self.protected_cap {
-            if let Some((demoted_ms, (dname, dcode))) = self.protected.pop_first() {
-                let rt = RecordType::from_code(dcode).expect("index holds valid type codes");
-                if let Some(d) = self.entries.get_mut(&(dname.clone(), rt)) {
-                    d.protected = false;
-                }
-                self.probation.insert(demoted_ms, (dname, dcode));
-            }
-        }
-    }
-
     /// See [`Cache::expired_since`].
     pub(crate) fn expired_since(
         &self,
@@ -531,18 +442,12 @@ impl CacheCore {
         rtype: RecordType,
         now: SimTime,
     ) -> Option<SimDuration> {
-        // The expiry indexes cover every unpinned entry and cache their
-        // minimum fire time, so they answer "is anything expired at
+        // The expiry index covers every unpinned entry and caches its
+        // minimum fire time, so it answers "is anything expired at
         // all?" in O(1) without touching the entry table. Resolvers
         // probe this on *every* query; in the common all-fresh cache
         // the probe ends here.
-        let earliest = match (self.probation.earliest_ms(), self.protected.earliest_ms()) {
-            (Some(a), Some(b)) => a.min(b),
-            (Some(a), None) => a,
-            (None, Some(b)) => b,
-            (None, None) => return None,
-        };
-        if earliest > now.as_millis() {
+        if self.expiry.earliest_ms()? > now.as_millis() {
             return None;
         }
         let e = self.entries.get(&(name.clone(), rtype))?;
@@ -693,38 +598,13 @@ impl CacheCore {
         self.entries.is_empty()
     }
 
-    /// See [`Cache::purge_expired`]. Expired entries are the merged
-    /// prefixes of both tier indexes up to `now`, drained in global
-    /// `(expires_at, name, type code)` order — the same ledger order as
-    /// the single-index engine, regardless of which tier held an entry.
+    /// See [`Cache::purge_expired`]. Expired entries are the index
+    /// prefix up to `now`, drained in `(expires_at, name, type code)`
+    /// order.
     pub(crate) fn purge_expired<S: OpSink>(&mut self, now: SimTime, sink: &mut S) {
         let now_ms = now.as_millis();
-        loop {
-            // The exact O(1) earliest-time cache answers "anything due,
-            // and in which tier?" without a bucket scan; only a
-            // same-instant collision across tiers needs the full
-            // `(expires_at, name, code)` comparison to keep the global
-            // single-index drain order, and `first` cascades there so
-            // the peek is over a fine bucket.
-            let p = self.probation.earliest_ms().filter(|t| *t <= now_ms);
-            let q = self.protected.earliest_ms().filter(|t| *t <= now_ms);
-            let from_probation = match (p, q) {
-                (None, None) => break,
-                (Some(_), None) => true,
-                (None, Some(_)) => false,
-                (Some(a), Some(b)) if a != b => a < b,
-                // Same expiry millisecond in both tiers: time first,
-                // then the tie key, exactly as one merged index would.
-                (Some(_), Some(_)) => {
-                    let pk = self.probation.first().map(|(t, k)| (t, k.clone()));
-                    pk <= self.protected.first().map(|(t, k)| (t, k.clone()))
-                }
-            };
-            let (_, (name, code)) = if from_probation {
-                self.probation.pop_first().expect("first just seen")
-            } else {
-                self.protected.pop_first().expect("first just seen")
-            };
+        while self.expiry.earliest_ms().is_some_and(|t| t <= now_ms) {
+            let (_, (name, code)) = self.expiry.pop_first().expect("earliest just seen");
             let rtype = RecordType::from_code(code).expect("index holds valid type codes");
             let e = self
                 .entries
@@ -748,8 +628,7 @@ impl CacheCore {
     pub(crate) fn clear<S: OpSink>(&mut self, sink: &mut S) {
         sink.stats().clears += self.entries.len() as u64;
         self.entries.clear();
-        self.probation.clear();
-        self.protected.clear();
+        self.expiry.clear();
         self.negatives.clear();
     }
 }
@@ -898,7 +777,7 @@ impl Cache {
     /// value), pinned entries last.
     pub fn with_capacity(capacity: usize) -> Cache {
         Cache {
-            core: CacheCore::new(Some(capacity), false),
+            core: CacheCore::new(Some(capacity)),
             ..Cache::default()
         }
     }
@@ -921,11 +800,6 @@ impl Cache {
         if meta.ledger.is_none() {
             meta.ledger = Some(Box::new(Ledger::new()));
         }
-    }
-
-    /// Whether the provenance ledger is recording.
-    pub fn ledger_enabled(&self) -> bool {
-        self.meta.borrow().ledger.is_some()
     }
 
     /// Runs `f` against the ledger, if enabled.
@@ -1772,187 +1646,10 @@ mod tests {
         assert_eq!(neg_caches, 1);
     }
 
-    /// A throwaway sink for driving [`CacheCore`] directly in SLRU
-    /// tests: counts into a plain [`CacheStats`], drops every record.
-    #[derive(Default)]
-    struct TestSink {
-        stats: CacheStats,
-    }
-
-    impl OpSink for TestSink {
-        fn stats(&mut self) -> &mut CacheStats {
-            &mut self.stats
-        }
-
-        fn note(
-            &mut self,
-            _now: SimTime,
-            _op: CacheOp,
-            _rrset: &RRset,
-            _rank: Credibility,
-            _prov: Provenance,
-            _residency_ms: Option<u64>,
-            _fingerprint: u64,
-        ) {
-        }
-    }
-
     #[test]
-    fn slru_touch_shields_promoted_entry_from_eviction() {
-        let mut core = CacheCore::new(Some(2), true);
-        let mut sink = TestSink::default();
-        let p = policy();
-        core.store_with(
-            a_rrset("hot.example", 60, 1),
-            Credibility::AuthAnswer,
-            SimTime::ZERO,
-            &p,
-            false,
-            StoreContext::default(),
-            &mut sink,
-        );
-        core.store_with(
-            a_rrset("cold.example", 3_600, 2),
-            Credibility::AuthAnswer,
-            SimTime::ZERO,
-            &p,
-            false,
-            StoreContext::default(),
-            &mut sink,
-        );
-        // A hit promotes hot.example out of probation even though it
-        // expires first…
-        assert!(core
-            .get(
-                &n("hot.example"),
-                RecordType::A,
-                SimTime::from_secs(1),
-                &mut sink
-            )
-            .is_some());
-        core.touch(&n("hot.example"), RecordType::A);
-        // …so capacity pressure evicts the probation entry instead of
-        // the soonest-to-expire one.
-        core.store_with(
-            a_rrset("new.example", 600, 3),
-            Credibility::AuthAnswer,
-            SimTime::from_secs(2),
-            &p,
-            false,
-            StoreContext::default(),
-            &mut sink,
-        );
-        assert!(core
-            .get(
-                &n("hot.example"),
-                RecordType::A,
-                SimTime::from_secs(3),
-                &mut sink
-            )
-            .is_some());
-        assert!(core
-            .get(
-                &n("cold.example"),
-                RecordType::A,
-                SimTime::from_secs(3),
-                &mut sink
-            )
-            .is_none());
-        assert_eq!(core.evictions(), 1);
-        // Conservation holds through promotion and eviction.
-        assert_eq!(
-            sink.stats.inserts,
-            sink.stats.removals() + core.len() as u64
-        );
-    }
-
-    #[test]
-    fn slru_overfull_protected_tier_demotes_oldest_expiry() {
-        // Capacity 2 → protected_cap 1: promoting a second entry must
-        // demote the protected one closest to expiry back to probation.
-        let mut core = CacheCore::new(Some(2), true);
-        let mut sink = TestSink::default();
-        let p = policy();
-        for (name, ttl, last) in [("a.example", 60u32, 1u8), ("b.example", 3_600, 2)] {
-            core.store_with(
-                a_rrset(name, ttl, last),
-                Credibility::AuthAnswer,
-                SimTime::ZERO,
-                &p,
-                false,
-                StoreContext::default(),
-                &mut sink,
-            );
-        }
-        core.touch(&n("a.example"), RecordType::A);
-        core.touch(&n("b.example"), RecordType::A);
-        // a.example (earliest expiry) was demoted, so it is the next
-        // eviction victim again.
-        core.store_with(
-            a_rrset("c.example", 600, 3),
-            Credibility::AuthAnswer,
-            SimTime::from_secs(1),
-            &p,
-            false,
-            StoreContext::default(),
-            &mut sink,
-        );
-        assert!(core
-            .get(
-                &n("a.example"),
-                RecordType::A,
-                SimTime::from_secs(2),
-                &mut sink
-            )
-            .is_none());
-        assert!(core
-            .get(
-                &n("b.example"),
-                RecordType::A,
-                SimTime::from_secs(2),
-                &mut sink
-            )
-            .is_some());
-    }
-
-    #[test]
-    fn slru_purge_merges_tiers_in_expiry_order() {
-        let mut core = CacheCore::new(Some(8), true);
-        let mut sink = TestSink::default();
-        let p = policy();
-        for (name, ttl, last) in [
-            ("a.example", 60u32, 1u8),
-            ("b.example", 120, 2),
-            ("c.example", 240, 3),
-        ] {
-            core.store_with(
-                a_rrset(name, ttl, last),
-                Credibility::AuthAnswer,
-                SimTime::ZERO,
-                &p,
-                false,
-                StoreContext::default(),
-                &mut sink,
-            );
-        }
-        // b.example is protected; a and c stay in probation.
-        core.touch(&n("b.example"), RecordType::A);
-        core.purge_expired(SimTime::from_secs(150), &mut sink);
-        // Both expired entries died exactly once, whichever tier held
-        // them — the double-count audit in miniature.
-        assert_eq!(sink.stats.expiries, 2);
-        assert_eq!(core.len(), 1);
-        assert_eq!(
-            sink.stats.inserts,
-            sink.stats.removals() + core.len() as u64
-        );
-    }
-
-    #[test]
-    fn sequential_engine_never_uses_the_protected_tier() {
-        // The oracle's Cache::get path must not promote: with SLRU off,
-        // eviction order is the pre-SLRU expiry order even for entries
-        // that were hit many times.
+    fn hits_do_not_shield_an_entry_from_eviction() {
+        // One expiry index, no admission tier: the victim is the
+        // soonest-to-expire entry however often it was hit.
         let mut c = Cache::with_capacity(2);
         c.store(
             a_rrset("hot.example", 60, 1),

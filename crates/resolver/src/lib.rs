@@ -36,7 +36,7 @@ pub mod shared;
 pub mod snapshot;
 pub mod stub;
 
-pub use backend::{CacheBackend, CacheEngine};
+pub use backend::CacheEngine;
 pub use cache::{Cache, CachedAnswer, Credibility};
 pub use ledger::{
     parse_rank_token, rank_token, BailiwickClass, CacheStats, Ledger, LedgerCell, LedgerKey,

@@ -26,8 +26,7 @@
 //!   interleaving.
 //!
 //! The eviction tie-break, per segment, is the documented core order:
-//! `(expires_at, canonical name order, type code)`, probation tier
-//! before the SLRU protected tier.
+//! `(expires_at, canonical name order, type code)`.
 //!
 //! # Ledger ops under concurrency
 //!
@@ -183,26 +182,23 @@ impl SharedCache {
     /// An unbounded shared cache with `segments` lock shards (rounded
     /// up to a power of two, clamped to `[1, 256]`).
     pub fn new(segments: usize) -> SharedCache {
-        SharedCache::with_options(segments, None, false)
+        SharedCache::build(segments, None)
     }
 
     /// A shared cache bounded to ~`capacity` positive entries total,
     /// split evenly across segments (each shard gets
     /// `ceil(capacity / segments)`, minimum 1).
     pub fn with_capacity(segments: usize, capacity: usize) -> SharedCache {
-        SharedCache::with_options(segments, Some(capacity), false)
+        SharedCache::build(segments, Some(capacity))
     }
 
-    /// Full constructor: segment count, optional total capacity, and
-    /// SLRU-style admission (hits promote entries into a protected
-    /// tier that is evicted only after probation drains).
-    pub fn with_options(segments: usize, capacity: Option<usize>, slru: bool) -> SharedCache {
+    fn build(segments: usize, capacity: Option<usize>) -> SharedCache {
         let count = segments.clamp(1, 256).next_power_of_two();
         let per_segment = capacity.map(|c| c.max(1).div_ceil(count));
         let segments: Vec<Mutex<Segment>> = (0..count)
             .map(|_| {
                 Mutex::new(Segment {
-                    core: CacheCore::new(per_segment, slru),
+                    core: CacheCore::new(per_segment),
                     stats: CacheStats::default(),
                 })
             })
@@ -217,11 +213,7 @@ impl SharedCache {
 
     /// Builds the backend a policy asks for.
     pub fn from_policy(policy: &ResolverPolicy) -> SharedCache {
-        SharedCache::with_options(
-            policy.cache_segments,
-            policy.cache_capacity,
-            policy.slru_admission,
-        )
+        SharedCache::build(policy.cache_segments, policy.cache_capacity)
     }
 
     /// Sets the op-log capacity used when the ledger is (later)
@@ -260,11 +252,6 @@ impl SharedCache {
     pub fn enable_ledger(&self) {
         self.log
             .get_or_init(|| OpLog::with_capacity(self.log_capacity));
-    }
-
-    /// Whether the op journal is recording.
-    pub fn ledger_enabled(&self) -> bool {
-        self.log.get().is_some()
     }
 
     /// Ops that overflowed the journal (0 unless the log filled up).
@@ -354,17 +341,12 @@ impl SharedCache {
         core.store_with(rrset, rank, now, policy, pinned, ctx, &mut sink);
     }
 
-    /// See [`crate::Cache::get`]. A hit additionally runs the SLRU
-    /// promotion hook (a no-op unless admission is on).
+    /// See [`crate::Cache::get`].
     pub fn get(&self, name: &Name, rtype: RecordType, now: SimTime) -> Option<CachedAnswer> {
         let (mut seg, idx) = self.lock_for(name);
         let Segment { core, stats } = &mut *seg;
         let mut sink = SharedCache::sink(stats, self.log.get(), idx);
-        let hit = core.get(name, rtype, now, &mut sink);
-        if hit.is_some() {
-            core.touch(name, rtype);
-        }
-        hit
+        core.get(name, rtype, now, &mut sink)
     }
 
     /// See [`crate::Cache::get_stale`].
@@ -378,11 +360,7 @@ impl SharedCache {
         let (mut seg, idx) = self.lock_for(name);
         let Segment { core, stats } = &mut *seg;
         let mut sink = SharedCache::sink(stats, self.log.get(), idx);
-        let hit = core.get_stale(name, rtype, now, max_stale, &mut sink);
-        if hit.as_ref().is_some_and(|h| !h.stale) {
-            core.touch(name, rtype);
-        }
-        hit
+        core.get_stale(name, rtype, now, max_stale, &mut sink)
     }
 
     /// See [`crate::Cache::store_negative`].
@@ -480,13 +458,6 @@ impl SharedCache {
     /// True if no segment holds a positive entry.
     pub fn is_empty(&self) -> bool {
         (0..self.segments.len()).all(|i| self.lock(i).core.is_empty())
-    }
-
-    /// Entries evicted under capacity pressure, across all segments.
-    pub fn evictions(&self) -> u64 {
-        (0..self.segments.len())
-            .map(|i| self.lock(i).core.evictions())
-            .sum()
     }
 
     /// Summed per-segment counters. Each segment's counts obey the §8

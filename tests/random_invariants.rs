@@ -48,7 +48,6 @@ fn gen_policy(rng: &mut SimRng) -> ResolverPolicy {
         // would shift every downstream sample and re-seed the cases.
         cache_backend: dnsttl_core::CacheBackendChoice::Sequential,
         cache_segments: 8,
-        slru_admission: false,
     }
 }
 

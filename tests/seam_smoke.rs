@@ -1,0 +1,142 @@
+//! Thin tier-1 cases for the three seams whose full proof suites live
+//! at crate level (`cargo test --workspace`): the event queue's drain
+//! order (`netsim/tests/wheel_oracle.rs`), the SoA-vs-oracle campaign
+//! engines (`atlas/tests/soa_equivalence.rs`), and the two cache
+//! implementations behind `CacheEngine`
+//! (`resolver/tests/concurrent_equivalence.rs`).
+
+use dnsttl::atlas::{run_zipf_campaign, ZipfCampaignConfig, ZipfEngine, ZipfRunOpts};
+use dnsttl::core::{CacheBackendChoice, ResolverPolicy};
+use dnsttl::netsim::{EventQueue, SimDuration, SimRng, SimTime};
+use dnsttl::resolver::{CacheEngine, Credibility};
+use dnsttl::wire::{Name, RData, RRset, RecordType, Ttl};
+
+#[test]
+fn event_queue_drains_in_stable_time_order() {
+    // Dense ties, scattered near futures, beyond-wheel-span times, and
+    // `u64::MAX`-adjacent sentinels: the drain must be the stable sort
+    // by fire time (ties in schedule order).
+    let n = 3_200usize;
+    let mut rng = SimRng::seed_from(0x5EA4_0001);
+    let mut expected: Vec<(u64, usize)> = Vec::with_capacity(n);
+    let mut q = EventQueue::new();
+    for i in 0..n {
+        let ms = match rng.below(4) {
+            0 => 600_000,
+            1 => rng.below(7_200_000),
+            2 => (1 << 33) + rng.below(3),
+            _ => u64::MAX - rng.below(2),
+        };
+        expected.push((ms, i));
+        q.schedule(SimTime::from_millis(ms), i);
+    }
+    expected.sort();
+    let drained: Vec<(u64, usize)> =
+        std::iter::from_fn(|| q.pop().map(|(at, i)| (at.as_millis(), i))).collect();
+    assert_eq!(drained, expected);
+}
+
+#[test]
+fn zipf_soa_sweep_matches_the_heap_oracle_at_small_and_large_cells() {
+    // ~40 and ~150 probes per cell: the SoA sweep schedules both
+    // through the timing wheel and must reproduce the pointer-based
+    // heap oracle row for row.
+    for probes in [160, 600] {
+        let mut cfg = ZipfCampaignConfig::small(probes);
+        cfg.cells = 4;
+        cfg.duration = SimDuration::from_hours(2);
+        let run = |engine| {
+            let opts = ZipfRunOpts {
+                engine,
+                ..ZipfRunOpts::default()
+            };
+            run_zipf_campaign(&cfg, 17, &opts)
+        };
+        let soa = run(ZipfEngine::Soa);
+        let oracle = run(ZipfEngine::Oracle);
+        assert!(!soa.dataset.is_empty(), "probes={probes}");
+        assert_eq!(
+            soa.dataset.digest(),
+            oracle.dataset.digest(),
+            "probes={probes}"
+        );
+        assert_eq!(soa.queries_per_probe, oracle.queries_per_probe);
+        assert_eq!(soa.cache, oracle.cache, "probes={probes}");
+    }
+}
+
+fn a_rrset(name: &Name, ttl: u32, last: u8) -> RRset {
+    RRset {
+        name: name.clone(),
+        rtype: RecordType::A,
+        ttl: Ttl::from_secs(ttl),
+        rdatas: vec![RData::A(std::net::Ipv4Addr::new(192, 0, 2, last))],
+    }
+}
+
+#[test]
+fn sequential_and_shared_engines_agree_on_a_seeded_tape() {
+    // One lock segment with a shared capacity bound evicts exactly like
+    // the sequential cache; eight unbounded segments hold exactly the
+    // same entries. Either way the two engines must serve the same
+    // answers and end in the same snapshot and counters.
+    for (segments, capacity) in [(1, Some(8)), (8, None)] {
+        let policy = |backend| ResolverPolicy {
+            cache_backend: backend,
+            cache_segments: segments,
+            cache_capacity: capacity,
+            ..ResolverPolicy::default()
+        };
+        let seq_policy = policy(CacheBackendChoice::Sequential);
+        let mut seq = CacheEngine::from_policy(&seq_policy);
+        let mut shared = CacheEngine::from_policy(&policy(CacheBackendChoice::Shared));
+        assert!(shared.shared().is_some() && seq.shared().is_none());
+
+        let names: Vec<Name> = (0..40)
+            .map(|i| Name::parse(&format!("w{i}.pool.example")).unwrap())
+            .collect();
+        let mut rng = SimRng::seed_from(0x5EA4_0002);
+        let mut now = SimTime::ZERO;
+        for step in 0..200 {
+            let name = &names[rng.below(names.len() as u64) as usize];
+            match rng.below(5) {
+                0 | 1 => {
+                    let rrset = a_rrset(name, 30 + rng.below(300) as u32, rng.below(4) as u8);
+                    for engine in [&mut seq, &mut shared] {
+                        let rank = Credibility::AuthAnswer;
+                        engine.store(rrset.clone(), rank, now, &seq_policy, false);
+                    }
+                }
+                2 => {
+                    let a = seq.get(name, RecordType::A, now).map(|h| h.rrset);
+                    let b = shared.get(name, RecordType::A, now).map(|h| h.rrset);
+                    assert_eq!(a, b, "step {step}: fresh answer");
+                }
+                3 => {
+                    let stale = |e: &CacheEngine| {
+                        e.get_stale(name, RecordType::A, now, Ttl::HOUR)
+                            .map(|h| (h.rrset, h.stale))
+                    };
+                    assert_eq!(stale(&seq), stale(&shared), "step {step}: stale answer");
+                }
+                _ => {
+                    now += SimDuration::from_secs(1 + rng.below(120));
+                    if rng.chance(0.25) {
+                        seq.purge_expired(now);
+                        shared.purge_expired(now);
+                    }
+                }
+            }
+        }
+        assert_eq!(seq.stats(), shared.stats(), "segments={segments}");
+        assert_eq!(
+            seq.snapshot(now).to_jsonl(),
+            shared.snapshot(now).to_jsonl(),
+            "segments={segments}"
+        );
+        assert!(seq.stats().hits > 0 && seq.stats().inserts > 0);
+        if capacity.is_some() {
+            assert!(seq.stats().evictions > 0, "the bound must bind");
+        }
+    }
+}
