@@ -48,6 +48,13 @@ pub enum MasterErrorKind {
     NoOrigin,
     /// A record with no owner appeared before any owner was set.
     NoPreviousOwner,
+    /// A record's owner is not at or below the zone's origin.
+    OutOfZone {
+        /// The offending owner name.
+        owner: Name,
+        /// The origin of the zone being parsed.
+        origin: Name,
+    },
 }
 
 impl fmt::Display for MasterError {
@@ -62,6 +69,9 @@ impl fmt::Display for MasterError {
             MasterErrorKind::BadTtl(t) => write!(f, "bad TTL {t:?}"),
             MasterErrorKind::NoOrigin => write!(f, "relative name used before $ORIGIN"),
             MasterErrorKind::NoPreviousOwner => write!(f, "blank owner with no previous owner"),
+            MasterErrorKind::OutOfZone { owner, origin } => {
+                write!(f, "owner {owner} is outside zone {origin}")
+            }
         }
     }
 }
@@ -155,6 +165,15 @@ pub fn parse_records(
     text: &str,
     default_origin: Option<&Name>,
 ) -> Result<Vec<Record>, MasterError> {
+    let numbered = parse_numbered_records(text, default_origin)?;
+    Ok(numbered.into_iter().map(|(_, record)| record).collect())
+}
+
+/// [`parse_records`], with each record's 1-based source line.
+fn parse_numbered_records(
+    text: &str,
+    default_origin: Option<&Name>,
+) -> Result<Vec<(usize, Record)>, MasterError> {
     let mut origin: Option<Name> = default_origin.cloned();
     let mut default_ttl: Option<Ttl> = None;
     let mut previous_owner: Option<Name> = None;
@@ -248,7 +267,7 @@ pub fn parse_records(
             .map(|(off, tok)| line[off + tok.len()..].trim())
             .unwrap_or("");
         let rdata = parse_rdata(rtype_token, &fields, raw_rdata, origin.as_ref(), line_no)?;
-        records.push(Record::new(owner, ttl, rdata));
+        records.push((line_no, Record::new(owner, ttl, rdata)));
     }
     Ok(records)
 }
@@ -449,14 +468,12 @@ pub fn render_zone(zone: &Zone) -> String {
 /// as an error instead of a panic.
 pub fn parse_zone(origin: &str, text: &str) -> Result<Zone, MasterError> {
     let origin_name = Name::parse(origin).map_err(|e| err(0, MasterErrorKind::BadName(e)))?;
-    let records = parse_records(text, Some(&origin_name))?;
+    let records = parse_numbered_records(text, Some(&origin_name))?;
     let mut zone = Zone::new(origin_name.clone());
-    for (i, record) in records.into_iter().enumerate() {
+    for (line, record) in records {
         if !record.name.is_subdomain_of(&origin_name) {
-            return Err(err(
-                i + 1,
-                MasterErrorKind::BadName(WireError::NameTooLong(0)),
-            ));
+            let (owner, origin) = (record.name, origin_name);
+            return Err(err(line, MasterErrorKind::OutOfZone { owner, origin }));
         }
         if let RData::Soa(soa) = &record.rdata {
             zone.set_negative_ttl(Ttl::from_secs(soa.minimum));

@@ -60,7 +60,9 @@ impl QueryLog {
 pub struct AuthoritativeServer {
     /// Human-readable identity, e.g. `"ns1.dns.nl"`.
     pub name: String,
-    zones: Vec<Zone>,
+    /// Each zone with its origin's label count, which `best_zone`
+    /// ranks by on every query.
+    zones: Vec<(usize, Zone)>,
     log: QueryLog,
     queries_answered: u64,
     /// Round-robin answer rotation (DNS-based load balancing, §6.1 of
@@ -103,13 +105,13 @@ impl AuthoritativeServer {
 
     /// Adds a zone this server is authoritative for.
     pub fn add_zone(&mut self, zone: Zone) -> &mut Self {
-        self.zones.push(zone);
+        self.zones.push((zone.origin().label_count(), zone));
         self
     }
 
     /// Builder-style variant of [`Self::add_zone`].
     pub fn with_zone(mut self, zone: Zone) -> AuthoritativeServer {
-        self.zones.push(zone);
+        self.add_zone(zone);
         self
     }
 
@@ -136,12 +138,14 @@ impl AuthoritativeServer {
 
     /// Mutable access to a zone by origin, for renumbering mid-run.
     pub fn zone_mut(&mut self, origin: &Name) -> Option<&mut Zone> {
-        self.zones.iter_mut().find(|z| z.origin() == origin)
+        let (_, zone) = self.zones.iter_mut().find(|(_, z)| z.origin() == origin)?;
+        Some(zone)
     }
 
     /// Shared access to a zone by origin.
     pub fn zone(&self, origin: &Name) -> Option<&Zone> {
-        self.zones.iter().find(|z| z.origin() == origin)
+        let (_, zone) = self.zones.iter().find(|(_, z)| z.origin() == origin)?;
+        Some(zone)
     }
 
     /// Records one response on the per-server, per-outcome counter.
@@ -160,8 +164,9 @@ impl AuthoritativeServer {
     fn best_zone(&self, qname: &Name) -> Option<&Zone> {
         self.zones
             .iter()
-            .filter(|z| qname.is_subdomain_of(z.origin()))
-            .max_by_key(|z| z.origin().label_count())
+            .filter(|(_, z)| qname.is_subdomain_of(z.origin()))
+            .max_by_key(|(depth, _)| *depth)
+            .map(|(_, z)| z)
     }
 }
 
@@ -203,24 +208,17 @@ impl DnsService for AuthoritativeServer {
             ZoneLookup::Answer {
                 records,
                 additionals,
+                signatures,
             } => {
                 response.header.authoritative = true;
-                // DNSSEC: attach the RRSIG covering the answered RRset
-                // (signed zones only; RFC 4035 §3.1.1). Validating
-                // resolvers need it; others ignore it.
-                let mut signatures = Vec::new();
-                for sig in zone.get(&question.qname, RecordType::RRSIG) {
-                    if let dnsttl_wire::RData::Rrsig { type_covered, .. } = &sig.rdata {
-                        if records.iter().any(|r| r.record_type() == *type_covered) {
-                            signatures.push(sig.clone());
-                        }
-                    }
-                }
                 response.answers = records;
                 if self.rotate_answers && response.answers.len() > 1 {
                     let k = (self.queries_answered % response.answers.len() as u64) as usize;
                     response.answers.rotate_left(k);
                 }
+                // DNSSEC: the RRSIGs covering the answered RRset follow
+                // it. Validating resolvers need them; others ignore
+                // them.
                 response.answers.extend(signatures);
                 response.additionals = additionals;
                 self.note_response("answer");
@@ -274,13 +272,15 @@ mod tests {
         }
     }
 
+    fn root_zone() -> Zone {
+        ZoneBuilder::new(".")
+            .ns("cl", "a.nic.cl", Ttl::TWO_DAYS)
+            .a("a.nic.cl", "190.124.27.10", Ttl::TWO_DAYS)
+            .build()
+    }
+
     fn root_and_cl_server() -> AuthoritativeServer {
-        AuthoritativeServer::new("k.root-servers.net").with_zone(
-            ZoneBuilder::new(".")
-                .ns("cl", "a.nic.cl", Ttl::TWO_DAYS)
-                .a("a.nic.cl", "190.124.27.10", Ttl::TWO_DAYS)
-                .build(),
-        )
+        AuthoritativeServer::new("k.root-servers.net").with_zone(root_zone())
     }
 
     #[test]
@@ -350,6 +350,40 @@ mod tests {
         // Must come from the child zone (AA, child TTL), not root glue.
         assert!(r.header.authoritative);
         assert_eq!(r.answers[0].ttl.as_secs(), 43_200);
+    }
+
+    #[test]
+    fn picks_deepest_of_three_nested_zones_whatever_the_add_order() {
+        let cl = ZoneBuilder::new("cl")
+            .ns("cl", "a.nic.cl", Ttl::HOUR)
+            .a("a.nic.cl", "190.124.27.10", Ttl::from_secs(43_200))
+            .ns("example.cl", "ns.example.cl", Ttl::from_secs(7_200))
+            .a("ns.example.cl", "203.0.113.53", Ttl::from_secs(7_200))
+            .build();
+        let example = ZoneBuilder::new("example.cl")
+            .ns("example.cl", "ns.example.cl", Ttl::MINUTE)
+            .a("ns.example.cl", "203.0.113.53", Ttl::MINUTE)
+            .build();
+        // Deepest zone added first, in the middle, and last.
+        let mut srv = AuthoritativeServer::new("all-in-one").with_zone(example);
+        srv.add_zone(root_zone());
+        srv.add_zone(cl);
+        let mut ask = |qname: &str| {
+            let q = Message::iterative_query(9, n(qname), RecordType::A);
+            srv.handle_query(&q, client(1), SimTime::ZERO)
+        };
+        // example.cl answers for itself, not cl's or the root's referral.
+        let r = ask("ns.example.cl");
+        assert!(r.header.authoritative);
+        assert_eq!(r.answers[0].ttl, Ttl::MINUTE);
+        // cl answers below itself, and refers nothing to itself.
+        let r = ask("a.nic.cl");
+        assert!(r.header.authoritative);
+        assert_eq!(r.answers[0].ttl.as_secs(), 43_200);
+        // Only the root serves names outside cl.
+        let r = ask("www.example.org");
+        assert_eq!(r.header.rcode, Rcode::NxDomain);
+        assert_eq!(r.authorities[0].name, Name::root());
     }
 
     #[test]

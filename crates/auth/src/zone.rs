@@ -4,8 +4,9 @@
 //! cuts. Names *at or below* a cut (other than the cut's NS records and
 //! glue) belong to the child zone; queries for them produce referrals.
 
+use dnsttl_wire::name::NameKey;
 use dnsttl_wire::{Name, RData, Record, RecordType, SoaData, Ttl};
-use std::collections::BTreeMap;
+use std::collections::HashMap;
 use std::net::{Ipv4Addr, Ipv6Addr};
 
 /// Result of looking a name up in one zone.
@@ -17,6 +18,9 @@ pub enum ZoneLookup {
         records: Vec<Record>,
         /// Additional-section addresses for NS/MX targets in this zone.
         additionals: Vec<Record>,
+        /// RRSIGs at the query name covering a type in `records`
+        /// (signed zones only; RFC 4035 §3.1.1).
+        signatures: Vec<Record>,
     },
     /// The name is at or below a delegation cut: here are the NS records
     /// (parent-side TTL!) and whatever glue this zone holds.
@@ -42,17 +46,55 @@ pub enum ZoneLookup {
     NotInZone,
 }
 
+/// Everything the zone holds at one owner name.
+#[derive(Debug, Clone, Default)]
+struct Node {
+    /// The RRsets here, sorted by type: a handful at most, so a scan
+    /// beats a map, and [`Zone::iter`] shows them in this order.
+    rrsets: Vec<(RecordType, Vec<Record>)>,
+    /// An NS RRset below the apex: a delegation cut.
+    is_cut: bool,
+}
+
+impl Node {
+    fn slot(&self, rtype: RecordType) -> Result<usize, usize> {
+        self.rrsets.binary_search_by_key(&rtype, |(t, _)| *t)
+    }
+
+    fn get(&self, rtype: RecordType) -> &[Record] {
+        self.slot(rtype).map_or(&[], |i| &self.rrsets[i].1)
+    }
+}
+
+/// The RRset of `rtype` in a node that may not exist.
+fn rrset(node: Option<&Node>, rtype: RecordType) -> &[Record] {
+    node.map_or(&[], |node| node.get(rtype))
+}
+
 /// One zone of the namespace, with its records and delegations.
 ///
 /// Records are stored per owner name and type. NS RRsets at names other
 /// than the origin mark delegation cuts; A/AAAA records stored at or
 /// below a cut are *glue*, served only in referrals' additional section.
+///
+/// The index is a hash map from owner name to [`Node`], so a query costs
+/// one probe however large the zone is; canonical order exists only
+/// where it is observable ([`Zone::iter`], [`Zone::names`]) and is
+/// sorted there.
 #[derive(Debug, Clone)]
 pub struct Zone {
     origin: Name,
     soa: SoaData,
     soa_ttl: Ttl,
-    records: BTreeMap<Name, BTreeMap<RecordType, Vec<Record>>>,
+    nodes: HashMap<Name, Node>,
+    /// For each name from the origin down that has owner names strictly
+    /// below it, how many: such a name without a node of its own is an
+    /// empty non-terminal.
+    owners_below: HashMap<Name, usize>,
+    /// Nodes with `is_cut` set; zero lets a lookup skip the cut walk.
+    cuts: usize,
+    /// Nodes holding an RRSIG RRset; zero means the zone is unsigned.
+    signed_nodes: usize,
 }
 
 impl Zone {
@@ -71,7 +113,10 @@ impl Zone {
             origin,
             soa,
             soa_ttl: Ttl::HOUR,
-            records: BTreeMap::new(),
+            nodes: HashMap::new(),
+            owners_below: HashMap::new(),
+            cuts: 0,
+            signed_nodes: 0,
         }
     }
 
@@ -111,26 +156,70 @@ impl Zone {
             record.name,
             self.origin
         );
-        self.records
-            .entry(record.name.clone())
-            .or_default()
-            .entry(record.record_type())
-            .or_default()
-            .push(record);
+        if !self.nodes.contains_key(&record.name) {
+            self.count_owner(&record.name, true);
+        }
+        let rtype = record.record_type();
+        let below_apex = record.name != self.origin;
+        let node = self.nodes.entry(record.name.clone()).or_default();
+        let slot = node.slot(rtype).unwrap_or_else(|at| {
+            node.rrsets.insert(at, (rtype, Vec::new()));
+            if rtype == RecordType::NS && below_apex {
+                node.is_cut = true;
+                self.cuts += 1;
+            }
+            if rtype == RecordType::RRSIG {
+                self.signed_nodes += 1;
+            }
+            at
+        });
+        node.rrsets[slot].1.push(record);
     }
 
     /// Removes all records of `rtype` at `name`, returning how many were
     /// removed.
     pub fn remove(&mut self, name: &Name, rtype: RecordType) -> usize {
-        if let Some(types) = self.records.get_mut(name) {
-            if let Some(v) = types.remove(&rtype) {
-                if types.is_empty() {
-                    self.records.remove(name);
+        let Some(node) = self.nodes.get_mut(name) else {
+            return 0;
+        };
+        let Ok(slot) = node.slot(rtype) else {
+            return 0;
+        };
+        let (_, removed) = node.rrsets.remove(slot);
+        if rtype == RecordType::NS && node.is_cut {
+            node.is_cut = false;
+            self.cuts -= 1;
+        }
+        if rtype == RecordType::RRSIG {
+            self.signed_nodes -= 1;
+        }
+        if node.rrsets.is_empty() {
+            self.nodes.remove(name);
+            self.count_owner(name, false);
+        }
+        removed.len()
+    }
+
+    /// Counts a new owner name into (or a vanished one out of)
+    /// `owners_below` at each of its ancestors up to the origin.
+    fn count_owner(&mut self, owner: &Name, added: bool) {
+        // `owner` is in the zone, so its suffixes at least as long as
+        // the origin are exactly its ancestors from the origin down.
+        let floor = self.origin.as_str().len();
+        let ancestors = owner.suffixes().skip(1);
+        for ancestor in ancestors.take_while(|a| a.as_str().len() >= floor) {
+            let key = &ancestor as &dyn NameKey;
+            match (self.owners_below.get_mut(key), added) {
+                (Some(n), true) => *n += 1,
+                (None, true) => {
+                    self.owners_below.insert(ancestor.to_name(), 1);
                 }
-                return v.len();
+                (Some(n), false) if *n > 1 => *n -= 1,
+                (_, false) => {
+                    self.owners_below.remove(key);
+                }
             }
         }
-        0
     }
 
     /// Replaces the A record(s) at `name` with a single new address,
@@ -140,98 +229,81 @@ impl Zone {
     /// This is the paper's §4 *renumbering* operation: the name server
     /// keeps its name but moves to a new VM.
     pub fn replace_address(&mut self, name: &Name, new_addr: Ipv4Addr, fallback_ttl: Ttl) {
-        let ttl = self
-            .records
-            .get(name)
-            .and_then(|t| t.get(&RecordType::A))
-            .and_then(|v| v.first())
-            .map(|r| r.ttl)
-            .unwrap_or(fallback_ttl);
-        self.remove(name, RecordType::A);
-        self.add(Record::new(name.clone(), ttl, RData::A(new_addr)));
-        self.soa.serial += 1;
+        self.replace_rrset(name, RData::A(new_addr), fallback_ttl);
     }
 
     /// IPv6 variant of [`Zone::replace_address`].
     pub fn replace_address_v6(&mut self, name: &Name, new_addr: Ipv6Addr, fallback_ttl: Ttl) {
+        self.replace_rrset(name, RData::Aaaa(new_addr), fallback_ttl);
+    }
+
+    fn replace_rrset(&mut self, name: &Name, rdata: RData, fallback_ttl: Ttl) {
+        let rtype = rdata.record_type();
         let ttl = self
-            .records
-            .get(name)
-            .and_then(|t| t.get(&RecordType::AAAA))
-            .and_then(|v| v.first())
-            .map(|r| r.ttl)
-            .unwrap_or(fallback_ttl);
-        self.remove(name, RecordType::AAAA);
-        self.add(Record::new(name.clone(), ttl, RData::Aaaa(new_addr)));
+            .get(name, rtype)
+            .first()
+            .map_or(fallback_ttl, |r| r.ttl);
+        self.remove(name, rtype);
+        self.add(Record::new(name.clone(), ttl, rdata));
         self.soa.serial += 1;
     }
 
     /// Records of `rtype` at exactly `name`, as stored.
     pub fn get(&self, name: &Name, rtype: RecordType) -> &[Record] {
-        self.records
-            .get(name)
-            .and_then(|t| t.get(&rtype))
-            .map(|v| v.as_slice())
-            .unwrap_or(&[])
+        rrset(self.nodes.get(name), rtype)
     }
 
-    /// Iterates over all records in the zone.
+    /// The nodes in RFC 4034 §6.1 canonical owner order. The hash index
+    /// has no order of its own, so the cold paths that show one (zone
+    /// rendering, signing) sort here, on demand.
+    fn nodes_in_order(&self) -> Vec<(&Name, &Node)> {
+        let mut nodes: Vec<_> = self.nodes.iter().collect();
+        nodes.sort_unstable_by_key(|&(name, _)| name);
+        nodes
+    }
+
+    /// Iterates over all records in the zone: owners in canonical
+    /// order, each owner's RRsets by type.
     pub fn iter(&self) -> impl Iterator<Item = &Record> {
-        self.records
-            .values()
-            .flat_map(|types| types.values().flatten())
+        self.nodes_in_order()
+            .into_iter()
+            .flat_map(|(_, node)| node.rrsets.iter().flat_map(|(_, records)| records))
     }
 
-    /// Owner names present in the zone (including glue owners).
+    /// Owner names present in the zone (including glue owners), in
+    /// canonical order.
     pub fn names(&self) -> impl Iterator<Item = &Name> {
-        self.records.keys()
+        self.nodes_in_order().into_iter().map(|(name, _)| name)
     }
 
-    /// Finds the closest delegation cut strictly between the origin and
-    /// `qname` (inclusive of `qname` itself).
-    fn delegation_cut(&self, qname: &Name) -> Option<&Name> {
-        // Walk the ancestry from just below the origin down to qname;
-        // the *highest* cut wins (a zone cannot see past its first cut).
-        for ancestor in qname.ancestry() {
-            if ancestor.label_count() <= self.origin.label_count() {
-                continue;
-            }
-            if !ancestor.is_subdomain_of(&self.origin) {
-                return None;
-            }
-            if ancestor == self.origin {
-                continue;
-            }
-            if self
-                .records
-                .get(&ancestor)
-                .map(|t| t.contains_key(&RecordType::NS))
-                .unwrap_or(false)
-            {
-                // A cut at the ancestor name. `ancestry()` yields the
-                // root first, so this is the highest cut.
-                return self.records.get_key_value(&ancestor).map(|(k, _)| k);
+    /// Fetches the node at `qname`, and the closest-to-the-apex
+    /// delegation cut strictly below the origin at or above `qname` (a
+    /// zone cannot see past its first cut).
+    fn locate(&self, qname: &Name) -> (Option<&Node>, Option<(&Name, &Node)>) {
+        let own = self.nodes.get_key_value(qname);
+        let mut cut = None;
+        if self.cuts > 0 {
+            // `qname` is in the zone, so its suffixes longer than the
+            // origin are its ancestors strictly below the apex. They
+            // come deepest first: the last cut seen is the highest.
+            let floor = self.origin.as_str().len();
+            cut = own.filter(|(_, node)| node.is_cut);
+            let ancestors = qname.suffixes().skip(1);
+            for ancestor in ancestors.take_while(|a| a.as_str().len() > floor) {
+                let hit = self.nodes.get_key_value(&ancestor as &dyn NameKey);
+                cut = hit.filter(|(_, node)| node.is_cut).or(cut);
             }
         }
-        None
-    }
-
-    /// True if `name` exists in the zone, either with records or as an
-    /// empty non-terminal (an ancestor of an existing name).
-    fn name_exists(&self, name: &Name) -> bool {
-        if self.records.contains_key(name) {
-            return true;
-        }
-        self.records.keys().any(|k| k.is_strict_subdomain_of(name))
+        (own.map(|(_, node)| node), cut)
     }
 
     /// Addresses (A/AAAA) this zone holds for `target`, used to populate
     /// glue and additional sections.
-    fn addresses_for(&self, target: &Name) -> Vec<Record> {
-        let mut out = Vec::new();
-        out.extend_from_slice(self.get(target, RecordType::A));
-        out.extend_from_slice(self.get(target, RecordType::AAAA));
-        out
+    fn addresses_for(&self, target: &Name, out: &mut Vec<Record>) {
+        if let Some(node) = self.nodes.get(target) {
+            out.extend_from_slice(node.get(RecordType::A));
+            out.extend_from_slice(node.get(RecordType::AAAA));
+        }
     }
 
     /// Looks up `qname`/`qtype` following RFC 1034 §4.3.2.
@@ -239,43 +311,44 @@ impl Zone {
         if !qname.is_subdomain_of(&self.origin) {
             return ZoneLookup::NotInZone;
         }
+        let (node, cut) = self.locate(qname);
 
         // Step: delegation cut above or at the qname → referral, unless
         // the question is for the cut's NS records from the parent side
         // (still a referral per RFC 1034: the parent is not
         // authoritative below the cut).
-        if let Some(cut) = self.delegation_cut(qname) {
-            let cut = cut.clone();
-            let ns_records = self.get(&cut, RecordType::NS).to_vec();
+        if let Some((cut, cut_node)) = cut {
+            let ns_records = cut_node.get(RecordType::NS).to_vec();
             let mut glue = Vec::new();
             for ns in &ns_records {
                 if let RData::Ns(target) = &ns.rdata {
                     // Glue is served for targets inside this zone's
                     // namespace (typically in-bailiwick of the cut).
                     if target.is_subdomain_of(&self.origin) {
-                        glue.extend(self.addresses_for(target));
+                        self.addresses_for(target, &mut glue);
                     }
                 }
             }
             return ZoneLookup::Referral {
-                cut,
+                cut: cut.clone(),
                 ns_records,
                 glue,
             };
         }
 
         // Exact-name processing.
-        let direct = self.get(qname, qtype);
+        let direct = rrset(node, qtype);
         if !direct.is_empty() {
             let mut additionals = Vec::new();
             for r in direct {
                 if let Some(target) = r.rdata.target_name() {
                     if r.record_type() != RecordType::CNAME {
-                        additionals.extend(self.addresses_for(target));
+                        self.addresses_for(target, &mut additionals);
                     }
                 }
             }
             return ZoneLookup::Answer {
+                signatures: self.signatures(node, direct),
                 records: direct.to_vec(),
                 additionals,
             };
@@ -286,39 +359,43 @@ impl Zone {
         // contain CNAME loops (misconfiguration), and a server must
         // answer with the partial chain rather than recurse forever.
         if qtype != RecordType::CNAME {
-            if let Some(first) = self.get(qname, RecordType::CNAME).first() {
+            if let Some(first) = rrset(node, RecordType::CNAME).first() {
                 let mut records = vec![first.clone()];
-                let mut seen: Vec<Name> = vec![qname.clone()];
-                let mut cursor = first.clone();
+                let mut seen: Vec<&Name> = vec![qname];
+                let mut cursor = first;
                 for _ in 0..8 {
                     let RData::Cname(target) = &cursor.rdata else {
                         break;
                     };
-                    if seen.contains(target) {
+                    if seen.contains(&target) {
                         break; // loop: stop chasing, serve what we have
                     }
-                    seen.push(target.clone());
-                    let direct = self.get(target, qtype);
+                    seen.push(target);
+                    let at_target = self.nodes.get(target);
+                    let direct = rrset(at_target, qtype);
                     if !direct.is_empty() {
                         records.extend_from_slice(direct);
                         break;
                     }
-                    match self.get(target, RecordType::CNAME).first() {
+                    match rrset(at_target, RecordType::CNAME).first() {
                         Some(next) => {
                             records.push(next.clone());
-                            cursor = next.clone();
+                            cursor = next;
                         }
                         None => break,
                     }
                 }
                 return ZoneLookup::Answer {
+                    signatures: self.signatures(node, &records),
                     records,
                     additionals: Vec::new(),
                 };
             }
         }
 
-        if self.name_exists(qname) {
+        // The name exists if it owns records or is an empty
+        // non-terminal (an ancestor of an owner name).
+        if node.is_some() || self.owners_below.contains_key(qname) {
             ZoneLookup::NoData {
                 soa: self.soa_record(),
             }
@@ -327,6 +404,22 @@ impl Zone {
                 soa: self.soa_record(),
             }
         }
+    }
+
+    /// The RRSIGs in the query name's node that cover a type being
+    /// answered; nothing to scan in an unsigned zone.
+    fn signatures(&self, node: Option<&Node>, answer: &[Record]) -> Vec<Record> {
+        let Some(node) = node.filter(|_| self.signed_nodes > 0) else {
+            return Vec::new();
+        };
+        let covers_answer = |sig: &&Record| match &sig.rdata {
+            RData::Rrsig { type_covered, .. } => {
+                answer.iter().any(|r| r.record_type() == *type_covered)
+            }
+            _ => false,
+        };
+        let sigs = node.get(RecordType::RRSIG).iter();
+        sigs.filter(covers_answer).cloned().collect()
     }
 }
 
@@ -522,6 +615,7 @@ mod tests {
             ZoneLookup::Answer {
                 records,
                 additionals,
+                ..
             } => {
                 assert_eq!(records[0].ttl, Ttl::HOUR); // child's own TTL
                                                        // Additional carries the in-zone address of the NS host

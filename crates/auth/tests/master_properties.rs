@@ -3,7 +3,9 @@
 //! workspace's own deterministic [`SimRng`] with fixed seeds (the build
 //! environment is offline, so no external property-testing harness).
 
-use dnsttl_auth::{parse_records, parse_zone, render_records, render_zone, ZoneBuilder};
+use dnsttl_auth::{
+    parse_records, parse_zone, render_records, render_zone, MasterErrorKind, ZoneBuilder,
+};
 use dnsttl_netsim::SimRng;
 use dnsttl_wire::{Name, RData, Record, SoaData, Ttl};
 
@@ -106,5 +108,35 @@ fn zone_render_parse_preserves_lookups() {
         let original = zone.get(&name, dnsttl_wire::RecordType::A);
         let round = reparsed.get(&name, dnsttl_wire::RecordType::A);
         assert_eq!(original, round, "case {case}");
+    }
+}
+
+#[test]
+fn out_of_zone_owner_is_reported_with_its_name_and_source_line() {
+    let mut rng = SimRng::seed_from(14);
+    for case in 0..64 {
+        // In-zone records on lines that comments and blanks push around,
+        // then one stray owner: the error must carry that line, not the
+        // record's index.
+        let mut text = String::from("; header\n$TTL 300\n\n");
+        for _ in 0..rng.below(6) {
+            text += &format!("{}.example. A 192.0.2.1\n", gen_label(&mut rng));
+            if rng.chance(0.5) {
+                text += "; note\n\n";
+            }
+        }
+        let stray = format!("{}.Elsewhere.", gen_label(&mut rng));
+        let line = text.lines().count() + 1;
+        text += &format!("{stray} A 192.0.2.2\nlater.example. A 192.0.2.3\n");
+        let e = parse_zone("example", &text).expect_err("stray owner");
+        assert_eq!(e.line, line, "case {case}");
+        let owner = Name::parse(&stray).unwrap();
+        let origin = Name::parse("example").unwrap();
+        assert_eq!(e.kind, MasterErrorKind::OutOfZone { owner, origin });
+        let shown = e.to_string();
+        assert_eq!(
+            shown,
+            format!("line {line}: owner {stray} is outside zone example.")
+        );
     }
 }

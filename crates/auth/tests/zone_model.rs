@@ -1,0 +1,523 @@
+//! Differential test of the zone index: `Zone::lookup` and
+//! `AuthoritativeServer::handle_query` against a brute-force model of
+//! RFC 1034 §4.3.2 kept in this file.
+//!
+//! The model is a flat `Vec<Record>` in insertion order and answers
+//! every question by linear scans over it, so it shares nothing with
+//! `Zone`'s hash index, its cut and signature counters, or its
+//! empty-non-terminal map — the bookkeeping `add`/`remove` must keep
+//! right. Zones are random and hostile on purpose: nested cuts, glue,
+//! empty non-terminals, CNAME chains and loops, RRSIGs that come and go,
+//! owners and queries in mixed case, and mutations interleaved with the
+//! queries.
+//!
+//! The last test pins what stays ordered: `iter()`/`names()` in RFC 4034
+//! §6.1 canonical order, and `render_zone`/`sign_zone` output equal, byte
+//! for byte, to what the `BTreeMap` index produced for `data/uy.zone`
+//! (`data/uy.rendered`, `data/uy.signed`: written by that commit).
+
+use dnsttl_auth::{parse_zone, render_zone, sign_zone, AuthoritativeServer, Zone, ZoneLookup};
+use dnsttl_netsim::{ClientId, DnsService, Region, SimRng, SimTime};
+use dnsttl_wire::{Message, Name, RData, Rcode, Record, RecordType, Ttl};
+
+/// The reference: every record of the zone, in the order it was added.
+struct Model {
+    origin: Name,
+    soa: Record,
+    records: Vec<Record>,
+}
+
+impl Model {
+    fn new(zone: &Zone) -> Model {
+        Model {
+            origin: zone.origin().clone(),
+            soa: zone.soa_record(),
+            records: Vec::new(),
+        }
+    }
+
+    fn at(&self, name: &Name, rtype: RecordType) -> Vec<Record> {
+        let here = |r: &&Record| r.name == *name && r.record_type() == rtype;
+        self.records.iter().filter(here).cloned().collect()
+    }
+
+    fn remove(&mut self, name: &Name, rtype: RecordType) -> usize {
+        let before = self.records.len();
+        self.records
+            .retain(|r| !(r.name == *name && r.record_type() == rtype));
+        before - self.records.len()
+    }
+
+    /// `Zone::replace_address{,_v6}`: one new record under the old TTL,
+    /// and a serial bump.
+    fn replace(&mut self, name: &Name, rdata: RData, fallback: Ttl) {
+        let rtype = rdata.record_type();
+        let ttl = self.at(name, rtype).first().map_or(fallback, |r| r.ttl);
+        self.remove(name, rtype);
+        self.records.push(Record::new(name.clone(), ttl, rdata));
+        if let RData::Soa(soa) = &mut self.soa.rdata {
+            soa.serial += 1;
+        }
+    }
+
+    fn addresses(&self, target: &Name) -> Vec<Record> {
+        let mut out = self.at(target, RecordType::A);
+        out.extend(self.at(target, RecordType::AAAA));
+        out
+    }
+
+    /// RRSIGs at `qname` covering a type present in the answer.
+    fn signatures(&self, qname: &Name, answer: &[Record]) -> Vec<Record> {
+        let mut sigs = self.at(qname, RecordType::RRSIG);
+        sigs.retain(|sig| match &sig.rdata {
+            RData::Rrsig { type_covered, .. } => {
+                answer.iter().any(|r| r.record_type() == *type_covered)
+            }
+            _ => false,
+        });
+        sigs
+    }
+
+    fn lookup(&self, qname: &Name, qtype: RecordType) -> ZoneLookup {
+        if !qname.is_subdomain_of(&self.origin) {
+            return ZoneLookup::NotInZone;
+        }
+        // The cut closest to the apex hides everything at and below it.
+        let cut = self
+            .records
+            .iter()
+            .filter(|r| r.record_type() == RecordType::NS && r.name != self.origin)
+            .filter(|r| qname.is_subdomain_of(&r.name))
+            .map(|r| &r.name)
+            .min_by_key(|name| name.label_count());
+        if let Some(cut) = cut {
+            let ns_records = self.at(cut, RecordType::NS);
+            let mut glue = Vec::new();
+            for ns in &ns_records {
+                match &ns.rdata {
+                    RData::Ns(target) if target.is_subdomain_of(&self.origin) => {
+                        glue.extend(self.addresses(target));
+                    }
+                    _ => {}
+                }
+            }
+            return ZoneLookup::Referral {
+                cut: cut.clone(),
+                ns_records,
+                glue,
+            };
+        }
+
+        let direct = self.at(qname, qtype);
+        if !direct.is_empty() {
+            let mut additionals = Vec::new();
+            for r in &direct {
+                match &r.rdata {
+                    RData::Ns(target)
+                    | RData::Mx {
+                        exchange: target, ..
+                    } => {
+                        additionals.extend(self.addresses(target));
+                    }
+                    _ => {}
+                }
+            }
+            return ZoneLookup::Answer {
+                signatures: self.signatures(qname, &direct),
+                records: direct,
+                additionals,
+            };
+        }
+
+        let alias = self.at(qname, RecordType::CNAME).into_iter().next();
+        if let (Some(first), true) = (alias, qtype != RecordType::CNAME) {
+            // Follow the chain for at most eight targets, never twice
+            // through the same name; whatever was collected is served.
+            let mut chain = vec![first];
+            let mut visited = vec![qname.clone()];
+            for _hop in 0..8 {
+                let RData::Cname(target) = chain.last().expect("non-empty").rdata.clone() else {
+                    unreachable!("the chain only ever grows by CNAMEs");
+                };
+                if visited.contains(&target) {
+                    break;
+                }
+                visited.push(target.clone());
+                let end = self.at(&target, qtype);
+                if !end.is_empty() {
+                    chain.extend(end);
+                    break;
+                }
+                match self.at(&target, RecordType::CNAME).into_iter().next() {
+                    Some(next) => chain.push(next),
+                    None => break,
+                }
+            }
+            return ZoneLookup::Answer {
+                signatures: self.signatures(qname, &chain),
+                records: chain,
+                additionals: Vec::new(),
+            };
+        }
+
+        // A name exists if it, or anything below it, owns a record.
+        let soa = self.soa.clone();
+        if self.records.iter().any(|r| r.name.is_subdomain_of(qname)) {
+            ZoneLookup::NoData { soa }
+        } else {
+            ZoneLookup::NxDomain { soa }
+        }
+    }
+
+    /// The response a one-zone server owes for `query`.
+    fn respond(&self, query: &Message) -> Message {
+        let mut response = Message::response_to(query);
+        let question = query.question().expect("queries carry a question");
+        match self.lookup(&question.qname, question.qtype) {
+            ZoneLookup::Answer {
+                records,
+                additionals,
+                signatures,
+            } => {
+                response.header.authoritative = true;
+                response.answers = records;
+                response.answers.extend(signatures);
+                response.additionals = additionals;
+            }
+            ZoneLookup::Referral {
+                ns_records, glue, ..
+            } => {
+                response.authorities = ns_records;
+                response.additionals = glue;
+            }
+            ZoneLookup::NoData { soa } => {
+                response.header.authoritative = true;
+                response.authorities.push(soa);
+            }
+            ZoneLookup::NxDomain { soa } => {
+                response.header.authoritative = true;
+                response.header.rcode = Rcode::NxDomain;
+                response.authorities.push(soa);
+            }
+            ZoneLookup::NotInZone => response.header.rcode = Rcode::Refused,
+        }
+        response
+    }
+
+    /// What `Zone::iter` must yield: owners in canonical order, each
+    /// owner's types in `RecordType` order, each RRset as added.
+    fn in_canonical_order(&self) -> Vec<Record> {
+        let mut sorted = self.records.clone();
+        sorted.sort_by(|a, b| {
+            let types = a.record_type().cmp(&b.record_type());
+            a.name.cmp(&b.name).then(types)
+        });
+        sorted
+    }
+}
+
+const LABELS: [&str; 5] = ["a", "b", "ns", "w", "x1"];
+const QTYPES: [RecordType; 9] = [
+    RecordType::A,
+    RecordType::AAAA,
+    RecordType::NS,
+    RecordType::CNAME,
+    RecordType::MX,
+    RecordType::TXT,
+    RecordType::SOA,
+    RecordType::DNSKEY,
+    RecordType::RRSIG,
+];
+
+fn pick<T: Copy>(rng: &mut SimRng, from: &[T]) -> T {
+    from[rng.below(from.len() as u64) as usize]
+}
+
+/// A name `depth` labels below `origin` (or, one time in ten when
+/// `stray`, outside it), each letter upper-cased at random.
+fn gen_name(rng: &mut SimRng, origin: &Name, depth: u64, stray: bool) -> Name {
+    let mut text = String::new();
+    for _ in 0..depth {
+        text += pick(rng, &LABELS);
+        text.push('.');
+    }
+    if stray && rng.chance(0.1) {
+        text += "ns.Other.net.";
+    } else if origin.is_root() && text.is_empty() {
+        text.push('.');
+    } else if !origin.is_root() {
+        text += origin.as_str();
+    }
+    let text: String = text
+        .chars()
+        .map(|c| match rng.chance(0.3) {
+            true => c.to_ascii_uppercase(),
+            false => c,
+        })
+        .collect();
+    Name::parse(&text).expect("generated names are valid")
+}
+
+/// Owner depths favour the middle of the tree, so that cuts, glue below
+/// them and empty non-terminals above them all turn up.
+fn gen_owner(rng: &mut SimRng, origin: &Name) -> Name {
+    let depth = pick(rng, &[0, 1, 1, 2, 2, 2, 2, 3, 3, 3, 4]);
+    gen_name(rng, origin, depth, false)
+}
+
+fn gen_record(rng: &mut SimRng, origin: &Name) -> Record {
+    let owner = gen_owner(rng, origin);
+    let target = |rng: &mut SimRng| {
+        let depth = 1 + rng.below(3);
+        gen_name(rng, origin, depth, true)
+    };
+    let rdata = match rng.below(20) {
+        0..=6 => RData::A(std::net::Ipv4Addr::from(rng.next_u64() as u32)),
+        7..=9 => RData::Aaaa(std::net::Ipv6Addr::from(rng.next_u64() as u128)),
+        10..=11 => RData::Ns(target(rng)),
+        12..=14 => RData::Cname(target(rng)),
+        15 => RData::Mx {
+            preference: 10,
+            exchange: target(rng),
+        },
+        16..=17 => RData::Txt(format!("t{}", rng.below(100))),
+        _ => RData::Rrsig {
+            type_covered: pick(rng, &QTYPES[..6]),
+            algorithm: 13,
+            original_ttl: 300,
+            signer: origin.clone(),
+            signature: rng.next_u64().to_be_bytes().to_vec(),
+        },
+    };
+    Record::new(owner, Ttl::from_secs(60 + rng.below(7_200) as u32), rdata)
+}
+
+/// Outcome tallies, so a seed that stopped exercising a branch fails
+/// instead of passing vacuously.
+#[derive(Default, Debug)]
+struct Seen {
+    answers: usize,
+    chains: usize,
+    signed: usize,
+    referrals: usize,
+    glued: usize,
+    nodata: usize,
+    empty_non_terminals: usize,
+    nxdomain: usize,
+    refused: usize,
+}
+
+impl Seen {
+    fn note(&mut self, model: &Model, qname: &Name, outcome: &ZoneLookup) {
+        match outcome {
+            ZoneLookup::Answer {
+                records,
+                signatures,
+                ..
+            } => {
+                self.answers += 1;
+                self.chains += usize::from(records.len() > 1 && records[0].name != records[1].name);
+                self.signed += usize::from(!signatures.is_empty());
+            }
+            ZoneLookup::Referral { glue, .. } => {
+                self.referrals += 1;
+                self.glued += usize::from(!glue.is_empty());
+            }
+            ZoneLookup::NoData { .. } => {
+                self.nodata += 1;
+                let owned = model.records.iter().any(|r| r.name == *qname);
+                self.empty_non_terminals += usize::from(!owned);
+            }
+            ZoneLookup::NxDomain { .. } => self.nxdomain += 1,
+            ZoneLookup::NotInZone => self.refused += 1,
+        }
+    }
+}
+
+fn check_stored_view(zone: &Zone, model: &Model, step: usize) {
+    let expected = model.in_canonical_order();
+    let stored: Vec<Record> = zone.iter().cloned().collect();
+    assert_eq!(stored, expected, "step {step}: iter()");
+    let mut owners: Vec<Name> = expected.iter().map(|r| r.name.clone()).collect();
+    owners.dedup();
+    let names: Vec<Name> = zone.names().cloned().collect();
+    assert_eq!(names, owners, "step {step}: names()");
+    for r in &expected {
+        let rtype = r.record_type();
+        assert_eq!(zone.get(&r.name, rtype), model.at(&r.name, rtype));
+    }
+}
+
+fn run_seed(seed: u64, origin: &str) -> Seen {
+    let mut rng = SimRng::seed_from(seed);
+    let origin = Name::parse(origin).unwrap();
+    let mut srv = AuthoritativeServer::new("model").with_zone(Zone::new(origin.clone()));
+    let mut model = Model::new(srv.zone(&origin).unwrap());
+    let client = ClientId {
+        region: Region::Eu,
+        tag: seed,
+    };
+    let mut seen = Seen::default();
+
+    for step in 0..2_600 {
+        // Fill the zone first, then keep mutating it under the queries.
+        if step < 90 || rng.chance(0.12) {
+            let zone = srv.zone_mut(&origin).unwrap();
+            match rng.below(if step < 90 { 5 } else { 10 }) {
+                0..=4 => {
+                    let record = gen_record(&mut rng, &origin);
+                    model.records.push(record.clone());
+                    zone.add(record);
+                }
+                5..=7 => {
+                    // Mostly aimed at an RRset that exists, in other case.
+                    let (name, rtype) = match model.records.is_empty() || rng.chance(0.2) {
+                        true => (gen_owner(&mut rng, &origin), pick(&mut rng, &QTYPES)),
+                        false => {
+                            let r = &model.records[rng.below(model.records.len() as u64) as usize];
+                            let name = Name::parse(&r.name.as_str().to_ascii_uppercase());
+                            (name.unwrap(), r.record_type())
+                        }
+                    };
+                    let removed = zone.remove(&name, rtype);
+                    assert_eq!(removed, model.remove(&name, rtype), "step {step}");
+                }
+                8 => {
+                    let name = gen_owner(&mut rng, &origin);
+                    let addr = std::net::Ipv4Addr::from(rng.next_u64() as u32);
+                    zone.replace_address(&name, addr, Ttl::MINUTE);
+                    model.replace(&name, RData::A(addr), Ttl::MINUTE);
+                }
+                _ => {
+                    let name = gen_owner(&mut rng, &origin);
+                    let addr = std::net::Ipv6Addr::from(rng.next_u64() as u128);
+                    zone.replace_address_v6(&name, addr, Ttl::MINUTE);
+                    model.replace(&name, RData::Aaaa(addr), Ttl::MINUTE);
+                }
+            }
+        }
+        if step % 200 == 0 {
+            check_stored_view(srv.zone(&origin).unwrap(), &model, step);
+        }
+
+        let depth = rng.below(6);
+        let qname = gen_name(&mut rng, &origin, depth, true);
+        let qtype = pick(&mut rng, &QTYPES);
+        let expected = model.lookup(&qname, qtype);
+        let zone = srv.zone(&origin).unwrap();
+        assert_eq!(
+            zone.lookup(&qname, qtype),
+            expected,
+            "seed {seed} step {step}: {qname} {qtype}"
+        );
+        seen.note(&model, &qname, &expected);
+        let query = Message::iterative_query(step as u16, qname, qtype);
+        let response = srv.handle_query(&query, client, SimTime::from_secs(step as u64));
+        assert_eq!(response, model.respond(&query), "seed {seed} step {step}");
+    }
+
+    // Take the zone apart RRset by RRset: every counter must unwind to
+    // an empty zone that knows no name at all.
+    let zone = srv.zone_mut(&origin).unwrap();
+    while let Some(r) = model.records.first().cloned() {
+        let rtype = r.record_type();
+        assert_eq!(zone.remove(&r.name, rtype), model.remove(&r.name, rtype));
+    }
+    assert_eq!(zone.iter().count(), 0);
+    for depth in 0..4 {
+        let qname = gen_name(&mut rng, &origin, depth, false);
+        let outcome = zone.lookup(&qname, RecordType::A);
+        assert!(
+            matches!(outcome, ZoneLookup::NxDomain { .. }),
+            "{qname}: {outcome:?}"
+        );
+    }
+    seen
+}
+
+#[test]
+fn lookup_and_handle_query_match_the_flat_record_model() {
+    let runs = [
+        (0xA11CE_u64, "."),
+        (0xB0B, "test"),
+        (0xC0FFEE, "Zone.Example"),
+        (0xD00D, "x1.a"),
+        (0xE66, "uy"),
+    ];
+    for (seed, origin) in runs {
+        let seen = run_seed(seed, origin);
+        let floor = |count: usize, what: &str| {
+            assert!(
+                count >= 10,
+                "seed {seed:#x}: only {count} {what} in {seen:?}"
+            )
+        };
+        floor(seen.answers, "answers");
+        floor(seen.chains, "CNAME chains");
+        floor(seen.signed, "signed answers");
+        floor(seen.referrals, "referrals");
+        floor(seen.glued, "referrals with glue");
+        floor(seen.nodata, "NODATA");
+        floor(seen.empty_non_terminals, "empty non-terminals");
+        floor(seen.nxdomain, "NXDOMAIN");
+        // Nothing is outside the root zone.
+        if origin != "." {
+            floor(seen.refused, "out-of-zone queries");
+        }
+    }
+}
+
+#[test]
+fn nested_cuts_refer_to_the_highest_and_resurface_when_it_goes() {
+    let text = "$TTL 60\na.b NS ns.a.b\nns.a.b A 192.0.2.1\nb NS ns.elsewhere.\nw.a.b TXT \"t\"\n";
+    let mut zone = parse_zone("test", text).unwrap();
+    let n = |s: &str| Name::parse(s).unwrap();
+    let cut_for = |zone: &Zone, qname: &str| match zone.lookup(&n(qname), RecordType::TXT) {
+        ZoneLookup::Referral { cut, .. } => Some(cut),
+        _ => None,
+    };
+    assert_eq!(cut_for(&zone, "W.A.B.test"), Some(n("b.test")));
+    assert_eq!(cut_for(&zone, "b.TEST"), Some(n("b.test")));
+    // With the upper cut gone the lower one is the zone's edge.
+    assert_eq!(zone.remove(&n("B.test"), RecordType::NS), 1);
+    assert_eq!(cut_for(&zone, "w.a.b.test"), Some(n("a.b.test")));
+    assert_eq!(cut_for(&zone, "b.test"), None);
+    // `b.test` owns nothing now but still has names below it.
+    let outcome = zone.lookup(&n("b.test"), RecordType::TXT);
+    assert!(matches!(outcome, ZoneLookup::NoData { .. }), "{outcome:?}");
+    // With no cut left the data below answers for itself.
+    assert_eq!(zone.remove(&n("a.b.test"), RecordType::NS), 1);
+    let outcome = zone.lookup(&n("w.a.b.test"), RecordType::TXT);
+    assert!(matches!(outcome, ZoneLookup::Answer { .. }), "{outcome:?}");
+}
+
+/// One line per record; RRSIGs with their signature bytes, which
+/// `Display` leaves out.
+fn dump(zone: &Zone) -> String {
+    let mut out = String::new();
+    for r in zone.iter() {
+        out += &r.to_string();
+        if let RData::Rrsig { signature, .. } = &r.rdata {
+            out.push(' ');
+            out.extend(signature.iter().map(|b| format!("{b:02x}")));
+        }
+        out.push('\n');
+    }
+    out
+}
+
+#[test]
+fn canonical_order_survives_the_unordered_index() {
+    let mut zone = parse_zone("uy", include_str!("data/uy.zone")).unwrap();
+    let strictly_ascending = |zone: &Zone| {
+        let names: Vec<&Name> = zone.names().collect();
+        names.windows(2).all(|pair| pair[0] < pair[1])
+    };
+    assert!(strictly_ascending(&zone));
+    assert_eq!(render_zone(&zone), include_str!("data/uy.rendered"));
+    // What a secondary transfers renders the same.
+    assert_eq!(render_zone(&zone.clone()), include_str!("data/uy.rendered"));
+    sign_zone(&mut zone);
+    assert!(strictly_ascending(&zone));
+    assert_eq!(dump(&zone), include_str!("data/uy.signed"));
+}

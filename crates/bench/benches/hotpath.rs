@@ -16,8 +16,14 @@
 //! pair, `expiry_pop` a pop-and-reschedule cycle over TTL-shaped
 //! near-term times, and `wheel_cascade` the same cycle over times
 //! spread so wide that nearly every pop re-bins a coarse slot.
+//!
+//! `zone_lookup/*` is the authoritative side of a cache miss:
+//! `Zone::lookup` for an answer, a referral and an NXDOMAIN in zones of
+//! 64, 2 048 and 32 768 owner names. The zone index is a hash map, so
+//! each row should read the same at every size.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use dnsttl_auth::ZoneBuilder;
 use dnsttl_core::ResolverPolicy;
 use dnsttl_netsim::{SimRng, SimTime, TimingWheel};
 use dnsttl_resolver::{Cache, Credibility};
@@ -202,5 +208,43 @@ fn wheel_ops(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, name_ops, cache_evict, wheel_ops);
+/// One zone per size: `names` hosts two labels below the apex and one
+/// delegation with glue, so every lookup also pays the cut walk.
+fn zone_lookup(c: &mut Criterion) {
+    let mut group = c.benchmark_group("zone_lookup");
+    for names in [64usize, 2_048, 32_768] {
+        let mut zone = ZoneBuilder::new("example")
+            .ns("example", "ns.example", Ttl::HOUR)
+            .a("ns.example", "192.0.2.53", Ttl::HOUR)
+            .ns("sub.example", "ns.sub.example", Ttl::HOUR)
+            .a("ns.sub.example", "192.0.2.54", Ttl::HOUR);
+        for i in 0..names {
+            zone = zone.a(&format!("h{i}.pool.example"), "192.0.2.1", Ttl::MINUTE);
+        }
+        let zone = zone.build();
+        let parse = |s: String| Name::parse(&s).expect("valid");
+        let queries = |prefix: &str, suffix: &str| -> Vec<Name> {
+            (0..64)
+                .map(|i| parse(format!("{prefix}{}.{suffix}", i * names / 64)))
+                .collect()
+        };
+        let cases = [
+            ("answer", queries("h", "pool.example")),
+            ("referral", queries("www", "sub.example")),
+            ("nxdomain", queries("nope", "pool.example")),
+        ];
+        for (case, qnames) in &cases {
+            let mut i = 0usize;
+            group.bench_function(BenchmarkId::new(*case, names), |b| {
+                b.iter(|| {
+                    i = (i + 1) & 63;
+                    black_box(zone.lookup(&qnames[i], RecordType::A))
+                })
+            });
+        }
+    }
+    group.finish();
+}
+
+criterion_group!(benches, name_ops, cache_evict, wheel_ops, zone_lookup);
 criterion_main!(benches);

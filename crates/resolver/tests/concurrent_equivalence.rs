@@ -16,8 +16,7 @@
 //!   identical victim sequence the oracle does. The tie-break is the
 //!   documented core order: victim = unpinned entry minimising
 //!   `(expires_at, canonical name order, type code)` within the
-//!   segment (probation tier first when SLRU admission is on; these
-//!   runs keep admission off so the oracle order applies verbatim);
+//!   segment;
 //! * **ledgers** — each segment's replayed op journal is byte-identical
 //!   JSONL to the oracle cache's journal, and the summed stats obey
 //!   `inserts == removals + live`;

@@ -23,7 +23,10 @@
 //! * `Hash` writes the cached 64-bit value — map lookups do not rescan
 //!   the name;
 //! * `Ord` is the RFC 4034 §6.1 canonical order, computed label-wise
-//!   from the root downward over borrowed subslices.
+//!   from the root downward over borrowed subslices;
+//! * every ancestor is a subslice too: [`Name::suffixes`] walks them as
+//!   borrowed [`NameSuffix`]es, and a map keyed on `Name` can be probed
+//!   with one through [`NameKey`] — no ancestor `Name` is built.
 
 use crate::WireError;
 use std::fmt;
@@ -324,6 +327,18 @@ impl Name {
         out
     }
 
+    /// This name and each of its ancestors up to the root, deepest
+    /// first, borrowed from this name's buffer.
+    ///
+    /// For `a.nic.uy`: `a.nic.uy.`, `nic.uy.`, `uy.`, `.` — the reverse
+    /// of [`Name::ancestry`], without building a `Name` per step.
+    pub fn suffixes(&self) -> Suffixes<'_> {
+        Suffixes {
+            rest: Some(&self.repr),
+            own_hash: Some(self.hash),
+        }
+    }
+
     /// A canonical lowercase key for use in maps and codecs: the
     /// presentation form lowercased (`"a.nic.uy."`, root `"."`).
     pub fn canonical(&self) -> String {
@@ -345,6 +360,106 @@ impl Eq for Name {}
 impl std::hash::Hash for Name {
     fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
         state.write_u64(self.hash);
+    }
+}
+
+/// A borrowed suffix of a [`Name`] on a label boundary (`nic.uy.` inside
+/// `a.nic.uy.`), with its case-folded hash: everything a `Name` is except
+/// the owned buffer.
+#[derive(Debug, Clone, Copy)]
+pub struct NameSuffix<'a> {
+    repr: &'a str,
+    hash: u64,
+}
+
+impl<'a> NameSuffix<'a> {
+    /// The presentation form with its trailing dot, as [`Name::as_str`].
+    pub fn as_str(&self) -> &'a str {
+        self.repr
+    }
+
+    /// Copies the suffix into an owned [`Name`].
+    pub fn to_name(&self) -> Name {
+        Name {
+            repr: Arc::from(self.repr),
+            hash: self.hash,
+        }
+    }
+}
+
+/// Iterator behind [`Name::suffixes`].
+#[derive(Debug, Clone)]
+pub struct Suffixes<'a> {
+    rest: Option<&'a str>,
+    /// The cached hash of the whole name, spent on the first item.
+    own_hash: Option<u64>,
+}
+
+impl<'a> Iterator for Suffixes<'a> {
+    type Item = NameSuffix<'a>;
+
+    fn next(&mut self) -> Option<NameSuffix<'a>> {
+        let repr = self.rest?;
+        self.rest = (repr.len() > 1).then(|| {
+            let dot = repr.find('.').expect("non-root names contain a dot");
+            match &repr[dot + 1..] {
+                "" => ".",
+                parent => parent,
+            }
+        });
+        let hash = self.own_hash.take().unwrap_or_else(|| folded_fnv(repr));
+        Some(NameSuffix { repr, hash })
+    }
+}
+
+/// The lookup key of a map keyed on [`Name`]: the case-folded hash that
+/// `Hash` writes and the buffer that `Eq` compares. `Name` borrows as
+/// `dyn NameKey`, so `HashMap<Name, V>::get` accepts a [`NameSuffix`]
+/// (`map.get(&suffix as &dyn NameKey)`) and finds the entry an equal
+/// `Name` would.
+pub trait NameKey {
+    /// FNV-1a over the ASCII-lowercased presentation form.
+    fn folded_hash(&self) -> u64;
+    /// The dot-terminated presentation form.
+    fn repr(&self) -> &str;
+}
+
+impl NameKey for Name {
+    fn folded_hash(&self) -> u64 {
+        self.hash
+    }
+    fn repr(&self) -> &str {
+        &self.repr
+    }
+}
+
+impl NameKey for NameSuffix<'_> {
+    fn folded_hash(&self) -> u64 {
+        self.hash
+    }
+    fn repr(&self) -> &str {
+        self.repr
+    }
+}
+
+impl<'a> std::borrow::Borrow<dyn NameKey + 'a> for Name {
+    fn borrow(&self) -> &(dyn NameKey + 'a) {
+        self
+    }
+}
+
+// Same rules as `Name`'s own `Eq` and `Hash`, as `Borrow` requires.
+impl PartialEq for dyn NameKey + '_ {
+    fn eq(&self, other: &Self) -> bool {
+        self.folded_hash() == other.folded_hash() && self.repr().eq_ignore_ascii_case(other.repr())
+    }
+}
+
+impl Eq for dyn NameKey + '_ {}
+
+impl std::hash::Hash for dyn NameKey + '_ {
+    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
+        state.write_u64(self.folded_hash());
     }
 }
 
@@ -502,6 +617,36 @@ mod tests {
             .collect();
         assert_eq!(chain, [".", "uy.", "nic.uy.", "a.nic.uy."]);
         assert_eq!(Name::root().ancestry().len(), 1);
+    }
+
+    #[test]
+    fn suffixes_walk_up_to_the_root_with_name_hashes() {
+        let name = n("A.Nic.uy");
+        let chain: Vec<&str> = name.suffixes().map(|s| s.as_str()).collect();
+        assert_eq!(chain, ["A.Nic.uy.", "Nic.uy.", "uy.", "."]);
+        let mut reversed = name.ancestry();
+        reversed.reverse();
+        for (suffix, ancestor) in name.suffixes().zip(&reversed) {
+            assert_eq!(suffix.to_name(), *ancestor);
+            assert_eq!(NameKey::folded_hash(&suffix), ancestor.folded_hash());
+        }
+        assert_eq!(Name::root().suffixes().count(), 1);
+    }
+
+    #[test]
+    fn a_suffix_finds_the_entry_an_equal_name_would() {
+        use std::collections::HashMap;
+        let mut map: HashMap<Name, u8> = HashMap::new();
+        map.insert(n("nic.UY"), 1);
+        map.insert(Name::root(), 0);
+        let name = n("a.NIC.uy");
+        let found: Vec<Option<&u8>> = name
+            .suffixes()
+            .map(|s| map.get(&s as &dyn NameKey))
+            .collect();
+        assert_eq!(found, [None, Some(&1), None, Some(&0)]);
+        // Label boundaries still matter: `ic.uy.` is no suffix of it.
+        assert!(!map.contains_key(&n("ic.uy") as &dyn NameKey));
     }
 
     #[test]

@@ -1,15 +1,17 @@
-//! Thin tier-1 cases for the three seams whose full proof suites live
+//! Thin tier-1 cases for the four seams whose full proof suites live
 //! at crate level (`cargo test --workspace`): the event queue's drain
 //! order (`netsim/tests/wheel_oracle.rs`), the SoA-vs-oracle campaign
-//! engines (`atlas/tests/soa_equivalence.rs`), and the two cache
+//! engines (`atlas/tests/soa_equivalence.rs`), the two cache
 //! implementations behind `CacheEngine`
-//! (`resolver/tests/concurrent_equivalence.rs`).
+//! (`resolver/tests/concurrent_equivalence.rs`), and the authoritative
+//! zone index (`auth/tests/zone_model.rs`).
 
 use dnsttl::atlas::{run_zipf_campaign, ZipfCampaignConfig, ZipfEngine, ZipfRunOpts};
+use dnsttl::auth::{AuthoritativeServer, ZoneBuilder};
 use dnsttl::core::{CacheBackendChoice, ResolverPolicy};
-use dnsttl::netsim::{EventQueue, SimDuration, SimRng, SimTime};
+use dnsttl::netsim::{ClientId, DnsService, EventQueue, Region, SimDuration, SimRng, SimTime};
 use dnsttl::resolver::{CacheEngine, Credibility};
-use dnsttl::wire::{Name, RData, RRset, RecordType, Ttl};
+use dnsttl::wire::{Message, Name, RData, RRset, Rcode, RecordType, Ttl};
 
 #[test]
 fn event_queue_drains_in_stable_time_order() {
@@ -139,4 +141,63 @@ fn sequential_and_shared_engines_agree_on_a_seeded_tape() {
             assert!(seq.stats().evictions > 0, "the bound must bind");
         }
     }
+}
+
+#[test]
+fn authoritative_index_answers_on_the_zipf_world_shape() {
+    // The Zipf campaign's world: a root delegating `zipf`, and a child
+    // of 2 050 owner names. The server's host sits one label deeper
+    // here so the child also has an empty non-terminal (`nic.zipf`).
+    let mut root = AuthoritativeServer::new("root").with_zone(
+        ZoneBuilder::new(".")
+            .ns("zipf", "ns.nic.zipf", Ttl::TWO_DAYS)
+            .a("ns.nic.zipf", "192.0.2.53", Ttl::TWO_DAYS)
+            .build(),
+    );
+    let mut zone = ZoneBuilder::new("zipf")
+        .ns("zipf", "ns.nic.zipf", Ttl::HOUR)
+        .a("ns.nic.zipf", "192.0.2.53", Ttl::HOUR);
+    for k in 0..2_048 {
+        let addr = format!("10.0.{}.{}", k >> 8, k & 255);
+        zone = zone.a(&format!("r{k}.zipf"), &addr, Ttl::MINUTE);
+    }
+    let zone = zone.build();
+    assert_eq!(zone.names().count(), 2_050);
+    let mut child = AuthoritativeServer::new("ns.nic.zipf").with_zone(zone);
+
+    let ask = |srv: &mut AuthoritativeServer, qname: &str| {
+        let client = ClientId {
+            region: Region::Eu,
+            tag: 1,
+        };
+        let qname = Name::parse(qname).unwrap();
+        let query = Message::iterative_query(7, qname, RecordType::A);
+        srv.handle_query(&query, client, SimTime::ZERO)
+    };
+
+    let answer = ask(&mut child, "r1234.zipf");
+    assert!(answer.header.authoritative);
+    let addr = RData::A(std::net::Ipv4Addr::new(10, 0, 4, 210));
+    assert_eq!(answer.answers.len(), 1);
+    assert_eq!(answer.answers[0].rdata, addr);
+    assert_eq!(ask(&mut child, "R1234.ZipF").answers, answer.answers);
+
+    let missing = ask(&mut child, "r2048.zipf");
+    assert_eq!(missing.header.rcode, Rcode::NxDomain);
+    assert_eq!(missing.authorities[0].record_type(), RecordType::SOA);
+
+    let empty_non_terminal = ask(&mut child, "nic.zipf");
+    assert_eq!(empty_non_terminal.header.rcode, Rcode::NoError);
+    assert!(empty_non_terminal.header.authoritative && empty_non_terminal.answers.is_empty());
+    assert_eq!(
+        empty_non_terminal.authorities[0].record_type(),
+        RecordType::SOA
+    );
+
+    let referral = ask(&mut root, "r1234.zipf");
+    assert!(referral.is_referral() && !referral.header.authoritative);
+    assert_eq!(referral.authorities[0].ttl, Ttl::TWO_DAYS);
+    assert_eq!(referral.additionals.len(), 1, "glue for ns.nic.zipf");
+
+    assert_eq!(ask(&mut child, "r1.example").header.rcode, Rcode::Refused);
 }
