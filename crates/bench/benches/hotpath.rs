@@ -150,8 +150,11 @@ fn wheel_ops(c: &mut Criterion) {
                 black_box(wheel.cancel(near[k], &u32::MAX))
             })
         });
-        let mut btree: BTreeSet<(u64, u32)> =
-            near.iter().enumerate().map(|(i, &t)| (t, i as u32)).collect();
+        let mut btree: BTreeSet<(u64, u32)> = near
+            .iter()
+            .enumerate()
+            .map(|(i, &t)| (t, i as u32))
+            .collect();
         group.bench_function(BenchmarkId::new("btree_insert", n), |b| {
             b.iter(|| {
                 k = (k + 1) % n;
@@ -172,8 +175,11 @@ fn wheel_ops(c: &mut Criterion) {
                 black_box(t)
             })
         });
-        let mut btree: BTreeSet<(u64, u32)> =
-            near.iter().enumerate().map(|(i, &t)| (t, i as u32)).collect();
+        let mut btree: BTreeSet<(u64, u32)> = near
+            .iter()
+            .enumerate()
+            .map(|(i, &t)| (t, i as u32))
+            .collect();
         group.bench_function(BenchmarkId::new("btree_expiry_pop", n), |b| {
             b.iter(|| {
                 let (t, i) = btree.pop_first().expect("pop cycle keeps size fixed");
@@ -195,8 +201,11 @@ fn wheel_ops(c: &mut Criterion) {
                 black_box(t)
             })
         });
-        let mut btree: BTreeSet<(u64, u32)> =
-            far.iter().enumerate().map(|(i, &t)| (t, i as u32)).collect();
+        let mut btree: BTreeSet<(u64, u32)> = far
+            .iter()
+            .enumerate()
+            .map(|(i, &t)| (t, i as u32))
+            .collect();
         group.bench_function(BenchmarkId::new("btree_cascade", n), |b| {
             b.iter(|| {
                 let (t, i) = btree.pop_first().expect("pop cycle keeps size fixed");

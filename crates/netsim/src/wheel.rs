@@ -490,7 +490,10 @@ mod tests {
         while let Some(e) = w.pop_first() {
             order.push(e);
         }
-        assert_eq!(order, [(3, 3), (3, 3), (70_000, 70_000), (900_000, 900_000)]);
+        assert_eq!(
+            order,
+            [(3, 3), (3, 3), (70_000, 70_000), (900_000, 900_000)]
+        );
     }
 
     #[test]
