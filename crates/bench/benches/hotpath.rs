@@ -21,17 +21,27 @@
 //! `Zone::lookup` for an answer, a referral and an NXDOMAIN in zones of
 //! 64, 2 048 and 32 768 owner names. The zone index is a hash map, so
 //! each row should read the same at every size.
+//!
+//! `exchange/*` is the layer between them: one `Network::exchange_with`
+//! against an authoritative of the Zipf campaigns' shape (2 048 `A`
+//! names under `zipf`), for an answer that fits UDP, one that UDP
+//! truncates, and the same one carried whole over TCP. The exchange
+//! passes messages by reference and asks the codec only for their
+//! lengths, so these rows are `handle_query` plus two length passes.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use dnsttl_auth::ZoneBuilder;
+use dnsttl_auth::{AuthoritativeServer, ZoneBuilder};
 use dnsttl_core::ResolverPolicy;
-use dnsttl_netsim::{SimRng, SimTime, TimingWheel};
+use dnsttl_netsim::{LatencyModel, Network, Region, SimRng, SimTime, TimingWheel, Transport};
 use dnsttl_resolver::{Cache, Credibility};
-use dnsttl_wire::{Name, RData, RRset, RecordType, Ttl};
+use dnsttl_wire::{Message, Name, RData, RRset, RecordType, Ttl};
+use std::cell::RefCell;
 use std::collections::hash_map::DefaultHasher;
 use std::collections::BTreeSet;
 use std::hash::{Hash, Hasher};
 use std::hint::black_box;
+use std::net::IpAddr;
+use std::rc::Rc;
 
 /// Deep, mixed-case names: equality and order must case-fold every
 /// label, so these are the expensive comparisons, not `uy.` vs `uy.`.
@@ -255,5 +265,64 @@ fn zone_lookup(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, name_ops, cache_evict, wheel_ops, zone_lookup);
+/// The child server of `dnsttl_atlas`'s Zipf world, plus one owner
+/// (`big.zipf`) whose 40 addresses outgrow a UDP payload.
+fn exchange(c: &mut Criterion) {
+    let mut group = c.benchmark_group("exchange");
+    let mut zone = ZoneBuilder::new("zipf").ns("zipf", "ns.zipf", Ttl::HOUR).a(
+        "ns.zipf",
+        "192.0.2.53",
+        Ttl::HOUR,
+    );
+    for k in 0..2_048 {
+        zone = zone.a(&format!("r{k}.zipf"), "10.0.0.1", Ttl::MINUTE);
+    }
+    for i in 0..40 {
+        zone = zone.a("big.zipf", &format!("203.0.113.{i}"), Ttl::MINUTE);
+    }
+    let server = AuthoritativeServer::new("ns.zipf").with_zone(zone.build());
+    let addr: IpAddr = "192.0.2.53".parse().expect("static");
+    let mut net = Network::new(LatencyModel::constant(5.0));
+    net.register(addr, Region::Eu, Rc::new(RefCell::new(server)));
+    let query = |name: String| {
+        Message::iterative_query(7, Name::parse(&name).expect("valid"), RecordType::A)
+    };
+    let small: Vec<Message> = (0..64)
+        .map(|i| query(format!("r{}.zipf", i * 32)))
+        .collect();
+    let big = vec![query("big.zipf".into())];
+    let cases = [
+        ("udp", &small, Transport::Udp),
+        ("udp_truncated", &big, Transport::Udp),
+        ("tcp", &big, Transport::Tcp),
+    ];
+    let mut rng = SimRng::seed_from(5);
+    for (case, queries, transport) in cases {
+        let mut i = 0usize;
+        group.bench_function(BenchmarkId::from_parameter(case), |b| {
+            b.iter(|| {
+                i = (i + 1) % queries.len();
+                black_box(net.exchange_with(
+                    Region::Eu,
+                    0,
+                    addr,
+                    &queries[i],
+                    SimTime::ZERO,
+                    &mut rng,
+                    transport,
+                ))
+            })
+        });
+    }
+    group.finish();
+}
+
+criterion_group!(
+    benches,
+    name_ops,
+    cache_evict,
+    wheel_ops,
+    zone_lookup,
+    exchange
+);
 criterion_main!(benches);

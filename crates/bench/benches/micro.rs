@@ -7,7 +7,9 @@ use dnsttl_bench::{bench_world, sample_referral};
 use dnsttl_core::ResolverPolicy;
 use dnsttl_netsim::SimTime;
 use dnsttl_resolver::{Cache, Credibility};
-use dnsttl_wire::{decode_message, encode_message, Name, RData, RRset, RecordType, Ttl};
+use dnsttl_wire::{
+    decode_message, encode_message, encoded_len, Name, RData, RRset, RecordType, Ttl,
+};
 use std::hint::black_box;
 
 fn wire_codec(c: &mut Criterion) {
@@ -18,6 +20,9 @@ fn wire_codec(c: &mut Criterion) {
     });
     c.bench_function("wire/decode_referral", |b| {
         b.iter(|| decode_message(black_box(&wire)).unwrap())
+    });
+    c.bench_function("wire/encoded_len_referral", |b| {
+        b.iter(|| encoded_len(black_box(&msg)).unwrap())
     });
     c.bench_function("wire/name_parse", |b| {
         b.iter(|| Name::parse(black_box("ns1.sub.cachetest.net")).unwrap())

@@ -9,15 +9,20 @@
 //! clients reach the site with the lowest median RTT — the BGP-like
 //! behaviour behind the paper's Route53 comparison (Figure 11b).
 //!
-//! Queries and responses pass through the real wire codec on every
-//! exchange, so anything a server emits must be a legal DNS packet.
+//! Messages cross the fabric by reference, not as bytes: an exchange
+//! asks the wire codec only how long each message would be
+//! (`dnsttl_wire::encoded_len`). That decides UDP truncation, and a
+//! message with no legal encoding is a packet that was never sent — a
+//! counted timeout. Debug builds additionally assert, on every exchange,
+//! that the real encoding has that length and decodes back to the same
+//! message.
 
 use crate::fault::FaultPlan;
 use crate::latency::{LatencyModel, Region};
 use crate::rng::SimRng;
 use crate::time::{SimDuration, SimTime};
 use dnsttl_telemetry::{EventKind, Telemetry};
-use dnsttl_wire::{decode_message, encode_message, Message};
+use dnsttl_wire::{encoded_len, Message, WireError};
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::net::IpAddr;
@@ -89,12 +94,13 @@ struct Endpoint {
 pub enum ExchangeOutcome {
     /// The server answered.
     Response {
-        /// The decoded response message.
+        /// The server's response (truncated if it outgrew UDP).
         message: Message,
         /// Sampled round-trip time for this exchange.
         rtt: SimDuration,
     },
-    /// No answer: packet loss, an offline server, or an unknown address.
+    /// No answer: packet loss, an offline server, an unknown address, or
+    /// a message with no wire encoding.
     /// The caller observes `elapsed` (its retransmission timeout).
     Timeout {
         /// How long the caller waited before giving up on this exchange.
@@ -273,9 +279,10 @@ impl Network {
     /// `client_region` (identified for source accounting by
     /// `client_tag`) to the server at `server`.
     ///
-    /// The query is wire-encoded and decoded on both legs; a server that
-    /// produced an un-encodable message would surface here as a bug, not
-    /// be papered over.
+    /// The server sees `query` itself and the caller gets the server's
+    /// own `Message`; the codec is asked only for their encoded lengths.
+    /// A query or response that cannot be encoded could never have been
+    /// sent: it is counted as `net_unencodable` and the caller times out.
     pub fn exchange(
         &mut self,
         client_region: Region,
@@ -381,6 +388,9 @@ impl Network {
                 });
             return ExchangeOutcome::Timeout { elapsed: timeout };
         };
+        if wire_len(query).is_err() {
+            return self.unencodable(now);
+        }
         ep.queries_received += 1;
         ep.sources.insert((client_region, client_tag));
         if self.telemetry.is_enabled() && ep.sites.len() > 1 {
@@ -396,17 +406,16 @@ impl Network {
             );
         }
 
-        let wire = encode_message(query).expect("query must encode");
-        let query = decode_message(&wire).expect("encoded query must decode");
         let client = ClientId {
             region: client_region,
             tag: client_tag,
         };
-        let response = site.service.borrow_mut().handle_query(&query, client, now);
-        let wire = encode_message(&response).expect("response must encode");
-        let mut response = decode_message(&wire).expect("encoded response must decode");
+        let mut response = site.service.borrow_mut().handle_query(query, client, now);
+        let Ok(response_len) = wire_len(&response) else {
+            return self.unencodable(now);
+        };
 
-        if transport == Transport::Udp && wire.len() > UDP_PAYLOAD_LIMIT {
+        if transport == Transport::Udp && response_len > UDP_PAYLOAD_LIMIT {
             // RFC 1035 §4.2.1: truncate and set TC; the client retries
             // over TCP.
             response.header.truncated = true;
@@ -437,6 +446,33 @@ impl Network {
             rtt,
         }
     }
+
+    /// The outcome for a message the codec cannot put on the wire.
+    fn unencodable(&self, now: SimTime) -> ExchangeOutcome {
+        self.telemetry
+            .count_at("net_unencodable", 1, now.as_millis());
+        ExchangeOutcome::Timeout {
+            elapsed: self.query_timeout,
+        }
+    }
+}
+
+/// `encoded_len`, with the contract the exchange path rests on checked in
+/// debug builds: the real encoding has exactly that length and decodes
+/// back to `msg`, and a message without a length has no encoding either.
+fn wire_len(msg: &Message) -> Result<usize, WireError> {
+    let len = encoded_len(msg);
+    debug_assert!(
+        match (&len, dnsttl_wire::encode_message(msg)) {
+            (Ok(n), Ok(wire)) => {
+                wire.len() == *n && dnsttl_wire::decode_message(&wire).as_ref() == Ok(msg)
+            }
+            (Err(a), Err(b)) => *a == b,
+            _ => false,
+        },
+        "encoded_len disagrees with the codec round trip on {msg:?}"
+    );
+    len
 }
 
 #[cfg(test)]
@@ -737,6 +773,121 @@ mod tests {
         assert_eq!(msg.answers.len(), 40);
         // TCP pays the handshake: exactly two constant RTTs.
         assert_eq!(tcp.elapsed(), SimDuration::from_millis(20));
+    }
+
+    /// A server whose response encodes to exactly `octets`: the echoed
+    /// question plus one opaque record sized to make up the rest.
+    struct Padded {
+        octets: usize,
+    }
+
+    impl DnsService for Padded {
+        fn handle_query(&mut self, query: &Message, _client: ClientId, _now: SimTime) -> Message {
+            let mut r = Message::response_to(query);
+            r.additionals
+                .push(Record::new(Name::root(), Ttl::ZERO, RData::Opt(Vec::new())));
+            let pad = self.octets - encoded_len(&r).expect("encodable");
+            r.additionals[0].rdata = RData::Opt(vec![0; pad]);
+            assert_eq!(encoded_len(&r), Ok(self.octets));
+            r
+        }
+    }
+
+    #[test]
+    fn udp_truncates_above_512_octets_and_not_at_them() {
+        let mut net = Network::new(LatencyModel::constant(10.0));
+        net.register(
+            addr(1),
+            Region::Eu,
+            Rc::new(RefCell::new(Padded { octets: 512 })),
+        );
+        net.register(
+            addr(2),
+            Region::Eu,
+            Rc::new(RefCell::new(Padded { octets: 513 })),
+        );
+        let mut rng = SimRng::seed_from(8);
+        let mut ask = |server: ServiceAddr, transport: Transport| {
+            net.exchange_with(
+                Region::Eu,
+                0,
+                server,
+                &query(),
+                SimTime::ZERO,
+                &mut rng,
+                transport,
+            )
+            .response()
+            .cloned()
+            .expect("response")
+        };
+        let fits = ask(addr(1), Transport::Udp);
+        assert!(!fits.header.truncated, "512 octets is a legal UDP payload");
+        assert_eq!(fits.additionals.len(), 1);
+        let cut = ask(addr(2), Transport::Udp);
+        assert!(cut.header.truncated, "513 octets is one too many");
+        assert!(cut.additionals.is_empty());
+        let whole = ask(addr(2), Transport::Tcp);
+        assert!(!whole.header.truncated);
+        assert_eq!(whole.additionals.len(), 1);
+    }
+
+    /// A server that answers with whatever records it was built with.
+    struct Canned {
+        answers: Vec<Record>,
+    }
+
+    impl DnsService for Canned {
+        fn handle_query(&mut self, query: &Message, _client: ClientId, _now: SimTime) -> Message {
+            let mut r = Message::response_to(query);
+            r.answers = self.answers.clone();
+            r
+        }
+    }
+
+    #[test]
+    fn unencodable_messages_are_counted_timeouts_not_panics() {
+        let owner = || Name::parse("x.example").unwrap();
+        let txt = |t: String| Record::new(owner(), Ttl::MINUTE, RData::Txt(t));
+        let bad_answers = [
+            vec![txt("x".repeat(70_000))],
+            vec![txt("caf\u{e9}".into())],
+            // 5 000 address records: each fine, together past 65 535 octets.
+            vec![Record::new(owner(), Ttl::MINUTE, RData::A(Ipv4Addr::LOCALHOST)); 5_000],
+        ];
+        let telemetry = Telemetry::new();
+        let mut net = Network::new(LatencyModel::constant(10.0));
+        net.set_telemetry(telemetry.clone());
+        let mut rng = SimRng::seed_from(9);
+        let now = SimTime::from_secs(30);
+        for (i, answers) in bad_answers.into_iter().enumerate() {
+            let server = addr(1 + i as u8);
+            net.register(
+                server,
+                Region::Eu,
+                Rc::new(RefCell::new(Canned { answers })),
+            );
+            for transport in [Transport::Udp, Transport::Tcp] {
+                let out =
+                    net.exchange_with(Region::Eu, 0, server, &query(), now, &mut rng, transport);
+                assert!(out.response().is_none(), "case {i} over {transport:?}");
+                assert_eq!(out.elapsed(), net.query_timeout);
+            }
+            assert_eq!(net.queries_received(server), 2, "the server did answer");
+        }
+        assert_eq!(telemetry.counter_value("net_unencodable", &[]), 6);
+        // A query that cannot be encoded never reaches the server.
+        let mut bad_query = query();
+        bad_query.additionals.push(txt("\u{fc}ber".into()));
+        let out = net.exchange(Region::Eu, 0, addr(1), &bad_query, now, &mut rng);
+        assert!(out.response().is_none());
+        assert_eq!(net.queries_received(addr(1)), 2);
+        assert_eq!(telemetry.counter_value("net_unencodable", &[]), 7);
+        assert_eq!(
+            telemetry.with_timeseries(|ts| ts.counter_total("net_unencodable")),
+            7,
+            "counted on the simulated clock"
+        );
     }
 
     #[test]

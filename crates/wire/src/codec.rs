@@ -2,14 +2,18 @@
 //!
 //! The encoder performs standard name compression (back-pointers to
 //! earlier occurrences); the decoder accepts compression anywhere a name
-//! may appear and rejects forward pointers and pointer loops. Round-trip
-//! fidelity is enforced by property tests in `tests/` of this crate.
+//! may appear and rejects forward pointers and pointer loops.
+//! [`encoded_len`] is the encoder run without a buffer: the simulator's
+//! exchange path needs only a message's size, and asks for that instead
+//! of the bytes. Round-trip fidelity, and that the length is the length
+//! of the bytes, are enforced by property tests in `tests/` of this
+//! crate.
 
 use crate::message::{Header, Message, Opcode, Question, Rcode};
+use crate::name::{NameKey, NameSuffix};
 use crate::rdata::{RData, RecordType, SoaData};
 use crate::record::{Class, Record};
 use crate::{Name, Ttl, WireError};
-use std::collections::HashMap;
 use std::net::{Ipv4Addr, Ipv6Addr};
 
 /// Upper bound on an encoded message (TCP-framed DNS limit).
@@ -19,33 +23,181 @@ pub const MAX_MESSAGE_LEN: usize = 65_535;
 // Encoding
 // ---------------------------------------------------------------------------
 
-struct Encoder {
-    buf: Vec<u8>,
-    /// Canonical name → offset of an earlier occurrence, for
-    /// compression. Lookup-only (never iterated): pointer targets
-    /// depend on encounter order in the message, not map order, so the
-    /// encoded bytes stay deterministic.
-    name_offsets: HashMap<String, usize>,
+/// Where the traversal puts its octets. [`encode_message`] writes them
+/// into a `Vec<u8>`; [`encoded_len`] only counts them. Everything that
+/// decides *which* octets — header, sections, rdata, compression — is in
+/// [`Writer`], once, so the two cannot disagree.
+trait Sink {
+    fn put(&mut self, bytes: &[u8]);
+    /// Octets written so far: the offset of the next one.
+    fn pos(&self) -> usize;
+    /// Fills in a 16-bit field written earlier as a placeholder.
+    fn patch_u16(&mut self, at: usize, v: u16);
 }
 
-impl Encoder {
-    fn new() -> Encoder {
-        Encoder {
-            buf: Vec::with_capacity(512),
-            name_offsets: HashMap::new(),
+impl Sink for Vec<u8> {
+    fn put(&mut self, bytes: &[u8]) {
+        self.extend_from_slice(bytes);
+    }
+
+    fn pos(&self) -> usize {
+        self.len()
+    }
+
+    fn patch_u16(&mut self, at: usize, v: u16) {
+        self[at..at + 2].copy_from_slice(&v.to_be_bytes());
+    }
+}
+
+/// The sink of [`encoded_len`]: a length and no bytes.
+struct Count(usize);
+
+impl Sink for Count {
+    fn put(&mut self, bytes: &[u8]) {
+        self.0 += bytes.len();
+    }
+
+    fn pos(&self) -> usize {
+        self.0
+    }
+
+    fn patch_u16(&mut self, _at: usize, _v: u16) {}
+}
+
+/// One earlier occurrence of a name suffix: the borrowed spelling, its
+/// case-folded hash, and the offset a pointer to it carries.
+#[derive(Clone, Copy)]
+struct Slot<'m> {
+    /// Dot-terminated, so never empty for a real entry; `""` marks a
+    /// free slot.
+    suffix: &'m str,
+    hash: u64,
+    offset: u16,
+}
+
+const FREE: Slot<'static> = Slot {
+    suffix: "",
+    hash: 0,
+    offset: 0,
+};
+
+/// Slots held inline: room for the 24 suffixes of a 13-server referral
+/// with glue before the table moves to the heap.
+const INLINE_SLOTS: usize = 32;
+
+/// The name-compression table: suffix → offset of its first occurrence
+/// in the message, for suffixes first written below `0x3FFF`.
+///
+/// Keys are borrowed slices of the message's own names, matched
+/// case-insensitively. Open addressing with linear probing over a
+/// power-of-two slot array that starts on the stack and moves to the
+/// heap, doubling, when three quarters full — an ordinary message never
+/// allocates. Lookup-only (never iterated for output): pointer targets
+/// depend on encounter order in the message, so the bytes are
+/// deterministic.
+struct NameTable<'m> {
+    inline: [Slot<'m>; INLINE_SLOTS],
+    /// Replaces `inline` once non-empty.
+    heap: Vec<Slot<'m>>,
+    len: usize,
+}
+
+impl<'m> NameTable<'m> {
+    fn new() -> NameTable<'m> {
+        NameTable {
+            inline: [FREE; INLINE_SLOTS],
+            heap: Vec::new(),
+            len: 0,
+        }
+    }
+
+    fn slots(&mut self) -> &mut [Slot<'m>] {
+        if self.heap.is_empty() {
+            &mut self.inline
+        } else {
+            &mut self.heap
+        }
+    }
+
+    /// The slot holding `suffix`, or the free slot where it belongs.
+    fn probe(slots: &[Slot<'m>], suffix: &str, hash: u64) -> usize {
+        let mask = slots.len() - 1;
+        let mut i = (hash ^ (hash >> 32)) as usize & mask;
+        loop {
+            let s = &slots[i];
+            if s.suffix.is_empty() || (s.hash == hash && s.suffix.eq_ignore_ascii_case(suffix)) {
+                return i;
+            }
+            i = (i + 1) & mask;
+        }
+    }
+
+    /// The offset of an earlier occurrence of `suffix`. Failing that,
+    /// `here` — where the caller is about to write it — becomes that
+    /// occurrence for later names, if a 14-bit pointer can reach it.
+    fn prior_or_register(&mut self, suffix: NameSuffix<'m>, here: usize) -> Option<u16> {
+        if (self.len + 1) * 4 > self.slots().len() * 3 {
+            self.grow();
+        }
+        let (suffix, hash) = (suffix.as_str(), suffix.folded_hash());
+        let slots = self.slots();
+        let at = Self::probe(slots, suffix, hash);
+        if !slots[at].suffix.is_empty() {
+            return Some(slots[at].offset);
+        }
+        if here < 0x3FFF {
+            slots[at] = Slot {
+                suffix,
+                hash,
+                offset: here as u16,
+            };
+            self.len += 1;
+        }
+        None
+    }
+
+    /// Doubles the slot array, on the heap from here on.
+    fn grow(&mut self) {
+        let old = self.slots();
+        let mut grown = vec![FREE; old.len() * 2];
+        for s in old.iter().filter(|s| !s.suffix.is_empty()) {
+            let at = Self::probe(&grown, s.suffix, s.hash);
+            grown[at] = *s;
+        }
+        self.heap = grown;
+    }
+}
+
+/// The codec's one walk over a message, generic in where the octets go.
+struct Writer<'m, S> {
+    out: S,
+    names: NameTable<'m>,
+}
+
+impl<'m, S: Sink> Writer<'m, S> {
+    fn new(out: S) -> Writer<'m, S> {
+        Writer {
+            out,
+            names: NameTable::new(),
         }
     }
 
     fn u8(&mut self, v: u8) {
-        self.buf.push(v);
+        self.out.put(&[v]);
     }
 
     fn u16(&mut self, v: u16) {
-        self.buf.extend_from_slice(&v.to_be_bytes());
+        self.out.put(&v.to_be_bytes());
     }
 
     fn u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_be_bytes());
+        self.out.put(&v.to_be_bytes());
+    }
+
+    /// One label: its length octet, then its bytes.
+    fn label(&mut self, label: &str) {
+        self.u8(label.len() as u8);
+        self.out.put(label.as_bytes());
     }
 
     /// Writes `name`, compressing against previously written names.
@@ -53,60 +205,47 @@ impl Encoder {
     /// For each suffix of the name we either emit a pointer to a prior
     /// occurrence or emit the label and remember the offset (offsets must
     /// fit in 14 bits to be pointer targets).
-    fn name(&mut self, name: &Name) {
-        if name.is_root() {
-            self.u8(0);
-            return;
-        }
-        // One case-folded copy per name; every suffix key below is a
-        // borrowed slice of it (the old code allocated a fresh String
-        // per suffix per name).
-        let canon = name.canonical();
-        let repr = name.as_str();
-        let mut off = 0;
-        while off < repr.len() {
-            let suffix = &canon[off..];
-            if let Some(&prior) = self.name_offsets.get(suffix) {
-                self.u16(0xC000 | prior as u16);
+    fn name(&mut self, name: &'m Name) {
+        for suffix in name.suffixes() {
+            let label = suffix.label();
+            if label.is_empty() {
+                break; // the root: only the terminator is left
+            }
+            if let Some(prior) = self.names.prior_or_register(suffix, self.out.pos()) {
+                self.u16(0xC000 | prior);
                 return;
             }
-            let here = self.buf.len();
-            if here < 0x3FFF {
-                self.name_offsets.insert(suffix.to_owned(), here);
-            }
-            let label_len = repr[off..].find('.').expect("repr is dot-terminated");
-            let label = &repr[off..off + label_len];
-            self.u8(label_len as u8);
-            self.buf.extend_from_slice(label.as_bytes());
-            off += label_len + 1;
+            self.label(label);
         }
         self.u8(0); // root terminator
     }
 
-    fn question(&mut self, q: &Question) {
+    fn question(&mut self, q: &'m Question) {
         self.name(&q.qname);
         self.u16(q.qtype.code());
         self.u16(q.qclass.code());
     }
 
-    fn record(&mut self, r: &Record) {
+    fn record(&mut self, r: &'m Record) -> Result<(), WireError> {
         self.name(&r.name);
         self.u16(r.record_type().code());
         self.u16(r.class.code());
         self.u32(r.ttl.as_secs());
         // Reserve RDLENGTH, fill in after writing RDATA.
-        let len_pos = self.buf.len();
+        let len_pos = self.out.pos();
         self.u16(0);
-        let start = self.buf.len();
-        self.rdata(&r.rdata);
-        let rdlen = self.buf.len() - start;
-        self.buf[len_pos..len_pos + 2].copy_from_slice(&(rdlen as u16).to_be_bytes());
+        let start = self.out.pos();
+        self.rdata(&r.rdata)?;
+        let rdlen = self.out.pos() - start;
+        let field = u16::try_from(rdlen).map_err(|_| WireError::RdataTooLong(rdlen))?;
+        self.out.patch_u16(len_pos, field);
+        Ok(())
     }
 
-    fn rdata(&mut self, rd: &RData) {
+    fn rdata(&mut self, rd: &'m RData) -> Result<(), WireError> {
         match rd {
-            RData::A(addr) => self.buf.extend_from_slice(&addr.octets()),
-            RData::Aaaa(addr) => self.buf.extend_from_slice(&addr.octets()),
+            RData::A(addr) => self.out.put(&addr.octets()),
+            RData::Aaaa(addr) => self.out.put(&addr.octets()),
             // Compression inside RDATA is legal for NS/CNAME/SOA/MX
             // (RFC 1035 §4.1.4 allows it for these "well-known" types).
             RData::Ns(n) | RData::Cname(n) => self.name(n),
@@ -127,10 +266,15 @@ impl Encoder {
                 self.name(exchange);
             }
             RData::Txt(t) => {
+                // The decoder reads each octet as one char, so only
+                // ASCII text comes back as it went in.
+                if let Some(c) = t.chars().find(|c| !c.is_ascii()) {
+                    return Err(WireError::InvalidCharacter(c));
+                }
                 // Character-strings of at most 255 bytes each.
                 for chunk in t.as_bytes().chunks(255) {
                     self.u8(chunk.len() as u8);
-                    self.buf.extend_from_slice(chunk);
+                    self.out.put(chunk);
                 }
                 if t.is_empty() {
                     self.u8(0);
@@ -145,7 +289,7 @@ impl Encoder {
                 self.u16(*flags);
                 self.u8(*protocol);
                 self.u8(*algorithm);
-                self.buf.extend_from_slice(key);
+                self.out.put(key);
             }
             RData::Rrsig {
                 type_covered,
@@ -160,61 +304,76 @@ impl Encoder {
                 // Signer name must NOT be compressed (RFC 4034 §3.1.7);
                 // we emit it label by label without registering offsets.
                 for label in signer.labels() {
-                    self.u8(label.len() as u8);
-                    self.buf.extend_from_slice(label.as_bytes());
+                    self.label(label);
                 }
                 self.u8(0);
-                self.buf.extend_from_slice(signature);
+                self.out.put(signature);
             }
-            RData::Opt(bytes) => self.buf.extend_from_slice(bytes),
+            RData::Opt(bytes) => self.out.put(bytes),
         }
+        Ok(())
+    }
+
+    fn message(&mut self, msg: &'m Message) -> Result<(), WireError> {
+        let h = &msg.header;
+        self.u16(h.id);
+        let mut flags: u16 = 0;
+        if h.response {
+            flags |= 1 << 15;
+        }
+        flags |= (h.opcode.code() as u16) << 11;
+        if h.authoritative {
+            flags |= 1 << 10;
+        }
+        if h.truncated {
+            flags |= 1 << 9;
+        }
+        if h.recursion_desired {
+            flags |= 1 << 8;
+        }
+        if h.recursion_available {
+            flags |= 1 << 7;
+        }
+        flags |= h.rcode.code() as u16;
+        self.u16(flags);
+        let sections = [&msg.answers, &msg.authorities, &msg.additionals];
+        for count in std::iter::once(msg.questions.len()).chain(sections.map(Vec::len)) {
+            self.u16(u16::try_from(count).map_err(|_| WireError::TooManyRecords(count))?);
+        }
+        for q in &msg.questions {
+            self.question(q);
+        }
+        for r in sections.into_iter().flatten() {
+            self.record(r)?;
+        }
+        if self.out.pos() > MAX_MESSAGE_LEN {
+            return Err(WireError::MessageTooLarge(self.out.pos()));
+        }
+        Ok(())
     }
 }
 
 /// Encodes a message to wire format.
+///
+/// `Ok(bytes)` means [`decode_message`] turns `bytes` back into a
+/// message equal to `msg`; a message with no such encoding (a record's
+/// data or a section's count past 16 bits, non-ASCII text, more than
+/// [`MAX_MESSAGE_LEN`] octets) is an error.
 pub fn encode_message(msg: &Message) -> Result<Vec<u8>, WireError> {
-    let mut e = Encoder::new();
-    let h = &msg.header;
-    e.u16(h.id);
-    let mut flags: u16 = 0;
-    if h.response {
-        flags |= 1 << 15;
-    }
-    flags |= (h.opcode.code() as u16) << 11;
-    if h.authoritative {
-        flags |= 1 << 10;
-    }
-    if h.truncated {
-        flags |= 1 << 9;
-    }
-    if h.recursion_desired {
-        flags |= 1 << 8;
-    }
-    if h.recursion_available {
-        flags |= 1 << 7;
-    }
-    flags |= h.rcode.code() as u16;
-    e.u16(flags);
-    e.u16(msg.questions.len() as u16);
-    e.u16(msg.answers.len() as u16);
-    e.u16(msg.authorities.len() as u16);
-    e.u16(msg.additionals.len() as u16);
-    for q in &msg.questions {
-        e.question(q);
-    }
-    for r in &msg.answers {
-        e.record(r);
-    }
-    for r in &msg.authorities {
-        e.record(r);
-    }
-    for r in &msg.additionals {
-        e.record(r);
-    }
-    if e.buf.len() > MAX_MESSAGE_LEN {
-        return Err(WireError::MessageTooLarge(e.buf.len()));
-    }
-    Ok(e.buf)
+    let mut w = Writer::new(Vec::with_capacity(512));
+    w.message(msg)?;
+    Ok(w.out)
+}
+
+/// The length [`encode_message`] would produce, without producing it:
+/// the same traversal and the same compression decisions, counting
+/// octets instead of writing them. `Ok(n)` exactly when
+/// `encode_message(msg)` is `Ok` of `n` bytes, and the same error
+/// otherwise. An ordinary message costs no allocation.
+pub fn encoded_len(msg: &Message) -> Result<usize, WireError> {
+    let mut w = Writer::new(Count(0));
+    w.message(msg)?;
+    Ok(w.out.0)
 }
 
 // ---------------------------------------------------------------------------

@@ -41,6 +41,10 @@ pub enum WireError {
     },
     /// The message would exceed the 64 KiB wire-format size bound.
     MessageTooLarge(usize),
+    /// One record's RDATA would exceed the 16-bit RDLENGTH field.
+    RdataTooLong(usize),
+    /// A section holds more entries than its 16-bit count field can say.
+    TooManyRecords(usize),
 }
 
 impl fmt::Display for WireError {
@@ -68,6 +72,12 @@ impl fmt::Display for WireError {
             ),
             WireError::MessageTooLarge(n) => {
                 write!(f, "encoded message of {n} octets exceeds 64 KiB")
+            }
+            WireError::RdataTooLong(n) => {
+                write!(f, "RDATA of {n} octets exceeds the 65535 of RDLENGTH")
+            }
+            WireError::TooManyRecords(n) => {
+                write!(f, "section of {n} entries exceeds its 16-bit count")
             }
         }
     }

@@ -370,12 +370,19 @@ impl std::hash::Hash for Name {
 pub struct NameSuffix<'a> {
     repr: &'a str,
     hash: u64,
+    /// Length of the leftmost label; zero for the root.
+    label_len: usize,
 }
 
 impl<'a> NameSuffix<'a> {
     /// The presentation form with its trailing dot, as [`Name::as_str`].
     pub fn as_str(&self) -> &'a str {
         self.repr
+    }
+
+    /// The leftmost label (`nic` of `nic.uy.`); empty for the root.
+    pub fn label(&self) -> &'a str {
+        &self.repr[..self.label_len]
     }
 
     /// Copies the suffix into an owned [`Name`].
@@ -400,15 +407,21 @@ impl<'a> Iterator for Suffixes<'a> {
 
     fn next(&mut self) -> Option<NameSuffix<'a>> {
         let repr = self.rest?;
-        self.rest = (repr.len() > 1).then(|| {
-            let dot = repr.find('.').expect("non-root names contain a dot");
-            match &repr[dot + 1..] {
-                "" => ".",
-                parent => parent,
-            }
+        // Labels are short: a byte loop beats `str::find`'s searcher.
+        let label_len = repr
+            .bytes()
+            .position(|b| b == b'.')
+            .expect("names are dot-terminated");
+        self.rest = (repr.len() > 1).then(|| match &repr[label_len + 1..] {
+            "" => ".",
+            parent => parent,
         });
         let hash = self.own_hash.take().unwrap_or_else(|| folded_fnv(repr));
-        Some(NameSuffix { repr, hash })
+        Some(NameSuffix {
+            repr,
+            hash,
+            label_len,
+        })
     }
 }
 

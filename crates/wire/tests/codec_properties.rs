@@ -7,8 +7,8 @@
 //! generator with fixed seeds — same invariants, reproducible cases.)
 
 use dnsttl_wire::{
-    decode_message, encode_message, Header, Message, Name, Opcode, Question, RData, Rcode, Record,
-    RecordType, SoaData, Ttl,
+    decode_message, encode_message, encoded_len, Header, Message, Name, Opcode, Question, RData,
+    Rcode, Record, RecordType, SoaData, Ttl, WireError,
 };
 
 /// Minimal deterministic RNG (xorshift64*), independent of any crate.
@@ -144,6 +144,235 @@ fn message_round_trips() {
         let back = decode_message(&wire).unwrap();
         assert_eq!(back, msg, "case {case}");
     }
+}
+
+/// `gen_message` draws every name afresh, so its names rarely share a
+/// suffix. This one rewrites them from a small pool under one apex, in
+/// random case, so that compression — and its case folding — decides
+/// most of the bytes.
+fn gen_related_message(rng: &mut Rng) -> Message {
+    const POOL: [&str; 6] = [
+        "example.cl",
+        "www.example.cl",
+        "ns1.example.cl",
+        "a.b.ns1.example.cl",
+        "nic.cl",
+        "cl",
+    ];
+    let pick = |rng: &mut Rng| {
+        let spelled: String = POOL[rng.below(POOL.len() as u64) as usize]
+            .chars()
+            .map(|c| {
+                if rng.bool() {
+                    c.to_ascii_uppercase()
+                } else {
+                    c
+                }
+            })
+            .collect();
+        Name::parse(&spelled).expect("pool names are valid")
+    };
+    let mut msg = gen_message(rng);
+    for q in &mut msg.questions {
+        q.qname = pick(rng);
+    }
+    let sections = [&mut msg.answers, &mut msg.authorities, &mut msg.additionals];
+    for r in sections.into_iter().flatten() {
+        r.name = pick(rng);
+        match &mut r.rdata {
+            RData::Ns(n) | RData::Cname(n) => *n = pick(rng),
+            RData::Mx { exchange, .. } => *exchange = pick(rng),
+            RData::Rrsig { signer, .. } => *signer = pick(rng),
+            RData::Soa(soa) => {
+                soa.mname = pick(rng);
+                soa.rname = pick(rng);
+            }
+            _ => {}
+        }
+    }
+    msg
+}
+
+/// The contract `Network::exchange_with` rests on: the length pass and
+/// the byte pass agree, and what they agree on decodes back.
+fn assert_len_is_bytes(msg: &Message, what: &str) {
+    let wire = encode_message(msg);
+    assert_eq!(
+        encoded_len(msg),
+        wire.as_ref().map(Vec::len).map_err(Clone::clone),
+        "{what}: encoded_len vs encode_message"
+    );
+    if let Ok(wire) = wire {
+        assert_eq!(
+            decode_message(&wire).as_ref(),
+            Ok(msg),
+            "{what}: round trip"
+        );
+    }
+}
+
+#[test]
+fn encoded_len_is_the_length_of_the_encoding() {
+    for seed in [1, 2, 3, 4, 7, 8] {
+        let mut rng = Rng::new(seed);
+        for case in 0..256 {
+            let what = format!("seed {seed} case {case}");
+            assert_len_is_bytes(&gen_message(&mut rng), &what);
+            assert_len_is_bytes(&gen_related_message(&mut rng), &what);
+        }
+    }
+}
+
+fn name(s: &str) -> Name {
+    Name::parse(s).expect("valid test name")
+}
+
+fn a_record(owner: &str) -> Record {
+    Record::new(name(owner), Ttl::MINUTE, RData::A([192, 0, 2, 1].into()))
+}
+
+/// Header, then per record: owner octets + type, class, TTL, RDLENGTH
+/// (10) + rdata octets.
+fn expected_len(records: &[(usize, usize)]) -> usize {
+    12 + records.iter().map(|(o, rd)| o + 10 + rd).sum::<usize>()
+}
+
+#[test]
+fn names_past_the_pointer_range_are_never_targets() {
+    // One opaque record pads the message so that `late.example` starts
+    // at `at`; it is then written twice more.
+    let message_with_name_at = |at: usize| {
+        let mut m = Message::default();
+        let pad = at - 12 - (1 + 10);
+        m.answers.push(Record::new(
+            Name::root(),
+            Ttl::ZERO,
+            RData::Opt(vec![0; pad]),
+        ));
+        m.answers.push(a_record("late.example"));
+        m.answers.push(a_record("late.example"));
+        m.answers.push(a_record("example"));
+        (m, pad)
+    };
+    // At 0x3FFE the whole name is still a target, its parent at 0x4003
+    // is not: the repeat is a pointer, `example` is spelled out.
+    let (m, pad) = message_with_name_at(0x3FFE);
+    assert_len_is_bytes(&m, "name at 0x3FFE");
+    assert_eq!(
+        encoded_len(&m),
+        Ok(expected_len(&[(1, pad), (14, 4), (2, 4), (9, 4)]))
+    );
+    // One octet later nothing of it is: every occurrence in full.
+    let (m, pad) = message_with_name_at(0x3FFF);
+    assert_len_is_bytes(&m, "name at 0x3FFF");
+    assert_eq!(
+        encoded_len(&m),
+        Ok(expected_len(&[(1, pad), (14, 4), (14, 4), (9, 4)]))
+    );
+}
+
+#[test]
+fn rrsig_signer_is_neither_compressed_nor_a_target() {
+    let rrsig = |owner: &str, signer: &str| {
+        Record::new(
+            name(owner),
+            Ttl::HOUR,
+            RData::Rrsig {
+                type_covered: RecordType::A,
+                algorithm: 13,
+                original_ttl: 3600,
+                signer: name(signer),
+                signature: vec![7; 8],
+            },
+        )
+    };
+    // The signer equals the owner just written: still spelled out.
+    let mut m = Message::default();
+    m.answers.push(rrsig("example", "example"));
+    assert_len_is_bytes(&m, "signer after owner");
+    assert_eq!(encoded_len(&m), Ok(expected_len(&[(9, 7 + 9 + 8)])));
+    // A signer seen nowhere else is no target for a later owner.
+    let mut m = Message::default();
+    m.answers.push(rrsig("example", "signer.zone"));
+    m.answers.push(a_record("signer.zone"));
+    assert_len_is_bytes(&m, "owner after signer");
+    assert_eq!(
+        encoded_len(&m),
+        Ok(expected_len(&[(9, 7 + 13 + 8), (13, 4)]))
+    );
+}
+
+#[test]
+fn compression_folds_case_and_skips_the_root() {
+    let mut m = Message::default();
+    m.answers.push(a_record("example.cl"));
+    m.answers.push(a_record("WWW.Example.CL"));
+    m.answers.push(Record::new(
+        Name::root(),
+        Ttl::MINUTE,
+        RData::Ns(Name::root()),
+    ));
+    assert_len_is_bytes(&m, "mixed case and root");
+    // `WWW` + a pointer to the lower-case twin; the root is one octet
+    // wherever it stands.
+    assert_eq!(
+        encoded_len(&m),
+        Ok(expected_len(&[(12, 4), (4 + 2, 4), (1, 1)]))
+    );
+}
+
+#[test]
+fn txt_splits_into_character_strings() {
+    for (chars, rdlen) in [(0, 1), (255, 256), (256, 258)] {
+        let mut m = Message::default();
+        m.answers.push(Record::new(
+            name("t.example"),
+            Ttl::MINUTE,
+            RData::Txt("x".repeat(chars)),
+        ));
+        assert_len_is_bytes(&m, "txt");
+        assert_eq!(encoded_len(&m), Ok(expected_len(&[(11, rdlen)])), "{chars}");
+    }
+}
+
+#[test]
+fn messages_without_an_encoding_are_errors_from_both_passes() {
+    let with_answers = |records: Vec<Record>| Message {
+        answers: records,
+        ..Message::default()
+    };
+    let txt = |t: String| Record::new(name("t.example"), Ttl::MINUTE, RData::Txt(t));
+    let cases = [
+        (
+            with_answers(vec![txt("x".repeat(70_000))]),
+            WireError::RdataTooLong(70_000 + 275),
+        ),
+        (
+            with_answers(vec![txt("caf\u{e9}".into())]),
+            WireError::InvalidCharacter('\u{e9}'),
+        ),
+        (
+            with_answers(vec![a_record("."); 65_536]),
+            WireError::TooManyRecords(65_536),
+        ),
+        (
+            with_answers(vec![a_record("."); 5_000]),
+            WireError::MessageTooLarge(12 + 5_000 * 15),
+        ),
+    ];
+    for (m, err) in cases {
+        assert_eq!(encoded_len(&m), Err(err.clone()));
+        assert_eq!(encode_message(&m), Err(err));
+    }
+    // The largest message that does fit, for contrast: 65 535 octets.
+    let mut m = with_answers(vec![a_record("."); 4_367]);
+    m.answers.push(Record::new(
+        Name::root(),
+        Ttl::ZERO,
+        RData::Opt(vec![0; 65_535 - 12 - 4_367 * 15 - 11]),
+    ));
+    assert_eq!(encoded_len(&m), Ok(65_535));
+    assert_len_is_bytes(&m, "largest message");
 }
 
 #[test]

@@ -3,15 +3,28 @@
 //! order (`netsim/tests/wheel_oracle.rs`), the SoA-vs-oracle campaign
 //! engines (`atlas/tests/soa_equivalence.rs`), the two cache
 //! implementations behind `CacheEngine`
-//! (`resolver/tests/concurrent_equivalence.rs`), and the authoritative
-//! zone index (`auth/tests/zone_model.rs`).
+//! (`resolver/tests/concurrent_equivalence.rs`), the authoritative
+//! zone index (`auth/tests/zone_model.rs`), and the codec identity the
+//! exchange path relies on without performing it
+//! (`wire/tests/codec_properties.rs`).
 
-use dnsttl::atlas::{run_zipf_campaign, ZipfCampaignConfig, ZipfEngine, ZipfRunOpts};
+use dnsttl::atlas::{
+    run_measurement, run_zipf_campaign, MeasurementSpec, Population, PopulationConfig, QueryName,
+    ZipfCampaignConfig, ZipfEngine, ZipfRunOpts, ZipfSampler,
+};
 use dnsttl::auth::{AuthoritativeServer, ZoneBuilder};
 use dnsttl::core::{CacheBackendChoice, ResolverPolicy};
-use dnsttl::netsim::{ClientId, DnsService, EventQueue, Region, SimDuration, SimRng, SimTime};
-use dnsttl::resolver::{CacheEngine, Credibility};
-use dnsttl::wire::{Message, Name, RData, RRset, Rcode, RecordType, Ttl};
+use dnsttl::experiments::worlds::{addrs, root_hints, uy_world};
+use dnsttl::netsim::{
+    ClientId, DnsService, EventQueue, LatencyModel, Network, Region, SimDuration, SimRng, SimTime,
+};
+use dnsttl::resolver::{CacheEngine, Credibility, RecursiveResolver, RootHint};
+use dnsttl::wire::{
+    decode_message, encode_message, encoded_len, Message, Name, RData, RRset, Rcode, RecordType,
+    Ttl,
+};
+use std::cell::{Cell, RefCell};
+use std::rc::Rc;
 
 #[test]
 fn event_queue_drains_in_stable_time_order() {
@@ -200,4 +213,160 @@ fn authoritative_index_answers_on_the_zipf_world_shape() {
     assert_eq!(referral.additionals.len(), 1, "glue for ns.nic.zipf");
 
     assert_eq!(ask(&mut child, "r1.example").header.rcode, Rcode::Refused);
+}
+
+/// Wraps a server and puts every message that crosses it through the
+/// real codec: `Network::exchange_with` hands messages over by
+/// reference on the promise that encoding and decoding them would have
+/// changed nothing, and that `encoded_len` is the length of the bytes.
+struct RoundTrip<S> {
+    inner: S,
+    seen: Rc<Cell<usize>>,
+}
+
+fn assert_round_trips(msg: &Message) {
+    let wire = encode_message(msg).expect("campaign messages encode");
+    assert_eq!(encoded_len(msg), Ok(wire.len()), "{msg:?}");
+    assert_eq!(decode_message(&wire).as_ref(), Ok(msg));
+}
+
+impl<S: DnsService> DnsService for RoundTrip<S> {
+    fn handle_query(&mut self, query: &Message, client: ClientId, now: SimTime) -> Message {
+        assert_round_trips(query);
+        let response = self.inner.handle_query(query, client, now);
+        assert_round_trips(&response);
+        self.seen.set(self.seen.get() + 1);
+        response
+    }
+}
+
+#[test]
+fn a_zipf_campaign_exchanges_only_messages_the_codec_round_trips() {
+    // The Zipf campaigns' world and traffic at small scale: 8 resolvers
+    // polling 128 names every 600 s for two hours at TTL 60 s, so most
+    // queries walk root → child.
+    let seen = Rc::new(Cell::new(0));
+    let wrap = |server: AuthoritativeServer| {
+        Rc::new(RefCell::new(RoundTrip {
+            inner: server,
+            seen: seen.clone(),
+        }))
+    };
+    let root_addr = "198.41.0.4".parse().unwrap();
+    let root = AuthoritativeServer::new("root").with_zone(
+        ZoneBuilder::new(".")
+            .ns("zipf", "ns.zipf", Ttl::TWO_DAYS)
+            .a("ns.zipf", "192.0.2.53", Ttl::TWO_DAYS)
+            .build(),
+    );
+    let mut zone = ZoneBuilder::new("zipf").ns("zipf", "ns.zipf", Ttl::HOUR).a(
+        "ns.zipf",
+        "192.0.2.53",
+        Ttl::HOUR,
+    );
+    let names: Vec<Name> = (0..128)
+        .map(|k| Name::parse(&format!("r{k}.zipf")).unwrap())
+        .collect();
+    for (k, name) in names.iter().enumerate() {
+        zone = zone.a(name.as_str(), &format!("10.0.0.{k}"), Ttl::MINUTE);
+    }
+    let child = AuthoritativeServer::new("ns.zipf").with_zone(zone.build());
+    let mut net = Network::new(LatencyModel::constant(5.0));
+    net.register(root_addr, Region::Eu, wrap(root));
+    net.register("192.0.2.53".parse().unwrap(), Region::Eu, wrap(child));
+    let roots = vec![RootHint {
+        ns_name: Name::parse("root").unwrap(),
+        addr: root_addr,
+    }];
+
+    let mut rng = SimRng::seed_from(0x5EA4_0005);
+    let mut resolvers: Vec<RecursiveResolver> = (0..8)
+        .map(|i| {
+            RecursiveResolver::new(
+                format!("zipf-{i}"),
+                ResolverPolicy::default(),
+                Region::Eu,
+                i,
+                roots.clone(),
+                rng.fork(i),
+            )
+        })
+        .collect();
+    let sampler = ZipfSampler::new(names.len(), 1.1);
+    let mut answered = 0;
+    for round in 0..12u64 {
+        for (i, resolver) in resolvers.iter_mut().enumerate() {
+            for probe in 0..4u64 {
+                let now = SimTime::from_secs(round * 600 + i as u64 * 7 + probe);
+                let qname = &names[sampler.sample(&mut rng)];
+                let out = resolver.resolve(qname, RecordType::A, now, &mut net);
+                assert_eq!(out.answer.header.rcode, Rcode::NoError);
+                answered += usize::from(!out.answer.answers.is_empty());
+            }
+        }
+    }
+    assert_eq!(answered, 12 * 8 * 4);
+    assert!(seen.get() > answered / 2, "a miss-heavy campaign");
+}
+
+#[test]
+fn a_uy_latency_run_is_unchanged_by_servers_that_round_trip_every_message() {
+    // Figure 10's measurement (`NS uy` every 600 s for two hours) at
+    // TTL 300 s / 120 s, once on `uy_world` as `repro fig10` builds it
+    // and once on a copy of it whose servers are wrapped.
+    let (ns_ttl, a_ttl) = (Ttl::from_secs(300), Ttl::from_secs(120));
+    let seen = Rc::new(Cell::new(0));
+    let wrapped_world = || {
+        let wrap = |host: &str, zone| {
+            Rc::new(RefCell::new(RoundTrip {
+                inner: AuthoritativeServer::new(host).with_zone(zone),
+                seen: seen.clone(),
+            }))
+        };
+        let delegation = |zone: ZoneBuilder, ns: Ttl, a: Ttl| {
+            zone.ns("uy", "a.nic.uy", ns)
+                .ns("uy", "b.nic.uy", ns)
+                .ns("uy", "c.nic.uy", ns)
+                .a("a.nic.uy", "200.40.241.1", a)
+                .a("b.nic.uy", "200.40.241.2", a)
+                .a("c.nic.uy", "204.61.216.40", a)
+        };
+        let uy_zone = || {
+            delegation(ZoneBuilder::new("uy"), ns_ttl, a_ttl)
+                .a("www.gub.uy", "200.40.30.1", Ttl::HOUR)
+                .build()
+        };
+        let root_zone = delegation(ZoneBuilder::new("."), Ttl::TWO_DAYS, Ttl::TWO_DAYS).build();
+        let mut net = Network::new(LatencyModel::internet());
+        net.register(
+            addrs::ROOT,
+            Region::Eu,
+            wrap("k.root-servers.net", root_zone),
+        );
+        net.register(addrs::UY_A, Region::Sa, wrap("a.nic.uy", uy_zone()));
+        net.register(addrs::UY_B, Region::Sa, wrap("b.nic.uy", uy_zone()));
+        net.register_anycast(
+            addrs::UY_C,
+            &[Region::Eu, Region::Na, Region::As, Region::Sa],
+            wrap("c.nic.uy", uy_zone()),
+        );
+        (net, root_hints())
+    };
+    let spec = MeasurementSpec::every_600s(
+        QueryName::Fixed(Name::parse("uy").unwrap()),
+        RecordType::NS,
+        2,
+    );
+    let run = |(mut net, roots): (Network, Vec<RootHint>)| {
+        let mut rng = SimRng::seed_from(0x5EA4_0006);
+        let mut pop = Population::build(&PopulationConfig::small(120), &roots, &mut rng);
+        let dataset = run_measurement(&spec, &mut pop, &mut net, &mut rng);
+        assert!(dataset.valid_count() > 1_000);
+        format!("{:?}", dataset.results())
+    };
+    let plain = run(uy_world(ns_ttl, a_ttl));
+    assert_eq!(seen.get(), 0);
+    let wrapped = run(wrapped_world());
+    assert!(seen.get() > 1_000, "the wrapped servers did the answering");
+    assert!(plain == wrapped, "row for row the same dataset");
 }
