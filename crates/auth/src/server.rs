@@ -72,7 +72,7 @@ pub struct AuthoritativeServer {
     rotate_answers: bool,
     telemetry: Telemetry,
     /// Arrival time of the previous query, for the interarrival
-    /// histogram (how the paper's §3.4 classifies resolver behaviour).
+    /// sketch (how the paper's §3.4 classifies resolver behaviour).
     last_query_at: Option<SimTime>,
 }
 
@@ -91,7 +91,7 @@ impl AuthoritativeServer {
     }
 
     /// Attaches a telemetry handle; per-server query/response counters
-    /// and the interarrival histogram land in it. The default handle is
+    /// and the interarrival sketch land in it. The default handle is
     /// disabled (no-op).
     pub fn set_telemetry(&mut self, telemetry: Telemetry) {
         self.telemetry = telemetry;
@@ -177,7 +177,7 @@ impl DnsService for AuthoritativeServer {
             self.telemetry
                 .count_with("auth_queries", &[("server", &self.name)], 1);
             if let Some(prev) = self.last_query_at {
-                self.telemetry.observe_with(
+                self.telemetry.sketch_with(
                     "auth_interarrival_ms",
                     &[("server", &self.name)],
                     now.since(prev).as_millis(),

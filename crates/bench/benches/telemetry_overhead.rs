@@ -62,11 +62,11 @@ fn primitives(c: &mut Criterion) {
     group.bench_function(BenchmarkId::from_parameter("count/enabled"), |b| {
         b.iter(|| enabled.count(black_box("resolver_cache_hits"), 1))
     });
-    group.bench_function(BenchmarkId::from_parameter("observe/enabled"), |b| {
+    group.bench_function(BenchmarkId::from_parameter("sketch/enabled"), |b| {
         let mut v = 0u64;
         b.iter(|| {
             v = v.wrapping_add(37) & 0xFFFF;
-            enabled.observe(black_box("resolver_latency_ms"), v)
+            enabled.sketch_with(black_box("resolver_answer_ttl_s"), &[], v)
         })
     });
     group.bench_function(BenchmarkId::from_parameter("event/enabled"), |b| {

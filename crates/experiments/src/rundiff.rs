@@ -3,7 +3,7 @@
 //! The standing regression tool for determinism-sensitive changes:
 //! given two `repro` run directories, compare their manifests (module
 //! set, artifact lists, seeds), every Prometheus sample (counters,
-//! gauges, histogram buckets, and sketch quantiles all surface there),
+//! gauges, and sketch quantiles all surface there),
 //! and every sim-time series bucket — with per-metric relative
 //! tolerances — and produce a machine-readable JSON verdict
 //! (`dnsttl-diff/1`). Zero drift exits 0; any drift exits nonzero and
@@ -362,8 +362,8 @@ pub fn diff_dirs(a: &Path, b: &Path, cfg: &DiffConfig) -> Result<DiffVerdict, St
         }
     }
 
-    // 2. Every Prometheus sample: counters, gauges, histogram buckets,
-    // and sketch quantiles all live here.
+    // 2. Every Prometheus sample: counters, gauges, and sketch
+    // quantiles all live here.
     let prom_a = read_dir_files(a, "_metrics.prom")?;
     let prom_b = read_dir_files(b, "_metrics.prom")?;
     for (module, text_a) in &prom_a {

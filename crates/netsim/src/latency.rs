@@ -54,6 +54,18 @@ impl Region {
         }
     }
 
+    /// The two-letter region code (what `Display` prints).
+    pub fn as_str(self) -> &'static str {
+        match self {
+            Region::Af => "AF",
+            Region::As => "AS",
+            Region::Eu => "EU",
+            Region::Na => "NA",
+            Region::Oc => "OC",
+            Region::Sa => "SA",
+        }
+    }
+
     /// RIPE-Atlas-like population weights: Atlas probes skew heavily
     /// European (the paper's §7 notes this bias explicitly).
     pub fn atlas_weights() -> [f64; 6] {
@@ -64,14 +76,7 @@ impl Region {
 
 impl fmt::Display for Region {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
-            Region::Af => "AF",
-            Region::As => "AS",
-            Region::Eu => "EU",
-            Region::Na => "NA",
-            Region::Oc => "OC",
-            Region::Sa => "SA",
-        })
+        f.write_str(self.as_str())
     }
 }
 

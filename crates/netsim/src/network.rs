@@ -173,7 +173,7 @@ impl Network {
     }
 
     /// Attaches a telemetry handle; packet counters, loss events, and
-    /// per-region RTT histograms from every exchange land in it. The
+    /// per-region RTT sketches from every exchange land in it. The
     /// default handle is disabled (no-op).
     pub fn set_telemetry(&mut self, telemetry: Telemetry) {
         self.telemetry = telemetry;
@@ -320,21 +320,21 @@ impl Network {
     ) -> ExchangeOutcome {
         let timeout = self.query_timeout;
         self.telemetry
-            .count_at("net_packets_sent", 1, now.as_millis());
+            .count_keyed_at(&metrics::PACKETS_SENT, 1, now.as_millis());
         let degradation = self.faults.degradation(server, now);
         let Some(ep) = self.endpoints.get_mut(&server) else {
             self.telemetry
-                .count_at("net_unknown_address", 1, now.as_millis());
+                .count_keyed_at(&metrics::UNKNOWN_ADDRESS, 1, now.as_millis());
             return ExchangeOutcome::Timeout { elapsed: timeout };
         };
         if !ep.online {
             self.telemetry
-                .count_at("net_server_offline", 1, now.as_millis());
+                .count_keyed_at(&metrics::SERVER_OFFLINE, 1, now.as_millis());
             return ExchangeOutcome::Timeout { elapsed: timeout };
         }
         if self.faults.outage_active(server, now) {
             self.telemetry
-                .count_at("net_fault_outage", 1, now.as_millis());
+                .count_keyed_at(&metrics::FAULT_OUTAGE, 1, now.as_millis());
             self.telemetry
                 .event(now.as_millis(), EventKind::Fault, |f| {
                     f.push("fault", "outage");
@@ -344,7 +344,7 @@ impl Network {
         }
         if self.latency.sample_loss(rng) {
             self.telemetry
-                .count_at("net_packets_lost", 1, now.as_millis());
+                .count_keyed_at(&metrics::PACKETS_LOST, 1, now.as_millis());
             self.telemetry
                 .event(now.as_millis(), EventKind::PacketLoss, |f| {
                     f.push("server", server.to_string());
@@ -356,7 +356,7 @@ impl Network {
         if let Some(deg) = degradation {
             if deg.loss > 0.0 && rng.chance(deg.loss) {
                 self.telemetry
-                    .count_at("net_fault_degraded_drop", 1, now.as_millis());
+                    .count_keyed_at(&metrics::FAULT_DEGRADED_DROP, 1, now.as_millis());
                 self.telemetry
                     .event(now.as_millis(), EventKind::Fault, |f| {
                         f.push("fault", "degrade");
@@ -380,7 +380,7 @@ impl Network {
             });
         let Some(site) = site else {
             self.telemetry
-                .count_at("net_fault_blackout", 1, now.as_millis());
+                .count_keyed_at(&metrics::FAULT_BLACKOUT, 1, now.as_millis());
             self.telemetry
                 .event(now.as_millis(), EventKind::Fault, |f| {
                     f.push("fault", "blackout");
@@ -399,8 +399,8 @@ impl Network {
             self.telemetry.count_with(
                 "net_anycast_catchment",
                 &[
-                    ("client", &client_region.to_string()),
-                    ("site", &site.region.to_string()),
+                    ("client", client_region.as_str()),
+                    ("site", site.region.as_str()),
                 ],
                 1,
             );
@@ -434,10 +434,11 @@ impl Network {
             rtt = SimDuration::from_millis((rtt.as_millis() as f64 * deg.latency_factor) as u64);
         }
         if self.telemetry.is_enabled() {
-            self.telemetry.count_at("net_responses", 1, now.as_millis());
-            self.telemetry.observe_with(
+            self.telemetry
+                .count_keyed_at(&metrics::RESPONSES, 1, now.as_millis());
+            self.telemetry.sketch_with(
                 "net_rtt_ms",
-                &[("client_region", &client_region.to_string())],
+                &[("client_region", client_region.as_str())],
                 rtt.as_millis(),
             );
         }
@@ -450,11 +451,27 @@ impl Network {
     /// The outcome for a message the codec cannot put on the wire.
     fn unencodable(&self, now: SimTime) -> ExchangeOutcome {
         self.telemetry
-            .count_at("net_unencodable", 1, now.as_millis());
+            .count_keyed_at(&metrics::UNENCODABLE, 1, now.as_millis());
         ExchangeOutcome::Timeout {
             elapsed: self.query_timeout,
         }
     }
+}
+
+/// Pre-hashed keys for the fabric's unlabelled counters: every
+/// exchange bumps at least two of them.
+mod metrics {
+    use dnsttl_telemetry::MetricKey;
+
+    pub const PACKETS_SENT: MetricKey = MetricKey::new("net_packets_sent");
+    pub const PACKETS_LOST: MetricKey = MetricKey::new("net_packets_lost");
+    pub const RESPONSES: MetricKey = MetricKey::new("net_responses");
+    pub const UNKNOWN_ADDRESS: MetricKey = MetricKey::new("net_unknown_address");
+    pub const SERVER_OFFLINE: MetricKey = MetricKey::new("net_server_offline");
+    pub const UNENCODABLE: MetricKey = MetricKey::new("net_unencodable");
+    pub const FAULT_OUTAGE: MetricKey = MetricKey::new("net_fault_outage");
+    pub const FAULT_DEGRADED_DROP: MetricKey = MetricKey::new("net_fault_degraded_drop");
+    pub const FAULT_BLACKOUT: MetricKey = MetricKey::new("net_fault_blackout");
 }
 
 /// `encoded_len`, with the contract the exchange path rests on checked in

@@ -386,21 +386,18 @@ impl RecursiveResolver {
             // The hit/miss verdict travels as the `cache_hit` field on
             // span_end (below) rather than as a separate span event —
             // one arena record fewer on the warm hot path.
-            self.telemetry
-                .observe_keyed(&metrics::LATENCY_MS, ctx.elapsed.as_millis());
-            // Same observation into the quantile sketch: the log2
-            // histogram keeps its coarse buckets for dashboards, the
-            // sketch reports p50/p90/p99/p999 at 1.6 % relative error.
-            // Bucketed at query start time, so the timeline shows the
-            // latency distribution of the queries *issued* in a window.
+            // One latency observation per client query, bucketed at
+            // query start time, so the timeline shows the latency
+            // distribution of the queries *issued* in a window.
             self.telemetry.sketch_keyed_at(
                 &metrics::LATENCY_SKETCH_MS,
                 ctx.elapsed.as_millis(),
                 now.as_millis(),
             );
             for r in &answer.answers {
+                // Registry only: answer TTLs have no sim-time series.
                 self.telemetry
-                    .observe_keyed(&metrics::ANSWER_TTL_S, r.ttl.as_secs() as u64);
+                    .sketch_with(metrics::ANSWER_TTL_S, &[], r.ttl.as_secs() as u64);
             }
             if !cache_hit {
                 // The hit counter has a registry-and-series twin; a
@@ -1228,8 +1225,9 @@ fn bump(field: &mut u64, telemetry: &Telemetry, metric: &MetricKey, t_ms: u64) {
     telemetry.count_keyed_at(metric, 1, t_ms);
 }
 
-/// Pre-hashed keys for every resolver metric series, so the per-query
-/// path never re-hashes a metric name.
+/// Pre-hashed keys for every resolver series that also has a sim-time
+/// series, so the per-query path never re-hashes their names. The
+/// answer-TTL sketch is registry-only and goes by name.
 mod metrics {
     use dnsttl_telemetry::MetricKey;
 
@@ -1241,9 +1239,8 @@ mod metrics {
     pub const SERVFAILS: MetricKey = MetricKey::new("resolver_servfails");
     pub const CACHE_HITS: MetricKey = MetricKey::new("resolver_cache_hits");
     pub const CACHE_MISSES: MetricKey = MetricKey::new("resolver_cache_misses");
-    pub const LATENCY_MS: MetricKey = MetricKey::new("resolver_latency_ms");
     pub const LATENCY_SKETCH_MS: MetricKey = MetricKey::new("resolver_latency_quantiles_ms");
-    pub const ANSWER_TTL_S: MetricKey = MetricKey::new("resolver_answer_ttl_s");
+    pub const ANSWER_TTL_S: &str = "resolver_answer_ttl_s";
     pub const CACHE_ENTRIES: MetricKey = MetricKey::new("resolver_cache_entries");
     pub const PREFETCHES: MetricKey = MetricKey::new("resolver_prefetches");
     pub const VALIDATIONS: MetricKey = MetricKey::new("resolver_validations");

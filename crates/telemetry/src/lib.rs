@@ -3,7 +3,8 @@
 //!
 //! The simulator is single-threaded and deterministic, so this crate
 //! deliberately has **no atomics, no locks, and no dependencies**:
-//! metrics are plain `u64` cells behind a [`Registry`], traces are a
+//! metrics are counters, gauges and quantile sketches (the one
+//! distribution type) behind a [`Registry`], traces are a
 //! bounded ring of [`TraceEvent`]s, and every export (Prometheus text,
 //! JSON Lines, manifests) is byte-stable for a given sequence of calls.
 //! Wall-clock time never enters any exported artifact.
@@ -15,12 +16,20 @@
 //! branch-and-return, so instrumented code pays nothing when
 //! observability is off.
 //!
+//! Each kind of thing is recorded one way. Unlabelled, per-query
+//! series go through a `const` [`MetricKey`] and land in the registry
+//! *and* the sim-time series: [`Telemetry::count_keyed_at`],
+//! [`Telemetry::gauge_keyed_at`], [`Telemetry::sketch_keyed_at`].
+//! Labelled or occasional series go by borrowed name, registry only:
+//! [`Telemetry::count`], [`Telemetry::count_with`],
+//! [`Telemetry::sketch_with`].
+//!
 //! ```
 //! use dnsttl_telemetry::{EventKind, Telemetry};
 //!
 //! let tel = Telemetry::new();
 //! tel.count("resolver_cache_hits", 1);
-//! tel.observe("resolver_latency_ms", 23);
+//! tel.sketch_with("resolver_answer_ttl_s", &[], 300);
 //! let span = tel.span_start(1_000, |_, f| f.push("qname", "example."));
 //! tel.span_event(span, 1_023, EventKind::CacheHit, |_| {});
 //! tel.span_end(span, 1_023, |f| f.push("rcode", "NOERROR"));
@@ -40,7 +49,7 @@ mod trace;
 pub use json::{flat_get, parse_flat_object, JsonScalar, ObjectWriter, Value};
 pub use ledger::{CacheOp, Journal, LedgerRecord, DEFAULT_JOURNAL_CAPACITY};
 pub use manifest::RunManifest;
-pub use registry::{Histogram, MetricId, MetricKey, Registry, HISTOGRAM_BUCKETS, SKETCH_QUANTILES};
+pub use registry::{MetricId, MetricKey, Registry, SKETCH_QUANTILES};
 pub use sketch::{QuantileSketch, SKETCH_RELATIVE_ERROR, SKETCH_SUB_BITS};
 pub use timeseries::{GaugeBucket, TimeSeriesStore, DEFAULT_TS_BUCKET_MS, DEFAULT_TS_SPAN_CAP};
 pub use trace::{EventKind, FieldSink, SpanId, TraceEvent, Tracer, DEFAULT_TRACE_CAPACITY};
@@ -116,28 +125,11 @@ impl Telemetry {
 
     /// Adds `delta` to the unlabelled counter `name`.
     ///
-    /// All recording methods take the registry's borrowed fast path: no
+    /// The by-name recorders take the registry's borrowed path: no
     /// `MetricId` (and hence no `String`) is built once a series
     /// exists, so per-event cost is a hash + slot lookup.
     pub fn count(&self, name: &str, delta: u64) {
-        if self.is_enabled() {
-            self.inner
-                .registry
-                .borrow_mut()
-                .counter_add_fast(name, &[], delta);
-        }
-    }
-
-    /// Adds `delta` to the unlabelled counter behind a pre-hashed
-    /// [`MetricKey`] — the cheapest recording call; hot sites keep the
-    /// key in a `const`.
-    pub fn count_keyed(&self, key: &MetricKey, delta: u64) {
-        if self.is_enabled() {
-            self.inner
-                .registry
-                .borrow_mut()
-                .counter_add_keyed(key, delta);
-        }
+        self.count_with(name, &[], delta);
     }
 
     /// Adds `delta` to the counter `name` with `labels`.
@@ -146,83 +138,7 @@ impl Telemetry {
             self.inner
                 .registry
                 .borrow_mut()
-                .counter_add_fast(name, labels, delta);
-        }
-    }
-
-    /// Sets the unlabelled gauge `name`.
-    pub fn gauge(&self, name: &str, value: f64) {
-        if self.is_enabled() {
-            self.inner
-                .registry
-                .borrow_mut()
-                .gauge_set_fast(name, &[], value);
-        }
-    }
-
-    /// Sets the unlabelled gauge behind a pre-hashed [`MetricKey`].
-    pub fn gauge_keyed(&self, key: &MetricKey, value: f64) {
-        if self.is_enabled() {
-            self.inner.registry.borrow_mut().gauge_set_keyed(key, value);
-        }
-    }
-
-    /// Sets the gauge `name` with `labels`.
-    pub fn gauge_with(&self, name: &str, labels: &[(&str, &str)], value: f64) {
-        if self.is_enabled() {
-            self.inner
-                .registry
-                .borrow_mut()
-                .gauge_set_fast(name, labels, value);
-        }
-    }
-
-    /// Records `value` into the unlabelled histogram `name`.
-    pub fn observe(&self, name: &str, value: u64) {
-        if self.is_enabled() {
-            self.inner
-                .registry
-                .borrow_mut()
-                .observe_fast(name, &[], value);
-        }
-    }
-
-    /// Records `value` into the unlabelled histogram behind a
-    /// pre-hashed [`MetricKey`].
-    pub fn observe_keyed(&self, key: &MetricKey, value: u64) {
-        if self.is_enabled() {
-            self.inner.registry.borrow_mut().observe_keyed(key, value);
-        }
-    }
-
-    /// Records `value` into the histogram `name` with `labels`.
-    pub fn observe_with(&self, name: &str, labels: &[(&str, &str)], value: u64) {
-        if self.is_enabled() {
-            self.inner
-                .registry
-                .borrow_mut()
-                .observe_fast(name, labels, value);
-        }
-    }
-
-    /// Records `value` into the unlabelled quantile sketch `name`.
-    pub fn sketch(&self, name: &str, value: u64) {
-        if self.is_enabled() {
-            self.inner
-                .registry
-                .borrow_mut()
-                .sketch_observe_fast(name, &[], value);
-        }
-    }
-
-    /// Records `value` into the unlabelled quantile sketch behind a
-    /// pre-hashed [`MetricKey`].
-    pub fn sketch_keyed(&self, key: &MetricKey, value: u64) {
-        if self.is_enabled() {
-            self.inner
-                .registry
-                .borrow_mut()
-                .sketch_observe_keyed(key, value);
+                .counter_add(name, labels, delta);
         }
     }
 
@@ -232,7 +148,7 @@ impl Telemetry {
             self.inner
                 .registry
                 .borrow_mut()
-                .sketch_observe_fast(name, labels, value);
+                .sketch_observe(name, labels, value);
         }
     }
 
@@ -249,11 +165,12 @@ impl Telemetry {
             .set_config(width_ms, span_cap);
     }
 
-    /// [`Telemetry::count_keyed`] that also adds `delta` to the
-    /// counter's sim-time series in the bucket holding `t_ms`. Using
-    /// one call for both keeps them conserved by construction: the sum
-    /// of a counter's bucket deltas always equals the registry counter
-    /// (the `repro doctor` invariant).
+    /// Adds `delta` to the unlabelled counter behind a pre-hashed
+    /// [`MetricKey`] — hot sites keep the key in a `const` — and to
+    /// the counter's sim-time series in the bucket holding `t_ms`.
+    /// Using one call for both keeps them conserved by construction:
+    /// the sum of a counter's bucket deltas always equals the registry
+    /// counter (the `repro doctor` invariant).
     pub fn count_keyed_at(&self, key: &MetricKey, delta: u64, t_ms: u64) {
         if self.is_enabled() {
             self.inner
@@ -267,20 +184,8 @@ impl Telemetry {
         }
     }
 
-    /// [`Telemetry::count`] that also feeds the counter's sim-time
-    /// series (see [`Telemetry::count_keyed_at`]).
-    pub fn count_at(&self, name: &str, delta: u64, t_ms: u64) {
-        if self.is_enabled() {
-            self.inner
-                .registry
-                .borrow_mut()
-                .counter_add_fast(name, &[], delta);
-            self.inner.timeseries.borrow_mut().count(name, delta, t_ms);
-        }
-    }
-
-    /// [`Telemetry::gauge_keyed`] that also samples the gauge into its
-    /// sim-time series bucket at `t_ms`.
+    /// Sets the unlabelled gauge behind a pre-hashed [`MetricKey`] and
+    /// samples it into its sim-time series bucket at `t_ms`.
     pub fn gauge_keyed_at(&self, key: &MetricKey, value: f64, t_ms: u64) {
         if self.is_enabled() {
             self.inner.registry.borrow_mut().gauge_set_keyed(key, value);
@@ -291,8 +196,9 @@ impl Telemetry {
         }
     }
 
-    /// [`Telemetry::sketch_keyed`] that also records into the
-    /// per-bucket sketch for the bucket holding `t_ms`.
+    /// Records `value` into the unlabelled quantile sketch behind a
+    /// pre-hashed [`MetricKey`] and into the per-bucket sketch for the
+    /// bucket holding `t_ms`.
     pub fn sketch_keyed_at(&self, key: &MetricKey, value: u64, t_ms: u64) {
         if self.is_enabled() {
             self.inner
@@ -323,11 +229,6 @@ impl Telemetry {
             .registry
             .borrow()
             .counter(&MetricId::new(name, labels))
-    }
-
-    /// Runs `f` with read access to the registry.
-    pub fn with_registry<T>(&self, f: impl FnOnce(&Registry) -> T) -> T {
-        f(&self.inner.registry.borrow())
     }
 
     // ── tracing ─────────────────────────────────────────────────────
@@ -433,7 +334,7 @@ impl Telemetry {
     ///
     /// `parts` must be in logical-shard order (shard 0 first) — the
     /// order is part of the determinism contract: registries merge
-    /// sequentially (counters and histograms sum; a later shard's
+    /// sequentially (counters and sketches sum; a later shard's
     /// gauges win) and trace events interleave by
     /// `(t_ms, shard index, seq)`, so the merged exports are identical
     /// for any worker-thread count. The time-series merge is
@@ -577,7 +478,7 @@ mod tests {
         let shard_work = |shard: u64| {
             let t = Telemetry::new();
             t.count("q", shard + 1);
-            t.observe("lat_ms", shard * 10);
+            t.sketch_with("lat_ms", &[], shard * 10);
             let span = t.span_start(shard, |_, _| {});
             t.span_end(span, shard + 5, |_| {});
             t.take_parts()
@@ -731,7 +632,7 @@ mod tests {
             let t = Telemetry::new();
             for i in 0..100u64 {
                 t.count_with("q", &[("policy", "default")], 1);
-                t.observe("lat_ms", i * 7 % 256);
+                t.sketch_with("lat_ms", &[], i * 7 % 256);
                 t.event(i, EventKind::CacheMiss, |f| f.push("i", i));
             }
             (t.prometheus_text(), t.trace_jsonl())

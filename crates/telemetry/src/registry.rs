@@ -1,11 +1,16 @@
-//! The metrics registry: counters, gauges, and log₂-bucketed
-//! histograms.
+//! The metrics registry: counters, gauges, and quantile sketches.
+//!
+//! Three metric kinds, one of them a distribution: every latency, TTL
+//! and interarrival series is a [`QuantileSketch`], exported as a
+//! Prometheus `summary`. Counters and sketches are recorded either by
+//! borrowed name and labels or through a pre-hashed [`MetricKey`];
+//! gauges only through a key.
 //!
 //! Everything here is plain `u64`/`f64` cells behind a [`Registry`] —
 //! the simulator is single-threaded and deterministic, so there are no
 //! atomics and no locks. Metrics are keyed by name plus an ordered
 //! label set, stored in `BTreeMap`s so every export (Prometheus text,
-//! JSON snapshot, dashboard) lists series in a stable order.
+//! dashboard) lists series in a stable order.
 
 use std::collections::{BTreeMap, HashMap};
 use std::fmt::Write as _;
@@ -21,8 +26,8 @@ pub const SKETCH_QUANTILES: [(f64, &str); 4] =
 
 /// FNV-1a over the byte stream `name, 0xFF, k₁, 0, v₁, 0, …` with the
 /// label pairs in sorted order — the interning key shared by the
-/// [`MetricId`] path and the borrowed fast path, so both address the
-/// same bucket.
+/// [`MetricId`] path (shard merge) and the borrowed path, so both
+/// address the same bucket.
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0100_0000_01b3;
 
@@ -154,138 +159,6 @@ impl MetricId {
             out.push('}');
         }
         out
-    }
-}
-
-/// Number of log₂ buckets: bucket 0 holds the value 0, bucket *i* ≥ 1
-/// holds values in `[2^(i-1), 2^i)`. 64 value buckets cover all of
-/// `u64`.
-pub const HISTOGRAM_BUCKETS: usize = 65;
-
-/// A log₂-bucketed histogram over `u64` observations (latencies in
-/// milliseconds, TTLs in seconds, interarrival gaps, …).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Histogram {
-    buckets: [u64; HISTOGRAM_BUCKETS],
-    count: u64,
-    sum: u64,
-    min: u64,
-    max: u64,
-}
-
-impl Histogram {
-    /// An empty histogram.
-    pub fn new() -> Histogram {
-        Histogram {
-            buckets: [0; HISTOGRAM_BUCKETS],
-            count: 0,
-            sum: 0,
-            min: u64::MAX,
-            max: 0,
-        }
-    }
-
-    /// The bucket index for `value`.
-    pub fn bucket_index(value: u64) -> usize {
-        (64 - value.leading_zeros()) as usize
-    }
-
-    /// The exclusive upper bound of bucket `i` (`None` for the last
-    /// bucket, whose bound exceeds `u64::MAX`).
-    pub fn bucket_upper_bound(i: usize) -> Option<u64> {
-        if i == 0 {
-            Some(1)
-        } else if i < 64 {
-            Some(1u64 << i)
-        } else {
-            None
-        }
-    }
-
-    /// Records one observation.
-    pub fn observe(&mut self, value: u64) {
-        self.buckets[Self::bucket_index(value)] += 1;
-        self.count += 1;
-        self.sum = self.sum.saturating_add(value);
-        self.min = self.min.min(value);
-        self.max = self.max.max(value);
-    }
-
-    /// Total number of observations.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Sum of all observations (saturating).
-    pub fn sum(&self) -> u64 {
-        self.sum
-    }
-
-    /// Smallest observation, if any.
-    pub fn min(&self) -> Option<u64> {
-        (self.count > 0).then_some(self.min)
-    }
-
-    /// Largest observation, if any.
-    pub fn max(&self) -> Option<u64> {
-        (self.count > 0).then_some(self.max)
-    }
-
-    /// Mean observation, if any.
-    pub fn mean(&self) -> Option<f64> {
-        (self.count > 0).then(|| self.sum as f64 / self.count as f64)
-    }
-
-    /// Raw bucket counts.
-    pub fn buckets(&self) -> &[u64; HISTOGRAM_BUCKETS] {
-        &self.buckets
-    }
-
-    /// Approximate quantile (0.0..=1.0): the upper bound of the bucket
-    /// containing the q-th observation. Exact for the tracked min/max
-    /// at q=0 and q=1.
-    pub fn quantile(&self, q: f64) -> Option<u64> {
-        if self.count == 0 {
-            return None;
-        }
-        if q <= 0.0 {
-            return Some(self.min);
-        }
-        if q >= 1.0 {
-            return Some(self.max);
-        }
-        let rank = (q * self.count as f64).ceil() as u64;
-        let mut seen = 0;
-        for (i, &n) in self.buckets.iter().enumerate() {
-            seen += n;
-            if seen >= rank {
-                return Some(
-                    Self::bucket_upper_bound(i)
-                        .unwrap_or(u64::MAX)
-                        .min(self.max),
-                );
-            }
-        }
-        Some(self.max)
-    }
-
-    /// Adds every observation of `other` into `self`.
-    pub fn merge(&mut self, other: &Histogram) {
-        for (a, b) in self.buckets.iter_mut().zip(other.buckets.iter()) {
-            *a += b;
-        }
-        self.count += other.count;
-        self.sum = self.sum.saturating_add(other.sum);
-        if other.count > 0 {
-            self.min = self.min.min(other.min);
-            self.max = self.max.max(other.max);
-        }
-    }
-}
-
-impl Default for Histogram {
-    fn default() -> Histogram {
-        Histogram::new()
     }
 }
 
@@ -421,7 +294,6 @@ impl<T: Default> SeriesMap<T> {
 pub struct Registry {
     counters: SeriesMap<u64>,
     gauges: SeriesMap<f64>,
-    histograms: SeriesMap<Histogram>,
     sketches: SeriesMap<QuantileSketch>,
 }
 
@@ -432,7 +304,9 @@ fn help_for(name: &str) -> &'static str {
     match name {
         "resolver_client_queries" => "Client queries received by the recursive resolver",
         "resolver_cache_hits" => "Client queries answered entirely from cache",
+        "resolver_cache_misses" => "Client queries not answered entirely from cache",
         "resolver_cache_expiries" => "Cache entries found but past their TTL at lookup",
+        "resolver_cache_evictions" => "Cache entries evicted under capacity pressure",
         "resolver_cache_entries" => "Current number of cached RRsets",
         "resolver_stale_answers" => "Answers served from expired entries (RFC 8767)",
         "resolver_servfails" => "Resolutions that failed with SERVFAIL",
@@ -445,7 +319,6 @@ fn help_for(name: &str) -> &'static str {
         "resolver_timeouts" => "Upstream exchanges that timed out",
         "resolver_backoff_skips" => "Candidate servers skipped while in backoff",
         "resolver_fault_flushes" => "Scripted cache flush faults applied",
-        "resolver_latency_ms" => "Client-observed resolution latency in milliseconds",
         "resolver_latency_quantiles_ms" => {
             "Resolution latency quantile sketch in milliseconds (1.6% relative error)"
         }
@@ -458,11 +331,20 @@ fn help_for(name: &str) -> &'static str {
         }
         "atlas_measurements_valid" => "Atlas-style measurements accepted as valid",
         "atlas_measurements_discarded" => "Atlas-style measurements discarded, by reason",
+        "zipf_queries_total" => "Client queries issued by the Zipf population sweep",
+        "zipf_cache_hits_total" => "Zipf population queries answered from cache",
         "auth_queries" => "Queries arriving at authoritative servers",
+        "auth_responses" => "Responses sent by authoritative servers, by outcome",
+        "auth_interarrival_ms" => {
+            "Gap between consecutive queries at an authoritative server, in milliseconds"
+        }
         "auth_zone_transfers" => "Zone transfers applied to secondary servers",
         "net_packets_sent" => "Packets injected into the simulated network",
         "net_packets_lost" => "Packets dropped by the loss model",
         "net_responses" => "Responses delivered by the simulated network",
+        "net_rtt_ms" => "Sampled round-trip time of answered exchanges, in milliseconds",
+        "net_anycast_catchment" => "Exchanges to anycast addresses, by client region and site",
+        "net_unencodable" => "Exchanges dropped because the codec could not encode a message",
         "net_unknown_address" => "Packets sent to addresses with no server",
         "net_server_offline" => "Packets dropped because the target was offline",
         "net_fault_outage" => "Packets dropped by a scripted outage fault",
@@ -490,15 +372,9 @@ impl Registry {
         Registry::default()
     }
 
-    /// Adds `delta` to a counter, creating it at zero first.
-    pub fn counter_add(&mut self, id: MetricId, delta: u64) {
-        let slot = self.counters.slot_of(id);
-        *self.counters.value_mut(slot) += delta;
-    }
-
     /// Adds `delta` to a counter addressed by borrowed name/labels —
     /// allocation-free once the series exists.
-    pub fn counter_add_fast(&mut self, name: &str, labels: &[(&str, &str)], delta: u64) {
+    pub fn counter_add(&mut self, name: &str, labels: &[(&str, &str)], delta: u64) {
         let slot = self.counters.slot_fast(name, labels);
         *self.counters.value_mut(slot) += delta;
     }
@@ -514,62 +390,15 @@ impl Registry {
         self.counters.get(id).copied().unwrap_or(0)
     }
 
-    /// Sets a gauge.
-    pub fn gauge_set(&mut self, id: MetricId, value: f64) {
-        let slot = self.gauges.slot_of(id);
-        *self.gauges.value_mut(slot) = value;
-    }
-
-    /// Sets a gauge addressed by borrowed name/labels.
-    pub fn gauge_set_fast(&mut self, name: &str, labels: &[(&str, &str)], value: f64) {
-        let slot = self.gauges.slot_fast(name, labels);
-        *self.gauges.value_mut(slot) = value;
-    }
-
     /// Sets the unlabelled gauge behind a pre-hashed key.
     pub fn gauge_set_keyed(&mut self, key: &MetricKey, value: f64) {
         let slot = self.gauges.slot_keyed(key);
         *self.gauges.value_mut(slot) = value;
     }
 
-    /// Reads a gauge, if set.
-    pub fn gauge(&self, id: &MetricId) -> Option<f64> {
-        self.gauges.get(id).copied()
-    }
-
-    /// Records an observation into a histogram, creating it if needed.
-    pub fn observe(&mut self, id: MetricId, value: u64) {
-        let slot = self.histograms.slot_of(id);
-        self.histograms.value_mut(slot).observe(value);
-    }
-
-    /// Records an observation addressed by borrowed name/labels.
-    pub fn observe_fast(&mut self, name: &str, labels: &[(&str, &str)], value: u64) {
-        let slot = self.histograms.slot_fast(name, labels);
-        self.histograms.value_mut(slot).observe(value);
-    }
-
-    /// Records an observation into the unlabelled histogram behind a
-    /// pre-hashed key.
-    pub fn observe_keyed(&mut self, key: &MetricKey, value: u64) {
-        let slot = self.histograms.slot_keyed(key);
-        self.histograms.value_mut(slot).observe(value);
-    }
-
-    /// Reads a histogram, if it exists.
-    pub fn histogram(&self, id: &MetricId) -> Option<&Histogram> {
-        self.histograms.get(id)
-    }
-
-    /// Records an observation into a quantile sketch, creating it if
-    /// needed.
-    pub fn sketch_observe(&mut self, id: MetricId, value: u64) {
-        let slot = self.sketches.slot_of(id);
-        self.sketches.value_mut(slot).observe(value);
-    }
-
-    /// Records a sketch observation addressed by borrowed name/labels.
-    pub fn sketch_observe_fast(&mut self, name: &str, labels: &[(&str, &str)], value: u64) {
+    /// Records an observation into the quantile sketch addressed by
+    /// borrowed name/labels, creating it if needed.
+    pub fn sketch_observe(&mut self, name: &str, labels: &[(&str, &str)], value: u64) {
         let slot = self.sketches.slot_fast(name, labels);
         self.sketches.value_mut(slot).observe(value);
     }
@@ -579,11 +408,6 @@ impl Registry {
     pub fn sketch_observe_keyed(&mut self, key: &MetricKey, value: u64) {
         let slot = self.sketches.slot_keyed(key);
         self.sketches.value_mut(slot).observe(value);
-    }
-
-    /// Reads a quantile sketch, if it exists.
-    pub fn sketch(&self, id: &MetricId) -> Option<&QuantileSketch> {
-        self.sketches.get(id)
     }
 
     /// Iterates counters in deterministic order.
@@ -596,21 +420,15 @@ impl Registry {
         self.gauges.iter().map(|(k, v)| (k, *v))
     }
 
-    /// Iterates histograms in deterministic order.
-    pub fn histograms(&self) -> impl Iterator<Item = (&MetricId, &Histogram)> {
-        self.histograms.iter()
-    }
-
     /// Iterates quantile sketches in deterministic order.
     pub fn sketches(&self) -> impl Iterator<Item = (&MetricId, &QuantileSketch)> {
         self.sketches.iter()
     }
 
-    /// Merges another registry into this one (summing counters,
-    /// histograms and sketches; `other`'s gauges win on key
-    /// collisions). Sketch merging adds bucket counts, so repeated
-    /// pairwise merges are associative — shard order cannot change the
-    /// merged quantiles.
+    /// Merges another registry into this one (summing counters and
+    /// sketches; `other`'s gauges win on key collisions). Sketch
+    /// merging adds bucket counts, so repeated pairwise merges are
+    /// associative — shard order cannot change the merged quantiles.
     pub fn merge(&mut self, other: &Registry) {
         for (id, v) in other.counters.iter() {
             let slot = self.counters.slot_of(id.clone());
@@ -620,10 +438,6 @@ impl Registry {
             let slot = self.gauges.slot_of(id.clone());
             *self.gauges.value_mut(slot) = *v;
         }
-        for (id, h) in other.histograms.iter() {
-            let slot = self.histograms.slot_of(id.clone());
-            self.histograms.value_mut(slot).merge(h);
-        }
         for (id, s) in other.sketches.iter() {
             let slot = self.sketches.slot_of(id.clone());
             self.sketches.value_mut(slot).merge(s);
@@ -631,12 +445,11 @@ impl Registry {
     }
 
     /// Renders the whole registry in the Prometheus text exposition
-    /// format (counters and gauges as-is; histograms as cumulative
-    /// `_bucket{le=...}` series plus `_sum` and `_count`; quantile
-    /// sketches as summaries with `quantile` labels). Every metric
-    /// family gets exactly one `# HELP`/`# TYPE` header: series are
-    /// already sorted by name, so a header is emitted whenever the
-    /// family name changes.
+    /// format (counters and gauges as-is; quantile sketches as
+    /// summaries: `quantile`-labelled samples plus `_sum` and
+    /// `_count`). Every metric family gets exactly one `# HELP`/`# TYPE`
+    /// header: series are already sorted by name, so a header is
+    /// emitted whenever the family name changes.
     pub fn to_prometheus_text(&self) -> String {
         let mut out = String::new();
         let mut last = None;
@@ -650,35 +463,6 @@ impl Registry {
             let mut val = String::new();
             fmt_f64(&mut val, *v);
             let _ = writeln!(out, "{} {}", id.render(), val);
-        }
-        let mut last = None;
-        for (id, h) in self.histograms.iter() {
-            family_header(&mut out, &mut last, &id.name, "histogram");
-            let mut cumulative = 0;
-            for (i, &n) in h.buckets().iter().enumerate() {
-                if n == 0 {
-                    continue;
-                }
-                cumulative += n;
-                let mut with_le = id.clone();
-                let le = match Histogram::bucket_upper_bound(i) {
-                    Some(b) => b.to_string(),
-                    None => "+Inf".to_string(),
-                };
-                with_le.name = format!("{}_bucket", id.name);
-                with_le.labels.push(("le".to_string(), le));
-                let _ = writeln!(out, "{} {}", with_le.render(), cumulative);
-            }
-            let mut bound = id.clone();
-            bound.name = format!("{}_bucket", id.name);
-            bound.labels.push(("le".to_string(), "+Inf".to_string()));
-            let _ = writeln!(out, "{} {}", bound.render(), h.count());
-            let mut sum_id = id.clone();
-            sum_id.name = format!("{}_sum", id.name);
-            let _ = writeln!(out, "{} {}", sum_id.render(), h.sum());
-            let mut count_id = id.clone();
-            count_id.name = format!("{}_count", id.name);
-            let _ = writeln!(out, "{} {}", count_id.render(), h.count());
         }
         let mut last = None;
         for (id, s) in self.sketches.iter() {
@@ -702,8 +486,7 @@ impl Registry {
     }
 
     /// Renders a compact ASCII dashboard: counters and gauges as a
-    /// table, histograms as sparkline-style bucket bars with summary
-    /// quantiles.
+    /// table, sketches as one line of summary quantiles each.
     pub fn to_dashboard(&self) -> String {
         let mut out = String::new();
         if self.counters.len() + self.gauges.len() > 0 {
@@ -722,36 +505,6 @@ impl Registry {
                 let mut val = String::new();
                 fmt_f64(&mut val, *v);
                 let _ = writeln!(out, "  {:<width$}  {:>12}", id.render(), val);
-            }
-        }
-        for (id, h) in self.histograms.iter() {
-            let _ = writeln!(out, "── {} ", id.render());
-            let (Some(min), Some(max)) = (h.min(), h.max()) else {
-                let _ = writeln!(out, "  (empty)");
-                continue;
-            };
-            let _ = writeln!(
-                out,
-                "  n={} min={} p50={} p90={} p99={} max={} mean={:.1}",
-                h.count(),
-                min,
-                h.quantile(0.5).unwrap_or(0),
-                h.quantile(0.9).unwrap_or(0),
-                h.quantile(0.99).unwrap_or(0),
-                max,
-                h.mean().unwrap_or(0.0),
-            );
-            let peak = h.buckets().iter().copied().max().unwrap_or(1).max(1);
-            for (i, &n) in h.buckets().iter().enumerate() {
-                if n == 0 {
-                    continue;
-                }
-                let bar_len = ((n as f64 / peak as f64) * 40.0).ceil() as usize;
-                let label = match Histogram::bucket_upper_bound(i) {
-                    Some(b) => format!("<{b}"),
-                    None => ">=2^63".to_string(),
-                };
-                let _ = writeln!(out, "  {:>10} |{} {}", label, "#".repeat(bar_len), n);
             }
         }
         for (id, s) in self.sketches.iter() {
@@ -781,42 +534,62 @@ mod tests {
     use super::*;
 
     #[test]
-    fn bucket_indexing_is_log2() {
-        assert_eq!(Histogram::bucket_index(0), 0);
-        assert_eq!(Histogram::bucket_index(1), 1);
-        assert_eq!(Histogram::bucket_index(2), 2);
-        assert_eq!(Histogram::bucket_index(3), 2);
-        assert_eq!(Histogram::bucket_index(4), 3);
-        assert_eq!(Histogram::bucket_index(u64::MAX), 64);
-    }
-
-    #[test]
-    fn quantiles_bracket_observations() {
-        let mut h = Histogram::new();
-        for v in [1u64, 2, 3, 10, 100, 1000] {
-            h.observe(v);
+    fn prometheus_text_matches_the_golden_exposition() {
+        const ENTRIES: MetricKey = MetricKey::new("resolver_cache_entries");
+        const LATENCY: MetricKey = MetricKey::new("resolver_latency_quantiles_ms");
+        let mut r = Registry::new();
+        r.counter_add_keyed(&MetricKey::new("resolver_client_queries"), 4);
+        r.counter_add("auth_queries", &[("server", "b")], 1);
+        r.counter_add("auth_queries", &[("server", "a")], 3);
+        r.gauge_set_keyed(&ENTRIES, 2.0);
+        r.gauge_set_keyed(&ENTRIES, 7.5);
+        for v in [3, 10, 10, 250] {
+            r.sketch_observe_keyed(&LATENCY, v);
         }
-        assert_eq!(h.min(), Some(1));
-        assert_eq!(h.max(), Some(1000));
-        assert!(h.quantile(0.5).unwrap() >= 3);
-        assert!(h.quantile(0.99).unwrap() <= 1024);
+        r.sketch_observe("undocumented_ms", &[("k", "v")], 5);
+        let golden = "\
+# HELP auth_queries Queries arriving at authoritative servers
+# TYPE auth_queries counter
+auth_queries{server=\"a\"} 3
+auth_queries{server=\"b\"} 1
+# HELP resolver_client_queries Client queries received by the recursive resolver
+# TYPE resolver_client_queries counter
+resolver_client_queries 4
+# HELP resolver_cache_entries Current number of cached RRsets
+# TYPE resolver_cache_entries gauge
+resolver_cache_entries 7.5
+# HELP resolver_latency_quantiles_ms Resolution latency quantile sketch in milliseconds (1.6% relative error)
+# TYPE resolver_latency_quantiles_ms summary
+resolver_latency_quantiles_ms{quantile=\"0.5\"} 10
+resolver_latency_quantiles_ms{quantile=\"0.9\"} 249
+resolver_latency_quantiles_ms{quantile=\"0.99\"} 249
+resolver_latency_quantiles_ms{quantile=\"0.999\"} 249
+resolver_latency_quantiles_ms_sum 273
+resolver_latency_quantiles_ms_count 4
+# HELP undocumented_ms Simulator metric (see DESIGN.md)
+# TYPE undocumented_ms summary
+undocumented_ms{k=\"v\",quantile=\"0.5\"} 5
+undocumented_ms{k=\"v\",quantile=\"0.9\"} 5
+undocumented_ms{k=\"v\",quantile=\"0.99\"} 5
+undocumented_ms{k=\"v\",quantile=\"0.999\"} 5
+undocumented_ms_sum{k=\"v\"} 5
+undocumented_ms_count{k=\"v\"} 1
+";
+        assert_eq!(r.to_prometheus_text(), golden);
     }
 
     #[test]
     fn label_order_does_not_split_series() {
         let mut r = Registry::new();
-        r.counter_add(MetricId::new("q", &[("a", "1"), ("b", "2")]), 1);
-        r.counter_add(MetricId::new("q", &[("b", "2"), ("a", "1")]), 1);
+        r.counter_add("q", &[("a", "1"), ("b", "2")], 1);
+        r.counter_add("q", &[("b", "2"), ("a", "1")], 1);
         assert_eq!(r.counter(&MetricId::new("q", &[("a", "1"), ("b", "2")])), 2);
     }
 
     #[test]
     fn hostile_label_values_are_escaped_per_exposition_format() {
         let mut r = Registry::new();
-        r.counter_add(
-            MetricId::new("q", &[("zone", "evil\"zone\\with\nnewline\tand tab")]),
-            1,
-        );
+        r.counter_add("q", &[("zone", "evil\"zone\\with\nnewline\tand tab")], 1);
         let text = r.to_prometheus_text();
         // `"` → `\"`, `\` → `\\`, newline → `\n`; a raw tab stays raw —
         // the exposition format has no `\t` escape.
@@ -828,28 +601,28 @@ mod tests {
     #[test]
     fn prometheus_text_is_stable() {
         let mut r = Registry::new();
-        r.counter_add(MetricId::new("b_metric", &[]), 2);
-        r.counter_add(MetricId::new("a_metric", &[("k", "v")]), 1);
-        r.observe(MetricId::new("lat", &[]), 5);
+        r.counter_add("b_metric", &[], 2);
+        r.counter_add("a_metric", &[("k", "v")], 1);
+        r.sketch_observe("lat", &[], 5);
         let text = r.to_prometheus_text();
         let again = r.to_prometheus_text();
         assert_eq!(text, again);
         // BTreeMap ordering: a_metric before b_metric.
         assert!(text.find("a_metric").unwrap() < text.find("b_metric").unwrap());
-        assert!(text.contains("lat_bucket{le=\"8\"} 1"));
+        assert!(text.contains("lat{quantile=\"0.5\"} 5"));
         assert!(text.contains("lat_sum 5"));
     }
 
     #[test]
     fn exposition_has_one_help_and_type_header_per_family() {
         let mut r = Registry::new();
-        // Two series of the same counter family, plus a gauge, a
-        // histogram and a sketch family.
-        r.counter_add(MetricId::new("q", &[("scenario", "a")]), 1);
-        r.counter_add(MetricId::new("q", &[("scenario", "b")]), 2);
-        r.gauge_set(MetricId::new("resolver_cache_entries", &[]), 7.0);
-        r.observe(MetricId::new("resolver_latency_ms", &[]), 12);
-        r.sketch_observe(MetricId::new("resolution_latency_ms", &[]), 40);
+        // Two series of the same counter family, plus a gauge and two
+        // sketch families.
+        r.counter_add("q", &[("scenario", "a")], 1);
+        r.counter_add("q", &[("scenario", "b")], 2);
+        r.gauge_set_keyed(&MetricKey::new("resolver_cache_entries"), 7.0);
+        r.sketch_observe("resolver_answer_ttl_s", &[], 12);
+        r.sketch_observe("resolution_latency_ms", &[], 40);
         let text = r.to_prometheus_text();
 
         // Every # TYPE is preceded by a matching # HELP, exactly once
@@ -861,7 +634,7 @@ mod tests {
                 let family = parts.next().unwrap();
                 let ty = parts.next().unwrap();
                 assert!(
-                    matches!(ty, "counter" | "gauge" | "histogram" | "summary"),
+                    matches!(ty, "counter" | "gauge" | "summary"),
                     "bad type line: {line}"
                 );
                 let help = lines[i - 1];
@@ -883,8 +656,7 @@ mod tests {
         for line in lines.iter().filter(|l| !l.starts_with('#')) {
             let name = line.split(['{', ' ']).next().unwrap();
             let family = name
-                .strip_suffix("_bucket")
-                .or_else(|| name.strip_suffix("_sum"))
+                .strip_suffix("_sum")
                 .or_else(|| name.strip_suffix("_count"))
                 .unwrap_or(name);
             assert!(
@@ -899,18 +671,11 @@ mod tests {
         let mut a = Registry::new();
         let mut b = Registry::new();
         for v in 0..500u64 {
-            a.sketch_observe(
-                MetricId::new("resolution_latency_ms", &[("scenario", "x")]),
-                v,
-            );
-            b.sketch_observe(
-                MetricId::new("resolution_latency_ms", &[("scenario", "x")]),
-                v + 500,
-            );
+            a.sketch_observe("resolution_latency_ms", &[("scenario", "x")], v);
+            b.sketch_observe("resolution_latency_ms", &[("scenario", "x")], v + 500);
         }
         a.merge(&b);
-        let id = MetricId::new("resolution_latency_ms", &[("scenario", "x")]);
-        let s = a.sketch(&id).expect("merged sketch");
+        let (_, s) = a.sketches().next().expect("merged sketch");
         assert_eq!(s.count(), 1000);
         let text = a.to_prometheus_text();
         assert!(text.contains("# TYPE resolution_latency_ms summary"));

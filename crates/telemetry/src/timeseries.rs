@@ -272,33 +272,25 @@ impl TimeSeriesStore {
     /// Adds `delta` to the counter series `name` in the bucket holding
     /// sim-time `t_ms`.
     pub fn count(&mut self, name: &str, delta: u64, t_ms: u64) {
-        let cap = self.span_cap;
-        let width = self.width_hint_ms;
-        self.counters
-            .entry(name.to_string())
-            .or_insert_with(|| BucketSeries::new(width))
-            .record(t_ms, cap, |v: &mut u64| *v += delta);
+        let (width, cap) = (self.width_hint_ms, self.span_cap);
+        record(&mut self.counters, name, width, cap, t_ms, |v| *v += delta);
     }
 
     /// Records a gauge sample into the bucket holding sim-time `t_ms`.
     pub fn gauge(&mut self, name: &str, value: f64, t_ms: u64) {
-        let cap = self.span_cap;
-        let width = self.width_hint_ms;
-        self.gauges
-            .entry(name.to_string())
-            .or_insert_with(|| BucketSeries::new(width))
-            .record(t_ms, cap, |g| g.observe(value));
+        let (width, cap) = (self.width_hint_ms, self.span_cap);
+        record(&mut self.gauges, name, width, cap, t_ms, |g| {
+            g.observe(value)
+        });
     }
 
     /// Records a latency-style observation into the per-bucket sketch
     /// for sim-time `t_ms`.
     pub fn sketch(&mut self, name: &str, value: u64, t_ms: u64) {
-        let cap = self.span_cap;
-        let width = self.width_hint_ms;
-        self.sketches
-            .entry(name.to_string())
-            .or_insert_with(|| BucketSeries::new(width))
-            .record(t_ms, cap, |s| s.observe(value));
+        let (width, cap) = (self.width_hint_ms, self.span_cap);
+        record(&mut self.sketches, name, width, cap, t_ms, |s| {
+            s.observe(value)
+        });
     }
 
     /// Sum of all bucket deltas for counter series `name` — must equal
@@ -386,6 +378,27 @@ impl TimeSeriesStore {
             });
         }
         out
+    }
+}
+
+/// Records into series `name` of `map`, starting the series at
+/// `width_ms` on first sight. Every `_at` sample on the telemetry-on
+/// path lands here, so the lookup borrows `name`; only a new series
+/// allocates its key.
+fn record<T: BucketValue>(
+    map: &mut BTreeMap<String, BucketSeries<T>>,
+    name: &str,
+    width_ms: u64,
+    cap: usize,
+    t_ms: u64,
+    f: impl FnOnce(&mut T),
+) {
+    match map.get_mut(name) {
+        Some(series) => series.record(t_ms, cap, f),
+        None => map
+            .entry(name.to_string())
+            .or_insert_with(|| BucketSeries::new(width_ms))
+            .record(t_ms, cap, f),
     }
 }
 

@@ -4,9 +4,10 @@
 //! engines (`atlas/tests/soa_equivalence.rs`), the two cache
 //! implementations behind `CacheEngine`
 //! (`resolver/tests/concurrent_equivalence.rs`), the authoritative
-//! zone index (`auth/tests/zone_model.rs`), and the codec identity the
+//! zone index (`auth/tests/zone_model.rs`), the codec identity the
 //! exchange path relies on without performing it
-//! (`wire/tests/codec_properties.rs`).
+//! (`wire/tests/codec_properties.rs`), and the shape of the metrics
+//! exposition (`telemetry/src/registry.rs`).
 
 use dnsttl::atlas::{
     run_measurement, run_zipf_campaign, MeasurementSpec, Population, PopulationConfig, QueryName,
@@ -19,6 +20,7 @@ use dnsttl::netsim::{
     ClientId, DnsService, EventQueue, LatencyModel, Network, Region, SimDuration, SimRng, SimTime,
 };
 use dnsttl::resolver::{CacheEngine, Credibility, RecursiveResolver, RootHint};
+use dnsttl::telemetry::Telemetry;
 use dnsttl::wire::{
     decode_message, encode_message, encoded_len, Message, Name, RData, RRset, Rcode, RecordType,
     Ttl,
@@ -369,4 +371,37 @@ fn a_uy_latency_run_is_unchanged_by_servers_that_round_trip_every_message() {
     let wrapped = run(wrapped_world());
     assert!(seen.get() > 1_000, "the wrapped servers did the answering");
     assert!(plain == wrapped, "row for row the same dataset");
+}
+
+#[test]
+fn a_uy_latency_run_exports_one_latency_sample_per_client_query_and_no_histograms() {
+    let telemetry = Telemetry::new();
+    let (mut net, roots) = uy_world(Ttl::from_secs(300), Ttl::from_secs(120));
+    net.set_telemetry(telemetry.clone());
+    let mut rng = SimRng::seed_from(0x5EA4_0007);
+    let mut pop = Population::build(&PopulationConfig::small(120), &roots, &mut rng);
+    pop.set_telemetry(&telemetry);
+    let spec = MeasurementSpec::every_600s(
+        QueryName::Fixed(Name::parse("uy").unwrap()),
+        RecordType::NS,
+        2,
+    );
+    run_measurement(&spec, &mut pop, &mut net, &mut rng);
+
+    let text = telemetry.prometheus_text();
+    let queries = telemetry.counter_value("resolver_client_queries", &[]);
+    assert!(queries > 1_000);
+    assert!(
+        text.contains(&format!(
+            "\nresolver_latency_quantiles_ms_count {queries}\n"
+        )),
+        "one latency observation per client query"
+    );
+    for line in text.lines().filter(|l| l.starts_with('#')) {
+        assert!(!line.ends_with(" histogram"), "{line}");
+        assert!(
+            !line.ends_with("Simulator metric (see DESIGN.md)"),
+            "{line}"
+        );
+    }
 }
