@@ -1,6 +1,7 @@
 //! # dnsttl-bench — benchmark scenarios
 //!
-//! Helper scenarios shared by the Criterion benches in `benches/`:
+//! Helper scenarios shared by the Criterion benches in `benches/`
+//! (interactive tools, never cited as evidence):
 //!
 //! * `micro` — component costs: wire codec, cache operations, zone
 //!   lookups, single resolutions;
@@ -13,16 +14,18 @@
 //!
 //! Keeping the world-building helpers here keeps the bench files
 //! declarative.
+//!
+//! [`runner`] is the headless suite behind `repro bench`: interleaved
+//! pairs timed in one run, and the gates CI holds their ratios to.
+//! Cross-commit numbers belong to neither — the `benchmark/` package
+//! owns them.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod runner;
 
-pub use runner::{
-    BenchConfig, BenchReport, Counter, Timing, BENCH_SCHEMA, FANOUT_TOLERANCE,
-    REGRESSION_THRESHOLD, TIMINGS_MARKER, WHEEL_IMPROVEMENT_FACTOR,
-};
+pub use runner::{BenchConfig, BenchReport, Counter, Timing, BENCH_SCHEMA, TIMINGS_MARKER};
 
 use dnsttl_auth::{AuthoritativeServer, ZoneBuilder};
 use dnsttl_core::ResolverPolicy;
@@ -44,9 +47,11 @@ pub struct BenchWorld {
     pub leaf: Name,
 }
 
-/// Builds the fixture. `child_ttl` controls the leaf record's cache
-/// lifetime; `policy` the resolver behaviour.
-pub fn bench_world(child_ttl: Ttl, policy: ResolverPolicy) -> BenchWorld {
+/// The two-level network under every fixture here — a root delegating
+/// `example` to one child server, `www.example` published with
+/// `child_ttl` — plus the root hints a resolver or a probe population
+/// needs to walk it.
+fn two_level_network(child_ttl: Ttl) -> (Network, Vec<RootHint>) {
     let root_addr = IpAddr::V4(Ipv4Addr::new(198, 41, 0, 4));
     let child_addr = IpAddr::V4(Ipv4Addr::new(192, 0, 2, 53));
     let root = AuthoritativeServer::new("root").with_zone(
@@ -65,17 +70,19 @@ pub fn bench_world(child_ttl: Ttl, policy: ResolverPolicy) -> BenchWorld {
     let mut net = Network::new(LatencyModel::constant(5.0));
     net.register(root_addr, Region::Eu, Rc::new(RefCell::new(root)));
     net.register(child_addr, Region::Eu, Rc::new(RefCell::new(child)));
-    let resolver = RecursiveResolver::new(
-        "bench",
-        policy,
-        Region::Eu,
-        1,
-        vec![RootHint {
-            ns_name: Name::parse("root").expect("static"),
-            addr: root_addr,
-        }],
-        SimRng::seed_from(99),
-    );
+    let roots = vec![RootHint {
+        ns_name: Name::parse("root").expect("static"),
+        addr: root_addr,
+    }];
+    (net, roots)
+}
+
+/// Builds the fixture. `child_ttl` controls the leaf record's cache
+/// lifetime; `policy` the resolver behaviour.
+pub fn bench_world(child_ttl: Ttl, policy: ResolverPolicy) -> BenchWorld {
+    let (net, roots) = two_level_network(child_ttl);
+    let resolver =
+        RecursiveResolver::new("bench", policy, Region::Eu, 1, roots, SimRng::seed_from(99));
     BenchWorld {
         net,
         resolver,

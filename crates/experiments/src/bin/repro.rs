@@ -14,8 +14,8 @@
 //!
 //! repro cache-report               # ledger forensics (Tables 3–4)
 //! repro cache-report --diff A B    # diff two cache snapshots (JSONL)
-//! repro bench --quick              # headless bench trajectory
-//! repro bench --out BENCH_report.json --baseline BENCH_report.json --check
+//! repro bench --quick --check      # paired bench suite + its in-report gates
+//! repro bench --out BENCH_report.json      # full mode, report written
 //! repro flame RUN_DIR_OR_TRACE     # collapsed stacks from sim-time spans
 //! repro doctor RUN_DIR             # audit manifests, traces, ledgers
 //! repro timeline RUN_DIR           # sim-time series → CSV + sparklines
@@ -189,26 +189,20 @@ fn write_observability(module: &str, cfg: &ExpConfig, telemetry: &Telemetry, rep
     }
 }
 
-/// `repro bench`: run the headless benchmark trajectory, write the
-/// schema-versioned report, and optionally gate on a committed
-/// baseline.
+/// `repro bench`: run the headless paired suite, write the
+/// schema-versioned report, and optionally hold the fresh report to
+/// its in-report gates.
 fn run_bench(args: &[String]) -> ! {
-    use dnsttl_bench::{
-        BenchConfig, BenchReport, FANOUT_TOLERANCE, REGRESSION_THRESHOLD, WHEEL_IMPROVEMENT_FACTOR,
-    };
+    use dnsttl_bench::BenchConfig;
 
     let mut seed = 42u64;
     let mut quick = false;
     let mut out: Option<std::path::PathBuf> = None;
-    let mut baseline: Option<std::path::PathBuf> = None;
     let mut check = false;
-    let mut threshold = REGRESSION_THRESHOLD;
     let mut i = 0;
     let bad = |msg: &str| -> ! {
         eprintln!("{msg}");
-        eprintln!(
-            "usage: repro bench [--quick] [--seed N] [--out FILE] [--baseline FILE] [--check] [--tolerance PCT]"
-        );
+        eprintln!("usage: repro bench [--quick] [--seed N] [--out FILE] [--check]");
         std::process::exit(2);
     };
     while i < args.len() {
@@ -229,30 +223,7 @@ fn run_bench(args: &[String]) -> ! {
                         .into(),
                 );
             }
-            "--baseline" => {
-                i += 1;
-                baseline = Some(
-                    args.get(i)
-                        .unwrap_or_else(|| bad("--baseline needs a path"))
-                        .into(),
-                );
-            }
             "--check" => check = true,
-            // Regression gate width as a percent (default the
-            // committed REGRESSION_THRESHOLD).
-            "--tolerance" => {
-                i += 1;
-                let v = args
-                    .get(i)
-                    .unwrap_or_else(|| bad("--tolerance needs a percent"));
-                let pct: f64 = v
-                    .parse()
-                    .unwrap_or_else(|_| bad(&format!("bad tolerance {v:?} (want a percent)")));
-                if !(0.0..=100.0).contains(&pct) {
-                    bad(&format!("tolerance {pct}% out of range 0..=100"));
-                }
-                threshold = pct / 100.0;
-            }
             other => bad(&format!("unknown bench flag {other:?}")),
         }
         i += 1;
@@ -277,73 +248,14 @@ fn run_bench(args: &[String]) -> ! {
     }
 
     if check {
-        let Some(path) = &baseline else {
-            bad("--check needs --baseline FILE");
-        };
-        let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-            eprintln!("cannot read baseline {}: {e}", path.display());
-            std::process::exit(1);
-        });
-        let base = BenchReport::parse(&text).unwrap_or_else(|e| {
-            eprintln!("cannot parse baseline {}: {e}", path.display());
-            std::process::exit(1);
-        });
-        let failures = report.compare(&base, threshold);
-        if failures.is_empty() {
-            println!(
-                "bench check passed: no scenario regressed more than {:.0}% vs {}",
-                threshold * 100.0,
-                path.display()
-            );
-        } else {
-            eprintln!("bench regressions vs {}:", path.display());
-            for f in &failures {
-                eprintln!("  {f}");
-            }
-            std::process::exit(1);
+        // Every gate reads two rows of the report just produced. All
+        // verdicts print before the exit code is decided, so one failed
+        // gate cannot hide another.
+        let verdicts = report.check_gates();
+        for Ok(line) | Err(line) in &verdicts {
+            println!("{line}");
         }
-        // Self-check, independent of the baseline: the multi-worker
-        // sharded run must not lose to its own sequential oracle.
-        let fanout = report.fanout_failures(FANOUT_TOLERANCE);
-        if fanout.is_empty() {
-            println!(
-                "fanout check passed: sharded_population_w8 within {:.0}% of w1",
-                FANOUT_TOLERANCE * 100.0
-            );
-        } else {
-            eprintln!("fanout check failed:");
-            for f in &fanout {
-                eprintln!("  {f}");
-            }
-            std::process::exit(1);
-        }
-        // The scale campaign must show *actual* parallel speedup,
-        // scaled to the cores of the host that produced the report.
-        let speedup = report.speedup_failures(FANOUT_TOLERANCE);
-        if speedup.is_empty() {
-            println!("speedup check passed: zipf_population_w8 meets the host-scaled target");
-        } else {
-            eprintln!("speedup check failed:");
-            for f in &speedup {
-                eprintln!("  {f}");
-            }
-            std::process::exit(1);
-        }
-        // The timing-wheel swap must keep paying for itself: the
-        // wheel_churn replay has to beat its in-report BTreeSet
-        // reference by the committed factor, on whatever host ran the
-        // suite.
-        let improvement = report.improvement_failures(WHEEL_IMPROVEMENT_FACTOR, FANOUT_TOLERANCE);
-        if improvement.is_empty() {
-            println!(
-                "improvement check passed: wheel_churn at least {WHEEL_IMPROVEMENT_FACTOR:.0}x \
-                 faster than its BTreeSet reference"
-            );
-        } else {
-            eprintln!("improvement check failed:");
-            for f in &improvement {
-                eprintln!("  {f}");
-            }
+        if verdicts.iter().any(Result::is_err) {
             std::process::exit(1);
         }
     }

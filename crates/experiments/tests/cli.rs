@@ -1,6 +1,6 @@
 //! Process-level tests for the `sdig` and `repro` binaries: the
 //! forensics flags (`--trace-json`, `--cache-dump`, snapshot diffing)
-//! and the bench trajectory's determinism guarantee.
+//! and `repro bench`'s determinism guarantee, gate verdicts and flags.
 
 use std::process::Command;
 
@@ -152,31 +152,55 @@ fn repro_bench_deterministic_section_is_byte_identical_across_reruns() {
     assert_eq!(
         dnsttl_bench::BenchReport::deterministic_portion(&t1),
         dnsttl_bench::BenchReport::deterministic_portion(&t2),
-        "same-seed bench reruns must agree byte-for-byte below the timings marker"
-    );
-    // Both parse under the committed schema, timings included.
-    let report = dnsttl_bench::BenchReport::parse(&t1).expect("valid report");
-    assert!(!report.timings.is_empty());
-
-    // And the check gate accepts a run against its own baseline.
-    let out = repro()
-        .args(["bench", "--quick", "--seed", "42", "--baseline"])
-        .arg(&r1)
-        .arg("--check")
-        .output()
-        .expect("runs");
-    // Timing noise can trip the threshold on a loaded machine; accept
-    // either verdict but require the gate to have *evaluated*.
-    let text = format!(
-        "{}{}",
-        String::from_utf8_lossy(&out.stdout),
-        String::from_utf8_lossy(&out.stderr)
-    );
-    assert!(
-        text.contains("bench check passed") || text.contains("bench regressions"),
-        "gate did not run:\n{text}"
+        "same-seed bench reruns must agree byte-for-byte above the timings marker"
     );
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn repro_bench_check_prints_a_verdict_for_every_gate() {
+    let out = repro()
+        .args(["bench", "--quick", "--seed", "42", "--check"])
+        .output()
+        .expect("runs");
+    // Timing noise on a loaded machine may fail a gate; what must hold
+    // is that `--check` needs no baseline file and evaluates all three
+    // gates whatever the first one says.
+    let text = String::from_utf8_lossy(&out.stdout);
+    for gate in ["fanout", "speedup", "wheel"] {
+        let line = text
+            .lines()
+            .find(|l| l.starts_with(&format!("gate {gate}: ")))
+            .unwrap_or_else(|| panic!("no verdict for the {gate} gate:\n{text}"));
+        assert!(
+            line.ends_with(": ok") || line.ends_with(": FAILED"),
+            "verdict line without a verdict: {line}"
+        );
+        assert!(!line.contains("missing timing row"), "{line}");
+    }
+    let failed = text.lines().filter(|l| l.ends_with(": FAILED")).count();
+    assert_eq!(
+        out.status.code(),
+        Some(i32::from(failed > 0)),
+        "exit code must follow the verdicts:\n{text}"
+    );
+}
+
+#[test]
+fn repro_bench_rejects_the_retired_baseline_flags() {
+    for flags in [&["--baseline", "x"], &["--tolerance", "5"]] {
+        let out = repro().arg("bench").args(flags).output().expect("runs");
+        assert_eq!(
+            out.status.code(),
+            Some(2),
+            "{flags:?} must be a usage error"
+        );
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains("usage: repro bench [--quick] [--seed N] [--out FILE] [--check]"),
+            "{flags:?}: {stderr}"
+        );
+    }
 }
 
 #[test]

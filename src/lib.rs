@@ -22,8 +22,8 @@
 //! * [`experiments`] — one module per table and figure;
 //! * [`telemetry`] — metrics, simulation-time tracing, run manifests,
 //!   and the cache-ledger JSONL codec;
-//! * [`bench`] — the headless benchmark trajectory behind
-//!   `repro bench` and its schema-versioned report.
+//! * [`bench`] — the headless paired suite behind `repro bench`, its
+//!   schema-versioned report and the in-report gates CI enforces.
 //!
 //! ## Quickstart
 //!

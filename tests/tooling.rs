@@ -163,19 +163,35 @@ fn cache_forensics_snapshot_and_ledger_through_the_facade() {
 }
 
 #[test]
-fn bench_report_schema_round_trips_through_the_facade() {
+fn bench_report_header_counts_its_lines_and_gates_find_their_rows() {
     let report = dnsttl::bench::runner::run(dnsttl::bench::BenchConfig {
         seed: 3,
         quick: true,
-        // Schema round-trip only — shrink the zipf population so the
-        // suite stays debug-runnable.
+        // Report shape only — shrink the zipf population so the suite
+        // stays debug-runnable.
         pop_scale: 0.02,
     });
     let text = report.render();
-    assert!(text.starts_with("{\"schema\":\"dnsttl-bench-report/1\""));
-    let back = dnsttl::bench::BenchReport::parse(&text).unwrap();
-    assert_eq!(back.counters.len(), report.counters.len());
-    assert_eq!(back.timings.len(), report.timings.len());
+    let (above, below) = text
+        .split_once(dnsttl::bench::TIMINGS_MARKER)
+        .expect("timings marker present");
+    let mut above = above.lines();
+    let header = above.next().expect("header line");
+    let counters = above.count();
+    let timings = below.lines().filter(|l| !l.is_empty()).count();
+    assert_eq!(
+        header,
+        format!(
+            "{{\"schema\":\"dnsttl-bench-report/1\",\"seed\":3,\"mode\":\"quick\",\
+             \"counters\":{counters},\"timings\":{timings}}}"
+        )
+    );
+    // Debug-build timings at this scale may fail a ratio; what the
+    // suite owes the gates is every row they read.
+    for verdict in report.check_gates() {
+        let (Ok(line) | Err(line)) = verdict;
+        assert!(!line.contains("missing timing row"), "{line}");
+    }
 }
 
 #[test]
