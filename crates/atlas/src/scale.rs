@@ -133,8 +133,9 @@ impl ZipfCampaignConfig {
         }
     }
 
-    /// The large-scale configuration the bench trajectory runs: enough
-    /// cells (64) to saturate an 8-worker fan-out with headroom.
+    /// The large-scale configuration the benchmark's Zipf workloads and
+    /// `repro bench`'s `zipf_population` pair run: enough cells (64) to
+    /// saturate an 8-worker fan-out with headroom.
     pub fn large(probes: usize) -> ZipfCampaignConfig {
         ZipfCampaignConfig {
             probes,

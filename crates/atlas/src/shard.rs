@@ -156,7 +156,8 @@ where
 /// The profile is measurement-only — the results vector is identical to
 /// what [`run_cells`] returns, and the clock reads (two per cell) are
 /// noise next to a cell's simulation work. Profiles go to stderr and
-/// the bench timings section, never into deterministic artifacts.
+/// to the benchmark's `atlas.fanout_*` / `atlas.cell_ms_*` metrics,
+/// never into deterministic artifacts.
 pub fn run_cells_profiled<T, F>(workers: usize, cells: usize, job: F) -> (Vec<T>, ShardProfile)
 where
     T: Send,

@@ -12,10 +12,11 @@
 use dnsttl_core::{CacheBackendChoice, ResolverPolicy};
 use dnsttl_netsim::{SimDuration, SimTime};
 use dnsttl_telemetry::Telemetry;
+use dnsttl_wire::name::NameKey;
 use dnsttl_wire::{Name, RRset, Rcode, RecordType, Ttl};
 use std::sync::Arc;
 
-use crate::cache::{Cache, CachedAnswer, Credibility};
+use crate::cache::{Cache, CachedAnswer, Credibility, Entry};
 use crate::ledger::{CacheStats, Ledger, StoreContext};
 use crate::shared::SharedCache;
 use crate::snapshot::CacheSnapshot;
@@ -105,6 +106,22 @@ impl CacheEngine {
         match self {
             CacheEngine::Sequential(c) => c.get(name, rtype, now),
             CacheEngine::Shared(c) => c.get(name, rtype, now),
+        }
+    }
+
+    /// [`CacheEngine::get`] without the clone: `f` reads the fresh
+    /// entry in place and must not re-enter the cache (see
+    /// [`Cache::read`], [`SharedCache::read`]).
+    pub(crate) fn read<T>(
+        &self,
+        name: &dyn NameKey,
+        rtype: RecordType,
+        now: SimTime,
+        f: impl FnOnce(&Entry, Ttl) -> T,
+    ) -> Option<T> {
+        match self {
+            CacheEngine::Sequential(c) => c.read(name, rtype, now, f),
+            CacheEngine::Shared(c) => c.read(name, rtype, now, f),
         }
     }
 
@@ -315,5 +332,74 @@ mod tests {
             seq.snapshot(SimTime::from_secs(600)).to_jsonl(),
             shared.snapshot(SimTime::from_secs(600)).to_jsonl()
         );
+    }
+
+    /// `get` is the borrowed read plus a clone, on both engines: a
+    /// seeded tape of stores, clock steps and lookups driven through
+    /// `get` on one cache and through `read` on its twin returns the
+    /// same TTL, rank, data and provenance at every step and leaves
+    /// the same counters and the same ledger, line for line.
+    #[test]
+    fn borrowed_read_is_get_without_the_clone() {
+        use Credibility::*;
+        for backend in [CacheBackendChoice::Sequential, CacheBackendChoice::Shared] {
+            let policy = ResolverPolicy {
+                cache_capacity: Some(24),
+                ..policy_with(backend)
+            };
+            let mut via_get = CacheEngine::from_policy(&policy);
+            let mut via_read = CacheEngine::from_policy(&policy);
+            via_get.enable_ledger();
+            via_read.enable_ledger();
+            let mut rng = dnsttl_netsim::SimRng::seed_from(0x0B04_40ED);
+            let mut now = SimTime::ZERO;
+            for _ in 0..4_000 {
+                let name = Name::parse(&format!("h{}.example", rng.below(40))).unwrap();
+                match rng.below(5) {
+                    0 => now += SimDuration::from_secs(rng.below(120)),
+                    1 | 2 => {
+                        let rrset = RRset {
+                            name,
+                            rtype: RecordType::A,
+                            ttl: Ttl::from_secs(30 + rng.below(600) as u32),
+                            rdatas: vec![RData::A(std::net::Ipv4Addr::new(
+                                192,
+                                0,
+                                2,
+                                rng.below(3) as u8,
+                            ))],
+                        };
+                        let rank = [
+                            ReferralAdditional,
+                            ReferralAuthority,
+                            AuthAuthority,
+                            AuthAnswer,
+                        ][rng.below(4) as usize];
+                        let pinned = rng.below(16) == 0;
+                        for engine in [&mut via_get, &mut via_read] {
+                            engine.store(rrset.clone(), rank, now, &policy, pinned);
+                        }
+                    }
+                    _ => {
+                        let got = via_get
+                            .get(&name, RecordType::A, now)
+                            .map(|a| (a.rrset.ttl, a.rank, a.rrset.rdatas, a.provenance));
+                        let read = via_read.read(&name, RecordType::A, now, |e, ttl| {
+                            (ttl, e.rank, e.rrset.rdatas.clone(), e.provenance)
+                        });
+                        assert_eq!(got, read, "{backend:?} at {now:?}");
+                    }
+                }
+            }
+            let stats = via_get.stats();
+            assert_eq!(stats, via_read.stats(), "{backend:?}");
+            assert!(
+                stats.hits > 100 && stats.expiries > 0 && stats.evictions > 0,
+                "the tape reaches hits, expiries and evictions: {stats:?}"
+            );
+            let lines = |engine: &CacheEngine| engine.with_ledger(|l| l.journal().to_jsonl());
+            assert!(lines(&via_get).is_some_and(|text| text.lines().count() > 1_000));
+            assert_eq!(lines(&via_get), lines(&via_read), "{backend:?}");
+        }
     }
 }

@@ -27,9 +27,12 @@
 use dnsttl_core::{Centricity, ResolverPolicy};
 use dnsttl_netsim::{SimDuration, SimTime, TimingWheel};
 use dnsttl_telemetry::{CacheOp, EventKind, MetricKey, Telemetry, Value};
+use dnsttl_wire::name::NameKey;
 use dnsttl_wire::{Name, RRset, Rcode, RecordType, Ttl};
+use std::borrow::Borrow;
 use std::cell::RefCell;
 use std::collections::HashMap;
+use std::hash::{Hash, Hasher};
 
 use crate::ledger::{rank_token, CacheStats, Ledger, Provenance, RecordOrigin, StoreContext};
 
@@ -74,6 +77,61 @@ pub(crate) struct Entry {
 struct NegEntry {
     rcode: Rcode,
     expires_at: SimTime,
+}
+
+/// The lookup key of the entry and negative tables. Both are keyed on
+/// an owned `(Name, RecordType)`, which borrows as `dyn TableKey`, so
+/// `map.get(&Probe(name, rtype) as &dyn TableKey)` clones no name and
+/// takes a borrowed [`NameSuffix`](dnsttl_wire::name::NameSuffix) as
+/// readily as a `Name`.
+trait TableKey {
+    fn name(&self) -> &dyn NameKey;
+    fn rtype(&self) -> RecordType;
+}
+
+impl TableKey for (Name, RecordType) {
+    fn name(&self) -> &dyn NameKey {
+        &self.0
+    }
+    fn rtype(&self) -> RecordType {
+        self.1
+    }
+}
+
+/// A borrowed `(name, type)` probe; see [`TableKey`].
+struct Probe<'a>(&'a dyn NameKey, RecordType);
+
+impl TableKey for Probe<'_> {
+    fn name(&self) -> &dyn NameKey {
+        self.0
+    }
+    fn rtype(&self) -> RecordType {
+        self.1
+    }
+}
+
+impl<'a> Borrow<dyn TableKey + 'a> for (Name, RecordType) {
+    fn borrow(&self) -> &(dyn TableKey + 'a) {
+        self
+    }
+}
+
+// `Borrow` requires the borrowed form to compare and hash exactly as
+// the owned tuple does: the derived tuple impls compare and hash the
+// name, then the type, and `dyn NameKey` follows `Name`'s own rules.
+impl PartialEq for dyn TableKey + '_ {
+    fn eq(&self, other: &Self) -> bool {
+        self.rtype() == other.rtype() && self.name() == other.name()
+    }
+}
+
+impl Eq for dyn TableKey + '_ {}
+
+impl Hash for dyn TableKey + '_ {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.name().hash(state);
+        self.rtype().hash(state);
+    }
 }
 
 /// A cached RRset as handed to a client or to the iteration logic:
@@ -241,8 +299,6 @@ impl CacheCore {
             sink.stats().rejected_stores += 1;
             return;
         }
-        // Removal cause for the entry currently under the key, if any.
-        let mut displaced: Option<(CacheOp, Entry)> = None;
         let mut refresh = false;
         // Indexed expiry of the entry this store replaces (refreshes
         // move an entry's expiry too, so the stale key must go either
@@ -251,7 +307,8 @@ impl CacheCore {
         let fingerprint = rrset.fingerprint();
         if let Some(existing) = self.entries.get(&key) {
             let fresh = existing.pinned || existing.expires_at > now;
-            if fresh {
+            // Removal cause for the entry currently under the key.
+            let displaced = if fresh {
                 let rejected = existing.rank > rank // lower rank never displaces higher
                     || (policy.centricity == Centricity::ParentCentric
                         && existing.rank <= Credibility::ReferralAuthority
@@ -263,15 +320,29 @@ impl CacheCore {
                     sink.stats().rejected_stores += 1;
                     return;
                 }
-                if existing.fingerprint == fingerprint {
-                    refresh = true;
-                } else {
-                    displaced = Some((CacheOp::Overwrite, existing.clone()));
-                }
+                refresh = existing.fingerprint == fingerprint;
+                (!refresh).then_some(CacheOp::Overwrite)
             } else {
                 // Past its TTL: whatever replaces it, the old entry
                 // died of expiry.
-                displaced = Some((CacheOp::Expire, existing.clone()));
+                Some(CacheOp::Expire)
+            };
+            // Journalled from the table, before the insert below
+            // replaces it: the ledger reads `Expire`/`Overwrite` first.
+            if let Some(cause) = displaced {
+                match cause {
+                    CacheOp::Overwrite => sink.stats().overwrites += 1,
+                    _ => sink.stats().expiries += 1,
+                }
+                sink.note(
+                    now,
+                    cause,
+                    &existing.rrset,
+                    existing.rank,
+                    existing.provenance,
+                    Some(now.since(existing.stored_at).as_millis()),
+                    existing.fingerprint,
+                );
             }
             if !existing.pinned {
                 old_expiry = Some(existing.expires_at);
@@ -290,21 +361,6 @@ impl CacheCore {
             original_ttl,
             effective_ttl: ttl,
         };
-        if let Some((cause, old)) = displaced {
-            match cause {
-                CacheOp::Overwrite => sink.stats().overwrites += 1,
-                _ => sink.stats().expiries += 1,
-            }
-            sink.note(
-                now,
-                cause,
-                &old.rrset,
-                old.rank,
-                old.provenance,
-                Some(now.since(old.stored_at).as_millis()),
-                old.fingerprint,
-            );
-        }
         let mut rrset = rrset;
         rrset.ttl = ttl;
         if let Some(stale) = old_expiry {
@@ -356,7 +412,7 @@ impl CacheCore {
         now: SimTime,
         sink: &mut S,
     ) -> bool {
-        match self.entries.remove(&(name.clone(), rtype)) {
+        match self.entries.remove(&Probe(name, rtype) as &dyn TableKey) {
             Some(e) => {
                 if !e.pinned {
                     self.index_remove(e.expires_at, name, rtype.code());
@@ -399,16 +455,25 @@ impl CacheCore {
         victims.len()
     }
 
-    /// See [`Cache::get`]. Read-only on the core, so the sequential
-    /// engine keeps its `&self` read path.
-    pub(crate) fn get<S: OpSink>(
+    /// The borrowed read every positive lookup goes through: finds the
+    /// fresh entry under `(name, rtype)`, counts the hit, journals the
+    /// serve, and hands `f` the entry in place together with its
+    /// age-decremented TTL — nothing is cloned unless `f` clones it.
+    ///
+    /// `f` must not re-enter the cache: the engines run it with their
+    /// accounting borrowed (`RefCell`) or their segment locked.
+    ///
+    /// Read-only on the core, so the sequential engine keeps its
+    /// `&self` read path.
+    pub(crate) fn read<S: OpSink, T>(
         &self,
-        name: &Name,
+        name: &dyn NameKey,
         rtype: RecordType,
         now: SimTime,
         sink: &mut S,
-    ) -> Option<CachedAnswer> {
-        let e = self.entries.get(&(name.clone(), rtype))?;
+        f: impl FnOnce(&Entry, Ttl) -> T,
+    ) -> Option<T> {
+        let e = self.entries.get(&Probe(name, rtype) as &dyn TableKey)?;
         if !e.pinned && e.expires_at <= now {
             return None;
         }
@@ -422,13 +487,28 @@ impl CacheCore {
             Some(now.since(e.stored_at).as_millis()),
             e.fingerprint,
         );
-        let mut rrset = e.rrset.clone();
-        if !e.pinned {
+        let ttl = if e.pinned {
+            e.rrset.ttl
+        } else {
             let age = now.secs_since(e.stored_at) as u32;
-            rrset.ttl = rrset.ttl.saturating_sub_secs(age);
-        }
-        Some(CachedAnswer {
-            rrset,
+            e.rrset.ttl.saturating_sub_secs(age)
+        };
+        Some(f(e, ttl))
+    }
+
+    /// See [`Cache::get`]: [`CacheCore::read`], cloning what it saw.
+    pub(crate) fn get<S: OpSink>(
+        &self,
+        name: &Name,
+        rtype: RecordType,
+        now: SimTime,
+        sink: &mut S,
+    ) -> Option<CachedAnswer> {
+        self.read(name, rtype, now, sink, |e, ttl| CachedAnswer {
+            rrset: RRset {
+                ttl,
+                ..e.rrset.clone()
+            },
             rank: e.rank,
             stale: false,
             provenance: e.provenance,
@@ -450,7 +530,7 @@ impl CacheCore {
         if self.expiry.earliest_ms()? > now.as_millis() {
             return None;
         }
-        let e = self.entries.get(&(name.clone(), rtype))?;
+        let e = self.entries.get(&Probe(name, rtype) as &dyn TableKey)?;
         if e.pinned || e.expires_at > now {
             return None;
         }
@@ -459,7 +539,7 @@ impl CacheCore {
 
     /// See [`Cache::freshness`].
     pub(crate) fn freshness(&self, name: &Name, rtype: RecordType, now: SimTime) -> Option<f64> {
-        let e = self.entries.get(&(name.clone(), rtype))?;
+        let e = self.entries.get(&Probe(name, rtype) as &dyn TableKey)?;
         if e.pinned {
             return Some(1.0);
         }
@@ -483,7 +563,7 @@ impl CacheCore {
         max_stale: Ttl,
         sink: &mut S,
     ) -> Option<CachedAnswer> {
-        let e = self.entries.get(&(name.clone(), rtype))?;
+        let e = self.entries.get(&Probe(name, rtype) as &dyn TableKey)?;
         if e.expires_at > now || e.pinned {
             return self.get(name, rtype, now, sink);
         }
@@ -586,7 +666,12 @@ impl CacheCore {
         rtype: RecordType,
         now: SimTime,
     ) -> Option<Rcode> {
-        let e = self.negatives.get(&(name.clone(), rtype))?;
+        // Resolvers ask this first on every question, and the table is
+        // empty unless something failed: answer before hashing.
+        if self.negatives.is_empty() {
+            return None;
+        }
+        let e = self.negatives.get(&Probe(name, rtype) as &dyn TableKey)?;
         (e.expires_at > now).then_some(e.rcode)
     }
 
@@ -901,6 +986,20 @@ impl Cache {
     pub fn get(&self, name: &Name, rtype: RecordType, now: SimTime) -> Option<CachedAnswer> {
         let mut sink = self.sink();
         self.core.get(name, rtype, now, &mut sink)
+    }
+
+    /// [`Cache::get`] without the clone: `f` reads the fresh entry in
+    /// place (see [`CacheCore::read`]) and must not re-enter this
+    /// cache — the accounting `RefCell` is borrowed while it runs.
+    pub(crate) fn read<T>(
+        &self,
+        name: &dyn NameKey,
+        rtype: RecordType,
+        now: SimTime,
+        f: impl FnOnce(&Entry, Ttl) -> T,
+    ) -> Option<T> {
+        let mut sink = self.sink();
+        self.core.read(name, rtype, now, &mut sink, f)
     }
 
     /// If an entry exists for `(name, rtype)` but is past its TTL (and
@@ -1681,5 +1780,62 @@ mod tests {
         assert!(c
             .get(&n("hot.example"), RecordType::A, SimTime::from_secs(3))
             .is_none());
+    }
+
+    #[test]
+    fn a_borrowed_probe_finds_what_the_owned_key_finds() {
+        use RecordType::{A, NS, TXT};
+        // Suffixes of the probed name in other spellings, and near
+        // misses: a sibling, a name that merely ends alike, a label
+        // boundary in the wrong place.
+        let stored = [
+            ("WWW.example.org", A),
+            ("www.example.org", TXT),
+            ("EXAMPLE.org", NS),
+            ("example.ORG", A),
+            ("org", NS),
+            (".", NS),
+            ("w.example.org", A),
+            ("xample.org", NS),
+            ("wwwexample.org", A),
+        ];
+        let table: HashMap<(Name, RecordType), usize> = stored
+            .iter()
+            .enumerate()
+            .map(|(i, (owner, t))| ((n(owner), *t), i))
+            .collect();
+        assert_eq!(table.len(), stored.len());
+        let name = n("Www.Example.Org");
+        let mut found = 0;
+        for suffix in name.suffixes() {
+            for t in RecordType::concrete() {
+                let borrowed = table.get(&Probe(&suffix, t) as &dyn TableKey);
+                assert_eq!(borrowed, table.get(&(suffix.to_name(), t)));
+                if let Some(&i) = borrowed {
+                    found += 1;
+                    assert_eq!(stored[i].1, t, "an entry of another type");
+                    assert_eq!(n(stored[i].0), suffix.to_name(), "another name");
+                }
+            }
+        }
+        assert_eq!(found, 6, "every stored suffix, none of the near misses");
+
+        // Through the cache: the read hands back the entry as stored,
+        // its owner spelled as the response spelled it.
+        let mut c = Cache::new();
+        c.store(
+            a_rrset("Example.ORG", 300, 1),
+            Credibility::AuthAnswer,
+            SimTime::ZERO,
+            &policy(),
+            false,
+        );
+        let owners: Vec<Option<Name>> = name
+            .suffixes()
+            .map(|s| c.read(&s, A, SimTime::from_secs(1), |e, _| e.rrset.name.clone()))
+            .collect();
+        assert_eq!(owners, [None, Some(n("example.org")), None, None]);
+        assert_eq!(owners[1].as_ref().unwrap().as_str(), "Example.ORG.");
+        assert_eq!(c.stats().hits, 1);
     }
 }

@@ -508,17 +508,10 @@ impl RecursiveResolver {
             }
             return Resolved::Negative(rcode);
         }
-        let bypass = ctx.refresh_target.as_ref() == Some(&(qname.clone(), qtype));
-        if !bypass {
-            if let Some(records) = self.answer_from_cache(qname, qtype, now) {
-                return Resolved::Answer {
-                    records,
-                    stale: false,
-                };
-            }
-        }
 
         let mut current = qname.clone();
+        // The answer under construction: the CNAME chain followed so
+        // far, then the records that end it.
         let mut chain: Vec<Record> = Vec::new();
         // QNAME minimisation state: per zone, how many labels of the
         // target we have already exposed (RFC 7816 extends by one
@@ -526,19 +519,16 @@ impl RecursiveResolver {
         let mut exposed: HashMap<Name, usize> = HashMap::new();
 
         for _ in 0..MAX_ITERATIONS {
-            // A previous referral may have made the answer available
-            // from cache (parent-centric resolvers answer NS questions
-            // straight from referral data).
-            let bypass = ctx.refresh_target.as_ref() == Some(&(current.clone(), qtype));
-            if let Some(mut records) = if bypass {
-                None
-            } else {
-                self.answer_from_cache(&current, qtype, now)
-            } {
-                let mut all = chain;
-                all.append(&mut records);
+            // The cache may hold the answer — from an earlier question,
+            // or since the previous referral (parent-centric resolvers
+            // answer NS questions straight from referral data).
+            let bypass = ctx
+                .refresh_target
+                .as_ref()
+                .is_some_and(|(n, t)| *n == current && *t == qtype);
+            if !bypass && self.answer_from_cache(&current, qtype, now, &mut chain) {
                 return Resolved::Answer {
-                    records: all,
+                    records: chain,
                     stale: false,
                 };
             }
@@ -555,11 +545,10 @@ impl RecursiveResolver {
                     .get(&zone)
                     .copied()
                     .unwrap_or(zone.label_count() + 1);
-                if current.label_count() > floor {
-                    current
-                        .ancestry()
-                        .into_iter()
-                        .find(|a| a.label_count() == floor)
+                let depth = current.label_count();
+                if depth > floor {
+                    // The ancestor with `floor` labels.
+                    current.suffixes().nth(depth - floor).map(|s| s.to_name())
                 } else {
                     None
                 }
@@ -581,17 +570,14 @@ impl RecursiveResolver {
             // section and AA status, and provenance from this exchange.
             self.ingest(&response, now, from_root, &zone, server);
 
-            if response.is_referral() {
+            // The cut a referral delegates to, found once: the event
+            // below and the lame-delegation check both read it.
+            let referral_cut = referral_cut(&response);
+            if let Some(cut) = referral_cut {
                 self.telemetry
                     .span_event(ctx.span, now.as_millis(), EventKind::Referral, |f| {
-                        let cut = response
-                            .authorities
-                            .iter()
-                            .find(|r| r.record_type() == RecordType::NS)
-                            .map(|r| Value::from(r.name.shared_str()))
-                            .unwrap_or_else(|| Value::literal(""));
                         f.push("zone", zone.shared_str());
-                        f.push("cut", cut);
+                        f.push("cut", cut.shared_str());
                     });
             }
 
@@ -602,7 +588,7 @@ impl RecursiveResolver {
                     self.cache_negative_from(&response, &current, qtype, now);
                     return Resolved::Negative(Rcode::NxDomain);
                 }
-                if response.is_referral() {
+                if referral_cut.is_some() {
                     // A cut at or below the minimised label: the
                     // referral was ingested; descend normally.
                     continue;
@@ -629,15 +615,13 @@ impl RecursiveResolver {
 
             if response.header.authoritative && !response.answers.is_empty() {
                 // CNAME? chase within the loop.
-                let direct: Vec<Record> = response
+                let direct = response
                     .answers
                     .iter()
-                    .filter(|r| r.name == current && r.record_type() == qtype)
-                    .cloned()
-                    .collect();
-                if !direct.is_empty() {
+                    .filter(|r| r.name == current && r.record_type() == qtype);
+                if direct.clone().next().is_some() {
                     if self.policy.validate_dnssec
-                        && !self.validate_answer(&current, qtype, &direct, &response, now)
+                        && !self.validate_answer(&current, qtype, direct.clone(), &response, now)
                     {
                         self.telemetry.span_event(
                             ctx.span,
@@ -650,18 +634,11 @@ impl RecursiveResolver {
                     // Prefer the cache view (clamped, coherent TTLs);
                     // fall back to raw records for uncacheable TTL-0.
                     ctx.refresh_target = None; // fresh copy fetched
-                    let mut records =
-                        self.answer_from_cache(&current, qtype, now)
-                            .unwrap_or_else(|| {
-                                direct
-                                    .iter()
-                                    .map(|r| r.with_ttl(self.policy.clamp_ttl(r.ttl)))
-                                    .collect()
-                            });
-                    let mut all = chain;
-                    all.append(&mut records);
+                    if !self.answer_from_cache(&current, qtype, now, &mut chain) {
+                        chain.extend(direct.map(|r| r.with_ttl(self.policy.clamp_ttl(r.ttl))));
+                    }
                     return Resolved::Answer {
-                        records: all,
+                        records: chain,
                         stale: false,
                     };
                 }
@@ -686,16 +663,10 @@ impl RecursiveResolver {
                 return Resolved::Fail;
             }
 
-            if response.is_referral() {
-                let cut = response
-                    .authorities
-                    .iter()
-                    .find(|r| r.record_type() == RecordType::NS)
-                    .map(|r| r.name.clone())
-                    .expect("is_referral guarantees an NS record");
+            if let Some(cut) = referral_cut {
                 // Lame referral: the cut must be deeper than the zone
                 // we asked, or we would loop forever.
-                if !cut.is_strict_subdomain_of(&zone) && cut != current {
+                if !cut.is_strict_subdomain_of(&zone) && *cut != current {
                     return Resolved::Fail;
                 }
                 continue;
@@ -717,11 +688,11 @@ impl RecursiveResolver {
     /// RRSIG covering the answered type, it must verify (RFC 4035 §5).
     /// Absence of a signature means an unsigned (insecure) zone, which
     /// a validator accepts — there is no DS chain in the simulation.
-    fn validate_answer(
+    fn validate_answer<'a>(
         &mut self,
         qname: &Name,
         qtype: RecordType,
-        direct: &[Record],
+        direct: impl Iterator<Item = &'a Record>,
         response: &Message,
         now: SimTime,
     ) -> bool {
@@ -732,7 +703,7 @@ impl RecursiveResolver {
         let Some(sig) = sig else {
             return true; // insecure zone
         };
-        let rdatas: Vec<RData> = direct.iter().map(|r| r.rdata.clone()).collect();
+        let rdatas: Vec<RData> = direct.map(|r| r.rdata.clone()).collect();
         if dnsttl_wire::verify_rrset(qname, qtype, &rdatas, sig) {
             bump(
                 &mut self.stats.validations,
@@ -765,7 +736,9 @@ impl RecursiveResolver {
         Resolved::Fail
     }
 
-    /// Can the cache answer this question for a *client*?
+    /// Can the cache answer this question for a *client*? If so, the
+    /// answer's records are pushed onto `records` and the result is
+    /// true; otherwise `records` is left as it was.
     ///
     /// Child-centric resolvers only answer from answer-ranked data —
     /// they re-query the child for anything learned via referrals.
@@ -773,11 +746,12 @@ impl RecursiveResolver {
     /// is how the paper's §3.2 sees 172 800 s TTLs for `.uy` NS.
     /// CNAME chains are followed through the cache.
     fn answer_from_cache(
-        &mut self,
+        &self,
         qname: &Name,
         qtype: RecordType,
         now: SimTime,
-    ) -> Option<Vec<Record>> {
+        records: &mut Vec<Record>,
+    ) -> bool {
         let min_rank = if self.policy.validate_dnssec {
             // A validator can only answer with data it could verify:
             // glue and referral data are unsigned, so only
@@ -790,29 +764,45 @@ impl RecursiveResolver {
                 Centricity::ParentCentric => Credibility::ReferralAdditional,
             }
         };
-        let mut records = Vec::new();
-        let mut current = qname.clone();
+        let start = records.len();
+        // Reads one entry in place. If its rank qualifies, its records
+        // go onto `records` at the cache's decremented TTL and the
+        // result is `Some` — of the alias target, for a CNAME set.
+        let mut serve = |name: &Name, rtype: RecordType| {
+            self.cache
+                .read(name, rtype, now, |e, ttl| {
+                    if e.rank < min_rank {
+                        return None;
+                    }
+                    let set = &e.rrset;
+                    records.extend(
+                        set.rdatas
+                            .iter()
+                            .map(|rd| Record::new(set.name.clone(), ttl, rd.clone())),
+                    );
+                    Some(match set.rdatas.first() {
+                        Some(RData::Cname(target)) => Some(target.clone()),
+                        _ => None,
+                    })
+                })
+                .flatten()
+        };
+        let mut alias: Option<Name> = None;
         for _ in 0..=MAX_DEPTH {
-            if let Some(hit) = self.cache.get(&current, qtype, now) {
-                if hit.rank >= min_rank {
-                    records.extend(hit.rrset.to_records());
-                    return Some(records);
-                }
+            let current = alias.as_ref().unwrap_or(qname);
+            if serve(current, qtype).is_some() {
+                return true;
             }
             if qtype != RecordType::CNAME {
-                if let Some(hit) = self.cache.get(&current, RecordType::CNAME, now) {
-                    if hit.rank >= min_rank {
-                        records.extend(hit.rrset.to_records());
-                        if let Some(RData::Cname(target)) = hit.rrset.rdatas.first() {
-                            current = target.clone();
-                            continue;
-                        }
-                    }
+                if let Some(Some(target)) = serve(current, RecordType::CNAME) {
+                    alias = Some(target);
+                    continue;
                 }
             }
-            return None;
+            break;
         }
-        None
+        records.truncate(start);
+        false
     }
 
     /// Finds the deepest zone with usable name servers for `name`.
@@ -829,30 +819,30 @@ impl RecursiveResolver {
         ctx: &mut Ctx,
         depth: usize,
     ) -> Option<(Name, Vec<(Name, IpAddr)>)> {
-        let mut ancestry = name.ancestry();
-        ancestry.reverse(); // deepest first
-        for zone in ancestry {
-            if zone.is_root() {
-                break;
-            }
-            let Some(ns_hit) = self.cache.get(&zone, RecordType::NS, now) else {
+        // Deepest first; the root (the one suffix without a label) is
+        // the hints' job.
+        for suffix in name.suffixes().take_while(|s| !s.label().is_empty()) {
+            // The zone is the cached owner name. Its NS targets are
+            // taken out of the entry (refcount bumps) because looking
+            // their addresses up goes back into the cache.
+            let Some((zone, ns_targets)) = self.cache.read(&suffix, RecordType::NS, now, |e, _| {
+                let targets: Vec<Name> = e
+                    .rrset
+                    .rdatas
+                    .iter()
+                    .filter_map(|rd| match rd {
+                        RData::Ns(n) => Some(n.clone()),
+                        _ => None,
+                    })
+                    .collect();
+                (e.rrset.name.clone(), targets)
+            }) else {
                 continue;
             };
-            let mut candidates = Vec::new();
-            let ns_targets: Vec<Name> = ns_hit
-                .rrset
-                .rdatas
+            let mut candidates: Vec<(Name, IpAddr)> = ns_targets
                 .iter()
-                .filter_map(|rd| match rd {
-                    RData::Ns(n) => Some(n.clone()),
-                    _ => None,
-                })
+                .filter_map(|t| self.cached_address(t, now).map(|addr| (t.clone(), addr)))
                 .collect();
-            for target in &ns_targets {
-                if let Some(addr) = self.cached_address(target, now) {
-                    candidates.push((target.clone(), addr));
-                }
-            }
             if candidates.is_empty() && depth < MAX_DEPTH {
                 // Out-of-bailiwick servers: resolve their addresses via
                 // separate queries (in-bailiwick targets would need this
@@ -901,7 +891,7 @@ impl RecursiveResolver {
                 }
             }
             if !candidates.is_empty() {
-                self.order_candidates(&zone, &mut candidates, net);
+                self.order_candidates(&zone, &mut candidates);
                 return Some((zone, candidates));
             }
         }
@@ -915,7 +905,7 @@ impl RecursiveResolver {
             return None;
         }
         let root = Name::root();
-        self.order_candidates(&root, &mut candidates, net);
+        self.order_candidates(&root, &mut candidates);
         Some((root, candidates))
     }
 
@@ -923,32 +913,25 @@ impl RecursiveResolver {
     /// iteration — RFC 2181's ranking constrains answers to clients,
     /// not the resolver's own navigation).
     fn cached_address(&self, target: &Name, now: SimTime) -> Option<IpAddr> {
-        if let Some(hit) = self.cache.get(target, RecordType::A, now) {
-            for rd in &hit.rrset.rdatas {
-                if let RData::A(a) = rd {
-                    return Some(IpAddr::V4(*a));
-                }
-            }
-        }
-        if let Some(hit) = self.cache.get(target, RecordType::AAAA, now) {
-            for rd in &hit.rrset.rdatas {
-                if let RData::Aaaa(a) = rd {
-                    return Some(IpAddr::V6(*a));
-                }
-            }
-        }
-        None
+        [RecordType::A, RecordType::AAAA]
+            .into_iter()
+            .find_map(|rtype| {
+                self.cache
+                    .read(target, rtype, now, |e, _| {
+                        e.rrset.rdatas.iter().find_map(|rd| match rd {
+                            RData::A(a) => Some(IpAddr::V4(*a)),
+                            RData::Aaaa(a) => Some(IpAddr::V6(*a)),
+                            _ => None,
+                        })
+                    })
+                    .flatten()
+            })
     }
 
     /// Rotates candidates (resolvers rotate across authoritatives,
     /// paper §3.4 / [37]); sticky resolvers pin their remembered server
     /// to the front instead.
-    fn order_candidates(
-        &mut self,
-        zone: &Name,
-        candidates: &mut Vec<(Name, IpAddr)>,
-        _net: &Network,
-    ) {
+    fn order_candidates(&mut self, zone: &Name, candidates: &mut Vec<(Name, IpAddr)>) {
         self.rng.shuffle(candidates);
         if self.policy.sticky {
             if let Some(&addr) = self.sticky_server.get(zone) {
@@ -1251,21 +1234,47 @@ mod metrics {
     pub const BACKOFF_SKIPS: MetricKey = MetricKey::new("resolver_backoff_skips");
 }
 
-/// Groups a section's records into RRsets (name+type runs).
-fn group_rrsets(records: &[Record]) -> Vec<RRset> {
-    let mut order: Vec<(Name, RecordType)> = Vec::new();
-    let mut groups: HashMap<(Name, RecordType), Vec<Record>> = HashMap::new();
-    for r in records {
-        let key = (r.name.clone(), r.record_type());
-        if !groups.contains_key(&key) {
-            order.push(key.clone());
-        }
-        groups.entry(key).or_default().push(r.clone());
+/// The zone cut a referral delegates to — the owner of its first
+/// authority-section NS record — or `None` when `response` is not a
+/// referral ([`Message::is_referral`]).
+fn referral_cut(response: &Message) -> Option<&Name> {
+    if !response.is_referral() {
+        return None;
     }
-    order
-        .into_iter()
-        .filter_map(|key| RRset::from_records(&groups[&key]))
-        .collect()
+    response
+        .authorities
+        .iter()
+        .find(|r| r.record_type() == RecordType::NS)
+        .map(|r| &r.name)
+}
+
+/// Groups a section's records into RRsets, in order of first
+/// appearance, each at the minimum of its members' TTLs (RFC 2181
+/// §5.2). A record joins the latest set of its name and type, looked
+/// for from the back: sections hold a handful of sets and a set's
+/// records nearly always arrive together.
+fn group_rrsets(records: &[Record]) -> Vec<RRset> {
+    let mut sets: Vec<RRset> = Vec::new();
+    for r in records {
+        let rtype = r.record_type();
+        match sets
+            .iter_mut()
+            .rev()
+            .find(|s| s.rtype == rtype && s.name == r.name)
+        {
+            Some(set) => {
+                set.ttl = set.ttl.min(r.ttl);
+                set.rdatas.push(r.rdata.clone());
+            }
+            None => sets.push(RRset {
+                name: r.name.clone(),
+                rtype,
+                ttl: r.ttl,
+                rdatas: vec![r.rdata.clone()],
+            }),
+        }
+    }
+    sets
 }
 
 #[cfg(test)]
@@ -1950,5 +1959,202 @@ mod tests {
         assert_eq!(s.cache_hits, 1);
         assert_eq!(s.upstream_queries, 2);
         assert_eq!(s.servfails, 0);
+    }
+
+    #[test]
+    fn referral_without_a_usable_cut_is_a_counted_servfail() {
+        // A hostile or broken child answers every question with a
+        // referral-shaped response (NOERROR, no answers, AA clear)
+        // whose authority section names no cut the walk can descend
+        // to: nothing at all, glue without an NS, an NS owned by a
+        // sibling, an NS owned by the root. Each must end as one
+        // SERVFAIL — never a panic, never a loop.
+        struct NoCut(Option<Record>);
+        impl dnsttl_netsim::DnsService for NoCut {
+            fn handle_query(
+                &mut self,
+                query: &Message,
+                _client: dnsttl_netsim::ClientId,
+                _now: SimTime,
+            ) -> Message {
+                let mut r = Message::response_to(query);
+                r.header.authoritative = false;
+                r.authorities.extend(self.0.clone());
+                r
+            }
+        }
+        let ns = |owner: &str| Record::new(n(owner), Ttl::HOUR, RData::Ns(n("ns.elsewhere")));
+        let glue_only = Record::new(
+            n("ns.example"),
+            Ttl::HOUR,
+            RData::A(Ipv4Addr::new(198, 51, 100, 2)),
+        );
+        for authority in [None, Some(glue_only), Some(ns("elsewhere")), Some(ns("."))] {
+            let mut net = Network::new(LatencyModel::constant(10.0));
+            let root = AuthoritativeServer::new("root").with_zone(
+                ZoneBuilder::new(".")
+                    .ns("example", "ns.example", Ttl::TWO_DAYS)
+                    .a("ns.example", "198.51.100.2", Ttl::TWO_DAYS)
+                    .build(),
+            );
+            net.register(ip(1), Region::Eu, Rc::new(RefCell::new(root)));
+            net.register(
+                ip(2),
+                Region::Eu,
+                Rc::new(RefCell::new(NoCut(authority.clone()))),
+            );
+            let hints = vec![RootHint {
+                ns_name: n("root"),
+                addr: ip(1),
+            }];
+            let mut r = resolver(ResolverPolicy::default(), hints);
+            let out = r.resolve(&n("www.example"), RecordType::A, SimTime::ZERO, &mut net);
+            assert_eq!(out.answer.header.rcode, Rcode::ServFail, "{authority:?}");
+            assert_eq!(r.stats().servfails, 1, "{authority:?}");
+            assert_eq!(out.upstream_queries, 2, "root, then the cut-less child");
+        }
+    }
+
+    #[test]
+    fn the_cache_is_consulted_once_before_going_upstream() {
+        // Two questions the cache can serve from but not answer: `www`
+        // is a long-lived alias for `web`, whose address is short-lived
+        // (at t = 120 s the head of the chain is cached and its target
+        // is not), and `ns` is held as referral glue, which a
+        // child-centric resolver may navigate by but not hand a client.
+        let mut net = Network::new(LatencyModel::constant(10.0));
+        let root = AuthoritativeServer::new("root").with_zone(
+            ZoneBuilder::new(".")
+                .ns("example", "ns.example", Ttl::TWO_DAYS)
+                .a("ns.example", "198.51.100.2", Ttl::TWO_DAYS)
+                .build(),
+        );
+        let child = AuthoritativeServer::new("ns.example").with_zone(
+            ZoneBuilder::new("example")
+                .ns("example", "ns.example", Ttl::HOUR)
+                .a("ns.example", "198.51.100.2", Ttl::HOUR)
+                .cname("www.example", "web.example", Ttl::HOUR)
+                .a("web.example", "203.0.113.80", Ttl::MINUTE)
+                .build(),
+        );
+        net.register(ip(1), Region::Eu, Rc::new(RefCell::new(root)));
+        net.register(ip(2), Region::Eu, Rc::new(RefCell::new(child)));
+        let hints = vec![RootHint {
+            ns_name: n("root"),
+            addr: ip(1),
+        }];
+        let mut r = resolver(ResolverPolicy::default(), hints);
+        r.enable_cache_ledger();
+        r.resolve(&n("www.example"), RecordType::A, SimTime::ZERO, &mut net);
+        let serves = |r: &RecursiveResolver, name: &str, rtype: &str| {
+            r.cache()
+                .with_ledger(|l| {
+                    l.journal()
+                        .records()
+                        .filter(|rec| {
+                            rec.op == dnsttl_telemetry::CacheOp::Serve
+                                && &*rec.name == name
+                                && rec.rtype == rtype
+                        })
+                        .count()
+                })
+                .expect("ledger on")
+        };
+        let later = SimTime::from_secs(120);
+
+        let before = (serves(&r, "www.example.", "CNAME"), r.cache().stats().hits);
+        let out = r.resolve(&n("www.example"), RecordType::A, later, &mut net);
+        assert_eq!(out.answer.answers.len(), 2, "alias + refetched address");
+        assert_eq!(out.upstream_queries, 1);
+        assert_eq!(serves(&r, "www.example.", "CNAME") - before.0, 1);
+        // The whole question costs four hits: the alias, the zone's NS
+        // and its glue on the way upstream, the refetched address on
+        // the way back.
+        assert_eq!(r.cache().stats().hits - before.1, 4);
+
+        let before = serves(&r, "ns.example.", "A");
+        let out = r.resolve(&n("ns.example"), RecordType::A, later, &mut net);
+        assert_eq!(out.upstream_queries, 1, "glue does not answer a client");
+        // The consult, the address lookup for the walk, the answer.
+        assert_eq!(serves(&r, "ns.example.", "A") - before, 3);
+    }
+
+    fn rec(owner: &str, ttl: u32, rdata: RData) -> Record {
+        Record::new(n(owner), Ttl::from_secs(ttl), rdata)
+    }
+
+    #[test]
+    fn group_rrsets_merges_an_interleaved_section() {
+        let x1 = RData::A(Ipv4Addr::new(192, 0, 2, 1));
+        let x2 = RData::A(Ipv4Addr::new(192, 0, 2, 2));
+        let y = RData::Ns(n("ns.example"));
+        let sets = group_rrsets(&[
+            rec("x.example", 30, x1.clone()),
+            rec("example", 3600, y.clone()),
+            rec("X.example", 10, x2.clone()),
+        ]);
+        let expected = [
+            RRset {
+                name: n("x.example"),
+                rtype: RecordType::A,
+                ttl: Ttl::from_secs(10),
+                rdatas: vec![x1, x2],
+            },
+            RRset {
+                name: n("example"),
+                rtype: RecordType::NS,
+                ttl: Ttl::HOUR,
+                rdatas: vec![y],
+            },
+        ];
+        assert_eq!(sets, expected);
+        // The set is spelled as its first record was.
+        assert_eq!(sets[0].name.as_str(), "x.example.");
+        assert!(group_rrsets(&[]).is_empty());
+    }
+
+    /// The map-based grouping `group_rrsets` replaced, kept as the
+    /// reference its one-pass form must agree with.
+    fn group_rrsets_by_map(records: &[Record]) -> Vec<RRset> {
+        let mut order: Vec<(Name, RecordType)> = Vec::new();
+        let mut groups: HashMap<(Name, RecordType), Vec<Record>> = HashMap::new();
+        for r in records {
+            let key = (r.name.clone(), r.record_type());
+            if !groups.contains_key(&key) {
+                order.push(key.clone());
+            }
+            groups.entry(key).or_default().push(r.clone());
+        }
+        order
+            .into_iter()
+            .filter_map(|key| RRset::from_records(&groups[&key]))
+            .collect()
+    }
+
+    #[test]
+    fn group_rrsets_agrees_with_the_map_based_grouping() {
+        let owners = ["a.example", "A.Example", "b.example", "example"];
+        let mut rng = SimRng::seed_from(0x6_0A_B5);
+        for _ in 0..500 {
+            let section: Vec<Record> = (0..rng.below(9))
+                .map(|_| {
+                    let owner = owners[rng.below(owners.len() as u64) as usize];
+                    let rdata = match rng.below(3) {
+                        0 => RData::A(Ipv4Addr::new(192, 0, 2, rng.below(4) as u8)),
+                        1 => RData::Ns(n(owners[rng.below(owners.len() as u64) as usize])),
+                        _ => RData::Txt(format!("t{}", rng.below(4))),
+                    };
+                    rec(owner, 1 + rng.below(600) as u32, rdata)
+                })
+                .collect();
+            let sets = group_rrsets(&section);
+            let reference = group_rrsets_by_map(&section);
+            assert_eq!(sets, reference, "{section:?}");
+            // `Name` equality folds case; the spelling must agree too.
+            let spelled = |sets: &[RRset]| -> Vec<String> {
+                sets.iter().map(|s| s.name.as_str().to_owned()).collect()
+            };
+            assert_eq!(spelled(&sets), spelled(&reference));
+        }
     }
 }

@@ -41,11 +41,12 @@
 use dnsttl_core::ResolverPolicy;
 use dnsttl_netsim::{SimDuration, SimTime};
 use dnsttl_telemetry::CacheOp;
+use dnsttl_wire::name::NameKey;
 use dnsttl_wire::{Name, RRset, Rcode, RecordType, Ttl};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard, OnceLock};
 
-use crate::cache::{CacheCore, CachedAnswer, Credibility, OpSink};
+use crate::cache::{CacheCore, CachedAnswer, Credibility, Entry, OpSink};
 use crate::ledger::{CacheStats, Ledger, Provenance, StoreContext};
 use crate::snapshot::CacheSnapshot;
 
@@ -241,8 +242,9 @@ impl SharedCache {
             .expect("cache segment lock poisoned")
     }
 
-    fn lock_for(&self, name: &Name) -> (MutexGuard<'_, Segment>, u32) {
-        let idx = self.segment_of(name);
+    fn lock_for(&self, name: &dyn NameKey) -> (MutexGuard<'_, Segment>, u32) {
+        // As `segment_of`, for any borrowed form of the name.
+        let idx = (name.folded_hash() & self.mask) as usize;
         (self.lock(idx), idx as u32)
     }
 
@@ -347,6 +349,22 @@ impl SharedCache {
         let Segment { core, stats } = &mut *seg;
         let mut sink = SharedCache::sink(stats, self.log.get(), idx);
         core.get(name, rtype, now, &mut sink)
+    }
+
+    /// [`SharedCache::get`] without the clone: `f` reads the fresh
+    /// entry in place (see [`CacheCore::read`]) and must not re-enter
+    /// this cache — the entry's segment stays locked while it runs.
+    pub(crate) fn read<T>(
+        &self,
+        name: &dyn NameKey,
+        rtype: RecordType,
+        now: SimTime,
+        f: impl FnOnce(&Entry, Ttl) -> T,
+    ) -> Option<T> {
+        let (mut seg, idx) = self.lock_for(name);
+        let Segment { core, stats } = &mut *seg;
+        let mut sink = SharedCache::sink(stats, self.log.get(), idx);
+        core.read(name, rtype, now, &mut sink, f)
     }
 
     /// See [`crate::Cache::get_stale`].

@@ -298,40 +298,12 @@ impl Name {
         self.repr.len() > zone.repr.len() && self.is_subdomain_of(zone)
     }
 
-    /// All ancestor names from the root down to `self` inclusive.
-    ///
-    /// For `a.nic.uy`: `.`, `uy`, `nic.uy`, `a.nic.uy`. Resolvers walk
-    /// this chain when hunting for the deepest cached delegation.
-    pub fn ancestry(&self) -> Vec<Name> {
-        let mut out = Vec::with_capacity(self.label_count() + 1);
-        out.push(Name::root());
-        if self.is_root() {
-            return out;
-        }
-        // Label start offsets, rightmost (shallowest) suffix first.
-        let bytes = self.repr.as_bytes();
-        let mut starts: Vec<usize> = Vec::with_capacity(self.label_count());
-        starts.push(0);
-        for (i, &b) in bytes[..bytes.len() - 1].iter().enumerate() {
-            if b == b'.' {
-                starts.push(i + 1);
-            }
-        }
-        for &start in starts.iter().rev() {
-            if start == 0 {
-                out.push(self.clone());
-            } else {
-                out.push(Name::from_valid_repr(self.repr[start..].to_owned()));
-            }
-        }
-        out
-    }
-
     /// This name and each of its ancestors up to the root, deepest
     /// first, borrowed from this name's buffer.
     ///
-    /// For `a.nic.uy`: `a.nic.uy.`, `nic.uy.`, `uy.`, `.` — the reverse
-    /// of [`Name::ancestry`], without building a `Name` per step.
+    /// For `a.nic.uy`: `a.nic.uy.`, `nic.uy.`, `uy.`, `.`. Resolvers
+    /// walk this chain when hunting for the deepest cached delegation;
+    /// no `Name` is built per step.
     pub fn suffixes(&self) -> Suffixes<'_> {
         Suffixes {
             rest: Some(&self.repr),
@@ -622,28 +594,33 @@ mod tests {
     }
 
     #[test]
-    fn ancestry_order() {
-        let chain: Vec<String> = n("a.nic.uy")
-            .ancestry()
-            .iter()
-            .map(|x| x.to_string())
-            .collect();
-        assert_eq!(chain, [".", "uy.", "nic.uy.", "a.nic.uy."]);
-        assert_eq!(Name::root().ancestry().len(), 1);
-    }
-
-    #[test]
     fn suffixes_walk_up_to_the_root_with_name_hashes() {
         let name = n("A.Nic.uy");
         let chain: Vec<&str> = name.suffixes().map(|s| s.as_str()).collect();
         assert_eq!(chain, ["A.Nic.uy.", "Nic.uy.", "uy.", "."]);
-        let mut reversed = name.ancestry();
-        reversed.reverse();
-        for (suffix, ancestor) in name.suffixes().zip(&reversed) {
-            assert_eq!(suffix.to_name(), *ancestor);
-            assert_eq!(NameKey::folded_hash(&suffix), ancestor.folded_hash());
+        // Each suffix is the name the parent walk reaches at that step,
+        // hash included.
+        let mut ancestor = Some(name.clone());
+        for suffix in name.suffixes() {
+            let expected = ancestor.expect("parent walk is as long as the suffix walk");
+            assert_eq!(suffix.to_name(), expected);
+            assert_eq!(NameKey::folded_hash(&suffix), expected.folded_hash());
+            ancestor = expected.parent();
         }
+        assert!(ancestor.is_none());
         assert_eq!(Name::root().suffixes().count(), 1);
+    }
+
+    #[test]
+    fn suffixes_index_by_label_count() {
+        // The ancestor with `k` labels sits `label_count() - k` steps
+        // into the walk — how QNAME minimisation picks its target.
+        let name = n("a.nic.uy");
+        for (k, expected) in [".", "uy.", "nic.uy.", "a.nic.uy."].into_iter().enumerate() {
+            let suffix = name.suffixes().nth(name.label_count() - k).unwrap();
+            assert_eq!(suffix.as_str(), expected);
+            assert_eq!(suffix.to_name().label_count(), k);
+        }
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Resource records and RRsets.
 
 use crate::{Name, RData, RecordType, Ttl, WireError};
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 /// DNS class. Only `IN` matters in practice; `CH`/`HS` are kept so the
 /// codec can round-trip real-world oddities (version.bind queries etc.).
@@ -205,19 +205,40 @@ impl RRset {
     /// sorted, and hashed in that order, so `{a, b}` and `{b, a}`
     /// fingerprint identically — RRset semantics are set semantics.
     /// See [`Record::fingerprint`] for what caches use this for.
+    ///
+    /// Caches call this on every store, so the common shapes allocate
+    /// nothing: the name part — FNV-1a from the offset basis over the
+    /// case-folded presentation form — is the hash every [`Name`]
+    /// already carries, and a one-member set needs no sorting, so its
+    /// data's `Display` output streams straight into the hash.
     pub fn fingerprint(&self) -> u64 {
-        let mut h = fnv1a(
-            FNV_OFFSET,
-            self.name.to_string().to_ascii_lowercase().as_bytes(),
-        );
-        h = fnv1a(h, &self.rtype.code().to_be_bytes());
-        let mut datas: Vec<String> = self.rdatas.iter().map(|rd| rd.to_string()).collect();
-        datas.sort();
-        for d in &datas {
-            h = fnv1a(h, d.as_bytes());
-            h = fnv1a(h, b"\x00"); // member separator: no concatenation aliasing
+        let mut w = FnvWriter(fnv1a(
+            self.name.folded_hash(),
+            &self.rtype.code().to_be_bytes(),
+        ));
+        // Each member is followed by a NUL: no concatenation aliasing.
+        // Neither the writer nor `RData`'s `Display` can fail.
+        if let [only] = self.rdatas.as_slice() {
+            let _ = write!(w, "{only}\0");
+        } else {
+            let mut datas: Vec<String> = self.rdatas.iter().map(|rd| rd.to_string()).collect();
+            datas.sort();
+            for d in &datas {
+                let _ = write!(w, "{d}\0");
+            }
         }
-        h
+        w.0
+    }
+}
+
+/// Feeds formatted text into a running FNV-1a hash, so hashing a
+/// value's `Display` form needs no intermediate `String`.
+struct FnvWriter(u64);
+
+impl fmt::Write for FnvWriter {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        self.0 = fnv1a(self.0, s.as_bytes());
+        Ok(())
     }
 }
 
@@ -312,6 +333,101 @@ mod tests {
         // fingerprint (different domains), but both are stable.
         let single = RRset::from_records(&[a("ns.example", 5, [1, 1, 1, 1])]).unwrap();
         assert_eq!(single.fingerprint(), single.clone().fingerprint());
+    }
+
+    /// The allocating definition [`RRset::fingerprint`] had before it
+    /// streamed: traces and ledgers print these values, so the
+    /// streaming form must reproduce them bit for bit.
+    fn reference_fingerprint(set: &RRset) -> u64 {
+        let mut h = fnv1a(
+            FNV_OFFSET,
+            set.name.to_string().to_ascii_lowercase().as_bytes(),
+        );
+        h = fnv1a(h, &set.rtype.code().to_be_bytes());
+        let mut datas: Vec<String> = set.rdatas.iter().map(|rd| rd.to_string()).collect();
+        datas.sort();
+        for d in &datas {
+            h = fnv1a(h, d.as_bytes());
+            h = fnv1a(h, b"\x00");
+        }
+        h
+    }
+
+    #[test]
+    fn rrset_fingerprint_equals_the_allocating_definition() {
+        let host = name("NS1.Example.ORG");
+        let variants = vec![
+            RData::A(Ipv4Addr::new(192, 0, 2, 1)),
+            RData::Aaaa("2001:db8::1".parse().unwrap()),
+            RData::Ns(host.clone()),
+            RData::Cname(host.clone()),
+            RData::Soa(crate::SoaData {
+                mname: host.clone(),
+                rname: name("hostmaster.example.org"),
+                serial: 2019,
+                refresh: 7200,
+                retry: 900,
+                expire: 1_209_600,
+                minimum: 300,
+            }),
+            RData::Mx {
+                preference: 10,
+                exchange: host.clone(),
+            },
+            RData::Txt("v=spf1 \"quoted\" -all".to_owned()),
+            RData::Dnskey {
+                flags: 257,
+                protocol: 3,
+                algorithm: 13,
+                key: vec![1, 2, 3],
+            },
+            RData::Rrsig {
+                type_covered: RecordType::A,
+                algorithm: 13,
+                original_ttl: 300,
+                signer: host.clone(),
+                signature: vec![9; 8],
+            },
+            RData::Opt(vec![0; 4]),
+        ];
+        // Mixed-case and folded owners are one fingerprint class.
+        for owner in ["A.Nic.UY", "a.nic.uy", "."] {
+            for rd in &variants {
+                let set = RRset {
+                    name: name(owner),
+                    rtype: rd.record_type(),
+                    ttl: Ttl::HOUR,
+                    rdatas: vec![rd.clone()],
+                };
+                assert_eq!(set.fingerprint(), reference_fingerprint(&set), "{set:?}");
+                assert_eq!(
+                    set.fingerprint(),
+                    RRset {
+                        name: name(&owner.to_ascii_lowercase()),
+                        ..set.clone()
+                    }
+                    .fingerprint()
+                );
+            }
+        }
+        let three = [
+            a("Ns.Example", 60, [10, 0, 0, 2]),
+            a("ns.example", 60, [9, 0, 0, 1]),
+            a("ns.example", 60, [10, 0, 0, 1]),
+        ];
+        let fwd = RRset::from_records(&three).unwrap();
+        let mut reversed = three.clone();
+        reversed.reverse();
+        let rev = RRset::from_records(&reversed).unwrap();
+        assert_eq!(fwd.fingerprint(), reference_fingerprint(&fwd));
+        assert_eq!(rev.fingerprint(), reference_fingerprint(&rev));
+        assert_eq!(fwd.fingerprint(), rev.fingerprint());
+        // The empty set (manual construction only) keeps its value too.
+        let empty = RRset {
+            rdatas: vec![],
+            ..fwd.clone()
+        };
+        assert_eq!(empty.fingerprint(), reference_fingerprint(&empty));
     }
 
     #[test]

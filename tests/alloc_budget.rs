@@ -1,0 +1,147 @@
+//! The resolver's per-question allocation budget, counted exactly.
+//!
+//! Timings on a shared host drift by tens of percent; allocation
+//! counts repeat to the unit, so they are the regression gate for the
+//! "read the cache in place" work (DESIGN.md §11, "Resolver loop") that
+//! a timing can never be. One `#[test]`, so no other test thread
+//! allocates while a region is being counted.
+
+use dnsttl::auth::{AuthoritativeServer, ZoneBuilder};
+use dnsttl::core::ResolverPolicy;
+use dnsttl::netsim::{LatencyModel, Network, Region, SimRng, SimTime};
+use dnsttl::resolver::{RecursiveResolver, RootHint};
+use dnsttl::wire::{Name, Rcode, RecordType, Ttl};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::RefCell;
+use std::net::IpAddr;
+use std::rc::Rc;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::Relaxed};
+
+// Statistics only: they publish no other data, so `Relaxed` throughout.
+static ON: AtomicBool = AtomicBool::new(false);
+static ALLOCS: AtomicU64 = AtomicU64::new(0);
+
+/// The system allocator, counting calls while `ON` (the shape of
+/// `benchmark/src/alloc.rs`, which this package cannot import).
+struct Counting;
+
+// SAFETY: every method forwards its arguments unchanged to `System`,
+// which upholds the `GlobalAlloc` contract; the counter touches no
+// allocator state.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCS.fetch_add(ON.load(Relaxed) as u64, Relaxed);
+        // SAFETY: the caller's `layout` is passed through as received.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` and `layout` are the caller's, from this allocator.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCS.fetch_add(ON.load(Relaxed) as u64, Relaxed);
+        // SAFETY: `ptr`, `layout` and `new_size` are the caller's.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+/// Runs `f` and returns how many times it called the allocator.
+fn allocations<T>(f: impl FnOnce() -> T) -> (T, u64) {
+    ALLOCS.store(0, Relaxed);
+    ON.store(true, Relaxed);
+    let out = f();
+    ON.store(false, Relaxed);
+    (out, ALLOCS.load(Relaxed))
+}
+
+const NAMES: usize = 64;
+const RECORD_TTL_S: u32 = 60;
+
+/// The Zipf campaigns' world (`atlas/src/scale.rs`): a root delegating
+/// `zipf` to one child server holding an `A` record per name.
+fn zipf_shaped_world() -> (Network, Vec<RootHint>, Vec<Name>) {
+    let root_addr: IpAddr = "198.41.0.4".parse().unwrap();
+    let child_addr: IpAddr = "192.0.2.53".parse().unwrap();
+    let root = AuthoritativeServer::new("root").with_zone(
+        ZoneBuilder::new(".")
+            .ns("zipf", "ns.zipf", Ttl::TWO_DAYS)
+            .a("ns.zipf", "192.0.2.53", Ttl::TWO_DAYS)
+            .build(),
+    );
+    let mut zone = ZoneBuilder::new("zipf").ns("zipf", "ns.zipf", Ttl::HOUR).a(
+        "ns.zipf",
+        "192.0.2.53",
+        Ttl::HOUR,
+    );
+    let mut names = Vec::with_capacity(NAMES);
+    for k in 0..NAMES {
+        let owner = format!("r{k}.zipf");
+        zone = zone.a(&owner, &format!("10.0.0.{k}"), Ttl::from_secs(RECORD_TTL_S));
+        names.push(Name::parse(&owner).unwrap());
+    }
+    let child = AuthoritativeServer::new("ns.zipf").with_zone(zone.build());
+    let mut net = Network::new(LatencyModel::constant(5.0));
+    net.register(root_addr, Region::Eu, Rc::new(RefCell::new(root)));
+    net.register(child_addr, Region::Eu, Rc::new(RefCell::new(child)));
+    let hints = vec![RootHint {
+        ns_name: Name::parse("root").unwrap(),
+        addr: root_addr,
+    }];
+    (net, hints, names)
+}
+
+#[test]
+fn a_question_stays_inside_its_allocation_budget() {
+    let (mut net, hints, names) = zipf_shaped_world();
+    let mut resolver = RecursiveResolver::new(
+        "budget",
+        ResolverPolicy::default(),
+        Region::Eu,
+        1,
+        hints,
+        SimRng::seed_from(42),
+    );
+    // Warm-up: every name fetched once and served once, so tables,
+    // wheels and vectors have reached their working size.
+    for t in [0, 1] {
+        for name in &names {
+            let out = resolver.resolve(name, RecordType::A, SimTime::from_secs(t), &mut net);
+            assert_eq!(out.answer.header.rcode, Rcode::NoError);
+            assert_eq!(out.cache_hit, t == 1);
+        }
+    }
+
+    // A warm hit: the answer message's question and answer vectors.
+    // Measured: 2 for every name.
+    for name in &names {
+        let (out, allocs) =
+            allocations(|| resolver.resolve(name, RecordType::A, SimTime::from_secs(2), &mut net));
+        assert!(out.cache_hit);
+        assert!(allocs <= 3, "warm hit for {name} allocated {allocs} times");
+    }
+
+    // A TTL-expired miss: one exchange with the child (the delegation
+    // is still cached), its response ingested, the answer rebuilt from
+    // the cache. Release builds only — in debug builds the exchange
+    // path's `debug_assert!` encodes and decodes every message.
+    // Measured: 9 — NS targets, candidates, the query's and the
+    // response's question, the response's answer, the grouped sets and
+    // the one set's data, the client answer's question and records —
+    // and 10 for the five names whose store grows a wheel bucket.
+    #[cfg(not(debug_assertions))]
+    for name in &names {
+        let later = SimTime::from_secs(2 + RECORD_TTL_S as u64);
+        let (out, allocs) = allocations(|| resolver.resolve(name, RecordType::A, later, &mut net));
+        assert!(!out.cache_hit);
+        assert_eq!(out.upstream_queries, 1);
+        assert!(
+            allocs <= 14,
+            "expired miss for {name} allocated {allocs} times"
+        );
+    }
+}
