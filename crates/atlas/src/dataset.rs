@@ -1,7 +1,21 @@
 //! Measurement result datasets.
 
+use crate::shard::merge_by_time;
 use dnsttl_netsim::{Region, SimTime};
 use dnsttl_wire::{Name, Rcode};
+
+/// FNV-1a offset basis: where both dataset digests start.
+pub(crate) const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// FNV-1a of `bytes` continued from `h`, the mixing step of
+/// [`Dataset::digest`] and `ZipfDataset::digest`.
+pub(crate) fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
+    for &b in bytes {
+        h ^= b as u64;
+        h = h.wrapping_mul(0x0100_0000_01b3);
+    }
+    h
+}
 
 /// One query's outcome as the measurement platform records it.
 #[derive(Debug, Clone)]
@@ -98,11 +112,6 @@ impl Dataset {
         self.len() - self.valid_count()
     }
 
-    /// Count of timeouts (SERVFAIL outcomes).
-    pub fn timeout_count(&self) -> usize {
-        self.results.iter().filter(|r| r.timed_out).count()
-    }
-
     /// Observed TTLs of valid responses.
     pub fn ttls(&self) -> Vec<u64> {
         self.valid().filter_map(|r| r.ttl).collect()
@@ -172,59 +181,47 @@ impl Dataset {
         map
     }
 
+    /// FNV-1a over every row in order: a cheap order-sensitive
+    /// fingerprint, so digest equality across worker counts certifies
+    /// that the merge produced the identical row sequence.
+    pub fn digest(&self) -> u64 {
+        let mut h = FNV_OFFSET;
+        for r in &self.results {
+            h = fnv1a(h, &r.at.as_millis().to_le_bytes());
+            h = fnv1a(h, &r.probe_id.to_le_bytes());
+            h = fnv1a(h, &(r.probe_idx as u64).to_le_bytes());
+            h = fnv1a(h, &(r.resolver_idx as u64).to_le_bytes());
+            h = fnv1a(h, format!("{:?}", r.rcode).as_bytes());
+            h = fnv1a(h, &r.ttl.unwrap_or(u64::MAX).to_le_bytes());
+            for a in &r.answers {
+                h = fnv1a(h, a.as_bytes());
+            }
+        }
+        h
+    }
+
     /// Merges per-shard datasets into one global dataset.
     ///
     /// Each element is `(dataset, probe_base, resolver_base)`: the
     /// shard's results plus the global index offsets of its first probe
     /// and first resolver. Probe/resolver indices are rebased so VPs
-    /// stay distinct across shards, then results are re-ordered by
-    /// simulation time with a stable sort — ties keep shard order, then
-    /// within-shard arrival order — so the merged dataset is identical
-    /// no matter how many workers produced the parts.
+    /// stay distinct across shards, and results are re-ordered by
+    /// simulation time by [`merge_by_time`] — ties keep shard order,
+    /// then within-shard arrival order — so the merged dataset is
+    /// identical no matter how many workers produced the parts.
     pub fn merge_shards(parts: Vec<(Dataset, usize, usize)>) -> Dataset {
-        let total = parts.iter().map(|(d, _, _)| d.len()).sum();
-        let mut lists: Vec<Vec<MeasurementResult>> = Vec::with_capacity(parts.len());
-        for (part, probe_base, resolver_base) in parts {
-            let mut results = part.results;
-            for r in &mut results {
-                r.probe_idx += probe_base;
-                r.resolver_idx += resolver_base;
-            }
-            lists.push(results);
-        }
-        // Each cell's measurement loop emits results in sim-time order,
-        // so the parts are already sorted and an O(k·n) k-way merge
-        // replaces the old full-dataset stable re-sort. Picking the
-        // strictly-smallest head (earliest part index on ties) yields
-        // exactly the stable sort's order, so the output is bit-for-bit
-        // what the re-sort produced. The sortedness check keeps the
-        // stable sort as a correctness fallback for hand-built parts.
-        let sorted = lists
-            .iter()
-            .all(|l| l.windows(2).all(|w| w[0].at <= w[1].at));
-        if !sorted {
-            let mut results: Vec<MeasurementResult> = Vec::with_capacity(total);
-            results.extend(lists.into_iter().flatten());
-            results.sort_by_key(|r| r.at);
-            return Dataset { results };
-        }
-        let mut iters: Vec<_> = lists
+        let (lists, bases): (Vec<_>, Vec<_>) = parts
             .into_iter()
-            .map(|l| l.into_iter().peekable())
-            .collect();
-        let mut results = Vec::with_capacity(total);
-        loop {
-            let mut best: Option<(SimTime, usize)> = None;
-            for (i, it) in iters.iter_mut().enumerate() {
-                if let Some(r) = it.peek() {
-                    if best.is_none_or(|(t, _)| r.at < t) {
-                        best = Some((r.at, i));
-                    }
-                }
-            }
-            let Some((_, i)) = best else { break };
-            results.push(iters[i].next().expect("head just peeked"));
-        }
+            .map(|(part, probe_base, resolver_base)| (part.results, (probe_base, resolver_base)))
+            .unzip();
+        let results = merge_by_time(
+            lists,
+            |r| r.at,
+            |part, r| {
+                r.probe_idx += bases[part].0;
+                r.resolver_idx += bases[part].1;
+            },
+        );
         Dataset { results }
     }
 }

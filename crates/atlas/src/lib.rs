@@ -27,7 +27,7 @@
 pub mod dataset;
 pub mod measurement;
 pub mod population;
-pub mod progress;
+mod progress;
 pub mod scale;
 pub mod shard;
 
@@ -38,11 +38,11 @@ pub use measurement::{
 pub use population::{
     DiurnalCurve, Population, PopulationConfig, Probe, ResolverRef, VantagePoint, ZipfSampler,
 };
-pub use progress::ProgressSink;
 pub use scale::{
     run_zipf_campaign, run_zipf_campaign_profiled, run_zipf_cell, ProbeFrame, ZipfCampaignConfig,
     ZipfCellOut, ZipfDataset, ZipfEngine, ZipfOutcome, ZipfRow, ZipfRunOpts,
 };
 pub use shard::{
-    partition, partition_bases, run_cells, run_cells_profiled, ShardProfile, LOGICAL_SHARDS,
+    fan_out, measure_population, merge_by_time, partition, partition_bases, population_campaign,
+    FanOut, ShardProfile, ShardedOutcome, LOGICAL_SHARDS,
 };

@@ -390,13 +390,6 @@ impl Population {
         self.probes.iter().map(|p| p.resolvers.len()).sum()
     }
 
-    /// Clears every resolver cache (between experiment phases).
-    pub fn clear_caches(&mut self) {
-        for r in &mut self.resolvers {
-            r.clear_cache();
-        }
-    }
-
     /// Attaches a telemetry handle to every resolver cache in the
     /// population. Backend caches share the handle, so their counters
     /// aggregate into one registry.

@@ -1,11 +1,11 @@
 //! Live progress for long sharded campaigns.
 //!
-//! A [`ProgressSink`] is shared (`Arc`) between the coordinating
-//! thread and the cell closures running under
-//! [`run_cells_profiled`](crate::run_cells_profiled): each cell
-//! reports its sim-time frontier and event count as it completes, and
-//! the sink prints a heartbeat line to **stderr** at most once per
-//! configured interval (plus once at the end).
+//! A [`ProgressSink`] is built by [`fan_out`](crate::fan_out) — after
+//! the worker cap, so it knows how many threads really run — and
+//! shared by reference with the cell closures: each cell reports its
+//! sim-time frontier and event count as it completes, and the sink
+//! prints a heartbeat line to **stderr** at most once per configured
+//! interval (plus once at the end).
 //!
 //! Heartbeats are wall-clock-driven and therefore nondeterministic —
 //! which is fine, because they exist only on stderr and never enter
@@ -17,7 +17,7 @@ use std::time::Instant;
 
 /// Shared progress accumulator with rate-limited stderr heartbeats.
 #[derive(Debug)]
-pub struct ProgressSink {
+pub(crate) struct ProgressSink {
     label: String,
     workers: usize,
     cells_total: usize,
@@ -33,7 +33,12 @@ impl ProgressSink {
     /// A sink for a campaign of `cells_total` cells on `workers`
     /// workers, printing at most one line per `interval_ms` of wall
     /// clock.
-    pub fn new(label: &str, workers: usize, cells_total: usize, interval_ms: u64) -> ProgressSink {
+    pub(crate) fn new(
+        label: &str,
+        workers: usize,
+        cells_total: usize,
+        interval_ms: u64,
+    ) -> ProgressSink {
         ProgressSink {
             label: label.to_string(),
             workers: workers.max(1),
@@ -47,10 +52,16 @@ impl ProgressSink {
         }
     }
 
+    /// Throughput per worker thread: `events` over `elapsed_ms` of
+    /// wall clock, divided by the threads the sink was built for.
+    pub(crate) fn events_per_worker_s(&self, events: u64, elapsed_ms: u64) -> f64 {
+        events as f64 / (elapsed_ms.max(1) as f64 / 1000.0) / self.workers as f64
+    }
+
     /// Reports one completed cell: the furthest simulated time the
     /// cell reached and how many events (queries, results) it
     /// processed. Prints a heartbeat when one is due.
-    pub fn cell_finished(&self, frontier_ms: u64, events: u64) {
+    pub(crate) fn cell_finished(&self, frontier_ms: u64, events: u64) {
         let done = self.cells_done.fetch_add(1, Ordering::Relaxed) + 1;
         let total_events = self.events.fetch_add(events, Ordering::Relaxed) + events;
         self.frontier_ms.fetch_max(frontier_ms, Ordering::Relaxed);
@@ -68,8 +79,7 @@ impl ProgressSink {
         {
             return;
         }
-        let per_worker =
-            total_events as f64 / (elapsed_ms.max(1) as f64 / 1000.0) / self.workers as f64;
+        let per_worker = self.events_per_worker_s(total_events, elapsed_ms);
         eprintln!(
             "[heartbeat {}] cells {}/{} · sim-frontier {}s · {:.0} events/s/worker ({} workers)",
             self.label,

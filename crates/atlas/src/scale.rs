@@ -22,57 +22,48 @@
 //!
 //! That first point is what the differential harness leans on: a
 //! retained pointer-based oracle ([`ZipfEngine::Oracle`]) drives the
-//! *same* per-fire routine through a shared `OracleHeap` (a plain
-//! `BinaryHeap`) keyed by the same `(fire_time_ms, probe_idx)` tuple, and
-//! `tests/soa_equivalence.rs` proves the two engines produce
-//! bit-identical datasets, per-probe counters, cache statistics, and
-//! telemetry.
+//! *same* per-fire routine through `OracleHeap` (a plain `BinaryHeap`,
+//! used by the oracle and nothing else) keyed by the same
+//! `(fire_time_ms, probe_idx)` tuple, and `tests/soa_equivalence.rs`
+//! proves the two engines produce bit-identical datasets, per-probe
+//! counters, cache statistics, and telemetry.
 //!
-//! Campaigns fan out over the logical-cell harness
-//! ([`crate::run_cells`]): each cell builds its own world and RNG from
-//! `shard_seed(run_seed, cell_id)`, so any power-of-two cell count is
-//! valid and the worker count never touches the output. The **cell
-//! count, unlike the worker count, is part of the experiment's
-//! identity** — changing it repartitions probes and reseeds cells.
+//! Campaigns run on the cell engine in [`crate::shard`]:
+//! [`fan_out`] schedules the cells and owns their telemetry handles
+//! and heartbeat, [`merge_by_time`] orders the rows. Each cell builds
+//! its own world and RNG from `shard_seed(run_seed, cell_id)`, so any
+//! power-of-two cell count is valid and the worker count never touches
+//! the output. The **cell count, unlike the worker count, is part of
+//! the experiment's identity** — changing it repartitions probes and
+//! reseeds cells.
 
+use crate::dataset::{fnv1a, FNV_OFFSET};
 use crate::population::{DiurnalCurve, ZipfSampler};
-use crate::progress::ProgressSink;
-use crate::shard::{partition, partition_bases, run_cells_profiled, ShardProfile};
+use crate::shard::{fan_out, merge_by_time, partition, partition_bases, FanOut, ShardProfile};
 use dnsttl_netsim::{shard_seed, LatencyModel, Network, Region, SimDuration, SimRng, TimingWheel};
 use dnsttl_resolver::{CacheStats, RecursiveResolver, RootHint};
 use dnsttl_telemetry::{MetricKey, Telemetry, TelemetryParts};
 use dnsttl_wire::{Name, Rcode, RecordType, Ttl};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use std::sync::Arc;
 
 /// Campaign-level counters, keyed once so the hot loop never hashes
 /// metric names.
 const ZIPF_QUERIES: MetricKey = MetricKey::new("zipf_queries_total");
 const ZIPF_HITS: MetricKey = MetricKey::new("zipf_cache_hits_total");
 
-/// The retained ordered scheduler every oracle path shares: a min-heap
-/// over a canonical `(time, index)` key, drained in exact key order.
-///
-/// Both the k-way dataset merge ([`ZipfDataset::merge_cells`]) and the
-/// pointer-based campaign oracle ([`run_oracle`]) pull from this one
-/// helper, so the timing-wheel production sweep has a single
-/// heap-ordered comparison point — deliberately *not* the netsim
-/// `EventQueue` (whose ties break by insertion order, which would
-/// diverge from the canonical order on reschedules) and deliberately
-/// not the wheel itself (an oracle must not share the implementation it
-/// checks).
+/// The pointer-based campaign oracle's scheduler ([`run_oracle`]): a
+/// min-heap over the canonical `(time, index)` key, drained in exact
+/// key order, so the timing-wheel production sweep has a heap-ordered
+/// comparison point — deliberately *not* the netsim `EventQueue`
+/// (whose ties break by insertion order, which would diverge from the
+/// canonical order on reschedules) and deliberately not the wheel
+/// itself (an oracle must not share the implementation it checks).
 struct OracleHeap<K: Ord> {
     heap: BinaryHeap<Reverse<K>>,
 }
 
 impl<K: Ord> OracleHeap<K> {
-    fn new() -> OracleHeap<K> {
-        OracleHeap {
-            heap: BinaryHeap::new(),
-        }
-    }
-
     fn push(&mut self, key: K) {
         self.heap.push(Reverse(key));
     }
@@ -230,13 +221,8 @@ impl ZipfDataset {
     /// fingerprint. Digest equality across worker counts (or engines)
     /// certifies the identical row sequence.
     pub fn digest(&self) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut mix = |v: u64| {
-            for b in v.to_le_bytes() {
-                h ^= b as u64;
-                h = h.wrapping_mul(0x0100_0000_01b3);
-            }
-        };
+        let mut h = FNV_OFFSET;
+        let mut mix = |v: u64| h = fnv1a(h, &v.to_le_bytes());
         for r in &self.rows {
             mix(r.at_ms);
             mix(r.probe as u64);
@@ -250,38 +236,16 @@ impl ZipfDataset {
 
     /// Merges per-cell datasets into one, parameterized by however
     /// many parts the caller produced — there is no fixed cell count
-    /// anywhere in the re-sequencing key. Each part's rows are already
-    /// sorted by fire time (the engines emit them that way); the merge
-    /// is a heap-based k-way merge on `(at_ms, part_idx)`, so
-    /// simultaneous fires in different cells land in cell order — the
-    /// same total order a single-cell run of the concatenated
-    /// population would produce. Resolver indices are rebased by each
-    /// part's `resolver_base`; probe indices are already global.
+    /// anywhere in the re-sequencing key. [`merge_by_time`] orders the
+    /// rows by `(at_ms, part_idx)`, so simultaneous fires in different
+    /// cells land in cell order — the same total order a single-cell
+    /// run of the concatenated population would produce. Resolver
+    /// indices are rebased by each part's `resolver_base`; probe
+    /// indices are already global.
     pub fn merge_cells(parts: Vec<(ZipfDataset, u32)>) -> ZipfDataset {
-        let total: usize = parts.iter().map(|(d, _)| d.len()).sum();
-        let mut rows = Vec::with_capacity(total);
-        let mut iters: Vec<_> = parts
-            .into_iter()
-            .map(|(d, base)| (d.rows.into_iter(), base))
-            .collect();
-        let mut heap: OracleHeap<(u64, usize)> = OracleHeap::new();
-        let mut heads: Vec<Option<ZipfRow>> = Vec::with_capacity(iters.len());
-        for (idx, (it, _)) in iters.iter_mut().enumerate() {
-            let head = it.next();
-            if let Some(r) = &head {
-                heap.push((r.at_ms, idx));
-            }
-            heads.push(head);
-        }
-        while let Some((_, idx)) = heap.pop() {
-            let mut row = heads[idx].take().expect("head present while queued");
-            row.resolver += iters[idx].1;
-            rows.push(row);
-            if let Some(next) = iters[idx].0.next() {
-                heap.push((next.at_ms, idx));
-                heads[idx] = Some(next);
-            }
-        }
+        let (lists, bases): (Vec<_>, Vec<u32>) =
+            parts.into_iter().map(|(d, base)| (d.rows, base)).unzip();
+        let rows = merge_by_time(lists, |r| r.at_ms, |part, r| r.resolver += bases[part]);
         ZipfDataset { rows }
     }
 }
@@ -397,8 +361,9 @@ pub struct ZipfRunOpts {
     pub ts_bucket_ms: u64,
     /// Sim-time series span cap, when telemetry is on.
     pub ts_span_cap: usize,
-    /// Optional heartbeat sink for long campaigns.
-    pub progress: Option<Arc<ProgressSink>>,
+    /// `(label, wall-clock interval in ms)` of the stderr heartbeat for
+    /// long campaigns; `None` is silent.
+    pub progress: Option<(&'static str, u64)>,
 }
 
 impl Default for ZipfRunOpts {
@@ -626,7 +591,7 @@ fn run_soa_sweep(
 }
 
 /// The pointer-based oracle: one boxed struct per probe (the layout
-/// the SoA frame replaced) behind the shared [`OracleHeap`], keyed by
+/// the SoA frame replaced) behind an [`OracleHeap`], keyed by
 /// the canonical `(fire_time_ms, probe_idx)` tuple the wheel sweep
 /// must reproduce.
 #[allow(clippy::too_many_arguments)]
@@ -723,14 +688,15 @@ pub fn run_zipf_campaign_profiled(
     let sizes = partition(cfg.probes, cfg.cells);
     let bases = partition_bases(&sizes);
 
-    let (cell_outs, profile) = run_cells_profiled(opts.workers, cfg.cells, |cell| {
-        let telemetry = if opts.telemetry {
-            let t = Telemetry::new();
-            t.configure_timeseries(opts.ts_bucket_ms, opts.ts_span_cap);
-            t
-        } else {
-            Telemetry::disabled()
-        };
+    let plan = FanOut {
+        workers: opts.workers,
+        cells: cfg.cells,
+        telemetry: opts.telemetry,
+        ts_bucket_ms: opts.ts_bucket_ms,
+        ts_span_cap: opts.ts_span_cap,
+        progress: opts.progress,
+    };
+    let (cell_outs, parts, profile) = fan_out(&plan, |cell, telemetry| {
         let out = run_zipf_cell(
             cfg,
             &sampler,
@@ -739,28 +705,23 @@ pub fn run_zipf_campaign_profiled(
             bases[cell] as u32,
             shard_seed(run_seed, cell as u64),
             opts.engine,
-            &telemetry,
+            telemetry,
         );
-        if let Some(sink) = &opts.progress {
-            sink.cell_finished(cfg.duration.as_millis(), out.dataset.len() as u64);
-        }
-        (out, telemetry.take_parts())
+        let progress = (cfg.duration.as_millis(), out.dataset.len() as u64);
+        (out, progress)
     });
 
-    let mut outcome = ZipfOutcome::default();
+    let mut outcome = ZipfOutcome {
+        parts,
+        ..ZipfOutcome::default()
+    };
     let mut ds_parts = Vec::with_capacity(cell_outs.len());
-    let mut resolver_base = 0u32;
-    for (out, parts) in cell_outs {
-        ds_parts.push((out.dataset, resolver_base));
-        resolver_base += out.resolvers as u32;
+    for out in cell_outs {
+        ds_parts.push((out.dataset, outcome.resolvers as u32));
         outcome.resolvers += out.resolvers;
         outcome.queries_per_probe.extend_from_slice(&out.queries);
         outcome.hits_per_probe.extend_from_slice(&out.hits);
         outcome.cache.absorb(&out.cache);
-        outcome.parts.push(parts);
-    }
-    if !opts.telemetry {
-        outcome.parts.clear();
     }
     outcome.dataset = ZipfDataset::merge_cells(ds_parts);
     (outcome, profile)

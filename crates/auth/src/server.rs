@@ -126,11 +126,6 @@ impl AuthoritativeServer {
         &self.log
     }
 
-    /// Mutable access to the query log (e.g. to clear between phases).
-    pub fn log_mut(&mut self) -> &mut QueryLog {
-        &mut self.log
-    }
-
     /// Total queries handled.
     pub fn queries_answered(&self) -> u64 {
         self.queries_answered

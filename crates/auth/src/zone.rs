@@ -514,21 +514,6 @@ impl ZoneBuilder {
         self
     }
 
-    /// Adds a DNSKEY record with a synthetic key.
-    pub fn dnskey(mut self, owner: &str, ttl: Ttl) -> ZoneBuilder {
-        self.zone.add(Record::new(
-            Self::name(owner),
-            ttl,
-            RData::Dnskey {
-                flags: 257,
-                protocol: 3,
-                algorithm: 13,
-                key: vec![0xAB; 32],
-            },
-        ));
-        self
-    }
-
     /// Sets the negative-caching TTL.
     pub fn negative_ttl(mut self, ttl: Ttl) -> ZoneBuilder {
         self.zone.set_negative_ttl(ttl);

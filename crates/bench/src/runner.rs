@@ -40,7 +40,7 @@ pub const TIMINGS_MARKER: &str = "{\"kind\":\"timings\"}";
 
 /// Jitter every gate allows around its required ratio (0.05 = 5%).
 /// Small on purpose: both sides of a gate are interleaved medians from
-/// one run, and the worker cap in `run_cells` means an 8-worker
+/// one run, and the worker cap in `fan_out` means an 8-worker
 /// request can never schedule more threads than cores, so the only
 /// legitimate gap left is timer noise.
 const FANOUT_TOLERANCE: f64 = 0.05;
@@ -85,7 +85,7 @@ const GATES: [Gate; 3] = [
     // The scale campaign must actually *beat* the sequential oracle,
     // by `clamp(cores / 2, 1, 4)` — 4x on an 8-core (or wider) runner,
     // 2x on 4 cores, and plain parity on a 1-core host where
-    // `run_cells` clamps every request to one worker.
+    // `fan_out` clamps every request to one worker.
     Gate {
         name: "speedup",
         numerator: "zipf_population_w1",
@@ -356,31 +356,6 @@ pub fn run(config: BenchConfig) -> BenchReport {
     report
 }
 
-/// FNV-1a over every merged measurement row: a cheap order-sensitive
-/// fingerprint, so digest equality across worker counts certifies that
-/// the merge produced the identical row sequence.
-fn dataset_digest(ds: &dnsttl_atlas::Dataset) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut mix = |bytes: &[u8]| {
-        for &b in bytes {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0100_0000_01b3);
-        }
-    };
-    for r in ds.results() {
-        mix(&r.at.as_millis().to_le_bytes());
-        mix(&r.probe_id.to_le_bytes());
-        mix(&(r.probe_idx as u64).to_le_bytes());
-        mix(&(r.resolver_idx as u64).to_le_bytes());
-        mix(format!("{:?}", r.rcode).as_bytes());
-        mix(&r.ttl.unwrap_or(u64::MAX).to_le_bytes());
-        for a in &r.answers {
-            mix(a.as_bytes());
-        }
-    }
-    h
-}
-
 /// The sharded engine under the bench clock: one probe population
 /// partitioned over the fixed logical shard cells, merged back into a
 /// single dataset. The workload is run once per worker count (1 and 8)
@@ -389,10 +364,8 @@ fn dataset_digest(ds: &dnsttl_atlas::Dataset) -> u64 {
 /// equivalence claim checkable even on a single-core CI runner.
 fn sharded_population(config: &BenchConfig, report: &mut BenchReport) {
     use dnsttl_atlas::{
-        partition, partition_bases, run_cells, run_measurement, Dataset, MeasurementSpec,
-        Population, PopulationConfig, QueryName, LOGICAL_SHARDS,
+        population_campaign, Dataset, FanOut, MeasurementSpec, QueryName, LOGICAL_SHARDS,
     };
-    use dnsttl_netsim::shard_seed;
 
     let probes = if config.quick { 320 } else { 1_600 };
     let spec = MeasurementSpec::every_600s(
@@ -400,31 +373,20 @@ fn sharded_population(config: &BenchConfig, report: &mut BenchReport) {
         RecordType::A,
         2,
     );
-    let run_seed = config.seed;
-    let sizes = partition(probes, LOGICAL_SHARDS);
-    let bases = partition_bases(&sizes);
-
+    // The engine `repro --shards` runs, on the bench's two-level world.
     let run_with = |workers: usize| -> Dataset {
-        let cell_outs = run_cells(workers, LOGICAL_SHARDS, |cell| {
-            let (mut net, roots) = crate::two_level_network(Ttl::from_secs(300));
-            let mut rng = SimRng::seed_from(shard_seed(run_seed, cell as u64));
-            let mut pop_cfg = PopulationConfig::small(sizes[cell]);
-            pop_cfg.probe_id_base = bases[cell] as u32;
-            let mut pop = Population::build(&pop_cfg, &roots, &mut rng);
-            let ds = run_measurement(&spec, &mut pop, &mut net, &mut rng);
-            (ds, pop.resolvers.len())
-        });
-        let mut parts = Vec::with_capacity(LOGICAL_SHARDS);
-        let mut resolver_base = 0;
-        for (cell, (ds, resolvers)) in cell_outs.into_iter().enumerate() {
-            parts.push((ds, bases[cell], resolver_base));
-            resolver_base += resolvers;
-        }
-        Dataset::merge_shards(parts)
+        let plan = FanOut::new(workers, LOGICAL_SHARDS);
+        let world = || {
+            let (net, roots) = crate::two_level_network(Ttl::from_secs(300));
+            (net, roots, None)
+        };
+        population_campaign(&plan, config.seed, probes, &spec, world)
+            .0
+            .dataset
     };
 
     let reference = run_with(1);
-    let digest = dataset_digest(&reference);
+    let digest = reference.digest();
     counter(
         &mut report.counters,
         "sharded_population",
@@ -464,12 +426,12 @@ fn sharded_population(config: &BenchConfig, report: &mut BenchReport) {
         iters,
         || {
             let ds = run_with(1);
-            assert_eq!(dataset_digest(&ds), digest, "workers=1 re-run diverged");
+            assert_eq!(ds.digest(), digest, "workers=1 re-run diverged");
         },
         || {
             let ds = run_with(8);
             assert_eq!(
-                dataset_digest(&ds),
+                ds.digest(),
                 digest,
                 "workers=8 merged dataset diverged from the sequential oracle"
             );

@@ -568,8 +568,9 @@ fn main() {
                 });
                 cfg.out_dir = Some(v.into());
             }
-            // Live campaign heartbeats on stderr (sharded engine only);
-            // wall clock never reaches the artifacts.
+            // Live campaign heartbeats on stderr (sharded engine and
+            // zipf-population only); wall clock never reaches the
+            // artifacts.
             "--progress" => cfg.progress_ms = Some(2_000),
             "--ts-bucket-ms" => {
                 let v = args.next().unwrap_or_default();
@@ -598,17 +599,26 @@ fn main() {
         std::process::exit(2);
     }
 
-    // `--cells` partitions the sharded engine; only the Zipf campaign
-    // is cell-partitioned without `--shards`. Everywhere else the flag
-    // would be dropped silently, which misreads as "identity changed".
-    if cfg.cells.is_some()
-        && cfg.shards.is_none()
-        && wanted.iter().any(|id| module_of(id) != "zipf")
-    {
-        eprintln!(
-            "warning: --cells has no effect without --shards \
-             (except on zipf-population); running unsharded"
-        );
+    // `--cells` partitions the sharded engine and `--progress` reports
+    // on its cells; only the Zipf campaign is cell-partitioned without
+    // `--shards`. Everywhere else either flag would be dropped
+    // silently, which misreads as "identity changed" or "run hung".
+    if cfg.shards.is_none() && wanted.iter().any(|id| module_of(id) != "zipf") {
+        for (given, flag, effect) in [
+            (cfg.cells.is_some(), "--cells", "running unsharded"),
+            (
+                cfg.progress_ms.is_some(),
+                "--progress",
+                "printing no heartbeat",
+            ),
+        ] {
+            if given {
+                eprintln!(
+                    "warning: {flag} has no effect without --shards \
+                     (except on zipf-population); {effect}"
+                );
+            }
+        }
     }
 
     // Deduplicate module runs: several artifacts share one experiment.

@@ -48,16 +48,3 @@ pub mod zipf;
 
 pub use config::ExpConfig;
 pub use report::Report;
-
-/// Runs every experiment, in paper order.
-pub fn run_all(cfg: &ExpConfig) -> Vec<Report> {
-    let mut reports = vec![table1::run(cfg)];
-    reports.extend(centricity::run(cfg));
-    reports.extend(passive_nl::run(cfg));
-    reports.extend(bailiwick_exp::run(cfg));
-    reports.extend(crawl_exp::run(cfg));
-    reports.extend(uy_latency::run(cfg));
-    reports.extend(controlled::run(cfg));
-    reports.extend(extensions::run(cfg));
-    reports
-}

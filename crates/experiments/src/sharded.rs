@@ -1,12 +1,16 @@
-//! The measurement-campaign engine, unsharded or sharded.
+//! The measurement-campaign entry point, unsharded or sharded.
 //!
 //! Without `--shards` a campaign builds one global population and
-//! drives one event queue. With it, the campaign is partitioned into
-//! `cfg.cells` logical cells (default: the classic 16, tunable as a
-//! power of two via `--cells`), each run as a self-contained
+//! drives one event queue. With it, the campaign runs on the cell
+//! engine in `dnsttl_atlas::shard`: `population_campaign` partitions it
+//! into `cfg.cells` logical cells (default: the classic 16, tunable as
+//! a power of two via `--cells`), each run as a self-contained
 //! simulation (its own world, population, resolver caches, and RNG
-//! stream derived via [`shard_seed`]), and the per-cell datasets and
-//! telemetry are merged back together in fixed cell order.
+//! stream derived via `shard_seed`), and merges the per-cell datasets
+//! back together in fixed cell order. What is left here is the part
+//! that needs `ExpConfig` and the worlds: [`WorldSpec`], the mapping
+//! from a config to a [`FanOut`], and folding the per-cell telemetry
+//! into the module's handle.
 //!
 //! The determinism contract (DESIGN.md §10): the cell partition and all
 //! per-cell seeds depend only on the run seed and the cell id, never on
@@ -24,11 +28,9 @@
 
 use crate::config::ExpConfig;
 use crate::worlds;
-use dnsttl_atlas::{
-    partition, partition_bases, run_cells, run_measurement, Dataset, MeasurementSpec, Population,
-    PopulationConfig, ProgressSink,
-};
-use dnsttl_netsim::{shard_seed, Network, SimRng};
+pub use dnsttl_atlas::ShardedOutcome;
+use dnsttl_atlas::{measure_population, population_campaign, FanOut, MeasurementSpec};
+use dnsttl_netsim::Network;
 use dnsttl_resolver::RootHint;
 use dnsttl_telemetry::Telemetry;
 use dnsttl_wire::Ttl;
@@ -82,29 +84,18 @@ impl WorldSpec {
     }
 }
 
-/// The merged result of a sharded measurement campaign.
-pub struct ShardedOutcome {
-    /// All cells' results, rebased and re-ordered by simulation time.
-    pub dataset: Dataset,
-    /// Total probes across cells.
-    pub probes: usize,
-    /// Total vantage points across cells.
-    pub vps: usize,
-    /// Queries the authoritative test address received, summed over
-    /// cells (cells own disjoint resolvers, so the sum is exact).
-    pub auth_queries: u64,
-    /// Distinct resolver sources at the test address, summed over cells.
-    pub auth_sources: usize,
-}
-
-/// What a cell sends back to the coordinator: plain data only.
-struct CellOut {
-    dataset: Dataset,
-    probes: usize,
-    resolvers: usize,
-    vps: usize,
-    auth_queries: u64,
-    auth_sources: usize,
+/// The fan-out `cfg` asks for: `workers` threads over `cells` cells,
+/// per-cell telemetry configured like `cfg.telemetry`, and the
+/// `--progress` heartbeat under `tag`.
+fn plan<'a>(cfg: &ExpConfig, workers: usize, cells: usize, tag: &'a str) -> FanOut<'a> {
+    FanOut {
+        workers,
+        cells,
+        telemetry: cfg.telemetry.is_enabled(),
+        ts_bucket_ms: cfg.ts_bucket_ms,
+        ts_span_cap: cfg.ts_span_cap,
+        progress: cfg.progress_ms.map(|ms| (tag, ms)),
+    }
 }
 
 /// Runs `cells` independent jobs on `workers` threads, each against its
@@ -113,9 +104,7 @@ struct CellOut {
 /// metrics, traces, and manifests are worker-count-invariant.
 ///
 /// A job returns its result plus `(sim-time frontier in ms, events
-/// processed)` for the `--progress` heartbeat, which goes to stderr
-/// only: the deterministic artifacts never see the wall clock behind
-/// it.
+/// processed)` for the `--progress` heartbeat.
 pub fn fan_out<T: Send>(
     cfg: &ExpConfig,
     workers: usize,
@@ -123,70 +112,18 @@ pub fn fan_out<T: Send>(
     tag: &str,
     job: impl Fn(usize, &Telemetry) -> (T, (u64, u64)) + Sync,
 ) -> Vec<T> {
-    let enabled = cfg.telemetry.is_enabled();
-    let (ts_bucket_ms, ts_span_cap) = (cfg.ts_bucket_ms, cfg.ts_span_cap);
-    let progress = cfg
-        .progress_ms
-        .map(|ms| ProgressSink::new(tag, workers, cells, ms));
-    let (outs, parts): (Vec<T>, Vec<_>) = run_cells(workers, cells, |cell| {
-        let telemetry = if enabled {
-            Telemetry::new()
-        } else {
-            Telemetry::disabled()
-        };
-        telemetry.configure_timeseries(ts_bucket_ms, ts_span_cap);
-        let (out, (frontier_ms, events)) = job(cell, &telemetry);
-        if let Some(sink) = &progress {
-            sink.cell_finished(frontier_ms, events);
-        }
-        (out, telemetry.take_parts())
-    })
-    .into_iter()
-    .unzip();
-    if enabled {
-        cfg.telemetry.absorb_shards(parts);
-    }
+    let (outs, parts, _) = dnsttl_atlas::fan_out(&plan(cfg, workers, cells, tag), job);
+    cfg.telemetry.absorb_shards(parts);
     outs
-}
-
-/// Builds one world, populates it with `probes` probes numbered from
-/// `probe_id_base`, and runs `spec` against it — the whole campaign
-/// when unsharded, one cell of it otherwise.
-fn measure(
-    world: WorldSpec,
-    spec: &MeasurementSpec,
-    telemetry: &Telemetry,
-    seed: u64,
-    probes: usize,
-    probe_id_base: u32,
-) -> CellOut {
-    let (mut net, roots, test_addr) = world.build();
-    net.set_telemetry(telemetry.clone());
-    let mut rng = SimRng::seed_from(seed);
-    let mut pop_cfg = PopulationConfig::small(probes);
-    pop_cfg.probe_id_base = probe_id_base;
-    let mut pop = Population::build(&pop_cfg, &roots, &mut rng);
-    pop.set_telemetry(telemetry);
-    let dataset = run_measurement(spec, &mut pop, &mut net, &mut rng);
-    CellOut {
-        dataset,
-        probes: pop.probe_count(),
-        resolvers: pop.resolvers.len(),
-        vps: pop.vp_count(),
-        auth_queries: test_addr.map_or(0, |a| net.queries_received(a)),
-        auth_sources: test_addr.map_or(0, |a| net.distinct_sources(a)),
-    }
 }
 
 /// Runs one measurement campaign under the seed `cfg.seed_for(tag)`.
 ///
 /// Without `cfg.shards` the whole population shares one world and one
 /// event queue. With it, the campaign is split over `cfg.cells` logical
-/// cells (default: the classic 16) on that many worker threads, each
-/// cell deriving its own stream with [`shard_seed`], and the results
-/// are merged in cell order. The cell count, unlike the worker count,
-/// is part of the experiment's identity (different partitions,
-/// different per-cell seeds).
+/// cells (default: the classic 16) on that many worker threads. The
+/// cell count, unlike the worker count, is part of the experiment's
+/// identity (different partitions, different per-cell seeds).
 pub fn measurement_campaign(
     cfg: &ExpConfig,
     tag: &str,
@@ -194,54 +131,24 @@ pub fn measurement_campaign(
     spec: &MeasurementSpec,
 ) -> ShardedOutcome {
     let run_seed = cfg.seed_for(tag);
-    let Some(workers) = cfg.shards else {
-        let whole = measure(world, spec, &cfg.telemetry, run_seed, cfg.probes, 0);
-        crate::flightdeck::record_latency_quantiles(&cfg.telemetry, tag, &whole.dataset);
-        return ShardedOutcome {
-            dataset: whole.dataset,
-            probes: whole.probes,
-            vps: whole.vps,
-            auth_queries: whole.auth_queries,
-            auth_sources: whole.auth_sources,
-        };
-    };
-    let cell_count = cfg.cells.unwrap_or(dnsttl_atlas::LOGICAL_SHARDS).max(1);
-    let sizes = partition(cfg.probes, cell_count);
-    let bases = partition_bases(&sizes);
-    let cells = fan_out(cfg, workers, cell_count, tag, |cell, telemetry| {
-        let seed = shard_seed(run_seed, cell as u64);
-        let out = measure(
-            world,
+    let outcome = match cfg.shards {
+        None => measure_population(
+            || world.build(),
             spec,
-            telemetry,
-            seed,
-            sizes[cell],
-            bases[cell] as u32,
-        );
-        let rows = out.dataset.results();
-        let frontier = rows.iter().map(|r| r.at.as_millis()).max();
-        let progress = (frontier.unwrap_or(0), rows.len() as u64);
-        (out, progress)
-    });
-
-    let mut dataset_parts = Vec::with_capacity(cells.len());
-    let mut outcome = ShardedOutcome {
-        dataset: Dataset::new(),
-        probes: 0,
-        vps: 0,
-        auth_queries: 0,
-        auth_sources: 0,
+            &cfg.telemetry,
+            run_seed,
+            cfg.probes,
+            0,
+        ),
+        Some(workers) => {
+            let cells = cfg.cells.unwrap_or(dnsttl_atlas::LOGICAL_SHARDS).max(1);
+            let fan = plan(cfg, workers, cells, tag);
+            let (outcome, parts) =
+                population_campaign(&fan, run_seed, cfg.probes, spec, || world.build());
+            cfg.telemetry.absorb_shards(parts);
+            outcome
+        }
     };
-    let mut resolver_base = 0;
-    for (cell, out) in cells.into_iter().enumerate() {
-        dataset_parts.push((out.dataset, bases[cell], resolver_base));
-        resolver_base += out.resolvers;
-        outcome.probes += out.probes;
-        outcome.vps += out.vps;
-        outcome.auth_queries += out.auth_queries;
-        outcome.auth_sources += out.auth_sources;
-    }
-    outcome.dataset = Dataset::merge_shards(dataset_parts);
     // Record latency quantiles over the *merged* dataset, never per
     // cell: the sketches then depend only on the dataset rows and stay
     // byte-identical across worker counts.

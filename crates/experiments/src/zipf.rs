@@ -19,11 +19,8 @@
 use crate::config::ExpConfig;
 use crate::report::Report;
 use dnsttl_analysis::CsvWriter;
-use dnsttl_atlas::{
-    run_zipf_campaign, ProgressSink, ZipfCampaignConfig, ZipfEngine, ZipfOutcome, ZipfRunOpts,
-};
+use dnsttl_atlas::{run_zipf_campaign, ZipfCampaignConfig, ZipfEngine, ZipfOutcome, ZipfRunOpts};
 use dnsttl_netsim::SimDuration;
-use std::sync::Arc;
 
 /// Default cell count for the scale campaign: wide enough to keep an
 /// 8-worker fan-out saturated with cells to steal (64 cells / 8
@@ -47,27 +44,17 @@ pub fn campaign_for(cfg: &ExpConfig) -> ZipfCampaignConfig {
 /// `repro` CLI validates `--cells` before calling in.
 pub fn run(cfg: &ExpConfig) -> Vec<Report> {
     let campaign = campaign_for(cfg);
-    let workers = cfg.shards.unwrap_or(1);
     let opts = ZipfRunOpts {
-        workers,
+        workers: cfg.shards.unwrap_or(1),
         engine: ZipfEngine::Soa,
         telemetry: cfg.telemetry.is_enabled(),
         ts_bucket_ms: cfg.ts_bucket_ms,
         ts_span_cap: cfg.ts_span_cap,
-        progress: cfg.progress_ms.map(|ms| {
-            Arc::new(ProgressSink::new(
-                "zipf-population",
-                workers.max(1),
-                campaign.cells,
-                ms,
-            ))
-        }),
+        progress: cfg.progress_ms.map(|ms| ("zipf-population", ms)),
     };
     let mut outcome = run_zipf_campaign(&campaign, cfg.seed_for("zipf-population"), &opts);
-    if cfg.telemetry.is_enabled() {
-        cfg.telemetry
-            .absorb_shards(std::mem::take(&mut outcome.parts));
-    }
+    cfg.telemetry
+        .absorb_shards(std::mem::take(&mut outcome.parts));
     vec![render(cfg, &campaign, &outcome)]
 }
 

@@ -595,3 +595,38 @@ fn repro_warns_when_cells_is_given_without_shards() {
     let (_, sharded_err) = run(&["--quick", "--shards", "2", "--cells", "64", "resilience"]);
     assert!(!sharded_err.contains("warning"), "stderr: {sharded_err}");
 }
+
+#[test]
+fn repro_warns_when_progress_is_given_without_shards() {
+    // The heartbeat reports on the sharded engine's cells. Without
+    // `--shards` a measurement module has none, so `--progress` must be
+    // called out on stderr instead of silently printing nothing.
+    let run = |args: &[&str]| {
+        let out = repro().args(args).output().expect("runs");
+        let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
+        (stdout_of(out), stderr)
+    };
+    let (plain_out, plain_err) = run(&["--quick", "resilience"]);
+    let (flag_out, flag_err) = run(&["--quick", "--progress", "resilience"]);
+    assert!(!plain_err.contains("--progress"), "stderr: {plain_err}");
+    assert!(
+        flag_err.contains("warning: --progress has no effect without --shards"),
+        "stderr: {flag_err}"
+    );
+    assert!(!flag_err.contains("[heartbeat"), "stderr: {flag_err}");
+    assert_eq!(plain_out, flag_out, "the ignored flag changed the output");
+
+    // With `--shards` the flag is honoured: a heartbeat, no warning —
+    // and the heartbeat counts the threads that ran, which a request
+    // for far more workers than cores cannot raise past the cores.
+    let (_, sharded_err) = run(&["--quick", "--shards", "512", "--progress", "resilience"]);
+    assert!(!sharded_err.contains("warning"), "stderr: {sharded_err}");
+    assert!(
+        sharded_err.contains("[heartbeat resilience"),
+        "stderr: {sharded_err}"
+    );
+    assert!(
+        !sharded_err.contains("(512 workers)"),
+        "stderr: {sharded_err}"
+    );
+}

@@ -166,13 +166,6 @@ impl LatencyModel {
     pub fn sample_loss(&self, rng: &mut SimRng) -> bool {
         self.loss_probability > 0.0 && rng.chance(self.loss_probability)
     }
-
-    /// The latency of answering from a host's own cache or local stub:
-    /// a uniform 1–4 ms. The paper: "a 1 ms cache hit to a repeat query
-    /// is far faster".
-    pub fn local_hit(&self, rng: &mut SimRng) -> SimDuration {
-        SimDuration::from_millis(1 + rng.below(4))
-    }
 }
 
 #[cfg(test)]

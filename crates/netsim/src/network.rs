@@ -179,11 +179,6 @@ impl Network {
         self.telemetry = telemetry;
     }
 
-    /// The latency model in force.
-    pub fn latency_model(&self) -> &LatencyModel {
-        &self.latency
-    }
-
     /// Registers a unicast server at `addr` in `region`.
     pub fn register(&mut self, addr: ServiceAddr, region: Region, service: ServiceHandle) {
         self.endpoints.insert(

@@ -50,11 +50,6 @@ impl SimDuration {
         self.0 as f64 / 1_000.0
     }
 
-    /// Milliseconds as a float, for statistics.
-    pub fn as_millis_f64(self) -> f64 {
-        self.0 as f64
-    }
-
     /// Scales the duration by an integer factor.
     pub const fn saturating_mul(self, k: u64) -> SimDuration {
         SimDuration(self.0.saturating_mul(k))

@@ -208,12 +208,6 @@ impl RecursiveResolver {
         &self.cache
     }
 
-    /// Write access to the cache engine (forensics harnesses:
-    /// snapshots, explicit invalidations, ledger control).
-    pub fn cache_mut(&mut self) -> &mut CacheEngine {
-        &mut self.cache
-    }
-
     /// A cloneable handle to the concurrent backend, when the policy
     /// selected it (`cache_backend: Shared`) — client threads clone
     /// this to hit the same cache the resolver serves from. `None`

@@ -176,7 +176,6 @@ pub struct SharedCache {
     mask: u64,
     /// Allocated on `enable_ledger`; absent = journalling off.
     log: OnceLock<OpLog>,
-    log_capacity: usize,
 }
 
 impl SharedCache {
@@ -208,19 +207,12 @@ impl SharedCache {
             segments: segments.into_boxed_slice(),
             mask: (count - 1) as u64,
             log: OnceLock::new(),
-            log_capacity: DEFAULT_OP_LOG_CAPACITY,
         }
     }
 
     /// Builds the backend a policy asks for.
     pub fn from_policy(policy: &ResolverPolicy) -> SharedCache {
         SharedCache::build(policy.cache_segments, policy.cache_capacity)
-    }
-
-    /// Sets the op-log capacity used when the ledger is (later)
-    /// enabled. No effect once `enable_ledger` has run.
-    pub fn set_op_log_capacity(&mut self, capacity: usize) {
-        self.log_capacity = capacity.max(1);
     }
 
     /// Number of lock segments.
@@ -253,7 +245,7 @@ impl SharedCache {
     /// `&self` on purpose — threads hold the cache behind an `Arc`.
     pub fn enable_ledger(&self) {
         self.log
-            .get_or_init(|| OpLog::with_capacity(self.log_capacity));
+            .get_or_init(|| OpLog::with_capacity(DEFAULT_OP_LOG_CAPACITY));
     }
 
     /// Ops that overflowed the journal (0 unless the log filled up).
@@ -281,7 +273,7 @@ impl SharedCache {
     }
 
     fn replay(&self, log: &OpLog, segment: Option<u32>) -> Ledger {
-        let mut ledger = Ledger::with_journal_capacity(self.log_capacity);
+        let mut ledger = Ledger::with_journal_capacity(DEFAULT_OP_LOG_CAPACITY);
         for op in log.iter() {
             if segment.is_some_and(|s| s != op.segment) {
                 continue;

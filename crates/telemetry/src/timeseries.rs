@@ -302,11 +302,6 @@ impl TimeSeriesStore {
             .unwrap_or(0)
     }
 
-    /// Names of all counter series, in export order.
-    pub fn counter_names(&self) -> Vec<String> {
-        self.counters.keys().cloned().collect()
-    }
-
     /// The counter series `name` as `(width_ms, dense (t_ms, delta)
     /// points)` — gap-free from the first to the last occupied bucket.
     pub fn counter_series(&self, name: &str) -> Option<(u64, Vec<(u64, u64)>)> {

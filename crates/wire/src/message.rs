@@ -258,14 +258,6 @@ impl Message {
             .chain(self.additionals.iter().map(|r| (Section::Additional, r)))
     }
 
-    /// Answer records matching `name` and `rtype`.
-    pub fn answers_for(&self, name: &Name, rtype: RecordType) -> Vec<&Record> {
-        self.answers
-            .iter()
-            .filter(|r| r.name == *name && r.record_type() == rtype)
-            .collect()
-    }
-
     /// True if this response is a referral: no answers, NS records in
     /// the authority section, NOERROR.
     pub fn is_referral(&self) -> bool {

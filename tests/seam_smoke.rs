@@ -6,12 +6,14 @@
 //! (`resolver/tests/concurrent_equivalence.rs`), the authoritative
 //! zone index (`auth/tests/zone_model.rs`), the codec identity the
 //! exchange path relies on without performing it
-//! (`wire/tests/codec_properties.rs`), and the shape of the metrics
-//! exposition (`telemetry/src/registry.rs`).
+//! (`wire/tests/codec_properties.rs`), the shape of the metrics
+//! exposition (`telemetry/src/registry.rs`), and the cell engine's merge
+//! and fan-out (`atlas/src/shard.rs`, `tests/shard_equivalence.rs`).
 
 use dnsttl::atlas::{
-    run_measurement, run_zipf_campaign, MeasurementSpec, Population, PopulationConfig, QueryName,
-    ZipfCampaignConfig, ZipfEngine, ZipfRunOpts, ZipfSampler,
+    fan_out, merge_by_time, population_campaign, run_measurement, run_zipf_campaign, Dataset,
+    FanOut, MeasurementResult, MeasurementSpec, Population, PopulationConfig, QueryName,
+    ZipfCampaignConfig, ZipfEngine, ZipfRow, ZipfRunOpts, ZipfSampler,
 };
 use dnsttl::auth::{AuthoritativeServer, ZoneBuilder};
 use dnsttl::core::{CacheBackendChoice, ResolverPolicy};
@@ -404,4 +406,140 @@ fn a_uy_latency_run_exports_one_latency_sample_per_client_query_and_no_histogram
             "{line}"
         );
     }
+}
+
+#[test]
+fn the_one_merge_orders_both_row_types_by_time_then_part() {
+    // Zipf rows through the merge itself: a tie at t=5 across three
+    // parts, an empty part, unbalanced lengths, resolvers rebased.
+    let zrow = |at_ms: u64, probe: u32, resolver: u32| ZipfRow {
+        at_ms,
+        probe,
+        rank: 0,
+        resolver,
+        rtt_ms: 1,
+        cache_hit: false,
+        ok: true,
+    };
+    let parts = vec![
+        vec![zrow(5, 0, 0), zrow(9, 1, 1)],
+        vec![],
+        vec![zrow(5, 2, 0), zrow(5, 3, 1), zrow(7, 4, 0)],
+        vec![zrow(5, 5, 0)],
+    ];
+    let bases = [0u32, 4, 6, 8];
+    let merged = merge_by_time(parts, |r| r.at_ms, |part, r| r.resolver += bases[part]);
+    let got: Vec<(u64, u32, u32)> = merged
+        .iter()
+        .map(|r| (r.at_ms, r.probe, r.resolver))
+        .collect();
+    assert_eq!(
+        got,
+        [
+            (5, 0, 0),
+            (5, 2, 6),
+            (5, 3, 7),
+            (5, 5, 8),
+            (7, 4, 6),
+            (9, 1, 1)
+        ],
+        "time order; part order, then arrival order, on ties"
+    );
+
+    // Measurement rows through `Dataset::merge_shards`, which is that
+    // merge plus a probe/resolver rebase: same order rule.
+    let mrow = |at_ms: u64, probe_id: u32| MeasurementResult {
+        at: SimTime::from_millis(at_ms),
+        probe_id,
+        probe_idx: 0,
+        vp_slot: 0,
+        resolver_idx: 0,
+        region: Region::Eu,
+        qname: Name::parse("uy").unwrap(),
+        rcode: Rcode::NoError,
+        ttl: Some(at_ms),
+        answers: vec![],
+        rtt_ms: 1,
+        cache_hit: false,
+        valid: true,
+        timed_out: false,
+    };
+    let dataset = |rows: &[(u64, u32)]| {
+        let mut ds = Dataset::new();
+        for &(at_ms, probe_id) in rows {
+            ds.push(mrow(at_ms, probe_id));
+        }
+        ds
+    };
+    let merged = Dataset::merge_shards(vec![
+        (dataset(&[(100, 1), (300, 2)]), 0, 0),
+        (dataset(&[]), 2, 3),
+        (dataset(&[(100, 3), (100, 4), (200, 5)]), 2, 3),
+    ]);
+    let got: Vec<(u32, usize, usize)> = merged
+        .results()
+        .iter()
+        .map(|r| (r.probe_id, r.probe_idx, r.resolver_idx))
+        .collect();
+    assert_eq!(got, [(1, 0, 0), (3, 2, 3), (4, 2, 3), (5, 2, 3), (2, 0, 0)]);
+
+    // A hand-built part that is not in time order falls back to the
+    // merge's definition: the stable sort of the concatenation.
+    let merged = merge_by_time(
+        vec![vec![(9, 'a'), (5, 'b')], vec![(5, 'c')]],
+        |r| r.0,
+        |_, _| {},
+    );
+    assert_eq!(merged, [(5, 'b'), (5, 'c'), (9, 'a')]);
+}
+
+#[test]
+fn the_population_engine_is_worker_count_invariant_rows_and_telemetry() {
+    let spec = MeasurementSpec::every_600s(
+        QueryName::Fixed(Name::parse("uy").unwrap()),
+        RecordType::NS,
+        1,
+    );
+    let world = || {
+        let (net, roots) = uy_world(Ttl::from_secs(300), Ttl::from_secs(120));
+        (net, roots, None)
+    };
+    for cells in [16, 64] {
+        let run = |workers: usize, telemetry: bool| {
+            let plan = FanOut {
+                telemetry,
+                ..FanOut::new(workers, cells)
+            };
+            let (outcome, parts) = population_campaign(&plan, 0x5EA4_0008, 160, &spec, world);
+            let absorbed = Telemetry::new();
+            let cell_handles = parts.len();
+            absorbed.absorb_shards(parts);
+            (outcome, cell_handles, absorbed)
+        };
+        let (one, handles, one_t) = run(1, true);
+        let (four, _, four_t) = run(4, true);
+        assert_eq!(handles, cells, "one drained handle per cell");
+        assert_eq!(one.probes, 160);
+        assert!(one.dataset.len() > 160, "cells={cells}");
+        assert_eq!(one.dataset.digest(), four.dataset.digest(), "cells={cells}");
+        assert_eq!(one.resolvers, four.resolvers);
+        assert_eq!(one_t.prometheus_text(), four_t.prometheus_text());
+        assert_eq!(one_t.trace_jsonl(), four_t.trace_jsonl());
+        assert_eq!(one_t.timeseries_jsonl(), four_t.timeseries_jsonl());
+        assert!(one_t.events_recorded() > 0, "the cells were observed");
+
+        // Telemetry off: the same rows, and nothing built to hand back.
+        let (off, handles, _) = run(4, false);
+        assert_eq!(handles, 0);
+        assert_eq!(off.dataset.digest(), one.dataset.digest(), "cells={cells}");
+    }
+    // The fan-out itself, without a population: results in cell order
+    // and no parts from disabled handles.
+    let (outs, parts, profile) = fan_out(&FanOut::new(4, 8), |cell, telemetry| {
+        telemetry.count("cells_total", 1);
+        (cell, (0, 1))
+    });
+    assert_eq!(outs, (0..8).collect::<Vec<_>>());
+    assert!(parts.is_empty());
+    assert_eq!(profile.cell_busy.len(), 8);
 }

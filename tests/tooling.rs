@@ -195,6 +195,36 @@ fn bench_report_header_counts_its_lines_and_gates_find_their_rows() {
 }
 
 #[test]
+fn bench_population_scenarios_reproduce_the_digests_pinned_before_the_shared_engine() {
+    // `sharded_population` used to gate a private copy of the cell
+    // loop; it now calls `dnsttl_atlas::population_campaign`, the engine
+    // `repro --shards` runs. These are the values the last commit with
+    // the private copy printed for `repro bench --quick --seed 42`, so
+    // the move — and any later change to the engine or the merge — is
+    // held to the identical row sequence.
+    let report = dnsttl::bench::runner::run(dnsttl::bench::BenchConfig::quick(42));
+    let value = |scenario: &str, metric: &str| {
+        report
+            .counters
+            .iter()
+            .find(|c| c.scenario == scenario && c.metric == metric)
+            .unwrap_or_else(|| panic!("no counter {scenario}/{metric}"))
+            .value
+    };
+    for (scenario, metric, pinned) in [
+        ("sharded_population", "results", 6_156.0),
+        ("sharded_population", "valid_results", 6_144.0),
+        ("sharded_population", "digest_hi", 1_469_452_638.0),
+        ("sharded_population", "digest_lo", 18_526_468.0),
+        ("zipf_population", "results", 108_966.0),
+        ("zipf_population", "digest_hi", 3_451_486_222.0),
+        ("zipf_population", "digest_lo", 2_243_215_305.0),
+    ] {
+        assert_eq!(value(scenario, metric), pinned, "{scenario}/{metric}");
+    }
+}
+
+#[test]
 fn classifier_matches_known_behaviours() {
     // Series shaped like the paper's Figure 1 regions.
     assert_eq!(
