@@ -22,23 +22,6 @@ pub enum Centricity {
     ParentCentric,
 }
 
-/// Which cache engine a resolver runs behind its policy.
-///
-/// The paper's vantage points differ in topology as much as in policy:
-/// an ISP resolver fleet partitions clients across independent caches,
-/// while an open resolver (Google DNS, OpenDNS) funnels many client
-/// threads through one shared cache — the sharing is what drives its
-/// hit-rate and centricity effects.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum CacheBackendChoice {
-    /// The single-threaded expiry-indexed cache (the proven oracle).
-    #[default]
-    Sequential,
-    /// The concurrent backend: sharded-lock segments, hash-routed on
-    /// the query name, safe to drive from many client threads.
-    Shared,
-}
-
 /// A complete description of one resolver implementation's caching
 /// behaviour — every behaviour the paper observes in the wild, as a
 /// configuration.
@@ -100,12 +83,6 @@ pub struct ResolverPolicy {
     /// with a caching side effect: intermediate NS sets get cached at
     /// answer rank.
     pub qname_minimization: bool,
-    /// Which cache engine backs this resolver: the single-threaded
-    /// oracle or the concurrent segment-locked backend.
-    pub cache_backend: CacheBackendChoice,
-    /// Lock segments for the shared backend (rounded up to a power of
-    /// two, clamped to `[1, 256]`). Ignored by the sequential engine.
-    pub cache_segments: usize,
 }
 
 impl Default for ResolverPolicy {
@@ -127,8 +104,6 @@ impl Default for ResolverPolicy {
             prefetch: false,
             cache_capacity: None,
             qname_minimization: false,
-            cache_backend: CacheBackendChoice::Sequential,
-            cache_segments: 8,
         }
     }
 }

@@ -88,7 +88,7 @@ const ARTIFACTS: &[(&str, &str)] = &[
     ),
     (
         "shared-cache",
-        "hit rate and latency vs TTL: shared concurrent cache vs partitioned caches",
+        "hit rate and latency vs TTL: one shared cache vs partitioned caches",
     ),
     (
         "zipf-population",

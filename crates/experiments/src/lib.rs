@@ -13,7 +13,7 @@
 //! | [`controlled`] | Table 10, Figure 11 — controlled TTL & anycast latency |
 //! | [`extensions`] | beyond the figures: §4.4 offline-child, §2 DNSSEC centricity, §6.1 DDoS survival, analytic-model validation |
 //! | [`insight`] | cache forensics: Tables 3–4's effective lifetimes re-derived from the provenance ledger (`repro cache-report`) |
-//! | [`shared_cache`] | hit rate and latency vs TTL for one shared concurrent cache vs partitioned caches (`repro shared-cache`) |
+//! | [`shared_cache`] | hit rate and latency vs TTL for one resolver for all clients vs partitioned resolvers (`repro shared-cache`) |
 //!
 //! Each `run(&ExpConfig)` returns a [`Report`]: printable text (tables
 //! and ASCII CDFs), a machine-readable metric map used by the test

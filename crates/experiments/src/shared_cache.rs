@@ -1,5 +1,5 @@
 //! `shared-cache` — hit rate and latency vs TTL when many clients
-//! share one concurrent cache instead of partitioned per-group caches.
+//! share one resolver's cache instead of partitioned per-group caches.
 //!
 //! The paper's §5.3/§6.2 latency results all flow through one
 //! mechanism: a cached answer is free, a miss pays upstream RTTs. How
@@ -10,31 +10,32 @@
 //! experiment measures that directly:
 //!
 //! * **partitioned** — clients are split into [`GROUPS`] groups, each
-//!   with its own sequential resolver ([`CacheBackendChoice::Sequential`]).
-//!   Every group pays its own cold misses.
+//!   with its own resolver. Every group pays its own cold misses.
 //! * **shared** — the same clients, same per-client query streams, one
-//!   resolver whose policy selects the concurrent backend
-//!   ([`CacheBackendChoice::Shared`], the sharded-lock
-//!   [`SharedCache`](dnsttl_resolver::SharedCache)). One miss fills the
-//!   cache for the whole population.
+//!   resolver for all of them. One miss fills the cache for the whole
+//!   population.
 //!
-//! Client query streams are forked per client *index*, so the two
-//! topologies replay byte-identical workloads; only cache sharing
-//! differs. Both axes sweep TTL ∈ {60 s, 1 h, 1 day}.
+//! Every resolver runs the default policy on the one cache a resolver
+//! has; client query streams are forked per client *index*, so the two
+//! topologies replay byte-identical workloads and only how many
+//! clients fill one cache differs. Both axes sweep TTL ∈ {60 s, 1 h,
+//! 1 day}.
 //!
 //! A second arm pins the concurrency contract the differential suite
-//! (`concurrent_equivalence.rs`) proves: replaying the same seeded
-//! per-segment workload on the shared backend with 1, 2, and 8 threads
-//! yields identical merged [`CacheStats`] — scheduling is invisible to
-//! the accounting, so the artifact is reproducible byte-for-byte no
-//! matter how the host machine interleaves threads.
+//! (`concurrent_equivalence.rs`) proves of the concurrent model,
+//! [`SharedCache`]: replaying the same seeded per-segment workload on
+//! one 8-segment cache with 1, 2, and 8 threads yields
+//! identical merged [`CacheStats`](dnsttl_resolver::CacheStats) —
+//! scheduling is invisible to the accounting, so the artifact is
+//! reproducible byte-for-byte no matter how the host machine
+//! interleaves threads.
 
 use crate::config::ExpConfig;
 use crate::report::Report;
 use crate::worlds;
 use dnsttl_analysis::{CsvWriter, Table};
 use dnsttl_auth::{AuthoritativeServer, ZoneBuilder};
-use dnsttl_core::{CacheBackendChoice, ResolverPolicy};
+use dnsttl_core::ResolverPolicy;
 use dnsttl_netsim::{EventQueue, LatencyModel, Network, Region, SimDuration, SimRng, SimTime};
 use dnsttl_resolver::{Credibility, RecursiveResolver, SharedCache};
 use dnsttl_wire::{Name, RData, RRset, Rcode, RecordType, Ttl};
@@ -50,7 +51,7 @@ fn n(s: &str) -> Name {
 const POOL: usize = 24;
 /// Resolver groups in the partitioned topology.
 const GROUPS: usize = 8;
-/// Lock segments for the shared backend (and the contention arm).
+/// Lock segments of the contention arm's [`SharedCache`].
 const SEGMENTS: usize = 8;
 /// How often each client re-resolves a pool name.
 const QUERY_GAP_S: u64 = 120;
@@ -102,23 +103,11 @@ fn pool_world(ttl: Ttl) -> (Network, Vec<dnsttl_resolver::RootHint>) {
     (net, worlds::root_hints())
 }
 
-fn policy_for(shared: bool) -> ResolverPolicy {
-    if shared {
-        ResolverPolicy {
-            cache_backend: CacheBackendChoice::Shared,
-            cache_segments: SEGMENTS,
-            ..ResolverPolicy::default()
-        }
-    } else {
-        ResolverPolicy::default()
-    }
-}
-
 /// Replays one cell: `clients` clients querying harmonic-popularity
-/// pool names for [`HORIZON_S`], through either one shared-backend
-/// resolver or [`GROUPS`] partitioned sequential resolvers. The
-/// per-client RNG streams depend only on the client index, so both
-/// topologies see identical workloads.
+/// pool names for [`HORIZON_S`], through either one resolver for all
+/// of them or [`GROUPS`] partitioned resolvers. The per-client RNG
+/// streams depend only on the client index, so both topologies see
+/// identical workloads.
 fn simulate_topology(
     telemetry: &dnsttl_telemetry::Telemetry,
     seed: u64,
@@ -128,7 +117,6 @@ fn simulate_topology(
 ) -> CellResult {
     let (mut net, roots) = pool_world(ttl);
     net.set_telemetry(telemetry.clone());
-    let policy = policy_for(shared);
     let resolver_count = if shared { 1 } else { GROUPS };
     // Resolver and client streams are separate: forking advances the
     // parent, and the two topologies create different resolver counts,
@@ -137,14 +125,16 @@ fn simulate_topology(
     let mut client_rng = SimRng::seed_from(seed ^ 0x5EED_0002);
     let mut resolvers: Vec<RecursiveResolver> = (0..resolver_count)
         .map(|g| {
-            RecursiveResolver::new(
+            let mut resolver = RecursiveResolver::new(
                 format!("{}{g}", if shared { "shared" } else { "part" }),
-                policy.clone(),
+                ResolverPolicy::default(),
                 Region::Eu,
                 g as u64,
                 roots.clone(),
                 resolver_rng.fork(g as u64),
-            )
+            );
+            resolver.set_telemetry(telemetry.clone());
+            resolver
         })
         .collect();
 
@@ -184,8 +174,7 @@ fn simulate_topology(
         queue.schedule(now + gap, tick);
     }
 
-    // §8 conservation over every cache the topology used — on the
-    // shared backend this sums per-segment stats.
+    // §8 conservation over every cache the topology used.
     cell.conserved = resolvers.iter().all(|r| {
         let stats = r.cache().stats();
         stats.inserts == stats.removals() + r.cache().len() as u64
@@ -280,11 +269,11 @@ pub fn run(cfg: &ExpConfig) -> Vec<Report> {
 
     let mut report = Report::new(
         "shared-cache",
-        "hit rate and latency vs TTL: one shared concurrent cache vs partitioned caches",
+        "hit rate and latency vs TTL: one shared cache vs partitioned caches",
     );
     report.push(format!(
         "{clients} clients, {POOL} pool names (harmonic popularity), \
-         {GROUPS} partitions vs 1 shared resolver ({SEGMENTS} lock segments), \
+         {GROUPS} partitions vs 1 resolver for all clients, \
          horizon {HORIZON_S}s, query gap {QUERY_GAP_S}s"
     ));
 
@@ -372,14 +361,14 @@ pub fn run(cfg: &ExpConfig) -> Vec<Report> {
     );
     report.metric("contention_ops", contention_ops as f64);
     report.push(format!(
-        "contention arm: seeded per-segment workload on 1/2/8 threads merged to \
-         {} stats ({} hits+inserts at 1 thread)",
+        "contention arm: seeded per-segment workload on one {SEGMENTS}-segment \
+         SharedCache, 1/2/8 threads, merged to {} stats ({} hits+inserts at 1 thread)",
         if invariant { "identical" } else { "DIVERGENT" },
         contention_ops,
     ));
     report.push(
         "one shared cache amortises each miss across the whole client population:\n\
-         the shared backend's hit rate dominates the partitioned one at every TTL,\n\
+         the shared resolver's hit rate dominates the partitioned one at every TTL,\n\
          and the gap is the same mechanism behind the paper's §5.3 latency win.",
     );
 

@@ -15,12 +15,13 @@
 //! a `Send`-able state machine with no interior mutability and no
 //! telemetry handle. Accounting side effects (stats, ledger records,
 //! trace events) go through the [`OpSink`] trait, so the same core
-//! drives two engines:
+//! drives two implementations:
 //!
-//! * [`Cache`] — the single-threaded sequential oracle: one core plus a
-//!   `RefCell`-guarded stats/ledger pair and an `Rc`-based telemetry
-//!   handle, exactly the engine every equivalence test pins down;
-//! * [`crate::SharedCache`] — the concurrent backend: one core per
+//! * [`Cache`] — the cache a resolver holds, single-threaded: one core
+//!   plus a `RefCell`-guarded stats/ledger pair and an `Rc`-based
+//!   telemetry handle, and the oracle every equivalence test pins the
+//!   other one to;
+//! * [`crate::SharedCache`] — the concurrent model: one core per
 //!   locked segment, journalling through a lock-free append instead of
 //!   a telemetry handle (which is `Rc`-based and cannot cross threads).
 
@@ -460,8 +461,9 @@ impl CacheCore {
     /// serve, and hands `f` the entry in place together with its
     /// age-decremented TTL — nothing is cloned unless `f` clones it.
     ///
-    /// `f` must not re-enter the cache: the engines run it with their
-    /// accounting borrowed (`RefCell`) or their segment locked.
+    /// `f` must not re-enter the cache: [`Cache`] runs it with its
+    /// accounting `RefCell` borrowed, [`crate::SharedCache::get`] with
+    /// the segment locked.
     ///
     /// Read-only on the core, so the sequential engine keeps its
     /// `&self` read path.
@@ -817,8 +819,8 @@ fn note_telemetry(
     });
 }
 
-/// The cache proper — the sequential engine, and the oracle every
-/// differential suite measures other engines against.
+/// The cache proper — the one a resolver holds, and the oracle the
+/// differential suites measure [`crate::SharedCache`] against.
 ///
 /// ```
 /// use dnsttl_resolver::{Cache, Credibility};
@@ -864,6 +866,15 @@ impl Cache {
         Cache {
             core: CacheCore::new(Some(capacity)),
             ..Cache::default()
+        }
+    }
+
+    /// The cache a policy asks for: bounded to `cache_capacity` when
+    /// set, unbounded otherwise.
+    pub fn from_policy(policy: &ResolverPolicy) -> Cache {
+        match policy.cache_capacity {
+            Some(capacity) => Cache::with_capacity(capacity),
+            None => Cache::new(),
         }
     }
 
@@ -1837,5 +1848,63 @@ mod tests {
         assert_eq!(owners, [None, Some(n("example.org")), None, None]);
         assert_eq!(owners[1].as_ref().unwrap().as_str(), "Example.ORG.");
         assert_eq!(c.stats().hits, 1);
+    }
+
+    /// `get` is the borrowed read plus a clone: a seeded tape of
+    /// stores, clock steps and lookups driven through `get` on one
+    /// cache and through `read` on its twin returns the same TTL,
+    /// rank, data and provenance at every step and leaves the same
+    /// counters and the same ledger, line for line.
+    #[test]
+    fn borrowed_read_is_get_without_the_clone() {
+        use Credibility::*;
+        let policy = ResolverPolicy {
+            cache_capacity: Some(24),
+            ..ResolverPolicy::default()
+        };
+        let mut via_get = Cache::from_policy(&policy);
+        let mut via_read = Cache::from_policy(&policy);
+        via_get.enable_ledger();
+        via_read.enable_ledger();
+        let mut rng = dnsttl_netsim::SimRng::seed_from(0x0B04_40ED);
+        let mut now = SimTime::ZERO;
+        for _ in 0..4_000 {
+            let host = format!("h{}.example", rng.below(40));
+            match rng.below(5) {
+                0 => now += SimDuration::from_secs(rng.below(120)),
+                1 | 2 => {
+                    let rrset = a_rrset(&host, 30 + rng.below(600) as u32, rng.below(3) as u8);
+                    let rank = [
+                        ReferralAdditional,
+                        ReferralAuthority,
+                        AuthAuthority,
+                        AuthAnswer,
+                    ][rng.below(4) as usize];
+                    let pinned = rng.below(16) == 0;
+                    for cache in [&mut via_get, &mut via_read] {
+                        cache.store(rrset.clone(), rank, now, &policy, pinned);
+                    }
+                }
+                _ => {
+                    let name = n(&host);
+                    let got = via_get
+                        .get(&name, RecordType::A, now)
+                        .map(|a| (a.rrset.ttl, a.rank, a.rrset.rdatas, a.provenance));
+                    let read = via_read.read(&name, RecordType::A, now, |e, ttl| {
+                        (ttl, e.rank, e.rrset.rdatas.clone(), e.provenance)
+                    });
+                    assert_eq!(got, read, "at {now:?}");
+                }
+            }
+        }
+        let stats = via_get.stats();
+        assert_eq!(stats, via_read.stats());
+        assert!(
+            stats.hits > 100 && stats.expiries > 0 && stats.evictions > 0,
+            "the tape reaches hits, expiries and evictions: {stats:?}"
+        );
+        let lines = |cache: &Cache| cache.with_ledger(|l| l.journal().to_jsonl());
+        assert!(lines(&via_get).is_some_and(|text| text.lines().count() > 1_000));
+        assert_eq!(lines(&via_get), lines(&via_read));
     }
 }

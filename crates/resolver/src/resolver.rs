@@ -8,10 +8,8 @@
 //! addresses with sub-queries, retrying and failing over between
 //! servers, and accounting the RTT of every exchange.
 
-use crate::backend::CacheEngine;
-use crate::cache::Credibility;
+use crate::cache::{Cache, Credibility};
 use crate::ledger::{BailiwickClass, StoreContext};
-use crate::shared::SharedCache;
 use dnsttl_core::{Centricity, ResolverPolicy};
 use dnsttl_netsim::{ExchangeOutcome, Network, Region, SimDuration, SimRng, SimTime, Transport};
 use dnsttl_telemetry::{EventKind, MetricKey, SpanId, Telemetry, Value};
@@ -128,7 +126,7 @@ pub struct RecursiveResolver {
     policy: ResolverPolicy,
     region: Region,
     tag: u64,
-    cache: CacheEngine,
+    cache: Cache,
     roots: Vec<RootHint>,
     rng: SimRng,
     /// Zone apex → server address that answered for it last
@@ -158,7 +156,7 @@ impl RecursiveResolver {
         roots: Vec<RootHint>,
         rng: SimRng,
     ) -> RecursiveResolver {
-        let cache = CacheEngine::from_policy(&policy);
+        let cache = Cache::from_policy(&policy);
         RecursiveResolver {
             label: label.into().into(),
             policy,
@@ -203,17 +201,9 @@ impl RecursiveResolver {
         self.tag
     }
 
-    /// Read access to the cache engine (tests and analyses).
-    pub fn cache(&self) -> &CacheEngine {
+    /// Read access to the cache (tests and analyses).
+    pub fn cache(&self) -> &Cache {
         &self.cache
-    }
-
-    /// A cloneable handle to the concurrent backend, when the policy
-    /// selected it (`cache_backend: Shared`) — client threads clone
-    /// this to hit the same cache the resolver serves from. `None`
-    /// under the sequential engine.
-    pub fn shared_cache(&self) -> Option<std::sync::Arc<SharedCache>> {
-        self.cache.shared()
     }
 
     /// Turns on the cache's provenance ledger (see

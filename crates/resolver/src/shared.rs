@@ -1,12 +1,21 @@
-//! The concurrent shared-cache backend: sharded-lock segments over the
-//! same [`CacheCore`] state machine the sequential oracle runs.
+//! The concurrent model of the cache: sharded-lock segments over the
+//! same [`CacheCore`] state machine the resolver's
+//! [`Cache`](crate::Cache) runs.
 //!
 //! The paper's open-resolver populations (Google DNS, OpenDNS) share
-//! one cache across many client threads — that sharing is what drives
-//! their hit-rate and centricity effects. [`SharedCache`] models the
+//! one cache across many client threads. [`SharedCache`] models that
 //! topology: a power-of-two array of mutex-guarded segments, each a
 //! [`CacheCore`] with its own expiry index and stats, with keys routed
 //! by the interned [`Name`]'s precomputed case-folded hash.
+//!
+//! It is not a resolver backend. A
+//! [`RecursiveResolver`](crate::RecursiveResolver) holds a `Cache`:
+//! inside a cell the determinism contract runs every resolver on one
+//! thread, and how many clients fill a cache — the thing the paper's
+//! hit rates turn on — does not depend on how the cache is locked
+//! (DESIGN.md §14). `SharedCache` is driven directly: by the
+//! differential suites that hold it to `Cache` per segment, and by
+//! `repro shared-cache`'s contention arm.
 //!
 //! # Determinism and the proof strategy
 //!
@@ -31,7 +40,7 @@
 //! # Ledger ops under concurrency
 //!
 //! The `Rc`-based telemetry handle cannot cross threads, so the shared
-//! backend journals through its own lock-free append: a preallocated
+//! cache journals through its own lock-free append: a preallocated
 //! slot array claimed by an atomic reservation index ([`OpLog`]).
 //! Appends happen while the owning segment's lock is held, so each
 //! segment's ops appear in the log in true operation order; the §8
@@ -46,7 +55,7 @@ use dnsttl_wire::{Name, RRset, Rcode, RecordType, Ttl};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard, OnceLock};
 
-use crate::cache::{CacheCore, CachedAnswer, Credibility, Entry, OpSink};
+use crate::cache::{CacheCore, CachedAnswer, Credibility, OpSink};
 use crate::ledger::{CacheStats, Ledger, Provenance, StoreContext};
 use crate::snapshot::CacheSnapshot;
 
@@ -166,8 +175,8 @@ struct Segment {
 
 /// A concurrent, segment-locked cache sharing the sequential engine's
 /// replacement/expiry/eviction logic verbatim. All methods take
-/// `&self`; locking is internal and per segment, so resolver threads
-/// contend only when they touch names hashing to the same shard.
+/// `&self`; locking is internal and per segment, so threads contend
+/// only when they touch names hashing to the same shard.
 #[derive(Debug)]
 pub struct SharedCache {
     segments: Box<[Mutex<Segment>]>,
@@ -208,11 +217,6 @@ impl SharedCache {
             mask: (count - 1) as u64,
             log: OnceLock::new(),
         }
-    }
-
-    /// Builds the backend a policy asks for.
-    pub fn from_policy(policy: &ResolverPolicy) -> SharedCache {
-        SharedCache::build(policy.cache_segments, policy.cache_capacity)
     }
 
     /// Number of lock segments.
@@ -341,22 +345,6 @@ impl SharedCache {
         let Segment { core, stats } = &mut *seg;
         let mut sink = SharedCache::sink(stats, self.log.get(), idx);
         core.get(name, rtype, now, &mut sink)
-    }
-
-    /// [`SharedCache::get`] without the clone: `f` reads the fresh
-    /// entry in place (see [`CacheCore::read`]) and must not re-enter
-    /// this cache — the entry's segment stays locked while it runs.
-    pub(crate) fn read<T>(
-        &self,
-        name: &dyn NameKey,
-        rtype: RecordType,
-        now: SimTime,
-        f: impl FnOnce(&Entry, Ttl) -> T,
-    ) -> Option<T> {
-        let (mut seg, idx) = self.lock_for(name);
-        let Segment { core, stats } = &mut *seg;
-        let mut sink = SharedCache::sink(stats, self.log.get(), idx);
-        core.read(name, rtype, now, &mut sink, f)
     }
 
     /// See [`crate::Cache::get_stale`].

@@ -26,6 +26,9 @@
 //!   whatever the cross-segment interleaving. With threads racing on
 //!   *overlapping* keys the answers become schedule-dependent, but the
 //!   conservation law and journal/stats agreement must survive.
+//! * **noise** — on an unbounded cache, free-running threads working
+//!   *other* names that hash into the same segments never change what
+//!   a scripted stream is answered with.
 
 use dnsttl_core::ResolverPolicy;
 use dnsttl_netsim::{SimDuration, SimRng, SimTime};
@@ -491,5 +494,83 @@ fn racing_threads_preserve_conservation_and_journal_agreement() {
                 }
             })
             .expect("ledger enabled");
+    }
+}
+
+/// Part D: contention on other keys is outcome-invisible. One thread
+/// replays the scripted tape on an unbounded cache, once quiet and
+/// once while 4 free-running threads store, read, stale-read,
+/// failure-cache and invalidate `*.noise.example` names in the same
+/// segments. Every scripted answer must be the same, and the combined
+/// op stream must still conserve after the join.
+#[test]
+fn noise_threads_on_other_names_never_change_scripted_answers() {
+    use std::sync::atomic::{AtomicBool, Ordering};
+    const NOISE_THREADS: u64 = 4;
+    let policy = ResolverPolicy::default();
+    let names = name_pool();
+    let noise_names: Vec<Name> = (0..64)
+        .map(|i| Name::parse(&format!("n{i}.noise.example")).unwrap())
+        .collect();
+    let probe = SharedCache::new(SEGMENTS);
+    assert!(
+        (0..SEGMENTS).all(|s| noise_names.iter().any(|n| probe.segment_of(n) == s)),
+        "the noise must reach every segment the script uses"
+    );
+    for seed in SEEDS {
+        let workload = generate_workload(seed, &names);
+        let run = |noise: bool| {
+            let shared = SharedCache::new(SEGMENTS);
+            let noise_threads = if noise { NOISE_THREADS } else { 0 };
+            let stop = AtomicBool::new(false);
+            // The script starts only once every noise thread is
+            // running, and they run until it is done.
+            let start = std::sync::Barrier::new(noise_threads as usize + 1);
+            let answers: Vec<String> = std::thread::scope(|scope| {
+                for t in 0..noise_threads {
+                    let (shared, stop, start, policy, noise_names) =
+                        (&shared, &stop, &start, &policy, &noise_names);
+                    scope.spawn(move || {
+                        let tape = generate_workload(seed ^ ((t + 1) << 32), noise_names);
+                        start.wait();
+                        loop {
+                            for (now, op) in &tape {
+                                apply_shared(shared, *now, op, policy);
+                            }
+                            if stop.load(Ordering::Relaxed) {
+                                break;
+                            }
+                        }
+                    });
+                }
+                start.wait();
+                let answers = workload
+                    .iter()
+                    .map(|(now, op)| apply_shared(&shared, *now, op, &policy))
+                    .collect();
+                stop.store(true, Ordering::Relaxed);
+                answers
+            });
+            let stats = shared.stats();
+            assert_eq!(
+                stats.inserts,
+                stats.removals() + shared.len() as u64,
+                "seed {seed} noise={noise}: conservation violated"
+            );
+            (answers, stats)
+        };
+        let (quiet, quiet_stats) = run(false);
+        let (noisy, noisy_stats) = run(true);
+        assert!(
+            noisy_stats.inserts > quiet_stats.inserts && noisy_stats.hits > quiet_stats.hits,
+            "seed {seed}: the noise threads did no work"
+        );
+        for (step, (q, n)) in quiet.iter().zip(&noisy).enumerate() {
+            assert_eq!(
+                q, n,
+                "seed {seed} step {step}: noise changed the answer to {:?}",
+                workload[step].1
+            );
+        }
     }
 }

@@ -44,10 +44,6 @@ fn gen_policy(rng: &mut SimRng) -> ResolverPolicy {
         prefetch: false,
         cache_capacity: None,
         qname_minimization: false,
-        // Constant, not drawn from `rng`: consuming extra draws here
-        // would shift every downstream sample and re-seed the cases.
-        cache_backend: dnsttl_core::CacheBackendChoice::Sequential,
-        cache_segments: 8,
     }
 }
 

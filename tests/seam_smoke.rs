@@ -1,8 +1,8 @@
 //! Thin tier-1 cases for the four seams whose full proof suites live
 //! at crate level (`cargo test --workspace`): the event queue's drain
 //! order (`netsim/tests/wheel_oracle.rs`), the SoA-vs-oracle campaign
-//! engines (`atlas/tests/soa_equivalence.rs`), the two cache
-//! implementations behind `CacheEngine`
+//! engines (`atlas/tests/soa_equivalence.rs`), the resolver's cache
+//! against its concurrent model
 //! (`resolver/tests/concurrent_equivalence.rs`), the authoritative
 //! zone index (`auth/tests/zone_model.rs`), the codec identity the
 //! exchange path relies on without performing it
@@ -16,12 +16,12 @@ use dnsttl::atlas::{
     ZipfCampaignConfig, ZipfEngine, ZipfRow, ZipfRunOpts, ZipfSampler,
 };
 use dnsttl::auth::{AuthoritativeServer, ZoneBuilder};
-use dnsttl::core::{CacheBackendChoice, ResolverPolicy};
+use dnsttl::core::ResolverPolicy;
 use dnsttl::experiments::worlds::{addrs, root_hints, uy_world};
 use dnsttl::netsim::{
     ClientId, DnsService, EventQueue, LatencyModel, Network, Region, SimDuration, SimRng, SimTime,
 };
-use dnsttl::resolver::{CacheEngine, Credibility, RecursiveResolver, RootHint};
+use dnsttl::resolver::{Cache, Credibility, RecursiveResolver, RootHint, SharedCache};
 use dnsttl::telemetry::Telemetry;
 use dnsttl::wire::{
     decode_message, encode_message, encoded_len, Message, Name, RData, RRset, Rcode, RecordType,
@@ -99,17 +99,16 @@ fn sequential_and_shared_engines_agree_on_a_seeded_tape() {
     // the sequential cache; eight unbounded segments hold exactly the
     // same entries. Either way the two engines must serve the same
     // answers and end in the same snapshot and counters.
+    let policy = ResolverPolicy::default();
     for (segments, capacity) in [(1, Some(8)), (8, None)] {
-        let policy = |backend| ResolverPolicy {
-            cache_backend: backend,
-            cache_segments: segments,
-            cache_capacity: capacity,
-            ..ResolverPolicy::default()
+        let (mut seq, shared) = match capacity {
+            Some(cap) => (
+                Cache::with_capacity(cap),
+                SharedCache::with_capacity(segments, cap),
+            ),
+            None => (Cache::new(), SharedCache::new(segments)),
         };
-        let seq_policy = policy(CacheBackendChoice::Sequential);
-        let mut seq = CacheEngine::from_policy(&seq_policy);
-        let mut shared = CacheEngine::from_policy(&policy(CacheBackendChoice::Shared));
-        assert!(shared.shared().is_some() && seq.shared().is_none());
+        assert_eq!(shared.segment_count(), segments);
 
         let names: Vec<Name> = (0..40)
             .map(|i| Name::parse(&format!("w{i}.pool.example")).unwrap())
@@ -121,10 +120,9 @@ fn sequential_and_shared_engines_agree_on_a_seeded_tape() {
             match rng.below(5) {
                 0 | 1 => {
                     let rrset = a_rrset(name, 30 + rng.below(300) as u32, rng.below(4) as u8);
-                    for engine in [&mut seq, &mut shared] {
-                        let rank = Credibility::AuthAnswer;
-                        engine.store(rrset.clone(), rank, now, &seq_policy, false);
-                    }
+                    let rank = Credibility::AuthAnswer;
+                    seq.store(rrset.clone(), rank, now, &policy, false);
+                    shared.store(rrset, rank, now, &policy, false);
                 }
                 2 => {
                     let a = seq.get(name, RecordType::A, now).map(|h| h.rrset);
@@ -132,11 +130,10 @@ fn sequential_and_shared_engines_agree_on_a_seeded_tape() {
                     assert_eq!(a, b, "step {step}: fresh answer");
                 }
                 3 => {
-                    let stale = |e: &CacheEngine| {
-                        e.get_stale(name, RecordType::A, now, Ttl::HOUR)
-                            .map(|h| (h.rrset, h.stale))
-                    };
-                    assert_eq!(stale(&seq), stale(&shared), "step {step}: stale answer");
+                    let a = seq.get_stale(name, RecordType::A, now, Ttl::HOUR);
+                    let b = shared.get_stale(name, RecordType::A, now, Ttl::HOUR);
+                    let (a, b) = (a.map(|h| (h.rrset, h.stale)), b.map(|h| (h.rrset, h.stale)));
+                    assert_eq!(a, b, "step {step}: stale answer");
                 }
                 _ => {
                     now += SimDuration::from_secs(1 + rng.below(120));
