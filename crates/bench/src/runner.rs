@@ -52,6 +52,13 @@ const FANOUT_TOLERANCE: f64 = 0.05;
 /// tree-like behaviour without flaking on timer noise.
 const WHEEL_IMPROVEMENT_FACTOR: f64 = 2.0;
 
+/// What a warm hit on a fully enabled handle (trace, registry, series,
+/// ledger) may cost relative to the same hit on a disabled one, in the
+/// `resolve_telemetry` pair: the committed `BENCH_report.json` ratio
+/// (500 / 210 ns = 2.38x) rounded up to one decimal. A budget for the
+/// record path, not a target — lowering it is ROADMAP's telemetry item.
+const TELEMETRY_OVERHEAD_FACTOR: f64 = 2.4;
+
 /// Timing row carrying the measuring host's core count, so the speedup
 /// gate asks for what that host could physically deliver.
 const HOST_CORES_ROW: &str = "zipf_population_host_cores";
@@ -72,7 +79,7 @@ struct Gate {
 }
 
 /// The gates `repro bench --check` enforces.
-const GATES: [Gate; 3] = [
+const GATES: [Gate; 4] = [
     // The 8-worker sharded run must not lose to its own sequential
     // oracle: a fan-out slower than w1 is pure overhead.
     Gate {
@@ -104,6 +111,16 @@ const GATES: [Gate; 3] = [
         denominator: "wheel_churn",
         required: |_| Ok(WHEEL_IMPROVEMENT_FACTOR),
         at_least: true,
+    },
+    // Telemetry-on must stay within its budget over telemetry-off on
+    // the same warm hit. Both sides run interleaved on one thread, so
+    // unlike `fanout` and `speedup` a busy second core cannot move it.
+    Gate {
+        name: "telemetry",
+        numerator: "resolve_telemetry_on",
+        denominator: "resolve_telemetry_off",
+        required: |_| Ok(TELEMETRY_OVERHEAD_FACTOR),
+        at_least: false,
     },
 ];
 
@@ -730,8 +747,8 @@ fn wheel_churn(config: &BenchConfig, report: &mut BenchReport) {
 
 /// The telemetry-overhead pair: identical warm (cache-hit) workloads,
 /// one resolver holding a disabled handle (the default), one fully
-/// enabled with the ledger. Ungated — the on/off ratio is the number
-/// ROADMAP's telemetry item budgets and will gate.
+/// enabled with the ledger. The on/off ratio is held to
+/// [`TELEMETRY_OVERHEAD_FACTOR`] by the `telemetry` gate.
 fn resolve_telemetry(config: &BenchConfig, report: &mut BenchReport) {
     let iters_tel = config.iters(5_000);
     let mut plain = bench_world(Ttl::TWO_DAYS, ResolverPolicy::default());
@@ -825,6 +842,23 @@ mod tests {
     }
 
     #[test]
+    fn telemetry_gate_flags_an_enabled_path_over_its_budget() {
+        let with = |off: u64, on: u64| {
+            report_of(&[("resolve_telemetry_off", off), ("resolve_telemetry_on", on)])
+        };
+        // 2.3x is inside the 2.4x budget; 3.0x is not.
+        assert!(with(100, 230).check(gate("telemetry")).is_ok());
+        let failed = with(100, 300).check(gate("telemetry")).unwrap_err();
+        assert!(failed.contains("= 3.00x, required <= 2.40x"), "{failed}");
+        assert!(failed.ends_with("FAILED"), "{failed}");
+        // The tolerance absorbs timer noise right at the bar.
+        assert!(with(100, 250).check(gate("telemetry")).is_ok());
+        // Missing rows are a failure, not a vacuous pass.
+        let missing = BenchReport::default().check(gate("telemetry")).unwrap_err();
+        assert!(missing.contains("missing timing row"), "{missing}");
+    }
+
+    #[test]
     fn speedup_gate_scales_its_requirement_to_the_host_cores() {
         let with = |w1: u64, w8: u64, cores: u64| {
             report_of(&[
@@ -873,10 +907,12 @@ mod tests {
     #[test]
     fn two_failing_gates_are_both_reported() {
         // Fan-out and the wheel regress in the same run; the speedup
-        // gate holds. A reader must see all three verdicts.
+        // and telemetry gates hold. A reader must see all four verdicts.
         let report = report_of(&[
             ("wheel_churn", 100),
             ("wheel_churn_btree", 150),
+            ("resolve_telemetry_off", 100),
+            ("resolve_telemetry_on", 200),
             ("sharded_population_w1", 100),
             ("sharded_population_w8", 120),
             ("zipf_population_w1", 2_100),
@@ -894,7 +930,12 @@ mod tests {
             .collect();
         assert_eq!(
             names,
-            [("fanout", false), ("speedup", true), ("wheel", false)],
+            [
+                ("fanout", false),
+                ("speedup", true),
+                ("wheel", false),
+                ("telemetry", true)
+            ],
             "{verdicts:?}"
         );
     }

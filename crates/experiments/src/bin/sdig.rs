@@ -21,7 +21,7 @@ use dnsttl_core::ResolverPolicy;
 use dnsttl_experiments::{flightdeck, worlds};
 use dnsttl_netsim::{FaultPlan, Network, Region, SimRng, SimTime};
 use dnsttl_resolver::{RecursiveResolver, RootHint};
-use dnsttl_telemetry::{EventKind, Telemetry, Value};
+use dnsttl_telemetry::{EventKind, Telemetry};
 use dnsttl_wire::{Name, RecordType, Ttl};
 
 struct Options {
@@ -188,7 +188,7 @@ fn print_walkthrough(telemetry: &Telemetry, from_seq: u64, json: bool) -> u64 {
         for e in tracer.events().filter(|e| e.seq >= from_seq) {
             next = e.seq + 1;
             if json {
-                println!("{}", tracer.event_json(e));
+                println!("{}", tracer.event_json(&e));
                 continue;
             }
             let indent = match e.kind {
@@ -196,8 +196,8 @@ fn print_walkthrough(telemetry: &Telemetry, from_seq: u64, json: bool) -> u64 {
                 _ => "  ",
             };
             let fields: Vec<String> = tracer
-                .fields_of(e)
-                .map(|(k, v): &(&'static str, Value)| format!("{k}={v}"))
+                .fields_of(&e)
+                .map(|(k, v)| format!("{k}={v}"))
                 .collect();
             println!(
                 ";; [{:>9}ms] {}{:<12} {}",

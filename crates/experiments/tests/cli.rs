@@ -164,10 +164,10 @@ fn repro_bench_check_prints_a_verdict_for_every_gate() {
         .output()
         .expect("runs");
     // Timing noise on a loaded machine may fail a gate; what must hold
-    // is that `--check` needs no baseline file and evaluates all three
+    // is that `--check` needs no baseline file and evaluates all four
     // gates whatever the first one says.
     let text = String::from_utf8_lossy(&out.stdout);
-    for gate in ["fanout", "speedup", "wheel"] {
+    for gate in ["fanout", "speedup", "wheel", "telemetry"] {
         let line = text
             .lines()
             .find(|l| l.starts_with(&format!("gate {gate}: ")))

@@ -164,21 +164,98 @@ impl std::fmt::Display for Value {
     }
 }
 
+const HEX_DIGITS: &[u8; 16] = b"0123456789abcdef";
+
 /// Escapes `s` into `out` as the body of a JSON string (no quotes).
+/// Every byte that needs an escape is ASCII, so the scan runs over
+/// bytes and each clean run between two escapes is copied in one
+/// `push_str` (any `i` it stops at is a `char` boundary).
 pub fn escape_into(out: &mut String, s: &str) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
+    let mut clean_from = 0;
+    for (i, b) in s.bytes().enumerate() {
+        let escape = match b {
+            b'"' => "\\\"",
+            b'\\' => "\\\\",
+            b'\n' => "\\n",
+            b'\r' => "\\r",
+            b'\t' => "\\t",
+            0..=0x1f => "\\u00", // followed by the byte's two hex digits
+            _ => continue,
+        };
+        out.push_str(&s[clean_from..i]);
+        out.push_str(escape);
+        if escape.len() == 4 {
+            out.push(HEX_DIGITS[(b >> 4) as usize] as char);
+            out.push(HEX_DIGITS[(b & 0xf) as usize] as char);
+        }
+        clean_from = i + 1;
+    }
+    out.push_str(&s[clean_from..]);
+}
+
+/// Appends `"s"`, escaped.
+pub(crate) fn push_string(out: &mut String, s: &str) {
+    out.push('"');
+    escape_into(out, s);
+    out.push('"');
+}
+
+/// Appends `"name":` — one member's key. The streaming writers (trace
+/// events, ledger lines) put the `{` and the `,` around it themselves.
+pub(crate) fn push_key(out: &mut String, name: &str) {
+    push_string(out, name);
+    out.push(':');
+}
+
+/// Appends the ASCII bytes a stack buffer was filled with.
+fn push_ascii(out: &mut String, bytes: &[u8]) {
+    out.push_str(std::str::from_utf8(bytes).expect("the number writers emit ASCII only"));
+}
+
+/// Writes `v` in decimal so that it ends at `buf[end]` (exclusive) and
+/// returns where it starts.
+fn decimal_before(buf: &mut [u8], end: usize, mut v: u64) -> usize {
+    let mut at = end;
+    loop {
+        at -= 1;
+        buf[at] = b'0' + (v % 10) as u8;
+        v /= 10;
+        if v == 0 {
+            return at;
         }
     }
+}
+
+/// Appends `v` in decimal, rendered in a stack buffer rather than
+/// through `core::fmt` (the trace export writes three to ten of these
+/// per line).
+pub(crate) fn push_u64(out: &mut String, v: u64) {
+    let mut buf = [0u8; 20]; // u64::MAX has 20 digits
+    let start = decimal_before(&mut buf, 20, v);
+    push_ascii(out, &buf[start..]);
+}
+
+/// Appends `v` as a quoted 16-digit zero-padded lower-case hex string.
+fn push_hex64(out: &mut String, v: u64) {
+    let mut buf = [b'"'; 18];
+    for (i, slot) in buf[1..17].iter_mut().enumerate() {
+        *slot = HEX_DIGITS[(v >> (60 - 4 * i)) as usize & 0xf];
+    }
+    push_ascii(out, &buf);
+}
+
+/// Appends an IPv4 address as a quoted dotted quad.
+fn push_ipv4(out: &mut String, addr: std::net::Ipv4Addr) {
+    let mut buf = [b'"'; 17]; // quote, 4 × 3 digits, 3 dots, quote
+    let mut at = 16;
+    for (i, octet) in addr.octets().into_iter().enumerate().rev() {
+        at = decimal_before(&mut buf, at, octet as u64);
+        if i > 0 {
+            at -= 1;
+            buf[at] = b'.';
+        }
+    }
+    push_ascii(out, &buf[at - 1..]);
 }
 
 /// Renders a float deterministically: integers without a fraction get a
@@ -198,39 +275,24 @@ pub fn fmt_f64(out: &mut String, v: f64) {
 /// Appends `value` to `out` as a JSON value.
 pub fn write_value(out: &mut String, value: &Value) {
     match value {
-        Value::Str(s) => {
-            out.push('"');
-            escape_into(out, s);
-            out.push('"');
-        }
-        Value::Shared(s) => {
-            out.push('"');
-            escape_into(out, s);
-            out.push('"');
-        }
-        Value::Static(s) => {
-            out.push('"');
-            escape_into(out, s);
-            out.push('"');
-        }
-        Value::Hex64(v) => {
-            // Nothing to escape in hex digits.
-            let _ = write!(out, "\"{v:016x}\"");
-        }
+        Value::Str(s) => push_string(out, s),
+        Value::Shared(s) => push_string(out, s),
+        Value::Static(s) => push_string(out, s),
+        // Nothing to escape in hex digits or an address's display form.
+        Value::Hex64(v) => push_hex64(out, *v),
+        Value::Addr(std::net::IpAddr::V4(a)) => push_ipv4(out, *a),
         Value::Addr(a) => {
-            // Nothing to escape in an address's display form.
             let _ = write!(out, "\"{a}\"");
         }
-        Value::U64(v) => {
-            let _ = write!(out, "{v}");
-        }
+        Value::U64(v) => push_u64(out, *v),
         Value::I64(v) => {
-            let _ = write!(out, "{v}");
+            if *v < 0 {
+                out.push('-');
+            }
+            push_u64(out, v.unsigned_abs());
         }
         Value::F64(v) => fmt_f64(out, *v),
-        Value::Bool(v) => {
-            let _ = write!(out, "{v}");
-        }
+        Value::Bool(v) => out.push_str(if *v { "true" } else { "false" }),
     }
 }
 
@@ -254,9 +316,7 @@ impl ObjectWriter {
             self.buf.push(',');
         }
         self.first = false;
-        self.buf.push('"');
-        escape_into(&mut self.buf, name);
-        self.buf.push_str("\":");
+        push_key(&mut self.buf, name);
     }
 
     /// Appends `"name":<value>`.
@@ -281,9 +341,7 @@ impl ObjectWriter {
             if i > 0 {
                 self.buf.push(',');
             }
-            self.buf.push('"');
-            escape_into(&mut self.buf, item);
-            self.buf.push('"');
+            push_string(&mut self.buf, item);
         }
         self.buf.push(']');
         self

@@ -18,7 +18,7 @@ use std::borrow::Cow;
 use std::collections::VecDeque;
 use std::sync::Arc;
 
-use crate::json::{flat_get, parse_flat_object, JsonScalar, ObjectWriter, Value};
+use crate::json::{self, flat_get, parse_flat_object, JsonScalar, Value};
 
 /// What a ledger record describes. Every removal carries exactly one
 /// cause, so `expire + evict + invalidate + overwrite` counts sum to
@@ -164,29 +164,48 @@ pub struct LedgerRecord {
 }
 
 impl LedgerRecord {
-    /// Renders the record as one compact JSON line (no newline).
-    pub fn to_line(&self) -> String {
-        let mut w = ObjectWriter::new();
-        w.field("t", &Value::U64(self.t_ms));
-        w.field("op", &Value::Static(self.op.as_str()));
-        w.field("n", &Value::Shared(self.name.clone()));
-        w.field("ty", &Value::Str(self.rtype.to_string()));
-        w.field("tx", &Value::U64(self.txn));
-        if let Some(server) = self.server {
-            w.field("sv", &Value::Addr(server));
+    /// Appends the record to `out` as one compact JSON object (no
+    /// newline). Strings are written where they lie, so a line costs
+    /// nothing beyond the buffer it lands in.
+    fn write_line(&self, out: &mut String) {
+        fn text(out: &mut String, key: &str, s: &str) {
+            out.push(',');
+            json::push_key(out, key);
+            json::push_string(out, s);
         }
-        w.field("or", &Value::Str(self.origin.to_string()));
-        w.field("bw", &Value::Str(self.bailiwick.to_string()));
-        w.field("rk", &Value::Str(self.rank.to_string()));
-        w.field("ot", &Value::U64(self.original_ttl as u64));
-        w.field("et", &Value::U64(self.effective_ttl as u64));
+        fn scalar(out: &mut String, key: &str, value: Value) {
+            out.push(',');
+            json::push_key(out, key);
+            json::write_value(out, &value);
+        }
+        out.push_str("{\"t\":");
+        json::push_u64(out, self.t_ms);
+        text(out, "op", self.op.as_str());
+        text(out, "n", &self.name);
+        text(out, "ty", &self.rtype);
+        scalar(out, "tx", Value::U64(self.txn));
+        if let Some(server) = self.server {
+            scalar(out, "sv", Value::Addr(server));
+        }
+        text(out, "or", &self.origin);
+        text(out, "bw", &self.bailiwick);
+        text(out, "rk", &self.rank);
+        scalar(out, "ot", Value::U64(self.original_ttl as u64));
+        scalar(out, "et", Value::U64(self.effective_ttl as u64));
         if let Some(res) = self.residency_ms {
-            w.field("res", &Value::U64(res));
+            scalar(out, "res", Value::U64(res));
         }
         // Hex, not a JSON number: u64 fingerprints exceed f64's exact
         // integer range, and the parser reads numbers through f64.
-        w.field("fp", &Value::Hex64(self.fingerprint));
-        w.finish()
+        scalar(out, "fp", Value::Hex64(self.fingerprint));
+        out.push('}');
+    }
+
+    /// Renders the record as one compact JSON line (no newline).
+    pub fn to_line(&self) -> String {
+        let mut out = String::new();
+        self.write_line(&mut out);
+        out
     }
 
     /// Parses one ledger line. Strict: unknown ops and malformed
@@ -297,7 +316,7 @@ impl Journal {
     pub fn to_jsonl(&self) -> String {
         let mut out = String::new();
         for rec in self.ring.iter() {
-            out.push_str(&rec.to_line());
+            rec.write_line(&mut out);
             out.push('\n');
         }
         out
@@ -379,6 +398,34 @@ mod tests {
         let parsed = Journal::parse_jsonl(&j.to_jsonl()).unwrap();
         assert_eq!(parsed.len(), 2);
         assert_eq!(parsed[1].t_ms, 4);
+    }
+
+    #[test]
+    fn lines_keep_their_pinned_bytes() {
+        // Expected strings are the pre-streaming writer's output.
+        let mut rec = sample(CacheOp::Expire, 42_000);
+        assert_eq!(
+            rec.to_line(),
+            r#"{"t":42000,"op":"expire","n":"ns1.sub.cachetest.net.","ty":"A","tx":7,"sv":"192.0.2.53","or":"child","bw":"in","rk":"auth_answer","ot":7200,"et":3600,"res":3600000,"fp":"deadbeefcafef00d"}"#
+        );
+        rec.server = None;
+        rec.residency_ms = None;
+        rec.rtype = Cow::Owned("TY\"PE".to_string());
+        rec.fingerprint = 0;
+        assert_eq!(
+            rec.to_line(),
+            r#"{"t":42000,"op":"expire","n":"ns1.sub.cachetest.net.","ty":"TY\"PE","tx":7,"or":"child","bw":"in","rk":"auth_answer","ot":7200,"et":3600,"fp":"0000000000000000"}"#
+        );
+        // The journal export is the same writer, a line per record.
+        let mut j = Journal::with_capacity(2);
+        j.push(rec.clone());
+        j.push(sample(CacheOp::Serve, 1));
+        let expected = format!(
+            "{}\n{}\n",
+            rec.to_line(),
+            sample(CacheOp::Serve, 1).to_line()
+        );
+        assert_eq!(j.to_jsonl(), expected);
     }
 
     #[test]

@@ -310,7 +310,7 @@ impl Telemetry {
 
     /// Drains this handle's registry, tracer, and sim-time series
     /// store, leaving all three empty (the series store keeps its
-    /// width/cap configuration).
+    /// width/cap configuration, the tracer its ring capacity).
     ///
     /// Used by shard worker threads: a shard records into its own
     /// `Telemetry`, then hands the plain-data [`TelemetryParts`] (all
@@ -322,9 +322,10 @@ impl Telemetry {
             let ts = self.inner.timeseries.borrow();
             TimeSeriesStore::with_config(ts.width_hint_ms(), ts.span_cap())
         };
+        let fresh_tracer = Tracer::with_capacity(self.inner.tracer.borrow().capacity());
         TelemetryParts {
             registry: self.inner.registry.replace(Registry::new()),
-            tracer: self.inner.tracer.replace(Tracer::default()),
+            tracer: self.inner.tracer.replace(fresh_tracer),
             timeseries: self.inner.timeseries.replace(fresh_ts),
         }
     }
@@ -539,6 +540,21 @@ mod tests {
         assert_eq!(t.counter_value("q", &[]), 0);
         assert!(t.trace_jsonl().is_empty());
         assert!(t.timeseries_jsonl().is_empty());
+    }
+
+    #[test]
+    fn take_parts_keeps_the_ring_capacity() {
+        let t = Telemetry::with_trace_capacity(4);
+        t.event(0, EventKind::Query, |_| {});
+        assert_eq!(t.take_parts().tracer.len(), 1);
+        for i in 0..10 {
+            t.event(i, EventKind::Query, |_| {});
+        }
+        // Drops are counted at 4, not at the default 2^18.
+        t.with_tracer(|tracer| {
+            assert_eq!(tracer.capacity(), 4);
+            assert_eq!((tracer.len(), tracer.dropped()), (4, 6));
+        });
     }
 
     #[test]

@@ -7,10 +7,19 @@
 //! it belongs to. Events land in a bounded ring — when full, the oldest
 //! events are dropped and counted, so a long run's trace stays at a
 //! predictable size with the most recent history intact.
+//!
+//! Storage is packed: an event is a 32-byte [`EventSlot`], a field a
+//! 16-byte [`FieldSlot`], and only what is not `'static` and does not
+//! fit a `u64` (shared and owned strings, IPv6 addresses) spills into
+//! a side arena that eviction drains in step. [`TraceEvent`] is the
+//! unpacked view readers get.
 
-use std::collections::VecDeque;
+use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::hash::{BuildHasherDefault, Hasher};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr};
+use std::sync::Arc;
 
-use crate::json::{ObjectWriter, Value};
+use crate::json::{self, Value};
 
 /// What happened. The variants mirror the simulator's interesting
 /// moments; `Custom` covers one-off experiment-specific events.
@@ -200,9 +209,9 @@ impl EventKind {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct SpanId(pub u64);
 
-/// One trace record. Field payloads live in the tracer's shared arena
-/// (see [`Tracer::fields_of`]), so recording an event never allocates:
-/// the event itself is a fixed-size slot naming an arena range.
+/// One trace record, as [`Tracer::events`] yields it: a by-value view
+/// unpacked from the ring. Its fields stay in the tracer's arena (see
+/// [`Tracer::fields_of`]).
 #[derive(Debug, Clone, Copy)]
 pub struct TraceEvent {
     /// Simulation time in milliseconds.
@@ -222,21 +231,256 @@ pub struct TraceEvent {
     /// Logical arena offset of this event's first field.
     fields_start: u64,
     /// Number of fields.
-    fields_len: u32,
+    fields_len: u16,
+}
+
+/// An event as the ring stores it. `seq` is stored, not derived from
+/// the ring position: [`Tracer::absorb`] skips the numbers its shards'
+/// evicted events used, so a ring can hold a gap. Where the event's
+/// fields start is derived instead — the arena is FIFO in ring order,
+/// so it is the sum of the `fields_len` before it.
+#[derive(Debug, Clone, Copy)]
+struct EventSlot {
+    t_ms: u64,
+    seq: u64,
+    /// The span id; meaningful only with `has_span`. A flag rather than
+    /// a sentinel because every `u64` is a recordable id (a disabled
+    /// handle's dummy span is `u64::MAX`).
+    span: u64,
+    /// Arena slots this event owns, a leading [`Tag::Parent`] included.
+    fields_len: u16,
+    /// [`StaticTable`] id of the name when `kind == EventKind::COUNT`.
+    custom: u16,
+    /// [`EventKind::index`], or `EventKind::COUNT` for `Custom`.
+    kind: u8,
+    has_span: bool,
+}
+
+/// What a [`FieldSlot`]'s payload holds.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Tag {
+    /// [`StaticTable`] id of a `Value::Static`.
+    Static,
+    /// Logical index of a [`Spill`] in the side arena.
+    Spilled,
+    Hex64,
+    U64,
+    /// The `i64`'s bits.
+    I64,
+    /// The `f64`'s bits.
+    F64,
+    Bool,
+    /// The IPv4 address as a `u32`.
+    V4,
+    /// Not a field: the event's causal parent span id. Only ever the
+    /// first slot of an event, and only on the rare child span start,
+    /// so the ring slot does not carry eight bytes for it.
+    Parent,
+}
+
+/// One stored field: 16 bytes against the 48 of a `(&str, Value)`.
+#[derive(Debug, Clone, Copy)]
+struct FieldSlot {
+    payload: u64,
+    /// [`StaticTable`] id of the field name.
+    key: u16,
+    tag: Tag,
+}
+
+/// A field value that is neither `'static` nor fits a `u64`.
+#[derive(Debug, Clone)]
+enum Spill {
+    Shared(Arc<str>),
+    Str(String),
+    V6(Ipv6Addr),
+}
+
+impl Spill {
+    /// Bytes the value takes in an export, before escaping (an upper
+    /// bound for an address).
+    fn rendered_len(&self) -> usize {
+        match self {
+            Spill::Shared(s) => s.len(),
+            Spill::Str(s) => s.len(),
+            Spill::V6(_) => 39,
+        }
+    }
+}
+
+/// Mixes the two words of a `&'static str` (address, length) — all the
+/// [`StaticTable`] index ever hashes. The keys are addresses of the
+/// program's own literals, so SipHash's flood resistance buys nothing.
+#[derive(Default)]
+struct AddrHasher(u64);
+
+impl Hasher for AddrHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+    fn write(&mut self, _bytes: &[u8]) {
+        unreachable!("static-table keys are usize pairs");
+    }
+    fn write_usize(&mut self, n: usize) {
+        self.0 = (self.0.rotate_left(32) ^ n as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    }
+}
+
+/// Grow-only intern table for `'static` strings — field names,
+/// `Value::Static` payloads, `Custom` event names — matched by pointer
+/// identity, so a lookup never reads the string. It is bounded by the
+/// program's literals, and empty (no allocation) until first used.
+#[derive(Debug, Default)]
+struct StaticTable {
+    strs: Vec<&'static str>,
+    ids: HashMap<(usize, usize), u16, BuildHasherDefault<AddrHasher>>,
+}
+
+impl StaticTable {
+    /// Ids `0..MAX_LEN` name table entries; the one id past them is
+    /// what an overflowing string is given.
+    const MAX_LEN: usize = u16::MAX as usize;
+    const OVERFLOW_ID: u16 = u16::MAX;
+    const OVERFLOW_STR: &'static str = "<static-table-full>";
+
+    /// The id of `s`, interning it on first sight. Ids are narrowed to
+    /// `u16`: a string past the 65 535th distinct one fails loudly in
+    /// debug builds, and in release builds *saturates* — it is stored
+    /// as [`StaticTable::OVERFLOW_ID`] and exported as
+    /// [`StaticTable::OVERFLOW_STR`], never as another string's id.
+    fn intern(&mut self, s: &'static str) -> u16 {
+        let key = (s.as_ptr() as usize, s.len());
+        if let Some(&id) = self.ids.get(&key) {
+            return id;
+        }
+        if self.strs.len() == Self::MAX_LEN {
+            debug_assert!(false, "more than {} distinct static strings", Self::MAX_LEN);
+            return Self::OVERFLOW_ID;
+        }
+        let id = self.strs.len() as u16;
+        self.strs.push(s);
+        self.ids.insert(key, id);
+        id
+    }
+
+    fn get(&self, id: u16) -> &'static str {
+        self.strs
+            .get(id as usize)
+            .copied()
+            .unwrap_or(Self::OVERFLOW_STR)
+    }
+}
+
+/// Field storage for every buffered event. Events, their field slots
+/// and the spills those slots point at are all FIFO, so evicting the
+/// oldest event reclaims its storage from the two fronts — steady
+/// state records allocate nothing beyond a spilled value's own buffer.
+#[derive(Debug, Default)]
+struct Arena {
+    fields: VecDeque<FieldSlot>,
+    /// Logical offset of `fields.front()`: views address their fields
+    /// as `fields_start - fields_base` so eviction never rewrites them.
+    fields_base: u64,
+    spills: VecDeque<Spill>,
+    /// Logical index of `spills.front()`, the same way.
+    spills_base: u64,
+    statics: StaticTable,
+}
+
+impl Arena {
+    fn push(&mut self, key: u16, tag: Tag, payload: u64) {
+        self.fields.push_back(FieldSlot { payload, key, tag });
+    }
+
+    fn push_spill(&mut self, key: u16, spill: Spill) {
+        let at = self.spills_base + self.spills.len() as u64;
+        self.spills.push_back(spill);
+        self.push(key, Tag::Spilled, at);
+    }
+
+    /// Drops the oldest `n` slots and the spills they own.
+    fn release_front(&mut self, n: u16) {
+        for slot in self.fields.drain(..n as usize) {
+            if slot.tag == Tag::Spilled {
+                self.spills.pop_front();
+                self.spills_base += 1;
+            }
+        }
+        self.fields_base += n as u64;
+    }
+
+    fn spill(&self, slot: &FieldSlot) -> &Spill {
+        &self.spills[(slot.payload - self.spills_base) as usize]
+    }
+
+    /// The string a text-valued slot holds, borrowed from the tables.
+    fn text_of(&self, slot: &FieldSlot) -> Option<&str> {
+        match slot.tag {
+            Tag::Static => Some(self.statics.get(slot.payload as u16)),
+            Tag::Spilled => match self.spill(slot) {
+                Spill::Shared(s) => Some(s),
+                Spill::Str(s) => Some(s),
+                Spill::V6(_) => None,
+            },
+            _ => None,
+        }
+    }
+
+    /// Rebuilds the `Value` that was pushed (strings are cloned; the
+    /// export borrows them through [`Arena::text_of`] instead).
+    fn value_of(&self, slot: &FieldSlot) -> Value {
+        match slot.tag {
+            Tag::Static => Value::Static(self.statics.get(slot.payload as u16)),
+            Tag::Spilled => match self.spill(slot) {
+                Spill::Shared(s) => Value::Shared(s.clone()),
+                Spill::Str(s) => Value::Str(s.clone()),
+                Spill::V6(a) => Value::Addr(IpAddr::V6(*a)),
+            },
+            Tag::Hex64 => Value::Hex64(slot.payload),
+            // `Parent` never gets here: views start past it.
+            Tag::U64 | Tag::Parent => Value::U64(slot.payload),
+            Tag::I64 => Value::I64(slot.payload as i64),
+            Tag::F64 => Value::F64(f64::from_bits(slot.payload)),
+            Tag::Bool => Value::Bool(slot.payload != 0),
+            Tag::V4 => Value::Addr(IpAddr::V4(Ipv4Addr::from(slot.payload as u32))),
+        }
+    }
 }
 
 /// The write handle a field closure receives: appends key/value pairs
 /// to the event being recorded, straight into the tracer's arena.
 pub struct FieldSink<'a> {
-    arena: &'a mut VecDeque<(&'static str, Value)>,
-    pushed: u32,
+    arena: &'a mut Arena,
+    pushed: u16,
 }
 
 impl FieldSink<'_> {
     /// Appends one field to the event under construction.
+    ///
+    /// An event's slot count is narrowed to `u16`: a push past the
+    /// 65 535th fails loudly in debug builds and is *refused* in
+    /// release builds — the event keeps the fields it already has.
     pub fn push(&mut self, key: &'static str, value: impl Into<Value>) {
-        self.arena.push_back((key, value.into()));
+        if self.pushed == u16::MAX {
+            debug_assert!(false, "more than {} fields on one event", u16::MAX);
+            return;
+        }
         self.pushed += 1;
+        let key = self.arena.statics.intern(key);
+        match value.into() {
+            Value::Static(s) => {
+                let id = self.arena.statics.intern(s);
+                self.arena.push(key, Tag::Static, id as u64);
+            }
+            Value::Shared(s) => self.arena.push_spill(key, Spill::Shared(s)),
+            Value::Str(s) => self.arena.push_spill(key, Spill::Str(s)),
+            Value::Addr(IpAddr::V6(a)) => self.arena.push_spill(key, Spill::V6(a)),
+            Value::Addr(IpAddr::V4(a)) => self.arena.push(key, Tag::V4, u32::from(a) as u64),
+            Value::Hex64(v) => self.arena.push(key, Tag::Hex64, v),
+            Value::U64(v) => self.arena.push(key, Tag::U64, v),
+            Value::I64(v) => self.arena.push(key, Tag::I64, v as u64),
+            Value::F64(v) => self.arena.push(key, Tag::F64, v.to_bits()),
+            Value::Bool(v) => self.arena.push(key, Tag::Bool, v as u64),
+        }
     }
 }
 
@@ -248,14 +492,8 @@ pub const DEFAULT_TRACE_CAPACITY: usize = 1 << 18;
 #[derive(Debug)]
 pub struct Tracer {
     capacity: usize,
-    ring: VecDeque<TraceEvent>,
-    /// Field storage for every buffered event. Events and their fields
-    /// are both FIFO, so evicting the oldest event reclaims its fields
-    /// from the arena front — steady state records allocate nothing.
-    fields: VecDeque<(&'static str, Value)>,
-    /// Logical offset of `fields.front()`: events address their fields
-    /// as `fields_start - fields_base` so eviction never rewrites them.
-    fields_base: u64,
+    ring: VecDeque<EventSlot>,
+    arena: Arena,
     next_seq: u64,
     next_span: u64,
     dropped: u64,
@@ -263,29 +501,34 @@ pub struct Tracer {
     /// `Custom` events fall back to the string-keyed map. Split so the
     /// record hot path is an array increment, not a map walk.
     per_kind: [u64; EventKind::COUNT],
-    per_custom: std::collections::BTreeMap<&'static str, u64>,
+    per_custom: BTreeMap<&'static str, u64>,
     /// Ring-eviction totals, split by the kind of the evicted event so
     /// drop loss is attributable (mirrors `per_kind`/`per_custom`).
     dropped_per_kind: [u64; EventKind::COUNT],
-    dropped_custom: std::collections::BTreeMap<&'static str, u64>,
+    dropped_custom: BTreeMap<&'static str, u64>,
 }
 
 impl Tracer {
-    /// A tracer with the given ring capacity (min 1).
+    /// A tracer with the given ring capacity (min 1). Allocates
+    /// nothing: the ring, the arena and the tables grow on first use.
     pub fn with_capacity(capacity: usize) -> Tracer {
         Tracer {
             capacity: capacity.max(1),
             ring: VecDeque::new(),
-            fields: VecDeque::new(),
-            fields_base: 0,
+            arena: Arena::default(),
             next_seq: 0,
             next_span: 0,
             dropped: 0,
             per_kind: [0; EventKind::COUNT],
-            per_custom: std::collections::BTreeMap::new(),
+            per_custom: BTreeMap::new(),
             dropped_per_kind: [0; EventKind::COUNT],
-            dropped_custom: std::collections::BTreeMap::new(),
+            dropped_custom: BTreeMap::new(),
         }
+    }
+
+    /// The ring capacity this tracer was built with.
+    pub(crate) fn capacity(&self) -> usize {
+        self.capacity
     }
 
     /// Allocates a fresh span id.
@@ -295,18 +538,22 @@ impl Tracer {
         id
     }
 
+    fn kind_of(&self, slot: &EventSlot) -> EventKind {
+        match EventKind::INDEXED.get(slot.kind as usize) {
+            Some(kind) => *kind,
+            None => EventKind::Custom(self.arena.statics.get(slot.custom)),
+        }
+    }
+
     /// Drops the oldest event, reclaims its arena fields, and charges
     /// the loss to the evicted event's kind.
     fn evict_oldest(&mut self) {
-        if let Some(ev) = self.ring.pop_front() {
-            for _ in 0..ev.fields_len {
-                self.fields.pop_front();
-            }
-            self.fields_base += ev.fields_len as u64;
+        if let Some(slot) = self.ring.pop_front() {
+            self.arena.release_front(slot.fields_len);
             self.dropped += 1;
-            match ev.kind.index() {
-                Some(i) => self.dropped_per_kind[i] += 1,
-                None => *self.dropped_custom.entry(ev.kind.as_str()).or_insert(0) += 1,
+            match self.kind_of(&slot) {
+                EventKind::Custom(name) => *self.dropped_custom.entry(name).or_insert(0) += 1,
+                _ => self.dropped_per_kind[slot.kind as usize] += 1,
             }
         }
     }
@@ -336,29 +583,70 @@ impl Tracer {
     ) {
         let seq = self.next_seq;
         self.next_seq += 1;
-        match kind.index() {
-            Some(i) => self.per_kind[i] += 1,
-            None => *self.per_custom.entry(kind.as_str()).or_insert(0) += 1,
-        }
+        let (kind, custom) = match kind.index() {
+            Some(i) => {
+                self.per_kind[i] += 1;
+                (i as u8, 0)
+            }
+            None => {
+                *self.per_custom.entry(kind.as_str()).or_insert(0) += 1;
+                (
+                    EventKind::COUNT as u8,
+                    self.arena.statics.intern(kind.as_str()),
+                )
+            }
+        };
         if self.ring.len() == self.capacity {
             self.evict_oldest();
         }
-        let fields_start = self.fields_base + self.fields.len() as u64;
         let mut sink = FieldSink {
-            arena: &mut self.fields,
+            arena: &mut self.arena,
             pushed: 0,
         };
+        if let Some(SpanId(id)) = parent {
+            sink.arena.push(0, Tag::Parent, id);
+            sink.pushed = 1;
+        }
         fill(&mut sink);
         let fields_len = sink.pushed;
-        self.ring.push_back(TraceEvent {
+        self.ring.push_back(EventSlot {
             t_ms,
             seq,
-            kind,
-            span,
-            parent,
-            fields_start,
+            span: span.map_or(0, |SpanId(id)| id),
             fields_len,
+            custom,
+            kind,
+            has_span: span.is_some(),
         });
+    }
+
+    /// Unpacks the ring slot whose arena slots start at physical index
+    /// `at`.
+    fn view(&self, slot: &EventSlot, at: usize) -> TraceEvent {
+        let parent = match self.arena.fields.get(at) {
+            Some(first) if slot.fields_len > 0 && first.tag == Tag::Parent => {
+                Some(SpanId(first.payload))
+            }
+            _ => None,
+        };
+        let lead = parent.is_some() as u16;
+        TraceEvent {
+            t_ms: slot.t_ms,
+            seq: slot.seq,
+            kind: self.kind_of(slot),
+            span: slot.has_span.then_some(SpanId(slot.span)),
+            parent,
+            fields_start: self.arena.fields_base + (at as u64) + lead as u64,
+            fields_len: slot.fields_len - lead,
+        }
+    }
+
+    /// The arena slots of a buffered event's fields.
+    fn slots_of(&self, ev: &TraceEvent) -> impl Iterator<Item = &FieldSlot> {
+        let start = (ev.fields_start - self.arena.fields_base) as usize;
+        self.arena
+            .fields
+            .range(start..start + ev.fields_len as usize)
     }
 
     /// The fields of a buffered event, in insertion order. `ev` must
@@ -366,32 +654,54 @@ impl Tracer {
     pub fn fields_of<'a>(
         &'a self,
         ev: &TraceEvent,
-    ) -> impl Iterator<Item = &'a (&'static str, Value)> {
-        let start = (ev.fields_start - self.fields_base) as usize;
-        self.fields.range(start..start + ev.fields_len as usize)
+    ) -> impl Iterator<Item = (&'static str, Value)> + 'a {
+        self.slots_of(ev)
+            .map(|slot| (self.arena.statics.get(slot.key), self.arena.value_of(slot)))
+    }
+
+    /// Appends one buffered event to `out` as a JSON object (no
+    /// trailing newline) — the one writer behind every trace export.
+    fn write_event(&self, out: &mut String, ev: &TraceEvent) {
+        out.push_str("{\"t_ms\":");
+        json::push_u64(out, ev.t_ms);
+        out.push_str(",\"seq\":");
+        json::push_u64(out, ev.seq);
+        out.push_str(",\"event\":");
+        json::push_string(out, ev.kind.as_str());
+        if let Some(SpanId(id)) = ev.span {
+            out.push_str(",\"span\":");
+            json::push_u64(out, id);
+        }
+        if let Some(SpanId(id)) = ev.parent {
+            out.push_str(",\"parent\":");
+            json::push_u64(out, id);
+        }
+        for slot in self.slots_of(ev) {
+            out.push(',');
+            json::push_key(out, self.arena.statics.get(slot.key));
+            match self.arena.text_of(slot) {
+                Some(text) => json::push_string(out, text),
+                None => json::write_value(out, &self.arena.value_of(slot)),
+            }
+        }
+        out.push('}');
     }
 
     /// Renders one buffered event as a JSON line (no trailing newline).
     pub fn event_json(&self, ev: &TraceEvent) -> String {
-        let mut w = ObjectWriter::new();
-        w.field("t_ms", &Value::U64(ev.t_ms));
-        w.field("seq", &Value::U64(ev.seq));
-        w.field("event", &Value::Static(ev.kind.as_str()));
-        if let Some(SpanId(id)) = ev.span {
-            w.field("span", &Value::U64(id));
-        }
-        if let Some(SpanId(id)) = ev.parent {
-            w.field("parent", &Value::U64(id));
-        }
-        for (k, v) in self.fields_of(ev) {
-            w.field(k, v);
-        }
-        w.finish()
+        let mut out = String::new();
+        self.write_event(&mut out, ev);
+        out
     }
 
     /// Events currently buffered, oldest first.
-    pub fn events(&self) -> impl Iterator<Item = &TraceEvent> {
-        self.ring.iter()
+    pub fn events(&self) -> impl Iterator<Item = TraceEvent> + '_ {
+        let mut at = 0;
+        self.ring.iter().map(move |slot| {
+            let ev = self.view(slot, at);
+            at += slot.fields_len as usize;
+            ev
+        })
     }
 
     /// Number of buffered events.
@@ -480,68 +790,95 @@ impl Tracer {
             .iter()
             .map(|s| vec![None; s.next_span as usize])
             .collect();
+        let mut remap_span = |next_span: &mut u64, shard_idx: usize, old: u64| {
+            let mapped = span_maps[shard_idx][old as usize].get_or_insert_with(|| {
+                let id = SpanId(*next_span);
+                *next_span += 1;
+                id
+            });
+            mapped.0
+        };
+        // Static-table ids are shard-local too; these tables are dense
+        // and as small as the program's literals, so each is translated
+        // once up front.
+        let static_maps: Vec<Vec<u16>> = shards
+            .iter()
+            .map(|shard| {
+                let strs = shard.arena.statics.strs.iter();
+                strs.map(|s| self.arena.statics.intern(s)).collect()
+            })
+            .collect();
         let total: usize = shards.iter().map(|s| s.ring.len()).sum();
-        let mut events: Vec<(usize, TraceEvent)> = Vec::with_capacity(total);
-        let mut arenas: Vec<(VecDeque<(&'static str, Value)>, u64)> =
-            Vec::with_capacity(span_maps.len());
-        for (shard_idx, shard) in shards.into_iter().enumerate() {
+        // (shard, ring slot, physical index of its first arena slot)
+        let mut events: Vec<(usize, EventSlot, usize)> = Vec::with_capacity(total);
+        for (shard_idx, shard) in shards.iter().enumerate() {
             // Events dropped inside the shard still consumed sequence
             // numbers there; account for them so `total_recorded`
             // remains the true event count after the merge.
             self.next_seq += shard.dropped;
-            for ev in shard.ring {
-                events.push((shard_idx, ev));
+            let mut at = 0;
+            for slot in shard.ring.iter() {
+                events.push((shard_idx, *slot, at));
+                at += slot.fields_len as usize;
             }
-            arenas.push((shard.fields, shard.fields_base));
         }
-        events.sort_by_key(|(shard_idx, ev)| (ev.t_ms, *shard_idx, ev.seq));
-        for (shard_idx, mut ev) in events {
-            if let Some(SpanId(old)) = ev.span {
-                let cell = &mut span_maps[shard_idx][old as usize];
-                let mapped = *cell.get_or_insert_with(|| {
-                    let id = SpanId(self.next_span);
-                    self.next_span += 1;
-                    id
-                });
-                ev.span = Some(mapped);
+        events.sort_by_key(|(shard_idx, slot, _)| (slot.t_ms, *shard_idx, slot.seq));
+        for (shard_idx, mut slot, at) in events {
+            if slot.has_span {
+                slot.span = remap_span(&mut self.next_span, shard_idx, slot.span);
             }
-            // Parent links are remapped through the same table so the
-            // causal tree survives the merge. A parent always starts at
-            // or before its child, so its id is normally mapped already;
-            // the insert fallback covers a parent whose events were all
-            // evicted from the shard ring.
-            if let Some(SpanId(old)) = ev.parent {
-                let cell = &mut span_maps[shard_idx][old as usize];
-                let mapped = *cell.get_or_insert_with(|| {
-                    let id = SpanId(self.next_span);
-                    self.next_span += 1;
-                    id
-                });
-                ev.parent = Some(mapped);
+            // An id past the shard's table is its overflow id.
+            let map_static = |id: u16| {
+                let mapped = static_maps[shard_idx].get(id as usize);
+                mapped.copied().unwrap_or(StaticTable::OVERFLOW_ID)
+            };
+            if slot.kind as usize == EventKind::COUNT {
+                slot.custom = map_static(slot.custom);
             }
-            ev.seq = self.next_seq;
+            slot.seq = self.next_seq;
             self.next_seq += 1;
             if self.ring.len() == self.capacity {
                 self.evict_oldest();
             }
             // Re-home the event's fields from the shard arena into this
             // tracer's arena.
-            let (arena, base) = &arenas[shard_idx];
-            let start = (ev.fields_start - base) as usize;
-            ev.fields_start = self.fields_base + self.fields.len() as u64;
-            for field in arena.range(start..start + ev.fields_len as usize) {
-                self.fields.push_back(field.clone());
+            let from = &shards[shard_idx].arena;
+            for field in from.fields.range(at..at + slot.fields_len as usize) {
+                let key = map_static(field.key);
+                match field.tag {
+                    // Parent links are remapped through the same table
+                    // as span ids so the causal tree survives the
+                    // merge. A parent always starts at or before its
+                    // child, so its id is normally mapped already; the
+                    // insert fallback covers a parent whose events were
+                    // all evicted from the shard ring.
+                    Tag::Parent => {
+                        let id = remap_span(&mut self.next_span, shard_idx, field.payload);
+                        self.arena.push(0, Tag::Parent, id);
+                    }
+                    Tag::Static => {
+                        let id = map_static(field.payload as u16);
+                        self.arena.push(key, Tag::Static, id as u64);
+                    }
+                    Tag::Spilled => self.arena.push_spill(key, from.spill(field).clone()),
+                    tag => self.arena.push(key, tag, field.payload),
+                }
             }
-            self.ring.push_back(ev);
+            self.ring.push_back(slot);
         }
     }
 
     /// Renders all buffered events as JSON Lines (one event per line,
-    /// trailing newline included when non-empty).
+    /// trailing newline included when non-empty) into one buffer.
     pub fn to_jsonl(&self) -> String {
-        let mut out = String::new();
-        for ev in self.ring.iter() {
-            out.push_str(&self.event_json(ev));
+        // Sized up front so the buffer is allocated once, not doubled
+        // into place: a line's fixed part, a key and a scalar per
+        // field, and the spilled strings' own bytes.
+        let spilled: usize = self.arena.spills.iter().map(Spill::rendered_len).sum();
+        let mut out =
+            String::with_capacity(self.ring.len() * 72 + self.arena.fields.len() * 20 + spilled);
+        for ev in self.events() {
+            self.write_event(&mut out, &ev);
             out.push('\n');
         }
         out
@@ -677,7 +1014,76 @@ mod tests {
             ]
         );
         let child_start = merged.events().nth(1).unwrap();
-        assert!(merged.event_json(child_start).contains("\"parent\":0"));
+        assert!(merged.event_json(&child_start).contains("\"parent\":0"));
+    }
+
+    #[test]
+    fn slots_keep_their_packed_size() {
+        assert_eq!(std::mem::size_of::<FieldSlot>(), 16);
+        assert!(std::mem::size_of::<EventSlot>() <= 32);
+    }
+
+    /// Runs `f` and says whether it panicked — the debug half of the
+    /// two narrowing tests below.
+    fn panics(f: impl FnOnce()) -> bool {
+        std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)).is_err()
+    }
+
+    #[test]
+    fn a_field_past_the_slot_count_fails_loudly_or_is_refused() {
+        let mut t = Tracer::with_capacity(4);
+        let fill = |t: &mut Tracer, n: u64| {
+            t.record(0, EventKind::Query, None, |f| {
+                (0..n).for_each(|i| f.push("i", i))
+            })
+        };
+        fill(&mut t, u16::MAX as u64); // exactly full is fine
+        assert_eq!(t.fields_of(&t.events().next().unwrap()).count(), 65_535);
+        if cfg!(debug_assertions) {
+            assert!(panics(|| fill(&mut t, u16::MAX as u64 + 1)));
+        } else {
+            fill(&mut t, u16::MAX as u64 + 3);
+            t.record(1, EventKind::Query, None, |f| f.push("after", true));
+            let evs: Vec<TraceEvent> = t.events().collect();
+            // The over-full event kept its first 65 535 fields, and the
+            // event after it still finds its own.
+            assert_eq!(t.fields_of(&evs[1]).last(), Some(("i", Value::U64(65_534))));
+            assert!(t.event_json(&evs[2]).ends_with(",\"after\":true}"));
+        }
+    }
+
+    #[test]
+    fn a_string_past_the_static_table_fails_loudly_or_saturates() {
+        // 65 536 one-byte substrings of one leaked buffer: equal
+        // content, distinct addresses, so distinct table entries.
+        let pool: &'static str = Box::leak("k".repeat(StaticTable::MAX_LEN + 1).into_boxed_str());
+        let mut t = Tracer::with_capacity(4);
+        t.record(0, EventKind::Query, None, |f| {
+            for i in 0..3 {
+                f.push(&pool[i..i + 1], Value::Static(&pool[i..i + 1]));
+            }
+        });
+        // Each string is interned once, whichever role it plays.
+        assert_eq!(t.arena.statics.strs.len(), 3);
+        for i in 3..StaticTable::MAX_LEN {
+            assert_eq!(t.arena.statics.intern(&pool[i..i + 1]), i as u16);
+        }
+        let last = &pool[StaticTable::MAX_LEN..];
+        if cfg!(debug_assertions) {
+            assert!(panics(|| {
+                t.arena.statics.intern(last);
+            }));
+        } else {
+            t.record(1, EventKind::Custom(last), None, |f| {
+                f.push(last, Value::Static(last))
+            });
+            assert_eq!(
+                t.to_jsonl().lines().nth(1).unwrap(),
+                r#"{"t_ms":1,"seq":1,"event":"<static-table-full>","<static-table-full>":"<static-table-full>"}"#
+            );
+            // A string that did fit is still itself.
+            assert_eq!(t.arena.statics.intern(&pool[7..8]), 7);
+        }
     }
 
     #[test]

@@ -3,19 +3,23 @@
 //! Timings on a shared host drift by tens of percent; allocation
 //! counts repeat to the unit, so they are the regression gate for the
 //! "read the cache in place" work (DESIGN.md §11, "Resolver loop") that
-//! a timing can never be. One `#[test]`, so no other test thread
-//! allocates while a region is being counted.
+//! a timing can never be, and for the telemetry-on path (DESIGN.md §8,
+//! "Traces"): what a traced hit adds and what the trace export costs.
+//! One `#[test]`, so no other test thread allocates while a region is
+//! being counted.
 
 use dnsttl::auth::{AuthoritativeServer, ZoneBuilder};
 use dnsttl::core::ResolverPolicy;
 use dnsttl::netsim::{LatencyModel, Network, Region, SimRng, SimTime};
 use dnsttl::resolver::{RecursiveResolver, RootHint};
+use dnsttl::telemetry::{EventKind, Telemetry, Value};
 use dnsttl::wire::{Name, Rcode, RecordType, Ttl};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::RefCell;
 use std::net::IpAddr;
 use std::rc::Rc;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::Relaxed};
+use std::sync::Arc;
 
 // Statistics only: they publish no other data, so `Relaxed` throughout.
 static ON: AtomicBool = AtomicBool::new(false);
@@ -142,6 +146,63 @@ fn a_question_stays_inside_its_allocation_budget() {
         assert!(
             allocs <= 14,
             "expired miss for {name} allocated {allocs} times"
+        );
+    }
+
+    // ── the enabled path ────────────────────────────────────────────
+    // A disabled handle is its `Rc` and nothing else: the trace ring,
+    // the field arena and the static-string table are empty until
+    // first used (the three Zipf workloads build one per resolver).
+    let (off, allocs) = allocations(Telemetry::disabled);
+    assert_eq!(allocs, 1, "Telemetry::disabled() allocated {allocs} times");
+    drop(off);
+
+    // 1 000 warm hits, telemetry off and then on. The enabled handle
+    // is warmed first, so its metric series exist.
+    let hits = |resolver: &mut RecursiveResolver, net: &mut Network| {
+        for name in names.iter().cycle().take(1_000) {
+            let out = resolver.resolve(name, RecordType::A, SimTime::from_secs(2), net);
+            assert!(out.cache_hit);
+        }
+    };
+    let ((), hits_off) = allocations(|| hits(&mut resolver, &mut net));
+    let telemetry = Telemetry::new();
+    resolver.set_telemetry(telemetry.clone());
+    hits(&mut resolver, &mut net);
+    let before = telemetry.events_recorded();
+    let ((), hits_on) = allocations(|| hits(&mut resolver, &mut net));
+    // Measured: 3 000 events and 3 allocations more than with telemetry
+    // off — the ring, the field slots and the spilled strings each
+    // double once; a hit's qname is shared, not copied.
+    assert_eq!(telemetry.events_recorded() - before, 3_000);
+    assert!(
+        hits_on <= hits_off + 3,
+        "1 000 traced hits allocated {hits_on} times, {hits_off} untraced"
+    );
+
+    // The export: one buffer, however many events it renders.
+    let traced = |events: u64| {
+        let t = Telemetry::new();
+        let qname: Arc<str> = Arc::from("r7.zipf.");
+        for i in 0..events {
+            t.event(i, EventKind::CacheServe, |f| {
+                f.push("n", qname.clone());
+                f.push("ty", Value::literal("A"));
+                f.push("tx", i);
+                f.push("sv", "192.0.2.53".parse::<IpAddr>().unwrap());
+                f.push("fp", Value::Hex64(i.wrapping_mul(0x9e37_79b9_7f4a_7c15)));
+            });
+        }
+        t
+    };
+    for events in [1_000, 10_000] {
+        let t = traced(events);
+        let (jsonl, allocs) = allocations(|| t.trace_jsonl());
+        assert_eq!(jsonl.lines().count() as u64, events);
+        // Measured: 1, the pre-sized buffer.
+        assert!(
+            allocs <= 4,
+            "exporting {events} events allocated {allocs} times"
         );
     }
 }
