@@ -126,7 +126,7 @@ enum Placement {
 pub struct TimingWheel<T> {
     /// Slot levels, allocated on the first in-span insert. A fresh
     /// wheel is a handful of machine words, so wheels that never see a
-    /// timer — an unbounded cache that never stores, a queue built per
+    /// timer — a bounded cache that never stores, a queue built per
     /// cell "just in case" — cost nothing to construct: the ~25 KiB of
     /// slot headers is only paid by wheels that actually hold entries.
     levels: Option<Box<[Level<T>; LEVELS]>>,
@@ -138,7 +138,7 @@ pub struct TimingWheel<T> {
     /// Total entries across levels and overflow.
     len: usize,
     /// Exact earliest pending fire time, maintained across every
-    /// mutation so `&self` callers (cache fast paths, `peek_time`) get
+    /// mutation so `&self` callers (`EventQueue::peek_time`) get
     /// an O(1) answer instead of an O(bucket) scan.
     earliest: Option<u64>,
     /// Slots re-binned by cascades since construction (telemetry).
@@ -177,8 +177,7 @@ impl<T: Ord> TimingWheel<T> {
         self.cascades
     }
 
-    /// Fire time of the earliest pending entry. O(1): this is what the
-    /// cache's per-resolve "anything expired?" probe reads.
+    /// Fire time of the earliest pending entry. O(1).
     pub fn earliest_ms(&self) -> Option<u64> {
         self.earliest
     }

@@ -13,9 +13,12 @@
 //!
 //! All replacement, expiry, and eviction logic lives in [`CacheCore`],
 //! a `Send`-able state machine with no interior mutability and no
-//! telemetry handle. Accounting side effects (stats, ledger records,
-//! trace events) go through the [`OpSink`] trait, so the same core
-//! drives two implementations:
+//! telemetry handle: an entry table and a negative table probed by one
+//! cheap hash of a word the name already carries, and — only where a
+//! capacity bound means something can be evicted — an expiry index.
+//! Accounting side effects (stats, ledger records, trace events) go
+//! through the [`OpSink`] trait, so the same core drives two
+//! implementations:
 //!
 //! * [`Cache`] — the cache a resolver holds, single-threaded: one core
 //!   plus a `RefCell`-guarded stats/ledger pair and an `Rc`-based
@@ -32,8 +35,8 @@ use dnsttl_wire::name::NameKey;
 use dnsttl_wire::{Name, RRset, Rcode, RecordType, Ttl};
 use std::borrow::Borrow;
 use std::cell::RefCell;
-use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
+use std::collections::{hash_map, HashMap};
+use std::hash::{BuildHasherDefault, Hash, Hasher};
 
 use crate::ledger::{rank_token, CacheStats, Ledger, Provenance, RecordOrigin, StoreContext};
 
@@ -135,6 +138,51 @@ impl Hash for dyn TableKey + '_ {
     }
 }
 
+/// The entry and negative tables: keyed on `(Name, RecordType)`, hashed
+/// by [`KeyHasher`].
+type KeyTable<V> = HashMap<(Name, RecordType), V, BuildHasherDefault<KeyHasher>>;
+
+/// The hasher of a [`KeyTable`]. A key writes two words — the 64-bit
+/// case-folded FNV-1a a `Name` (or a borrowed suffix of one) already
+/// carries, then the type's discriminant — and each is folded in by one
+/// rotate-xor-multiply, so a probe never rescans the name and pays no
+/// SipHash rounds for it. The multiply is what hashbrown needs on top
+/// of FNV: it takes the bucket from the low bits and the control byte
+/// from the top seven, and the product carries every bit of the name
+/// hash into the top ones.
+///
+/// Unkeyed, so not collision-resistant against chosen keys: the keys
+/// are the simulator's own zones and campaigns, not an attacker's. As
+/// a side effect a table's iteration order no longer differs between
+/// runs (nothing may depend on it either way: every consumer sorts).
+#[derive(Default)]
+struct KeyHasher(u64);
+
+impl KeyHasher {
+    fn mix(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    }
+}
+
+impl Hasher for KeyHasher {
+    fn write_u64(&mut self, word: u64) {
+        self.mix(word);
+    }
+
+    /// Whatever width the type's derived `Hash` writes.
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.mix(u64::from_le_bytes(word));
+        }
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
 /// A cached RRset as handed to a client or to the iteration logic:
 /// TTLs already decremented by the entry's age.
 #[derive(Debug, Clone)]
@@ -175,29 +223,65 @@ pub(crate) trait OpSink {
     );
 }
 
+/// Expiry index over the *unpinned* entries of a **bounded** cache
+/// (`Some` iff the cache has a capacity) — a hierarchical timing wheel
+/// bucketing `(name, rtype code)` ties by `expires_at` milliseconds.
+/// Its one reader is eviction: the victim is an amortized-O(1) wheel
+/// pop in exact `(expires_at, canonical name order, type code)` order
+/// (the eviction-oracle differential suite pins this), and every
+/// insert and remove keeps it in lockstep. Pinned entries never expire
+/// and are never evicted, so they are not indexed; an unbounded cache
+/// evicts nothing, so it holds no wheel at all and every method here
+/// does nothing — a store there is a table write, and a cache costs
+/// its entry table (DESIGN.md §14 has the bytes and the nanoseconds).
+#[derive(Debug)]
+struct ExpiryIndex(Option<TimingWheel<(Name, u16)>>);
+
+impl ExpiryIndex {
+    /// Indexes an entry that is about to enter the table.
+    fn insert(&mut self, e: &Entry) {
+        if let (Some(wheel), false) = (&mut self.0, e.pinned) {
+            let tie = (e.rrset.name.clone(), e.rrset.rtype.code());
+            wheel.insert(e.expires_at.as_millis(), tie);
+        }
+    }
+
+    /// Forgets an entry that has left the table or is about to.
+    fn remove(&mut self, e: &Entry) {
+        if let (Some(wheel), false) = (&mut self.0, e.pinned) {
+            let (name, code) = (&e.rrset.name, e.rrset.rtype.code());
+            wheel.cancel_by(e.expires_at.as_millis(), |(n, c)| *c == code && n == name);
+        }
+    }
+
+    /// Removes and returns the key of the soonest-to-expire entry.
+    fn pop_first(&mut self) -> Option<(Name, RecordType)> {
+        let (_, (name, code)) = self.0.as_mut()?.pop_first()?;
+        let rtype = RecordType::from_code(code).expect("index holds valid type codes");
+        Some((name, rtype))
+    }
+
+    fn clear(&mut self) {
+        if let Some(wheel) = &mut self.0 {
+            wheel.clear();
+        }
+    }
+}
+
 /// The cache state machine, engine-agnostic: entry table, negative
-/// table, and the expiry-ordered eviction index. `Send` by
-/// construction (no `Rc`, no `RefCell`), so one core backs the
-/// sequential [`Cache`] and one core sits behind each lock of the
-/// concurrent [`crate::SharedCache`].
+/// table, and — in a bounded cache only — the expiry-ordered eviction
+/// index. `Send` by construction (no `Rc`, no `RefCell`), so one core
+/// backs the sequential [`Cache`] and one core sits behind each lock of
+/// the concurrent [`crate::SharedCache`].
 ///
 /// Eviction order is deterministic and documented: the victim is the
 /// index minimum, i.e. ordered by `(expires_at, canonical name order,
 /// type code)`.
 #[derive(Debug)]
 pub(crate) struct CacheCore {
-    pub(crate) entries: HashMap<(Name, RecordType), Entry>,
-    /// Expiry index over the *unpinned* entries — a hierarchical timing
-    /// wheel bucketing `(name, rtype code)` ties by `expires_at`
-    /// milliseconds. Kept in lockstep with every insert/remove so
-    /// eviction and expiry purges are amortized-O(1) wheel pops instead
-    /// of O(log n) ordered-set operations, while every pop drains in
-    /// the exact `(expires_at, canonical name order, type code)` order
-    /// the previous `BTreeSet` index used (the eviction-oracle
-    /// differential suite pins this). Pinned entries never expire and
-    /// are never evicted, so they are not indexed.
-    expiry: TimingWheel<(Name, u16)>,
-    negatives: HashMap<(Name, RecordType), NegEntry>,
+    entries: KeyTable<Entry>,
+    expiry: ExpiryIndex,
+    negatives: KeyTable<NegEntry>,
     /// Maximum positive entries; `None` = unbounded. Real caches are
     /// bounded, and under pressure the *effective* TTL is the eviction
     /// horizon, not the configured TTL (the paper's \[19\]).
@@ -216,9 +300,9 @@ impl CacheCore {
     /// A core bounded to `capacity` positive entries (`None` = unbounded).
     pub(crate) fn new(capacity: Option<usize>) -> CacheCore {
         CacheCore {
-            entries: HashMap::new(),
-            expiry: TimingWheel::new(),
-            negatives: HashMap::new(),
+            entries: HashMap::default(),
+            expiry: ExpiryIndex(capacity.map(|_| TimingWheel::new())),
+            negatives: HashMap::default(),
             capacity: capacity.map(|c| c.max(1)),
             evictions: 0,
         }
@@ -234,34 +318,19 @@ impl CacheCore {
         self.entries.values()
     }
 
-    /// Removes an entry's key from the expiry index.
-    fn index_remove(&mut self, expires_at: SimTime, name: &Name, code: u16) {
-        self.expiry
-            .cancel_by(expires_at.as_millis(), |(n, c)| *c == code && n == name);
-    }
-
-    /// Makes room for one more entry when at capacity.
-    fn evict_if_full<S: OpSink>(
-        &mut self,
-        incoming: &(Name, RecordType),
-        now: SimTime,
-        sink: &mut S,
-    ) {
-        let Some(cap) = self.capacity else { return };
-        if self.entries.len() < cap || self.entries.contains_key(incoming) {
-            return;
-        }
+    /// Evicts one entry to make room for a key the table does not
+    /// hold. Only a bounded cache has anything to pop.
+    fn evict_soonest<S: OpSink>(&mut self, now: SimTime, sink: &mut S) {
         // The victim is the index minimum: the entry with the earliest
         // expiry (already-expired entries sort first by construction),
         // ties broken by canonical name order then type code — never by
         // HashMap iteration order, so the ledger is identical across
         // reruns. Pinned entries are mirrored zone data, never indexed,
         // never evicted.
-        if let Some((_, (name, code))) = self.expiry.pop_first() {
-            let rtype = RecordType::from_code(code).expect("index holds valid type codes");
+        if let Some(victim) = self.expiry.pop_first() {
             let e = self
                 .entries
-                .remove(&(name, rtype))
+                .remove(&victim)
                 .expect("index entry has a backing cache entry");
             self.evictions += 1;
             sink.stats().evictions += 1;
@@ -293,116 +362,112 @@ impl CacheCore {
         sink: &mut S,
     ) {
         let key = (rrset.name.clone(), rrset.rtype);
-        self.negatives.remove(&key);
+        // Empty unless something failed: answer before hashing.
+        if !self.negatives.is_empty() {
+            self.negatives.remove(&key);
+        }
         let original_ttl = rrset.ttl;
         let ttl = policy.clamp_ttl(rrset.ttl);
         if ttl.is_zero() {
             sink.stats().rejected_stores += 1;
             return;
         }
-        let mut refresh = false;
-        // Indexed expiry of the entry this store replaces (refreshes
-        // move an entry's expiry too, so the stale key must go either
-        // way).
-        let mut old_expiry: Option<SimTime> = None;
-        let fingerprint = rrset.fingerprint();
-        if let Some(existing) = self.entries.get(&key) {
-            let fresh = existing.pinned || existing.expires_at > now;
-            // Removal cause for the entry currently under the key.
-            let displaced = if fresh {
-                let rejected = existing.rank > rank // lower rank never displaces higher
-                    || (policy.centricity == Centricity::ParentCentric
-                        && existing.rank <= Credibility::ReferralAuthority
-                        && rank >= Credibility::AuthAuthority) // referral data wins
-                    || (!policy.link_inbailiwick_glue
-                        && existing.rank == Credibility::ReferralAdditional
-                        && rank == Credibility::ReferralAdditional); // keep cached glue
-                if rejected {
-                    sink.stats().rejected_stores += 1;
-                    return;
-                }
-                refresh = existing.fingerprint == fingerprint;
-                (!refresh).then_some(CacheOp::Overwrite)
-            } else {
-                // Past its TTL: whatever replaces it, the old entry
-                // died of expiry.
-                Some(CacheOp::Expire)
-            };
-            // Journalled from the table, before the insert below
-            // replaces it: the ledger reads `Expire`/`Overwrite` first.
-            if let Some(cause) = displaced {
-                match cause {
-                    CacheOp::Overwrite => sink.stats().overwrites += 1,
-                    _ => sink.stats().expiries += 1,
-                }
-                sink.note(
-                    now,
-                    cause,
-                    &existing.rrset,
-                    existing.rank,
-                    existing.provenance,
-                    Some(now.since(existing.stored_at).as_millis()),
-                    existing.fingerprint,
-                );
-            }
-            if !existing.pinned {
-                old_expiry = Some(existing.expires_at);
-            }
-        }
         let origin = if ctx.txn == 0 && ctx.server.is_none() {
             RecordOrigin::Seed
         } else {
             RecordOrigin::from_rank(rank)
         };
-        let prov = Provenance {
-            txn: ctx.txn,
-            server: ctx.server,
-            origin,
-            bailiwick: ctx.bailiwick,
-            original_ttl,
-            effective_ttl: ttl,
+        let incoming = Entry {
+            fingerprint: rrset.fingerprint(),
+            rrset: RRset { ttl, ..rrset },
+            stored_at: now,
+            expires_at: now + ttl_span(ttl),
+            rank,
+            pinned,
+            provenance: Provenance {
+                txn: ctx.txn,
+                server: ctx.server,
+                origin,
+                bailiwick: ctx.bailiwick,
+                original_ttl,
+                effective_ttl: ttl,
+            },
         };
-        let mut rrset = rrset;
-        rrset.ttl = ttl;
-        if let Some(stale) = old_expiry {
-            self.index_remove(stale, &key.0, key.1.code());
-        }
-        self.evict_if_full(&key, now, sink);
-        if refresh {
+        let full = self.capacity.is_some_and(|cap| self.entries.len() >= cap);
+        let mut refresh = false;
+        // One probe finds the entry this store replaces and the slot
+        // it writes; only a store that must first evict probes again.
+        let slot = match self.entries.entry(key) {
+            hash_map::Entry::Occupied(slot) => {
+                let existing = slot.get();
+                let fresh = existing.pinned || existing.expires_at > now;
+                // Removal cause for the entry currently under the key.
+                let displaced = if fresh {
+                    let rejected = existing.rank > rank // lower rank never displaces higher
+                        || (policy.centricity == Centricity::ParentCentric
+                            && existing.rank <= Credibility::ReferralAuthority
+                            && rank >= Credibility::AuthAuthority) // referral data wins
+                        || (!policy.link_inbailiwick_glue
+                            && existing.rank == Credibility::ReferralAdditional
+                            && rank == Credibility::ReferralAdditional); // keep cached glue
+                    if rejected {
+                        sink.stats().rejected_stores += 1;
+                        return;
+                    }
+                    refresh = existing.fingerprint == incoming.fingerprint;
+                    (!refresh).then_some(CacheOp::Overwrite)
+                } else {
+                    // Past its TTL: whatever replaces it, the old entry
+                    // died of expiry.
+                    Some(CacheOp::Expire)
+                };
+                // Journalled from the table, before the insert below
+                // replaces it: the ledger reads `Expire`/`Overwrite` first.
+                if let Some(cause) = displaced {
+                    match cause {
+                        CacheOp::Overwrite => sink.stats().overwrites += 1,
+                        _ => sink.stats().expiries += 1,
+                    }
+                    sink.note(
+                        now,
+                        cause,
+                        &existing.rrset,
+                        existing.rank,
+                        existing.provenance,
+                        Some(now.since(existing.stored_at).as_millis()),
+                        existing.fingerprint,
+                    );
+                }
+                // A refresh moves an entry's expiry too, so the indexed
+                // key goes either way.
+                self.expiry.remove(existing);
+                hash_map::Entry::Occupied(slot)
+            }
+            hash_map::Entry::Vacant(slot) if full => {
+                let key = slot.into_key();
+                self.evict_soonest(now, sink);
+                self.entries.entry(key)
+            }
+            vacant => vacant,
+        };
+        let op = if refresh {
             sink.stats().refreshes += 1;
+            CacheOp::Refresh
         } else {
             sink.stats().inserts += 1;
-        }
+            CacheOp::Insert
+        };
         sink.note(
             now,
-            if refresh {
-                CacheOp::Refresh
-            } else {
-                CacheOp::Insert
-            },
-            &rrset,
+            op,
+            &incoming.rrset,
             rank,
-            prov,
+            incoming.provenance,
             None,
-            fingerprint,
+            incoming.fingerprint,
         );
-        let expires_at = now + ttl_span(ttl);
-        if !pinned {
-            self.expiry
-                .insert(expires_at.as_millis(), (key.0.clone(), key.1.code()));
-        }
-        self.entries.insert(
-            key,
-            Entry {
-                expires_at,
-                stored_at: now,
-                rrset,
-                rank,
-                pinned,
-                provenance: prov,
-                fingerprint,
-            },
-        );
+        self.expiry.insert(&incoming);
+        slot.insert_entry(incoming);
     }
 
     /// See [`Cache::invalidate`].
@@ -415,9 +480,7 @@ impl CacheCore {
     ) -> bool {
         match self.entries.remove(&Probe(name, rtype) as &dyn TableKey) {
             Some(e) => {
-                if !e.pinned {
-                    self.index_remove(e.expires_at, name, rtype.code());
-                }
+                self.expiry.remove(&e);
                 sink.stats().invalidations += 1;
                 sink.note(
                     now,
@@ -524,14 +587,6 @@ impl CacheCore {
         rtype: RecordType,
         now: SimTime,
     ) -> Option<SimDuration> {
-        // The expiry index covers every unpinned entry and caches its
-        // minimum fire time, so it answers "is anything expired at
-        // all?" in O(1) without touching the entry table. Resolvers
-        // probe this on *every* query; in the common all-fresh cache
-        // the probe ends here.
-        if self.expiry.earliest_ms()? > now.as_millis() {
-            return None;
-        }
         let e = self.entries.get(&Probe(name, rtype) as &dyn TableKey)?;
         if e.pinned || e.expires_at > now {
             return None;
@@ -685,18 +740,24 @@ impl CacheCore {
         self.entries.is_empty()
     }
 
-    /// See [`Cache::purge_expired`]. Expired entries are the index
-    /// prefix up to `now`, drained in `(expires_at, name, type code)`
-    /// order.
+    /// See [`Cache::purge_expired`]. The expired entries are found by
+    /// a scan of the table and dropped in `(expires_at, name, type
+    /// code)` order — the order an expiry index drains in, so a
+    /// bounded and an unbounded cache journal the same lines.
     pub(crate) fn purge_expired<S: OpSink>(&mut self, now: SimTime, sink: &mut S) {
-        let now_ms = now.as_millis();
-        while self.expiry.earliest_ms().is_some_and(|t| t <= now_ms) {
-            let (_, (name, code)) = self.expiry.pop_first().expect("earliest just seen");
-            let rtype = RecordType::from_code(code).expect("index holds valid type codes");
+        let mut expired: Vec<(SimTime, Name, RecordType)> = self
+            .entries
+            .iter()
+            .filter(|(_, e)| !e.pinned && e.expires_at <= now)
+            .map(|((name, rtype), e)| (e.expires_at, name.clone(), *rtype))
+            .collect();
+        expired.sort_unstable_by(|a, b| (a.0, &a.1, a.2.code()).cmp(&(b.0, &b.1, b.2.code())));
+        for (_, name, rtype) in expired {
             let e = self
                 .entries
                 .remove(&(name, rtype))
-                .expect("index entry has a backing cache entry");
+                .expect("key just seen in the table");
+            self.expiry.remove(&e);
             sink.stats().expiries += 1;
             sink.note(
                 now,
@@ -1143,6 +1204,7 @@ fn ttl_span(ttl: Ttl) -> dnsttl_netsim::SimDuration {
 mod tests {
     use super::*;
     use dnsttl_wire::RData;
+    use std::hash::BuildHasher;
 
     fn policy() -> ResolverPolicy {
         ResolverPolicy::default()
@@ -1810,7 +1872,7 @@ mod tests {
             ("xample.org", NS),
             ("wwwexample.org", A),
         ];
-        let table: HashMap<(Name, RecordType), usize> = stored
+        let table: KeyTable<usize> = stored
             .iter()
             .enumerate()
             .map(|(i, (owner, t))| ((n(owner), *t), i))
@@ -1818,8 +1880,16 @@ mod tests {
         assert_eq!(table.len(), stored.len());
         let name = n("Www.Example.Org");
         let mut found = 0;
+        let hasher = table.hasher();
         for suffix in name.suffixes() {
             for t in RecordType::concrete() {
+                // `Borrow`'s contract, under the tables' own hasher.
+                assert_eq!(
+                    hasher.hash_one(&Probe(&suffix, t) as &dyn TableKey),
+                    hasher.hash_one((suffix.to_name(), t)),
+                    "{} {t:?}",
+                    suffix.as_str()
+                );
                 let borrowed = table.get(&Probe(&suffix, t) as &dyn TableKey);
                 assert_eq!(borrowed, table.get(&(suffix.to_name(), t)));
                 if let Some(&i) = borrowed {
@@ -1848,6 +1918,173 @@ mod tests {
         assert_eq!(owners, [None, Some(n("example.org")), None, None]);
         assert_eq!(owners[1].as_ref().unwrap().as_str(), "Example.ORG.");
         assert_eq!(c.stats().hits, 1);
+    }
+
+    /// hashbrown takes a key's bucket from the low bits of its hash
+    /// and its control byte from the top seven. Over the Zipf
+    /// campaigns' keys, [`KeyHasher`] loads neither more unevenly than
+    /// SipHash does — the fullest bucket and the fullest control-byte
+    /// group stay within a quarter (and one key) of SipHash's. Measured:
+    /// 8 keys against SipHash's 8 (mean 1.5), 71 against 62 (mean 48).
+    #[test]
+    fn the_key_hasher_spreads_like_siphash() {
+        use std::collections::hash_map::DefaultHasher;
+        let keys: Vec<(Name, RecordType)> = (0..2_048)
+            .flat_map(|k| {
+                [RecordType::A, RecordType::AAAA, RecordType::NS]
+                    .map(|t| (n(&format!("r{k}.zipf")), t))
+            })
+            .collect();
+        // (fullest of 4 096 low-bit buckets, fullest of 128 top-7-bit groups)
+        fn fullest<B: BuildHasher>(build: &B, keys: &[(Name, RecordType)]) -> (usize, usize) {
+            let (mut buckets, mut groups) = (vec![0usize; 4_096], vec![0usize; 128]);
+            for key in keys {
+                let h = build.hash_one(key);
+                buckets[(h & 4_095) as usize] += 1;
+                groups[(h >> 57) as usize] += 1;
+            }
+            (
+                buckets.into_iter().max().unwrap(),
+                groups.into_iter().max().unwrap(),
+            )
+        }
+        // `DefaultHasher::new()` is SipHash under a fixed key.
+        let build = BuildHasherDefault::<KeyHasher>::default();
+        let sip = fullest(&BuildHasherDefault::<DefaultHasher>::default(), &keys);
+        let ours = fullest(&build, &keys);
+        assert!(
+            ours.0 <= sip.0 + sip.0 / 4 + 1 && ours.1 <= sip.1 + sip.1 / 4 + 1,
+            "fullest (bucket, group): {ours:?}, SipHash {sip:?}"
+        );
+        // And the type is hashed: one name's three keys are three hashes.
+        let of_one_name: std::collections::BTreeSet<u64> =
+            keys[..3].iter().map(|key| build.hash_one(key)).collect();
+        assert_eq!(of_one_name.len(), 3);
+    }
+
+    /// A purge finds its victims by scanning the table, whose order
+    /// means nothing; it must journal them as a timing wheel holding
+    /// the same `(expires_at, (name, type code))` keys drains them —
+    /// the order eviction pops in, and the one ledgers have always
+    /// shown.
+    #[test]
+    fn purge_drops_in_the_order_an_expiry_index_drains() {
+        let owners = ["b.example", "A.example", "z.a.example", "example", "B.test"];
+        for mut c in [Cache::new(), Cache::with_capacity(64)] {
+            c.enable_ledger();
+            let mut wheel = TimingWheel::new();
+            let mut rng = dnsttl_netsim::SimRng::seed_from(0x9E46_E000);
+            for (i, owner) in owners.iter().cycle().take(30).enumerate() {
+                // Few distinct expiries, so most ties fall to the name
+                // and the type; one entry in six is pinned.
+                let ttl = [60, 60, 120, 300][rng.below(4) as usize];
+                let rtype = [RecordType::A, RecordType::NS, RecordType::TXT][i % 3];
+                let set = RRset {
+                    rtype,
+                    ..a_rrset(owner, ttl, 1)
+                };
+                let pinned = i % 6 == 5;
+                c.store(
+                    set,
+                    Credibility::AuthAnswer,
+                    SimTime::ZERO,
+                    &policy(),
+                    pinned,
+                );
+            }
+            for e in c.core.iter_entries().filter(|e| !e.pinned) {
+                let tie = (e.rrset.name.clone(), e.rrset.rtype.code());
+                wheel.insert(e.expires_at.as_millis(), tie);
+            }
+            let now = SimTime::from_secs(120);
+            let mut drained = Vec::new();
+            while wheel.earliest_ms().is_some_and(|t| t <= now.as_millis()) {
+                let (_, (name, code)) = wheel.pop_first().unwrap();
+                let rtype = RecordType::from_code(code).unwrap();
+                drained.push((name.to_string(), rtype.to_string()));
+            }
+            assert!(drained.len() >= 5 && !wheel.is_empty(), "{drained:?}");
+            c.purge_expired(now);
+            let journalled: Vec<(String, String)> = c
+                .with_ledger(|l| {
+                    l.journal()
+                        .records()
+                        .filter(|r| r.op == CacheOp::Expire)
+                        .map(|r| (r.name.to_string(), r.rtype.to_string()))
+                        .collect()
+                })
+                .unwrap();
+            assert_eq!(journalled, drained);
+            let pinned = c.core.iter_entries().filter(|e| e.pinned).count();
+            assert!(pinned > 0);
+            assert_eq!(c.len(), wheel.len() + pinned);
+        }
+    }
+
+    /// `expired_since` reads the entry table and nothing else: on
+    /// pinned, fresh, expired and absent keys, in a bounded and an
+    /// unbounded cache, it says what a scan of the snapshot says.
+    #[test]
+    fn expired_since_agrees_with_a_brute_force_scan() {
+        for mut c in [Cache::new(), Cache::with_capacity(64)] {
+            let auth = Credibility::AuthAnswer;
+            c.store(
+                a_rrset("pinned.example", 60, 1),
+                auth,
+                SimTime::ZERO,
+                &policy(),
+                true,
+            );
+            c.store(
+                a_rrset("fresh.example", 3_600, 2),
+                auth,
+                SimTime::ZERO,
+                &policy(),
+                false,
+            );
+            c.store(
+                a_rrset("expired.example", 60, 3),
+                auth,
+                SimTime::ZERO,
+                &policy(),
+                false,
+            );
+            c.store(
+                a_rrset("Edge.example", 600, 4),
+                auth,
+                SimTime::ZERO,
+                &policy(),
+                false,
+            );
+            for now in [0, 59, 60, 61, 600, 601, 3_599, 3_600, 100_000].map(SimTime::from_secs) {
+                for owner in ["pinned", "fresh", "expired", "edge", "absent"] {
+                    let name = n(&format!("{owner}.example"));
+                    let scanned = c
+                        .core
+                        .iter_entries()
+                        .find(|e| e.rrset.name == name && e.rrset.rtype == RecordType::A)
+                        .filter(|e| !e.pinned && e.expires_at <= now)
+                        .map(|e| now.since(e.expires_at));
+                    assert_eq!(
+                        c.expired_since(&name, RecordType::A, now),
+                        scanned,
+                        "{owner} at {now:?}"
+                    );
+                    assert_eq!(c.expired_since(&name, RecordType::NS, now), None);
+                }
+            }
+            // The shapes the loop is meant to have met.
+            let at = SimTime::from_secs(90);
+            let expired_for =
+                |c: &Cache, owner: &str| c.expired_since(&n(owner), RecordType::A, at);
+            assert_eq!(expired_for(&c, "pinned.example"), None);
+            assert_eq!(expired_for(&c, "fresh.example"), None);
+            assert_eq!(expired_for(&c, "absent.example"), None);
+            assert_eq!(
+                expired_for(&c, "expired.example"),
+                Some(SimDuration::from_secs(30))
+            );
+        }
     }
 
     /// `get` is the borrowed read plus a clone: a seeded tape of

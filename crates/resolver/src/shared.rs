@@ -5,8 +5,9 @@
 //! The paper's open-resolver populations (Google DNS, OpenDNS) share
 //! one cache across many client threads. [`SharedCache`] models that
 //! topology: a power-of-two array of mutex-guarded segments, each a
-//! [`CacheCore`] with its own expiry index and stats, with keys routed
-//! by the interned [`Name`]'s precomputed case-folded hash.
+//! [`CacheCore`] with its own stats (and, when the cache is bounded, its
+//! own expiry index), with keys routed by the interned [`Name`]'s
+//! precomputed case-folded hash.
 //!
 //! It is not a resolver backend. A
 //! [`RecursiveResolver`](crate::RecursiveResolver) holds a `Cache`:

@@ -114,13 +114,11 @@ fn rrset(name: &Name, rtype: RecordType, ttl: u32, variant: u8) -> RRset {
     }
 }
 
-#[test]
-fn indexed_eviction_matches_linear_scan_oracle() {
-    let policy = ResolverPolicy::default();
-    // A name pool with depth and case variety so the canonical-order
-    // tie-break actually gets exercised (equal expiry is common: TTLs
-    // are drawn from a small set and the clock moves in whole steps).
-    let names: Vec<Name> = (0..48)
+/// A name pool with depth and case variety so the canonical-order
+/// tie-break actually gets exercised (equal expiry is common: TTLs
+/// are drawn from a small set and the clock moves in whole steps).
+fn name_pool() -> Vec<Name> {
+    (0..48)
         .map(|i| {
             let s = match i % 4 {
                 0 => format!("h{i:02}.example"),
@@ -130,9 +128,17 @@ fn indexed_eviction_matches_linear_scan_oracle() {
             };
             Name::parse(&s).expect("pool name is valid")
         })
-        .collect();
+        .collect()
+}
+
+const TTLS: [u32; 6] = [30, 60, 60, 300, 300, 3_600];
+
+#[test]
+fn indexed_eviction_matches_linear_scan_oracle() {
+    let policy = ResolverPolicy::default();
+    let names = name_pool();
     let rtypes = [RecordType::A, RecordType::NS];
-    let ttls = [30u32, 60, 60, 300, 300, 3_600];
+    let ttls = TTLS;
 
     for seed in 0..SEEDS {
         let mut rng = SimRng::seed_from(0xE71C_7000 + seed);
@@ -225,5 +231,107 @@ fn indexed_eviction_matches_linear_scan_oracle() {
                 );
             }
         }
+    }
+}
+
+/// An unbounded cache keeps no expiry index; a bounded one does. With
+/// the bound above the tape's working set (48 names × 2 types) nothing
+/// is ever evicted, so the index may change nothing anyone can see:
+/// every answer served, the counters, the snapshot and the ledger —
+/// whose purge lines come out of a table scan on one side and would
+/// come out of index order on the other — are the same bytes.
+#[test]
+fn an_index_less_cache_is_the_indexed_cache_observably() {
+    use Credibility::*;
+    let policy = ResolverPolicy::default();
+    let names = name_pool();
+    let zones = ["example", "sub.example", "other-zone.test"].map(|z| Name::parse(z).unwrap());
+    let rtypes = [RecordType::A, RecordType::NS];
+    let ranks = [
+        ReferralAdditional,
+        ReferralAuthority,
+        AuthAuthority,
+        AuthAnswer,
+    ];
+
+    for seed in 0..SEEDS {
+        let mut rng = SimRng::seed_from(0x1DE7_1E55 + seed);
+        let mut caches = [Cache::new(), Cache::with_capacity(4 * CAPACITY)];
+        for cache in &mut caches {
+            cache.enable_ledger();
+        }
+        let mut now = SimTime::ZERO;
+
+        for step in 0..STEPS {
+            let name = &names[rng.below(names.len() as u64) as usize];
+            let rtype = rtypes[rng.below(2) as usize];
+            match rng.below(1_000) {
+                0..=399 => {
+                    let ttl = TTLS[rng.below(TTLS.len() as u64) as usize];
+                    let set = rrset(name, rtype, ttl, rng.below(4) as u8 + 1);
+                    let rank = ranks[rng.below(4) as usize];
+                    let pinned = rng.below(40) == 0;
+                    for cache in &mut caches {
+                        cache.store(set.clone(), rank, now, &policy, pinned);
+                    }
+                }
+                400..=549 => now += SimDuration::from_secs(1 + rng.below(20)),
+                550..=799 => {
+                    let [a, b] = caches
+                        .each_ref()
+                        .map(|c| c.get(name, rtype, now).map(|h| (h.rrset, h.rank)));
+                    assert_eq!(a, b, "seed {seed} step {step}: fresh answer");
+                }
+                800..=874 => {
+                    let [a, b] = caches.each_ref().map(|c| {
+                        c.get_stale(name, rtype, now, Ttl::from_secs(600))
+                            .map(|h| (h.rrset, h.stale))
+                    });
+                    assert_eq!(a, b, "seed {seed} step {step}: stale answer");
+                    let [a, b] = caches.each_ref().map(|c| c.expired_since(name, rtype, now));
+                    assert_eq!(a, b, "seed {seed} step {step}: expiry age");
+                }
+                875..=924 => {
+                    for cache in &mut caches {
+                        cache.purge_expired(now);
+                    }
+                }
+                925..=984 => {
+                    let [a, b] = caches.each_mut().map(|c| c.invalidate(name, rtype, now));
+                    assert_eq!(a, b, "seed {seed} step {step}: invalidate");
+                }
+                985..=996 => {
+                    let zone = &zones[rng.below(3) as usize];
+                    let [a, b] = caches.each_mut().map(|c| c.invalidate_zone(zone, now));
+                    assert_eq!(a, b, "seed {seed} step {step}: invalidate_zone");
+                }
+                _ => {
+                    for cache in &mut caches {
+                        cache.clear();
+                    }
+                }
+            }
+        }
+
+        let [unbounded, bounded] = &caches;
+        let stats = unbounded.stats();
+        assert_eq!(stats, bounded.stats(), "seed {seed}");
+        assert_eq!((unbounded.evictions(), bounded.evictions()), (0, 0));
+        assert!(
+            stats.hits > 500
+                && stats.stale_hits > 20
+                && stats.expiries > 500
+                && stats.invalidations > 500
+                && stats.clears > 0,
+            "seed {seed}: the tape reaches every kind of transaction: {stats:?}"
+        );
+        assert_eq!(
+            unbounded.snapshot(now).to_jsonl(),
+            bounded.snapshot(now).to_jsonl(),
+            "seed {seed}"
+        );
+        let ledger = |c: &Cache| c.with_ledger(|l| l.journal().to_jsonl()).unwrap();
+        assert!(ledger(unbounded).lines().count() > 5_000, "seed {seed}");
+        assert_eq!(ledger(unbounded), ledger(bounded), "seed {seed}");
     }
 }

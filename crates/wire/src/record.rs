@@ -206,34 +206,92 @@ impl RRset {
     /// fingerprint identically — RRset semantics are set semantics.
     /// See [`Record::fingerprint`] for what caches use this for.
     ///
-    /// Caches call this on every store, so the common shapes allocate
-    /// nothing: the name part — FNV-1a from the offset basis over the
-    /// case-folded presentation form — is the hash every [`Name`]
-    /// already carries, and a one-member set needs no sorting, so its
-    /// data's `Display` output streams straight into the hash.
+    /// Caches call this on every store, so the shapes they store go
+    /// through neither an allocation nor `core::fmt`: the name part —
+    /// FNV-1a from the offset basis over the case-folded presentation
+    /// form — is the hash every [`Name`] already carries; a one-member
+    /// set needs no sorting, so its bytes go straight into the hash
+    /// (`FnvWriter::member`); and a set whose members are all
+    /// names (a zone's `NS` set) sorts the borrowed strings. Any other
+    /// multi-member set renders each member to sort it. Every path
+    /// hashes the bytes `RData`'s `Display` prints, so the value is the
+    /// one traces and ledgers have always exported.
     pub fn fingerprint(&self) -> u64 {
         let mut w = FnvWriter(fnv1a(
             self.name.folded_hash(),
             &self.rtype.code().to_be_bytes(),
         ));
-        // Each member is followed by a NUL: no concatenation aliasing.
-        // Neither the writer nor `RData`'s `Display` can fail.
         if let [only] = self.rdatas.as_slice() {
-            let _ = write!(w, "{only}\0");
+            w.member(only);
+        } else if let Some(mut names) = self
+            .rdatas
+            .iter()
+            .map(|rd| match rd {
+                RData::Ns(n) | RData::Cname(n) => Some(n.as_str()),
+                _ => None,
+            })
+            .collect::<Option<Vec<&str>>>()
+        {
+            names.sort_unstable();
+            for n in names {
+                w.text(n);
+            }
         } else {
             let mut datas: Vec<String> = self.rdatas.iter().map(|rd| rd.to_string()).collect();
             datas.sort();
             for d in &datas {
-                let _ = write!(w, "{d}\0");
+                w.text(d);
             }
         }
         w.0
     }
 }
 
-/// Feeds formatted text into a running FNV-1a hash, so hashing a
-/// value's `Display` form needs no intermediate `String`.
+/// A running FNV-1a hash over the presentation form of an RRset's
+/// members.
 struct FnvWriter(u64);
+
+impl FnvWriter {
+    /// One member's text followed by a NUL: no concatenation aliasing.
+    fn text(&mut self, member: impl AsRef<[u8]>) {
+        self.0 = fnv1a(fnv1a(self.0, member.as_ref()), b"\0");
+    }
+
+    /// One member, as [`FnvWriter::text`] of its `Display` form. The
+    /// types a resolver caches by the thousand are spelled out — an
+    /// address as its dotted quad, a name as the buffer it already
+    /// holds; the rest stream through `Display`, which needs no
+    /// intermediate `String` either.
+    fn member(&mut self, rd: &RData) {
+        match rd {
+            RData::A(addr) => {
+                // "255.255.255.255" is the longest it gets.
+                let mut quad = [0u8; 15];
+                let mut len = 0;
+                for (i, octet) in addr.octets().into_iter().enumerate() {
+                    if i > 0 {
+                        quad[len] = b'.';
+                        len += 1;
+                    }
+                    for place in [100, 10] {
+                        if octet >= place {
+                            quad[len] = b'0' + octet / place % 10;
+                            len += 1;
+                        }
+                    }
+                    quad[len] = b'0' + octet % 10;
+                    len += 1;
+                }
+                self.text(&quad[..len]);
+            }
+            RData::Ns(n) | RData::Cname(n) => self.text(n.as_str()),
+            // Neither the writer nor `RData`'s `Display` can fail.
+            other => {
+                let _ = write!(self, "{other}\0");
+            }
+        }
+    }
+}
 
 impl fmt::Write for FnvWriter {
     fn write_str(&mut self, s: &str) -> fmt::Result {
@@ -428,6 +486,213 @@ mod tests {
             ..fwd.clone()
         };
         assert_eq!(empty.fingerprint(), reference_fingerprint(&empty));
+    }
+
+    /// One labelled set per shape [`RRset::fingerprint`] tells apart.
+    fn golden_sets() -> Vec<(&'static str, RRset)> {
+        let host = name("NS1.Example.ORG");
+        let v4 = |o: [u8; 4]| RData::A(Ipv4Addr::from(o));
+        let ns = |s: &str| RData::Ns(name(s));
+        let set = |owner: &str, rdatas: Vec<RData>| RRset {
+            name: name(owner),
+            rtype: rdatas[0].record_type(),
+            ttl: Ttl::HOUR,
+            rdatas,
+        };
+        vec![
+            ("a", set("a.nic.uy", vec![v4([192, 0, 2, 1])])),
+            (
+                "a octets 0/9/10/99",
+                set("a.nic.uy", vec![v4([0, 9, 10, 99])]),
+            ),
+            (
+                "a octets 100/255",
+                set("a.nic.uy", vec![v4([100, 255, 0, 9])]),
+            ),
+            ("a at the root", set(".", vec![v4([255, 255, 255, 255])])),
+            (
+                "aaaa",
+                set(
+                    "a.nic.uy",
+                    vec![RData::Aaaa("2001:db8::1".parse().unwrap())],
+                ),
+            ),
+            ("ns", set("uy", vec![ns("a.nic.uy")])),
+            (
+                "ns, mixed-case target",
+                set("uy", vec![RData::Ns(host.clone())]),
+            ),
+            (
+                "cname",
+                set("www.example.org", vec![RData::Cname(host.clone())]),
+            ),
+            (
+                "soa",
+                set(
+                    "example.org",
+                    vec![RData::Soa(crate::SoaData {
+                        mname: host.clone(),
+                        rname: name("hostmaster.example.org"),
+                        serial: 2019,
+                        refresh: 7200,
+                        retry: 900,
+                        expire: 1_209_600,
+                        minimum: 300,
+                    })],
+                ),
+            ),
+            (
+                "mx",
+                set(
+                    "example.org",
+                    vec![RData::Mx {
+                        preference: 10,
+                        exchange: host.clone(),
+                    }],
+                ),
+            ),
+            (
+                "txt with a quote and a non-ASCII byte",
+                set(
+                    "example.org",
+                    vec![RData::Txt("v=spf1 \"caf\u{e9}\" -all".to_owned())],
+                ),
+            ),
+            (
+                "dnskey",
+                set(
+                    "example.org",
+                    vec![RData::Dnskey {
+                        flags: 257,
+                        protocol: 3,
+                        algorithm: 13,
+                        key: vec![1, 2, 3],
+                    }],
+                ),
+            ),
+            (
+                "rrsig",
+                set(
+                    "example.org",
+                    vec![RData::Rrsig {
+                        type_covered: RecordType::A,
+                        algorithm: 13,
+                        original_ttl: 300,
+                        signer: host.clone(),
+                        signature: vec![9; 8],
+                    }],
+                ),
+            ),
+            ("opt", set(".", vec![RData::Opt(vec![0; 4])])),
+            (
+                "mixed-case owner",
+                set("A.Nic.UY", vec![v4([192, 0, 2, 1])]),
+            ),
+            (
+                "3 ns",
+                set("uy", vec![ns("c.nic.uy"), ns("A.nic.uy"), ns("b.nic.uy")]),
+            ),
+            (
+                "3 ns, another order",
+                set("uy", vec![ns("b.nic.uy"), ns("c.nic.uy"), ns("A.nic.uy")]),
+            ),
+            (
+                "3 a",
+                set(
+                    "ns.example",
+                    vec![v4([10, 0, 0, 2]), v4([9, 0, 0, 1]), v4([10, 0, 0, 1])],
+                ),
+            ),
+            (
+                "3 a, another order",
+                set(
+                    "ns.example",
+                    vec![v4([9, 0, 0, 1]), v4([10, 0, 0, 1]), v4([10, 0, 0, 2])],
+                ),
+            ),
+            (
+                "ns + cname",
+                RRset {
+                    rtype: RecordType::NS,
+                    ..set("uy", vec![ns("b.nic.uy"), RData::Cname(name("a.nic.uy"))])
+                },
+            ),
+            (
+                "cname + ns",
+                RRset {
+                    rtype: RecordType::NS,
+                    ..set("uy", vec![RData::Cname(name("a.nic.uy")), ns("b.nic.uy")])
+                },
+            ),
+            (
+                "a + aaaa",
+                set(
+                    "ns.example",
+                    vec![
+                        v4([10, 0, 0, 2]),
+                        RData::Aaaa("2001:db8::1".parse().unwrap()),
+                    ],
+                ),
+            ),
+            (
+                "aaaa + a",
+                RRset {
+                    rtype: RecordType::A,
+                    ..set(
+                        "ns.example",
+                        vec![
+                            RData::Aaaa("2001:db8::1".parse().unwrap()),
+                            v4([10, 0, 0, 2]),
+                        ],
+                    )
+                },
+            ),
+        ]
+    }
+
+    /// [`golden_sets`] as the commit before the fingerprint stopped
+    /// going through `core::fmt` printed them (`158c128`): `fp` is on
+    /// every ledger line and trace event, so these may never move.
+    const GOLDEN_FINGERPRINTS: [(&str, u64); 23] = [
+        ("a", 0xd1caa727b6ec8974),
+        ("a octets 0/9/10/99", 0xdd7a8bb44e585d51),
+        ("a octets 100/255", 0x4c040ee8706afc6b),
+        ("a at the root", 0x1ef756c682c766cc),
+        ("aaaa", 0x7ab9e584cb6c4d06),
+        ("ns", 0x852e68066a0075da),
+        ("ns, mixed-case target", 0x7ecbe5bfd6badcb3),
+        ("cname", 0xd2a9c40ca1ba9707),
+        ("soa", 0xa96f3b0f2aba2cfc),
+        ("mx", 0xd25f2a10f07f50a5),
+        ("txt with a quote and a non-ASCII byte", 0xe2277563cf21799c),
+        ("dnskey", 0x74d8f438e8421f4b),
+        ("rrsig", 0x76018350a279ccdf),
+        ("opt", 0xb1a729af82e2fc1f),
+        ("mixed-case owner", 0xd1caa727b6ec8974),
+        ("3 ns", 0x80321edba0ddfd7b),
+        ("3 ns, another order", 0x80321edba0ddfd7b),
+        ("3 a", 0x7fb7da79f8526782),
+        ("3 a, another order", 0x7fb7da79f8526782),
+        ("ns + cname", 0xa7b8dce10246f80e),
+        ("cname + ns", 0xa7b8dce10246f80e),
+        ("a + aaaa", 0xa0677a81a2ccdd32),
+        ("aaaa + a", 0xa0677a81a2ccdd32),
+    ];
+
+    #[test]
+    fn fingerprints_keep_their_pinned_values() {
+        let sets = golden_sets();
+        assert_eq!(sets.len(), GOLDEN_FINGERPRINTS.len());
+        for ((label, set), (pinned_label, pinned)) in sets.iter().zip(GOLDEN_FINGERPRINTS) {
+            assert_eq!(*label, pinned_label);
+            assert_eq!(
+                set.fingerprint(),
+                pinned,
+                "{label}: {:#018x}",
+                set.fingerprint()
+            );
+            assert_eq!(set.fingerprint(), reference_fingerprint(set), "{label}");
+        }
     }
 
     #[test]

@@ -3,7 +3,9 @@
 //! order (`netsim/tests/wheel_oracle.rs`), the SoA-vs-oracle campaign
 //! engines (`atlas/tests/soa_equivalence.rs`), the resolver's cache
 //! against its concurrent model
-//! (`resolver/tests/concurrent_equivalence.rs`), the authoritative
+//! (`resolver/tests/concurrent_equivalence.rs`) and an unbounded cache
+//! against a bounded one nothing is evicted from
+//! (`resolver/tests/eviction_equivalence.rs`), the authoritative
 //! zone index (`auth/tests/zone_model.rs`), the codec identity the
 //! exchange path relies on without performing it
 //! (`wire/tests/codec_properties.rs`), the shape of the metrics
@@ -155,6 +157,70 @@ fn sequential_and_shared_engines_agree_on_a_seeded_tape() {
             assert!(seq.stats().evictions > 0, "the bound must bind");
         }
     }
+}
+
+#[test]
+fn an_unbounded_cache_agrees_with_a_roomy_bounded_one() {
+    // Only a bounded cache keeps an expiry index. With room for every
+    // key nothing is evicted, so the index must be invisible: the same
+    // answers, counters, snapshot and ledger lines, purges included.
+    let policy = ResolverPolicy::default();
+    let mut caches = [Cache::new(), Cache::with_capacity(64)];
+    for cache in &mut caches {
+        cache.enable_ledger();
+    }
+    let names: Vec<Name> = (0..40)
+        .map(|i| Name::parse(&format!("W{i}.pool.example")).unwrap())
+        .collect();
+    let mut rng = SimRng::seed_from(0x5EA4_0022);
+    let mut now = SimTime::ZERO;
+    for step in 0..400 {
+        let name = &names[rng.below(names.len() as u64) as usize];
+        match rng.below(8) {
+            0..=2 => {
+                // Few distinct TTLs: a purge has ties to order.
+                let rrset = a_rrset(name, [30, 60, 300][rng.below(3) as usize], 1);
+                for cache in &mut caches {
+                    cache.store(rrset.clone(), Credibility::AuthAnswer, now, &policy, false);
+                }
+            }
+            3 | 4 => {
+                let [a, b] = caches
+                    .each_ref()
+                    .map(|c| c.get_stale(name, RecordType::A, now, Ttl::MINUTE));
+                let (a, b) = (a.map(|h| (h.rrset, h.stale)), b.map(|h| (h.rrset, h.stale)));
+                assert_eq!(a, b, "step {step}: answer");
+                let [a, b] = caches
+                    .each_ref()
+                    .map(|c| c.expired_since(name, RecordType::A, now));
+                assert_eq!(a, b, "step {step}: expiry age");
+            }
+            5 => {
+                let [a, b] = caches
+                    .each_mut()
+                    .map(|c| c.invalidate(name, RecordType::A, now));
+                assert_eq!(a, b, "step {step}: invalidate");
+            }
+            _ => {
+                now += SimDuration::from_secs(1 + rng.below(60));
+                if rng.chance(0.25) {
+                    for cache in &mut caches {
+                        cache.purge_expired(now);
+                    }
+                }
+            }
+        }
+    }
+    let [unbounded, bounded] = &caches;
+    let stats = unbounded.stats();
+    assert_eq!(stats, bounded.stats());
+    assert!(stats.hits > 0 && stats.stale_hits > 0 && stats.expiries > 20 && stats.evictions == 0);
+    assert_eq!(
+        unbounded.snapshot(now).to_jsonl(),
+        bounded.snapshot(now).to_jsonl()
+    );
+    let ledger = |c: &Cache| c.with_ledger(|l| l.journal().to_jsonl()).unwrap();
+    assert_eq!(ledger(unbounded), ledger(bounded));
 }
 
 #[test]
