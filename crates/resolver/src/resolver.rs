@@ -223,11 +223,11 @@ impl RecursiveResolver {
     /// positive, negative, sticky and backoff state the way an operator
     /// `rndc flush` or a resolver restart would, and journals the event.
     pub fn apply_flush(&mut self, now: SimTime) {
-        let label = self.label.clone();
+        let label = &self.label;
         self.telemetry
             .event(now.as_millis(), EventKind::Fault, |f| {
                 f.push("fault", Value::literal("flush"));
-                f.push("resolver", label);
+                f.push("resolver", label.clone());
             });
         self.telemetry
             .count_keyed_at(&metrics::FAULT_FLUSHES, 1, now.as_millis());
@@ -262,9 +262,11 @@ impl RecursiveResolver {
             now.as_millis(),
         );
         let span = {
-            let label = self.label.clone();
+            // Cloned inside the closure, which a disabled handle never
+            // runs: no refcount traffic with telemetry off.
+            let label = &self.label;
             self.telemetry.span_start(now.as_millis(), |_, f| {
-                f.push("resolver", label);
+                f.push("resolver", label.clone());
                 f.push("qname", qname.shared_str());
                 f.push("qtype", Value::literal(qtype.as_str()));
             })
@@ -381,7 +383,7 @@ impl RecursiveResolver {
             for r in &answer.answers {
                 // Registry only: answer TTLs have no sim-time series.
                 self.telemetry
-                    .sketch_with(metrics::ANSWER_TTL_S, &[], r.ttl.as_secs() as u64);
+                    .sketch_keyed(&metrics::ANSWER_TTL_S, r.ttl.as_secs() as u64);
             }
             if !cache_hit {
                 // The hit counter has a registry-and-series twin; a
@@ -1192,9 +1194,9 @@ fn bump(field: &mut u64, telemetry: &Telemetry, metric: &MetricKey, t_ms: u64) {
     telemetry.count_keyed_at(metric, 1, t_ms);
 }
 
-/// Pre-hashed keys for every resolver series that also has a sim-time
-/// series, so the per-query path never re-hashes their names. The
-/// answer-TTL sketch is registry-only and goes by name.
+/// Pre-hashed keys for every resolver series, so the per-query path
+/// never re-hashes their names. All but the answer-TTL sketch, which is
+/// registry-only, also have a sim-time series.
 mod metrics {
     use dnsttl_telemetry::MetricKey;
 
@@ -1207,7 +1209,7 @@ mod metrics {
     pub const CACHE_HITS: MetricKey = MetricKey::new("resolver_cache_hits");
     pub const CACHE_MISSES: MetricKey = MetricKey::new("resolver_cache_misses");
     pub const LATENCY_SKETCH_MS: MetricKey = MetricKey::new("resolver_latency_quantiles_ms");
-    pub const ANSWER_TTL_S: &str = "resolver_answer_ttl_s";
+    pub const ANSWER_TTL_S: MetricKey = MetricKey::new("resolver_answer_ttl_s");
     pub const CACHE_ENTRIES: MetricKey = MetricKey::new("resolver_cache_entries");
     pub const PREFETCHES: MetricKey = MetricKey::new("resolver_prefetches");
     pub const VALIDATIONS: MetricKey = MetricKey::new("resolver_validations");

@@ -207,55 +207,83 @@ pub(crate) fn push_key(out: &mut String, name: &str) {
     out.push(':');
 }
 
-/// Appends the ASCII bytes a stack buffer was filled with.
-fn push_ascii(out: &mut String, bytes: &[u8]) {
-    out.push_str(std::str::from_utf8(bytes).expect("the number writers emit ASCII only"));
+/// Appends `,"name":` — a member key with its leading comma, escaped.
+/// The trace's intern tables render each distinct string through this
+/// once, at intern time, and the export copies the bytes: the whole
+/// fragment as a field's key, the fragment less its first and last byte
+/// (`"name"`) as a string value.
+pub(crate) fn push_member_fragment(buf: &mut String, name: &str) {
+    buf.push(',');
+    push_key(buf, name);
 }
 
-/// Writes `v` in decimal so that it ends at `buf[end]` (exclusive) and
-/// returns where it starts.
-fn decimal_before(buf: &mut [u8], end: usize, mut v: u64) -> usize {
-    let mut at = end;
+/// `"000102…99"`: the two decimal digits of every number below 100.
+const DEC_PAIRS: &str = "0001020304050607080910111213141516171819\
+                         2021222324252627282930313233343536373839\
+                         4041424344454647484950515253545556575859\
+                         6061626364656667686970717273747576777879\
+                         8081828384858687888990919293949596979899";
+
+/// `"000102…ff"`: the two lower-case hex digits of every byte.
+const HEX_PAIRS: &str = {
+    const BYTES: [u8; 512] = {
+        let mut pairs = [0u8; 512];
+        let mut b = 0;
+        while b < 256 {
+            pairs[2 * b] = HEX_DIGITS[b >> 4];
+            pairs[2 * b + 1] = HEX_DIGITS[b & 0xf];
+            b += 1;
+        }
+        pairs
+    };
+    match std::str::from_utf8(&BYTES) {
+        Ok(pairs) => pairs,
+        Err(_) => panic!("hex digits are ASCII"),
+    }
+};
+
+/// Appends `v` in decimal, two digits at a time out of [`DEC_PAIRS`]:
+/// the pieces are `&'static str` already, so nothing is rendered into a
+/// stack buffer and re-validated as UTF-8, and nothing goes through
+/// `core::fmt` (the trace export writes three to ten of these a line).
+pub(crate) fn push_u64(out: &mut String, mut v: u64) {
+    // Base-100 limbs, least significant first; u64::MAX has ten.
+    let mut limbs = [0u8; 10];
+    let mut n = 0;
     loop {
-        at -= 1;
-        buf[at] = b'0' + (v % 10) as u8;
-        v /= 10;
+        limbs[n] = (v % 100) as u8;
+        v /= 100;
+        n += 1;
         if v == 0 {
-            return at;
+            break;
         }
     }
-}
-
-/// Appends `v` in decimal, rendered in a stack buffer rather than
-/// through `core::fmt` (the trace export writes three to ten of these
-/// per line).
-pub(crate) fn push_u64(out: &mut String, v: u64) {
-    let mut buf = [0u8; 20]; // u64::MAX has 20 digits
-    let start = decimal_before(&mut buf, 20, v);
-    push_ascii(out, &buf[start..]);
+    // The leading limb drops its zero; the rest keep both digits.
+    let top = limbs[n - 1] as usize;
+    out.push_str(&DEC_PAIRS[2 * top + (top < 10) as usize..2 * top + 2]);
+    for &limb in limbs[..n - 1].iter().rev() {
+        out.push_str(&DEC_PAIRS[2 * limb as usize..2 * limb as usize + 2]);
+    }
 }
 
 /// Appends `v` as a quoted 16-digit zero-padded lower-case hex string.
-fn push_hex64(out: &mut String, v: u64) {
-    let mut buf = [b'"'; 18];
-    for (i, slot) in buf[1..17].iter_mut().enumerate() {
-        *slot = HEX_DIGITS[(v >> (60 - 4 * i)) as usize & 0xf];
+pub(crate) fn push_hex64(out: &mut String, v: u64) {
+    out.push('"');
+    for byte in v.to_be_bytes() {
+        out.push_str(&HEX_PAIRS[2 * byte as usize..2 * byte as usize + 2]);
     }
-    push_ascii(out, &buf);
+    out.push('"');
 }
 
 /// Appends an IPv4 address as a quoted dotted quad.
-fn push_ipv4(out: &mut String, addr: std::net::Ipv4Addr) {
-    let mut buf = [b'"'; 17]; // quote, 4 × 3 digits, 3 dots, quote
-    let mut at = 16;
-    for (i, octet) in addr.octets().into_iter().enumerate().rev() {
-        at = decimal_before(&mut buf, at, octet as u64);
-        if i > 0 {
-            at -= 1;
-            buf[at] = b'.';
-        }
+pub(crate) fn push_ipv4(out: &mut String, addr: std::net::Ipv4Addr) {
+    let mut lead = '"';
+    for octet in addr.octets() {
+        out.push(lead);
+        push_u64(out, octet as u64);
+        lead = '.';
     }
-    push_ascii(out, &buf[at - 1..]);
+    out.push('"');
 }
 
 /// Renders a float deterministically: integers without a fraction get a
@@ -543,6 +571,27 @@ mod tests {
         let mut s = String::new();
         escape_into(&mut s, "a\"b\\c\nd\u{1}");
         assert_eq!(s, "a\\\"b\\\\c\\nd\\u0001");
+    }
+
+    #[test]
+    fn the_number_writers_agree_with_core_fmt() {
+        let mut edges = vec![0u64, u64::MAX];
+        for k in 0..20 {
+            let p = 10u64.pow(k);
+            edges.extend([p - 1, p, p + 1, p.wrapping_mul(0x9e37_79b9_7f4a_7c15)]);
+        }
+        for v in edges {
+            let mut s = String::new();
+            push_u64(&mut s, v);
+            assert_eq!(s, v.to_string());
+            s.clear();
+            push_hex64(&mut s, v);
+            assert_eq!(s, format!("\"{v:016x}\""));
+            s.clear();
+            let addr = std::net::Ipv4Addr::from(v as u32);
+            push_ipv4(&mut s, addr);
+            assert_eq!(s, format!("\"{addr}\""));
+        }
     }
 
     #[test]

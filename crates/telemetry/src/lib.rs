@@ -19,7 +19,9 @@
 //! Each kind of thing is recorded one way. Unlabelled, per-query
 //! series go through a `const` [`MetricKey`] and land in the registry
 //! *and* the sim-time series: [`Telemetry::count_keyed_at`],
-//! [`Telemetry::gauge_keyed_at`], [`Telemetry::sketch_keyed_at`].
+//! [`Telemetry::gauge_keyed_at`], [`Telemetry::sketch_keyed_at`] —
+//! or, for a per-query distribution that has no sim-time series, in
+//! the registry alone: [`Telemetry::sketch_keyed`].
 //! Labelled or occasional series go by borrowed name, registry only:
 //! [`Telemetry::count`], [`Telemetry::count_with`],
 //! [`Telemetry::sketch_with`].
@@ -38,6 +40,7 @@
 //! assert_eq!(tel.trace_jsonl().lines().count(), 3);
 //! ```
 
+mod block_queue;
 mod json;
 mod ledger;
 mod manifest;
@@ -209,6 +212,18 @@ impl Telemetry {
                 .timeseries
                 .borrow_mut()
                 .sketch(key.name(), value, t_ms);
+        }
+    }
+
+    /// Records `value` into the unlabelled quantile sketch behind a
+    /// pre-hashed [`MetricKey`], registry only: for a distribution
+    /// observed per answer that has no sim-time series.
+    pub fn sketch_keyed(&self, key: &MetricKey, value: u64) {
+        if self.is_enabled() {
+            self.inner
+                .registry
+                .borrow_mut()
+                .sketch_observe_keyed(key, value);
         }
     }
 

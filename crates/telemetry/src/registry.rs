@@ -81,7 +81,7 @@ impl MetricKey {
 /// 64-bit hashes, so re-hashing them through SipHash per metric op
 /// would only burn cycles. `write_u64` passes the key through.
 #[derive(Debug, Default, Clone, Copy)]
-struct PrehashedId(u64);
+pub(crate) struct PrehashedId(u64);
 
 impl std::hash::Hasher for PrehashedId {
     fn finish(&self) -> u64 {
@@ -95,7 +95,7 @@ impl std::hash::Hasher for PrehashedId {
     }
 }
 
-type PrehashedMap<V> = HashMap<u64, V, std::hash::BuildHasherDefault<PrehashedId>>;
+pub(crate) type PrehashedMap<V> = HashMap<u64, V, std::hash::BuildHasherDefault<PrehashedId>>;
 
 /// Escapes a label value per the Prometheus text exposition format.
 ///
@@ -141,6 +141,17 @@ impl MetricId {
         }
     }
 
+    /// Whether this is the series `name` with `labels`, given which
+    /// borrowed label (`nth(j)`) would be its `j`-th in sorted order.
+    fn matches(&self, name: &str, labels: &[(&str, &str)], nth: impl Fn(usize) -> usize) -> bool {
+        self.name == name
+            && self.labels.len() == labels.len()
+            && self.labels.iter().enumerate().all(|(j, (k, v))| {
+                let borrowed = labels.get(nth(j));
+                borrowed.is_some_and(|(bk, bv)| bk == k && bv == v)
+            })
+    }
+
     /// Renders `name{k="v",...}` (or just `name` without labels).
     pub fn render(&self) -> String {
         let mut out = String::new();
@@ -166,6 +177,43 @@ impl MetricId {
 /// falls back to the allocating [`MetricId`] path.
 const MAX_FAST_LABELS: usize = 8;
 
+/// Mixes one more word — an address or a length — into a hash of
+/// where strings live: a rotate and a multiply, all such a key needs
+/// (the trace's pointer-keyed tables hash with it too).
+#[inline]
+pub(crate) fn mix(h: u64, word: usize) -> u64 {
+    (h.rotate_left(32) ^ word as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15)
+}
+
+/// Hashes *where* a borrowed series key lives — the address and length
+/// of its name and of each label string — without reading a byte of it.
+/// A call site hands in the same strings every time (literals, a
+/// server's name, a region's), so this finds the series it found last
+/// time for a dozen multiplies, where [`hash_borrowed`] sorts the
+/// labels and walks 20–60 bytes.
+fn hash_addresses(name: &str, labels: &[(&str, &str)]) -> u64 {
+    let mut h = mix(mix(0, name.as_ptr() as usize), name.len());
+    for (k, v) in labels {
+        h = mix(mix(h, k.as_ptr() as usize), k.len());
+        h = mix(mix(h, v.as_ptr() as usize), v.len());
+    }
+    h
+}
+
+/// One remembered answer of [`SeriesMap::slot_fast`].
+#[derive(Debug, Clone, Copy)]
+struct MemoEntry {
+    slot: u32,
+    /// Which borrowed label was the series' `j`-th sorted one, four
+    /// bits each ([`MAX_FAST_LABELS`] is 8).
+    order: u32,
+}
+
+/// Address keys a memo holds before it starts over. A run's hot
+/// labelled series are a few dozen; only a caller that formats a fresh
+/// name for every call gets here, and for it the memo is no use anyway.
+pub(crate) const MEMO_MAX: usize = 512;
+
 /// Interned storage for one metric kind.
 ///
 /// Series are append-only slots. `ordered` gives deterministic
@@ -173,13 +221,15 @@ const MAX_FAST_LABELS: usize = 8;
 /// the old `BTreeMap` storage produced); `fast` maps the FNV hash of a
 /// *borrowed* `(name, sorted labels)` key to candidate slots so the hot
 /// path can find an existing series without building a `MetricId` — no
-/// `String` allocation after a series' first touch.
+/// `String` allocation after a series' first touch; `memo` remembers
+/// where a borrowed key led, by [`hash_addresses`] of it.
 #[derive(Debug, Default)]
 struct SeriesMap<T> {
     ids: Vec<MetricId>,
     values: Vec<T>,
     ordered: BTreeMap<MetricId, usize>,
     fast: PrehashedMap<Vec<usize>>,
+    memo: PrehashedMap<MemoEntry>,
 }
 
 /// The interning hash of an already-sorted `MetricId`.
@@ -241,9 +291,22 @@ impl<T: Default> SeriesMap<T> {
     /// Slot for a borrowed key — the allocation-free hot path. Falls
     /// back to [`SeriesMap::slot_of`] only on first sight of a series
     /// (or for oversized label sets).
+    ///
+    /// The memo is consulted first, and believed only after the series
+    /// it names has been compared with the key byte for byte: an
+    /// address says nothing about content once a `String` has been
+    /// freed and another allocated in its place. The compare is a
+    /// `memcmp` per string; the sort and the FNV walk it saves are not.
     fn slot_fast(&mut self, name: &str, labels: &[(&str, &str)]) -> usize {
         if labels.len() > MAX_FAST_LABELS {
             return self.slot_of(MetricId::new(name, labels));
+        }
+        let addresses = hash_addresses(name, labels);
+        if let Some(memo) = self.memo.get(&addresses) {
+            let nth = |j| (memo.order >> (4 * j)) as usize & 0xf;
+            if (self.ids.get(memo.slot as usize)).is_some_and(|id| id.matches(name, labels, nth)) {
+                return memo.slot as usize;
+            }
         }
         // Sort label *indices* on the stack; the pairs stay borrowed.
         let mut order = [0usize; MAX_FAST_LABELS];
@@ -253,21 +316,20 @@ impl<T: Default> SeriesMap<T> {
         let order = &mut order[..labels.len()];
         order.sort_unstable_by(|&a, &b| labels[a].cmp(&labels[b]));
         let hash = hash_borrowed(name, labels, order);
-        if let Some(slots) = self.fast.get(&hash) {
-            for &s in slots {
-                let id = &self.ids[s];
-                if id.name == name
-                    && id.labels.len() == labels.len()
-                    && order
-                        .iter()
-                        .zip(id.labels.iter())
-                        .all(|(&i, (k, v))| labels[i].0 == k && labels[i].1 == v)
-                {
-                    return s;
-                }
-            }
+        let known = self.fast.get(&hash).and_then(|slots| {
+            let mut slots = slots.iter().copied();
+            slots.find(|&s| self.ids[s].matches(name, labels, |j| order[j]))
+        });
+        let slot = known.unwrap_or_else(|| self.insert_new(MetricId::new(name, labels), hash));
+        if self.memo.len() == MEMO_MAX {
+            self.memo.clear();
         }
-        self.insert_new(MetricId::new(name, labels), hash)
+        let memo = MemoEntry {
+            slot: slot as u32,
+            order: (order.iter().rev()).fold(0, |packed, &i| packed << 4 | i as u32),
+        };
+        self.memo.insert(addresses, memo);
+        slot
     }
 
     /// Slot for a pre-hashed unlabelled key — the hottest path: one
@@ -529,6 +591,25 @@ impl Registry {
     }
 }
 
+/// Drops `old` and allocates copies of `new` (the same length) until
+/// the allocator hands back `old`'s address; `None` if it never does.
+#[cfg(test)]
+pub(crate) fn reallocated_at(old: String, new: &str) -> Option<String> {
+    assert_eq!(old.len(), new.len());
+    let addr = old.as_ptr();
+    drop(old);
+    let mut elsewhere = Vec::new();
+    for _ in 0..1_000 {
+        let candidate = new.to_string();
+        if candidate.as_ptr() == addr {
+            return Some(candidate);
+        }
+        elsewhere.push(candidate); // held, so the next try lands somewhere new
+    }
+    eprintln!("skipped: the allocator never reused the freed address");
+    None
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -584,6 +665,56 @@ undocumented_ms_count{k=\"v\"} 1
         r.counter_add("q", &[("a", "1"), ("b", "2")], 1);
         r.counter_add("q", &[("b", "2"), ("a", "1")], 1);
         assert_eq!(r.counter(&MetricId::new("q", &[("a", "1"), ("b", "2")])), 2);
+    }
+
+    #[test]
+    fn a_reused_address_does_not_alias_a_series() {
+        // The memo is keyed by where a name and its labels live. A heap
+        // string freed and another allocated in its place has the same
+        // key and other bytes: it must find its own series.
+        let mut r = Registry::new();
+        let name = String::from("alias_probe_one");
+        r.counter_add(&name, &[], 1);
+        if let Some(other) = reallocated_at(name, "alias_probe_two") {
+            r.counter_add(&other, &[], 1);
+            assert_eq!(r.counter(&MetricId::new("alias_probe_one", &[])), 1);
+            assert_eq!(r.counter(&MetricId::new("alias_probe_two", &[])), 1);
+        }
+        let (family, key) = ("alias_probe", "region");
+        let value = String::from("region-a");
+        r.sketch_observe(family, &[(key, &value)], 7);
+        if let Some(other) = reallocated_at(value, "region-b") {
+            r.sketch_observe(family, &[(key, &other)], 9);
+            let counts: Vec<(String, u64)> = r
+                .sketches()
+                .map(|(id, s)| (id.render(), s.count()))
+                .collect();
+            assert_eq!(
+                counts,
+                vec![
+                    ("alias_probe{region=\"region-a\"}".to_string(), 1),
+                    ("alias_probe{region=\"region-b\"}".to_string(), 1)
+                ]
+            );
+        }
+    }
+
+    #[test]
+    fn one_series_has_one_slot_however_it_is_reached() {
+        let mut m: SeriesMap<u64> = SeriesMap::default();
+        let keyed = m.slot_keyed(&MetricKey::new("plain"));
+        assert_eq!(m.slot_fast("plain", &[]), keyed);
+        assert_eq!(m.slot_fast("plain", &[]), keyed); // from the memo
+        assert_eq!(m.slot_of(MetricId::new("plain", &[])), keyed);
+        let labelled = m.slot_fast("q", &[("b", "2"), ("a", "1")]);
+        assert_ne!(labelled, keyed);
+        assert_eq!(m.slot_fast("q", &[("b", "2"), ("a", "1")]), labelled); // from the memo
+        assert_eq!(m.slot_fast("q", &[("a", "1"), ("b", "2")]), labelled);
+        assert_eq!(
+            m.slot_of(MetricId::new("q", &[("a", "1"), ("b", "2")])),
+            labelled
+        );
+        assert_eq!(m.len(), 2);
     }
 
     #[test]

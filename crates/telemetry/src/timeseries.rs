@@ -44,9 +44,9 @@
 //! value × 1000) rather than `f64` sums, so gauge merging is exact
 //! integer arithmetic with no floating-point reassociation hazard.
 
-use crate::json::{ObjectWriter, Value};
+use crate::json;
+use crate::registry::{mix, PrehashedMap, MEMO_MAX};
 use crate::sketch::QuantileSketch;
-use std::collections::BTreeMap;
 
 /// Default sim-time bucket width: one simulated minute.
 pub const DEFAULT_TS_BUCKET_MS: u64 = 60_000;
@@ -102,27 +102,57 @@ impl GaugeBucket {
 }
 
 /// One bucketed series: a width plus sparse buckets keyed by
-/// `t_ms / width_ms`. The `BTreeMap` keeps export order deterministic.
+/// `t_ms / width_ms`, kept sorted by that index. Sim time runs forward,
+/// so a record lands in the last bucket or opens a new last one, and
+/// the span the cap is held to is read off the two ends.
 #[derive(Debug, Clone, PartialEq, Eq)]
 struct BucketSeries<T> {
     width_ms: u64,
-    buckets: BTreeMap<u64, T>,
+    buckets: Vec<(u64, T)>,
 }
 
 impl<T: BucketValue> BucketSeries<T> {
     fn new(width_ms: u64) -> BucketSeries<T> {
         BucketSeries {
             width_ms: width_ms.max(1),
-            buckets: BTreeMap::new(),
+            buckets: Vec::new(),
         }
+    }
+
+    /// Indices of the first and last occupied bucket.
+    fn ends(&self) -> Option<(u64, u64)> {
+        Some((self.buckets.first()?.0, self.buckets.last()?.0))
     }
 
     /// Dense bucket count between the first and last occupied bucket.
     fn span(&self) -> usize {
-        match (self.buckets.keys().next(), self.buckets.keys().next_back()) {
-            (Some(&first), Some(&last)) => (last - first + 1) as usize,
-            _ => 0,
-        }
+        self.ends()
+            .map_or(0, |(first, last)| (last - first + 1) as usize)
+    }
+
+    fn get(&self, idx: u64) -> Option<&T> {
+        let at = self.buckets.binary_search_by_key(&idx, |(i, _)| *i).ok()?;
+        Some(&self.buckets[at].1)
+    }
+
+    /// Bucket `idx`, opened empty if it is not there: the last bucket
+    /// first, a search only for a record that arrives out of order.
+    fn bucket_mut(&mut self, idx: u64) -> &mut T {
+        let at = match self.buckets.last() {
+            Some((last, _)) if *last == idx => self.buckets.len() - 1,
+            Some((last, _)) if *last > idx => {
+                let found = self.buckets.binary_search_by_key(&idx, |(i, _)| *i);
+                found.unwrap_or_else(|at| {
+                    self.buckets.insert(at, (idx, T::empty()));
+                    at
+                })
+            }
+            _ => {
+                self.buckets.push((idx, T::empty()));
+                self.buckets.len() - 1
+            }
+        };
+        &mut self.buckets[at].1
     }
 
     /// Doubles the bucket width, folding index `i` into `i / 2`.
@@ -130,10 +160,7 @@ impl<T: BucketValue> BucketSeries<T> {
         self.width_ms = self.width_ms.saturating_mul(2);
         let old = std::mem::take(&mut self.buckets);
         for (idx, value) in old {
-            self.buckets
-                .entry(idx / 2)
-                .or_insert_with(T::empty)
-                .absorb(&value);
+            self.bucket_mut(idx / 2).absorb(&value);
         }
     }
 
@@ -145,8 +172,7 @@ impl<T: BucketValue> BucketSeries<T> {
     }
 
     fn record(&mut self, t_ms: u64, cap: usize, f: impl FnOnce(&mut T)) {
-        let idx = t_ms / self.width_ms;
-        f(self.buckets.entry(idx).or_insert_with(T::empty));
+        f(self.bucket_mut(t_ms / self.width_ms));
         self.enforce_cap(cap);
     }
 
@@ -157,14 +183,10 @@ impl<T: BucketValue> BucketSeries<T> {
         while self.width_ms < other.width_ms {
             self.coarsen();
         }
-        for (&idx, value) in &other.buckets {
+        for (idx, value) in &other.buckets {
             // Map the (possibly finer) source index into our width.
             let t_lo = idx * other.width_ms;
-            let target = t_lo / self.width_ms;
-            self.buckets
-                .entry(target)
-                .or_insert_with(T::empty)
-                .absorb(value);
+            self.bucket_mut(t_lo / self.width_ms).absorb(value);
         }
         self.enforce_cap(cap);
     }
@@ -209,6 +231,61 @@ impl BucketValue for QuantileSketch {
     }
 }
 
+/// The series of one kind, sorted by name (the export order), behind a
+/// memo of where a name led — keyed, like the registry's, by the
+/// *address* of the name a call site hands in and believed only once
+/// the name there has been compared.
+#[derive(Debug, Clone)]
+struct SeriesSet<T> {
+    series: Vec<(String, BucketSeries<T>)>,
+    /// Address hash to position in `series`.
+    memo: PrehashedMap<u32>,
+}
+
+impl<T: BucketValue> SeriesSet<T> {
+    fn new() -> SeriesSet<T> {
+        SeriesSet {
+            series: Vec::new(),
+            memo: PrehashedMap::default(),
+        }
+    }
+
+    fn get(&self, name: &str) -> Option<&BucketSeries<T>> {
+        let found = self.series.binary_search_by(|(n, _)| n.as_str().cmp(name));
+        Some(&self.series[found.ok()?].1)
+    }
+
+    /// Series `name`, started at `width_ms` on first sight. Every
+    /// `_at` sample on the telemetry-on path lands here; only a new
+    /// series allocates its key.
+    fn series_mut(&mut self, name: &str, width_ms: u64) -> &mut BucketSeries<T> {
+        let addresses = mix(mix(0, name.as_ptr() as usize), name.len());
+        let known = self.memo.get(&addresses).map(|&at| at as usize);
+        let known = known.filter(|&at| self.series.get(at).is_some_and(|(n, _)| n == name));
+        let at = known.unwrap_or_else(|| {
+            let found = self.series.binary_search_by(|(n, _)| n.as_str().cmp(name));
+            let at = found.unwrap_or_else(|at| {
+                let new = (name.to_string(), BucketSeries::new(width_ms));
+                self.series.insert(at, new);
+                at
+            });
+            if self.memo.len() == MEMO_MAX {
+                self.memo.clear();
+            }
+            self.memo.insert(addresses, at as u32);
+            at
+        });
+        &mut self.series[at].1
+    }
+}
+
+/// The memo is a cache of `series`, not part of the value.
+impl<T: PartialEq> PartialEq for SeriesSet<T> {
+    fn eq(&self, other: &SeriesSet<T>) -> bool {
+        self.series == other.series
+    }
+}
+
 /// The per-`Telemetry` store of sim-time series, one [`BucketSeries`]
 /// per metric name per kind. Counter, gauge, and sketch namespaces are
 /// separate, mirroring [`crate::Registry`].
@@ -216,9 +293,9 @@ impl BucketValue for QuantileSketch {
 pub struct TimeSeriesStore {
     width_hint_ms: u64,
     span_cap: usize,
-    counters: BTreeMap<String, BucketSeries<u64>>,
-    gauges: BTreeMap<String, BucketSeries<GaugeBucket>>,
-    sketches: BTreeMap<String, BucketSeries<QuantileSketch>>,
+    counters: SeriesSet<u64>,
+    gauges: SeriesSet<GaugeBucket>,
+    sketches: SeriesSet<QuantileSketch>,
 }
 
 impl Default for TimeSeriesStore {
@@ -240,9 +317,9 @@ impl TimeSeriesStore {
         TimeSeriesStore {
             width_hint_ms: width_ms.max(1),
             span_cap: span_cap.max(1),
-            counters: BTreeMap::new(),
-            gauges: BTreeMap::new(),
-            sketches: BTreeMap::new(),
+            counters: SeriesSet::new(),
+            gauges: SeriesSet::new(),
+            sketches: SeriesSet::new(),
         }
     }
 
@@ -266,31 +343,29 @@ impl TimeSeriesStore {
 
     /// True when no series holds any bucket.
     pub fn is_empty(&self) -> bool {
-        self.counters.is_empty() && self.gauges.is_empty() && self.sketches.is_empty()
+        self.counters.series.is_empty()
+            && self.gauges.series.is_empty()
+            && self.sketches.series.is_empty()
     }
 
     /// Adds `delta` to the counter series `name` in the bucket holding
     /// sim-time `t_ms`.
     pub fn count(&mut self, name: &str, delta: u64, t_ms: u64) {
-        let (width, cap) = (self.width_hint_ms, self.span_cap);
-        record(&mut self.counters, name, width, cap, t_ms, |v| *v += delta);
+        let series = self.counters.series_mut(name, self.width_hint_ms);
+        series.record(t_ms, self.span_cap, |v| *v += delta);
     }
 
     /// Records a gauge sample into the bucket holding sim-time `t_ms`.
     pub fn gauge(&mut self, name: &str, value: f64, t_ms: u64) {
-        let (width, cap) = (self.width_hint_ms, self.span_cap);
-        record(&mut self.gauges, name, width, cap, t_ms, |g| {
-            g.observe(value)
-        });
+        let series = self.gauges.series_mut(name, self.width_hint_ms);
+        series.record(t_ms, self.span_cap, |g| g.observe(value));
     }
 
     /// Records a latency-style observation into the per-bucket sketch
     /// for sim-time `t_ms`.
     pub fn sketch(&mut self, name: &str, value: u64, t_ms: u64) {
-        let (width, cap) = (self.width_hint_ms, self.span_cap);
-        record(&mut self.sketches, name, width, cap, t_ms, |s| {
-            s.observe(value)
-        });
+        let series = self.sketches.series_mut(name, self.width_hint_ms);
+        series.record(t_ms, self.span_cap, |s| s.observe(value));
     }
 
     /// Sum of all bucket deltas for counter series `name` — must equal
@@ -298,7 +373,7 @@ impl TimeSeriesStore {
     pub fn counter_total(&self, name: &str) -> u64 {
         self.counters
             .get(name)
-            .map(|s| s.buckets.values().sum())
+            .map(|s| s.buckets.iter().map(|(_, v)| v).sum())
             .unwrap_or(0)
     }
 
@@ -306,9 +381,9 @@ impl TimeSeriesStore {
     /// points)` — gap-free from the first to the last occupied bucket.
     pub fn counter_series(&self, name: &str) -> Option<(u64, Vec<(u64, u64)>)> {
         let s = self.counters.get(name)?;
-        let (&first, &last) = (s.buckets.keys().next()?, s.buckets.keys().next_back()?);
+        let (first, last) = s.ends()?;
         let points = (first..=last)
-            .map(|idx| (idx * s.width_ms, s.buckets.get(&idx).copied().unwrap_or(0)))
+            .map(|idx| (idx * s.width_ms, s.get(idx).copied().unwrap_or(0)))
             .collect();
         Some((s.width_ms, points))
     }
@@ -317,25 +392,21 @@ impl TimeSeriesStore {
     /// commutative (see the module docs), so shard stores can arrive
     /// in any grouping and the merged store is identical.
     pub fn merge(&mut self, other: &TimeSeriesStore) {
-        let cap = self.span_cap;
-        for (name, series) in &other.counters {
-            self.counters
-                .entry(name.clone())
-                .or_insert_with(|| BucketSeries::new(series.width_ms.min(self.width_hint_ms)))
-                .merge(series, cap);
+        fn fold<T: BucketValue>(
+            into: &mut SeriesSet<T>,
+            from: &SeriesSet<T>,
+            hint: u64,
+            cap: usize,
+        ) {
+            for (name, series) in &from.series {
+                let width = series.width_ms.min(hint);
+                into.series_mut(name, width).merge(series, cap);
+            }
         }
-        for (name, series) in &other.gauges {
-            self.gauges
-                .entry(name.clone())
-                .or_insert_with(|| BucketSeries::new(series.width_ms.min(self.width_hint_ms)))
-                .merge(series, cap);
-        }
-        for (name, series) in &other.sketches {
-            self.sketches
-                .entry(name.clone())
-                .or_insert_with(|| BucketSeries::new(series.width_ms.min(self.width_hint_ms)))
-                .merge(series, cap);
-        }
+        let (hint, cap) = (self.width_hint_ms, self.span_cap);
+        fold(&mut self.counters, &other.counters, hint, cap);
+        fold(&mut self.gauges, &other.gauges, hint, cap);
+        fold(&mut self.sketches, &other.sketches, hint, cap);
     }
 
     /// The dense, gap-free JSONL export: one line per bucket between
@@ -346,55 +417,52 @@ impl TimeSeriesStore {
     /// byte-identical across worker counts.
     pub fn to_jsonl(&self) -> String {
         let mut out = String::new();
-        for (name, series) in &self.counters {
-            dense_lines(&mut out, name, "counter", series, |w, v: &u64| {
-                w.field("value", &Value::U64(*v));
+        for (name, series) in &self.counters.series {
+            dense_lines(&mut out, name, "counter", series, |out, v: &u64| {
+                member_u64(out, "value", *v);
             });
         }
-        for (name, series) in &self.gauges {
-            dense_lines(&mut out, name, "gauge", series, |w, g: &GaugeBucket| {
-                w.field("count", &Value::U64(g.count));
+        for (name, series) in &self.gauges.series {
+            dense_lines(&mut out, name, "gauge", series, |out, g: &GaugeBucket| {
+                member_u64(out, "count", g.count);
                 if g.count > 0 {
-                    w.field("min", &Value::F64(g.min_milli as f64 / GAUGE_MILLI));
-                    w.field("max", &Value::F64(g.max_milli as f64 / GAUGE_MILLI));
-                    w.field("mean", &Value::F64(g.mean()));
+                    member_f64(out, "min", g.min_milli as f64 / GAUGE_MILLI);
+                    member_f64(out, "max", g.max_milli as f64 / GAUGE_MILLI);
+                    member_f64(out, "mean", g.mean());
                 }
             });
         }
-        for (name, series) in &self.sketches {
-            dense_lines(&mut out, name, "sketch", series, |w, s: &QuantileSketch| {
-                w.field("count", &Value::U64(s.count()));
-                if s.count() > 0 {
-                    w.field("sum", &Value::U64(s.sum()));
-                    for (q, label) in crate::registry::SKETCH_QUANTILES {
-                        w.field(quantile_key(label), &Value::U64(s.quantile(q).unwrap_or(0)));
+        for (name, series) in &self.sketches.series {
+            dense_lines(
+                &mut out,
+                name,
+                "sketch",
+                series,
+                |out, s: &QuantileSketch| {
+                    member_u64(out, "count", s.count());
+                    if s.count() > 0 {
+                        member_u64(out, "sum", s.sum());
+                        for (q, label) in crate::registry::SKETCH_QUANTILES {
+                            member_u64(out, quantile_key(label), s.quantile(q).unwrap_or(0));
+                        }
                     }
-                }
-            });
+                },
+            );
         }
         out
     }
 }
 
-/// Records into series `name` of `map`, starting the series at
-/// `width_ms` on first sight. Every `_at` sample on the telemetry-on
-/// path lands here, so the lookup borrows `name`; only a new series
-/// allocates its key.
-fn record<T: BucketValue>(
-    map: &mut BTreeMap<String, BucketSeries<T>>,
-    name: &str,
-    width_ms: u64,
-    cap: usize,
-    t_ms: u64,
-    f: impl FnOnce(&mut T),
-) {
-    match map.get_mut(name) {
-        Some(series) => series.record(t_ms, cap, f),
-        None => map
-            .entry(name.to_string())
-            .or_insert_with(|| BucketSeries::new(width_ms))
-            .record(t_ms, cap, f),
-    }
+/// Appends `,"key":v`.
+fn member_u64(out: &mut String, key: &str, v: u64) {
+    json::push_member_fragment(out, key);
+    json::push_u64(out, v);
+}
+
+/// Appends `,"key":v`, the float rendered as every export renders one.
+fn member_f64(out: &mut String, key: &str, v: f64) {
+    json::push_member_fragment(out, key);
+    json::fmt_f64(out, v);
 }
 
 /// Maps a [`SKETCH_QUANTILES`](crate::registry::SKETCH_QUANTILES)
@@ -408,31 +476,33 @@ fn quantile_key(label: &str) -> &'static str {
     }
 }
 
-/// Writes the dense JSONL lines for one series.
-fn dense_lines<T: BucketValue + Clone>(
+/// Writes the dense JSONL lines for one series: what every line opens
+/// with — the series' name, escaped, and its kind — is rendered once,
+/// and each line is that plus its numbers, straight into `out`.
+fn dense_lines<T: BucketValue>(
     out: &mut String,
     name: &str,
     kind: &'static str,
     series: &BucketSeries<T>,
-    payload: impl Fn(&mut ObjectWriter, &T),
+    payload: impl Fn(&mut String, &T),
 ) {
-    let (Some(&first), Some(&last)) = (
-        series.buckets.keys().next(),
-        series.buckets.keys().next_back(),
-    ) else {
+    let Some((first, last)) = series.ends() else {
         return;
     };
+    let mut head = String::from("{\"series\":");
+    json::push_string(&mut head, name);
+    json::push_member_fragment(&mut head, "kind");
+    json::push_string(&mut head, kind);
+    json::push_member_fragment(&mut head, "t_ms");
+    let zero = T::empty();
+    let mut occupied = series.buckets.iter().peekable();
     for idx in first..=last {
-        let zero = T::empty();
-        let value = series.buckets.get(&idx).unwrap_or(&zero);
-        let mut w = ObjectWriter::new();
-        w.field("series", &Value::Str(name.to_string()));
-        w.field("kind", &Value::Static(kind));
-        w.field("t_ms", &Value::U64(idx * series.width_ms));
-        w.field("width_ms", &Value::U64(series.width_ms));
-        payload(&mut w, value);
-        out.push_str(&w.finish());
-        out.push('\n');
+        let bucket = occupied.next_if(|(i, _)| *i == idx);
+        out.push_str(&head);
+        json::push_u64(out, idx * series.width_ms);
+        member_u64(out, "width_ms", series.width_ms);
+        payload(out, bucket.map_or(&zero, |(_, value)| value));
+        out.push_str("}\n");
     }
 }
 
@@ -487,6 +557,29 @@ mod tests {
             points,
             vec![(0, 5), (60_000, 5), (120_000, 0), (180_000, 1)]
         );
+    }
+
+    #[test]
+    fn the_series_memo_is_believed_only_after_a_name_compare() {
+        let mut ts = TimeSeriesStore::with_config(1_000, 256);
+        // A freed name's address, reused by another name.
+        let name = String::from("series_one");
+        ts.count(&name, 1, 0);
+        if let Some(other) = crate::registry::reallocated_at(name, "series_two") {
+            ts.count(&other, 2, 0);
+            assert_eq!(ts.counter_total("series_one"), 1);
+            assert_eq!(ts.counter_total("series_two"), 2);
+        }
+        // A remembered position, shifted by a series that sorts first.
+        let (m, z, a) = ("m", "z", "a");
+        ts.count(m, 1, 0);
+        ts.count(z, 10, 0);
+        ts.count(a, 100, 0);
+        ts.count(m, 1, 0);
+        ts.count(z, 10, 0);
+        assert_eq!(ts.counter_total("a"), 100);
+        assert_eq!(ts.counter_total("m"), 2);
+        assert_eq!(ts.counter_total("z"), 20);
     }
 
     #[test]

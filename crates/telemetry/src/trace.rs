@@ -9,16 +9,19 @@
 //! predictable size with the most recent history intact.
 //!
 //! Storage is packed: an event is a 32-byte [`EventSlot`], a field a
-//! 16-byte [`FieldSlot`], and only what is not `'static` and does not
-//! fit a `u64` (shared and owned strings, IPv6 addresses) spills into
-//! a side arena that eviction drains in step. [`TraceEvent`] is the
-//! unpacked view readers get.
+//! 16-byte [`FieldSlot`]. A string is kept once — a `'static` one and a
+//! shared one each as an id into a grow-only table that also holds the
+//! bytes the export writes for it — and only what neither a table nor a
+//! `u64` can hold (owned strings, IPv6 addresses) spills into a side
+//! arena that eviction drains in step. [`TraceEvent`] is the unpacked
+//! view readers get.
 
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, HashMap};
 use std::hash::{BuildHasherDefault, Hasher};
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr};
 use std::sync::Arc;
 
+use crate::block_queue::BlockQueue;
 use crate::json::{self, Value};
 
 /// What happened. The variants mirror the simulator's interesting
@@ -232,6 +235,8 @@ pub struct TraceEvent {
     fields_start: u64,
     /// Number of fields.
     fields_len: u16,
+    /// [`StaticTable`] id of a `Custom` kind's name.
+    custom: u16,
 }
 
 /// An event as the ring stores it. `seq` is stored, not derived from
@@ -249,6 +254,9 @@ struct EventSlot {
     span: u64,
     /// Arena slots this event owns, a leading [`Tag::Parent`] included.
     fields_len: u16,
+    /// How many of them are [`Tag::Spilled`], so that eviction releases
+    /// the event's storage without reading its slots back.
+    spills: u16,
     /// [`StaticTable`] id of the name when `kind == EventKind::COUNT`.
     custom: u16,
     /// [`EventKind::index`], or `EventKind::COUNT` for `Custom`.
@@ -261,6 +269,8 @@ struct EventSlot {
 enum Tag {
     /// [`StaticTable`] id of a `Value::Static`.
     Static,
+    /// [`SharedTable`] id of a `Value::Shared`.
+    SharedId,
     /// Logical index of a [`Spill`] in the side arena.
     Spilled,
     Hex64,
@@ -287,9 +297,11 @@ struct FieldSlot {
     tag: Tag,
 }
 
-/// A field value that is neither `'static` nor fits a `u64`.
+/// A field value that no table holds and a `u64` cannot.
 #[derive(Debug, Clone)]
 enum Spill {
+    /// A shared string handed in after the [`SharedTable`] filled up —
+    /// the only way one gets here.
     Shared(Arc<str>),
     Str(String),
     V6(Ipv6Addr),
@@ -307,9 +319,10 @@ impl Spill {
     }
 }
 
-/// Mixes the two words of a `&'static str` (address, length) — all the
-/// [`StaticTable`] index ever hashes. The keys are addresses of the
-/// program's own literals, so SipHash's flood resistance buys nothing.
+/// Mixes the two words of a string's whereabouts (address, length) —
+/// all the [`StaticTable`] and [`SharedTable`] indexes ever hash. The
+/// keys are addresses of the program's own literals and allocations,
+/// so SipHash's flood resistance buys nothing.
 #[derive(Default)]
 struct AddrHasher(u64);
 
@@ -318,10 +331,41 @@ impl Hasher for AddrHasher {
         self.0
     }
     fn write(&mut self, _bytes: &[u8]) {
-        unreachable!("static-table keys are usize pairs");
+        unreachable!("the tables' keys are usize pairs");
     }
     fn write_usize(&mut self, n: usize) {
-        self.0 = (self.0.rotate_left(32) ^ n as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        self.0 = crate::registry::mix(self.0, n);
+    }
+}
+
+/// What the export writes for each interned string, rendered once at
+/// intern time: `,"name":` per id, end to end in one grow-only buffer.
+/// A field's key is the whole fragment and a string value is the
+/// fragment less its first and last byte, so an exported line copies
+/// bytes it would otherwise escape again on every occurrence.
+#[derive(Debug, Default)]
+struct Fragments {
+    buf: String,
+    /// Where id `i`'s fragment starts; it ends where the next starts.
+    starts: Vec<usize>,
+}
+
+impl Fragments {
+    fn push(&mut self, s: &str) {
+        self.starts.push(self.buf.len());
+        json::push_member_fragment(&mut self.buf, s);
+    }
+
+    /// `,"name":` for id `i`.
+    fn key(&self, i: usize) -> Option<&str> {
+        let start = *self.starts.get(i)?;
+        let end = self.starts.get(i + 1).copied().unwrap_or(self.buf.len());
+        Some(&self.buf[start..end])
+    }
+
+    /// `"name"` for id `i`.
+    fn value(&self, i: usize) -> Option<&str> {
+        self.key(i).map(|key| &key[1..key.len() - 1])
     }
 }
 
@@ -333,6 +377,7 @@ impl Hasher for AddrHasher {
 struct StaticTable {
     strs: Vec<&'static str>,
     ids: HashMap<(usize, usize), u16, BuildHasherDefault<AddrHasher>>,
+    rendered: Fragments,
 }
 
 impl StaticTable {
@@ -341,6 +386,7 @@ impl StaticTable {
     const MAX_LEN: usize = u16::MAX as usize;
     const OVERFLOW_ID: u16 = u16::MAX;
     const OVERFLOW_STR: &'static str = "<static-table-full>";
+    const OVERFLOW_KEY: &'static str = ",\"<static-table-full>\":";
 
     /// The id of `s`, interning it on first sight. Ids are narrowed to
     /// `u16`: a string past the 65 535th distinct one fails loudly in
@@ -358,6 +404,7 @@ impl StaticTable {
         }
         let id = self.strs.len() as u16;
         self.strs.push(s);
+        self.rendered.push(s);
         self.ids.insert(key, id);
         id
     }
@@ -368,6 +415,79 @@ impl StaticTable {
             .copied()
             .unwrap_or(Self::OVERFLOW_STR)
     }
+
+    /// `,"name":` for `id`, as the export writes a field's key.
+    fn key_json(&self, id: u16) -> &str {
+        self.rendered.key(id as usize).unwrap_or(Self::OVERFLOW_KEY)
+    }
+
+    /// `"name"` for `id`, as the export writes a string value.
+    fn value_json(&self, id: u16) -> &str {
+        let full = &Self::OVERFLOW_KEY[1..Self::OVERFLOW_KEY.len() - 1];
+        self.rendered.value(id as usize).unwrap_or(full)
+    }
+}
+
+/// Grow-only intern table for `Value::Shared` strings — the qnames and
+/// resolver labels a run hands in again on every event — matched by the
+/// allocation they point at. The table keeps one strong reference per
+/// distinct allocation (so an address cannot be reused while its id is
+/// live) and its rendered `"…"`; a field slot carries the id. Empty, and
+/// unallocated, until first used.
+#[derive(Debug, Default)]
+struct SharedTable {
+    strs: Vec<Arc<str>>,
+    ids: HashMap<(usize, usize), u32, BuildHasherDefault<AddrHasher>>,
+    rendered: Fragments,
+    /// The last lookup's key and id: consecutive events mostly name the
+    /// string the previous one did.
+    last: Option<((usize, usize), u32)>,
+}
+
+impl SharedTable {
+    /// The most strings the table takes. A run that hands in more
+    /// distinct allocations than this (a crawl naming a million
+    /// domains) loses nothing: the rest travel with their events as
+    /// [`Spill::Shared`] and leave with them. So what the table keeps
+    /// alive for the life of the tracer is bounded — 65 536 strings,
+    /// as many rendered copies and some fifty bytes of index each: a
+    /// few MB of typical qnames, 40 MB if every one were a 255-byte
+    /// name — and the ring's "tens of MB on a pathological run" holds.
+    const MAX_LEN: usize = 1 << 16;
+
+    /// The id of the allocation `s` points at, interned on first sight;
+    /// `None` once the table is full.
+    fn intern(&mut self, s: &Arc<str>) -> Option<u32> {
+        let key = (s.as_ptr() as usize, s.len());
+        if let Some((last, id)) = self.last {
+            if last == key {
+                return Some(id);
+            }
+        }
+        let id = match self.ids.get(&key) {
+            Some(&id) => id,
+            None if self.strs.len() == Self::MAX_LEN => return None,
+            None => {
+                let id = self.strs.len() as u32;
+                self.strs.push(s.clone());
+                self.rendered.push(s);
+                self.ids.insert(key, id);
+                id
+            }
+        };
+        self.last = Some((key, id));
+        Some(id)
+    }
+
+    fn get(&self, id: u64) -> &Arc<str> {
+        &self.strs[id as usize]
+    }
+
+    /// `"…"` for `id`, as the export writes it.
+    fn value_json(&self, id: u64) -> &str {
+        let value = self.rendered.value(id as usize);
+        value.expect("a stored id is one the table handed out")
+    }
 }
 
 /// Field storage for every buffered event. Events, their field slots
@@ -376,14 +496,15 @@ impl StaticTable {
 /// state records allocate nothing beyond a spilled value's own buffer.
 #[derive(Debug, Default)]
 struct Arena {
-    fields: VecDeque<FieldSlot>,
+    fields: BlockQueue<FieldSlot>,
     /// Logical offset of `fields.front()`: views address their fields
     /// as `fields_start - fields_base` so eviction never rewrites them.
     fields_base: u64,
-    spills: VecDeque<Spill>,
+    spills: BlockQueue<Spill>,
     /// Logical index of `spills.front()`, the same way.
     spills_base: u64,
     statics: StaticTable,
+    shared: SharedTable,
 }
 
 impl Arena {
@@ -392,44 +513,47 @@ impl Arena {
     }
 
     fn push_spill(&mut self, key: u16, spill: Spill) {
-        let at = self.spills_base + self.spills.len() as u64;
+        let at = self.spilled();
         self.spills.push_back(spill);
         self.push(key, Tag::Spilled, at);
     }
 
-    /// Drops the oldest `n` slots and the spills they own.
-    fn release_front(&mut self, n: u16) {
-        for slot in self.fields.drain(..n as usize) {
-            if slot.tag == Tag::Spilled {
-                self.spills.pop_front();
-                self.spills_base += 1;
-            }
+    /// A shared string is stored as its table id; past the table's
+    /// bound it spills, whole, like an owned one.
+    fn push_shared(&mut self, key: u16, s: &Arc<str>) {
+        match self.shared.intern(s) {
+            Some(id) => self.push(key, Tag::SharedId, id as u64),
+            None => self.push_spill(key, Spill::Shared(s.clone())),
         }
-        self.fields_base += n as u64;
+    }
+
+    /// Values spilled so far; the next one's logical index.
+    fn spilled(&self) -> u64 {
+        self.spills_base + self.spills.len() as u64
+    }
+
+    /// Drops the oldest event's `fields` slots and the `spills` of
+    /// them that spilled.
+    fn release_front(&mut self, fields: u16, spills: u16) {
+        if spills > 0 {
+            self.spills.release_front(spills as usize);
+            self.spills_base += spills as u64;
+        }
+        self.fields.release_front(fields as usize);
+        self.fields_base += fields as u64;
     }
 
     fn spill(&self, slot: &FieldSlot) -> &Spill {
-        &self.spills[(slot.payload - self.spills_base) as usize]
-    }
-
-    /// The string a text-valued slot holds, borrowed from the tables.
-    fn text_of(&self, slot: &FieldSlot) -> Option<&str> {
-        match slot.tag {
-            Tag::Static => Some(self.statics.get(slot.payload as u16)),
-            Tag::Spilled => match self.spill(slot) {
-                Spill::Shared(s) => Some(s),
-                Spill::Str(s) => Some(s),
-                Spill::V6(_) => None,
-            },
-            _ => None,
-        }
+        let spill = self.spills.get((slot.payload - self.spills_base) as usize);
+        spill.expect("a spilled slot's value is buffered as long as the slot")
     }
 
     /// Rebuilds the `Value` that was pushed (strings are cloned; the
-    /// export borrows them through [`Arena::text_of`] instead).
+    /// export borrows them instead).
     fn value_of(&self, slot: &FieldSlot) -> Value {
         match slot.tag {
             Tag::Static => Value::Static(self.statics.get(slot.payload as u16)),
+            Tag::SharedId => Value::Shared(self.shared.get(slot.payload).clone()),
             Tag::Spilled => match self.spill(slot) {
                 Spill::Shared(s) => Value::Shared(s.clone()),
                 Spill::Str(s) => Value::Str(s.clone()),
@@ -471,7 +595,7 @@ impl FieldSink<'_> {
                 let id = self.arena.statics.intern(s);
                 self.arena.push(key, Tag::Static, id as u64);
             }
-            Value::Shared(s) => self.arena.push_spill(key, Spill::Shared(s)),
+            Value::Shared(s) => self.arena.push_shared(key, &s),
             Value::Str(s) => self.arena.push_spill(key, Spill::Str(s)),
             Value::Addr(IpAddr::V6(a)) => self.arena.push_spill(key, Spill::V6(a)),
             Value::Addr(IpAddr::V4(a)) => self.arena.push(key, Tag::V4, u32::from(a) as u64),
@@ -484,6 +608,14 @@ impl FieldSink<'_> {
     }
 }
 
+/// Appends `"text"`, escaped: what the export does for a string no table
+/// rendered ahead of time.
+fn push_escaped(out: &mut String, text: &str) {
+    out.push('"');
+    json::escape_into(out, text);
+    out.push('"');
+}
+
 /// Default ring capacity: enough for every event of the paper-scale
 /// experiments while bounding a pathological run to tens of MB.
 pub const DEFAULT_TRACE_CAPACITY: usize = 1 << 18;
@@ -492,7 +624,7 @@ pub const DEFAULT_TRACE_CAPACITY: usize = 1 << 18;
 #[derive(Debug)]
 pub struct Tracer {
     capacity: usize,
-    ring: VecDeque<EventSlot>,
+    ring: BlockQueue<EventSlot>,
     arena: Arena,
     next_seq: u64,
     next_span: u64,
@@ -514,7 +646,7 @@ impl Tracer {
     pub fn with_capacity(capacity: usize) -> Tracer {
         Tracer {
             capacity: capacity.max(1),
-            ring: VecDeque::new(),
+            ring: BlockQueue::default(),
             arena: Arena::default(),
             next_seq: 0,
             next_span: 0,
@@ -548,8 +680,9 @@ impl Tracer {
     /// Drops the oldest event, reclaims its arena fields, and charges
     /// the loss to the evicted event's kind.
     fn evict_oldest(&mut self) {
-        if let Some(slot) = self.ring.pop_front() {
-            self.arena.release_front(slot.fields_len);
+        if let Some(&slot) = self.ring.get(0) {
+            self.ring.release_front(1);
+            self.arena.release_front(slot.fields_len, slot.spills);
             self.dropped += 1;
             match self.kind_of(&slot) {
                 EventKind::Custom(name) => *self.dropped_custom.entry(name).or_insert(0) += 1,
@@ -599,6 +732,7 @@ impl Tracer {
         if self.ring.len() == self.capacity {
             self.evict_oldest();
         }
+        let spilled_before = self.arena.spilled();
         let mut sink = FieldSink {
             arena: &mut self.arena,
             pushed: 0,
@@ -614,6 +748,7 @@ impl Tracer {
             seq,
             span: span.map_or(0, |SpanId(id)| id),
             fields_len,
+            spills: (self.arena.spilled() - spilled_before) as u16,
             custom,
             kind,
             has_span: span.is_some(),
@@ -638,6 +773,7 @@ impl Tracer {
             parent,
             fields_start: self.arena.fields_base + (at as u64) + lead as u64,
             fields_len: slot.fields_len - lead,
+            custom: slot.custom,
         }
     }
 
@@ -661,13 +797,25 @@ impl Tracer {
 
     /// Appends one buffered event to `out` as a JSON object (no
     /// trailing newline) — the one writer behind every trace export.
+    /// Keys and interned strings are copied from the fragments their
+    /// tables rendered; only an owned string is escaped here.
     fn write_event(&self, out: &mut String, ev: &TraceEvent) {
+        let arena = &self.arena;
         out.push_str("{\"t_ms\":");
         json::push_u64(out, ev.t_ms);
         out.push_str(",\"seq\":");
         json::push_u64(out, ev.seq);
         out.push_str(",\"event\":");
-        json::push_string(out, ev.kind.as_str());
+        match ev.kind {
+            EventKind::Custom(_) => out.push_str(arena.statics.value_json(ev.custom)),
+            // The built-in names are this file's own; none needs an
+            // escape (`built_in_kind_names_need_no_escape`).
+            kind => {
+                out.push('"');
+                out.push_str(kind.as_str());
+                out.push('"');
+            }
+        }
         if let Some(SpanId(id)) = ev.span {
             out.push_str(",\"span\":");
             json::push_u64(out, id);
@@ -677,11 +825,21 @@ impl Tracer {
             json::push_u64(out, id);
         }
         for slot in self.slots_of(ev) {
-            out.push(',');
-            json::push_key(out, self.arena.statics.get(slot.key));
-            match self.arena.text_of(slot) {
-                Some(text) => json::push_string(out, text),
-                None => json::write_value(out, &self.arena.value_of(slot)),
+            out.push_str(arena.statics.key_json(slot.key));
+            match slot.tag {
+                Tag::Static => out.push_str(arena.statics.value_json(slot.payload as u16)),
+                Tag::SharedId => out.push_str(arena.shared.value_json(slot.payload)),
+                // `Parent` never gets here: views start past it.
+                Tag::U64 | Tag::Parent => json::push_u64(out, slot.payload),
+                Tag::Bool => out.push_str(if slot.payload != 0 { "true" } else { "false" }),
+                Tag::Hex64 => json::push_hex64(out, slot.payload),
+                Tag::V4 => json::push_ipv4(out, Ipv4Addr::from(slot.payload as u32)),
+                Tag::I64 | Tag::F64 => json::write_value(out, &arena.value_of(slot)),
+                Tag::Spilled => match arena.spill(slot) {
+                    Spill::V6(a) => json::write_value(out, &Value::Addr(IpAddr::V6(*a))),
+                    Spill::Shared(text) => push_escaped(out, text),
+                    Spill::Str(text) => push_escaped(out, text),
+                },
             }
         }
         out.push('}');
@@ -711,7 +869,7 @@ impl Tracer {
 
     /// Whether the ring is empty.
     pub fn is_empty(&self) -> bool {
-        self.ring.is_empty()
+        self.ring.len() == 0
     }
 
     /// Events evicted because the ring was full.
@@ -843,6 +1001,7 @@ impl Tracer {
             // Re-home the event's fields from the shard arena into this
             // tracer's arena.
             let from = &shards[shard_idx].arena;
+            let spilled_before = self.arena.spilled();
             for field in from.fields.range(at..at + slot.fields_len as usize) {
                 let key = map_static(field.key);
                 match field.tag {
@@ -860,10 +1019,16 @@ impl Tracer {
                         let id = map_static(field.payload as u16);
                         self.arena.push(key, Tag::Static, id as u64);
                     }
+                    // Ids of the shared table are shard-local as well; the
+                    // string is interned again here, by its allocation.
+                    Tag::SharedId => self.arena.push_shared(key, from.shared.get(field.payload)),
                     Tag::Spilled => self.arena.push_spill(key, from.spill(field).clone()),
                     tag => self.arena.push(key, tag, field.payload),
                 }
             }
+            // Recounted: a shared string spills here if this table is
+            // full, whatever it did in the shard.
+            slot.spills = (self.arena.spilled() - spilled_before) as u16;
             self.ring.push_back(slot);
         }
     }
@@ -872,11 +1037,15 @@ impl Tracer {
     /// trailing newline included when non-empty) into one buffer.
     pub fn to_jsonl(&self) -> String {
         // Sized up front so the buffer is allocated once, not doubled
-        // into place: a line's fixed part, a key and a scalar per
-        // field, and the spilled strings' own bytes.
+        // into place: a line's fixed part, a key and a value per field
+        // (58 and 21 bytes cover the fig1, fig6, fig10, resilience,
+        // shared-cache and zipf traces, whose means are 44–57 and
+        // 17.7–20.6), and the spilled strings' own bytes. Adding the
+        // lengths up exactly is a pass over ring and arena that costs a
+        // fifth of what the export itself does.
         let spilled: usize = self.arena.spills.iter().map(Spill::rendered_len).sum();
         let mut out =
-            String::with_capacity(self.ring.len() * 72 + self.arena.fields.len() * 20 + spilled);
+            String::with_capacity(self.ring.len() * 58 + self.arena.fields.len() * 21 + spilled);
         for ev in self.events() {
             self.write_event(&mut out, &ev);
             out.push('\n');
@@ -1083,6 +1252,16 @@ mod tests {
             );
             // A string that did fit is still itself.
             assert_eq!(t.arena.statics.intern(&pool[7..8]), 7);
+        }
+    }
+
+    #[test]
+    fn built_in_kind_names_need_no_escape() {
+        // `write_event` copies them between two quotes as they are.
+        for kind in EventKind::INDEXED {
+            let mut escaped = String::new();
+            json::escape_into(&mut escaped, kind.as_str());
+            assert_eq!(escaped, kind.as_str());
         }
     }
 

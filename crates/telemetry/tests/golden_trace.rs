@@ -190,3 +190,186 @@ fn absorbed_shards_export_the_pinned_bytes() {
         ]
     );
 }
+
+// ── the fragment writer is the generic writer ───────────────────────
+
+/// The deterministic xorshift the workspace's seeded tests use.
+fn xorshift(state: &mut u64) -> u64 {
+    let mut x = *state;
+    x ^= x << 13;
+    x ^= x >> 7;
+    x ^= x << 17;
+    *state = x;
+    x
+}
+
+/// Literals for keys, static values and `Custom` kinds: plain ones and
+/// one for each escape the writer knows.
+const LITERALS: [&str; 10] = [
+    "qname",
+    "ty",
+    "",
+    "quo\"te",
+    "back\\slash",
+    "new\nline",
+    "tab\tbed",
+    "ctl\u{1}\u{1f}",
+    "cr\rlf",
+    "é世",
+];
+
+/// Records `events` random events into `t`: every `Value` variant,
+/// keys and strings that need escapes, custom kinds, child spans.
+fn record_random(t: &mut Tracer, state: &mut u64, shared: &[Arc<str>], events: u64) {
+    let pick = |state: &mut u64| LITERALS[(xorshift(state) % LITERALS.len() as u64) as usize];
+    let mut spans: Vec<SpanId> = Vec::new();
+    for i in 0..events {
+        let kind = match xorshift(state) % 5 {
+            0 => EventKind::SpanStart,
+            1 => EventKind::CacheServe,
+            2 => EventKind::ValidationFailure,
+            3 => EventKind::Fault,
+            _ => EventKind::Custom(pick(state)),
+        };
+        let span = match xorshift(state) % 3 {
+            0 => None,
+            1 => Some(t.new_span()),
+            _ => spans.last().copied(),
+        };
+        let parent = xorshift(state)
+            .is_multiple_of(4)
+            .then(|| spans.first().copied())
+            .flatten();
+        spans.extend(span);
+        let fields = xorshift(state) % 7;
+        let mut local = *state;
+        t.record_caused(i * 3, kind, span, parent, |f| {
+            for _ in 0..fields {
+                let key = pick(&mut local);
+                let r = xorshift(&mut local);
+                match r % 11 {
+                    0 => f.push(key, format!("owned {} {}", pick(&mut local), r)),
+                    1 => f.push(key, shared[(r >> 8) as usize % shared.len()].clone()),
+                    2 => f.push(key, Value::literal(pick(&mut local))),
+                    3 => f.push(key, Value::Hex64(r)),
+                    4 => f.push(key, IpAddr::from((r as u32).to_be_bytes())),
+                    5 => f.push(key, IpAddr::from((r as u128 * 0x1_0001).to_be_bytes())),
+                    6 => f.push(key, r >> (r % 64)),
+                    7 => f.push(key, (r as i64) >> (r % 64)),
+                    8 => f.push(
+                        key,
+                        [0.0, -1.5, 1e21, 1e-7, f64::NAN, f64::INFINITY, r as f64]
+                            [(r >> 8) as usize % 7],
+                    ),
+                    9 => f.push(key, r.is_multiple_of(2)),
+                    _ => f.push(key, (r as u32) >> (r % 32)),
+                }
+            }
+        });
+        *state = local;
+    }
+}
+
+/// One event as the generic writer renders it: `ObjectWriter` over the
+/// unpacked view and `fields_of`, every string escaped where it stands.
+fn reference_line(t: &Tracer, ev: &dnsttl_telemetry::TraceEvent) -> String {
+    let mut w = dnsttl_telemetry::ObjectWriter::new();
+    w.field("t_ms", &Value::U64(ev.t_ms))
+        .field("seq", &Value::U64(ev.seq))
+        .field("event", &Value::Str(ev.kind.as_str().to_string()));
+    if let Some(SpanId(id)) = ev.span {
+        w.field("span", &Value::U64(id));
+    }
+    if let Some(SpanId(id)) = ev.parent {
+        w.field("parent", &Value::U64(id));
+    }
+    for (key, value) in t.fields_of(ev) {
+        w.field(key, &value);
+    }
+    w.finish()
+}
+
+#[test]
+fn the_fragment_writer_agrees_with_the_generic_writer() {
+    for seed in [3u64, 17, 2024, 0x9e37_79b9_7f4a_7c15] {
+        let mut state = seed | 1;
+        let shared: Vec<Arc<str>> = (0..12)
+            .map(|i| Arc::from(format!("s{i}.{}.example.", LITERALS[i % LITERALS.len()]).as_str()))
+            .collect();
+        // A ring of 40 wrapped twice, then three shards of 30 (each
+        // wrapped once) absorbed into it, wrapping it again.
+        let mut t = Tracer::with_capacity(40);
+        record_random(&mut t, &mut state, &shared, 130);
+        let shards = (0..3).map(|_| {
+            let mut shard = Tracer::with_capacity(30);
+            record_random(&mut shard, &mut state, &shared, 50);
+            shard
+        });
+        t.absorb(shards.collect());
+        record_random(&mut t, &mut state, &shared, 7);
+        assert_eq!((t.len(), t.total_recorded()), (40, 130 + 150 + 7));
+
+        let jsonl = t.to_jsonl();
+        let expected: Vec<String> = t.events().map(|ev| reference_line(&t, &ev)).collect();
+        assert_eq!(jsonl.lines().collect::<Vec<_>>(), expected, "seed {seed}");
+        assert!(jsonl.ends_with('\n'));
+        let lines: Vec<String> = t.events().map(|ev| t.event_json(&ev)).collect();
+        assert_eq!(lines, expected, "seed {seed}");
+        // Every escape was exercised, on keys and on values.
+        for escape in ["\\\"", "\\\\", "\\n", "\\t", "\\r", "\\u0001", "\\u001f"] {
+            assert!(jsonl.contains(escape), "seed {seed}: no {escape}");
+        }
+    }
+}
+
+/// A string past a table's bound. A shared one loses nothing: it
+/// travels with its event and is rendered in full. A literal saturates
+/// to the overflow name — in release builds; debug builds fail loudly
+/// (`a_string_past_the_static_table_fails_loudly_or_saturates`).
+#[test]
+fn strings_past_a_table_bound_export_the_pinned_bytes() {
+    // 65 537 distinct allocations of equal content.
+    let names: Vec<Arc<str>> = (0..=65_536).map(|_| Arc::from("n\"ame.example.")).collect();
+    let mut t = Tracer::with_capacity(4);
+    for (i, name) in names.iter().enumerate() {
+        t.record(i as u64, EventKind::CacheServe, None, |f| {
+            f.push("n", name.clone());
+            f.push("again", name.clone());
+        });
+    }
+    // The table took a reference to each of its 65 536 strings and
+    // holds it; the string past the bound is held by its event alone.
+    assert_eq!(Arc::strong_count(&names[0]), 2);
+    assert_eq!(Arc::strong_count(&names[65_535]), 2);
+    assert_eq!(Arc::strong_count(&names[65_536]), 3);
+    let jsonl = t.to_jsonl();
+    assert_eq!(
+        jsonl.lines().last().unwrap(),
+        r#"{"t_ms":65536,"seq":65536,"event":"cache_serve","n":"n\"ame.example.","again":"n\"ame.example."}"#
+    );
+    let last = t.events().last().unwrap();
+    let name = Value::Shared(names[65_536].clone());
+    assert!(t
+        .fields_of(&last)
+        .eq([("n", name.clone()), ("again", name)]));
+    for _ in 0..4 {
+        t.record(70_000, EventKind::CacheMiss, None, |_| {});
+    }
+    assert_eq!(Arc::strong_count(&names[65_536]), 1);
+
+    if !cfg!(debug_assertions) {
+        // 65 536 one-byte literals: distinct addresses, one too many.
+        let pool: &'static str = Box::leak("k".repeat(65_536).into_boxed_str());
+        let mut t = Tracer::with_capacity(2);
+        for i in 0..65_536 {
+            t.record(i as u64, EventKind::Query, None, |f| {
+                f.push(&pool[i..i + 1], Value::literal(&pool[i..i + 1]))
+            });
+        }
+        assert_eq!(
+            t.to_jsonl(),
+            "{\"t_ms\":65534,\"seq\":65534,\"event\":\"query\",\"k\":\"k\"}\n\
+             {\"t_ms\":65535,\"seq\":65535,\"event\":\"query\",\"<static-table-full>\":\"<static-table-full>\"}\n"
+        );
+    }
+}
