@@ -20,15 +20,6 @@
 //! topologies replay byte-identical workloads and only how many
 //! clients fill one cache differs. Both axes sweep TTL ∈ {60 s, 1 h,
 //! 1 day}.
-//!
-//! A second arm pins the concurrency contract the differential suite
-//! (`concurrent_equivalence.rs`) proves of the concurrent model,
-//! [`SharedCache`]: replaying the same seeded per-segment workload on
-//! one 8-segment cache with 1, 2, and 8 threads yields
-//! identical merged [`CacheStats`](dnsttl_resolver::CacheStats) —
-//! scheduling is invisible to the accounting, so the artifact is
-//! reproducible byte-for-byte no matter how the host machine
-//! interleaves threads.
 
 use crate::config::ExpConfig;
 use crate::report::Report;
@@ -37,8 +28,8 @@ use dnsttl_analysis::{CsvWriter, Table};
 use dnsttl_auth::{AuthoritativeServer, ZoneBuilder};
 use dnsttl_core::ResolverPolicy;
 use dnsttl_netsim::{EventQueue, LatencyModel, Network, Region, SimDuration, SimRng, SimTime};
-use dnsttl_resolver::{Credibility, RecursiveResolver, SharedCache};
-use dnsttl_wire::{Name, RData, RRset, Rcode, RecordType, Ttl};
+use dnsttl_resolver::RecursiveResolver;
+use dnsttl_wire::{Name, Rcode, RecordType, Ttl};
 use std::cell::RefCell;
 use std::rc::Rc;
 
@@ -51,8 +42,6 @@ fn n(s: &str) -> Name {
 const POOL: usize = 24;
 /// Resolver groups in the partitioned topology.
 const GROUPS: usize = 8;
-/// Lock segments of the contention arm's [`SharedCache`].
-const SEGMENTS: usize = 8;
 /// How often each client re-resolves a pool name.
 const QUERY_GAP_S: u64 = 120;
 /// Simulated horizon per cell.
@@ -182,87 +171,7 @@ fn simulate_topology(
     cell
 }
 
-/// The contention-determinism arm: the same seeded per-segment
-/// workload replayed on 1, 2, and 8 threads (thread `t` owns segments
-/// `s % threads == t`) must merge to identical [`CacheStats`].
-/// Returns `(invariant_held, ops_replayed)`.
-fn contention_invariance(seed: u64, steps_per_segment: usize) -> (bool, u64) {
-    // Bucket candidate names by the segment the shared hash routes
-    // them to, so each thread's stream stays on its own locks.
-    let probe = SharedCache::new(SEGMENTS);
-    let mut names_by_segment: Vec<Vec<Name>> = vec![Vec::new(); SEGMENTS];
-    let mut i = 0usize;
-    while names_by_segment.iter().any(|v| v.len() < 4) {
-        let name = n(&format!("c{i}.shared.example"));
-        names_by_segment[probe.segment_of(&name)].push(name);
-        i += 1;
-    }
-
-    let run = |threads: usize| -> dnsttl_resolver::CacheStats {
-        let cache = SharedCache::with_capacity(SEGMENTS, 64);
-        let policy = ResolverPolicy::default();
-        std::thread::scope(|scope| {
-            for t in 0..threads {
-                let cache = &cache;
-                let names = &names_by_segment;
-                let policy = &policy;
-                scope.spawn(move || {
-                    for s in (0..SEGMENTS).filter(|s| s % threads == t) {
-                        let mut rng = SimRng::seed_from(seed ^ ((s as u64) << 8));
-                        let mut now = SimTime::ZERO;
-                        for _ in 0..steps_per_segment {
-                            now += SimDuration::from_secs(rng.below(40));
-                            let name = &names[s][rng.below(names[s].len() as u64) as usize];
-                            match rng.below(10) {
-                                0..=4 => {
-                                    let rr = RRset {
-                                        name: name.clone(),
-                                        rtype: RecordType::A,
-                                        ttl: Ttl::from_secs(30 + rng.below(90) as u32),
-                                        rdatas: vec![RData::A(std::net::Ipv4Addr::new(
-                                            198,
-                                            51,
-                                            100,
-                                            rng.below(250) as u8,
-                                        ))],
-                                    };
-                                    cache.store(rr, Credibility::AuthAnswer, now, policy, false);
-                                }
-                                5..=7 => {
-                                    let _ = cache.get(name, RecordType::A, now);
-                                }
-                                8 => {
-                                    let _ = cache.get_stale(
-                                        name,
-                                        RecordType::A,
-                                        now,
-                                        Ttl::from_secs(600),
-                                    );
-                                }
-                                _ => {
-                                    // Per-name invalidation stays on this
-                                    // thread's own segment (a global
-                                    // purge_expired would sweep segments
-                                    // other threads own and reintroduce
-                                    // scheduling into the counts).
-                                    cache.invalidate(name, RecordType::A, now);
-                                }
-                            }
-                        }
-                    }
-                });
-            }
-        });
-        cache.stats()
-    };
-
-    let baseline = run(1);
-    let invariant = [2usize, 8].iter().all(|&t| run(t) == baseline);
-    (invariant, baseline.hits + baseline.inserts)
-}
-
-/// Runs the shared-vs-partitioned matrix plus the contention arm and
-/// renders the report.
+/// Runs the shared-vs-partitioned matrix and renders the report.
 pub fn run(cfg: &ExpConfig) -> Vec<Report> {
     let ttls = [60u32, 3_600, 86_400];
     let clients = (cfg.probes / 20).max(2 * GROUPS);
@@ -353,19 +262,6 @@ pub fn run(cfg: &ExpConfig) -> Vec<Report> {
         if conserved_everywhere { 1.0 } else { 0.0 },
     );
 
-    let (invariant, contention_ops) =
-        contention_invariance(cfg.seed_for("shared-cache-contention"), 400);
-    report.metric(
-        "contention_stats_invariant",
-        if invariant { 1.0 } else { 0.0 },
-    );
-    report.metric("contention_ops", contention_ops as f64);
-    report.push(format!(
-        "contention arm: seeded per-segment workload on one {SEGMENTS}-segment \
-         SharedCache, 1/2/8 threads, merged to {} stats ({} hits+inserts at 1 thread)",
-        if invariant { "identical" } else { "DIVERGENT" },
-        contention_ops,
-    ));
     report.push(
         "one shared cache amortises each miss across the whole client population:\n\
          the shared resolver's hit rate dominates the partitioned one at every TTL,\n\
@@ -429,7 +325,6 @@ mod tests {
             );
         }
         assert_eq!(r.get("ledger_conserved"), 1.0);
-        assert_eq!(r.get("contention_stats_invariant"), 1.0);
     }
 
     #[test]

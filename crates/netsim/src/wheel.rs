@@ -27,9 +27,8 @@
 //! # Determinism
 //!
 //! The wheel is *not* allowed to change anything observable: the cache
-//! eviction oracle, the concurrent-equivalence harness, and the campaign
-//! oracles all diff against retained `BTreeSet`/`BinaryHeap`
-//! implementations. Slot vectors are deliberately unsorted (pushes are
+//! eviction oracle and the campaign oracles diff against retained
+//! `BTreeSet`/`BinaryHeap` implementations. Slot vectors are deliberately unsorted (pushes are
 //! O(1)); every peek/pop selects the minimum `(time, tie)` entry of the
 //! earliest occupied bucket by a full lexicographic scan, which
 //! reproduces the exact `(SimTime, Name, u16)` / `(fire_time_ms,

@@ -11,22 +11,15 @@
 //!
 //! # Structure
 //!
-//! All replacement, expiry, and eviction logic lives in [`CacheCore`],
-//! a `Send`-able state machine with no interior mutability and no
-//! telemetry handle: an entry table and a negative table probed by one
-//! cheap hash of a word the name already carries, and — only where a
-//! capacity bound means something can be evicted — an expiry index.
-//! Accounting side effects (stats, ledger records, trace events) go
-//! through the [`OpSink`] trait, so the same core drives two
-//! implementations:
-//!
-//! * [`Cache`] — the cache a resolver holds, single-threaded: one core
-//!   plus a `RefCell`-guarded stats/ledger pair and an `Rc`-based
-//!   telemetry handle, and the oracle every equivalence test pins the
-//!   other one to;
-//! * [`crate::SharedCache`] — the concurrent model: one core per
-//!   locked segment, journalling through a lock-free append instead of
-//!   a telemetry handle (which is `Rc`-based and cannot cross threads).
+//! One struct, [`Cache`]: an entry table and a negative table probed by
+//! one cheap hash of a word the name already carries, and — only where
+//! a capacity bound means something can be evicted — an expiry index.
+//! Every transaction is accounted where it happens, by one function:
+//! the always-on [`CacheStats`] counters, the opt-in provenance ledger
+//! and the `Rc`-based telemetry handle its typed trace events go to
+//! sit together behind a `RefCell`, so the `&self` read path can record
+//! serves. A cache belongs to one resolver on one thread (DESIGN.md
+//! §14).
 
 use dnsttl_core::{Centricity, ResolverPolicy};
 use dnsttl_netsim::{SimDuration, SimTime, TimingWheel};
@@ -74,6 +67,26 @@ pub(crate) struct Entry {
     /// TTL-excluded fingerprint of the RRset data — refresh vs
     /// overwrite detection, and the snapshot diff anchor.
     pub(crate) fingerprint: u64,
+}
+
+impl Entry {
+    /// Servable as a fresh answer at `now`: pinned, or inside its TTL.
+    fn is_fresh(&self, now: SimTime) -> bool {
+        self.pinned || self.expires_at > now
+    }
+
+    /// The entry as handed out, carrying `ttl`.
+    fn answer(&self, ttl: Ttl, stale: bool) -> CachedAnswer {
+        CachedAnswer {
+            rrset: RRset {
+                ttl,
+                ..self.rrset.clone()
+            },
+            rank: self.rank,
+            stale,
+            provenance: self.provenance,
+        }
+    }
 }
 
 /// One negative cache entry (RFC 2308).
@@ -199,30 +212,6 @@ pub struct CachedAnswer {
     pub provenance: Provenance,
 }
 
-/// Where a cache engine routes the side effects of one transaction:
-/// the always-on [`CacheStats`] counters plus the optional
-/// ledger/telemetry record. The sequential engine borrows its
-/// `RefCell` meta; each concurrent segment borrows its own stats and
-/// appends to the shared lock-free op log.
-pub(crate) trait OpSink {
-    /// The always-on counters the caller updates in place.
-    fn stats(&mut self) -> &mut CacheStats;
-
-    /// Records one ledger transaction. The caller has already updated
-    /// [`CacheStats`].
-    #[allow(clippy::too_many_arguments)]
-    fn note(
-        &mut self,
-        now: SimTime,
-        op: CacheOp,
-        rrset: &RRset,
-        rank: Credibility,
-        prov: Provenance,
-        residency_ms: Option<u64>,
-        fingerprint: u64,
-    );
-}
-
 /// Expiry index over the *unpinned* entries of a **bounded** cache
 /// (`Some` iff the cache has a capacity) — a hierarchical timing wheel
 /// bucketing `(name, rtype code)` ties by `expires_at` milliseconds.
@@ -234,7 +223,7 @@ pub(crate) trait OpSink {
 /// evicts nothing, so it holds no wheel at all and every method here
 /// does nothing — a store there is a table write, and a cache costs
 /// its entry table (DESIGN.md §14 has the bytes and the nanoseconds).
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct ExpiryIndex(Option<TimingWheel<(Name, u16)>>);
 
 impl ExpiryIndex {
@@ -268,620 +257,87 @@ impl ExpiryIndex {
     }
 }
 
-/// The cache state machine, engine-agnostic: entry table, negative
-/// table, and — in a bounded cache only — the expiry-ordered eviction
-/// index. `Send` by construction (no `Rc`, no `RefCell`), so one core
-/// backs the sequential [`Cache`] and one core sits behind each lock of
-/// the concurrent [`crate::SharedCache`].
-///
-/// Eviction order is deterministic and documented: the victim is the
-/// index minimum, i.e. ordered by `(expires_at, canonical name order,
-/// type code)`.
-#[derive(Debug)]
-pub(crate) struct CacheCore {
-    entries: KeyTable<Entry>,
-    expiry: ExpiryIndex,
-    negatives: KeyTable<NegEntry>,
-    /// Maximum positive entries; `None` = unbounded. Real caches are
-    /// bounded, and under pressure the *effective* TTL is the eviction
-    /// horizon, not the configured TTL (the paper's \[19\]).
-    capacity: Option<usize>,
-    /// Entries evicted due to capacity pressure.
-    evictions: u64,
-}
-
-impl Default for CacheCore {
-    fn default() -> CacheCore {
-        CacheCore::new(None)
-    }
-}
-
-impl CacheCore {
-    /// A core bounded to `capacity` positive entries (`None` = unbounded).
-    pub(crate) fn new(capacity: Option<usize>) -> CacheCore {
-        CacheCore {
-            entries: HashMap::default(),
-            expiry: ExpiryIndex(capacity.map(|_| TimingWheel::new())),
-            negatives: HashMap::default(),
-            capacity: capacity.map(|c| c.max(1)),
-            evictions: 0,
-        }
-    }
-
-    /// Entries evicted under capacity pressure so far.
-    pub(crate) fn evictions(&self) -> u64 {
-        self.evictions
-    }
-
-    /// Iterates the positive entries (snapshot builders).
-    pub(crate) fn iter_entries(&self) -> impl Iterator<Item = &Entry> {
-        self.entries.values()
-    }
-
-    /// Evicts one entry to make room for a key the table does not
-    /// hold. Only a bounded cache has anything to pop.
-    fn evict_soonest<S: OpSink>(&mut self, now: SimTime, sink: &mut S) {
-        // The victim is the index minimum: the entry with the earliest
-        // expiry (already-expired entries sort first by construction),
-        // ties broken by canonical name order then type code — never by
-        // HashMap iteration order, so the ledger is identical across
-        // reruns. Pinned entries are mirrored zone data, never indexed,
-        // never evicted.
-        if let Some(victim) = self.expiry.pop_first() {
-            let e = self
-                .entries
-                .remove(&victim)
-                .expect("index entry has a backing cache entry");
-            self.evictions += 1;
-            sink.stats().evictions += 1;
-            sink.note(
-                now,
-                CacheOp::Evict,
-                &e.rrset,
-                e.rank,
-                e.provenance,
-                Some(now.since(e.stored_at).as_millis()),
-                e.fingerprint,
-            );
-        }
-    }
-
-    /// See [`Cache::store_with`]; the documented replacement rules live
-    /// there. This is the engine-agnostic implementation.
-    // Crate-internal plumbing shared by both engines; the public
-    // wrappers keep the ergonomic arity.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn store_with<S: OpSink>(
-        &mut self,
-        rrset: RRset,
-        rank: Credibility,
-        now: SimTime,
-        policy: &ResolverPolicy,
-        pinned: bool,
-        ctx: StoreContext,
-        sink: &mut S,
-    ) {
-        let key = (rrset.name.clone(), rrset.rtype);
-        // Empty unless something failed: answer before hashing.
-        if !self.negatives.is_empty() {
-            self.negatives.remove(&key);
-        }
-        let original_ttl = rrset.ttl;
-        let ttl = policy.clamp_ttl(rrset.ttl);
-        if ttl.is_zero() {
-            sink.stats().rejected_stores += 1;
-            return;
-        }
-        let origin = if ctx.txn == 0 && ctx.server.is_none() {
-            RecordOrigin::Seed
-        } else {
-            RecordOrigin::from_rank(rank)
-        };
-        let incoming = Entry {
-            fingerprint: rrset.fingerprint(),
-            rrset: RRset { ttl, ..rrset },
-            stored_at: now,
-            expires_at: now + ttl_span(ttl),
-            rank,
-            pinned,
-            provenance: Provenance {
-                txn: ctx.txn,
-                server: ctx.server,
-                origin,
-                bailiwick: ctx.bailiwick,
-                original_ttl,
-                effective_ttl: ttl,
-            },
-        };
-        let full = self.capacity.is_some_and(|cap| self.entries.len() >= cap);
-        let mut refresh = false;
-        // One probe finds the entry this store replaces and the slot
-        // it writes; only a store that must first evict probes again.
-        let slot = match self.entries.entry(key) {
-            hash_map::Entry::Occupied(slot) => {
-                let existing = slot.get();
-                let fresh = existing.pinned || existing.expires_at > now;
-                // Removal cause for the entry currently under the key.
-                let displaced = if fresh {
-                    let rejected = existing.rank > rank // lower rank never displaces higher
-                        || (policy.centricity == Centricity::ParentCentric
-                            && existing.rank <= Credibility::ReferralAuthority
-                            && rank >= Credibility::AuthAuthority) // referral data wins
-                        || (!policy.link_inbailiwick_glue
-                            && existing.rank == Credibility::ReferralAdditional
-                            && rank == Credibility::ReferralAdditional); // keep cached glue
-                    if rejected {
-                        sink.stats().rejected_stores += 1;
-                        return;
-                    }
-                    refresh = existing.fingerprint == incoming.fingerprint;
-                    (!refresh).then_some(CacheOp::Overwrite)
-                } else {
-                    // Past its TTL: whatever replaces it, the old entry
-                    // died of expiry.
-                    Some(CacheOp::Expire)
-                };
-                // Journalled from the table, before the insert below
-                // replaces it: the ledger reads `Expire`/`Overwrite` first.
-                if let Some(cause) = displaced {
-                    match cause {
-                        CacheOp::Overwrite => sink.stats().overwrites += 1,
-                        _ => sink.stats().expiries += 1,
-                    }
-                    sink.note(
-                        now,
-                        cause,
-                        &existing.rrset,
-                        existing.rank,
-                        existing.provenance,
-                        Some(now.since(existing.stored_at).as_millis()),
-                        existing.fingerprint,
-                    );
-                }
-                // A refresh moves an entry's expiry too, so the indexed
-                // key goes either way.
-                self.expiry.remove(existing);
-                hash_map::Entry::Occupied(slot)
-            }
-            hash_map::Entry::Vacant(slot) if full => {
-                let key = slot.into_key();
-                self.evict_soonest(now, sink);
-                self.entries.entry(key)
-            }
-            vacant => vacant,
-        };
-        let op = if refresh {
-            sink.stats().refreshes += 1;
-            CacheOp::Refresh
-        } else {
-            sink.stats().inserts += 1;
-            CacheOp::Insert
-        };
-        sink.note(
-            now,
-            op,
-            &incoming.rrset,
-            rank,
-            incoming.provenance,
-            None,
-            incoming.fingerprint,
-        );
-        self.expiry.insert(&incoming);
-        slot.insert_entry(incoming);
-    }
-
-    /// See [`Cache::invalidate`].
-    pub(crate) fn invalidate<S: OpSink>(
-        &mut self,
-        name: &Name,
-        rtype: RecordType,
-        now: SimTime,
-        sink: &mut S,
-    ) -> bool {
-        match self.entries.remove(&Probe(name, rtype) as &dyn TableKey) {
-            Some(e) => {
-                self.expiry.remove(&e);
-                sink.stats().invalidations += 1;
-                sink.note(
-                    now,
-                    CacheOp::Invalidate,
-                    &e.rrset,
-                    e.rank,
-                    e.provenance,
-                    Some(now.since(e.stored_at).as_millis()),
-                    e.fingerprint,
-                );
-                true
-            }
-            None => false,
-        }
-    }
-
-    /// See [`Cache::invalidate_zone`].
-    pub(crate) fn invalidate_zone<S: OpSink>(
-        &mut self,
-        apex: &Name,
-        now: SimTime,
-        sink: &mut S,
-    ) -> usize {
-        let mut victims: Vec<(Name, RecordType)> = self
-            .entries
-            .keys()
-            .filter(|(n, _)| n.is_subdomain_of(apex))
-            .cloned()
-            .collect();
-        // Deterministic ledger order regardless of HashMap layout —
-        // canonical name order directly, no string formatting.
-        victims.sort_by(|a, b| a.0.cmp(&b.0).then(a.1.code().cmp(&b.1.code())));
-        for (name, rtype) in &victims {
-            self.invalidate(name, *rtype, now, sink);
-        }
-        victims.len()
-    }
-
-    /// The borrowed read every positive lookup goes through: finds the
-    /// fresh entry under `(name, rtype)`, counts the hit, journals the
-    /// serve, and hands `f` the entry in place together with its
-    /// age-decremented TTL — nothing is cloned unless `f` clones it.
-    ///
-    /// `f` must not re-enter the cache: [`Cache`] runs it with its
-    /// accounting `RefCell` borrowed, [`crate::SharedCache::get`] with
-    /// the segment locked.
-    ///
-    /// Read-only on the core, so the sequential engine keeps its
-    /// `&self` read path.
-    pub(crate) fn read<S: OpSink, T>(
-        &self,
-        name: &dyn NameKey,
-        rtype: RecordType,
-        now: SimTime,
-        sink: &mut S,
-        f: impl FnOnce(&Entry, Ttl) -> T,
-    ) -> Option<T> {
-        let e = self.entries.get(&Probe(name, rtype) as &dyn TableKey)?;
-        if !e.pinned && e.expires_at <= now {
-            return None;
-        }
-        sink.stats().hits += 1;
-        sink.note(
-            now,
-            CacheOp::Serve,
-            &e.rrset,
-            e.rank,
-            e.provenance,
-            Some(now.since(e.stored_at).as_millis()),
-            e.fingerprint,
-        );
-        let ttl = if e.pinned {
-            e.rrset.ttl
-        } else {
-            let age = now.secs_since(e.stored_at) as u32;
-            e.rrset.ttl.saturating_sub_secs(age)
-        };
-        Some(f(e, ttl))
-    }
-
-    /// See [`Cache::get`]: [`CacheCore::read`], cloning what it saw.
-    pub(crate) fn get<S: OpSink>(
-        &self,
-        name: &Name,
-        rtype: RecordType,
-        now: SimTime,
-        sink: &mut S,
-    ) -> Option<CachedAnswer> {
-        self.read(name, rtype, now, sink, |e, ttl| CachedAnswer {
-            rrset: RRset {
-                ttl,
-                ..e.rrset.clone()
-            },
-            rank: e.rank,
-            stale: false,
-            provenance: e.provenance,
-        })
-    }
-
-    /// See [`Cache::expired_since`].
-    pub(crate) fn expired_since(
-        &self,
-        name: &Name,
-        rtype: RecordType,
-        now: SimTime,
-    ) -> Option<SimDuration> {
-        let e = self.entries.get(&Probe(name, rtype) as &dyn TableKey)?;
-        if e.pinned || e.expires_at > now {
-            return None;
-        }
-        Some(now.since(e.expires_at))
-    }
-
-    /// See [`Cache::freshness`].
-    pub(crate) fn freshness(&self, name: &Name, rtype: RecordType, now: SimTime) -> Option<f64> {
-        let e = self.entries.get(&Probe(name, rtype) as &dyn TableKey)?;
-        if e.pinned {
-            return Some(1.0);
-        }
-        if e.expires_at <= now {
-            return None;
-        }
-        let total = e.rrset.ttl.as_secs() as f64;
-        if total == 0.0 {
-            return None;
-        }
-        let remaining = e.expires_at.since(now).as_secs_f64();
-        Some((remaining / total).clamp(0.0, 1.0))
-    }
-
-    /// See [`Cache::get_stale`].
-    pub(crate) fn get_stale<S: OpSink>(
-        &self,
-        name: &Name,
-        rtype: RecordType,
-        now: SimTime,
-        max_stale: Ttl,
-        sink: &mut S,
-    ) -> Option<CachedAnswer> {
-        let e = self.entries.get(&Probe(name, rtype) as &dyn TableKey)?;
-        if e.expires_at > now || e.pinned {
-            return self.get(name, rtype, now, sink);
-        }
-        let staleness = now.secs_since(e.expires_at);
-        if staleness > max_stale.as_secs() as u64 {
-            return None;
-        }
-        sink.stats().stale_hits += 1;
-        sink.note(
-            now,
-            CacheOp::StaleServe,
-            &e.rrset,
-            e.rank,
-            e.provenance,
-            Some(now.since(e.stored_at).as_millis()),
-            e.fingerprint,
-        );
-        let mut rrset = e.rrset.clone();
-        rrset.ttl = Ttl::from_secs(30);
-        Some(CachedAnswer {
-            rrset,
-            rank: e.rank,
-            stale: true,
-            provenance: e.provenance,
-        })
-    }
-
-    /// See [`Cache::store_negative`].
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn store_negative(
-        &mut self,
-        name: Name,
-        rtype: RecordType,
-        rcode: Rcode,
-        soa_minimum: Ttl,
-        soa_ttl: Ttl,
-        now: SimTime,
-        policy: &ResolverPolicy,
-    ) {
-        let ttl = policy.clamp_ttl(soa_minimum.min(soa_ttl));
-        if ttl.is_zero() {
-            return;
-        }
-        self.negatives.insert(
-            (name, rtype),
-            NegEntry {
-                rcode,
-                expires_at: now + ttl_span(ttl),
-            },
-        );
-    }
-
-    /// See [`Cache::store_failure`].
-    pub(crate) fn store_failure<S: OpSink>(
-        &mut self,
-        name: Name,
-        rtype: RecordType,
-        ttl: Ttl,
-        now: SimTime,
-        sink: &mut S,
-    ) {
-        if ttl.is_zero() {
-            return;
-        }
-        // RFC 2308 §7: failures must not be cached for longer than
-        // five minutes.
-        let ttl = ttl.min(Ttl::from_secs(300));
-        let shell = RRset {
-            name: name.clone(),
-            rtype,
-            ttl,
-            rdatas: vec![],
-        };
-        sink.note(
-            now,
-            CacheOp::NegCache,
-            &shell,
-            Credibility::AuthAuthority,
-            Provenance {
-                original_ttl: ttl,
-                effective_ttl: ttl,
-                ..Provenance::default()
-            },
-            None,
-            0,
-        );
-        self.negatives.insert(
-            (name, rtype),
-            NegEntry {
-                rcode: Rcode::ServFail,
-                expires_at: now + ttl_span(ttl),
-            },
-        );
-    }
-
-    /// See [`Cache::get_negative`].
-    pub(crate) fn get_negative(
-        &self,
-        name: &Name,
-        rtype: RecordType,
-        now: SimTime,
-    ) -> Option<Rcode> {
-        // Resolvers ask this first on every question, and the table is
-        // empty unless something failed: answer before hashing.
-        if self.negatives.is_empty() {
-            return None;
-        }
-        let e = self.negatives.get(&Probe(name, rtype) as &dyn TableKey)?;
-        (e.expires_at > now).then_some(e.rcode)
-    }
-
-    pub(crate) fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    pub(crate) fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// See [`Cache::purge_expired`]. The expired entries are found by
-    /// a scan of the table and dropped in `(expires_at, name, type
-    /// code)` order — the order an expiry index drains in, so a
-    /// bounded and an unbounded cache journal the same lines.
-    pub(crate) fn purge_expired<S: OpSink>(&mut self, now: SimTime, sink: &mut S) {
-        let mut expired: Vec<(SimTime, Name, RecordType)> = self
-            .entries
-            .iter()
-            .filter(|(_, e)| !e.pinned && e.expires_at <= now)
-            .map(|((name, rtype), e)| (e.expires_at, name.clone(), *rtype))
-            .collect();
-        expired.sort_unstable_by(|a, b| (a.0, &a.1, a.2.code()).cmp(&(b.0, &b.1, b.2.code())));
-        for (_, name, rtype) in expired {
-            let e = self
-                .entries
-                .remove(&(name, rtype))
-                .expect("key just seen in the table");
-            self.expiry.remove(&e);
-            sink.stats().expiries += 1;
-            sink.note(
-                now,
-                CacheOp::Expire,
-                &e.rrset,
-                e.rank,
-                e.provenance,
-                Some(now.since(e.stored_at).as_millis()),
-                e.fingerprint,
-            );
-        }
-        self.negatives.retain(|_, e| e.expires_at > now);
-    }
-
-    /// See [`Cache::clear`].
-    pub(crate) fn clear<S: OpSink>(&mut self, sink: &mut S) {
-        sink.stats().clears += self.entries.len() as u64;
-        self.entries.clear();
-        self.expiry.clear();
-        self.negatives.clear();
-    }
-}
-
-/// Always-on accounting plus the opt-in provenance ledger, behind a
-/// `RefCell` so the `&self` read path ([`Cache::get`]) can record
-/// serves. The sequential engine is single-threaded; the borrow is
-/// never contended.
+/// Where every transaction is accounted: the always-on counters, the
+/// opt-in provenance ledger and the telemetry handle typed trace
+/// events land in when enabled. Behind a `RefCell` so the `&self` read
+/// path ([`Cache::get`]) can record serves; a cache is single-threaded,
+/// so the borrow is never contended.
 #[derive(Debug, Default)]
 struct CacheMeta {
     stats: CacheStats,
     ledger: Option<Box<Ledger>>,
+    telemetry: Telemetry,
 }
 
-/// The sequential engine's [`OpSink`]: stats + ledger behind the
-/// `RefCell`, trace events into the `Rc`-based telemetry handle.
-struct SeqSink<'a> {
-    meta: std::cell::RefMut<'a, CacheMeta>,
-    telemetry: &'a Telemetry,
-}
-
-impl OpSink for SeqSink<'_> {
-    fn stats(&mut self) -> &mut CacheStats {
-        &mut self.meta.stats
-    }
-
-    fn note(
-        &mut self,
-        now: SimTime,
-        op: CacheOp,
-        rrset: &RRset,
-        rank: Credibility,
-        prov: Provenance,
-        residency_ms: Option<u64>,
-        fingerprint: u64,
-    ) {
-        if let Some(ledger) = self.meta.ledger.as_mut() {
-            ledger.record(now, op, rrset, rank, &prov, residency_ms, fingerprint);
+impl CacheMeta {
+    /// Accounts one transaction on `e`: counts it, journals the ledger
+    /// line if the ledger is on, and emits the typed trace event (plus
+    /// the eviction time series). Every op but an install carries how
+    /// long the entry had been resident.
+    fn record(&mut self, now: SimTime, op: CacheOp, e: &Entry) {
+        match op {
+            CacheOp::Insert => self.stats.inserts += 1,
+            CacheOp::Refresh => self.stats.refreshes += 1,
+            CacheOp::Overwrite => self.stats.overwrites += 1,
+            CacheOp::Serve => self.stats.hits += 1,
+            CacheOp::Expire => self.stats.expiries += 1,
+            CacheOp::Evict => self.stats.evictions += 1,
+            CacheOp::Invalidate => self.stats.invalidations += 1,
+            CacheOp::StaleServe => self.stats.stale_hits += 1,
+            // Failure caching holds no positive entry: no counter.
+            CacheOp::NegCache => {}
         }
-        note_telemetry(
-            self.telemetry,
-            now,
-            op,
-            rrset,
-            rank,
-            &prov,
-            residency_ms,
-            fingerprint,
-        );
-    }
-}
-
-/// Emits the typed trace event (and the eviction time series) for one
-/// cache transaction.
-#[allow(clippy::too_many_arguments)]
-fn note_telemetry(
-    telemetry: &Telemetry,
-    now: SimTime,
-    op: CacheOp,
-    rrset: &RRset,
-    rank: Credibility,
-    prov: &Provenance,
-    residency_ms: Option<u64>,
-    fingerprint: u64,
-) {
-    if op == CacheOp::Evict {
-        // Capacity-pressure evictions get a sim-time series so the
-        // timeline shows *when* churn happens, not just how much.
-        telemetry.count_keyed_at(&EVICTIONS_KEY, 1, now.as_millis());
-    }
-    telemetry.event(now.as_millis(), event_kind(op), |f| {
-        // Shared/Static/Hex64/Addr values straight into the trace
-        // arena: recording a cache transaction allocates nothing —
-        // hex and address rendering are deferred to export time.
-        f.push("qname", rrset.name.shared_str());
-        f.push("qtype", Value::literal(rrset.rtype.as_str()));
-        f.push("fp", Value::Hex64(fingerprint));
-        if op == CacheOp::Serve {
-            // Serve is the hot path: a warm hit fires one of these
-            // per client query. The full provenance (rank, origin,
-            // bailiwick, server, ttl, txn) was already traced on
-            // insert under the same fingerprint and is recorded on
-            // every ledger line, so the trace carries just enough
-            // to join against those.
+        let installs = matches!(op, CacheOp::Insert | CacheOp::Refresh | CacheOp::NegCache);
+        let residency_ms = (!installs).then(|| now.since(e.stored_at).as_millis());
+        let (rrset, prov) = (&e.rrset, &e.provenance);
+        if let Some(ledger) = self.ledger.as_mut() {
+            ledger.record(now, op, rrset, e.rank, prov, residency_ms, e.fingerprint);
+        }
+        if op == CacheOp::Evict {
+            // Capacity-pressure evictions get a sim-time series so the
+            // timeline shows *when* churn happens, not just how much.
+            self.telemetry
+                .count_keyed_at(&EVICTIONS_KEY, 1, now.as_millis());
+        }
+        self.telemetry.event(now.as_millis(), event_kind(op), |f| {
+            // Shared/Static/Hex64/Addr values straight into the trace
+            // arena: recording a cache transaction allocates nothing —
+            // hex and address rendering are deferred to export time.
+            f.push("qname", rrset.name.shared_str());
+            f.push("qtype", Value::literal(rrset.rtype.as_str()));
+            f.push("fp", Value::Hex64(e.fingerprint));
+            if op == CacheOp::Serve {
+                // Serve is the hot path: a warm hit fires one of these
+                // per client query. The full provenance (rank, origin,
+                // bailiwick, server, ttl, txn) was already traced on
+                // insert under the same fingerprint and is recorded on
+                // every ledger line, so the trace carries just enough
+                // to join against those.
+                if let Some(res) = residency_ms {
+                    f.push("residency_ms", res);
+                }
+                return;
+            }
+            f.push("rank", Value::literal(rank_token(e.rank)));
+            f.push("origin", Value::literal(prov.origin.as_str()));
+            f.push("bailiwick", Value::literal(prov.bailiwick.as_str()));
+            f.push("ttl", prov.effective_ttl.as_secs() as u64);
+            f.push("txn", prov.txn);
+            if let Some(server) = prov.server {
+                f.push("server", server);
+            }
             if let Some(res) = residency_ms {
                 f.push("residency_ms", res);
             }
-            return;
-        }
-        f.push("rank", Value::literal(rank_token(rank)));
-        f.push("origin", Value::literal(prov.origin.as_str()));
-        f.push("bailiwick", Value::literal(prov.bailiwick.as_str()));
-        f.push("ttl", prov.effective_ttl.as_secs() as u64);
-        f.push("txn", prov.txn);
-        if let Some(server) = prov.server {
-            f.push("server", server);
-        }
-        if let Some(res) = residency_ms {
-            f.push("residency_ms", res);
-        }
-    });
+        });
+    }
 }
 
-/// The cache proper — the one a resolver holds, and the oracle the
-/// differential suites measure [`crate::SharedCache`] against.
+/// The cache proper — the one a resolver holds.
+///
+/// Eviction order is deterministic and documented: the victim is the
+/// index minimum, i.e. ordered by `(expires_at, canonical name order,
+/// type code)`.
 ///
 /// ```
 /// use dnsttl_resolver::{Cache, Credibility};
@@ -907,11 +363,15 @@ fn note_telemetry(
 /// ```
 #[derive(Debug, Default)]
 pub struct Cache {
-    pub(crate) core: CacheCore,
-    /// Stats (always) + provenance ledger (opt-in).
+    entries: KeyTable<Entry>,
+    expiry: ExpiryIndex,
+    negatives: KeyTable<NegEntry>,
+    /// Maximum positive entries; `None` = unbounded. Real caches are
+    /// bounded, and under pressure the *effective* TTL is the eviction
+    /// horizon, not the configured TTL (the paper's \[19\]).
+    capacity: Option<usize>,
+    /// Stats (always), provenance ledger (opt-in), telemetry handle.
     meta: RefCell<CacheMeta>,
-    /// Typed cache-transaction events land here when enabled.
-    telemetry: Telemetry,
 }
 
 impl Cache {
@@ -925,7 +385,8 @@ impl Cache {
     /// value), pinned entries last.
     pub fn with_capacity(capacity: usize) -> Cache {
         Cache {
-            core: CacheCore::new(Some(capacity)),
+            expiry: ExpiryIndex(Some(TimingWheel::new())),
+            capacity: Some(capacity.max(1)),
             ..Cache::default()
         }
     }
@@ -941,19 +402,19 @@ impl Cache {
 
     /// Entries evicted under capacity pressure so far.
     pub fn evictions(&self) -> u64 {
-        self.core.evictions()
+        self.stats().evictions
     }
 
     /// Routes the cache's typed transaction events into `telemetry`.
     pub fn set_telemetry(&mut self, telemetry: Telemetry) {
-        self.telemetry = telemetry;
+        self.meta.get_mut().telemetry = telemetry;
     }
 
     /// Turns on the provenance ledger: every transaction from here on
     /// is journalled and aggregated per attribution cell. Off by
     /// default — the always-on path keeps only [`CacheStats`].
     pub fn enable_ledger(&mut self) {
-        let mut meta = self.meta.borrow_mut();
+        let meta = self.meta.get_mut();
         if meta.ledger.is_none() {
             meta.ledger = Some(Box::new(Ledger::new()));
         }
@@ -969,11 +430,26 @@ impl Cache {
         self.meta.borrow().stats
     }
 
-    /// The per-call [`OpSink`] borrowing this cache's meta + telemetry.
-    fn sink(&self) -> SeqSink<'_> {
-        SeqSink {
-            meta: self.meta.borrow_mut(),
-            telemetry: &self.telemetry,
+    /// Iterates the positive entries (snapshot builders).
+    pub(crate) fn iter_entries(&self) -> impl Iterator<Item = &Entry> {
+        self.entries.values()
+    }
+
+    /// Evicts one entry to make room for a key the table does not
+    /// hold. Only a bounded cache has anything to pop.
+    fn evict_soonest(&mut self, now: SimTime) {
+        // The victim is the index minimum: the entry with the earliest
+        // expiry (already-expired entries sort first by construction),
+        // ties broken by canonical name order then type code — never by
+        // HashMap iteration order, so the ledger is identical across
+        // reruns. Pinned entries are mirrored zone data, never indexed,
+        // never evicted.
+        if let Some(victim) = self.expiry.pop_first() {
+            let e = self
+                .entries
+                .remove(&victim)
+                .expect("index entry has a backing cache entry");
+            self.meta.get_mut().record(now, CacheOp::Evict, &e);
         }
     }
 
@@ -1024,45 +500,145 @@ impl Cache {
         pinned: bool,
         ctx: StoreContext,
     ) {
-        let mut sink = SeqSink {
-            meta: self.meta.borrow_mut(),
-            telemetry: &self.telemetry,
+        let key = (rrset.name.clone(), rrset.rtype);
+        // Empty unless something failed: answer before hashing.
+        if !self.negatives.is_empty() {
+            self.negatives.remove(&key);
+        }
+        let original_ttl = rrset.ttl;
+        let ttl = policy.clamp_ttl(rrset.ttl);
+        if ttl.is_zero() {
+            self.meta.get_mut().stats.rejected_stores += 1;
+            return;
+        }
+        let origin = if ctx.txn == 0 && ctx.server.is_none() {
+            RecordOrigin::Seed
+        } else {
+            RecordOrigin::from_rank(rank)
         };
-        self.core
-            .store_with(rrset, rank, now, policy, pinned, ctx, &mut sink);
+        let incoming = Entry {
+            fingerprint: rrset.fingerprint(),
+            rrset: RRset { ttl, ..rrset },
+            stored_at: now,
+            expires_at: now + ttl_span(ttl),
+            rank,
+            pinned,
+            provenance: Provenance {
+                txn: ctx.txn,
+                server: ctx.server,
+                origin,
+                bailiwick: ctx.bailiwick,
+                original_ttl,
+                effective_ttl: ttl,
+            },
+        };
+        let full = self.capacity.is_some_and(|cap| self.entries.len() >= cap);
+        let mut refresh = false;
+        // One probe finds the entry this store replaces and the slot
+        // it writes; only a store that must first evict probes again.
+        let slot = match self.entries.entry(key) {
+            hash_map::Entry::Occupied(slot) => {
+                let existing = slot.get();
+                // Removal cause for the entry currently under the key.
+                let displaced = if existing.is_fresh(now) {
+                    let rejected = existing.rank > rank // lower rank never displaces higher
+                        || (policy.centricity == Centricity::ParentCentric
+                            && existing.rank <= Credibility::ReferralAuthority
+                            && rank >= Credibility::AuthAuthority) // referral data wins
+                        || (!policy.link_inbailiwick_glue
+                            && existing.rank == Credibility::ReferralAdditional
+                            && rank == Credibility::ReferralAdditional); // keep cached glue
+                    if rejected {
+                        self.meta.get_mut().stats.rejected_stores += 1;
+                        return;
+                    }
+                    refresh = existing.fingerprint == incoming.fingerprint;
+                    (!refresh).then_some(CacheOp::Overwrite)
+                } else {
+                    // Past its TTL: whatever replaces it, the old entry
+                    // died of expiry.
+                    Some(CacheOp::Expire)
+                };
+                // Journalled from the table, before the insert below
+                // replaces it: the ledger reads `Expire`/`Overwrite` first.
+                if let Some(cause) = displaced {
+                    self.meta.get_mut().record(now, cause, existing);
+                }
+                // A refresh moves an entry's expiry too, so the indexed
+                // key goes either way.
+                self.expiry.remove(existing);
+                hash_map::Entry::Occupied(slot)
+            }
+            hash_map::Entry::Vacant(slot) if full => {
+                let key = slot.into_key();
+                self.evict_soonest(now);
+                self.entries.entry(key)
+            }
+            vacant => vacant,
+        };
+        let op = if refresh {
+            CacheOp::Refresh
+        } else {
+            CacheOp::Insert
+        };
+        self.meta.get_mut().record(now, op, &incoming);
+        self.expiry.insert(&incoming);
+        slot.insert_entry(incoming);
     }
 
     /// Removes the entry under `(name, rtype)`, attributing the
     /// removal to an explicit invalidation — what an operator's cache
     /// flush after a renumbering does. Returns true if present.
     pub fn invalidate(&mut self, name: &Name, rtype: RecordType, now: SimTime) -> bool {
-        let mut sink = SeqSink {
-            meta: self.meta.borrow_mut(),
-            telemetry: &self.telemetry,
+        let Some(e) = self.entries.remove(&Probe(name, rtype) as &dyn TableKey) else {
+            return false;
         };
-        self.core.invalidate(name, rtype, now, &mut sink)
+        self.expiry.remove(&e);
+        self.meta.get_mut().record(now, CacheOp::Invalidate, &e);
+        true
     }
 
     /// Invalidates every positive entry at or below `apex` (the
     /// `rndc flushtree` analogue). Returns how many entries died.
     pub fn invalidate_zone(&mut self, apex: &Name, now: SimTime) -> usize {
-        let mut sink = SeqSink {
-            meta: self.meta.borrow_mut(),
-            telemetry: &self.telemetry,
-        };
-        self.core.invalidate_zone(apex, now, &mut sink)
+        let mut victims: Vec<(Name, RecordType)> = self
+            .entries
+            .keys()
+            .filter(|(n, _)| n.is_subdomain_of(apex))
+            .cloned()
+            .collect();
+        // Deterministic ledger order regardless of HashMap layout —
+        // canonical name order directly, no string formatting.
+        victims.sort_by(|a, b| a.0.cmp(&b.0).then(a.1.code().cmp(&b.1.code())));
+        for (name, rtype) in &victims {
+            self.invalidate(name, *rtype, now);
+        }
+        victims.len()
+    }
+
+    /// Counts the hit on a fresh entry, journals the serve and returns
+    /// the entry's age-decremented TTL (its full TTL when pinned).
+    fn serve(&self, e: &Entry, now: SimTime) -> Ttl {
+        self.meta.borrow_mut().record(now, CacheOp::Serve, e);
+        if e.pinned {
+            e.rrset.ttl
+        } else {
+            let age = now.secs_since(e.stored_at) as u32;
+            e.rrset.ttl.saturating_sub_secs(age)
+        }
     }
 
     /// Fetches a fresh entry, decrementing TTLs by age. Pinned entries
     /// are served at full TTL (an RFC 7706 mirror is always fresh).
     pub fn get(&self, name: &Name, rtype: RecordType, now: SimTime) -> Option<CachedAnswer> {
-        let mut sink = self.sink();
-        self.core.get(name, rtype, now, &mut sink)
+        self.read(name, rtype, now, |e, ttl| e.answer(ttl, false))
     }
 
-    /// [`Cache::get`] without the clone: `f` reads the fresh entry in
-    /// place (see [`CacheCore::read`]) and must not re-enter this
-    /// cache — the accounting `RefCell` is borrowed while it runs.
+    /// [`Cache::get`] without the clone, the borrowed read every
+    /// positive lookup goes through: finds the fresh entry under
+    /// `(name, rtype)`, counts the hit, journals the serve, and hands
+    /// `f` the entry in place together with its age-decremented TTL —
+    /// nothing is cloned unless `f` clones it.
     pub(crate) fn read<T>(
         &self,
         name: &dyn NameKey,
@@ -1070,8 +646,12 @@ impl Cache {
         now: SimTime,
         f: impl FnOnce(&Entry, Ttl) -> T,
     ) -> Option<T> {
-        let mut sink = self.sink();
-        self.core.read(name, rtype, now, &mut sink, f)
+        let e = self.entries.get(&Probe(name, rtype) as &dyn TableKey)?;
+        if !e.is_fresh(now) {
+            return None;
+        }
+        let ttl = self.serve(e, now);
+        Some(f(e, ttl))
     }
 
     /// If an entry exists for `(name, rtype)` but is past its TTL (and
@@ -1085,7 +665,11 @@ impl Cache {
         rtype: RecordType,
         now: SimTime,
     ) -> Option<SimDuration> {
-        self.core.expired_since(name, rtype, now)
+        let e = self.entries.get(&Probe(name, rtype) as &dyn TableKey)?;
+        if e.is_fresh(now) {
+            return None;
+        }
+        Some(now.since(e.expires_at))
     }
 
     /// Remaining lifetime of a fresh entry as a fraction of its
@@ -1093,7 +677,19 @@ impl Cache {
     /// Pinned entries are always 1.0; absent/expired entries are None.
     /// Prefetching resolvers use this to decide when to refresh ahead.
     pub fn freshness(&self, name: &Name, rtype: RecordType, now: SimTime) -> Option<f64> {
-        self.core.freshness(name, rtype, now)
+        let e = self.entries.get(&Probe(name, rtype) as &dyn TableKey)?;
+        if e.pinned {
+            return Some(1.0);
+        }
+        if e.expires_at <= now {
+            return None;
+        }
+        let total = e.rrset.ttl.as_secs() as f64;
+        if total == 0.0 {
+            return None;
+        }
+        let remaining = e.expires_at.since(now).as_secs_f64();
+        Some((remaining / total).clamp(0.0, 1.0))
     }
 
     /// Fetches an entry even if expired, for serve-stale: the entry must
@@ -1106,8 +702,17 @@ impl Cache {
         now: SimTime,
         max_stale: Ttl,
     ) -> Option<CachedAnswer> {
-        let mut sink = self.sink();
-        self.core.get_stale(name, rtype, now, max_stale, &mut sink)
+        let e = self.entries.get(&Probe(name, rtype) as &dyn TableKey)?;
+        if e.is_fresh(now) {
+            let ttl = self.serve(e, now);
+            return Some(e.answer(ttl, false));
+        }
+        let staleness = now.secs_since(e.expires_at);
+        if staleness > max_stale.as_secs() as u64 {
+            return None;
+        }
+        self.meta.borrow_mut().record(now, CacheOp::StaleServe, e);
+        Some(e.answer(Ttl::from_secs(30), true))
     }
 
     /// Stores a negative answer (NXDOMAIN or NODATA) bounded by the SOA
@@ -1123,8 +728,17 @@ impl Cache {
         now: SimTime,
         policy: &ResolverPolicy,
     ) {
-        self.core
-            .store_negative(name, rtype, rcode, soa_minimum, soa_ttl, now, policy);
+        let ttl = policy.clamp_ttl(soa_minimum.min(soa_ttl));
+        if ttl.is_zero() {
+            return;
+        }
+        self.negatives.insert(
+            (name, rtype),
+            NegEntry {
+                rcode,
+                expires_at: now + ttl_span(ttl),
+            },
+        );
     }
 
     /// Caches an *upstream failure* (SERVFAIL / every server dead) for
@@ -1134,49 +748,97 @@ impl Cache {
     /// [`CacheOp::NegCache`] transaction so provenance forensics see
     /// the outage response, even though no RRset is held.
     pub fn store_failure(&mut self, name: Name, rtype: RecordType, ttl: Ttl, now: SimTime) {
-        let mut sink = SeqSink {
-            meta: self.meta.borrow_mut(),
-            telemetry: &self.telemetry,
+        if ttl.is_zero() {
+            return;
+        }
+        // RFC 2308 §7: failures must not be cached for longer than
+        // five minutes.
+        let ttl = ttl.min(Ttl::from_secs(300));
+        let expires_at = now + ttl_span(ttl);
+        // What the journal shows in place of the RRset nobody holds.
+        let shell = Entry {
+            rrset: RRset {
+                name: name.clone(),
+                rtype,
+                ttl,
+                rdatas: vec![],
+            },
+            stored_at: now,
+            expires_at,
+            rank: Credibility::AuthAuthority,
+            pinned: false,
+            provenance: Provenance {
+                original_ttl: ttl,
+                effective_ttl: ttl,
+                ..Provenance::default()
+            },
+            fingerprint: 0,
         };
-        self.core.store_failure(name, rtype, ttl, now, &mut sink);
+        self.meta.get_mut().record(now, CacheOp::NegCache, &shell);
+        self.negatives.insert(
+            (name, rtype),
+            NegEntry {
+                rcode: Rcode::ServFail,
+                expires_at,
+            },
+        );
     }
 
     /// Fresh negative entry for the key, if any.
     pub fn get_negative(&self, name: &Name, rtype: RecordType, now: SimTime) -> Option<Rcode> {
-        self.core.get_negative(name, rtype, now)
+        // Resolvers ask this first on every question, and the table is
+        // empty unless something failed: answer before hashing.
+        if self.negatives.is_empty() {
+            return None;
+        }
+        let e = self.negatives.get(&Probe(name, rtype) as &dyn TableKey)?;
+        (e.expires_at > now).then_some(e.rcode)
     }
 
     /// Number of positive entries (fresh and expired).
     pub fn len(&self) -> usize {
-        self.core.len()
+        self.entries.len()
     }
 
     /// True if the cache holds no positive entries.
     pub fn is_empty(&self) -> bool {
-        self.core.is_empty()
+        self.entries.is_empty()
     }
 
     /// Drops expired, unpinned entries. Not required for correctness
     /// (reads check freshness) but keeps long simulations lean. Each
     /// drop is a ledger `expire` transaction in deterministic
-    /// `(expires_at, name, type code)` order.
+    /// `(expires_at, name, type code)` order: the expired entries are
+    /// found by a scan of the table and dropped in the order an expiry
+    /// index drains in, so a bounded and an unbounded cache journal
+    /// the same lines.
     pub fn purge_expired(&mut self, now: SimTime) {
-        let mut sink = SeqSink {
-            meta: self.meta.borrow_mut(),
-            telemetry: &self.telemetry,
-        };
-        self.core.purge_expired(now, &mut sink);
+        let mut expired: Vec<(SimTime, Name, RecordType)> = self
+            .entries
+            .iter()
+            .filter(|(_, e)| !e.is_fresh(now))
+            .map(|((name, rtype), e)| (e.expires_at, name.clone(), *rtype))
+            .collect();
+        expired.sort_unstable_by(|a, b| (a.0, &a.1, a.2.code()).cmp(&(b.0, &b.1, b.2.code())));
+        for (_, name, rtype) in expired {
+            let e = self
+                .entries
+                .remove(&(name, rtype))
+                .expect("key just seen in the table");
+            self.expiry.remove(&e);
+            self.meta.get_mut().record(now, CacheOp::Expire, &e);
+        }
+        self.negatives.retain(|_, e| e.expires_at > now);
     }
 
     /// Removes every entry (used between experiment phases). Counted
     /// as `clears` in the stats; no per-entry ledger records — a phase
     /// boundary is not a cache event the paper cares about.
     pub fn clear(&mut self) {
-        let mut sink = SeqSink {
-            meta: self.meta.borrow_mut(),
-            telemetry: &self.telemetry,
-        };
-        self.core.clear(&mut sink);
+        self.meta.get_mut().stats.clears += self.entries.len() as u64;
+        self.entries.clear();
+        self.expiry.clear();
+        self.negatives.clear();
     }
 }
 
@@ -1992,7 +1654,7 @@ mod tests {
                     pinned,
                 );
             }
-            for e in c.core.iter_entries().filter(|e| !e.pinned) {
+            for e in c.iter_entries().filter(|e| !e.pinned) {
                 let tie = (e.rrset.name.clone(), e.rrset.rtype.code());
                 wheel.insert(e.expires_at.as_millis(), tie);
             }
@@ -2015,7 +1677,7 @@ mod tests {
                 })
                 .unwrap();
             assert_eq!(journalled, drained);
-            let pinned = c.core.iter_entries().filter(|e| e.pinned).count();
+            let pinned = c.iter_entries().filter(|e| e.pinned).count();
             assert!(pinned > 0);
             assert_eq!(c.len(), wheel.len() + pinned);
         }
@@ -2060,7 +1722,6 @@ mod tests {
                 for owner in ["pinned", "fresh", "expired", "edge", "absent"] {
                     let name = n(&format!("{owner}.example"));
                     let scanned = c
-                        .core
                         .iter_entries()
                         .find(|e| e.rrset.name == name && e.rrset.rtype == RecordType::A)
                         .filter(|e| !e.pinned && e.expires_at <= now)

@@ -275,16 +275,6 @@ impl Ledger {
         }
     }
 
-    /// An empty ledger whose journal holds up to `capacity` records —
-    /// the concurrent backend sizes its replayed ledger to its op log
-    /// so a full log never drops journal lines.
-    pub fn with_journal_capacity(capacity: usize) -> Ledger {
-        Ledger {
-            journal: Journal::with_capacity(capacity),
-            cells: BTreeMap::new(),
-        }
-    }
-
     /// Records one transaction into the journal and its cell.
     #[allow(clippy::too_many_arguments)]
     pub fn record(

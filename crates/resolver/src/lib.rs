@@ -31,7 +31,6 @@
 pub mod cache;
 pub mod ledger;
 pub mod resolver;
-pub mod shared;
 pub mod snapshot;
 pub mod stub;
 
@@ -41,7 +40,6 @@ pub use ledger::{
     Provenance, RecordOrigin, StoreContext,
 };
 pub use resolver::{RecursiveResolver, ResolutionOutcome, ResolverStats, RootHint};
-pub use shared::SharedCache;
 pub use snapshot::{CacheSnapshot, SnapshotDiff, SnapshotEntry};
 pub use stub::{HostLookup, StubConfig, StubError, StubResolver};
 

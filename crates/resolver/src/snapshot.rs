@@ -311,57 +311,48 @@ impl SnapshotDiff {
     }
 }
 
-/// Renders an engine's positive entries into unsorted snapshot rows.
-/// Shared by the sequential cache (one pass over its table) and the
-/// concurrent backend (one pass per segment, merged then sorted).
-pub(crate) fn snapshot_entries<'a>(
-    it: impl Iterator<Item = &'a crate::cache::Entry>,
-    now: SimTime,
-) -> Vec<SnapshotEntry> {
-    it.map(|e| {
-        let remaining = if e.pinned {
-            e.rrset.ttl
-        } else {
-            let age = now.secs_since(e.stored_at) as u32;
-            if e.expires_at <= now {
-                Ttl::from_secs(0)
-            } else {
-                e.rrset.ttl.saturating_sub_secs(age)
-            }
-        };
-        let mut datas: Vec<String> = e.rrset.rdatas.iter().map(|rd| rd.to_string()).collect();
-        datas.sort();
-        SnapshotEntry {
-            name: e.rrset.name.to_string(),
-            rtype: e.rrset.rtype.to_string(),
-            rank: rank_token(e.rank).to_string(),
-            pinned: e.pinned,
-            stored_at_ms: e.stored_at.as_millis(),
-            expires_at_ms: e.expires_at.as_millis(),
-            remaining_ttl_s: remaining.as_secs(),
-            original_ttl_s: e.provenance.original_ttl.as_secs(),
-            effective_ttl_s: e.provenance.effective_ttl.as_secs(),
-            origin: e.provenance.origin.as_str().to_string(),
-            bailiwick: e.provenance.bailiwick.as_str().to_string(),
-            txn: e.provenance.txn,
-            server: e
-                .provenance
-                .server
-                .map(|s| s.to_string())
-                .unwrap_or_default(),
-            fingerprint: e.fingerprint,
-            rdatas: datas.join("|"),
-        }
-    })
-    .collect()
-}
-
 impl Cache {
     /// Freezes the positive cache into a deterministic sorted dump.
     /// Remaining TTLs are computed at `now`; expired-but-resident
     /// entries show 0 remaining.
     pub fn snapshot(&self, now: SimTime) -> CacheSnapshot {
-        let mut entries = snapshot_entries(self.core.iter_entries(), now);
+        let mut entries: Vec<SnapshotEntry> = self
+            .iter_entries()
+            .map(|e| {
+                let remaining = if e.pinned {
+                    e.rrset.ttl
+                } else if e.expires_at <= now {
+                    Ttl::from_secs(0)
+                } else {
+                    let age = now.secs_since(e.stored_at) as u32;
+                    e.rrset.ttl.saturating_sub_secs(age)
+                };
+                let mut datas: Vec<String> =
+                    e.rrset.rdatas.iter().map(|rd| rd.to_string()).collect();
+                datas.sort();
+                SnapshotEntry {
+                    name: e.rrset.name.to_string(),
+                    rtype: e.rrset.rtype.to_string(),
+                    rank: rank_token(e.rank).to_string(),
+                    pinned: e.pinned,
+                    stored_at_ms: e.stored_at.as_millis(),
+                    expires_at_ms: e.expires_at.as_millis(),
+                    remaining_ttl_s: remaining.as_secs(),
+                    original_ttl_s: e.provenance.original_ttl.as_secs(),
+                    effective_ttl_s: e.provenance.effective_ttl.as_secs(),
+                    origin: e.provenance.origin.as_str().to_string(),
+                    bailiwick: e.provenance.bailiwick.as_str().to_string(),
+                    txn: e.provenance.txn,
+                    server: e
+                        .provenance
+                        .server
+                        .map(|s| s.to_string())
+                        .unwrap_or_default(),
+                    fingerprint: e.fingerprint,
+                    rdatas: datas.join("|"),
+                }
+            })
+            .collect();
         entries.sort_by_key(|a| a.key());
         CacheSnapshot {
             at_ms: now.as_millis(),

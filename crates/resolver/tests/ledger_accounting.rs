@@ -7,10 +7,16 @@
 //! reads, purges and invalidations, then checks the conservation law
 //! `inserts − removals == live entries` and that the removal causes
 //! sum to total removals — i.e. no removal path escapes attribution.
+//!
+//! Beside it: the two removal-cause pins for a zone invalidation
+//! meeting expired residents, and the pinned tape — what a `Cache`
+//! answered, journalled, traced and held over 20 000 seeded steps at
+//! the commit before its core, its accounting sink and its front became
+//! one struct.
 
 use dnsttl_core::ResolverPolicy;
 use dnsttl_netsim::{SimRng, SimTime};
-use dnsttl_resolver::{BailiwickClass, Cache, CacheStats, Credibility, SharedCache, StoreContext};
+use dnsttl_resolver::{BailiwickClass, Cache, CacheStats, CachedAnswer, Credibility, StoreContext};
 use dnsttl_telemetry::CacheOp;
 use dnsttl_wire::{Name, RData, RRset, RecordType, Ttl};
 
@@ -254,128 +260,6 @@ fn merged_multi_shard_ledger_conserves_entries() {
     assert_eq!(reversed, merged);
 }
 
-/// The concurrent backend's accounting claim, extended to the ops the
-/// other suites don't race: serve-stale reads (`StaleServe`) and
-/// failure caching (`NegCache`). Eight free-running threads hammer one
-/// shared cache with overlapping keys — stores with short TTLs, stale
-/// reads far past expiry, failure stores, invalidations, and global
-/// purge sweeps — then the summed per-segment stats must conserve, the
-/// lock-free op journal must agree with every counter, and both
-/// stale serves and failure caches must actually have happened.
-#[test]
-fn concurrent_backend_conserves_under_raced_stale_and_negative_ops() {
-    let policy = ResolverPolicy {
-        serve_stale: Some(Ttl::DAY),
-        ..ResolverPolicy::default()
-    };
-    let shared = SharedCache::with_capacity(8, 48);
-    shared.enable_ledger();
-
-    std::thread::scope(|scope| {
-        for t in 0..8u64 {
-            let shared = &shared;
-            let policy = &policy;
-            scope.spawn(move || {
-                let mut rng = SimRng::seed_from(0x57A1E ^ (t << 40));
-                let mut now = SimTime::ZERO;
-                for step in 0..4_000u64 {
-                    now += dnsttl_netsim::SimDuration::from_secs(rng.below(40));
-                    let host = rng.below(96);
-                    let name = Name::parse(&format!("h{host}.workload.example")).unwrap();
-                    match rng.below(100) {
-                        // Stores with short TTLs so entries expire fast
-                        // and stale reads find expired residents.
-                        0..=39 => {
-                            let ctx = StoreContext {
-                                txn: step + 1,
-                                server: Some("198.51.100.7".parse().unwrap()),
-                                bailiwick: BailiwickClass::In,
-                            };
-                            shared.store_with(
-                                rrset(host, 1 + rng.below(30) as u32, 1),
-                                Credibility::AuthAnswer,
-                                now,
-                                policy,
-                                false,
-                                ctx,
-                            );
-                        }
-                        // Serve-stale reads: probe far enough past the
-                        // store times that expired entries are common.
-                        40..=64 => {
-                            let _ = shared.get_stale(
-                                &name,
-                                RecordType::A,
-                                now + dnsttl_netsim::SimDuration::from_secs(45),
-                                Ttl::DAY,
-                            );
-                        }
-                        // Fresh reads.
-                        65..=79 => {
-                            let _ = shared.get(&name, RecordType::A, now);
-                        }
-                        // Failure caching (RFC 2308 §7): NegCache ops.
-                        80..=89 => {
-                            shared.store_failure(
-                                name.clone(),
-                                RecordType::A,
-                                Ttl::from_secs(30),
-                                now,
-                            );
-                            let _ = shared.get_negative(&name, RecordType::A, now);
-                        }
-                        // Expiry sweeps racing everything above.
-                        90..=94 => shared.purge_expired(now),
-                        _ => {
-                            shared.invalidate(&name, RecordType::A, now);
-                        }
-                    }
-                }
-            });
-        }
-    });
-
-    assert_eq!(shared.ledger_dropped(), 0, "op log wrapped; grow it");
-    let stats = shared.stats();
-    check_conservation(&stats, shared.len(), "raced shared backend");
-    assert!(stats.inserts > 1_000, "workload too small: {stats:?}");
-    assert!(stats.stale_hits > 0, "no stale serves raced: {stats:?}");
-    assert!(stats.expiries > 0 && stats.evictions > 0, "{stats:?}");
-    assert!(stats.invalidations > 0, "{stats:?}");
-
-    // Journal/stats agreement for every cause the journal records,
-    // including the raced StaleServe ops. NegCache has no scalar
-    // counter (failure caching holds no positive entry), so the
-    // journal itself is the witness that the ops raced through.
-    shared
-        .with_ledger(|ledger| {
-            let mut by_op = std::collections::BTreeMap::new();
-            for rec in ledger.journal().records() {
-                *by_op.entry(rec.op).or_insert(0u64) += 1;
-            }
-            for (op, want) in [
-                (CacheOp::Insert, stats.inserts),
-                (CacheOp::Refresh, stats.refreshes),
-                (CacheOp::Overwrite, stats.overwrites),
-                (CacheOp::Expire, stats.expiries),
-                (CacheOp::Evict, stats.evictions),
-                (CacheOp::Invalidate, stats.invalidations),
-                (CacheOp::StaleServe, stats.stale_hits),
-            ] {
-                assert_eq!(
-                    by_op.get(&op).copied().unwrap_or(0),
-                    want,
-                    "journal {op:?} count disagrees with summed stats"
-                );
-            }
-            assert!(
-                by_op.get(&CacheOp::NegCache).copied().unwrap_or(0) > 0,
-                "no NegCache ops journalled"
-            );
-        })
-        .expect("ledger enabled");
-}
-
 #[test]
 fn same_seed_workloads_produce_identical_journals() {
     let run = |seed: u64| -> String {
@@ -411,4 +295,244 @@ fn same_seed_workloads_produce_identical_journals() {
     // must not depend on HashMap iteration order.
     assert_eq!(run(7), run(7));
     assert_ne!(run(7), run(8));
+}
+
+/// 64 entries under `workload.example`, stored at time zero with a
+/// 60 s TTL: every one expired-but-resident ten minutes later.
+fn filled_with_expired_residents() -> Cache {
+    let policy = ResolverPolicy::default();
+    let mut cache = Cache::new();
+    for host in 0..64 {
+        cache.store(
+            rrset(host, 60, 1),
+            Credibility::AuthAnswer,
+            SimTime::ZERO,
+            &policy,
+            false,
+        );
+    }
+    cache
+}
+
+/// Every resident entry leaving the cache is attributed to exactly one
+/// cause, and an expired-but-resident entry is still resident: a zone
+/// invalidation that removes it counts an *invalidation*, never an
+/// expiry.
+#[test]
+fn invalidate_zone_on_expired_residents_counts_invalidations() {
+    let mut cache = filled_with_expired_residents();
+    let apex = Name::parse("workload.example").unwrap();
+    assert_eq!(cache.invalidate_zone(&apex, SimTime::from_secs(600)), 64);
+    let stats = cache.stats();
+    assert_eq!(stats.invalidations, 64);
+    assert_eq!(stats.expiries, 0, "expiry drift");
+    check_conservation(
+        &stats,
+        cache.len(),
+        "zone invalidation of expired residents",
+    );
+    assert!(cache.is_empty());
+}
+
+/// Only `purge_expired` (or replacement of the expired key) turns an
+/// expired resident into an *expiry*: a purge sweep claims all 64, and
+/// the zone invalidation that follows finds nothing.
+#[test]
+fn purge_before_invalidate_zone_counts_expiries() {
+    let mut cache = filled_with_expired_residents();
+    let apex = Name::parse("workload.example").unwrap();
+    let later = SimTime::from_secs(600);
+    cache.purge_expired(later);
+    assert_eq!(cache.invalidate_zone(&apex, later), 0);
+    let stats = cache.stats();
+    assert_eq!(stats.expiries, 64);
+    assert_eq!(stats.invalidations, 0, "invalidation drift");
+    check_conservation(&stats, cache.len(), "purge before zone invalidation");
+}
+
+// The pinned tape: what a `Cache` answered, journalled, traced and held
+// at the last commit where its accounting went through a sink trait
+// shared with a concurrent model.
+
+const TAPE_STEPS: u64 = 20_000;
+const TAPE_SEEDS: [u64; 4] = [3, 17, 2024, 4242];
+const TAPE_CAPACITY: usize = 64;
+
+/// Names with case variety, so the canonical-order tie-break of
+/// eviction and purge actually fires.
+fn name_pool() -> Vec<Name> {
+    (0..96)
+        .map(|i| {
+            let s = match i % 4 {
+                0 => format!("h{i:02}.pool.example"),
+                1 => format!("H{i:02}.Pool.Example"),
+                2 => format!("deep.h{i:02}.sub.example"),
+                _ => format!("h{i:02}.other-zone.test"),
+            };
+            Name::parse(&s).unwrap()
+        })
+        .collect()
+}
+
+/// A served answer in canonical text.
+fn describe(answer: Option<CachedAnswer>) -> String {
+    match answer {
+        None => "miss".to_string(),
+        Some(a) => format!(
+            "{}|{:?}|{}|{}|{}",
+            a.rrset.ttl.as_secs(),
+            a.rank,
+            a.stale,
+            a.rrset
+                .rdatas
+                .iter()
+                .map(|r| r.to_string())
+                .collect::<Vec<_>>()
+                .join(","),
+            a.provenance.effective_ttl.as_secs(),
+        ),
+    }
+}
+
+fn fnv1a(text: &str) -> u64 {
+    text.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ b as u64).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+/// Drives one seeded tape — mostly stores and reads, plus serve-stale
+/// reads, failure caching and invalidations, one line of transcript a
+/// step — and digests everything the cache produced. After the
+/// snapshot the tape ends with the operations its mix lacks: a purge,
+/// a zone invalidation and a negative store read back.
+fn run_tape(seed: u64, bounded: bool, names: &[Name]) -> String {
+    let policy = ResolverPolicy::default();
+    let mut cache = if bounded {
+        Cache::with_capacity(TAPE_CAPACITY)
+    } else {
+        Cache::new()
+    };
+    cache.enable_ledger();
+    let telemetry = dnsttl_telemetry::Telemetry::new();
+    cache.set_telemetry(telemetry.clone());
+
+    let mut rng = SimRng::seed_from(0xC0CC_0000 ^ seed);
+    let ttls = [30u32, 60, 60, 300, 300, 3_600];
+    let max_stale = Ttl::from_secs(3_600);
+    let mut now = SimTime::ZERO;
+    let mut answers = String::new();
+    for step in 0..TAPE_STEPS {
+        if rng.below(5) == 0 {
+            now += dnsttl_netsim::SimDuration::from_secs(1 + rng.below(90));
+        }
+        let name = &names[rng.below(names.len() as u64) as usize];
+        let rtype = [RecordType::A, RecordType::NS][rng.below(2) as usize];
+        match rng.below(100) {
+            0..=44 => {
+                let ttl = ttls[rng.below(ttls.len() as u64) as usize];
+                let data = rng.below(4) as u8 + 1;
+                let rank = if rng.chance(0.7) {
+                    Credibility::AuthAnswer
+                } else {
+                    Credibility::ReferralAdditional
+                };
+                let rdata = match rtype {
+                    RecordType::A => RData::A(std::net::Ipv4Addr::new(192, 0, 2, data)),
+                    _ => RData::Ns(Name::parse(&format!("ns{data}.example")).unwrap()),
+                };
+                let set = RRset {
+                    name: name.clone(),
+                    rtype,
+                    ttl: Ttl::from_secs(ttl),
+                    rdatas: vec![rdata],
+                };
+                let ctx = StoreContext {
+                    txn: step + 1,
+                    server: Some("198.51.100.7".parse().unwrap()),
+                    bailiwick: BailiwickClass::In,
+                };
+                cache.store_with(set, rank, now, &policy, false, ctx);
+            }
+            45..=74 => answers.push_str(&describe(cache.get(name, rtype, now))),
+            75..=84 => answers.push_str(&describe(cache.get_stale(name, rtype, now, max_stale))),
+            85..=89 => cache.store_failure(name.clone(), rtype, Ttl::from_secs(30), now),
+            90..=94 => answers.push_str(&format!("{:?}", cache.get_negative(name, rtype, now))),
+            _ => answers.push_str(&format!("{}", cache.invalidate(name, rtype, now))),
+        }
+        answers.push('\n');
+    }
+    let snapshot = cache.snapshot(now).to_jsonl();
+    cache.purge_expired(now);
+    let apex = Name::parse("sub.example").unwrap();
+    answers.push_str(&format!("{}\n", cache.invalidate_zone(&apex, now)));
+    let (nx, soa_ttl) = (dnsttl_wire::Rcode::NxDomain, Ttl::from_secs(300));
+    cache.store_negative(
+        names[0].clone(),
+        RecordType::NS,
+        nx,
+        soa_ttl,
+        Ttl::HOUR,
+        now,
+        &policy,
+    );
+    let negative = cache.get_negative(&names[0], RecordType::NS, now);
+    answers.push_str(&format!("{negative:?}\n"));
+
+    let stats = cache.stats();
+    assert!(stats.hits > 1_000 && stats.stale_hits > 100, "{stats:?}");
+    assert!(
+        stats.expiries > 100 && stats.invalidations > 100,
+        "{stats:?}"
+    );
+    assert_eq!(
+        stats.evictions > 0,
+        bounded,
+        "the bound must bind: {stats:?}"
+    );
+    assert_eq!(cache.evictions(), stats.evictions);
+    check_conservation(&stats, cache.len(), &format!("seed {seed} tape"));
+    let ledger = cache
+        .with_ledger(|l| {
+            assert_eq!(l.journal().dropped(), 0, "journal wrapped");
+            l.journal().to_jsonl()
+        })
+        .expect("ledger enabled");
+    assert_eq!(telemetry.with_tracer(|t| t.dropped()), 0, "trace wrapped");
+    format!(
+        "seed {seed} {}: answers {:016x} ledger {:016x} trace {:016x} \
+         snapshot {:016x} stats {:016x}",
+        if bounded { "bounded" } else { "unbounded" },
+        fnv1a(&answers),
+        fnv1a(&ledger),
+        fnv1a(&telemetry.trace_jsonl()),
+        fnv1a(&snapshot),
+        fnv1a(&format!("{stats:?}")),
+    )
+}
+
+/// [`run_tape`]'s rows as this test printed them at the commit before
+/// `Cache` absorbed its core and its accounting sink.
+const PINNED_TAPES: [&str; 8] = [
+    "seed 3 bounded: answers 683ed092092ea03c ledger 7be2be57a8548de1 trace 6e3c4b4e9e89282d snapshot 335b710e857b7eaa stats be3f1dfae01942d2",
+    "seed 3 unbounded: answers a75ae35af8bef9c4 ledger 64b52f24d9879400 trace e0f0b2cf2fc69f84 snapshot 346631f287ddc0ef stats 52a9258ca928619a",
+    "seed 17 bounded: answers e2f96426861c7b07 ledger 8cf176d9b0bfbdb2 trace 81b6ad594ee1fe3a snapshot 77fbb4034c4a9977 stats 980504e0e0411fc1",
+    "seed 17 unbounded: answers 6e584cf636387642 ledger f54744147a356ae6 trace e8d9588603460104 snapshot 7c68b5273b6585a7 stats 456544be59ce1748",
+    "seed 2024 bounded: answers 7bacbaf10f55e715 ledger 14ab0212e7b62647 trace 2f1087e12c31c57e snapshot 9405bb3a3cb95c0c stats 562ded5f4bb694af",
+    "seed 2024 unbounded: answers 98f36ad823f2ba4c ledger 7d8e1851fa49df12 trace 8511b64fbab84af5 snapshot 8e79170861f1a1d9 stats 274da7ad0a5262b1",
+    "seed 4242 bounded: answers 91887b016bbb8fe3 ledger 89b2914301b53fc2 trace a7eb9f0b5e17ec98 snapshot 8331fdf549188e77 stats d4aa14e092ff3664",
+    "seed 4242 unbounded: answers 871a0e7dd914aca0 ledger 113c5cfcb0aed937 trace 06aaaf1108a478f1 snapshot 22b4f4e1f653f3a5 stats 08a6141691378062",
+];
+
+/// Every answer, ledger line, trace event, snapshot line and counter a
+/// `Cache` produces on a 20 000-step seeded tape, bounded and
+/// unbounded, is what it was before the fold: direct accounting
+/// journals what the sink journalled.
+#[test]
+fn seeded_tapes_reproduce_the_digests_pinned_before_the_fold() {
+    let names = name_pool();
+    let rows: Vec<String> = TAPE_SEEDS
+        .iter()
+        .flat_map(|&seed| [true, false].map(|bounded| run_tape(seed, bounded, &names)))
+        .collect();
+    assert_eq!(rows, PINNED_TAPES, "\n{}\n", rows.join("\n"));
 }

@@ -188,9 +188,8 @@ impl Name {
     }
 
     /// The precomputed case-folded FNV-1a hash of this name — the same
-    /// value `Hash` writes. Segmented caches use it to pick a shard
-    /// without rescanning the buffer; equal names (case-insensitively)
-    /// always land in the same segment.
+    /// value `Hash` writes, so consumers fold it in without rescanning
+    /// the buffer; equal names (case-insensitively) carry equal words.
     pub fn folded_hash(&self) -> u64 {
         self.hash
     }
