@@ -183,7 +183,7 @@ pub fn run_measurement_with_hooks(
             telemetry.count_with("atlas_measurements_discarded", &[("reason", reason)], 1);
             telemetry.event(now.as_millis(), EventKind::Discard, |f| {
                 f.push("probe_id", u64::from(probe_id));
-                f.push("qname", qname.shared_str());
+                f.push_shared("qname", qname.shared());
                 f.push("reason", Value::literal(reason));
             });
         }

@@ -55,11 +55,20 @@ const WHEEL_IMPROVEMENT_FACTOR: f64 = 2.0;
 /// What a warm hit on a fully enabled handle (trace, registry, series,
 /// ledger) may cost relative to the same hit on a disabled one, in the
 /// `resolve_telemetry` pair: the committed `BENCH_report.json` ratio
-/// (480 / 183 ns = 2.62x) rounded up to one decimal. A budget for the
+/// (444 / 202 ns = 2.20x) rounded up to one decimal. A budget for the
 /// record path, not a target — lowering it is ROADMAP's telemetry item.
 ///
-/// Interning shared strings and finding labelled series by address
-/// took the enabled hit from 511 to 480 ns and not cloning the
+/// It was 2.7 until the record path stopped looking up what it already
+/// knew: one address memo in front of the intern tables and the series
+/// maps, shared strings pushed by reference, sketches counted in a flat
+/// vector. That took the enabled hit from 480 to 444 ns while the
+/// disabled one read 202 against 183 ns (the host was in a slow stretch:
+/// `wheel_churn` read 11 % slower in the same report): 2.62x became
+/// 2.20x, and quick-mode runs side by side read 2.13–2.18x against the
+/// parent's 2.48–2.50x.
+///
+/// Before that, interning shared strings and finding labelled series
+/// by address took the enabled hit from 511 to 480 ns and not cloning the
 /// resolver's label for a closure that never runs took the disabled
 /// one from 192 to 183 ns: 2.66x became 2.62x, which still rounds up
 /// to 2.7, so the factor stays where it was (it only ever moves down).
@@ -72,7 +81,7 @@ const WHEEL_IMPROVEMENT_FACTOR: f64 = 2.0;
 /// now hashes once where it peeked at an index) while the base it is
 /// divided by shrank. A higher factor here is a cheaper hit, not a
 /// dearer observer.
-const TELEMETRY_OVERHEAD_FACTOR: f64 = 2.7;
+const TELEMETRY_OVERHEAD_FACTOR: f64 = 2.2;
 
 /// Timing row carrying the measuring host's core count, so the speedup
 /// gate asks for what that host could physically deliver.
@@ -861,16 +870,16 @@ mod tests {
         let with = |off: u64, on: u64| {
             report_of(&[("resolve_telemetry_off", off), ("resolve_telemetry_on", on)])
         };
-        // 2.3x is inside the 2.7x budget; 3.0x is not.
-        assert!(with(100, 230).check(gate("telemetry")).is_ok());
-        let failed = with(100, 300).check(gate("telemetry")).unwrap_err();
-        assert!(failed.contains("= 3.00x, required <= 2.70x"), "{failed}");
+        // 1.9x is inside the 2.2x budget; 2.5x is not.
+        assert!(with(100, 190).check(gate("telemetry")).is_ok());
+        let failed = with(100, 250).check(gate("telemetry")).unwrap_err();
+        assert!(failed.contains("= 2.50x, required <= 2.20x"), "{failed}");
         assert!(failed.ends_with("FAILED"), "{failed}");
         // The tolerance absorbs timer noise right at the bar, and ends
-        // where it says: 2.7 x 1.05 = 2.835.
-        assert!(with(100, 250).check(gate("telemetry")).is_ok());
-        assert!(with(100, 283).check(gate("telemetry")).is_ok());
-        assert!(with(100, 284).check(gate("telemetry")).is_err());
+        // where it says: 2.2 x 1.05 = 2.31.
+        assert!(with(100, 220).check(gate("telemetry")).is_ok());
+        assert!(with(100, 231).check(gate("telemetry")).is_ok());
+        assert!(with(100, 232).check(gate("telemetry")).is_err());
         // Missing rows are a failure, not a vacuous pass.
         let missing = BenchReport::default().check(gate("telemetry")).unwrap_err();
         assert!(missing.contains("missing timing row"), "{missing}");

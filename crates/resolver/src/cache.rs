@@ -303,7 +303,7 @@ impl CacheMeta {
             // Shared/Static/Hex64/Addr values straight into the trace
             // arena: recording a cache transaction allocates nothing —
             // hex and address rendering are deferred to export time.
-            f.push("qname", rrset.name.shared_str());
+            f.push_shared("qname", rrset.name.shared());
             f.push("qtype", Value::literal(rrset.rtype.as_str()));
             f.push("fp", Value::Hex64(e.fingerprint));
             if op == CacheOp::Serve {

@@ -299,7 +299,7 @@ impl Ledger {
         self.journal.push(LedgerRecord {
             t_ms: now.as_millis(),
             op,
-            name: rrset.name.shared_str(),
+            name: rrset.name.shared().clone(),
             rtype: Cow::Borrowed(rrset.rtype.as_str()),
             txn: prov.txn,
             server: prov.server,

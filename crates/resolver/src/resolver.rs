@@ -227,7 +227,7 @@ impl RecursiveResolver {
         self.telemetry
             .event(now.as_millis(), EventKind::Fault, |f| {
                 f.push("fault", Value::literal("flush"));
-                f.push("resolver", label.clone());
+                f.push_shared("resolver", label);
             });
         self.telemetry
             .count_keyed_at(&metrics::FAULT_FLUSHES, 1, now.as_millis());
@@ -262,12 +262,12 @@ impl RecursiveResolver {
             now.as_millis(),
         );
         let span = {
-            // Cloned inside the closure, which a disabled handle never
-            // runs: no refcount traffic with telemetry off.
+            // Pushed by reference: the trace interns the label once and
+            // no query touches its reference count.
             let label = &self.label;
             self.telemetry.span_start(now.as_millis(), |_, f| {
-                f.push("resolver", label.clone());
-                f.push("qname", qname.shared_str());
+                f.push_shared("resolver", label);
+                f.push_shared("qname", qname.shared());
                 f.push("qtype", Value::literal(qtype.as_str()));
             })
         };
@@ -277,7 +277,7 @@ impl RecursiveResolver {
             if let Some(expired_for) = self.cache.expired_since(qname, qtype, now) {
                 self.telemetry
                     .span_event(span, now.as_millis(), EventKind::CacheExpiry, |f| {
-                        f.push("qname", qname.shared_str());
+                        f.push_shared("qname", qname.shared());
                         f.push("qtype", Value::literal(qtype.as_str()));
                         f.push("expired_for_ms", expired_for.as_millis());
                     });
@@ -338,7 +338,7 @@ impl RecursiveResolver {
                     );
                     self.telemetry
                         .span_event(span, now.as_millis(), EventKind::CacheStale, |f| {
-                            f.push("qname", qname.shared_str());
+                            f.push_shared("qname", qname.shared());
                         });
                 }
             }
@@ -355,7 +355,7 @@ impl RecursiveResolver {
                 );
                 self.telemetry
                     .span_event(span, now.as_millis(), EventKind::ServFail, |f| {
-                        f.push("qname", qname.shared_str());
+                        f.push_shared("qname", qname.shared());
                     });
             }
         }
@@ -423,7 +423,7 @@ impl RecursiveResolver {
                     );
                     self.telemetry
                         .span_event(span, now.as_millis(), EventKind::Prefetch, |f| {
-                            f.push("qname", qname.shared_str());
+                            f.push_shared("qname", qname.shared());
                         });
                     // The background refresh is its own span, caused by
                     // the client query: `sdig --explain` shows it as a
@@ -433,7 +433,7 @@ impl RecursiveResolver {
                         self.telemetry
                             .child_span_start(span, now.as_millis(), |_, f| {
                                 f.push("cause", Value::literal("prefetch"));
-                                f.push("qname", qname.shared_str());
+                                f.push_shared("qname", qname.shared());
                                 f.push("qtype", Value::literal(qtype.as_str()));
                             });
                     let mut refresh_ctx = Ctx {
@@ -562,8 +562,8 @@ impl RecursiveResolver {
             if let Some(cut) = referral_cut {
                 self.telemetry
                     .span_event(ctx.span, now.as_millis(), EventKind::Referral, |f| {
-                        f.push("zone", zone.shared_str());
-                        f.push("cut", cut.shared_str());
+                        f.push_shared("zone", zone.shared());
+                        f.push_shared("cut", cut.shared());
                     });
             }
 
@@ -613,7 +613,7 @@ impl RecursiveResolver {
                             ctx.span,
                             now.as_millis(),
                             EventKind::ValidationFailure,
-                            |f| f.push("qname", current.shared_str()),
+                            |f| f.push_shared("qname", current.shared()),
                         );
                         return Resolved::Fail; // bogus data ⇒ SERVFAIL
                     }
@@ -852,7 +852,7 @@ impl RecursiveResolver {
                         (now + ctx.elapsed).as_millis(),
                         |_, f| {
                             f.push("cause", Value::literal("ns_lookup"));
-                            f.push("qname", target.shared_str());
+                            f.push_shared("qname", target.shared());
                             f.push("qtype", Value::literal(RecordType::A.as_str()));
                         },
                     );

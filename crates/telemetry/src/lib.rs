@@ -44,6 +44,7 @@ mod block_queue;
 mod json;
 mod ledger;
 mod manifest;
+mod memo;
 mod registry;
 mod sketch;
 mod timeseries;
@@ -168,7 +169,7 @@ impl Telemetry {
             .set_config(width_ms, span_cap);
     }
 
-    /// Adds `delta` to the unlabelled counter behind a pre-hashed
+    /// Adds `delta` to the unlabelled counter behind a
     /// [`MetricKey`] — hot sites keep the key in a `const` — and to
     /// the counter's sim-time series in the bucket holding `t_ms`.
     /// Using one call for both keeps them conserved by construction:
@@ -187,7 +188,7 @@ impl Telemetry {
         }
     }
 
-    /// Sets the unlabelled gauge behind a pre-hashed [`MetricKey`] and
+    /// Sets the unlabelled gauge behind a [`MetricKey`] and
     /// samples it into its sim-time series bucket at `t_ms`.
     pub fn gauge_keyed_at(&self, key: &MetricKey, value: f64, t_ms: u64) {
         if self.is_enabled() {
@@ -200,7 +201,7 @@ impl Telemetry {
     }
 
     /// Records `value` into the unlabelled quantile sketch behind a
-    /// pre-hashed [`MetricKey`] and into the per-bucket sketch for the
+    /// [`MetricKey`] and into the per-bucket sketch for the
     /// bucket holding `t_ms`.
     pub fn sketch_keyed_at(&self, key: &MetricKey, value: u64, t_ms: u64) {
         if self.is_enabled() {
@@ -216,7 +217,7 @@ impl Telemetry {
     }
 
     /// Records `value` into the unlabelled quantile sketch behind a
-    /// pre-hashed [`MetricKey`], registry only: for a distribution
+    /// [`MetricKey`], registry only: for a distribution
     /// observed per answer that has no sim-time series.
     pub fn sketch_keyed(&self, key: &MetricKey, value: u64) {
         if self.is_enabled() {

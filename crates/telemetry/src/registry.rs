@@ -3,8 +3,8 @@
 //! Three metric kinds, one of them a distribution: every latency, TTL
 //! and interarrival series is a [`QuantileSketch`], exported as a
 //! Prometheus `summary`. Counters and sketches are recorded either by
-//! borrowed name and labels or through a pre-hashed [`MetricKey`];
-//! gauges only through a key.
+//! borrowed name and labels or through a `const` [`MetricKey`]; gauges
+//! only through a key.
 //!
 //! Everything here is plain `u64`/`f64` cells behind a [`Registry`] —
 //! the simulator is single-threaded and deterministic, so there are no
@@ -16,6 +16,7 @@ use std::collections::{BTreeMap, HashMap};
 use std::fmt::Write as _;
 
 use crate::json::fmt_f64;
+use crate::memo::AddrMemo;
 use crate::sketch::QuantileSketch;
 
 /// The quantiles every sketch family exports, with their Prometheus
@@ -47,28 +48,22 @@ const fn fnv_str(mut h: u64, s: &str) -> u64 {
     h
 }
 
-/// A pre-hashed handle for an *unlabelled* metric series.
+/// A handle for an *unlabelled* metric series.
 ///
-/// The FNV interning hash is computed in a `const` context, so hot call
-/// sites that bump the same counter on every simulated query can store
-/// the key in a `const` and skip both the per-call name hash and the
-/// sorted-label dance — the registry lookup becomes one identity-hash
-/// table probe plus a name compare.
+/// Hot call sites that bump the same counter on every simulated query
+/// keep the key in a `const`, so the name it carries is one literal:
+/// the registry finds the series by where that literal lives (its
+/// address memo) and a name compare — no hash, no label sort.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MetricKey {
     name: &'static str,
-    hash: u64,
 }
 
 impl MetricKey {
     /// Builds the key for the unlabelled series `name`. Usable in
-    /// `const` position; the hash matches what [`MetricId`] interning
-    /// computes for the same series.
+    /// `const` position.
     pub const fn new(name: &'static str) -> MetricKey {
-        MetricKey {
-            name,
-            hash: fnv_step(fnv_str(FNV_OFFSET, name), 0xFF),
-        }
+        MetricKey { name }
     }
 
     /// The metric name this key addresses.
@@ -81,7 +76,7 @@ impl MetricKey {
 /// 64-bit hashes, so re-hashing them through SipHash per metric op
 /// would only burn cycles. `write_u64` passes the key through.
 #[derive(Debug, Default, Clone, Copy)]
-pub(crate) struct PrehashedId(u64);
+struct PrehashedId(u64);
 
 impl std::hash::Hasher for PrehashedId {
     fn finish(&self) -> u64 {
@@ -95,7 +90,7 @@ impl std::hash::Hasher for PrehashedId {
     }
 }
 
-pub(crate) type PrehashedMap<V> = HashMap<u64, V, std::hash::BuildHasherDefault<PrehashedId>>;
+type PrehashedMap<V> = HashMap<u64, V, std::hash::BuildHasherDefault<PrehashedId>>;
 
 /// Escapes a label value per the Prometheus text exposition format.
 ///
@@ -185,34 +180,34 @@ pub(crate) fn mix(h: u64, word: usize) -> u64 {
     (h.rotate_left(32) ^ word as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15)
 }
 
-/// Hashes *where* a borrowed series key lives — the address and length
-/// of its name and of each label string — without reading a byte of it.
-/// A call site hands in the same strings every time (literals, a
-/// server's name, a region's), so this finds the series it found last
-/// time for a dozen multiplies, where [`hash_borrowed`] sorts the
-/// labels and walks 20–60 bytes.
-fn hash_addresses(name: &str, labels: &[(&str, &str)]) -> u64 {
+/// *Where* a borrowed series key lives, as an [`AddrMemo`] key, without
+/// reading a byte of it: an unlabelled name's address and length, or
+/// for a labelled key a hash of the address and length of its name and
+/// of each label string, and the label count. A call site hands in the
+/// same strings every time (literals, a server's name, a region's), so
+/// this finds the series it found last time for a few multiplies, where
+/// [`hash_borrowed`] sorts the labels and walks 20–60 bytes.
+#[inline]
+fn whereabouts(name: &str, labels: &[(&str, &str)]) -> (usize, usize) {
+    if labels.is_empty() {
+        return (name.as_ptr() as usize, name.len());
+    }
     let mut h = mix(mix(0, name.as_ptr() as usize), name.len());
     for (k, v) in labels {
         h = mix(mix(h, k.as_ptr() as usize), k.len());
         h = mix(mix(h, v.as_ptr() as usize), v.len());
     }
-    h
+    (h as usize, labels.len())
 }
 
-/// One remembered answer of [`SeriesMap::slot_fast`].
-#[derive(Debug, Clone, Copy)]
+/// One remembered answer of a [`SeriesMap`] lookup.
+#[derive(Debug, Clone, Copy, Default)]
 struct MemoEntry {
     slot: u32,
     /// Which borrowed label was the series' `j`-th sorted one, four
     /// bits each ([`MAX_FAST_LABELS`] is 8).
     order: u32,
 }
-
-/// Address keys a memo holds before it starts over. A run's hot
-/// labelled series are a few dozen; only a caller that formats a fresh
-/// name for every call gets here, and for it the memo is no use anyway.
-pub(crate) const MEMO_MAX: usize = 512;
 
 /// Interned storage for one metric kind.
 ///
@@ -222,14 +217,15 @@ pub(crate) const MEMO_MAX: usize = 512;
 /// *borrowed* `(name, sorted labels)` key to candidate slots so the hot
 /// path can find an existing series without building a `MetricId` — no
 /// `String` allocation after a series' first touch; `memo` remembers
-/// where a borrowed key led, by [`hash_addresses`] of it.
+/// where a borrowed key led, by its [`whereabouts`], and is believed
+/// only after the series it names has been compared with the key.
 #[derive(Debug, Default)]
 struct SeriesMap<T> {
     ids: Vec<MetricId>,
     values: Vec<T>,
     ordered: BTreeMap<MetricId, usize>,
     fast: PrehashedMap<Vec<usize>>,
-    memo: PrehashedMap<MemoEntry>,
+    memo: AddrMemo<MemoEntry>,
 }
 
 /// The interning hash of an already-sorted `MetricId`.
@@ -297,17 +293,26 @@ impl<T: Default> SeriesMap<T> {
     /// address says nothing about content once a `String` has been
     /// freed and another allocated in its place. The compare is a
     /// `memcmp` per string; the sort and the FNV walk it saves are not.
+    #[inline]
     fn slot_fast(&mut self, name: &str, labels: &[(&str, &str)]) -> usize {
         if labels.len() > MAX_FAST_LABELS {
             return self.slot_of(MetricId::new(name, labels));
         }
-        let addresses = hash_addresses(name, labels);
-        if let Some(memo) = self.memo.get(&addresses) {
-            let nth = |j| (memo.order >> (4 * j)) as usize & 0xf;
-            if (self.ids.get(memo.slot as usize)).is_some_and(|id| id.matches(name, labels, nth)) {
-                return memo.slot as usize;
-            }
+        let at = whereabouts(name, labels);
+        match self.remembered(name, labels, at) {
+            Some(slot) => slot,
+            None => self.slot_fast_missed(name, labels, at),
         }
+    }
+
+    #[cold]
+    #[inline(never)]
+    fn slot_fast_missed(
+        &mut self,
+        name: &str,
+        labels: &[(&str, &str)],
+        at: (usize, usize),
+    ) -> usize {
         // Sort label *indices* on the stack; the pairs stay borrowed.
         let mut order = [0usize; MAX_FAST_LABELS];
         for (i, o) in order.iter_mut().enumerate().take(labels.len()) {
@@ -321,29 +326,28 @@ impl<T: Default> SeriesMap<T> {
             slots.find(|&s| self.ids[s].matches(name, labels, |j| order[j]))
         });
         let slot = known.unwrap_or_else(|| self.insert_new(MetricId::new(name, labels), hash));
-        if self.memo.len() == MEMO_MAX {
-            self.memo.clear();
-        }
+        self.remember(at, slot, order);
+        slot
+    }
+
+    /// The slot the memo holds for a key found at `at`, once the series
+    /// in it has been compared with the key.
+    #[inline]
+    fn remembered(&self, name: &str, labels: &[(&str, &str)], at: (usize, usize)) -> Option<usize> {
+        let memo = self.memo.get(at.0, at.1)?;
+        let nth = |j| (memo.order >> (4 * j)) as usize & 0xf;
+        let id = self.ids.get(memo.slot as usize)?;
+        id.matches(name, labels, nth).then_some(memo.slot as usize)
+    }
+
+    /// Notes that the key found at `at` led to `slot`, its `j`-th
+    /// sorted label being borrowed label `order[j]`.
+    fn remember(&mut self, at: (usize, usize), slot: usize, order: &[usize]) {
         let memo = MemoEntry {
             slot: slot as u32,
             order: (order.iter().rev()).fold(0, |packed, &i| packed << 4 | i as u32),
         };
-        self.memo.insert(addresses, memo);
-        slot
-    }
-
-    /// Slot for a pre-hashed unlabelled key — the hottest path: one
-    /// identity-hash probe and a name compare, no per-call hashing.
-    fn slot_keyed(&mut self, key: &MetricKey) -> usize {
-        if let Some(slots) = self.fast.get(&key.hash) {
-            for &s in slots {
-                let id = &self.ids[s];
-                if id.labels.is_empty() && id.name == key.name {
-                    return s;
-                }
-            }
-        }
-        self.insert_new(MetricId::new(key.name, &[]), key.hash)
+        self.memo.insert(at.0, at.1, memo);
     }
 
     fn value_mut(&mut self, slot: usize) -> &mut T {
@@ -441,9 +445,9 @@ impl Registry {
         *self.counters.value_mut(slot) += delta;
     }
 
-    /// Adds `delta` to the unlabelled counter behind a pre-hashed key.
+    /// Adds `delta` to the unlabelled counter behind a key.
     pub fn counter_add_keyed(&mut self, key: &MetricKey, delta: u64) {
-        let slot = self.counters.slot_keyed(key);
+        let slot = self.counters.slot_fast(key.name, &[]);
         *self.counters.value_mut(slot) += delta;
     }
 
@@ -452,9 +456,9 @@ impl Registry {
         self.counters.get(id).copied().unwrap_or(0)
     }
 
-    /// Sets the unlabelled gauge behind a pre-hashed key.
+    /// Sets the unlabelled gauge behind a key.
     pub fn gauge_set_keyed(&mut self, key: &MetricKey, value: f64) {
-        let slot = self.gauges.slot_keyed(key);
+        let slot = self.gauges.slot_fast(key.name, &[]);
         *self.gauges.value_mut(slot) = value;
     }
 
@@ -465,10 +469,9 @@ impl Registry {
         self.sketches.value_mut(slot).observe(value);
     }
 
-    /// Records an observation into the unlabelled sketch behind a
-    /// pre-hashed key.
+    /// Records an observation into the unlabelled sketch behind a key.
     pub fn sketch_observe_keyed(&mut self, key: &MetricKey, value: u64) {
-        let slot = self.sketches.slot_keyed(key);
+        let slot = self.sketches.slot_fast(key.name, &[]);
         self.sketches.value_mut(slot).observe(value);
     }
 
@@ -702,7 +705,7 @@ undocumented_ms_count{k=\"v\"} 1
     #[test]
     fn one_series_has_one_slot_however_it_is_reached() {
         let mut m: SeriesMap<u64> = SeriesMap::default();
-        let keyed = m.slot_keyed(&MetricKey::new("plain"));
+        let keyed = m.slot_of(MetricId::new("plain", &[]));
         assert_eq!(m.slot_fast("plain", &[]), keyed);
         assert_eq!(m.slot_fast("plain", &[]), keyed); // from the memo
         assert_eq!(m.slot_of(MetricId::new("plain", &[])), keyed);
@@ -715,6 +718,33 @@ undocumented_ms_count{k=\"v\"} 1
             labelled
         );
         assert_eq!(m.len(), 2);
+    }
+
+    #[test]
+    fn a_metric_key_and_its_name_share_one_slot_and_one_memo_entry() {
+        let mut r = Registry::new();
+        let remembered = |r: &Registry, name: &str| {
+            let slot = r.counters.remembered(name, &[], whereabouts(name, &[]));
+            slot.expect("the memo holds the series")
+        };
+        let keyed: &'static str = "keyed_first_total";
+        r.counter_add_keyed(&MetricKey::new(keyed), 2);
+        let slot = remembered(&r, keyed);
+        r.counter_add(keyed, &[], 3);
+        assert_eq!(remembered(&r, keyed), slot);
+        let named: &'static str = "named_first_total";
+        r.counter_add(named, &[], 1);
+        let slot = remembered(&r, named);
+        r.counter_add_keyed(&MetricKey::new(named), 1);
+        assert_eq!(remembered(&r, named), slot);
+        let counters: Vec<(String, u64)> = r.counters().map(|(id, v)| (id.render(), v)).collect();
+        assert_eq!(
+            counters,
+            vec![
+                ("keyed_first_total".into(), 5),
+                ("named_first_total".into(), 2)
+            ]
+        );
     }
 
     #[test]

@@ -21,8 +21,6 @@
 //! needs: shard sketches can arrive in any grouping and the result is
 //! identical.
 
-use std::collections::BTreeMap;
-
 /// Sub-bucket resolution: each power-of-two range splits into
 /// `2^SUB_BITS` linear sub-buckets.
 pub const SKETCH_SUB_BITS: u32 = 5;
@@ -36,10 +34,14 @@ const SUB: u32 = SKETCH_SUB_BITS;
 /// A mergeable log-linear quantile sketch over `u64` observations.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct QuantileSketch {
-    /// Sparse bucket counts keyed by [`QuantileSketch::bucket_index`].
-    /// A `BTreeMap` keeps iteration in value order, which is what the
-    /// quantile walk needs, and keeps exports deterministic.
-    buckets: BTreeMap<u32, u64>,
+    /// Bucket counts, dense from the lowest occupied bucket (`lo`, by
+    /// [`QuantileSketch::bucket_index`]) to the highest, so both ends
+    /// are non-zero and two sketches of the same observations hold the
+    /// same vector. Position order is value order, which is what the
+    /// quantile walk needs; an observation is an index, not a search.
+    counts: Vec<u64>,
+    /// The bucket `counts[0]` counts; 0 while the sketch is empty.
+    lo: u32,
     count: u64,
     sum: u64,
     min: u64,
@@ -50,12 +52,41 @@ impl QuantileSketch {
     /// An empty sketch.
     pub fn new() -> QuantileSketch {
         QuantileSketch {
-            buckets: BTreeMap::new(),
+            counts: Vec::new(),
+            lo: 0,
             count: 0,
             sum: 0,
             min: u64::MAX,
             max: 0,
         }
+    }
+
+    /// Widens `counts` with empty buckets until it spans `lo..=hi`.
+    #[cold]
+    #[inline(never)]
+    fn cover(&mut self, lo: u32, hi: u32) {
+        if self.counts.is_empty() {
+            self.lo = lo;
+        } else if lo < self.lo {
+            let below = (self.lo - lo) as usize;
+            self.counts.splice(0..0, std::iter::repeat_n(0, below));
+            self.lo = lo;
+        }
+        let len = (hi - self.lo + 1) as usize;
+        if len > self.counts.len() {
+            self.counts.resize(len, 0);
+        }
+    }
+
+    /// The count of bucket `index`, the span widened to reach it.
+    #[inline]
+    fn slot(&mut self, index: u32) -> &mut u64 {
+        let at = index.wrapping_sub(self.lo) as usize;
+        if at >= self.counts.len() {
+            self.cover(index, index);
+            return &mut self.counts[(index - self.lo) as usize];
+        }
+        &mut self.counts[at]
     }
 
     /// The bucket index for `value` — pure integer arithmetic.
@@ -89,7 +120,7 @@ impl QuantileSketch {
 
     /// Records one observation.
     pub fn observe(&mut self, value: u64) {
-        *self.buckets.entry(Self::bucket_index(value)).or_insert(0) += 1;
+        *self.slot(Self::bucket_index(value)) += 1;
         self.count += 1;
         self.sum = self.sum.saturating_add(value);
         self.min = self.min.min(value);
@@ -132,7 +163,7 @@ impl QuantileSketch {
         }
         let rank = ((q * self.count as f64).ceil() as u64).clamp(1, self.count);
         let mut seen = 0;
-        for (&idx, &n) in self.buckets.iter() {
+        for (idx, &n) in (self.lo..).zip(&self.counts) {
             seen += n;
             if seen >= rank {
                 return Some(Self::representative(idx).clamp(self.min, self.max));
@@ -145,8 +176,12 @@ impl QuantileSketch {
     /// add, so merging is associative and commutative: any grouping of
     /// shard sketches produces the identical merged sketch.
     pub fn merge(&mut self, other: &QuantileSketch) {
-        for (&idx, &n) in other.buckets.iter() {
-            *self.buckets.entry(idx).or_insert(0) += n;
+        if !other.counts.is_empty() {
+            self.cover(other.lo, other.lo + other.counts.len() as u32 - 1);
+            let from = (other.lo - self.lo) as usize;
+            for (mine, theirs) in self.counts[from..].iter_mut().zip(&other.counts) {
+                *mine += theirs;
+            }
         }
         self.count += other.count;
         self.sum = self.sum.saturating_add(other.sum);
@@ -166,6 +201,7 @@ impl Default for QuantileSketch {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeMap;
 
     /// The deterministic xorshift the netsim crate uses, inlined so the
     /// property tests stay seeded without a cross-crate dev-dependency.
@@ -283,6 +319,176 @@ mod tests {
             }
             assert_eq!(left, paired, "seed {seed}: merge not associative");
         }
+    }
+
+    /// The sketch as it was before its counts went flat: sparse counts
+    /// in a tree, the quantile walk over the tree. The reference model
+    /// the flat layout is checked against.
+    #[derive(Debug, Clone, Default, PartialEq)]
+    struct Reference {
+        buckets: BTreeMap<u32, u64>,
+        count: u64,
+        sum: u64,
+        min: Option<u64>,
+        max: Option<u64>,
+    }
+
+    impl Reference {
+        fn observe(&mut self, value: u64) {
+            *self
+                .buckets
+                .entry(QuantileSketch::bucket_index(value))
+                .or_insert(0) += 1;
+            self.count += 1;
+            self.sum = self.sum.saturating_add(value);
+            self.min = Some(self.min.map_or(value, |m| m.min(value)));
+            self.max = Some(self.max.map_or(value, |m| m.max(value)));
+        }
+
+        fn merge(&mut self, other: &Reference) {
+            for (&idx, &n) in &other.buckets {
+                *self.buckets.entry(idx).or_insert(0) += n;
+            }
+            self.count += other.count;
+            self.sum = self.sum.saturating_add(other.sum);
+            self.min = self.min.into_iter().chain(other.min).min();
+            self.max = self.max.into_iter().chain(other.max).max();
+        }
+
+        fn quantile(&self, q: f64) -> Option<u64> {
+            let (min, max) = (self.min?, self.max?);
+            if q <= 0.0 {
+                return Some(min);
+            }
+            if q >= 1.0 {
+                return Some(max);
+            }
+            let rank = ((q * self.count as f64).ceil() as u64).clamp(1, self.count);
+            let mut seen = 0;
+            for (&idx, &n) in &self.buckets {
+                seen += n;
+                if seen >= rank {
+                    return Some(QuantileSketch::representative(idx).clamp(min, max));
+                }
+            }
+            Some(max)
+        }
+    }
+
+    /// The values at the edges of the index arithmetic: zero, the ends
+    /// of the exact region and of the first split range, the top.
+    const EDGES: [u64; 6] = [0, 31, 32, 63, 64, u64::MAX];
+
+    /// A seeded value: an edge one time in four, otherwise a random
+    /// value of a random magnitude.
+    fn value(state: &mut u64) -> u64 {
+        let r = xorshift(state);
+        if r.is_multiple_of(4) {
+            EDGES[(r >> 8) as usize % EDGES.len()]
+        } else {
+            xorshift(state) >> (r % 64)
+        }
+    }
+
+    /// Asserts that `s` reports what the reference model does.
+    fn assert_agrees(s: &QuantileSketch, r: &Reference, context: &str) {
+        assert_eq!((s.count(), s.sum()), (r.count, r.sum), "{context}");
+        assert_eq!((s.min(), s.max()), (r.min, r.max), "{context}");
+        let qs = crate::registry::SKETCH_QUANTILES.iter().map(|&(q, _)| q);
+        for q in qs.chain([0.0, 0.001, 0.25, 0.75, 1.0]) {
+            assert_eq!(s.quantile(q), r.quantile(q), "{context}: q={q}");
+        }
+    }
+
+    #[test]
+    fn flat_counts_agree_with_the_tree_they_replaced() {
+        for seed in [3u64, 17, 2024, 0x9e37_79b9_7f4a_7c15] {
+            let mut state = seed | 1;
+            // Shards of seeded streams, each checked as it stands.
+            let shards: Vec<(QuantileSketch, Reference)> = (0..12)
+                .map(|_| {
+                    let (mut s, mut r) = (QuantileSketch::new(), Reference::default());
+                    for _ in 0..xorshift(&mut state) % 300 {
+                        let v = value(&mut state);
+                        s.observe(v);
+                        r.observe(v);
+                    }
+                    assert_agrees(&s, &r, &format!("seed {seed}: stream"));
+                    (s, r)
+                })
+                .collect();
+            // Merged in random groupings: pick two parts, merge one into
+            // the other, until one is left.
+            let mut parts = shards.clone();
+            while parts.len() > 1 {
+                let i = xorshift(&mut state) as usize % parts.len();
+                let (s, r) = parts.swap_remove(i);
+                let j = xorshift(&mut state) as usize % parts.len();
+                parts[j].0.merge(&s);
+                parts[j].1.merge(&r);
+                assert_agrees(&parts[j].0, &parts[j].1, &format!("seed {seed}: merge"));
+            }
+            let (merged, reference) = parts.pop().unwrap();
+            let mut folded = QuantileSketch::new();
+            shards.iter().for_each(|(s, _)| folded.merge(s));
+            assert_eq!(merged, folded, "seed {seed}: grouping changed the merge");
+            assert_agrees(&merged, &reference, &format!("seed {seed}: merged"));
+        }
+    }
+
+    #[test]
+    fn sketches_are_equal_exactly_when_their_reference_models_are() {
+        // Short streams over the edge values: equal models come up often,
+        // from different orders and from merges of different splits.
+        let mut state = 0x5eed_u64;
+        let mut made: Vec<(QuantileSketch, Reference)> = Vec::new();
+        for _ in 0..400 {
+            let (mut s, mut r) = (QuantileSketch::new(), Reference::default());
+            for _ in 0..xorshift(&mut state) % 4 {
+                let v = EDGES[xorshift(&mut state) as usize % 5];
+                if xorshift(&mut state).is_multiple_of(3) {
+                    let (mut one, mut one_ref) = (QuantileSketch::new(), Reference::default());
+                    one.observe(v);
+                    one_ref.observe(v);
+                    s.merge(&one);
+                    r.merge(&one_ref);
+                } else {
+                    s.observe(v);
+                    r.observe(v);
+                }
+            }
+            made.push((s, r));
+        }
+        let mut equal_pairs = 0;
+        for (a, ra) in &made {
+            for (b, rb) in &made {
+                assert_eq!(a == b, ra == rb, "{a:?} vs {b:?}");
+                equal_pairs += (ra == rb) as usize;
+            }
+        }
+        assert!(
+            equal_pairs > 2 * made.len(),
+            "only {equal_pairs} equal pairs"
+        );
+    }
+
+    #[test]
+    fn a_sketch_of_values_below_2_16_stays_under_its_byte_bound() {
+        // Every value below 2^16 falls in one of 384 buckets, so the
+        // flat counts are at most 384 words; growth may leave the
+        // vector up to twice that.
+        let buckets = QuantileSketch::bucket_index(u16::MAX as u64) as usize + 1;
+        assert_eq!(buckets, 384);
+        let bound = 2 * buckets * std::mem::size_of::<u64>();
+        let mut state = 42u64;
+        let mut s = QuantileSketch::new();
+        for _ in 0..200_000 {
+            s.observe(xorshift(&mut state) >> (48 + xorshift(&mut state) % 16));
+            s.observe(u16::MAX as u64 - xorshift(&mut state) % 64);
+        }
+        let bytes = s.counts.capacity() * std::mem::size_of::<u64>();
+        assert!(bytes <= bound, "{bytes} bytes of counts, bound {bound}");
+        assert_eq!(s.counts.len(), buckets);
     }
 
     #[test]

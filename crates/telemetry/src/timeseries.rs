@@ -45,7 +45,7 @@
 //! integer arithmetic with no floating-point reassociation hazard.
 
 use crate::json;
-use crate::registry::{mix, PrehashedMap, MEMO_MAX};
+use crate::memo::AddrMemo;
 use crate::sketch::QuantileSketch;
 
 /// Default sim-time bucket width: one simulated minute.
@@ -238,15 +238,15 @@ impl BucketValue for QuantileSketch {
 #[derive(Debug, Clone)]
 struct SeriesSet<T> {
     series: Vec<(String, BucketSeries<T>)>,
-    /// Address hash to position in `series`.
-    memo: PrehashedMap<u32>,
+    /// A name's address and length to its position in `series`.
+    memo: AddrMemo<u32>,
 }
 
 impl<T: BucketValue> SeriesSet<T> {
     fn new() -> SeriesSet<T> {
         SeriesSet {
             series: Vec::new(),
-            memo: PrehashedMap::default(),
+            memo: AddrMemo::default(),
         }
     }
 
@@ -258,24 +258,30 @@ impl<T: BucketValue> SeriesSet<T> {
     /// Series `name`, started at `width_ms` on first sight. Every
     /// `_at` sample on the telemetry-on path lands here; only a new
     /// series allocates its key.
+    #[inline]
     fn series_mut(&mut self, name: &str, width_ms: u64) -> &mut BucketSeries<T> {
-        let addresses = mix(mix(0, name.as_ptr() as usize), name.len());
-        let known = self.memo.get(&addresses).map(|&at| at as usize);
-        let known = known.filter(|&at| self.series.get(at).is_some_and(|(n, _)| n == name));
-        let at = known.unwrap_or_else(|| {
-            let found = self.series.binary_search_by(|(n, _)| n.as_str().cmp(name));
-            let at = found.unwrap_or_else(|at| {
-                let new = (name.to_string(), BucketSeries::new(width_ms));
-                self.series.insert(at, new);
-                at
-            });
-            if self.memo.len() == MEMO_MAX {
-                self.memo.clear();
-            }
-            self.memo.insert(addresses, at as u32);
+        let known = self.memo.get(name.as_ptr() as usize, name.len());
+        let known =
+            known.filter(|&at| self.series.get(at as usize).is_some_and(|(n, _)| n == name));
+        let at = match known {
+            Some(at) => at as usize,
+            None => self.position_missed(name, width_ms),
+        };
+        &mut self.series[at].1
+    }
+
+    #[cold]
+    #[inline(never)]
+    fn position_missed(&mut self, name: &str, width_ms: u64) -> usize {
+        let found = self.series.binary_search_by(|(n, _)| n.as_str().cmp(name));
+        let at = found.unwrap_or_else(|at| {
+            let new = (name.to_string(), BucketSeries::new(width_ms));
+            self.series.insert(at, new);
             at
         });
-        &mut self.series[at].1
+        self.memo
+            .insert(name.as_ptr() as usize, name.len(), at as u32);
+        at
     }
 }
 

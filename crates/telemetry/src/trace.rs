@@ -23,6 +23,7 @@ use std::sync::Arc;
 
 use crate::block_queue::BlockQueue;
 use crate::json::{self, Value};
+use crate::memo::AddrMemo;
 
 /// What happened. The variants mirror the simulator's interesting
 /// moments; `Custom` covers one-off experiment-specific events.
@@ -377,6 +378,8 @@ impl Fragments {
 struct StaticTable {
     strs: Vec<&'static str>,
     ids: HashMap<(usize, usize), u16, BuildHasherDefault<AddrHasher>>,
+    /// In front of `ids`; a hit is believed, as an address in `ids` is.
+    memo: AddrMemo<u16>,
     rendered: Fragments,
 }
 
@@ -393,19 +396,33 @@ impl StaticTable {
     /// debug builds, and in release builds *saturates* — it is stored
     /// as [`StaticTable::OVERFLOW_ID`] and exported as
     /// [`StaticTable::OVERFLOW_STR`], never as another string's id.
+    #[inline]
     fn intern(&mut self, s: &'static str) -> u16 {
+        match self.memo.get(s.as_ptr() as usize, s.len()) {
+            Some(id) => id,
+            None => self.intern_missed(s),
+        }
+    }
+
+    #[cold]
+    #[inline(never)]
+    fn intern_missed(&mut self, s: &'static str) -> u16 {
         let key = (s.as_ptr() as usize, s.len());
-        if let Some(&id) = self.ids.get(&key) {
-            return id;
-        }
-        if self.strs.len() == Self::MAX_LEN {
-            debug_assert!(false, "more than {} distinct static strings", Self::MAX_LEN);
-            return Self::OVERFLOW_ID;
-        }
-        let id = self.strs.len() as u16;
-        self.strs.push(s);
-        self.rendered.push(s);
-        self.ids.insert(key, id);
+        let id = match self.ids.get(&key) {
+            Some(&id) => id,
+            None if self.strs.len() == Self::MAX_LEN => {
+                debug_assert!(false, "more than {} distinct static strings", Self::MAX_LEN);
+                return Self::OVERFLOW_ID;
+            }
+            None => {
+                let id = self.strs.len() as u16;
+                self.strs.push(s);
+                self.rendered.push(s);
+                self.ids.insert(key, id);
+                id
+            }
+        };
+        self.memo.insert(key.0, key.1, id);
         id
     }
 
@@ -438,10 +455,10 @@ impl StaticTable {
 struct SharedTable {
     strs: Vec<Arc<str>>,
     ids: HashMap<(usize, usize), u32, BuildHasherDefault<AddrHasher>>,
+    /// In front of `ids`. It only ever names an allocation `strs`
+    /// holds, so a hit is believed.
+    memo: AddrMemo<u32>,
     rendered: Fragments,
-    /// The last lookup's key and id: consecutive events mostly name the
-    /// string the previous one did.
-    last: Option<((usize, usize), u32)>,
 }
 
 impl SharedTable {
@@ -457,13 +474,18 @@ impl SharedTable {
 
     /// The id of the allocation `s` points at, interned on first sight;
     /// `None` once the table is full.
+    #[inline]
     fn intern(&mut self, s: &Arc<str>) -> Option<u32> {
-        let key = (s.as_ptr() as usize, s.len());
-        if let Some((last, id)) = self.last {
-            if last == key {
-                return Some(id);
-            }
+        match self.memo.get(s.as_ptr() as usize, s.len()) {
+            Some(id) => Some(id),
+            None => self.intern_missed(s),
         }
+    }
+
+    #[cold]
+    #[inline(never)]
+    fn intern_missed(&mut self, s: &Arc<str>) -> Option<u32> {
+        let key = (s.as_ptr() as usize, s.len());
         let id = match self.ids.get(&key) {
             Some(&id) => id,
             None if self.strs.len() == Self::MAX_LEN => return None,
@@ -475,7 +497,7 @@ impl SharedTable {
                 id
             }
         };
-        self.last = Some((key, id));
+        self.memo.insert(key.0, key.1, id);
         Some(id)
     }
 
@@ -578,18 +600,25 @@ pub struct FieldSink<'a> {
 }
 
 impl FieldSink<'_> {
+    /// Counts one more field and interns its key; `None` when the event
+    /// is full (see [`FieldSink::push`]).
+    #[inline]
+    fn admit(&mut self, key: &'static str) -> Option<u16> {
+        if self.pushed == u16::MAX {
+            debug_assert!(false, "more than {} fields on one event", u16::MAX);
+            return None;
+        }
+        self.pushed += 1;
+        Some(self.arena.statics.intern(key))
+    }
+
     /// Appends one field to the event under construction.
     ///
     /// An event's slot count is narrowed to `u16`: a push past the
     /// 65 535th fails loudly in debug builds and is *refused* in
     /// release builds — the event keeps the fields it already has.
     pub fn push(&mut self, key: &'static str, value: impl Into<Value>) {
-        if self.pushed == u16::MAX {
-            debug_assert!(false, "more than {} fields on one event", u16::MAX);
-            return;
-        }
-        self.pushed += 1;
-        let key = self.arena.statics.intern(key);
+        let Some(key) = self.admit(key) else { return };
         match value.into() {
             Value::Static(s) => {
                 let id = self.arena.statics.intern(s);
@@ -604,6 +633,16 @@ impl FieldSink<'_> {
             Value::I64(v) => self.arena.push(key, Tag::I64, v as u64),
             Value::F64(v) => self.arena.push(key, Tag::F64, v.to_bits()),
             Value::Bool(v) => self.arena.push(key, Tag::Bool, v as u64),
+        }
+    }
+
+    /// Appends a shared string by reference: exported as
+    /// `push(key, value.clone())` would be, without the clone, so a
+    /// string the trace already holds costs no reference-count
+    /// operation. Refused like [`FieldSink::push`] on a full event.
+    pub fn push_shared(&mut self, key: &'static str, value: &Arc<str>) {
+        if let Some(key) = self.admit(key) {
+            self.arena.push_shared(key, value);
         }
     }
 }
@@ -1252,6 +1291,61 @@ mod tests {
             );
             // A string that did fit is still itself.
             assert_eq!(t.arena.statics.intern(&pool[7..8]), 7);
+        }
+    }
+
+    #[test]
+    fn statics_that_share_a_memo_slot_keep_their_own_text() {
+        // More distinct literals than the memo has slots: many share
+        // one, so a lookup often misses and goes to the table behind.
+        let strs: Vec<&'static str> = (0..3_000)
+            .map(|i| &*Box::leak(format!("s{i}").into_boxed_str()))
+            .collect();
+        let mut t = Tracer::with_capacity(2 * strs.len());
+        let record = |t: &mut Tracer, order: &mut dyn Iterator<Item = usize>| {
+            for i in order {
+                t.record(i as u64, EventKind::Query, None, |f| {
+                    f.push(strs[i], Value::Static(strs[(i + 1) % strs.len()]))
+                });
+            }
+        };
+        record(&mut t, &mut (0..strs.len()));
+        record(&mut t, &mut (0..strs.len()).rev().step_by(7));
+        assert_eq!(t.arena.statics.strs.len(), strs.len());
+        for (ev, line) in t.events().zip(t.to_jsonl().lines()) {
+            let i = ev.t_ms as usize;
+            let field = format!(",\"s{i}\":\"s{}\"}}", (i + 1) % strs.len());
+            assert!(line.ends_with(&field), "{line}");
+        }
+    }
+
+    #[test]
+    fn a_shared_string_dropped_by_its_callers_exports_as_itself() {
+        let mut t = Tracer::with_capacity(4_096);
+        let gone: Arc<str> = Arc::from("gone.example.");
+        t.record(0, EventKind::CacheServe, None, |f| {
+            f.push_shared("qname", &gone)
+        });
+        drop(gone);
+        // The table's reference pins the address: a fresh string of the
+        // same length cannot be handed it and mistaken for it.
+        for i in 1..2_000u64 {
+            let fresh: Arc<str> = Arc::from(format!("{:04}.example.", i % 10_000).as_str());
+            t.record(i, EventKind::CacheServe, None, |f| {
+                f.push_shared("qname", &fresh)
+            });
+        }
+        let jsonl = t.to_jsonl();
+        let mut lines = jsonl.lines();
+        assert!(lines
+            .next()
+            .unwrap()
+            .ends_with(",\"qname\":\"gone.example.\"}"));
+        for (i, line) in (1..).zip(lines) {
+            assert!(
+                line.ends_with(&format!(",\"qname\":\"{i:04}.example.\"}}")),
+                "{line}"
+            );
         }
     }
 

@@ -180,11 +180,11 @@ impl Name {
         &self.repr
     }
 
-    /// A clone of the shared presentation buffer — the zero-copy way to
-    /// hand the name to telemetry fields and other consumers that need
-    /// an owned string.
-    pub fn shared_str(&self) -> Arc<str> {
-        Arc::clone(&self.repr)
+    /// The shared presentation buffer, borrowed: what a telemetry field
+    /// takes by reference, and what a consumer that keeps the name as a
+    /// string clones (a reference count, not a copy).
+    pub fn shared(&self) -> &Arc<str> {
+        &self.repr
     }
 
     /// The precomputed case-folded FNV-1a hash of this name — the same
