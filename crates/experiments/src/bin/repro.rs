@@ -28,165 +28,16 @@
 //! (`<module>_timeseries.jsonl`), and the final metrics
 //! (`<module>_metrics.prom`) next to its CSVs, unless `--no-csv`.
 
-use dnsttl_experiments::{
-    bailiwick_exp, centricity, controlled, crawl_exp, extensions, flightdeck, insight, passive_nl,
-    resilience, rundiff, shared_cache, table1, timeline, uy_latency, zipf, ExpConfig, Report,
-};
-use dnsttl_telemetry::{RunManifest, Telemetry};
+use dnsttl_experiments::artifacts::{self, ARTIFACTS};
+use dnsttl_experiments::{flightdeck, rundiff, timeline, ExpConfig};
 
-const ARTIFACTS: &[(&str, &str)] = &[
-    ("table1", "a.nic.cl TTLs in parent and child (§3.1)"),
-    ("fig1", "TTL CDFs for .uy-NS / a.nic.uy-A (§3.2)"),
-    ("fig2", "TTL CDF for google.co-NS (§3.3)"),
-    ("table2", "centricity experiment accounting (§3.2–3.3)"),
-    ("fig3", "queries per resolver/qname, .nl passive (§3.4)"),
-    ("fig4", "min interarrival per resolver/qname (§3.4)"),
-    ("fig5", "bailiwick experiment setup (§4.1)"),
-    ("fig6", "in-bailiwick renumbering timeseries (§4.2)"),
-    ("fig7", "out-of-bailiwick renumbering timeseries (§4.3)"),
-    ("fig8", "matched sticky-VP behaviour (§4.5)"),
-    ("table3", "bailiwick experiment accounting (§4)"),
-    ("table4", "sticky resolver classification (§4.4)"),
-    ("table5", "crawl datasets and RR counts (§5.1)"),
-    ("fig9", "TTL CDFs per record type per list (§5.1)"),
-    ("table6", ".nl DMap content categories (§5.1.1)"),
-    ("table7", "median TTL by content category (§5.1.1)"),
-    ("table8", "TTL=0 domains (§5.1.2)"),
-    ("table9", "bailiwick in the wild (§5.1.3)"),
-    ("fig10", ".uy latency before/after TTL change (§5.3)"),
-    ("table10", "controlled TTL experiments (§6.2)"),
-    ("fig11", "latency CDFs, controlled + anycast (§6.2)"),
-    (
-        "ext-offline",
-        "child authoritatives offline (§4.4, extension)",
-    ),
-    (
-        "ext-dnssec",
-        "DNSSEC validation vs centricity (§2, extension)",
-    ),
-    ("ext-ddos", "TTL vs DDoS survival (§6.1, extension)"),
-    ("ext-hitrate", "analytic cache model validation (extension)"),
-    (
-        "ext-loadbalance",
-        "DNS load-balancing agility vs TTL (§6.1, extension)",
-    ),
-    (
-        "ext-negttl",
-        "negative-caching TTL vs typo load (RFC 2308, extension)",
-    ),
-    (
-        "ext-secondary",
-        "renumbering propagation via secondaries (extension)",
-    ),
-    (
-        "cache-report",
-        "cache forensics: Tables 3–4 lifetimes from the provenance ledger",
-    ),
-    (
-        "resilience",
-        "failure rate vs TTL under a scripted 1 h outage (§6.2, chaos)",
-    ),
-    (
-        "shared-cache",
-        "hit rate and latency vs TTL: one shared cache vs partitioned caches",
-    ),
-    (
-        "zipf-population",
-        "Zipf/diurnal population campaign at scale (§5–6 calibration)",
-    ),
-];
-
-/// Which experiment module regenerates an artifact. Artifacts sharing
-/// a module are produced by one run.
+/// Which experiment module regenerates an artifact; exits with a usage
+/// error on an unknown id.
 fn module_of(id: &str) -> &'static str {
-    match id {
-        "table1" => "table1",
-        "fig1" | "fig2" | "table2" => "centricity",
-        "fig3" | "fig4" => "passive_nl",
-        "fig5" | "fig6" | "fig7" | "fig8" | "table3" | "table4" => "bailiwick",
-        "table5" | "fig9" | "table6" | "table7" | "table8" | "table9" => "crawl",
-        "fig10" | "fig10a" | "fig10b" => "uy_latency",
-        "table10" | "fig11" | "fig11a" | "fig11b" => "controlled",
-        "ext-offline" | "ext-dnssec" | "ext-ddos" | "ext-hitrate" | "ext-loadbalance"
-        | "ext-negttl" | "ext-secondary" => "extensions",
-        "cache-report" => "insight",
-        "resilience" => "resilience",
-        "shared-cache" => "shared_cache",
-        "zipf-population" => "zipf",
-        other => {
-            eprintln!("unknown artifact {other:?}; try --list");
-            std::process::exit(2);
-        }
-    }
-}
-
-fn produce(module: &str, cfg: &ExpConfig) -> Vec<Report> {
-    match module {
-        "table1" => vec![table1::run(cfg)],
-        "centricity" => centricity::run(cfg),
-        "passive_nl" => passive_nl::run(cfg),
-        "bailiwick" => bailiwick_exp::run(cfg),
-        "crawl" => crawl_exp::run(cfg),
-        "uy_latency" => uy_latency::run(cfg),
-        "controlled" => controlled::run(cfg),
-        "extensions" => extensions::run(cfg),
-        "insight" => insight::run(cfg),
-        "resilience" => resilience::run(cfg),
-        "shared_cache" => shared_cache::run(cfg),
-        "zipf" => zipf::run(cfg),
-        _ => unreachable!("module_of only returns known modules"),
-    }
-}
-
-/// Writes `<module>_manifest.json` and `<module>_trace.jsonl` next to
-/// the module's CSVs. Wall time stays on stderr: manifests and traces
-/// must be byte-identical across same-seed reruns.
-fn write_observability(module: &str, cfg: &ExpConfig, telemetry: &Telemetry, reports: &[Report]) {
-    let Some(dir) = &cfg.out_dir else { return };
-    if std::fs::create_dir_all(dir).is_err() {
-        eprintln!("cannot create {}", dir.display());
-        return;
-    }
-    let trace_name = format!("{module}_trace.jsonl");
-    if let Err(e) = std::fs::write(dir.join(&trace_name), telemetry.trace_jsonl()) {
-        eprintln!("cannot write {trace_name}: {e}");
-    }
-    // The time-resolved twin of the metrics: counters per sim-time
-    // bucket, plus the final registry as Prometheus text so `repro
-    // diff` and the doctor's conservation check can compare them.
-    let ts_name = format!("{module}_timeseries.jsonl");
-    if let Err(e) = std::fs::write(dir.join(&ts_name), telemetry.timeseries_jsonl()) {
-        eprintln!("cannot write {ts_name}: {e}");
-    }
-    let prom_name = format!("{module}_metrics.prom");
-    if let Err(e) = std::fs::write(dir.join(&prom_name), telemetry.prometheus_text()) {
-        eprintln!("cannot write {prom_name}: {e}");
-    }
-
-    let mut manifest = RunManifest::new(module, cfg.seed);
-    manifest.sim_duration_ms =
-        telemetry.with_tracer(|t| t.events().map(|e| e.t_ms).max().unwrap_or(0));
-    manifest
-        .world_note("probes", cfg.probes as u64)
-        .world_note("crawl_scale", cfg.crawl_scale)
-        .world_note("nl_resolvers", cfg.nl_resolvers as u64)
-        .world_note("nl_hours", cfg.nl_hours);
-    manifest.policy("mix", "paper_population");
-    telemetry.fill_manifest(&mut manifest);
-    manifest.artifact(&trace_name);
-    manifest.artifact(&ts_name);
-    manifest.artifact(&prom_name);
-    for report in reports {
-        for artifact in &report.artifacts {
-            manifest.artifact(artifact);
-        }
-    }
-    let ids: Vec<String> = reports.iter().map(|r| r.id.clone()).collect();
-    manifest.note("reports", ids.join(","));
-    let manifest_name = format!("{module}_manifest.json");
-    if let Err(e) = std::fs::write(dir.join(&manifest_name), manifest.to_json()) {
-        eprintln!("cannot write {manifest_name}: {e}");
-    }
+    artifacts::module_of(id).unwrap_or_else(|| {
+        eprintln!("unknown artifact {id:?}; try --list");
+        std::process::exit(2);
+    })
 }
 
 /// `repro bench`: run the headless paired suite, write the
@@ -629,15 +480,8 @@ fn main() {
             continue;
         }
         done_modules.push(module);
-        // Each module gets its own enabled telemetry handle, so traces
-        // and metrics are per-experiment and same-seed reruns stay
-        // byte-identical.
-        let telemetry = Telemetry::new();
-        telemetry.configure_timeseries(cfg.ts_bucket_ms, cfg.ts_span_cap);
-        let mut module_cfg = cfg.clone();
-        module_cfg.telemetry = telemetry.clone();
         let started = std::time::Instant::now();
-        let reports = produce(module, &module_cfg);
+        let (reports, telemetry) = artifacts::run_module(module, &cfg);
         let wall = started.elapsed();
         for report in &reports {
             // Only print what was asked for (a module may produce
@@ -647,7 +491,6 @@ fn main() {
                 println!("{}", report.render());
             }
         }
-        write_observability(module, &cfg, &telemetry, &reports);
         if show_metrics {
             println!("=== {module}: metrics dashboard ===");
             println!("{}", telemetry.dashboard());

@@ -21,11 +21,12 @@
 //! dumps under `target/experiments/`.
 //!
 //! The `repro` binary runs any subset: `repro fig1 table10`, or
-//! `repro all`.
+//! `repro all`, each module through [`artifacts::run_module`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod artifacts;
 pub mod bailiwick_exp;
 pub mod centricity;
 pub mod config;

@@ -9,8 +9,10 @@
 //! zone index (`auth/tests/zone_model.rs`), the codec identity the
 //! exchange path relies on without performing it
 //! (`wire/tests/codec_properties.rs`), the shape of the metrics
-//! exposition (`telemetry/src/registry.rs`), and the cell engine's merge
-//! and fan-out (`atlas/src/shard.rs`, `tests/shard_equivalence.rs`).
+//! exposition (`telemetry/src/registry.rs`), the cell engine's merge
+//! and fan-out (`atlas/src/shard.rs`, `tests/shard_equivalence.rs`), and
+//! the artifact bytes of one smoke module
+//! (`experiments/tests/artifact_digests.rs`).
 
 use dnsttl::atlas::{
     fan_out, merge_by_time, population_campaign, run_measurement, run_zipf_campaign, Dataset,
@@ -19,7 +21,9 @@ use dnsttl::atlas::{
 };
 use dnsttl::auth::{AuthoritativeServer, ZoneBuilder};
 use dnsttl::core::ResolverPolicy;
+use dnsttl::experiments::artifacts::{digest_lines, run_module};
 use dnsttl::experiments::worlds::{addrs, root_hints, uy_world};
+use dnsttl::experiments::ExpConfig;
 use dnsttl::netsim::{
     ClientId, DnsService, EventQueue, LatencyModel, Network, Region, SimDuration, SimRng, SimTime,
 };
@@ -586,6 +590,27 @@ fn the_one_merge_orders_both_row_types_by_time_then_part() {
         |_, _| {},
     );
     assert_eq!(merged, [(5, 'b'), (5, 'c'), (9, 'a')]);
+}
+
+#[test]
+fn a_resilience_smoke_run_writes_the_pinned_artifact_bytes() {
+    // `repro --smoke --seed 42 resilience`, in process: every file of
+    // the run directory — CSVs, fault plan, trace, time series, metrics
+    // and manifest — must match its row in the committed digest table.
+    let dir = std::env::temp_dir().join(format!("dnsttl-seam-resilience-{}", std::process::id()));
+    let cfg = ExpConfig {
+        seed: 42,
+        out_dir: Some(dir.clone()),
+        ..ExpConfig::quick()
+    };
+    run_module("resilience", &cfg);
+    let got = digest_lines("unsharded", "resilience", &dir).expect("run directory readable");
+    let _ = std::fs::remove_dir_all(&dir);
+    let pinned: Vec<&str> = include_str!("data/artifact_digests.txt")
+        .lines()
+        .filter(|l| l.starts_with("unsharded resilience "))
+        .collect();
+    assert_eq!(got, pinned, "resilience artifacts moved");
 }
 
 #[test]
