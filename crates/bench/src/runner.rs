@@ -58,6 +58,11 @@ const WHEEL_IMPROVEMENT_FACTOR: f64 = 2.0;
 /// (444 / 202 ns = 2.20x) rounded up to one decimal. A budget for the
 /// record path, not a target — lowering it is ROADMAP's telemetry item.
 ///
+/// Counting the cache's transactions instead of tracing them took ten
+/// consecutive quick-mode runs on a shared two-core VM to 1.97–2.07x
+/// in nine and 2.47x in one (both rows slowed: 274 / 677 ns), so the
+/// factor did not drop to 2.1: ten runs in a row did not pass there.
+///
 /// It was 2.7 until the record path stopped looking up what it already
 /// knew: one address memo in front of the intern tables and the series
 /// maps, shared strings pushed by reference, sketches counted in a flat

@@ -6,8 +6,8 @@
 //! sdig --world google-co google.co NS
 //! sdig --world cachetest p1.sub.cachetest.net AAAA --at 4000
 //! sdig uy NS --repeat 3 --every 600   # watch the cache age
-//! sdig uy NS --trace                  # resolution walkthrough
-//! sdig uy NS --trace-json             # walkthrough as JSONL events
+//! sdig uy NS --trace                  # resolution walkthrough + cache ledger
+//! sdig uy NS --trace-json             # walkthrough as JSONL events + ledger lines
 //! sdig uy NS --explain                # causal span tree (who queried whom, and why)
 //! sdig uy NS --cache-dump             # dump cache state afterwards
 //! sdig uy NS --cache-dump-json snap.jsonl   # snapshot for --diff
@@ -23,6 +23,7 @@ use dnsttl_netsim::{FaultPlan, Network, Region, SimRng, SimTime};
 use dnsttl_resolver::{RecursiveResolver, RootHint};
 use dnsttl_telemetry::{EventKind, Telemetry};
 use dnsttl_wire::{Name, RecordType, Ttl};
+use std::fmt::Write as _;
 
 struct Options {
     world: String,
@@ -211,6 +212,42 @@ fn print_walkthrough(telemetry: &Telemetry, from_seq: u64, json: bool) -> u64 {
     })
 }
 
+/// Prints the cache transactions the ledger journalled after its first
+/// `from` — as walkthrough lines, or the ledger's own JSON lines with
+/// `json` — and returns how many it has journalled in all. The trace
+/// counts cache transactions; the ledger is where each one is kept.
+fn print_ledger(resolver: &RecursiveResolver, from: u64, json: bool) -> u64 {
+    let printed = resolver.cache().with_ledger(|ledger| {
+        let journal = ledger.journal();
+        let new = (journal.total_recorded() - from) as usize;
+        for rec in journal.records().skip(journal.len().saturating_sub(new)) {
+            if json {
+                println!("{}", rec.to_line());
+                continue;
+            }
+            let mut text = format!(
+                "n={} ty={} rk={} or={} bw={} tx={}",
+                rec.name, rec.rtype, rec.rank, rec.origin, rec.bailiwick, rec.txn
+            );
+            if let Some(server) = rec.server {
+                let _ = write!(text, " sv={server}");
+            }
+            let _ = write!(text, " et={}", rec.effective_ttl);
+            if let Some(res) = rec.residency_ms {
+                let _ = write!(text, " res={res}");
+            }
+            let _ = write!(text, " fp={:016x}", rec.fingerprint);
+            println!(
+                ";; [{:>9}ms]   ledger {:<11} {text}",
+                rec.t_ms,
+                rec.op.as_str()
+            );
+        }
+        journal.total_recorded()
+    });
+    printed.unwrap_or(from)
+}
+
 fn main() {
     let opts = parse_args();
     let (mut net, roots) = build_world(&opts.world);
@@ -231,11 +268,14 @@ fn main() {
     };
     resolver.set_telemetry(telemetry.clone());
     net.set_telemetry(telemetry.clone());
+    if opts.trace || opts.trace_json {
+        resolver.enable_cache_ledger();
+    }
     if let Some(plan) = &opts.fault_plan {
         println!(";; fault plan: {}", plan.summary());
         net.set_faults(plan.clone());
     }
-    let mut seen_seq = 0u64;
+    let (mut seen_seq, mut seen_ledger) = (0u64, 0u64);
     let mut flushed_upto = SimTime::ZERO;
 
     for i in 0..opts.repeat {
@@ -251,6 +291,7 @@ fn main() {
         let out = resolver.resolve(&qname, opts.qtype, at, &mut net);
         if opts.trace || opts.trace_json {
             seen_seq = print_walkthrough(&telemetry, seen_seq, opts.trace_json);
+            seen_ledger = print_ledger(&resolver, seen_ledger, opts.trace_json);
         }
         println!(
             ";; world={} t={} policy answered in {} ({} upstream quer{}, {})",

@@ -187,63 +187,73 @@ fn field<'a>(fields: &'a [(String, String)], key: &str) -> Option<&'a str> {
         .map(|(_, v)| v.as_str())
 }
 
-/// Builds the span forest from parsed trace lines (which must be in
-/// trace order, as both the tracer and the JSONL export guarantee).
+/// Builds the span forest from parsed trace lines, in trace order.
+///
+/// Every `span_start` is taken before any other line. A sharded run's
+/// merged trace is ordered by `t_ms`, and the events of a resolution
+/// carry the time it began while a child span's start carries the
+/// latency spent before it, so a child's referral can come before the
+/// start of the span it belongs to.
 pub fn build_span_forest(lines: &[TraceLine]) -> SpanForest {
     let mut forest = SpanForest::default();
-    for line in lines {
+    let (starts, rest): (Vec<&TraceLine>, Vec<&TraceLine>) = lines
+        .iter()
+        .filter(|line| line.span.is_some())
+        .partition(|line| line.event == "span_start");
+    for line in starts {
+        let Some(span) = line.span else { continue };
+        if forest.nodes.contains_key(&span) {
+            forest.issues.push(format!(
+                "span {span}: second span_start at seq {}",
+                line.seq
+            ));
+            continue;
+        }
+        let cause = field(&line.fields, "cause").unwrap_or("resolve");
+        let mut frame = String::from(cause);
+        for key in ["qname", "qtype"] {
+            if let Some(v) = field(&line.fields, key) {
+                frame.push(':');
+                // Frames must stay collapsed-stack clean.
+                frame.extend(v.chars().map(|c| {
+                    if c == ';' || c.is_whitespace() {
+                        '_'
+                    } else {
+                        c
+                    }
+                }));
+            }
+        }
+        if let Some(parent) = line.parent {
+            match forest.nodes.get_mut(&parent) {
+                Some(p) => p.children.push(span),
+                None => forest.issues.push(format!(
+                    "span {span}: parent {parent} never started (orphan)"
+                )),
+            }
+        }
+        forest.nodes.insert(
+            span,
+            SpanNode {
+                id: span,
+                parent: line.parent,
+                start_ms: line.t_ms,
+                end_ms: line.t_ms,
+                ended: false,
+                frame,
+                start_fields: line.fields.clone(),
+                end_fields: Vec::new(),
+                events: Vec::new(),
+                children: Vec::new(),
+            },
+        );
+        if line.parent.is_none() || !forest.nodes.contains_key(&line.parent.unwrap()) {
+            forest.roots.push(span);
+        }
+    }
+    for line in rest {
         let Some(span) = line.span else { continue };
         match line.event.as_str() {
-            "span_start" => {
-                if forest.nodes.contains_key(&span) {
-                    forest.issues.push(format!(
-                        "span {span}: second span_start at seq {}",
-                        line.seq
-                    ));
-                    continue;
-                }
-                let cause = field(&line.fields, "cause").unwrap_or("resolve");
-                let mut frame = String::from(cause);
-                for key in ["qname", "qtype"] {
-                    if let Some(v) = field(&line.fields, key) {
-                        frame.push(':');
-                        // Frames must stay collapsed-stack clean.
-                        frame.extend(v.chars().map(|c| {
-                            if c == ';' || c.is_whitespace() {
-                                '_'
-                            } else {
-                                c
-                            }
-                        }));
-                    }
-                }
-                if let Some(parent) = line.parent {
-                    match forest.nodes.get_mut(&parent) {
-                        Some(p) => p.children.push(span),
-                        None => forest.issues.push(format!(
-                            "span {span}: parent {parent} never started (orphan)"
-                        )),
-                    }
-                }
-                forest.nodes.insert(
-                    span,
-                    SpanNode {
-                        id: span,
-                        parent: line.parent,
-                        start_ms: line.t_ms,
-                        end_ms: line.t_ms,
-                        ended: false,
-                        frame,
-                        start_fields: line.fields.clone(),
-                        end_fields: Vec::new(),
-                        events: Vec::new(),
-                        children: Vec::new(),
-                    },
-                );
-                if line.parent.is_none() || !forest.nodes.contains_key(&line.parent.unwrap()) {
-                    forest.roots.push(span);
-                }
-            }
             "span_end" => match forest.nodes.get_mut(&span) {
                 Some(node) => {
                     if node.ended {
@@ -878,6 +888,23 @@ mod tests {
                 "resolve:example.:A;ns_lookup:ns.example.:A 20".to_string(),
             ]
         );
+    }
+
+    #[test]
+    fn a_time_ordered_merge_keeps_events_on_their_spans() {
+        // As a sharded merge orders it: the child's referral carries the
+        // resolution's start time, its span_start the 40 ms spent first.
+        let merged = r#"
+{"t_ms":100,"seq":0,"event":"span_start","span":0,"qname":"example.","qtype":"A"}
+{"t_ms":100,"seq":1,"event":"referral","span":1,"zone":".","cut":"net."}
+{"t_ms":140,"seq":2,"event":"span_start","span":1,"parent":0,"cause":"ns_lookup","qname":"ns.example.net.","qtype":"A"}
+{"t_ms":170,"seq":3,"event":"span_end","span":1,"elapsed_ms":30}
+{"t_ms":190,"seq":4,"event":"span_end","span":0,"rcode":"NOERROR","elapsed_ms":90}
+"#;
+        let forest = build_span_forest(&lines(merged));
+        assert_eq!(well_formedness_issues(&forest), Vec::<String>::new());
+        assert_eq!(forest.nodes[&0].children, vec![1]);
+        assert_eq!(forest.nodes[&1].events.len(), 1);
     }
 
     #[test]

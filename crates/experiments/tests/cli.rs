@@ -29,26 +29,30 @@ fn sdig_trace_json_emits_parseable_ledger_events() {
             .output()
             .expect("runs"),
     );
-    let mut cache_inserts = 0;
+    // Trace events carry `event`; the cache's transactions come from its
+    // ledger, one line each, after the trace lines of the resolution.
+    let (mut events, mut inserts) = (0, 0);
     for line in out.lines().filter(|l| l.starts_with('{')) {
         let fields = dnsttl_telemetry::parse_flat_object(line)
-            .unwrap_or_else(|e| panic!("unparseable trace line {line:?}: {e}"));
-        let event = dnsttl_telemetry::flat_get(&fields, "event")
-            .and_then(|v| v.as_str())
-            .expect("event field")
-            .to_owned();
-        if event == "cache_insert" {
-            cache_inserts += 1;
-            for key in ["qname", "rank", "origin", "bailiwick", "fp", "txn"] {
-                assert!(
-                    dnsttl_telemetry::flat_get(&fields, key).is_some(),
-                    "cache_insert missing {key}: {line}"
-                );
+            .unwrap_or_else(|e| panic!("unparseable line {line:?}: {e}"));
+        let get = |key| dnsttl_telemetry::flat_get(&fields, key);
+        if get("event").is_some() {
+            events += 1;
+            continue;
+        }
+        let record = dnsttl_telemetry::LedgerRecord::parse_line(line)
+            .unwrap_or_else(|e| panic!("neither a trace event nor a ledger line: {e}"));
+        assert_eq!(record.to_line(), line);
+        if get("op").and_then(|v| v.as_str()) == Some("insert") {
+            inserts += 1;
+            for key in ["n", "rk", "or", "bw", "tx", "fp"] {
+                assert!(get(key).is_some(), "ledger insert missing {key}: {line}");
             }
         }
     }
+    assert!(events > 0, "the resolution must be traced:\n{out}");
     assert!(
-        cache_inserts > 0,
+        inserts > 0,
         "a cold resolution must insert into cache:\n{out}"
     );
 }

@@ -16,14 +16,14 @@
 //! a capacity bound means something can be evicted — an expiry index.
 //! Every transaction is accounted where it happens, by one function:
 //! the always-on [`CacheStats`] counters, the opt-in provenance ledger
-//! and the `Rc`-based telemetry handle its typed trace events go to
+//! and the `Rc`-based telemetry handle that counts transaction kinds
 //! sit together behind a `RefCell`, so the `&self` read path can record
 //! serves. A cache belongs to one resolver on one thread (DESIGN.md
 //! §14).
 
 use dnsttl_core::{Centricity, ResolverPolicy};
 use dnsttl_netsim::{SimDuration, SimTime, TimingWheel};
-use dnsttl_telemetry::{CacheOp, EventKind, MetricKey, Telemetry, Value};
+use dnsttl_telemetry::{CacheOp, EventKind, MetricKey, Telemetry};
 use dnsttl_wire::name::NameKey;
 use dnsttl_wire::{Name, RRset, Rcode, RecordType, Ttl};
 use std::borrow::Borrow;
@@ -31,7 +31,7 @@ use std::cell::RefCell;
 use std::collections::{hash_map, HashMap};
 use std::hash::{BuildHasherDefault, Hash, Hasher};
 
-use crate::ledger::{rank_token, CacheStats, Ledger, Provenance, RecordOrigin, StoreContext};
+use crate::ledger::{CacheStats, Ledger, Provenance, RecordOrigin, StoreContext};
 
 /// Pre-hashed key for the eviction counter/series: evictions happen
 /// under capacity pressure, which is exactly when per-event hashing
@@ -258,10 +258,10 @@ impl ExpiryIndex {
 }
 
 /// Where every transaction is accounted: the always-on counters, the
-/// opt-in provenance ledger and the telemetry handle typed trace
-/// events land in when enabled. Behind a `RefCell` so the `&self` read
-/// path ([`Cache::get`]) can record serves; a cache is single-threaded,
-/// so the borrow is never contended.
+/// opt-in provenance ledger and the telemetry handle that counts each
+/// transaction's kind. Behind a `RefCell` so the `&self` read path
+/// ([`Cache::get`]) can record serves; a cache is single-threaded, so
+/// the borrow is never contended.
 #[derive(Debug, Default)]
 struct CacheMeta {
     stats: CacheStats,
@@ -271,9 +271,11 @@ struct CacheMeta {
 
 impl CacheMeta {
     /// Accounts one transaction on `e`: counts it, journals the ledger
-    /// line if the ledger is on, and emits the typed trace event (plus
-    /// the eviction time series). Every op but an install carries how
-    /// long the entry had been resident.
+    /// line if the ledger is on (every op but an install carries how
+    /// long the entry had been resident), and counts its kind in the
+    /// telemetry's event totals (plus the eviction time series). The
+    /// trace gets no row: it records queries, and a run that wants each
+    /// transaction's provenance enables the ledger.
     fn record(&mut self, now: SimTime, op: CacheOp, e: &Entry) {
         match op {
             CacheOp::Insert => self.stats.inserts += 1,
@@ -287,11 +289,18 @@ impl CacheMeta {
             // Failure caching holds no positive entry: no counter.
             CacheOp::NegCache => {}
         }
-        let installs = matches!(op, CacheOp::Insert | CacheOp::Refresh | CacheOp::NegCache);
-        let residency_ms = (!installs).then(|| now.since(e.stored_at).as_millis());
-        let (rrset, prov) = (&e.rrset, &e.provenance);
         if let Some(ledger) = self.ledger.as_mut() {
-            ledger.record(now, op, rrset, e.rank, prov, residency_ms, e.fingerprint);
+            let installs = matches!(op, CacheOp::Insert | CacheOp::Refresh | CacheOp::NegCache);
+            let residency_ms = (!installs).then(|| now.since(e.stored_at).as_millis());
+            ledger.record(
+                now,
+                op,
+                &e.rrset,
+                e.rank,
+                &e.provenance,
+                residency_ms,
+                e.fingerprint,
+            );
         }
         if op == CacheOp::Evict {
             // Capacity-pressure evictions get a sim-time series so the
@@ -299,37 +308,7 @@ impl CacheMeta {
             self.telemetry
                 .count_keyed_at(&EVICTIONS_KEY, 1, now.as_millis());
         }
-        self.telemetry.event(now.as_millis(), event_kind(op), |f| {
-            // Shared/Static/Hex64/Addr values straight into the trace
-            // arena: recording a cache transaction allocates nothing —
-            // hex and address rendering are deferred to export time.
-            f.push_shared("qname", rrset.name.shared());
-            f.push("qtype", Value::literal(rrset.rtype.as_str()));
-            f.push("fp", Value::Hex64(e.fingerprint));
-            if op == CacheOp::Serve {
-                // Serve is the hot path: a warm hit fires one of these
-                // per client query. The full provenance (rank, origin,
-                // bailiwick, server, ttl, txn) was already traced on
-                // insert under the same fingerprint and is recorded on
-                // every ledger line, so the trace carries just enough
-                // to join against those.
-                if let Some(res) = residency_ms {
-                    f.push("residency_ms", res);
-                }
-                return;
-            }
-            f.push("rank", Value::literal(rank_token(e.rank)));
-            f.push("origin", Value::literal(prov.origin.as_str()));
-            f.push("bailiwick", Value::literal(prov.bailiwick.as_str()));
-            f.push("ttl", prov.effective_ttl.as_secs() as u64);
-            f.push("txn", prov.txn);
-            if let Some(server) = prov.server {
-                f.push("server", server);
-            }
-            if let Some(res) = residency_ms {
-                f.push("residency_ms", res);
-            }
-        });
+        self.telemetry.count_event(event_kind(op));
     }
 }
 
@@ -405,7 +384,10 @@ impl Cache {
         self.stats().evictions
     }
 
-    /// Routes the cache's typed transaction events into `telemetry`.
+    /// Counts the cache's transactions, by kind, into `telemetry`'s
+    /// event totals (the manifest's `event_counts`) and its evictions
+    /// into the eviction series. No transaction is traced; the ledger
+    /// ([`Cache::enable_ledger`]) journals each one.
     pub fn set_telemetry(&mut self, telemetry: Telemetry) {
         self.meta.get_mut().telemetry = telemetry;
     }
@@ -842,7 +824,7 @@ impl Cache {
     }
 }
 
-/// The trace-event kind for a ledger op.
+/// The event kind a ledger op is counted under.
 pub(crate) fn event_kind(op: CacheOp) -> EventKind {
     match op {
         CacheOp::Insert => EventKind::CacheInsert,

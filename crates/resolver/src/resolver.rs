@@ -174,8 +174,8 @@ impl RecursiveResolver {
     }
 
     /// Attaches a telemetry handle; events and metrics from this
-    /// resolver — and typed cache-transaction events from its cache —
-    /// land in it. The default handle is disabled (no-op).
+    /// resolver — and its cache's per-kind transaction counts — land in
+    /// it. The default handle is disabled (no-op).
     pub fn set_telemetry(&mut self, telemetry: Telemetry) {
         self.cache.set_telemetry(telemetry.clone());
         self.telemetry = telemetry;

@@ -322,6 +322,17 @@ impl Telemetry {
         }
     }
 
+    /// Counts one `kind` event in the per-kind totals (the manifest's
+    /// `event_counts`) without tracing it: no sequence number, no ring
+    /// slot, no fields. For what is counted but never read row by row —
+    /// the cache's transactions, whose rows the ledger keeps.
+    #[inline]
+    pub fn count_event(&self, kind: EventKind) {
+        if self.is_enabled() {
+            self.inner.tracer.borrow_mut().count(kind);
+        }
+    }
+
     // ── sharded runs ────────────────────────────────────────────────
 
     /// Drains this handle's registry, tracer, and sim-time series
@@ -418,7 +429,8 @@ impl Telemetry {
         f(&self.inner.tracer.borrow())
     }
 
-    /// Total events recorded (including ones the ring later dropped).
+    /// Total events traced (including ones the ring later dropped);
+    /// events only [`Telemetry::count_event`]ed are not among them.
     pub fn events_recorded(&self) -> u64 {
         self.inner.tracer.borrow().total_recorded()
     }

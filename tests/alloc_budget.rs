@@ -215,9 +215,16 @@ fn a_question_stays_inside_its_allocation_budget() {
     // the ring, the field slots and the spilled strings each doubled
     // once); a hit's qname and its resolver's label are table ids,
     // neither copied nor counted.
-    assert_eq!(telemetry.events_recorded() - before, 3_000);
+    // Measured: 2 000 events — a hit's span start and end; its cache
+    // serve is counted, not traced (3 000 while it was) — and 3
+    // allocations more than with telemetry off (6 while serves were
+    // traced): the ring and its field slots growing into their next
+    // blocks. A hit's qname and its resolver's label are table ids,
+    // neither copied nor counted. Events per hit is the deterministic
+    // proxy for the `telemetry` bench gate's ratio.
+    assert_eq!(telemetry.events_recorded() - before, 2_000);
     assert!(
-        hits_on <= hits_off + 6,
+        hits_on <= hits_off + 3,
         "1 000 traced hits allocated {hits_on} times, {hits_off} untraced"
     );
 
