@@ -7,12 +7,6 @@
 
 use crate::ecdf::Ecdf;
 
-/// Renders one ECDF as an ASCII chart of `height` rows by `width`
-/// columns, x linear from min to max.
-pub fn ascii_cdf(ecdf: &Ecdf, width: usize, height: usize, title: &str) -> String {
-    ascii_cdf_multi(&[(title, ecdf)], width, height)
-}
-
 /// Renders several ECDFs on shared axes; each series gets a glyph.
 pub fn ascii_cdf_multi(series: &[(&str, &Ecdf)], width: usize, height: usize) -> String {
     const GLYPHS: [char; 6] = ['*', 'o', '+', 'x', '#', '@'];
@@ -135,7 +129,7 @@ mod tests {
     #[test]
     fn renders_legend_and_axes() {
         let e = Ecdf::from_u64([10, 20, 30, 40]);
-        let s = ascii_cdf(&e, 40, 10, "latency");
+        let s = ascii_cdf_multi(&[("latency", &e)], 40, 10);
         assert!(s.contains("latency"));
         assert!(s.contains("100%"));
         assert!(s.contains('*'));
@@ -173,13 +167,13 @@ mod tests {
     #[test]
     fn empty_series_yield_placeholder() {
         let e = Ecdf::new(vec![]);
-        assert_eq!(ascii_cdf(&e, 40, 8, "x"), "(no data)\n");
+        assert_eq!(ascii_cdf_multi(&[("x", &e)], 40, 8), "(no data)\n");
     }
 
     #[test]
     fn single_value_does_not_panic() {
         let e = Ecdf::from_u64([42]);
-        let s = ascii_cdf(&e, 30, 6, "answer");
+        let s = ascii_cdf_multi(&[("answer", &e)], 30, 6);
         assert!(s.contains('*'));
     }
 }

@@ -101,19 +101,6 @@ impl Ecdf {
         out
     }
 
-    /// Kolmogorov–Smirnov distance to another ECDF: the largest
-    /// vertical gap between the two curves. Zero for identical
-    /// samples; 1.0 for disjoint supports. Experiments use this to
-    /// quantify "same shape as the paper's curve".
-    pub fn ks_distance(&self, other: &Ecdf) -> f64 {
-        let mut max_gap: f64 = 0.0;
-        for &x in self.sorted.iter().chain(&other.sorted) {
-            let gap = (self.fraction_leq(x) - other.fraction_leq(x)).abs();
-            max_gap = max_gap.max(gap);
-        }
-        max_gap
-    }
-
     /// A one-line summary: n, min, p25, median, p75, p95, p99, max.
     pub fn summary(&self) -> String {
         if self.is_empty() {
@@ -179,20 +166,6 @@ mod tests {
     #[should_panic(expected = "empty")]
     fn quantile_of_empty_panics() {
         Ecdf::new(vec![]).quantile(0.5);
-    }
-
-    #[test]
-    fn ks_distance_properties() {
-        let a = Ecdf::from_u64([1, 2, 3, 4, 5]);
-        let b = Ecdf::from_u64([1, 2, 3, 4, 5]);
-        assert_eq!(a.ks_distance(&b), 0.0);
-        let disjoint = Ecdf::from_u64([100, 200, 300]);
-        assert_eq!(a.ks_distance(&disjoint), 1.0);
-        // Symmetric.
-        let c = Ecdf::from_u64([2, 3, 4, 5, 6]);
-        assert_eq!(a.ks_distance(&c), c.ks_distance(&a));
-        let d = a.ks_distance(&c);
-        assert!(d > 0.0 && d < 1.0, "{d}");
     }
 
     #[test]

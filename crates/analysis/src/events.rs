@@ -27,7 +27,7 @@ pub fn group_by<K: Ord + Clone>(
 }
 
 /// Successive differences of a sorted time list.
-pub fn interarrivals(times: &[u64]) -> Vec<u64> {
+pub(crate) fn interarrivals(times: &[u64]) -> Vec<u64> {
     times.windows(2).map(|w| w[1] - w[0]).collect()
 }
 

@@ -8,13 +8,14 @@
 //! numeric and presentation machinery to produce all of them:
 //!
 //! * [`Ecdf`] — empirical CDFs with exact quantiles;
-//! * [`interarrivals`] / [`group_by`] — per-key event-stream analysis
+//! * [`min_interarrival`] / [`group_by`] — per-key event-stream analysis
 //!   (the §3.4 passive-resolver classification);
 //! * [`TimeSeries`] — binned categorical counts over simulated time;
 //! * [`classify_ttl_series`] — per-VP behaviour attribution
 //!   (child-/parent-centric, TTL capping, RFC 7706 mirrors);
 //! * [`Table`] — monospace tables shaped like the paper's;
-//! * [`ascii_cdf`] — terminal CDF plots for quick visual comparison;
+//! * [`ascii_cdf_multi`] / [`ascii_cdf_log`] — terminal CDF plots for
+//!   quick visual comparison;
 //! * [`CsvWriter`] — dataset export for external plotting.
 //!
 //! Everything here is deterministic and free of I/O except the explicit
@@ -31,10 +32,10 @@ pub mod events;
 pub mod table;
 pub mod timeseries;
 
-pub use chart::{ascii_cdf, ascii_cdf_log, ascii_cdf_multi};
+pub use chart::{ascii_cdf_log, ascii_cdf_multi};
 pub use classify::{classify_ttl_series, BehaviorCensus, TtlBehavior};
 pub use csv::CsvWriter;
 pub use ecdf::Ecdf;
-pub use events::{group_by, interarrivals, min_interarrival};
+pub use events::{group_by, min_interarrival};
 pub use table::Table;
 pub use timeseries::TimeSeries;

@@ -39,15 +39,6 @@ impl TimeSeries {
             .or_default() += 1;
     }
 
-    /// Count for `label` in the bin containing `at`.
-    pub fn count_at(&self, at: u64, label: &str) -> u64 {
-        self.bins
-            .get(&(at / self.bin_width))
-            .and_then(|m| m.get(label))
-            .copied()
-            .unwrap_or(0)
-    }
-
     /// All labels seen, sorted.
     pub fn labels(&self) -> Vec<String> {
         let mut labels: Vec<String> = self.bins.values().flat_map(|m| m.keys().cloned()).collect();
@@ -110,9 +101,8 @@ mod tests {
         ts.record(599, "old");
         ts.record(600, "new");
         ts.record(1_300, "new");
-        assert_eq!(ts.count_at(10, "old"), 2);
-        assert_eq!(ts.count_at(10, "new"), 0);
-        assert_eq!(ts.count_at(700, "new"), 1);
+        assert_eq!(ts.series("old"), vec![(0, 2), (600, 0), (1_200, 0)]);
+        assert_eq!(ts.series("new"), vec![(0, 0), (600, 1), (1_200, 1)]);
         assert_eq!(ts.total("new"), 2);
     }
 

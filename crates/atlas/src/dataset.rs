@@ -130,36 +130,6 @@ impl Dataset {
             .collect()
     }
 
-    /// Distinct probes that produced at least one result.
-    pub fn distinct_probes(&self) -> usize {
-        let mut ids: Vec<u32> = self.results.iter().map(|r| r.probe_id).collect();
-        ids.sort_unstable();
-        ids.dedup();
-        ids.len()
-    }
-
-    /// Distinct probes whose results were all valid.
-    pub fn distinct_valid_probes(&self) -> usize {
-        use std::collections::BTreeMap;
-        let mut by_probe: BTreeMap<u32, bool> = BTreeMap::new();
-        for r in &self.results {
-            *by_probe.entry(r.probe_id).or_insert(true) &= r.valid;
-        }
-        by_probe.values().filter(|&&v| v).count()
-    }
-
-    /// Distinct vantage points (probe × resolver slot) seen.
-    pub fn distinct_vps(&self) -> usize {
-        let mut vps: Vec<(usize, usize)> = self
-            .results
-            .iter()
-            .map(|r| (r.probe_idx, r.vp_slot))
-            .collect();
-        vps.sort_unstable();
-        vps.dedup();
-        vps.len()
-    }
-
     /// Distinct resolvers seen.
     pub fn distinct_resolvers(&self) -> usize {
         let mut ids: Vec<usize> = self.results.iter().map(|r| r.resolver_idx).collect();
@@ -263,17 +233,6 @@ mod tests {
     }
 
     #[test]
-    fn distinct_counts() {
-        let mut ds = Dataset::new();
-        ds.push(result(1, true, Some(1), 1));
-        ds.push(result(1, true, Some(1), 1));
-        ds.push(result(2, false, None, 1));
-        assert_eq!(ds.distinct_probes(), 2);
-        assert_eq!(ds.distinct_valid_probes(), 1);
-        assert_eq!(ds.distinct_vps(), 2);
-    }
-
-    #[test]
     fn merge_shards_rebases_indices_and_orders_by_time() {
         let at = |ms| SimTime::from_millis(ms);
         let mut shard0 = Dataset::new();
@@ -307,7 +266,6 @@ mod tests {
             .map(|r| (r.probe_idx, r.resolver_idx))
             .collect();
         assert_eq!(idx, vec![(1, 0), (5, 7), (5, 7), (1, 0)]);
-        assert_eq!(merged.distinct_vps(), 2);
     }
 
     #[test]

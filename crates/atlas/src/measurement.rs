@@ -28,7 +28,7 @@ pub enum QueryName {
 
 impl QueryName {
     /// The concrete name a probe queries.
-    pub fn for_probe(&self, probe_id: u32) -> Name {
+    pub(crate) fn for_probe(&self, probe_id: u32) -> Name {
         match self {
             QueryName::Fixed(n) => n.clone(),
             QueryName::PerProbe { suffix } => suffix

@@ -142,7 +142,7 @@ impl DiurnalCurve {
     }
 
     /// The peak rate multiplier (`1 + amplitude`).
-    pub fn max_rate(&self) -> f64 {
+    pub(crate) fn max_rate(&self) -> f64 {
         1.0 + self.amplitude
     }
 
@@ -192,7 +192,7 @@ pub struct Probe {
 /// A vantage point: one (probe, resolver-slot) pairing — the unit the
 /// paper draws its CDFs over.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct VantagePoint {
+pub(crate) struct VantagePoint {
     /// Index into [`Population::probes`].
     pub probe_idx: usize,
     /// Which of the probe's resolver slots.
@@ -355,7 +355,7 @@ impl Population {
     /// Resolves a slot reference to a concrete backend cache index for
     /// one query (public services pick a random backend — the cache
     /// fragmentation of \[48\]).
-    pub fn pick_backend(&self, slot: ResolverRef, rng: &mut SimRng) -> usize {
+    pub(crate) fn pick_backend(&self, slot: ResolverRef, rng: &mut SimRng) -> usize {
         match slot {
             ResolverRef::Local(idx) => idx,
             ResolverRef::Public(service) => {
@@ -366,7 +366,7 @@ impl Population {
     }
 
     /// Enumerates all vantage points.
-    pub fn vantage_points(&self) -> Vec<VantagePoint> {
+    pub(crate) fn vantage_points(&self) -> Vec<VantagePoint> {
         let mut vps = Vec::new();
         for (probe_idx, probe) in self.probes.iter().enumerate() {
             for slot in 0..probe.resolvers.len() {

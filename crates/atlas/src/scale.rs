@@ -145,7 +145,7 @@ impl ZipfCampaignConfig {
     /// partition arithmetic works for any count, but restricting the
     /// knob keeps the space of experiment identities enumerable (16,
     /// 64, 256, …) instead of continuous.
-    pub fn validate_cells(&self) -> Result<(), String> {
+    pub(crate) fn validate_cells(&self) -> Result<(), String> {
         if self.cells == 0 || !self.cells.is_power_of_two() {
             return Err(format!(
                 "cell count must be a power of two, got {}",
@@ -664,7 +664,7 @@ fn run_oracle(
 ///
 /// # Panics
 /// Panics when `cfg.cells` is not a power of two — CLI layers validate
-/// first ([`ZipfCampaignConfig::validate_cells`]).
+/// first (`ZipfCampaignConfig::validate_cells`).
 pub fn run_zipf_campaign(
     cfg: &ZipfCampaignConfig,
     run_seed: u64,

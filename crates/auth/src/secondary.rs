@@ -79,7 +79,7 @@ impl SecondaryServer {
     }
 
     /// The serial of the copy currently being served.
-    pub fn serving_serial(&self) -> u32 {
+    pub(crate) fn serving_serial(&self) -> u32 {
         self.inner
             .zone(&self.origin)
             .map(|z| z.soa().serial)
@@ -88,7 +88,7 @@ impl SecondaryServer {
 
     /// Checks the primary if the refresh interval has elapsed,
     /// transferring the zone when its serial advanced.
-    pub fn maybe_refresh(&mut self, now: SimTime) {
+    pub(crate) fn maybe_refresh(&mut self, now: SimTime) {
         let due = match self.last_check {
             None => true,
             Some(at) => now.since(at) >= self.refresh,

@@ -1,31 +1,15 @@
-//! # dnsttl-bench — benchmark scenarios
-//!
-//! Helper scenarios shared by the Criterion benches in `benches/`
-//! (interactive tools, never cited as evidence):
-//!
-//! * `micro` — component costs: wire codec, cache operations, zone
-//!   lookups, single resolutions;
-//! * `tables` — one bench per paper table (the regeneration cost of
-//!   each artifact at quick scale);
-//! * `figures` — one bench per paper figure;
-//! * `ablations` — the design choices DESIGN.md calls out, measured
-//!   head-to-head (credibility ranking, glue linking, TTL caps, cache
-//!   sharing).
-//!
-//! Keeping the world-building helpers here keeps the bench files
-//! declarative.
+//! # dnsttl-bench — the paired suite behind `repro bench`
 //!
 //! [`runner`] is the headless suite behind `repro bench`: interleaved
 //! pairs timed in one run, and the gates CI holds their ratios to.
-//! Cross-commit numbers belong to neither — the `benchmark/` package
-//! owns them.
+//! Cross-commit numbers belong to the `benchmark/` package, not here.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod runner;
 
-pub use runner::{BenchConfig, BenchReport, Counter, Timing, BENCH_SCHEMA, TIMINGS_MARKER};
+pub use runner::{BenchConfig, BenchReport, Counter, Timing, TIMINGS_MARKER};
 
 use dnsttl_auth::{AuthoritativeServer, ZoneBuilder};
 use dnsttl_core::ResolverPolicy;
@@ -38,7 +22,7 @@ use std::rc::Rc;
 
 /// A self-contained two-level world (root + one delegated zone) with a
 /// resolver attached: the minimal fixture for resolution benches.
-pub struct BenchWorld {
+pub(crate) struct BenchWorld {
     /// The network with both servers registered.
     pub net: Network,
     /// A resolver using `policy`.
@@ -79,7 +63,7 @@ fn two_level_network(child_ttl: Ttl) -> (Network, Vec<RootHint>) {
 
 /// Builds the fixture. `child_ttl` controls the leaf record's cache
 /// lifetime; `policy` the resolver behaviour.
-pub fn bench_world(child_ttl: Ttl, policy: ResolverPolicy) -> BenchWorld {
+pub(crate) fn bench_world(child_ttl: Ttl, policy: ResolverPolicy) -> BenchWorld {
     let (net, roots) = two_level_network(child_ttl);
     let resolver =
         RecursiveResolver::new("bench", policy, Region::Eu, 1, roots, SimRng::seed_from(99));
@@ -93,7 +77,7 @@ pub fn bench_world(child_ttl: Ttl, policy: ResolverPolicy) -> BenchWorld {
 impl BenchWorld {
     /// One resolution at `now`; panics on non-NOERROR (a bench fixture
     /// must not silently degrade into benchmarking the error path).
-    pub fn resolve_at(&mut self, now_s: u64) -> u32 {
+    pub(crate) fn resolve_at(&mut self, now_s: u64) -> u32 {
         let out = self.resolver.resolve(
             &self.leaf,
             RecordType::A,
@@ -105,32 +89,6 @@ impl BenchWorld {
     }
 }
 
-/// A representative referral message for codec benches (question +
-/// NS authority + A/AAAA glue, with compressible names).
-pub fn sample_referral() -> dnsttl_wire::Message {
-    use dnsttl_wire::{Message, RData, Record};
-    let q = Message::iterative_query(
-        0x2222,
-        Name::parse("www.example.cl").expect("static"),
-        RecordType::A,
-    );
-    let mut m = Message::response_to(&q);
-    for i in 0..4u8 {
-        let ns = Name::parse(&format!("ns{i}.nic.cl")).expect("static");
-        m.authorities.push(Record::new(
-            Name::parse("cl").expect("static"),
-            Ttl::TWO_DAYS,
-            RData::Ns(ns.clone()),
-        ));
-        m.additionals.push(Record::new(
-            ns,
-            Ttl::TWO_DAYS,
-            RData::A(Ipv4Addr::new(190, 124, 27, 10 + i)),
-        ));
-    }
-    m
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -140,12 +98,5 @@ mod tests {
         let mut w = bench_world(Ttl::HOUR, ResolverPolicy::default());
         assert!(w.resolve_at(0) >= 2, "cold resolution walks the tree");
         assert_eq!(w.resolve_at(10), 0, "warm resolution hits cache");
-    }
-
-    #[test]
-    fn sample_referral_round_trips() {
-        let m = sample_referral();
-        let wire = dnsttl_wire::encode_message(&m).unwrap();
-        assert_eq!(dnsttl_wire::decode_message(&wire).unwrap(), m);
     }
 }

@@ -1,10 +1,9 @@
 //! Headless paired-gate runner — `repro bench`.
 //!
-//! Three instruments measure this workspace and each number has one
+//! Two instruments measure this workspace and each number has one
 //! owner. `benchmark/` (its own package, `BENCHMARK.json`) owns every
 //! cross-commit number: absolute per-query and per-layer costs, by its
-//! parent/change pairing rule. The Criterion benches in `benches/` are
-//! interactive tools, never cited as evidence. This module owns only
+//! parent/change pairing rule. This module owns only
 //! comparisons whose two sides sit in the *same* report: each scenario
 //! is an interleaved pair (or a gate input), timed on one host in one
 //! run, so a ratio read off the report means the same thing on any
@@ -32,7 +31,7 @@ use dnsttl_wire::{Name, RecordType, Ttl};
 use std::time::Instant;
 
 /// Schema identifier stamped on the report header line.
-pub const BENCH_SCHEMA: &str = "dnsttl-bench-report/1";
+pub(crate) const BENCH_SCHEMA: &str = "dnsttl-bench-report/1";
 
 /// Marker line separating the deterministic section from wall-clock
 /// timings inside the rendered report.

@@ -47,16 +47,6 @@ impl PublishedTtls {
             child_addr: Ttl::from_secs(120),
         }
     }
-
-    /// `.uy` after raising the child NS TTL to one day (§5.3).
-    pub fn uy_after() -> PublishedTtls {
-        PublishedTtls {
-            parent_ns: Ttl::TWO_DAYS,
-            child_ns: Ttl::DAY,
-            parent_addr: Ttl::TWO_DAYS,
-            child_addr: Ttl::DAY,
-        }
-    }
 }
 
 /// The cache lifetimes a resolver policy actually yields.
@@ -217,16 +207,5 @@ mod tests {
         let eff = effective_ttl(&ResolverPolicy::default(), &published, Bailiwick::In);
         assert_eq!(eff.addr, Ttl::HOUR);
         assert!(!eff.addr_coupled_to_ns);
-    }
-
-    #[test]
-    fn uy_after_change_yields_day_long_caches() {
-        let eff = effective_ttl(
-            &ResolverPolicy::default(),
-            &PublishedTtls::uy_after(),
-            Bailiwick::In,
-        );
-        assert_eq!(eff.ns, Ttl::DAY);
-        assert_eq!(eff.addr, Ttl::DAY);
     }
 }

@@ -49,6 +49,4 @@ pub use lint::{lint_zone, LintContext, LintFinding, ParentInfo, Severity};
 pub use migration::{plan_migration, MigrationPlan, MigrationSpec, MigrationStep};
 pub use policy::{Centricity, PolicyMix, ResolverPolicy};
 pub use recommend::{recommend, TtlRecommendation, ZoneProfile};
-pub use tradeoff::{
-    authoritative_load, expected_latency_ms, hit_rate, miss_rate, traffic_reduction,
-};
+pub use tradeoff::{authoritative_load, expected_latency_ms, hit_rate};

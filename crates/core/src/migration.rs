@@ -82,7 +82,7 @@ impl Default for MigrationSpec {
 
 /// The worst-case (longest) effective TTL any policy in the population
 /// gives the address record under `published`.
-pub fn worst_effective_addr_ttl(
+pub(crate) fn worst_effective_addr_ttl(
     population: &PolicyMix,
     published: &PublishedTtls,
     bailiwick: Bailiwick,

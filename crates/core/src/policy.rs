@@ -111,12 +111,12 @@ impl Default for ResolverPolicy {
 impl ResolverPolicy {
     /// BIND-like: child-centric, one-week maximum cache time (§3.4
     /// mentions BIND's default max-cache-ttl).
-    pub fn bind_like() -> ResolverPolicy {
+    pub(crate) fn bind_like() -> ResolverPolicy {
         ResolverPolicy::default()
     }
 
     /// Unbound-like: child-centric, one-day cap, glue-linked.
-    pub fn unbound_like() -> ResolverPolicy {
+    pub(crate) fn unbound_like() -> ResolverPolicy {
         ResolverPolicy {
             ttl_cap: Some(Ttl::DAY),
             ..ResolverPolicy::default()
@@ -281,7 +281,7 @@ impl PolicyMix {
     }
 
     /// Fraction of the population weight that is child-centric.
-    pub fn child_centric_fraction(&self) -> f64 {
+    pub(crate) fn child_centric_fraction(&self) -> f64 {
         let total: f64 = self.entries.iter().map(|(w, _)| w).sum();
         let child: f64 = self
             .entries

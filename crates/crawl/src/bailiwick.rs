@@ -20,7 +20,7 @@ impl BailiwickClass {
     /// # Panics
     /// Panics when both counts are zero — an empty NS set has no
     /// bailiwick.
-    pub fn from_counts(in_count: usize, out_count: usize) -> BailiwickClass {
+    pub(crate) fn from_counts(in_count: usize, out_count: usize) -> BailiwickClass {
         match (in_count, out_count) {
             (0, 0) => panic!("empty NS set has no bailiwick class"),
             (_, 0) => BailiwickClass::InOnly,

@@ -10,12 +10,12 @@
 use crate::lists::ListKind;
 
 /// The human-chosen TTL values that dominate Figure 9, in seconds.
-pub const TTL_VALUES: [u32; 14] = [
+pub(crate) const TTL_VALUES: [u32; 14] = [
     0, 30, 60, 300, 600, 900, 1_800, 3_600, 7_200, 14_400, 21_600, 43_200, 86_400, 172_800,
 ];
 
 /// A TTL mixture: weights over [`TTL_VALUES`].
-pub type TtlMix = [f64; 14];
+pub(crate) type TtlMix = [f64; 14];
 
 /// NS-record TTL mixtures (child side), per list.
 ///
@@ -23,7 +23,7 @@ pub type TtlMix = [f64; 14];
 /// * Umbrella: "25% of its domains with NS records are under 1 minute".
 /// * Alexa/Majestic: long-lived, centred on hours-to-days.
 /// * .nl: ~40% below the parent's hour (§5.1), median 4 h (Table 7).
-pub fn ns_ttl_mix(list: ListKind) -> TtlMix {
+pub(crate) fn ns_ttl_mix(list: ListKind) -> TtlMix {
     match list {
         //                 0     30    60    300   600   900   1800  3600  7200  14400 21600 43200 86400 172800
         ListKind::Root => [
@@ -51,7 +51,7 @@ pub fn ns_ttl_mix(list: ListKind) -> TtlMix {
 
 /// A-record TTL mixtures: §5.1 "IP addresses are the shortest",
 /// Table 7 gives `.nl` a 1 h median.
-pub fn a_ttl_mix(list: ListKind) -> TtlMix {
+pub(crate) fn a_ttl_mix(list: ListKind) -> TtlMix {
     match list {
         ListKind::Root => [
             0.000, 0.004, 0.010, 0.020, 0.020, 0.010, 0.030, 0.100, 0.050, 0.050, 0.040, 0.060,
@@ -77,7 +77,7 @@ pub fn a_ttl_mix(list: ListKind) -> TtlMix {
 }
 
 /// AAAA mixtures track A with slightly longer tails (Figure 9c).
-pub fn aaaa_ttl_mix(list: ListKind) -> TtlMix {
+pub(crate) fn aaaa_ttl_mix(list: ListKind) -> TtlMix {
     let mut mix = a_ttl_mix(list);
     // Shift a little weight from the minute-scale bins to hour-scale.
     mix[2] *= 0.7;
@@ -89,7 +89,7 @@ pub fn aaaa_ttl_mix(list: ListKind) -> TtlMix {
 
 /// MX mixtures: mail is provisioned manually; hours dominate
 /// (Table 7: 1 h median for `.nl`).
-pub fn mx_ttl_mix(_list: ListKind) -> TtlMix {
+pub(crate) fn mx_ttl_mix(_list: ListKind) -> TtlMix {
     [
         0.001, 0.004, 0.020, 0.080, 0.060, 0.030, 0.100, 0.330, 0.100, 0.090, 0.060, 0.050, 0.065,
         0.010,
@@ -98,7 +98,7 @@ pub fn mx_ttl_mix(_list: ListKind) -> TtlMix {
 
 /// DNSKEY mixtures: "NS and DNSKEY records tend to be the longest
 /// lived" (§5.1).
-pub fn dnskey_ttl_mix(_list: ListKind) -> TtlMix {
+pub(crate) fn dnskey_ttl_mix(_list: ListKind) -> TtlMix {
     [
         0.001, 0.002, 0.007, 0.020, 0.020, 0.010, 0.040, 0.250, 0.090, 0.120, 0.080, 0.080, 0.250,
         0.030,
@@ -107,7 +107,7 @@ pub fn dnskey_ttl_mix(_list: ListKind) -> TtlMix {
 
 /// Per-list population parameters from Table 5 / Table 9.
 #[derive(Debug, Clone)]
-pub struct ListParams {
+pub(crate) struct ListParams {
     /// Domains in the full-scale list.
     pub domains: usize,
     /// Fraction of domains that answer at all (Table 5 "ratio").
@@ -137,7 +137,7 @@ pub struct ListParams {
 }
 
 /// The calibrated parameters for each list.
-pub fn list_params(list: ListKind) -> ListParams {
+pub(crate) fn list_params(list: ListKind) -> ListParams {
     match list {
         ListKind::Alexa => ListParams {
             domains: 1_000_000,

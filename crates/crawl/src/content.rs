@@ -37,15 +37,6 @@ impl ContentCategory {
         }
     }
 
-    /// Table 6 full-scale population count.
-    pub fn paper_count(self) -> u64 {
-        match self {
-            ContentCategory::Placeholder => 1_199_152,
-            ContentCategory::Ecommerce => 148_564,
-            ContentCategory::Parking => 127_551,
-        }
-    }
-
     /// Samples a category with Table 6 proportions.
     pub fn sample(rng: &mut SimRng) -> ContentCategory {
         let weights = [1_199_152.0, 148_564.0, 127_551.0];
@@ -54,7 +45,7 @@ impl ContentCategory {
 
     /// Biases an NS TTL toward the category's Table 7 median:
     /// parking pushes to 24 h; the others to ≈4 h.
-    pub fn bias_ns_ttl(self, sampled: u32) -> u32 {
+    pub(crate) fn bias_ns_ttl(self, sampled: u32) -> u32 {
         match self {
             ContentCategory::Parking => sampled.max(86_400),
             _ => sampled.clamp(3_600, 21_600),
@@ -63,7 +54,7 @@ impl ContentCategory {
 
     /// Same for DNSKEY (Table 7: parking 24 h, placeholder 4 h,
     /// e-commerce 1 h).
-    pub fn bias_dnskey_ttl(self, sampled: u32) -> u32 {
+    pub(crate) fn bias_dnskey_ttl(self, sampled: u32) -> u32 {
         match self {
             ContentCategory::Parking => sampled.max(86_400),
             ContentCategory::Placeholder => sampled.clamp(3_600, 14_400),
@@ -104,9 +95,7 @@ mod tests {
     }
 
     #[test]
-    fn labels_and_counts() {
+    fn labels() {
         assert_eq!(ContentCategory::Placeholder.label(), "Placeholder");
-        let total: u64 = ContentCategory::ALL.iter().map(|c| c.paper_count()).sum();
-        assert_eq!(total, 1_475_267); // Table 6 total
     }
 }

@@ -28,10 +28,10 @@ pub mod calibration;
 pub mod content;
 pub mod crawler;
 pub mod lists;
-pub mod serve;
+#[cfg(test)]
+mod serve;
 
 pub use bailiwick::BailiwickClass;
 pub use content::ContentCategory;
 pub use crawler::{CrawlSummary, RecordTypeSummary};
 pub use lists::{CrawledDomain, CrawledRecord, ListKind, ListSpec};
-pub use serve::{crawl_served_domain, materialize_zone};

@@ -85,7 +85,7 @@ pub struct CrawledDomain {
 
 impl CrawledDomain {
     /// Records of one type.
-    pub fn records_of(&self, rtype: RecordType) -> impl Iterator<Item = &CrawledRecord> {
+    pub(crate) fn records_of(&self, rtype: RecordType) -> impl Iterator<Item = &CrawledRecord> {
         self.records.iter().filter(move |r| r.rtype == rtype)
     }
 

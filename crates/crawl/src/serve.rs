@@ -19,7 +19,7 @@ use dnsttl_wire::{Message, Name, RData, Record, RecordType, Ttl};
 /// Returns `None` for unresponsive domains and for the CNAME/SOA-on-NS
 /// populations (those names live inside someone else's zone; there is
 /// no zone of their own to build).
-pub fn materialize_zone(domain: &CrawledDomain) -> Option<Zone> {
+pub(crate) fn materialize_zone(domain: &CrawledDomain) -> Option<Zone> {
     if !domain.responds_ns() {
         return None;
     }
@@ -51,7 +51,7 @@ pub fn materialize_zone(domain: &CrawledDomain) -> Option<Zone> {
 /// Queries a materialised domain's server for every crawled type and
 /// reconstructs the [`CrawledRecord`] view, exactly as the crawler
 /// would from the wire.
-pub fn crawl_served_domain(domain: &CrawledDomain) -> Option<Vec<CrawledRecord>> {
+pub(crate) fn crawl_served_domain(domain: &CrawledDomain) -> Option<Vec<CrawledRecord>> {
     let zone = materialize_zone(domain)?;
     let origin = zone.origin().clone();
     let mut server = AuthoritativeServer::new(domain.name.clone()).with_zone(zone);
@@ -95,7 +95,7 @@ pub fn crawl_served_domain(domain: &CrawledDomain) -> Option<Vec<CrawledRecord>>
 
 /// Re-derives the bailiwick classification by parsing the served NS
 /// targets, for cross-checking the generator's label.
-pub fn served_bailiwick(domain: &CrawledDomain) -> Option<BailiwickClass> {
+pub(crate) fn served_bailiwick(domain: &CrawledDomain) -> Option<BailiwickClass> {
     let records = crawl_served_domain(domain)?;
     let origin = Name::parse(&domain.name).ok()?;
     let targets: Vec<Name> = records

@@ -12,7 +12,6 @@
 use dnsttl_auth::parse_records;
 use dnsttl_core::{lint_zone, LintContext, ParentInfo, Severity};
 use dnsttl_wire::{Name, Ttl};
-use std::io::Read;
 
 fn usage() -> ! {
     eprintln!(
@@ -67,19 +66,16 @@ fn main() {
     let Some(origin) = origin else { usage() };
     let Some(path) = path else { usage() };
 
-    let text = if path == "-" {
-        let mut buf = String::new();
-        std::io::stdin()
-            .read_to_string(&mut buf)
-            .expect("stdin is readable");
-        buf
+    let read = if path == "-" {
+        std::io::read_to_string(std::io::stdin())
     } else {
-        match std::fs::read_to_string(&path) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("cannot read {path}: {e}");
-                std::process::exit(2);
-            }
+        std::fs::read_to_string(&path)
+    };
+    let text = match read {
+        Ok(t) => t,
+        Err(e) => {
+            eprintln!("cannot read {path}: {e}");
+            std::process::exit(2);
         }
     };
 

@@ -1,19 +1,19 @@
 //! Extension experiments: claims the paper makes in prose (or leans on
 //! from companion work) that the full simulation can test directly.
 //!
-//! * [`offline_child`] — §4.4's `zurrundedu-offline` measurement: with
+//! * `offline_child` — §4.4's `zurrundedu-offline` measurement: with
 //!   the child's authoritative servers dead, parent-centric resolvers
 //!   (OpenDNS-style) keep answering from delegation data while
 //!   child-centric resolvers SERVFAIL.
-//! * [`dnssec_centricity`] — §2's claim that DNSSEC validation forces
+//! * `dnssec_centricity` — §2's claim that DNSSEC validation forces
 //!   child-centric behaviour, plus the flip side: validators turn
 //!   cache-poisoning-style tampering into SERVFAIL where plain
 //!   resolvers swallow it.
-//! * [`ddos_resilience`] — §6.1 "longer caching is more robust to DDoS
+//! * `ddos_resilience` — §6.1 "longer caching is more robust to DDoS
 //!   attacks on DNS": survival of client queries through an
 //!   authoritative outage as a function of TTL, with and without
 //!   serve-stale (the paper's \[36\] in miniature).
-//! * [`hitrate_validation`] — the Jung-et-al analytic cache model
+//! * `hitrate_validation` — the Jung-et-al analytic cache model
 //!   (`dnsttl_core::hit_rate`) validated against the simulated cache,
 //!   including the ~70% hit-rate band Moura et al. 2018 report for
 //!   TTLs of 1800–86400 s.
@@ -55,7 +55,7 @@ pub fn run(cfg: &ExpConfig) -> Vec<Report> {
 /// the child's authoritative servers are offline. The paper: "VPs that
 /// employ OpenDNS receive a valid answer, while most others either
 /// time out or receive SERVFAIL".
-pub fn offline_child(cfg: &ExpConfig) -> Report {
+pub(crate) fn offline_child(cfg: &ExpConfig) -> Report {
     let CachetestWorld { mut net, roots, .. } = worlds::cachetest_world(true);
     // Kill the child's servers; .com (the parent) stays up.
     net.set_online(worlds::addrs::SUB_OLD, false);
@@ -155,7 +155,7 @@ fn signed_uy_world() -> (Network, Vec<RootHint>, Rc<RefCell<AuthoritativeServer>
 /// Measures observed `NS .uy` TTLs for validating vs parent-centric
 /// resolvers over a signed `.uy`, then injects an unsigned record
 /// change (tampering) and measures who notices.
-pub fn dnssec_centricity(cfg: &ExpConfig) -> Report {
+pub(crate) fn dnssec_centricity(cfg: &ExpConfig) -> Report {
     let (mut net, roots, child) = signed_uy_world();
     let mut rng = SimRng::seed_from(cfg.seed_for("ext-dnssec"));
     let count = (cfg.probes / 8).max(30);
@@ -258,7 +258,7 @@ pub fn dnssec_centricity(cfg: &ExpConfig) -> Report {
 /// and measures the client-query success rate during the attack for
 /// several TTLs, plus a serve-stale variant. The paper's \[36\]: "to be
 /// most effective, TTLs must be longer than the attack".
-pub fn ddos_resilience(cfg: &ExpConfig) -> Report {
+pub(crate) fn ddos_resilience(cfg: &ExpConfig) -> Report {
     let attack_start = SimTime::from_secs(2_700);
     let attack = SimDuration::from_hours(1);
     let clients = (cfg.probes / 20).max(20);
@@ -390,7 +390,7 @@ pub fn ddos_resilience(cfg: &ExpConfig) -> Report {
 
 /// Drives Poisson client arrivals into one resolver cache and compares
 /// the measured hit rate with `dnsttl_core::hit_rate`'s prediction.
-pub fn hitrate_validation(cfg: &ExpConfig) -> Report {
+pub(crate) fn hitrate_validation(cfg: &ExpConfig) -> Report {
     let rate_qps = 1.0 / 60.0;
     let horizon = SimDuration::from_hours(24);
     let ttls = [30u32, 60, 300, 1_800, 3_600, 86_400];
@@ -489,7 +489,7 @@ pub fn hitrate_validation(cfg: &ExpConfig) -> Report {
 /// often as caches come back: with a long TTL each resolver freezes on
 /// whichever backend it drew first. Measures backend load imbalance
 /// (max/min share across 4 backends) as a function of TTL.
-pub fn load_balancing_agility(cfg: &ExpConfig) -> Report {
+pub(crate) fn load_balancing_agility(cfg: &ExpConfig) -> Report {
     let clients = (cfg.probes / 20).max(24);
     let horizon = SimDuration::from_hours(2);
     let backends = ["203.0.113.1", "203.0.113.2", "203.0.113.3", "203.0.113.4"];
@@ -601,7 +601,7 @@ pub fn load_balancing_agility(cfg: &ExpConfig) -> Report {
 /// authoritative load as a function of the zone's negative-caching TTL
 /// (SOA `minimum`) — the same caching arithmetic as positive TTLs, on
 /// the NXDOMAIN path the paper's crawler exercises constantly.
-pub fn negative_ttl_load(cfg: &ExpConfig) -> Report {
+pub(crate) fn negative_ttl_load(cfg: &ExpConfig) -> Report {
     let clients = (cfg.probes / 40).max(10);
     let horizon = SimDuration::from_hours(1);
     let query_gap = SimDuration::from_secs(30);
@@ -696,7 +696,7 @@ pub fn negative_ttl_load(cfg: &ExpConfig) -> Report {
 /// pair and measures when clients (with a short 60 s record TTL, so
 /// caching is not the bottleneck) actually stop seeing the old
 /// address, for several refresh intervals.
-pub fn secondary_propagation(cfg: &ExpConfig) -> Report {
+pub(crate) fn secondary_propagation(cfg: &ExpConfig) -> Report {
     use dnsttl_auth::SecondaryServer;
 
     let mut report = Report::new(

@@ -26,7 +26,7 @@ use std::path::Path;
 /// The TTL bands the per-TTL quantile sketches are keyed by: fine
 /// where the paper's TTL arguments live (seconds to an hour), coarse
 /// above. `None` (no answer / no TTL observed) gets its own band.
-pub fn ttl_band(ttl: Option<u64>) -> &'static str {
+pub(crate) fn ttl_band(ttl: Option<u64>) -> &'static str {
     match ttl {
         None => "none",
         Some(0) => "0",
@@ -95,7 +95,7 @@ fn scalar_to_string(v: &JsonScalar) -> String {
 }
 
 /// Parses one trace JSONL line into a [`TraceLine`].
-pub fn parse_trace_line(line: &str) -> Result<TraceLine, String> {
+pub(crate) fn parse_trace_line(line: &str) -> Result<TraceLine, String> {
     let fields = parse_flat_object(line)?;
     let t_ms = flat_get(&fields, "t_ms")
         .and_then(|v| v.as_u64())
@@ -162,7 +162,7 @@ pub struct SpanNode {
 
 impl SpanNode {
     /// Span duration in sim-milliseconds.
-    pub fn duration_ms(&self) -> u64 {
+    pub(crate) fn duration_ms(&self) -> u64 {
         self.end_ms.saturating_sub(self.start_ms)
     }
 }
@@ -292,7 +292,7 @@ pub fn build_span_forest(lines: &[TraceLine]) -> SpanForest {
 /// start, and every child's sim-time interval nests within its
 /// parent's. Returns human-readable violations (empty = well-formed).
 /// Build-time issues ([`SpanForest::issues`]) are included.
-pub fn well_formedness_issues(forest: &SpanForest) -> Vec<String> {
+pub(crate) fn well_formedness_issues(forest: &SpanForest) -> Vec<String> {
     let mut issues = forest.issues.clone();
     for node in forest.nodes.values() {
         if !node.ended {

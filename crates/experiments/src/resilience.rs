@@ -4,7 +4,7 @@
 //! The paper's closing argument is that long TTLs are a resilience
 //! mechanism: during the 2016 Dyn DDoS, "users of Twitter could still
 //! reach the site if its DNS records were cached". The
-//! [`ddos_resilience`](crate::extensions::ddos_resilience) extension
+//! `ddos_resilience` extension
 //! approximates that with a manual online/offline toggle; this module
 //! reproduces it as a measurable curve on the scripted
 //! [`FaultPlan`](dnsttl_netsim::FaultPlan) machinery instead, so the
@@ -52,7 +52,7 @@ const QUERY_GAP_S: u64 = 120;
 /// The scripted fault plan every cell of the matrix runs under: a hard
 /// one-hour outage of the sole authoritative server. Public so tests
 /// and `repro` can journal the identical script.
-pub fn outage_plan() -> FaultPlan {
+pub(crate) fn outage_plan() -> FaultPlan {
     let victim: std::net::IpAddr = "192.0.2.53".parse().expect("static addr");
     FaultPlan::new().outage(
         victim,

@@ -53,7 +53,7 @@ pub enum WorldSpec {
     },
     /// `google.co` ([`worlds::google_co_world`]).
     GoogleCo,
-    /// The §6.2 controlled test zone ([`worlds::controlled_world`]);
+    /// The §6.2 controlled test zone (`worlds::controlled_world`);
     /// exposes the test server's address for authoritative-side counts.
     Controlled {
         /// TTL of the test AAAA record.
@@ -124,7 +124,7 @@ pub fn fan_out<T: Send>(
 /// cells (default: the classic 16) on that many worker threads. The
 /// cell count, unlike the worker count, is part of the experiment's
 /// identity (different partitions, different per-cell seeds).
-pub fn measurement_campaign(
+pub(crate) fn measurement_campaign(
     cfg: &ExpConfig,
     tag: &str,
     world: WorldSpec,

@@ -18,7 +18,7 @@ use std::path::Path;
 
 /// One parsed `*_timeseries.jsonl` line.
 #[derive(Debug, Clone, PartialEq)]
-pub struct TsLine {
+pub(crate) struct TsLine {
     /// Series (metric) name.
     pub series: String,
     /// `counter`, `gauge`, or `sketch`.
@@ -35,7 +35,7 @@ pub struct TsLine {
 impl TsLine {
     /// The line's headline number: `value` for counters, `mean` for
     /// gauges, `p99` for sketches (falling back to `count`).
-    pub fn headline(&self) -> f64 {
+    pub(crate) fn headline(&self) -> f64 {
         for key in ["value", "mean", "p99", "count"] {
             if let Some((_, v)) = self.values.iter().find(|(k, _)| k == key) {
                 return *v;
@@ -50,7 +50,7 @@ impl TsLine {
 }
 
 /// Parses a `*_timeseries.jsonl` artifact.
-pub fn parse_timeseries_jsonl(text: &str) -> Result<Vec<TsLine>, String> {
+pub(crate) fn parse_timeseries_jsonl(text: &str) -> Result<Vec<TsLine>, String> {
     let mut out = Vec::new();
     for (i, line) in text.lines().enumerate() {
         if line.trim().is_empty() {
@@ -86,7 +86,7 @@ pub fn parse_timeseries_jsonl(text: &str) -> Result<Vec<TsLine>, String> {
 
 /// Renders `values` as a unicode-block sparkline, scaled to the
 /// series' own min..max (a flat series renders as all-low blocks).
-pub fn sparkline(values: &[f64]) -> String {
+pub(crate) fn sparkline(values: &[f64]) -> String {
     const BLOCKS: [char; 8] = ['▁', '▂', '▃', '▄', '▅', '▆', '▇', '█'];
     let (min, max) = values
         .iter()
@@ -103,7 +103,7 @@ pub fn sparkline(values: &[f64]) -> String {
 
 /// The derived curves for one module: dense `(t_ms, hit_rate,
 /// upstream_qps)` rows wherever the constituent series have buckets.
-pub fn derived_curves(lines: &[TsLine]) -> Vec<(u64, f64, f64)> {
+pub(crate) fn derived_curves(lines: &[TsLine]) -> Vec<(u64, f64, f64)> {
     let pick = |name: &str| -> BTreeMap<u64, (u64, f64)> {
         lines
             .iter()
@@ -132,7 +132,7 @@ pub fn derived_curves(lines: &[TsLine]) -> Vec<(u64, f64, f64)> {
 
 /// All `*_timeseries.jsonl` files under `dir`, as `(module, lines)`
 /// in name order.
-pub fn load_dir(dir: &Path) -> Result<Vec<(String, Vec<TsLine>)>, String> {
+pub(crate) fn load_dir(dir: &Path) -> Result<Vec<(String, Vec<TsLine>)>, String> {
     let mut files: Vec<std::path::PathBuf> = std::fs::read_dir(dir)
         .map_err(|e| format!("cannot read {}: {e}", dir.display()))?
         .filter_map(|e| e.ok().map(|e| e.path()))

@@ -24,17 +24,17 @@ pub mod addrs {
     /// `c.nic.uy` — the anycast member of the `.uy` NS set.
     pub const UY_C: IpAddr = IpAddr::V4(Ipv4Addr::new(204, 61, 216, 40));
     /// `.co` registry server.
-    pub const CO: IpAddr = IpAddr::V4(Ipv4Addr::new(156, 154, 100, 1));
+    pub(crate) const CO: IpAddr = IpAddr::V4(Ipv4Addr::new(156, 154, 100, 1));
     /// `.com` gTLD server.
-    pub const COM: IpAddr = IpAddr::V4(Ipv4Addr::new(192, 5, 6, 30));
+    pub(crate) const COM: IpAddr = IpAddr::V4(Ipv4Addr::new(192, 5, 6, 30));
     /// Google authoritative (anycast).
-    pub const GOOGLE: IpAddr = IpAddr::V4(Ipv4Addr::new(216, 239, 32, 10));
+    pub(crate) const GOOGLE: IpAddr = IpAddr::V4(Ipv4Addr::new(216, 239, 32, 10));
     /// `.org` server.
     pub const ORG: IpAddr = IpAddr::V4(Ipv4Addr::new(199, 19, 56, 1));
     /// ISC's server for `isc.org`.
-    pub const ISC: IpAddr = IpAddr::V4(Ipv4Addr::new(149, 20, 64, 3));
+    pub(crate) const ISC: IpAddr = IpAddr::V4(Ipv4Addr::new(149, 20, 64, 3));
     /// `.nl` servers ns1..ns3.dns.nl plus sns-pb.isc.org.
-    pub const NL: [IpAddr; 4] = [
+    pub(crate) const NL: [IpAddr; 4] = [
         IpAddr::V4(Ipv4Addr::new(194, 0, 28, 53)),
         IpAddr::V4(Ipv4Addr::new(194, 146, 106, 42)),
         IpAddr::V4(Ipv4Addr::new(194, 0, 25, 24)),
@@ -45,11 +45,11 @@ pub mod addrs {
     /// `ns1.cachetest.net`.
     pub const CACHETEST: IpAddr = IpAddr::V4(Ipv4Addr::new(18, 184, 0, 10));
     /// The original `sub.cachetest.net` server.
-    pub const SUB_OLD: IpAddr = IpAddr::V4(Ipv4Addr::new(18, 184, 0, 20));
+    pub(crate) const SUB_OLD: IpAddr = IpAddr::V4(Ipv4Addr::new(18, 184, 0, 20));
     /// The renumbered `sub.cachetest.net` server.
-    pub const SUB_NEW: IpAddr = IpAddr::V4(Ipv4Addr::new(18, 184, 0, 21));
+    pub(crate) const SUB_NEW: IpAddr = IpAddr::V4(Ipv4Addr::new(18, 184, 0, 21));
     /// The controlled-experiment test server (`mapache-de-madrid.co`).
-    pub const MAPACHE: IpAddr = IpAddr::V4(Ipv4Addr::new(18, 184, 0, 40));
+    pub(crate) const MAPACHE: IpAddr = IpAddr::V4(Ipv4Addr::new(18, 184, 0, 40));
 }
 
 fn rc(server: AuthoritativeServer) -> Rc<RefCell<AuthoritativeServer>> {
@@ -319,7 +319,7 @@ pub fn nl_world() -> NlWorld {
 ///
 /// The old and new VMs of §4's renumbering experiments are two
 /// instances with different markers and addresses.
-pub struct SyntheticZoneService {
+pub(crate) struct SyntheticZoneService {
     /// Apexes this server is authoritative for (wildcard AAAA under
     /// each).
     pub apexes: Vec<Name>,
@@ -434,7 +434,7 @@ pub struct CachetestWorld {
 }
 
 /// The marker AAAA of the original server.
-pub const OLD_MARKER: Ipv6Addr = Ipv6Addr::new(0x2001, 0xdb8, 0, 0, 0, 0, 0, 0x0001);
+pub(crate) const OLD_MARKER: Ipv6Addr = Ipv6Addr::new(0x2001, 0xdb8, 0, 0, 0, 0, 0, 0x0001);
 /// The marker AAAA of the renumbered server.
 pub const NEW_MARKER: Ipv6Addr = Ipv6Addr::new(0x2001, 0xdb8, 0, 0, 0, 0, 0, 0x0002);
 
@@ -593,7 +593,7 @@ impl CachetestWorld {
 ///
 /// Returns the network, hints, and the test server's address (for
 /// Table 10's authoritative-side counters).
-pub fn controlled_world(aaaa_ttl: Ttl, anycast: bool) -> (Network, Vec<RootHint>, IpAddr) {
+pub(crate) fn controlled_world(aaaa_ttl: Ttl, anycast: bool) -> (Network, Vec<RootHint>, IpAddr) {
     let mut net = Network::new(LatencyModel::internet());
 
     let root_zone = ZoneBuilder::new(".")

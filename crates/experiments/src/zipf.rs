@@ -25,12 +25,12 @@ use dnsttl_netsim::SimDuration;
 /// Default cell count for the scale campaign: wide enough to keep an
 /// 8-worker fan-out saturated with cells to steal (64 cells / 8
 /// workers = 8 cells per worker of dynamic slack).
-pub const DEFAULT_CELLS: usize = 64;
+pub(crate) const DEFAULT_CELLS: usize = 64;
 
 /// The campaign this module runs for a given config: `cfg.probes`
 /// probes over one simulated day, so the diurnal curve completes a
 /// full cycle.
-pub fn campaign_for(cfg: &ExpConfig) -> ZipfCampaignConfig {
+pub(crate) fn campaign_for(cfg: &ExpConfig) -> ZipfCampaignConfig {
     let mut campaign = ZipfCampaignConfig::small(cfg.probes.max(1));
     campaign.cells = cfg.cells.unwrap_or(DEFAULT_CELLS);
     campaign.duration = SimDuration::from_hours(24);

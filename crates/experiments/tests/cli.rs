@@ -1,6 +1,7 @@
-//! Process-level tests for the `sdig` and `repro` binaries: the
-//! forensics flags (`--trace-json`, `--cache-dump`, snapshot diffing)
-//! and `repro bench`'s determinism guarantee, gate verdicts and flags.
+//! Process-level tests for the `sdig`, `repro` and `zonecheck` binaries:
+//! the forensics flags (`--trace-json`, `--cache-dump`, snapshot diffing),
+//! `repro bench`'s determinism guarantee, gate verdicts and flags, and
+//! how bad input is rejected.
 
 use std::process::Command;
 
@@ -395,6 +396,25 @@ fn sdig_rejects_malformed_fault_plan() {
         "stderr must explain the rejection"
     );
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn zonecheck_rejects_non_utf8_stdin_without_panicking() {
+    use std::io::Write;
+    let mut child = Command::new(env!("CARGO_BIN_EXE_zonecheck"))
+        .args(["--origin", "example", "-"])
+        .stdin(std::process::Stdio::piped())
+        .stderr(std::process::Stdio::piped())
+        .spawn()
+        .expect("runs");
+    let mut stdin = child.stdin.take().expect("piped stdin");
+    stdin.write_all(b"\xff\n").expect("stdin written");
+    drop(stdin);
+    let out = child.wait_with_output().expect("exits");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert!(stderr.contains("cannot read -"), "{stderr}");
 }
 
 #[test]

@@ -81,11 +81,6 @@ impl<E> EventQueue<E> {
             .map(|(ms, s)| (SimTime::from_millis(ms), s.event))
     }
 
-    /// Fire time of the next event without removing it. O(1).
-    pub fn peek_time(&self) -> Option<SimTime> {
-        self.wheel.earliest_ms().map(SimTime::from_millis)
-    }
-
     /// Number of pending events.
     pub fn len(&self) -> usize {
         self.wheel.len()
@@ -127,17 +122,6 @@ mod tests {
         }
         let order: Vec<i32> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
         assert_eq!(order, (0..100).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn peek_does_not_remove() {
-        let mut q = EventQueue::new();
-        q.schedule(SimTime::from_secs(1), ());
-        assert_eq!(q.peek_time(), Some(SimTime::from_secs(1)));
-        assert_eq!(q.len(), 1);
-        assert!(q.pop().is_some());
-        assert!(q.is_empty());
-        assert_eq!(q.peek_time(), None);
     }
 
     #[test]

@@ -80,7 +80,7 @@ pub struct Fault {
 
 impl Fault {
     /// Whether the window covers `now`.
-    pub fn active_at(&self, now: SimTime) -> bool {
+    pub(crate) fn active_at(&self, now: SimTime) -> bool {
         self.from <= now && now < self.until
     }
 }
@@ -180,14 +180,14 @@ impl FaultPlan {
     }
 
     /// True if a hard outage of `server` is active at `now`.
-    pub fn outage_active(&self, server: ServiceAddr, now: SimTime) -> bool {
+    pub(crate) fn outage_active(&self, server: ServiceAddr, now: SimTime) -> bool {
         self.faults.iter().any(|f| {
             matches!(f.kind, FaultKind::Outage { server: s } if s == server) && f.active_at(now)
         })
     }
 
     /// True if `region` is blacked out at `now`.
-    pub fn blackout_active(&self, region: Region, now: SimTime) -> bool {
+    pub(crate) fn blackout_active(&self, region: Region, now: SimTime) -> bool {
         self.faults.iter().any(|f| {
             matches!(f.kind, FaultKind::Blackout { region: r } if r == region) && f.active_at(now)
         })
@@ -418,7 +418,7 @@ impl FaultPlan {
 
 /// Parses a region token as rendered by `Region`'s `Display`
 /// (case-insensitive).
-pub fn parse_region(s: &str) -> Option<Region> {
+pub(crate) fn parse_region(s: &str) -> Option<Region> {
     Some(match s.to_ascii_uppercase().as_str() {
         "AF" => Region::Af,
         "AS" => Region::As,

@@ -132,14 +132,16 @@ impl LatencyModel {
         }
     }
 
+    #[cfg(test)]
     /// Overrides the jitter parameter.
-    pub fn with_sigma(mut self, sigma: f64) -> LatencyModel {
+    pub(crate) fn with_sigma(mut self, sigma: f64) -> LatencyModel {
         self.sigma = sigma;
         self
     }
 
+    #[cfg(test)]
     /// Overrides the loss probability.
-    pub fn with_loss(mut self, p: f64) -> LatencyModel {
+    pub(crate) fn with_loss(mut self, p: f64) -> LatencyModel {
         self.loss_probability = p;
         self
     }
@@ -147,12 +149,12 @@ impl LatencyModel {
     /// The median RTT between two regions, without jitter. Anycast site
     /// selection uses this (BGP picks by topology, not by instantaneous
     /// load).
-    pub fn median_ms(&self, from: Region, to: Region) -> f64 {
+    pub(crate) fn median_ms(&self, from: Region, to: Region) -> f64 {
         self.medians_ms[from.index()][to.index()]
     }
 
     /// Samples one round-trip time.
-    pub fn sample_rtt(&self, from: Region, to: Region, rng: &mut SimRng) -> SimDuration {
+    pub(crate) fn sample_rtt(&self, from: Region, to: Region, rng: &mut SimRng) -> SimDuration {
         let median = self.median_ms(from, to);
         let jitter = if self.sigma > 0.0 {
             rng.log_normal(0.0, self.sigma)
@@ -163,7 +165,7 @@ impl LatencyModel {
     }
 
     /// Samples whether one exchange is lost.
-    pub fn sample_loss(&self, rng: &mut SimRng) -> bool {
+    pub(crate) fn sample_loss(&self, rng: &mut SimRng) -> bool {
         self.loss_probability > 0.0 && rng.chance(self.loss_probability)
     }
 }

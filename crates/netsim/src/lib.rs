@@ -42,11 +42,10 @@ pub mod time;
 pub mod wheel;
 
 pub use event::EventQueue;
-pub use fault::{parse_region, Degradation, Fault, FaultKind, FaultPlan};
+pub use fault::{Degradation, Fault, FaultKind, FaultPlan};
 pub use latency::{LatencyModel, Region};
 pub use network::{
     ClientId, DnsService, ExchangeOutcome, Network, ServiceAddr, ServiceHandle, Transport,
-    UDP_PAYLOAD_LIMIT,
 };
 pub use rng::{shard_seed, SimRng};
 pub use time::{SimDuration, SimTime};

@@ -73,7 +73,7 @@ pub enum Transport {
 }
 
 /// The classic UDP payload limit (RFC 1035 §4.2.1).
-pub const UDP_PAYLOAD_LIMIT: usize = 512;
+pub(crate) const UDP_PAYLOAD_LIMIT: usize = 512;
 
 struct Site {
     region: Region,
@@ -247,29 +247,6 @@ impl Network {
             .unwrap_or(0)
     }
 
-    /// The anycast catchment of an address: for each client region,
-    /// the site region BGP-like routing selects (lowest median RTT).
-    /// Unicast addresses map every client to their single site;
-    /// unknown addresses yield `None`.
-    pub fn catchment(&self, addr: ServiceAddr) -> Vec<(Region, Option<Region>)> {
-        Region::ALL
-            .iter()
-            .map(|&client| {
-                let site = self.endpoints.get(&addr).and_then(|ep| {
-                    ep.sites
-                        .iter()
-                        .min_by(|a, b| {
-                            self.latency
-                                .median_ms(client, a.region)
-                                .total_cmp(&self.latency.median_ms(client, b.region))
-                        })
-                        .map(|s| s.region)
-                });
-                (client, site)
-            })
-            .collect()
-    }
-
     /// Performs one query/response exchange from a client in
     /// `client_region` (identified for source accounting by
     /// `client_tag`) to the server at `server`.
@@ -299,7 +276,7 @@ impl Network {
     }
 
     /// [`Network::exchange`] with an explicit transport. Over UDP,
-    /// responses larger than [`UDP_PAYLOAD_LIMIT`] are truncated (TC
+    /// responses larger than `UDP_PAYLOAD_LIMIT` are truncated (TC
     /// bit set, record sections emptied); over TCP the handshake costs
     /// an extra sampled round trip.
     #[allow(clippy::too_many_arguments)]
@@ -458,15 +435,15 @@ impl Network {
 mod metrics {
     use dnsttl_telemetry::MetricKey;
 
-    pub const PACKETS_SENT: MetricKey = MetricKey::new("net_packets_sent");
-    pub const PACKETS_LOST: MetricKey = MetricKey::new("net_packets_lost");
-    pub const RESPONSES: MetricKey = MetricKey::new("net_responses");
-    pub const UNKNOWN_ADDRESS: MetricKey = MetricKey::new("net_unknown_address");
-    pub const SERVER_OFFLINE: MetricKey = MetricKey::new("net_server_offline");
-    pub const UNENCODABLE: MetricKey = MetricKey::new("net_unencodable");
-    pub const FAULT_OUTAGE: MetricKey = MetricKey::new("net_fault_outage");
-    pub const FAULT_DEGRADED_DROP: MetricKey = MetricKey::new("net_fault_degraded_drop");
-    pub const FAULT_BLACKOUT: MetricKey = MetricKey::new("net_fault_blackout");
+    pub(crate) const PACKETS_SENT: MetricKey = MetricKey::new("net_packets_sent");
+    pub(crate) const PACKETS_LOST: MetricKey = MetricKey::new("net_packets_lost");
+    pub(crate) const RESPONSES: MetricKey = MetricKey::new("net_responses");
+    pub(crate) const UNKNOWN_ADDRESS: MetricKey = MetricKey::new("net_unknown_address");
+    pub(crate) const SERVER_OFFLINE: MetricKey = MetricKey::new("net_server_offline");
+    pub(crate) const UNENCODABLE: MetricKey = MetricKey::new("net_unencodable");
+    pub(crate) const FAULT_OUTAGE: MetricKey = MetricKey::new("net_fault_outage");
+    pub(crate) const FAULT_DEGRADED_DROP: MetricKey = MetricKey::new("net_fault_degraded_drop");
+    pub(crate) const FAULT_BLACKOUT: MetricKey = MetricKey::new("net_fault_blackout");
 }
 
 /// `encoded_len`, with the contract the exchange path rests on checked in
@@ -580,35 +557,6 @@ mod tests {
         let out = net.exchange(Region::Na, 0, addr(1), &query(), SimTime::ZERO, &mut rng);
         let ms = out.elapsed().as_millis();
         assert!((15..=25).contains(&ms), "rtt {ms}ms should be intra-NA");
-    }
-
-    #[test]
-    fn catchment_maps_clients_to_nearest_sites() {
-        let mut net = Network::new(LatencyModel::internet());
-        let svc = Rc::new(RefCell::new(Fixed {
-            answer: Ipv4Addr::LOCALHOST,
-        }));
-        net.register_anycast(addr(1), &[Region::Eu, Region::Na], svc.clone());
-        let catchment = net.catchment(addr(1));
-        let site_of = |r: Region| {
-            catchment
-                .iter()
-                .find(|(c, _)| *c == r)
-                .and_then(|(_, s)| *s)
-                .unwrap()
-        };
-        assert_eq!(site_of(Region::Eu), Region::Eu);
-        assert_eq!(site_of(Region::Na), Region::Na);
-        assert_eq!(site_of(Region::Af), Region::Eu, "AF→EU is the shorter path");
-        assert_eq!(site_of(Region::Sa), Region::Na, "SA→NA is the shorter path");
-        // Unicast: everyone lands on the single site.
-        net.register(addr(2), Region::Oc, svc);
-        assert!(net
-            .catchment(addr(2))
-            .iter()
-            .all(|(_, s)| *s == Some(Region::Oc)));
-        // Unknown address: no site.
-        assert!(net.catchment(addr(9)).iter().all(|(_, s)| s.is_none()));
     }
 
     #[test]

@@ -115,7 +115,7 @@ impl SimRng {
     }
 
     /// Standard normal via Box–Muller.
-    pub fn normal(&mut self) -> f64 {
+    pub(crate) fn normal(&mut self) -> f64 {
         let u1 = (1.0 - self.next_f64()).max(f64::MIN_POSITIVE); // avoid ln(0)
         let u2 = self.next_f64();
         (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos()

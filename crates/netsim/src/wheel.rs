@@ -137,7 +137,7 @@ pub struct TimingWheel<T> {
     /// Total entries across levels and overflow.
     len: usize,
     /// Exact earliest pending fire time, maintained across every
-    /// mutation so `&self` callers (`EventQueue::peek_time`) get
+    /// mutation so `&self` callers (`repro bench`'s `wheel_churn`) get
     /// an O(1) answer instead of an O(bucket) scan.
     earliest: Option<u64>,
     /// Slots re-binned by cascades since construction (telemetry).

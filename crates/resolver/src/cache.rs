@@ -658,7 +658,7 @@ impl Cache {
     /// original TTL (1.0 = just stored, →0.0 = about to expire).
     /// Pinned entries are always 1.0; absent/expired entries are None.
     /// Prefetching resolvers use this to decide when to refresh ahead.
-    pub fn freshness(&self, name: &Name, rtype: RecordType, now: SimTime) -> Option<f64> {
+    pub(crate) fn freshness(&self, name: &Name, rtype: RecordType, now: SimTime) -> Option<f64> {
         let e = self.entries.get(&Probe(name, rtype) as &dyn TableKey)?;
         if e.pinned {
             return Some(1.0);

@@ -39,7 +39,7 @@ impl RecordOrigin {
     /// The RFC 2181 rank ladder splits exactly at the zone cut:
     /// referral-ranked data is the parent speaking, authoritative
     /// ranks are the child.
-    pub fn from_rank(rank: Credibility) -> RecordOrigin {
+    pub(crate) fn from_rank(rank: Credibility) -> RecordOrigin {
         match rank {
             Credibility::ReferralAdditional | Credibility::ReferralAuthority => {
                 RecordOrigin::Parent
@@ -337,24 +337,13 @@ impl Default for Ledger {
 
 /// The stable token a credibility rank gets in ledger lines and
 /// snapshots.
-pub fn rank_token(rank: Credibility) -> &'static str {
+pub(crate) fn rank_token(rank: Credibility) -> &'static str {
     match rank {
         Credibility::ReferralAdditional => "referral_additional",
         Credibility::ReferralAuthority => "referral_authority",
         Credibility::AuthAuthority => "auth_authority",
         Credibility::AuthAnswer => "auth_answer",
     }
-}
-
-/// Parses a rank token back (the inverse of [`rank_token`]).
-pub fn parse_rank_token(s: &str) -> Option<Credibility> {
-    Some(match s {
-        "referral_additional" => Credibility::ReferralAdditional,
-        "referral_authority" => Credibility::ReferralAuthority,
-        "auth_authority" => Credibility::AuthAuthority,
-        "auth_answer" => Credibility::AuthAnswer,
-        _ => return None,
-    })
 }
 
 #[cfg(test)]
@@ -379,19 +368,6 @@ mod tests {
             RecordOrigin::from_rank(Credibility::AuthAnswer),
             RecordOrigin::Child
         );
-    }
-
-    #[test]
-    fn rank_tokens_round_trip() {
-        for rank in [
-            Credibility::ReferralAdditional,
-            Credibility::ReferralAuthority,
-            Credibility::AuthAuthority,
-            Credibility::AuthAnswer,
-        ] {
-            assert_eq!(parse_rank_token(rank_token(rank)), Some(rank));
-        }
-        assert_eq!(parse_rank_token("bogus"), None);
     }
 
     #[test]

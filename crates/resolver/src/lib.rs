@@ -36,8 +36,8 @@ pub mod stub;
 
 pub use cache::{Cache, CachedAnswer, Credibility};
 pub use ledger::{
-    parse_rank_token, rank_token, BailiwickClass, CacheStats, Ledger, LedgerCell, LedgerKey,
-    Provenance, RecordOrigin, StoreContext,
+    BailiwickClass, CacheStats, Ledger, LedgerCell, LedgerKey, Provenance, RecordOrigin,
+    StoreContext,
 };
 pub use resolver::{RecursiveResolver, ResolutionOutcome, ResolverStats, RootHint};
 pub use snapshot::{CacheSnapshot, SnapshotDiff, SnapshotEntry};

@@ -1200,24 +1200,25 @@ fn bump(field: &mut u64, telemetry: &Telemetry, metric: &MetricKey, t_ms: u64) {
 mod metrics {
     use dnsttl_telemetry::MetricKey;
 
-    pub const FAULT_FLUSHES: MetricKey = MetricKey::new("resolver_fault_flushes");
-    pub const CLIENT_QUERIES: MetricKey = MetricKey::new("resolver_client_queries");
-    pub const CACHE_EXPIRIES: MetricKey = MetricKey::new("resolver_cache_expiries");
-    pub const FAILURE_CACHES: MetricKey = MetricKey::new("resolver_failure_caches");
-    pub const STALE_ANSWERS: MetricKey = MetricKey::new("resolver_stale_answers");
-    pub const SERVFAILS: MetricKey = MetricKey::new("resolver_servfails");
-    pub const CACHE_HITS: MetricKey = MetricKey::new("resolver_cache_hits");
-    pub const CACHE_MISSES: MetricKey = MetricKey::new("resolver_cache_misses");
-    pub const LATENCY_SKETCH_MS: MetricKey = MetricKey::new("resolver_latency_quantiles_ms");
-    pub const ANSWER_TTL_S: MetricKey = MetricKey::new("resolver_answer_ttl_s");
-    pub const CACHE_ENTRIES: MetricKey = MetricKey::new("resolver_cache_entries");
-    pub const PREFETCHES: MetricKey = MetricKey::new("resolver_prefetches");
-    pub const VALIDATIONS: MetricKey = MetricKey::new("resolver_validations");
-    pub const VALIDATION_FAILURES: MetricKey = MetricKey::new("resolver_validation_failures");
-    pub const TCP_FALLBACKS: MetricKey = MetricKey::new("resolver_tcp_fallbacks");
-    pub const UPSTREAM_QUERIES: MetricKey = MetricKey::new("resolver_upstream_queries");
-    pub const TIMEOUTS: MetricKey = MetricKey::new("resolver_timeouts");
-    pub const BACKOFF_SKIPS: MetricKey = MetricKey::new("resolver_backoff_skips");
+    pub(crate) const FAULT_FLUSHES: MetricKey = MetricKey::new("resolver_fault_flushes");
+    pub(crate) const CLIENT_QUERIES: MetricKey = MetricKey::new("resolver_client_queries");
+    pub(crate) const CACHE_EXPIRIES: MetricKey = MetricKey::new("resolver_cache_expiries");
+    pub(crate) const FAILURE_CACHES: MetricKey = MetricKey::new("resolver_failure_caches");
+    pub(crate) const STALE_ANSWERS: MetricKey = MetricKey::new("resolver_stale_answers");
+    pub(crate) const SERVFAILS: MetricKey = MetricKey::new("resolver_servfails");
+    pub(crate) const CACHE_HITS: MetricKey = MetricKey::new("resolver_cache_hits");
+    pub(crate) const CACHE_MISSES: MetricKey = MetricKey::new("resolver_cache_misses");
+    pub(crate) const LATENCY_SKETCH_MS: MetricKey = MetricKey::new("resolver_latency_quantiles_ms");
+    pub(crate) const ANSWER_TTL_S: MetricKey = MetricKey::new("resolver_answer_ttl_s");
+    pub(crate) const CACHE_ENTRIES: MetricKey = MetricKey::new("resolver_cache_entries");
+    pub(crate) const PREFETCHES: MetricKey = MetricKey::new("resolver_prefetches");
+    pub(crate) const VALIDATIONS: MetricKey = MetricKey::new("resolver_validations");
+    pub(crate) const VALIDATION_FAILURES: MetricKey =
+        MetricKey::new("resolver_validation_failures");
+    pub(crate) const TCP_FALLBACKS: MetricKey = MetricKey::new("resolver_tcp_fallbacks");
+    pub(crate) const UPSTREAM_QUERIES: MetricKey = MetricKey::new("resolver_upstream_queries");
+    pub(crate) const TIMEOUTS: MetricKey = MetricKey::new("resolver_timeouts");
+    pub(crate) const BACKOFF_SKIPS: MetricKey = MetricKey::new("resolver_backoff_skips");
 }
 
 /// The zone cut a referral delegates to — the owner of its first

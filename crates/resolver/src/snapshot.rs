@@ -17,7 +17,7 @@ use crate::cache::Cache;
 use crate::ledger::rank_token;
 
 /// The schema tag written on every snapshot header line.
-pub const SNAPSHOT_SCHEMA: &str = "dnsttl-cache-snapshot/1";
+pub(crate) const SNAPSHOT_SCHEMA: &str = "dnsttl-cache-snapshot/1";
 
 /// One cache entry, frozen: strings only, so snapshots survive a trip
 /// through a file and can be diffed without the resolver loaded.

@@ -91,7 +91,7 @@ impl StubResolver {
     /// The candidate FQDNs for `host`, in the glibc try order: as-is
     /// first when it has ≥ `ndots` dots (or is absolute), then each
     /// search suffix.
-    pub fn candidates(&self, host: &str) -> Result<Vec<Name>, StubError> {
+    pub(crate) fn candidates(&self, host: &str) -> Result<Vec<Name>, StubError> {
         let absolute = host.ends_with('.');
         let dots = host.trim_end_matches('.').matches('.').count();
         let as_is = Name::parse(host).map_err(|_| StubError::BadName)?;

@@ -38,7 +38,7 @@ pub enum Value {
     U64(u64),
     /// A signed integer.
     I64(i64),
-    /// A float, rendered via [`fmt_f64`].
+    /// A float, rendered via `fmt_f64`.
     F64(f64),
     /// A boolean.
     Bool(bool),
@@ -54,7 +54,7 @@ impl Value {
     }
 
     /// The string payload, if any variant of one.
-    pub fn as_text(&self) -> Option<&str> {
+    pub(crate) fn as_text(&self) -> Option<&str> {
         match self {
             Value::Str(s) => Some(s),
             Value::Shared(s) => Some(s),
@@ -143,7 +143,7 @@ impl From<bool> for Value {
 }
 
 /// Human-readable rendering (strings unquoted) — for walkthrough
-/// output, not JSON; use [`write_value`] for serialisation.
+/// output, not JSON; use `write_value` for serialisation.
 impl std::fmt::Display for Value {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
@@ -170,7 +170,7 @@ const HEX_DIGITS: &[u8; 16] = b"0123456789abcdef";
 /// Every byte that needs an escape is ASCII, so the scan runs over
 /// bytes and each clean run between two escapes is copied in one
 /// `push_str` (any `i` it stops at is a `char` boundary).
-pub fn escape_into(out: &mut String, s: &str) {
+pub(crate) fn escape_into(out: &mut String, s: &str) {
     let mut clean_from = 0;
     for (i, b) in s.bytes().enumerate() {
         let escape = match b {
@@ -290,7 +290,7 @@ pub(crate) fn push_ipv4(out: &mut String, addr: std::net::Ipv4Addr) {
 /// trailing `.0`, everything else uses the shortest round-trip form
 /// Rust's formatter produces. NaN and infinities (not valid JSON)
 /// become `null`.
-pub fn fmt_f64(out: &mut String, v: f64) {
+pub(crate) fn fmt_f64(out: &mut String, v: f64) {
     if !v.is_finite() {
         out.push_str("null");
     } else if v == v.trunc() && v.abs() < 1e15 {
@@ -301,7 +301,7 @@ pub fn fmt_f64(out: &mut String, v: f64) {
 }
 
 /// Appends `value` to `out` as a JSON value.
-pub fn write_value(out: &mut String, value: &Value) {
+pub(crate) fn write_value(out: &mut String, value: &Value) {
     match value {
         Value::Str(s) => push_string(out, s),
         Value::Shared(s) => push_string(out, s),

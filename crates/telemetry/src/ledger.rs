@@ -253,7 +253,7 @@ impl LedgerRecord {
 
 /// Default journal capacity — generous for the paper-scale runs while
 /// bounding a pathological run.
-pub const DEFAULT_JOURNAL_CAPACITY: usize = 1 << 17;
+pub(crate) const DEFAULT_JOURNAL_CAPACITY: usize = 1 << 17;
 
 /// A bounded, ordered buffer of ledger records. Like the trace ring:
 /// when full, the oldest records are dropped and counted, so recent

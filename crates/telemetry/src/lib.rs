@@ -51,12 +51,13 @@ mod timeseries;
 mod trace;
 
 pub use json::{flat_get, parse_flat_object, JsonScalar, ObjectWriter, Value};
-pub use ledger::{CacheOp, Journal, LedgerRecord, DEFAULT_JOURNAL_CAPACITY};
+pub use ledger::{CacheOp, Journal, LedgerRecord};
 pub use manifest::RunManifest;
-pub use registry::{MetricId, MetricKey, Registry, SKETCH_QUANTILES};
-pub use sketch::{QuantileSketch, SKETCH_RELATIVE_ERROR, SKETCH_SUB_BITS};
-pub use timeseries::{GaugeBucket, TimeSeriesStore, DEFAULT_TS_BUCKET_MS, DEFAULT_TS_SPAN_CAP};
-pub use trace::{EventKind, FieldSink, SpanId, TraceEvent, Tracer, DEFAULT_TRACE_CAPACITY};
+pub use registry::{MetricId, MetricKey, Registry};
+pub use sketch::QuantileSketch;
+pub use timeseries::{TimeSeriesStore, DEFAULT_TS_BUCKET_MS, DEFAULT_TS_SPAN_CAP};
+use trace::DEFAULT_TRACE_CAPACITY;
+pub use trace::{EventKind, FieldSink, SpanId, TraceEvent, Tracer};
 
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
@@ -96,7 +97,7 @@ impl Telemetry {
     }
 
     /// An enabled handle whose trace ring holds `capacity` events.
-    pub fn with_trace_capacity(capacity: usize) -> Telemetry {
+    pub(crate) fn with_trace_capacity(capacity: usize) -> Telemetry {
         Telemetry {
             inner: Rc::new(Inner {
                 enabled: Cell::new(true),
@@ -120,8 +121,9 @@ impl Telemetry {
         self.inner.enabled.get()
     }
 
+    #[cfg(test)]
     /// Turns recording on or off (the registry and trace are kept).
-    pub fn set_enabled(&self, enabled: bool) {
+    pub(crate) fn set_enabled(&self, enabled: bool) {
         self.inner.enabled.set(enabled);
     }
 
@@ -366,7 +368,7 @@ impl Telemetry {
     /// gauges win) and trace events interleave by
     /// `(t_ms, shard index, seq)`, so the merged exports are identical
     /// for any worker-thread count. The time-series merge is
-    /// associative and commutative (see [`TimeSeriesStore::merge`]),
+    /// associative and commutative (see `TimeSeriesStore::merge`),
     /// so it is order-insensitive by construction.
     pub fn absorb_shards(&self, parts: Vec<TelemetryParts>) {
         let mut tracers = Vec::with_capacity(parts.len());

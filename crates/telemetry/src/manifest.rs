@@ -73,7 +73,7 @@ impl RunManifest {
 
     /// The workspace crates and their (shared) version, for the
     /// `versions` block.
-    pub fn workspace_versions() -> Vec<(String, String)> {
+    pub(crate) fn workspace_versions() -> Vec<(String, String)> {
         let version = env!("CARGO_PKG_VERSION").to_string();
         [
             "dnsttl-wire",

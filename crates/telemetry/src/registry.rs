@@ -22,7 +22,7 @@ use crate::sketch::QuantileSketch;
 /// The quantiles every sketch family exports, with their Prometheus
 /// label values. Shared by the text exposition, the dashboard, and the
 /// bench report so "p999" means the same thing everywhere.
-pub const SKETCH_QUANTILES: [(f64, &str); 4] =
+pub(crate) const SKETCH_QUANTILES: [(f64, &str); 4] =
     [(0.5, "0.5"), (0.9, "0.9"), (0.99, "0.99"), (0.999, "0.999")];
 
 /// FNV-1a over the byte stream `name, 0xFF, k₁, 0, v₁, 0, …` with the
@@ -440,13 +440,13 @@ impl Registry {
 
     /// Adds `delta` to a counter addressed by borrowed name/labels —
     /// allocation-free once the series exists.
-    pub fn counter_add(&mut self, name: &str, labels: &[(&str, &str)], delta: u64) {
+    pub(crate) fn counter_add(&mut self, name: &str, labels: &[(&str, &str)], delta: u64) {
         let slot = self.counters.slot_fast(name, labels);
         *self.counters.value_mut(slot) += delta;
     }
 
     /// Adds `delta` to the unlabelled counter behind a key.
-    pub fn counter_add_keyed(&mut self, key: &MetricKey, delta: u64) {
+    pub(crate) fn counter_add_keyed(&mut self, key: &MetricKey, delta: u64) {
         let slot = self.counters.slot_fast(key.name, &[]);
         *self.counters.value_mut(slot) += delta;
     }
@@ -457,20 +457,20 @@ impl Registry {
     }
 
     /// Sets the unlabelled gauge behind a key.
-    pub fn gauge_set_keyed(&mut self, key: &MetricKey, value: f64) {
+    pub(crate) fn gauge_set_keyed(&mut self, key: &MetricKey, value: f64) {
         let slot = self.gauges.slot_fast(key.name, &[]);
         *self.gauges.value_mut(slot) = value;
     }
 
     /// Records an observation into the quantile sketch addressed by
     /// borrowed name/labels, creating it if needed.
-    pub fn sketch_observe(&mut self, name: &str, labels: &[(&str, &str)], value: u64) {
+    pub(crate) fn sketch_observe(&mut self, name: &str, labels: &[(&str, &str)], value: u64) {
         let slot = self.sketches.slot_fast(name, labels);
         self.sketches.value_mut(slot).observe(value);
     }
 
     /// Records an observation into the unlabelled sketch behind a key.
-    pub fn sketch_observe_keyed(&mut self, key: &MetricKey, value: u64) {
+    pub(crate) fn sketch_observe_keyed(&mut self, key: &MetricKey, value: u64) {
         let slot = self.sketches.slot_fast(key.name, &[]);
         self.sketches.value_mut(slot).observe(value);
     }
@@ -480,13 +480,9 @@ impl Registry {
         self.counters.iter().map(|(k, v)| (k, *v))
     }
 
-    /// Iterates gauges in deterministic order.
-    pub fn gauges(&self) -> impl Iterator<Item = (&MetricId, f64)> {
-        self.gauges.iter().map(|(k, v)| (k, *v))
-    }
-
+    #[cfg(test)]
     /// Iterates quantile sketches in deterministic order.
-    pub fn sketches(&self) -> impl Iterator<Item = (&MetricId, &QuantileSketch)> {
+    pub(crate) fn sketches(&self) -> impl Iterator<Item = (&MetricId, &QuantileSketch)> {
         self.sketches.iter()
     }
 
@@ -494,7 +490,7 @@ impl Registry {
     /// sketches; `other`'s gauges win on key collisions). Sketch
     /// merging adds bucket counts, so repeated pairwise merges are
     /// associative — shard order cannot change the merged quantiles.
-    pub fn merge(&mut self, other: &Registry) {
+    pub(crate) fn merge(&mut self, other: &Registry) {
         for (id, v) in other.counters.iter() {
             let slot = self.counters.slot_of(id.clone());
             *self.counters.value_mut(slot) += v;
@@ -515,7 +511,7 @@ impl Registry {
     /// `_count`). Every metric family gets exactly one `# HELP`/`# TYPE`
     /// header: series are already sorted by name, so a header is
     /// emitted whenever the family name changes.
-    pub fn to_prometheus_text(&self) -> String {
+    pub(crate) fn to_prometheus_text(&self) -> String {
         let mut out = String::new();
         let mut last = None;
         for (id, v) in self.counters.iter() {
@@ -552,7 +548,7 @@ impl Registry {
 
     /// Renders a compact ASCII dashboard: counters and gauges as a
     /// table, sketches as one line of summary quantiles each.
-    pub fn to_dashboard(&self) -> String {
+    pub(crate) fn to_dashboard(&self) -> String {
         let mut out = String::new();
         if self.counters.len() + self.gauges.len() > 0 {
             let _ = writeln!(out, "── counters ─────────────────────────────────────────");

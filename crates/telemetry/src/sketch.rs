@@ -23,11 +23,12 @@
 
 /// Sub-bucket resolution: each power-of-two range splits into
 /// `2^SUB_BITS` linear sub-buckets.
-pub const SKETCH_SUB_BITS: u32 = 5;
+pub(crate) const SKETCH_SUB_BITS: u32 = 5;
 
+#[cfg(test)]
 /// Worst-case relative error of a reported quantile: half a
 /// sub-bucket, `2^-(SKETCH_SUB_BITS+1)`.
-pub const SKETCH_RELATIVE_ERROR: f64 = 1.0 / (1 << (SKETCH_SUB_BITS + 1)) as f64;
+pub(crate) const SKETCH_RELATIVE_ERROR: f64 = 1.0 / (1 << (SKETCH_SUB_BITS + 1)) as f64;
 
 const SUB: u32 = SKETCH_SUB_BITS;
 
@@ -96,7 +97,7 @@ impl QuantileSketch {
     /// all smaller ranges plus the top `SUB` mantissa bits. The two
     /// regions are continuous: for `value` in `[2^SUB, 2^(SUB+1))` the
     /// formula yields `value` itself.
-    pub fn bucket_index(value: u64) -> u32 {
+    pub(crate) fn bucket_index(value: u64) -> u32 {
         if value < (1 << SUB) {
             return value as u32;
         }
@@ -107,7 +108,7 @@ impl QuantileSketch {
 
     /// The midpoint of bucket `index` — the value a quantile in this
     /// bucket reports.
-    pub fn representative(index: u32) -> u64 {
+    pub(crate) fn representative(index: u32) -> u64 {
         if index < (1 << SUB) {
             return index as u64;
         }
@@ -175,7 +176,7 @@ impl QuantileSketch {
     /// Adds every observation of `other` into `self`. Bucket counts
     /// add, so merging is associative and commutative: any grouping of
     /// shard sketches produces the identical merged sketch.
-    pub fn merge(&mut self, other: &QuantileSketch) {
+    pub(crate) fn merge(&mut self, other: &QuantileSketch) {
         if !other.counts.is_empty() {
             self.cover(other.lo, other.lo + other.counts.len() as u32 - 1);
             let from = (other.lo - self.lo) as usize;

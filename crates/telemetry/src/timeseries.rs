@@ -61,7 +61,7 @@ const GAUGE_MILLI: f64 = 1000.0;
 
 /// Aggregate of the gauge samples that landed in one bucket.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct GaugeBucket {
+pub(crate) struct GaugeBucket {
     /// Number of samples in the bucket.
     pub count: u64,
     /// Sum of samples in milli-units (value × 1000, rounded).
@@ -130,6 +130,7 @@ impl<T: BucketValue> BucketSeries<T> {
             .map_or(0, |(first, last)| (last - first + 1) as usize)
     }
 
+    #[cfg(test)]
     fn get(&self, idx: u64) -> Option<&T> {
         let at = self.buckets.binary_search_by_key(&idx, |(i, _)| *i).ok()?;
         Some(&self.buckets[at].1)
@@ -319,7 +320,7 @@ impl TimeSeriesStore {
     /// An empty store with an explicit initial bucket width and span
     /// cap. Every store that participates in one shard merge must use
     /// the same initial width, or bucket boundaries will not nest.
-    pub fn with_config(width_ms: u64, span_cap: usize) -> TimeSeriesStore {
+    pub(crate) fn with_config(width_ms: u64, span_cap: usize) -> TimeSeriesStore {
         TimeSeriesStore {
             width_hint_ms: width_ms.max(1),
             span_cap: span_cap.max(1),
@@ -332,13 +333,13 @@ impl TimeSeriesStore {
     /// Re-configures the initial width and cap. New series start at
     /// the new width; existing series keep theirs, so call this before
     /// recording anything.
-    pub fn set_config(&mut self, width_ms: u64, span_cap: usize) {
+    pub(crate) fn set_config(&mut self, width_ms: u64, span_cap: usize) {
         self.width_hint_ms = width_ms.max(1);
         self.span_cap = span_cap.max(1);
     }
 
     /// The configured initial bucket width.
-    pub fn width_hint_ms(&self) -> u64 {
+    pub(crate) fn width_hint_ms(&self) -> u64 {
         self.width_hint_ms
     }
 
@@ -362,7 +363,7 @@ impl TimeSeriesStore {
     }
 
     /// Records a gauge sample into the bucket holding sim-time `t_ms`.
-    pub fn gauge(&mut self, name: &str, value: f64, t_ms: u64) {
+    pub(crate) fn gauge(&mut self, name: &str, value: f64, t_ms: u64) {
         let series = self.gauges.series_mut(name, self.width_hint_ms);
         series.record(t_ms, self.span_cap, |g| g.observe(value));
     }
@@ -383,9 +384,10 @@ impl TimeSeriesStore {
             .unwrap_or(0)
     }
 
+    #[cfg(test)]
     /// The counter series `name` as `(width_ms, dense (t_ms, delta)
     /// points)` — gap-free from the first to the last occupied bucket.
-    pub fn counter_series(&self, name: &str) -> Option<(u64, Vec<(u64, u64)>)> {
+    pub(crate) fn counter_series(&self, name: &str) -> Option<(u64, Vec<(u64, u64)>)> {
         let s = self.counters.get(name)?;
         let (first, last) = s.ends()?;
         let points = (first..=last)
@@ -397,7 +399,7 @@ impl TimeSeriesStore {
     /// Folds every series of `other` into `self`. Associative and
     /// commutative (see the module docs), so shard stores can arrive
     /// in any grouping and the merged store is identical.
-    pub fn merge(&mut self, other: &TimeSeriesStore) {
+    pub(crate) fn merge(&mut self, other: &TimeSeriesStore) {
         fn fold<T: BucketValue>(
             into: &mut SeriesSet<T>,
             from: &SeriesSet<T>,

@@ -657,7 +657,7 @@ fn push_escaped(out: &mut String, text: &str) {
 
 /// Default ring capacity: enough for every event of the paper-scale
 /// experiments while bounding a pathological run to tens of MB.
-pub const DEFAULT_TRACE_CAPACITY: usize = 1 << 18;
+pub(crate) const DEFAULT_TRACE_CAPACITY: usize = 1 << 18;
 
 /// The bounded event ring plus span bookkeeping.
 #[derive(Debug)]

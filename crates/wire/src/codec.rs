@@ -17,7 +17,7 @@ use crate::{Name, Ttl, WireError};
 use std::net::{Ipv4Addr, Ipv6Addr};
 
 /// Upper bound on an encoded message (TCP-framed DNS limit).
-pub const MAX_MESSAGE_LEN: usize = 65_535;
+pub(crate) const MAX_MESSAGE_LEN: usize = 65_535;
 
 // ---------------------------------------------------------------------------
 // Encoding
@@ -358,7 +358,7 @@ impl<'m, S: Sink> Writer<'m, S> {
 /// `Ok(bytes)` means [`decode_message`] turns `bytes` back into a
 /// message equal to `msg`; a message with no such encoding (a record's
 /// data or a section's count past 16 bits, non-ASCII text, more than
-/// [`MAX_MESSAGE_LEN`] octets) is an error.
+/// `MAX_MESSAGE_LEN` octets) is an error.
 pub fn encode_message(msg: &Message) -> Result<Vec<u8>, WireError> {
     let mut w = Writer::new(Vec::with_capacity(512));
     w.message(msg)?;

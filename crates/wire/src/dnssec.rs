@@ -21,7 +21,7 @@ pub const SYNTH_ALGORITHM: u8 = 13;
 /// Computes the deterministic digest an RRSIG carries, binding owner,
 /// type, original TTL, signer, and every rdata (order-independent,
 /// because RRsets are unordered).
-pub fn rrset_digest(
+pub(crate) fn rrset_digest(
     name: &Name,
     rtype: RecordType,
     original_ttl: Ttl,

@@ -269,11 +269,6 @@ impl Message {
                 .iter()
                 .any(|r| r.record_type() == RecordType::NS)
     }
-
-    /// Total record count across the three response sections.
-    pub fn record_count(&self) -> usize {
-        self.answers.len() + self.authorities.len() + self.additionals.len()
-    }
 }
 
 impl fmt::Display for Message {
@@ -374,7 +369,6 @@ mod tests {
             sections,
             [Section::Answer, Section::Authority, Section::Additional]
         );
-        assert_eq!(m.record_count(), 3);
     }
 
     #[test]

@@ -33,9 +33,9 @@ use std::fmt;
 use std::sync::{Arc, OnceLock};
 
 /// Maximum length of a single label, RFC 1035 §2.3.4.
-pub const MAX_LABEL_LEN: usize = 63;
+pub(crate) const MAX_LABEL_LEN: usize = 63;
 /// Maximum length of a whole name in wire format, RFC 1035 §2.3.4.
-pub const MAX_NAME_LEN: usize = 255;
+pub(crate) const MAX_NAME_LEN: usize = 255;
 
 /// A fully-qualified domain name.
 ///
@@ -127,7 +127,7 @@ impl Name {
     /// Builds a name from raw labels, most-specific first.
     ///
     /// Labels must be non-empty ASCII without dots and at most
-    /// [`MAX_LABEL_LEN`] bytes. This is deliberately more permissive than
+    /// `MAX_LABEL_LEN` bytes. This is deliberately more permissive than
     /// [`Name::parse`] (any non-dot ASCII byte is allowed): it is the
     /// entry point for labels decoded from wire format, where RFC 1035
     /// imposes no alphabet.

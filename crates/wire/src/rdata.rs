@@ -83,12 +83,6 @@ impl RecordType {
             RecordType::RRSIG,
         ]
     }
-
-    /// True for address types (A / AAAA) — the "server address" records
-    /// whose coupling with NS TTLs §4 of the paper studies.
-    pub fn is_address(self) -> bool {
-        matches!(self, RecordType::A | RecordType::AAAA)
-    }
 }
 
 impl RecordType {
@@ -293,12 +287,5 @@ mod tests {
         assert_eq!(RData::Ns(host.clone()).target_name(), Some(&host));
         assert_eq!(RData::Cname(host.clone()).target_name(), Some(&host));
         assert_eq!(RData::A(Ipv4Addr::LOCALHOST).target_name(), None);
-    }
-
-    #[test]
-    fn address_type_predicate() {
-        assert!(RecordType::A.is_address());
-        assert!(RecordType::AAAA.is_address());
-        assert!(!RecordType::NS.is_address());
     }
 }

@@ -63,7 +63,7 @@ impl Ttl {
     ///
     /// RFC 2181 §8: values with the most significant bit set "should be
     /// treated as if the entire value received were zero".
-    pub const fn from_wire(raw: u32) -> Ttl {
+    pub(crate) const fn from_wire(raw: u32) -> Ttl {
         if raw > Ttl::MAX.0 {
             Ttl::ZERO
         } else {
@@ -77,7 +77,7 @@ impl Ttl {
     }
 
     /// The TTL as a [`Duration`].
-    pub const fn as_duration(self) -> Duration {
+    pub(crate) const fn as_duration(self) -> Duration {
         Duration::from_secs(self.0 as u64)
     }
 

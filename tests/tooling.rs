@@ -9,6 +9,8 @@ use dnsttl::core::{
     PublishedTtls, ResolverPolicy,
 };
 use dnsttl::wire::{Name, Ttl};
+use std::collections::HashSet;
+use std::path::{Path, PathBuf};
 
 const UY_2019: &str = r#"
 $ORIGIN uy.
@@ -247,4 +249,287 @@ fn classifier_matches_known_behaviours() {
     assert_eq!(census.child_centric, 1);
     assert_eq!(census.pinned, 1);
     assert_eq!(census.capped, vec![21_599]);
+}
+
+/// What the pub-item check reads of one library target.
+#[derive(Default)]
+struct Library {
+    /// Every identifier its code writes.
+    words: HashSet<String>,
+    /// Its `pub fn|struct|enum|trait|type|const|static` declarations.
+    decls: Vec<PubDecl>,
+    /// `(type, associated types)` of each trait impl: `impl Iterator for
+    /// Suffixes { type Item = NameSuffix; }` hands `NameSuffix` to whoever
+    /// holds a `Suffixes`.
+    impl_types: Vec<(String, String)>,
+}
+
+/// One `pub` declaration, with the text of its signature: what a caller
+/// that reaches the item also reaches.
+struct PubDecl {
+    site: String,
+    name: String,
+    signature: String,
+}
+
+fn rust_files(dir: &Path, skip: Option<&Path>, out: &mut Vec<PathBuf>) {
+    let Ok(entries) = std::fs::read_dir(dir) else {
+        return;
+    };
+    let mut paths: Vec<PathBuf> = entries.map(|e| e.expect("dir entry").path()).collect();
+    paths.sort();
+    for path in paths {
+        if Some(path.as_path()) == skip {
+            continue;
+        }
+        if path.is_dir() {
+            rust_files(&path, skip, out);
+        } else if path.extension().is_some_and(|e| e == "rs") {
+            out.push(path);
+        }
+    }
+}
+
+fn add_identifiers(text: &str, into: &mut HashSet<String>) {
+    for word in text.split(|c: char| !(c.is_ascii_alphanumeric() || c == '_')) {
+        if word.starts_with(|c: char| c.is_ascii_alphabetic() || c == '_') {
+            into.insert(word.to_string());
+        }
+    }
+}
+
+/// Splits a source file into the code rustc compiles with its crate
+/// (comments stripped) and the code of its doc tests, which rustc
+/// compiles as crates of their own.
+fn code_and_doctests(path: &Path) -> (String, String) {
+    let source = std::fs::read_to_string(path).expect("source is readable");
+    let (mut code, mut doctests) = (String::new(), String::new());
+    let mut in_fence = None;
+    for line in source.lines() {
+        let (before, comment) = line.split_at(line.find("//").unwrap_or(line.len()));
+        code.push_str(before);
+        code.push('\n');
+        let Some(doc) = comment
+            .strip_prefix("///")
+            .or_else(|| comment.strip_prefix("//!"))
+        else {
+            continue;
+        };
+        let doc = doc.trim();
+        if let Some(tag) = doc.strip_prefix("```") {
+            in_fence = match in_fence {
+                Some(_) => None,
+                None => Some(matches!(tag, "" | "rust" | "no_run")),
+            };
+        } else if in_fence == Some(true) {
+            doctests.push_str(doc);
+            doctests.push('\n');
+        }
+    }
+    (code, doctests)
+}
+
+/// The lines after `lines[at]` up to the one that closes its block: the
+/// first that starts with `}` at `indent` (the code is rustfmt-formatted).
+fn block<'a>(lines: &'a [&'a str], at: usize, indent: &str) -> &'a [&'a str] {
+    let body = &lines[at + 1..];
+    let end = body
+        .iter()
+        .position(|l| l.strip_prefix(indent).is_some_and(|r| r.starts_with('}')))
+        .unwrap_or(body.len());
+    &body[..end]
+}
+
+/// Reads one library source file's `pub` declarations and trait-impl
+/// associated types into `lib`, skipping `#[cfg(test)]` modules.
+fn scan_library_file(file: &str, code: &str, lib: &mut Library) {
+    let lines: Vec<&str> = code.lines().collect();
+    let mut i = 0;
+    while i < lines.len() {
+        let line = lines[i];
+        let trimmed = line.trim_start();
+        let indent = &line[..line.len() - trimmed.len()];
+        let next_is_mod = lines
+            .get(i + 1)
+            .is_some_and(|l| l.trim_start().starts_with("mod "));
+        if trimmed == "#[cfg(test)]" && next_is_mod {
+            let inline = !lines[i + 1].trim_end().ends_with(';');
+            i += 2 + if inline {
+                block(&lines, i + 1, indent).len()
+            } else {
+                0
+            };
+            continue;
+        }
+        if let Some((_, ty)) = trimmed
+            .strip_prefix("impl")
+            .and_then(|r| r.split_once(" for "))
+        {
+            let ty: String = ty
+                .chars()
+                .take_while(|c| c.is_ascii_alphanumeric() || *c == '_')
+                .collect();
+            let assoc = block(&lines, i, indent)
+                .iter()
+                .filter(|l| l.trim_start().starts_with("type "));
+            let assoc = assoc.copied().collect::<Vec<_>>().join("\n");
+            lib.impl_types.push((ty, assoc));
+        }
+        i += 1;
+        let Some(rest) = trimmed.strip_prefix("pub ") else {
+            continue;
+        };
+        let words: Vec<&str> = rest
+            .split(|c: char| !(c.is_ascii_alphanumeric() || c == '_'))
+            .filter(|w| !w.is_empty())
+            .take(5)
+            .collect();
+        let qualified_fn = words.iter().position(|w| *w == "fn").filter(|&p| {
+            words[..p]
+                .iter()
+                .all(|w| matches!(*w, "const" | "async" | "unsafe"))
+        });
+        let (kind, name) = match qualified_fn {
+            Some(p) => ("fn", words.get(p + 1)),
+            None => (
+                words.first().copied().unwrap_or(""),
+                words.get(if words.get(1) == Some(&"mut") { 2 } else { 1 }),
+            ),
+        };
+        let kinds = ["fn", "struct", "enum", "trait", "type", "const", "static"];
+        let Some(name) = name.filter(|_| kinds.contains(&kind)) else {
+            continue;
+        };
+        let signature = match kind {
+            // A type's signature is its public fields, variants or items.
+            "struct" | "enum" | "trait" if !line.trim_end().ends_with(';') => {
+                let body = block(&lines, i - 1, indent)
+                    .iter()
+                    .filter(|l| kind != "struct" || l.trim_start().starts_with("pub "));
+                body.copied().collect::<Vec<_>>().join("\n")
+            }
+            // Everything else up to its body or initialiser.
+            _ => {
+                let cut = if kind == "const" || kind == "static" {
+                    '='
+                } else {
+                    '{'
+                };
+                let mut sig = String::new();
+                for l in &lines[i - 1..] {
+                    sig.push_str(l.split(cut).next().expect("split yields a part"));
+                    if l.contains(cut) || l.trim_end().ends_with(';') {
+                        break;
+                    }
+                }
+                sig
+            }
+        };
+        lib.decls.push(PubDecl {
+            site: format!("{file}:{i}"),
+            name: name.to_string(),
+            signature,
+        });
+    }
+}
+
+#[test]
+fn every_pub_item_in_a_library_is_named_outside_its_crate() {
+    // Every crate is workspace-internal, so `pub` hides an item from
+    // rustc's dead-code lint. Here `pub` means "crosses a crate": an item
+    // stays `pub` when another compilation unit (another crate, a binary,
+    // an integration test, an example, `benchmark/`, a doc test) names it,
+    // or when it appears in the signature of an item that does.
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut crates: Vec<PathBuf> = std::fs::read_dir(root.join("crates"))
+        .expect("crates/ is readable")
+        .map(|e| e.expect("dir entry").path())
+        .filter(|p| p.join("src/lib.rs").is_file())
+        .collect();
+    crates.sort();
+
+    // Identifiers written outside every library target.
+    let mut elsewhere = HashSet::new();
+    let mut libraries = Vec::new();
+    let mut other_units = Vec::new();
+    for dir in ["src", "tests", "examples", "benchmark/src"] {
+        rust_files(&root.join(dir), None, &mut other_units);
+    }
+    for krate in &crates {
+        let bin = krate.join("src/bin");
+        rust_files(&bin, None, &mut other_units);
+        rust_files(&krate.join("tests"), None, &mut other_units);
+        let mut files = Vec::new();
+        rust_files(&krate.join("src"), Some(&bin), &mut files);
+        let mut lib = Library::default();
+        for file in files {
+            let (code, doctests) = code_and_doctests(&file);
+            add_identifiers(&code, &mut lib.words);
+            // A library's doc tests are compilation units of their own.
+            add_identifiers(&doctests, &mut elsewhere);
+            let rel = file.strip_prefix(root).expect("under the root").display();
+            scan_library_file(&rel.to_string(), &code, &mut lib);
+        }
+        libraries.push(lib);
+    }
+    for file in &other_units {
+        let (code, doctests) = code_and_doctests(file);
+        add_identifiers(&code, &mut elsewhere);
+        add_identifiers(&doctests, &mut elsewhere);
+    }
+
+    let mut stray = Vec::new();
+    for (k, lib) in libraries.iter().enumerate() {
+        let named_outside = |w: &String| {
+            elsewhere.contains(w)
+                || libraries
+                    .iter()
+                    .enumerate()
+                    .any(|(j, l)| j != k && l.words.contains(w))
+        };
+        let mut crossing: HashSet<&str> = lib
+            .decls
+            .iter()
+            .filter(|d| named_outside(&d.name))
+            .map(|d| d.name.as_str())
+            .collect();
+        loop {
+            let mut reached = HashSet::new();
+            for d in lib
+                .decls
+                .iter()
+                .filter(|d| crossing.contains(d.name.as_str()))
+            {
+                add_identifiers(&d.signature, &mut reached);
+            }
+            for (ty, assoc) in &lib.impl_types {
+                if crossing.contains(ty.as_str()) {
+                    add_identifiers(assoc, &mut reached);
+                }
+            }
+            let before = crossing.len();
+            crossing.extend(
+                lib.decls
+                    .iter()
+                    .filter(|d| reached.contains(&d.name))
+                    .map(|d| d.name.as_str()),
+            );
+            if crossing.len() == before {
+                break;
+            }
+        }
+        stray.extend(
+            lib.decls
+                .iter()
+                .filter(|d| !crossing.contains(d.name.as_str()))
+                .map(|d| format!("{} {}", d.site, d.name)),
+        );
+    }
+    assert!(
+        stray.is_empty(),
+        "{} pub items are named nowhere outside their crate; make them pub(crate) \
+         or private:\n{}",
+        stray.len(),
+        stray.join("\n")
+    );
 }
