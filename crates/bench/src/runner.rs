@@ -45,17 +45,22 @@ pub const TIMINGS_MARKER: &str = "{\"kind\":\"timings\"}";
 const FANOUT_TOLERANCE: f64 = 0.05;
 
 /// Speedup the timing wheel must hold over its in-report `BTreeSet`
-/// reference in the `wheel_churn` scenario. 2x is the factor the
-/// expiry-index swap was justified with; measured headroom is well
-/// above it, so the gate catches a wheel that silently degrades to
-/// tree-like behaviour without flaking on timer noise.
+/// reference in the `wheel_churn` scenario. The gate catches a wheel
+/// that silently degrades to tree-like behaviour. Ten consecutive
+/// quick-mode runs on a shared two-core VM read 2.15–2.36x, so the
+/// margin over timer noise is thin: rerun before believing a FAILED.
 const WHEEL_IMPROVEMENT_FACTOR: f64 = 2.0;
+
+/// Probes in the full-scale `zipf_population` campaign (a tenth at
+/// quick scale). `wheel_churn` replays one cell of it in both modes.
+const ZIPF_POPULATION_PROBES: usize = 200_000;
 
 /// What a warm hit on a fully enabled handle (trace, registry, series,
 /// ledger) may cost relative to the same hit on a disabled one, in the
-/// `resolve_telemetry` pair: the committed `BENCH_report.json` ratio
-/// (444 / 202 ns = 2.20x) rounded up to one decimal. A budget for the
-/// record path, not a target — lowering it is ROADMAP's telemetry item.
+/// `resolve_telemetry` pair: the `BENCH_report.json` ratio it was set
+/// from (444 / 202 ns = 2.20x) rounded up to one decimal. A budget for
+/// the record path, not a target — lowering it is ROADMAP's telemetry
+/// item.
 ///
 /// Counting the cache's transactions instead of tracing them took ten
 /// consecutive quick-mode runs on a shared two-core VM to 1.97–2.07x
@@ -132,7 +137,7 @@ const GATES: [Gate; 4] = [
         at_least: true,
     },
     // The timing wheel must keep beating the `BTreeSet` it replaced on
-    // the same scripted expiry-index tape.
+    // the same pop-and-re-arm tape.
     Gate {
         name: "wheel",
         numerator: "wheel_churn_btree",
@@ -510,7 +515,11 @@ fn sharded_population(config: &BenchConfig, report: &mut BenchReport) {
 fn zipf_population(config: &BenchConfig, report: &mut BenchReport) {
     use dnsttl_atlas::{run_zipf_campaign, ZipfCampaignConfig, ZipfEngine, ZipfRunOpts};
 
-    let base = if config.quick { 20_000 } else { 200_000 };
+    let base = if config.quick {
+        ZIPF_POPULATION_PROBES / 10
+    } else {
+        ZIPF_POPULATION_PROBES
+    };
     let probes = ((base as f64 * config.pop_scale).round() as usize).max(256);
     let cfg = ZipfCampaignConfig::large(probes);
     let opts = |workers: usize, engine: ZipfEngine| ZipfRunOpts {
@@ -608,158 +617,98 @@ fn zipf_population(config: &BenchConfig, report: &mut BenchReport) {
     });
 }
 
-/// Expiry-index churn isolated from the cache around it: one scripted
-/// sequence of schedule/cancel/drain ops — the op mix a churning
-/// bounded cache induces on its expiry index — replayed on the
-/// [`TimingWheel`] the cache uses and on the `BTreeSet` it replaced.
-/// The script is generated once, outside the timed loops, so both
-/// replays pay only for the data structure under test; a shadow set
-/// picks cancel victims that are guaranteed live, keeping the two
-/// replays mutation-identical. The paired medians feed the `wheel`
-/// gate: the wheel must beat its own in-report reference by
-/// [`WHEEL_IMPROVEMENT_FACTOR`], on whatever host ran the suite.
+/// The timing wheel on the traffic it serves, isolated from everything
+/// around it: the fire schedule of one cell of the full-scale
+/// `zipf_population` campaign, which is what each Zipf cell's SoA sweep
+/// feeds its wheel. The cell's probes start at uniform offsets within
+/// the first base interval; a pop before the campaign horizon re-arms
+/// its probe `cfg.diurnal.interval_ms` later, a pop past it drops the
+/// probe. The intervals are computed once, outside the timed loops, and
+/// the tape is replayed on the [`TimingWheel`] and on the `BTreeSet` the
+/// wheel replaced, so both replays pay only for the structure under
+/// test. The paired medians feed the `wheel` gate: the wheel must beat
+/// its own in-report reference by [`WHEEL_IMPROVEMENT_FACTOR`], on
+/// whatever host ran the suite.
 fn wheel_churn(config: &BenchConfig, report: &mut BenchReport) {
+    use dnsttl_atlas::{partition, ZipfCampaignConfig};
     use std::collections::BTreeSet;
 
-    #[derive(Clone, Copy)]
-    enum Op {
-        /// Schedule an expiry at an absolute millisecond time.
-        Insert(u64, u64),
-        /// Cancel a pending expiry (always a hit, by construction).
-        Cancel(u64, u64),
-        /// Pop everything due at or before the given time.
-        Drain(u64),
-    }
-
-    let steps = config.iters(40_000) as usize;
+    let cfg = ZipfCampaignConfig::large(ZIPF_POPULATION_PROBES);
+    let timers = partition(cfg.probes, cfg.cells)[0];
+    let base_ms = cfg.frequency.as_millis().max(1);
+    let end_ms = cfg.duration.as_millis();
     let mut rng = SimRng::seed_from(config.seed ^ 0x57EE1);
-    let mut shadow: BTreeSet<(u64, u64)> = BTreeSet::new();
-    let mut ops = Vec::with_capacity(steps);
-    let mut now = 0u64;
-    let mut tie = 0u64;
-    let (mut inserts, mut cancels, mut drains, mut drained) = (0u64, 0u64, 0u64, 0u64);
-    for _ in 0..steps {
-        // Millisecond-scale hops against second-scale TTLs keep a few
-        // thousand entries live — the regime the cache's index sits in.
-        // The op mix mirrors the measured cache-churn workload: stores
-        // and purges dominate, while cancels (overwrites/refreshes of
-        // a still-pending expiry) sit near 1 % of operations — the
-        // wheel's cancel is O(bucket), so a cancel-heavy tape would
-        // benchmark a traffic pattern the cache never produces.
-        now += rng.below(20);
-        match rng.below(100) {
-            0..=69 => {
-                // Store: one TTL-shaped expiry, 1 ms – 300 s out.
-                let t = now + 1 + rng.below(300_000);
-                ops.push(Op::Insert(t, tie));
-                shadow.insert((t, tie));
-                tie += 1;
-                inserts += 1;
-            }
-            70 if !shadow.is_empty() => {
-                // Overwrite/refresh: cancel a pending expiry.
-                let idx = rng.below(shadow.len() as u64) as usize;
-                let &(t, k) = shadow.iter().nth(idx).expect("index in range");
-                shadow.remove(&(t, k));
-                ops.push(Op::Cancel(t, k));
-                cancels += 1;
-            }
-            _ => {
-                // Purge: everything due fires in expiry order.
-                ops.push(Op::Drain(now));
-                while shadow.first().is_some_and(|&(t, _)| t <= now) {
-                    shadow.pop_first();
-                    drained += 1;
-                }
-                drains += 1;
-            }
+    let starts: Vec<u64> = (0..timers).map(|_| rng.below(base_ms)).collect();
+
+    // The sweep's own re-arm rule, run once on the reference set; the
+    // replays read its intervals back in pop order.
+    let mut intervals = Vec::new();
+    let mut set: BTreeSet<(u64, u32)> = (0..).zip(&starts).map(|(k, &t)| (t, k)).collect();
+    while let Some((t, k)) = set.pop_first() {
+        if t < end_ms {
+            let interval = cfg.diurnal.interval_ms(base_ms, t);
+            intervals.push(interval);
+            set.insert((t + interval, k));
         }
     }
-    let live = shadow.len();
 
-    let replay_wheel = |ops: &[Op]| -> TimingWheel<u64> {
-        let mut wheel: TimingWheel<u64> = TimingWheel::new();
-        for op in ops {
-            match *op {
-                Op::Insert(t, k) => wheel.insert(t, k),
-                Op::Cancel(t, k) => {
-                    let hit = wheel.cancel(t, &k);
-                    debug_assert!(hit, "scripted cancels always target live entries");
-                }
-                Op::Drain(now) => {
-                    // Probe via the O(1) earliest time, exactly like
-                    // the cache's purge path; pop only when due.
-                    while wheel.earliest_ms().is_some_and(|t| t <= now) {
-                        wheel.pop_first();
-                    }
-                }
+    // Each replay returns a digest of its pop sequence.
+    let mix = |digest: u64, t: u64, k: u32| {
+        (digest ^ (t << 32 | u64::from(k))).wrapping_mul(0x100_0000_01B3)
+    };
+    let replay_wheel = || -> (u64, u64) {
+        let mut wheel = TimingWheel::new();
+        for (k, &t) in (0..).zip(&starts) {
+            wheel.insert(t, k);
+        }
+        let (mut next, mut digest) = (intervals.iter(), 0);
+        while let Some((t, k)) = wheel.pop_first() {
+            digest = mix(digest, t, k);
+            if t < end_ms {
+                wheel.insert(t + next.next().expect("one interval per re-arm"), k);
             }
         }
-        wheel
+        (digest, wheel.cascades())
     };
-    let replay_btree = |ops: &[Op]| -> BTreeSet<(u64, u64)> {
-        let mut set: BTreeSet<(u64, u64)> = BTreeSet::new();
-        for op in ops {
-            match *op {
-                Op::Insert(t, k) => {
-                    set.insert((t, k));
-                }
-                Op::Cancel(t, k) => {
-                    let hit = set.remove(&(t, k));
-                    debug_assert!(hit, "scripted cancels always target live entries");
-                }
-                Op::Drain(now) => {
-                    while set.first().is_some_and(|&(t, _)| t <= now) {
-                        set.pop_first();
-                    }
-                }
+    let replay_btree = || -> u64 {
+        let mut set: BTreeSet<(u64, u32)> = (0..).zip(&starts).map(|(k, &t)| (t, k)).collect();
+        let (mut next, mut digest) = (intervals.iter(), 0);
+        while let Some((t, k)) = set.pop_first() {
+            digest = mix(digest, t, k);
+            if t < end_ms {
+                set.insert((t + next.next().expect("one interval per re-arm"), k));
             }
         }
-        set
+        digest
     };
 
-    // Deterministic counters come from one replay of each side; the
-    // end states must agree with the shadow set and each other.
-    let wheel = replay_wheel(&ops);
-    assert_eq!(wheel.len(), live, "wheel replay diverged from script");
-    assert_eq!(replay_btree(&ops).len(), live);
-    counter(
-        &mut report.counters,
-        "wheel_churn",
-        "inserts",
-        inserts as f64,
+    let (digest, cascades) = replay_wheel();
+    assert_eq!(
+        replay_btree(),
+        digest,
+        "the replays popped different timers"
     );
+    counter(&mut report.counters, "wheel_churn", "timers", timers as f64);
     counter(
         &mut report.counters,
         "wheel_churn",
-        "cancels",
-        cancels as f64,
-    );
-    counter(&mut report.counters, "wheel_churn", "drains", drains as f64);
-    counter(
-        &mut report.counters,
-        "wheel_churn",
-        "drained",
-        drained as f64,
+        "rearms",
+        intervals.len() as f64,
     );
     counter(
         &mut report.counters,
         "wheel_churn",
         "cascades",
-        wheel.cascades() as f64,
-    );
-    counter(
-        &mut report.counters,
-        "wheel_churn",
-        "live_entries",
-        live as f64,
+        cascades as f64,
     );
 
-    let timing_iters = config.iters(20);
+    // A replay is about a millisecond, so quick mode can afford enough
+    // pairs for the median to shrug off a noise burst.
+    let timing_iters = config.iters(30).max(15);
     let (wheel_ns, btree_ns) = median_ns_paired(
         timing_iters,
-        || assert_eq!(replay_wheel(&ops).len(), live),
-        || assert_eq!(replay_btree(&ops).len(), live),
+        || assert_eq!(replay_wheel().0, digest),
+        || assert_eq!(replay_btree(), digest),
     );
     report.timings.push(Timing {
         scenario: "wheel_churn".to_owned(),
@@ -998,10 +947,7 @@ mod tests {
             ]
         );
         // Each paired scenario publishes the digest (or op counts) that
-        // certify both sides did identical work. (The wheel's cascade
-        // count can legitimately be zero at quick scale: lazy threshold
-        // cascading pops small coarse buckets in place, and the
-        // shortened tape rarely fills one past the threshold.)
+        // certify both sides did identical work.
         let has = |scenario: &str, metric: &str| {
             a.counters
                 .iter()
@@ -1013,6 +959,6 @@ mod tests {
         assert!(a
             .counters
             .iter()
-            .any(|c| c.scenario == "wheel_churn" && c.metric == "inserts" && c.value > 0.0));
+            .any(|c| c.scenario == "wheel_churn" && c.metric == "rearms" && c.value > 0.0));
     }
 }

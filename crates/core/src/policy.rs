@@ -74,10 +74,6 @@ pub struct ResolverPolicy {
     /// finds less than ~10% of the original TTL remaining, refresh the
     /// entry in the background so the next client never pays the miss.
     pub prefetch: bool,
-    /// Positive-cache capacity in entries; `None` = unbounded. Under
-    /// memory pressure the effective TTL becomes the eviction horizon
-    /// (the paper's \[19\]).
-    pub cache_capacity: Option<usize>,
     /// QNAME minimisation (RFC 7816): send parents only the next label
     /// (as an NS query) instead of the full question. Privacy-driven,
     /// with a caching side effect: intermediate NS sets get cached at
@@ -102,7 +98,6 @@ impl Default for ResolverPolicy {
             retries: 2,
             validate_dnssec: false,
             prefetch: false,
-            cache_capacity: None,
             qname_minimization: false,
         }
     }

@@ -24,7 +24,9 @@ use crate::worlds::{self, CachetestWorld};
 use dnsttl_analysis::{ascii_cdf_multi, Ecdf, Table};
 use dnsttl_auth::{sign_zone, AuthoritativeServer, ZoneBuilder};
 use dnsttl_core::{hit_rate, PolicyMix, ResolverPolicy};
-use dnsttl_netsim::{EventQueue, LatencyModel, Network, Region, SimDuration, SimRng, SimTime};
+use dnsttl_netsim::{
+    EventQueue, FaultPlan, LatencyModel, Network, Region, SimDuration, SimRng, SimTime,
+};
 use dnsttl_resolver::{RecursiveResolver, RootHint};
 use dnsttl_wire::{Name, RData, Rcode, RecordType, Ttl};
 use std::cell::RefCell;
@@ -57,9 +59,14 @@ pub fn run(cfg: &ExpConfig) -> Vec<Report> {
 /// time out or receive SERVFAIL".
 pub(crate) fn offline_child(cfg: &ExpConfig) -> Report {
     let CachetestWorld { mut net, roots, .. } = worlds::cachetest_world(true);
-    // Kill the child's servers; .com (the parent) stays up.
-    net.set_online(worlds::addrs::SUB_OLD, false);
-    net.set_online(worlds::addrs::SUB_NEW, false);
+    // Kill the child's servers for the whole run; .com (the parent)
+    // stays up.
+    let forever = SimTime::from_millis(u64::MAX);
+    net.set_faults(
+        FaultPlan::new()
+            .outage(worlds::addrs::SUB_OLD, SimTime::ZERO, forever)
+            .outage(worlds::addrs::SUB_NEW, SimTime::ZERO, forever),
+    );
 
     let mut rng = SimRng::seed_from(cfg.seed_for("ext-offline"));
     let mix = PolicyMix::paper_population();
@@ -265,14 +272,15 @@ pub(crate) fn ddos_resilience(cfg: &ExpConfig) -> Report {
     let query_gap = SimDuration::from_secs(120);
 
     let survival = |ttl: Ttl, policy: ResolverPolicy, seed_tag: &str| -> f64 {
-        let mut net = Network::new(LatencyModel::internet());
+        let victim_addr: std::net::IpAddr = "192.0.2.53".parse().unwrap();
+        let plan = FaultPlan::new().outage(victim_addr, attack_start, attack_start + attack);
+        let mut net = Network::new(LatencyModel::internet()).with_faults(plan);
         let root = AuthoritativeServer::new("root").with_zone(
             ZoneBuilder::new(".")
                 .ns("example", "ns.example", Ttl::TWO_DAYS)
                 .a("ns.example", "192.0.2.53", Ttl::TWO_DAYS)
                 .build(),
         );
-        let victim_addr: std::net::IpAddr = "192.0.2.53".parse().unwrap();
         let child = AuthoritativeServer::new("ns.example").with_zone(
             ZoneBuilder::new("example")
                 .ns("example", "ns.example", ttl)
@@ -311,17 +319,9 @@ pub(crate) fn ddos_resilience(cfg: &ExpConfig) -> Report {
         let end = attack_start + attack + SimDuration::from_secs(600);
         let mut during_total = 0usize;
         let mut during_ok = 0usize;
-        let mut attack_applied = false;
         while let Some((now, tick)) = queue.pop() {
             if now >= end {
                 continue;
-            }
-            if !attack_applied && now >= attack_start {
-                net.set_online(victim_addr, false);
-                attack_applied = true;
-            }
-            if attack_applied && now >= attack_start + attack && !net.is_online(victim_addr) {
-                net.set_online(victim_addr, true);
             }
             let out =
                 resolvers[tick.client].resolve(&n("www.example"), RecordType::A, now, &mut net);

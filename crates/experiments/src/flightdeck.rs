@@ -598,14 +598,13 @@ pub fn doctor_dir(dir: &Path) -> DoctorReport {
             ));
         }
 
-        // Cache conservation: every removal (eviction, TTL drop,
-        // invalidation) removes an entry some insert created, so
-        // removals can never exceed inserts.
+        // Cache conservation: every removal (TTL drop, invalidation)
+        // removes an entry some insert created, so removals can never
+        // exceed inserts.
         let events = scan_flat_object(&text, "event_counts");
         let count = |key: &str| flat_get(&events, key).and_then(|v| v.as_u64()).unwrap_or(0);
         let inserts = count("cache_insert");
-        let removals =
-            count("cache_evict") + count("cache_expired_drop") + count("cache_invalidate");
+        let removals = count("cache_expired_drop") + count("cache_invalidate");
         if removals <= inserts {
             report.ok(format!(
                 "{module}: cache conservation holds ({inserts} inserts >= {removals} removals)"
@@ -939,7 +938,7 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         std::fs::write(
             dir.join("m_manifest.json"),
-            r#"{"experiment":"m","seed":42,"event_counts":{"cache_insert":5,"cache_evict":1},"trace_dropped":0,"artifacts":["m_trace.jsonl"]}"#,
+            r#"{"experiment":"m","seed":42,"event_counts":{"cache_insert":5,"cache_expired_drop":1},"trace_dropped":0,"artifacts":["m_trace.jsonl"]}"#,
         )
         .unwrap();
         std::fs::write(dir.join("m_trace.jsonl"), WELL_FORMED.trim_start()).unwrap();

@@ -10,9 +10,8 @@
 //! * [`EventQueue`] — a stable discrete-event queue (ties break in
 //!   insertion order, so runs are bit-for-bit reproducible);
 //! * [`TimingWheel`] — the hierarchical timing wheel backing the event
-//!   queue, the cache expiry indexes, and the campaign schedulers:
-//!   O(1) insert/cancel, amortized-O(1) pops, deterministic
-//!   `(time, tie)` drain order;
+//!   queue and the campaign scheduler: O(1) inserts, amortized-O(1)
+//!   pops, deterministic `(time, tie)` drain order;
 //! * [`SimRng`] — a seedable xoshiro256** generator with the
 //!   distribution helpers the latency model needs (uniform, normal,
 //!   log-normal, Zipf);
@@ -21,7 +20,8 @@
 //!   inter-continental paths near 100–300 ms, matching the magnitudes in
 //!   the paper's Figures 10–11;
 //! * [`Network`] — the message fabric: unicast and anycast service
-//!   addresses, per-exchange RTT sampling, loss, and server registration.
+//!   addresses, per-exchange RTT sampling, loss, scripted faults
+//!   ([`FaultPlan`]), and server registration.
 //!
 //! The fabric is synchronous-by-exchange: a resolver asks the network to
 //! perform one query/response exchange and receives the response plus the

@@ -3,11 +3,12 @@
 //! A [`Network`] owns every DNS server in an experiment, keyed by IP
 //! address. Resolvers perform *exchanges*: one query/response round trip
 //! whose RTT is sampled from the [`LatencyModel`], with optional loss and
-//! per-address online/offline state (the paper's `zurrundedu-offline`
-//! experiment takes child authoritatives down while leaving the parent
-//! up). Anycast addresses map to several sites in different regions, and
-//! clients reach the site with the lowest median RTT — the BGP-like
-//! behaviour behind the paper's Route53 comparison (Figure 11b).
+//! a scripted [`FaultPlan`] of outages, degradations and blackouts (the
+//! paper's `zurrundedu-offline` experiment is an outage of the child's
+//! authoritatives while the parent stays up). Anycast addresses map to
+//! several sites in different regions, and clients reach the site with
+//! the lowest median RTT — the BGP-like behaviour behind the paper's
+//! Route53 comparison (Figure 11b).
 //!
 //! Messages cross the fabric by reference, not as bytes: an exchange
 //! asks the wire codec only how long each message would be
@@ -82,7 +83,6 @@ struct Site {
 
 struct Endpoint {
     sites: Vec<Site>,
-    online: bool,
     queries_received: u64,
     /// Distinct sources are approximated by the count of distinct
     /// `(client_region, client_tag)` pairs observed.
@@ -99,7 +99,7 @@ pub enum ExchangeOutcome {
         /// Sampled round-trip time for this exchange.
         rtt: SimDuration,
     },
-    /// No answer: packet loss, an offline server, an unknown address, or
+    /// No answer: packet loss, a scripted fault, an unknown address, or
     /// a message with no wire encoding.
     /// The caller observes `elapsed` (its retransmission timeout).
     Timeout {
@@ -185,7 +185,6 @@ impl Network {
             addr,
             Endpoint {
                 sites: vec![Site { region, service }],
-                online: true,
                 queries_received: 0,
                 sources: Default::default(),
             },
@@ -210,23 +209,10 @@ impl Network {
                         service: service.clone(),
                     })
                     .collect(),
-                online: true,
                 queries_received: 0,
                 sources: Default::default(),
             },
         );
-    }
-
-    /// Marks a server reachable or unreachable without unregistering it.
-    pub fn set_online(&mut self, addr: ServiceAddr, online: bool) {
-        if let Some(ep) = self.endpoints.get_mut(&addr) {
-            ep.online = online;
-        }
-    }
-
-    /// True if the address is registered and currently online.
-    pub fn is_online(&self, addr: ServiceAddr) -> bool {
-        self.endpoints.get(&addr).map(|e| e.online).unwrap_or(false)
     }
 
     /// Queries received by `addr` so far (for Table 10's authoritative-
@@ -299,11 +285,6 @@ impl Network {
                 .count_keyed_at(&metrics::UNKNOWN_ADDRESS, 1, now.as_millis());
             return ExchangeOutcome::Timeout { elapsed: timeout };
         };
-        if !ep.online {
-            self.telemetry
-                .count_keyed_at(&metrics::SERVER_OFFLINE, 1, now.as_millis());
-            return ExchangeOutcome::Timeout { elapsed: timeout };
-        }
         if self.faults.outage_active(server, now) {
             self.telemetry
                 .count_keyed_at(&metrics::FAULT_OUTAGE, 1, now.as_millis());
@@ -439,7 +420,6 @@ mod metrics {
     pub(crate) const PACKETS_LOST: MetricKey = MetricKey::new("net_packets_lost");
     pub(crate) const RESPONSES: MetricKey = MetricKey::new("net_responses");
     pub(crate) const UNKNOWN_ADDRESS: MetricKey = MetricKey::new("net_unknown_address");
-    pub(crate) const SERVER_OFFLINE: MetricKey = MetricKey::new("net_server_offline");
     pub(crate) const UNENCODABLE: MetricKey = MetricKey::new("net_unencodable");
     pub(crate) const FAULT_OUTAGE: MetricKey = MetricKey::new("net_fault_outage");
     pub(crate) const FAULT_DEGRADED_DROP: MetricKey = MetricKey::new("net_fault_degraded_drop");
@@ -522,26 +502,6 @@ mod tests {
         let out = net.exchange(Region::Eu, 0, addr(9), &query(), SimTime::ZERO, &mut rng);
         assert!(out.response().is_none());
         assert_eq!(out.elapsed(), net.query_timeout);
-    }
-
-    #[test]
-    fn offline_server_times_out_and_recovers() {
-        let mut net = Network::new(LatencyModel::constant(5.0));
-        let svc = Rc::new(RefCell::new(Fixed {
-            answer: Ipv4Addr::LOCALHOST,
-        }));
-        net.register(addr(1), Region::Eu, svc);
-        net.set_online(addr(1), false);
-        let mut rng = SimRng::seed_from(2);
-        assert!(net
-            .exchange(Region::Eu, 0, addr(1), &query(), SimTime::ZERO, &mut rng)
-            .response()
-            .is_none());
-        net.set_online(addr(1), true);
-        assert!(net
-            .exchange(Region::Eu, 0, addr(1), &query(), SimTime::ZERO, &mut rng)
-            .response()
-            .is_some());
     }
 
     #[test]

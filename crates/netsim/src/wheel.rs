@@ -1,13 +1,14 @@
 //! Deterministic hierarchical timing wheel.
 //!
-//! Every hot path in this workspace is time-keyed — TTL expiry indexes,
-//! the discrete-event queue, probe fire schedules — and all of them were
-//! paying O(log n) comparator costs on `BTreeSet`/`BinaryHeap`. This
-//! module replaces those ordered collections with a hashed hierarchical
-//! timing wheel in the style of Varghese & Lauck: timers are bucketed
-//! into power-of-two slot arrays whose granularity coarsens by level, so
-//! insert and cancel are O(1) bucket placement and expiry pops are
-//! amortized O(1) cascades.
+//! Two hot paths in this workspace are time-keyed — the discrete-event
+//! queue ([`crate::EventQueue`]) and the Zipf campaign's probe fire
+//! schedule — and both were paying O(log n) comparator costs on
+//! `BTreeSet`/`BinaryHeap`. This module replaces those ordered
+//! collections with a hashed hierarchical timing wheel in the style of
+//! Varghese & Lauck: timers are bucketed into power-of-two slot arrays
+//! whose granularity coarsens by level, so an insert is O(1) bucket
+//! placement and a pop is an amortized O(1) cascade. Both consumers
+//! only schedule and pop the earliest timer; nothing cancels one.
 //!
 //! # Layout
 //!
@@ -26,13 +27,14 @@
 //!
 //! # Determinism
 //!
-//! The wheel is *not* allowed to change anything observable: the cache
-//! eviction oracle and the campaign oracles diff against retained
-//! `BTreeSet`/`BinaryHeap` implementations. Slot vectors are deliberately unsorted (pushes are
-//! O(1)); every peek/pop selects the minimum `(time, tie)` entry of the
-//! earliest occupied bucket by a full lexicographic scan, which
-//! reproduces the exact `(SimTime, Name, u16)` / `(fire_time_ms,
-//! probe_idx)` drain order of the ordered structures it replaces.
+//! The wheel is *not* allowed to change anything observable: the
+//! campaign oracle and `tests/wheel_oracle.rs` diff against retained
+//! `BinaryHeap`/`BTreeSet` implementations. Slot vectors are
+//! deliberately unsorted (pushes are O(1)); every peek/pop selects the
+//! minimum `(time, tie)` entry of the earliest occupied bucket by a
+//! full lexicographic scan, which reproduces the exact `(at_ms, seq)` /
+//! `(fire_time_ms, probe_idx)` drain order of the ordered structures it
+//! replaces.
 //! Bucket ranges are disjoint and monotone across levels (lower level ⇒
 //! earlier window), so "earliest occupied bucket" is well-defined, and
 //! entries whose time is already behind the wheel's base clamp into the
@@ -124,10 +126,10 @@ enum Placement {
 /// ```
 pub struct TimingWheel<T> {
     /// Slot levels, allocated on the first in-span insert. A fresh
-    /// wheel is a handful of machine words, so wheels that never see a
-    /// timer — a bounded cache that never stores, a queue built per
-    /// cell "just in case" — cost nothing to construct: the ~25 KiB of
-    /// slot headers is only paid by wheels that actually hold entries.
+    /// wheel is a handful of machine words, so a wheel that never sees
+    /// a timer — a queue built per cell "just in case" — costs nothing
+    /// to construct: the ~25 KiB of slot headers is only paid by wheels
+    /// that actually hold entries.
     levels: Option<Box<[Level<T>; LEVELS]>>,
     /// Entries further than the wheel span from `base`.
     overflow: Vec<(u64, T)>,
@@ -136,10 +138,6 @@ pub struct TimingWheel<T> {
     base: u64,
     /// Total entries across levels and overflow.
     len: usize,
-    /// Exact earliest pending fire time, maintained across every
-    /// mutation so `&self` callers (`repro bench`'s `wheel_churn`) get
-    /// an O(1) answer instead of an O(bucket) scan.
-    earliest: Option<u64>,
     /// Slots re-binned by cascades since construction (telemetry).
     cascades: u64,
     /// Reusable cascade drain buffer, so re-binning a bucket moves
@@ -155,7 +153,6 @@ impl<T: Ord> TimingWheel<T> {
             overflow: Vec::new(),
             base: 0,
             len: 0,
-            earliest: None,
             cascades: 0,
             scratch: Vec::new(),
         }
@@ -176,11 +173,6 @@ impl<T: Ord> TimingWheel<T> {
         self.cascades
     }
 
-    /// Fire time of the earliest pending entry. O(1).
-    pub fn earliest_ms(&self) -> Option<u64> {
-        self.earliest
-    }
-
     /// Bucket placement for an effective time (`when >= self.base`).
     fn placement(&self, when: u64) -> Placement {
         let masked = (self.base ^ when) | (SLOTS as u64 - 1);
@@ -195,8 +187,8 @@ impl<T: Ord> TimingWheel<T> {
 
     /// Schedules `tie` to fire at `at_ms`. O(1).
     ///
-    /// Times already behind the wheel base (possible after an eviction
-    /// pop advanced it) clamp into the front bucket but keep their true
+    /// Times already behind the wheel base (possible after a pop
+    /// advanced it) clamp into the front bucket but keep their true
     /// `at_ms` for ordering, so they still drain first.
     pub fn insert(&mut self, at_ms: u64, tie: T) {
         let when = at_ms.max(self.base);
@@ -209,52 +201,12 @@ impl<T: Ord> TimingWheel<T> {
             Placement::Overflow => self.overflow.push((at_ms, tie)),
         }
         self.len += 1;
-        if self.earliest.is_none_or(|e| at_ms < e) {
-            self.earliest = Some(at_ms);
-        }
     }
 
-    /// Removes the entry `(at_ms, tie)` if present. O(bucket size).
-    pub fn cancel(&mut self, at_ms: u64, tie: &T) -> bool {
-        self.cancel_by(at_ms, |k| k == tie)
-    }
-
-    /// Removes the first entry at `at_ms` whose tie satisfies
-    /// `matches`, if any. O(bucket size). Lets callers cancel by parts
-    /// of a composite tie without building one.
-    pub fn cancel_by(&mut self, at_ms: u64, matches: impl Fn(&T) -> bool) -> bool {
-        let when = at_ms.max(self.base);
-        let bucket: &mut Vec<(u64, T)> = match self.placement(when) {
-            Placement::Slot(level, slot) => match self.levels.as_deref_mut() {
-                Some(levels) => &mut levels[level].slots[slot],
-                None => return false,
-            },
-            Placement::Overflow => &mut self.overflow,
-        };
-        let Some(pos) = bucket.iter().position(|(t, k)| *t == at_ms && matches(k)) else {
-            return false;
-        };
-        bucket.swap_remove(pos);
-        self.len -= 1;
-        if bucket.is_empty() {
-            // Re-borrow to clear the occupancy bit (overflow has none).
-            if let Placement::Slot(level, slot) = self.placement(when) {
-                if let Some(levels) = self.levels.as_deref_mut() {
-                    levels[level].unset(slot);
-                }
-            }
-        }
-        if self.earliest == Some(at_ms) {
-            self.earliest = self.peek().map(|(t, _)| t);
-        }
-        true
-    }
-
-    /// The earliest entry without cascading. O(front bucket size).
-    ///
-    /// Correct regardless of wheel state — used where only `&self` is
-    /// available. Prefer [`TimingWheel::first`] on hot paths: cascading
-    /// keeps the front bucket at 1 ms granularity.
+    /// The earliest entry without cascading. O(front bucket size),
+    /// correct regardless of wheel state. Nothing on a hot path peeks:
+    /// both consumers pop, and the differential suites read this to
+    /// compare the wheel with its reference at every step.
     pub fn peek(&self) -> Option<(u64, &T)> {
         if let Some(levels) = self.levels.as_deref() {
             for level in levels.iter() {
@@ -266,13 +218,6 @@ impl<T: Ord> TimingWheel<T> {
         bucket_min(&self.overflow)
     }
 
-    /// The earliest entry, cascading first so the answer comes from a
-    /// finest-granularity bucket. Amortized O(1).
-    pub fn first(&mut self) -> Option<(u64, &T)> {
-        self.cascade();
-        self.peek()
-    }
-
     /// Removes and returns the earliest entry. Amortized O(1).
     pub fn pop_first(&mut self) -> Option<(u64, T)> {
         self.cascade();
@@ -281,50 +226,22 @@ impl<T: Ord> TimingWheel<T> {
         Some(entry)
     }
 
-    /// Removes the minimum entry of the earliest occupied bucket and
-    /// refreshes `earliest` (callers fix `len`). One pass tracks both
-    /// the minimum and the runner-up fire time: because bucket ranges
-    /// are disjoint and monotone, the runner-up of the front bucket IS
-    /// the new global earliest, so the common case needs no second
-    /// scan.
+    /// Removes the minimum entry of the earliest occupied bucket
+    /// (callers fix `len`): one scan of that bucket.
     fn pop_front_bucket_min(&mut self) -> Option<(u64, T)> {
         for level in self.levels.as_deref_mut().into_iter().flatten() {
             let Some(slot) = level.first_slot() else {
                 continue;
             };
             let bucket = &mut level.slots[slot];
-            let (pos, runner_up) = bucket_min_pos_and_next(bucket)?;
-            let entry = bucket.swap_remove(pos);
+            let entry = bucket.swap_remove(bucket_min_pos(bucket)?);
             if bucket.is_empty() {
                 level.unset(slot);
             }
-            self.earliest = runner_up;
-            if runner_up.is_none() {
-                self.earliest = self.peek().map(|(t, _)| t);
-            }
             return Some(entry);
         }
-        let (pos, runner_up) = bucket_min_pos_and_next(&self.overflow)?;
-        self.earliest = runner_up;
+        let pos = bucket_min_pos(&self.overflow)?;
         Some(self.overflow.swap_remove(pos))
-    }
-
-    /// Drops every entry and re-anchors at t = 0. Keeps allocations.
-    pub fn clear(&mut self) {
-        for level in self.levels.as_deref_mut().into_iter().flatten() {
-            for word in 0..WORDS {
-                let mut w = mem::take(&mut level.occupied[word]);
-                while w != 0 {
-                    let slot = word * 64 + w.trailing_zeros() as usize;
-                    level.slots[slot].clear();
-                    w &= w - 1;
-                }
-            }
-        }
-        self.overflow.clear();
-        self.base = 0;
-        self.len = 0;
-        self.earliest = None;
     }
 
     /// Re-bins the front of the wheel until the earliest occupied
@@ -409,7 +326,6 @@ impl<T> fmt::Debug for TimingWheel<T> {
         f.debug_struct("TimingWheel")
             .field("len", &self.len)
             .field("base", &self.base)
-            .field("earliest", &self.earliest)
             .field("cascades", &self.cascades)
             .finish_non_exhaustive()
     }
@@ -426,23 +342,18 @@ fn bucket_min<T: Ord>(bucket: &[(u64, T)]) -> Option<(u64, &T)> {
     bucket.iter().min_by(|a, b| a.cmp(b)).map(|(t, k)| (*t, k))
 }
 
-/// Position of the minimum entry of an unsorted bucket, plus the fire
-/// time of the runner-up (`None` for a single-entry bucket).
-fn bucket_min_pos_and_next<T: Ord>(bucket: &[(u64, T)]) -> Option<(usize, Option<u64>)> {
+/// Position of the minimum entry of an unsorted bucket (the first of
+/// equal minima).
+fn bucket_min_pos<T: Ord>(bucket: &[(u64, T)]) -> Option<usize> {
     let mut iter = bucket.iter().enumerate();
-    let (mut pos, first) = iter.next()?;
-    let mut min = first;
-    let mut next: Option<u64> = None;
+    let (mut pos, mut min) = iter.next()?;
     for (i, e) in iter {
         if e < min {
-            next = Some(min.0);
             min = e;
             pos = i;
-        } else if next.is_none_or(|n| e.0 < n) {
-            next = Some(e.0);
         }
     }
-    Some((pos, next))
+    Some(pos)
 }
 
 #[cfg(test)]
@@ -466,24 +377,12 @@ mod tests {
     }
 
     #[test]
-    fn cancel_removes_exactly_one_entry() {
-        let mut w = TimingWheel::new();
-        w.insert(100, "a");
-        w.insert(100, "b");
-        assert!(w.cancel(100, &"a"));
-        assert!(!w.cancel(100, &"a"));
-        assert!(!w.cancel(101, &"b"));
-        assert_eq!(w.pop_first(), Some((100, "b")));
-    }
-
-    #[test]
-    fn peek_matches_first_without_mutating_order() {
+    fn peek_leaves_the_drain_order_alone() {
         let mut w = TimingWheel::new();
         for t in [900_000u64, 3, 70_000, 3] {
             w.insert(t, t as u32);
         }
         assert_eq!(w.peek(), Some((3, &3u32)));
-        assert_eq!(w.first(), Some((3, &3u32)));
         let mut order = Vec::new();
         while let Some(e) = w.pop_first() {
             order.push(e);
@@ -518,39 +417,10 @@ mod tests {
         // A "late" insert behind the base clamps but keeps its true key.
         w.insert(10, 7);
         w.insert(10, 6);
-        assert_eq!(w.first(), Some((10, &6u32)));
-        assert!(w.cancel(10, &6));
+        assert_eq!(w.peek(), Some((10, &6u32)));
+        assert_eq!(w.pop_first(), Some((10, 6)));
         assert_eq!(w.pop_first(), Some((10, 7)));
         assert_eq!(w.pop_first(), Some((500_000, 1)));
-    }
-
-    #[test]
-    fn clear_resets_and_reuses() {
-        let mut w = TimingWheel::new();
-        for t in 0..1_000u64 {
-            w.insert(t * 37, t as u32);
-        }
-        w.clear();
-        assert!(w.is_empty());
-        assert_eq!(w.peek(), None);
-        w.insert(1, 1u32);
-        assert_eq!(w.pop_first(), Some((1, 1)));
-    }
-
-    #[test]
-    fn earliest_ms_tracks_every_mutation() {
-        let mut w = TimingWheel::new();
-        assert_eq!(w.earliest_ms(), None);
-        w.insert(300, 1u32);
-        w.insert(200, 2);
-        w.insert(900_000, 3);
-        assert_eq!(w.earliest_ms(), Some(200));
-        assert!(w.cancel(200, &2));
-        assert_eq!(w.earliest_ms(), Some(300));
-        assert_eq!(w.pop_first(), Some((300, 1)));
-        assert_eq!(w.earliest_ms(), Some(900_000));
-        w.clear();
-        assert_eq!(w.earliest_ms(), None);
     }
 
     #[test]

@@ -12,8 +12,10 @@
 //! # Structure
 //!
 //! One struct, [`Cache`]: an entry table and a negative table probed by
-//! one cheap hash of a word the name already carries, and — only where
-//! a capacity bound means something can be evicted — an expiry index.
+//! one cheap hash of a word the name already carries. Entries live by
+//! their TTL alone, as the paper's caches do: nothing bounds the table's
+//! size, so nothing is ever evicted and no expiry index is kept — reads
+//! check freshness, and [`Cache::purge_expired`] drops what has lapsed.
 //! Every transaction is accounted where it happens, by one function:
 //! the always-on [`CacheStats`] counters, the opt-in provenance ledger
 //! and the `Rc`-based telemetry handle that counts transaction kinds
@@ -22,8 +24,8 @@
 //! §14).
 
 use dnsttl_core::{Centricity, ResolverPolicy};
-use dnsttl_netsim::{SimDuration, SimTime, TimingWheel};
-use dnsttl_telemetry::{CacheOp, EventKind, MetricKey, Telemetry};
+use dnsttl_netsim::{SimDuration, SimTime};
+use dnsttl_telemetry::{CacheOp, EventKind, Telemetry};
 use dnsttl_wire::name::NameKey;
 use dnsttl_wire::{Name, RRset, Rcode, RecordType, Ttl};
 use std::borrow::Borrow;
@@ -32,11 +34,6 @@ use std::collections::{hash_map, HashMap};
 use std::hash::{BuildHasherDefault, Hash, Hasher};
 
 use crate::ledger::{CacheStats, Ledger, Provenance, RecordOrigin, StoreContext};
-
-/// Pre-hashed key for the eviction counter/series: evictions happen
-/// under capacity pressure, which is exactly when per-event hashing
-/// would hurt most.
-const EVICTIONS_KEY: MetricKey = MetricKey::new("resolver_cache_evictions");
 
 /// Trustworthiness of cached data, descending (RFC 2181 §5.4.1).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -212,51 +209,6 @@ pub struct CachedAnswer {
     pub provenance: Provenance,
 }
 
-/// Expiry index over the *unpinned* entries of a **bounded** cache
-/// (`Some` iff the cache has a capacity) — a hierarchical timing wheel
-/// bucketing `(name, rtype code)` ties by `expires_at` milliseconds.
-/// Its one reader is eviction: the victim is an amortized-O(1) wheel
-/// pop in exact `(expires_at, canonical name order, type code)` order
-/// (the eviction-oracle differential suite pins this), and every
-/// insert and remove keeps it in lockstep. Pinned entries never expire
-/// and are never evicted, so they are not indexed; an unbounded cache
-/// evicts nothing, so it holds no wheel at all and every method here
-/// does nothing — a store there is a table write, and a cache costs
-/// its entry table (DESIGN.md §14 has the bytes and the nanoseconds).
-#[derive(Debug, Default)]
-struct ExpiryIndex(Option<TimingWheel<(Name, u16)>>);
-
-impl ExpiryIndex {
-    /// Indexes an entry that is about to enter the table.
-    fn insert(&mut self, e: &Entry) {
-        if let (Some(wheel), false) = (&mut self.0, e.pinned) {
-            let tie = (e.rrset.name.clone(), e.rrset.rtype.code());
-            wheel.insert(e.expires_at.as_millis(), tie);
-        }
-    }
-
-    /// Forgets an entry that has left the table or is about to.
-    fn remove(&mut self, e: &Entry) {
-        if let (Some(wheel), false) = (&mut self.0, e.pinned) {
-            let (name, code) = (&e.rrset.name, e.rrset.rtype.code());
-            wheel.cancel_by(e.expires_at.as_millis(), |(n, c)| *c == code && n == name);
-        }
-    }
-
-    /// Removes and returns the key of the soonest-to-expire entry.
-    fn pop_first(&mut self) -> Option<(Name, RecordType)> {
-        let (_, (name, code)) = self.0.as_mut()?.pop_first()?;
-        let rtype = RecordType::from_code(code).expect("index holds valid type codes");
-        Some((name, rtype))
-    }
-
-    fn clear(&mut self) {
-        if let Some(wheel) = &mut self.0 {
-            wheel.clear();
-        }
-    }
-}
-
 /// Where every transaction is accounted: the always-on counters, the
 /// opt-in provenance ledger and the telemetry handle that counts each
 /// transaction's kind. Behind a `RefCell` so the `&self` read path
@@ -273,9 +225,9 @@ impl CacheMeta {
     /// Accounts one transaction on `e`: counts it, journals the ledger
     /// line if the ledger is on (every op but an install carries how
     /// long the entry had been resident), and counts its kind in the
-    /// telemetry's event totals (plus the eviction time series). The
-    /// trace gets no row: it records queries, and a run that wants each
-    /// transaction's provenance enables the ledger.
+    /// telemetry's event totals. The trace gets no row: it records
+    /// queries, and a run that wants each transaction's provenance
+    /// enables the ledger.
     fn record(&mut self, now: SimTime, op: CacheOp, e: &Entry) {
         match op {
             CacheOp::Insert => self.stats.inserts += 1,
@@ -283,7 +235,6 @@ impl CacheMeta {
             CacheOp::Overwrite => self.stats.overwrites += 1,
             CacheOp::Serve => self.stats.hits += 1,
             CacheOp::Expire => self.stats.expiries += 1,
-            CacheOp::Evict => self.stats.evictions += 1,
             CacheOp::Invalidate => self.stats.invalidations += 1,
             CacheOp::StaleServe => self.stats.stale_hits += 1,
             // Failure caching holds no positive entry: no counter.
@@ -302,21 +253,11 @@ impl CacheMeta {
                 e.fingerprint,
             );
         }
-        if op == CacheOp::Evict {
-            // Capacity-pressure evictions get a sim-time series so the
-            // timeline shows *when* churn happens, not just how much.
-            self.telemetry
-                .count_keyed_at(&EVICTIONS_KEY, 1, now.as_millis());
-        }
         self.telemetry.count_event(event_kind(op));
     }
 }
 
 /// The cache proper — the one a resolver holds.
-///
-/// Eviction order is deterministic and documented: the victim is the
-/// index minimum, i.e. ordered by `(expires_at, canonical name order,
-/// type code)`.
 ///
 /// ```
 /// use dnsttl_resolver::{Cache, Credibility};
@@ -343,51 +284,27 @@ impl CacheMeta {
 #[derive(Debug, Default)]
 pub struct Cache {
     entries: KeyTable<Entry>,
-    expiry: ExpiryIndex,
     negatives: KeyTable<NegEntry>,
-    /// Maximum positive entries; `None` = unbounded. Real caches are
-    /// bounded, and under pressure the *effective* TTL is the eviction
-    /// horizon, not the configured TTL (the paper's \[19\]).
-    capacity: Option<usize>,
     /// Stats (always), provenance ledger (opt-in), telemetry handle.
     meta: RefCell<CacheMeta>,
 }
 
 impl Cache {
-    /// An empty, unbounded cache.
+    /// An empty cache.
     pub fn new() -> Cache {
         Cache::default()
     }
 
-    /// A cache bounded to `capacity` positive entries. When full, the
-    /// entry closest to expiry is evicted first (least remaining
-    /// value), pinned entries last.
-    pub fn with_capacity(capacity: usize) -> Cache {
-        Cache {
-            expiry: ExpiryIndex(Some(TimingWheel::new())),
-            capacity: Some(capacity.max(1)),
-            ..Cache::default()
-        }
-    }
-
-    /// The cache a policy asks for: bounded to `cache_capacity` when
-    /// set, unbounded otherwise.
-    pub fn from_policy(policy: &ResolverPolicy) -> Cache {
-        match policy.cache_capacity {
-            Some(capacity) => Cache::with_capacity(capacity),
-            None => Cache::new(),
-        }
-    }
-
-    /// Entries evicted under capacity pressure so far.
-    pub fn evictions(&self) -> u64 {
-        self.stats().evictions
+    /// [`Cache::new`]: no policy field shapes the table any more. Kept
+    /// for `benchmark/`, which builds its stand-alone cache through it,
+    /// until ROADMAP item 3(ii) moves that package off it.
+    pub fn from_policy(_policy: &ResolverPolicy) -> Cache {
+        Cache::new()
     }
 
     /// Counts the cache's transactions, by kind, into `telemetry`'s
-    /// event totals (the manifest's `event_counts`) and its evictions
-    /// into the eviction series. No transaction is traced; the ledger
-    /// ([`Cache::enable_ledger`]) journals each one.
+    /// event totals (the manifest's `event_counts`). No transaction is
+    /// traced; the ledger ([`Cache::enable_ledger`]) journals each one.
     pub fn set_telemetry(&mut self, telemetry: Telemetry) {
         self.meta.get_mut().telemetry = telemetry;
     }
@@ -415,24 +332,6 @@ impl Cache {
     /// Iterates the positive entries (snapshot builders).
     pub(crate) fn iter_entries(&self) -> impl Iterator<Item = &Entry> {
         self.entries.values()
-    }
-
-    /// Evicts one entry to make room for a key the table does not
-    /// hold. Only a bounded cache has anything to pop.
-    fn evict_soonest(&mut self, now: SimTime) {
-        // The victim is the index minimum: the entry with the earliest
-        // expiry (already-expired entries sort first by construction),
-        // ties broken by canonical name order then type code — never by
-        // HashMap iteration order, so the ledger is identical across
-        // reruns. Pinned entries are mirrored zone data, never indexed,
-        // never evicted.
-        if let Some(victim) = self.expiry.pop_first() {
-            let e = self
-                .entries
-                .remove(&victim)
-                .expect("index entry has a backing cache entry");
-            self.meta.get_mut().record(now, CacheOp::Evict, &e);
-        }
     }
 
     /// Stores an RRset under `rank`, applying the policy's TTL clamp and
@@ -514,57 +413,44 @@ impl Cache {
                 effective_ttl: ttl,
             },
         };
-        let full = self.capacity.is_some_and(|cap| self.entries.len() >= cap);
         let mut refresh = false;
         // One probe finds the entry this store replaces and the slot
-        // it writes; only a store that must first evict probes again.
-        let slot = match self.entries.entry(key) {
-            hash_map::Entry::Occupied(slot) => {
-                let existing = slot.get();
-                // Removal cause for the entry currently under the key.
-                let displaced = if existing.is_fresh(now) {
-                    let rejected = existing.rank > rank // lower rank never displaces higher
-                        || (policy.centricity == Centricity::ParentCentric
-                            && existing.rank <= Credibility::ReferralAuthority
-                            && rank >= Credibility::AuthAuthority) // referral data wins
-                        || (!policy.link_inbailiwick_glue
-                            && existing.rank == Credibility::ReferralAdditional
-                            && rank == Credibility::ReferralAdditional); // keep cached glue
-                    if rejected {
-                        self.meta.get_mut().stats.rejected_stores += 1;
-                        return;
-                    }
-                    refresh = existing.fingerprint == incoming.fingerprint;
-                    (!refresh).then_some(CacheOp::Overwrite)
-                } else {
-                    // Past its TTL: whatever replaces it, the old entry
-                    // died of expiry.
-                    Some(CacheOp::Expire)
-                };
-                // Journalled from the table, before the insert below
-                // replaces it: the ledger reads `Expire`/`Overwrite` first.
-                if let Some(cause) = displaced {
-                    self.meta.get_mut().record(now, cause, existing);
+        // it writes.
+        let slot = self.entries.entry(key);
+        if let hash_map::Entry::Occupied(occupied) = &slot {
+            let existing = occupied.get();
+            // Removal cause for the entry currently under the key.
+            let displaced = if existing.is_fresh(now) {
+                let rejected = existing.rank > rank // lower rank never displaces higher
+                    || (policy.centricity == Centricity::ParentCentric
+                        && existing.rank <= Credibility::ReferralAuthority
+                        && rank >= Credibility::AuthAuthority) // referral data wins
+                    || (!policy.link_inbailiwick_glue
+                        && existing.rank == Credibility::ReferralAdditional
+                        && rank == Credibility::ReferralAdditional); // keep cached glue
+                if rejected {
+                    self.meta.get_mut().stats.rejected_stores += 1;
+                    return;
                 }
-                // A refresh moves an entry's expiry too, so the indexed
-                // key goes either way.
-                self.expiry.remove(existing);
-                hash_map::Entry::Occupied(slot)
+                refresh = existing.fingerprint == incoming.fingerprint;
+                (!refresh).then_some(CacheOp::Overwrite)
+            } else {
+                // Past its TTL: whatever replaces it, the old entry
+                // died of expiry.
+                Some(CacheOp::Expire)
+            };
+            // Journalled from the table, before the insert below
+            // replaces it: the ledger reads `Expire`/`Overwrite` first.
+            if let Some(cause) = displaced {
+                self.meta.get_mut().record(now, cause, existing);
             }
-            hash_map::Entry::Vacant(slot) if full => {
-                let key = slot.into_key();
-                self.evict_soonest(now);
-                self.entries.entry(key)
-            }
-            vacant => vacant,
-        };
+        }
         let op = if refresh {
             CacheOp::Refresh
         } else {
             CacheOp::Insert
         };
         self.meta.get_mut().record(now, op, &incoming);
-        self.expiry.insert(&incoming);
         slot.insert_entry(incoming);
     }
 
@@ -575,7 +461,6 @@ impl Cache {
         let Some(e) = self.entries.remove(&Probe(name, rtype) as &dyn TableKey) else {
             return false;
         };
-        self.expiry.remove(&e);
         self.meta.get_mut().record(now, CacheOp::Invalidate, &e);
         true
     }
@@ -789,11 +674,10 @@ impl Cache {
 
     /// Drops expired, unpinned entries. Not required for correctness
     /// (reads check freshness) but keeps long simulations lean. Each
-    /// drop is a ledger `expire` transaction in deterministic
-    /// `(expires_at, name, type code)` order: the expired entries are
-    /// found by a scan of the table and dropped in the order an expiry
-    /// index drains in, so a bounded and an unbounded cache journal
-    /// the same lines.
+    /// drop is a ledger `expire` transaction, and the drops must come in
+    /// `(expires_at, Name::cmp, type code)` order: the expired entries
+    /// are found by a scan of the table, whose order means nothing, so
+    /// they are sorted first.
     pub fn purge_expired(&mut self, now: SimTime) {
         let mut expired: Vec<(SimTime, Name, RecordType)> = self
             .entries
@@ -807,7 +691,6 @@ impl Cache {
                 .entries
                 .remove(&(name, rtype))
                 .expect("key just seen in the table");
-            self.expiry.remove(&e);
             self.meta.get_mut().record(now, CacheOp::Expire, &e);
         }
         self.negatives.retain(|_, e| e.expires_at > now);
@@ -819,7 +702,6 @@ impl Cache {
     pub fn clear(&mut self) {
         self.meta.get_mut().stats.clears += self.entries.len() as u64;
         self.entries.clear();
-        self.expiry.clear();
         self.negatives.clear();
     }
 }
@@ -832,7 +714,6 @@ pub(crate) fn event_kind(op: CacheOp) -> EventKind {
         CacheOp::Overwrite => EventKind::CacheOverwrite,
         CacheOp::Serve => EventKind::CacheServe,
         CacheOp::Expire => EventKind::CacheExpiredDrop,
-        CacheOp::Evict => EventKind::CacheEvict,
         CacheOp::Invalidate => EventKind::CacheInvalidate,
         CacheOp::StaleServe => EventKind::CacheStaleServe,
         CacheOp::NegCache => EventKind::NegCache,
@@ -1227,97 +1108,6 @@ mod tests {
     }
 
     #[test]
-    fn bounded_cache_evicts_soonest_to_expire() {
-        let mut c = Cache::with_capacity(2);
-        c.store(
-            a_rrset("long.example", 3_600, 1),
-            Credibility::AuthAnswer,
-            SimTime::ZERO,
-            &policy(),
-            false,
-        );
-        c.store(
-            a_rrset("short.example", 60, 2),
-            Credibility::AuthAnswer,
-            SimTime::ZERO,
-            &policy(),
-            false,
-        );
-        // Third entry: the 60 s one goes.
-        c.store(
-            a_rrset("new.example", 600, 3),
-            Credibility::AuthAnswer,
-            SimTime::from_secs(1),
-            &policy(),
-            false,
-        );
-        assert_eq!(c.len(), 2);
-        assert_eq!(c.evictions(), 1);
-        assert!(c
-            .get(&n("short.example"), RecordType::A, SimTime::from_secs(1))
-            .is_none());
-        assert!(c
-            .get(&n("long.example"), RecordType::A, SimTime::from_secs(1))
-            .is_some());
-        assert!(c
-            .get(&n("new.example"), RecordType::A, SimTime::from_secs(1))
-            .is_some());
-    }
-
-    #[test]
-    fn bounded_cache_update_in_place_does_not_evict() {
-        let mut c = Cache::with_capacity(2);
-        c.store(
-            a_rrset("a.example", 600, 1),
-            Credibility::AuthAnswer,
-            SimTime::ZERO,
-            &policy(),
-            false,
-        );
-        c.store(
-            a_rrset("b.example", 600, 1),
-            Credibility::AuthAnswer,
-            SimTime::ZERO,
-            &policy(),
-            false,
-        );
-        // Refreshing an existing key at capacity must not evict.
-        c.store(
-            a_rrset("a.example", 600, 2),
-            Credibility::AuthAnswer,
-            SimTime::from_secs(10),
-            &policy(),
-            false,
-        );
-        assert_eq!(c.evictions(), 0);
-        assert_eq!(c.len(), 2);
-    }
-
-    #[test]
-    fn bounded_cache_never_evicts_pinned() {
-        let mut c = Cache::with_capacity(1);
-        c.store(
-            a_rrset("root.example", 600, 1),
-            Credibility::ReferralAuthority,
-            SimTime::ZERO,
-            &policy(),
-            true,
-        );
-        c.store(
-            a_rrset("x.example", 600, 2),
-            Credibility::AuthAnswer,
-            SimTime::ZERO,
-            &policy(),
-            false,
-        );
-        // The pinned entry survives; the cache grows past capacity
-        // rather than dropping mirrored zone data.
-        assert!(c
-            .get(&n("root.example"), RecordType::A, SimTime::ZERO)
-            .is_some());
-    }
-
-    #[test]
     fn purge_drops_expired_keeps_pinned() {
         let mut c = Cache::new();
         c.store(
@@ -1463,43 +1253,6 @@ mod tests {
     }
 
     #[test]
-    fn hits_do_not_shield_an_entry_from_eviction() {
-        // One expiry index, no admission tier: the victim is the
-        // soonest-to-expire entry however often it was hit.
-        let mut c = Cache::with_capacity(2);
-        c.store(
-            a_rrset("hot.example", 60, 1),
-            Credibility::AuthAnswer,
-            SimTime::ZERO,
-            &policy(),
-            false,
-        );
-        c.store(
-            a_rrset("cold.example", 3_600, 2),
-            Credibility::AuthAnswer,
-            SimTime::ZERO,
-            &policy(),
-            false,
-        );
-        for _ in 0..10 {
-            assert!(c
-                .get(&n("hot.example"), RecordType::A, SimTime::from_secs(1))
-                .is_some());
-        }
-        c.store(
-            a_rrset("new.example", 600, 3),
-            Credibility::AuthAnswer,
-            SimTime::from_secs(2),
-            &policy(),
-            false,
-        );
-        // Despite the hits, hot.example (soonest expiry) is evicted.
-        assert!(c
-            .get(&n("hot.example"), RecordType::A, SimTime::from_secs(3))
-            .is_none());
-    }
-
-    #[test]
     fn a_borrowed_probe_finds_what_the_owned_key_finds() {
         use RecordType::{A, NS, TXT};
         // Suffixes of the probed name in other spellings, and near
@@ -1607,127 +1360,123 @@ mod tests {
     }
 
     /// A purge finds its victims by scanning the table, whose order
-    /// means nothing; it must journal them as a timing wheel holding
-    /// the same `(expires_at, (name, type code))` keys drains them —
-    /// the order eviction pops in, and the one ledgers have always
-    /// shown.
+    /// means nothing; it must journal them in `(expires_at, Name::cmp,
+    /// type code)` order, which is how a timing wheel holding the same
+    /// keys drains them.
     #[test]
     fn purge_drops_in_the_order_an_expiry_index_drains() {
         let owners = ["b.example", "A.example", "z.a.example", "example", "B.test"];
-        for mut c in [Cache::new(), Cache::with_capacity(64)] {
-            c.enable_ledger();
-            let mut wheel = TimingWheel::new();
-            let mut rng = dnsttl_netsim::SimRng::seed_from(0x9E46_E000);
-            for (i, owner) in owners.iter().cycle().take(30).enumerate() {
-                // Few distinct expiries, so most ties fall to the name
-                // and the type; one entry in six is pinned.
-                let ttl = [60, 60, 120, 300][rng.below(4) as usize];
-                let rtype = [RecordType::A, RecordType::NS, RecordType::TXT][i % 3];
-                let set = RRset {
-                    rtype,
-                    ..a_rrset(owner, ttl, 1)
-                };
-                let pinned = i % 6 == 5;
-                c.store(
-                    set,
-                    Credibility::AuthAnswer,
-                    SimTime::ZERO,
-                    &policy(),
-                    pinned,
-                );
-            }
-            for e in c.iter_entries().filter(|e| !e.pinned) {
-                let tie = (e.rrset.name.clone(), e.rrset.rtype.code());
-                wheel.insert(e.expires_at.as_millis(), tie);
-            }
-            let now = SimTime::from_secs(120);
-            let mut drained = Vec::new();
-            while wheel.earliest_ms().is_some_and(|t| t <= now.as_millis()) {
-                let (_, (name, code)) = wheel.pop_first().unwrap();
-                let rtype = RecordType::from_code(code).unwrap();
-                drained.push((name.to_string(), rtype.to_string()));
-            }
-            assert!(drained.len() >= 5 && !wheel.is_empty(), "{drained:?}");
-            c.purge_expired(now);
-            let journalled: Vec<(String, String)> = c
-                .with_ledger(|l| {
-                    l.journal()
-                        .records()
-                        .filter(|r| r.op == CacheOp::Expire)
-                        .map(|r| (r.name.to_string(), r.rtype.to_string()))
-                        .collect()
-                })
-                .unwrap();
-            assert_eq!(journalled, drained);
-            let pinned = c.iter_entries().filter(|e| e.pinned).count();
-            assert!(pinned > 0);
-            assert_eq!(c.len(), wheel.len() + pinned);
+        let mut c = Cache::new();
+        c.enable_ledger();
+        let mut wheel = dnsttl_netsim::TimingWheel::new();
+        let mut rng = dnsttl_netsim::SimRng::seed_from(0x9E46_E000);
+        for (i, owner) in owners.iter().cycle().take(30).enumerate() {
+            // Few distinct expiries, so most ties fall to the name and
+            // the type; one entry in six is pinned.
+            let ttl = [60, 60, 120, 300][rng.below(4) as usize];
+            let rtype = [RecordType::A, RecordType::NS, RecordType::TXT][i % 3];
+            let set = RRset {
+                rtype,
+                ..a_rrset(owner, ttl, 1)
+            };
+            let pinned = i % 6 == 5;
+            c.store(
+                set,
+                Credibility::AuthAnswer,
+                SimTime::ZERO,
+                &policy(),
+                pinned,
+            );
         }
+        for e in c.iter_entries().filter(|e| !e.pinned) {
+            let tie = (e.rrset.name.clone(), e.rrset.rtype.code());
+            wheel.insert(e.expires_at.as_millis(), tie);
+        }
+        let now = SimTime::from_secs(120);
+        let mut drained = Vec::new();
+        while wheel.peek().is_some_and(|(t, _)| t <= now.as_millis()) {
+            let (_, (name, code)) = wheel.pop_first().unwrap();
+            let rtype = RecordType::from_code(code).unwrap();
+            drained.push((name.to_string(), rtype.to_string()));
+        }
+        assert!(drained.len() >= 5 && !wheel.is_empty(), "{drained:?}");
+        c.purge_expired(now);
+        let journalled: Vec<(String, String)> = c
+            .with_ledger(|l| {
+                l.journal()
+                    .records()
+                    .filter(|r| r.op == CacheOp::Expire)
+                    .map(|r| (r.name.to_string(), r.rtype.to_string()))
+                    .collect()
+            })
+            .unwrap();
+        assert_eq!(journalled, drained);
+        let pinned = c.iter_entries().filter(|e| e.pinned).count();
+        assert!(pinned > 0);
+        assert_eq!(c.len(), wheel.len() + pinned);
     }
 
     /// `expired_since` reads the entry table and nothing else: on
-    /// pinned, fresh, expired and absent keys, in a bounded and an
-    /// unbounded cache, it says what a scan of the snapshot says.
+    /// pinned, fresh, expired and absent keys it says what a scan of
+    /// the snapshot says.
     #[test]
     fn expired_since_agrees_with_a_brute_force_scan() {
-        for mut c in [Cache::new(), Cache::with_capacity(64)] {
-            let auth = Credibility::AuthAnswer;
-            c.store(
-                a_rrset("pinned.example", 60, 1),
-                auth,
-                SimTime::ZERO,
-                &policy(),
-                true,
-            );
-            c.store(
-                a_rrset("fresh.example", 3_600, 2),
-                auth,
-                SimTime::ZERO,
-                &policy(),
-                false,
-            );
-            c.store(
-                a_rrset("expired.example", 60, 3),
-                auth,
-                SimTime::ZERO,
-                &policy(),
-                false,
-            );
-            c.store(
-                a_rrset("Edge.example", 600, 4),
-                auth,
-                SimTime::ZERO,
-                &policy(),
-                false,
-            );
-            for now in [0, 59, 60, 61, 600, 601, 3_599, 3_600, 100_000].map(SimTime::from_secs) {
-                for owner in ["pinned", "fresh", "expired", "edge", "absent"] {
-                    let name = n(&format!("{owner}.example"));
-                    let scanned = c
-                        .iter_entries()
-                        .find(|e| e.rrset.name == name && e.rrset.rtype == RecordType::A)
-                        .filter(|e| !e.pinned && e.expires_at <= now)
-                        .map(|e| now.since(e.expires_at));
-                    assert_eq!(
-                        c.expired_since(&name, RecordType::A, now),
-                        scanned,
-                        "{owner} at {now:?}"
-                    );
-                    assert_eq!(c.expired_since(&name, RecordType::NS, now), None);
-                }
+        let mut c = Cache::new();
+        let auth = Credibility::AuthAnswer;
+        c.store(
+            a_rrset("pinned.example", 60, 1),
+            auth,
+            SimTime::ZERO,
+            &policy(),
+            true,
+        );
+        c.store(
+            a_rrset("fresh.example", 3_600, 2),
+            auth,
+            SimTime::ZERO,
+            &policy(),
+            false,
+        );
+        c.store(
+            a_rrset("expired.example", 60, 3),
+            auth,
+            SimTime::ZERO,
+            &policy(),
+            false,
+        );
+        c.store(
+            a_rrset("Edge.example", 600, 4),
+            auth,
+            SimTime::ZERO,
+            &policy(),
+            false,
+        );
+        for now in [0, 59, 60, 61, 600, 601, 3_599, 3_600, 100_000].map(SimTime::from_secs) {
+            for owner in ["pinned", "fresh", "expired", "edge", "absent"] {
+                let name = n(&format!("{owner}.example"));
+                let scanned = c
+                    .iter_entries()
+                    .find(|e| e.rrset.name == name && e.rrset.rtype == RecordType::A)
+                    .filter(|e| !e.pinned && e.expires_at <= now)
+                    .map(|e| now.since(e.expires_at));
+                assert_eq!(
+                    c.expired_since(&name, RecordType::A, now),
+                    scanned,
+                    "{owner} at {now:?}"
+                );
+                assert_eq!(c.expired_since(&name, RecordType::NS, now), None);
             }
-            // The shapes the loop is meant to have met.
-            let at = SimTime::from_secs(90);
-            let expired_for =
-                |c: &Cache, owner: &str| c.expired_since(&n(owner), RecordType::A, at);
-            assert_eq!(expired_for(&c, "pinned.example"), None);
-            assert_eq!(expired_for(&c, "fresh.example"), None);
-            assert_eq!(expired_for(&c, "absent.example"), None);
-            assert_eq!(
-                expired_for(&c, "expired.example"),
-                Some(SimDuration::from_secs(30))
-            );
         }
+        // The shapes the loop is meant to have met.
+        let at = SimTime::from_secs(90);
+        let expired_for = |c: &Cache, owner: &str| c.expired_since(&n(owner), RecordType::A, at);
+        assert_eq!(expired_for(&c, "pinned.example"), None);
+        assert_eq!(expired_for(&c, "fresh.example"), None);
+        assert_eq!(expired_for(&c, "absent.example"), None);
+        assert_eq!(
+            expired_for(&c, "expired.example"),
+            Some(SimDuration::from_secs(30))
+        );
     }
 
     /// `get` is the borrowed read plus a clone: a seeded tape of
@@ -1738,12 +1487,9 @@ mod tests {
     #[test]
     fn borrowed_read_is_get_without_the_clone() {
         use Credibility::*;
-        let policy = ResolverPolicy {
-            cache_capacity: Some(24),
-            ..ResolverPolicy::default()
-        };
-        let mut via_get = Cache::from_policy(&policy);
-        let mut via_read = Cache::from_policy(&policy);
+        let policy = policy();
+        let mut via_get = Cache::new();
+        let mut via_read = Cache::new();
         via_get.enable_ledger();
         via_read.enable_ledger();
         let mut rng = dnsttl_netsim::SimRng::seed_from(0x0B04_40ED);
@@ -1780,8 +1526,8 @@ mod tests {
         let stats = via_get.stats();
         assert_eq!(stats, via_read.stats());
         assert!(
-            stats.hits > 100 && stats.expiries > 0 && stats.evictions > 0,
-            "the tape reaches hits, expiries and evictions: {stats:?}"
+            stats.hits > 100 && stats.expiries > 0 && stats.overwrites > 0,
+            "the tape reaches hits, expiries and overwrites: {stats:?}"
         );
         let lines = |cache: &Cache| cache.with_ledger(|l| l.journal().to_jsonl());
         assert!(lines(&via_get).is_some_and(|text| text.lines().count() > 1_000));

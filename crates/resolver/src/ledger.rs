@@ -136,8 +136,8 @@ pub struct StoreContext {
 ///
 /// The counts obey a conservation law the accounting tests enforce:
 /// every entry creation is an `insert`, every entry destruction is
-/// exactly one of `overwrite`/`expiry`/`eviction`/`invalidation`/
-/// `clear`, and a `refresh` is neither (same data, clock restarted) —
+/// exactly one of `overwrite`/`expiry`/`invalidation`/`clear`, and a
+/// `refresh` is neither (same data, clock restarted) —
 /// so `inserts − removals() == len()` at all times.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
@@ -150,7 +150,9 @@ pub struct CacheStats {
     /// Entries destroyed because their TTL had passed (purge, or
     /// replacement of an already-expired entry).
     pub expiries: u64,
-    /// Entries destroyed by capacity pressure.
+    /// Always 0: a cache is bounded by TTL alone and evicts nothing.
+    /// Kept for `benchmark/`, which reports it as `cache.evictions`,
+    /// until ROADMAP item 3(ii) moves that package off it.
     pub evictions: u64,
     /// Entries destroyed by explicit invalidation.
     pub invalidations: u64,
@@ -167,7 +169,7 @@ pub struct CacheStats {
 impl CacheStats {
     /// Total entries destroyed, by any cause.
     pub fn removals(&self) -> u64 {
-        self.overwrites + self.expiries + self.evictions + self.invalidations + self.clears
+        self.overwrites + self.expiries + self.invalidations + self.clears
     }
 
     /// Folds another cache's counters into this one. Sharded runs use
@@ -179,7 +181,6 @@ impl CacheStats {
         self.refreshes += other.refreshes;
         self.overwrites += other.overwrites;
         self.expiries += other.expiries;
-        self.evictions += other.evictions;
         self.invalidations += other.invalidations;
         self.clears += other.clears;
         self.hits += other.hits;
@@ -212,8 +213,6 @@ pub struct LedgerCell {
     pub serves: u64,
     /// TTL deaths.
     pub expiries: u64,
-    /// Capacity deaths.
-    pub evictions: u64,
     /// Explicit deaths.
     pub invalidations: u64,
     /// Serve-stale answers: expired entries served past TTL while the
@@ -235,7 +234,6 @@ impl LedgerCell {
             CacheOp::Overwrite => self.overwrites += 1,
             CacheOp::Serve => self.serves += 1,
             CacheOp::Expire => self.expiries += 1,
-            CacheOp::Evict => self.evictions += 1,
             CacheOp::Invalidate => self.invalidations += 1,
             CacheOp::StaleServe => self.stale_serves += 1,
             CacheOp::NegCache => self.neg_caches += 1,
@@ -376,11 +374,10 @@ mod tests {
             inserts: 10,
             overwrites: 2,
             expiries: 3,
-            evictions: 1,
             invalidations: 1,
             clears: 1,
             ..CacheStats::default()
         };
-        assert_eq!(stats.removals(), 8);
+        assert_eq!(stats.removals(), 7);
     }
 }

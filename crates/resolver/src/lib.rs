@@ -44,7 +44,6 @@ pub use snapshot::{CacheSnapshot, SnapshotDiff, SnapshotEntry};
 pub use stub::{HostLookup, StubConfig, StubError, StubResolver};
 
 /// The name `benchmark/src/kernels.rs` imports for the cache a resolver
-/// holds. That is [`Cache`] itself; the alias exists only because this
-/// repo's PRs may not edit `benchmark/`, and a `benchmark` PR that
-/// spells it `Cache` removes it.
+/// holds. That is [`Cache`] itself; the alias is kept for `benchmark/`
+/// until ROADMAP item 3(ii) spells it `Cache` there, and goes then.
 pub type CacheEngine = Cache;

@@ -156,7 +156,7 @@ impl RecursiveResolver {
         roots: Vec<RootHint>,
         rng: SimRng,
     ) -> RecursiveResolver {
-        let cache = Cache::from_policy(&policy);
+        let cache = Cache::new();
         RecursiveResolver {
             label: label.into().into(),
             policy,
@@ -391,9 +391,9 @@ impl RecursiveResolver {
                 // pure per-bucket ratio without needing totals.
                 self.telemetry
                     .count_keyed_at(&metrics::CACHE_MISSES, 1, now.as_millis());
-                // A warm hit cannot change the entry count (inserts,
-                // and therefore evictions, only happen on the upstream
-                // path), so the gauge only needs refreshing on misses.
+                // A warm hit cannot change the entry count (inserts
+                // only happen on the upstream path), so the gauge only
+                // needs refreshing on misses.
                 self.telemetry.gauge_keyed_at(
                     &metrics::CACHE_ENTRIES,
                     self.cache.len() as f64,
@@ -1268,7 +1268,7 @@ fn group_rrsets(records: &[Record]) -> Vec<RRset> {
 mod tests {
     use super::*;
     use dnsttl_auth::{AuthoritativeServer, ZoneBuilder};
-    use dnsttl_netsim::{LatencyModel, ServiceHandle};
+    use dnsttl_netsim::{FaultPlan, LatencyModel, ServiceHandle};
     use std::cell::RefCell;
     use std::net::Ipv4Addr;
     use std::rc::Rc;
@@ -1312,6 +1312,15 @@ mod tests {
 
     fn resolver(policy: ResolverPolicy, hints: Vec<RootHint>) -> RecursiveResolver {
         RecursiveResolver::new("test", policy, Region::Eu, 7, hints, SimRng::seed_from(1))
+    }
+
+    /// Takes `servers` down for the rest of the run.
+    fn take_down(net: &mut Network, servers: &[IpAddr]) {
+        let forever = SimTime::from_millis(u64::MAX);
+        let plan = servers.iter().fold(FaultPlan::new(), |plan, &server| {
+            plan.outage(server, SimTime::ZERO, forever)
+        });
+        net.set_faults(plan);
     }
 
     #[test]
@@ -1407,7 +1416,7 @@ mod tests {
     #[test]
     fn servfail_when_child_offline_for_child_centric() {
         let (mut net, hints) = build_cl_world();
-        net.set_online(ip(2), false);
+        take_down(&mut net, &[ip(2)]);
         let mut r = resolver(ResolverPolicy::default(), hints);
         let out = r.resolve(&n("cl"), RecordType::NS, SimTime::ZERO, &mut net);
         assert_eq!(out.answer.header.rcode, Rcode::ServFail);
@@ -1419,7 +1428,7 @@ mod tests {
         // The paper's zurrundedu-offline observation (§4.4): OpenDNS
         // (parent-centric) answers NS queries with the child dead.
         let (mut net, hints) = build_cl_world();
-        net.set_online(ip(2), false);
+        take_down(&mut net, &[ip(2)]);
         let mut r = resolver(ResolverPolicy::parent_centric(), hints);
         let out = r.resolve(&n("cl"), RecordType::NS, SimTime::ZERO, &mut net);
         assert_eq!(out.answer.header.rcode, Rcode::NoError);
@@ -1431,8 +1440,7 @@ mod tests {
         let mut r = resolver(ResolverPolicy::serve_stale_like(), hints);
         r.resolve(&n("www.example.cl"), RecordType::A, SimTime::ZERO, &mut net);
         // The record expires at 600 s; kill every server and ask again.
-        net.set_online(ip(1), false);
-        net.set_online(ip(2), false);
+        take_down(&mut net, &[ip(1), ip(2)]);
         let out = r.resolve(
             &n("www.example.cl"),
             RecordType::A,

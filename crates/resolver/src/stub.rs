@@ -191,7 +191,7 @@ mod tests {
     use super::*;
     use dnsttl_auth::{AuthoritativeServer, ZoneBuilder};
     use dnsttl_core::ResolverPolicy;
-    use dnsttl_netsim::{LatencyModel, Region, SimRng};
+    use dnsttl_netsim::{FaultPlan, LatencyModel, Region, SimRng};
     use dnsttl_wire::Ttl;
     use std::net::Ipv4Addr;
 
@@ -275,8 +275,13 @@ mod tests {
     fn dead_servers_reported_distinctly() {
         let (mut net, server) = world();
         // Kill the whole world.
-        net.set_online(IpAddr::V4(Ipv4Addr::new(198, 41, 0, 4)), false);
-        net.set_online(IpAddr::V4(Ipv4Addr::new(192, 0, 2, 53)), false);
+        let forever = SimTime::from_millis(u64::MAX);
+        let plan = [Ipv4Addr::new(198, 41, 0, 4), Ipv4Addr::new(192, 0, 2, 53)]
+            .into_iter()
+            .fold(FaultPlan::new(), |plan, addr| {
+                plan.outage(IpAddr::V4(addr), SimTime::ZERO, forever)
+            });
+        net.set_faults(plan);
         let stub = StubResolver::new(StubConfig::new(server));
         assert_eq!(
             stub.lookup_host("web.corp.", SimTime::ZERO, &mut net),

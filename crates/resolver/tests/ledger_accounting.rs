@@ -1,10 +1,10 @@
-//! Eviction-cause accounting under a randomized workload.
+//! Removal-cause accounting under a randomized workload.
 //!
 //! The provenance ledger's claim is that every entry leaving the cache
-//! is attributed to exactly one cause — overwrite, expiry, capacity
-//! eviction, explicit invalidation, or a phase clear. This suite
-//! hammers a bounded cache with a seeded random mixture of stores,
-//! reads, purges and invalidations, then checks the conservation law
+//! is attributed to exactly one cause — overwrite, expiry, explicit
+//! invalidation, or a phase clear. This suite hammers a cache with a
+//! seeded random mixture of stores, reads, purges and invalidations,
+//! then checks the conservation law
 //! `inserts − removals == live entries` and that the removal causes
 //! sum to total removals — i.e. no removal path escapes attribution.
 //!
@@ -40,12 +40,11 @@ fn check_conservation(stats: &CacheStats, len: usize, context: &str) {
         stats.inserts,
         stats.removals() + len as u64,
         "{context}: inserts ({}) must equal removals ({}) + live entries ({len}); \
-         causes: overwrites={} expiries={} evictions={} invalidations={} clears={}",
+         causes: overwrites={} expiries={} invalidations={} clears={}",
         stats.inserts,
         stats.removals(),
         stats.overwrites,
         stats.expiries,
-        stats.evictions,
         stats.invalidations,
         stats.clears,
     );
@@ -55,16 +54,16 @@ fn check_conservation(stats: &CacheStats, len: usize, context: &str) {
 fn randomized_workload_conserves_entries_across_causes() {
     let policy = ResolverPolicy::default();
     let mut rng = SimRng::seed_from(0xC0FFEE);
-    let mut cache = Cache::with_capacity(64);
+    let mut cache = Cache::new();
     cache.enable_ledger();
     let mut now = SimTime::ZERO;
 
     for step in 0..20_000u64 {
         now += dnsttl_netsim::SimDuration::from_secs(rng.below(40));
         match rng.below(100) {
-            // Mostly stores: random key from a keyspace ~4x capacity,
-            // random TTL, two possible data values so refreshes and
-            // overwrites both occur.
+            // Mostly stores: random key from 256, random TTL, two
+            // possible data values so refreshes and overwrites both
+            // occur.
             0..=69 => {
                 let host = rng.below(256);
                 let ttl = 1 + rng.below(600) as u32;
@@ -112,7 +111,6 @@ fn randomized_workload_conserves_entries_across_causes() {
     assert!(stats.refreshes > 0, "no refreshes occurred: {stats:?}");
     assert!(stats.overwrites > 0, "no overwrites occurred: {stats:?}");
     assert!(stats.expiries > 0, "no expiries occurred: {stats:?}");
-    assert!(stats.evictions > 0, "no evictions occurred: {stats:?}");
     assert!(
         stats.invalidations > 0,
         "no invalidations occurred: {stats:?}"
@@ -145,10 +143,6 @@ fn randomized_workload_conserves_entries_across_causes() {
                     stats.expiries
                 );
                 assert_eq!(
-                    by_op.get(&CacheOp::Evict).copied().unwrap_or(0),
-                    stats.evictions
-                );
-                assert_eq!(
                     by_op.get(&CacheOp::Invalidate).copied().unwrap_or(0),
                     stats.invalidations
                 );
@@ -170,7 +164,7 @@ fn randomized_workload_conserves_entries_across_causes() {
             let samples: usize = ledger.cells().map(|(_, c)| c.residency_ms.len()).sum();
             assert_eq!(
                 samples as u64,
-                stats.overwrites + stats.expiries + stats.evictions + stats.invalidations
+                stats.overwrites + stats.expiries + stats.invalidations
             );
         })
         .expect("ledger enabled");
@@ -187,7 +181,7 @@ fn merged_multi_shard_ledger_conserves_entries() {
     let policy = ResolverPolicy::default();
     let run_shard = |seed: u64| -> (CacheStats, usize) {
         let mut rng = SimRng::seed_from(seed);
-        let mut cache = Cache::with_capacity(32);
+        let mut cache = Cache::new();
         cache.enable_ledger();
         let mut now = SimTime::ZERO;
         for step in 0..4_000u64 {
@@ -242,9 +236,8 @@ fn merged_multi_shard_ledger_conserves_entries() {
         merged.inserts > 1_000,
         "merged workload too small: {merged:?}"
     );
-    assert!(merged.overwrites > 0 && merged.expiries > 0, "{merged:?}");
     assert!(
-        merged.evictions > 0 && merged.invalidations > 0,
+        merged.overwrites > 0 && merged.expiries > 0 && merged.invalidations > 0,
         "{merged:?}"
     );
 
@@ -265,7 +258,7 @@ fn same_seed_workloads_produce_identical_journals() {
     let run = |seed: u64| -> String {
         let policy = ResolverPolicy::default();
         let mut rng = SimRng::seed_from(seed);
-        let mut cache = Cache::with_capacity(16);
+        let mut cache = Cache::new();
         cache.enable_ledger();
         let mut now = SimTime::ZERO;
         for step in 0..2_000u64 {
@@ -291,8 +284,8 @@ fn same_seed_workloads_produce_identical_journals() {
         }
         cache.with_ledger(|l| l.journal().to_jsonl()).unwrap()
     };
-    // Byte-identical across reruns: eviction victims and purge order
-    // must not depend on HashMap iteration order.
+    // Byte-identical across reruns: purge order must not depend on
+    // HashMap iteration order.
     assert_eq!(run(7), run(7));
     assert_ne!(run(7), run(8));
 }
@@ -357,10 +350,9 @@ fn purge_before_invalidate_zone_counts_expiries() {
 
 const TAPE_STEPS: u64 = 20_000;
 const TAPE_SEEDS: [u64; 4] = [3, 17, 2024, 4242];
-const TAPE_CAPACITY: usize = 64;
 
-/// Names with case variety, so the canonical-order tie-break of
-/// eviction and purge actually fires.
+/// Names with case variety, so the canonical-order tie-break of the
+/// purge actually fires.
 fn name_pool() -> Vec<Name> {
     (0..96)
         .map(|i| {
@@ -406,13 +398,9 @@ fn fnv1a(text: &str) -> u64 {
 /// step — and digests everything the cache produced. After the
 /// snapshot the tape ends with the operations its mix lacks: a purge,
 /// a zone invalidation and a negative store read back.
-fn run_tape(seed: u64, bounded: bool, names: &[Name]) -> String {
+fn run_tape(seed: u64, names: &[Name]) -> String {
     let policy = ResolverPolicy::default();
-    let mut cache = if bounded {
-        Cache::with_capacity(TAPE_CAPACITY)
-    } else {
-        Cache::new()
-    };
+    let mut cache = Cache::new();
     cache.enable_ledger();
     let telemetry = dnsttl_telemetry::Telemetry::new();
     cache.set_telemetry(telemetry.clone());
@@ -485,12 +473,6 @@ fn run_tape(seed: u64, bounded: bool, names: &[Name]) -> String {
         stats.expiries > 100 && stats.invalidations > 100,
         "{stats:?}"
     );
-    assert_eq!(
-        stats.evictions > 0,
-        bounded,
-        "the bound must bind: {stats:?}"
-    );
-    assert_eq!(cache.evictions(), stats.evictions);
     check_conservation(&stats, cache.len(), &format!("seed {seed} tape"));
     let ledger = cache
         .with_ledger(|l| {
@@ -504,7 +486,6 @@ fn run_tape(seed: u64, bounded: bool, names: &[Name]) -> String {
         .with_ledger(|l| l.cells().map(|(_, cell)| cell.neg_caches).sum::<u64>())
         .expect("ledger enabled");
     let mut counted = vec![
-        ("cache_evict", stats.evictions),
         ("cache_expired_drop", stats.expiries),
         ("cache_insert", stats.inserts),
         ("cache_invalidate", stats.invalidations),
@@ -520,9 +501,8 @@ fn run_tape(seed: u64, bounded: bool, names: &[Name]) -> String {
         assert_eq!(t.total_recorded(), 0, "a cache transaction was traced");
     });
     format!(
-        "seed {seed} {}: answers {:016x} ledger {:016x} trace {:016x} \
+        "seed {seed} unbounded: answers {:016x} ledger {:016x} trace {:016x} \
          snapshot {:016x} stats {:016x}",
-        if bounded { "bounded" } else { "unbounded" },
         fnv1a(&answers),
         fnv1a(&ledger),
         fnv1a(&telemetry.trace_jsonl()),
@@ -536,27 +516,23 @@ fn run_tape(seed: u64, bounded: bool, names: &[Name]) -> String {
 /// column is the one that moved since: a cache counts its transactions
 /// instead of tracing them, so every trace is empty and digests to the
 /// FNV-1a offset basis.
-const PINNED_TAPES: [&str; 8] = [
-    "seed 3 bounded: answers 683ed092092ea03c ledger 7be2be57a8548de1 trace cbf29ce484222325 snapshot 335b710e857b7eaa stats be3f1dfae01942d2",
+const PINNED_TAPES: [&str; 4] = [
     "seed 3 unbounded: answers a75ae35af8bef9c4 ledger 64b52f24d9879400 trace cbf29ce484222325 snapshot 346631f287ddc0ef stats 52a9258ca928619a",
-    "seed 17 bounded: answers e2f96426861c7b07 ledger 8cf176d9b0bfbdb2 trace cbf29ce484222325 snapshot 77fbb4034c4a9977 stats 980504e0e0411fc1",
     "seed 17 unbounded: answers 6e584cf636387642 ledger f54744147a356ae6 trace cbf29ce484222325 snapshot 7c68b5273b6585a7 stats 456544be59ce1748",
-    "seed 2024 bounded: answers 7bacbaf10f55e715 ledger 14ab0212e7b62647 trace cbf29ce484222325 snapshot 9405bb3a3cb95c0c stats 562ded5f4bb694af",
     "seed 2024 unbounded: answers 98f36ad823f2ba4c ledger 7d8e1851fa49df12 trace cbf29ce484222325 snapshot 8e79170861f1a1d9 stats 274da7ad0a5262b1",
-    "seed 4242 bounded: answers 91887b016bbb8fe3 ledger 89b2914301b53fc2 trace cbf29ce484222325 snapshot 8331fdf549188e77 stats d4aa14e092ff3664",
     "seed 4242 unbounded: answers 871a0e7dd914aca0 ledger 113c5cfcb0aed937 trace cbf29ce484222325 snapshot 22b4f4e1f653f3a5 stats 08a6141691378062",
 ];
 
 /// Every answer, ledger line, snapshot line and counter a `Cache`
-/// produces on a 20 000-step seeded tape, bounded and unbounded, is what
-/// it was before the fold: direct accounting journals what the sink
-/// journalled. The trace it leaves is empty.
+/// produces on a 20 000-step seeded tape is what it was before the
+/// fold: direct accounting journals what the sink journalled. The
+/// trace it leaves is empty.
 #[test]
 fn seeded_tapes_reproduce_the_digests_pinned_before_the_fold() {
     let names = name_pool();
     let rows: Vec<String> = TAPE_SEEDS
         .iter()
-        .flat_map(|&seed| [true, false].map(|bounded| run_tape(seed, bounded, &names)))
+        .map(|&seed| run_tape(seed, &names))
         .collect();
     assert_eq!(rows, PINNED_TAPES, "\n{}\n", rows.join("\n"));
 }

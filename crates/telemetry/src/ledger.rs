@@ -1,13 +1,13 @@
 //! The cache provenance ledger codec.
 //!
 //! The resolver cache emits one [`LedgerRecord`] per cache transaction
-//! — insert, refresh, overwrite, serve, expiry, eviction, invalidation
-//! — in the spirit of dnstap's per-message framing, but for cache
-//! state. This module owns the *codec*: a compact JSONL line format
-//! (short keys, hex fingerprints, no optional-field noise) with a
-//! strict parser, so ledgers survive a round trip through a file and
-//! downstream tools (`repro cache-report`, the bench runner) can
-//! re-aggregate them without the resolver in the loop.
+//! — insert, refresh, overwrite, serve, expiry, invalidation — in the
+//! spirit of dnstap's per-message framing, but for cache state. This
+//! module owns the *codec*: a compact JSONL line format (short keys,
+//! hex fingerprints, no optional-field noise) with a strict parser, so
+//! ledgers survive a round trip through a file and downstream tools
+//! (`repro cache-report`, the bench runner) can re-aggregate them
+//! without the resolver in the loop.
 //!
 //! The telemetry crate knows nothing about DNS types, so records carry
 //! names, record types, credibility ranks and origins as plain
@@ -21,7 +21,7 @@ use std::sync::Arc;
 use crate::json::{self, flat_get, parse_flat_object, JsonScalar, Value};
 
 /// What a ledger record describes. Every removal carries exactly one
-/// cause, so `expire + evict + invalidate + overwrite` counts sum to
+/// cause, so `expire + invalidate + overwrite` counts sum to
 /// total removals — the conservation law the resolver's accounting
 /// tests enforce.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -38,8 +38,6 @@ pub enum CacheOp {
     Serve,
     /// An entry was removed because its effective TTL had passed.
     Expire,
-    /// An entry was removed to make room (capacity eviction).
-    Evict,
     /// An entry was removed by explicit invalidation (e.g. the
     /// authoritative side renumbered and the harness flushed the name).
     Invalidate,
@@ -64,7 +62,6 @@ impl CacheOp {
             CacheOp::Overwrite => "overwrite",
             CacheOp::Serve => "serve",
             CacheOp::Expire => "expire",
-            CacheOp::Evict => "evict",
             CacheOp::Invalidate => "invalidate",
             CacheOp::StaleServe => "stale_serve",
             CacheOp::NegCache => "neg_cache",
@@ -79,7 +76,6 @@ impl CacheOp {
             "overwrite" => CacheOp::Overwrite,
             "serve" => CacheOp::Serve,
             "expire" => CacheOp::Expire,
-            "evict" => CacheOp::Evict,
             "invalidate" => CacheOp::Invalidate,
             "stale_serve" => CacheOp::StaleServe,
             "neg_cache" => CacheOp::NegCache,
@@ -92,18 +88,17 @@ impl CacheOp {
     pub fn is_removal(&self) -> bool {
         matches!(
             self,
-            CacheOp::Overwrite | CacheOp::Expire | CacheOp::Evict | CacheOp::Invalidate
+            CacheOp::Overwrite | CacheOp::Expire | CacheOp::Invalidate
         )
     }
 
     /// All ops, in codec order.
-    pub const ALL: [CacheOp; 9] = [
+    pub const ALL: [CacheOp; 8] = [
         CacheOp::Insert,
         CacheOp::Refresh,
         CacheOp::Overwrite,
         CacheOp::Serve,
         CacheOp::Expire,
-        CacheOp::Evict,
         CacheOp::Invalidate,
         CacheOp::StaleServe,
         CacheOp::NegCache,

@@ -372,7 +372,6 @@ fn help_for(name: &str) -> &'static str {
         "resolver_cache_hits" => "Client queries answered entirely from cache",
         "resolver_cache_misses" => "Client queries not answered entirely from cache",
         "resolver_cache_expiries" => "Cache entries found but past their TTL at lookup",
-        "resolver_cache_evictions" => "Cache entries evicted under capacity pressure",
         "resolver_cache_entries" => "Current number of cached RRsets",
         "resolver_stale_answers" => "Answers served from expired entries (RFC 8767)",
         "resolver_servfails" => "Resolutions that failed with SERVFAIL",
@@ -412,7 +411,6 @@ fn help_for(name: &str) -> &'static str {
         "net_anycast_catchment" => "Exchanges to anycast addresses, by client region and site",
         "net_unencodable" => "Exchanges dropped because the codec could not encode a message",
         "net_unknown_address" => "Packets sent to addresses with no server",
-        "net_server_offline" => "Packets dropped because the target was offline",
         "net_fault_outage" => "Packets dropped by a scripted outage fault",
         "net_fault_degraded_drop" => "Packets dropped by a scripted degradation fault",
         "net_fault_blackout" => "Packets dropped by a scripted blackout fault",

@@ -73,9 +73,6 @@ pub enum EventKind {
     CacheOverwrite,
     /// A cached entry was served to a client (ledger-level hit).
     CacheServe,
-    /// A cached entry was dropped because it was full and something
-    /// had to go (capacity eviction).
-    CacheEvict,
     /// A cached entry was removed because its TTL had passed.
     CacheExpiredDrop,
     /// A cached entry was removed by an explicit invalidation (e.g.
@@ -123,7 +120,6 @@ impl EventKind {
             EventKind::CacheRefresh => "cache_refresh",
             EventKind::CacheOverwrite => "cache_overwrite",
             EventKind::CacheServe => "cache_serve",
-            EventKind::CacheEvict => "cache_evict",
             EventKind::CacheExpiredDrop => "cache_expired_drop",
             EventKind::CacheInvalidate => "cache_invalidate",
             EventKind::CacheStaleServe => "cache_stale_serve",
@@ -161,19 +157,18 @@ impl EventKind {
             EventKind::CacheRefresh => 19,
             EventKind::CacheOverwrite => 20,
             EventKind::CacheServe => 21,
-            EventKind::CacheEvict => 22,
-            EventKind::CacheExpiredDrop => 23,
-            EventKind::CacheInvalidate => 24,
-            EventKind::CacheStaleServe => 25,
-            EventKind::NegCache => 26,
-            EventKind::Backoff => 27,
-            EventKind::Fault => 28,
+            EventKind::CacheExpiredDrop => 22,
+            EventKind::CacheInvalidate => 23,
+            EventKind::CacheStaleServe => 24,
+            EventKind::NegCache => 25,
+            EventKind::Backoff => 26,
+            EventKind::Fault => 27,
             EventKind::Custom(_) => return None,
         })
     }
 
     /// Number of non-`Custom` variants (the per-kind array length).
-    const COUNT: usize = 29;
+    const COUNT: usize = 28;
 
     /// All non-`Custom` variants, in [`EventKind::index`] order.
     const INDEXED: [EventKind; EventKind::COUNT] = [
@@ -199,7 +194,6 @@ impl EventKind {
         EventKind::CacheRefresh,
         EventKind::CacheOverwrite,
         EventKind::CacheServe,
-        EventKind::CacheEvict,
         EventKind::CacheExpiredDrop,
         EventKind::CacheInvalidate,
         EventKind::CacheStaleServe,

@@ -4,7 +4,7 @@
 use dnsttl::atlas::{run_measurement, MeasurementSpec, Population, PopulationConfig, QueryName};
 use dnsttl::core::{Centricity, ResolverPolicy};
 use dnsttl::experiments::worlds;
-use dnsttl::netsim::{Region, SimRng, SimTime};
+use dnsttl::netsim::{FaultPlan, Region, SimRng, SimTime};
 use dnsttl::resolver::RecursiveResolver;
 use dnsttl::wire::{Name, Rcode, RecordType, Ttl};
 
@@ -115,19 +115,26 @@ fn atlas_campaign_over_full_stack_is_deterministic() {
 
 #[test]
 fn serve_stale_survives_total_outage_end_to_end() {
+    // A fault plan that keeps the whole .uy NS set down for good.
+    let uy_outage = || {
+        let forever = SimTime::from_millis(u64::MAX);
+        [
+            worlds::addrs::UY_A,
+            worlds::addrs::UY_B,
+            worlds::addrs::UY_C,
+        ]
+        .into_iter()
+        .fold(FaultPlan::new(), |plan, addr| {
+            plan.outage(addr, SimTime::ZERO, forever)
+        })
+    };
     let (mut net, roots) = worlds::uy_world(Ttl::from_secs(300), Ttl::from_secs(120));
     let mut r = resolver(ResolverPolicy::serve_stale_like(), roots);
     let ok = r.resolve(&n("www.gub.uy"), RecordType::A, SimTime::ZERO, &mut net);
     assert_eq!(ok.answer.header.rcode, Rcode::NoError);
 
     // Take the whole .uy NS set down after the record expired.
-    for addr in [
-        worlds::addrs::UY_A,
-        worlds::addrs::UY_B,
-        worlds::addrs::UY_C,
-    ] {
-        net.set_online(addr, false);
-    }
+    net.set_faults(uy_outage());
     let stale = r.resolve(
         &n("www.gub.uy"),
         RecordType::A,
@@ -141,13 +148,7 @@ fn serve_stale_survives_total_outage_end_to_end() {
     let (mut net2, roots2) = worlds::uy_world(Ttl::from_secs(300), Ttl::from_secs(120));
     let mut strict = resolver(ResolverPolicy::default(), roots2);
     strict.resolve(&n("www.gub.uy"), RecordType::A, SimTime::ZERO, &mut net2);
-    for addr in [
-        worlds::addrs::UY_A,
-        worlds::addrs::UY_B,
-        worlds::addrs::UY_C,
-    ] {
-        net2.set_online(addr, false);
-    }
+    net2.set_faults(uy_outage());
     let dead = strict.resolve(
         &n("www.gub.uy"),
         RecordType::A,

@@ -42,7 +42,6 @@ fn gen_policy(rng: &mut SimRng) -> ResolverPolicy {
         retries: 1,
         validate_dnssec: false,
         prefetch: false,
-        cache_capacity: None,
         qname_minimization: false,
     }
 }
