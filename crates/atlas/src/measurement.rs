@@ -47,10 +47,8 @@ pub struct MeasurementSpec {
     pub qtype: RecordType,
     /// Inter-query interval per VP (the paper uses 600 s).
     pub frequency: SimDuration,
-    /// Total campaign duration.
+    /// Total campaign duration, from simulation time zero.
     pub duration: SimDuration,
-    /// Campaign start time.
-    pub start: SimTime,
 }
 
 impl MeasurementSpec {
@@ -61,7 +59,6 @@ impl MeasurementSpec {
             qtype,
             frequency: SimDuration::from_secs(600),
             duration: SimDuration::from_hours(hours),
-            start: SimTime::ZERO,
         }
     }
 }
@@ -111,9 +108,9 @@ pub fn run_measurement_with_hooks(
     let mut queue: EventQueue<Tick> = EventQueue::new();
     for (vp_index, _) in vps.iter().enumerate() {
         let phase = SimDuration::from_millis(rng.below(spec.frequency.as_millis().max(1)));
-        queue.schedule(spec.start + phase, Tick { vp_index });
+        queue.schedule(SimTime::ZERO + phase, Tick { vp_index });
     }
-    let end = spec.start + spec.duration;
+    let end = SimTime::ZERO + spec.duration;
     // Every VP fires ceil(duration / frequency) times (phase shifts keep
     // each VP's full tick count inside the campaign window), so the
     // result volume is known up front.
@@ -300,7 +297,6 @@ mod tests {
             qtype: RecordType::A,
             frequency: SimDuration::from_secs(600),
             duration: SimDuration::from_hours(1),
-            start: SimTime::ZERO,
         };
         let ds = run_measurement(&spec, &mut pop, &mut net, &mut rng);
         // Distinct probes produce distinct qnames.
@@ -342,18 +338,26 @@ mod tests {
     fn hijacked_probes_marked_invalid() {
         let (mut net, roots) = world();
         let mut rng = SimRng::seed_from(5);
-        let config = PopulationConfig {
-            hijacked_fraction: 0.5,
-            ..PopulationConfig::small(100)
-        };
-        let mut pop = Population::build(&config, &roots, &mut rng);
+        // About 1 % of probes are hijacked: a thousand holds some.
+        let mut pop = Population::build(&PopulationConfig::small(1_000), &roots, &mut rng);
+        let hijacked: Vec<u32> = pop
+            .probes
+            .iter()
+            .filter(|p| p.hijacked)
+            .map(|p| p.id)
+            .collect();
+        assert!(!hijacked.is_empty());
         let spec = MeasurementSpec::every_600s(
             QueryName::Fixed(Name::parse("uy").unwrap()),
             RecordType::NS,
             1,
         );
         let ds = run_measurement(&spec, &mut pop, &mut net, &mut rng);
-        let invalid = ds.results().iter().filter(|r| !r.valid).count();
-        assert!(invalid > ds.len() / 3, "invalid {invalid} of {}", ds.len());
+        let rows: Vec<&MeasurementResult> = ds
+            .results()
+            .iter()
+            .filter(|r| hijacked.contains(&r.probe_id))
+            .collect();
+        assert!(!rows.is_empty() && rows.iter().all(|r| !r.valid));
     }
 }

@@ -201,55 +201,35 @@ pub(crate) struct VantagePoint {
     pub link_rtt_ms: u64,
 }
 
+/// Weights for a probe having 1, 2, or 3 resolvers. The paper sees
+/// ~15k VPs from ~9k probes, i.e. ≈1.7 resolvers per probe.
+const RESOLVERS_PER_PROBE: [f64; 3] = [0.55, 0.25, 0.20];
+/// Backend caches per public service (cache fragmentation; queries
+/// balance across them).
+const BACKENDS_PER_SERVICE: usize = 4;
+/// Probability that a probe's resolver slot points at a public service
+/// rather than a dedicated local resolver.
+const PUBLIC_FRACTION: f64 = 0.18;
+/// Fraction of probes with hijacked/broken DNS (discarded).
+const HIJACKED_FRACTION: f64 = 0.011;
+
 /// Knobs for population construction.
 #[derive(Debug, Clone)]
 pub struct PopulationConfig {
     /// Number of probes (the paper uses ~9k).
     pub probes: usize,
-    /// Weights for a probe having 1, 2, or 3 resolvers. The paper sees
-    /// ~15k VPs from ~9k probes, i.e. ≈1.7 resolvers per probe.
-    pub resolvers_per_probe: [f64; 3],
-    /// Number of public resolver services (Google/OpenDNS/… style).
-    pub public_services: usize,
-    /// Backend caches per public service (cache fragmentation; queries
-    /// balance across them).
-    pub backends_per_service: usize,
-    /// Probability that a probe's resolver slot points at a public
-    /// service rather than a dedicated local resolver.
-    pub public_fraction: f64,
-    /// Policy mixture for local resolvers (public services draw from
-    /// the capping/parent-centric end of the space).
-    pub policy_mix: PolicyMix,
-    /// Fraction of probes with hijacked/broken DNS (discarded).
-    pub hijacked_fraction: f64,
     /// Offset added to probe ids (`id = 10_000 + probe_id_base + pid`).
     /// Sharded runs give each shard a base so per-probe query names stay
     /// globally unique; zero reproduces the unsharded numbering exactly.
     pub probe_id_base: u32,
 }
 
-impl Default for PopulationConfig {
-    fn default() -> PopulationConfig {
-        PopulationConfig {
-            probes: 9_000,
-            resolvers_per_probe: [0.55, 0.25, 0.20],
-            public_services: 12,
-            backends_per_service: 4,
-            public_fraction: 0.18,
-            policy_mix: PolicyMix::paper_population(),
-            hijacked_fraction: 0.011,
-            probe_id_base: 0,
-        }
-    }
-}
-
 impl PopulationConfig {
-    /// A small population for tests and quick runs.
+    /// `probes` probes numbered from 10 000.
     pub fn small(probes: usize) -> PopulationConfig {
         PopulationConfig {
             probes,
-            public_services: (probes / 200).max(2),
-            ..PopulationConfig::default()
+            probe_id_base: 0,
         }
     }
 }
@@ -267,24 +247,25 @@ pub struct Population {
 impl Population {
     /// Builds a population.
     ///
-    /// Public services alternate Google-like (TTL-capping) and
-    /// OpenDNS-like (parent-centric, root-mirroring) policies, each
-    /// with `backends_per_service` independent caches; local resolvers
-    /// draw from `policy_mix`. Probe regions follow the Atlas skew
-    /// ([`Region::atlas_weights`]).
+    /// One public service per 200 probes (at least two) alternates
+    /// Google-like (TTL-capping) and OpenDNS-like (parent-centric,
+    /// root-mirroring) policies, each with [`BACKENDS_PER_SERVICE`]
+    /// independent caches; local resolvers draw from
+    /// [`PolicyMix::paper_population`]. Probe regions follow the Atlas
+    /// skew ([`Region::atlas_weights`]).
     pub fn build(config: &PopulationConfig, roots: &[RootHint], rng: &mut SimRng) -> Population {
         let mut resolvers = Vec::new();
         let mut public_groups = Vec::new();
         let region_weights = Region::atlas_weights();
 
-        for s in 0..config.public_services {
+        for s in 0..(config.probes / 200).max(2) {
             let policy = if s % 2 == 0 {
                 dnsttl_core::ResolverPolicy::google_like()
             } else {
                 dnsttl_core::ResolverPolicy::opendns_like()
             };
             let mut group = Vec::new();
-            for b in 0..config.backends_per_service.max(1) {
+            for b in 0..BACKENDS_PER_SERVICE {
                 let region = [Region::Eu, Region::Na, Region::As][(s + b) % 3];
                 let idx = resolvers.len();
                 resolvers.push(RecursiveResolver::new(
@@ -300,15 +281,16 @@ impl Population {
             public_groups.push(group);
         }
 
-        let weights = config.policy_mix.weights();
+        let policy_mix = PolicyMix::paper_population();
+        let weights = policy_mix.weights();
         let mut probes = Vec::with_capacity(config.probes);
         for pid in 0..config.probes {
             let region = Region::ALL[rng.weighted_index(&region_weights)];
-            let n_resolvers = 1 + rng.weighted_index(&config.resolvers_per_probe);
+            let n_resolvers = 1 + rng.weighted_index(&RESOLVERS_PER_PROBE);
             let mut slots = Vec::with_capacity(n_resolvers);
             let mut link_rtt_ms = Vec::with_capacity(n_resolvers);
             for _ in 0..n_resolvers {
-                if rng.chance(config.public_fraction) && !public_groups.is_empty() {
+                if rng.chance(PUBLIC_FRACTION) {
                     let service = rng.below(public_groups.len() as u64) as usize;
                     if !slots.contains(&ResolverRef::Public(service)) {
                         slots.push(ResolverRef::Public(service));
@@ -319,10 +301,7 @@ impl Population {
                     }
                 }
                 // Dedicated local resolver in the probe's region.
-                let policy = config
-                    .policy_mix
-                    .policy(rng.weighted_index(&weights))
-                    .clone();
+                let policy = policy_mix.policy(rng.weighted_index(&weights)).clone();
                 let idx = resolvers.len();
                 resolvers.push(RecursiveResolver::new(
                     format!("local-{idx}"),
@@ -341,7 +320,7 @@ impl Population {
                 region,
                 resolvers: slots,
                 link_rtt_ms,
-                hijacked: rng.chance(config.hijacked_fraction),
+                hijacked: rng.chance(HIJACKED_FRACTION),
             });
         }
 
@@ -431,7 +410,7 @@ mod tests {
         let pop = build(1_000, 3);
         assert!(!pop.public_groups.is_empty());
         for group in &pop.public_groups {
-            assert_eq!(group.len(), 4);
+            assert_eq!(group.len(), BACKENDS_PER_SERVICE);
         }
         // Random backend picks within one service spread across members.
         let mut rng = SimRng::seed_from(9);
@@ -440,7 +419,11 @@ mod tests {
         for _ in 0..100 {
             seen.insert(pop.pick_backend(service, &mut rng));
         }
-        assert_eq!(seen.len(), 4, "all backends eventually hit");
+        assert_eq!(
+            seen.len(),
+            BACKENDS_PER_SERVICE,
+            "all backends eventually hit"
+        );
     }
 
     #[test]
@@ -458,7 +441,7 @@ mod tests {
     }
 
     #[test]
-    fn hijacked_fraction_is_small_but_present() {
+    fn hijacked_probes_are_few_but_present() {
         let pop = build(3_000, 4);
         let hijacked = pop.probes.iter().filter(|p| p.hijacked).count();
         assert!(hijacked > 0);

@@ -4,8 +4,8 @@
 //! the worker cap, so it knows how many threads really run — and
 //! shared by reference with the cell closures: each cell reports its
 //! sim-time frontier and event count as it completes, and the sink
-//! prints a heartbeat line to **stderr** at most once per configured
-//! interval (plus once at the end).
+//! prints a heartbeat line to **stderr** at most once per
+//! [`INTERVAL_MS`] (plus once at the end).
 //!
 //! Heartbeats are wall-clock-driven and therefore nondeterministic —
 //! which is fine, because they exist only on stderr and never enter
@@ -15,13 +15,15 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
+/// Wall-clock milliseconds between two heartbeat lines.
+const INTERVAL_MS: u64 = 2_000;
+
 /// Shared progress accumulator with rate-limited stderr heartbeats.
 #[derive(Debug)]
 pub(crate) struct ProgressSink {
     label: String,
     workers: usize,
     cells_total: usize,
-    interval_ms: u64,
     started: Instant,
     cells_done: AtomicU64,
     events: AtomicU64,
@@ -31,19 +33,13 @@ pub(crate) struct ProgressSink {
 
 impl ProgressSink {
     /// A sink for a campaign of `cells_total` cells on `workers`
-    /// workers, printing at most one line per `interval_ms` of wall
+    /// workers, printing at most one line per [`INTERVAL_MS`] of wall
     /// clock.
-    pub(crate) fn new(
-        label: &str,
-        workers: usize,
-        cells_total: usize,
-        interval_ms: u64,
-    ) -> ProgressSink {
+    pub(crate) fn new(label: &str, workers: usize, cells_total: usize) -> ProgressSink {
         ProgressSink {
             label: label.to_string(),
             workers: workers.max(1),
             cells_total: cells_total.max(1),
-            interval_ms,
             started: Instant::now(),
             cells_done: AtomicU64::new(0),
             events: AtomicU64::new(0),
@@ -68,7 +64,7 @@ impl ProgressSink {
         let elapsed_ms = self.started.elapsed().as_millis() as u64;
         let last = self.last_print_ms.load(Ordering::Relaxed);
         let finished = done as usize >= self.cells_total;
-        if !finished && elapsed_ms.saturating_sub(last) < self.interval_ms {
+        if !finished && elapsed_ms.saturating_sub(last) < INTERVAL_MS {
             return;
         }
         // One printer per due interval: whoever wins the CAS prints.
@@ -98,7 +94,7 @@ mod tests {
 
     #[test]
     fn accumulates_across_threads() {
-        let sink = std::sync::Arc::new(ProgressSink::new("test", 4, 8, u64::MAX));
+        let sink = std::sync::Arc::new(ProgressSink::new("test", 4, 8));
         std::thread::scope(|scope| {
             for i in 0..8u64 {
                 let sink = std::sync::Arc::clone(&sink);

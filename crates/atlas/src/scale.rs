@@ -361,9 +361,9 @@ pub struct ZipfRunOpts {
     pub ts_bucket_ms: u64,
     /// Sim-time series span cap, when telemetry is on.
     pub ts_span_cap: usize,
-    /// `(label, wall-clock interval in ms)` of the stderr heartbeat for
-    /// long campaigns; `None` is silent.
-    pub progress: Option<(&'static str, u64)>,
+    /// Label of the stderr heartbeat for long campaigns; `None` is
+    /// silent.
+    pub progress: Option<&'static str>,
 }
 
 impl Default for ZipfRunOpts {

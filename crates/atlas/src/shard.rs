@@ -223,9 +223,8 @@ pub struct FanOut<'a> {
     pub ts_bucket_ms: u64,
     /// Sim-time series span cap of every per-cell handle.
     pub ts_span_cap: usize,
-    /// `(label, wall-clock interval in ms)` of the stderr heartbeat
-    /// (`--progress`); `None` is silent.
-    pub progress: Option<(&'a str, u64)>,
+    /// Label of the stderr heartbeat (`--progress`); `None` is silent.
+    pub progress: Option<&'a str>,
 }
 
 impl<'a> FanOut<'a> {
@@ -257,7 +256,7 @@ impl<'a> FanOut<'a> {
     /// the threads that were asked for.
     fn heartbeat(&self) -> Option<ProgressSink> {
         self.progress
-            .map(|(label, ms)| ProgressSink::new(label, self.threads(), self.cells, ms))
+            .map(|label| ProgressSink::new(label, self.threads(), self.cells))
     }
 }
 
@@ -306,31 +305,23 @@ where
 /// Merges per-cell row lists into one list ordered by `(at(row), part
 /// index)`, applying `rebase(part index, row)` to every row on the way.
 ///
-/// Each part is sorted by `at` already (every engine emits rows in
+/// Each part must be sorted by `at` already (every engine emits rows in
 /// fire order), so this is a heap-based k-way merge: simultaneous rows
 /// of different parts land in part order and rows of one part keep
 /// their order — exactly the stable sort by `at` of the concatenated
-/// parts, which is therefore what unsorted (hand-built) parts fall back
-/// to. Nothing depends on how many parts there are.
+/// parts. Nothing depends on how many parts there are.
 pub fn merge_by_time<R, K: Ord + Copy>(
     parts: Vec<Vec<R>>,
     at: impl Fn(&R) -> K,
     mut rebase: impl FnMut(usize, &mut R),
 ) -> Vec<R> {
+    debug_assert!(
+        parts
+            .iter()
+            .all(|part| part.windows(2).all(|w| at(&w[0]) <= at(&w[1]))),
+        "every part is in time order"
+    );
     let mut rows = Vec::with_capacity(parts.iter().map(Vec::len).sum());
-    let sorted = parts
-        .iter()
-        .all(|part| part.windows(2).all(|w| at(&w[0]) <= at(&w[1])));
-    if !sorted {
-        for (idx, part) in parts.into_iter().enumerate() {
-            rows.extend(part.into_iter().map(|mut row| {
-                rebase(idx, &mut row);
-                row
-            }));
-        }
-        rows.sort_by_key(|row| at(row));
-        return rows;
-    }
     let mut iters: Vec<_> = parts
         .into_iter()
         .map(|part| part.into_iter().peekable())
@@ -508,7 +499,7 @@ mod tests {
         assert_eq!(FanOut::new(8, 1).threads(), 1, "capped at the cells");
         assert_eq!(FanOut::new(0, 16).threads(), 1);
         let plan = FanOut {
-            progress: Some(("test", u64::MAX)),
+            progress: Some("test"),
             ..FanOut::new(hw * 8, 64)
         };
         let sink = plan.heartbeat().expect("progress was asked for");

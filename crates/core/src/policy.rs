@@ -62,9 +62,6 @@ pub struct ResolverPolicy {
     /// Sticky: keeps using a responsive server it has already chosen,
     /// re-resolving only on failure (§4.4's "sticky resolvers").
     pub sticky: bool,
-    /// How many times a query to an unresponsive server is retried
-    /// before trying the next server / giving up.
-    pub retries: u8,
     /// DNSSEC validation: answers from signed zones must carry a
     /// verifiable RRSIG or the resolver returns SERVFAIL (bogus).
     /// Validation makes a resolver structurally child-centric for
@@ -95,7 +92,6 @@ impl Default for ResolverPolicy {
             server_backoff: None,
             local_root: false,
             sticky: false,
-            retries: 2,
             validate_dnssec: false,
             prefetch: false,
             qname_minimization: false,

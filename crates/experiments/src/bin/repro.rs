@@ -422,19 +422,7 @@ fn main() {
             // Live campaign heartbeats on stderr (sharded engine and
             // zipf-population only); wall clock never reaches the
             // artifacts.
-            "--progress" => cfg.progress_ms = Some(2_000),
-            "--ts-bucket-ms" => {
-                let v = args.next().unwrap_or_default();
-                let ms: u64 = v.parse().unwrap_or_else(|_| {
-                    eprintln!("--ts-bucket-ms needs an integer, got {v:?}");
-                    std::process::exit(2);
-                });
-                if ms == 0 {
-                    eprintln!("--ts-bucket-ms needs at least 1 ms");
-                    std::process::exit(2);
-                }
-                cfg.ts_bucket_ms = ms;
-            }
+            "--progress" => cfg.progress = true,
             "--metrics" => show_metrics = true,
             "all" => wanted.extend(ARTIFACTS.iter().map(|(id, _)| id.to_string())),
             other if other.starts_with('-') => {
@@ -445,7 +433,7 @@ fn main() {
         }
     }
     if wanted.is_empty() {
-        eprintln!("usage: repro [--paper-scale|--quick|--smoke] [--seed N] [--probes N] [--shards N] [--cells N] [--out DIR|--no-csv] [--progress] [--ts-bucket-ms N] [--metrics] <artifact…|all>");
+        eprintln!("usage: repro [--paper-scale|--quick|--smoke] [--seed N] [--probes N] [--shards N] [--cells N] [--out DIR|--no-csv] [--progress] [--metrics] <artifact…|all>");
         eprintln!("       repro --list");
         std::process::exit(2);
     }
@@ -457,11 +445,7 @@ fn main() {
     if cfg.shards.is_none() && wanted.iter().any(|id| module_of(id) != "zipf") {
         for (given, flag, effect) in [
             (cfg.cells.is_some(), "--cells", "running unsharded"),
-            (
-                cfg.progress_ms.is_some(),
-                "--progress",
-                "printing no heartbeat",
-            ),
+            (cfg.progress, "--progress", "printing no heartbeat"),
         ] {
             if given {
                 eprintln!(

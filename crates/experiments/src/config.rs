@@ -52,11 +52,11 @@ pub struct ExpConfig {
     /// Span cap for sim-time series: a series coarsens (bucket width
     /// ×2) whenever its dense bucket span would exceed this.
     pub ts_span_cap: usize,
-    /// Heartbeat interval for live campaign progress, in wall-clock
-    /// milliseconds. `None` (default) is silent; `Some(ms)` prints a
-    /// progress line to stderr as sharded campaigns complete cells.
-    /// Never enters any artifact, so determinism is untouched.
-    pub progress_ms: Option<u64>,
+    /// Live campaign progress (`--progress`): off (default) is silent;
+    /// on prints a heartbeat line to stderr every two wall-clock
+    /// seconds as sharded campaigns complete cells. Never enters any
+    /// artifact, so determinism is untouched.
+    pub progress: bool,
 }
 
 impl Default for ExpConfig {
@@ -73,7 +73,7 @@ impl Default for ExpConfig {
             telemetry: Telemetry::disabled(),
             ts_bucket_ms: DEFAULT_TS_BUCKET_MS,
             ts_span_cap: DEFAULT_TS_SPAN_CAP,
-            progress_ms: None,
+            progress: false,
         }
     }
 }

@@ -19,7 +19,7 @@ use crate::report::Report;
 use crate::sharded::{self, WorldSpec};
 use dnsttl_analysis::{ascii_cdf_multi, CsvWriter, Ecdf, Table};
 use dnsttl_atlas::{Dataset, MeasurementSpec, QueryName};
-use dnsttl_netsim::{SimDuration, SimTime};
+use dnsttl_netsim::SimDuration;
 use dnsttl_wire::{Name, RecordType, Ttl};
 
 struct Campaign {
@@ -50,7 +50,6 @@ fn campaign(
         qtype: RecordType::AAAA,
         frequency: SimDuration::from_secs(600),
         duration: SimDuration::from_mins(65),
-        start: SimTime::ZERO,
     };
     let world = WorldSpec::Controlled {
         aaaa_ttl: ttl,

@@ -20,6 +20,7 @@
 
 use crate::config::ExpConfig;
 use crate::report::Report;
+use crate::resilience;
 use crate::worlds::{self, CachetestWorld};
 use dnsttl_analysis::{ascii_cdf_multi, Ecdf, Table};
 use dnsttl_auth::{sign_zone, AuthoritativeServer, ZoneBuilder};
@@ -28,6 +29,7 @@ use dnsttl_netsim::{
     EventQueue, FaultPlan, LatencyModel, Network, Region, SimDuration, SimRng, SimTime,
 };
 use dnsttl_resolver::{RecursiveResolver, RootHint};
+use dnsttl_telemetry::Telemetry;
 use dnsttl_wire::{Name, RData, Rcode, RecordType, Ttl};
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -264,75 +266,23 @@ pub(crate) fn dnssec_centricity(cfg: &ExpConfig) -> Report {
 /// Simulates a one-hour total outage of a zone's authoritative servers
 /// and measures the client-query success rate during the attack for
 /// several TTLs, plus a serve-stale variant. The paper's \[36\]: "to be
-/// most effective, TTLs must be longer than the attack".
+/// most effective, TTLs must be longer than the attack". The clients,
+/// world and outage are `resilience`'s, over internet latencies.
 pub(crate) fn ddos_resilience(cfg: &ExpConfig) -> Report {
-    let attack_start = SimTime::from_secs(2_700);
-    let attack = SimDuration::from_hours(1);
+    // The length of the outage `resilience::outage_plan` scripts.
+    let attack_s: u64 = 3_600;
     let clients = (cfg.probes / 20).max(20);
-    let query_gap = SimDuration::from_secs(120);
-
     let survival = |ttl: Ttl, policy: ResolverPolicy, seed_tag: &str| -> f64 {
-        let victim_addr: std::net::IpAddr = "192.0.2.53".parse().unwrap();
-        let plan = FaultPlan::new().outage(victim_addr, attack_start, attack_start + attack);
-        let mut net = Network::new(LatencyModel::internet()).with_faults(plan);
-        let root = AuthoritativeServer::new("root").with_zone(
-            ZoneBuilder::new(".")
-                .ns("example", "ns.example", Ttl::TWO_DAYS)
-                .a("ns.example", "192.0.2.53", Ttl::TWO_DAYS)
-                .build(),
+        let cell = resilience::simulate_clients(
+            &Telemetry::disabled(),
+            LatencyModel::internet(),
+            cfg.seed_for(seed_tag) ^ ttl.as_secs() as u64,
+            clients,
+            0,
+            ttl,
+            &policy,
         );
-        let child = AuthoritativeServer::new("ns.example").with_zone(
-            ZoneBuilder::new("example")
-                .ns("example", "ns.example", ttl)
-                .a("ns.example", "192.0.2.53", ttl)
-                .a("www.example", "203.0.113.1", ttl)
-                .build(),
-        );
-        net.register(worlds::addrs::ROOT, Region::Eu, Rc::new(RefCell::new(root)));
-        net.register(victim_addr, Region::Eu, Rc::new(RefCell::new(child)));
-        let roots = worlds::root_hints();
-
-        let mut rng = SimRng::seed_from(cfg.seed_for(seed_tag) ^ ttl.as_secs() as u64);
-        let mut resolvers: Vec<RecursiveResolver> = (0..clients)
-            .map(|i| {
-                RecursiveResolver::new(
-                    format!("c{i}"),
-                    policy.clone(),
-                    Region::ALL[rng.weighted_index(&Region::atlas_weights())],
-                    i as u64,
-                    roots.clone(),
-                    rng.fork(i as u64),
-                )
-            })
-            .collect();
-
-        struct Tick {
-            client: usize,
-        }
-        let mut queue = EventQueue::new();
-        for i in 0..clients {
-            queue.schedule(
-                SimTime::from_millis(rng.below(query_gap.as_millis())),
-                Tick { client: i },
-            );
-        }
-        let end = attack_start + attack + SimDuration::from_secs(600);
-        let mut during_total = 0usize;
-        let mut during_ok = 0usize;
-        while let Some((now, tick)) = queue.pop() {
-            if now >= end {
-                continue;
-            }
-            let out =
-                resolvers[tick.client].resolve(&n("www.example"), RecordType::A, now, &mut net);
-            let in_attack = now >= attack_start && now < attack_start + attack;
-            if in_attack {
-                during_total += 1;
-                during_ok += (out.answer.header.rcode == Rcode::NoError) as usize;
-            }
-            queue.schedule(now + query_gap, tick);
-        }
-        during_ok as f64 / during_total.max(1) as f64
+        (cell.queries - cell.failures) as f64 / cell.queries.max(1) as f64
     };
 
     let ttls = [60u32, 600, 1_800, 7_200, 86_400];
@@ -356,9 +306,9 @@ pub(crate) fn ddos_resilience(cfg: &ExpConfig) -> Report {
     );
     let mut t = Table::new(vec!["TTL", "answered during attack", "note"]);
     for (ttl, rate) in ttls.iter().zip(&rates) {
-        let note = if *ttl as u64 >= attack.as_secs() {
+        let note = if *ttl as u64 >= attack_s {
             "TTL ≥ attack: cache carries clients through"
-        } else if *ttl as u64 >= attack.as_secs() / 4 {
+        } else if *ttl as u64 >= attack_s / 4 {
             "TTL < attack: partial protection, caches drain mid-attack"
         } else {
             "TTL ≪ attack: caches drain almost immediately"

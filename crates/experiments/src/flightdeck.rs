@@ -757,20 +757,13 @@ fn audit_timeseries(module: &str, path: &Path, prom_path: &Path, report: &mut Do
             return;
         }
     };
-    let mut finals: std::collections::BTreeMap<&str, f64> = std::collections::BTreeMap::new();
-    for line in prom.lines() {
-        if line.starts_with('#') || line.contains('{') {
-            continue;
-        }
-        if let Some((name, value)) = line.rsplit_once(' ') {
-            if let Ok(v) = value.parse::<f64>() {
-                finals.insert(name, v);
-            }
-        }
-    }
+    let finals: BTreeMap<String, f64> = crate::rundiff::prom_samples(&prom)
+        .into_iter()
+        .filter(|(key, _)| !key.contains('{'))
+        .collect();
     let mut bad = 0usize;
     for (series, sum) in &counter_sums {
-        match finals.get(series) {
+        match finals.get(*series) {
             Some(v) if (*v - *sum as f64).abs() < 0.5 => {}
             Some(v) => {
                 report.fail(format!(

@@ -3,14 +3,13 @@
 //!
 //! The paper's closing argument is that long TTLs are a resilience
 //! mechanism: during the 2016 Dyn DDoS, "users of Twitter could still
-//! reach the site if its DNS records were cached". The
-//! `ddos_resilience` extension
-//! approximates that with a manual online/offline toggle; this module
+//! reach the site if its DNS records were cached". This module
 //! reproduces it as a measurable curve on the scripted
-//! [`FaultPlan`](dnsttl_netsim::FaultPlan) machinery instead, so the
-//! exact outage script is plain data — journalled into the run
-//! manifest, replayable byte-for-byte from the same seed, and shared
-//! with `sdig --fault-plan`.
+//! [`FaultPlan`](dnsttl_netsim::FaultPlan) machinery, so the exact
+//! outage script is plain data — journalled into the run manifest,
+//! replayable byte-for-byte from the same seed, and shared with
+//! `sdig --fault-plan`. The `ext-ddos` extension runs the same
+//! simulation over internet latencies.
 //!
 //! Design: a population of clients each re-resolves one cached name
 //! every two minutes. A one-hour hard outage of the only authoritative
@@ -63,9 +62,9 @@ pub(crate) fn outage_plan() -> FaultPlan {
 
 /// One cell of the matrix: failure rate during the outage for a client
 /// population resolving a name published at `ttl`, under `policy`.
-struct CellResult {
-    queries: u64,
-    failures: u64,
+pub(crate) struct CellResult {
+    pub(crate) queries: u64,
+    pub(crate) failures: u64,
 }
 
 impl CellResult {
@@ -89,6 +88,7 @@ fn run_cell(cfg: &ExpConfig, ttl: Ttl, policy: ResolverPolicy, seed_tag: &str) -
             crate::sharded::fan_out(cfg, workers, cell_count, seed_tag, |cell, telemetry| {
                 let result = simulate_clients(
                     telemetry,
+                    LatencyModel::constant(5.0),
                     dnsttl_netsim::shard_seed(seed, cell as u64),
                     sizes[cell],
                     bases[cell],
@@ -106,25 +106,28 @@ fn run_cell(cfg: &ExpConfig, ttl: Ttl, policy: ResolverPolicy, seed_tag: &str) -
             failures: cells.iter().map(|c| c.failures).sum(),
         };
     }
-    simulate_clients(&cfg.telemetry, seed, clients, 0, ttl, &policy)
+    let latency = LatencyModel::constant(5.0);
+    simulate_clients(&cfg.telemetry, latency, seed, clients, 0, ttl, &policy)
 }
 
 /// Simulates `clients` clients (globally numbered from `client_base`)
-/// re-resolving the test name through the scripted outage. Both the
-/// legacy path (`client_base` 0, all clients) and every sharded cell go
-/// through this one function, so the two engines share the simulation
-/// code verbatim.
-fn simulate_clients(
+/// re-resolving the test name through the scripted outage over
+/// `latency`. Both the legacy path (`client_base` 0, all clients) and
+/// every sharded cell go through this one function, so the two engines
+/// share the simulation code verbatim; so does `ext-ddos`.
+pub(crate) fn simulate_clients(
     telemetry: &dnsttl_telemetry::Telemetry,
+    latency: LatencyModel,
     seed: u64,
     clients: usize,
     client_base: usize,
     ttl: Ttl,
     policy: &ResolverPolicy,
 ) -> CellResult {
-    // Constant latency, no background loss: the only failure mode is
-    // the scripted outage, so the curve isolates the TTL effect.
-    let mut net = Network::new(LatencyModel::constant(5.0)).with_faults(outage_plan());
+    // `resilience` passes a constant latency and no background loss:
+    // the only failure mode is the scripted outage, so the curve
+    // isolates the TTL effect.
+    let mut net = Network::new(latency).with_faults(outage_plan());
     net.set_telemetry(telemetry.clone());
     let root = AuthoritativeServer::new("root").with_zone(
         ZoneBuilder::new(".")

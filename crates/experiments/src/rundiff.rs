@@ -186,7 +186,7 @@ fn read_dir_files(dir: &Path, suffix: &str) -> Result<BTreeMap<String, String>, 
 /// Parses the sample lines of a Prometheus text exposition:
 /// `name{labels} value` → `(full sample key, value)`. Comment and
 /// blank lines are skipped.
-fn prom_samples(text: &str) -> Vec<(String, f64)> {
+pub(crate) fn prom_samples(text: &str) -> Vec<(String, f64)> {
     text.lines()
         .filter(|l| !l.is_empty() && !l.starts_with('#'))
         .filter_map(|l| {

@@ -94,7 +94,7 @@ fn plan<'a>(cfg: &ExpConfig, workers: usize, cells: usize, tag: &'a str) -> FanO
         telemetry: cfg.telemetry.is_enabled(),
         ts_bucket_ms: cfg.ts_bucket_ms,
         ts_span_cap: cfg.ts_span_cap,
-        progress: cfg.progress_ms.map(|ms| (tag, ms)),
+        progress: cfg.progress.then_some(tag),
     }
 }
 

@@ -50,7 +50,7 @@ pub fn run(cfg: &ExpConfig) -> Vec<Report> {
         telemetry: cfg.telemetry.is_enabled(),
         ts_bucket_ms: cfg.ts_bucket_ms,
         ts_span_cap: cfg.ts_span_cap,
-        progress: cfg.progress_ms.map(|ms| ("zipf-population", ms)),
+        progress: cfg.progress.then_some("zipf-population"),
     };
     let mut outcome = run_zipf_campaign(&campaign, cfg.seed_for("zipf-population"), &opts);
     cfg.telemetry

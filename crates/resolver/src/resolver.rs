@@ -22,6 +22,9 @@ const MAX_ITERATIONS: usize = 16;
 /// Maximum recursion depth for server-address sub-resolutions and
 /// CNAME chains.
 const MAX_DEPTH: usize = 6;
+/// How many times a query to an unresponsive server is retried before
+/// trying the next server / giving up.
+const RETRIES: u8 = 2;
 
 /// A root hint: the name and address of a root server, compiled into
 /// every resolver (never expires).
@@ -951,7 +954,7 @@ impl RecursiveResolver {
                 continue;
             }
             let mut responded = false;
-            for attempt in 0..=self.policy.retries {
+            for attempt in 0..=RETRIES {
                 if attempt > 0 {
                     self.telemetry
                         .span_event(ctx.span, now.as_millis(), EventKind::Retry, |f| {
@@ -1035,7 +1038,7 @@ impl RecursiveResolver {
                             EventKind::Timeout,
                             |f| f.push("server", *addr),
                         );
-                        // Retry the same server up to `retries` times.
+                        // Retry the same server up to `RETRIES` times.
                     }
                 }
             }

@@ -33,7 +33,7 @@
 //! tel.count("resolver_cache_hits", 1);
 //! tel.sketch_with("resolver_answer_ttl_s", &[], 300);
 //! let span = tel.span_start(1_000, |_, f| f.push("qname", "example."));
-//! tel.span_event(span, 1_023, EventKind::CacheHit, |_| {});
+//! tel.span_event(span, 1_012, EventKind::Referral, |f| f.push("zone", "example."));
 //! tel.span_end(span, 1_023, |f| f.push("rcode", "NOERROR"));
 //!
 //! assert!(tel.prometheus_text().contains("resolver_cache_hits 1"));
@@ -486,7 +486,7 @@ mod tests {
         let t = Telemetry::disabled();
         t.count("q", 1);
         let span = t.span_start(0, |_, _| panic!("must not run when disabled"));
-        t.span_event(span, 1, EventKind::CacheHit, |_| {
+        t.span_event(span, 1, EventKind::Referral, |_| {
             panic!("must not run when disabled")
         });
         assert_eq!(t.counter_value("q", &[]), 0);
@@ -560,7 +560,7 @@ mod tests {
     fn take_parts_leaves_the_handle_empty() {
         let t = Telemetry::new();
         t.count("q", 3);
-        t.event(1, EventKind::Query, |_| {});
+        t.event(1, EventKind::Timeout, |_| {});
         const Q: MetricKey = MetricKey::new("q");
         t.count_keyed_at(&Q, 5, 1_000);
         let parts = t.take_parts();
@@ -575,10 +575,10 @@ mod tests {
     #[test]
     fn take_parts_keeps_the_ring_capacity() {
         let t = Telemetry::with_trace_capacity(4);
-        t.event(0, EventKind::Query, |_| {});
+        t.event(0, EventKind::Timeout, |_| {});
         assert_eq!(t.take_parts().tracer.len(), 1);
         for i in 0..10 {
-            t.event(i, EventKind::Query, |_| {});
+            t.event(i, EventKind::Timeout, |_| {});
         }
         // Drops are counted at 4, not at the default 2^18.
         t.with_tracer(|tracer| {
@@ -663,11 +663,11 @@ mod tests {
         assert!(text.contains("trace_dropped_total 0"));
         assert!(!text.contains("trace_dropped_events{"));
         for i in 0..5 {
-            t.event(i, EventKind::Query, |_| {});
+            t.event(i, EventKind::Timeout, |_| {});
         }
         let text = t.prometheus_text();
         assert!(text.contains("trace_dropped_total 3"));
-        assert!(text.contains("trace_dropped_events{kind=\"query\"} 3"));
+        assert!(text.contains("trace_dropped_events{kind=\"timeout\"} 3"));
         // Exporting twice never double-counts.
         assert_eq!(text, t.prometheus_text());
     }
@@ -679,7 +679,7 @@ mod tests {
             for i in 0..100u64 {
                 t.count_with("q", &[("policy", "default")], 1);
                 t.sketch_with("lat_ms", &[], i * 7 % 256);
-                t.event(i, EventKind::CacheMiss, |f| f.push("i", i));
+                t.event(i, EventKind::Timeout, |f| f.push("i", i));
             }
             (t.prometheus_text(), t.trace_jsonl())
         };

@@ -16,7 +16,7 @@
 //! arena that eviction drains in step. [`TraceEvent`] is the unpacked
 //! view readers get.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr};
 use std::sync::Arc;
@@ -25,18 +25,16 @@ use crate::block_queue::BlockQueue;
 use crate::json::{self, Value};
 use crate::memo::AddrMemo;
 
-/// What happened. The variants mirror the simulator's interesting
-/// moments; `Custom` covers one-off experiment-specific events.
+/// What happened. The variants are the simulator's recorded moments;
+/// the discriminant is the kind's index into the tracer's per-kind
+/// totals.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[repr(u8)]
 pub enum EventKind {
     /// A recursive resolution began (opens a span).
     SpanStart,
     /// A recursive resolution finished (closes a span).
     SpanEnd,
-    /// Answer served from cache.
-    CacheHit,
-    /// Cache had nothing usable.
-    CacheMiss,
     /// A cached entry was present but past its TTL.
     CacheExpiry,
     /// A stale entry was served (serve-stale policy).
@@ -61,8 +59,6 @@ pub enum EventKind {
     PacketLoss,
     /// DNSSEC validation failed.
     ValidationFailure,
-    /// A query arrived at an authoritative server.
-    Query,
     /// An Atlas-style measurement was discarded as invalid.
     Discard,
     /// A fresh RRset entered the cache (dnstap-style ledger event).
@@ -90,8 +86,6 @@ pub enum EventKind {
     /// A scripted fault (outage, degradation, blackout) affected an
     /// exchange or a cache flush fired.
     Fault,
-    /// Anything else; the string is the event name.
-    Custom(&'static str),
 }
 
 impl EventKind {
@@ -100,8 +94,6 @@ impl EventKind {
         match self {
             EventKind::SpanStart => "span_start",
             EventKind::SpanEnd => "span_end",
-            EventKind::CacheHit => "cache_hit",
-            EventKind::CacheMiss => "cache_miss",
             EventKind::CacheExpiry => "cache_expiry",
             EventKind::CacheStale => "cache_stale",
             EventKind::Prefetch => "prefetch",
@@ -114,7 +106,6 @@ impl EventKind {
             EventKind::ZoneTransfer => "zone_transfer",
             EventKind::PacketLoss => "packet_loss",
             EventKind::ValidationFailure => "validation_failure",
-            EventKind::Query => "query",
             EventKind::Discard => "discard",
             EventKind::CacheInsert => "cache_insert",
             EventKind::CacheRefresh => "cache_refresh",
@@ -126,56 +117,23 @@ impl EventKind {
             EventKind::NegCache => "neg_cache",
             EventKind::Backoff => "backoff",
             EventKind::Fault => "fault",
-            EventKind::Custom(name) => name,
         }
     }
 
-    /// Dense index for the non-`Custom` variants, used by the tracer's
-    /// array-backed per-kind totals so the event hot path increments a
-    /// slot instead of walking a string-keyed map.
-    fn index(&self) -> Option<usize> {
-        Some(match self {
-            EventKind::SpanStart => 0,
-            EventKind::SpanEnd => 1,
-            EventKind::CacheHit => 2,
-            EventKind::CacheMiss => 3,
-            EventKind::CacheExpiry => 4,
-            EventKind::CacheStale => 5,
-            EventKind::Prefetch => 6,
-            EventKind::Referral => 7,
-            EventKind::Retry => 8,
-            EventKind::Timeout => 9,
-            EventKind::TcFallback => 10,
-            EventKind::ServFail => 11,
-            EventKind::Renumber => 12,
-            EventKind::ZoneTransfer => 13,
-            EventKind::PacketLoss => 14,
-            EventKind::ValidationFailure => 15,
-            EventKind::Query => 16,
-            EventKind::Discard => 17,
-            EventKind::CacheInsert => 18,
-            EventKind::CacheRefresh => 19,
-            EventKind::CacheOverwrite => 20,
-            EventKind::CacheServe => 21,
-            EventKind::CacheExpiredDrop => 22,
-            EventKind::CacheInvalidate => 23,
-            EventKind::CacheStaleServe => 24,
-            EventKind::NegCache => 25,
-            EventKind::Backoff => 26,
-            EventKind::Fault => 27,
-            EventKind::Custom(_) => return None,
-        })
+    /// Dense index, used by the tracer's array-backed per-kind totals
+    /// so the event hot path increments a slot instead of walking a
+    /// string-keyed map.
+    fn index(self) -> usize {
+        self as usize
     }
 
-    /// Number of non-`Custom` variants (the per-kind array length).
-    const COUNT: usize = 28;
+    /// Number of variants (the per-kind array length).
+    const COUNT: usize = 25;
 
-    /// All non-`Custom` variants, in [`EventKind::index`] order.
+    /// All variants, in [`EventKind::index`] order.
     const INDEXED: [EventKind; EventKind::COUNT] = [
         EventKind::SpanStart,
         EventKind::SpanEnd,
-        EventKind::CacheHit,
-        EventKind::CacheMiss,
         EventKind::CacheExpiry,
         EventKind::CacheStale,
         EventKind::Prefetch,
@@ -188,7 +146,6 @@ impl EventKind {
         EventKind::ZoneTransfer,
         EventKind::PacketLoss,
         EventKind::ValidationFailure,
-        EventKind::Query,
         EventKind::Discard,
         EventKind::CacheInsert,
         EventKind::CacheRefresh,
@@ -230,8 +187,6 @@ pub struct TraceEvent {
     fields_start: u64,
     /// Number of fields.
     fields_len: u16,
-    /// [`StaticTable`] id of a `Custom` kind's name.
-    custom: u16,
 }
 
 /// An event as the ring stores it. `seq` is stored, not derived from
@@ -252,10 +207,7 @@ struct EventSlot {
     /// How many of them are [`Tag::Spilled`], so that eviction releases
     /// the event's storage without reading its slots back.
     spills: u16,
-    /// [`StaticTable`] id of the name when `kind == EventKind::COUNT`.
-    custom: u16,
-    /// [`EventKind::index`], or `EventKind::COUNT` for `Custom`.
-    kind: u8,
+    kind: EventKind,
     has_span: bool,
 }
 
@@ -364,8 +316,8 @@ impl Fragments {
     }
 }
 
-/// Grow-only intern table for `'static` strings — field names,
-/// `Value::Static` payloads, `Custom` event names — matched by pointer
+/// Grow-only intern table for `'static` strings — field names and
+/// `Value::Static` payloads — matched by pointer
 /// identity, so a lookup never reads the string. It is bounded by the
 /// program's literals, and empty (no allocation) until first used.
 #[derive(Debug, Default)]
@@ -662,15 +614,12 @@ pub struct Tracer {
     next_seq: u64,
     next_span: u64,
     dropped: u64,
-    /// Totals for the built-in kinds, indexed by [`EventKind::index`];
-    /// `Custom` events fall back to the string-keyed map. Split so the
-    /// record hot path is an array increment, not a map walk.
+    /// Totals per kind, indexed by [`EventKind::index`], so the record
+    /// hot path is an array increment, not a map walk.
     per_kind: [u64; EventKind::COUNT],
-    per_custom: BTreeMap<&'static str, u64>,
     /// Ring-eviction totals, split by the kind of the evicted event so
-    /// drop loss is attributable (mirrors `per_kind`/`per_custom`).
+    /// drop loss is attributable.
     dropped_per_kind: [u64; EventKind::COUNT],
-    dropped_custom: BTreeMap<&'static str, u64>,
 }
 
 impl Tracer {
@@ -685,9 +634,7 @@ impl Tracer {
             next_span: 0,
             dropped: 0,
             per_kind: [0; EventKind::COUNT],
-            per_custom: BTreeMap::new(),
             dropped_per_kind: [0; EventKind::COUNT],
-            dropped_custom: BTreeMap::new(),
         }
     }
 
@@ -703,13 +650,6 @@ impl Tracer {
         id
     }
 
-    fn kind_of(&self, slot: &EventSlot) -> EventKind {
-        match EventKind::INDEXED.get(slot.kind as usize) {
-            Some(kind) => *kind,
-            None => EventKind::Custom(self.arena.statics.get(slot.custom)),
-        }
-    }
-
     /// Drops the oldest event, reclaims its arena fields, and charges
     /// the loss to the evicted event's kind.
     fn evict_oldest(&mut self) {
@@ -717,20 +657,14 @@ impl Tracer {
             self.ring.release_front(1);
             self.arena.release_front(slot.fields_len, slot.spills);
             self.dropped += 1;
-            match self.kind_of(&slot) {
-                EventKind::Custom(name) => *self.dropped_custom.entry(name).or_insert(0) += 1,
-                _ => self.dropped_per_kind[slot.kind as usize] += 1,
-            }
+            self.dropped_per_kind[slot.kind.index()] += 1;
         }
     }
 
     /// Counts a `kind` event in [`Tracer::kind_counts`] without
     /// recording it: it takes no sequence number and no ring slot.
     pub fn count(&mut self, kind: EventKind) {
-        match kind.index() {
-            Some(i) => self.per_kind[i] += 1,
-            None => *self.per_custom.entry(kind.as_str()).or_insert(0) += 1,
-        }
+        self.per_kind[kind.index()] += 1;
     }
 
     /// Records an event; evicts the oldest if the ring is full. The
@@ -759,13 +693,6 @@ impl Tracer {
         let seq = self.next_seq;
         self.next_seq += 1;
         self.count(kind);
-        let (kind, custom) = match kind.index() {
-            Some(i) => (i as u8, 0),
-            None => (
-                EventKind::COUNT as u8,
-                self.arena.statics.intern(kind.as_str()),
-            ),
-        };
         if self.ring.len() == self.capacity {
             self.evict_oldest();
         }
@@ -786,7 +713,6 @@ impl Tracer {
             span: span.map_or(0, |SpanId(id)| id),
             fields_len,
             spills: (self.arena.spilled() - spilled_before) as u16,
-            custom,
             kind,
             has_span: span.is_some(),
         });
@@ -805,12 +731,11 @@ impl Tracer {
         TraceEvent {
             t_ms: slot.t_ms,
             seq: slot.seq,
-            kind: self.kind_of(slot),
+            kind: slot.kind,
             span: slot.has_span.then_some(SpanId(slot.span)),
             parent,
             fields_start: self.arena.fields_base + (at as u64) + lead as u64,
             fields_len: slot.fields_len - lead,
-            custom: slot.custom,
         }
     }
 
@@ -842,17 +767,11 @@ impl Tracer {
         json::push_u64(out, ev.t_ms);
         out.push_str(",\"seq\":");
         json::push_u64(out, ev.seq);
-        out.push_str(",\"event\":");
-        match ev.kind {
-            EventKind::Custom(_) => out.push_str(arena.statics.value_json(ev.custom)),
-            // The built-in names are this file's own; none needs an
-            // escape (`built_in_kind_names_need_no_escape`).
-            kind => {
-                out.push('"');
-                out.push_str(kind.as_str());
-                out.push('"');
-            }
-        }
+        // The kind names are this file's own; none needs an escape
+        // (`kind_names_need_no_escape`).
+        out.push_str(",\"event\":\"");
+        out.push_str(ev.kind.as_str());
+        out.push('"');
         if let Some(SpanId(id)) = ev.span {
             out.push_str(",\"span\":");
             json::push_u64(out, id);
@@ -922,7 +841,6 @@ impl Tracer {
             .zip(self.dropped_per_kind.iter())
             .filter(|(_, &n)| n > 0)
             .map(|(kind, &n)| (kind.as_str(), n))
-            .chain(self.dropped_custom.iter().map(|(k, v)| (*k, *v)))
             .collect();
         counts.sort_unstable();
         counts.into_iter()
@@ -944,7 +862,6 @@ impl Tracer {
             .zip(self.per_kind.iter())
             .filter(|(_, &n)| n > 0)
             .map(|(kind, &n)| (kind.as_str(), n))
-            .chain(self.per_custom.iter().map(|(k, v)| (*k, *v)))
             .collect();
         counts.sort_unstable();
         counts.into_iter()
@@ -965,9 +882,6 @@ impl Tracer {
             for (total, n) in self.per_kind.iter_mut().zip(shard.per_kind.iter()) {
                 *total += n;
             }
-            for (kind, count) in shard.per_custom.iter() {
-                *self.per_custom.entry(kind).or_insert(0) += count;
-            }
             self.dropped += shard.dropped;
             for (total, n) in self
                 .dropped_per_kind
@@ -975,9 +889,6 @@ impl Tracer {
                 .zip(shard.dropped_per_kind.iter())
             {
                 *total += n;
-            }
-            for (kind, count) in shard.dropped_custom.iter() {
-                *self.dropped_custom.entry(kind).or_insert(0) += count;
             }
         }
         // Shard-local span ids are dense (0..next_span), so the remap
@@ -1029,9 +940,6 @@ impl Tracer {
                 let mapped = static_maps[shard_idx].get(id as usize);
                 mapped.copied().unwrap_or(StaticTable::OVERFLOW_ID)
             };
-            if slot.kind as usize == EventKind::COUNT {
-                slot.custom = map_static(slot.custom);
-            }
             slot.seq = self.next_seq;
             self.next_seq += 1;
             if self.ring.len() == self.capacity {
@@ -1110,25 +1018,25 @@ mod tests {
     fn ring_wraps_and_counts_drops() {
         let mut t = Tracer::with_capacity(3);
         for i in 0..5u64 {
-            t.record(i, EventKind::CacheHit, None, |_| {});
+            t.record(i, EventKind::Timeout, None, |_| {});
         }
         assert_eq!(t.len(), 3);
         assert_eq!(t.dropped(), 2);
         assert_eq!(t.total_recorded(), 5);
         let first = t.events().next().unwrap();
         assert_eq!(first.t_ms, 2); // oldest two evicted
-        assert_eq!(t.kind_counts().next(), Some(("cache_hit", 5)));
+        assert_eq!(t.kind_counts().next(), Some(("timeout", 5)));
     }
 
     #[test]
     fn counted_events_join_the_totals_and_nothing_else() {
         let mut shard = Tracer::with_capacity(2);
-        shard.record(0, EventKind::Query, None, |_| {});
+        shard.record(0, EventKind::Timeout, None, |_| {});
         for _ in 0..3 {
             shard.count(EventKind::CacheServe);
         }
-        shard.count(EventKind::Custom("probe"));
-        shard.record(1, EventKind::Query, None, |_| {});
+        shard.count(EventKind::CacheExpiredDrop);
+        shard.record(1, EventKind::Timeout, None, |_| {});
         // No ring slot, no sequence number, no drop.
         assert_eq!(
             (shard.len(), shard.total_recorded(), shard.dropped()),
@@ -1141,7 +1049,11 @@ mod tests {
         merged.absorb(vec![shard]);
         assert_eq!(
             merged.kind_counts().collect::<Vec<_>>(),
-            vec![("cache_serve", 3), ("probe", 1), ("query", 2)]
+            vec![
+                ("cache_expired_drop", 1),
+                ("cache_serve", 3),
+                ("timeout", 2)
+            ]
         );
         assert_eq!(merged.total_recorded(), 2);
     }
@@ -1162,7 +1074,7 @@ mod tests {
         let mut shard1 = Tracer::with_capacity(8);
         let s1 = shard1.new_span();
         shard1.record(10, EventKind::SpanStart, Some(s1), |_| {});
-        shard1.record(20, EventKind::CacheHit, Some(s1), |_| {});
+        shard1.record(20, EventKind::Referral, Some(s1), |_| {});
 
         let mut merged = Tracer::with_capacity(16);
         merged.absorb(vec![shard0, shard1]);
@@ -1182,7 +1094,7 @@ mod tests {
         assert_eq!(merged.total_recorded(), 4);
         assert_eq!(
             merged.kind_counts().collect::<Vec<_>>(),
-            vec![("cache_hit", 1), ("span_end", 1), ("span_start", 2)]
+            vec![("referral", 1), ("span_end", 1), ("span_start", 2)]
         );
     }
 
@@ -1191,7 +1103,7 @@ mod tests {
         let make_shard = |base: u64| {
             let mut t = Tracer::with_capacity(2);
             for i in 0..4u64 {
-                t.record(base + i, EventKind::Query, None, |_| {});
+                t.record(base + i, EventKind::Timeout, None, |_| {});
             }
             t // 2 buffered, 2 dropped
         };
@@ -1208,22 +1120,22 @@ mod tests {
     #[test]
     fn drops_are_counted_per_kind() {
         let mut t = Tracer::with_capacity(2);
-        t.record(0, EventKind::CacheHit, None, |_| {});
-        t.record(1, EventKind::Query, None, |_| {});
-        t.record(2, EventKind::Query, None, |_| {});
-        t.record(3, EventKind::Custom("weird"), None, |_| {});
-        // Evicted: the cache_hit at t=0, then the query at t=1.
+        t.record(0, EventKind::Referral, None, |_| {});
+        t.record(1, EventKind::Timeout, None, |_| {});
+        t.record(2, EventKind::Timeout, None, |_| {});
+        t.record(3, EventKind::Timeout, None, |_| {});
+        // Evicted: the referral at t=0, then the timeout at t=1.
         assert_eq!(t.dropped(), 2);
         assert_eq!(
             t.dropped_counts().collect::<Vec<_>>(),
-            vec![("cache_hit", 1), ("query", 1)]
+            vec![("referral", 1), ("timeout", 1)]
         );
         // Absorb carries the split totals over.
         let mut merged = Tracer::with_capacity(8);
         merged.absorb(vec![t]);
         assert_eq!(
             merged.dropped_counts().collect::<Vec<_>>(),
-            vec![("cache_hit", 1), ("query", 1)]
+            vec![("referral", 1), ("timeout", 1)]
         );
     }
 
@@ -1270,7 +1182,7 @@ mod tests {
     fn a_field_past_the_slot_count_fails_loudly_or_is_refused() {
         let mut t = Tracer::with_capacity(4);
         let fill = |t: &mut Tracer, n: u64| {
-            t.record(0, EventKind::Query, None, |f| {
+            t.record(0, EventKind::Timeout, None, |f| {
                 (0..n).for_each(|i| f.push("i", i))
             })
         };
@@ -1280,7 +1192,7 @@ mod tests {
             assert!(panics(|| fill(&mut t, u16::MAX as u64 + 1)));
         } else {
             fill(&mut t, u16::MAX as u64 + 3);
-            t.record(1, EventKind::Query, None, |f| f.push("after", true));
+            t.record(1, EventKind::Timeout, None, |f| f.push("after", true));
             let evs: Vec<TraceEvent> = t.events().collect();
             // The over-full event kept its first 65 535 fields, and the
             // event after it still finds its own.
@@ -1295,7 +1207,7 @@ mod tests {
         // content, distinct addresses, so distinct table entries.
         let pool: &'static str = Box::leak("k".repeat(StaticTable::MAX_LEN + 1).into_boxed_str());
         let mut t = Tracer::with_capacity(4);
-        t.record(0, EventKind::Query, None, |f| {
+        t.record(0, EventKind::Timeout, None, |f| {
             for i in 0..3 {
                 f.push(&pool[i..i + 1], Value::Static(&pool[i..i + 1]));
             }
@@ -1311,12 +1223,12 @@ mod tests {
                 t.arena.statics.intern(last);
             }));
         } else {
-            t.record(1, EventKind::Custom(last), None, |f| {
+            t.record(1, EventKind::Timeout, None, |f| {
                 f.push(last, Value::Static(last))
             });
             assert_eq!(
                 t.to_jsonl().lines().nth(1).unwrap(),
-                r#"{"t_ms":1,"seq":1,"event":"<static-table-full>","<static-table-full>":"<static-table-full>"}"#
+                r#"{"t_ms":1,"seq":1,"event":"timeout","<static-table-full>":"<static-table-full>"}"#
             );
             // A string that did fit is still itself.
             assert_eq!(t.arena.statics.intern(&pool[7..8]), 7);
@@ -1333,7 +1245,7 @@ mod tests {
         let mut t = Tracer::with_capacity(2 * strs.len());
         let record = |t: &mut Tracer, order: &mut dyn Iterator<Item = usize>| {
             for i in order {
-                t.record(i as u64, EventKind::Query, None, |f| {
+                t.record(i as u64, EventKind::Timeout, None, |f| {
                     f.push(strs[i], Value::Static(strs[(i + 1) % strs.len()]))
                 });
             }
@@ -1379,7 +1291,14 @@ mod tests {
     }
 
     #[test]
-    fn built_in_kind_names_need_no_escape() {
+    fn indexed_lists_every_kind_at_its_index() {
+        for (i, kind) in EventKind::INDEXED.iter().enumerate() {
+            assert_eq!(kind.index(), i, "{kind:?}");
+        }
+    }
+
+    #[test]
+    fn kind_names_need_no_escape() {
         // `write_event` copies them between two quotes as they are.
         for kind in EventKind::INDEXED {
             let mut escaped = String::new();
@@ -1395,7 +1314,7 @@ mod tests {
         t.record(10, EventKind::SpanStart, Some(span), |f| {
             f.push("qname", "example.")
         });
-        t.record(15, EventKind::CacheMiss, Some(span), |_| {});
+        t.record(15, EventKind::Referral, Some(span), |_| {});
         let jsonl = t.to_jsonl();
         let lines: Vec<&str> = jsonl.lines().collect();
         assert_eq!(lines.len(), 2);
@@ -1403,6 +1322,6 @@ mod tests {
             lines[0],
             r#"{"t_ms":10,"seq":0,"event":"span_start","span":0,"qname":"example."}"#
         );
-        assert!(lines[1].contains("\"event\":\"cache_miss\""));
+        assert!(lines[1].contains("\"event\":\"referral\""));
     }
 }

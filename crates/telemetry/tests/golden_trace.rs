@@ -8,7 +8,7 @@ use dnsttl_telemetry::{EventKind, SpanId, Tracer, Value};
 use std::net::IpAddr;
 use std::sync::Arc;
 
-/// Every `Value` variant, a `Custom` kind, and a child span.
+/// Every `Value` variant and a child span.
 fn every_variant() -> Tracer {
     let mut t = Tracer::with_capacity(16);
     let root = t.new_span();
@@ -32,7 +32,7 @@ fn every_variant() -> Tracer {
         f.push("v4_max", "255.255.255.255".parse::<IpAddr>().unwrap());
         f.push("v6", "2001:db8::53".parse::<IpAddr>().unwrap());
     });
-    t.record(7, EventKind::Custom("odd \"kind\""), Some(child), |f| {
+    t.record(7, EventKind::Retry, Some(child), |f| {
         f.push("u0", 0u64);
         f.push("u_max", u64::MAX);
         f.push("u32", 7u32);
@@ -69,7 +69,7 @@ fn wrapped_ring() -> Tracer {
             if i % 2 == 0 {
                 EventKind::CacheInsert
             } else {
-                EventKind::Custom("probe")
+                EventKind::Prefetch
             },
             Some(span),
             (i % 3 == 2).then(|| SpanId(i - 1)),
@@ -106,7 +106,7 @@ fn absorbed() -> Tracer {
             f.push("cause", Value::literal("prefetch"));
             f.push("server", "192.0.2.1".parse::<IpAddr>().unwrap());
         });
-        t.record(base + 10, EventKind::Custom("shard_note"), Some(b), |f| {
+        t.record(base + 10, EventKind::ServFail, Some(b), |f| {
             f.push("note", format!("from {tag}"));
         });
         t.record(base + 10, EventKind::SpanEnd, Some(b), |_| {});
@@ -138,7 +138,7 @@ fn every_value_variant_exports_the_pinned_bytes() {
         &every_variant(),
         r#"{"t_ms":5,"seq":0,"event":"span_start","span":0,"str":"q\"uote \\ back\nline\u0001ctl é世\t\r","borrowed":"plain","shared":"www.example.org.","static":"NOERROR","empty":""}
 {"t_ms":6,"seq":1,"event":"span_start","span":1,"parent":0,"fp0":"0000000000000000","fp_max":"ffffffffffffffff","fp":"deadbeefcafef00d","v4":"192.0.2.53","v4_zero":"0.0.0.0","v4_max":"255.255.255.255","v6":"2001:db8::53"}
-{"t_ms":7,"seq":2,"event":"odd \"kind\"","span":1,"u0":0,"u_max":18446744073709551615,"u32":7,"usize":1234567890,"neg":-42,"i_min":-9223372036854775808,"i_pos":9}
+{"t_ms":7,"seq":2,"event":"retry","span":1,"u0":0,"u_max":18446744073709551615,"u32":7,"usize":1234567890,"neg":-42,"i_min":-9223372036854775808,"i_pos":9}
 {"t_ms":8,"seq":3,"event":"cache_serve","f_int":3.0,"f_frac":0.25,"f_neg":-1.5,"f_big":1000000000000000000000,"f_nan":null,"f_inf":null,"yes":true,"no":false}
 {"t_ms":9,"seq":4,"event":"span_end","span":1}
 {"t_ms":9,"seq":5,"event":"span_end","span":0,"rcode":"NOERROR"}
@@ -152,14 +152,14 @@ fn a_twice_wrapped_ring_exports_the_pinned_bytes() {
     assert_golden(
         &t,
         r#"{"t_ms":106,"seq":6,"event":"cache_insert","span":6,"n":"name6.example.","i":6,"ty":"A"}
-{"t_ms":107,"seq":7,"event":"probe","span":7,"n":"name7.example.","i":7,"owned":"s7","v6":"2001:db8::7","ty":"A"}
+{"t_ms":107,"seq":7,"event":"prefetch","span":7,"n":"name7.example.","i":7,"owned":"s7","v6":"2001:db8::7","ty":"A"}
 {"t_ms":108,"seq":8,"event":"cache_insert","span":8,"parent":7,"n":"name8.example.","i":8,"ty":"A"}
 "#,
     );
     assert_eq!((t.dropped(), t.total_recorded()), (6, 9));
     assert_eq!(
         t.dropped_counts().collect::<Vec<_>>(),
-        vec![("cache_insert", 3), ("probe", 3)]
+        vec![("cache_insert", 3), ("prefetch", 3)]
     );
 }
 
@@ -171,9 +171,9 @@ fn absorbed_shards_export_the_pinned_bytes() {
         r#"{"t_ms":1,"seq":0,"event":"renumber","zone":"uy."}
 {"t_ms":15,"seq":3,"event":"span_start","span":0,"parent":1,"cause":"prefetch","server":"192.0.2.1"}
 {"t_ms":17,"seq":4,"event":"span_start","span":2,"parent":3,"cause":"prefetch","server":"192.0.2.1"}
-{"t_ms":20,"seq":5,"event":"shard_note","span":0,"note":"from s0"}
+{"t_ms":20,"seq":5,"event":"servfail","span":0,"note":"from s0"}
 {"t_ms":20,"seq":6,"event":"span_end","span":0}
-{"t_ms":22,"seq":7,"event":"shard_note","span":2,"note":"from s1"}
+{"t_ms":22,"seq":7,"event":"servfail","span":2,"note":"from s1"}
 {"t_ms":22,"seq":8,"event":"span_end","span":2}
 {"t_ms":30,"seq":9,"event":"span_end","span":1,"ok":true}
 {"t_ms":32,"seq":10,"event":"span_end","span":3,"ok":true}
@@ -184,7 +184,7 @@ fn absorbed_shards_export_the_pinned_bytes() {
         t.kind_counts().collect::<Vec<_>>(),
         vec![
             ("renumber", 1),
-            ("shard_note", 2),
+            ("servfail", 2),
             ("span_end", 4),
             ("span_start", 4)
         ]
@@ -203,8 +203,8 @@ fn xorshift(state: &mut u64) -> u64 {
     x
 }
 
-/// Literals for keys, static values and `Custom` kinds: plain ones and
-/// one for each escape the writer knows.
+/// Literals for keys and static values: plain ones and one for each
+/// escape the writer knows.
 const LITERALS: [&str; 10] = [
     "qname",
     "ty",
@@ -219,7 +219,7 @@ const LITERALS: [&str; 10] = [
 ];
 
 /// Records `events` random events into `t`: every `Value` variant,
-/// keys and strings that need escapes, custom kinds, child spans.
+/// keys and strings that need escapes, child spans.
 fn record_random(t: &mut Tracer, state: &mut u64, shared: &[Arc<str>], events: u64) {
     let pick = |state: &mut u64| LITERALS[(xorshift(state) % LITERALS.len() as u64) as usize];
     let mut spans: Vec<SpanId> = Vec::new();
@@ -229,7 +229,7 @@ fn record_random(t: &mut Tracer, state: &mut u64, shared: &[Arc<str>], events: u
             1 => EventKind::CacheServe,
             2 => EventKind::ValidationFailure,
             3 => EventKind::Fault,
-            _ => EventKind::Custom(pick(state)),
+            _ => EventKind::Timeout,
         };
         let span = match xorshift(state) % 3 {
             0 => None,
@@ -353,7 +353,7 @@ fn strings_past_a_table_bound_export_the_pinned_bytes() {
         .fields_of(&last)
         .eq([("n", name.clone()), ("again", name)]));
     for _ in 0..4 {
-        t.record(70_000, EventKind::CacheMiss, None, |_| {});
+        t.record(70_000, EventKind::Timeout, None, |_| {});
     }
     assert_eq!(Arc::strong_count(&names[65_536]), 1);
 
@@ -362,14 +362,14 @@ fn strings_past_a_table_bound_export_the_pinned_bytes() {
         let pool: &'static str = Box::leak("k".repeat(65_536).into_boxed_str());
         let mut t = Tracer::with_capacity(2);
         for i in 0..65_536 {
-            t.record(i as u64, EventKind::Query, None, |f| {
+            t.record(i as u64, EventKind::Timeout, None, |f| {
                 f.push(&pool[i..i + 1], Value::literal(&pool[i..i + 1]))
             });
         }
         assert_eq!(
             t.to_jsonl(),
-            "{\"t_ms\":65534,\"seq\":65534,\"event\":\"query\",\"k\":\"k\"}\n\
-             {\"t_ms\":65535,\"seq\":65535,\"event\":\"query\",\"<static-table-full>\":\"<static-table-full>\"}\n"
+            "{\"t_ms\":65534,\"seq\":65534,\"event\":\"timeout\",\"k\":\"k\"}\n\
+             {\"t_ms\":65535,\"seq\":65535,\"event\":\"timeout\",\"<static-table-full>\":\"<static-table-full>\"}\n"
         );
     }
 }

@@ -39,7 +39,6 @@ fn gen_policy(rng: &mut SimRng) -> ResolverPolicy {
         server_backoff: rng.chance(0.5).then_some(Ttl::from_secs(1)),
         local_root: false,
         sticky: rng.chance(0.5),
-        retries: 1,
         validate_dnssec: false,
         prefetch: false,
         qname_minimization: false,

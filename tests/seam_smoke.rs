@@ -548,15 +548,6 @@ fn the_one_merge_orders_both_row_types_by_time_then_part() {
         .map(|r| (r.probe_id, r.probe_idx, r.resolver_idx))
         .collect();
     assert_eq!(got, [(1, 0, 0), (3, 2, 3), (4, 2, 3), (5, 2, 3), (2, 0, 0)]);
-
-    // A hand-built part that is not in time order falls back to the
-    // merge's definition: the stable sort of the concatenation.
-    let merged = merge_by_time(
-        vec![vec![(9, 'a'), (5, 'b')], vec![(5, 'c')]],
-        |r| r.0,
-        |_, _| {},
-    );
-    assert_eq!(merged, [(5, 'b'), (5, 'c'), (9, 'a')]);
 }
 
 #[test]

@@ -340,27 +340,40 @@ fn block<'a>(lines: &'a [&'a str], at: usize, indent: &str) -> &'a [&'a str] {
     &body[..end]
 }
 
+/// How many lines from `lines[at]` on a `#[cfg(test)]` module takes
+/// (up to its closing brace); 0 when none starts there.
+fn test_module_len(lines: &[&str], at: usize) -> usize {
+    let line = lines[at];
+    let trimmed = line.trim_start();
+    let indent = &line[..line.len() - trimmed.len()];
+    let next_is_mod = lines
+        .get(at + 1)
+        .is_some_and(|l| l.trim_start().starts_with("mod "));
+    if trimmed != "#[cfg(test)]" || !next_is_mod {
+        return 0;
+    }
+    let inline = !lines[at + 1].trim_end().ends_with(';');
+    2 + if inline {
+        block(lines, at + 1, indent).len()
+    } else {
+        0
+    }
+}
+
 /// Reads one library source file's `pub` declarations and trait-impl
 /// associated types into `lib`, skipping `#[cfg(test)]` modules.
 fn scan_library_file(file: &str, code: &str, lib: &mut Library) {
     let lines: Vec<&str> = code.lines().collect();
     let mut i = 0;
     while i < lines.len() {
+        let skip = test_module_len(&lines, i);
+        if skip > 0 {
+            i += skip;
+            continue;
+        }
         let line = lines[i];
         let trimmed = line.trim_start();
         let indent = &line[..line.len() - trimmed.len()];
-        let next_is_mod = lines
-            .get(i + 1)
-            .is_some_and(|l| l.trim_start().starts_with("mod "));
-        if trimmed == "#[cfg(test)]" && next_is_mod {
-            let inline = !lines[i + 1].trim_end().ends_with(';');
-            i += 2 + if inline {
-                block(&lines, i + 1, indent).len()
-            } else {
-                0
-            };
-            continue;
-        }
         if let Some((_, ty)) = trimmed
             .strip_prefix("impl")
             .and_then(|r| r.split_once(" for "))
@@ -531,5 +544,68 @@ fn every_pub_item_in_a_library_is_named_outside_its_crate() {
          or private:\n{}",
         stray.len(),
         stray.join("\n")
+    );
+}
+
+#[test]
+fn every_event_kind_is_recorded_by_production_code() {
+    // A trace kind no production path names is vocabulary no run can
+    // emit. Production is `src/` and every crate's `src/` outside
+    // `#[cfg(test)]` modules; the cache's counted-only kinds are named
+    // by `cache.rs::event_kind`.
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let trace = root.join("crates/telemetry/src/trace.rs");
+    let (code, _) = code_and_doctests(&trace);
+    let lines: Vec<&str> = code.lines().collect();
+    let at = lines
+        .iter()
+        .position(|l| l.starts_with("pub enum EventKind"))
+        .expect("trace.rs declares EventKind");
+    let variants: Vec<String> = block(&lines, at, "")
+        .iter()
+        .map(|l| {
+            let l = l.trim_start();
+            let end = l
+                .find(|c: char| !(c.is_ascii_alphanumeric() || c == '_'))
+                .unwrap_or(l.len());
+            l[..end].to_string()
+        })
+        .filter(|v| !v.is_empty())
+        .collect();
+    assert!(variants.len() > 1, "EventKind has variants: {variants:?}");
+
+    let mut files = Vec::new();
+    rust_files(&root.join("src"), None, &mut files);
+    let mut crates: Vec<PathBuf> = std::fs::read_dir(root.join("crates"))
+        .expect("crates/ is readable")
+        .map(|e| e.expect("dir entry").path())
+        .collect();
+    crates.sort();
+    for krate in &crates {
+        rust_files(&krate.join("src"), Some(&trace), &mut files);
+    }
+    let mut production = String::new();
+    for file in &files {
+        let (code, _) = code_and_doctests(file);
+        let lines: Vec<&str> = code.lines().collect();
+        let mut i = 0;
+        while i < lines.len() {
+            match test_module_len(&lines, i) {
+                0 => {
+                    production.push_str(lines[i]);
+                    production.push('\n');
+                    i += 1;
+                }
+                skip => i += skip,
+            }
+        }
+    }
+    let unrecorded: Vec<&String> = variants
+        .iter()
+        .filter(|v| !production.contains(&format!("EventKind::{v}")))
+        .collect();
+    assert!(
+        unrecorded.is_empty(),
+        "EventKind variants no production code names; delete them: {unrecorded:?}"
     );
 }
