@@ -69,7 +69,7 @@ pub struct EffectiveTtl {
 /// * a **child-centric** resolver uses the child's NS/address TTLs once
 ///   it has heard from the child (RFC 2181 §5.4.1 ranking);
 /// * a **parent-centric** resolver keeps the referral's TTLs;
-/// * policy caps/floors clamp whatever was chosen;
+/// * a policy cap clamps whatever was chosen;
 /// * **in-bailiwick** server addresses live at most as long as the NS
 ///   RRset when the policy links them (`link_inbailiwick_glue`) —
 ///   "in-domain servers have tied NS and A record cache times in

@@ -8,7 +8,7 @@
 //! 1. **where** the record is served from (parent glue vs child
 //!    authoritative data),
 //! 2. **which** copy a resolver prefers ([`Centricity`]),
-//! 3. **resolver policy** — caps, floors, serve-stale, stickiness
+//! 3. **resolver policy** — caps, serve-stale, stickiness
 //!    ([`ResolverPolicy`]),
 //! 4. **bailiwick coupling** — in-bailiwick server addresses expire with
 //!    their covering NS records ([`Bailiwick`], §4 of the paper).

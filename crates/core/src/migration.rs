@@ -6,7 +6,7 @@
 //! The subtlety the paper spends §3 and §4 establishing is that the
 //! *configured* TTL is a lower bound on reality: parent-centric
 //! resolvers ride the parent's copy, in-bailiwick addresses are pinned
-//! to their NS RRset, and caps/floors mangle everything. A safe plan
+//! to their NS RRset, and caps cut everything short. A safe plan
 //! must wait out the **worst** effective TTL across the resolver
 //! population, not the zone file's number.
 

@@ -32,9 +32,6 @@ pub struct ResolverPolicy {
     /// Cap applied to every cached TTL. Google Public DNS caps at
     /// 21 599 s (§3.3); BIND defaults to one week.
     pub ttl_cap: Option<Ttl>,
-    /// Floor applied to every cached TTL (some resolvers refuse to
-    /// cache for less than tens of seconds, limiting CDN agility, §6.1).
-    pub ttl_floor: Option<Ttl>,
     /// If true, a still-valid cached address record for an
     /// **in-bailiwick** name server is discarded when its covering NS
     /// record expires — the dominant behaviour in §4.2.
@@ -67,15 +64,6 @@ pub struct ResolverPolicy {
     /// Validation makes a resolver structurally child-centric for
     /// answers — glue is never signed (§2 of the paper).
     pub validate_dnssec: bool,
-    /// Prefetch (Pappas et al., the paper's \[40\]): when a cache hit
-    /// finds less than ~10% of the original TTL remaining, refresh the
-    /// entry in the background so the next client never pays the miss.
-    pub prefetch: bool,
-    /// QNAME minimisation (RFC 7816): send parents only the next label
-    /// (as an NS query) instead of the full question. Privacy-driven,
-    /// with a caching side effect: intermediate NS sets get cached at
-    /// answer rank.
-    pub qname_minimization: bool,
 }
 
 impl Default for ResolverPolicy {
@@ -85,7 +73,6 @@ impl Default for ResolverPolicy {
         ResolverPolicy {
             centricity: Centricity::ChildCentric,
             ttl_cap: Some(Ttl::from_secs(604_800)),
-            ttl_floor: None,
             link_inbailiwick_glue: true,
             serve_stale: None,
             upstream_failure_ttl: None,
@@ -93,8 +80,6 @@ impl Default for ResolverPolicy {
             local_root: false,
             sticky: false,
             validate_dnssec: false,
-            prefetch: false,
-            qname_minimization: false,
         }
     }
 }
@@ -183,34 +168,12 @@ impl ResolverPolicy {
         }
     }
 
-    /// A prefetching resolver (refresh-ahead on nearly-expired
-    /// entries), after Pappas et al.'s resilience proposals.
-    pub fn prefetching() -> ResolverPolicy {
-        ResolverPolicy {
-            prefetch: true,
-            ..ResolverPolicy::default()
-        }
-    }
-
-    /// A QNAME-minimising resolver (RFC 7816): parents never see the
-    /// full question.
-    pub fn minimizing() -> ResolverPolicy {
-        ResolverPolicy {
-            qname_minimization: true,
-            ..ResolverPolicy::default()
-        }
-    }
-
-    /// Applies this policy's cap and floor to a received TTL.
+    /// Applies this policy's cap to a received TTL.
     pub fn clamp_ttl(&self, ttl: Ttl) -> Ttl {
-        let mut t = ttl;
-        if let Some(cap) = self.ttl_cap {
-            t = t.min(cap);
+        match self.ttl_cap {
+            Some(cap) => ttl.min(cap),
+            None => ttl,
         }
-        if let Some(floor) = self.ttl_floor {
-            t = t.max(floor);
-        }
-        t
     }
 }
 
@@ -301,16 +264,6 @@ mod tests {
         let p = ResolverPolicy::google_like();
         assert_eq!(p.clamp_ttl(Ttl::from_secs(345_600)).as_secs(), 21_599);
         assert_eq!(p.clamp_ttl(Ttl::from_secs(900)).as_secs(), 900);
-    }
-
-    #[test]
-    fn floor_raises_small_ttls() {
-        let p = ResolverPolicy {
-            ttl_floor: Some(Ttl::MINUTE),
-            ..ResolverPolicy::default()
-        };
-        assert_eq!(p.clamp_ttl(Ttl::from_secs(5)).as_secs(), 60);
-        assert_eq!(p.clamp_ttl(Ttl::HOUR), Ttl::HOUR);
     }
 
     #[test]

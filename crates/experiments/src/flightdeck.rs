@@ -598,13 +598,12 @@ pub fn doctor_dir(dir: &Path) -> DoctorReport {
             ));
         }
 
-        // Cache conservation: every removal (TTL drop, invalidation)
-        // removes an entry some insert created, so removals can never
-        // exceed inserts.
+        // Cache conservation: every TTL drop removes an entry some
+        // insert created, so removals can never exceed inserts.
         let events = scan_flat_object(&text, "event_counts");
         let count = |key: &str| flat_get(&events, key).and_then(|v| v.as_u64()).unwrap_or(0);
         let inserts = count("cache_insert");
-        let removals = count("cache_expired_drop") + count("cache_invalidate");
+        let removals = count("cache_expired_drop");
         if removals <= inserts {
             report.ok(format!(
                 "{module}: cache conservation holds ({inserts} inserts >= {removals} removals)"

@@ -15,7 +15,8 @@
 //! one cheap hash of a word the name already carries. Entries live by
 //! their TTL alone, as the paper's caches do: nothing bounds the table's
 //! size, so nothing is ever evicted and no expiry index is kept — reads
-//! check freshness, and [`Cache::purge_expired`] drops what has lapsed.
+//! check freshness, and an expired entry stays until a store replaces it
+//! or a flush ([`Cache::clear`]) empties the table.
 //! Every transaction is accounted where it happens, by one function:
 //! the always-on [`CacheStats`] counters, the opt-in provenance ledger
 //! and the `Rc`-based telemetry handle that counts transaction kinds
@@ -235,7 +236,6 @@ impl CacheMeta {
             CacheOp::Overwrite => self.stats.overwrites += 1,
             CacheOp::Serve => self.stats.hits += 1,
             CacheOp::Expire => self.stats.expiries += 1,
-            CacheOp::Invalidate => self.stats.invalidations += 1,
             CacheOp::StaleServe => self.stats.stale_hits += 1,
             // Failure caching holds no positive entry: no counter.
             CacheOp::NegCache => {}
@@ -353,7 +353,7 @@ impl Cache {
     ///   the referral is its truth (§3.2's 10%).
     ///
     /// Zero-TTL RRsets are not cached at all (§5.1.2: TTL 0 "undermines
-    /// caching"), and any same-key negative entry is invalidated.
+    /// caching"), and any same-key negative entry is removed.
     pub fn store(
         &mut self,
         rrset: RRset,
@@ -454,35 +454,6 @@ impl Cache {
         slot.insert_entry(incoming);
     }
 
-    /// Removes the entry under `(name, rtype)`, attributing the
-    /// removal to an explicit invalidation — what an operator's cache
-    /// flush after a renumbering does. Returns true if present.
-    pub fn invalidate(&mut self, name: &Name, rtype: RecordType, now: SimTime) -> bool {
-        let Some(e) = self.entries.remove(&Probe(name, rtype) as &dyn TableKey) else {
-            return false;
-        };
-        self.meta.get_mut().record(now, CacheOp::Invalidate, &e);
-        true
-    }
-
-    /// Invalidates every positive entry at or below `apex` (the
-    /// `rndc flushtree` analogue). Returns how many entries died.
-    pub fn invalidate_zone(&mut self, apex: &Name, now: SimTime) -> usize {
-        let mut victims: Vec<(Name, RecordType)> = self
-            .entries
-            .keys()
-            .filter(|(n, _)| n.is_subdomain_of(apex))
-            .cloned()
-            .collect();
-        // Deterministic ledger order regardless of HashMap layout —
-        // canonical name order directly, no string formatting.
-        victims.sort_by(|a, b| a.0.cmp(&b.0).then(a.1.code().cmp(&b.1.code())));
-        for (name, rtype) in &victims {
-            self.invalidate(name, *rtype, now);
-        }
-        victims.len()
-    }
-
     /// Counts the hit on a fresh entry, journals the serve and returns
     /// the entry's age-decremented TTL (its full TTL when pinned).
     fn serve(&self, e: &Entry, now: SimTime) -> Ttl {
@@ -537,26 +508,6 @@ impl Cache {
             return None;
         }
         Some(now.since(e.expires_at))
-    }
-
-    /// Remaining lifetime of a fresh entry as a fraction of its
-    /// original TTL (1.0 = just stored, →0.0 = about to expire).
-    /// Pinned entries are always 1.0; absent/expired entries are None.
-    /// Prefetching resolvers use this to decide when to refresh ahead.
-    pub(crate) fn freshness(&self, name: &Name, rtype: RecordType, now: SimTime) -> Option<f64> {
-        let e = self.entries.get(&Probe(name, rtype) as &dyn TableKey)?;
-        if e.pinned {
-            return Some(1.0);
-        }
-        if e.expires_at <= now {
-            return None;
-        }
-        let total = e.rrset.ttl.as_secs() as f64;
-        if total == 0.0 {
-            return None;
-        }
-        let remaining = e.expires_at.since(now).as_secs_f64();
-        Some((remaining / total).clamp(0.0, 1.0))
     }
 
     /// Fetches an entry even if expired, for serve-stale: the entry must
@@ -672,30 +623,6 @@ impl Cache {
         self.entries.is_empty()
     }
 
-    /// Drops expired, unpinned entries. Not required for correctness
-    /// (reads check freshness) but keeps long simulations lean. Each
-    /// drop is a ledger `expire` transaction, and the drops must come in
-    /// `(expires_at, Name::cmp, type code)` order: the expired entries
-    /// are found by a scan of the table, whose order means nothing, so
-    /// they are sorted first.
-    pub fn purge_expired(&mut self, now: SimTime) {
-        let mut expired: Vec<(SimTime, Name, RecordType)> = self
-            .entries
-            .iter()
-            .filter(|(_, e)| !e.is_fresh(now))
-            .map(|((name, rtype), e)| (e.expires_at, name.clone(), *rtype))
-            .collect();
-        expired.sort_unstable_by(|a, b| (a.0, &a.1, a.2.code()).cmp(&(b.0, &b.1, b.2.code())));
-        for (_, name, rtype) in expired {
-            let e = self
-                .entries
-                .remove(&(name, rtype))
-                .expect("key just seen in the table");
-            self.meta.get_mut().record(now, CacheOp::Expire, &e);
-        }
-        self.negatives.retain(|_, e| e.expires_at > now);
-    }
-
     /// Removes every entry (used between experiment phases). Counted
     /// as `clears` in the stats; no per-entry ledger records — a phase
     /// boundary is not a cache event the paper cares about.
@@ -714,7 +641,6 @@ pub(crate) fn event_kind(op: CacheOp) -> EventKind {
         CacheOp::Overwrite => EventKind::CacheOverwrite,
         CacheOp::Serve => EventKind::CacheServe,
         CacheOp::Expire => EventKind::CacheExpiredDrop,
-        CacheOp::Invalidate => EventKind::CacheInvalidate,
         CacheOp::StaleServe => EventKind::CacheStaleServe,
         CacheOp::NegCache => EventKind::NegCache,
     }
@@ -1003,52 +929,6 @@ mod tests {
     }
 
     #[test]
-    fn freshness_tracks_remaining_fraction() {
-        let mut c = Cache::new();
-        c.store(
-            a_rrset("x.example", 1000, 1),
-            Credibility::AuthAnswer,
-            SimTime::ZERO,
-            &policy(),
-            false,
-        );
-        let f0 = c
-            .freshness(&n("x.example"), RecordType::A, SimTime::ZERO)
-            .unwrap();
-        assert!((f0 - 1.0).abs() < 1e-9);
-        let f_mid = c
-            .freshness(&n("x.example"), RecordType::A, SimTime::from_secs(500))
-            .unwrap();
-        assert!((f_mid - 0.5).abs() < 1e-9);
-        let f_late = c
-            .freshness(&n("x.example"), RecordType::A, SimTime::from_secs(950))
-            .unwrap();
-        assert!(f_late < 0.1);
-        assert!(c
-            .freshness(&n("x.example"), RecordType::A, SimTime::from_secs(1_000))
-            .is_none());
-        assert!(c
-            .freshness(&n("y.example"), RecordType::A, SimTime::ZERO)
-            .is_none());
-    }
-
-    #[test]
-    fn pinned_entries_are_always_fresh() {
-        let mut c = Cache::new();
-        c.store(
-            a_rrset("uy", 300, 1),
-            Credibility::ReferralAuthority,
-            SimTime::ZERO,
-            &policy(),
-            true,
-        );
-        let f = c
-            .freshness(&n("uy"), RecordType::A, SimTime::from_secs(1_000_000))
-            .unwrap();
-        assert_eq!(f, 1.0);
-    }
-
-    #[test]
     fn negative_caching_round_trip() {
         let mut c = Cache::new();
         c.store_negative(
@@ -1104,30 +984,6 @@ mod tests {
         );
         assert!(c
             .get(&n("x.example"), RecordType::A, SimTime::from_secs(11))
-            .is_some());
-    }
-
-    #[test]
-    fn purge_drops_expired_keeps_pinned() {
-        let mut c = Cache::new();
-        c.store(
-            a_rrset("a.example", 60, 1),
-            Credibility::AuthAnswer,
-            SimTime::ZERO,
-            &policy(),
-            false,
-        );
-        c.store(
-            a_rrset("b.example", 60, 1),
-            Credibility::AuthAnswer,
-            SimTime::ZERO,
-            &policy(),
-            true,
-        );
-        c.purge_expired(SimTime::from_secs(120));
-        assert_eq!(c.len(), 1);
-        assert!(c
-            .get(&n("b.example"), RecordType::A, SimTime::from_secs(120))
             .is_some());
     }
 
@@ -1357,63 +1213,6 @@ mod tests {
         let of_one_name: std::collections::BTreeSet<u64> =
             keys[..3].iter().map(|key| build.hash_one(key)).collect();
         assert_eq!(of_one_name.len(), 3);
-    }
-
-    /// A purge finds its victims by scanning the table, whose order
-    /// means nothing; it must journal them in `(expires_at, Name::cmp,
-    /// type code)` order, which is how a timing wheel holding the same
-    /// keys drains them.
-    #[test]
-    fn purge_drops_in_the_order_an_expiry_index_drains() {
-        let owners = ["b.example", "A.example", "z.a.example", "example", "B.test"];
-        let mut c = Cache::new();
-        c.enable_ledger();
-        let mut wheel = dnsttl_netsim::TimingWheel::new();
-        let mut rng = dnsttl_netsim::SimRng::seed_from(0x9E46_E000);
-        for (i, owner) in owners.iter().cycle().take(30).enumerate() {
-            // Few distinct expiries, so most ties fall to the name and
-            // the type; one entry in six is pinned.
-            let ttl = [60, 60, 120, 300][rng.below(4) as usize];
-            let rtype = [RecordType::A, RecordType::NS, RecordType::TXT][i % 3];
-            let set = RRset {
-                rtype,
-                ..a_rrset(owner, ttl, 1)
-            };
-            let pinned = i % 6 == 5;
-            c.store(
-                set,
-                Credibility::AuthAnswer,
-                SimTime::ZERO,
-                &policy(),
-                pinned,
-            );
-        }
-        for e in c.iter_entries().filter(|e| !e.pinned) {
-            let tie = (e.rrset.name.clone(), e.rrset.rtype.code());
-            wheel.insert(e.expires_at.as_millis(), tie);
-        }
-        let now = SimTime::from_secs(120);
-        let mut drained = Vec::new();
-        while wheel.peek().is_some_and(|(t, _)| t <= now.as_millis()) {
-            let (_, (name, code)) = wheel.pop_first().unwrap();
-            let rtype = RecordType::from_code(code).unwrap();
-            drained.push((name.to_string(), rtype.to_string()));
-        }
-        assert!(drained.len() >= 5 && !wheel.is_empty(), "{drained:?}");
-        c.purge_expired(now);
-        let journalled: Vec<(String, String)> = c
-            .with_ledger(|l| {
-                l.journal()
-                    .records()
-                    .filter(|r| r.op == CacheOp::Expire)
-                    .map(|r| (r.name.to_string(), r.rtype.to_string()))
-                    .collect()
-            })
-            .unwrap();
-        assert_eq!(journalled, drained);
-        let pinned = c.iter_entries().filter(|e| e.pinned).count();
-        assert!(pinned > 0);
-        assert_eq!(c.len(), wheel.len() + pinned);
     }
 
     /// `expired_since` reads the entry table and nothing else: on

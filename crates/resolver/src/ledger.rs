@@ -99,7 +99,7 @@ pub struct Provenance {
     pub bailiwick: BailiwickClass,
     /// TTL as published in the installing response.
     pub original_ttl: Ttl,
-    /// TTL after resolver policy (caps, floors, clamps) — what the
+    /// TTL after resolver policy (its cap) — what the
     /// entry actually lives by.
     pub effective_ttl: Ttl,
 }
@@ -136,7 +136,7 @@ pub struct StoreContext {
 ///
 /// The counts obey a conservation law the accounting tests enforce:
 /// every entry creation is an `insert`, every entry destruction is
-/// exactly one of `overwrite`/`expiry`/`invalidation`/`clear`, and a
+/// exactly one of `overwrite`/`expiry`/`clear`, and a
 /// `refresh` is neither (same data, clock restarted) —
 /// so `inserts − removals() == len()` at all times.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -147,15 +147,13 @@ pub struct CacheStats {
     pub refreshes: u64,
     /// Entries destroyed because different data replaced them.
     pub overwrites: u64,
-    /// Entries destroyed because their TTL had passed (purge, or
-    /// replacement of an already-expired entry).
+    /// Entries destroyed because their TTL had passed: a store
+    /// replaced an already-expired entry.
     pub expiries: u64,
     /// Always 0: a cache is bounded by TTL alone and evicts nothing.
     /// Kept for `benchmark/`, which reports it as `cache.evictions`,
     /// until ROADMAP item 3(ii) moves that package off it.
     pub evictions: u64,
-    /// Entries destroyed by explicit invalidation.
-    pub invalidations: u64,
     /// Entries destroyed by [`crate::Cache::clear`].
     pub clears: u64,
     /// Fresh entries served.
@@ -169,7 +167,7 @@ pub struct CacheStats {
 impl CacheStats {
     /// Total entries destroyed, by any cause.
     pub fn removals(&self) -> u64 {
-        self.overwrites + self.expiries + self.invalidations + self.clears
+        self.overwrites + self.expiries + self.clears
     }
 
     /// Folds another cache's counters into this one. Sharded runs use
@@ -181,7 +179,6 @@ impl CacheStats {
         self.refreshes += other.refreshes;
         self.overwrites += other.overwrites;
         self.expiries += other.expiries;
-        self.invalidations += other.invalidations;
         self.clears += other.clears;
         self.hits += other.hits;
         self.stale_hits += other.stale_hits;
@@ -213,8 +210,6 @@ pub struct LedgerCell {
     pub serves: u64,
     /// TTL deaths.
     pub expiries: u64,
-    /// Explicit deaths.
-    pub invalidations: u64,
     /// Serve-stale answers: expired entries served past TTL while the
     /// authoritatives were unreachable (RFC 8767).
     pub stale_serves: u64,
@@ -234,7 +229,6 @@ impl LedgerCell {
             CacheOp::Overwrite => self.overwrites += 1,
             CacheOp::Serve => self.serves += 1,
             CacheOp::Expire => self.expiries += 1,
-            CacheOp::Invalidate => self.invalidations += 1,
             CacheOp::StaleServe => self.stale_serves += 1,
             CacheOp::NegCache => self.neg_caches += 1,
         }
@@ -374,10 +368,9 @@ mod tests {
             inserts: 10,
             overwrites: 2,
             expiries: 3,
-            invalidations: 1,
             clears: 1,
             ..CacheStats::default()
         };
-        assert_eq!(stats.removals(), 7);
+        assert_eq!(stats.removals(), 6);
     }
 }

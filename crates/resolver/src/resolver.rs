@@ -55,8 +55,6 @@ pub struct ResolverStats {
     pub validations: u64,
     /// Responses rejected as bogus (signature present but invalid).
     pub validation_failures: u64,
-    /// Background refreshes triggered by the prefetch policy.
-    pub prefetches: u64,
     /// Truncated UDP responses retried over TCP.
     pub tcp_fallbacks: u64,
     /// Candidate servers skipped because they were in exponential
@@ -103,9 +101,6 @@ struct Ctx {
     upstream: u32,
     /// Names currently being resolved, to break sub-resolution cycles.
     in_flight: HashSet<(Name, RecordType)>,
-    /// Prefetch refresh: this (name, type) must bypass the answer
-    /// cache so the upstream copy is re-fetched.
-    refresh_target: Option<(Name, RecordType)>,
     /// The telemetry span covering this client question.
     span: SpanId,
 }
@@ -292,7 +287,6 @@ impl RecursiveResolver {
             elapsed: SimDuration::ZERO,
             upstream: 0,
             in_flight: HashSet::new(),
-            refresh_target: None,
             span,
         };
         let resolved = self.resolve_inner(qname, qtype, now, net, &mut ctx, 0);
@@ -404,65 +398,14 @@ impl RecursiveResolver {
                 );
             }
         }
-        // Prefetch: a cache hit on a nearly-expired entry triggers a
-        // background refresh. Its latency is NOT charged to this
-        // client (real prefetchers refresh asynchronously), but its
-        // upstream queries are real and counted in the stats.
-        //
-        // The client span stays open until every child span it caused
-        // has closed (the refresh can outlive the client answer), so
-        // the causal tree keeps children nested inside their parent's
-        // sim-time interval; `elapsed_ms` still carries the
-        // client-observed latency.
-        let mut span_close_ms = (now + ctx.elapsed).as_millis();
-        if self.policy.prefetch && cache_hit {
-            if let Some(freshness) = self.cache.freshness(qname, qtype, now) {
-                if freshness < 0.10 {
-                    bump(
-                        &mut self.stats.prefetches,
-                        &self.telemetry,
-                        &metrics::PREFETCHES,
-                        now.as_millis(),
-                    );
-                    self.telemetry
-                        .span_event(span, now.as_millis(), EventKind::Prefetch, |f| {
-                            f.push_shared("qname", qname.shared());
-                        });
-                    // The background refresh is its own span, caused by
-                    // the client query: `sdig --explain` shows it as a
-                    // child branch instead of folding its upstream
-                    // exchanges into the client's timeline.
-                    let refresh_span =
-                        self.telemetry
-                            .child_span_start(span, now.as_millis(), |_, f| {
-                                f.push("cause", Value::literal("prefetch"));
-                                f.push_shared("qname", qname.shared());
-                                f.push("qtype", Value::literal(qtype.as_str()));
-                            });
-                    let mut refresh_ctx = Ctx {
-                        elapsed: SimDuration::ZERO,
-                        upstream: 0,
-                        in_flight: HashSet::new(),
-                        refresh_target: Some((qname.clone(), qtype)),
-                        span: refresh_span,
-                    };
-                    let _ = self.resolve_inner(qname, qtype, now, net, &mut refresh_ctx, 0);
-                    let refresh_end_ms = (now + refresh_ctx.elapsed).as_millis();
-                    span_close_ms = span_close_ms.max(refresh_end_ms);
-                    self.telemetry.span_end(refresh_span, refresh_end_ms, |f| {
-                        f.push("upstream_queries", refresh_ctx.upstream as u64);
-                        f.push("elapsed_ms", refresh_ctx.elapsed.as_millis());
-                    });
-                }
-            }
-        }
-        self.telemetry.span_end(span, span_close_ms, |f| {
-            f.push("rcode", Value::literal(answer.header.rcode.as_str()));
-            f.push("cache_hit", cache_hit);
-            f.push("stale", served_stale);
-            f.push("upstream_queries", ctx.upstream as u64);
-            f.push("elapsed_ms", ctx.elapsed.as_millis());
-        });
+        self.telemetry
+            .span_end(span, (now + ctx.elapsed).as_millis(), |f| {
+                f.push("rcode", Value::literal(answer.header.rcode.as_str()));
+                f.push("cache_hit", cache_hit);
+                f.push("stale", served_stale);
+                f.push("upstream_queries", ctx.upstream as u64);
+                f.push("elapsed_ms", ctx.elapsed.as_millis());
+            });
         ResolutionOutcome {
             answer,
             elapsed: ctx.elapsed,
@@ -502,20 +445,12 @@ impl RecursiveResolver {
         // The answer under construction: the CNAME chain followed so
         // far, then the records that end it.
         let mut chain: Vec<Record> = Vec::new();
-        // QNAME minimisation state: per zone, how many labels of the
-        // target we have already exposed (RFC 7816 extends by one
-        // label after an empty-non-terminal NODATA).
-        let mut exposed: HashMap<Name, usize> = HashMap::new();
 
         for _ in 0..MAX_ITERATIONS {
             // The cache may hold the answer — from an earlier question,
             // or since the previous referral (parent-centric resolvers
             // answer NS questions straight from referral data).
-            let bypass = ctx
-                .refresh_target
-                .as_ref()
-                .is_some_and(|(n, t)| *n == current && *t == qtype);
-            if !bypass && self.answer_from_cache(&current, qtype, now, &mut chain) {
+            if self.answer_from_cache(&current, qtype, now, &mut chain) {
                 return Resolved::Answer {
                     records: chain,
                     stale: false,
@@ -527,30 +462,8 @@ impl RecursiveResolver {
                 return self.fail_or_stale(qname, qtype, now);
             };
 
-            // RFC 7816: against this zone's servers, ask only for the
-            // next label (as NS) until the remaining name is exposed.
-            let min_target = if self.policy.qname_minimization {
-                let floor = exposed
-                    .get(&zone)
-                    .copied()
-                    .unwrap_or(zone.label_count() + 1);
-                let depth = current.label_count();
-                if depth > floor {
-                    // The ancestor with `floor` labels.
-                    current.suffixes().nth(depth - floor).map(|s| s.to_name())
-                } else {
-                    None
-                }
-            } else {
-                None
-            };
-            let (send_name, send_type) = match &min_target {
-                Some(mt) => (mt.clone(), RecordType::NS),
-                None => (current.clone(), qtype),
-            };
-
             let Some((response, from_root, server)) =
-                self.query_candidates(&zone, &candidates, &send_name, send_type, now, net, ctx)
+                self.query_candidates(&zone, &candidates, &current, qtype, now, net, ctx)
             else {
                 return self.fail_or_stale(qname, qtype, now);
             };
@@ -568,33 +481,6 @@ impl RecursiveResolver {
                         f.push_shared("zone", zone.shared());
                         f.push_shared("cut", cut.shared());
                     });
-            }
-
-            if let Some(mt) = &min_target {
-                if response.header.rcode == Rcode::NxDomain {
-                    // RFC 8020: NXDOMAIN on an ancestor means the whole
-                    // subtree (and thus the full question) is absent.
-                    self.cache_negative_from(&response, &current, qtype, now);
-                    return Resolved::Negative(Rcode::NxDomain);
-                }
-                if referral_cut.is_some() {
-                    // A cut at or below the minimised label: the
-                    // referral was ingested; descend normally.
-                    continue;
-                }
-                if response.header.authoritative && response.answers.is_empty() {
-                    // Empty non-terminal: expose one more label to the
-                    // same zone next round (RFC 7816 §3).
-                    exposed.insert(zone.clone(), mt.label_count() + 1);
-                    continue;
-                }
-                if response.header.authoritative {
-                    // The zone answered NS for the minimised name (it
-                    // serves both sides of the cut); the NS set is
-                    // cached — continue descending from it.
-                    continue;
-                }
-                return Resolved::Fail;
             }
 
             if response.header.rcode == Rcode::NxDomain {
@@ -622,7 +508,6 @@ impl RecursiveResolver {
                     }
                     // Prefer the cache view (clamped, coherent TTLs);
                     // fall back to raw records for uncacheable TTL-0.
-                    ctx.refresh_target = None; // fresh copy fetched
                     if !self.answer_from_cache(&current, qtype, now, &mut chain) {
                         chain.extend(direct.map(|r| r.with_ttl(self.policy.clamp_ttl(r.ttl))));
                     }
@@ -1214,7 +1099,6 @@ mod metrics {
     pub(crate) const LATENCY_SKETCH_MS: MetricKey = MetricKey::new("resolver_latency_quantiles_ms");
     pub(crate) const ANSWER_TTL_S: MetricKey = MetricKey::new("resolver_answer_ttl_s");
     pub(crate) const CACHE_ENTRIES: MetricKey = MetricKey::new("resolver_cache_entries");
-    pub(crate) const PREFETCHES: MetricKey = MetricKey::new("resolver_prefetches");
     pub(crate) const VALIDATIONS: MetricKey = MetricKey::new("resolver_validations");
     pub(crate) const VALIDATION_FAILURES: MetricKey =
         MetricKey::new("resolver_validation_failures");
@@ -1775,170 +1659,6 @@ mod tests {
         // Latency accounting: root referral (10) + truncated UDP try
         // (10) + TCP retry with handshake (2 × 10) = 40 ms.
         assert_eq!(out.elapsed, SimDuration::from_millis(40));
-    }
-
-    #[test]
-    fn qname_minimization_hides_the_full_question_from_parents() {
-        // root and .cl must only ever see the next label; only the
-        // final authoritative server sees www.example.cl.
-        let mut net = Network::new(LatencyModel::constant(10.0));
-        let mut root_srv = AuthoritativeServer::new("root").with_zone(
-            ZoneBuilder::new(".")
-                .ns("cl", "a.nic.cl", Ttl::TWO_DAYS)
-                .a("a.nic.cl", "198.51.100.2", Ttl::TWO_DAYS)
-                .build(),
-        );
-        root_srv.enable_logging();
-        let root_handle = Rc::new(RefCell::new(root_srv));
-        let mut cl_srv = AuthoritativeServer::new("a.nic.cl").with_zone(
-            ZoneBuilder::new("cl")
-                .ns("cl", "a.nic.cl", Ttl::HOUR)
-                .a("a.nic.cl", "198.51.100.2", Ttl::from_secs(43_200))
-                .ns("example.cl", "ns.example.cl", Ttl::HOUR)
-                .a("ns.example.cl", "198.51.100.3", Ttl::HOUR)
-                .build(),
-        );
-        cl_srv.enable_logging();
-        let cl_handle = Rc::new(RefCell::new(cl_srv));
-        let example = AuthoritativeServer::new("ns.example.cl").with_zone(
-            ZoneBuilder::new("example.cl")
-                .ns("example.cl", "ns.example.cl", Ttl::HOUR)
-                .a("www.example.cl", "203.0.113.80", Ttl::from_secs(600))
-                .build(),
-        );
-        net.register(ip(1), Region::Eu, root_handle.clone());
-        net.register(ip(2), Region::Eu, cl_handle.clone());
-        net.register(ip(3), Region::Eu, Rc::new(RefCell::new(example)));
-        let hints = vec![RootHint {
-            ns_name: n("root"),
-            addr: ip(1),
-        }];
-
-        let mut r = resolver(ResolverPolicy::minimizing(), hints);
-        let out = r.resolve(&n("www.example.cl"), RecordType::A, SimTime::ZERO, &mut net);
-        assert_eq!(out.answer.header.rcode, Rcode::NoError);
-        assert_eq!(
-            out.answer.answers[0].rdata,
-            RData::A("203.0.113.80".parse().unwrap())
-        );
-
-        // Privacy invariant: the root saw at most one label, .cl at
-        // most two.
-        for entry in root_handle.borrow().log().entries() {
-            assert!(entry.qname.label_count() <= 1, "root saw {}", entry.qname);
-        }
-        for entry in cl_handle.borrow().log().entries() {
-            assert!(entry.qname.label_count() <= 2, ".cl saw {}", entry.qname);
-        }
-    }
-
-    #[test]
-    fn qname_minimization_descends_through_empty_non_terminals() {
-        // deep.sub.example has no cut at sub.example (empty
-        // non-terminal): a minimised NS probe gets NODATA and the
-        // resolver must extend by one label, not give up.
-        let mut net = Network::new(LatencyModel::constant(10.0));
-        let root = AuthoritativeServer::new("root").with_zone(
-            ZoneBuilder::new(".")
-                .ns("example", "ns.example", Ttl::TWO_DAYS)
-                .a("ns.example", "198.51.100.2", Ttl::TWO_DAYS)
-                .build(),
-        );
-        let child = AuthoritativeServer::new("ns.example").with_zone(
-            ZoneBuilder::new("example")
-                .ns("example", "ns.example", Ttl::HOUR)
-                .a("deep.sub.example", "203.0.113.9", Ttl::HOUR)
-                .build(),
-        );
-        net.register(ip(1), Region::Eu, Rc::new(RefCell::new(root)));
-        net.register(ip(2), Region::Eu, Rc::new(RefCell::new(child)));
-        let hints = vec![RootHint {
-            ns_name: n("root"),
-            addr: ip(1),
-        }];
-        let mut r = resolver(ResolverPolicy::minimizing(), hints);
-        let out = r.resolve(
-            &n("deep.sub.example"),
-            RecordType::A,
-            SimTime::ZERO,
-            &mut net,
-        );
-        assert_eq!(out.answer.header.rcode, Rcode::NoError);
-        assert_eq!(
-            out.answer.answers[0].rdata,
-            RData::A("203.0.113.9".parse().unwrap())
-        );
-    }
-
-    #[test]
-    fn qname_minimization_preserves_nxdomain_cut_off() {
-        // RFC 8020: an NXDOMAIN on an ancestor short-circuits.
-        let (mut net, hints) = build_cl_world();
-        let mut r = resolver(ResolverPolicy::minimizing(), hints);
-        let out = r.resolve(&n("a.b.nothere.cl"), RecordType::A, SimTime::ZERO, &mut net);
-        assert_eq!(out.answer.header.rcode, Rcode::NxDomain);
-    }
-
-    #[test]
-    fn prefetch_eliminates_periodic_misses() {
-        // www.example.cl has a 600 s TTL; query every 550 s. Without
-        // prefetch, every other query around expiry is a miss; with
-        // prefetch, the near-expiry hit refreshes the entry so the
-        // *next* query hits too.
-        let run = |prefetch: bool| -> (u32, u64) {
-            let (mut net, hints) = build_cl_world();
-            let policy = ResolverPolicy {
-                prefetch,
-                ..ResolverPolicy::default()
-            };
-            let mut r = resolver(policy, hints);
-            let mut misses = 0u32;
-            for i in 0..12u64 {
-                let out = r.resolve(
-                    &n("www.example.cl"),
-                    RecordType::A,
-                    SimTime::from_secs(i * 550),
-                    &mut net,
-                );
-                assert_eq!(out.answer.header.rcode, Rcode::NoError);
-                misses += (!out.cache_hit) as u32;
-            }
-            (misses, r.stats().prefetches)
-        };
-        let (misses_plain, prefetches_plain) = run(false);
-        let (misses_prefetch, prefetches) = run(true);
-        assert_eq!(prefetches_plain, 0);
-        assert!(prefetches > 0, "prefetches must fire near expiry");
-        assert!(
-            misses_prefetch < misses_plain,
-            "prefetch {misses_prefetch} !< plain {misses_plain}"
-        );
-    }
-
-    #[test]
-    fn prefetch_latency_stays_hidden_from_client() {
-        let (mut net, hints) = build_cl_world();
-        let mut r = resolver(ResolverPolicy::prefetching(), hints);
-        r.resolve(&n("www.example.cl"), RecordType::A, SimTime::ZERO, &mut net);
-        // A hit at 96% of the TTL consumed triggers a refresh but the
-        // client still sees a zero-cost cache answer.
-        let out = r.resolve(
-            &n("www.example.cl"),
-            RecordType::A,
-            SimTime::from_secs(580),
-            &mut net,
-        );
-        assert!(out.cache_hit);
-        assert_eq!(out.elapsed, SimDuration::ZERO);
-        assert_eq!(r.stats().prefetches, 1);
-        // And the refresh really happened: the entry is fresh again.
-        let again = r.resolve(
-            &n("www.example.cl"),
-            RecordType::A,
-            SimTime::from_secs(620),
-            &mut net,
-        );
-        assert!(again.cache_hit, "entry was refreshed in the background");
     }
 
     #[test]

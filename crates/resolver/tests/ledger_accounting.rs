@@ -1,18 +1,15 @@
 //! Removal-cause accounting under a randomized workload.
 //!
 //! The provenance ledger's claim is that every entry leaving the cache
-//! is attributed to exactly one cause — overwrite, expiry, explicit
-//! invalidation, or a phase clear. This suite hammers a cache with a
-//! seeded random mixture of stores, reads, purges and invalidations,
-//! then checks the conservation law
+//! is attributed to exactly one cause — overwrite, expiry, or a flush's
+//! clear. This suite hammers a cache with a seeded random mixture of
+//! stores and reads, then checks the conservation law
 //! `inserts − removals == live entries` and that the removal causes
 //! sum to total removals — i.e. no removal path escapes attribution.
 //!
-//! Beside it: the two removal-cause pins for a zone invalidation
-//! meeting expired residents, and the pinned tape — what a `Cache`
-//! answered, journalled, traced and held over 20 000 seeded steps at
-//! the commit before its core, its accounting sink and its front became
-//! one struct.
+//! Beside it: the removal-cause pin for expired residents, and the
+//! pinned tape — what a `Cache` answered, journalled, traced and held
+//! over 20 000 seeded steps.
 
 use dnsttl_core::ResolverPolicy;
 use dnsttl_netsim::{SimRng, SimTime};
@@ -40,12 +37,11 @@ fn check_conservation(stats: &CacheStats, len: usize, context: &str) {
         stats.inserts,
         stats.removals() + len as u64,
         "{context}: inserts ({}) must equal removals ({}) + live entries ({len}); \
-         causes: overwrites={} expiries={} invalidations={} clears={}",
+         causes: overwrites={} expiries={} clears={}",
         stats.inserts,
         stats.removals(),
         stats.overwrites,
         stats.expiries,
-        stats.invalidations,
         stats.clears,
     );
 }
@@ -85,18 +81,10 @@ fn randomized_workload_conserves_entries_across_causes() {
                 cache.store_with(rrset(host, ttl, data), rank, now, &policy, false, ctx);
             }
             // Reads (hits and misses — neither may disturb residency).
-            70..=89 => {
-                let host = rng.below(256);
-                let name = Name::parse(&format!("h{host}.workload.example")).unwrap();
-                let _ = cache.get(&name, RecordType::A, now);
-            }
-            // Occasional purge sweeps: expiry removals.
-            90..=95 => cache.purge_expired(now),
-            // Renumber-style invalidations.
             _ => {
                 let host = rng.below(256);
                 let name = Name::parse(&format!("h{host}.workload.example")).unwrap();
-                cache.invalidate(&name, RecordType::A, now);
+                let _ = cache.get(&name, RecordType::A, now);
             }
         }
         if step % 4_096 == 0 {
@@ -111,10 +99,6 @@ fn randomized_workload_conserves_entries_across_causes() {
     assert!(stats.refreshes > 0, "no refreshes occurred: {stats:?}");
     assert!(stats.overwrites > 0, "no overwrites occurred: {stats:?}");
     assert!(stats.expiries > 0, "no expiries occurred: {stats:?}");
-    assert!(
-        stats.invalidations > 0,
-        "no invalidations occurred: {stats:?}"
-    );
     assert!(stats.hits > 0, "no hits occurred: {stats:?}");
 
     // A final clear attributes every survivor.
@@ -143,10 +127,6 @@ fn randomized_workload_conserves_entries_across_causes() {
                     stats.expiries
                 );
                 assert_eq!(
-                    by_op.get(&CacheOp::Invalidate).copied().unwrap_or(0),
-                    stats.invalidations
-                );
-                assert_eq!(
                     by_op.get(&CacheOp::Insert).copied().unwrap_or(0),
                     stats.inserts
                 );
@@ -162,10 +142,7 @@ fn randomized_workload_conserves_entries_across_causes() {
             // Every removal with a residency sample: samples ≤ removals
             // (clears don't journal).
             let samples: usize = ledger.cells().map(|(_, c)| c.residency_ms.len()).sum();
-            assert_eq!(
-                samples as u64,
-                stats.overwrites + stats.expiries + stats.invalidations
-            );
+            assert_eq!(samples as u64, stats.overwrites + stats.expiries);
         })
         .expect("ledger enabled");
 }
@@ -205,16 +182,10 @@ fn merged_multi_shard_ledger_conserves_entries() {
                         ctx,
                     );
                 }
-                70..=89 => {
-                    let host = rng.below(128);
-                    let name = Name::parse(&format!("h{host}.workload.example")).unwrap();
-                    let _ = cache.get(&name, RecordType::A, now);
-                }
-                90..=95 => cache.purge_expired(now),
                 _ => {
                     let host = rng.below(128);
                     let name = Name::parse(&format!("h{host}.workload.example")).unwrap();
-                    cache.invalidate(&name, RecordType::A, now);
+                    let _ = cache.get(&name, RecordType::A, now);
                 }
             }
         }
@@ -236,10 +207,7 @@ fn merged_multi_shard_ledger_conserves_entries() {
         merged.inserts > 1_000,
         "merged workload too small: {merged:?}"
     );
-    assert!(
-        merged.overwrites > 0 && merged.expiries > 0 && merged.invalidations > 0,
-        "{merged:?}"
-    );
+    assert!(merged.overwrites > 0 && merged.expiries > 0, "{merged:?}");
 
     // Worker-order independence: absorbing the same shard stats in
     // reverse order gives the same totals (field sums commute).
@@ -251,43 +219,6 @@ fn merged_multi_shard_ledger_conserves_entries() {
         reversed.absorb(s);
     }
     assert_eq!(reversed, merged);
-}
-
-#[test]
-fn same_seed_workloads_produce_identical_journals() {
-    let run = |seed: u64| -> String {
-        let policy = ResolverPolicy::default();
-        let mut rng = SimRng::seed_from(seed);
-        let mut cache = Cache::new();
-        cache.enable_ledger();
-        let mut now = SimTime::ZERO;
-        for step in 0..2_000u64 {
-            now += dnsttl_netsim::SimDuration::from_secs(rng.below(30));
-            if rng.chance(0.8) {
-                let host = rng.below(64);
-                let ctx = StoreContext {
-                    txn: step,
-                    server: Some("203.0.113.9".parse().unwrap()),
-                    bailiwick: BailiwickClass::In,
-                };
-                cache.store_with(
-                    rrset(host, 1 + rng.below(120) as u32, 1),
-                    Credibility::AuthAnswer,
-                    now,
-                    &policy,
-                    false,
-                    ctx,
-                );
-            } else {
-                cache.purge_expired(now);
-            }
-        }
-        cache.with_ledger(|l| l.journal().to_jsonl()).unwrap()
-    };
-    // Byte-identical across reruns: purge order must not depend on
-    // HashMap iteration order.
-    assert_eq!(run(7), run(7));
-    assert_ne!(run(7), run(8));
 }
 
 /// 64 entries under `workload.example`, stored at time zero with a
@@ -307,52 +238,44 @@ fn filled_with_expired_residents() -> Cache {
     cache
 }
 
-/// Every resident entry leaving the cache is attributed to exactly one
-/// cause, and an expired-but-resident entry is still resident: a zone
-/// invalidation that removes it counts an *invalidation*, never an
-/// expiry.
+/// An expired-but-resident entry is still resident: it leaves by the
+/// store that replaces it (an *expiry*) or by a flush (a *clear*),
+/// never twice and never unattributed.
 #[test]
-fn invalidate_zone_on_expired_residents_counts_invalidations() {
+fn expired_residents_leave_by_replacement_or_clear() {
+    let policy = ResolverPolicy::default();
     let mut cache = filled_with_expired_residents();
-    let apex = Name::parse("workload.example").unwrap();
-    assert_eq!(cache.invalidate_zone(&apex, SimTime::from_secs(600)), 64);
+    let later = SimTime::from_secs(600);
+    for host in 0..32 {
+        cache.store(
+            rrset(host, 60, 1),
+            Credibility::AuthAnswer,
+            later,
+            &policy,
+            false,
+        );
+    }
     let stats = cache.stats();
-    assert_eq!(stats.invalidations, 64);
-    assert_eq!(stats.expiries, 0, "expiry drift");
-    check_conservation(
-        &stats,
-        cache.len(),
-        "zone invalidation of expired residents",
+    assert_eq!(
+        (stats.expiries, stats.refreshes, stats.inserts),
+        (32, 0, 96)
     );
+    check_conservation(&stats, cache.len(), "replaced expired residents");
+    cache.clear();
+    let stats = cache.stats();
+    assert_eq!((stats.expiries, stats.clears), (32, 64));
+    check_conservation(&stats, cache.len(), "flushed the rest");
     assert!(cache.is_empty());
 }
 
-/// Only `purge_expired` (or replacement of the expired key) turns an
-/// expired resident into an *expiry*: a purge sweep claims all 64, and
-/// the zone invalidation that follows finds nothing.
-#[test]
-fn purge_before_invalidate_zone_counts_expiries() {
-    let mut cache = filled_with_expired_residents();
-    let apex = Name::parse("workload.example").unwrap();
-    let later = SimTime::from_secs(600);
-    cache.purge_expired(later);
-    assert_eq!(cache.invalidate_zone(&apex, later), 0);
-    let stats = cache.stats();
-    assert_eq!(stats.expiries, 64);
-    assert_eq!(stats.invalidations, 0, "invalidation drift");
-    check_conservation(&stats, cache.len(), "purge before zone invalidation");
-}
-
 // The pinned tape: what a `Cache` answered, journalled, traced and held
-// at the last commit where its accounting went through a sink trait
-// shared with a concurrent model — all but the trace, re-pinned when
-// the cache stopped tracing its transactions.
+// at commit 772e60d, the last with purge and invalidation paths, on a
+// tape that uses neither.
 
 const TAPE_STEPS: u64 = 20_000;
 const TAPE_SEEDS: [u64; 4] = [3, 17, 2024, 4242];
 
-/// Names with case variety, so the canonical-order tie-break of the
-/// purge actually fires.
+/// Names with case variety across three zones.
 fn name_pool() -> Vec<Name> {
     (0..96)
         .map(|i| {
@@ -394,10 +317,9 @@ fn fnv1a(text: &str) -> u64 {
 }
 
 /// Drives one seeded tape — mostly stores and reads, plus serve-stale
-/// reads, failure caching and invalidations, one line of transcript a
+/// reads, failure caching and negative reads, one line of transcript a
 /// step — and digests everything the cache produced. After the
-/// snapshot the tape ends with the operations its mix lacks: a purge,
-/// a zone invalidation and a negative store read back.
+/// snapshot the tape ends with a negative store read back.
 fn run_tape(seed: u64, names: &[Name]) -> String {
     let policy = ResolverPolicy::default();
     let mut cache = Cache::new();
@@ -445,15 +367,11 @@ fn run_tape(seed: u64, names: &[Name]) -> String {
             45..=74 => answers.push_str(&describe(cache.get(name, rtype, now))),
             75..=84 => answers.push_str(&describe(cache.get_stale(name, rtype, now, max_stale))),
             85..=89 => cache.store_failure(name.clone(), rtype, Ttl::from_secs(30), now),
-            90..=94 => answers.push_str(&format!("{:?}", cache.get_negative(name, rtype, now))),
-            _ => answers.push_str(&format!("{}", cache.invalidate(name, rtype, now))),
+            _ => answers.push_str(&format!("{:?}", cache.get_negative(name, rtype, now))),
         }
         answers.push('\n');
     }
     let snapshot = cache.snapshot(now).to_jsonl();
-    cache.purge_expired(now);
-    let apex = Name::parse("sub.example").unwrap();
-    answers.push_str(&format!("{}\n", cache.invalidate_zone(&apex, now)));
     let (nx, soa_ttl) = (dnsttl_wire::Rcode::NxDomain, Ttl::from_secs(300));
     cache.store_negative(
         names[0].clone(),
@@ -469,10 +387,7 @@ fn run_tape(seed: u64, names: &[Name]) -> String {
 
     let stats = cache.stats();
     assert!(stats.hits > 1_000 && stats.stale_hits > 100, "{stats:?}");
-    assert!(
-        stats.expiries > 100 && stats.invalidations > 100,
-        "{stats:?}"
-    );
+    assert!(stats.expiries > 100, "{stats:?}");
     check_conservation(&stats, cache.len(), &format!("seed {seed} tape"));
     let ledger = cache
         .with_ledger(|l| {
@@ -488,7 +403,6 @@ fn run_tape(seed: u64, names: &[Name]) -> String {
     let mut counted = vec![
         ("cache_expired_drop", stats.expiries),
         ("cache_insert", stats.inserts),
-        ("cache_invalidate", stats.invalidations),
         ("cache_overwrite", stats.overwrites),
         ("cache_refresh", stats.refreshes),
         ("cache_serve", stats.hits),
@@ -507,26 +421,39 @@ fn run_tape(seed: u64, names: &[Name]) -> String {
         fnv1a(&ledger),
         fnv1a(&telemetry.trace_jsonl()),
         fnv1a(&snapshot),
-        fnv1a(&format!("{stats:?}")),
+        fnv1a(&stats_line(&stats)),
     )
 }
 
-/// [`run_tape`]'s rows as this test printed them at the commit before
-/// `Cache` absorbed its core and its accounting sink. The `trace`
-/// column is the one that moved since: a cache counts its transactions
-/// instead of tracing them, so every trace is empty and digests to the
-/// FNV-1a offset basis.
+/// The cache's counters by name (all but `evictions`, always 0).
+fn stats_line(s: &CacheStats) -> String {
+    format!(
+        "inserts={} refreshes={} overwrites={} expiries={} clears={} hits={} stale_hits={} \
+         rejected_stores={}",
+        s.inserts,
+        s.refreshes,
+        s.overwrites,
+        s.expiries,
+        s.clears,
+        s.hits,
+        s.stale_hits,
+        s.rejected_stores
+    )
+}
+
+/// [`run_tape`]'s rows as this test printed them at commit 772e60d. A
+/// cache counts its transactions instead of tracing them, so every
+/// trace is empty and digests to the FNV-1a offset basis.
 const PINNED_TAPES: [&str; 4] = [
-    "seed 3 unbounded: answers a75ae35af8bef9c4 ledger 64b52f24d9879400 trace cbf29ce484222325 snapshot 346631f287ddc0ef stats 52a9258ca928619a",
-    "seed 17 unbounded: answers 6e584cf636387642 ledger f54744147a356ae6 trace cbf29ce484222325 snapshot 7c68b5273b6585a7 stats 456544be59ce1748",
-    "seed 2024 unbounded: answers 98f36ad823f2ba4c ledger 7d8e1851fa49df12 trace cbf29ce484222325 snapshot 8e79170861f1a1d9 stats 274da7ad0a5262b1",
-    "seed 4242 unbounded: answers 871a0e7dd914aca0 ledger 113c5cfcb0aed937 trace cbf29ce484222325 snapshot 22b4f4e1f653f3a5 stats 08a6141691378062",
+    "seed 3 unbounded: answers 4dab316176006989 ledger c0618dad95f85e61 trace cbf29ce484222325 snapshot 9fff47aef86ffd7b stats 517f67f397ab2fa6",
+    "seed 17 unbounded: answers 2123c41581450eaa ledger efc0e8c5d53a81e6 trace cbf29ce484222325 snapshot 89bfff399e1faea5 stats 5f51bc9e52614009",
+    "seed 2024 unbounded: answers a34c88295583d0d8 ledger d3452595614e5990 trace cbf29ce484222325 snapshot 42b054dbdd122592 stats bc5efe93f7a97bfb",
+    "seed 4242 unbounded: answers 0c9dce00e2398ee3 ledger f9fac542b9ced033 trace cbf29ce484222325 snapshot 9f72aabccc4dab58 stats 65b3ef12d50af7af",
 ];
 
 /// Every answer, ledger line, snapshot line and counter a `Cache`
 /// produces on a 20 000-step seeded tape is what it was before the
-/// fold: direct accounting journals what the sink journalled. The
-/// trace it leaves is empty.
+/// purge and invalidation paths went. The trace it leaves is empty.
 #[test]
 fn seeded_tapes_reproduce_the_digests_pinned_before_the_fold() {
     let names = name_pool();

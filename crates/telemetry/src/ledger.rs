@@ -1,7 +1,7 @@
 //! The cache provenance ledger codec.
 //!
 //! The resolver cache emits one [`LedgerRecord`] per cache transaction
-//! — insert, refresh, overwrite, serve, expiry, invalidation — in the
+//! — insert, refresh, overwrite, serve, expiry, stale serve — in the
 //! spirit of dnstap's per-message framing, but for cache state. This
 //! module owns the *codec*: a compact JSONL line format (short keys,
 //! hex fingerprints, no optional-field noise) with a strict parser, so
@@ -20,10 +20,10 @@ use std::sync::Arc;
 
 use crate::json::{self, flat_get, parse_flat_object, JsonScalar, Value};
 
-/// What a ledger record describes. Every removal carries exactly one
-/// cause, so `expire + invalidate + overwrite` counts sum to
-/// total removals — the conservation law the resolver's accounting
-/// tests enforce.
+/// What a ledger record describes. Every journalled removal carries
+/// exactly one cause, so `expire + overwrite` counts sum to total
+/// journalled removals — the conservation law the resolver's
+/// accounting tests enforce.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum CacheOp {
     /// A fresh RRset entered the cache under a previously-empty key.
@@ -38,9 +38,6 @@ pub enum CacheOp {
     Serve,
     /// An entry was removed because its effective TTL had passed.
     Expire,
-    /// An entry was removed by explicit invalidation (e.g. the
-    /// authoritative side renumbered and the harness flushed the name).
-    Invalidate,
     /// An *expired* entry answered a client query past its TTL because
     /// every authoritative server was unreachable (RFC 8767
     /// serve-stale). Not a removal: the entry stays resident until its
@@ -62,7 +59,6 @@ impl CacheOp {
             CacheOp::Overwrite => "overwrite",
             CacheOp::Serve => "serve",
             CacheOp::Expire => "expire",
-            CacheOp::Invalidate => "invalidate",
             CacheOp::StaleServe => "stale_serve",
             CacheOp::NegCache => "neg_cache",
         }
@@ -76,7 +72,6 @@ impl CacheOp {
             "overwrite" => CacheOp::Overwrite,
             "serve" => CacheOp::Serve,
             "expire" => CacheOp::Expire,
-            "invalidate" => CacheOp::Invalidate,
             "stale_serve" => CacheOp::StaleServe,
             "neg_cache" => CacheOp::NegCache,
             _ => return None,
@@ -86,20 +81,16 @@ impl CacheOp {
     /// Whether this op ends an entry's residency in the cache.
     /// (`Overwrite` both ends one residency and starts another.)
     pub fn is_removal(&self) -> bool {
-        matches!(
-            self,
-            CacheOp::Overwrite | CacheOp::Expire | CacheOp::Invalidate
-        )
+        matches!(self, CacheOp::Overwrite | CacheOp::Expire)
     }
 
     /// All ops, in codec order.
-    pub const ALL: [CacheOp; 8] = [
+    pub const ALL: [CacheOp; 7] = [
         CacheOp::Insert,
         CacheOp::Refresh,
         CacheOp::Overwrite,
         CacheOp::Serve,
         CacheOp::Expire,
-        CacheOp::Invalidate,
         CacheOp::StaleServe,
         CacheOp::NegCache,
     ];
@@ -149,7 +140,7 @@ pub struct LedgerRecord {
     pub rank: Cow<'static, str>,
     /// TTL as published in the installing response, seconds.
     pub original_ttl: u32,
-    /// TTL after resolver policy (caps/floors/coupling), seconds.
+    /// TTL after resolver policy (caps/coupling), seconds.
     pub effective_ttl: u32,
     /// For removal and serve ops: how long the entry had been resident
     /// at transaction time, milliseconds.

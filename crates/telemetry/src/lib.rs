@@ -267,10 +267,9 @@ impl Telemetry {
         span
     }
 
-    /// Opens a span caused by `parent` — a prefetch refresh, an
-    /// out-of-bailiwick NS address lookup, or any other sub-resolution
-    /// a client query triggers. The start event carries the parent id,
-    /// which makes the flat trace a walkable causal tree
+    /// Opens a span caused by `parent` — the out-of-bailiwick NS
+    /// address lookup a client query triggers. The start event carries
+    /// the parent id, which makes the flat trace a walkable causal tree
     /// (`sdig --explain`, `repro flame`).
     pub fn child_span_start(
         &self,
@@ -619,7 +618,7 @@ mod tests {
     fn child_spans_record_parent_links() {
         let t = Telemetry::new();
         let root = t.span_start(100, |_, f| f.push("qname", "example."));
-        let child = t.child_span_start(root, 110, |_, f| f.push("cause", "prefetch"));
+        let child = t.child_span_start(root, 110, |_, f| f.push("cause", "ns_lookup"));
         t.span_end(child, 120, |_| {});
         t.span_end(root, 130, |_| {});
         let jsonl = t.trace_jsonl();

@@ -376,7 +376,6 @@ fn help_for(name: &str) -> &'static str {
         "resolver_stale_answers" => "Answers served from expired entries (RFC 8767)",
         "resolver_servfails" => "Resolutions that failed with SERVFAIL",
         "resolver_failure_caches" => "Upstream failures negatively cached (RFC 2308)",
-        "resolver_prefetches" => "Near-expiry cache entries refreshed ahead of demand",
         "resolver_validations" => "DNSSEC validations attempted",
         "resolver_validation_failures" => "DNSSEC validations that failed",
         "resolver_tcp_fallbacks" => "Truncated UDP responses retried over TCP",

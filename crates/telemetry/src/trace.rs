@@ -39,8 +39,6 @@ pub enum EventKind {
     CacheExpiry,
     /// A stale entry was served (serve-stale policy).
     CacheStale,
-    /// A prefetch refreshed an entry nearing expiry.
-    Prefetch,
     /// An authoritative server delegated to a child zone.
     Referral,
     /// A query was retried against another candidate server.
@@ -71,9 +69,6 @@ pub enum EventKind {
     CacheServe,
     /// A cached entry was removed because its TTL had passed.
     CacheExpiredDrop,
-    /// A cached entry was removed by an explicit invalidation (e.g.
-    /// after an authoritative renumbering).
-    CacheInvalidate,
     /// An expired cached entry answered a client past its TTL
     /// (RFC 8767 serve-stale; ledger-level counterpart of
     /// [`EventKind::CacheStale`]).
@@ -96,7 +91,6 @@ impl EventKind {
             EventKind::SpanEnd => "span_end",
             EventKind::CacheExpiry => "cache_expiry",
             EventKind::CacheStale => "cache_stale",
-            EventKind::Prefetch => "prefetch",
             EventKind::Referral => "referral",
             EventKind::Retry => "retry",
             EventKind::Timeout => "timeout",
@@ -112,7 +106,6 @@ impl EventKind {
             EventKind::CacheOverwrite => "cache_overwrite",
             EventKind::CacheServe => "cache_serve",
             EventKind::CacheExpiredDrop => "cache_expired_drop",
-            EventKind::CacheInvalidate => "cache_invalidate",
             EventKind::CacheStaleServe => "cache_stale_serve",
             EventKind::NegCache => "neg_cache",
             EventKind::Backoff => "backoff",
@@ -128,7 +121,7 @@ impl EventKind {
     }
 
     /// Number of variants (the per-kind array length).
-    const COUNT: usize = 25;
+    const COUNT: usize = 23;
 
     /// All variants, in [`EventKind::index`] order.
     const INDEXED: [EventKind; EventKind::COUNT] = [
@@ -136,7 +129,6 @@ impl EventKind {
         EventKind::SpanEnd,
         EventKind::CacheExpiry,
         EventKind::CacheStale,
-        EventKind::Prefetch,
         EventKind::Referral,
         EventKind::Retry,
         EventKind::Timeout,
@@ -152,7 +144,6 @@ impl EventKind {
         EventKind::CacheOverwrite,
         EventKind::CacheServe,
         EventKind::CacheExpiredDrop,
-        EventKind::CacheInvalidate,
         EventKind::CacheStaleServe,
         EventKind::NegCache,
         EventKind::Backoff,
@@ -178,8 +169,8 @@ pub struct TraceEvent {
     /// The span this event belongs to, if any.
     pub span: Option<SpanId>,
     /// For a [`EventKind::SpanStart`]: the span that caused this one
-    /// (e.g. the client resolution that triggered a prefetch refresh or
-    /// an out-of-bailiwick NS address lookup). `None` for root spans
+    /// (e.g. the client resolution that triggered an out-of-bailiwick
+    /// NS address lookup). `None` for root spans
     /// and for non-start events. Parent/child links make the flat
     /// event stream a walkable causal tree.
     pub parent: Option<SpanId>,

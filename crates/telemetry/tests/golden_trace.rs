@@ -69,7 +69,7 @@ fn wrapped_ring() -> Tracer {
             if i % 2 == 0 {
                 EventKind::CacheInsert
             } else {
-                EventKind::Prefetch
+                EventKind::Referral
             },
             Some(span),
             (i % 3 == 2).then(|| SpanId(i - 1)),
@@ -103,7 +103,7 @@ fn absorbed() -> Tracer {
             f.push("shard", Value::literal(tag));
         });
         t.record_caused(base + 5, EventKind::SpanStart, Some(b), Some(a), |f| {
-            f.push("cause", Value::literal("prefetch"));
+            f.push("cause", Value::literal("ns_lookup"));
             f.push("server", "192.0.2.1".parse::<IpAddr>().unwrap());
         });
         t.record(base + 10, EventKind::ServFail, Some(b), |f| {
@@ -152,14 +152,14 @@ fn a_twice_wrapped_ring_exports_the_pinned_bytes() {
     assert_golden(
         &t,
         r#"{"t_ms":106,"seq":6,"event":"cache_insert","span":6,"n":"name6.example.","i":6,"ty":"A"}
-{"t_ms":107,"seq":7,"event":"prefetch","span":7,"n":"name7.example.","i":7,"owned":"s7","v6":"2001:db8::7","ty":"A"}
+{"t_ms":107,"seq":7,"event":"referral","span":7,"n":"name7.example.","i":7,"owned":"s7","v6":"2001:db8::7","ty":"A"}
 {"t_ms":108,"seq":8,"event":"cache_insert","span":8,"parent":7,"n":"name8.example.","i":8,"ty":"A"}
 "#,
     );
     assert_eq!((t.dropped(), t.total_recorded()), (6, 9));
     assert_eq!(
         t.dropped_counts().collect::<Vec<_>>(),
-        vec![("cache_insert", 3), ("prefetch", 3)]
+        vec![("cache_insert", 3), ("referral", 3)]
     );
 }
 
@@ -169,8 +169,8 @@ fn absorbed_shards_export_the_pinned_bytes() {
     assert_golden(
         &t,
         r#"{"t_ms":1,"seq":0,"event":"renumber","zone":"uy."}
-{"t_ms":15,"seq":3,"event":"span_start","span":0,"parent":1,"cause":"prefetch","server":"192.0.2.1"}
-{"t_ms":17,"seq":4,"event":"span_start","span":2,"parent":3,"cause":"prefetch","server":"192.0.2.1"}
+{"t_ms":15,"seq":3,"event":"span_start","span":0,"parent":1,"cause":"ns_lookup","server":"192.0.2.1"}
+{"t_ms":17,"seq":4,"event":"span_start","span":2,"parent":3,"cause":"ns_lookup","server":"192.0.2.1"}
 {"t_ms":20,"seq":5,"event":"servfail","span":0,"note":"from s0"}
 {"t_ms":20,"seq":6,"event":"span_end","span":0}
 {"t_ms":22,"seq":7,"event":"servfail","span":2,"note":"from s1"}

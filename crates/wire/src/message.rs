@@ -35,7 +35,7 @@ impl Opcode {
 
     /// Decode from wire code, defaulting unknown opcodes to `Query`
     /// (they are rejected at a higher layer with `NotImp`).
-    pub fn from_code(code: u8) -> Opcode {
+    pub(crate) fn from_code(code: u8) -> Opcode {
         match code {
             4 => Opcode::Notify,
             5 => Opcode::Update,
@@ -79,7 +79,7 @@ impl Rcode {
 
     /// Decode from wire code; unknown codes map to `ServFail`, the
     /// conservative interpretation for a cache.
-    pub fn from_code(code: u8) -> Rcode {
+    pub(crate) fn from_code(code: u8) -> Rcode {
         match code {
             0 => Rcode::NoError,
             1 => Rcode::FormErr,

@@ -611,18 +611,6 @@ mod tests {
     }
 
     #[test]
-    fn suffixes_index_by_label_count() {
-        // The ancestor with `k` labels sits `label_count() - k` steps
-        // into the walk — how QNAME minimisation picks its target.
-        let name = n("a.nic.uy");
-        for (k, expected) in [".", "uy.", "nic.uy.", "a.nic.uy."].into_iter().enumerate() {
-            let suffix = name.suffixes().nth(name.label_count() - k).unwrap();
-            assert_eq!(suffix.as_str(), expected);
-            assert_eq!(suffix.to_name().label_count(), k);
-        }
-    }
-
-    #[test]
     fn a_suffix_finds_the_entry_an_equal_name_would() {
         use std::collections::HashMap;
         let mut map: HashMap<Name, u8> = HashMap::new();

@@ -52,7 +52,7 @@ impl RecordType {
     }
 
     /// Looks up a type by IANA code.
-    pub fn from_code(code: u16) -> Result<RecordType, WireError> {
+    pub(crate) fn from_code(code: u16) -> Result<RecordType, WireError> {
         Ok(match code {
             1 => RecordType::A,
             2 => RecordType::NS,

@@ -27,7 +27,7 @@ impl Class {
     }
 
     /// Looks up a class by IANA code.
-    pub fn from_code(code: u16) -> Result<Class, WireError> {
+    pub(crate) fn from_code(code: u16) -> Result<Class, WireError> {
         Ok(match code {
             1 => Class::In,
             3 => Class::Ch,

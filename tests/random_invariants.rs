@@ -30,9 +30,6 @@ fn gen_policy(rng: &mut SimRng) -> ResolverPolicy {
         ttl_cap: rng
             .chance(0.5)
             .then(|| Ttl::from_secs(rng.range_u64(1, 604_801) as u32)),
-        ttl_floor: rng
-            .chance(0.5)
-            .then(|| Ttl::from_secs(rng.range_u64(1, 601) as u32)),
         link_inbailiwick_glue: rng.chance(0.5),
         serve_stale: rng.chance(0.5).then_some(Ttl::DAY),
         upstream_failure_ttl: rng.chance(0.5).then_some(Ttl::from_secs(30)),
@@ -40,13 +37,11 @@ fn gen_policy(rng: &mut SimRng) -> ResolverPolicy {
         local_root: false,
         sticky: rng.chance(0.5),
         validate_dnssec: false,
-        prefetch: false,
-        qname_minimization: false,
     }
 }
 
 /// The effective TTL never exceeds what either parent or child
-/// published (after policy clamping can only shrink/floor it), and
+/// published (policy clamping can only shrink it), and
 /// in-bailiwick coupling never *extends* an address's life.
 #[test]
 fn effective_ttl_is_bounded() {
