@@ -176,7 +176,7 @@ impl DnsService for AuthoritativeServer {
             self.last_query_at = Some(now);
         }
         let mut response = Message::response_to(query);
-        let Some(question) = query.question() else {
+        let Some(question) = &query.question else {
             response.header.rcode = Rcode::FormErr;
             self.note_response("formerr");
             return response;
@@ -441,7 +441,7 @@ mod tests {
     fn missing_question_is_formerr() {
         let mut srv = root_and_cl_server();
         let mut q = Message::iterative_query(8, n("cl"), RecordType::NS);
-        q.questions.clear();
+        q.question = None;
         let r = srv.handle_query(&q, client(1), SimTime::ZERO);
         assert_eq!(r.header.rcode, Rcode::FormErr);
     }

@@ -172,7 +172,7 @@ impl Model {
     /// The response a one-zone server owes for `query`.
     fn respond(&self, query: &Message) -> Message {
         let mut response = Message::response_to(query);
-        let question = query.question().expect("queries carry a question");
+        let question = query.question.as_ref().expect("queries carry a question");
         match self.lookup(&question.qname, question.qtype) {
             ZoneLookup::Answer {
                 records,

@@ -366,7 +366,7 @@ impl DnsService for SyntheticZoneService {
     fn handle_query(&mut self, query: &Message, _client: ClientId, _now: SimTime) -> Message {
         self.queries += 1;
         let mut response = Message::response_to(query);
-        let Some(q) = query.question() else {
+        let Some(q) = &query.question else {
             response.header.rcode = Rcode::FormErr;
             return response;
         };

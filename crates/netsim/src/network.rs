@@ -460,7 +460,7 @@ mod tests {
             let mut r = Message::response_to(query);
             r.header.authoritative = true;
             r.header.rcode = Rcode::NoError;
-            if let Some(q) = query.question() {
+            if let Some(q) = &query.question {
                 r.answers.push(Record::new(
                     q.qname.clone(),
                     Ttl::MINUTE,
@@ -657,7 +657,7 @@ mod tests {
         fn handle_query(&mut self, query: &Message, _client: ClientId, _now: SimTime) -> Message {
             let mut r = Message::response_to(query);
             r.header.authoritative = true;
-            if let Some(q) = query.question() {
+            if let Some(q) = &query.question {
                 for i in 0..40u8 {
                     r.answers.push(Record::new(
                         q.qname.clone(),

@@ -14,7 +14,7 @@ use dnsttl_core::{Centricity, ResolverPolicy};
 use dnsttl_netsim::{ExchangeOutcome, Network, Region, SimDuration, SimRng, SimTime, Transport};
 use dnsttl_telemetry::{EventKind, MetricKey, SpanId, Telemetry, Value};
 use dnsttl_wire::{Message, Name, RData, RRset, Rcode, Record, RecordType, Ttl};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::net::IpAddr;
 
 /// Maximum referral-chasing iterations per query.
@@ -99,8 +99,10 @@ struct BackoffState {
 struct Ctx {
     elapsed: SimDuration,
     upstream: u32,
-    /// Names currently being resolved, to break sub-resolution cycles.
-    in_flight: HashSet<(Name, RecordType)>,
+    /// Names currently being resolved, to break sub-resolution cycles:
+    /// a stack of at most `MAX_DEPTH` entries, pushed only by the
+    /// out-of-bailiwick NS chase.
+    in_flight: Vec<(Name, RecordType)>,
     /// The telemetry span covering this client question.
     span: SpanId,
 }
@@ -286,7 +288,7 @@ impl RecursiveResolver {
         let mut ctx = Ctx {
             elapsed: SimDuration::ZERO,
             upstream: 0,
-            in_flight: HashSet::new(),
+            in_flight: Vec::new(),
             span,
         };
         let resolved = self.resolve_inner(qname, qtype, now, net, &mut ctx, 0);
@@ -681,10 +683,10 @@ impl RecursiveResolver {
 
     /// Finds the deepest zone with usable name servers for `name`.
     ///
-    /// Returns the zone apex and `(ns_name, address)` candidates. Walks
-    /// from the name toward the root; zones whose servers have no
-    /// resolvable address are skipped (their parent will re-supply
-    /// glue). Root hints are the backstop.
+    /// Returns the zone apex and its servers' addresses. Walks from the
+    /// name toward the root; zones whose servers have no resolvable
+    /// address are skipped (their parent will re-supply glue). Root
+    /// hints are the backstop.
     fn server_candidates(
         &mut self,
         name: &Name,
@@ -692,31 +694,35 @@ impl RecursiveResolver {
         net: &mut Network,
         ctx: &mut Ctx,
         depth: usize,
-    ) -> Option<(Name, Vec<(Name, IpAddr)>)> {
+    ) -> Option<(Name, Vec<IpAddr>)> {
         // Deepest first; the root (the one suffix without a label) is
         // the hints' job.
         for suffix in name.suffixes().take_while(|s| !s.label().is_empty()) {
-            // The zone is the cached owner name. Its NS targets are
-            // taken out of the entry (refcount bumps) because looking
-            // their addresses up goes back into the cache.
-            let Some((zone, ns_targets)) = self.cache.read(&suffix, RecordType::NS, now, |e, _| {
-                let targets: Vec<Name> = e
-                    .rrset
-                    .rdatas
-                    .iter()
-                    .filter_map(|rd| match rd {
-                        RData::Ns(n) => Some(n.clone()),
+            // The zone is the cached owner name. Its NS targets'
+            // addresses are read while the entry is, in target order
+            // (the order the ledger records their serves in). Only the
+            // cold path, where none has one, takes the targets out of
+            // the entry, because resolving them leaves the cache.
+            let Some((zone, mut candidates, ns_targets)) =
+                self.cache.read(&suffix, RecordType::NS, now, |e, _| {
+                    let targets = e.rrset.rdatas.iter().filter_map(|rd| match rd {
+                        RData::Ns(n) => Some(n),
                         _ => None,
-                    })
-                    .collect();
-                (e.rrset.name.clone(), targets)
-            }) else {
+                    });
+                    let candidates: Vec<IpAddr> = targets
+                        .clone()
+                        .filter_map(|t| self.cached_address(t, now))
+                        .collect();
+                    let cold: Vec<Name> = if candidates.is_empty() {
+                        targets.cloned().collect()
+                    } else {
+                        Vec::new()
+                    };
+                    (e.rrset.name.clone(), candidates, cold)
+                })
+            else {
                 continue;
             };
-            let mut candidates: Vec<(Name, IpAddr)> = ns_targets
-                .iter()
-                .filter_map(|t| self.cached_address(t, now).map(|addr| (t.clone(), addr)))
-                .collect();
             if candidates.is_empty() && depth < MAX_DEPTH {
                 // Out-of-bailiwick servers: resolve their addresses via
                 // separate queries (in-bailiwick targets would need this
@@ -729,7 +735,7 @@ impl RecursiveResolver {
                     if ctx.in_flight.contains(&key) {
                         continue;
                     }
-                    ctx.in_flight.insert(key.clone());
+                    ctx.in_flight.push(key);
                     // The address lookup is a separate resolution the
                     // client query caused: give it a child span so the
                     // causal tree shows the NS chase as its own branch.
@@ -751,11 +757,11 @@ impl RecursiveResolver {
                         .span_end(sub_span, (now + ctx.elapsed).as_millis(), |f| {
                             f.push("elapsed_ms", ctx.elapsed.as_millis() - elapsed_before);
                         });
-                    ctx.in_flight.remove(&key);
+                    ctx.in_flight.pop();
                     if let Resolved::Answer { records, .. } = sub {
                         for r in records {
                             if let RData::A(a) = r.rdata {
-                                candidates.push((target.clone(), IpAddr::V4(a)));
+                                candidates.push(IpAddr::V4(a));
                             }
                         }
                     }
@@ -770,11 +776,7 @@ impl RecursiveResolver {
             }
         }
         // Root hints.
-        let mut candidates: Vec<(Name, IpAddr)> = self
-            .roots
-            .iter()
-            .map(|h| (h.ns_name.clone(), h.addr))
-            .collect();
+        let mut candidates: Vec<IpAddr> = self.roots.iter().map(|h| h.addr).collect();
         if candidates.is_empty() {
             return None;
         }
@@ -805,16 +807,16 @@ impl RecursiveResolver {
     /// Rotates candidates (resolvers rotate across authoritatives,
     /// paper §3.4 / [37]); sticky resolvers pin their remembered server
     /// to the front instead.
-    fn order_candidates(&mut self, zone: &Name, candidates: &mut Vec<(Name, IpAddr)>) {
+    fn order_candidates(&mut self, zone: &Name, candidates: &mut Vec<IpAddr>) {
         self.rng.shuffle(candidates);
         if self.policy.sticky {
             if let Some(&addr) = self.sticky_server.get(zone) {
-                if let Some(pos) = candidates.iter().position(|(_, a)| *a == addr) {
+                if let Some(pos) = candidates.iter().position(|a| *a == addr) {
                     candidates.swap(0, pos);
                 } else {
                     // The sticky address may no longer be in the NS set
                     // (renumbered); stay loyal to it anyway.
-                    candidates.insert(0, (zone.clone(), addr));
+                    candidates.insert(0, addr);
                 }
             }
         }
@@ -826,7 +828,7 @@ impl RecursiveResolver {
     fn query_candidates(
         &mut self,
         zone: &Name,
-        candidates: &[(Name, IpAddr)],
+        candidates: &[IpAddr],
         qname: &Name,
         qtype: RecordType,
         now: SimTime,
@@ -834,7 +836,7 @@ impl RecursiveResolver {
         ctx: &mut Ctx,
     ) -> Option<(Message, bool, IpAddr)> {
         let from_root = zone.is_root();
-        for (_, addr) in candidates {
+        for addr in candidates {
             if self.in_backoff(*addr, now, ctx) {
                 continue;
             }
@@ -1124,31 +1126,32 @@ fn referral_cut(response: &Message) -> Option<&Name> {
 
 /// Groups a section's records into RRsets, in order of first
 /// appearance, each at the minimum of its members' TTLs (RFC 2181
-/// §5.2). A record joins the latest set of its name and type, looked
-/// for from the back: sections hold a handful of sets and a set's
-/// records nearly always arrive together.
-fn group_rrsets(records: &[Record]) -> Vec<RRset> {
-    let mut sets: Vec<RRset> = Vec::new();
-    for r in records {
-        let rtype = r.record_type();
-        match sets
-            .iter_mut()
-            .rev()
-            .find(|s| s.rtype == rtype && s.name == r.name)
-        {
-            Some(set) => {
-                set.ttl = set.ttl.min(r.ttl);
-                set.rdatas.push(r.rdata.clone());
-            }
-            None => sets.push(RRset {
-                name: r.name.clone(),
-                rtype,
-                ttl: r.ttl,
-                rdatas: vec![r.rdata.clone()],
-            }),
+/// §5.2), spelled as its first record is. The sets are built one at a
+/// time from the section itself, with no list of sets in between: a
+/// record that opens a set gathers the later records of its name and
+/// type (sections hold a handful of records, so the rescans cost less
+/// than a vector), and each set's data is allocated at its exact
+/// length, because the cache keeps it.
+fn group_rrsets(records: &[Record]) -> impl Iterator<Item = RRset> + '_ {
+    let same = |a: &Record, b: &Record| a.record_type() == b.record_type() && a.name == b.name;
+    records.iter().enumerate().filter_map(move |(i, first)| {
+        if records[..i].iter().any(|r| same(r, first)) {
+            return None; // a member of a set already built
         }
-    }
-    sets
+        let members = || records[i..].iter().filter(|r| same(r, first));
+        let mut rdatas = Vec::with_capacity(members().count());
+        let mut ttl = first.ttl;
+        for r in members() {
+            ttl = ttl.min(r.ttl);
+            rdatas.push(r.rdata.clone());
+        }
+        Some(RRset {
+            name: first.name.clone(),
+            rtype: first.record_type(),
+            ttl,
+            rdatas,
+        })
+    })
 }
 
 #[cfg(test)]
@@ -1806,11 +1809,12 @@ mod tests {
         let x1 = RData::A(Ipv4Addr::new(192, 0, 2, 1));
         let x2 = RData::A(Ipv4Addr::new(192, 0, 2, 2));
         let y = RData::Ns(n("ns.example"));
-        let sets = group_rrsets(&[
+        let sets: Vec<RRset> = group_rrsets(&[
             rec("x.example", 30, x1.clone()),
             rec("example", 3600, y.clone()),
             rec("X.example", 10, x2.clone()),
-        ]);
+        ])
+        .collect();
         let expected = [
             RRset {
                 name: n("x.example"),
@@ -1828,11 +1832,13 @@ mod tests {
         assert_eq!(sets, expected);
         // The set is spelled as its first record was.
         assert_eq!(sets[0].name.as_str(), "x.example.");
-        assert!(group_rrsets(&[]).is_empty());
+        // The cache keeps each set's data: no spare capacity.
+        assert!(sets.iter().all(|s| s.rdatas.capacity() == s.rdatas.len()));
+        assert_eq!(group_rrsets(&[]).count(), 0);
     }
 
     /// The map-based grouping `group_rrsets` replaced, kept as the
-    /// reference its one-pass form must agree with.
+    /// reference its in-place form must agree with.
     fn group_rrsets_by_map(records: &[Record]) -> Vec<RRset> {
         let mut order: Vec<(Name, RecordType)> = Vec::new();
         let mut groups: HashMap<(Name, RecordType), Vec<Record>> = HashMap::new();
@@ -1865,9 +1871,12 @@ mod tests {
                     rec(owner, 1 + rng.below(600) as u32, rdata)
                 })
                 .collect();
-            let sets = group_rrsets(&section);
+            let sets: Vec<RRset> = group_rrsets(&section).collect();
             let reference = group_rrsets_by_map(&section);
             assert_eq!(sets, reference, "{section:?}");
+            for set in &sets {
+                assert_eq!(set.rdatas.capacity(), set.rdatas.len(), "{set:?}");
+            }
             // `Name` equality folds case; the spelling must agree too.
             let spelled = |sets: &[RRset]| -> Vec<String> {
                 sets.iter().map(|s| s.name.as_str().to_owned()).collect()

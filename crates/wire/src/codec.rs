@@ -337,10 +337,11 @@ impl<'m, S: Sink> Writer<'m, S> {
         flags |= h.rcode.code() as u16;
         self.u16(flags);
         let sections = [&msg.answers, &msg.authorities, &msg.additionals];
-        for count in std::iter::once(msg.questions.len()).chain(sections.map(Vec::len)) {
+        self.u16(u16::from(msg.question.is_some()));
+        for count in sections.map(Vec::len) {
             self.u16(u16::try_from(count).map_err(|_| WireError::TooManyRecords(count))?);
         }
-        for q in &msg.questions {
+        if let Some(q) = &msg.question {
             self.question(q);
         }
         for r in sections.into_iter().flatten() {
@@ -622,6 +623,9 @@ pub fn decode_message(buf: &[u8]) -> Result<Message, WireError> {
         rcode: Rcode::from_code((flags & 0xF) as u8),
     };
     let qd = d.u16("qdcount")?;
+    if qd > 1 {
+        return Err(WireError::TooManyQuestions(qd));
+    }
     let an = d.u16("ancount")?;
     let ns = d.u16("nscount")?;
     let ar = d.u16("arcount")?;
@@ -629,8 +633,8 @@ pub fn decode_message(buf: &[u8]) -> Result<Message, WireError> {
         header,
         ..Message::default()
     };
-    for _ in 0..qd {
-        msg.questions.push(d.question()?);
+    if qd == 1 {
+        msg.question = Some(d.question()?);
     }
     for _ in 0..an {
         msg.answers.push(d.record()?);
@@ -690,10 +694,7 @@ mod tests {
         // "a.nic.cl" appears three times; compression should keep the
         // packet comfortably under the uncompressed size.
         let uncompressed: usize = 12
-            + m.questions
-                .iter()
-                .map(|q| q.qname.wire_len() + 4)
-                .sum::<usize>()
+            + m.question.as_ref().map_or(0, |q| q.qname.wire_len() + 4)
             + m.sectioned_records()
                 .map(|(_, r)| r.name.wire_len() + 10 + 16)
                 .sum::<usize>();
@@ -778,6 +779,26 @@ mod tests {
             decode_message(&buf),
             Err(WireError::BadCompressionPointer(_))
         ));
+    }
+
+    #[test]
+    fn rejects_a_second_question() {
+        // Header (12 bytes) with qdcount = 2, then two well-formed
+        // `example. IN A` questions.
+        let mut buf = vec![0u8; 12];
+        buf[5] = 2;
+        for _ in 0..2 {
+            buf.extend_from_slice(b"\x07example\x00");
+            buf.extend_from_slice(&[0, 1, 0, 1]);
+        }
+        assert_eq!(decode_message(&buf), Err(WireError::TooManyQuestions(2)));
+        // The same header with one question decodes.
+        buf[5] = 1;
+        let one = decode_message(&buf[..12 + 13]).unwrap();
+        assert_eq!(
+            one.question,
+            Some(Question::new(name("example"), RecordType::A))
+        );
     }
 
     #[test]

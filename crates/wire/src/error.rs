@@ -45,6 +45,8 @@ pub enum WireError {
     RdataTooLong(usize),
     /// A section holds more entries than its 16-bit count field can say.
     TooManyRecords(usize),
+    /// A header's QDCOUNT above one: a message carries one question.
+    TooManyQuestions(u16),
 }
 
 impl fmt::Display for WireError {
@@ -78,6 +80,9 @@ impl fmt::Display for WireError {
             }
             WireError::TooManyRecords(n) => {
                 write!(f, "section of {n} entries exceeds its 16-bit count")
+            }
+            WireError::TooManyQuestions(n) => {
+                write!(f, "QDCOUNT {n}: a message carries at most one question")
             }
         }
     }

@@ -196,8 +196,10 @@ impl fmt::Display for Section {
 pub struct Message {
     /// Header with flags.
     pub header: Header,
-    /// Questions (in practice exactly one).
-    pub questions: Vec<Question>,
+    /// The question. Every query and every response to one carries
+    /// exactly one; `None` is QDCOUNT 0, which an authoritative answers
+    /// with FORMERR. QDCOUNT above one does not decode.
+    pub question: Option<Question>,
     /// Answer-section records.
     pub answers: Vec<Record>,
     /// Authority-section records.
@@ -216,7 +218,7 @@ impl Message {
                 recursion_desired: true,
                 ..Header::default()
             },
-            questions: vec![Question::new(qname, qtype)],
+            question: Some(Question::new(qname, qtype)),
             ..Message::default()
         }
     }
@@ -239,14 +241,9 @@ impl Message {
                 recursion_desired: query.header.recursion_desired,
                 ..Header::default()
             },
-            questions: query.questions.clone(),
+            question: query.question.clone(),
             ..Message::default()
         }
-    }
-
-    /// The first (and normally only) question.
-    pub fn question(&self) -> Option<&Question> {
-        self.questions.first()
     }
 
     /// Iterates `(section, record)` over all three response sections.
@@ -287,7 +284,7 @@ impl fmt::Display for Message {
             self.header.recursion_desired,
             self.header.recursion_available,
         )?;
-        for q in &self.questions {
+        if let Some(q) = &self.question {
             writeln!(f, ";; question: {q}")?;
         }
         for (section, r) in self.sectioned_records() {
@@ -312,7 +309,7 @@ mod tests {
         let q = Message::query(42, name("example.org"), RecordType::A);
         assert!(q.header.recursion_desired);
         assert!(!q.header.response);
-        assert_eq!(q.question().unwrap().qtype, RecordType::A);
+        assert_eq!(q.question.as_ref().unwrap().qtype, RecordType::A);
         let iq = Message::iterative_query(42, name("example.org"), RecordType::A);
         assert!(!iq.header.recursion_desired);
     }
@@ -323,7 +320,7 @@ mod tests {
         let r = Message::response_to(&q);
         assert_eq!(r.header.id, 7);
         assert!(r.header.response);
-        assert_eq!(r.questions, q.questions);
+        assert_eq!(r.question, q.question);
     }
 
     #[test]

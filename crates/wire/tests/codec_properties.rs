@@ -126,9 +126,7 @@ fn gen_message(rng: &mut Rng) -> Message {
             recursion_available: response,
             rcode: Rcode::NoError,
         },
-        questions: (0..rng.below(2))
-            .map(|_| Question::new(gen_name(rng), RecordType::A))
-            .collect(),
+        question: (rng.below(2) == 1).then(|| Question::new(gen_name(rng), RecordType::A)),
         answers: (0..rng.below(4)).map(|_| gen_record(rng)).collect(),
         authorities: (0..rng.below(3)).map(|_| gen_record(rng)).collect(),
         additionals: (0..rng.below(3)).map(|_| gen_record(rng)).collect(),
@@ -173,7 +171,7 @@ fn gen_related_message(rng: &mut Rng) -> Message {
         Name::parse(&spelled).expect("pool names are valid")
     };
     let mut msg = gen_message(rng);
-    for q in &mut msg.questions {
+    if let Some(q) = &mut msg.question {
         q.qname = pick(rng);
     }
     let sections = [&mut msg.answers, &mut msg.authorities, &mut msg.additionals];

@@ -139,14 +139,15 @@ fn a_question_stays_inside_its_allocation_budget() {
         }
         resolver
     });
-    // Release builds only, as the miss budget below. Measured: 5 706
+    // Release builds only, as the miss budget below. Measured: 5 103
     // bytes up to the first answer (the resolver, the walk down from
-    // the root, three stores into a new table) and 124 338 for all 64
-    // names, temporaries included — about 1 250 a miss and the table's
-    // doublings. One wheel would put either over its bound.
+    // the root, three stores into a new table) and 89 715 for all 64
+    // names, temporaries included — about 700 a miss and the table's
+    // doublings. The bounds leave 43 % and 9 % headroom; one wheel
+    // would put either over its bound.
     if !cfg!(debug_assertions) {
-        assert!(after_first < 8_192, "first answer: {after_first} bytes");
-        assert!(bytes < 136_000, "all {NAMES} names: {bytes} bytes");
+        assert!(after_first < 7_327, "first answer: {after_first} bytes");
+        assert!(bytes < 98_130, "all {NAMES} names: {bytes} bytes");
     }
     // Warm-up: every name served once, so tables and vectors have
     // reached their working size.
@@ -155,31 +156,33 @@ fn a_question_stays_inside_its_allocation_budget() {
         assert!(out.cache_hit);
     }
 
-    // A warm hit: the answer message's question and answer vectors.
-    // Measured: 2 for every name.
+    // A warm hit: the answer message's records; its question is
+    // inline. Measured: 1 for every name.
     for name in &names {
         let (out, allocs) =
             allocations(|| resolver.resolve(name, RecordType::A, SimTime::from_secs(2), &mut net));
         assert!(out.cache_hit);
-        assert!(allocs <= 3, "warm hit for {name} allocated {allocs} times");
+        assert_eq!(allocs, 1, "warm hit for {name}");
     }
 
     // A TTL-expired miss: one exchange with the child (the delegation
     // is still cached), its response ingested, the answer rebuilt from
     // the cache. Release builds only — in debug builds the exchange
     // path's `debug_assert!` encodes and decodes every message.
-    // Measured: 9 for every name — NS targets, candidates, the query's
-    // and the response's question, the response's answer, the grouped
-    // sets and the one set's data, the client answer's question and
-    // records. The store itself allocates nothing: it overwrites the
-    // expired entry in place and there is no index to grow.
+    // Measured: 4 for every name, each handed on — the candidate
+    // addresses, the response's answer records, the one set's data
+    // (kept by the cache) and the client answer's records. Questions
+    // are inline, the NS targets' addresses are read in place and the
+    // sets are grouped without a list of them. The store itself
+    // allocates nothing: it overwrites the expired entry in place and
+    // there is no index to grow.
     #[cfg(not(debug_assertions))]
     for name in &names {
         let later = SimTime::from_secs(2 + RECORD_TTL_S as u64);
         let (out, allocs) = allocations(|| resolver.resolve(name, RecordType::A, later, &mut net));
         assert!(!out.cache_hit);
         assert_eq!(out.upstream_queries, 1);
-        assert_eq!(allocs, 9, "expired miss for {name}");
+        assert_eq!(allocs, 4, "expired miss for {name}");
     }
 
     // ── the enabled path ────────────────────────────────────────────
