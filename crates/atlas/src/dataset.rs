@@ -3,6 +3,7 @@
 use crate::shard::merge_by_time;
 use dnsttl_netsim::{Region, SimTime};
 use dnsttl_wire::{Name, Rcode};
+use std::sync::Arc;
 
 /// FNV-1a offset basis: where both dataset digests start.
 pub(crate) const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -41,9 +42,11 @@ pub struct MeasurementResult {
     /// TTL of the first answer record, if any — the quantity behind
     /// Figures 1, 2 and 9.
     pub ttl: Option<u64>,
-    /// Stringified answer data (addresses), used to tell the original
-    /// from the renumbered server in Figures 6–8.
-    pub answers: Vec<String>,
+    /// Each answer record's data in presentation form (addresses),
+    /// used to tell the original from the renumbered server in Figures
+    /// 6–8. An `NS` or `CNAME` answer shares the name's own buffer (a
+    /// reference count, not a copy); any other type is rendered once.
+    pub answers: Vec<Arc<str>>,
     /// Client-observed round-trip in ms (probe→resolver link plus the
     /// resolver's upstream work) — the quantity behind Figures 10–11.
     pub rtt_ms: u64,

@@ -12,6 +12,8 @@ use crate::population::Population;
 use dnsttl_netsim::{EventQueue, Network, SimDuration, SimRng, SimTime};
 use dnsttl_telemetry::{EventKind, Telemetry, Value};
 use dnsttl_wire::{Name, RData, Rcode, RecordType};
+use std::fmt::Write as _;
+use std::sync::Arc;
 
 /// How query names are formed.
 #[derive(Debug, Clone)]
@@ -120,6 +122,8 @@ pub fn run_measurement_with_hooks(
         .div_ceil(spec.frequency.as_millis().max(1)) as usize;
     let mut dataset = Dataset::with_capacity(vps.len() * ticks_per_vp);
 
+    // One buffer renders every answer that is not a name.
+    let mut rendered = String::new();
     while let Some((now, tick)) = queue.pop() {
         while hooks.peek().map(|h| h.at <= now).unwrap_or(false) {
             let hook = hooks.next().expect("peeked");
@@ -147,14 +151,18 @@ pub fn run_measurement_with_hooks(
             .iter()
             .find(|r| r.record_type() == spec.qtype || r.record_type() == RecordType::CNAME);
         let ttl = first_answer.map(|r| r.ttl.as_secs() as u64);
-        let answer_strings: Vec<String> = outcome
+        let answers: Vec<Arc<str>> = outcome
             .answer
             .answers
             .iter()
             .map(|r| match &r.rdata {
-                RData::A(a) => a.to_string(),
-                RData::Aaaa(a) => a.to_string(),
-                other => other.to_string(),
+                RData::Ns(name) | RData::Cname(name) => name.shared().clone(),
+                other => {
+                    rendered.clear();
+                    // Writing into a `String` cannot fail.
+                    let _ = write!(rendered, "{other}");
+                    Arc::from(rendered.as_str())
+                }
             })
             .collect();
 
@@ -195,7 +203,7 @@ pub fn run_measurement_with_hooks(
             qname: qname.clone(),
             rcode: outcome.answer.header.rcode,
             ttl,
-            answers: answer_strings,
+            answers,
             rtt_ms,
             cache_hit: outcome.cache_hit,
             valid,

@@ -27,6 +27,7 @@ use dnsttl_atlas::{
 use dnsttl_netsim::{SimRng, SimTime};
 use dnsttl_telemetry::EventKind;
 use dnsttl_wire::{Name, RecordType};
+use std::sync::Arc;
 
 /// When the renumbering happens (the paper's t = 9 min).
 const RENUMBER_AT: SimTime = SimTime::from_secs(9 * 60);
@@ -147,12 +148,14 @@ fn run_config(cfg: &ExpConfig, out_of_bailiwick: bool) -> RunOutput {
     }
 }
 
-fn is_new(answers: &[String]) -> bool {
-    answers.iter().any(|a| a == &worlds::NEW_MARKER.to_string())
+fn is_new(answers: &[Arc<str>]) -> bool {
+    let marker = worlds::NEW_MARKER.to_string();
+    answers.iter().any(|a| **a == *marker)
 }
 
-fn is_old(answers: &[String]) -> bool {
-    answers.iter().any(|a| a == &worlds::OLD_MARKER.to_string())
+fn is_old(answers: &[Arc<str>]) -> bool {
+    let marker = worlds::OLD_MARKER.to_string();
+    answers.iter().any(|a| **a == *marker)
 }
 
 /// Fraction of valid answers in `[from, to)` minutes that came from the

@@ -8,12 +8,12 @@
 //! addresses with sub-queries, retrying and failing over between
 //! servers, and accounting the RTT of every exchange.
 
-use crate::cache::{Cache, Credibility};
+use crate::cache::{Cache, Credibility, IncomingSet};
 use crate::ledger::{BailiwickClass, StoreContext};
 use dnsttl_core::{Centricity, ResolverPolicy};
 use dnsttl_netsim::{ExchangeOutcome, Network, Region, SimDuration, SimRng, SimTime, Transport};
 use dnsttl_telemetry::{EventKind, MetricKey, SpanId, Telemetry, Value};
-use dnsttl_wire::{Message, Name, RData, RRset, Rcode, Record, RecordType, Ttl};
+use dnsttl_wire::{Message, Name, RData, Rcode, Record, RecordType, Ttl};
 use std::collections::HashMap;
 use std::net::IpAddr;
 
@@ -1019,17 +1019,17 @@ impl RecursiveResolver {
             ),
             (&response.additionals, Credibility::ReferralAdditional),
         ] {
-            for rrset in group_rrsets(records) {
-                if rrset.rtype == RecordType::SOA {
+            for set in group_rrsets(records) {
+                if set.rtype() == RecordType::SOA {
                     continue; // negative-caching SOAs are handled separately
                 }
-                let bailiwick = if rrset.name.is_subdomain_of(zone) {
+                let bailiwick = if set.owner().is_subdomain_of(zone) {
                     BailiwickClass::In
                 } else {
                     BailiwickClass::Out
                 };
-                self.cache.store_with(
-                    rrset,
+                self.cache.store_set(
+                    set,
                     rank,
                     now,
                     &self.policy,
@@ -1126,32 +1126,71 @@ fn referral_cut(response: &Message) -> Option<&Name> {
 
 /// Groups a section's records into RRsets, in order of first
 /// appearance, each at the minimum of its members' TTLs (RFC 2181
-/// §5.2), spelled as its first record is. The sets are built one at a
-/// time from the section itself, with no list of sets in between: a
-/// record that opens a set gathers the later records of its name and
-/// type (sections hold a handful of records, so the rescans cost less
-/// than a vector), and each set's data is allocated at its exact
-/// length, because the cache keeps it.
-fn group_rrsets(records: &[Record]) -> impl Iterator<Item = RRset> + '_ {
-    let same = |a: &Record, b: &Record| a.record_type() == b.record_type() && a.name == b.name;
+/// §5.2), spelled as its first record is. Each set is a view of the
+/// section, not a copy: the cache reads it in place and copies only
+/// what it does not already hold ([`Cache::store_set`]). A record that
+/// opens a set gathers the later records of its name and type
+/// (sections hold a handful of records, so the rescans cost less than
+/// a list).
+pub(crate) fn group_rrsets(records: &[Record]) -> impl Iterator<Item = SectionSet<'_>> {
     records.iter().enumerate().filter_map(move |(i, first)| {
-        if records[..i].iter().any(|r| same(r, first)) {
-            return None; // a member of a set already built
+        if records[..i].iter().any(|r| same_set(r, first)) {
+            return None; // a member of a set already seen
         }
-        let members = || records[i..].iter().filter(|r| same(r, first));
-        let mut rdatas = Vec::with_capacity(members().count());
-        let mut ttl = first.ttl;
-        for r in members() {
-            ttl = ttl.min(r.ttl);
-            rdatas.push(r.rdata.clone());
+        let mut set = SectionSet {
+            records: &records[i..],
+            ttl: first.ttl,
+            len: 0,
+        };
+        for r in set.records() {
+            set.ttl = set.ttl.min(r.ttl);
+            set.len += 1;
         }
-        Some(RRset {
-            name: first.name.clone(),
-            rtype: first.record_type(),
-            ttl,
-            rdatas,
-        })
+        Some(set)
     })
+}
+
+/// Same owner (case-insensitively) and type: members of one RRset.
+fn same_set(a: &Record, b: &Record) -> bool {
+    a.record_type() == b.record_type() && a.name == b.name
+}
+
+/// One RRset of a response section, borrowed: the section from the
+/// set's first record on, with the set's TTL and member count.
+#[derive(Debug)]
+pub(crate) struct SectionSet<'a> {
+    records: &'a [Record],
+    ttl: Ttl,
+    len: usize,
+}
+
+impl<'a> SectionSet<'a> {
+    /// The set's records, in order of appearance.
+    fn records(&self) -> impl Iterator<Item = &'a Record> + Clone {
+        let first = &self.records[0];
+        self.records.iter().filter(move |r| same_set(r, first))
+    }
+}
+
+impl IncomingSet for SectionSet<'_> {
+    fn owner(&self) -> &Name {
+        &self.records[0].name
+    }
+    fn rtype(&self) -> RecordType {
+        self.records[0].record_type()
+    }
+    fn ttl(&self) -> Ttl {
+        self.ttl
+    }
+    fn members(&self) -> impl Iterator<Item = &RData> + Clone {
+        self.records().map(|r| &r.rdata)
+    }
+    fn len(&self) -> usize {
+        self.len
+    }
+    fn into_parts(self) -> (Name, Vec<RData>) {
+        (self.owner().clone(), self.copy_members())
+    }
 }
 
 #[cfg(test)]
@@ -1159,6 +1198,7 @@ mod tests {
     use super::*;
     use dnsttl_auth::{AuthoritativeServer, ZoneBuilder};
     use dnsttl_netsim::{FaultPlan, LatencyModel, ServiceHandle};
+    use dnsttl_wire::RRset;
     use std::cell::RefCell;
     use std::net::Ipv4Addr;
     use std::rc::Rc;
@@ -1809,12 +1849,12 @@ mod tests {
         let x1 = RData::A(Ipv4Addr::new(192, 0, 2, 1));
         let x2 = RData::A(Ipv4Addr::new(192, 0, 2, 2));
         let y = RData::Ns(n("ns.example"));
-        let sets: Vec<RRset> = group_rrsets(&[
+        let section = [
             rec("x.example", 30, x1.clone()),
             rec("example", 3600, y.clone()),
             rec("X.example", 10, x2.clone()),
-        ])
-        .collect();
+        ];
+        let sets: Vec<RRset> = group_rrsets(&section).map(owned).collect();
         let expected = [
             RRset {
                 name: n("x.example"),
@@ -1832,9 +1872,23 @@ mod tests {
         assert_eq!(sets, expected);
         // The set is spelled as its first record was.
         assert_eq!(sets[0].name.as_str(), "x.example.");
-        // The cache keeps each set's data: no spare capacity.
-        assert!(sets.iter().all(|s| s.rdatas.capacity() == s.rdatas.len()));
+        // Each set is read in place: its owner is the first record's.
+        let first = group_rrsets(&section).next().unwrap();
+        assert!(std::ptr::eq(first.owner(), &section[0].name));
+        assert_eq!(first.len(), 2);
         assert_eq!(group_rrsets(&[]).count(), 0);
+    }
+
+    /// A borrowed set as the owned `RRset` it stands for.
+    fn owned(set: SectionSet<'_>) -> RRset {
+        let (rtype, ttl) = (set.rtype(), set.ttl());
+        let (name, rdatas) = set.into_parts();
+        RRset {
+            name,
+            rtype,
+            ttl,
+            rdatas,
+        }
     }
 
     /// The map-based grouping `group_rrsets` replaced, kept as the
@@ -1871,11 +1925,11 @@ mod tests {
                     rec(owner, 1 + rng.below(600) as u32, rdata)
                 })
                 .collect();
-            let sets: Vec<RRset> = group_rrsets(&section).collect();
+            let sets: Vec<RRset> = group_rrsets(&section).map(owned).collect();
             let reference = group_rrsets_by_map(&section);
             assert_eq!(sets, reference, "{section:?}");
-            for set in &sets {
-                assert_eq!(set.rdatas.capacity(), set.rdatas.len(), "{set:?}");
+            for set in group_rrsets(&section) {
+                assert_eq!(set.members().count(), set.len(), "{set:?}");
             }
             // `Name` equality folds case; the spelling must agree too.
             let spelled = |sets: &[RRset]| -> Vec<String> {

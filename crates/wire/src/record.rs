@@ -206,26 +206,35 @@ impl RRset {
     /// fingerprint identically — RRset semantics are set semantics.
     /// See [`Record::fingerprint`] for what caches use this for.
     ///
-    /// Caches call this on every store, so the shapes they store go
-    /// through neither an allocation nor `core::fmt`: the name part —
-    /// FNV-1a from the offset basis over the case-folded presentation
-    /// form — is the hash every [`Name`] already carries; a one-member
-    /// set needs no sorting, so its bytes go straight into the hash
-    /// (`FnvWriter::member`); and a set whose members are all
-    /// names (a zone's `NS` set) sorts the borrowed strings. Any other
-    /// multi-member set renders each member to sort it. Every path
-    /// hashes the bytes `RData`'s `Display` prints, so the value is the
-    /// one traces and ledgers have always exported.
+    /// Caches call this on every store that changes an entry's data, so
+    /// the shapes they store go through neither an allocation nor
+    /// `core::fmt`: the name part — FNV-1a from the offset basis over
+    /// the case-folded presentation form — is the hash every [`Name`]
+    /// already carries; a one-member set needs no sorting, so its bytes
+    /// go straight into the hash (`FnvWriter::member`); and a set whose
+    /// members are all names (a zone's `NS` set) sorts the borrowed
+    /// strings. Any other multi-member set renders each member to sort
+    /// it. Every path hashes the bytes `RData`'s `Display` prints, so
+    /// the value is the one traces and ledgers have always exported.
     pub fn fingerprint(&self) -> u64 {
-        let mut w = FnvWriter(fnv1a(
-            self.name.folded_hash(),
-            &self.rtype.code().to_be_bytes(),
-        ));
-        if let [only] = self.rdatas.as_slice() {
+        RRset::fingerprint_of(&self.name, self.rtype, &self.rdatas)
+    }
+
+    /// [`RRset::fingerprint`] of the set `name`/`rtype` holding
+    /// `members`, wherever they are held: a cache fingerprints a
+    /// response's set in place, before it decides whether to copy it.
+    pub fn fingerprint_of<'a, I>(name: &Name, rtype: RecordType, members: I) -> u64
+    where
+        I: IntoIterator<Item = &'a RData>,
+        I::IntoIter: Clone,
+    {
+        let members = members.into_iter();
+        let mut w = FnvWriter(fnv1a(name.folded_hash(), &rtype.code().to_be_bytes()));
+        let mut two = members.clone();
+        if let (Some(only), None) = (two.next(), two.next()) {
             w.member(only);
-        } else if let Some(mut names) = self
-            .rdatas
-            .iter()
+        } else if let Some(mut names) = members
+            .clone()
             .map(|rd| match rd {
                 RData::Ns(n) | RData::Cname(n) => Some(n.as_str()),
                 _ => None,
@@ -237,7 +246,7 @@ impl RRset {
                 w.text(n);
             }
         } else {
-            let mut datas: Vec<String> = self.rdatas.iter().map(|rd| rd.to_string()).collect();
+            let mut datas: Vec<String> = members.map(|rd| rd.to_string()).collect();
             datas.sort();
             for d in &datas {
                 w.text(d);
@@ -458,6 +467,11 @@ mod tests {
                     rdatas: vec![rd.clone()],
                 };
                 assert_eq!(set.fingerprint(), reference_fingerprint(&set), "{set:?}");
+                // The member-iterator form, over a filtered view.
+                assert_eq!(
+                    RRset::fingerprint_of(&set.name, set.rtype, set.rdatas.iter().filter(|_| true)),
+                    set.fingerprint()
+                );
                 assert_eq!(
                     set.fingerprint(),
                     RRset {
@@ -480,6 +494,18 @@ mod tests {
         assert_eq!(fwd.fingerprint(), reference_fingerprint(&fwd));
         assert_eq!(rev.fingerprint(), reference_fingerprint(&rev));
         assert_eq!(fwd.fingerprint(), rev.fingerprint());
+        // The members read in place from a section that interleaves
+        // another set, as a cache fingerprints a response's set.
+        let mut section = three.to_vec();
+        section.insert(1, a("other.example", 60, [10, 0, 0, 2]));
+        let in_place = section
+            .iter()
+            .filter(|r| r.name == fwd.name)
+            .map(|r| &r.rdata);
+        assert_eq!(
+            RRset::fingerprint_of(&three[0].name, RecordType::A, in_place),
+            reference_fingerprint(&fwd)
+        );
         // The empty set (manual construction only) keeps its value too.
         let empty = RRset {
             rdatas: vec![],
