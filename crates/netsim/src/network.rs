@@ -447,6 +447,7 @@ fn wire_len(msg: &Message) -> Result<usize, WireError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dnsttl_telemetry::flat_get;
     use dnsttl_wire::{Name, RData, Rcode, Record, RecordType, Ttl};
     use std::net::Ipv4Addr;
 
@@ -803,11 +804,12 @@ mod tests {
         assert!(out.response().is_none());
         assert_eq!(net.queries_received(addr(1)), 2);
         assert_eq!(telemetry.counter_value("net_unencodable", &[]), 7);
-        assert_eq!(
-            telemetry.with_timeseries(|ts| ts.counter_total("net_unencodable")),
-            7,
-            "counted on the simulated clock"
-        );
+        let bucketed: u64 = (telemetry.timeseries_jsonl().lines())
+            .map(|line| dnsttl_telemetry::parse_flat_object(line).unwrap())
+            .filter(|f| flat_get(f, "series").and_then(|v| v.as_str()) == Some("net_unencodable"))
+            .map(|f| flat_get(&f, "value").and_then(|v| v.as_u64()).unwrap())
+            .sum();
+        assert_eq!(bucketed, 7, "counted on the simulated clock");
     }
 
     #[test]

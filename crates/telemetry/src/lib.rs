@@ -17,14 +17,14 @@
 //! observability is off.
 //!
 //! Each kind of thing is recorded one way. Unlabelled, per-query
-//! series go through a `const` [`MetricKey`] and land in the registry
-//! *and* the sim-time series: [`Telemetry::count_keyed_at`],
-//! [`Telemetry::gauge_keyed_at`], [`Telemetry::sketch_keyed_at`] —
-//! or, for a per-query distribution that has no sim-time series, in
-//! the registry alone: [`Telemetry::sketch_keyed`].
-//! Labelled or occasional series go by borrowed name, registry only:
-//! [`Telemetry::count`], [`Telemetry::count_with`],
-//! [`Telemetry::sketch_with`].
+//! series go through a `const` [`MetricKey`] and land in one registry
+//! slot as a total *and* its sim-time buckets:
+//! [`Telemetry::count_keyed_at`], [`Telemetry::gauge_keyed_at`],
+//! [`Telemetry::sketch_keyed_at`] — or, for a per-query distribution
+//! that has no sim-time series, as a total alone:
+//! [`Telemetry::sketch_keyed`]. Labelled or occasional series go by
+//! borrowed name, totals only: [`Telemetry::count`],
+//! [`Telemetry::count_with`], [`Telemetry::sketch_with`].
 //!
 //! ```
 //! use dnsttl_telemetry::{EventKind, Telemetry};
@@ -55,7 +55,7 @@ pub use ledger::{CacheOp, Journal, LedgerRecord};
 pub use manifest::RunManifest;
 pub use registry::{MetricId, MetricKey, Registry};
 pub use sketch::QuantileSketch;
-pub use timeseries::{TimeSeriesStore, DEFAULT_TS_BUCKET_MS, DEFAULT_TS_SPAN_CAP};
+pub use timeseries::{DEFAULT_TS_BUCKET_MS, DEFAULT_TS_SPAN_CAP};
 use trace::DEFAULT_TRACE_CAPACITY;
 pub use trace::{EventKind, FieldSink, SpanId, TraceEvent, Tracer};
 
@@ -66,18 +66,16 @@ struct Inner {
     enabled: Cell<bool>,
     registry: RefCell<Registry>,
     tracer: RefCell<Tracer>,
-    timeseries: RefCell<TimeSeriesStore>,
 }
 
 /// The plain-data halves of a [`Telemetry`] handle: what a shard
 /// worker hands back to the coordinating thread for a deterministic
-/// merge. All three parts are `Send` (the `Rc`-backed handle itself is
+/// merge. Both parts are `Send` (the `Rc`-backed handle itself is
 /// not).
 #[derive(Debug)]
 pub struct TelemetryParts {
     pub registry: Registry,
     pub tracer: Tracer,
-    pub timeseries: TimeSeriesStore,
 }
 
 /// The cloneable observability handle threaded through the simulator.
@@ -103,7 +101,6 @@ impl Telemetry {
                 enabled: Cell::new(true),
                 registry: RefCell::new(Registry::new()),
                 tracer: RefCell::new(Tracer::with_capacity(capacity)),
-                timeseries: RefCell::new(TimeSeriesStore::new()),
             }),
         }
     }
@@ -133,7 +130,7 @@ impl Telemetry {
     ///
     /// The by-name recorders take the registry's borrowed path: no
     /// `MetricId` (and hence no `String`) is built once a series
-    /// exists, so per-event cost is a hash + slot lookup.
+    /// exists, so per-event cost is a memo probe and a name compare.
     pub fn count(&self, name: &str, delta: u64) {
         self.count_with(name, &[], delta);
     }
@@ -160,33 +157,29 @@ impl Telemetry {
 
     // ── sim-time series ─────────────────────────────────────────────
 
-    /// Sets the initial bucket width and span cap for the sim-time
-    /// series store. Call before recording: existing series keep the
-    /// width they started with. Every handle feeding one shard merge
-    /// must use the same width so bucket boundaries nest.
+    /// Sets the initial bucket width and span cap of the sim-time
+    /// series. Call before recording: existing series keep the width
+    /// they started with. Every handle feeding one shard merge must use
+    /// the same width so bucket boundaries nest.
     pub fn configure_timeseries(&self, width_ms: u64, span_cap: usize) {
         self.inner
-            .timeseries
+            .registry
             .borrow_mut()
-            .set_config(width_ms, span_cap);
+            .configure_timeseries(width_ms, span_cap);
     }
 
     /// Adds `delta` to the unlabelled counter behind a
     /// [`MetricKey`] — hot sites keep the key in a `const` — and to
     /// the counter's sim-time series in the bucket holding `t_ms`.
-    /// Using one call for both keeps them conserved by construction:
-    /// the sum of a counter's bucket deltas always equals the registry
-    /// counter (the `repro doctor` invariant).
+    /// Both live in one registry slot, so they are conserved by
+    /// construction: the sum of a counter's bucket deltas always
+    /// equals its total (the `repro doctor` invariant).
     pub fn count_keyed_at(&self, key: &MetricKey, delta: u64, t_ms: u64) {
         if self.is_enabled() {
             self.inner
                 .registry
                 .borrow_mut()
-                .counter_add_keyed(key, delta);
-            self.inner
-                .timeseries
-                .borrow_mut()
-                .count(key.name(), delta, t_ms);
+                .counter_add_at(key.name(), delta, t_ms);
         }
     }
 
@@ -194,11 +187,10 @@ impl Telemetry {
     /// samples it into its sim-time series bucket at `t_ms`.
     pub fn gauge_keyed_at(&self, key: &MetricKey, value: f64, t_ms: u64) {
         if self.is_enabled() {
-            self.inner.registry.borrow_mut().gauge_set_keyed(key, value);
             self.inner
-                .timeseries
+                .registry
                 .borrow_mut()
-                .gauge(key.name(), value, t_ms);
+                .gauge_set_at(key.name(), value, t_ms);
         }
     }
 
@@ -210,11 +202,7 @@ impl Telemetry {
             self.inner
                 .registry
                 .borrow_mut()
-                .sketch_observe_keyed(key, value);
-            self.inner
-                .timeseries
-                .borrow_mut()
-                .sketch(key.name(), value, t_ms);
+                .sketch_observe_at(key.name(), value, t_ms);
         }
     }
 
@@ -226,19 +214,14 @@ impl Telemetry {
             self.inner
                 .registry
                 .borrow_mut()
-                .sketch_observe_keyed(key, value);
+                .sketch_observe(key.name(), &[], value);
         }
     }
 
-    /// The sim-time series store as dense JSON Lines (the
+    /// The sim-time series as dense JSON Lines (the
     /// `<module>_timeseries.jsonl` artifact).
     pub fn timeseries_jsonl(&self) -> String {
-        self.inner.timeseries.borrow().to_jsonl()
-    }
-
-    /// Runs `f` with read access to the sim-time series store.
-    pub fn with_timeseries<T>(&self, f: impl FnOnce(&TimeSeriesStore) -> T) -> T {
-        f(&self.inner.timeseries.borrow())
+        self.inner.registry.borrow().to_timeseries_jsonl()
     }
 
     /// Reads a counter's current value (zero when untouched/disabled).
@@ -336,9 +319,9 @@ impl Telemetry {
 
     // ── sharded runs ────────────────────────────────────────────────
 
-    /// Drains this handle's registry, tracer, and sim-time series
-    /// store, leaving all three empty (the series store keeps its
-    /// width/cap configuration, the tracer its ring capacity).
+    /// Drains this handle's registry and tracer, leaving both empty
+    /// (the registry keeps its sim-time series configuration, the
+    /// tracer its ring capacity).
     ///
     /// Used by shard worker threads: a shard records into its own
     /// `Telemetry`, then hands the plain-data [`TelemetryParts`] (all
@@ -346,37 +329,30 @@ impl Telemetry {
     /// thread for a deterministic merge via
     /// [`Telemetry::absorb_shards`].
     pub fn take_parts(&self) -> TelemetryParts {
-        let fresh_ts = {
-            let ts = self.inner.timeseries.borrow();
-            TimeSeriesStore::with_config(ts.width_hint_ms(), ts.span_cap())
-        };
         let fresh_tracer = Tracer::with_capacity(self.inner.tracer.borrow().capacity());
         TelemetryParts {
-            registry: self.inner.registry.replace(Registry::new()),
+            registry: self.inner.registry.borrow_mut().take(),
             tracer: self.inner.tracer.replace(fresh_tracer),
-            timeseries: self.inner.timeseries.replace(fresh_ts),
         }
     }
 
-    /// Merges per-shard registries, tracers, and sim-time series into
-    /// this handle.
+    /// Merges per-shard registries (their sim-time series with them)
+    /// and tracers into this handle.
     ///
     /// `parts` must be in logical-shard order (shard 0 first) — the
     /// order is part of the determinism contract: registries merge
     /// sequentially (counters and sketches sum; a later shard's
     /// gauges win) and trace events interleave by
     /// `(t_ms, shard index, seq)`, so the merged exports are identical
-    /// for any worker-thread count. The time-series merge is
-    /// associative and commutative (see `TimeSeriesStore::merge`),
-    /// so it is order-insensitive by construction.
+    /// for any worker-thread count. The sim-time series fold is
+    /// associative and commutative (see the `timeseries` module), so
+    /// it is order-insensitive by construction.
     pub fn absorb_shards(&self, parts: Vec<TelemetryParts>) {
         let mut tracers = Vec::with_capacity(parts.len());
         {
             let mut registry = self.inner.registry.borrow_mut();
-            let mut timeseries = self.inner.timeseries.borrow_mut();
             for shard in parts {
                 registry.merge(&shard.registry);
-                timeseries.merge(&shard.timeseries);
                 tracers.push(shard.tracer);
             }
         }
@@ -470,6 +446,7 @@ impl std::fmt::Debug for Telemetry {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::timeseries::series_total;
 
     #[test]
     fn clones_share_state() {
@@ -546,7 +523,7 @@ mod tests {
         merged.absorb_shards((0..64).map(shard_work).collect());
         let expected: u64 = (0..64u64).filter(|s| s % 3 != 0).sum();
         assert_eq!(merged.counter_value("q", &[]), expected);
-        assert_eq!(merged.with_timeseries(|ts| ts.counter_total("q")), expected);
+        assert_eq!(series_total(&merged.timeseries_jsonl(), "q"), expected);
         // Byte-identical on a second identical merge.
         let again = Telemetry::new();
         again.configure_timeseries(1_000, 256);
@@ -565,7 +542,7 @@ mod tests {
         let parts = t.take_parts();
         assert_eq!(parts.registry.counter(&MetricId::new("q", &[])), 8);
         assert_eq!(parts.tracer.len(), 1);
-        assert_eq!(parts.timeseries.counter_total("q"), 5);
+        assert_eq!(series_total(&parts.registry.to_timeseries_jsonl(), "q"), 5);
         assert_eq!(t.counter_value("q", &[]), 0);
         assert!(t.trace_jsonl().is_empty());
         assert!(t.timeseries_jsonl().is_empty());
@@ -605,7 +582,7 @@ mod tests {
         merged.absorb_shards(vec![shard_work(0), shard_work(1), shard_work(2)]);
         // Conservation: bucket deltas sum to the registry counter.
         assert_eq!(merged.counter_value("q", &[]), 60);
-        assert_eq!(merged.with_timeseries(|ts| ts.counter_total("q")), 60);
+        assert_eq!(series_total(&merged.timeseries_jsonl(), "q"), 60);
         // Byte-identical regardless of how shards ran.
         let again = Telemetry::new();
         again.configure_timeseries(1_000, 256);

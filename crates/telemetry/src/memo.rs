@@ -2,8 +2,9 @@
 //! where a string lives — its address and length — to what a table
 //! found for it last time.
 //!
-//! Four tables sit behind one: the trace's `'static` and shared-string
-//! intern tables, the registry's series maps and the time-series store.
+//! Three tables sit behind one: the trace's `'static` and shared-string
+//! intern tables and the registry's series maps, whose slots hold both a
+//! series' total and its sim-time buckets.
 //! A call site hands in the same strings on every call (literals, a
 //! `Name`'s buffer, a resolver's label), so their whereabouts find the
 //! answer for two compares, where the table behind would hash and probe.

@@ -9,15 +9,20 @@
 //! Everything here is plain `u64`/`f64` cells behind a [`Registry`] —
 //! the simulator is single-threaded and deterministic, so there are no
 //! atomics and no locks. Metrics are keyed by name plus an ordered
-//! label set, stored in `BTreeMap`s so every export (Prometheus text,
-//! dashboard) lists series in a stable order.
+//! label set. A series' slot holds its total and, once a `_at` record
+//! has touched it, its sim-time buckets (see the `timeseries` module);
+//! one sorted slot list per kind gives every export (Prometheus text,
+//! dashboard, time-series JSONL) a stable order.
 
-use std::collections::{BTreeMap, HashMap};
+use std::cmp::Ordering;
 use std::fmt::Write as _;
 
 use crate::json::fmt_f64;
 use crate::memo::AddrMemo;
 use crate::sketch::QuantileSketch;
+use crate::timeseries::{
+    dense_lines, BucketSeries, BucketValue, GaugeBucket, DEFAULT_TS_BUCKET_MS, DEFAULT_TS_SPAN_CAP,
+};
 
 /// The quantiles every sketch family exports, with their Prometheus
 /// label values. Shared by the text exposition, the dashboard, and the
@@ -25,35 +30,14 @@ use crate::sketch::QuantileSketch;
 pub(crate) const SKETCH_QUANTILES: [(f64, &str); 4] =
     [(0.5, "0.5"), (0.9, "0.9"), (0.99, "0.99"), (0.999, "0.999")];
 
-/// FNV-1a over the byte stream `name, 0xFF, k₁, 0, v₁, 0, …` with the
-/// label pairs in sorted order — the interning key shared by the
-/// [`MetricId`] path (shard merge) and the borrowed path, so both
-/// address the same bucket.
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0100_0000_01b3;
-
-#[inline]
-const fn fnv_step(h: u64, b: u8) -> u64 {
-    (h ^ b as u64).wrapping_mul(FNV_PRIME)
-}
-
-#[inline]
-const fn fnv_str(mut h: u64, s: &str) -> u64 {
-    let bytes = s.as_bytes();
-    let mut i = 0;
-    while i < bytes.len() {
-        h = fnv_step(h, bytes[i]);
-        i += 1;
-    }
-    h
-}
-
 /// A handle for an *unlabelled* metric series.
 ///
 /// Hot call sites that bump the same counter on every simulated query
 /// keep the key in a `const`, so the name it carries is one literal:
 /// the registry finds the series by where that literal lives (its
-/// address memo) and a name compare — no hash, no label sort.
+/// address memo) and a name compare — no hash, no label sort — and a
+/// `_at` record finds the total and its sim-time buckets in that one
+/// slot.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MetricKey {
     name: &'static str,
@@ -71,26 +55,6 @@ impl MetricKey {
         self.name
     }
 }
-
-/// Hasher for the interning fast map: the keys are already FNV-mixed
-/// 64-bit hashes, so re-hashing them through SipHash per metric op
-/// would only burn cycles. `write_u64` passes the key through.
-#[derive(Debug, Default, Clone, Copy)]
-struct PrehashedId(u64);
-
-impl std::hash::Hasher for PrehashedId {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-    fn write(&mut self, _bytes: &[u8]) {
-        unreachable!("fast map keys are u64");
-    }
-    fn write_u64(&mut self, n: u64) {
-        self.0 = n;
-    }
-}
-
-type PrehashedMap<V> = HashMap<u64, V, std::hash::BuildHasherDefault<PrehashedId>>;
 
 /// Escapes a label value per the Prometheus text exposition format.
 ///
@@ -147,6 +111,20 @@ impl MetricId {
             })
     }
 
+    /// How this id orders against the series `name` with `labels`, the
+    /// borrowed label `nth(j)` being its `j`-th in sorted order: the
+    /// derived order of `MetricId`, without building one.
+    fn cmp_borrowed(
+        &self,
+        name: &str,
+        labels: &[(&str, &str)],
+        nth: impl Fn(usize) -> usize,
+    ) -> Ordering {
+        let mine = self.labels.iter().map(|(k, v)| (k.as_str(), v.as_str()));
+        let theirs = (0..labels.len()).map(|j| labels[nth(j)]);
+        self.name.as_str().cmp(name).then_with(|| mine.cmp(theirs))
+    }
+
     /// Renders `name{k="v",...}` (or just `name` without labels).
     pub fn render(&self) -> String {
         let mut out = String::new();
@@ -186,7 +164,7 @@ pub(crate) fn mix(h: u64, word: usize) -> u64 {
 /// of each label string, and the label count. A call site hands in the
 /// same strings every time (literals, a server's name, a region's), so
 /// this finds the series it found last time for a few multiplies, where
-/// [`hash_borrowed`] sorts the labels and walks 20–60 bytes.
+/// a miss sorts the labels and binary-searches the slot list.
 #[inline]
 fn whereabouts(name: &str, labels: &[(&str, &str)]) -> (usize, usize) {
     if labels.is_empty() {
@@ -209,94 +187,89 @@ struct MemoEntry {
     order: u32,
 }
 
-/// Interned storage for one metric kind.
+/// Interned storage for one metric kind: each series' total `T` and,
+/// once a `_at` record has touched it, its sim-time buckets of `B`.
 ///
-/// Series are append-only slots. `ordered` gives deterministic
-/// export/iteration order (canonical `MetricId` ordering, exactly what
-/// the old `BTreeMap` storage produced); `fast` maps the FNV hash of a
-/// *borrowed* `(name, sorted labels)` key to candidate slots so the hot
-/// path can find an existing series without building a `MetricId` — no
-/// `String` allocation after a series' first touch; `memo` remembers
-/// where a borrowed key led, by its [`whereabouts`], and is believed
-/// only after the series it names has been compared with the key.
-#[derive(Debug, Default)]
-struct SeriesMap<T> {
+/// Series are append-only slots. `sorted` lists the slots in
+/// `MetricId` order — the export order, and what a first touch is
+/// binary-searched in. `memo` remembers where a borrowed key led, by
+/// its [`whereabouts`], and is believed only after the series it names
+/// has been compared with the key; no `String` is allocated after a
+/// series' first touch.
+#[derive(Debug)]
+struct SeriesMap<T, B> {
     ids: Vec<MetricId>,
     values: Vec<T>,
-    ordered: BTreeMap<MetricId, usize>,
-    fast: PrehashedMap<Vec<usize>>,
+    series: Vec<Option<BucketSeries<B>>>,
+    sorted: Vec<u32>,
     memo: AddrMemo<MemoEntry>,
 }
 
-/// The interning hash of an already-sorted `MetricId`.
-fn hash_id(id: &MetricId) -> u64 {
-    let mut h = fnv_step(fnv_str(FNV_OFFSET, &id.name), 0xFF);
-    for (k, v) in &id.labels {
-        h = fnv_step(fnv_str(h, k), 0);
-        h = fnv_step(fnv_str(h, v), 0);
+impl<T, B> Default for SeriesMap<T, B> {
+    fn default() -> SeriesMap<T, B> {
+        SeriesMap {
+            ids: Vec::new(),
+            values: Vec::new(),
+            series: Vec::new(),
+            sorted: Vec::new(),
+            memo: AddrMemo::default(),
+        }
     }
-    h
 }
 
-/// The same hash computed from borrowed labels visited in `order`.
-fn hash_borrowed(name: &str, labels: &[(&str, &str)], order: &[usize]) -> u64 {
-    let mut h = fnv_step(fnv_str(FNV_OFFSET, name), 0xFF);
-    for &i in order {
-        let (k, v) = labels[i];
-        h = fnv_step(fnv_str(h, k), 0);
-        h = fnv_step(fnv_str(h, v), 0);
-    }
-    h
-}
-
-impl<T: Default> SeriesMap<T> {
+impl<T: Default, B: BucketValue> SeriesMap<T, B> {
     fn len(&self) -> usize {
         self.ids.len()
     }
 
-    fn keys(&self) -> impl Iterator<Item = &MetricId> {
-        self.ordered.keys()
+    /// Where `id` is, or would go, in `sorted`.
+    fn search(&self, id: &MetricId) -> Result<usize, usize> {
+        (self.sorted).binary_search_by(|&s| self.ids[s as usize].cmp(id))
     }
 
     fn get(&self, id: &MetricId) -> Option<&T> {
-        self.ordered.get(id).map(|&s| &self.values[s])
+        Some(&self.values[self.sorted[self.search(id).ok()?] as usize])
+    }
+
+    /// Every series in `MetricId` order, with its slot.
+    fn slots(&self) -> impl Iterator<Item = (usize, &MetricId)> {
+        (self.sorted.iter()).map(|&s| (s as usize, &self.ids[s as usize]))
     }
 
     fn iter(&self) -> impl Iterator<Item = (&MetricId, &T)> {
-        self.ordered.iter().map(|(id, &s)| (id, &self.values[s]))
+        self.slots().map(|(s, id)| (id, &self.values[s]))
     }
 
-    fn insert_new(&mut self, id: MetricId, hash: u64) -> usize {
+    /// A new slot for `id`, at position `at` of `sorted`.
+    fn insert_at(&mut self, at: usize, id: MetricId) -> usize {
         let slot = self.ids.len();
-        self.ordered.insert(id.clone(), slot);
         self.ids.push(id);
         self.values.push(T::default());
-        self.fast.entry(hash).or_default().push(slot);
+        self.series.push(None);
+        self.sorted.insert(at, slot as u32);
         slot
     }
 
     /// Slot for `id`, interning it on first sight.
-    fn slot_of(&mut self, id: MetricId) -> usize {
-        if let Some(&s) = self.ordered.get(&id) {
-            return s;
+    fn slot_of(&mut self, id: &MetricId) -> usize {
+        match self.search(id) {
+            Ok(at) => self.sorted[at] as usize,
+            Err(at) => self.insert_at(at, id.clone()),
         }
-        let hash = hash_id(&id);
-        self.insert_new(id, hash)
     }
 
     /// Slot for a borrowed key — the allocation-free hot path. Falls
-    /// back to [`SeriesMap::slot_of`] only on first sight of a series
-    /// (or for oversized label sets).
+    /// back to [`SeriesMap::slot_of`] only for oversized label sets.
     ///
     /// The memo is consulted first, and believed only after the series
     /// it names has been compared with the key byte for byte: an
     /// address says nothing about content once a `String` has been
     /// freed and another allocated in its place. The compare is a
-    /// `memcmp` per string; the sort and the FNV walk it saves are not.
+    /// `memcmp` per string; the sort and the search it saves are not.
     #[inline]
     fn slot_fast(&mut self, name: &str, labels: &[(&str, &str)]) -> usize {
         if labels.len() > MAX_FAST_LABELS {
-            return self.slot_of(MetricId::new(name, labels));
+            return self.slot_of(&MetricId::new(name, labels));
         }
         let at = whereabouts(name, labels);
         match self.remembered(name, labels, at) {
@@ -320,12 +293,13 @@ impl<T: Default> SeriesMap<T> {
         }
         let order = &mut order[..labels.len()];
         order.sort_unstable_by(|&a, &b| labels[a].cmp(&labels[b]));
-        let hash = hash_borrowed(name, labels, order);
-        let known = self.fast.get(&hash).and_then(|slots| {
-            let mut slots = slots.iter().copied();
-            slots.find(|&s| self.ids[s].matches(name, labels, |j| order[j]))
-        });
-        let slot = known.unwrap_or_else(|| self.insert_new(MetricId::new(name, labels), hash));
+        let found = self
+            .sorted
+            .binary_search_by(|&s| self.ids[s as usize].cmp_borrowed(name, labels, |j| order[j]));
+        let slot = match found {
+            Ok(pos) => self.sorted[pos] as usize,
+            Err(pos) => self.insert_at(pos, MetricId::new(name, labels)),
+        };
         self.remember(at, slot, order);
         slot
     }
@@ -350,17 +324,56 @@ impl<T: Default> SeriesMap<T> {
         self.memo.insert(at.0, at.1, memo);
     }
 
-    fn value_mut(&mut self, slot: usize) -> &mut T {
-        &mut self.values[slot]
+    /// The total and the sim-time series of the unlabelled series
+    /// `name`, the series started at `width_ms` on its first record.
+    #[inline]
+    fn timed(&mut self, name: &str, width_ms: u64) -> (&mut T, &mut BucketSeries<B>) {
+        let slot = self.slot_fast(name, &[]);
+        let series = self.series[slot].get_or_insert_with(|| BucketSeries::new(width_ms));
+        (&mut self.values[slot], series)
+    }
+
+    /// Folds every series of `other` into `self`: its total by `fold`,
+    /// its buckets as [`BucketSeries::merge`] does, a series new here
+    /// starting at the finer of its width and `hint`.
+    fn merge(&mut self, other: &SeriesMap<T, B>, hint: u64, cap: usize, fold: impl Fn(&mut T, &T)) {
+        for (from, id) in other.slots() {
+            let slot = self.slot_of(id);
+            fold(&mut self.values[slot], &other.values[from]);
+            if let Some(buckets) = &other.series[from] {
+                let width = buckets.width_ms.min(hint);
+                let into = self.series[slot].get_or_insert_with(|| BucketSeries::new(width));
+                into.merge(buckets, cap);
+            }
+        }
+    }
+
+    /// Writes the dense JSONL lines of every series that has sim-time
+    /// buckets, in `MetricId` order.
+    fn timeseries_lines(&self, out: &mut String) {
+        for (slot, id) in self.slots() {
+            if let Some(series) = &self.series[slot] {
+                dense_lines(out, &id.name, series);
+            }
+        }
     }
 }
 
-/// The registry holding every metric series of a run.
-#[derive(Debug, Default)]
+/// The registry holding every metric series of a run, with the initial
+/// bucket width and span cap its sim-time series start at.
+#[derive(Debug)]
 pub struct Registry {
-    counters: SeriesMap<u64>,
-    gauges: SeriesMap<f64>,
-    sketches: SeriesMap<QuantileSketch>,
+    counters: SeriesMap<u64, u64>,
+    gauges: SeriesMap<f64, GaugeBucket>,
+    sketches: SeriesMap<QuantileSketch, QuantileSketch>,
+    width_hint_ms: u64,
+    span_cap: usize,
+}
+
+impl Default for Registry {
+    fn default() -> Registry {
+        Registry::with_config(DEFAULT_TS_BUCKET_MS, DEFAULT_TS_SPAN_CAP)
+    }
 }
 
 /// Help text for the known metric families; unknown families get a
@@ -435,17 +448,51 @@ impl Registry {
         Registry::default()
     }
 
+    /// An empty registry whose sim-time series start `width_ms` wide
+    /// and coarsen past `span_cap` buckets. Every registry that takes
+    /// part in one shard merge must use the same initial width, or
+    /// bucket boundaries will not nest.
+    fn with_config(width_ms: u64, span_cap: usize) -> Registry {
+        Registry {
+            counters: SeriesMap::default(),
+            gauges: SeriesMap::default(),
+            sketches: SeriesMap::default(),
+            width_hint_ms: width_ms.max(1),
+            span_cap: span_cap.max(1),
+        }
+    }
+
+    /// Re-configures the initial width and cap. New series start at
+    /// the new width; existing series keep theirs, so call this before
+    /// recording anything.
+    pub(crate) fn configure_timeseries(&mut self, width_ms: u64, span_cap: usize) {
+        self.width_hint_ms = width_ms.max(1);
+        self.span_cap = span_cap.max(1);
+    }
+
+    /// Everything recorded so far, leaving `self` empty with the same
+    /// configuration.
+    pub(crate) fn take(&mut self) -> Registry {
+        let fresh = Registry::with_config(self.width_hint_ms, self.span_cap);
+        std::mem::replace(self, fresh)
+    }
+
     /// Adds `delta` to a counter addressed by borrowed name/labels —
     /// allocation-free once the series exists.
     pub(crate) fn counter_add(&mut self, name: &str, labels: &[(&str, &str)], delta: u64) {
         let slot = self.counters.slot_fast(name, labels);
-        *self.counters.value_mut(slot) += delta;
+        self.counters.values[slot] += delta;
     }
 
-    /// Adds `delta` to the unlabelled counter behind a key.
-    pub(crate) fn counter_add_keyed(&mut self, key: &MetricKey, delta: u64) {
-        let slot = self.counters.slot_fast(key.name, &[]);
-        *self.counters.value_mut(slot) += delta;
+    /// Adds `delta` to the unlabelled counter `name` and to its
+    /// sim-time series in the bucket holding `t_ms`. One call for both
+    /// keeps them conserved by construction: the sum of a counter's
+    /// bucket deltas always equals its total (the `repro doctor`
+    /// invariant).
+    pub(crate) fn counter_add_at(&mut self, name: &str, delta: u64, t_ms: u64) {
+        let (total, series) = self.counters.timed(name, self.width_hint_ms);
+        *total += delta;
+        series.record(t_ms, self.span_cap, |v| *v += delta);
     }
 
     /// Reads a counter (zero if never touched).
@@ -453,23 +500,27 @@ impl Registry {
         self.counters.get(id).copied().unwrap_or(0)
     }
 
-    /// Sets the unlabelled gauge behind a key.
-    pub(crate) fn gauge_set_keyed(&mut self, key: &MetricKey, value: f64) {
-        let slot = self.gauges.slot_fast(key.name, &[]);
-        *self.gauges.value_mut(slot) = value;
+    /// Sets the unlabelled gauge `name` and samples it into its
+    /// sim-time series bucket at `t_ms`.
+    pub(crate) fn gauge_set_at(&mut self, name: &str, value: f64, t_ms: u64) {
+        let (total, series) = self.gauges.timed(name, self.width_hint_ms);
+        *total = value;
+        series.record(t_ms, self.span_cap, |g| g.observe(value));
     }
 
     /// Records an observation into the quantile sketch addressed by
     /// borrowed name/labels, creating it if needed.
     pub(crate) fn sketch_observe(&mut self, name: &str, labels: &[(&str, &str)], value: u64) {
         let slot = self.sketches.slot_fast(name, labels);
-        self.sketches.value_mut(slot).observe(value);
+        self.sketches.values[slot].observe(value);
     }
 
-    /// Records an observation into the unlabelled sketch behind a key.
-    pub(crate) fn sketch_observe_keyed(&mut self, key: &MetricKey, value: u64) {
-        let slot = self.sketches.slot_fast(key.name, &[]);
-        self.sketches.value_mut(slot).observe(value);
+    /// Records an observation into the unlabelled sketch `name` and
+    /// into the per-bucket sketch for sim-time `t_ms`.
+    pub(crate) fn sketch_observe_at(&mut self, name: &str, value: u64, t_ms: u64) {
+        let (total, series) = self.sketches.timed(name, self.width_hint_ms);
+        total.observe(value);
+        series.record(t_ms, self.span_cap, |s| s.observe(value));
     }
 
     /// Iterates counters in deterministic order.
@@ -483,23 +534,34 @@ impl Registry {
         self.sketches.iter()
     }
 
-    /// Merges another registry into this one (summing counters and
-    /// sketches; `other`'s gauges win on key collisions). Sketch
-    /// merging adds bucket counts, so repeated pairwise merges are
-    /// associative — shard order cannot change the merged quantiles.
+    /// Merges another registry into this one: counters and sketches
+    /// sum, `other`'s gauges win on key collisions, and sim-time series
+    /// fold bucket by bucket. Sketch merging adds bucket counts, so
+    /// repeated pairwise merges are associative — shard order cannot
+    /// change the merged quantiles — and the series fold is
+    /// associative and commutative (see the `timeseries` module).
     pub(crate) fn merge(&mut self, other: &Registry) {
-        for (id, v) in other.counters.iter() {
-            let slot = self.counters.slot_of(id.clone());
-            *self.counters.value_mut(slot) += v;
-        }
-        for (id, v) in other.gauges.iter() {
-            let slot = self.gauges.slot_of(id.clone());
-            *self.gauges.value_mut(slot) = *v;
-        }
-        for (id, s) in other.sketches.iter() {
-            let slot = self.sketches.slot_of(id.clone());
-            self.sketches.value_mut(slot).merge(s);
-        }
+        let (hint, cap) = (self.width_hint_ms, self.span_cap);
+        self.counters
+            .merge(&other.counters, hint, cap, |into, v| *into += v);
+        self.gauges
+            .merge(&other.gauges, hint, cap, |into, v| *into = *v);
+        self.sketches
+            .merge(&other.sketches, hint, cap, |into, s| into.merge(s));
+    }
+
+    /// The dense, gap-free JSONL export of every sim-time series: one
+    /// line per bucket between a series' first and last occupied bucket
+    /// (missing buckets export as zero), counters first, then gauges,
+    /// then sketches, each in name order. Purely a function of the
+    /// recorded sim-time observations — never wall clock — so the
+    /// artifact is byte-identical across worker counts.
+    pub(crate) fn to_timeseries_jsonl(&self) -> String {
+        let mut out = String::new();
+        self.counters.timeseries_lines(&mut out);
+        self.gauges.timeseries_lines(&mut out);
+        self.sketches.timeseries_lines(&mut out);
+        out
     }
 
     /// Renders the whole registry in the Prometheus text exposition
@@ -551,8 +613,9 @@ impl Registry {
             let _ = writeln!(out, "── counters ─────────────────────────────────────────");
             let width = self
                 .counters
-                .keys()
-                .chain(self.gauges.keys())
+                .iter()
+                .map(|(id, _)| id)
+                .chain(self.gauges.iter().map(|(id, _)| id))
                 .map(|id| id.render().len())
                 .max()
                 .unwrap_or(0);
@@ -609,19 +672,20 @@ pub(crate) fn reallocated_at(old: String, new: &str) -> Option<String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeMap;
 
     #[test]
     fn prometheus_text_matches_the_golden_exposition() {
         const ENTRIES: MetricKey = MetricKey::new("resolver_cache_entries");
         const LATENCY: MetricKey = MetricKey::new("resolver_latency_quantiles_ms");
         let mut r = Registry::new();
-        r.counter_add_keyed(&MetricKey::new("resolver_client_queries"), 4);
+        r.counter_add_at(MetricKey::new("resolver_client_queries").name(), 4, 0);
         r.counter_add("auth_queries", &[("server", "b")], 1);
         r.counter_add("auth_queries", &[("server", "a")], 3);
-        r.gauge_set_keyed(&ENTRIES, 2.0);
-        r.gauge_set_keyed(&ENTRIES, 7.5);
+        r.gauge_set_at(ENTRIES.name(), 2.0, 0);
+        r.gauge_set_at(ENTRIES.name(), 7.5, 60_000);
         for v in [3, 10, 10, 250] {
-            r.sketch_observe_keyed(&LATENCY, v);
+            r.sketch_observe(LATENCY.name(), &[], v);
         }
         r.sketch_observe("undocumented_ms", &[("k", "v")], 5);
         let golden = "\
@@ -697,17 +761,17 @@ undocumented_ms_count{k=\"v\"} 1
 
     #[test]
     fn one_series_has_one_slot_however_it_is_reached() {
-        let mut m: SeriesMap<u64> = SeriesMap::default();
-        let keyed = m.slot_of(MetricId::new("plain", &[]));
+        let mut m: SeriesMap<u64, u64> = SeriesMap::default();
+        let keyed = m.slot_of(&MetricId::new("plain", &[]));
         assert_eq!(m.slot_fast("plain", &[]), keyed);
         assert_eq!(m.slot_fast("plain", &[]), keyed); // from the memo
-        assert_eq!(m.slot_of(MetricId::new("plain", &[])), keyed);
+        assert_eq!(m.slot_of(&MetricId::new("plain", &[])), keyed);
         let labelled = m.slot_fast("q", &[("b", "2"), ("a", "1")]);
         assert_ne!(labelled, keyed);
         assert_eq!(m.slot_fast("q", &[("b", "2"), ("a", "1")]), labelled); // from the memo
         assert_eq!(m.slot_fast("q", &[("a", "1"), ("b", "2")]), labelled);
         assert_eq!(
-            m.slot_of(MetricId::new("q", &[("a", "1"), ("b", "2")])),
+            m.slot_of(&MetricId::new("q", &[("a", "1"), ("b", "2")])),
             labelled
         );
         assert_eq!(m.len(), 2);
@@ -721,14 +785,14 @@ undocumented_ms_count{k=\"v\"} 1
             slot.expect("the memo holds the series")
         };
         let keyed: &'static str = "keyed_first_total";
-        r.counter_add_keyed(&MetricKey::new(keyed), 2);
+        r.counter_add_at(MetricKey::new(keyed).name(), 2, 0);
         let slot = remembered(&r, keyed);
         r.counter_add(keyed, &[], 3);
         assert_eq!(remembered(&r, keyed), slot);
         let named: &'static str = "named_first_total";
         r.counter_add(named, &[], 1);
         let slot = remembered(&r, named);
-        r.counter_add_keyed(&MetricKey::new(named), 1);
+        r.counter_add_at(MetricKey::new(named).name(), 1, 0);
         assert_eq!(remembered(&r, named), slot);
         let counters: Vec<(String, u64)> = r.counters().map(|(id, v)| (id.render(), v)).collect();
         assert_eq!(
@@ -738,6 +802,139 @@ undocumented_ms_count{k=\"v\"} 1
                 ("named_first_total".into(), 2)
             ]
         );
+    }
+
+    /// A seeded xorshift, so the property tests below replay exactly.
+    fn xorshift(state: &mut u64) -> u64 {
+        let mut x = *state;
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        *state = x;
+        x
+    }
+
+    /// The stack sort the miss path does: which borrowed label is the
+    /// `j`-th in sorted order.
+    fn sorted_order(labels: &[(&str, &str)]) -> Vec<usize> {
+        let mut order: Vec<usize> = (0..labels.len()).collect();
+        order.sort_unstable_by(|&a, &b| labels[a].cmp(&labels[b]));
+        order
+    }
+
+    #[test]
+    fn cmp_borrowed_agrees_with_the_derived_order() {
+        // Names and label strings drawn from pools of prefixes of one
+        // another, so ties, prefixes and equal keys are common.
+        const NAMES: [&str; 5] = ["q", "q_", "qa", "q_total", ""];
+        const KEYS: [&str; 4] = ["a", "ab", "b", "server"];
+        const VALUES: [&str; 4] = ["", "1", "10", "2"];
+        let mut state = 0x5eed_u64;
+        let draw = |state: &mut u64| {
+            let name = NAMES[(xorshift(state) % 5) as usize];
+            let labels: Vec<(&str, &str)> = (0..xorshift(state) % 4)
+                .map(|_| {
+                    let k = KEYS[(xorshift(state) % 4) as usize];
+                    (k, VALUES[(xorshift(state) % 4) as usize])
+                })
+                .collect();
+            (name, labels)
+        };
+        for _ in 0..20_000 {
+            let (name, labels) = draw(&mut state);
+            let id = MetricId::new(name, &labels);
+            let (other_name, mut other) = draw(&mut state);
+            // Half the time, the same label set handed in another order.
+            if xorshift(&mut state).is_multiple_of(2) {
+                other = labels.clone();
+                other.reverse();
+            }
+            let order = sorted_order(&other);
+            let expected = id.cmp(&MetricId::new(other_name, &other));
+            let got = id.cmp_borrowed(other_name, &other, |j| order[j]);
+            assert_eq!(got, expected, "{id:?} vs {other_name:?} {other:?}");
+        }
+    }
+
+    #[test]
+    fn many_labelled_series_agree_with_a_btreemap_model() {
+        // 3 000 series, three times the memo's slots, so memo
+        // collisions are certain and the sorted list does the finding.
+        const FAMILIES: usize = 60;
+        let series: Vec<(String, Vec<(String, String)>)> = (0..3_000)
+            .map(|i| {
+                let name = format!("family_{}", i % FAMILIES);
+                let labels = if i < FAMILIES {
+                    Vec::new()
+                } else {
+                    let shard = (i / FAMILIES).to_string();
+                    vec![
+                        ("shard".into(), shard),
+                        ("region".into(), format!("r{}", i % 7)),
+                    ]
+                };
+                (name, labels)
+            })
+            .collect();
+        let mut r = Registry::new();
+        r.configure_timeseries(1_000, 1_024);
+        let mut totals: BTreeMap<MetricId, u64> = BTreeMap::new();
+        let mut buckets: BTreeMap<&str, BTreeMap<u64, u64>> = BTreeMap::new();
+        let mut state = 42u64;
+        for _ in 0..30_000 {
+            let (name, labels) = &series[(xorshift(&mut state) % 3_000) as usize];
+            let delta = 1 + xorshift(&mut state) % 5;
+            let mut labels: Vec<(&str, &str)> = labels
+                .iter()
+                .map(|(k, v)| (k.as_str(), v.as_str()))
+                .collect();
+            if xorshift(&mut state).is_multiple_of(2) {
+                labels.reverse();
+            }
+            if labels.is_empty() {
+                let t_ms = xorshift(&mut state) % 100_000;
+                r.counter_add_at(name, delta, t_ms);
+                *buckets
+                    .entry(name)
+                    .or_default()
+                    .entry(t_ms / 1_000)
+                    .or_default() += delta;
+            } else {
+                r.counter_add(name, &labels, delta);
+            }
+            *totals.entry(MetricId::new(name, &labels)).or_default() += delta;
+        }
+        for (id, total) in &totals {
+            assert_eq!(r.counter(id), *total, "{}", id.render());
+        }
+        let samples: Vec<String> = totals
+            .iter()
+            .map(|(id, v)| format!("{} {v}", id.render()))
+            .collect();
+        let text = r.to_prometheus_text();
+        let exported: Vec<&str> = text.lines().filter(|l| !l.starts_with('#')).collect();
+        assert_eq!(exported, samples);
+        let mut jsonl = String::new();
+        for (name, buckets) in &buckets {
+            let (first, last) = (
+                buckets.keys().next().unwrap(),
+                buckets.keys().last().unwrap(),
+            );
+            for idx in *first..=*last {
+                let value = buckets.get(&idx).copied().unwrap_or(0);
+                let t_ms = idx * 1_000;
+                jsonl.push_str(&format!(
+                    "{{\"series\":\"{name}\",\"kind\":\"counter\",\"t_ms\":{t_ms},\"width_ms\":1000,\"value\":{value}}}\n"
+                ));
+            }
+        }
+        assert_eq!(r.to_timeseries_jsonl(), jsonl);
+        // The merge path finds each series by its id and agrees too.
+        let mut merged = Registry::new();
+        merged.configure_timeseries(1_000, 1_024);
+        merged.merge(&r);
+        assert_eq!(merged.to_prometheus_text(), text);
+        assert_eq!(merged.to_timeseries_jsonl(), jsonl);
     }
 
     #[test]
@@ -774,7 +971,7 @@ undocumented_ms_count{k=\"v\"} 1
         // sketch families.
         r.counter_add("q", &[("scenario", "a")], 1);
         r.counter_add("q", &[("scenario", "b")], 2);
-        r.gauge_set_keyed(&MetricKey::new("resolver_cache_entries"), 7.0);
+        r.gauge_set_at(MetricKey::new("resolver_cache_entries").name(), 7.0, 0);
         r.sketch_observe("resolver_answer_ttl_s", &[], 12);
         r.sketch_observe("resolution_latency_ms", &[], 40);
         let text = r.to_prometheus_text();
