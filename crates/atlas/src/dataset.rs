@@ -185,16 +185,17 @@ impl Dataset {
     pub fn merge_shards(parts: Vec<(Dataset, usize, usize)>) -> Dataset {
         let (lists, bases): (Vec<_>, Vec<_>) = parts
             .into_iter()
-            .map(|(part, probe_base, resolver_base)| (part.results, (probe_base, resolver_base)))
+            .map(|(part, probe_base, resolver_base)| {
+                (part.results.into_iter(), (probe_base, resolver_base))
+            })
             .unzip();
-        let results = merge_by_time(
-            lists,
-            |r| r.at,
-            |part, r| {
+        let results = merge_by_time(lists, |r| r.at)
+            .map(|(part, mut r)| {
                 r.probe_idx += bases[part].0;
                 r.resolver_idx += bases[part].1;
-            },
-        );
+                r
+            })
+            .collect();
         Dataset { results }
     }
 }

@@ -37,10 +37,10 @@ pub use measurement::{
 };
 pub use population::{DiurnalCurve, Population, PopulationConfig, Probe, ResolverRef, ZipfSampler};
 pub use scale::{
-    run_zipf_campaign, run_zipf_campaign_profiled, run_zipf_cell, ProbeFrame, ZipfCampaignConfig,
-    ZipfCellOut, ZipfDataset, ZipfEngine, ZipfOutcome, ZipfRow, ZipfRunOpts,
+    run_zipf_campaign, run_zipf_campaign_profiled, run_zipf_cell, ProbeFrame, Rows,
+    ZipfCampaignConfig, ZipfCellOut, ZipfDataset, ZipfEngine, ZipfOutcome, ZipfRow, ZipfRunOpts,
 };
 pub use shard::{
     fan_out, measure_population, merge_by_time, partition, partition_bases, population_campaign,
-    FanOut, ShardProfile, ShardedOutcome, LOGICAL_SHARDS,
+    FanOut, MergeByTime, ShardProfile, ShardedOutcome, LOGICAL_SHARDS,
 };

@@ -30,7 +30,10 @@
 //!
 //! Campaigns run on the cell engine in [`crate::shard`]:
 //! [`fan_out`] schedules the cells and owns their telemetry handles
-//! and heartbeat, [`merge_by_time`] orders the rows. Each cell builds
+//! and heartbeat. A [`ZipfDataset`] keeps each cell's rows in the
+//! vector the cell wrote, so a campaign holds every row once, and
+//! [`ZipfDataset::digest`] streams their time order through
+//! [`merge_by_time`]. Each cell builds
 //! its own world and RNG from `shard_seed(run_seed, cell_id)`, so any
 //! power-of-two cell count is valid and the worker count never touches
 //! the output. The **cell count, unlike the worker count, is part of
@@ -46,6 +49,7 @@ use dnsttl_telemetry::{MetricKey, Telemetry, TelemetryParts};
 use dnsttl_wire::{Name, Rcode, RecordType, Ttl};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
+use std::iter::Flatten;
 
 /// Campaign-level counters, keyed once so the hot loop never hashes
 /// metric names.
@@ -187,43 +191,57 @@ pub struct ZipfRow {
     pub ok: bool,
 }
 
-/// A campaign dataset: rows in canonical `(at_ms, …)` merge order.
+/// A campaign dataset: one run of rows per non-empty cell, in cell
+/// order, each run in the fire order its cell wrote it. No row is
+/// held twice: merging cells moves their runs, and the canonical
+/// `(at_ms, cell)` order is streamed by [`ZipfDataset::digest`]
+/// through [`merge_by_time`] rather than stored.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ZipfDataset {
-    rows: Vec<ZipfRow>,
+    runs: Vec<Vec<ZipfRow>>,
 }
 
 impl ZipfDataset {
-    /// All rows.
-    pub fn rows(&self) -> &[ZipfRow] {
-        &self.rows
+    /// Every row, cell by cell. Rows of one cell come out in fire
+    /// order, but the view is not in time order across cells: only
+    /// [`ZipfDataset::digest`] walks the time order.
+    pub fn rows(&self) -> Rows<'_> {
+        Rows { runs: &self.runs }
     }
 
     /// Number of rows.
     pub fn len(&self) -> usize {
-        self.rows.len()
+        self.rows().len()
     }
 
     /// True when no queries fired.
     pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
+        self.rows().is_empty()
     }
 
     /// Fraction of queries answered from cache.
     pub fn hit_rate(&self) -> f64 {
-        if self.rows.is_empty() {
+        let rows = self.len();
+        if rows == 0 {
             return 0.0;
         }
-        self.rows.iter().filter(|r| r.cache_hit).count() as f64 / self.rows.len() as f64
+        let hits: usize = self
+            .runs
+            .iter()
+            .map(|run| run.iter().filter(|r| r.cache_hit).count())
+            .sum();
+        hits as f64 / rows as f64
     }
 
-    /// FNV-1a over every row in order: a cheap order-sensitive
-    /// fingerprint. Digest equality across worker counts (or engines)
+    /// FNV-1a over every row in canonical `(at_ms, cell)` order: a
+    /// cheap order-sensitive fingerprint. It streams the cells' runs
+    /// through [`merge_by_time`] and hashes as it goes, so it copies
+    /// no row. Digest equality across worker counts (or engines)
     /// certifies the identical row sequence.
     pub fn digest(&self) -> u64 {
         let mut h = FNV_OFFSET;
         let mut mix = |v: u64| h = fnv1a(h, &v.to_le_bytes());
-        for r in &self.rows {
+        for r in self.time_order() {
             mix(r.at_ms);
             mix(r.probe as u64);
             mix(r.rank as u64);
@@ -234,19 +252,79 @@ impl ZipfDataset {
         h
     }
 
+    /// Every row in canonical `(at_ms, cell)` order, streamed from the
+    /// runs.
+    fn time_order(&self) -> impl Iterator<Item = &ZipfRow> {
+        merge_by_time(self.runs.iter().map(|run| run.iter()), |r| r.at_ms).map(|(_, r)| r)
+    }
+
     /// Merges per-cell datasets into one, parameterized by however
-    /// many parts the caller produced — there is no fixed cell count
-    /// anywhere in the re-sequencing key. [`merge_by_time`] orders the
-    /// rows by `(at_ms, part_idx)`, so simultaneous fires in different
-    /// cells land in cell order — the same total order a single-cell
-    /// run of the concatenated population would produce. Resolver
-    /// indices are rebased by each part's `resolver_base`; probe
-    /// indices are already global.
+    /// many parts the caller produced. Each part's resolver indices are
+    /// rebased in place by its `resolver_base` (probe indices are
+    /// already global) and its runs move into the merged dataset in
+    /// part order, so no row is copied. Part order is what breaks
+    /// ties in [`ZipfDataset::digest`]'s time order: simultaneous fires
+    /// in different cells come out in cell order — the same total
+    /// order a single-cell run of the concatenated population would
+    /// produce.
     pub fn merge_cells(parts: Vec<(ZipfDataset, u32)>) -> ZipfDataset {
-        let (lists, bases): (Vec<_>, Vec<u32>) =
-            parts.into_iter().map(|(d, base)| (d.rows, base)).unzip();
-        let rows = merge_by_time(lists, |r| r.at_ms, |part, r| r.resolver += bases[part]);
-        ZipfDataset { rows }
+        let mut runs = Vec::with_capacity(parts.len());
+        for (part, base) in parts {
+            for mut run in part.runs {
+                for r in &mut run {
+                    r.resolver += base;
+                }
+                runs.push(run);
+            }
+        }
+        ZipfDataset { runs }
+    }
+}
+
+/// One cell's dataset: the rows it wrote, which must be in time order
+/// (fire order), kept in that vector.
+impl From<Vec<ZipfRow>> for ZipfDataset {
+    fn from(rows: Vec<ZipfRow>) -> ZipfDataset {
+        let runs = if rows.is_empty() {
+            Vec::new()
+        } else {
+            vec![rows]
+        };
+        ZipfDataset { runs }
+    }
+}
+
+/// A borrowed view of a [`ZipfDataset`]'s rows, cell by cell: each
+/// cell's rows in fire order, the cells in cell order. It is not the
+/// time order across cells; only [`ZipfDataset::digest`] gives that.
+#[derive(Debug, Clone, Copy)]
+pub struct Rows<'a> {
+    runs: &'a [Vec<ZipfRow>],
+}
+
+impl<'a> Rows<'a> {
+    /// Number of rows.
+    pub fn len(&self) -> usize {
+        self.runs.iter().map(Vec::len).sum()
+    }
+
+    /// True when the view holds no row.
+    pub fn is_empty(&self) -> bool {
+        self.runs.iter().all(Vec::is_empty)
+    }
+
+    /// Every row, cell by cell.
+    pub fn iter(&self) -> Flatten<std::slice::Iter<'a, Vec<ZipfRow>>> {
+        self.runs.iter().flatten()
+    }
+}
+
+impl<'a> IntoIterator for Rows<'a> {
+    type Item = &'a ZipfRow;
+    type IntoIter = Flatten<std::slice::Iter<'a, Vec<ZipfRow>>>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.iter()
     }
 }
 
@@ -330,7 +408,7 @@ pub struct ZipfCellOut {
 /// The merged campaign outcome.
 #[derive(Debug, Default)]
 pub struct ZipfOutcome {
-    /// All rows, merged in canonical order with global indices.
+    /// All rows with global indices, one run per cell.
     pub dataset: ZipfDataset,
     /// Queries per probe, global probe order.
     pub queries_per_probe: Vec<u32>,
@@ -430,7 +508,7 @@ fn fire_one(
     resolvers: &mut [RecursiveResolver],
     net: &mut Network,
     telemetry: &Telemetry,
-    out: &mut ZipfDataset,
+    out: &mut Vec<ZipfRow>,
 ) -> bool {
     let qname = &names[rank as usize];
     let now = dnsttl_netsim::SimTime::from_millis(t_ms);
@@ -445,7 +523,7 @@ fn fire_one(
         cache_hit: outcome.cache_hit,
         ok,
     };
-    out.rows.push(row);
+    out.push(row);
     telemetry.count_keyed_at(&ZIPF_QUERIES, 1, t_ms);
     if outcome.cache_hit {
         telemetry.count_keyed_at(&ZIPF_HITS, 1, t_ms);
@@ -491,7 +569,7 @@ pub fn run_zipf_cell(
         .collect();
     let mut frame = ProbeFrame::build(cfg, sampler, cell_probes, &mut rng);
 
-    let mut dataset = ZipfDataset::default();
+    let mut rows = Vec::new();
     let base_ms = cfg.frequency.as_millis().max(1);
     let end_ms = cfg.duration.as_millis();
     match engine {
@@ -504,7 +582,7 @@ pub fn run_zipf_cell(
                 &mut resolvers,
                 &mut net,
                 telemetry,
-                &mut dataset,
+                &mut rows,
                 base_ms,
                 end_ms,
             );
@@ -518,7 +596,7 @@ pub fn run_zipf_cell(
                 &mut resolvers,
                 &mut net,
                 telemetry,
-                &mut dataset,
+                &mut rows,
                 base_ms,
                 end_ms,
             );
@@ -530,7 +608,7 @@ pub fn run_zipf_cell(
         cache.absorb(&r.cache().stats());
     }
     ZipfCellOut {
-        dataset,
+        dataset: ZipfDataset::from(rows),
         queries: frame.queries,
         hits: frame.hits,
         cache,
@@ -556,7 +634,7 @@ fn run_soa_sweep(
     resolvers: &mut [RecursiveResolver],
     net: &mut Network,
     telemetry: &Telemetry,
-    dataset: &mut ZipfDataset,
+    rows: &mut Vec<ZipfRow>,
     base_ms: u64,
     end_ms: u64,
 ) {
@@ -579,7 +657,7 @@ fn run_soa_sweep(
             resolvers,
             net,
             telemetry,
-            dataset,
+            rows,
         );
         frame.queries[idx] += 1;
         frame.hits[idx] += u32::from(hit);
@@ -603,7 +681,7 @@ fn run_oracle(
     resolvers: &mut [RecursiveResolver],
     net: &mut Network,
     telemetry: &Telemetry,
-    dataset: &mut ZipfDataset,
+    rows: &mut Vec<ZipfRow>,
     base_ms: u64,
     end_ms: u64,
 ) {
@@ -646,7 +724,7 @@ fn run_oracle(
             resolvers,
             net,
             telemetry,
-            dataset,
+            rows,
         );
         p.queries += 1;
         p.hits += u32::from(hit);
@@ -804,20 +882,80 @@ mod tests {
             cache_hit: false,
             ok: true,
         };
-        let a = ZipfDataset {
-            rows: vec![row(5, 0, 0), row(9, 1, 1)],
-        };
+        let a = ZipfDataset::from(vec![row(5, 0, 0), row(9, 1, 1)]);
         let b = ZipfDataset::default();
-        let c = ZipfDataset {
-            rows: vec![row(5, 2, 0)],
-        };
+        let c = ZipfDataset::from(vec![row(5, 2, 0)]);
         let merged = ZipfDataset::merge_cells(vec![(a, 0), (b, 4), (c, 6)]);
+        assert_eq!(merged.len(), 3);
         let got: Vec<(u64, u32, u32)> = merged
-            .rows()
-            .iter()
+            .time_order()
             .map(|r| (r.at_ms, r.probe, r.resolver))
             .collect();
         // Tie at t=5 lands in part (cell) order; resolvers rebased.
         assert_eq!(got, vec![(5, 0, 0), (5, 2, 6), (9, 1, 1)]);
+    }
+
+    #[test]
+    fn streamed_order_matches_a_stable_sort_of_the_concatenated_cells() {
+        // The outside model: concatenate every cell's rebased rows,
+        // sort them stably by time, hash them. Cells share a narrow
+        // time range, so ties across cells are everywhere, and some
+        // cells are empty.
+        let mut rng = SimRng::seed_from(0x5eed);
+        for k in [1usize, 2, 3, 4, 64] {
+            for _ in 0..3 {
+                let mut parts = Vec::with_capacity(k);
+                let mut model = Vec::new();
+                let mut probe = 0u32;
+                let mut resolver_base = 0u32;
+                for _ in 0..k {
+                    let len = if rng.chance(0.2) {
+                        0
+                    } else {
+                        rng.below(5_001) as usize
+                    };
+                    let mut at_ms = rng.below(4);
+                    let mut rows = Vec::with_capacity(len);
+                    for _ in 0..len {
+                        at_ms += rng.below(3);
+                        rows.push(ZipfRow {
+                            at_ms,
+                            probe,
+                            rank: rng.below(1_000) as u32,
+                            resolver: rng.below(8) as u32,
+                            rtt_ms: rng.below(400) as u32,
+                            cache_hit: rng.chance(0.5),
+                            ok: rng.chance(0.9),
+                        });
+                        probe += 1;
+                    }
+                    model.extend(rows.iter().map(|r| ZipfRow {
+                        resolver: r.resolver + resolver_base,
+                        ..*r
+                    }));
+                    parts.push((ZipfDataset::from(rows), resolver_base));
+                    resolver_base += 8;
+                }
+                let merged = ZipfDataset::merge_cells(parts);
+
+                let mut by_probe: Vec<ZipfRow> = merged.rows().iter().copied().collect();
+                by_probe.sort_by_key(|r| r.probe);
+                assert_eq!(by_probe, model, "k={k}: every row exactly once, rebased");
+                assert_eq!(merged.len(), model.len());
+
+                model.sort_by_key(|r| r.at_ms);
+                let mut h = FNV_OFFSET;
+                let mut mix = |v: u64| h = fnv1a(h, &v.to_le_bytes());
+                for r in &model {
+                    mix(r.at_ms);
+                    mix(r.probe as u64);
+                    mix(r.rank as u64);
+                    mix(r.resolver as u64);
+                    mix(r.rtt_ms as u64);
+                    mix(u64::from(r.cache_hit) << 1 | u64::from(r.ok));
+                }
+                assert_eq!(merged.digest(), h, "k={k}: digest of the time order");
+            }
+        }
     }
 }

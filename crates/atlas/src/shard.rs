@@ -20,8 +20,10 @@
 //! * [`population_campaign`] — the population cell loop: partition the
 //!   probes, seed each cell, run [`measure_population`] in it, rebase
 //!   and sum.
-//! * [`merge_by_time`] — the k-way merge by `(sim time, part index)`
-//!   behind both `Dataset::merge_shards` and `ZipfDataset::merge_cells`.
+//! * [`merge_by_time`] — the one k-way merge by `(sim time, part
+//!   index)`, a lazy iterator. `Dataset::merge_shards` collects it into
+//!   a merged dataset; a `ZipfDataset` keeps its cells' rows as runs
+//!   and only `ZipfDataset::digest` streams them through it.
 //!
 //! The simulator's service handles are `Rc`-backed and therefore not
 //! `Send`; cells construct their world *inside* their worker thread and
@@ -39,6 +41,7 @@ use dnsttl_telemetry::{Telemetry, TelemetryParts};
 use std::cmp::Reverse;
 use std::collections::binary_heap::PeekMut;
 use std::collections::BinaryHeap;
+use std::iter::Peekable;
 use std::net::IpAddr;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -302,48 +305,71 @@ where
     (outs, parts, profile)
 }
 
-/// Merges per-cell row lists into one list ordered by `(at(row), part
-/// index)`, applying `rebase(part index, row)` to every row on the way.
+/// Streams the rows of per-cell parts in `(at(row), part index)`
+/// order, yielding each as `(part index, row)`.
 ///
 /// Each part must be sorted by `at` already (every engine emits rows in
-/// fire order), so this is a heap-based k-way merge: simultaneous rows
-/// of different parts land in part order and rows of one part keep
-/// their order — exactly the stable sort by `at` of the concatenated
-/// parts. Nothing depends on how many parts there are.
-pub fn merge_by_time<R, K: Ord + Copy>(
-    parts: Vec<Vec<R>>,
-    at: impl Fn(&R) -> K,
-    mut rebase: impl FnMut(usize, &mut R),
-) -> Vec<R> {
-    debug_assert!(
-        parts
-            .iter()
-            .all(|part| part.windows(2).all(|w| at(&w[0]) <= at(&w[1]))),
-        "every part is in time order"
-    );
-    let mut rows = Vec::with_capacity(parts.iter().map(Vec::len).sum());
-    let mut iters: Vec<_> = parts
-        .into_iter()
-        .map(|part| part.into_iter().peekable())
-        .collect();
-    let mut heap: BinaryHeap<Reverse<(K, usize)>> = iters
+/// fire order; a `debug_assert!` checks every step), so this is a lazy
+/// heap-based k-way merge: simultaneous rows of different parts come
+/// out in part order and rows of one part keep their order — exactly
+/// the stable sort by `at` of the concatenated parts, in O(n log k).
+/// Nothing depends on how many parts there are. The parts are any
+/// iterators: `Dataset::merge_shards` moves its rows through it,
+/// `ZipfDataset::digest` borrows them and hashes as it goes.
+pub fn merge_by_time<I, K, F>(parts: impl IntoIterator<Item = I>, at: F) -> MergeByTime<I, K, F>
+where
+    I: Iterator,
+    K: Ord + Copy,
+    F: Fn(&I::Item) -> K,
+{
+    let mut parts: Vec<_> = parts.into_iter().map(Iterator::peekable).collect();
+    let heap = parts
         .iter_mut()
         .enumerate()
-        .filter_map(|(idx, it)| it.peek().map(|row| Reverse((at(row), idx))))
+        .filter_map(|(idx, part)| part.peek().map(|row| Reverse((at(row), idx))))
         .collect();
-    while let Some(mut head) = heap.peek_mut() {
-        let idx = head.0 .1;
-        let mut row = iters[idx].next().expect("a queued part has a head");
-        rebase(idx, &mut row);
-        rows.push(row);
-        match iters[idx].peek() {
-            Some(next) => head.0 .0 = at(next),
+    MergeByTime { parts, heap, at }
+}
+
+/// The iterator [`merge_by_time`] returns: one peeked head per part
+/// and a min-heap of the heads' `(key, part index)`.
+pub struct MergeByTime<I: Iterator, K, F> {
+    parts: Vec<Peekable<I>>,
+    heap: BinaryHeap<Reverse<(K, usize)>>,
+    at: F,
+}
+
+impl<I, K, F> Iterator for MergeByTime<I, K, F>
+where
+    I: Iterator,
+    K: Ord + Copy,
+    F: Fn(&I::Item) -> K,
+{
+    type Item = (usize, I::Item);
+
+    fn next(&mut self) -> Option<Self::Item> {
+        let mut head = self.heap.peek_mut()?;
+        let (key, idx) = head.0;
+        let part = &mut self.parts[idx];
+        let row = part.next().expect("a queued part has a head");
+        match part.peek() {
+            Some(next) => {
+                let next_key = (self.at)(next);
+                debug_assert!(next_key >= key, "every part is in time order");
+                head.0 .0 = next_key;
+            }
             None => {
                 PeekMut::pop(head);
             }
         }
+        Some((idx, row))
     }
-    rows
+
+    /// At least the parts' rows, so `collect` sizes a merged vector
+    /// once.
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.parts.iter().map(|part| part.size_hint().0).sum(), None)
+    }
 }
 
 /// What one population measurement produced: the whole campaign when

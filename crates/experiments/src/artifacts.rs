@@ -10,7 +10,9 @@
 //! reviewed diff of that file.
 
 use std::path::Path;
+use std::sync::atomic::{AtomicBool, Ordering};
 
+use dnsttl_analysis::CsvWriter;
 use dnsttl_telemetry::{RunManifest, Telemetry};
 
 use crate::{
@@ -141,21 +143,48 @@ pub fn run_module(module: &str, cfg: &ExpConfig) -> (Vec<Report>, Telemetry) {
     (reports, telemetry)
 }
 
+/// Set once an artifact write of this process failed, so `repro` does
+/// not claim that its run directory holds the run.
+static WRITE_FAILED: AtomicBool = AtomicBool::new(false);
+
+/// True when an artifact write of this process failed.
+pub fn write_failed() -> bool {
+    WRITE_FAILED.load(Ordering::Relaxed)
+}
+
+fn note_write_failure(path: &Path, error: std::io::Error) {
+    eprintln!("cannot write {}: {error}", path.display());
+    WRITE_FAILED.store(true, Ordering::Relaxed);
+}
+
+/// Writes one artifact file, creating its directory; a failure goes to
+/// stderr and to [`write_failed`].
+pub(crate) fn write_artifact(path: &Path, bytes: impl AsRef<[u8]>) {
+    let written = match path.parent() {
+        Some(dir) => std::fs::create_dir_all(dir),
+        None => Ok(()),
+    }
+    .and_then(|()| std::fs::write(path, bytes));
+    if let Err(e) = written {
+        note_write_failure(path, e);
+    }
+}
+
+/// Writes a finished CSV the way [`write_artifact`] writes a file.
+pub(crate) fn write_csv(w: CsvWriter) {
+    let path = w.path().to_owned();
+    if let Err(e) = w.finish() {
+        note_write_failure(&path, e);
+    }
+}
+
 /// Writes `<module>_manifest.json`, `<module>_trace.jsonl`,
 /// `<module>_timeseries.jsonl` and `<module>_metrics.prom` next to the
 /// module's CSVs. Wall time stays out: manifests and traces must be
 /// byte-identical across same-seed reruns.
 fn write_observability(module: &str, cfg: &ExpConfig, telemetry: &Telemetry, reports: &[Report]) {
     let Some(dir) = &cfg.out_dir else { return };
-    if std::fs::create_dir_all(dir).is_err() {
-        eprintln!("cannot create {}", dir.display());
-        return;
-    }
-    let write = |name: &str, text: String| {
-        if let Err(e) = std::fs::write(dir.join(name), text) {
-            eprintln!("cannot write {name}: {e}");
-        }
-    };
+    let write = |name: &str, text: String| write_artifact(&dir.join(name), text);
     let trace_name = format!("{module}_trace.jsonl");
     write(&trace_name, telemetry.trace_jsonl());
     // The time-resolved twin of the metrics: counters per sim-time

@@ -16,6 +16,7 @@
 //!   (OpenDNS-style, trusting `.com`'s 2-day glue) hang on far longer,
 //!   forming Table 4's sticky population.
 
+use crate::artifacts::write_csv;
 use crate::config::ExpConfig;
 use crate::report::Report;
 use crate::worlds::{self, CachetestWorld};
@@ -220,7 +221,7 @@ fn dump_timeseries(cfg: &ExpConfig, file: &str, ts: &TimeSeries) {
             let n = new.get(i).map(|(_, n)| *n).unwrap_or(0);
             w.row_display(&[*t, *o, n]);
         }
-        let _ = w.finish();
+        write_csv(w);
     }
 }
 

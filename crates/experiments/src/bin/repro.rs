@@ -456,6 +456,15 @@ fn main() {
         }
     }
 
+    // Every module writes into the one run directory: make it before
+    // any of them runs, so a bad `--out` fails before the simulation.
+    if let Some(dir) = &cfg.out_dir {
+        if let Err(e) = std::fs::create_dir_all(dir) {
+            eprintln!("cannot create {}: {e}", dir.display());
+            std::process::exit(2);
+        }
+    }
+
     // Deduplicate module runs: several artifacts share one experiment.
     let mut done_modules: Vec<&'static str> = Vec::new();
     for id in &wanted {
@@ -488,6 +497,13 @@ fn main() {
         );
     }
     if let Some(dir) = &cfg.out_dir {
+        if artifacts::write_failed() {
+            eprintln!(
+                "(some artifacts could not be written under {})",
+                dir.display()
+            );
+            std::process::exit(1);
+        }
         eprintln!("(CSV series written under {})", dir.display());
     }
 }

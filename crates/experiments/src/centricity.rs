@@ -10,6 +10,7 @@
 //!   parent value.
 //! * **Table 2** — the per-experiment probe/VP/query accounting.
 
+use crate::artifacts::write_csv;
 use crate::config::ExpConfig;
 use crate::report::Report;
 use crate::sharded::{self, WorldSpec};
@@ -128,7 +129,7 @@ pub fn run(cfg: &ExpConfig) -> Vec<Report> {
                 w.row(&[series.into(), format!("{x}"), format!("{y}")]);
             }
         }
-        let _ = w.finish();
+        write_csv(w);
     }
     reports.push(fig1);
 
@@ -155,7 +156,7 @@ pub fn run(cfg: &ExpConfig) -> Vec<Report> {
         for (x, y) in g_ttls.points() {
             w.row_display(&[x, y]);
         }
-        let _ = w.finish();
+        write_csv(w);
     }
     reports.push(fig2);
 

@@ -14,6 +14,7 @@
 //! on median latency by ~5×; and caching beats anycast at the median
 //! while anycast only compresses the tail.
 
+use crate::artifacts::write_csv;
 use crate::config::ExpConfig;
 use crate::report::Report;
 use crate::sharded::{self, WorldSpec};
@@ -213,7 +214,7 @@ pub fn run(cfg: &ExpConfig) -> Vec<Report> {
                 w.row(&[series.into(), format!("{x}"), format!("{y}")]);
             }
         }
-        let _ = w.finish();
+        write_csv(w);
         let mut w = CsvWriter::new(
             dir.join("table10_auth_counts.csv"),
             &["campaign", "client_queries", "auth_queries", "auth_sources"],
@@ -226,7 +227,7 @@ pub fn run(cfg: &ExpConfig) -> Vec<Report> {
                 c.auth_sources.to_string(),
             ]);
         }
-        let _ = w.finish();
+        write_csv(w);
     }
 
     vec![table10, fig11a, fig11b]

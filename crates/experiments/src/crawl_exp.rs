@@ -1,5 +1,6 @@
 //! §5.1: TTLs in the wild — Table 5, Figure 9, Tables 6–9.
 
+use crate::artifacts::write_csv;
 use crate::config::ExpConfig;
 use crate::report::Report;
 use dnsttl_analysis::{ascii_cdf_log, CsvWriter, Table};
@@ -157,7 +158,7 @@ pub fn run(cfg: &ExpConfig) -> Vec<Report> {
                     w.row(&[k.name().into(), format!("{x}"), format!("{y}")]);
                 }
             }
-            let _ = w.finish();
+            write_csv(w);
         }
     }
     // Shape metrics.

@@ -13,6 +13,7 @@
 //! before being overwritten or expiring. The attribution tables printed
 //! here are what `repro cache-report` shows.
 
+use crate::artifacts::write_artifact;
 use crate::config::ExpConfig;
 use crate::report::Report;
 use crate::worlds::{self, CachetestWorld, NEW_MARKER};
@@ -287,17 +288,15 @@ pub fn run(cfg: &ExpConfig) -> Vec<Report> {
 
     // Artifacts: snapshots and the diff, for `repro cache-report --diff`.
     if let Some(dir) = &cfg.out_dir {
-        if std::fs::create_dir_all(dir).is_ok() {
-            let _ = std::fs::write(
-                dir.join("insight_snapshot_before.jsonl"),
-                in_run.snap_before.to_jsonl(),
-            );
-            let _ = std::fs::write(
-                dir.join("insight_snapshot_after.jsonl"),
-                in_run.snap_after.to_jsonl(),
-            );
-            let _ = std::fs::write(dir.join("insight_diff.txt"), diff.render());
-        }
+        write_artifact(
+            &dir.join("insight_snapshot_before.jsonl"),
+            in_run.snap_before.to_jsonl(),
+        );
+        write_artifact(
+            &dir.join("insight_snapshot_after.jsonl"),
+            in_run.snap_after.to_jsonl(),
+        );
+        write_artifact(&dir.join("insight_diff.txt"), diff.render());
     }
 
     vec![report]

@@ -13,6 +13,7 @@
 //! the same query stream through the simulated `.nl`, and the same
 //! grouping is applied to the logs of the two observed servers.
 
+use crate::artifacts::write_csv;
 use crate::config::ExpConfig;
 use crate::report::Report;
 use crate::worlds;
@@ -170,7 +171,7 @@ pub fn run(cfg: &ExpConfig) -> Vec<Report> {
         for (x, y) in all.points() {
             w.row_display(&[x, y]);
         }
-        let _ = w.finish();
+        write_csv(w);
     }
 
     // Figure 4: CDF of minimum interarrival per multi-query group;
@@ -214,7 +215,7 @@ pub fn run(cfg: &ExpConfig) -> Vec<Report> {
         for (x, y) in min_ecdf.points() {
             w.row_display(&[x, y]);
         }
-        let _ = w.finish();
+        write_csv(w);
     }
 
     vec![fig3, fig4]

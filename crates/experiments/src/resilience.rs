@@ -22,6 +22,7 @@
 //!   the hardened-profile failure caching and server backoff). With
 //!   stale answers allowed, even a 60 s TTL bridges the outage.
 
+use crate::artifacts::{write_artifact, write_csv};
 use crate::config::ExpConfig;
 use crate::report::Report;
 use crate::worlds;
@@ -282,11 +283,10 @@ pub fn run(cfg: &ExpConfig) -> Vec<Report> {
                 format!("{:.6}", cell.rate()),
             ]);
         }
-        let _ = w.finish();
+        write_csv(w);
         // Journal the exact outage script next to the CSVs; the run
         // manifest lists it as an artifact.
-        let _ = std::fs::create_dir_all(dir);
-        let _ = std::fs::write(dir.join("resilience_fault_plan.txt"), plan.to_text());
+        write_artifact(&dir.join("resilience_fault_plan.txt"), plan.to_text());
         report.artifact("resilience_failure_rate.csv");
         report.artifact("resilience_fault_plan.txt");
     }

@@ -21,6 +21,7 @@
 //! clients fill one cache differs. Both axes sweep TTL ∈ {60 s, 1 h,
 //! 1 day}.
 
+use crate::artifacts::write_csv;
 use crate::config::ExpConfig;
 use crate::report::Report;
 use crate::worlds;
@@ -294,7 +295,7 @@ pub fn run(cfg: &ExpConfig) -> Vec<Report> {
                 cell.upstream.to_string(),
             ]);
         }
-        let _ = w.finish();
+        write_csv(w);
         report.artifact("shared_cache_hit_rate.csv");
     }
 

@@ -7,6 +7,7 @@
 //! queries miss and pay a trip to the authoritatives; with the long
 //! TTL the recursive answers directly.
 
+use crate::artifacts::write_csv;
 use crate::config::ExpConfig;
 use crate::report::Report;
 use crate::sharded::{self, WorldSpec};
@@ -102,7 +103,7 @@ pub fn run(cfg: &ExpConfig) -> Vec<Report> {
                 w.row(&[phase.into(), format!("{x}"), format!("{y}")]);
             }
         }
-        let _ = w.finish();
+        write_csv(w);
     }
 
     // ----- Figure 10b: per-region quantiles -----
@@ -159,7 +160,7 @@ pub fn run(cfg: &ExpConfig) -> Vec<Report> {
                 ]);
             }
         }
-        let _ = w.finish();
+        write_csv(w);
     }
 
     vec![fig10a, fig10b]

@@ -16,6 +16,7 @@
 //! count, which `tests/shard_equivalence.rs` pins across cell counts
 //! {16, 64, 256}.
 
+use crate::artifacts::write_csv;
 use crate::config::ExpConfig;
 use crate::report::Report;
 use dnsttl_analysis::CsvWriter;
@@ -63,6 +64,8 @@ fn render(cfg: &ExpConfig, campaign: &ZipfCampaignConfig, outcome: &ZipfOutcome)
         "zipf-population",
         "Zipf/diurnal population campaign at scale (§5–6 calibration)",
     );
+    // Every aggregate below is a sum or a quantile, so the rows are
+    // read cell by cell, as the dataset holds them.
     let rows = outcome.dataset.rows();
     let queries = rows.len() as u64;
 
@@ -141,7 +144,7 @@ fn render(cfg: &ExpConfig, campaign: &ZipfCampaignConfig, outcome: &ZipfOutcome)
                 w.row(&[format!("{rank}"), format!("{q}"), format!("{h}")]);
             }
         }
-        let _ = w.finish();
+        write_csv(w);
         report.artifact("zipf_rank_popularity.csv");
 
         let mut w = CsvWriter::new(
@@ -151,7 +154,7 @@ fn render(cfg: &ExpConfig, campaign: &ZipfCampaignConfig, outcome: &ZipfOutcome)
         for (hour, (q, h)) in per_hour.iter().enumerate() {
             w.row(&[format!("{hour}"), format!("{q}"), format!("{h}")]);
         }
-        let _ = w.finish();
+        write_csv(w);
         report.artifact("zipf_load_curve.csv");
     }
     report

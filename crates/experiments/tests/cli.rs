@@ -658,3 +658,27 @@ fn repro_warns_when_progress_is_given_without_shards() {
         "stderr: {sharded_err}"
     );
 }
+
+#[test]
+fn repro_rejects_an_out_directory_it_cannot_create() {
+    // `--out` under a regular file cannot become a directory: `repro`
+    // must say so and exit 2 before it simulates anything, and must not
+    // claim that its CSVs were written.
+    let file = std::env::temp_dir().join(format!("dnsttl-cli-out-file-{}", std::process::id()));
+    std::fs::write(&file, "not a directory").expect("temp file writable");
+    let sub = file.join("sub");
+    let out = repro()
+        .args(["--out", sub.to_str().expect("utf-8 temp path")])
+        .args(["--smoke", "fig10"])
+        .output()
+        .expect("runs");
+    let _ = std::fs::remove_file(&file);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "stderr: {stderr}");
+    assert!(
+        stderr.contains(&format!("cannot create {}: ", sub.display())),
+        "stderr: {stderr}"
+    );
+    assert!(!stderr.contains("written under"), "stderr: {stderr}");
+    assert!(out.stdout.is_empty(), "nothing was simulated");
+}

@@ -5,10 +5,13 @@
 //! "read the cache in place" work (DESIGN.md §11, "Resolver loop") that
 //! a timing can never be, and for the telemetry-on path (DESIGN.md §8,
 //! "Traces"): what a traced hit adds and what the trace export costs.
+//! It also holds the Zipf campaign's merge to copying no row
+//! (DESIGN.md §10, "Fan-out and merge").
 //! Only the counting thread's allocations are counted: the test
 //! harness's main thread allocates the first time it waits for a
 //! result, which can land inside a counted region.
 
+use dnsttl::atlas::{ZipfDataset, ZipfRow};
 use dnsttl::auth::{AuthoritativeServer, ZoneBuilder};
 use dnsttl::core::ResolverPolicy;
 use dnsttl::netsim::{LatencyModel, Network, Region, SimRng, SimTime};
@@ -19,7 +22,6 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::{Cell, RefCell};
 use std::net::IpAddr;
 use std::rc::Rc;
-use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::Arc;
 
 thread_local! {
@@ -27,15 +29,25 @@ thread_local! {
     /// `const`-initialised `Cell` needs no allocation and no lazy
     /// registration, so reading it from inside the allocator is safe.
     static ON: Cell<bool> = const { Cell::new(false) };
+    /// The counted thread's allocator calls and requested bytes, kept
+    /// per thread (and `const`-initialised, like `ON`) so tests that
+    /// count at the same time do not add to each other's totals.
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    static BYTES: Cell<u64> = const { Cell::new(0) };
 }
 
-// Statistics only: they publish no other data, so `Relaxed` throughout.
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-static BYTES: AtomicU64 = AtomicU64::new(0);
+/// Adds one allocator call asking for `bytes` more bytes, when the
+/// calling thread is being counted.
+fn count(bytes: usize) {
+    if ON.with(Cell::get) {
+        ALLOCS.with(|n| n.set(n.get() + 1));
+        BYTES.with(|n| n.set(n.get() + bytes as u64));
+    }
+}
 
-/// Whether the calling thread is being counted.
-fn counted() -> u64 {
-    ON.with(Cell::get) as u64
+/// Bytes the counting thread has asked for since counting started.
+fn bytes_so_far() -> u64 {
+    BYTES.with(Cell::get)
 }
 
 /// The system allocator, counting the calls the counted thread makes
@@ -48,9 +60,7 @@ struct Counting;
 // allocator state.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        let on = counted();
-        ALLOCS.fetch_add(on, Relaxed);
-        BYTES.fetch_add(on * layout.size() as u64, Relaxed);
+        count(layout.size());
         // SAFETY: the caller's `layout` is passed through as received.
         unsafe { System.alloc(layout) }
     }
@@ -61,11 +71,8 @@ unsafe impl GlobalAlloc for Counting {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        let on = counted();
-        ALLOCS.fetch_add(on, Relaxed);
         // Growth only: the bytes a `realloc` asks for beyond what it had.
-        let grown = new_size.saturating_sub(layout.size()) as u64;
-        BYTES.fetch_add(on * grown, Relaxed);
+        count(new_size.saturating_sub(layout.size()));
         // SAFETY: `ptr`, `layout` and `new_size` are the caller's.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -76,18 +83,18 @@ static GLOBAL: Counting = Counting;
 
 /// Runs `f` and returns how many times it called the allocator.
 fn allocations<T>(f: impl FnOnce() -> T) -> (T, u64) {
-    ALLOCS.store(0, Relaxed);
-    BYTES.store(0, Relaxed);
+    ALLOCS.with(|n| n.set(0));
+    BYTES.with(|n| n.set(0));
     ON.with(|on| on.set(true));
     let out = f();
     ON.with(|on| on.set(false));
-    (out, ALLOCS.load(Relaxed))
+    (out, ALLOCS.with(Cell::get))
 }
 
 /// Runs `f` and returns how many bytes it asked the allocator for.
 fn bytes_requested<T>(f: impl FnOnce() -> T) -> (T, u64) {
     let (out, _) = allocations(f);
-    (out, BYTES.load(Relaxed))
+    (out, bytes_so_far())
 }
 
 const NAMES: usize = 64;
@@ -148,7 +155,7 @@ fn a_question_stays_inside_its_allocation_budget() {
             assert_eq!(out.answer.header.rcode, Rcode::NoError);
             assert!(!out.cache_hit);
             if k == 0 {
-                after_first = BYTES.load(Relaxed);
+                after_first = bytes_so_far();
             }
         }
         resolver
@@ -208,7 +215,7 @@ fn a_question_stays_inside_its_allocation_budget() {
     // moved in; they may not take more than 576.
     let (off, allocs) = allocations(Telemetry::disabled);
     assert_eq!(allocs, 1, "Telemetry::disabled() allocated {allocs} times");
-    let block = BYTES.load(Relaxed);
+    let block = bytes_so_far();
     assert!(block <= 1_160 + 576, "a disabled handle is {block} bytes");
     drop(off);
 
@@ -274,4 +281,34 @@ fn a_question_stays_inside_its_allocation_budget() {
             "exporting {events} events allocated {allocs} times"
         );
     }
+}
+
+#[test]
+fn merging_zipf_cells_copies_no_row() {
+    // Four cells of 10 000 rows each, as `run_zipf_campaign` hands them
+    // over. The merge rebases their resolvers in place and keeps every
+    // cell's vector: what it asks for is the list of runs, not the
+    // 1.28 MB a merged copy of the rows would take.
+    let parts: Vec<(ZipfDataset, u32)> = (0..4u32)
+        .map(|cell| {
+            let rows: Vec<ZipfRow> = (0..10_000u32)
+                .map(|i| ZipfRow {
+                    at_ms: u64::from(i) * 7 + u64::from(cell),
+                    probe: cell * 10_000 + i,
+                    rank: i % 64,
+                    resolver: i % 4,
+                    rtt_ms: 20,
+                    cache_hit: i % 3 != 0,
+                    ok: true,
+                })
+                .collect();
+            (ZipfDataset::from(rows), cell * 4)
+        })
+        .collect();
+    let (merged, bytes) = bytes_requested(|| ZipfDataset::merge_cells(parts));
+    assert_eq!(merged.len(), 40_000);
+    assert!(
+        bytes < 1_024,
+        "merging 4 x 10 000 rows asked for {bytes} bytes"
+    );
 }

@@ -486,11 +486,10 @@ fn the_one_merge_orders_both_row_types_by_time_then_part() {
         vec![zrow(5, 5, 0)],
     ];
     let bases = [0u32, 4, 6, 8];
-    let merged = merge_by_time(parts, |r| r.at_ms, |part, r| r.resolver += bases[part]);
-    let got: Vec<(u64, u32, u32)> = merged
-        .iter()
-        .map(|r| (r.at_ms, r.probe, r.resolver))
-        .collect();
+    let got: Vec<(u64, u32, u32)> =
+        merge_by_time(parts.into_iter().map(Vec::into_iter), |r| r.at_ms)
+            .map(|(part, r)| (r.at_ms, r.probe, r.resolver + bases[part]))
+            .collect();
     assert_eq!(
         got,
         [
