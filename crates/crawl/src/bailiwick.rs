@@ -1,5 +1,6 @@
 //! Bailiwick classification of NS sets (Table 9).
 
+#[cfg(test)]
 use dnsttl_wire::Name;
 
 /// How a domain's name servers relate to the domain itself.
@@ -30,7 +31,8 @@ impl BailiwickClass {
     }
 
     /// Classifies a domain's NS target names directly.
-    pub fn classify(domain: &Name, ns_targets: &[Name]) -> Option<BailiwickClass> {
+    #[cfg(test)]
+    pub(crate) fn classify(domain: &Name, ns_targets: &[Name]) -> Option<BailiwickClass> {
         if ns_targets.is_empty() {
             return None;
         }

@@ -9,7 +9,7 @@
 use dnsttl_netsim::SimRng;
 
 /// A `.nl` domain's content category.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum ContentCategory {
     /// Hosting-provider default landing page (1.2 M domains in
     /// Table 6 — by far the biggest class).

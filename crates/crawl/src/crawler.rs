@@ -1,10 +1,11 @@
-//! Crawl summarisation: the numbers behind Tables 5, 8, 9 and Figure 9.
+//! Crawl summarisation: the numbers behind Tables 5–9 and Figure 9.
 
 use crate::bailiwick::BailiwickClass;
-use crate::lists::{CrawledDomain, ListKind};
+use crate::content::ContentCategory;
+use crate::lists::{CrawledDomain, ListKind, RecordValue};
 use dnsttl_analysis::Ecdf;
 use dnsttl_wire::RecordType;
-use std::collections::HashSet;
+use std::collections::{BTreeMap, HashSet};
 
 /// Per-record-type totals for one list (the NS/A/AAAA/… blocks of
 /// Table 5).
@@ -31,7 +32,19 @@ impl RecordTypeSummary {
     }
 }
 
-/// A full crawl summary for one list.
+/// The record types Table 5 reports.
+pub const CRAWLED_TYPES: [RecordType; 6] = [
+    RecordType::NS,
+    RecordType::A,
+    RecordType::AAAA,
+    RecordType::MX,
+    RecordType::DNSKEY,
+    RecordType::CNAME,
+];
+
+/// A full crawl summary for one list, folded one domain at a time:
+/// [`CrawlSummary::add`] each domain as it is generated, then
+/// [`CrawlSummary::finish`].
 #[derive(Debug, Clone)]
 pub struct CrawlSummary {
     /// Which list.
@@ -40,8 +53,8 @@ pub struct CrawlSummary {
     pub domains: usize,
     /// Domains that answered at least one query.
     pub responsive: usize,
-    /// Per-type record totals.
-    pub per_type: Vec<RecordTypeSummary>,
+    /// Per-type record totals, in [`CRAWLED_TYPES`] order.
+    pub per_type: [RecordTypeSummary; CRAWLED_TYPES.len()],
     /// Table 9: domains answering NS with CNAME.
     pub cname_on_ns: usize,
     /// Table 9: domains answering NS with SOA.
@@ -54,99 +67,109 @@ pub struct CrawlSummary {
     pub in_only: usize,
     /// Mixed NS sets.
     pub mixed: usize,
+    /// Table 6: domains per content category, in
+    /// [`ContentCategory::ALL`] order.
+    pub categories: [usize; ContentCategory::ALL.len()],
+    /// Records per (type, TTL, content category): the samples of
+    /// Figure 9 and Table 7, in TTL order within a type.
+    ttls: BTreeMap<(RecordType, u32, Option<ContentCategory>), usize>,
+    /// Distinct values per type, until `finish` counts them.
+    distinct: [HashSet<RecordValue>; CRAWLED_TYPES.len()],
 }
 
-/// The record types Table 5 reports.
-pub const CRAWLED_TYPES: [RecordType; 6] = [
-    RecordType::NS,
-    RecordType::A,
-    RecordType::AAAA,
-    RecordType::MX,
-    RecordType::DNSKEY,
-    RecordType::CNAME,
-];
-
-/// Summarises a crawled population.
-pub fn summarize(kind: ListKind, domains: &[CrawledDomain]) -> CrawlSummary {
-    let mut per_type = Vec::new();
-    for rtype in CRAWLED_TYPES {
-        let mut total = 0usize;
-        let mut unique: HashSet<&str> = HashSet::new();
-        let mut ttl_zero_domains = 0usize;
-        for d in domains {
-            let mut any_zero = false;
-            for r in d.records_of(rtype) {
-                total += 1;
-                unique.insert(r.value.as_str());
-                any_zero |= r.ttl == 0;
-            }
-            ttl_zero_domains += any_zero as usize;
+impl CrawlSummary {
+    /// An empty summary of `kind`.
+    pub fn new(kind: ListKind) -> CrawlSummary {
+        CrawlSummary {
+            kind,
+            domains: 0,
+            responsive: 0,
+            per_type: CRAWLED_TYPES.map(|rtype| RecordTypeSummary {
+                rtype,
+                total: 0,
+                unique: 0,
+                ttl_zero_domains: 0,
+            }),
+            cname_on_ns: 0,
+            soa_on_ns: 0,
+            responds_ns: 0,
+            out_only: 0,
+            in_only: 0,
+            mixed: 0,
+            categories: [0; ContentCategory::ALL.len()],
+            ttls: BTreeMap::new(),
+            distinct: Default::default(),
         }
-        per_type.push(RecordTypeSummary {
-            rtype,
-            total,
-            unique: unique.len(),
-            ttl_zero_domains,
-        });
     }
 
-    let responsive = domains.iter().filter(|d| d.responsive).count();
-    let cname_on_ns = domains.iter().filter(|d| d.cname_on_ns).count();
-    let soa_on_ns = domains.iter().filter(|d| d.soa_on_ns).count();
-    let mut out_only = 0;
-    let mut in_only = 0;
-    let mut mixed = 0;
-    for d in domains {
+    /// Folds one crawled domain in.
+    pub fn add(&mut self, d: &CrawledDomain) {
+        self.domains += 1;
+        self.responsive += d.responsive as usize;
+        self.cname_on_ns += d.cname_on_ns as usize;
+        self.soa_on_ns += d.soa_on_ns as usize;
         match d.bailiwick {
-            Some(BailiwickClass::OutOnly) => out_only += 1,
-            Some(BailiwickClass::InOnly) => in_only += 1,
-            Some(BailiwickClass::Mixed) => mixed += 1,
+            Some(BailiwickClass::OutOnly) => self.out_only += 1,
+            Some(BailiwickClass::InOnly) => self.in_only += 1,
+            Some(BailiwickClass::Mixed) => self.mixed += 1,
             None => {}
         }
+        if let Some(c) = d.category {
+            self.categories[ContentCategory::ALL.iter().position(|&x| x == c).unwrap()] += 1;
+        }
+        let mut ttl_zero = [false; CRAWLED_TYPES.len()];
+        for r in &d.records {
+            let t = CRAWLED_TYPES.iter().position(|&t| t == r.rtype).unwrap();
+            self.per_type[t].total += 1;
+            ttl_zero[t] |= r.ttl == 0;
+            self.distinct[t].insert(r.value);
+            *self.ttls.entry((r.rtype, r.ttl, d.category)).or_default() += 1;
+        }
+        for (p, zero) in self.per_type.iter_mut().zip(ttl_zero) {
+            p.ttl_zero_domains += zero as usize;
+        }
     }
 
-    CrawlSummary {
-        kind,
-        domains: domains.len(),
-        responsive,
-        per_type,
-        cname_on_ns,
-        soa_on_ns,
-        responds_ns: out_only + in_only + mixed,
-        out_only,
-        in_only,
-        mixed,
+    /// Counts the distinct values into `per_type` and frees their sets.
+    pub fn finish(mut self) -> CrawlSummary {
+        for (p, values) in self
+            .per_type
+            .iter_mut()
+            .zip(std::mem::take(&mut self.distinct))
+        {
+            p.unique = values.len();
+        }
+        self.responds_ns = self.out_only + self.in_only + self.mixed;
+        self
     }
-}
 
-/// TTL ECDF of one record type over a population (Figure 9 series).
-pub fn ttl_ecdf(domains: &[CrawledDomain], rtype: RecordType) -> Ecdf {
-    Ecdf::from_u64(
-        domains
-            .iter()
-            .flat_map(|d| d.records_of(rtype))
-            .map(|r| r.ttl as u64),
-    )
-}
+    /// TTL ECDF of one record type (Figure 9 series).
+    pub fn ttl_ecdf(&self, rtype: RecordType) -> Ecdf {
+        self.ecdf(|t, _| t == rtype)
+    }
 
-/// Median TTL (hours) of one record type within a content category —
-/// Table 7's cells.
-pub fn median_ttl_hours(
-    domains: &[CrawledDomain],
-    rtype: RecordType,
-    category: crate::content::ContentCategory,
-) -> Option<f64> {
-    let e = Ecdf::from_u64(
-        domains
-            .iter()
-            .filter(|d| d.category == Some(category))
-            .flat_map(|d| d.records_of(rtype))
-            .map(|r| r.ttl as u64),
-    );
-    if e.is_empty() {
-        None
-    } else {
-        Some(e.median() / 3_600.0)
+    /// Median TTL (hours) of one record type within a content category —
+    /// Table 7's cells.
+    pub fn median_ttl_hours(&self, rtype: RecordType, category: ContentCategory) -> Option<f64> {
+        let e = self.ecdf(|t, c| t == rtype && c == Some(category));
+        (!e.is_empty()).then(|| e.median() / 3_600.0)
+    }
+
+    /// The ECDF of the TTLs counted under the types and categories
+    /// `keep` selects. The samples come out sorted, so sorting them
+    /// touches no scratch memory.
+    fn ecdf(&self, keep: impl Fn(RecordType, Option<ContentCategory>) -> bool) -> Ecdf {
+        let counts = || {
+            self.ttls
+                .iter()
+                .filter(|(&(t, _, c), _)| keep(t, c))
+                .map(|(&(_, ttl, _), &n)| (ttl, n))
+        };
+        let mut samples = Vec::with_capacity(counts().map(|(_, n)| n).sum());
+        for (ttl, n) in counts() {
+            samples.extend(std::iter::repeat_n(f64::from(ttl), n));
+        }
+        Ecdf::new(samples)
     }
 }
 
@@ -156,40 +179,40 @@ mod tests {
     use crate::lists::ListSpec;
     use dnsttl_netsim::SimRng;
 
-    fn crawl(kind: ListKind, size: usize) -> (Vec<CrawledDomain>, CrawlSummary) {
+    fn crawl(kind: ListKind, size: usize) -> CrawlSummary {
         let mut rng = SimRng::seed_from(7);
-        let domains = ListSpec { kind, size }.generate(&mut rng);
-        let summary = summarize(kind, &domains);
-        (domains, summary)
+        let mut summary = CrawlSummary::new(kind);
+        ListSpec { kind, size }.for_each(&mut rng, |d| summary.add(d));
+        summary.finish()
     }
 
     #[test]
     fn summary_accounting_is_consistent() {
-        let (domains, s) = crawl(ListKind::Alexa, 8_000);
+        let mut rng = SimRng::seed_from(7);
+        let mut s = CrawlSummary::new(ListKind::Alexa);
+        let mut responsive = 0;
+        ListSpec {
+            kind: ListKind::Alexa,
+            size: 8_000,
+        }
+        .for_each(&mut rng, |d| {
+            responsive += d.responsive as usize;
+            s.add(d);
+        });
+        let s = s.finish();
         assert_eq!(s.domains, 8_000);
-        assert_eq!(
-            s.responsive,
-            domains.iter().filter(|d| d.responsive).count()
-        );
+        assert_eq!(s.responsive, responsive);
         assert_eq!(s.responds_ns, s.out_only + s.in_only + s.mixed);
         assert!(s.responds_ns <= s.responsive);
     }
 
     #[test]
     fn ns_sharing_ratio_is_high() {
-        let (_, s) = crawl(ListKind::Nl, 30_000);
-        let ns = s
-            .per_type
-            .iter()
-            .find(|t| t.rtype == RecordType::NS)
-            .unwrap();
+        let s = crawl(ListKind::Nl, 30_000);
+        let [ns, a, ..] = &s.per_type;
+        assert_eq!((ns.rtype, a.rtype), (RecordType::NS, RecordType::A));
         // Paper: 190 at full scale; scaled-down pools preserve heavy
         // sharing (ratio well above A records').
-        let a = s
-            .per_type
-            .iter()
-            .find(|t| t.rtype == RecordType::A)
-            .unwrap();
         assert!(
             ns.ratio() > a.ratio(),
             "ns {} vs a {}",
@@ -201,29 +224,26 @@ mod tests {
 
     #[test]
     fn ttl_zero_exists_but_rare() {
-        let (_, s) = crawl(ListKind::Alexa, 30_000);
-        let ns = s
-            .per_type
-            .iter()
-            .find(|t| t.rtype == RecordType::NS)
-            .unwrap();
+        let s = crawl(ListKind::Alexa, 30_000);
+        let ns = &s.per_type[0];
+        assert_eq!(ns.rtype, RecordType::NS);
         assert!(ns.ttl_zero_domains > 0, "Table 8 expects some TTL-0 NS");
         assert!((ns.ttl_zero_domains as f64) < 0.02 * 30_000.0);
     }
 
     #[test]
     fn figure9_shapes_hold() {
-        let (alexa, _) = crawl(ListKind::Alexa, 20_000);
-        let (root, _) = crawl(ListKind::Root, 1_562);
-        let (umbrella, _) = crawl(ListKind::Umbrella, 20_000);
+        let alexa = crawl(ListKind::Alexa, 20_000);
+        let root = crawl(ListKind::Root, 1_562);
+        let umbrella = crawl(ListKind::Umbrella, 20_000);
 
         // Root NS: ~80% at 1–2 days.
-        let root_ns = ttl_ecdf(&root, RecordType::NS);
+        let root_ns = root.ttl_ecdf(RecordType::NS);
         let long = 1.0 - root_ns.fraction_leq(86_399.0);
         assert!((0.7..0.95).contains(&long), "root long NS fraction {long}");
 
         // Umbrella NS: ~25% under a minute.
-        let umb_ns = ttl_ecdf(&umbrella, RecordType::NS);
+        let umb_ns = umbrella.ttl_ecdf(RecordType::NS);
         let sub_min = umb_ns.fraction_leq(60.0);
         assert!(
             (0.18..0.35).contains(&sub_min),
@@ -231,33 +251,35 @@ mod tests {
         );
 
         // A records are shorter than NS records (medians).
-        let alexa_ns = ttl_ecdf(&alexa, RecordType::NS);
-        let alexa_a = ttl_ecdf(&alexa, RecordType::A);
+        let alexa_ns = alexa.ttl_ecdf(RecordType::NS);
+        let alexa_a = alexa.ttl_ecdf(RecordType::A);
         assert!(alexa_a.median() <= alexa_ns.median());
+        assert_eq!(alexa_ns.len(), alexa.per_type[0].total);
     }
 
     #[test]
     fn table7_parking_has_day_long_ns() {
-        use crate::content::ContentCategory;
-        let (nl, _) = crawl(ListKind::Nl, 30_000);
-        let parking = median_ttl_hours(&nl, RecordType::NS, ContentCategory::Parking).unwrap();
-        let ecommerce = median_ttl_hours(&nl, RecordType::NS, ContentCategory::Ecommerce).unwrap();
+        let nl = crawl(ListKind::Nl, 30_000);
+        let parking = nl
+            .median_ttl_hours(RecordType::NS, ContentCategory::Parking)
+            .unwrap();
+        let ecommerce = nl
+            .median_ttl_hours(RecordType::NS, ContentCategory::Ecommerce)
+            .unwrap();
         assert!(parking >= 24.0, "parking median {parking}h");
         assert!(
             (1.0..=8.0).contains(&ecommerce),
             "ecommerce median {ecommerce}h"
         );
+        assert_eq!(nl.categories.iter().sum::<usize>(), nl.responsive);
     }
 
     #[test]
     fn cname_counts_flow_to_summary() {
-        let (_, s) = crawl(ListKind::Umbrella, 10_000);
+        let s = crawl(ListKind::Umbrella, 10_000);
         assert!(s.cname_on_ns > 3_000, "cname_on_ns {}", s.cname_on_ns);
-        let cname = s
-            .per_type
-            .iter()
-            .find(|t| t.rtype == RecordType::CNAME)
-            .unwrap();
+        let cname = &s.per_type[5];
+        assert_eq!(cname.rtype, RecordType::CNAME);
         assert_eq!(cname.total, s.cname_on_ns);
     }
 }

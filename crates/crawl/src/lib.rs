@@ -17,8 +17,10 @@
 //!
 //! Scale is configurable: the default scales the million-domain lists
 //! down (the *shapes* of the distributions are preserved; absolute
-//! counts in Table 5 scale linearly), and `paper_scale()` reproduces
-//! full sizes when you have the minutes to spare.
+//! counts in Table 5 scale linearly). Each list takes one pass at any
+//! scale: [`ListSpec::for_each`] hands every domain, as it is drawn, to
+//! [`CrawlSummary::add`], which keeps only the counts the tables read,
+//! so no list is ever held in memory.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -34,4 +36,4 @@ mod serve;
 pub use bailiwick::BailiwickClass;
 pub use content::ContentCategory;
 pub use crawler::{CrawlSummary, RecordTypeSummary};
-pub use lists::{CrawledDomain, CrawledRecord, ListKind, ListSpec};
+pub use lists::{CrawledDomain, CrawledRecord, ListKind, ListSpec, RecordValue};

@@ -52,8 +52,46 @@ impl ListKind {
     }
 }
 
+/// A record's value as the numbers its text was drawn from. Within one
+/// record type two values are equal exactly when their texts are, so a
+/// set of them counts Table 5's "unique" rows with no string per record.
+/// Pool indices and list positions fit a `u32`; a DNSKEY draw does not.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum RecordValue {
+    /// NS `ns{k}.provider{p}.example`.
+    ProviderNs(u32, u32),
+    /// NS `ns{k}.{domain}`, the domain given by its index in the list.
+    InBailiwickNs(u32, u32),
+    /// A `192.0.{a}.{b}`.
+    A(u32, u32),
+    /// AAAA `2001:db8::{x:x}`.
+    Aaaa(u32),
+    /// MX `mx.provider{p}.example`.
+    Mx(u32),
+    /// CNAME `edge{n}.cdn.example`.
+    Cname(u32),
+    /// DNSKEY `key-{u}`.
+    Dnskey(u64),
+}
+
+#[cfg(test)]
+impl RecordValue {
+    /// The value's text, as a server of a list of `kind` serves it.
+    pub(crate) fn render(self, kind: ListKind) -> String {
+        match self {
+            RecordValue::ProviderNs(k, p) => format!("ns{k}.provider{p}.example"),
+            RecordValue::InBailiwickNs(k, i) => format!("ns{k}.{}", kind.domain_name(i as usize)),
+            RecordValue::A(a, b) => format!("192.0.{a}.{b}"),
+            RecordValue::Aaaa(x) => format!("2001:db8::{x:x}"),
+            RecordValue::Mx(p) => format!("mx.provider{p}.example"),
+            RecordValue::Cname(n) => format!("edge{n}.cdn.example"),
+            RecordValue::Dnskey(u) => format!("key-{u}"),
+        }
+    }
+}
+
 /// One record as the crawler observed it at the child authoritative.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CrawledRecord {
     /// Record type.
     pub rtype: RecordType,
@@ -61,14 +99,16 @@ pub struct CrawledRecord {
     pub ttl: u32,
     /// The record value (server name, address, …); uniqueness over
     /// these produces Table 5's "unique" rows.
-    pub value: String,
+    pub value: RecordValue,
 }
 
 /// One domain's crawl result.
 #[derive(Debug, Clone)]
 pub struct CrawledDomain {
-    /// The domain name.
-    pub name: String,
+    /// The list the domain belongs to.
+    pub kind: ListKind,
+    /// Its position in the list; with `kind` it names the domain.
+    pub index: usize,
     /// False if no query got an answer (Table 5 "discarded").
     pub responsive: bool,
     /// True when the NS query returned a CNAME (Table 9 row "CNAME").
@@ -83,14 +123,29 @@ pub struct CrawledDomain {
     pub category: Option<ContentCategory>,
 }
 
+#[cfg(test)]
+impl ListKind {
+    /// The name of the list's `i`-th domain.
+    pub(crate) fn domain_name(self, i: usize) -> String {
+        match self {
+            ListKind::Alexa => format!("alexa{i}.example"),
+            ListKind::Majestic => format!("majestic{i}.example"),
+            ListKind::Umbrella => format!("host{i}.svc{}.cloud.example", i % 977),
+            ListKind::Nl => format!("domein{i}.nl"),
+            ListKind::Root => format!("tld{i}"),
+        }
+    }
+}
+
+#[cfg(test)]
 impl CrawledDomain {
-    /// Records of one type.
-    pub(crate) fn records_of(&self, rtype: RecordType) -> impl Iterator<Item = &CrawledRecord> {
-        self.records.iter().filter(move |r| r.rtype == rtype)
+    /// The domain name.
+    pub(crate) fn name(&self) -> String {
+        self.kind.domain_name(self.index)
     }
 
     /// True if the domain answered the NS query with NS records.
-    pub fn responds_ns(&self) -> bool {
+    pub(crate) fn responds_ns(&self) -> bool {
         self.responsive && !self.cname_on_ns && !self.soa_on_ns && self.bailiwick.is_some()
     }
 }
@@ -105,14 +160,6 @@ pub struct ListSpec {
 }
 
 impl ListSpec {
-    /// Full paper-scale size.
-    pub fn paper_scale(kind: ListKind) -> ListSpec {
-        ListSpec {
-            kind,
-            size: calibration::list_params(kind).domains,
-        }
-    }
-
     /// Scaled by `factor` (the root is small and never scaled down).
     pub fn scaled(kind: ListKind, factor: f64) -> ListSpec {
         let full = calibration::list_params(kind).domains;
@@ -124,8 +171,9 @@ impl ListSpec {
         ListSpec { kind, size }
     }
 
-    /// Generates the synthetic population.
-    pub fn generate(&self, rng: &mut SimRng) -> Vec<CrawledDomain> {
+    /// Generates the synthetic population in list order, handing each
+    /// domain to `f` as it is drawn; no domain outlives its call.
+    pub fn for_each(&self, rng: &mut SimRng, mut f: impl FnMut(&CrawledDomain)) {
         let params = calibration::list_params(self.kind);
         let scale = self.size as f64 / params.domains as f64;
         let ns_pool = ((params.ns_pool as f64 * scale).ceil() as usize).max(16);
@@ -141,226 +189,221 @@ impl ListSpec {
             TTL_VALUES[rng.weighted_index(mix)]
         };
 
-        let mut out = Vec::with_capacity(self.size);
-        for i in 0..self.size {
-            let name = match self.kind {
-                ListKind::Alexa => format!("alexa{i}.example"),
-                ListKind::Majestic => format!("majestic{i}.example"),
-                ListKind::Umbrella => format!("host{i}.svc{}.cloud.example", i % 977),
-                ListKind::Nl => format!("domein{i}.nl"),
-                ListKind::Root => format!("tld{i}"),
+        // One record buffer serves every domain in turn.
+        let mut records = Vec::new();
+        for index in 0..self.size {
+            let mut d = CrawledDomain {
+                kind: self.kind,
+                index,
+                responsive: rng.chance(params.responsive),
+                cname_on_ns: false,
+                soa_on_ns: false,
+                records: std::mem::take(&mut records),
+                bailiwick: None,
+                category: None,
             };
-            let responsive = rng.chance(params.responsive);
-            if !responsive {
-                out.push(CrawledDomain {
-                    name,
-                    responsive: false,
-                    cname_on_ns: false,
-                    soa_on_ns: false,
-                    records: Vec::new(),
-                    bailiwick: None,
-                    category: None,
-                });
-                continue;
-            }
-
-            let cname_on_ns = rng.chance(params.cname_on_ns);
-            let soa_on_ns = !cname_on_ns && rng.chance(params.soa_on_ns);
-            let mut records = Vec::new();
-            let mut bailiwick = None;
-
-            // `.nl` content category, biasing TTLs per Table 7.
-            let category = if self.kind == ListKind::Nl {
-                Some(ContentCategory::sample(rng))
-            } else {
-                None
-            };
-
-            if cname_on_ns {
-                records.push(CrawledRecord {
-                    rtype: RecordType::CNAME,
-                    ttl: sample_ttl(rng, &a_mix),
-                    value: format!("edge{}.cdn.example", rng.below(addr_pool as u64)),
-                });
-            } else if !soa_on_ns {
-                // NS set: 2–4 servers from the provider pool (Zipf for
-                // shared hosting: a few providers serve huge swaths).
-                let ns_count = 2 + rng.below(3) as usize;
-                let ns_ttl = category
-                    .map(|c| c.bias_ns_ttl(sample_ttl(rng, &ns_mix)))
-                    .unwrap_or_else(|| sample_ttl(rng, &ns_mix));
-                let out_only = rng.chance(params.out_only);
-                let in_only = !out_only && rng.chance(params.in_only_of_rest);
-                let mut in_count = 0usize;
-                for k in 0..ns_count {
-                    let in_bailiwick = if out_only {
-                        false
-                    } else if in_only {
-                        true
-                    } else {
-                        // Mixed: first server in, rest out.
-                        k == 0
-                    };
-                    let value = if in_bailiwick {
-                        in_count += 1;
-                        format!("ns{k}.{name}")
-                    } else {
-                        format!("ns{k}.provider{}.example", rng.zipf(ns_pool, 1.25))
-                    };
-                    records.push(CrawledRecord {
-                        rtype: RecordType::NS,
-                        ttl: ns_ttl,
-                        value,
-                    });
+            d.records.clear();
+            if d.responsive {
+                d.cname_on_ns = rng.chance(params.cname_on_ns);
+                d.soa_on_ns = !d.cname_on_ns && rng.chance(params.soa_on_ns);
+                // `.nl` content category, biasing TTLs per Table 7.
+                if self.kind == ListKind::Nl {
+                    d.category = Some(ContentCategory::sample(rng));
                 }
-                bailiwick = Some(BailiwickClass::from_counts(in_count, ns_count - in_count));
+                if d.cname_on_ns {
+                    d.records.push(CrawledRecord {
+                        rtype: RecordType::CNAME,
+                        ttl: sample_ttl(rng, &a_mix),
+                        value: RecordValue::Cname(rng.below(addr_pool as u64) as u32),
+                    });
+                } else if !d.soa_on_ns {
+                    // NS set: 2–4 servers from the provider pool (Zipf for
+                    // shared hosting: a few providers serve huge swaths).
+                    let ns_count = 2 + rng.below(3) as usize;
+                    let ns_ttl = d
+                        .category
+                        .map(|c| c.bias_ns_ttl(sample_ttl(rng, &ns_mix)))
+                        .unwrap_or_else(|| sample_ttl(rng, &ns_mix));
+                    let out_only = rng.chance(params.out_only);
+                    let in_only = !out_only && rng.chance(params.in_only_of_rest);
+                    let mut in_count = 0usize;
+                    for k in 0..ns_count as u32 {
+                        let in_bailiwick = if out_only {
+                            false
+                        } else if in_only {
+                            true
+                        } else {
+                            // Mixed: first server in, rest out.
+                            k == 0
+                        };
+                        let value = if in_bailiwick {
+                            in_count += 1;
+                            RecordValue::InBailiwickNs(k, index as u32)
+                        } else {
+                            RecordValue::ProviderNs(k, rng.zipf(ns_pool, 1.25) as u32)
+                        };
+                        d.records.push(CrawledRecord {
+                            rtype: RecordType::NS,
+                            ttl: ns_ttl,
+                            value,
+                        });
+                    }
+                    d.bailiwick = Some(BailiwickClass::from_counts(in_count, ns_count - in_count));
 
-                // Address records.
-                let a_ttl = sample_ttl(rng, &a_mix);
-                let a_count = 1 + rng.below(2) as usize;
-                for _ in 0..a_count {
-                    records.push(CrawledRecord {
-                        rtype: RecordType::A,
-                        ttl: a_ttl,
-                        value: format!(
-                            "192.0.{}.{}",
-                            rng.below(addr_pool as u64 / 250 + 1),
-                            rng.below(250)
-                        ),
-                    });
-                }
-                if rng.chance(params.has_aaaa) {
-                    records.push(CrawledRecord {
-                        rtype: RecordType::AAAA,
-                        ttl: sample_ttl(rng, &aaaa_mix),
-                        value: format!("2001:db8::{:x}", 1 + rng.below(addr_pool as u64)),
-                    });
-                }
-                if rng.chance(params.has_mx) {
-                    let mx_ttl = sample_ttl(rng, &mx_mix);
-                    records.push(CrawledRecord {
-                        rtype: RecordType::MX,
-                        ttl: mx_ttl,
-                        value: format!("mx.provider{}.example", rng.zipf(ns_pool, 1.2)),
-                    });
-                }
-                if rng.chance(params.has_dnskey) {
-                    records.push(CrawledRecord {
-                        rtype: RecordType::DNSKEY,
-                        ttl: category
-                            .map(|c| c.bias_dnskey_ttl(sample_ttl(rng, &dnskey_mix)))
-                            .unwrap_or_else(|| sample_ttl(rng, &dnskey_mix)),
-                        value: format!("key-{}", rng.below(u64::MAX / 2)),
-                    });
+                    // Address records; `a` is drawn before `b`.
+                    let a_ttl = sample_ttl(rng, &a_mix);
+                    let a_count = 1 + rng.below(2) as usize;
+                    for _ in 0..a_count {
+                        let a = rng.below(addr_pool as u64 / 250 + 1) as u32;
+                        d.records.push(CrawledRecord {
+                            rtype: RecordType::A,
+                            ttl: a_ttl,
+                            value: RecordValue::A(a, rng.below(250) as u32),
+                        });
+                    }
+                    if rng.chance(params.has_aaaa) {
+                        d.records.push(CrawledRecord {
+                            rtype: RecordType::AAAA,
+                            ttl: sample_ttl(rng, &aaaa_mix),
+                            value: RecordValue::Aaaa(1 + rng.below(addr_pool as u64) as u32),
+                        });
+                    }
+                    if rng.chance(params.has_mx) {
+                        let mx_ttl = sample_ttl(rng, &mx_mix);
+                        d.records.push(CrawledRecord {
+                            rtype: RecordType::MX,
+                            ttl: mx_ttl,
+                            value: RecordValue::Mx(rng.zipf(ns_pool, 1.2) as u32),
+                        });
+                    }
+                    if rng.chance(params.has_dnskey) {
+                        d.records.push(CrawledRecord {
+                            rtype: RecordType::DNSKEY,
+                            ttl: d
+                                .category
+                                .map(|c| c.bias_dnskey_ttl(sample_ttl(rng, &dnskey_mix)))
+                                .unwrap_or_else(|| sample_ttl(rng, &dnskey_mix)),
+                            value: RecordValue::Dnskey(rng.below(u64::MAX / 2)),
+                        });
+                    }
                 }
             }
-
-            out.push(CrawledDomain {
-                name,
-                responsive: true,
-                cname_on_ns,
-                soa_on_ns,
-                records,
-                bailiwick,
-                category,
-            });
+            f(&d);
+            records = d.records;
         }
-        out
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::{HashMap, HashSet};
 
-    fn generate(kind: ListKind, size: usize) -> Vec<CrawledDomain> {
+    /// Hands `size` domains of `kind`, drawn from seed 42, to `f`.
+    fn generate(kind: ListKind, size: usize, f: impl FnMut(&CrawledDomain)) {
         let mut rng = SimRng::seed_from(42);
-        ListSpec { kind, size }.generate(&mut rng)
+        ListSpec { kind, size }.for_each(&mut rng, f);
+    }
+
+    /// The share of `size` domains of `kind` for which `pick` holds.
+    fn share(kind: ListKind, size: usize, pick: impl Fn(&CrawledDomain) -> bool) -> f64 {
+        let mut n = 0;
+        generate(kind, size, |d| n += pick(d) as usize);
+        n as f64 / size as f64
     }
 
     #[test]
     fn sizes_and_responsiveness() {
-        let domains = generate(ListKind::Alexa, 5_000);
-        assert_eq!(domains.len(), 5_000);
-        let responsive = domains.iter().filter(|d| d.responsive).count() as f64 / 5_000.0;
+        let mut domains = 0;
+        generate(ListKind::Alexa, 5_000, |d| {
+            assert_eq!(d.index, domains);
+            domains += 1;
+        });
+        assert_eq!(domains, 5_000);
+        let responsive = share(ListKind::Alexa, 5_000, |d| d.responsive);
         assert!((0.97..1.0).contains(&responsive), "{responsive}");
-        let umbrella = generate(ListKind::Umbrella, 5_000);
-        let responsive = umbrella.iter().filter(|d| d.responsive).count() as f64 / 5_000.0;
+        let responsive = share(ListKind::Umbrella, 5_000, |d| d.responsive);
         assert!((0.74..0.82).contains(&responsive), "{responsive}");
     }
 
     #[test]
     fn umbrella_is_cname_heavy() {
-        let domains = generate(ListKind::Umbrella, 5_000);
-        let cnames = domains.iter().filter(|d| d.cname_on_ns).count() as f64;
-        let responsive = domains.iter().filter(|d| d.responsive).count() as f64;
+        let cnames = share(ListKind::Umbrella, 5_000, |d| d.cname_on_ns);
+        let responsive = share(ListKind::Umbrella, 5_000, |d| d.responsive);
         let rate = cnames / responsive;
         assert!((0.5..0.65).contains(&rate), "cname rate {rate}");
     }
 
     #[test]
     fn bailiwick_split_matches_params() {
-        let domains = generate(ListKind::Alexa, 10_000);
-        let ns_responding: Vec<_> = domains.iter().filter(|d| d.responds_ns()).collect();
-        let out_only = ns_responding
-            .iter()
-            .filter(|d| d.bailiwick == Some(BailiwickClass::OutOnly))
-            .count() as f64
-            / ns_responding.len() as f64;
-        assert!((0.93..0.97).contains(&out_only), "out-only {out_only}");
-
-        let root = generate(ListKind::Root, 1_562);
-        let ns_root: Vec<_> = root.iter().filter(|d| d.responds_ns()).collect();
-        let out_only = ns_root
-            .iter()
-            .filter(|d| d.bailiwick == Some(BailiwickClass::OutOnly))
-            .count() as f64
-            / ns_root.len() as f64;
-        assert!((0.4..0.6).contains(&out_only), "root out-only {out_only}");
+        let out_only = |kind, size| {
+            let out = share(kind, size, |d| d.bailiwick == Some(BailiwickClass::OutOnly));
+            out / share(kind, size, CrawledDomain::responds_ns)
+        };
+        let alexa = out_only(ListKind::Alexa, 10_000);
+        assert!((0.93..0.97).contains(&alexa), "out-only {alexa}");
+        let root = out_only(ListKind::Root, 1_562);
+        assert!((0.4..0.6).contains(&root), "root out-only {root}");
     }
 
     #[test]
     fn ns_rrset_shares_one_ttl() {
-        let domains = generate(ListKind::Majestic, 1_000);
-        for d in domains.iter().filter(|d| d.responds_ns()) {
-            let ttls: Vec<u32> = d.records_of(RecordType::NS).map(|r| r.ttl).collect();
-            assert!(ttls.windows(2).all(|w| w[0] == w[1]), "{:?}", d.name);
-        }
+        generate(ListKind::Majestic, 1_000, |d| {
+            let mut ttls = d.records.iter().filter(|r| r.rtype == RecordType::NS);
+            let first = ttls.next().map(|r| r.ttl);
+            assert!(ttls.all(|r| Some(r.ttl) == first), "{}", d.name());
+        });
     }
 
     #[test]
     fn nl_domains_have_categories_others_do_not() {
-        let nl = generate(ListKind::Nl, 2_000);
-        assert!(nl
-            .iter()
-            .filter(|d| d.responsive)
-            .all(|d| d.category.is_some()));
-        let alexa = generate(ListKind::Alexa, 100);
-        assert!(alexa.iter().all(|d| d.category.is_none()));
+        generate(ListKind::Nl, 2_000, |d| {
+            assert_eq!(d.category.is_some(), d.responsive)
+        });
+        generate(ListKind::Alexa, 100, |d| assert!(d.category.is_none()));
     }
 
     #[test]
     fn shared_hosting_produces_duplicate_ns_values() {
-        let domains = generate(ListKind::Nl, 20_000);
-        let all_ns: Vec<&str> = domains
-            .iter()
-            .flat_map(|d| d.records_of(RecordType::NS))
-            .map(|r| r.value.as_str())
-            .collect();
-        let mut unique: Vec<&str> = all_ns.clone();
-        unique.sort_unstable();
-        unique.dedup();
-        let ratio = all_ns.len() as f64 / unique.len() as f64;
+        let mut total = 0;
+        let mut unique = HashSet::new();
+        generate(ListKind::Nl, 20_000, |d| {
+            for r in d.records.iter().filter(|r| r.rtype == RecordType::NS) {
+                total += 1;
+                unique.insert(r.value);
+            }
+        });
+        let ratio = total as f64 / unique.len() as f64;
         assert!(ratio > 3.0, "sharing ratio {ratio}");
     }
 
     #[test]
     fn deterministic_given_seed() {
-        let a = generate(ListKind::Alexa, 500);
-        let b = generate(ListKind::Alexa, 500);
-        assert_eq!(a.len(), b.len());
-        for (x, y) in a.iter().zip(&b) {
-            assert_eq!(x.records, y.records);
+        let records = || {
+            let mut all = Vec::new();
+            generate(ListKind::Alexa, 500, |d| {
+                all.extend(d.records.iter().map(|&r| (d.index, r)))
+            });
+            all
+        };
+        assert_eq!(records(), records());
+    }
+
+    #[test]
+    fn a_value_is_unique_exactly_when_its_text_is() {
+        for kind in ListKind::ALL {
+            let mut distinct: HashMap<RecordType, (HashSet<RecordValue>, HashSet<String>)> =
+                HashMap::new();
+            generate(kind, 2_000, |d| {
+                for r in &d.records {
+                    let (values, texts) = distinct.entry(r.rtype).or_default();
+                    values.insert(r.value);
+                    texts.insert(r.value.render(kind));
+                }
+            });
+            for (rtype, (values, texts)) in distinct {
+                assert_eq!(values.len(), texts.len(), "{kind:?} {rtype}");
+            }
         }
     }
 }

@@ -3,21 +3,30 @@
 use crate::artifacts::write_csv;
 use crate::config::ExpConfig;
 use crate::report::Report;
-use dnsttl_analysis::{ascii_cdf_log, CsvWriter, Table};
-use dnsttl_crawl::{
-    crawler::{self, CRAWLED_TYPES},
-    ContentCategory, CrawledDomain, ListKind, ListSpec,
-};
+use dnsttl_analysis::{ascii_cdf_log, CsvWriter, Ecdf, Table};
+use dnsttl_crawl::{crawler::CRAWLED_TYPES, ContentCategory, CrawlSummary, ListKind, ListSpec};
 use dnsttl_netsim::SimRng;
 use dnsttl_wire::RecordType;
 
-fn generate_all(cfg: &ExpConfig) -> Vec<(ListKind, Vec<CrawledDomain>)> {
+/// The types whose TTLs Figure 9 and Table 7 chart: all but CNAME.
+const TTL_TYPES: [RecordType; 5] = [
+    RecordType::NS,
+    RecordType::A,
+    RecordType::AAAA,
+    RecordType::MX,
+    RecordType::DNSKEY,
+];
+
+/// Crawls every list in turn, folding each domain into its list's
+/// summary as it is generated.
+fn crawl_all(cfg: &ExpConfig) -> Vec<CrawlSummary> {
     ListKind::ALL
         .iter()
         .map(|&kind| {
             let mut rng = SimRng::seed_from(cfg.seed_for(&format!("crawl-{}", kind.name())));
-            let spec = ListSpec::scaled(kind, cfg.crawl_scale);
-            (kind, spec.generate(&mut rng))
+            let mut summary = CrawlSummary::new(kind);
+            ListSpec::scaled(kind, cfg.crawl_scale).for_each(&mut rng, |d| summary.add(d));
+            summary.finish()
         })
         .collect()
 }
@@ -25,16 +34,18 @@ fn generate_all(cfg: &ExpConfig) -> Vec<(ListKind, Vec<CrawledDomain>)> {
 /// Runs the crawl experiments; returns table5, fig9, table6, table7,
 /// table8, table9.
 pub fn run(cfg: &ExpConfig) -> Vec<Report> {
-    let populations = generate_all(cfg);
-    let summaries: Vec<_> = populations
-        .iter()
-        .map(|(kind, domains)| crawler::summarize(*kind, domains))
-        .collect();
+    let summaries = crawl_all(cfg);
 
     let mut reports = Vec::new();
     let headers: Vec<&str> = std::iter::once("")
         .chain(ListKind::ALL.iter().map(|k| k.name()))
         .collect();
+    // A row of a per-list table: `label`, then `cell` of each list.
+    let row = |label: &str, cell: &dyn Fn(&CrawlSummary) -> String| -> Vec<String> {
+        std::iter::once(label.to_owned())
+            .chain(summaries.iter().map(cell))
+            .collect()
+    };
 
     // ----- Table 5 -----
     let mut table5 = Report::new(
@@ -42,104 +53,40 @@ pub fn run(cfg: &ExpConfig) -> Vec<Report> {
         "Datasets and RR counts (child authoritative) — scaled",
     );
     let mut t = Table::new(headers.clone());
-    t.row(
-        std::iter::once("format".to_owned())
-            .chain(ListKind::ALL.iter().map(|k| k.format().to_owned()))
-            .collect(),
-    );
-    t.row(
-        std::iter::once("domains".to_owned())
-            .chain(summaries.iter().map(|s| s.domains.to_string()))
-            .collect(),
-    );
-    t.row(
-        std::iter::once("responsive".to_owned())
-            .chain(summaries.iter().map(|s| s.responsive.to_string()))
-            .collect(),
-    );
-    t.row(
-        std::iter::once("ratio".to_owned())
-            .chain(
-                summaries
-                    .iter()
-                    .map(|s| format!("{:.2}", s.responsive as f64 / s.domains.max(1) as f64)),
-            )
-            .collect(),
-    );
-    for rtype in CRAWLED_TYPES {
-        t.row(
-            std::iter::once(rtype.to_string())
-                .chain(summaries.iter().map(|s| {
-                    s.per_type
-                        .iter()
-                        .find(|p| p.rtype == rtype)
-                        .map(|p| p.total.to_string())
-                        .unwrap_or_default()
-                }))
-                .collect(),
-        );
-        t.row(
-            std::iter::once("  unique".to_string())
-                .chain(summaries.iter().map(|s| {
-                    s.per_type
-                        .iter()
-                        .find(|p| p.rtype == rtype)
-                        .map(|p| p.unique.to_string())
-                        .unwrap_or_default()
-                }))
-                .collect(),
-        );
-        t.row(
-            std::iter::once("  ratio".to_string())
-                .chain(summaries.iter().map(|s| {
-                    s.per_type
-                        .iter()
-                        .find(|p| p.rtype == rtype)
-                        .map(|p| format!("{:.2}", p.ratio()))
-                        .unwrap_or_default()
-                }))
-                .collect(),
-        );
+    t.row(row("format", &|s| s.kind.format().to_owned()));
+    t.row(row("domains", &|s| s.domains.to_string()));
+    t.row(row("responsive", &|s| s.responsive.to_string()));
+    t.row(row("ratio", &|s| {
+        format!("{:.2}", s.responsive as f64 / s.domains.max(1) as f64)
+    }));
+    for (i, rtype) in CRAWLED_TYPES.iter().enumerate() {
+        t.row(row(&rtype.to_string(), &|s| {
+            s.per_type[i].total.to_string()
+        }));
+        t.row(row("  unique", &|s| s.per_type[i].unique.to_string()));
+        t.row(row("  ratio", &|s| format!("{:.2}", s.per_type[i].ratio())));
     }
     table5.push(t.render());
     let alexa = &summaries[0];
     let nl = &summaries[3];
-    let alexa_ns_ratio = alexa
-        .per_type
-        .iter()
-        .find(|p| p.rtype == RecordType::NS)
-        .unwrap()
-        .ratio();
-    let nl_ns_ratio = nl
-        .per_type
-        .iter()
-        .find(|p| p.rtype == RecordType::NS)
-        .unwrap()
-        .ratio();
+    // `per_type[0]` is NS, the first of `CRAWLED_TYPES`.
     table5.metric(
         "alexa_responsive_ratio",
         alexa.responsive as f64 / alexa.domains as f64,
     );
-    table5.metric("alexa_ns_ratio", alexa_ns_ratio);
-    table5.metric("nl_ns_ratio", nl_ns_ratio);
+    table5.metric("alexa_ns_ratio", alexa.per_type[0].ratio());
+    table5.metric("nl_ns_ratio", nl.per_type[0].ratio());
     reports.push(table5);
 
     // ----- Figure 9 -----
     let mut fig9 = Report::new("fig9", "CDF of TTLs per record type, for each list");
-    for rtype in [
-        RecordType::NS,
-        RecordType::A,
-        RecordType::AAAA,
-        RecordType::MX,
-        RecordType::DNSKEY,
-    ] {
-        let ecdfs: Vec<(ListKind, dnsttl_analysis::Ecdf)> = populations
+    for rtype in TTL_TYPES {
+        let ecdfs: Vec<(ListKind, Ecdf)> = summaries
             .iter()
-            .map(|(k, d)| (*k, crawler::ttl_ecdf(d, rtype)))
+            .map(|s| (s.kind, s.ttl_ecdf(rtype)))
             .filter(|(_, e)| !e.is_empty())
             .collect();
-        let series: Vec<(&str, &dnsttl_analysis::Ecdf)> =
-            ecdfs.iter().map(|(k, e)| (k.name(), e)).collect();
+        let series: Vec<(&str, &Ecdf)> = ecdfs.iter().map(|(k, e)| (k.name(), e)).collect();
         fig9.push(format!("--- {rtype} ---"));
         fig9.push(ascii_cdf_log(&series, 64, 10));
         for (k, e) in &ecdfs {
@@ -162,10 +109,10 @@ pub fn run(cfg: &ExpConfig) -> Vec<Report> {
         }
     }
     // Shape metrics.
-    let root_ns = crawler::ttl_ecdf(&populations[4].1, RecordType::NS);
-    let umb_ns = crawler::ttl_ecdf(&populations[2].1, RecordType::NS);
-    let alexa_ns = crawler::ttl_ecdf(&populations[0].1, RecordType::NS);
-    let alexa_a = crawler::ttl_ecdf(&populations[0].1, RecordType::A);
+    let root_ns = summaries[4].ttl_ecdf(RecordType::NS);
+    let umb_ns = summaries[2].ttl_ecdf(RecordType::NS);
+    let alexa_ns = alexa.ttl_ecdf(RecordType::NS);
+    let alexa_a = alexa.ttl_ecdf(RecordType::A);
     fig9.metric("root_ns_day_or_more", 1.0 - root_ns.fraction_leq(86_399.0));
     fig9.metric("umbrella_ns_under_minute", umb_ns.fraction_leq(60.0));
     fig9.metric("alexa_ns_median", alexa_ns.median());
@@ -173,28 +120,18 @@ pub fn run(cfg: &ExpConfig) -> Vec<Report> {
     reports.push(fig9);
 
     // ----- Table 6 -----
-    let nl_domains = &populations[3].1;
     let mut table6 = Report::new("table6", ".nl classified domains by DMap category");
     let mut t = Table::new(vec!["Category", "count", "share"]);
-    let classified: Vec<&CrawledDomain> =
-        nl_domains.iter().filter(|d| d.category.is_some()).collect();
-    for cat in ContentCategory::ALL {
-        let n = classified
-            .iter()
-            .filter(|d| d.category == Some(cat))
-            .count();
+    let classified: usize = nl.categories.iter().sum();
+    for (cat, &n) in ContentCategory::ALL.iter().zip(&nl.categories) {
         t.row(vec![
             cat.label().to_owned(),
             n.to_string(),
-            format!("{:.1}%", 100.0 * n as f64 / classified.len().max(1) as f64),
+            format!("{:.1}%", 100.0 * n as f64 / classified.max(1) as f64),
         ]);
         table6.metric(&format!("count_{}", cat.label()), n as f64);
     }
-    t.row(vec![
-        "Total".into(),
-        classified.len().to_string(),
-        "100%".into(),
-    ]);
+    t.row(vec!["Total".into(), classified.to_string(), "100%".into()]);
     table6.push(t.render());
     reports.push(table6);
 
@@ -204,15 +141,9 @@ pub fn run(cfg: &ExpConfig) -> Vec<Report> {
         "Median TTL values (hours) for .nl domains by category",
     );
     let mut t = Table::new(vec!["", "Ecommerce", "Parking", "Placeholder"]);
-    for rtype in [
-        RecordType::NS,
-        RecordType::A,
-        RecordType::AAAA,
-        RecordType::MX,
-        RecordType::DNSKEY,
-    ] {
+    for rtype in TTL_TYPES {
         let cell = |cat| {
-            crawler::median_ttl_hours(nl_domains, rtype, cat)
+            nl.median_ttl_hours(rtype, cat)
                 .map(|h| format!("{h:.1}"))
                 .unwrap_or_else(|| "–".into())
         };
@@ -226,12 +157,12 @@ pub fn run(cfg: &ExpConfig) -> Vec<Report> {
     table7.push(t.render());
     table7.metric(
         "parking_ns_hours",
-        crawler::median_ttl_hours(nl_domains, RecordType::NS, ContentCategory::Parking)
+        nl.median_ttl_hours(RecordType::NS, ContentCategory::Parking)
             .unwrap_or(0.0),
     );
     table7.metric(
         "ecommerce_ns_hours",
-        crawler::median_ttl_hours(nl_domains, RecordType::NS, ContentCategory::Ecommerce)
+        nl.median_ttl_hours(RecordType::NS, ContentCategory::Ecommerce)
             .unwrap_or(0.0),
     );
     reports.push(table7);
@@ -239,18 +170,10 @@ pub fn run(cfg: &ExpConfig) -> Vec<Report> {
     // ----- Table 8 -----
     let mut table8 = Report::new("table8", "Domains with TTL=0 s, per record type");
     let mut t = Table::new(headers.clone());
-    for rtype in CRAWLED_TYPES {
-        t.row(
-            std::iter::once(rtype.to_string())
-                .chain(summaries.iter().map(|s| {
-                    s.per_type
-                        .iter()
-                        .find(|p| p.rtype == rtype)
-                        .map(|p| p.ttl_zero_domains.to_string())
-                        .unwrap_or_default()
-                }))
-                .collect(),
-        );
+    for (i, rtype) in CRAWLED_TYPES.iter().enumerate() {
+        t.row(row(&rtype.to_string(), &|s| {
+            s.per_type[i].ttl_zero_domains.to_string()
+        }));
     }
     table8.push(t.render());
     table8.push("TTL 0 disables caching entirely; the paper recommends against it (§5.1.2).");
@@ -270,34 +193,18 @@ pub fn run(cfg: &ExpConfig) -> Vec<Report> {
     // ----- Table 9 -----
     let mut table9 = Report::new("table9", "Bailiwick distribution in the wild");
     let mut t = Table::new(headers);
-    type Cell = Box<dyn Fn(&dnsttl_crawl::CrawlSummary) -> String>;
-    let rows: [(&str, Cell); 7] = [
-        ("responsive", Box::new(|s| s.responsive.to_string())),
-        ("CNAME", Box::new(|s| s.cname_on_ns.to_string())),
-        ("SOA", Box::new(|s| s.soa_on_ns.to_string())),
-        ("respond NS", Box::new(|s| s.responds_ns.to_string())),
-        ("Out only", Box::new(|s| s.out_only.to_string())),
-        (
-            "percent out",
-            Box::new(|s| {
-                format!(
-                    "{:.1}",
-                    100.0 * s.out_only as f64 / s.responds_ns.max(1) as f64
-                )
-            }),
-        ),
-        (
-            "In only / Mixed",
-            Box::new(|s| format!("{} / {}", s.in_only, s.mixed)),
-        ),
-    ];
-    for (label, f) in &rows {
-        t.row(
-            std::iter::once(label.to_string())
-                .chain(summaries.iter().map(f))
-                .collect(),
-        );
-    }
+    t.row(row("responsive", &|s| s.responsive.to_string()));
+    t.row(row("CNAME", &|s| s.cname_on_ns.to_string()));
+    t.row(row("SOA", &|s| s.soa_on_ns.to_string()));
+    t.row(row("respond NS", &|s| s.responds_ns.to_string()));
+    t.row(row("Out only", &|s| s.out_only.to_string()));
+    t.row(row("percent out", &|s| {
+        let out = 100.0 * s.out_only as f64 / s.responds_ns.max(1) as f64;
+        format!("{out:.1}")
+    }));
+    t.row(row("In only / Mixed", &|s| {
+        format!("{} / {}", s.in_only, s.mixed)
+    }));
     table9.push(t.render());
     let alexa_out = summaries[0].out_only as f64 / summaries[0].responds_ns.max(1) as f64;
     let root_out = summaries[4].out_only as f64 / summaries[4].responds_ns.max(1) as f64;
