@@ -8,8 +8,9 @@
 //! numeric and presentation machinery to produce all of them:
 //!
 //! * [`Ecdf`] — empirical CDFs with exact quantiles;
-//! * [`min_interarrival`] / [`group_by`] — per-key event-stream analysis
-//!   (the §3.4 passive-resolver classification);
+//! * [`ArrivalFold`] — per-key arrival counts and minimum interarrivals,
+//!   folded as arrivals come in (the §3.4 passive-resolver
+//!   classification);
 //! * [`TimeSeries`] — binned categorical counts over simulated time;
 //! * [`classify_ttl_series`] — per-VP behaviour attribution
 //!   (child-/parent-centric, TTL capping, RFC 7706 mirrors);
@@ -36,6 +37,6 @@ pub use chart::{ascii_cdf_log, ascii_cdf_multi};
 pub use classify::{classify_ttl_series, BehaviorCensus, TtlBehavior};
 pub use csv::CsvWriter;
 pub use ecdf::Ecdf;
-pub use events::{group_by, min_interarrival};
+pub use events::{ArrivalFold, ArrivalStats};
 pub use table::Table;
 pub use timeseries::TimeSeries;

@@ -17,8 +17,9 @@
 //! * dynamic **renumbering** ([`Zone::replace_address`]) used by the §4
 //!   bailiwick experiments, which change a name server's address
 //!   mid-experiment and watch which resolvers notice;
-//! * a per-server [`QueryLog`] for passive analysis, mirroring the
-//!   paper's ENTRADA captures at `.nl` (§3.4).
+//! * a per-server query log for passive analysis, mirroring the paper's
+//!   ENTRADA captures at `.nl` (§3.4): each [`LoggedQuery`] waits only
+//!   until its reader drains it ([`AuthoritativeServer::drain_log`]).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -34,5 +35,5 @@ pub use master::{
     parse_records, parse_zone, render_records, render_zone, MasterError, MasterErrorKind,
 };
 pub use secondary::SecondaryServer;
-pub use server::{AuthoritativeServer, LoggedQuery, QueryLog};
+pub use server::{AuthoritativeServer, LoggedQuery};
 pub use zone::{Zone, ZoneBuilder, ZoneLookup};

@@ -3,7 +3,7 @@
 use crate::zone::{Zone, ZoneLookup};
 use dnsttl_netsim::{ClientId, DnsService, SimTime};
 use dnsttl_telemetry::Telemetry;
-use dnsttl_wire::{Message, Name, Rcode, RecordType};
+use dnsttl_wire::{Message, Name, Rcode};
 
 /// One logged query, as a passive capture (ENTRADA-style) would record
 /// it: who asked what, when.
@@ -15,41 +15,6 @@ pub struct LoggedQuery {
     pub client: ClientId,
     /// Queried name.
     pub qname: Name,
-    /// Queried type.
-    pub qtype: RecordType,
-}
-
-/// An append-only log of queries received by one server.
-///
-/// The paper's §3.4 classifies `.nl` resolvers as parent- or
-/// child-centric from exactly this data: per-(resolver, qname) query
-/// counts and interarrival times.
-#[derive(Debug, Default, Clone)]
-pub struct QueryLog {
-    entries: Vec<LoggedQuery>,
-    enabled: bool,
-}
-
-impl QueryLog {
-    /// All logged queries in arrival order.
-    pub fn entries(&self) -> &[LoggedQuery] {
-        &self.entries
-    }
-
-    /// Number of logged queries.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// True when no queries are logged.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// Discards all entries (keeps logging enabled/disabled state).
-    pub fn clear(&mut self) {
-        self.entries.clear();
-    }
 }
 
 /// An authoritative DNS server holding one or more zones.
@@ -63,7 +28,9 @@ pub struct AuthoritativeServer {
     /// Each zone with its origin's label count, which `best_zone`
     /// ranks by on every query.
     zones: Vec<(usize, Zone)>,
-    log: QueryLog,
+    /// Queries logged since the last [`Self::drain_log`]; `None` when
+    /// logging is off.
+    log: Option<Vec<LoggedQuery>>,
     queries_answered: u64,
     /// Round-robin answer rotation (DNS-based load balancing, §6.1 of
     /// the paper: "each arriving DNS request provides an opportunity
@@ -82,7 +49,7 @@ impl AuthoritativeServer {
         AuthoritativeServer {
             name: name.into(),
             zones: Vec::new(),
-            log: QueryLog::default(),
+            log: None,
             queries_answered: 0,
             rotate_answers: false,
             telemetry: Telemetry::disabled(),
@@ -116,14 +83,17 @@ impl AuthoritativeServer {
     }
 
     /// Enables passive query logging (off by default: most experiments
-    /// only need it on specific servers, and logs grow with traffic).
+    /// only need it on specific servers). The log holds what arrived
+    /// since the last [`Self::drain_log`].
     pub fn enable_logging(&mut self) {
-        self.log.enabled = true;
+        self.log = Some(Vec::new());
     }
 
-    /// The query log.
-    pub fn log(&self) -> &QueryLog {
-        &self.log
+    /// Takes the queries logged since the last drain, in arrival order
+    /// (none when logging is off). The paper's §3.4 classifies `.nl`
+    /// resolvers from exactly this data.
+    pub fn drain_log(&mut self) -> impl Iterator<Item = LoggedQuery> + '_ {
+        self.log.iter_mut().flat_map(|log| log.drain(..))
     }
 
     /// Mutable access to a zone by origin, for renumbering mid-run.
@@ -181,12 +151,11 @@ impl DnsService for AuthoritativeServer {
             self.note_response("formerr");
             return response;
         };
-        if self.log.enabled {
-            self.log.entries.push(LoggedQuery {
+        if let Some(log) = &mut self.log {
+            log.push(LoggedQuery {
                 at: now,
                 client,
                 qname: question.qname.clone(),
-                qtype: question.qtype,
             });
         }
         let Some(zone) = self.best_zone(&question.qname) else {
@@ -249,7 +218,7 @@ mod tests {
     use super::*;
     use crate::zone::ZoneBuilder;
     use dnsttl_netsim::Region;
-    use dnsttl_wire::Ttl;
+    use dnsttl_wire::{RecordType, Ttl};
 
     fn n(s: &str) -> Name {
         Name::parse(s).unwrap()
@@ -383,10 +352,11 @@ mod tests {
         let q = Message::iterative_query(6, n("cl"), RecordType::NS);
         srv.handle_query(&q, client(77), SimTime::from_secs(5));
         srv.handle_query(&q, client(78), SimTime::from_secs(9));
-        let log = srv.log().entries();
+        let log: Vec<LoggedQuery> = srv.drain_log().collect();
         assert_eq!(log.len(), 2);
         assert_eq!(log[0].client.tag, 77);
         assert_eq!(log[1].at, SimTime::from_secs(9));
+        assert_eq!(srv.drain_log().count(), 0, "a drain empties the log");
     }
 
     #[test]
@@ -394,7 +364,7 @@ mod tests {
         let mut srv = root_and_cl_server();
         let q = Message::iterative_query(7, n("cl"), RecordType::NS);
         srv.handle_query(&q, client(1), SimTime::ZERO);
-        assert!(srv.log().is_empty());
+        assert_eq!(srv.drain_log().count(), 0);
     }
 
     #[test]

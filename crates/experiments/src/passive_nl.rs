@@ -17,7 +17,7 @@ use crate::artifacts::write_csv;
 use crate::config::ExpConfig;
 use crate::report::Report;
 use crate::worlds;
-use dnsttl_analysis::{ascii_cdf_multi, group_by, min_interarrival, CsvWriter, Ecdf};
+use dnsttl_analysis::{ascii_cdf_multi, ArrivalFold, CsvWriter, Ecdf};
 use dnsttl_core::PolicyMix;
 use dnsttl_netsim::{EventQueue, SimDuration, SimRng, SimTime};
 use dnsttl_resolver::RecursiveResolver;
@@ -89,6 +89,11 @@ pub fn run(cfg: &ExpConfig) -> Vec<Report> {
         ((-u.ln()) * mean_ms as f64).clamp(1_000.0, 4.0e8) as u64
     };
 
+    // The two observed servers' logs, grouped by (resolver tag, qname)
+    // — the paper's 368k groups — and folded as they arrive: demands pop
+    // in time order and a resolution sends nothing before it starts, so
+    // no later query lands before this demand's second.
+    let mut groups = ArrivalFold::default();
     let end = SimTime::ZERO + duration;
     let mut total_demand = 0u64;
     while let Some((now, d)) = queue.pop() {
@@ -99,6 +104,12 @@ pub fn run(cfg: &ExpConfig) -> Vec<Report> {
         let qname = world.ns_host_names[d.qname_idx].clone();
         let r = &mut resolvers[d.resolver];
         let _ = r.resolve(&qname, RecordType::A, now, &mut world.net);
+        for server in &world.logged {
+            for q in server.borrow_mut().drain_log() {
+                groups.add((q.client.tag, q.qname), q.at.as_secs());
+            }
+        }
+        groups.settle(now.as_secs());
         let gap = exp_gap(&mut rng, mean_gap_ms[d.resolver]);
         queue.schedule(
             now + SimDuration::from_millis(gap),
@@ -109,43 +120,18 @@ pub fn run(cfg: &ExpConfig) -> Vec<Report> {
         );
     }
 
-    // Collect the two observed servers' logs and group by
-    // (resolver tag, qname) — the paper's 368k groups.
-    let mut events: Vec<((u64, String), u64)> = Vec::new();
-    for server in &world.logged {
-        for entry in server.borrow().log().entries() {
-            events.push((
-                (entry.client.tag, entry.qname.to_string()),
-                entry.at.as_secs(),
-            ));
-        }
-    }
-    let groups = group_by(events);
-
-    let counts: Vec<u64> = groups.values().map(|v| v.len() as u64).collect();
-    let single = counts.iter().filter(|&&c| c == 1).count() as f64 / counts.len().max(1) as f64;
+    let groups = groups.finish();
+    let single =
+        groups.values().filter(|g| g.count == 1).count() as f64 / groups.len().max(1) as f64;
 
     // Figure 3: CDF of queries per group, all vs retransmission-filtered
     // (the paper's 2 s filter changes nothing; we include it anyway).
-    let filtered_counts: Vec<u64> = groups
-        .values()
-        .map(|times| {
-            let mut kept = 1u64;
-            for w in times.windows(2) {
-                if w[1] - w[0] >= 2 {
-                    kept += 1;
-                }
-            }
-            kept
-        })
-        .collect();
-
     let mut fig3 = Report::new(
         "fig3",
         "CDF of A queries per resolver/query-name (.nl, 2 days)",
     );
-    let all = Ecdf::from_u64(counts.iter().copied());
-    let filt = Ecdf::from_u64(filtered_counts.iter().copied());
+    let all = Ecdf::from_u64(groups.values().map(|g| g.count));
+    let filt = Ecdf::from_u64(groups.values().map(|g| g.filtered));
     fig3.push(ascii_cdf_multi(
         &[("all", &all), ("filtered >2s", &filt)],
         64,
@@ -176,15 +162,12 @@ pub fn run(cfg: &ExpConfig) -> Vec<Report> {
 
     // Figure 4: CDF of minimum interarrival per multi-query group;
     // bumps at multiples of the child's 3600 s TTL.
-    let mins: Vec<u64> = groups
-        .values()
-        .filter_map(|times| min_interarrival(times, 2))
-        .collect();
     let mut fig4 = Report::new(
         "fig4",
         "CDF of minimum interarrival time of A queries per resolver/query-name",
     );
-    let min_ecdf = Ecdf::from_u64(mins.iter().copied());
+    let min_ecdf = Ecdf::from_u64(groups.values().filter_map(|g| g.min_gap));
+    let mins = min_ecdf.samples();
     if !min_ecdf.is_empty() {
         fig4.push(ascii_cdf_multi(&[("min interarrival", &min_ecdf)], 64, 12));
         fig4.push(format!(
@@ -195,11 +178,10 @@ pub fn run(cfg: &ExpConfig) -> Vec<Report> {
     // The 1-hour bump: mass within ±10% of 3600 s.
     let hour_bump = mins
         .iter()
-        .filter(|&&m| (3_240..=3_960).contains(&m))
+        .filter(|&&m| (3_240.0..=3_960.0).contains(&m))
         .count() as f64
         / mins.len().max(1) as f64;
-    let sub_hour = min_ecdf.samples().iter().filter(|&&m| m < 3_240.0).count() as f64
-        / mins.len().max(1) as f64;
+    let sub_hour = mins.iter().filter(|&&m| m < 3_240.0).count() as f64 / mins.len().max(1) as f64;
     fig4.push(format!(
         "mass at ~1h (child TTL): {:.1}%   below 1h: {:.1}%",
         hour_bump * 100.0,

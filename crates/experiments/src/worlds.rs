@@ -698,7 +698,10 @@ mod tests {
             assert_eq!(out.answer.header.rcode, Rcode::NoError);
             r.clear_cache();
         }
-        let logged: usize = logged.iter().map(|s| s.borrow().log().len()).sum();
+        let logged: usize = logged
+            .iter()
+            .map(|s| s.borrow_mut().drain_log().count())
+            .sum();
         assert!(logged > 0, "some queries must land at logged servers");
     }
 

@@ -4,7 +4,7 @@
 //!
 //! Ordering audit (sharded-engine PR): these assertions read scalar
 //! report values only, so they are immune to row ordering; the
-//! collections feeding them (`Dataset::by_vp`, `analysis::group_by`)
+//! collections feeding them (`Dataset::by_vp`, `analysis::ArrivalFold`)
 //! are BTreeMap-backed and emit in key order. Worker-count invariance
 //! of the same pipelines is asserted separately in
 //! `tests/shard_equivalence.rs`.

@@ -609,3 +609,221 @@ fn every_event_kind_is_recorded_by_production_code() {
         "EventKind variants no production code names; delete them: {unrecorded:?}"
     );
 }
+
+/// The tree a deleted mechanism must not come back to: the library
+/// sources, the facade, the integration tests and the examples.
+const SOURCES: &[&str] = &["crates/*/src", "src", "tests", "examples"];
+
+/// A source-tree guard: `grep -E pattern` over `paths` (a `*` segment
+/// expands as the shell's glob would) may match in `files` files, not
+/// counting those under an `exempt` prefix. This file names every
+/// pattern, so it is never counted.
+struct Guard {
+    step: &'static str,
+    pattern: &'static str,
+    paths: &'static [&'static str],
+    exempt: &'static [&'static str],
+    files: usize,
+}
+
+const GUARDS: &[Guard] = &[
+    // Outside the telemetry crate, `take_parts()` is called from one
+    // file (`atlas/src/shard.rs`): a second copy of the fan-out fails.
+    Guard {
+        step: "single owner of the telemetry hand-off",
+        pattern: r"take_parts\(\)",
+        paths: &["crates/*/src"],
+        exempt: &["crates/telemetry/"],
+        files: 1,
+    },
+    // Which cache a resolver runs on is not a policy knob.
+    Guard {
+        step: "no cache-backend selector",
+        pattern: r"CacheBackendChoice|cache_backend|cache_segments",
+        paths: SOURCES,
+        exempt: &[],
+        files: 0,
+    },
+    // The cache has no second front, nor the core / sink split that let
+    // one state machine sit behind two of them.
+    Guard {
+        step: "no second cache front",
+        pattern: r"SharedCache|OpSink|CacheCore",
+        paths: SOURCES,
+        exempt: &[],
+        files: 0,
+    },
+    // Entries live by their TTL alone, and an unreachable server is a
+    // `FaultPlan` outage, not a per-endpoint switch.
+    Guard {
+        step: "no bounded cache, no offline switch",
+        pattern: r"Cache::with_capacity|cache_capacity|CacheOp::Evict|EventKind::CacheEvict|set_online|is_online",
+        paths: SOURCES,
+        exempt: &[],
+        files: 0,
+    },
+    // The trace has no kind nothing records, and a setting every caller
+    // gave one value is a constant.
+    Guard {
+        step: "no unrecorded event kinds, no one-value settings",
+        pattern: r"EventKind::(Custom|CacheHit|CacheMiss|Query)|hijacked_fraction|public_fraction|backends_per_service|resolvers_per_probe|policy\.retries|ts-bucket-ms|progress_ms",
+        paths: SOURCES,
+        exempt: &[],
+        files: 0,
+    },
+    // QNAME minimisation, prefetch, the TTL floor and the cache's
+    // invalidation and purge paths stay gone: no run turned them on.
+    Guard {
+        step: "no test-only resolver behaviours",
+        pattern: r"qname_minimization|prefetch|ttl_floor|purge_expired|invalidate_zone|fn invalidate|CacheOp::Invalidate|EventKind::(Prefetch|CacheInvalidate)",
+        paths: SOURCES,
+        exempt: &[],
+        files: 0,
+    },
+    // One metric table: no second name-indexed store, and no hash index
+    // behind the address memo.
+    Guard {
+        step: "one metric table",
+        pattern: r"TimeSeriesStore|with_timeseries|PrehashedId|hash_borrowed|fnv_str",
+        paths: SOURCES,
+        exempt: &[],
+        files: 0,
+    },
+    // Each generated domain goes into its list's `CrawlSummary` and is
+    // dropped: no population vector, no per-type re-scan over one.
+    Guard {
+        step: "a crawl list is folded, not collected",
+        pattern: r"Vec<CrawledDomain>|records_of|fn summarize",
+        paths: SOURCES,
+        exempt: &[],
+        files: 0,
+    },
+    // A question vector is an allocation per message, and
+    // `decode_message` rejects QDCOUNT above one.
+    Guard {
+        step: "a message carries one question",
+        pattern: r"Vec<Question>|\.questions\b",
+        paths: SOURCES,
+        exempt: &[],
+        files: 0,
+    },
+    // `repro bench` owns in-report ratios and `benchmark/` cross-commit
+    // numbers: no Criterion shim, no `cargo bench` target.
+    Guard {
+        step: "one timing harness in the workspace",
+        pattern: r"criterion|^\[\[bench\]\]",
+        paths: &["Cargo.toml", "crates/*/Cargo.toml"],
+        exempt: &[],
+        files: 0,
+    },
+    // The cache's two key tables hash a word the name already carries
+    // (`KeyTable`); with two type parameters they would be back on
+    // SipHash's `RandomState`.
+    Guard {
+        step: "cache tables keep their pass-through hasher",
+        pattern: r"HashMap<\(Name, RecordType\), [A-Za-z]+>",
+        paths: &["crates/resolver/src/cache.rs"],
+        exempt: &[],
+        files: 0,
+    },
+    // A store probes the entry table with the borrowed `Probe` key; an
+    // owned-key `entry()` is a name clone per store.
+    Guard {
+        step: "a store probes with a borrowed key",
+        pattern: r"entries\.entry\(",
+        paths: &["crates/resolver/src/cache.rs"],
+        exempt: &[],
+        files: 0,
+    },
+    // The trace export copies what its intern tables rendered at intern
+    // time; a key or string escaped into `out` per field is the
+    // per-occurrence scan coming back.
+    Guard {
+        step: "trace export escapes no literal per field",
+        pattern: r"json::(push_key|push_string)\(out",
+        paths: &["crates/telemetry/src/trace.rs"],
+        exempt: &[],
+        files: 0,
+    },
+    // A shared string the trace already holds is pushed by reference
+    // (`FieldSink::push_shared`), not cloned to be handed over.
+    Guard {
+        step: "shared trace strings are pushed by reference",
+        pattern: r#"f\.push\("[a-z_]+", *[a-z_.]+\.(shared_str\(\)|clone\(\))\)"#,
+        paths: &["crates/*/src"],
+        exempt: &[],
+        files: 0,
+    },
+    // The `.nl` log is folded as it arrives (`ArrivalFold`): no capture,
+    // no grouped time vectors. `min_interarrival` alone would also match
+    // the `fig4_min_interarrival_cdf.csv` file name.
+    Guard {
+        step: "the .nl log is folded as it arrives",
+        pattern: r"group_by\(|min_interarrival\(|\.log\(\)\.entries\(\)",
+        paths: SOURCES,
+        exempt: &[],
+        files: 0,
+    },
+];
+
+#[test]
+fn the_source_tree_guards_hold() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut broken = Vec::new();
+    for guard in GUARDS {
+        let mut args: Vec<String> = Vec::new();
+        for path in guard.paths {
+            let Some((dir, rest)) = path.split_once('*') else {
+                args.push(path.to_string());
+                continue;
+            };
+            let mut names: Vec<String> = std::fs::read_dir(root.join(dir))
+                .expect("glob directory is readable")
+                .map(|e| {
+                    e.expect("dir entry")
+                        .file_name()
+                        .to_string_lossy()
+                        .into_owned()
+                })
+                .filter(|name| !name.starts_with('.'))
+                .collect();
+            names.sort();
+            for name in names {
+                let matched = format!("{dir}{name}{rest}");
+                if root.join(&matched).exists() {
+                    args.push(matched);
+                }
+            }
+        }
+        let out = std::process::Command::new("grep")
+            .current_dir(root)
+            .arg("-rlE")
+            .arg(guard.pattern)
+            .args(&args)
+            .output()
+            .expect("grep runs");
+        // grep exits 1 on no match and 2 on an error (a path gone).
+        assert!(
+            out.status.code().is_some_and(|c| c < 2),
+            "{}: grep failed: {}",
+            guard.step,
+            String::from_utf8_lossy(&out.stderr)
+        );
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        let files: Vec<&str> = stdout
+            .lines()
+            .filter(|f| *f != "tests/tooling.rs" && !guard.exempt.iter().any(|e| f.starts_with(e)))
+            .collect();
+        if files.len() != guard.files {
+            broken.push(format!(
+                "{}: {} file(s) may match, found {files:?}",
+                guard.step, guard.files
+            ));
+        }
+    }
+    assert!(
+        broken.is_empty(),
+        "source-tree guards broken:\n{}",
+        broken.join("\n")
+    );
+}
