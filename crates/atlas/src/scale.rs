@@ -458,11 +458,14 @@ impl Default for ZipfRunOpts {
 }
 
 /// Builds one cell's authoritative world: a root delegating `zipf` to
-/// a child zone holding one `A` record per universe name.
-fn zipf_world(names: usize, record_ttl: Ttl) -> (Network, Vec<RootHint>) {
+/// a child zone holding one `A` record per universe name. The owners are
+/// the campaign's own `names`, so a probe's question and the record it
+/// finds share one buffer.
+fn zipf_world(names: &[Name], record_ttl: Ttl) -> (Network, Vec<RootHint>) {
     use dnsttl_auth::{AuthoritativeServer, ZoneBuilder};
+    use dnsttl_wire::{RData, Record};
     use std::cell::RefCell;
-    use std::net::IpAddr;
+    use std::net::{IpAddr, Ipv4Addr};
     use std::rc::Rc;
 
     let root_addr: IpAddr = "198.41.0.4".parse().expect("static");
@@ -478,9 +481,9 @@ fn zipf_world(names: usize, record_ttl: Ttl) -> (Network, Vec<RootHint>) {
         "192.0.2.53",
         Ttl::HOUR,
     );
-    for k in 0..names {
-        let addr = format!("10.{}.{}.{}", (k >> 16) & 255, (k >> 8) & 255, k & 255);
-        child_zone = child_zone.a(&format!("r{k}.zipf"), &addr, record_ttl);
+    for (k, name) in names.iter().enumerate() {
+        let addr = Ipv4Addr::new(10, (k >> 16) as u8, (k >> 8) as u8, k as u8);
+        child_zone = child_zone.record(Record::new(name.clone(), record_ttl, RData::A(addr)));
     }
     let child = AuthoritativeServer::new("ns.zipf").with_zone(child_zone.build());
     let mut net = Network::new(LatencyModel::constant(5.0));
@@ -553,7 +556,7 @@ pub fn run_zipf_cell(
         // resolvers keeps the merge rebase exact.
         return ZipfCellOut::default();
     }
-    let (mut net, roots) = zipf_world(names.len(), cfg.record_ttl);
+    let (mut net, roots) = zipf_world(names, cfg.record_ttl);
     let mut rng = SimRng::seed_from(seed);
     let mut resolvers: Vec<RecursiveResolver> = (0..cfg.resolvers_per_cell.max(1))
         .map(|i| {
@@ -814,6 +817,30 @@ mod tests {
         cfg.cells = 4;
         cfg.duration = SimDuration::from_hours(1);
         cfg
+    }
+
+    #[test]
+    fn a_name_asked_in_other_case_is_answered_from_the_cache() {
+        use dnsttl_netsim::SimTime;
+        use dnsttl_wire::{Message, RData};
+        let names: Vec<Name> = (0..8)
+            .map(|k| Name::parse(&format!("r{k}.zipf")).unwrap())
+            .collect();
+        let (mut net, roots) = zipf_world(&names, Ttl::HOUR);
+        let policy = dnsttl_core::ResolverPolicy::default();
+        let rng = SimRng::seed_from(3);
+        let mut resolver = RecursiveResolver::new("case", policy, Region::Eu, 0, roots, rng);
+        let stored = resolver.resolve(&names[7], RecordType::A, SimTime::from_secs(1), &mut net);
+        assert!(!stored.cache_hit);
+        // A separate buffer in other case: the cache's probe falls back
+        // to folding case and finds the entry `r7.zipf` stored.
+        let upper = Name::parse("R7.ZIPF").unwrap();
+        let again = resolver.resolve(&upper, RecordType::A, SimTime::from_secs(2), &mut net);
+        assert!(again.cache_hit);
+        let addrs =
+            |m: &Message| -> Vec<RData> { m.answers.iter().map(|r| r.rdata.clone()).collect() };
+        assert_eq!(addrs(&stored.answer), [RData::A([10, 0, 0, 7].into())]);
+        assert_eq!(addrs(&again.answer), addrs(&stored.answer));
     }
 
     #[test]

@@ -11,12 +11,13 @@
 //! Route53 comparison (Figure 11b).
 //!
 //! Messages cross the fabric by reference, not as bytes: an exchange
-//! asks the wire codec only how long each message would be
-//! (`dnsttl_wire::encoded_len`). That decides UDP truncation, and a
-//! message with no legal encoding is a packet that was never sent — a
-//! counted timeout. Debug builds additionally assert, on every exchange,
-//! that the real encoding has that length and decodes back to the same
-//! message.
+//! asks the wire codec only whether each message fits in a UDP payload
+//! (`dnsttl_wire::fits`, which runs the compression walk only when the
+//! uncompressed length is over the limit). That decides UDP truncation,
+//! and a message with no legal encoding is a packet that was never sent
+//! — a counted timeout. Debug builds additionally assert, on every
+//! exchange, that the answer is `encoded_len`'s, and that the real
+//! encoding has that length and decodes back to the same message.
 
 use crate::fault::FaultPlan;
 use crate::latency::{LatencyModel, Region};
@@ -341,7 +342,7 @@ impl Network {
                 });
             return ExchangeOutcome::Timeout { elapsed: timeout };
         };
-        if wire_len(query).is_err() {
+        if wire_fits(query).is_err() {
             return self.unencodable(now);
         }
         ep.queries_received += 1;
@@ -364,11 +365,11 @@ impl Network {
             tag: client_tag,
         };
         let mut response = site.service.borrow_mut().handle_query(query, client, now);
-        let Ok(response_len) = wire_len(&response) else {
+        let Ok(fits) = wire_fits(&response) else {
             return self.unencodable(now);
         };
 
-        if transport == Transport::Udp && response_len > UDP_PAYLOAD_LIMIT {
+        if transport == Transport::Udp && !fits {
             // RFC 1035 §4.2.1: truncate and set TC; the client retries
             // over TCP.
             response.header.truncated = true;
@@ -426,22 +427,28 @@ mod metrics {
     pub(crate) const FAULT_BLACKOUT: MetricKey = MetricKey::new("net_fault_blackout");
 }
 
-/// `encoded_len`, with the contract the exchange path rests on checked in
-/// debug builds: the real encoding has exactly that length and decodes
-/// back to `msg`, and a message without a length has no encoding either.
-fn wire_len(msg: &Message) -> Result<usize, WireError> {
-    let len = encoded_len(msg);
+/// Whether `msg` fits in a UDP payload, with the contract the exchange
+/// path rests on checked in debug builds: the answer is `encoded_len`'s,
+/// the real encoding has exactly that length and decodes back to `msg`,
+/// and a message without a length has no encoding either.
+fn wire_fits(msg: &Message) -> Result<bool, WireError> {
+    let fit = dnsttl_wire::fits(msg, UDP_PAYLOAD_LIMIT);
+    debug_assert_eq!(
+        fit,
+        encoded_len(msg).map(|n| n <= UDP_PAYLOAD_LIMIT),
+        "fits disagrees with encoded_len on {msg:?}"
+    );
     debug_assert!(
-        match (&len, dnsttl_wire::encode_message(msg)) {
+        match (encoded_len(msg), dnsttl_wire::encode_message(msg)) {
             (Ok(n), Ok(wire)) => {
-                wire.len() == *n && dnsttl_wire::decode_message(&wire).as_ref() == Ok(msg)
+                wire.len() == n && dnsttl_wire::decode_message(&wire).as_ref() == Ok(msg)
             }
-            (Err(a), Err(b)) => *a == b,
+            (Err(a), Err(b)) => a == b,
             _ => false,
         },
         "encoded_len disagrees with the codec round trip on {msg:?}"
     );
-    len
+    fit
 }
 
 #[cfg(test)]
@@ -751,6 +758,53 @@ mod tests {
         let whole = ask(addr(2), Transport::Tcp);
         assert!(!whole.header.truncated);
         assert_eq!(whole.additionals.len(), 1);
+    }
+
+    /// A server that refers every query to 13 servers with glue: 820
+    /// octets with every name in full, 446 once compressed.
+    struct Referral;
+
+    impl DnsService for Referral {
+        fn handle_query(&mut self, query: &Message, _client: ClientId, _now: SimTime) -> Message {
+            let mut r = Message::response_to(query);
+            let zone = Name::parse("example").unwrap();
+            for i in 0..13u8 {
+                let ns = Name::parse(&format!("{}.ns.example", (b'a' + i) as char)).unwrap();
+                r.authorities.push(Record::new(
+                    zone.clone(),
+                    Ttl::TWO_DAYS,
+                    RData::Ns(ns.clone()),
+                ));
+                r.additionals.push(Record::new(
+                    ns,
+                    Ttl::TWO_DAYS,
+                    RData::A(Ipv4Addr::new(192, 0, 2, i)),
+                ));
+            }
+            r
+        }
+    }
+
+    #[test]
+    fn udp_keeps_a_response_that_fits_only_compressed() {
+        let mut net = Network::new(LatencyModel::constant(10.0));
+        net.register(addr(1), Region::Eu, Rc::new(RefCell::new(Referral)));
+        let mut rng = SimRng::seed_from(10);
+        let out = net.exchange(Region::Eu, 0, addr(1), &query(), SimTime::ZERO, &mut rng);
+        let msg = out.response().expect("response");
+        assert!(!msg.header.truncated, "446 octets compressed fit in 512");
+        assert_eq!((msg.authorities.len(), msg.additionals.len()), (13, 13));
+        // The sizes the doc comment states: over the limit in full, under
+        // it compressed.
+        let full = |n: &Name| n.as_str().len() + 1;
+        let rdata = |rd: &RData| if let RData::Ns(ns) = rd { full(ns) } else { 4 };
+        let plain = 12
+            + full(&msg.question.as_ref().expect("echoed").qname)
+            + 4
+            + (msg.sectioned_records())
+                .map(|(_, r)| full(&r.name) + 10 + rdata(&r.rdata))
+                .sum::<usize>();
+        assert_eq!((plain, encoded_len(msg)), (820, Ok(446)));
     }
 
     /// A server that answers with whatever records it was built with.

@@ -3,11 +3,11 @@
 //! The encoder performs standard name compression (back-pointers to
 //! earlier occurrences); the decoder accepts compression anywhere a name
 //! may appear and rejects forward pointers and pointer loops.
-//! [`encoded_len`] is the encoder run without a buffer: the simulator's
-//! exchange path needs only a message's size, and asks for that instead
-//! of the bytes. Round-trip fidelity, and that the length is the length
-//! of the bytes, are enforced by property tests in `tests/` of this
-//! crate.
+//! [`encoded_len`] is the encoder run without a buffer; [`fits`], all the
+//! simulator's exchange path asks, runs it only for a message whose
+//! uncompressed length is over the limit. Round-trip fidelity, and that
+//! both agree with the bytes, are enforced by property tests in `tests/`
+//! of this crate.
 
 use crate::message::{Header, Message, Opcode, Question, Rcode};
 use crate::name::{NameKey, NameSuffix};
@@ -125,7 +125,9 @@ impl<'m> NameTable<'m> {
         let mut i = (hash ^ (hash >> 32)) as usize & mask;
         loop {
             let s = &slots[i];
-            if s.suffix.is_empty() || (s.hash == hash && s.suffix.eq_ignore_ascii_case(suffix)) {
+            if s.suffix.is_empty()
+                || (s.hash == hash && (s.suffix == suffix || s.suffix.eq_ignore_ascii_case(suffix)))
+            {
                 return i;
             }
             i = (i + 1) & mask;
@@ -375,6 +377,44 @@ pub fn encoded_len(msg: &Message) -> Result<usize, WireError> {
     let mut w = Writer::new(Count(0));
     w.message(msg)?;
     Ok(w.out.0)
+}
+
+/// Whether `msg` encodes to at most `limit` octets: `Ok(true)` exactly
+/// when [`encoded_len`] is `Ok(n)` with `n <= limit`, `Ok(false)` when
+/// `n > limit`, and `encoded_len`'s error otherwise. Only a message whose
+/// uncompressed length is over the limit, or over `MAX_MESSAGE_LEN`
+/// (past which every other error lies), takes the compression walk.
+pub fn fits(msg: &Message, limit: usize) -> Result<bool, WireError> {
+    match plain_len(msg) {
+        Some(bound) if bound <= limit.min(MAX_MESSAGE_LEN) => Ok(true),
+        _ => encoded_len(msg).map(|n| n <= limit),
+    }
+}
+
+/// The length of `msg` with every name written in full: never below
+/// [`encoded_len`], since a compression pointer's two octets replace at
+/// least a label and the terminator. `None` for text the codec rejects.
+fn plain_len(msg: &Message) -> Option<usize> {
+    let mut len = 12 + msg.question.as_ref().map_or(0, |q| q.qname.wire_len() + 4);
+    for (_, r) in msg.sectioned_records() {
+        len += r.name.wire_len() + 10;
+        len += match &r.rdata {
+            RData::A(_) => 4,
+            RData::Aaaa(_) => 16,
+            RData::Ns(n) | RData::Cname(n) => n.wire_len(),
+            RData::Soa(soa) => soa.mname.wire_len() + soa.rname.wire_len() + 20,
+            RData::Mx { exchange, .. } => 2 + exchange.wire_len(),
+            // One length octet per 255-byte chunk, and one for "".
+            RData::Txt(t) if t.is_ascii() => t.len() + t.len().div_ceil(255).max(1),
+            RData::Txt(_) => return None,
+            RData::Dnskey { key, .. } => 4 + key.len(),
+            RData::Rrsig {
+                signer, signature, ..
+            } => 7 + signer.wire_len() + signature.len(),
+            RData::Opt(bytes) => bytes.len(),
+        };
+    }
+    Some(len)
 }
 
 // ---------------------------------------------------------------------------

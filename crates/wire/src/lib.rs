@@ -18,10 +18,12 @@
 //!   response codes, and the four sections whose differing trust levels
 //!   (answer vs authority vs additional) drive the paper's findings;
 //! * [`codec`] — RFC 1035 wire-format encoding and decoding, including
-//!   name compression, and [`encoded_len`], the size of that encoding
-//!   without the bytes: simulated servers and resolvers hand each other
-//!   [`Message`]s that are known to be legal DNS packets of a known
-//!   size, and only tools that need octets pay for them.
+//!   name compression, [`encoded_len`], the size of that encoding
+//!   without the bytes, and [`fits`], whether that size is within a
+//!   limit, mostly without the compression walk: simulated servers and
+//!   resolvers hand each other [`Message`]s that are known to be legal
+//!   DNS packets that fit (or not) in a UDP payload, and only tools that
+//!   need octets pay for them.
 //!
 //! Everything here is plain data with no I/O, in the spirit of sans-I/O
 //! protocol stacks: deterministic, easily property-tested, and usable from
@@ -40,7 +42,7 @@ pub mod ttl;
 
 mod error;
 
-pub use codec::{decode_message, encode_message, encoded_len};
+pub use codec::{decode_message, encode_message, encoded_len, fits};
 pub use dnssec::{sign_rrset, verify_rrset};
 pub use error::WireError;
 pub use message::{Header, Message, Opcode, Question, Rcode, Section};

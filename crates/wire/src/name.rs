@@ -18,8 +18,10 @@
 //! * `Clone` is a reference-count bump (names are cache keys, ledger
 //!   fields and trace fields; the resolve path used to deep-copy a
 //!   `Vec<String>` dozens of times per query);
-//! * `Eq` is a hash compare plus one `eq_ignore_ascii_case` over the
-//!   buffer — no allocation, no per-label pointer chasing;
+//! * `Eq` is a hash compare, then a byte compare (which settles on the
+//!   pointer for clones sharing a buffer), and only for buffers whose
+//!   bytes differ one `eq_ignore_ascii_case` — no allocation, no
+//!   per-label pointer chasing;
 //! * `Hash` writes the cached 64-bit value — map lookups do not rescan
 //!   the name;
 //! * `Ord` is the RFC 4034 §6.1 canonical order, computed label-wise
@@ -223,7 +225,7 @@ impl Name {
 
     /// Length of the name in uncompressed wire format (labels plus length
     /// octets plus the terminating zero octet).
-    pub fn wire_len(&self) -> usize {
+    pub(crate) fn wire_len(&self) -> usize {
         if self.is_root() {
             1
         } else {
@@ -320,9 +322,12 @@ impl Name {
 impl PartialEq for Name {
     fn eq(&self, other: &Self) -> bool {
         // The cached case-folded hash screens out almost every mismatch
-        // before the buffer compare runs. Dots are label boundaries in
-        // both buffers, so whole-buffer equality is label-wise equality.
-        self.hash == other.hash && self.repr.eq_ignore_ascii_case(&other.repr)
+        // before the buffer compare runs; equal bytes (or one shared
+        // buffer, which `Arc`'s `==` checks first) skip the case fold.
+        // Dots are label boundaries in both buffers, so whole-buffer
+        // equality is label-wise equality.
+        self.hash == other.hash
+            && (self.repr == other.repr || self.repr.eq_ignore_ascii_case(&other.repr))
     }
 }
 
@@ -435,7 +440,8 @@ impl<'a> std::borrow::Borrow<dyn NameKey + 'a> for Name {
 // Same rules as `Name`'s own `Eq` and `Hash`, as `Borrow` requires.
 impl PartialEq for dyn NameKey + '_ {
     fn eq(&self, other: &Self) -> bool {
-        self.folded_hash() == other.folded_hash() && self.repr().eq_ignore_ascii_case(other.repr())
+        self.folded_hash() == other.folded_hash()
+            && (self.repr() == other.repr() || self.repr().eq_ignore_ascii_case(other.repr()))
     }
 }
 
@@ -457,7 +463,7 @@ impl Ord for Name {
     /// Canonical DNS ordering (RFC 4034 §6.1): compare label sequences
     /// from the root downward, case-insensitively.
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        if self.hash == other.hash && self.repr.eq_ignore_ascii_case(&other.repr) {
+        if self == other {
             return std::cmp::Ordering::Equal;
         }
         for (la, lb) in self.labels_root_down().zip(other.labels_root_down()) {
@@ -548,6 +554,28 @@ mod tests {
         let mut set = HashSet::new();
         set.insert(n("Example.ORG"));
         assert!(set.contains(&n("example.org")));
+    }
+
+    #[test]
+    fn equality_is_the_same_whether_bytes_or_only_case_agree() {
+        let a = n("r7.zipf");
+        let cases = [
+            (a.clone(), true),      // the same buffer
+            (n("r7.zipf"), true),   // equal bytes, separate buffers
+            (n("R7.ZIPF"), true),   // different case, separate buffers
+            (n("r8.zipf"), false),  // different bytes
+            (n("r7.zipf2"), false), // different length
+        ];
+        assert!(std::ptr::eq(a.as_str(), cases[0].0.as_str()));
+        assert!(!std::ptr::eq(a.as_str(), cases[1].0.as_str()));
+        for (b, equal) in &cases {
+            assert_eq!(a == *b, *equal, "{a} == {b}");
+            assert_eq!(
+                (&a as &dyn NameKey) == (b as &dyn NameKey),
+                *equal,
+                "{a} == {b} as keys"
+            );
+        }
     }
 
     #[test]

@@ -7,8 +7,8 @@
 //! generator with fixed seeds — same invariants, reproducible cases.)
 
 use dnsttl_wire::{
-    decode_message, encode_message, encoded_len, Header, Message, Name, Opcode, Question, RData,
-    Rcode, Record, RecordType, SoaData, Ttl, WireError,
+    decode_message, encode_message, encoded_len, fits, Header, Message, Name, Opcode, Question,
+    RData, Rcode, Record, RecordType, SoaData, Ttl, WireError,
 };
 
 /// Minimal deterministic RNG (xorshift64*), independent of any crate.
@@ -192,8 +192,10 @@ fn gen_related_message(rng: &mut Rng) -> Message {
 }
 
 /// The contract `Network::exchange_with` rests on: the length pass and
-/// the byte pass agree, and what they agree on decodes back.
+/// the byte pass agree, what they agree on decodes back, and `fits`
+/// answers as the length does.
 fn assert_len_is_bytes(msg: &Message, what: &str) {
+    assert_fits_agrees(msg, what);
     let wire = encode_message(msg);
     assert_eq!(
         encoded_len(msg),
@@ -205,6 +207,20 @@ fn assert_len_is_bytes(msg: &Message, what: &str) {
             decode_message(&wire).as_ref(),
             Ok(msg),
             "{what}: round trip"
+        );
+    }
+}
+
+/// `fits(msg, limit)` is `encoded_len(msg).map(|n| n <= limit)` at the
+/// limits around the length and at the UDP and TCP ceilings.
+fn assert_fits_agrees(msg: &Message, what: &str) {
+    let len = encoded_len(msg);
+    let n = len.clone().unwrap_or(0);
+    for limit in [n.saturating_sub(1), n, n + 1, 512, 65_535, usize::MAX] {
+        assert_eq!(
+            fits(msg, limit),
+            len.clone().map(|n| n <= limit),
+            "{what}: limit {limit}"
         );
     }
 }
@@ -233,6 +249,83 @@ fn a_record(owner: &str) -> Record {
 /// (10) + rdata octets.
 fn expected_len(records: &[(usize, usize)]) -> usize {
     12 + records.iter().map(|(o, rd)| o + 10 + rd).sum::<usize>()
+}
+
+/// A referral to 13 servers with glue: 820 octets with every name in
+/// full, 446 once compressed.
+fn referral() -> Message {
+    let q = Message::iterative_query(7, name("x.example"), RecordType::A);
+    let mut r = Message::response_to(&q);
+    for i in 0..13u8 {
+        let ns = name(&format!("{}.ns.example", (b'a' + i) as char));
+        r.authorities.push(Record::new(
+            name("example"),
+            Ttl::TWO_DAYS,
+            RData::Ns(ns.clone()),
+        ));
+        r.additionals.push(Record::new(
+            ns,
+            Ttl::TWO_DAYS,
+            RData::A([192, 0, 2, i].into()),
+        ));
+    }
+    r
+}
+
+#[test]
+fn fits_agrees_with_encoded_len() {
+    for seed in [1, 5, 9] {
+        let mut rng = Rng::new(seed);
+        for case in 0..256 {
+            let what = format!("seed {seed} case {case}");
+            assert_fits_agrees(&gen_message(&mut rng), &what);
+            assert_fits_agrees(&gen_related_message(&mut rng), &what);
+        }
+    }
+    let with_answer = |rdata: RData| Message {
+        answers: vec![Record::new(name("t.example"), Ttl::MINUTE, rdata)],
+        ..Message::default()
+    };
+    for chars in [0, 255, 256] {
+        assert_fits_agrees(&with_answer(RData::Txt("x".repeat(chars))), "txt");
+    }
+    let rrsig = RData::Rrsig {
+        type_covered: RecordType::A,
+        algorithm: 13,
+        original_ttl: 3600,
+        signer: name("t.example"),
+        signature: vec![7; 64],
+    };
+    assert_fits_agrees(&with_answer(rrsig), "rrsig");
+    let mut opt = Message::iterative_query(1, name("x.example"), RecordType::A);
+    opt.additionals.push(Record::new(
+        Name::root(),
+        Ttl::ZERO,
+        RData::Opt(vec![0; 500]),
+    ));
+    assert_fits_agrees(&opt, "root-owned OPT");
+    // Over 512 octets uncompressed and within them compressed: only the
+    // compression walk can say it fits.
+    let referral = referral();
+    let full = |n: &Name| n.as_str().len() + 1;
+    let rdata = |rd: &RData| if let RData::Ns(ns) = rd { full(ns) } else { 4 };
+    let plain = 12
+        + full(&name("x.example"))
+        + 4
+        + (referral.sectioned_records())
+            .map(|(_, r)| full(&r.name) + 10 + rdata(&r.rdata))
+            .sum::<usize>();
+    assert_eq!((plain, encoded_len(&referral)), (820, Ok(446)));
+    assert_eq!(fits(&referral, 512), Ok(true));
+    assert_fits_agrees(&referral, "referral");
+    // Past the TCP ceiling every limit gets the codec's error.
+    let too_long = with_answer(RData::Txt("x".repeat(70_000)));
+    assert_fits_agrees(&too_long, "rdata too long");
+    let too_large = Message {
+        answers: vec![a_record("."); 5_000],
+        ..Message::default()
+    };
+    assert_fits_agrees(&too_large, "message too large");
 }
 
 #[test]
@@ -359,6 +452,7 @@ fn messages_without_an_encoding_are_errors_from_both_passes() {
         ),
     ];
     for (m, err) in cases {
+        assert_fits_agrees(&m, "no encoding");
         assert_eq!(encoded_len(&m), Err(err.clone()));
         assert_eq!(encode_message(&m), Err(err));
     }

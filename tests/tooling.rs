@@ -764,6 +764,16 @@ const GUARDS: &[Guard] = &[
         exempt: &[],
         files: 0,
     },
+    // An exchange asks whether a message fits (`dnsttl_wire::fits`), not
+    // how long it is: a length taken to compare with 512 runs the
+    // compression walk on every message.
+    Guard {
+        step: "an exchange asks whether a message fits",
+        pattern: r"response_len|fn wire_len\(",
+        paths: &["crates/netsim/src"],
+        exempt: &[],
+        files: 0,
+    },
 ];
 
 #[test]
