@@ -7,7 +7,7 @@
 //! repro --quick fig6         # tiny populations (CI smoke), no CSVs
 //! repro --smoke resilience   # tiny populations, CSVs kept
 //! repro --seed 7 fig10       # different random world
-//! repro --shards 4 fig1      # sharded engine on 4 worker threads
+//! repro --shards 4 fig1      # the cells on 4 worker threads (default: 1)
 //! repro --cells 64 zipf-population   # tunable cell layout (identity-changing)
 //! repro --metrics fig6       # + metrics dashboard and Prometheus text
 //! repro --list               # show available artifact ids
@@ -376,9 +376,10 @@ fn main() {
                     std::process::exit(2);
                 });
             }
-            // Worker threads for the sharded engine. Output is
-            // byte-identical for every N (DESIGN.md §10): the shard
+            // Worker threads for the cell engine. Output is
+            // byte-identical for every N (DESIGN.md §10): the worker
             // count is a throughput knob, not part of the experiment.
+            // Only fig10 runs a second engine without it.
             "--shards" => {
                 let v = args.next().unwrap_or_default();
                 let n: usize = v.parse().unwrap_or_else(|_| {
@@ -391,7 +392,7 @@ fn main() {
                 }
                 cfg.shards = Some(n);
             }
-            // Logical cell count for sharded campaigns. Unlike
+            // Logical cell count for cell campaigns. Unlike
             // `--shards`, this IS part of the experiment's identity:
             // a different partition means different per-cell RNG
             // streams. Restricted to powers of two so the space of
@@ -419,9 +420,8 @@ fn main() {
                 });
                 cfg.out_dir = Some(v.into());
             }
-            // Live campaign heartbeats on stderr (sharded engine and
-            // zipf-population only); wall clock never reaches the
-            // artifacts.
+            // Live campaign heartbeats on stderr (cell campaigns only);
+            // wall clock never reaches the artifacts.
             "--progress" => cfg.progress = true,
             "--metrics" => show_metrics = true,
             "all" => wanted.extend(ARTIFACTS.iter().map(|(id, _)| id.to_string())),
@@ -438,20 +438,18 @@ fn main() {
         std::process::exit(2);
     }
 
-    // `--cells` partitions the sharded engine and `--progress` reports
-    // on its cells; only the Zipf campaign is cell-partitioned without
-    // `--shards`. Everywhere else either flag would be dropped
-    // silently, which misreads as "identity changed" or "run hung".
-    if cfg.shards.is_none() && wanted.iter().any(|id| module_of(id) != "zipf") {
+    // Every campaign runs on its cells whatever the worker count, except
+    // fig10: without `--shards` it runs one global population, which has
+    // no cells to partition or report on. There either flag would be
+    // dropped silently, which misreads as "identity changed" or "run
+    // hung".
+    if cfg.shards.is_none() && wanted.iter().any(|id| module_of(id) == "uy_latency") {
         for (given, flag, effect) in [
-            (cfg.cells.is_some(), "--cells", "running unsharded"),
+            (cfg.cells.is_some(), "--cells", "running one population"),
             (cfg.progress, "--progress", "printing no heartbeat"),
         ] {
             if given {
-                eprintln!(
-                    "warning: {flag} has no effect without --shards \
-                     (except on zipf-population); {effect}"
-                );
+                eprintln!("warning: {flag} has no effect on fig10 without --shards; {effect}");
             }
         }
     }

@@ -233,26 +233,4 @@ mod tests {
         assert!(table2.get("uy_ns_queries") > 0.0);
         assert!(table2.get("discard_fraction") < 0.2);
     }
-
-    #[test]
-    fn centricity_shapes_survive_sharding() {
-        let cfg = ExpConfig {
-            shards: Some(2),
-            ..ExpConfig::quick()
-        };
-        let reports = run(&cfg);
-        let fig1 = &reports[0];
-        assert!(
-            fig1.get("frac_ns_child") > 0.75,
-            "{}",
-            fig1.get("frac_ns_child")
-        );
-        assert!(fig1.get("frac_ns_child") < 0.99);
-        let fig2 = &reports[1];
-        assert!(
-            fig2.get("frac_above_parent") > 0.7,
-            "{}",
-            fig2.get("frac_above_parent")
-        );
-    }
 }

@@ -25,12 +25,13 @@ pub struct ExpConfig {
     pub nl_hours: u64,
     /// Where to write CSV series; `None` disables file output.
     pub out_dir: Option<PathBuf>,
-    /// Worker threads for the sharded engine. `None` keeps the legacy
-    /// single-population engine; `Some(n)` partitions measurement
-    /// campaigns into fixed logical shards executed on `n` workers —
-    /// output is byte-identical for every `n` (see DESIGN.md §10).
+    /// Worker threads for the cell engine (`--shards`). Campaigns run
+    /// on their fixed logical cells whatever this is, on `n` workers or
+    /// on one for `None`, and output is byte-identical for every `n`
+    /// (see DESIGN.md §10). For fig10 only, `None` means the legacy
+    /// engine: one global population on one event queue.
     pub shards: Option<usize>,
-    /// Logical cell count for sharded campaigns — a power of two
+    /// Logical cell count for cell campaigns — a power of two
     /// (`--cells`). Unlike `shards` (a pure throughput knob), the cell
     /// count **is part of the experiment's identity**: it fixes the
     /// probe partition and the per-cell RNG streams, so outputs are
@@ -54,7 +55,7 @@ pub struct ExpConfig {
     pub ts_span_cap: usize,
     /// Live campaign progress (`--progress`): off (default) is silent;
     /// on prints a heartbeat line to stderr every two wall-clock
-    /// seconds as sharded campaigns complete cells. Never enters any
+    /// seconds as campaigns complete cells. Never enters any
     /// artifact, so determinism is untouched.
     pub progress: bool,
 }

@@ -271,21 +271,4 @@ mod tests {
         assert!(fig11b.get("median_anycast") <= fig11b.get("median_ttl60_s"));
         assert!(fig11b.get("p95_anycast") < fig11b.get("p95_ttl60_s"));
     }
-
-    #[test]
-    fn table10_reduction_survives_sharding() {
-        let cfg = ExpConfig {
-            shards: Some(2),
-            ..ExpConfig::quick()
-        };
-        let reports = run(&cfg);
-        let table10 = reports.iter().find(|r| r.id == "table10").unwrap();
-        assert!(
-            table10.get("reduction_unique") > 0.55,
-            "unique reduction {}",
-            table10.get("reduction_unique")
-        );
-        let fig11a = reports.iter().find(|r| r.id == "fig11a").unwrap();
-        assert!(fig11a.get("median_ttl86400_u") * 2.0 < fig11a.get("median_ttl60_u"));
-    }
 }

@@ -25,9 +25,7 @@ use crate::worlds::{self, CachetestWorld};
 use dnsttl_analysis::{ascii_cdf_multi, Ecdf, Table};
 use dnsttl_auth::{sign_zone, AuthoritativeServer, ZoneBuilder};
 use dnsttl_core::{hit_rate, PolicyMix, ResolverPolicy};
-use dnsttl_netsim::{
-    EventQueue, FaultPlan, LatencyModel, Network, Region, SimDuration, SimRng, SimTime,
-};
+use dnsttl_netsim::{FaultPlan, LatencyModel, Network, Region, SimDuration, SimRng, SimTime};
 use dnsttl_resolver::{RecursiveResolver, RootHint};
 use dnsttl_telemetry::Telemetry;
 use dnsttl_wire::{Name, RData, Rcode, RecordType, Ttl};
@@ -36,6 +34,23 @@ use std::rc::Rc;
 
 fn n(s: &str) -> Name {
     Name::parse(s).expect("static experiment name")
+}
+
+/// `count` default-policy resolvers in Europe named `{prefix}-{i}`,
+/// each on its own fork of `rng`.
+fn eu_clients(prefix: &str, count: usize, rng: &mut SimRng) -> Vec<RecursiveResolver> {
+    (0..count)
+        .map(|i| {
+            RecursiveResolver::new(
+                format!("{prefix}-{i}"),
+                ResolverPolicy::default(),
+                Region::Eu,
+                i as u64,
+                worlds::root_hints(),
+                rng.fork(i as u64),
+            )
+        })
+        .collect()
 }
 
 /// Runs all extension experiments.
@@ -354,25 +369,13 @@ pub(crate) fn hitrate_validation(cfg: &ExpConfig) -> Report {
     let mut measured_series = Vec::new();
 
     for ttl in ttls {
-        let mut net = Network::new(LatencyModel::constant(20.0));
-        let root = AuthoritativeServer::new("root").with_zone(
-            ZoneBuilder::new(".")
-                .ns("example", "ns.example", Ttl::TWO_DAYS)
-                .a("ns.example", "192.0.2.53", Ttl::TWO_DAYS)
-                .build(),
-        );
         let child = AuthoritativeServer::new("ns.example").with_zone(
             ZoneBuilder::new("example")
                 .ns("example", "ns.example", Ttl::TWO_DAYS)
                 .a("www.example", "203.0.113.1", Ttl::from_secs(ttl))
                 .build(),
         );
-        net.register(worlds::addrs::ROOT, Region::Eu, Rc::new(RefCell::new(root)));
-        net.register(
-            "192.0.2.53".parse().unwrap(),
-            Region::Eu,
-            Rc::new(RefCell::new(child)),
-        );
+        let mut net = worlds::example_world(LatencyModel::constant(20.0), child);
 
         let mut rng = SimRng::seed_from(cfg.seed_for("ext-hitrate") ^ ttl as u64);
         let mut r = RecursiveResolver::new(
@@ -445,43 +448,16 @@ pub(crate) fn load_balancing_agility(cfg: &ExpConfig) -> Report {
     let backends = ["203.0.113.1", "203.0.113.2", "203.0.113.3", "203.0.113.4"];
 
     let imbalance_for = |ttl: Ttl| -> (f64, Vec<u64>) {
-        let mut net = Network::new(LatencyModel::constant(20.0));
-        let root = AuthoritativeServer::new("root").with_zone(
-            ZoneBuilder::new(".")
-                .ns("example", "ns.example", Ttl::TWO_DAYS)
-                .a("ns.example", "192.0.2.53", Ttl::TWO_DAYS)
-                .build(),
-        );
         let mut zone = ZoneBuilder::new("example").ns("example", "ns.example", Ttl::DAY);
         for b in backends {
             zone = zone.a("www.example", b, ttl);
         }
         let mut lb = AuthoritativeServer::new("ns.example").with_zone(zone.build());
         lb.enable_rotation();
-        net.register(worlds::addrs::ROOT, Region::Eu, Rc::new(RefCell::new(root)));
-        net.register(
-            "192.0.2.53".parse().unwrap(),
-            Region::Eu,
-            Rc::new(RefCell::new(lb)),
-        );
+        let mut net = worlds::example_world(LatencyModel::constant(20.0), lb);
 
         let mut rng = SimRng::seed_from(cfg.seed_for("ext-lb") ^ ttl.as_secs() as u64);
-        let mut resolvers: Vec<RecursiveResolver> = (0..clients)
-            .map(|i| {
-                RecursiveResolver::new(
-                    format!("lb-{i}"),
-                    ResolverPolicy::default(),
-                    Region::Eu,
-                    i as u64,
-                    worlds::root_hints(),
-                    rng.fork(i as u64),
-                )
-            })
-            .collect();
-
-        struct Tick {
-            client: usize,
-        }
+        let mut resolvers = eu_clients("lb", clients, &mut rng);
         // Heterogeneous demand (the realistic case): a few hot caches
         // carry most of the clients. With a long TTL a hot cache pins
         // *all* of its connections to whichever backend it drew;
@@ -489,32 +465,28 @@ pub(crate) fn load_balancing_agility(cfg: &ExpConfig) -> Report {
         let gaps_ms: Vec<u64> = (0..clients)
             .map(|_| (rng.log_normal(3.6, 1.3) * 1_000.0).clamp(5_000.0, 600_000.0) as u64)
             .collect();
-        let mut queue = EventQueue::new();
-        for (i, gap) in gaps_ms.iter().enumerate() {
-            queue.schedule(
-                SimTime::from_millis(rng.below((*gap).max(1))),
-                Tick { client: i },
-            );
-        }
+        let starts = gaps_ms
+            .iter()
+            .map(|gap| SimTime::from_millis(rng.below((*gap).max(1))));
         let mut counts = vec![0u64; backends.len()];
-        let end = SimTime::ZERO + horizon;
-        while let Some((now, tick)) = queue.pop() {
-            if now >= end {
-                continue;
-            }
-            let out =
-                resolvers[tick.client].resolve(&n("www.example"), RecordType::A, now, &mut net);
-            // The client uses the first answer — that backend gets the
-            // connection.
-            if let Some(first) = out.answer.answers.first() {
-                if let dnsttl_wire::RData::A(a) = &first.rdata {
-                    if let Some(idx) = backends.iter().position(|b| *b == a.to_string()) {
-                        counts[idx] += 1;
+        let www = n("www.example");
+        worlds::drive_clients(
+            starts,
+            SimTime::ZERO + horizon,
+            |client| SimDuration::from_millis(gaps_ms[client]),
+            |now, client| {
+                let out = resolvers[client].resolve(&www, RecordType::A, now, &mut net);
+                // The client uses the first answer — that backend gets
+                // the connection.
+                if let Some(first) = out.answer.answers.first() {
+                    if let RData::A(a) = &first.rdata {
+                        if let Some(idx) = backends.iter().position(|b| *b == a.to_string()) {
+                            counts[idx] += 1;
+                        }
                     }
                 }
-            }
-            queue.schedule(now + SimDuration::from_millis(gaps_ms[tick.client]), tick);
-        }
+            },
+        );
         let max = *counts.iter().max().unwrap() as f64;
         let min = *counts.iter().min().unwrap() as f64;
         (max / min.max(1.0), counts)
@@ -557,59 +529,30 @@ pub(crate) fn negative_ttl_load(cfg: &ExpConfig) -> Report {
     let query_gap = SimDuration::from_secs(30);
 
     let auth_load = |neg_ttl: Ttl| -> u64 {
-        let mut net = Network::new(LatencyModel::constant(20.0));
-        let root = AuthoritativeServer::new("root").with_zone(
-            ZoneBuilder::new(".")
-                .ns("example", "ns.example", Ttl::TWO_DAYS)
-                .a("ns.example", "192.0.2.53", Ttl::TWO_DAYS)
-                .build(),
-        );
         let mut zone = ZoneBuilder::new("example")
             .ns("example", "ns.example", Ttl::DAY)
             .negative_ttl(neg_ttl)
             .build();
         zone.set_negative_ttl(neg_ttl);
         let child = AuthoritativeServer::new("ns.example").with_zone(zone);
-        let child_addr: std::net::IpAddr = "192.0.2.53".parse().unwrap();
-        net.register(worlds::addrs::ROOT, Region::Eu, Rc::new(RefCell::new(root)));
-        net.register(child_addr, Region::Eu, Rc::new(RefCell::new(child)));
+        let mut net = worlds::example_world(LatencyModel::constant(20.0), child);
 
         let mut rng = SimRng::seed_from(cfg.seed_for("ext-negttl") ^ neg_ttl.as_secs() as u64);
-        let mut resolvers: Vec<RecursiveResolver> = (0..clients)
-            .map(|i| {
-                RecursiveResolver::new(
-                    format!("neg-{i}"),
-                    ResolverPolicy::default(),
-                    Region::Eu,
-                    i as u64,
-                    worlds::root_hints(),
-                    rng.fork(i as u64),
-                )
-            })
-            .collect();
-        struct Tick {
-            client: usize,
-        }
-        let mut queue = EventQueue::new();
-        for i in 0..clients {
-            queue.schedule(
-                SimTime::from_millis(rng.below(query_gap.as_millis())),
-                Tick { client: i },
-            );
-        }
-        let end = SimTime::ZERO + horizon;
-        while let Some((now, tick)) = queue.pop() {
-            if now >= end {
-                continue;
-            }
-            // Each client hammers one typo name (think a misconfigured
-            // app retrying).
-            let qname = n(&format!("typo{}.example", tick.client));
-            let out = resolvers[tick.client].resolve(&qname, RecordType::A, now, &mut net);
-            debug_assert_eq!(out.answer.header.rcode, Rcode::NxDomain);
-            queue.schedule(now + query_gap, tick);
-        }
-        net.queries_received(child_addr)
+        let mut resolvers = eu_clients("neg", clients, &mut rng);
+        let starts = (0..clients).map(|_| SimTime::from_millis(rng.below(query_gap.as_millis())));
+        worlds::drive_clients(
+            starts,
+            SimTime::ZERO + horizon,
+            |_| query_gap,
+            |now, client| {
+                // Each client hammers one typo name (think a
+                // misconfigured app retrying).
+                let qname = n(&format!("typo{client}.example"));
+                let out = resolvers[client].resolve(&qname, RecordType::A, now, &mut net);
+                debug_assert_eq!(out.answer.header.rcode, Rcode::NxDomain);
+            },
+        );
+        net.queries_received(worlds::addrs::EXAMPLE)
     };
 
     let mut report = Report::new(
@@ -694,18 +637,7 @@ pub(crate) fn secondary_propagation(cfg: &ExpConfig) -> Report {
         );
 
         let mut rng = SimRng::seed_from(cfg.seed_for("ext-secondary") ^ refresh_s);
-        let mut resolvers: Vec<RecursiveResolver> = (0..clients)
-            .map(|i| {
-                RecursiveResolver::new(
-                    format!("sp-{i}"),
-                    ResolverPolicy::default(),
-                    Region::Eu,
-                    i as u64,
-                    worlds::root_hints(),
-                    rng.fork(i as u64),
-                )
-            })
-            .collect();
+        let mut resolvers = eu_clients("sp", clients, &mut rng);
 
         // Renumber at t = 120 s on the primary only.
         let renumber_at = 120u64;

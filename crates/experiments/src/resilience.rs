@@ -25,17 +25,14 @@
 use crate::artifacts::{write_artifact, write_csv};
 use crate::config::ExpConfig;
 use crate::report::Report;
+use crate::sharded;
 use crate::worlds;
 use dnsttl_analysis::{CsvWriter, Table};
 use dnsttl_auth::{AuthoritativeServer, ZoneBuilder};
 use dnsttl_core::ResolverPolicy;
-use dnsttl_netsim::{
-    EventQueue, FaultPlan, LatencyModel, Network, Region, SimDuration, SimRng, SimTime,
-};
+use dnsttl_netsim::{FaultPlan, LatencyModel, Region, SimDuration, SimRng, SimTime};
 use dnsttl_resolver::RecursiveResolver;
 use dnsttl_wire::{Name, Rcode, RecordType, Ttl};
-use std::cell::RefCell;
-use std::rc::Rc;
 
 fn n(s: &str) -> Name {
     Name::parse(s).expect("static experiment name")
@@ -53,9 +50,8 @@ const QUERY_GAP_S: u64 = 120;
 /// one-hour outage of the sole authoritative server. Public so tests
 /// and `repro` can journal the identical script.
 pub(crate) fn outage_plan() -> FaultPlan {
-    let victim: std::net::IpAddr = "192.0.2.53".parse().expect("static addr");
     FaultPlan::new().outage(
-        victim,
+        worlds::addrs::EXAMPLE,
         SimTime::from_secs(OUTAGE_START_S),
         SimTime::from_secs(OUTAGE_START_S + OUTAGE_SECS),
     )
@@ -74,48 +70,42 @@ impl CellResult {
     }
 }
 
+/// Splits the client population into [`sharded::cell_count`] logical
+/// cells, each with its own network, outage script and RNG stream, and
+/// sums their outage accounting. The fault plan is plain data, so
+/// every cell evaluates an identical script.
 fn run_cell(cfg: &ExpConfig, ttl: Ttl, policy: ResolverPolicy, seed_tag: &str) -> CellResult {
     let clients = (cfg.probes / 20).max(20);
     let seed = cfg.seed_for(seed_tag) ^ ttl.as_secs() as u64;
-    if let Some(workers) = cfg.shards {
-        // Sharded: split the client population into `cfg.cells`
-        // logical cells, each with its own network + outage script +
-        // RNG stream, and sum the outage accounting. The fault plan is
-        // plain data, so every cell evaluates an identical script.
-        let cell_count = cfg.cells.unwrap_or(dnsttl_atlas::LOGICAL_SHARDS).max(1);
-        let sizes = dnsttl_atlas::partition(clients, cell_count);
-        let bases = dnsttl_atlas::partition_bases(&sizes);
-        let cells =
-            crate::sharded::fan_out(cfg, workers, cell_count, seed_tag, |cell, telemetry| {
-                let result = simulate_clients(
-                    telemetry,
-                    LatencyModel::constant(5.0),
-                    dnsttl_netsim::shard_seed(seed, cell as u64),
-                    sizes[cell],
-                    bases[cell],
-                    ttl,
-                    &policy,
-                );
-                // The scripted outage ends the cell's clock; queries
-                // are the cell's event count.
-                let end = SimTime::from_secs(OUTAGE_START_S + OUTAGE_SECS);
-                let progress = (end.as_millis(), result.queries);
-                (result, progress)
-            });
-        return CellResult {
-            queries: cells.iter().map(|c| c.queries).sum(),
-            failures: cells.iter().map(|c| c.failures).sum(),
-        };
+    let cell_count = sharded::cell_count(cfg);
+    let sizes = dnsttl_atlas::partition(clients, cell_count);
+    let bases = dnsttl_atlas::partition_bases(&sizes);
+    let cells = sharded::fan_out(cfg, cell_count, seed_tag, |cell, telemetry| {
+        let result = simulate_clients(
+            telemetry,
+            LatencyModel::constant(5.0),
+            dnsttl_netsim::shard_seed(seed, cell as u64),
+            sizes[cell],
+            bases[cell],
+            ttl,
+            &policy,
+        );
+        // The scripted outage ends the cell's clock; queries are the
+        // cell's event count.
+        let end = SimTime::from_secs(OUTAGE_START_S + OUTAGE_SECS);
+        let progress = (end.as_millis(), result.queries);
+        (result, progress)
+    });
+    CellResult {
+        queries: cells.iter().map(|c| c.queries).sum(),
+        failures: cells.iter().map(|c| c.failures).sum(),
     }
-    let latency = LatencyModel::constant(5.0);
-    simulate_clients(&cfg.telemetry, latency, seed, clients, 0, ttl, &policy)
 }
 
 /// Simulates `clients` clients (globally numbered from `client_base`)
 /// re-resolving the test name through the scripted outage over
-/// `latency`. Both the legacy path (`client_base` 0, all clients) and
-/// every sharded cell go through this one function, so the two engines
-/// share the simulation code verbatim; so does `ext-ddos`.
+/// `latency`. Every cell of `resilience` runs this function, and so
+/// does `ext-ddos`, with one population of all its clients.
 pub(crate) fn simulate_clients(
     telemetry: &dnsttl_telemetry::Telemetry,
     latency: LatencyModel,
@@ -128,15 +118,6 @@ pub(crate) fn simulate_clients(
     // `resilience` passes a constant latency and no background loss:
     // the only failure mode is the scripted outage, so the curve
     // isolates the TTL effect.
-    let mut net = Network::new(latency).with_faults(outage_plan());
-    net.set_telemetry(telemetry.clone());
-    let root = AuthoritativeServer::new("root").with_zone(
-        ZoneBuilder::new(".")
-            .ns("example", "ns.example", Ttl::TWO_DAYS)
-            .a("ns.example", "192.0.2.53", Ttl::TWO_DAYS)
-            .build(),
-    );
-    let victim_addr: std::net::IpAddr = "192.0.2.53".parse().expect("static addr");
     let child = AuthoritativeServer::new("ns.example").with_zone(
         ZoneBuilder::new("example")
             .ns("example", "ns.example", ttl)
@@ -144,8 +125,8 @@ pub(crate) fn simulate_clients(
             .a("www.example", "203.0.113.1", ttl)
             .build(),
     );
-    net.register(worlds::addrs::ROOT, Region::Eu, Rc::new(RefCell::new(root)));
-    net.register(victim_addr, Region::Eu, Rc::new(RefCell::new(child)));
+    let mut net = worlds::example_world(latency, child).with_faults(outage_plan());
+    net.set_telemetry(telemetry.clone());
     let roots = worlds::root_hints();
 
     let mut rng = SimRng::seed_from(seed);
@@ -163,44 +144,27 @@ pub(crate) fn simulate_clients(
         })
         .collect();
 
-    struct Tick {
-        client: usize,
-    }
     let query_gap = SimDuration::from_secs(QUERY_GAP_S);
-    let outage_start = SimTime::from_secs(OUTAGE_START_S);
-    let outage_end = SimTime::from_secs(OUTAGE_START_S + OUTAGE_SECS);
-    let mut queue = EventQueue::new();
-    for i in 0..clients {
-        queue.schedule(
-            SimTime::from_millis(rng.below(query_gap.as_millis())),
-            Tick { client: i },
-        );
-    }
-    let end = outage_end + SimDuration::from_secs(600);
+    let outage =
+        SimTime::from_secs(OUTAGE_START_S)..SimTime::from_secs(OUTAGE_START_S + OUTAGE_SECS);
+    let starts = (0..clients).map(|_| SimTime::from_millis(rng.below(query_gap.as_millis())));
     let mut cell = CellResult {
         queries: 0,
         failures: 0,
     };
-    // Apply scheduled resolver cache flushes (none in this plan, but
-    // the polling contract is the same one chaos tests rely on).
-    let mut flushed_upto = SimTime::ZERO;
-    while let Some((now, tick)) = queue.pop() {
-        if now >= end {
-            continue;
-        }
-        if net.fault_plan().flushes_between(flushed_upto, now) > 0 {
-            for r in &mut resolvers {
-                r.apply_flush(now);
+    let qname = n("www.example");
+    worlds::drive_clients(
+        starts,
+        outage.end + SimDuration::from_secs(600),
+        |_| query_gap,
+        |now, client| {
+            let out = resolvers[client].resolve(&qname, RecordType::A, now, &mut net);
+            if outage.contains(&now) {
+                cell.queries += 1;
+                cell.failures += (out.answer.header.rcode != Rcode::NoError) as u64;
             }
-        }
-        flushed_upto = now;
-        let out = resolvers[tick.client].resolve(&n("www.example"), RecordType::A, now, &mut net);
-        if now >= outage_start && now < outage_end {
-            cell.queries += 1;
-            cell.failures += (out.answer.header.rcode != Rcode::NoError) as u64;
-        }
-        queue.schedule(now + query_gap, tick);
-    }
+        },
+    );
     cell
 }
 

@@ -1,35 +1,34 @@
-//! The measurement-campaign entry point, unsharded or sharded.
+//! The measurement-campaign entry point on the cell engine.
 //!
-//! Without `--shards` a campaign builds one global population and
-//! drives one event queue. With it, the campaign runs on the cell
-//! engine in `dnsttl_atlas::shard`: `population_campaign` partitions it
-//! into `cfg.cells` logical cells (default: the classic 16, tunable as
-//! a power of two via `--cells`), each run as a self-contained
-//! simulation (its own world, population, resolver caches, and RNG
-//! stream derived via `shard_seed`), and merges the per-cell datasets
-//! back together in fixed cell order. What is left here is the part
-//! that needs `ExpConfig` and the worlds: [`WorldSpec`], the mapping
-//! from a config to a [`FanOut`], and folding the per-cell telemetry
-//! into the module's handle.
+//! A campaign runs on the cell engine in `dnsttl_atlas::shard`:
+//! `population_campaign` partitions it into `cfg.cells` logical cells
+//! (default: the classic 16, tunable as a power of two via `--cells`),
+//! each run as a self-contained simulation (its own world, population,
+//! resolver caches, and RNG stream derived via `shard_seed`), and
+//! merges the per-cell datasets back together in fixed cell order.
+//! `--shards N` only picks how many worker threads run the cells;
+//! without it they run on one. What is left here is the part that
+//! needs `ExpConfig` and the worlds: [`WorldSpec`], the mapping from a
+//! config to a [`FanOut`], and folding the per-cell telemetry into the
+//! module's handle.
 //!
 //! The determinism contract (DESIGN.md §10): the cell partition and all
 //! per-cell seeds depend only on the run seed and the cell id, never on
-//! the worker count or thread scheduling. `--shards 1` runs the cells
+//! the worker count or thread scheduling. One worker runs the cells
 //! inline on the calling thread and is the reference oracle;
 //! `tests/shard_equivalence.rs` asserts that every worker count
 //! reproduces its output byte for byte.
 //!
-//! Sharding changes the experiment relative to the unsharded run in one
-//! deliberate way: resolver caches are shared within a cell, not across
-//! the whole population, so shared-cache effects (Figures 1–2 bands,
-//! cache-hit rates) are computed per cell and merged. Cells are large
-//! enough that the paper's qualitative findings survive — the
-//! experiment tests assert the same bands for both.
+//! Resolver caches are shared within a cell, not across the whole
+//! population, so shared-cache effects (Figures 1–2 bands, cache-hit
+//! rates) are computed per cell and merged. Only fig10 still has a
+//! second engine: without `--shards` it runs one global population
+//! (`uy_latency`).
 
 use crate::config::ExpConfig;
 use crate::worlds;
 pub use dnsttl_atlas::ShardedOutcome;
-use dnsttl_atlas::{measure_population, population_campaign, FanOut, MeasurementSpec};
+use dnsttl_atlas::{population_campaign, FanOut, MeasurementSpec};
 use dnsttl_netsim::Network;
 use dnsttl_resolver::RootHint;
 use dnsttl_telemetry::Telemetry;
@@ -84,12 +83,12 @@ impl WorldSpec {
     }
 }
 
-/// The fan-out `cfg` asks for: `workers` threads over `cells` cells,
-/// per-cell telemetry configured like `cfg.telemetry`, and the
-/// `--progress` heartbeat under `tag`.
-fn plan<'a>(cfg: &ExpConfig, workers: usize, cells: usize, tag: &'a str) -> FanOut<'a> {
+/// The fan-out `cfg` asks for: `cfg.shards` worker threads (default:
+/// one) over `cells` cells, per-cell telemetry configured like
+/// `cfg.telemetry`, and the `--progress` heartbeat under `tag`.
+fn plan<'a>(cfg: &ExpConfig, cells: usize, tag: &'a str) -> FanOut<'a> {
     FanOut {
-        workers,
+        workers: cfg.shards.unwrap_or(1),
         cells,
         telemetry: cfg.telemetry.is_enabled(),
         ts_bucket_ms: cfg.ts_bucket_ms,
@@ -98,57 +97,46 @@ fn plan<'a>(cfg: &ExpConfig, workers: usize, cells: usize, tag: &'a str) -> FanO
     }
 }
 
-/// Runs `cells` independent jobs on `workers` threads, each against its
-/// own telemetry handle configured like `cfg.telemetry`, and folds the
-/// drained per-cell telemetry into `cfg.telemetry` in cell order — so
-/// metrics, traces, and manifests are worker-count-invariant.
+/// The logical cell count of a population campaign: `--cells`, or the
+/// classic 16.
+pub(crate) fn cell_count(cfg: &ExpConfig) -> usize {
+    cfg.cells.unwrap_or(dnsttl_atlas::LOGICAL_SHARDS).max(1)
+}
+
+/// Runs `cells` independent jobs on `cfg.shards` threads (default:
+/// one), each against its own telemetry handle configured like
+/// `cfg.telemetry`, and folds the drained per-cell telemetry into
+/// `cfg.telemetry` in cell order — so metrics, traces, and manifests
+/// are worker-count-invariant.
 ///
 /// A job returns its result plus `(sim-time frontier in ms, events
 /// processed)` for the `--progress` heartbeat.
 pub fn fan_out<T: Send>(
     cfg: &ExpConfig,
-    workers: usize,
     cells: usize,
     tag: &str,
     job: impl Fn(usize, &Telemetry) -> (T, (u64, u64)) + Sync,
 ) -> Vec<T> {
-    let (outs, parts, _) = dnsttl_atlas::fan_out(&plan(cfg, workers, cells, tag), job);
+    let (outs, parts, _) = dnsttl_atlas::fan_out(&plan(cfg, cells, tag), job);
     cfg.telemetry.absorb_shards(parts);
     outs
 }
 
-/// Runs one measurement campaign under the seed `cfg.seed_for(tag)`.
-///
-/// Without `cfg.shards` the whole population shares one world and one
-/// event queue. With it, the campaign is split over `cfg.cells` logical
-/// cells (default: the classic 16) on that many worker threads. The
-/// cell count, unlike the worker count, is part of the experiment's
-/// identity (different partitions, different per-cell seeds).
+/// Runs one measurement campaign under the seed `cfg.seed_for(tag)`,
+/// split over [`cell_count`] logical cells on `cfg.shards` worker
+/// threads (default: one). The cell count, unlike the worker count, is
+/// part of the experiment's identity (different partitions, different
+/// per-cell seeds).
 pub(crate) fn measurement_campaign(
     cfg: &ExpConfig,
     tag: &str,
     world: WorldSpec,
     spec: &MeasurementSpec,
 ) -> ShardedOutcome {
-    let run_seed = cfg.seed_for(tag);
-    let outcome = match cfg.shards {
-        None => measure_population(
-            || world.build(),
-            spec,
-            &cfg.telemetry,
-            run_seed,
-            cfg.probes,
-            0,
-        ),
-        Some(workers) => {
-            let cells = cfg.cells.unwrap_or(dnsttl_atlas::LOGICAL_SHARDS).max(1);
-            let fan = plan(cfg, workers, cells, tag);
-            let (outcome, parts) =
-                population_campaign(&fan, run_seed, cfg.probes, spec, || world.build());
-            cfg.telemetry.absorb_shards(parts);
-            outcome
-        }
-    };
+    let fan = plan(cfg, cell_count(cfg), tag);
+    let (outcome, parts) =
+        population_campaign(&fan, cfg.seed_for(tag), cfg.probes, spec, || world.build());
+    cfg.telemetry.absorb_shards(parts);
     // Record latency quantiles over the *merged* dataset, never per
     // cell: the sketches then depend only on the dataset rows and stay
     // byte-identical across worker counts.

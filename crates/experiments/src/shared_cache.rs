@@ -28,11 +28,9 @@ use crate::worlds;
 use dnsttl_analysis::{CsvWriter, Table};
 use dnsttl_auth::{AuthoritativeServer, ZoneBuilder};
 use dnsttl_core::ResolverPolicy;
-use dnsttl_netsim::{EventQueue, LatencyModel, Network, Region, SimDuration, SimRng, SimTime};
+use dnsttl_netsim::{LatencyModel, Network, Region, SimDuration, SimRng, SimTime};
 use dnsttl_resolver::RecursiveResolver;
 use dnsttl_wire::{Name, Rcode, RecordType, Ttl};
-use std::cell::RefCell;
-use std::rc::Rc;
 
 fn n(s: &str) -> Name {
     Name::parse(s).expect("static experiment name")
@@ -68,14 +66,7 @@ impl CellResult {
     }
 }
 
-fn pool_world(ttl: Ttl) -> (Network, Vec<dnsttl_resolver::RootHint>) {
-    let mut net = Network::new(LatencyModel::constant(5.0));
-    let root = AuthoritativeServer::new("root").with_zone(
-        ZoneBuilder::new(".")
-            .ns("example", "ns.example", Ttl::TWO_DAYS)
-            .a("ns.example", "192.0.2.53", Ttl::TWO_DAYS)
-            .build(),
-    );
+fn pool_world(ttl: Ttl) -> Network {
     let mut zone = ZoneBuilder::new("example")
         .ns("example", "ns.example", ttl)
         .a("ns.example", "192.0.2.53", ttl);
@@ -87,10 +78,7 @@ fn pool_world(ttl: Ttl) -> (Network, Vec<dnsttl_resolver::RootHint>) {
         );
     }
     let child = AuthoritativeServer::new("ns.example").with_zone(zone.build());
-    let child_addr: std::net::IpAddr = "192.0.2.53".parse().expect("static addr");
-    net.register(worlds::addrs::ROOT, Region::Eu, Rc::new(RefCell::new(root)));
-    net.register(child_addr, Region::Eu, Rc::new(RefCell::new(child)));
-    (net, worlds::root_hints())
+    worlds::example_world(LatencyModel::constant(5.0), child)
 }
 
 /// Replays one cell: `clients` clients querying harmonic-popularity
@@ -105,8 +93,9 @@ fn simulate_topology(
     ttl: Ttl,
     shared: bool,
 ) -> CellResult {
-    let (mut net, roots) = pool_world(ttl);
+    let mut net = pool_world(ttl);
     net.set_telemetry(telemetry.clone());
+    let roots = worlds::root_hints();
     let resolver_count = if shared { 1 } else { GROUPS };
     // Resolver and client streams are separate: forking advances the
     // parent, and the two topologies create different resolver counts,
@@ -132,37 +121,30 @@ fn simulate_topology(
     let weights: Vec<f64> = (0..POOL).map(|j| 1.0 / (j + 1) as f64).collect();
     let mut client_rngs: Vec<SimRng> = (0..clients).map(|i| client_rng.fork(i as u64)).collect();
 
-    struct Tick {
-        client: usize,
-    }
+    // Phase offsets also come from the *client* stream so both
+    // topologies schedule identical query instants.
     let gap = SimDuration::from_secs(QUERY_GAP_S);
-    let end = SimTime::from_secs(HORIZON_S);
-    let mut queue = EventQueue::new();
-    for (i, rng) in client_rngs.iter_mut().enumerate() {
-        // Phase offsets also come from the *client* stream so both
-        // topologies schedule identical query instants.
-        queue.schedule(
-            SimTime::from_millis(rng.below(gap.as_millis())),
-            Tick { client: i },
-        );
-    }
-
+    let starts: Vec<SimTime> = client_rngs
+        .iter_mut()
+        .map(|rng| SimTime::from_millis(rng.below(gap.as_millis())))
+        .collect();
     let mut cell = CellResult::default();
-    while let Some((now, tick)) = queue.pop() {
-        if now >= end {
-            continue;
-        }
-        let name_idx = client_rngs[tick.client].weighted_index(&weights);
-        let qname = n(&format!("p{name_idx:02}.pool.example"));
-        let resolver = if shared { 0 } else { tick.client % GROUPS };
-        let out = resolvers[resolver].resolve(&qname, RecordType::A, now, &mut net);
-        debug_assert_eq!(out.answer.header.rcode, Rcode::NoError);
-        cell.queries += 1;
-        cell.hits += out.cache_hit as u64;
-        cell.upstream += out.upstream_queries as u64;
-        cell.elapsed_ms += out.elapsed.as_millis();
-        queue.schedule(now + gap, tick);
-    }
+    worlds::drive_clients(
+        starts,
+        SimTime::from_secs(HORIZON_S),
+        |_| gap,
+        |now, client| {
+            let name_idx = client_rngs[client].weighted_index(&weights);
+            let qname = n(&format!("p{name_idx:02}.pool.example"));
+            let resolver = if shared { 0 } else { client % GROUPS };
+            let out = resolvers[resolver].resolve(&qname, RecordType::A, now, &mut net);
+            debug_assert_eq!(out.answer.header.rcode, Rcode::NoError);
+            cell.queries += 1;
+            cell.hits += out.cache_hit as u64;
+            cell.upstream += out.upstream_queries as u64;
+            cell.elapsed_ms += out.elapsed.as_millis();
+        },
+    );
 
     // §8 conservation over every cache the topology used.
     cell.conserved = resolvers.iter().all(|r| {
@@ -187,9 +169,9 @@ pub fn run(cfg: &ExpConfig) -> Vec<Report> {
          horizon {HORIZON_S}s, query gap {QUERY_GAP_S}s"
     ));
 
-    // The 3×2 matrix: independent deterministic cells, so the sharded
-    // engine just spreads cells over workers — byte-identical output
-    // for every worker count (and for the sequential path).
+    // The 3×2 matrix: independent deterministic cells, so the cell
+    // engine just spreads them over workers — byte-identical output for
+    // every worker count.
     let matrix: Vec<(u32, bool)> = ttls
         .iter()
         .flat_map(|&ttl| [(ttl, false), (ttl, true)])
@@ -197,39 +179,19 @@ pub fn run(cfg: &ExpConfig) -> Vec<Report> {
     // The seed deliberately ignores the topology: both cells of a TTL
     // row replay the same client streams.
     let seed = cfg.seed_for("shared-cache");
-    let results: Vec<CellResult> = if let Some(workers) = cfg.shards {
-        crate::sharded::fan_out(
-            cfg,
-            workers,
-            matrix.len(),
-            "shared-cache",
-            |cell, telemetry| {
-                let (ttl, shared) = matrix[cell];
-                let result = simulate_topology(
-                    telemetry,
-                    seed ^ ttl as u64,
-                    clients,
-                    Ttl::from_secs(ttl),
-                    shared,
-                );
-                let progress = (HORIZON_S * 1_000, result.queries);
-                (result, progress)
-            },
-        )
-    } else {
-        matrix
-            .iter()
-            .map(|&(ttl, shared)| {
-                simulate_topology(
-                    &cfg.telemetry,
-                    seed ^ ttl as u64,
-                    clients,
-                    Ttl::from_secs(ttl),
-                    shared,
-                )
-            })
-            .collect()
-    };
+    let results: Vec<CellResult> =
+        crate::sharded::fan_out(cfg, matrix.len(), "shared-cache", |cell, telemetry| {
+            let (ttl, shared) = matrix[cell];
+            let result = simulate_topology(
+                telemetry,
+                seed ^ ttl as u64,
+                clients,
+                Ttl::from_secs(ttl),
+                shared,
+            );
+            let progress = (HORIZON_S * 1_000, result.queries);
+            (result, progress)
+        });
 
     let mut table = Table::new(vec![
         "TTL",

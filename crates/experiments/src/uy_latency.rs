@@ -9,10 +9,11 @@
 
 use crate::artifacts::write_csv;
 use crate::config::ExpConfig;
+use crate::flightdeck;
 use crate::report::Report;
 use crate::sharded::{self, WorldSpec};
 use dnsttl_analysis::{ascii_cdf_multi, CsvWriter, Ecdf, Table};
-use dnsttl_atlas::{Dataset, MeasurementSpec, QueryName};
+use dnsttl_atlas::{measure_population, Dataset, MeasurementSpec, QueryName};
 use dnsttl_netsim::Region;
 use dnsttl_wire::{Name, RecordType, Ttl};
 
@@ -26,7 +27,23 @@ fn measure(cfg: &ExpConfig, tag: &str, child_ns: Ttl, child_a: Ttl) -> Dataset {
         ns_ttl: child_ns,
         a_ttl: child_a,
     };
-    sharded::measurement_campaign(cfg, tag, world, &spec).dataset
+    if cfg.shards.is_some() {
+        return sharded::measurement_campaign(cfg, tag, world, &spec).dataset;
+    }
+    // Without `--shards`, fig10 alone still runs one global population
+    // over one event queue: `benchmark/src/trace.rs` replays this run
+    // call by call, so fig10 moves onto the cells only after that
+    // replay does (ROADMAP item 3(i)).
+    let outcome = measure_population(
+        || world.build(),
+        &spec,
+        &cfg.telemetry,
+        cfg.seed_for(tag),
+        cfg.probes,
+        0,
+    );
+    flightdeck::record_latency_quantiles(&cfg.telemetry, tag, &outcome.dataset);
+    outcome.dataset
 }
 
 /// Runs the before/after comparison; returns fig10a and fig10b.

@@ -5,7 +5,9 @@
 //! same TTLs, same parent/child disagreements, same bailiwick layouts.
 
 use dnsttl_auth::{AuthoritativeServer, ZoneBuilder};
-use dnsttl_netsim::{ClientId, DnsService, LatencyModel, Network, Region, SimTime};
+use dnsttl_netsim::{
+    ClientId, DnsService, EventQueue, LatencyModel, Network, Region, SimDuration, SimTime,
+};
 use dnsttl_resolver::RootHint;
 use dnsttl_wire::{Message, Name, RData, Rcode, Record, RecordType, SoaData, Ttl};
 use std::cell::RefCell;
@@ -50,6 +52,8 @@ pub mod addrs {
     pub(crate) const SUB_NEW: IpAddr = IpAddr::V4(Ipv4Addr::new(18, 184, 0, 21));
     /// The controlled-experiment test server (`mapache-de-madrid.co`).
     pub(crate) const MAPACHE: IpAddr = IpAddr::V4(Ipv4Addr::new(18, 184, 0, 40));
+    /// `ns.example`, the one server of [`example_world`](super::example_world).
+    pub(crate) const EXAMPLE: IpAddr = IpAddr::V4(Ipv4Addr::new(192, 0, 2, 53));
 }
 
 fn rc(server: AuthoritativeServer) -> Rc<RefCell<AuthoritativeServer>> {
@@ -643,6 +647,48 @@ pub(crate) fn controlled_world(aaaa_ttl: Ttl, anycast: bool) -> (Network, Vec<Ro
     }
 
     (net, root_hints(), addrs::MAPACHE)
+}
+
+// ---------------------------------------------------------------------
+// The client experiments' one-zone world and their client loop
+// ---------------------------------------------------------------------
+
+/// Builds the world the client experiments share: the root delegates
+/// `example` to `ns.example` at [`addrs::EXAMPLE`] (NS and glue for two
+/// days), where `child` serves it. Both servers sit in Europe behind
+/// `latency`; the hints are [`root_hints`].
+pub(crate) fn example_world(latency: LatencyModel, child: AuthoritativeServer) -> Network {
+    let mut net = Network::new(latency);
+    let root = AuthoritativeServer::new("root").with_zone(
+        ZoneBuilder::new(".")
+            .ns("example", "ns.example", Ttl::TWO_DAYS)
+            .a("ns.example", "192.0.2.53", Ttl::TWO_DAYS)
+            .build(),
+    );
+    net.register(addrs::ROOT, Region::Eu, rc(root));
+    net.register(addrs::EXAMPLE, Region::Eu, rc(child));
+    net
+}
+
+/// Drives a client population through one event queue: client `i`
+/// asks first at the `i`-th of `starts`, then `gap(i)` after each of
+/// its asks, until `end`. Clients are first scheduled in index order,
+/// asks due at one instant run in the order they were scheduled, and an
+/// ask due at or after `end` is dropped.
+pub(crate) fn drive_clients(
+    starts: impl IntoIterator<Item = SimTime>,
+    end: SimTime,
+    gap: impl Fn(usize) -> SimDuration,
+    mut ask: impl FnMut(SimTime, usize),
+) {
+    let mut queue = EventQueue::new();
+    for (client, at) in starts.into_iter().enumerate() {
+        queue.schedule(at, client);
+    }
+    while let Some((now, client)) = queue.pop().filter(|&(at, _)| at < end) {
+        ask(now, client);
+        queue.schedule(now + gap(client), client);
+    }
 }
 
 #[cfg(test)]

@@ -602,55 +602,71 @@ fn repro_shards_flag_matches_the_sequential_oracle() {
 
 #[test]
 fn repro_warns_when_cells_is_given_without_shards() {
-    // `--cells` only partitions the sharded engine. Without `--shards`
-    // a measurement module runs unsharded, so the flag must be called
-    // out on stderr — and must not touch stdout.
+    // Without `--shards` fig10 alone runs one global population, which
+    // `--cells` cannot partition, so the flag must be called out on
+    // stderr there — and must not touch stdout.
     let run = |args: &[&str]| {
         let out = repro().args(args).output().expect("runs");
         let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
         (stdout_of(out), stderr)
     };
-    let (plain_out, plain_err) = run(&["--quick", "resilience"]);
-    let (cells_out, cells_err) = run(&["--quick", "--cells", "64", "resilience"]);
+    let (plain_out, plain_err) = run(&["--quick", "fig10"]);
+    let (cells_out, cells_err) = run(&["--quick", "--cells", "64", "fig10"]);
     assert!(!plain_err.contains("--cells"), "stderr: {plain_err}");
     assert!(
-        cells_err.contains("warning: --cells has no effect without --shards"),
+        cells_err.contains("warning: --cells has no effect on fig10 without --shards"),
         "stderr: {cells_err}"
     );
     assert_eq!(plain_out, cells_out, "the ignored flag changed the output");
 
     // With `--shards` the flag is honoured, so no warning.
-    let (_, sharded_err) = run(&["--quick", "--shards", "2", "--cells", "64", "resilience"]);
+    let (_, sharded_err) = run(&["--quick", "--shards", "2", "--cells", "64", "fig10"]);
     assert!(!sharded_err.contains("warning"), "stderr: {sharded_err}");
+
+    // Every other campaign runs on its cells without `--shards`, so
+    // there the flag is honoured too: no warning, and a new partition.
+    let (resilience_out, _) = run(&["--quick", "resilience"]);
+    let (cells_out, cells_err) = run(&["--quick", "--cells", "64", "resilience"]);
+    assert!(!cells_err.contains("warning"), "stderr: {cells_err}");
+    assert_ne!(resilience_out, cells_out, "--cells is part of the identity");
 }
 
 #[test]
 fn repro_warns_when_progress_is_given_without_shards() {
-    // The heartbeat reports on the sharded engine's cells. Without
-    // `--shards` a measurement module has none, so `--progress` must be
-    // called out on stderr instead of silently printing nothing.
+    // The heartbeat reports on the cell engine's cells. Without
+    // `--shards` fig10 has none, so `--progress` must be called out on
+    // stderr instead of silently printing nothing.
     let run = |args: &[&str]| {
         let out = repro().args(args).output().expect("runs");
         let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
         (stdout_of(out), stderr)
     };
-    let (plain_out, plain_err) = run(&["--quick", "resilience"]);
-    let (flag_out, flag_err) = run(&["--quick", "--progress", "resilience"]);
+    let (plain_out, plain_err) = run(&["--quick", "fig10"]);
+    let (flag_out, flag_err) = run(&["--quick", "--progress", "fig10"]);
     assert!(!plain_err.contains("--progress"), "stderr: {plain_err}");
     assert!(
-        flag_err.contains("warning: --progress has no effect without --shards"),
+        flag_err.contains("warning: --progress has no effect on fig10 without --shards"),
         "stderr: {flag_err}"
     );
     assert!(!flag_err.contains("[heartbeat"), "stderr: {flag_err}");
     assert_eq!(plain_out, flag_out, "the ignored flag changed the output");
 
+    // Every other campaign runs on its cells without `--shards`: a
+    // heartbeat, no warning.
+    let (_, cells_err) = run(&["--quick", "--progress", "resilience"]);
+    assert!(!cells_err.contains("warning"), "stderr: {cells_err}");
+    assert!(
+        cells_err.contains("[heartbeat resilience"),
+        "stderr: {cells_err}"
+    );
+
     // With `--shards` the flag is honoured: a heartbeat, no warning —
     // and the heartbeat counts the threads that ran, which a request
     // for far more workers than cores cannot raise past the cores.
-    let (_, sharded_err) = run(&["--quick", "--shards", "512", "--progress", "resilience"]);
+    let (_, sharded_err) = run(&["--quick", "--shards", "512", "--progress", "fig10"]);
     assert!(!sharded_err.contains("warning"), "stderr: {sharded_err}");
     assert!(
-        sharded_err.contains("[heartbeat resilience"),
+        sharded_err.contains("[heartbeat fig10"),
         "stderr: {sharded_err}"
     );
     assert!(

@@ -227,6 +227,39 @@ fn bench_population_scenarios_reproduce_the_digests_pinned_before_the_shared_eng
 }
 
 #[test]
+fn only_fig10_output_depends_on_the_shards_flag() {
+    // Every campaign but fig10 runs on its cells whatever the worker
+    // count, so `--shards` only picks how many threads run them: in the
+    // committed digest table each module's unsharded rows must equal its
+    // shards4 rows. fig10 keeps a one-population run without `--shards`
+    // until the benchmark's replay of it moves (ROADMAP item 3(i)).
+    let table = include_str!("data/artifact_digests.txt");
+    let rows_of = |run: &str| -> Vec<&str> {
+        table
+            .lines()
+            .filter_map(|l| l.strip_prefix(run)?.strip_prefix(' '))
+            .collect()
+    };
+    let (unsharded, sharded) = (rows_of("unsharded"), rows_of("shards4"));
+    assert_eq!(unsharded.len(), sharded.len(), "one shards4 row per file");
+    let is_fig10 = |row: &&str| row.starts_with("fig10 ");
+    let moved: Vec<&&str> = unsharded
+        .iter()
+        .filter(|row| !is_fig10(row) && !sharded.contains(row))
+        .collect();
+    assert!(
+        moved.is_empty(),
+        "unsharded rows that differ from their shards4 row:\n{moved:#?}"
+    );
+    assert!(
+        unsharded
+            .iter()
+            .any(|row| is_fig10(row) && !sharded.contains(row)),
+        "fig10 no longer depends on --shards: drop its exception here"
+    );
+}
+
+#[test]
 fn classifier_matches_known_behaviours() {
     // Series shaped like the paper's Figure 1 regions.
     assert_eq!(
@@ -773,6 +806,24 @@ const GUARDS: &[Guard] = &[
         paths: &["crates/netsim/src"],
         exempt: &[],
         files: 0,
+    },
+    // `--shards` picks a worker count, not an engine: only fig10
+    // (`uy_latency.rs`) still runs one global population without it.
+    Guard {
+        step: "one population engine outside fig10",
+        pattern: r"measure_population\(|let Some\(workers\) = cfg\.shards",
+        paths: &["crates/experiments/src"],
+        exempt: &[],
+        files: 1,
+    },
+    // The client experiments drive their clients through
+    // `worlds::drive_clients`; `passive_nl.rs` keeps its demand loop.
+    Guard {
+        step: "client experiments share one loop",
+        pattern: r"EventQueue",
+        paths: &["crates/experiments/src"],
+        exempt: &[],
+        files: 2,
     },
 ];
 
