@@ -515,23 +515,24 @@ fn fire_one(
 ) -> bool {
     let qname = &names[rank as usize];
     let now = dnsttl_netsim::SimTime::from_millis(t_ms);
-    let outcome = resolvers[resolver_local as usize].resolve(qname, RecordType::A, now, net);
-    let ok = outcome.answer.header.rcode == Rcode::NoError && !outcome.answer.answers.is_empty();
+    let verdict =
+        resolvers[resolver_local as usize].resolve_verdict(qname, RecordType::A, now, net);
+    let ok = verdict.rcode == Rcode::NoError && verdict.answers > 0;
     let row = ZipfRow {
         at_ms: t_ms,
         probe: global_probe,
         rank,
         resolver: resolver_local,
-        rtt_ms: link_rtt_ms + outcome.elapsed.as_millis() as u32,
-        cache_hit: outcome.cache_hit,
+        rtt_ms: link_rtt_ms + verdict.elapsed.as_millis() as u32,
+        cache_hit: verdict.cache_hit,
         ok,
     };
     out.push(row);
     telemetry.count_keyed_at(&ZIPF_QUERIES, 1, t_ms);
-    if outcome.cache_hit {
+    if verdict.cache_hit {
         telemetry.count_keyed_at(&ZIPF_HITS, 1, t_ms);
     }
-    outcome.cache_hit
+    verdict.cache_hit
 }
 
 /// Runs one cell end to end with the chosen engine.

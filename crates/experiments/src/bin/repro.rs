@@ -337,7 +337,19 @@ fn main() {
         run_snapshot_diff(&argv[pos + 1], &argv[pos + 2]);
     }
 
-    let mut cfg = ExpConfig::default();
+    // A preset picks the scale and nothing else, so every other flag
+    // counts wherever it stands. `--smoke` is `--quick` for CI smoke
+    // stages: tiny populations, CSVs still written for schema checks.
+    let presets = ["--paper-scale", "--quick", "--smoke"];
+    let mut cfg = match argv.iter().rev().find(|a| presets.contains(&a.as_str())) {
+        Some(p) if p == "--paper-scale" => ExpConfig::paper_scale(),
+        Some(p) if p == "--quick" => ExpConfig::quick(),
+        Some(_) => ExpConfig {
+            out_dir: ExpConfig::default().out_dir,
+            ..ExpConfig::quick()
+        },
+        None => ExpConfig::default(),
+    };
     let mut wanted: Vec<String> = Vec::new();
     let mut show_metrics = false;
     let mut args = std::env::args().skip(1).peekable();
@@ -350,15 +362,7 @@ fn main() {
                 }
                 return;
             }
-            "--paper-scale" => cfg = ExpConfig::paper_scale(),
-            // `--smoke` is `--quick` for CI smoke stages: tiny
-            // populations, CSVs still written for schema checks.
-            "--quick" => cfg = ExpConfig::quick(),
-            "--smoke" => {
-                let out_dir = cfg.out_dir.clone();
-                cfg = ExpConfig::quick();
-                cfg.out_dir = out_dir;
-            }
+            "--paper-scale" | "--quick" | "--smoke" => {} // picked above
             "--seed" => {
                 let v = args.next().unwrap_or_else(|| {
                     eprintln!("--seed needs a value");

@@ -103,7 +103,7 @@ pub fn run(cfg: &ExpConfig) -> Vec<Report> {
         total_demand += 1;
         let qname = world.ns_host_names[d.qname_idx].clone();
         let r = &mut resolvers[d.resolver];
-        let _ = r.resolve(&qname, RecordType::A, now, &mut world.net);
+        r.resolve_verdict(&qname, RecordType::A, now, &mut world.net);
         for server in &world.logged {
             for q in server.borrow_mut().drain_log() {
                 groups.add((q.client.tag, q.qname), q.at.as_secs());

@@ -137,8 +137,8 @@ fn simulate_topology(
             let name_idx = client_rngs[client].weighted_index(&weights);
             let qname = n(&format!("p{name_idx:02}.pool.example"));
             let resolver = if shared { 0 } else { client % GROUPS };
-            let out = resolvers[resolver].resolve(&qname, RecordType::A, now, &mut net);
-            debug_assert_eq!(out.answer.header.rcode, Rcode::NoError);
+            let out = resolvers[resolver].resolve_verdict(&qname, RecordType::A, now, &mut net);
+            debug_assert_eq!(out.rcode, Rcode::NoError);
             cell.queries += 1;
             cell.hits += out.cache_hit as u64;
             cell.upstream += out.upstream_queries as u64;

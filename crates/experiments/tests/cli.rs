@@ -676,6 +676,37 @@ fn repro_warns_when_progress_is_given_without_shards() {
 }
 
 #[test]
+fn a_preset_resets_no_flag_given_before_it() {
+    // `--smoke`, `--quick` and `--paper-scale` pick the scale and
+    // nothing else, so a flag counts wherever it stands. fig10 is the
+    // module whose output depends on `--shards` as well as `--seed`.
+    let run = |args: &[&str]| {
+        let out = repro().args(args).args(["--no-csv", "fig10"]).output();
+        stdout_of(out.expect("runs"))
+    };
+    let smoke = run(&["--smoke"]);
+    let sharded = run(&["--smoke", "--shards", "4"]);
+    assert_eq!(run(&["--shards", "4", "--smoke"]), sharded);
+    assert_ne!(sharded, smoke, "--shards 4 must reach fig10");
+    let seeded = run(&["--smoke", "--seed", "7"]);
+    assert_eq!(run(&["--seed", "7", "--smoke"]), seeded);
+    assert_ne!(seeded, smoke, "--seed 7 must reach fig10");
+
+    // `--quick` writes no file unless `--out` names a directory, before
+    // or after it.
+    let dir = std::env::temp_dir().join(format!("dnsttl-cli-preset-{}", std::process::id()));
+    let out = repro()
+        .args(["--out", dir.to_str().expect("utf-8 temp path")])
+        .args(["--quick", "table1"])
+        .output()
+        .expect("runs");
+    stdout_of(out);
+    let written = std::fs::read_dir(&dir).map(|d| d.count()).unwrap_or(0);
+    let _ = std::fs::remove_dir_all(&dir);
+    assert!(written > 0, "--out before --quick wrote nothing");
+}
+
+#[test]
 fn repro_rejects_an_out_directory_it_cannot_create() {
     // `--out` under a regular file cannot become a directory: `repro`
     // must say so and exit 2 before it simulates anything, and must not

@@ -39,6 +39,7 @@ pub use ledger::{
     BailiwickClass, CacheStats, Ledger, LedgerCell, LedgerKey, Provenance, RecordOrigin,
     StoreContext,
 };
+pub use resolver::ResolutionVerdict;
 pub use resolver::{RecursiveResolver, ResolutionOutcome, ResolverStats, RootHint};
 pub use snapshot::{CacheSnapshot, SnapshotDiff, SnapshotEntry};
 pub use stub::{HostLookup, StubConfig, StubError, StubResolver};

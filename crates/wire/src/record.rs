@@ -86,15 +86,6 @@ impl Record {
         self.rdata.record_type()
     }
 
-    /// A copy of this record with the TTL replaced — what a cache emits
-    /// when serving a partially aged entry.
-    pub fn with_ttl(&self, ttl: Ttl) -> Record {
-        Record {
-            ttl,
-            ..self.clone()
-        }
-    }
-
     /// A stable 64-bit fingerprint of the record's identity and data —
     /// everything except the TTL.
     ///
@@ -177,14 +168,6 @@ impl RRset {
             ttl,
             rdatas: records.iter().map(|r| r.rdata.clone()).collect(),
         })
-    }
-
-    /// Expands the set back into individual records with the common TTL.
-    pub fn to_records(&self) -> Vec<Record> {
-        self.rdatas
-            .iter()
-            .map(|rd| Record::new(self.name.clone(), self.ttl, rd.clone()))
-            .collect()
     }
 
     /// Number of records in the set.
@@ -341,15 +324,6 @@ mod tests {
     }
 
     #[test]
-    fn with_ttl_replaces_only_ttl() {
-        let rr = a("x.example", 300, [1, 2, 3, 4]);
-        let aged = rr.with_ttl(Ttl::from_secs(17));
-        assert_eq!(aged.ttl.as_secs(), 17);
-        assert_eq!(aged.rdata, rr.rdata);
-        assert_eq!(aged.name, rr.name);
-    }
-
-    #[test]
     fn rrset_normalises_ttl_to_minimum() {
         let set = RRset::from_records(&[
             a("ns.example", 3600, [1, 1, 1, 1]),
@@ -358,18 +332,13 @@ mod tests {
         .unwrap();
         assert_eq!(set.ttl.as_secs(), 300);
         assert_eq!(set.len(), 2);
-        for r in set.to_records() {
-            assert_eq!(r.ttl.as_secs(), 300);
-        }
     }
 
     #[test]
     fn fingerprints_ignore_ttl_but_see_data() {
         let rr = a("x.example", 300, [1, 2, 3, 4]);
-        assert_eq!(
-            rr.fingerprint(),
-            rr.with_ttl(Ttl::from_secs(17)).fingerprint()
-        );
+        let aged = a("x.example", 17, [1, 2, 3, 4]);
+        assert_eq!(rr.fingerprint(), aged.fingerprint());
         let other = a("x.example", 300, [1, 2, 3, 5]);
         assert_ne!(rr.fingerprint(), other.fingerprint());
         let other_name = a("y.example", 300, [1, 2, 3, 4]);

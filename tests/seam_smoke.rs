@@ -10,7 +10,8 @@
 //! exposition (`telemetry/src/registry.rs`), the cell engine's merge
 //! and fan-out (`atlas/src/shard.rs`, `tests/shard_equivalence.rs`), and
 //! the artifact bytes of one smoke module
-//! (`experiments/tests/artifact_digests.rs`).
+//! (`experiments/tests/artifact_digests.rs`), and the resolver's two
+//! entry points (`resolver/src/resolver.rs`).
 
 use dnsttl::atlas::{
     fan_out, merge_by_time, population_campaign, run_measurement, run_zipf_campaign, Dataset,
@@ -25,7 +26,9 @@ use dnsttl::experiments::ExpConfig;
 use dnsttl::netsim::{
     ClientId, DnsService, EventQueue, LatencyModel, Network, Region, SimDuration, SimRng, SimTime,
 };
-use dnsttl::resolver::{Cache, CacheStats, Credibility, RecursiveResolver, RootHint};
+use dnsttl::resolver::{
+    Cache, CacheStats, Credibility, RecursiveResolver, ResolutionVerdict, RootHint,
+};
 use dnsttl::telemetry::Telemetry;
 use dnsttl::wire::{
     decode_message, encode_message, encoded_len, Message, Name, RData, RRset, Rcode, RecordType,
@@ -369,6 +372,88 @@ fn a_zipf_campaign_exchanges_only_messages_the_codec_round_trips() {
     }
     assert_eq!(answered, 12 * 8 * 4);
     assert!(seen.get() > answered / 2, "a miss-heavy campaign");
+}
+
+#[test]
+fn the_counted_and_materialising_resolutions_agree_on_the_zipf_world() {
+    // The Zipf world at TTL 60 s, polled by two resolvers from one seed:
+    // one answers every question through `resolve`, the other through
+    // `resolve_verdict`, as the Zipf sweep does. Hits, expired misses
+    // and cold misses must end alike, leave the same counters and export
+    // the same telemetry (`resolver/src/resolver.rs` holds the tape of
+    // every other way a question ends).
+    let names: Vec<Name> = (0..64)
+        .map(|k| Name::parse(&format!("r{k}.zipf")).unwrap())
+        .collect();
+    let run = |counted: bool| {
+        let root_addr = "198.41.0.4".parse().unwrap();
+        let root = AuthoritativeServer::new("root").with_zone(
+            ZoneBuilder::new(".")
+                .ns("zipf", "ns.zipf", Ttl::TWO_DAYS)
+                .a("ns.zipf", "192.0.2.53", Ttl::TWO_DAYS)
+                .build(),
+        );
+        let mut zone = ZoneBuilder::new("zipf").ns("zipf", "ns.zipf", Ttl::HOUR).a(
+            "ns.zipf",
+            "192.0.2.53",
+            Ttl::HOUR,
+        );
+        for (k, name) in names.iter().enumerate() {
+            zone = zone.a(name.as_str(), &format!("10.0.0.{k}"), Ttl::MINUTE);
+        }
+        let child = AuthoritativeServer::new("ns.zipf").with_zone(zone.build());
+        let mut net = Network::new(LatencyModel::constant(5.0));
+        net.register(root_addr, Region::Eu, Rc::new(RefCell::new(root)));
+        let child_addr = "192.0.2.53".parse().unwrap();
+        net.register(child_addr, Region::Eu, Rc::new(RefCell::new(child)));
+        let roots = vec![RootHint {
+            ns_name: Name::parse("root").unwrap(),
+            addr: root_addr,
+        }];
+        let mut resolver = RecursiveResolver::new(
+            "zipf-0",
+            ResolverPolicy::default(),
+            Region::Eu,
+            1,
+            roots,
+            SimRng::seed_from(0x5EA4_0006),
+        );
+        resolver.set_telemetry(Telemetry::new());
+        let sampler = ZipfSampler::new(names.len(), 1.1);
+        let mut rng = SimRng::seed_from(0x5EA4_0007);
+        let verdicts: Vec<ResolutionVerdict> = (0..600u64)
+            .map(|i| {
+                let qname = &names[sampler.sample(&mut rng)];
+                let now = SimTime::from_secs(i * 7);
+                if counted {
+                    return resolver.resolve_verdict(qname, RecordType::A, now, &mut net);
+                }
+                let out = resolver.resolve(qname, RecordType::A, now, &mut net);
+                ResolutionVerdict {
+                    rcode: out.answer.header.rcode,
+                    answers: out.answer.answers.len(),
+                    elapsed: out.elapsed,
+                    cache_hit: out.cache_hit,
+                    served_stale: out.served_stale,
+                    upstream_queries: out.upstream_queries,
+                }
+            })
+            .collect();
+        (resolver, verdicts)
+    };
+    let (full, want) = run(false);
+    let (counted, got) = run(true);
+    assert_eq!(got, want);
+    let hits = want.iter().filter(|v| v.cache_hit).count();
+    assert!(hits > 100 && hits < 500, "{hits} hits of 600");
+    assert!(want
+        .iter()
+        .all(|v| v.rcode == Rcode::NoError && v.answers == 1));
+    assert_eq!(counted.stats(), full.stats());
+    assert_eq!(counted.cache().stats(), full.cache().stats());
+    let (t, u) = (counted.telemetry(), full.telemetry());
+    assert_eq!(t.prometheus_text(), u.prometheus_text());
+    assert_eq!(t.trace_jsonl(), u.trace_jsonl());
 }
 
 #[test]

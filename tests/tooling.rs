@@ -825,6 +825,15 @@ const GUARDS: &[Guard] = &[
         exempt: &[],
         files: 2,
     },
+    // A caller that drops the answer asks `resolve_verdict`, which
+    // builds no answer message.
+    Guard {
+        step: "no answer thrown away",
+        pattern: r"let _ = .*\.resolve\(",
+        paths: &["crates/*/src"],
+        exempt: &[],
+        files: 0,
+    },
 ];
 
 #[test]
