@@ -312,6 +312,16 @@ fn run_diff(args: &[String]) -> ! {
     std::process::exit(i32::from(!verdict.clean()));
 }
 
+/// The process's peak resident set so far, in whole MB, read from
+/// `VmHWM` in `/proc/self/status`: `None` where that file cannot be
+/// read (any OS but Linux). Goes to stderr only, beside the wall time.
+fn peak_rss_mb() -> Option<u64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let line = status.lines().find_map(|l| l.strip_prefix("VmHWM:"))?;
+    let kb: u64 = line.trim().trim_end_matches("kB").trim().parse().ok()?;
+    Some(kb / 1024)
+}
+
 fn main() {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     if argv.first().map(String::as_str) == Some("bench") {
@@ -492,8 +502,9 @@ fn main() {
             println!("=== {module}: prometheus exposition ===");
             println!("{}", telemetry.prometheus_text());
         }
+        let peak = peak_rss_mb().map_or(String::new(), |mb| format!(", peak RSS {mb} MB"));
         eprintln!(
-            "({module}: {:.1}s wall, {} trace events)",
+            "({module}: {:.1}s wall, {} trace events{peak})",
             wall.as_secs_f64(),
             telemetry.events_recorded()
         );

@@ -707,6 +707,29 @@ fn a_preset_resets_no_flag_given_before_it() {
 }
 
 #[test]
+fn repro_reports_its_peak_resident_set_on_stderr() {
+    // The per-module stderr line carries the process's peak RSS where
+    // the OS reports it (Linux: `VmHWM`); stdout never does.
+    let out = repro().args(["--quick", "table1"]).output().expect("runs");
+    let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
+    let stdout = stdout_of(out);
+    assert!(!stdout.contains("peak RSS"), "stdout: {stdout}");
+    if cfg!(target_os = "linux") {
+        let line = stderr
+            .lines()
+            .find(|l| l.contains("trace events"))
+            .unwrap_or_else(|| panic!("no module line in stderr: {stderr}"));
+        let mb = line
+            .split(", peak RSS ")
+            .nth(1)
+            .and_then(|rest| rest.strip_suffix(" MB)"))
+            .and_then(|mb| mb.parse::<u64>().ok())
+            .unwrap_or_else(|| panic!("no peak RSS in {line:?}"));
+        assert!(mb > 0, "{line}");
+    }
+}
+
+#[test]
 fn repro_rejects_an_out_directory_it_cannot_create() {
     // `--out` under a regular file cannot become a directory: `repro`
     // must say so and exit 2 before it simulates anything, and must not

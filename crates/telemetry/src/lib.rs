@@ -12,9 +12,10 @@
 //! The entry point is [`Telemetry`]: a cheaply cloneable handle
 //! (`Rc`-backed) that the simulation threads through the resolver, the
 //! authoritative servers, the network, and the measurement platform.
-//! A disabled handle ([`Telemetry::disabled`]) makes every call a
-//! branch-and-return, so instrumented code pays nothing when
-//! observability is off.
+//! A disabled handle ([`Telemetry::disabled`]) owns nothing: no
+//! registry, no tracer, no allocation. Every recording call on it
+//! returns at once, so instrumented code pays nothing when
+//! observability is off, and every export reads as a fresh handle's.
 //!
 //! Each kind of thing is recorded one way. Unlabelled, per-query
 //! series go through a `const` [`MetricKey`] and land in one registry
@@ -59,11 +60,10 @@ pub use timeseries::{DEFAULT_TS_BUCKET_MS, DEFAULT_TS_SPAN_CAP};
 use trace::DEFAULT_TRACE_CAPACITY;
 pub use trace::{EventKind, FieldSink, SpanId, TraceEvent, Tracer};
 
-use std::cell::{Cell, RefCell};
+use std::cell::RefCell;
 use std::rc::Rc;
 
 struct Inner {
-    enabled: Cell<bool>,
     registry: RefCell<Registry>,
     tracer: RefCell<Tracer>,
 }
@@ -83,9 +83,10 @@ pub struct TelemetryParts {
 /// Clones share one registry and one tracer. All recording methods are
 /// `&self` (interior mutability), so a handle can be stored alongside
 /// the `Rc<RefCell<…>>` service handles the simulator already uses.
-#[derive(Clone)]
+/// The default is the disabled handle, which owns nothing.
+#[derive(Clone, Default)]
 pub struct Telemetry {
-    inner: Rc<Inner>,
+    inner: Option<Rc<Inner>>,
 }
 
 impl Telemetry {
@@ -97,31 +98,33 @@ impl Telemetry {
     /// An enabled handle whose trace ring holds `capacity` events.
     pub(crate) fn with_trace_capacity(capacity: usize) -> Telemetry {
         Telemetry {
-            inner: Rc::new(Inner {
-                enabled: Cell::new(true),
+            inner: Some(Rc::new(Inner {
                 registry: RefCell::new(Registry::new()),
                 tracer: RefCell::new(Tracer::with_capacity(capacity)),
-            }),
+            })),
         }
     }
 
-    /// A disabled handle: every recording call returns immediately.
-    /// This is the default for instrumented components.
+    /// A disabled handle: it owns nothing and allocates nothing, every
+    /// recording call returns immediately, and every export reads as a
+    /// fresh [`Telemetry::new`]'s. This is the default for
+    /// instrumented components.
     pub fn disabled() -> Telemetry {
-        let t = Telemetry::new();
-        t.inner.enabled.set(false);
-        t
+        Telemetry::default()
     }
 
     /// Whether recording is on.
     pub fn is_enabled(&self) -> bool {
-        self.inner.enabled.get()
+        self.inner.is_some()
     }
 
-    #[cfg(test)]
-    /// Turns recording on or off (the registry and trace are kept).
-    pub(crate) fn set_enabled(&self, enabled: bool) {
-        self.inner.enabled.set(enabled);
+    /// Runs `f` on the registry and the tracer; a disabled handle shows
+    /// a fresh pair, so its exports are a new handle's, byte for byte.
+    fn read<T>(&self, f: impl FnOnce(&Registry, &Tracer) -> T) -> T {
+        match &self.inner {
+            Some(inner) => f(&inner.registry.borrow(), &inner.tracer.borrow()),
+            None => Telemetry::new().read(f),
+        }
     }
 
     // ── metrics ─────────────────────────────────────────────────────
@@ -137,18 +140,15 @@ impl Telemetry {
 
     /// Adds `delta` to the counter `name` with `labels`.
     pub fn count_with(&self, name: &str, labels: &[(&str, &str)], delta: u64) {
-        if self.is_enabled() {
-            self.inner
-                .registry
-                .borrow_mut()
-                .counter_add(name, labels, delta);
+        if let Some(inner) = &self.inner {
+            inner.registry.borrow_mut().counter_add(name, labels, delta);
         }
     }
 
     /// Records `value` into the quantile sketch `name` with `labels`.
     pub fn sketch_with(&self, name: &str, labels: &[(&str, &str)], value: u64) {
-        if self.is_enabled() {
-            self.inner
+        if let Some(inner) = &self.inner {
+            inner
                 .registry
                 .borrow_mut()
                 .sketch_observe(name, labels, value);
@@ -162,10 +162,12 @@ impl Telemetry {
     /// they started with. Every handle feeding one shard merge must use
     /// the same width so bucket boundaries nest.
     pub fn configure_timeseries(&self, width_ms: u64, span_cap: usize) {
-        self.inner
-            .registry
-            .borrow_mut()
-            .configure_timeseries(width_ms, span_cap);
+        if let Some(inner) = &self.inner {
+            inner
+                .registry
+                .borrow_mut()
+                .configure_timeseries(width_ms, span_cap);
+        }
     }
 
     /// Adds `delta` to the unlabelled counter behind a
@@ -175,8 +177,8 @@ impl Telemetry {
     /// construction: the sum of a counter's bucket deltas always
     /// equals its total (the `repro doctor` invariant).
     pub fn count_keyed_at(&self, key: &MetricKey, delta: u64, t_ms: u64) {
-        if self.is_enabled() {
-            self.inner
+        if let Some(inner) = &self.inner {
+            inner
                 .registry
                 .borrow_mut()
                 .counter_add_at(key.name(), delta, t_ms);
@@ -186,8 +188,8 @@ impl Telemetry {
     /// Sets the unlabelled gauge behind a [`MetricKey`] and
     /// samples it into its sim-time series bucket at `t_ms`.
     pub fn gauge_keyed_at(&self, key: &MetricKey, value: f64, t_ms: u64) {
-        if self.is_enabled() {
-            self.inner
+        if let Some(inner) = &self.inner {
+            inner
                 .registry
                 .borrow_mut()
                 .gauge_set_at(key.name(), value, t_ms);
@@ -198,8 +200,8 @@ impl Telemetry {
     /// [`MetricKey`] and into the per-bucket sketch for the
     /// bucket holding `t_ms`.
     pub fn sketch_keyed_at(&self, key: &MetricKey, value: u64, t_ms: u64) {
-        if self.is_enabled() {
-            self.inner
+        if let Some(inner) = &self.inner {
+            inner
                 .registry
                 .borrow_mut()
                 .sketch_observe_at(key.name(), value, t_ms);
@@ -210,8 +212,8 @@ impl Telemetry {
     /// [`MetricKey`], registry only: for a distribution
     /// observed per answer that has no sim-time series.
     pub fn sketch_keyed(&self, key: &MetricKey, value: u64) {
-        if self.is_enabled() {
-            self.inner
+        if let Some(inner) = &self.inner {
+            inner
                 .registry
                 .borrow_mut()
                 .sketch_observe(key.name(), &[], value);
@@ -221,15 +223,12 @@ impl Telemetry {
     /// The sim-time series as dense JSON Lines (the
     /// `<module>_timeseries.jsonl` artifact).
     pub fn timeseries_jsonl(&self) -> String {
-        self.inner.registry.borrow().to_timeseries_jsonl()
+        self.read(|registry, _| registry.to_timeseries_jsonl())
     }
 
     /// Reads a counter's current value (zero when untouched/disabled).
     pub fn counter_value(&self, name: &str, labels: &[(&str, &str)]) -> u64 {
-        self.inner
-            .registry
-            .borrow()
-            .counter(&MetricId::new(name, labels))
+        self.read(|registry, _| registry.counter(&MetricId::new(name, labels)))
     }
 
     // ── tracing ─────────────────────────────────────────────────────
@@ -239,10 +238,10 @@ impl Telemetry {
     /// fields; it only runs when recording is enabled. Disabled handles
     /// return a dummy id that later calls ignore.
     pub fn span_start(&self, t_ms: u64, fields: impl FnOnce(SpanId, &mut FieldSink)) -> SpanId {
-        if !self.is_enabled() {
+        let Some(inner) = &self.inner else {
             return SpanId(u64::MAX);
-        }
-        let mut tracer = self.inner.tracer.borrow_mut();
+        };
+        let mut tracer = inner.tracer.borrow_mut();
         let span = tracer.new_span();
         tracer.record(t_ms, EventKind::SpanStart, Some(span), |sink| {
             fields(span, sink)
@@ -260,10 +259,10 @@ impl Telemetry {
         t_ms: u64,
         fields: impl FnOnce(SpanId, &mut FieldSink),
     ) -> SpanId {
-        if !self.is_enabled() {
+        let Some(inner) = &self.inner else {
             return SpanId(u64::MAX);
-        }
-        let mut tracer = self.inner.tracer.borrow_mut();
+        };
+        let mut tracer = inner.tracer.borrow_mut();
         let span = tracer.new_span();
         // A parent recorded by a disabled handle (the dummy id) must
         // not leak into the trace as a dangling reference.
@@ -288,8 +287,8 @@ impl Telemetry {
         kind: EventKind,
         fields: impl FnOnce(&mut FieldSink),
     ) {
-        if self.is_enabled() {
-            self.inner
+        if let Some(inner) = &self.inner {
+            inner
                 .tracer
                 .borrow_mut()
                 .record(t_ms, kind, Some(span), fields);
@@ -298,11 +297,8 @@ impl Telemetry {
 
     /// Records a span-less event at simulation time `t_ms`.
     pub fn event(&self, t_ms: u64, kind: EventKind, fields: impl FnOnce(&mut FieldSink)) {
-        if self.is_enabled() {
-            self.inner
-                .tracer
-                .borrow_mut()
-                .record(t_ms, kind, None, fields);
+        if let Some(inner) = &self.inner {
+            inner.tracer.borrow_mut().record(t_ms, kind, None, fields);
         }
     }
 
@@ -312,8 +308,8 @@ impl Telemetry {
     /// the cache's transactions, whose rows the ledger keeps.
     #[inline]
     pub fn count_event(&self, kind: EventKind) {
-        if self.is_enabled() {
-            self.inner.tracer.borrow_mut().count(kind);
+        if let Some(inner) = &self.inner {
+            inner.tracer.borrow_mut().count(kind);
         }
     }
 
@@ -321,7 +317,8 @@ impl Telemetry {
 
     /// Drains this handle's registry and tracer, leaving both empty
     /// (the registry keeps its sim-time series configuration, the
-    /// tracer its ring capacity).
+    /// tracer its ring capacity). A disabled handle hands back a fresh
+    /// handle's empty parts.
     ///
     /// Used by shard worker threads: a shard records into its own
     /// `Telemetry`, then hands the plain-data [`TelemetryParts`] (all
@@ -329,15 +326,18 @@ impl Telemetry {
     /// thread for a deterministic merge via
     /// [`Telemetry::absorb_shards`].
     pub fn take_parts(&self) -> TelemetryParts {
-        let fresh_tracer = Tracer::with_capacity(self.inner.tracer.borrow().capacity());
+        let Some(inner) = &self.inner else {
+            return Telemetry::new().take_parts();
+        };
+        let fresh_tracer = Tracer::with_capacity(inner.tracer.borrow().capacity());
         TelemetryParts {
-            registry: self.inner.registry.borrow_mut().take(),
-            tracer: self.inner.tracer.replace(fresh_tracer),
+            registry: inner.registry.borrow_mut().take(),
+            tracer: inner.tracer.replace(fresh_tracer),
         }
     }
 
     /// Merges per-shard registries (their sim-time series with them)
-    /// and tracers into this handle.
+    /// and tracers into this handle; a disabled handle drops them.
     ///
     /// `parts` must be in logical-shard order (shard 0 first) — the
     /// order is part of the determinism contract: registries merge
@@ -348,15 +348,16 @@ impl Telemetry {
     /// associative and commutative (see the `timeseries` module), so
     /// it is order-insensitive by construction.
     pub fn absorb_shards(&self, parts: Vec<TelemetryParts>) {
+        let Some(inner) = &self.inner else { return };
         let mut tracers = Vec::with_capacity(parts.len());
         {
-            let mut registry = self.inner.registry.borrow_mut();
+            let mut registry = inner.registry.borrow_mut();
             for shard in parts {
                 registry.merge(&shard.registry);
                 tracers.push(shard.tracer);
             }
         }
-        self.inner.tracer.borrow_mut().absorb(tracers);
+        inner.tracer.borrow_mut().absorb(tracers);
     }
 
     // ── exports ─────────────────────────────────────────────────────
@@ -367,70 +368,66 @@ impl Telemetry {
     /// Rendered from the tracer on the fly — never written back into
     /// the registry — so repeated exports cannot double-count.
     pub fn prometheus_text(&self) -> String {
-        let mut out = self.inner.registry.borrow().to_prometheus_text();
-        let tracer = self.inner.tracer.borrow();
-        use std::fmt::Write as _;
-        let _ = writeln!(
-            out,
-            "# HELP trace_dropped_total Trace events evicted from the bounded ring"
-        );
-        let _ = writeln!(out, "# TYPE trace_dropped_total counter");
-        let _ = writeln!(out, "trace_dropped_total {}", tracer.dropped());
-        let mut emitted_family = false;
-        for (kind, n) in tracer.dropped_counts() {
-            if !emitted_family {
-                let _ = writeln!(
-                    out,
-                    "# HELP trace_dropped_events Trace events evicted from the bounded ring, by kind"
-                );
-                let _ = writeln!(out, "# TYPE trace_dropped_events counter");
-                emitted_family = true;
+        self.read(|registry, tracer| {
+            let mut out = registry.to_prometheus_text();
+            use std::fmt::Write as _;
+            let _ = writeln!(
+                out,
+                "# HELP trace_dropped_total Trace events evicted from the bounded ring"
+            );
+            let _ = writeln!(out, "# TYPE trace_dropped_total counter");
+            let _ = writeln!(out, "trace_dropped_total {}", tracer.dropped());
+            let mut emitted_family = false;
+            for (kind, n) in tracer.dropped_counts() {
+                if !emitted_family {
+                    let _ = writeln!(
+                        out,
+                        "# HELP trace_dropped_events Trace events evicted from the bounded ring, by kind"
+                    );
+                    let _ = writeln!(out, "# TYPE trace_dropped_events counter");
+                    emitted_family = true;
+                }
+                let _ = writeln!(out, "trace_dropped_events{{kind=\"{kind}\"}} {n}");
             }
-            let _ = writeln!(out, "trace_dropped_events{{kind=\"{kind}\"}} {n}");
-        }
-        out
+            out
+        })
     }
 
     /// An ASCII dashboard of all metrics.
     pub fn dashboard(&self) -> String {
-        self.inner.registry.borrow().to_dashboard()
+        self.read(|registry, _| registry.to_dashboard())
     }
 
     /// The buffered trace as JSON Lines.
     pub fn trace_jsonl(&self) -> String {
-        self.inner.tracer.borrow().to_jsonl()
+        self.read(|_, tracer| tracer.to_jsonl())
     }
 
     /// Runs `f` with read access to the tracer.
     pub fn with_tracer<T>(&self, f: impl FnOnce(&Tracer) -> T) -> T {
-        f(&self.inner.tracer.borrow())
+        self.read(|_, tracer| f(tracer))
     }
 
     /// Total events traced (including ones the ring later dropped);
     /// events only [`Telemetry::count_event`]ed are not among them.
     pub fn events_recorded(&self) -> u64 {
-        self.inner.tracer.borrow().total_recorded()
+        self.read(|_, tracer| tracer.total_recorded())
     }
 
     /// Copies trace statistics (per-kind totals, drop counts) into a
     /// manifest.
     pub fn fill_manifest(&self, manifest: &mut RunManifest) {
-        let tracer = self.inner.tracer.borrow();
-        manifest.event_counts = tracer
-            .kind_counts()
-            .map(|(k, v)| (k.to_string(), v))
-            .collect();
-        manifest.trace_dropped = tracer.dropped();
-        manifest.trace_dropped_by_kind = tracer
-            .dropped_counts()
-            .map(|(k, v)| (k.to_string(), v))
-            .collect();
-    }
-}
-
-impl Default for Telemetry {
-    fn default() -> Telemetry {
-        Telemetry::disabled()
+        self.read(|_, tracer| {
+            manifest.event_counts = tracer
+                .kind_counts()
+                .map(|(k, v)| (k.to_string(), v))
+                .collect();
+            manifest.trace_dropped = tracer.dropped();
+            manifest.trace_dropped_by_kind = tracer
+                .dropped_counts()
+                .map(|(k, v)| (k.to_string(), v))
+                .collect();
+        })
     }
 }
 
@@ -601,11 +598,57 @@ mod tests {
         let jsonl = t.trace_jsonl();
         assert!(jsonl.contains("\"span\":1,\"parent\":0"));
         // Disabled parents must not leak the dummy id into the trace.
+        let dummy = Telemetry::disabled().span_start(0, |_, _| {});
+        let t = Telemetry::new();
+        t.child_span_start(dummy, 5, |_, _| {});
+        assert!(!t.trace_jsonl().contains("parent"));
+    }
+
+    #[test]
+    fn a_disabled_handle_owns_nothing_and_exports_as_a_fresh_one() {
+        assert_eq!(std::mem::size_of::<Telemetry>(), 8);
+        const Q: MetricKey = MetricKey::new("q");
+        let shard = Telemetry::new();
+        shard.configure_timeseries(1_000, 256);
+        shard.count_keyed_at(&Q, 4, 1_500);
+        shard.event(7, EventKind::Timeout, |f| f.push("i", 1u64));
+        let parts = shard.take_parts();
+        assert_eq!(parts.tracer.len(), 1);
+
         let d = Telemetry::disabled();
-        let dummy = d.span_start(0, |_, _| {});
-        d.set_enabled(true);
-        d.child_span_start(dummy, 5, |_, _| {});
-        assert!(!d.trace_jsonl().contains("parent"));
+        assert!(!d.is_enabled());
+        d.configure_timeseries(5, 1);
+        d.count("q", 1);
+        d.count_keyed_at(&Q, 2, 3_000);
+        d.gauge_keyed_at(&MetricKey::new("g"), 1.5, 3_000);
+        d.sketch_keyed(&MetricKey::new("s"), 9);
+        d.sketch_keyed_at(&MetricKey::new("s"), 9, 3_000);
+        d.count_event(EventKind::Timeout);
+        d.event(1, EventKind::Timeout, |_| {});
+        let span = d.span_start(2, |_, _| {});
+        d.span_end(span, 3, |_| {});
+        d.absorb_shards(vec![parts]);
+        let drained = d.take_parts();
+
+        let fresh = Telemetry::new();
+        let fresh_parts = fresh.take_parts();
+        assert_eq!(drained.tracer.capacity(), fresh_parts.tracer.capacity());
+        assert_eq!(drained.tracer.to_jsonl(), fresh_parts.tracer.to_jsonl());
+        assert_eq!(
+            drained.registry.to_prometheus_text(),
+            fresh_parts.registry.to_prometheus_text()
+        );
+        assert_eq!(d.prometheus_text(), fresh.prometheus_text());
+        assert_eq!(d.dashboard(), fresh.dashboard());
+        assert_eq!(d.trace_jsonl(), fresh.trace_jsonl());
+        assert_eq!(d.timeseries_jsonl(), fresh.timeseries_jsonl());
+        assert_eq!(d.events_recorded(), 0);
+        assert_eq!(d.counter_value("q", &[]), 0);
+        d.with_tracer(|t| assert_eq!(t.capacity(), DEFAULT_TRACE_CAPACITY));
+        let (mut m, mut n) = (RunManifest::new("x", 1), RunManifest::new("x", 1));
+        d.fill_manifest(&mut m);
+        fresh.fill_manifest(&mut n);
+        assert_eq!(m.to_json(), n.to_json());
     }
 
     #[test]

@@ -6,7 +6,8 @@
 //! a timing can never be, and for the telemetry-on path (DESIGN.md §8,
 //! "Traces"): what a traced hit adds and what the trace export costs.
 //! It also holds the Zipf campaign's merge to copying no row
-//! (DESIGN.md §10, "Fan-out and merge").
+//! (DESIGN.md §10, "Fan-out and merge") and an idle resolver to its
+//! label and root hints (DESIGN.md §8, "Handle").
 //! Only the counting thread's allocations are counted: the test
 //! harness's main thread allocates the first time it waits for a
 //! result, which can land inside a counted region.
@@ -229,16 +230,12 @@ fn a_question_stays_inside_its_allocation_budget() {
     }
 
     // ── the enabled path ────────────────────────────────────────────
-    // A disabled handle is its `Rc` and nothing else: the trace ring,
-    // the field arena, the two string tables and the series memos are
-    // empty until first used (the three Zipf workloads build one per
-    // resolver). Measured: 1 704 bytes — 1 160 before the shared-string
-    // table, the block queues' headers and the memos' (empty) maps
-    // moved in; they may not take more than 576.
+    // A disabled handle owns nothing: no registry, no tracer, no `Rc`
+    // (every resolver and every cache starts with one). It was a
+    // 1 272-byte block while it held an empty registry and tracer.
     let (off, allocs) = allocations(Telemetry::disabled);
-    assert_eq!(allocs, 1, "Telemetry::disabled() allocated {allocs} times");
-    let block = bytes_so_far();
-    assert!(block <= 1_160 + 576, "a disabled handle is {block} bytes");
+    assert_eq!(allocs, 0, "Telemetry::disabled() allocated {allocs} times");
+    assert_eq!(bytes_so_far(), 0, "a disabled handle asked for bytes");
     drop(off);
 
     // 1 000 warm hits, telemetry off and then on, through each entry
@@ -328,6 +325,43 @@ fn a_question_stays_inside_its_allocation_budget() {
             "exporting {events} events allocated {allocs} times"
         );
     }
+}
+
+#[test]
+fn an_idle_resolver_holds_little_more_than_its_label_and_root_hints() {
+    // `passive_nl` builds all 205 k `.nl` resolvers before the first
+    // demand, so what an idle one asks for is multiplied 205 k times.
+    // Built as it builds them: a formatted label, one root hint, a
+    // forked generator; no telemetry attached. Measured: 3 allocations
+    // and 94 bytes each — the label, its shared copy and the root
+    // hints — where two disabled telemetry handles, each an empty
+    // registry and tracer, made it 5 and 2 638.
+    const RESOLVERS: usize = 1_000;
+    let (_, hints, _) = zipf_shaped_world();
+    let mut rng = SimRng::seed_from(42);
+    let mut resolvers = Vec::with_capacity(RESOLVERS);
+    let ((), allocs) = allocations(|| {
+        for i in 0..RESOLVERS {
+            resolvers.push(RecursiveResolver::new(
+                format!("nl-res-{i}"),
+                ResolverPolicy::default(),
+                Region::Eu,
+                i as u64,
+                hints.clone(),
+                rng.fork(i as u64),
+            ));
+        }
+    });
+    let bytes = bytes_so_far();
+    assert_eq!(resolvers.len(), RESOLVERS);
+    assert!(
+        allocs <= 3 * RESOLVERS as u64,
+        "{RESOLVERS} idle resolvers allocated {allocs} times"
+    );
+    assert!(
+        bytes <= 128 * RESOLVERS as u64,
+        "{RESOLVERS} idle resolvers asked for {bytes} bytes"
+    );
 }
 
 #[test]
