@@ -9,7 +9,7 @@
 
 use crate::dataset::{Dataset, MeasurementResult};
 use crate::population::Population;
-use dnsttl_netsim::{EventQueue, Network, SimDuration, SimRng, SimTime};
+use dnsttl_netsim::{drive, Network, SimDuration, SimRng, SimTime};
 use dnsttl_telemetry::{EventKind, Telemetry, Value};
 use dnsttl_wire::{Name, RData, Rcode, RecordType};
 use std::fmt::Write as _;
@@ -65,14 +65,12 @@ impl MeasurementSpec {
     }
 }
 
-/// A scheduled VP query event.
-struct Tick {
-    vp_index: usize,
-}
-
 /// A mid-campaign intervention: at `at`, `action` runs against the
 /// network (and whatever world handles it captured). The §4
 /// renumbering experiments fire one of these nine minutes in.
+///
+/// A hook fires just before the first VP query due at or after `at`,
+/// so one due after the campaign's last query never fires.
 pub struct Hook {
     /// When to fire.
     pub at: SimTime,
@@ -107,12 +105,10 @@ pub fn run_measurement_with_hooks(
     hooks.sort_by_key(|h| h.at);
     let mut hooks = hooks.into_iter().peekable();
     let vps = population.vantage_points();
-    let mut queue: EventQueue<Tick> = EventQueue::new();
-    for (vp_index, _) in vps.iter().enumerate() {
-        let phase = SimDuration::from_millis(rng.below(spec.frequency.as_millis().max(1)));
-        queue.schedule(SimTime::ZERO + phase, Tick { vp_index });
-    }
-    let end = SimTime::ZERO + spec.duration;
+    let phases: Vec<SimTime> = vps
+        .iter()
+        .map(|_| SimTime::from_millis(rng.below(spec.frequency.as_millis().max(1))))
+        .collect();
     // Every VP fires ceil(duration / frequency) times (phase shifts keep
     // each VP's full tick count inside the campaign window), so the
     // result volume is known up front.
@@ -124,15 +120,11 @@ pub fn run_measurement_with_hooks(
 
     // One buffer renders every answer that is not a name.
     let mut rendered = String::new();
-    while let Some((now, tick)) = queue.pop() {
-        while hooks.peek().map(|h| h.at <= now).unwrap_or(false) {
-            let hook = hooks.next().expect("peeked");
+    drive(phases, SimTime::ZERO + spec.duration, |now, vp_index| {
+        while let Some(hook) = hooks.next_if(|h| h.at <= now) {
             (hook.action)(net);
         }
-        if now >= end {
-            continue;
-        }
-        let vp = vps[tick.vp_index];
+        let vp = vps[vp_index];
         let probe = &population.probes[vp.probe_idx];
         let qname = spec.query.for_probe(probe.id);
         let probe_region = probe.region;
@@ -209,9 +201,8 @@ pub fn run_measurement_with_hooks(
             valid,
             timed_out: outcome.answer.header.rcode == Rcode::ServFail,
         });
-
-        queue.schedule(now + spec.frequency, tick);
-    }
+        spec.frequency
+    });
     dataset
 }
 

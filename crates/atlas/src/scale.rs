@@ -59,10 +59,11 @@ const ZIPF_HITS: MetricKey = MetricKey::new("zipf_cache_hits_total");
 /// The pointer-based campaign oracle's scheduler ([`run_oracle`]): a
 /// min-heap over the canonical `(time, index)` key, drained in exact
 /// key order, so the timing-wheel production sweep has a heap-ordered
-/// comparison point — deliberately *not* the netsim `EventQueue`
-/// (whose ties break by insertion order, which would diverge from the
-/// canonical order on reschedules) and deliberately not the wheel
-/// itself (an oracle must not share the implementation it checks).
+/// comparison point — deliberately *not* the netsim client driver
+/// `drive` (whose ties break by schedule order, which would diverge
+/// from the canonical order on reschedules) and deliberately not the
+/// wheel itself (an oracle must not share the implementation it
+/// checks).
 struct OracleHeap<K: Ord> {
     heap: BinaryHeap<Reverse<K>>,
 }

@@ -393,7 +393,8 @@ fn main() {
             // Worker threads for the cell engine. Output is
             // byte-identical for every N (DESIGN.md §10): the worker
             // count is a throughput knob, not part of the experiment.
-            // Only fig10 runs a second engine without it.
+            // Only fig10 runs a second engine without it; bailiwick
+            // (fig5–8) runs one global population either way.
             "--shards" => {
                 let v = args.next().unwrap_or_default();
                 let n: usize = v.parse().unwrap_or_else(|_| {

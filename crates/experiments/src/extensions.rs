@@ -25,7 +25,9 @@ use crate::worlds::{self, CachetestWorld};
 use dnsttl_analysis::{ascii_cdf_multi, Ecdf, Table};
 use dnsttl_auth::{sign_zone, AuthoritativeServer, ZoneBuilder};
 use dnsttl_core::{hit_rate, PolicyMix, ResolverPolicy};
-use dnsttl_netsim::{FaultPlan, LatencyModel, Network, Region, SimDuration, SimRng, SimTime};
+use dnsttl_netsim::{
+    drive, FaultPlan, LatencyModel, Network, Region, SimDuration, SimRng, SimTime,
+};
 use dnsttl_resolver::{RecursiveResolver, RootHint};
 use dnsttl_telemetry::Telemetry;
 use dnsttl_wire::{Name, RData, Rcode, RecordType, Ttl};
@@ -470,23 +472,19 @@ pub(crate) fn load_balancing_agility(cfg: &ExpConfig) -> Report {
             .map(|gap| SimTime::from_millis(rng.below((*gap).max(1))));
         let mut counts = vec![0u64; backends.len()];
         let www = n("www.example");
-        worlds::drive_clients(
-            starts,
-            SimTime::ZERO + horizon,
-            |client| SimDuration::from_millis(gaps_ms[client]),
-            |now, client| {
-                let out = resolvers[client].resolve(&www, RecordType::A, now, &mut net);
-                // The client uses the first answer — that backend gets
-                // the connection.
-                if let Some(first) = out.answer.answers.first() {
-                    if let RData::A(a) = &first.rdata {
-                        if let Some(idx) = backends.iter().position(|b| *b == a.to_string()) {
-                            counts[idx] += 1;
-                        }
+        drive(starts, SimTime::ZERO + horizon, |now, client| {
+            let out = resolvers[client].resolve(&www, RecordType::A, now, &mut net);
+            // The client uses the first answer — that backend gets
+            // the connection.
+            if let Some(first) = out.answer.answers.first() {
+                if let RData::A(a) = &first.rdata {
+                    if let Some(idx) = backends.iter().position(|b| *b == a.to_string()) {
+                        counts[idx] += 1;
                     }
                 }
-            },
-        );
+            }
+            SimDuration::from_millis(gaps_ms[client])
+        });
         let max = *counts.iter().max().unwrap() as f64;
         let min = *counts.iter().min().unwrap() as f64;
         (max / min.max(1.0), counts)
@@ -540,18 +538,14 @@ pub(crate) fn negative_ttl_load(cfg: &ExpConfig) -> Report {
         let mut rng = SimRng::seed_from(cfg.seed_for("ext-negttl") ^ neg_ttl.as_secs() as u64);
         let mut resolvers = eu_clients("neg", clients, &mut rng);
         let starts = (0..clients).map(|_| SimTime::from_millis(rng.below(query_gap.as_millis())));
-        worlds::drive_clients(
-            starts,
-            SimTime::ZERO + horizon,
-            |_| query_gap,
-            |now, client| {
-                // Each client hammers one typo name (think a
-                // misconfigured app retrying).
-                let qname = n(&format!("typo{client}.example"));
-                let out = resolvers[client].resolve(&qname, RecordType::A, now, &mut net);
-                debug_assert_eq!(out.answer.header.rcode, Rcode::NxDomain);
-            },
-        );
+        drive(starts, SimTime::ZERO + horizon, |now, client| {
+            // Each client hammers one typo name (think a
+            // misconfigured app retrying).
+            let qname = n(&format!("typo{client}.example"));
+            let out = resolvers[client].resolve(&qname, RecordType::A, now, &mut net);
+            debug_assert_eq!(out.answer.header.rcode, Rcode::NxDomain);
+            query_gap
+        });
         net.queries_received(worlds::addrs::EXAMPLE)
     };
 

@@ -19,7 +19,7 @@ use crate::report::Report;
 use crate::worlds;
 use dnsttl_analysis::{ascii_cdf_multi, ArrivalFold, CsvWriter, Ecdf};
 use dnsttl_core::PolicyMix;
-use dnsttl_netsim::{EventQueue, SimDuration, SimRng, SimTime};
+use dnsttl_netsim::{drive, SimDuration, SimRng, SimTime};
 use dnsttl_resolver::RecursiveResolver;
 use dnsttl_wire::RecordType;
 
@@ -61,26 +61,18 @@ pub fn run(cfg: &ExpConfig) -> Vec<Report> {
     // forwarders to ISP caches; §3.4 finds ~48% of groups with a
     // single query in two days). Per-resolver mean interarrival is
     // log-normal with a wide sigma: the median resolver shows up a
-    // handful of times, the busy head hourly.
-    let duration = SimDuration::from_hours(cfg.nl_hours);
-    struct Demand {
-        resolver: usize,
-        qname_idx: usize,
-    }
-    let mut queue: EventQueue<Demand> = EventQueue::new();
+    // handful of times, the busy head hourly. Each resolver's next
+    // qname is drawn when its demand is scheduled.
+    let names = world.ns_host_names.len() as u64;
     let mut mean_gap_ms: Vec<u64> = Vec::with_capacity(resolvers.len());
-    for i in 0..resolvers.len() {
+    let mut next_qname: Vec<usize> = Vec::with_capacity(resolvers.len());
+    let mut starts: Vec<SimTime> = Vec::with_capacity(resolvers.len());
+    for _ in 0..resolvers.len() {
         let mean = rng.log_normal(10.1, 2.4); // seconds; median ~6.7 h
         let gap = (mean * 1_000.0).clamp(30_000.0, 2.0e8) as u64;
         mean_gap_ms.push(gap);
-        let first = rng.below(gap.max(1));
-        queue.schedule(
-            SimTime::from_millis(first),
-            Demand {
-                resolver: i,
-                qname_idx: rng.below(world.ns_host_names.len() as u64) as usize,
-            },
-        );
+        starts.push(SimTime::from_millis(rng.below(gap.max(1))));
+        next_qname.push(rng.below(names) as usize);
     }
 
     // Exponential interarrivals around each resolver's mean.
@@ -90,35 +82,26 @@ pub fn run(cfg: &ExpConfig) -> Vec<Report> {
     };
 
     // The two observed servers' logs, grouped by (resolver tag, qname)
-    // — the paper's 368k groups — and folded as they arrive: demands pop
+    // — the paper's 368k groups — and folded as they arrive: demands run
     // in time order and a resolution sends nothing before it starts, so
     // no later query lands before this demand's second.
     let mut groups = ArrivalFold::default();
-    let end = SimTime::ZERO + duration;
     let mut total_demand = 0u64;
-    while let Some((now, d)) = queue.pop() {
-        if now >= end {
-            continue;
-        }
+    let end = SimTime::ZERO + SimDuration::from_hours(cfg.nl_hours);
+    drive(starts, end, |now, i| {
         total_demand += 1;
-        let qname = world.ns_host_names[d.qname_idx].clone();
-        let r = &mut resolvers[d.resolver];
-        r.resolve_verdict(&qname, RecordType::A, now, &mut world.net);
+        let qname = &world.ns_host_names[next_qname[i]];
+        resolvers[i].resolve_verdict(qname, RecordType::A, now, &mut world.net);
         for server in &world.logged {
             for q in server.borrow_mut().drain_log() {
                 groups.add((q.client.tag, q.qname), q.at.as_secs());
             }
         }
         groups.settle(now.as_secs());
-        let gap = exp_gap(&mut rng, mean_gap_ms[d.resolver]);
-        queue.schedule(
-            now + SimDuration::from_millis(gap),
-            Demand {
-                resolver: d.resolver,
-                qname_idx: rng.below(world.ns_host_names.len() as u64) as usize,
-            },
-        );
-    }
+        let gap = exp_gap(&mut rng, mean_gap_ms[i]);
+        next_qname[i] = rng.below(names) as usize;
+        SimDuration::from_millis(gap)
+    });
 
     let groups = groups.finish();
     let single =

@@ -30,7 +30,7 @@ use crate::worlds;
 use dnsttl_analysis::{CsvWriter, Table};
 use dnsttl_auth::{AuthoritativeServer, ZoneBuilder};
 use dnsttl_core::ResolverPolicy;
-use dnsttl_netsim::{FaultPlan, LatencyModel, Region, SimDuration, SimRng, SimTime};
+use dnsttl_netsim::{drive, FaultPlan, LatencyModel, Region, SimDuration, SimRng, SimTime};
 use dnsttl_resolver::RecursiveResolver;
 use dnsttl_wire::{Name, Rcode, RecordType, Ttl};
 
@@ -153,16 +153,16 @@ pub(crate) fn simulate_clients(
         failures: 0,
     };
     let qname = n("www.example");
-    worlds::drive_clients(
+    drive(
         starts,
         outage.end + SimDuration::from_secs(600),
-        |_| query_gap,
         |now, client| {
             let out = resolvers[client].resolve_verdict(&qname, RecordType::A, now, &mut net);
             if outage.contains(&now) {
                 cell.queries += 1;
                 cell.failures += (out.rcode != Rcode::NoError) as u64;
             }
+            query_gap
         },
     );
     cell

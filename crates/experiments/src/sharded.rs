@@ -21,9 +21,11 @@
 //!
 //! Resolver caches are shared within a cell, not across the whole
 //! population, so shared-cache effects (Figures 1–2 bands, cache-hit
-//! rates) are computed per cell and merged. Only fig10 still has a
-//! second engine: without `--shards` it runs one global population
-//! (`uy_latency`).
+//! rates) are computed per cell and merged. Two modules still run one
+//! global population: fig10 (`uy_latency`) without `--shards`, and
+//! bailiwick (fig5–8, `bailiwick_exp`) always, whatever `--shards`
+//! says, because its renumbering hook acts on the one network every
+//! VP shares.
 
 use crate::config::ExpConfig;
 use crate::worlds;

@@ -28,7 +28,7 @@ use crate::worlds;
 use dnsttl_analysis::{CsvWriter, Table};
 use dnsttl_auth::{AuthoritativeServer, ZoneBuilder};
 use dnsttl_core::ResolverPolicy;
-use dnsttl_netsim::{LatencyModel, Network, Region, SimDuration, SimRng, SimTime};
+use dnsttl_netsim::{drive, LatencyModel, Network, Region, SimDuration, SimRng, SimTime};
 use dnsttl_resolver::RecursiveResolver;
 use dnsttl_wire::{Name, Rcode, RecordType, Ttl};
 
@@ -129,22 +129,18 @@ fn simulate_topology(
         .map(|rng| SimTime::from_millis(rng.below(gap.as_millis())))
         .collect();
     let mut cell = CellResult::default();
-    worlds::drive_clients(
-        starts,
-        SimTime::from_secs(HORIZON_S),
-        |_| gap,
-        |now, client| {
-            let name_idx = client_rngs[client].weighted_index(&weights);
-            let qname = n(&format!("p{name_idx:02}.pool.example"));
-            let resolver = if shared { 0 } else { client % GROUPS };
-            let out = resolvers[resolver].resolve_verdict(&qname, RecordType::A, now, &mut net);
-            debug_assert_eq!(out.rcode, Rcode::NoError);
-            cell.queries += 1;
-            cell.hits += out.cache_hit as u64;
-            cell.upstream += out.upstream_queries as u64;
-            cell.elapsed_ms += out.elapsed.as_millis();
-        },
-    );
+    drive(starts, SimTime::from_secs(HORIZON_S), |now, client| {
+        let name_idx = client_rngs[client].weighted_index(&weights);
+        let qname = n(&format!("p{name_idx:02}.pool.example"));
+        let resolver = if shared { 0 } else { client % GROUPS };
+        let out = resolvers[resolver].resolve_verdict(&qname, RecordType::A, now, &mut net);
+        debug_assert_eq!(out.rcode, Rcode::NoError);
+        cell.queries += 1;
+        cell.hits += out.cache_hit as u64;
+        cell.upstream += out.upstream_queries as u64;
+        cell.elapsed_ms += out.elapsed.as_millis();
+        gap
+    });
 
     // §8 conservation over every cache the topology used.
     cell.conserved = resolvers.iter().all(|r| {

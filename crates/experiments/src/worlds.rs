@@ -5,9 +5,7 @@
 //! same TTLs, same parent/child disagreements, same bailiwick layouts.
 
 use dnsttl_auth::{AuthoritativeServer, ZoneBuilder};
-use dnsttl_netsim::{
-    ClientId, DnsService, EventQueue, LatencyModel, Network, Region, SimDuration, SimTime,
-};
+use dnsttl_netsim::{ClientId, DnsService, LatencyModel, Network, Region, SimTime};
 use dnsttl_resolver::RootHint;
 use dnsttl_wire::{Message, Name, RData, Rcode, Record, RecordType, SoaData, Ttl};
 use std::cell::RefCell;
@@ -650,7 +648,7 @@ pub(crate) fn controlled_world(aaaa_ttl: Ttl, anycast: bool) -> (Network, Vec<Ro
 }
 
 // ---------------------------------------------------------------------
-// The client experiments' one-zone world and their client loop
+// The client experiments' one-zone world
 // ---------------------------------------------------------------------
 
 /// Builds the world the client experiments share: the root delegates
@@ -668,27 +666,6 @@ pub(crate) fn example_world(latency: LatencyModel, child: AuthoritativeServer) -
     net.register(addrs::ROOT, Region::Eu, rc(root));
     net.register(addrs::EXAMPLE, Region::Eu, rc(child));
     net
-}
-
-/// Drives a client population through one event queue: client `i`
-/// asks first at the `i`-th of `starts`, then `gap(i)` after each of
-/// its asks, until `end`. Clients are first scheduled in index order,
-/// asks due at one instant run in the order they were scheduled, and an
-/// ask due at or after `end` is dropped.
-pub(crate) fn drive_clients(
-    starts: impl IntoIterator<Item = SimTime>,
-    end: SimTime,
-    gap: impl Fn(usize) -> SimDuration,
-    mut ask: impl FnMut(SimTime, usize),
-) {
-    let mut queue = EventQueue::new();
-    for (client, at) in starts.into_iter().enumerate() {
-        queue.schedule(at, client);
-    }
-    while let Some((now, client)) = queue.pop().filter(|&(at, _)| at < end) {
-        ask(now, client);
-        queue.schedule(now + gap(client), client);
-    }
 }
 
 #[cfg(test)]

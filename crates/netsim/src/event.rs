@@ -1,196 +1,168 @@
-//! Discrete-event queue.
+//! The client driver.
 //!
-//! A thin, deterministic priority queue: events fire in time order, and
-//! events scheduled for the same instant fire in the order they were
-//! scheduled (a sequence number breaks ties). Determinism here is what
-//! lets two runs of an experiment with the same seed produce identical
-//! output.
-//!
-//! The queue is a [`TimingWheel`] keyed by fire time with the schedule
-//! sequence number as the tie key: O(1) schedules, amortized-O(1) pops,
-//! drained in exact minimum-`(at_ms, seq)` order by the wheel's
-//! full-key bucket scans. The wheel is the workspace's only
-//! time-ordered structure (DESIGN.md §16 records the sizing that
-//! retired the small-queue binary heap).
+//! Every simulated population — Atlas vantage points, passive `.nl`
+//! demand, the client experiments — is a set of clients that each ask,
+//! then wait a gap, then ask again. [`drive`] runs that rule for all of
+//! them on one [`TimingWheel`]: asks fire in time order, and asks due
+//! at the same instant fire in the order they were scheduled (a
+//! sequence number breaks ties). Determinism here is what lets two runs
+//! of an experiment with the same seed produce identical output.
 
-use crate::time::SimTime;
+use crate::time::{SimDuration, SimTime};
 use crate::wheel::TimingWheel;
-use std::cmp::Ordering;
 
-/// A pending event ordered by its schedule sequence number: the wheel
-/// keys by fire time first, so the tie key only needs to encode
-/// insertion order (which also spares `E` from needing `Ord`).
-struct Scheduled<E> {
-    seq: u64,
-    event: E,
-}
-
-impl<E> PartialEq for Scheduled<E> {
-    fn eq(&self, other: &Self) -> bool {
-        self.seq == other.seq
-    }
-}
-impl<E> Eq for Scheduled<E> {}
-impl<E> PartialOrd for Scheduled<E> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<E> Ord for Scheduled<E> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        self.seq.cmp(&other.seq)
-    }
-}
-
-/// A deterministic discrete-event queue.
+/// Drives a client population to `end`: client `i` asks first at the
+/// `i`-th of `starts`, then again `ask(now, i)` after each of its asks.
+///
+/// Clients are first scheduled in index order, asks due at one instant
+/// run in the order they were scheduled (a re-arm onto an occupied
+/// instant runs after the asks already due there), and an ask due at
+/// or after `end` never runs. A client that returns a gap reaching
+/// `end` — `SimDuration::from_millis(u64::MAX)` always does — asks no
+/// more.
 ///
 /// ```
-/// use dnsttl_netsim::{EventQueue, SimTime};
-/// let mut q = EventQueue::new();
-/// q.schedule(SimTime::from_secs(10), "b");
-/// q.schedule(SimTime::from_secs(5), "a");
-/// q.schedule(SimTime::from_secs(10), "c");
-/// let order: Vec<&str> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
-/// assert_eq!(order, ["a", "b", "c"]);
+/// use dnsttl_netsim::{drive, SimDuration, SimTime};
+/// let mut asks = Vec::new();
+/// drive(
+///     [SimTime::from_secs(10), SimTime::from_secs(5), SimTime::from_secs(10)],
+///     SimTime::from_secs(30),
+///     |now, client| {
+///         asks.push((now.as_secs(), client));
+///         SimDuration::from_secs(20)
+///     },
+/// );
+/// assert_eq!(asks, [(5, 1), (10, 0), (10, 2), (25, 1)]);
 /// ```
-pub struct EventQueue<E> {
-    wheel: TimingWheel<Scheduled<E>>,
-    next_seq: u64,
-}
-
-impl<E> EventQueue<E> {
-    /// An empty queue.
-    pub fn new() -> EventQueue<E> {
-        EventQueue {
-            wheel: TimingWheel::new(),
-            next_seq: 0,
-        }
+pub fn drive(
+    starts: impl IntoIterator<Item = SimTime>,
+    end: SimTime,
+    mut ask: impl FnMut(SimTime, usize) -> SimDuration,
+) {
+    let mut wheel = TimingWheel::new();
+    for (client, at) in starts.into_iter().enumerate() {
+        wheel.insert(at.as_millis(), (client as u64, client));
     }
-
-    /// Schedules `event` to fire at `at`.
-    pub fn schedule(&mut self, at: SimTime, event: E) {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.wheel.insert(at.as_millis(), Scheduled { seq, event });
-    }
-
-    /// Removes and returns the earliest event, with its fire time.
-    pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        self.wheel
-            .pop_first()
-            .map(|(ms, s)| (SimTime::from_millis(ms), s.event))
-    }
-
-    /// Number of pending events.
-    pub fn len(&self) -> usize {
-        self.wheel.len()
-    }
-
-    /// True when nothing is scheduled.
-    pub fn is_empty(&self) -> bool {
-        self.wheel.is_empty()
-    }
-}
-
-impl<E> Default for EventQueue<E> {
-    fn default() -> Self {
-        EventQueue::new()
+    let mut seq = wheel.len() as u64;
+    while let Some((at, (_, client))) = wheel.pop_first().filter(|&(at, _)| at < end.as_millis()) {
+        let gap = ask(SimTime::from_millis(at), client);
+        wheel.insert(at.saturating_add(gap.as_millis()), (seq, client));
+        seq += 1;
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::time::SimDuration;
+
+    /// Every ask `drive` makes, as `(time in ms, client)`, when client
+    /// `i`'s successive gaps are `gaps[i]`; it asks no more once they
+    /// run out.
+    fn asks(starts: &[u64], end: u64, gaps: &[&[u64]]) -> Vec<(u64, usize)> {
+        let mut left: Vec<std::slice::Iter<u64>> = gaps.iter().map(|g| g.iter()).collect();
+        let mut out = Vec::new();
+        drive(
+            starts.iter().map(|&ms| SimTime::from_millis(ms)),
+            SimTime::from_millis(end),
+            |now, client| {
+                out.push((now.as_millis(), client));
+                SimDuration::from_millis(left[client].next().copied().unwrap_or(u64::MAX))
+            },
+        );
+        out
+    }
+
+    /// The gaps of a client that asks once.
+    const ONCE: &[u64] = &[];
 
     #[test]
-    fn pops_in_time_order() {
-        let mut q = EventQueue::new();
-        q.schedule(SimTime::from_secs(30), 3);
-        q.schedule(SimTime::from_secs(10), 1);
-        q.schedule(SimTime::from_secs(20), 2);
-        let order: Vec<i32> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
-        assert_eq!(order, [1, 2, 3]);
+    fn asks_run_in_time_order() {
+        assert_eq!(
+            asks(&[30, 10, 20], 100, &[ONCE; 3]),
+            [(10, 1), (20, 2), (30, 0)]
+        );
     }
 
     #[test]
-    fn ties_break_in_insertion_order() {
-        let mut q = EventQueue::new();
-        let t = SimTime::from_secs(5);
-        for i in 0..100 {
-            q.schedule(t, i);
-        }
-        let order: Vec<i32> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
+    fn ties_run_in_schedule_order() {
+        let order: Vec<usize> = asks(&[5; 100], 100, &[ONCE; 100])
+            .into_iter()
+            .map(|(_, client)| client)
+            .collect();
         assert_eq!(order, (0..100).collect::<Vec<_>>());
     }
 
     #[test]
-    fn interleaved_schedule_and_pop() {
-        // A periodic schedule that re-arms itself, like a probe.
-        let mut q = EventQueue::new();
-        q.schedule(SimTime::ZERO, "tick");
-        let mut fired = Vec::new();
-        while let Some((at, e)) = q.pop() {
-            fired.push(at);
-            if fired.len() < 5 {
-                q.schedule(at + SimDuration::from_secs(600), e);
-            }
-        }
-        assert_eq!(fired.len(), 5);
-        assert_eq!(fired[4], SimTime::from_secs(2_400));
+    fn a_periodic_client_re_arms_until_the_end() {
+        // A probe every 600 s for 40 minutes: the ask due at 2 400 s
+        // is at the end and never runs.
+        let at: Vec<u64> = asks(&[0], 2_400_000, &[&[600_000; 10]])
+            .into_iter()
+            .map(|(ms, _)| ms)
+            .collect();
+        assert_eq!(at, [0, 600_000, 1_200_000, 1_800_000]);
     }
 
     #[test]
-    fn late_schedules_behind_popped_time_still_fire_first() {
-        // Popping a far-future event advances the wheel base; a
-        // subsequent earlier schedule must still pop before later ones.
-        let mut q = EventQueue::new();
-        q.schedule(SimTime::from_secs(600), "far");
-        assert!(q.pop().is_some());
-        q.schedule(SimTime::from_secs(900), "later");
-        q.schedule(SimTime::from_secs(1), "early");
-        assert_eq!(q.pop(), Some((SimTime::from_secs(1), "early")));
-        assert_eq!(q.pop(), Some((SimTime::from_secs(900), "later")));
+    fn a_re_arm_onto_an_occupied_instant_runs_after_the_asks_due_there() {
+        // Clients 1 and 2 start at 20 ms; client 0 re-arms onto it from
+        // 10 ms, then client 3 from 15 ms.
+        assert_eq!(
+            asks(&[10, 20, 20, 15], 100, &[&[10], &[], &[], &[5]]),
+            [(10, 0), (15, 3), (20, 1), (20, 2), (20, 0), (20, 3)]
+        );
+    }
+
+    #[test]
+    fn nothing_runs_at_or_after_the_end() {
+        // Starts at and past the end never run, nor does a re-arm onto
+        // it; a re-arm one millisecond short of it does, after the
+        // start already due there.
+        assert_eq!(
+            asks(&[50, 100, 99, 200], 100, &[&[49, 1], &[], &[1], &[]]),
+            [(50, 0), (99, 2), (99, 0)]
+        );
+        assert!(asks(&[0, 10], 0, &[&[1], &[1]]).is_empty());
     }
 
     #[test]
     fn drain_is_the_stable_sort_of_time_then_schedule_order() {
         // Adversarial times — dense ties, scattered far futures, and
         // `u64::MAX`-adjacent sentinels that park in the wheel's
-        // overflow bucket — with some events popped mid-fill, so later
-        // schedules land both ahead of and behind the wheel's advanced
-        // base. The drained order must equal the canonical sort of
-        // (time, schedule index).
+        // overflow bucket — where every 5th client re-arms once, so
+        // later schedules land far past the wheel's advanced base. The
+        // asks must be the canonical sort of (time, schedule index),
+        // and nothing at `u64::MAX` (the end) runs.
         let n = 3_072;
-        let mut expected: Vec<(u64, usize)> = Vec::with_capacity(n);
-        let mut q = EventQueue::new();
-        let mut popped: Vec<(u64, usize)> = Vec::new();
-        for i in 0..n {
-            let ms = match i % 5 {
+        let starts: Vec<u64> = (0..n)
+            .map(|i| match i % 5 {
                 0 => 1_000,
                 1 => (i as u64) * 37 % 2_000,
                 2 => 1 << 33,
                 3 => (i as u64) * 7_919 % 600_000,
                 _ => u64::MAX - (i as u64 % 3),
-            };
-            expected.push((ms, i));
-            q.schedule(SimTime::from_millis(ms), i);
-            if i == 512 {
-                for _ in 0..64 {
-                    let (at, e) = q.pop().expect("events pending");
-                    popped.push((at.as_millis(), e));
-                }
-            }
-        }
-        while let Some((at, e)) = q.pop() {
-            popped.push((at.as_millis(), e));
-        }
-        // Each drain follows canonical order within itself…
-        assert!(popped[..64].is_sorted(), "mid-fill drain is sorted");
-        assert!(popped[64..].is_sorted(), "final drain is sorted");
-        // …and together they are exactly the scheduled events.
-        popped.sort();
+            })
+            .collect();
+        const REARM: u64 = 1 << 40;
+        let gaps: Vec<&[u64]> = (0..n)
+            .map(|i| if i % 5 == 0 { &[REARM][..] } else { &[] })
+            .collect();
+        // Schedule index: the starts in client order, then each re-arm
+        // in the order its first ask ran.
+        let mut expected: Vec<(u64, usize, usize)> = (0..n)
+            .filter(|&i| starts[i] < u64::MAX)
+            .map(|i| (starts[i], i, i))
+            .collect();
         expected.sort();
-        assert_eq!(popped, expected, "no event lost or duplicated");
+        let rearms: Vec<(u64, usize, usize)> = expected
+            .iter()
+            .filter(|&&(_, _, i)| i % 5 == 0)
+            .enumerate()
+            .map(|(k, &(ms, _, i))| (ms + REARM, n + k, i))
+            .collect();
+        expected.extend(rearms);
+        expected.sort();
+        let expected: Vec<(u64, usize)> = expected.iter().map(|&(ms, _, i)| (ms, i)).collect();
+        assert_eq!(asks(&starts, u64::MAX, &gaps), expected);
     }
 }

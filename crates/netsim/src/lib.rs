@@ -7,10 +7,11 @@
 //!
 //! * [`SimTime`] / [`SimDuration`] — a millisecond-resolution simulated
 //!   clock (no wall-clock reads anywhere in the workspace);
-//! * [`EventQueue`] — a stable discrete-event queue (ties break in
-//!   insertion order, so runs are bit-for-bit reproducible);
-//! * [`TimingWheel`] — the hierarchical timing wheel backing the event
-//!   queue and the campaign scheduler: O(1) inserts, amortized-O(1)
+//! * [`drive`] — the one client driver: every client population asks
+//!   in time order, ties in schedule order, so runs are bit-for-bit
+//!   reproducible;
+//! * [`TimingWheel`] — the hierarchical timing wheel backing the client
+//!   driver and the Zipf campaign's sweep: O(1) inserts, amortized-O(1)
 //!   pops, deterministic `(time, tie)` drain order;
 //! * [`SimRng`] — a seedable xoshiro256** generator with the
 //!   distribution helpers the latency model needs (uniform, normal,
@@ -25,10 +26,10 @@
 //!
 //! The fabric is synchronous-by-exchange: a resolver asks the network to
 //! perform one query/response exchange and receives the response plus the
-//! sampled RTT. Event-driven scheduling lives one level up (probe
-//! measurement schedules in `dnsttl-atlas`), which keeps the resolver
-//! logic testable without callback plumbing — the same sans-I/O approach
-//! smoltcp takes for TCP.
+//! sampled RTT. The schedule is [`drive`]'s: a client's ask is a plain
+//! closure that resolves and returns the gap to its next ask, so the
+//! resolver logic stays testable without callback plumbing — the same
+//! sans-I/O approach smoltcp takes for TCP.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -41,7 +42,7 @@ pub mod rng;
 pub mod time;
 pub mod wheel;
 
-pub use event::EventQueue;
+pub use event::drive;
 pub use fault::{Degradation, Fault, FaultKind, FaultPlan};
 pub use latency::{LatencyModel, Region};
 pub use network::{

@@ -1,9 +1,9 @@
 //! Deterministic hierarchical timing wheel.
 //!
-//! Two hot paths in this workspace are time-keyed — the discrete-event
-//! queue ([`crate::EventQueue`]) and the Zipf campaign's probe fire
-//! schedule — and both were paying O(log n) comparator costs on
-//! `BTreeSet`/`BinaryHeap`. This module replaces those ordered
+//! Two hot paths in this workspace are time-keyed — the client driver
+//! ([`crate::drive`]), which every client population runs through, and
+//! the Zipf campaign's probe fire schedule — and both were paying
+//! O(log n) comparator costs on `BTreeSet`/`BinaryHeap`. This module replaces those ordered
 //! collections with a hashed hierarchical timing wheel in the style of
 //! Varghese & Lauck: timers are bucketed into power-of-two slot arrays
 //! whose granularity coarsens by level, so an insert is O(1) bucket

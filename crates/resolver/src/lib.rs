@@ -32,7 +32,6 @@ pub mod cache;
 pub mod ledger;
 pub mod resolver;
 pub mod snapshot;
-pub mod stub;
 
 pub use cache::{Cache, CachedAnswer, Credibility};
 pub use ledger::{
@@ -42,7 +41,6 @@ pub use ledger::{
 pub use resolver::ResolutionVerdict;
 pub use resolver::{RecursiveResolver, ResolutionOutcome, ResolverStats, RootHint};
 pub use snapshot::{CacheSnapshot, SnapshotDiff, SnapshotEntry};
-pub use stub::{HostLookup, StubConfig, StubError, StubResolver};
 
 /// The name `benchmark/src/kernels.rs` imports for the cache a resolver
 /// holds. That is [`Cache`] itself; the alias is kept for `benchmark/`

@@ -8,8 +8,8 @@
 //!    TTLs from the observed resolver population;
 //! 3. **simulates** client latency before and after the change, the
 //!    way §5.3 measured it;
-//! 4. resolves through the fixed zone with a stub resolver, as an
-//!    application would.
+//! 4. resolves through the fixed zone as an application's recursive
+//!    resolver would, cold and then warm.
 //!
 //! ```sh
 //! cargo run --release --example operator_audit
@@ -24,10 +24,8 @@ use dnsttl::core::{
 };
 use dnsttl::experiments::worlds;
 use dnsttl::netsim::{Region, SimRng, SimTime};
-use dnsttl::resolver::{RecursiveResolver, StubConfig, StubResolver};
-use dnsttl::wire::{Name, RecordType, Ttl};
-use std::cell::RefCell;
-use std::rc::Rc;
+use dnsttl::resolver::RecursiveResolver;
+use dnsttl::wire::{Name, RData, RecordType, Ttl};
 
 const UY_FEB_2019: &str = r#"
 ; .uy as the paper found it (§3.2): 300 s NS, 120 s A,
@@ -100,10 +98,10 @@ fn main() {
         before / after.max(1.0)
     );
 
-    // --- 4. Application view through a stub ---
+    // --- 4. Application view through a recursive resolver ---
     println!("\n== step 4: an application resolves through the fixed zone ==");
     let (mut net, roots) = worlds::uy_world(Ttl::DAY, Ttl::DAY);
-    let recursive = RecursiveResolver::new(
+    let mut recursive = RecursiveResolver::new(
         "isp-cache",
         ResolverPolicy::default(),
         Region::Sa,
@@ -111,19 +109,18 @@ fn main() {
         roots,
         SimRng::seed_from(4),
     );
-    let stub = StubResolver::new(StubConfig::new(Rc::new(RefCell::new(recursive))));
-    let lookup = stub
-        .lookup_host("www.gub.uy.", SimTime::ZERO, &mut net)
-        .expect("resolves");
-    println!(
-        "  www.gub.uy -> {:?} in {} (cold)",
-        lookup.addresses, lookup.elapsed
-    );
-    let warm = stub
-        .lookup_host("www.gub.uy.", SimTime::from_secs(60), &mut net)
-        .expect("resolves");
-    println!(
-        "  www.gub.uy -> {:?} in {} (warm, served from the recursive's cache)",
-        warm.addresses, warm.elapsed
-    );
+    let www = Name::parse("www.gub.uy").unwrap();
+    for (secs, how) in [(0, "cold"), (60, "warm, served from the cache")] {
+        let out = recursive.resolve(&www, RecordType::A, SimTime::from_secs(secs), &mut net);
+        let addresses: Vec<_> = out
+            .answer
+            .answers
+            .iter()
+            .filter_map(|r| match r.rdata {
+                RData::A(a) => Some(a),
+                _ => None,
+            })
+            .collect();
+        println!("  www.gub.uy -> {addresses:?} in {} ({how})", out.elapsed);
+    }
 }

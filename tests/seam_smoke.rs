@@ -1,7 +1,7 @@
 //! Thin tier-1 cases for the four seams whose full proof suites live
-//! at crate level (`cargo test --workspace`): the event queue's drain
-//! order (`netsim/tests/wheel_oracle.rs`), the SoA-vs-oracle campaign
-//! engines (`atlas/tests/soa_equivalence.rs`), the resolver's cache
+//! at crate level (`cargo test --workspace`): the client driver's ask
+//! order (`netsim/src/event.rs`, `netsim/tests/wheel_oracle.rs`), the
+//! SoA-vs-oracle campaign engines (`atlas/tests/soa_equivalence.rs`), the resolver's cache
 //! against pinned tapes (`resolver/tests/ledger_accounting.rs`), the
 //! authoritative zone
 //! index (`auth/tests/zone_model.rs`), the codec identity the exchange
@@ -24,7 +24,7 @@ use dnsttl::experiments::artifacts::{digest_lines, run_module};
 use dnsttl::experiments::worlds::{addrs, root_hints, uy_world};
 use dnsttl::experiments::ExpConfig;
 use dnsttl::netsim::{
-    ClientId, DnsService, EventQueue, LatencyModel, Network, Region, SimDuration, SimRng, SimTime,
+    drive, ClientId, DnsService, LatencyModel, Network, Region, SimDuration, SimRng, SimTime,
 };
 use dnsttl::resolver::{
     Cache, CacheStats, Credibility, RecursiveResolver, ResolutionVerdict, RootHint,
@@ -40,26 +40,36 @@ use std::rc::Rc;
 #[test]
 fn event_queue_drains_in_stable_time_order() {
     // Dense ties, scattered near futures, beyond-wheel-span times, and
-    // `u64::MAX`-adjacent sentinels: the drain must be the stable sort
-    // by fire time (ties in schedule order).
+    // `u64::MAX`-adjacent sentinels, each a client that asks once: the
+    // asks must be the stable sort by time (ties in schedule order),
+    // less the starts at `u64::MAX`, the end.
     let n = 3_200usize;
     let mut rng = SimRng::seed_from(0x5EA4_0001);
-    let mut expected: Vec<(u64, usize)> = Vec::with_capacity(n);
-    let mut q = EventQueue::new();
-    for i in 0..n {
-        let ms = match rng.below(4) {
+    let starts: Vec<u64> = (0..n)
+        .map(|_| match rng.below(4) {
             0 => 600_000,
             1 => rng.below(7_200_000),
             2 => (1 << 33) + rng.below(3),
             _ => u64::MAX - rng.below(2),
-        };
-        expected.push((ms, i));
-        q.schedule(SimTime::from_millis(ms), i);
-    }
+        })
+        .collect();
+    let mut expected: Vec<(u64, usize)> = starts
+        .iter()
+        .enumerate()
+        .filter(|&(_, &ms)| ms < u64::MAX)
+        .map(|(i, &ms)| (ms, i))
+        .collect();
     expected.sort();
-    let drained: Vec<(u64, usize)> =
-        std::iter::from_fn(|| q.pop().map(|(at, i)| (at.as_millis(), i))).collect();
-    assert_eq!(drained, expected);
+    let mut asked = Vec::with_capacity(n);
+    drive(
+        starts.iter().map(|&ms| SimTime::from_millis(ms)),
+        SimTime::from_millis(u64::MAX),
+        |now, client| {
+            asked.push((now.as_millis(), client));
+            SimDuration::from_millis(u64::MAX)
+        },
+    );
+    assert_eq!(asked, expected);
 }
 
 #[test]

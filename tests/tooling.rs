@@ -807,23 +807,26 @@ const GUARDS: &[Guard] = &[
         exempt: &[],
         files: 0,
     },
-    // `--shards` picks a worker count, not an engine: only fig10
-    // (`uy_latency.rs`) still runs one global population without it.
+    // `--shards` picks a worker count, not an engine. Two modules still
+    // run one global population: fig10 (`uy_latency.rs`) without
+    // `--shards`, and bailiwick (`bailiwick_exp.rs`) always. A third
+    // fails here.
     Guard {
         step: "one population engine outside fig10",
-        pattern: r"measure_population\(|let Some\(workers\) = cfg\.shards",
-        paths: &["crates/experiments/src"],
-        exempt: &[],
-        files: 1,
-    },
-    // The client experiments drive their clients through
-    // `worlds::drive_clients`; `passive_nl.rs` keeps its demand loop.
-    Guard {
-        step: "client experiments share one loop",
-        pattern: r"EventQueue",
+        pattern: r"measure_population\(|let Some\(workers\) = cfg\.shards|Population::build\(",
         paths: &["crates/experiments/src"],
         exempt: &[],
         files: 2,
+    },
+    // Every client population runs through `dnsttl_netsim::drive`: the
+    // event queue and the loops built on it stay gone. `tests` is left
+    // out because this file holds the pattern.
+    Guard {
+        step: "client experiments share one loop",
+        pattern: r"EventQueue|drive_clients",
+        paths: &["crates/*/src", "src", "examples"],
+        exempt: &[],
+        files: 0,
     },
     // A caller that drops the answer asks `resolve_verdict`, which
     // builds no answer message.
