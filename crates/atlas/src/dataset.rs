@@ -2,21 +2,8 @@
 
 use crate::shard::merge_by_time;
 use dnsttl_netsim::{Region, SimTime};
-use dnsttl_wire::{Name, Rcode};
+use dnsttl_wire::{fnv1a, Name, Rcode, FNV_OFFSET};
 use std::sync::Arc;
-
-/// FNV-1a offset basis: where both dataset digests start.
-pub(crate) const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-
-/// FNV-1a of `bytes` continued from `h`, the mixing step of
-/// [`Dataset::digest`] and `ZipfDataset::digest`.
-pub(crate) fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0100_0000_01b3);
-    }
-    h
-}
 
 /// One query's outcome as the measurement platform records it.
 #[derive(Debug, Clone)]

@@ -40,13 +40,12 @@
 //! the experiment's identity** — changing it repartitions probes and
 //! reseeds cells.
 
-use crate::dataset::{fnv1a, FNV_OFFSET};
 use crate::population::{DiurnalCurve, ZipfSampler};
 use crate::shard::{fan_out, merge_by_time, partition, partition_bases, FanOut, ShardProfile};
 use dnsttl_netsim::{shard_seed, LatencyModel, Network, Region, SimDuration, SimRng, TimingWheel};
 use dnsttl_resolver::{CacheStats, RecursiveResolver, RootHint};
-use dnsttl_telemetry::{MetricKey, Telemetry, TelemetryParts};
-use dnsttl_wire::{Name, Rcode, RecordType, Ttl};
+use dnsttl_telemetry::{MetricKey, Telemetry};
+use dnsttl_wire::{fnv1a, Name, Rcode, RecordType, Ttl, FNV_OFFSET};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::iter::Flatten;
@@ -334,7 +333,8 @@ impl<'a> IntoIterator for Rows<'a> {
 /// chasing one heap allocation per probe.
 #[derive(Debug, Clone, Default)]
 pub struct ProbeFrame {
-    /// Next scheduled fire time per probe, in simulated ms.
+    /// First fire time per probe, in simulated ms: the sweeps seed
+    /// their schedules from it.
     pub next_fire_ms: Vec<u64>,
     /// Popularity rank per probe (index into the name universe).
     pub rank: Vec<u32>,
@@ -419,9 +419,6 @@ pub struct ZipfOutcome {
     pub cache: CacheStats,
     /// Total resolver caches across cells.
     pub resolvers: usize,
-    /// Drained per-cell telemetry, in cell order, ready for
-    /// `Telemetry::absorb_shards` (empty when telemetry was off).
-    pub parts: Vec<TelemetryParts>,
 }
 
 /// Runtime options orthogonal to the experiment's identity: none of
@@ -434,12 +431,10 @@ pub struct ZipfRunOpts {
     pub workers: usize,
     /// Inner-loop engine (the oracle exists for differential tests).
     pub engine: ZipfEngine,
-    /// Collect telemetry parts (counters + sim-time series) per cell.
-    pub telemetry: bool,
-    /// Sim-time series bucket width, when telemetry is on.
-    pub ts_bucket_ms: u64,
-    /// Sim-time series span cap, when telemetry is on.
-    pub ts_span_cap: usize,
+    /// The handle the campaign reports into: each cell records into
+    /// one shaped like it, absorbed here in cell order. Disabled by
+    /// default.
+    pub telemetry: Telemetry,
     /// Label of the stderr heartbeat for long campaigns; `None` is
     /// silent.
     pub progress: Option<&'static str>,
@@ -450,9 +445,7 @@ impl Default for ZipfRunOpts {
         ZipfRunOpts {
             workers: 1,
             engine: ZipfEngine::Soa,
-            telemetry: false,
-            ts_bucket_ms: dnsttl_telemetry::DEFAULT_TS_BUCKET_MS,
-            ts_span_cap: dnsttl_telemetry::DEFAULT_TS_SPAN_CAP,
+            telemetry: Telemetry::disabled(),
             progress: None,
         }
     }
@@ -668,7 +661,6 @@ fn run_soa_sweep(
         frame.hits[idx] += u32::from(hit);
         let next = t + cfg.diurnal.interval_ms(base_ms, t);
         debug_assert!(next > t, "warped intervals are always positive");
-        frame.next_fire_ms[idx] = next;
         wheel.insert(next, i);
     }
 }
@@ -774,12 +766,10 @@ pub fn run_zipf_campaign_profiled(
     let plan = FanOut {
         workers: opts.workers,
         cells: cfg.cells,
-        telemetry: opts.telemetry,
-        ts_bucket_ms: opts.ts_bucket_ms,
-        ts_span_cap: opts.ts_span_cap,
         progress: opts.progress,
     };
-    let (cell_outs, parts, profile) = fan_out(&plan, |cell, telemetry| {
+    let engine = opts.engine;
+    let (cell_outs, profile) = fan_out(&plan, &opts.telemetry, |cell, telemetry| {
         let out = run_zipf_cell(
             cfg,
             &sampler,
@@ -787,17 +777,14 @@ pub fn run_zipf_campaign_profiled(
             sizes[cell],
             bases[cell] as u32,
             shard_seed(run_seed, cell as u64),
-            opts.engine,
+            engine,
             telemetry,
         );
         let progress = (cfg.duration.as_millis(), out.dataset.len() as u64);
         (out, progress)
     });
 
-    let mut outcome = ZipfOutcome {
-        parts,
-        ..ZipfOutcome::default()
-    };
+    let mut outcome = ZipfOutcome::default();
     let mut ds_parts = Vec::with_capacity(cell_outs.len());
     for out in cell_outs {
         ds_parts.push((out.dataset, outcome.resolvers as u32));

@@ -14,9 +14,11 @@
 //! nowhere else:
 //!
 //! * [`fan_out`] — the only code that builds a per-cell `Telemetry`
-//!   handle, ticks the `--progress` heartbeat and drains the handle
-//!   (`Telemetry::take_parts`). The paper experiments, the Zipf scale
-//!   campaign and `repro bench` all schedule their cells through it.
+//!   handle (shaped like the handle it is given), ticks the
+//!   `--progress` heartbeat, drains the cells' handles
+//!   (`Telemetry::take_parts`) and absorbs them into the given one in
+//!   cell order. The paper experiments, the Zipf scale campaign and
+//!   `repro bench` all schedule their cells through it.
 //! * [`population_campaign`] — the population cell loop: partition the
 //!   probes, seed each cell, run [`measure_population`] in it, rebase
 //!   and sum.
@@ -37,7 +39,7 @@ use crate::population::{Population, PopulationConfig};
 use crate::progress::ProgressSink;
 use dnsttl_netsim::{shard_seed, Network, SimRng};
 use dnsttl_resolver::RootHint;
-use dnsttl_telemetry::{Telemetry, TelemetryParts};
+use dnsttl_telemetry::Telemetry;
 use std::cmp::Reverse;
 use std::collections::binary_heap::PeekMut;
 use std::collections::BinaryHeap;
@@ -208,8 +210,7 @@ where
 
 /// Everything about a fan-out that is not the job itself. None of it
 /// may change an output byte: the worker count and the heartbeat are
-/// throughput and stderr only, and telemetry only adds observability
-/// artifacts.
+/// throughput and stderr only.
 #[derive(Debug, Clone, Copy)]
 pub struct FanOut<'a> {
     /// Worker threads requested (`--shards`); [`fan_out`] caps them at
@@ -218,27 +219,16 @@ pub struct FanOut<'a> {
     /// Logical cells to run — unlike `workers`, part of the
     /// experiment's identity.
     pub cells: usize,
-    /// Give each cell an enabled telemetry handle and return its
-    /// drained parts.
-    pub telemetry: bool,
-    /// Sim-time series bucket width of every per-cell handle, so shard
-    /// merges see nesting bucket boundaries.
-    pub ts_bucket_ms: u64,
-    /// Sim-time series span cap of every per-cell handle.
-    pub ts_span_cap: usize,
     /// Label of the stderr heartbeat (`--progress`); `None` is silent.
     pub progress: Option<&'a str>,
 }
 
 impl<'a> FanOut<'a> {
-    /// A silent fan-out with telemetry off.
+    /// A silent fan-out.
     pub fn new(workers: usize, cells: usize) -> FanOut<'a> {
         FanOut {
             workers,
             cells,
-            telemetry: false,
-            ts_bucket_ms: dnsttl_telemetry::DEFAULT_TS_BUCKET_MS,
-            ts_span_cap: dnsttl_telemetry::DEFAULT_TS_SPAN_CAP,
             progress: None,
         }
     }
@@ -264,45 +254,43 @@ impl<'a> FanOut<'a> {
 }
 
 /// Runs `plan.cells` independent jobs on `plan.workers` threads (capped
-/// at the host's cores), each against its own telemetry handle, and
-/// returns the results, the drained per-cell telemetry and the
-/// wall-clock profile — results and telemetry in cell order, so
-/// whatever the caller folds them into (`Telemetry::absorb_shards`,
-/// the merges below) is worker-count-invariant. With `plan.telemetry`
-/// off the handles are disabled and the parts vector is empty.
+/// at the host's cores), each against a telemetry handle of its own,
+/// and returns the results in cell order and the wall-clock profile.
+///
+/// Each cell's handle is built like `telemetry`: enabled only if it is,
+/// its sim-time series the same width and cap, so their buckets nest
+/// when they merge. The drained cells are absorbed into `telemetry` in
+/// cell order, which makes the merged exports worker-count-invariant.
 ///
 /// A job returns its result plus `(sim-time frontier in ms, events
 /// processed)` for the heartbeat, which goes to stderr only: the
 /// deterministic artifacts never see the wall clock behind it, nor the
 /// [`ShardProfile`].
-pub fn fan_out<T, F>(plan: &FanOut<'_>, job: F) -> (Vec<T>, Vec<TelemetryParts>, ShardProfile)
+pub fn fan_out<T, F>(plan: &FanOut<'_>, telemetry: &Telemetry, job: F) -> (Vec<T>, ShardProfile)
 where
     T: Send,
     F: Fn(usize, &Telemetry) -> (T, (u64, u64)) + Sync,
 {
+    let series = telemetry.timeseries_config();
     let progress = plan.heartbeat();
     let (cells, profile) = run_cells(plan.threads(), plan.cells, |cell| {
-        let telemetry = if plan.telemetry {
-            Telemetry::new()
-        } else {
-            Telemetry::disabled()
+        let cell_telemetry = match series {
+            Some((width_ms, span_cap)) => {
+                let enabled = Telemetry::new();
+                enabled.configure_timeseries(width_ms, span_cap);
+                enabled
+            }
+            None => Telemetry::disabled(),
         };
-        telemetry.configure_timeseries(plan.ts_bucket_ms, plan.ts_span_cap);
-        let (out, (frontier_ms, events)) = job(cell, &telemetry);
+        let (out, (frontier_ms, events)) = job(cell, &cell_telemetry);
         if let Some(sink) = &progress {
             sink.cell_finished(frontier_ms, events);
         }
-        (out, plan.telemetry.then(|| telemetry.take_parts()))
+        (out, series.map(|_| cell_telemetry.take_parts()))
     });
-    let mut parts = Vec::new();
-    let outs = cells
-        .into_iter()
-        .map(|(out, cell_parts)| {
-            parts.extend(cell_parts);
-            out
-        })
-        .collect();
-    (outs, parts, profile)
+    let (outs, parts): (Vec<T>, Vec<_>) = cells.into_iter().unzip();
+    telemetry.absorb_shards(parts.into_iter().flatten().collect());
+    (outs, profile)
 }
 
 /// Streams the rows of per-cell parts in `(at(row), part index)`
@@ -430,18 +418,18 @@ pub fn measure_population(
 /// The cell count, unlike the worker count, is part of the campaign's
 /// identity (different partitions, different per-cell seeds).
 ///
-/// Returns the merged outcome and the per-cell telemetry for the
-/// caller to absorb.
+/// The cells report into `telemetry` through [`fan_out`].
 pub fn population_campaign(
     plan: &FanOut<'_>,
+    telemetry: &Telemetry,
     run_seed: u64,
     probes: usize,
     spec: &MeasurementSpec,
     world: impl Fn() -> (Network, Vec<RootHint>, Option<IpAddr>) + Sync,
-) -> (ShardedOutcome, Vec<TelemetryParts>) {
+) -> ShardedOutcome {
     let sizes = partition(probes, plan.cells);
     let bases = partition_bases(&sizes);
-    let (cells, parts, _) = fan_out(plan, |cell, telemetry| {
+    let (cells, _) = fan_out(plan, telemetry, |cell, telemetry| {
         let seed = shard_seed(run_seed, cell as u64);
         let out = measure_population(
             &world,
@@ -468,7 +456,7 @@ pub fn population_campaign(
         outcome.auth_sources += out.auth_sources;
     }
     outcome.dataset = Dataset::merge_shards(dataset_parts);
-    (outcome, parts)
+    outcome
 }
 
 #[cfg(test)]

@@ -10,6 +10,7 @@
 //! construction; this suite is what keeps it true.
 
 use dnsttl_atlas::{ZipfCampaignConfig, ZipfEngine, ZipfOutcome, ZipfRunOpts};
+use dnsttl_netsim::SimDuration;
 use dnsttl_telemetry::Telemetry;
 
 fn campaign(cells: usize) -> ZipfCampaignConfig {
@@ -18,27 +19,31 @@ fn campaign(cells: usize) -> ZipfCampaignConfig {
     cfg
 }
 
-fn run(cfg: &ZipfCampaignConfig, seed: u64, engine: ZipfEngine, workers: usize) -> ZipfOutcome {
+/// Runs the campaign reporting into a fresh enabled handle; returns
+/// the outcome and the handle's two deterministic artifacts.
+fn run(
+    cfg: &ZipfCampaignConfig,
+    seed: u64,
+    engine: ZipfEngine,
+    workers: usize,
+) -> (ZipfOutcome, (String, String)) {
     let opts = ZipfRunOpts {
         workers,
         engine,
-        telemetry: true,
+        telemetry: Telemetry::new(),
         ..ZipfRunOpts::default()
     };
-    dnsttl_atlas::run_zipf_campaign(cfg, seed, &opts)
-}
-
-/// Folds an outcome's drained per-cell telemetry into a fresh handle
-/// and renders the two deterministic artifacts.
-fn telemetry_artifacts(outcome: ZipfOutcome) -> (String, String) {
-    let telemetry = Telemetry::new();
-    telemetry.absorb_shards(outcome.parts);
-    (telemetry.timeseries_jsonl(), telemetry.prometheus_text())
+    let outcome = dnsttl_atlas::run_zipf_campaign(cfg, seed, &opts);
+    let artifacts = (
+        opts.telemetry.timeseries_jsonl(),
+        opts.telemetry.prometheus_text(),
+    );
+    (outcome, artifacts)
 }
 
 fn assert_bit_identical(cfg: &ZipfCampaignConfig, seed: u64, label: &str) {
-    let soa = run(cfg, seed, ZipfEngine::Soa, 1);
-    let oracle = run(cfg, seed, ZipfEngine::Oracle, 1);
+    let (soa, (soa_ts, soa_prom)) = run(cfg, seed, ZipfEngine::Soa, 1);
+    let (oracle, (oracle_ts, oracle_prom)) = run(cfg, seed, ZipfEngine::Oracle, 1);
 
     // Row-level equality first (the digest alone would hide where a
     // divergence starts); then the digest, which the bench gate uses.
@@ -67,8 +72,6 @@ fn assert_bit_identical(cfg: &ZipfCampaignConfig, seed: u64, label: &str) {
     // Telemetry: both engines must emit the same counters at the same
     // simulated instants, so the rendered artifacts match byte for
     // byte.
-    let (soa_ts, soa_prom) = telemetry_artifacts(soa);
-    let (oracle_ts, oracle_prom) = telemetry_artifacts(oracle);
     assert_eq!(soa_ts, oracle_ts, "{label}: timeseries bytes");
     assert_eq!(soa_prom, oracle_prom, "{label}: prometheus bytes");
     assert!(
@@ -115,12 +118,27 @@ fn engines_agree_above_the_linear_sweep_cutoff() {
 }
 
 #[test]
+fn engines_agree_where_reschedules_tie() {
+    // 250 probes a cell over twelve hours: here two probes are
+    // rescheduled onto one instant, so the sweep must break the tie by
+    // probe index, as the oracle's `(fire_time_ms, probe_idx)` key
+    // does. A sweep that breaks it in schedule order passes every
+    // smaller case above and fails this one.
+    let mut cfg = ZipfCampaignConfig::large(1_000);
+    cfg.cells = 4;
+    cfg.duration = SimDuration::from_hours(12);
+    for seed in [42, 1337] {
+        assert_bit_identical(&cfg, seed, &format!("tied reschedules, seed {seed}"));
+    }
+}
+
+#[test]
 fn oracle_is_worker_count_invariant_too() {
     // The differential suite leans on the 1-worker oracle; make sure
     // the oracle itself is scheduling-independent before trusting it.
     let cfg = campaign(16);
-    let one = run(&cfg, 42, ZipfEngine::Oracle, 1);
-    let eight = run(&cfg, 42, ZipfEngine::Oracle, 8);
+    let (one, _) = run(&cfg, 42, ZipfEngine::Oracle, 1);
+    let (eight, _) = run(&cfg, 42, ZipfEngine::Oracle, 8);
     assert_eq!(one.dataset.digest(), eight.dataset.digest());
     assert_eq!(one.cache, eight.cache);
 }

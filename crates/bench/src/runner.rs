@@ -430,9 +430,15 @@ fn sharded_population(config: &BenchConfig, report: &mut BenchReport) {
             let (net, roots) = crate::two_level_network(Ttl::from_secs(300));
             (net, roots, None)
         };
-        population_campaign(&plan, config.seed, probes, &spec, world)
-            .0
-            .dataset
+        population_campaign(
+            &plan,
+            &Telemetry::disabled(),
+            config.seed,
+            probes,
+            &spec,
+            world,
+        )
+        .dataset
     };
 
     let reference = run_with(1);

@@ -14,6 +14,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 
 use dnsttl_analysis::CsvWriter;
 use dnsttl_telemetry::{RunManifest, Telemetry};
+use dnsttl_wire::{fnv1a, FNV_OFFSET};
 
 use crate::{
     bailiwick_exp, centricity, controlled, crawl_exp, extensions, insight, passive_nl, resilience,
@@ -218,13 +219,6 @@ fn write_observability(module: &str, cfg: &ExpConfig, telemetry: &Telemetry, rep
     write(&format!("{module}_manifest.json"), manifest.to_json());
 }
 
-/// FNV-1a, 64-bit, over `bytes`.
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
-        (h ^ b as u64).wrapping_mul(0x0100_0000_01b3)
-    })
-}
-
 /// One line per file in `dir`, sorted by file name:
 /// `<run> <module> <file> <bytes> <fnv1a64 as 16 hex digits>` — the
 /// rows of `tests/data/artifact_digests.txt`. `run` and `module` are
@@ -239,7 +233,7 @@ pub fn digest_lines(run: &str, module: &str, dir: &Path) -> std::io::Result<Vec<
         .map(|path| {
             let bytes = std::fs::read(path)?;
             let name = path.file_name().unwrap_or_default().to_string_lossy();
-            let (len, digest) = (bytes.len(), fnv1a64(&bytes));
+            let (len, digest) = (bytes.len(), fnv1a(FNV_OFFSET, &bytes));
             Ok(format!("{run} {module} {name} {len} {digest:016x}"))
         })
         .collect()
@@ -251,9 +245,9 @@ mod tests {
 
     #[test]
     fn fnv1a64_matches_the_reference_vectors() {
-        assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
-        assert_eq!(fnv1a64(b"a"), 0xaf63_dc4c_8601_ec8c);
-        assert_eq!(fnv1a64(b"foobar"), 0x8594_4171_f739_67e8);
+        assert_eq!(fnv1a(FNV_OFFSET, b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a(FNV_OFFSET, b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv1a(FNV_OFFSET, b"foobar"), 0x8594_4171_f739_67e8);
     }
 
     #[test]

@@ -73,52 +73,21 @@ fn run_config(cfg: &ExpConfig, out_of_bailiwick: bool) -> RunOutput {
     );
 
     let telemetry = cfg.telemetry.clone();
-    let renumber: Box<dyn FnOnce(&mut dnsttl_netsim::Network)> = if out_of_bailiwick {
-        let gtld = com.expect("out-of-bailiwick world has .com");
-        Box::new(move |_net| {
-            let mut gtld = gtld.borrow_mut();
-            let zone = gtld
-                .zone_mut(&Name::parse("com").unwrap())
-                .expect("com zone");
-            zone.replace_address(
-                &Name::parse("ns1.zurrundedu.com").unwrap(),
-                match worlds::addrs::SUB_NEW {
-                    std::net::IpAddr::V4(a) => a,
-                    _ => unreachable!(),
-                },
-                dnsttl_wire::Ttl::TWO_DAYS,
-            );
-            telemetry.count("experiment_renumbers", 1);
-            telemetry.event(RENUMBER_AT.as_millis(), EventKind::Renumber, |f| {
-                f.push("zone", "com");
-                f.push("host", "ns1.zurrundedu.com");
-                f.push("new_addr", worlds::addrs::SUB_NEW.to_string());
-                f.push("bailiwick", "out");
-            });
-        })
+    let (zone, host, bailiwick) = if out_of_bailiwick {
+        ("com", "ns1.zurrundedu.com", "out")
     } else {
-        Box::new(move |_net| {
-            let mut parent = parent.borrow_mut();
-            let zone = parent
-                .zone_mut(&Name::parse("cachetest.net").unwrap())
-                .expect("cachetest zone");
-            zone.replace_address(
-                &Name::parse("ns1.sub.cachetest.net").unwrap(),
-                match worlds::addrs::SUB_NEW {
-                    std::net::IpAddr::V4(a) => a,
-                    _ => unreachable!(),
-                },
-                dnsttl_wire::Ttl::from_secs(7_200),
-            );
-            telemetry.count("experiment_renumbers", 1);
-            telemetry.event(RENUMBER_AT.as_millis(), EventKind::Renumber, |f| {
-                f.push("zone", "cachetest.net");
-                f.push("host", "ns1.sub.cachetest.net");
-                f.push("new_addr", worlds::addrs::SUB_NEW.to_string());
-                f.push("bailiwick", "in");
-            });
-        })
+        ("cachetest.net", "ns1.sub.cachetest.net", "in")
     };
+    let renumber = Box::new(move |_: &mut dnsttl_netsim::Network| {
+        worlds::renumber(&parent, com.as_deref());
+        telemetry.count("experiment_renumbers", 1);
+        telemetry.event(RENUMBER_AT.as_millis(), EventKind::Renumber, |f| {
+            f.push("zone", zone);
+            f.push("host", host);
+            f.push("new_addr", worlds::addrs::SUB_NEW.to_string());
+            f.push("bailiwick", bailiwick);
+        });
+    });
 
     let dataset = run_measurement_with_hooks(
         &spec,

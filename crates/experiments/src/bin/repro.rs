@@ -17,7 +17,7 @@
 //! repro bench --quick --check      # paired bench suite + its in-report gates
 //! repro bench --out BENCH_report.json      # full mode, report written
 //! repro flame RUN_DIR_OR_TRACE     # collapsed stacks from sim-time spans
-//! repro doctor RUN_DIR             # audit manifests, traces, ledgers
+//! repro doctor RUN_DIR             # audit manifests, traces, time series
 //! repro timeline RUN_DIR           # sim-time series → CSV + sparklines
 //! repro diff RUN_A RUN_B           # structured run comparison (JSON verdict)
 //! ```
@@ -225,8 +225,8 @@ fn run_flame(args: &[String]) -> ! {
     std::process::exit(0);
 }
 
-/// `repro doctor`: audit a run directory's manifests, traces, and
-/// ledgers. Exits nonzero when any check fails.
+/// `repro doctor`: audit a run directory's manifests, traces and time
+/// series. Exits nonzero when any check fails.
 fn run_doctor(args: &[String]) -> ! {
     let [dir] = args else {
         eprintln!("usage: repro doctor RUN_DIR");

@@ -45,10 +45,10 @@ pub struct ExpConfig {
     /// build. Disabled by default; `repro` swaps in an enabled handle
     /// per module to collect metrics, traces, and manifests.
     pub telemetry: Telemetry,
-    /// Initial sim-time series bucket width (milliseconds). Every
-    /// telemetry handle a run creates — the per-module handle and the
-    /// per-cell shard handles — is configured with this width so that
-    /// shard merges see nesting bucket boundaries.
+    /// Initial sim-time series bucket width (milliseconds) of the
+    /// module handle `run_module` builds. The cell engine gives every
+    /// cell's handle the shape of the handle it reports into, so shard
+    /// merges see nesting bucket boundaries.
     pub ts_bucket_ms: u64,
     /// Span cap for sim-time series: a series coarsens (bucket width
     /// ×2) whenever its dense bucket span would exceed this.
@@ -104,11 +104,7 @@ impl ExpConfig {
 
     /// The seed for a named sub-experiment, derived deterministically.
     pub fn seed_for(&self, tag: &str) -> u64 {
-        let mut h: u64 = self.seed ^ 0x9E37_79B9_7F4A_7C15;
-        for b in tag.bytes() {
-            h = (h ^ b as u64).wrapping_mul(0x100_0000_01B3);
-        }
-        h
+        dnsttl_wire::fnv1a(self.seed ^ 0x9E37_79B9_7F4A_7C15, tag.as_bytes())
     }
 }
 

@@ -13,7 +13,7 @@
 //!   the paper's §5–§6 latency claims are stated in;
 //! * [`doctor_dir`] — the `repro doctor` audit: manifest/seed
 //!   consistency, trace-ring drop counters, span-tree well-formedness,
-//!   and cache-ledger conservation across a run directory.
+//!   and cache conservation across a run directory.
 
 use dnsttl_atlas::Dataset;
 use dnsttl_telemetry::{flat_get, parse_flat_object, JsonScalar, Telemetry};
@@ -523,7 +523,7 @@ impl DoctorReport {
 }
 
 /// Audits one run directory: every `<module>_manifest.json` and its
-/// `<module>_trace.jsonl`, plus any `*_ledger.jsonl` journals.
+/// `<module>_trace.jsonl` and `<module>_timeseries.jsonl`.
 ///
 /// Checks, per module: the manifest carries a seed consistent with
 /// every other manifest in the directory; every artifact it lists
@@ -641,43 +641,6 @@ pub fn doctor_dir(dir: &Path) -> DoctorReport {
                     "seed mismatch: {m} has {s}, {first_m} has {first_s}"
                 ));
             }
-        }
-    }
-
-    // Ledger journals, when a run exported them.
-    for path in &entries {
-        let Some(name) = path.file_name().and_then(|n| n.to_str()) else {
-            continue;
-        };
-        if !name.ends_with("_ledger.jsonl") {
-            continue;
-        }
-        match std::fs::read_to_string(path)
-            .map_err(|e| e.to_string())
-            .and_then(|text| dnsttl_telemetry::Journal::parse_jsonl(&text))
-        {
-            Ok(records) => {
-                let mut inserts = 0u64;
-                let mut removals = 0u64;
-                for rec in &records {
-                    if rec.op == dnsttl_telemetry::CacheOp::Insert {
-                        inserts += 1;
-                    }
-                    if rec.op.is_removal() {
-                        removals += 1;
-                    }
-                }
-                if removals <= inserts {
-                    report.ok(format!(
-                        "{name}: ledger conservation holds ({inserts} inserts >= {removals} removals)"
-                    ));
-                } else {
-                    report.fail(format!(
-                        "{name}: ledger conservation violated ({removals} removals > {inserts} inserts)"
-                    ));
-                }
-            }
-            Err(e) => report.fail(format!("{name}: unparseable ledger: {e}")),
         }
     }
 

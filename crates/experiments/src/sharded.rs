@@ -8,9 +8,8 @@
 //! merges the per-cell datasets back together in fixed cell order.
 //! `--shards N` only picks how many worker threads run the cells;
 //! without it they run on one. What is left here is the part that
-//! needs `ExpConfig` and the worlds: [`WorldSpec`], the mapping from a
-//! config to a [`FanOut`], and folding the per-cell telemetry into the
-//! module's handle.
+//! needs `ExpConfig` and the worlds: [`WorldSpec`] and the mapping from
+//! a config to a [`FanOut`] that reports into the module's handle.
 //!
 //! The determinism contract (DESIGN.md §10): the cell partition and all
 //! per-cell seeds depend only on the run seed and the cell id, never on
@@ -86,15 +85,11 @@ impl WorldSpec {
 }
 
 /// The fan-out `cfg` asks for: `cfg.shards` worker threads (default:
-/// one) over `cells` cells, per-cell telemetry configured like
-/// `cfg.telemetry`, and the `--progress` heartbeat under `tag`.
+/// one) over `cells` cells and the `--progress` heartbeat under `tag`.
 fn plan<'a>(cfg: &ExpConfig, cells: usize, tag: &'a str) -> FanOut<'a> {
     FanOut {
         workers: cfg.shards.unwrap_or(1),
         cells,
-        telemetry: cfg.telemetry.is_enabled(),
-        ts_bucket_ms: cfg.ts_bucket_ms,
-        ts_span_cap: cfg.ts_span_cap,
         progress: cfg.progress.then_some(tag),
     }
 }
@@ -106,10 +101,10 @@ pub(crate) fn cell_count(cfg: &ExpConfig) -> usize {
 }
 
 /// Runs `cells` independent jobs on `cfg.shards` threads (default:
-/// one), each against its own telemetry handle configured like
-/// `cfg.telemetry`, and folds the drained per-cell telemetry into
-/// `cfg.telemetry` in cell order — so metrics, traces, and manifests
-/// are worker-count-invariant.
+/// one), each against its own telemetry handle, which
+/// `dnsttl_atlas::fan_out` shapes like `cfg.telemetry` and absorbs into
+/// it in cell order — so metrics, traces, and manifests are
+/// worker-count-invariant.
 ///
 /// A job returns its result plus `(sim-time frontier in ms, events
 /// processed)` for the `--progress` heartbeat.
@@ -119,9 +114,7 @@ pub fn fan_out<T: Send>(
     tag: &str,
     job: impl Fn(usize, &Telemetry) -> (T, (u64, u64)) + Sync,
 ) -> Vec<T> {
-    let (outs, parts, _) = dnsttl_atlas::fan_out(&plan(cfg, cells, tag), job);
-    cfg.telemetry.absorb_shards(parts);
-    outs
+    dnsttl_atlas::fan_out(&plan(cfg, cells, tag), &cfg.telemetry, job).0
 }
 
 /// Runs one measurement campaign under the seed `cfg.seed_for(tag)`,
@@ -136,9 +129,14 @@ pub(crate) fn measurement_campaign(
     spec: &MeasurementSpec,
 ) -> ShardedOutcome {
     let fan = plan(cfg, cell_count(cfg), tag);
-    let (outcome, parts) =
-        population_campaign(&fan, cfg.seed_for(tag), cfg.probes, spec, || world.build());
-    cfg.telemetry.absorb_shards(parts);
+    let outcome = population_campaign(
+        &fan,
+        &cfg.telemetry,
+        cfg.seed_for(tag),
+        cfg.probes,
+        spec,
+        || world.build(),
+    );
     // Record latency quantiles over the *merged* dataset, never per
     // cell: the sketches then depend only on the dataset rows and stay
     // byte-identical across worker counts.

@@ -431,8 +431,6 @@ pub struct CachetestWorld {
     pub old_marker: Ipv6Addr,
     /// Marker returned by the renumbered VM.
     pub new_marker: Ipv6Addr,
-    /// True for the out-of-bailiwick configuration.
-    pub out_of_bailiwick: bool,
 }
 
 /// The marker AAAA of the original server.
@@ -556,7 +554,6 @@ pub fn cachetest_world(out_of_bailiwick: bool) -> CachetestWorld {
         com: com.map(|_| gtld),
         old_marker: OLD_MARKER,
         new_marker: NEW_MARKER,
-        out_of_bailiwick,
     }
 }
 
@@ -564,24 +561,32 @@ impl CachetestWorld {
     /// Renumbers the sub-zone's name server to the new VM: rewrites the
     /// glue in the parent zone (cachetest.net, or `.com` for the
     /// out-of-bailiwick host), exactly as §4 does nine minutes in.
-    pub fn renumber(&mut self) {
-        let new_addr = v4(addrs::SUB_NEW);
-        if self.out_of_bailiwick {
-            let gtld = self.com.as_ref().expect("out-of-bailiwick has .com");
-            let mut gtld = gtld.borrow_mut();
-            let zone = gtld.zone_mut(&name("com")).expect("com zone");
-            zone.replace_address(&name("ns1.zurrundedu.com"), new_addr, Ttl::from_secs(7_200));
-        } else {
-            let mut parent = self.parent.borrow_mut();
-            let zone = parent
-                .zone_mut(&name("cachetest.net"))
-                .expect("cachetest zone");
-            zone.replace_address(
-                &name("ns1.sub.cachetest.net"),
-                new_addr,
-                Ttl::from_secs(7_200),
-            );
-        }
+    pub fn renumber(&self) {
+        renumber(&self.parent, self.com.as_deref());
+    }
+}
+
+/// [`CachetestWorld::renumber`] over the two servers it edits: `.com`
+/// when the world has it (out of bailiwick), else the parent zone.
+pub(crate) fn renumber(
+    parent: &RefCell<AuthoritativeServer>,
+    com: Option<&RefCell<AuthoritativeServer>>,
+) {
+    let new_addr = v4(addrs::SUB_NEW);
+    if let Some(gtld) = com {
+        let mut gtld = gtld.borrow_mut();
+        let zone = gtld.zone_mut(&name("com")).expect("com zone");
+        zone.replace_address(&name("ns1.zurrundedu.com"), new_addr, Ttl::from_secs(7_200));
+    } else {
+        let mut parent = parent.borrow_mut();
+        let zone = parent
+            .zone_mut(&name("cachetest.net"))
+            .expect("cachetest zone");
+        zone.replace_address(
+            &name("ns1.sub.cachetest.net"),
+            new_addr,
+            Ttl::from_secs(7_200),
+        );
     }
 }
 

@@ -48,14 +48,10 @@ pub fn run(cfg: &ExpConfig) -> Vec<Report> {
     let opts = ZipfRunOpts {
         workers: cfg.shards.unwrap_or(1),
         engine: ZipfEngine::Soa,
-        telemetry: cfg.telemetry.is_enabled(),
-        ts_bucket_ms: cfg.ts_bucket_ms,
-        ts_span_cap: cfg.ts_span_cap,
+        telemetry: cfg.telemetry.clone(),
         progress: cfg.progress.then_some("zipf-population"),
     };
-    let mut outcome = run_zipf_campaign(&campaign, cfg.seed_for("zipf-population"), &opts);
-    cfg.telemetry
-        .absorb_shards(std::mem::take(&mut outcome.parts));
+    let outcome = run_zipf_campaign(&campaign, cfg.seed_for("zipf-population"), &opts);
     vec![render(cfg, &campaign, &outcome)]
 }
 

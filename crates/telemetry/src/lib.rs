@@ -170,6 +170,15 @@ impl Telemetry {
         }
     }
 
+    /// The initial bucket width and span cap new sim-time series start
+    /// at, as [`Telemetry::configure_timeseries`] last set them; `None`
+    /// for a disabled handle. Plain data, so a fan-out can read it on
+    /// its own thread and build every cell's handle the same shape.
+    pub fn timeseries_config(&self) -> Option<(u64, usize)> {
+        let inner = self.inner.as_ref()?;
+        Some(inner.registry.borrow().timeseries_config())
+    }
+
     /// Adds `delta` to the unlabelled counter behind a
     /// [`MetricKey`] — hot sites keep the key in a `const` — and to
     /// the counter's sim-time series in the bucket holding `t_ms`.

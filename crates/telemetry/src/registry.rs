@@ -470,6 +470,11 @@ impl Registry {
         self.span_cap = span_cap.max(1);
     }
 
+    /// The initial width and cap, as `configure_timeseries` set them.
+    pub(crate) fn timeseries_config(&self) -> (u64, usize) {
+        (self.width_hint_ms, self.span_cap)
+    }
+
     /// Everything recorded so far, leaving `self` empty with the same
     /// configuration.
     pub(crate) fn take(&mut self) -> Registry {

@@ -12,7 +12,7 @@
 //! Zone-level signing (which RRsets of a zone get signatures) lives in
 //! `dnsttl-auth`; resolver-side verification uses [`verify_rrset`].
 
-use crate::{Name, RData, RRset, Record, RecordType, Ttl};
+use crate::{fnv1a, Name, RData, RRset, Record, RecordType, Ttl, FNV_OFFSET};
 
 /// The algorithm number stamped on synthetic signatures
 /// (13 = ECDSA-P256-SHA256, the modern default).
@@ -30,15 +30,8 @@ pub(crate) fn rrset_digest(
 ) -> u64 {
     // FNV-1a over a canonical rendering; order-independence via
     // XOR-combining per-rdata digests.
-    let field = |h: &mut u64, s: &str| {
-        for b in s.bytes() {
-            *h ^= b as u64;
-            *h = h.wrapping_mul(0x100_0000_01B3);
-        }
-        *h ^= 0xFF;
-        *h = h.wrapping_mul(0x100_0000_01B3);
-    };
-    let mut h: u64 = 0xCBF2_9CE4_8422_2325;
+    let field = |h: &mut u64, s: &str| *h = fnv1a(fnv1a(*h, s.as_bytes()), &[0xFF]);
+    let mut h = FNV_OFFSET;
     field(&mut h, &name.canonical());
     field(&mut h, &rtype.to_string());
     field(&mut h, &original_ttl.as_secs().to_string());

@@ -48,5 +48,5 @@ pub use error::WireError;
 pub use message::{Header, Message, Opcode, Question, Rcode, Section};
 pub use name::Name;
 pub use rdata::{RData, RecordType, SoaData};
-pub use record::{Class, RRset, Record};
+pub use record::{fnv1a, Class, RRset, Record, FNV_OFFSET};
 pub use ttl::Ttl;

@@ -107,13 +107,17 @@ impl Record {
     }
 }
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+/// The FNV-1a-64 offset basis: the hash of no bytes, where a fresh
+/// [`fnv1a`] starts.
+pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 
-fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
+/// FNV-1a-64 of `bytes`, continued from the hash `h`: the one digest
+/// behind record fingerprints, dataset digests and the artifact digest
+/// table. Stable across runs and platforms, not collision-resistant.
+pub fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         h ^= b as u64;
-        h = h.wrapping_mul(FNV_PRIME);
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
     }
     h
 }

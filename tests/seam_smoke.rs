@@ -671,20 +671,13 @@ fn the_population_engine_is_worker_count_invariant_rows_and_telemetry() {
         (net, roots, None)
     };
     for cells in [16, 64] {
-        let run = |workers: usize, telemetry: bool| {
-            let plan = FanOut {
-                telemetry,
-                ..FanOut::new(workers, cells)
-            };
-            let (outcome, parts) = population_campaign(&plan, 0x5EA4_0008, 160, &spec, world);
-            let absorbed = Telemetry::new();
-            let cell_handles = parts.len();
-            absorbed.absorb_shards(parts);
-            (outcome, cell_handles, absorbed)
+        let run = |workers: usize, telemetry: Telemetry| {
+            let plan = FanOut::new(workers, cells);
+            let outcome = population_campaign(&plan, &telemetry, 0x5EA4_0008, 160, &spec, world);
+            (outcome, telemetry)
         };
-        let (one, handles, one_t) = run(1, true);
-        let (four, _, four_t) = run(4, true);
-        assert_eq!(handles, cells, "one drained handle per cell");
+        let (one, one_t) = run(1, Telemetry::new());
+        let (four, four_t) = run(4, Telemetry::new());
         assert_eq!(one.probes, 160);
         assert!(one.dataset.len() > 160, "cells={cells}");
         assert_eq!(one.dataset.digest(), four.dataset.digest(), "cells={cells}");
@@ -694,18 +687,24 @@ fn the_population_engine_is_worker_count_invariant_rows_and_telemetry() {
         assert_eq!(one_t.timeseries_jsonl(), four_t.timeseries_jsonl());
         assert!(one_t.events_recorded() > 0, "the cells were observed");
 
-        // Telemetry off: the same rows, and nothing built to hand back.
-        let (off, handles, _) = run(4, false);
-        assert_eq!(handles, 0);
+        // Telemetry off: the same rows.
+        let (off, _) = run(4, Telemetry::disabled());
         assert_eq!(off.dataset.digest(), one.dataset.digest(), "cells={cells}");
     }
-    // The fan-out itself, without a population: results in cell order
-    // and no parts from disabled handles.
-    let (outs, parts, profile) = fan_out(&FanOut::new(4, 8), |cell, telemetry| {
+    // The fan-out itself, without a population: results in cell order,
+    // each cell absorbed into an enabled handle exactly once, and
+    // nothing recorded into a disabled one.
+    let count_cells = |cell: usize, telemetry: &Telemetry| {
         telemetry.count("cells_total", 1);
         (cell, (0, 1))
-    });
+    };
+    let on = Telemetry::new();
+    let (outs, profile) = fan_out(&FanOut::new(4, 8), &on, count_cells);
     assert_eq!(outs, (0..8).collect::<Vec<_>>());
-    assert!(parts.is_empty());
+    assert_eq!(on.counter_value("cells_total", &[]), 8, "each cell once");
     assert_eq!(profile.cell_busy.len(), 8);
+    let off = Telemetry::disabled();
+    let (outs, _) = fan_out(&FanOut::new(4, 8), &off, count_cells);
+    assert_eq!(outs, (0..8).collect::<Vec<_>>());
+    assert_eq!(off.counter_value("cells_total", &[]), 0);
 }

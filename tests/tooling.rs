@@ -660,14 +660,25 @@ struct Guard {
 }
 
 const GUARDS: &[Guard] = &[
-    // Outside the telemetry crate, `take_parts()` is called from one
-    // file (`atlas/src/shard.rs`): a second copy of the fan-out fails.
+    // Outside the telemetry crate, cells are drained and absorbed in
+    // one file (`atlas/src/shard.rs`): a second copy of the fan-out, or
+    // a caller absorbing parts itself, fails.
     Guard {
         step: "single owner of the telemetry hand-off",
-        pattern: r"take_parts\(\)",
+        pattern: r"take_parts\(\)|absorb_shards\(",
         paths: &["crates/*/src"],
         exempt: &["crates/telemetry/"],
         files: 1,
+    },
+    // A cell's series shape is read off the handle it reports into;
+    // the width and the cap are settings in `config.rs` alone, and
+    // `artifacts.rs` configures the module handle from them.
+    Guard {
+        step: "one source of the series shape",
+        pattern: r"ts_bucket_ms|ts_span_cap",
+        paths: &["crates/*/src"],
+        exempt: &[],
+        files: 2,
     },
     // Which cache a resolver runs on is not a policy knob.
     Guard {
