@@ -126,6 +126,17 @@ impl DnsService for SecondaryServer {
         self.maybe_refresh(now);
         self.inner.handle_query(query, client, now)
     }
+
+    fn respond_into(
+        &mut self,
+        query: &Message,
+        client: ClientId,
+        now: SimTime,
+        response: &mut Message,
+    ) {
+        self.maybe_refresh(now);
+        self.inner.respond_into(query, client, now, response);
+    }
 }
 
 #[cfg(test)]

@@ -1,6 +1,6 @@
 //! The authoritative server: zones behind a query interface.
 
-use crate::zone::{Zone, ZoneLookup};
+use crate::zone::{Walk, Zone};
 use dnsttl_netsim::{ClientId, DnsService, SimTime};
 use dnsttl_telemetry::Telemetry;
 use dnsttl_wire::{Message, Name, Rcode};
@@ -132,6 +132,20 @@ impl AuthoritativeServer {
 
 impl DnsService for AuthoritativeServer {
     fn handle_query(&mut self, query: &Message, client: ClientId, now: SimTime) -> Message {
+        let mut response = Message::default();
+        self.respond_into(query, client, now, &mut response);
+        response
+    }
+
+    /// Fills `response` from the zone walk in place, so a recycled
+    /// message is answered without allocating.
+    fn respond_into(
+        &mut self,
+        query: &Message,
+        client: ClientId,
+        now: SimTime,
+        response: &mut Message,
+    ) {
         self.queries_answered += 1;
         if self.telemetry.is_enabled() {
             self.telemetry
@@ -145,11 +159,11 @@ impl DnsService for AuthoritativeServer {
             }
             self.last_query_at = Some(now);
         }
-        let mut response = Message::response_to(query);
+        response.reuse_as_response_to(query);
         let Some(question) = &query.question else {
             response.header.rcode = Rcode::FormErr;
             self.note_response("formerr");
-            return response;
+            return;
         };
         if let Some(log) = &mut self.log {
             log.push(LoggedQuery {
@@ -161,55 +175,42 @@ impl DnsService for AuthoritativeServer {
         let Some(zone) = self.best_zone(&question.qname) else {
             response.header.rcode = Rcode::Refused;
             self.note_response("refused");
-            return response;
+            return;
         };
-        match zone.lookup(&question.qname, question.qtype) {
-            ZoneLookup::Answer {
-                records,
-                additionals,
-                signatures,
-            } => {
+        let outcome = match zone.walk(&question.qname, question.qtype, response) {
+            Walk::Answer { records } => {
                 response.header.authoritative = true;
-                response.answers = records;
-                if self.rotate_answers && response.answers.len() > 1 {
-                    let k = (self.queries_answered % response.answers.len() as u64) as usize;
-                    response.answers.rotate_left(k);
+                // Rotation turns the answer set only: the RRSIGs
+                // covering it follow it wherever it starts.
+                // Validating resolvers need them; others ignore them.
+                if self.rotate_answers && records > 1 {
+                    let k = (self.queries_answered % records as u64) as usize;
+                    response.answers[..records].rotate_left(k);
                 }
-                // DNSSEC: the RRSIGs covering the answered RRset follow
-                // it. Validating resolvers need them; others ignore
-                // them.
-                response.answers.extend(signatures);
-                response.additionals = additionals;
-                self.note_response("answer");
+                "answer"
             }
-            ZoneLookup::Referral {
-                ns_records, glue, ..
-            } => {
+            Walk::Referral { .. } => {
                 // Referrals are NOT authoritative answers: the records
                 // land in authority/additional, and resolvers assign
                 // them lower credibility (RFC 2181 §5.4.1).
                 response.header.authoritative = false;
-                response.authorities = ns_records;
-                response.additionals = glue;
-                self.note_response("referral");
+                "referral"
             }
-            ZoneLookup::NoData { soa } => {
+            Walk::NoData => {
                 response.header.authoritative = true;
-                response.authorities.push(soa);
-                self.note_response("nodata");
+                "nodata"
             }
-            ZoneLookup::NxDomain { soa } => {
+            Walk::NxDomain => {
                 response.header.authoritative = true;
                 response.header.rcode = Rcode::NxDomain;
-                response.authorities.push(soa);
-                self.note_response("nxdomain");
+                "nxdomain"
             }
-            ZoneLookup::NotInZone => {
+            Walk::NotInZone => {
                 response.header.rcode = Rcode::Refused;
-                self.note_response("refused");
+                "refused"
             }
-        }
-        response
+        };
+        self.note_response(outcome);
     }
 }
 

@@ -5,9 +5,32 @@
 //! glue) belong to the child zone; queries for them produce referrals.
 
 use dnsttl_wire::name::NameKey;
-use dnsttl_wire::{Name, RData, Record, RecordType, SoaData, Ttl};
+use dnsttl_wire::{Message, Name, RData, Record, RecordType, SoaData, Ttl};
 use std::collections::HashMap;
 use std::net::{Ipv4Addr, Ipv6Addr};
+
+/// What [`Zone::walk`] found; its records are in the sections it filled.
+pub(crate) enum Walk<'z> {
+    /// The zone answers: the answer section holds the `records` that
+    /// answer (possibly preceded by a CNAME chain), then the RRSIGs
+    /// covering them; NS/MX targets' addresses are additionals.
+    Answer {
+        /// How many of the answer records precede the RRSIGs.
+        records: usize,
+    },
+    /// A delegation at `cut`: its NS records (parent-side TTLs) in the
+    /// authority section, glue in the additional section.
+    Referral {
+        /// The delegated zone's apex.
+        cut: &'z Name,
+    },
+    /// The name exists without the type: the SOA is the authority.
+    NoData,
+    /// The name does not exist: the SOA is the authority.
+    NxDomain,
+    /// The name is not within this zone; nothing was written.
+    NotInZone,
+}
 
 /// Result of looking a name up in one zone.
 #[derive(Debug, Clone, PartialEq)]
@@ -306,10 +329,38 @@ impl Zone {
         }
     }
 
-    /// Looks up `qname`/`qtype` following RFC 1034 §4.3.2.
+    /// Looks up `qname`/`qtype` following RFC 1034 §4.3.2: [`Zone::walk`]
+    /// into sections of its own, handed back as owned values.
     pub fn lookup(&self, qname: &Name, qtype: RecordType) -> ZoneLookup {
+        let mut out = Message::default();
+        match self.walk(qname, qtype, &mut out) {
+            Walk::Answer { records } => ZoneLookup::Answer {
+                signatures: out.answers.split_off(records),
+                records: out.answers,
+                additionals: out.additionals,
+            },
+            Walk::Referral { cut } => ZoneLookup::Referral {
+                cut: cut.clone(),
+                ns_records: out.authorities,
+                glue: out.additionals,
+            },
+            Walk::NoData => ZoneLookup::NoData {
+                soa: out.authorities.pop().expect("the walk wrote the SOA"),
+            },
+            Walk::NxDomain => ZoneLookup::NxDomain {
+                soa: out.authorities.pop().expect("the walk wrote the SOA"),
+            },
+            Walk::NotInZone => ZoneLookup::NotInZone,
+        }
+    }
+
+    /// The one RFC 1034 §4.3.2 walk: appends what the zone serves for
+    /// `qname`/`qtype` to `out`'s three sections and says what it was.
+    /// The authoritative fills its response with it in place;
+    /// [`Zone::lookup`] is the same walk into vectors of its own.
+    pub(crate) fn walk(&self, qname: &Name, qtype: RecordType, out: &mut Message) -> Walk<'_> {
         if !qname.is_subdomain_of(&self.origin) {
-            return ZoneLookup::NotInZone;
+            return Walk::NotInZone;
         }
         let (node, cut) = self.locate(qname);
 
@@ -318,39 +369,35 @@ impl Zone {
         // (still a referral per RFC 1034: the parent is not
         // authoritative below the cut).
         if let Some((cut, cut_node)) = cut {
-            let ns_records = cut_node.get(RecordType::NS).to_vec();
-            let mut glue = Vec::new();
-            for ns in &ns_records {
+            let ns_records = cut_node.get(RecordType::NS);
+            out.authorities.extend_from_slice(ns_records);
+            for ns in ns_records {
                 if let RData::Ns(target) = &ns.rdata {
                     // Glue is served for targets inside this zone's
                     // namespace (typically in-bailiwick of the cut).
                     if target.is_subdomain_of(&self.origin) {
-                        self.addresses_for(target, &mut glue);
+                        self.addresses_for(target, &mut out.additionals);
                     }
                 }
             }
-            return ZoneLookup::Referral {
-                cut: cut.clone(),
-                ns_records,
-                glue,
-            };
+            return Walk::Referral { cut };
         }
 
         // Exact-name processing.
+        let start = out.answers.len();
         let direct = rrset(node, qtype);
         if !direct.is_empty() {
-            let mut additionals = Vec::new();
+            out.answers.extend_from_slice(direct);
             for r in direct {
                 if let Some(target) = r.rdata.target_name() {
                     if r.record_type() != RecordType::CNAME {
-                        self.addresses_for(target, &mut additionals);
+                        self.addresses_for(target, &mut out.additionals);
                     }
                 }
             }
-            return ZoneLookup::Answer {
-                signatures: self.signatures(node, direct),
-                records: direct.to_vec(),
-                additionals,
+            self.sign(node, &mut out.answers, start);
+            return Walk::Answer {
+                records: direct.len(),
             };
         }
 
@@ -360,66 +407,61 @@ impl Zone {
         // answer with the partial chain rather than recurse forever.
         if qtype != RecordType::CNAME {
             if let Some(first) = rrset(node, RecordType::CNAME).first() {
-                let mut records = vec![first.clone()];
-                let mut seen: Vec<&Name> = vec![qname];
+                out.answers.push(first.clone());
                 let mut cursor = first;
                 for _ in 0..8 {
                     let RData::Cname(target) = &cursor.rdata else {
                         break;
                     };
-                    if seen.contains(&target) {
+                    // The chain's owners are the names chased so far.
+                    if out.answers[start..].iter().any(|r| r.name == *target) {
                         break; // loop: stop chasing, serve what we have
                     }
-                    seen.push(target);
                     let at_target = self.nodes.get(target);
                     let direct = rrset(at_target, qtype);
                     if !direct.is_empty() {
-                        records.extend_from_slice(direct);
+                        out.answers.extend_from_slice(direct);
                         break;
                     }
                     match rrset(at_target, RecordType::CNAME).first() {
                         Some(next) => {
-                            records.push(next.clone());
+                            out.answers.push(next.clone());
                             cursor = next;
                         }
                         None => break,
                     }
                 }
-                return ZoneLookup::Answer {
-                    signatures: self.signatures(node, &records),
-                    records,
-                    additionals: Vec::new(),
-                };
+                let records = out.answers.len() - start;
+                self.sign(node, &mut out.answers, start);
+                return Walk::Answer { records };
             }
         }
 
         // The name exists if it owns records or is an empty
         // non-terminal (an ancestor of an owner name).
+        out.authorities.push(self.soa_record());
         if node.is_some() || self.owners_below.contains_key(qname) {
-            ZoneLookup::NoData {
-                soa: self.soa_record(),
-            }
+            Walk::NoData
         } else {
-            ZoneLookup::NxDomain {
-                soa: self.soa_record(),
-            }
+            Walk::NxDomain
         }
     }
 
-    /// The RRSIGs in the query name's node that cover a type being
-    /// answered; nothing to scan in an unsigned zone.
-    fn signatures(&self, node: Option<&Node>, answer: &[Record]) -> Vec<Record> {
+    /// Appends the RRSIGs in the query name's node that cover a type in
+    /// `answers[start..]`; nothing to scan in an unsigned zone.
+    fn sign(&self, node: Option<&Node>, answers: &mut Vec<Record>, start: usize) {
         let Some(node) = node.filter(|_| self.signed_nodes > 0) else {
-            return Vec::new();
+            return;
         };
-        let covers_answer = |sig: &&Record| match &sig.rdata {
-            RData::Rrsig { type_covered, .. } => {
-                answer.iter().any(|r| r.record_type() == *type_covered)
+        let end = answers.len();
+        for sig in node.get(RecordType::RRSIG) {
+            if let RData::Rrsig { type_covered, .. } = &sig.rdata {
+                let covered = &answers[start..end];
+                if covered.iter().any(|r| r.record_type() == *type_covered) {
+                    answers.push(sig.clone());
+                }
             }
-            _ => false,
-        };
-        let sigs = node.get(RecordType::RRSIG).iter();
-        sigs.filter(covers_answer).cloned().collect()
+        }
     }
 }
 

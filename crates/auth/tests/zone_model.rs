@@ -1,6 +1,7 @@
 //! Differential test of the zone index: `Zone::lookup` and
-//! `AuthoritativeServer::handle_query` against a brute-force model of
-//! RFC 1034 §4.3.2 kept in this file.
+//! `AuthoritativeServer::handle_query` — and its `respond_into`, over the
+//! previous step's response — against a brute-force model of RFC 1034
+//! §4.3.2 kept in this file.
 //!
 //! The model is a flat `Vec<Record>` in insertion order and answers
 //! every question by linear scans over it, so it shares nothing with
@@ -358,6 +359,9 @@ fn run_seed(seed: u64, origin: &str) -> Seen {
         tag: seed,
     };
     let mut seen = Seen::default();
+    // The previous step's response, refilled in place as a recycled
+    // message is: every flag and section it held must be overwritten.
+    let mut recycled = Message::default();
 
     for step in 0..2_600 {
         // Fill the zone first, then keep mutating it under the queries.
@@ -414,6 +418,18 @@ fn run_seed(seed: u64, origin: &str) -> Seen {
         let query = Message::iterative_query(step as u16, qname, qtype);
         let response = srv.handle_query(&query, client, SimTime::from_secs(step as u64));
         assert_eq!(response, model.respond(&query), "seed {seed} step {step}");
+        srv.respond_into(
+            &query,
+            client,
+            SimTime::from_secs(step as u64),
+            &mut recycled,
+        );
+        assert_eq!(
+            recycled,
+            model.respond(&query),
+            "seed {seed} step {step}, in place"
+        );
+        recycled = response;
     }
 
     // Take the zone apart RRset by RRset: every counter must unwind to

@@ -658,7 +658,9 @@ fn wheel_churn(config: &BenchConfig, report: &mut BenchReport) {
         }
     }
 
-    // Each replay returns a digest of its pop sequence.
+    // Each replay returns a digest of its pop sequence. Not FNV-1a: one
+    // multiply per (time, timer) word, compared only with the other
+    // replay's in this process, so nothing pins its values.
     let mix = |digest: u64, t: u64, k: u32| {
         (digest ^ (t << 32 | u64::from(k))).wrapping_mul(0x100_0000_01B3)
     };

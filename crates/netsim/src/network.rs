@@ -18,6 +18,14 @@
 //! — a counted timeout. Debug builds additionally assert, on every
 //! exchange, that the answer is `encoded_len`'s, and that the real
 //! encoding has that length and decodes back to the same message.
+//!
+//! Nor is a response built afresh each time. The network keeps one
+//! spare [`Message`]; an exchange hands it to the server to fill
+//! ([`DnsService::respond_into`]) and moves it into
+//! [`ExchangeOutcome::Response`], and a caller done reading it gives it
+//! back with [`Network::recycle`]. The sections keep their capacity, so
+//! a resolver that recycles every response makes an exchange with an
+//! in-place server allocate nothing.
 
 use crate::fault::FaultPlan;
 use crate::latency::{LatencyModel, Region};
@@ -50,9 +58,27 @@ pub struct ClientId {
 ///
 /// Implemented by authoritative servers in `dnsttl-auth` (and by test
 /// doubles). Servers are synchronous: one query in, one response out.
+/// The fabric asks through [`DnsService::respond_into`], handing the
+/// server a recycled message to fill; a service that only implements
+/// [`DnsService::handle_query`] answers it with a new message, and one
+/// that fills the message in place allocates nothing once the recycled
+/// sections have grown to its responses.
 pub trait DnsService {
     /// Handles one query from `client`, producing a response.
     fn handle_query(&mut self, query: &Message, client: ClientId, now: SimTime) -> Message;
+
+    /// Handles one query from `client`, writing the response over
+    /// `response`, whatever it held: the result must equal what
+    /// [`DnsService::handle_query`] returns.
+    fn respond_into(
+        &mut self,
+        query: &Message,
+        client: ClientId,
+        now: SimTime,
+        response: &mut Message,
+    ) {
+        *response = self.handle_query(query, client, now);
+    }
 }
 
 /// A shared handle to a service; the simulation is single-threaded, so
@@ -138,6 +164,9 @@ pub struct Network {
     pub query_timeout: SimDuration,
     telemetry: Telemetry,
     faults: FaultPlan,
+    /// The message the next exchange's server fills: the last one a
+    /// caller handed back through [`Network::recycle`], or an empty one.
+    spare: Message,
 }
 
 impl Network {
@@ -150,6 +179,7 @@ impl Network {
             query_timeout: SimDuration::from_secs(2),
             telemetry: Telemetry::disabled(),
             faults: FaultPlan::new(),
+            spare: Message::default(),
         }
     }
 
@@ -238,8 +268,9 @@ impl Network {
     /// `client_region` (identified for source accounting by
     /// `client_tag`) to the server at `server`.
     ///
-    /// The server sees `query` itself and the caller gets the server's
-    /// own `Message`; the codec is asked only for their encoded lengths.
+    /// The server sees `query` itself and fills the network's spare
+    /// message, which the caller gets (and may [`Network::recycle`]);
+    /// the codec is asked only for their encoded lengths.
     /// A query or response that cannot be encoded could never have been
     /// sent: it is counted as `net_unencodable` and the caller times out.
     pub fn exchange(
@@ -364,8 +395,10 @@ impl Network {
             region: client_region,
             tag: client_tag,
         };
-        let mut response = site.service.borrow_mut().handle_query(query, client, now);
+        let mut response = std::mem::take(&mut self.spare);
+        (site.service.borrow_mut()).respond_into(query, client, now, &mut response);
         let Ok(fits) = wire_fits(&response) else {
+            self.spare = response;
             return self.unencodable(now);
         };
 
@@ -400,6 +433,13 @@ impl Network {
             message: response,
             rtt,
         }
+    }
+
+    /// Takes back a response an exchange handed out, so the next
+    /// exchange's server fills it instead of building a new message. A
+    /// caller that never recycles gets an empty message every time.
+    pub fn recycle(&mut self, message: Message) {
+        self.spare = message;
     }
 
     /// The outcome for a message the codec cannot put on the wire.
@@ -876,6 +916,64 @@ mod tests {
         let mut rng = SimRng::seed_from(7);
         let out = net.exchange(Region::Eu, 0, addr(1), &query(), SimTime::ZERO, &mut rng);
         assert!(!out.response().unwrap().header.truncated);
+    }
+
+    /// A server that fills the message it is handed: one answer record,
+    /// no flag of its own.
+    struct InPlace;
+
+    impl DnsService for InPlace {
+        fn handle_query(&mut self, query: &Message, client: ClientId, now: SimTime) -> Message {
+            let mut r = Message::default();
+            self.respond_into(query, client, now, &mut r);
+            r
+        }
+
+        fn respond_into(&mut self, query: &Message, _: ClientId, _: SimTime, r: &mut Message) {
+            r.reuse_as_response_to(query);
+            let owner = query.question.as_ref().expect("asked").qname.clone();
+            (r.answers).push(Record::new(
+                owner,
+                Ttl::MINUTE,
+                RData::A(Ipv4Addr::LOCALHOST),
+            ));
+        }
+    }
+
+    #[test]
+    fn a_recycled_message_comes_back_as_a_clean_response() {
+        let mut net = Network::new(LatencyModel::constant(5.0));
+        net.register(addr(1), Region::Eu, Rc::new(RefCell::new(InPlace)));
+        let mut rng = SimRng::seed_from(14);
+        let stale = Record::new(Name::root(), Ttl::HOUR, RData::A(Ipv4Addr::BROADCAST));
+        let mut dirty =
+            Message::iterative_query(9, Name::parse("old.example").unwrap(), RecordType::NS);
+        dirty.header.response = true;
+        dirty.header.truncated = true;
+        dirty.header.authoritative = true;
+        dirty.header.recursion_available = true;
+        dirty.header.rcode = Rcode::ServFail;
+        dirty.answers = vec![stale.clone(); 3];
+        dirty.authorities = vec![stale.clone(); 2];
+        dirty.additionals = vec![stale; 2];
+        net.recycle(dirty);
+        let out = net.exchange(Region::Eu, 0, addr(1), &query(), SimTime::ZERO, &mut rng);
+        let ExchangeOutcome::Response { message, .. } = out else {
+            panic!("the server answers");
+        };
+        let expected = InPlace.handle_query(
+            &query(),
+            ClientId {
+                region: Region::Eu,
+                tag: 0,
+            },
+            SimTime::ZERO,
+        );
+        assert_eq!(message, expected);
+        assert!(
+            message.answers.capacity() >= 3,
+            "the sections keep their capacity"
+        );
     }
 
     #[test]

@@ -787,6 +787,15 @@ mod tests {
         }
     }
 
+    /// The entry table's slot, pinned beside the public hot types in
+    /// `tests/type_sizes.rs`: paper-scale fig3 holds about two million
+    /// of them. A change that grows it re-pins it and says why.
+    #[cfg(target_pointer_width = "64")]
+    #[test]
+    fn a_cache_slot_keeps_its_pinned_size() {
+        assert_eq!(std::mem::size_of::<((Name, RecordType), Entry)>(), 160);
+    }
+
     #[test]
     fn ttl_decrements_with_age() {
         let mut c = Cache::new();

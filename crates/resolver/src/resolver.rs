@@ -152,6 +152,77 @@ struct BackoffState {
     until: SimTime,
 }
 
+/// A zone's server addresses, in the order they are tried: inline up to
+/// [`Candidates::INLINE`], on the heap past it, so a miss asks the
+/// allocator for none of them and no NS set is cut short.
+struct Candidates {
+    len: usize,
+    inline: [IpAddr; Candidates::INLINE],
+    /// Every address once there are more than `INLINE`; empty until then.
+    spilled: Vec<IpAddr>,
+}
+
+impl Candidates {
+    /// The root's thirteen; no NS set a world builds has more.
+    const INLINE: usize = 13;
+
+    fn new() -> Candidates {
+        Candidates {
+            len: 0,
+            inline: [IpAddr::from([0, 0, 0, 0]); Candidates::INLINE],
+            spilled: Vec::new(),
+        }
+    }
+
+    fn push(&mut self, addr: IpAddr) {
+        if self.len < Candidates::INLINE {
+            self.inline[self.len] = addr;
+        } else {
+            if self.spilled.is_empty() {
+                self.spilled.extend_from_slice(&self.inline);
+            }
+            self.spilled.push(addr);
+        }
+        self.len += 1;
+    }
+
+    /// `Vec::insert(0, addr)`: the others move back one place.
+    fn push_front(&mut self, addr: IpAddr) {
+        self.push(addr);
+        self.rotate_right(1);
+    }
+}
+
+impl std::ops::Deref for Candidates {
+    type Target = [IpAddr];
+
+    fn deref(&self) -> &[IpAddr] {
+        if self.len <= Candidates::INLINE {
+            &self.inline[..self.len]
+        } else {
+            &self.spilled
+        }
+    }
+}
+
+impl std::ops::DerefMut for Candidates {
+    fn deref_mut(&mut self) -> &mut [IpAddr] {
+        if self.len <= Candidates::INLINE {
+            &mut self.inline[..self.len]
+        } else {
+            &mut self.spilled
+        }
+    }
+}
+
+impl FromIterator<IpAddr> for Candidates {
+    fn from_iter<I: IntoIterator<Item = IpAddr>>(addrs: I) -> Candidates {
+        let mut candidates = Candidates::new();
+        addrs.into_iter().for_each(|addr| candidates.push(addr));
+        candidates
+    }
+}
+
 /// Per-question bookkeeping threaded through recursion.
 struct Ctx {
     elapsed: SimDuration,
@@ -564,91 +635,109 @@ impl RecursiveResolver {
                 return self.fail_or_stale(qname, qtype, now, answer);
             };
 
-            // Cache everything the response taught us, with ranks by
-            // section and AA status, and provenance from this exchange.
-            self.ingest(&response, now, from_root, &zone, server);
+            // What the response decides, then the one point that hands
+            // it back to the network: `None` goes round the loop again.
+            let settled = 'settled: {
+                // Cache everything the response taught us, with ranks by
+                // section and AA status, and provenance from this exchange.
+                self.ingest(&response, now, from_root, &zone, server);
 
-            // The cut a referral delegates to, found once: the event
-            // below and the lame-delegation check both read it.
-            let referral_cut = referral_cut(&response);
-            if let Some(cut) = referral_cut {
-                self.telemetry
-                    .span_event(ctx.span, now.as_millis(), EventKind::Referral, |f| {
-                        f.push_shared("zone", zone.shared());
-                        f.push_shared("cut", cut.shared());
-                    });
-            }
-
-            if response.header.rcode == Rcode::NxDomain {
-                self.cache_negative_from(&response, &current, qtype, now);
-                return Resolved::Negative(Rcode::NxDomain);
-            }
-
-            if response.header.authoritative && !response.answers.is_empty() {
-                // CNAME? chase within the loop.
-                let direct = response
-                    .answers
-                    .iter()
-                    .filter(|r| r.name == current && r.record_type() == qtype);
-                if direct.clone().next().is_some() {
-                    if self.policy.validate_dnssec
-                        && !self.validate_answer(&current, qtype, direct.clone(), &response, now)
-                    {
-                        self.telemetry.span_event(
-                            ctx.span,
-                            now.as_millis(),
-                            EventKind::ValidationFailure,
-                            |f| f.push_shared("qname", current.shared()),
-                        );
-                        return Resolved::Fail; // bogus data ⇒ SERVFAIL
-                    }
-                    // Prefer the cache view (clamped, coherent TTLs);
-                    // fall back to raw records for uncacheable TTL-0.
-                    if !self.answer_from_cache(&current, qtype, now, answer) {
-                        let clamp = |r: &'_ Record| self.policy.clamp_ttl(r.ttl);
-                        answer.extend(direct.map(|r| (&r.name, clamp(r), &r.rdata)));
-                    }
-                    return Resolved::Answer { stale: false };
+                // The cut a referral delegates to, found once: the event
+                // below and the lame-delegation check both read it.
+                let referral_cut = referral_cut(&response);
+                if let Some(cut) = referral_cut {
+                    self.telemetry.span_event(
+                        ctx.span,
+                        now.as_millis(),
+                        EventKind::Referral,
+                        |f| {
+                            f.push_shared("zone", zone.shared());
+                            f.push_shared("cut", cut.shared());
+                        },
+                    );
                 }
-                if qtype != RecordType::CNAME {
-                    if let Some(cname) = response
+
+                if response.header.rcode == Rcode::NxDomain {
+                    self.cache_negative_from(&response, &current, qtype, now);
+                    break 'settled Some(Resolved::Negative(Rcode::NxDomain));
+                }
+
+                if response.header.authoritative && !response.answers.is_empty() {
+                    // CNAME? chase within the loop.
+                    let direct = response
                         .answers
                         .iter()
-                        .find(|r| r.name == current && r.record_type() == RecordType::CNAME)
-                    {
-                        let ttl = self.policy.clamp_ttl(cname.ttl);
-                        answer.extend(std::iter::once((&cname.name, ttl, &cname.rdata)));
-                        if answer.len > MAX_DEPTH {
-                            return Resolved::Fail;
+                        .filter(|r| r.name == current && r.record_type() == qtype);
+                    if direct.clone().next().is_some() {
+                        if self.policy.validate_dnssec
+                            && !self.validate_answer(
+                                &current,
+                                qtype,
+                                direct.clone(),
+                                &response,
+                                now,
+                            )
+                        {
+                            self.telemetry.span_event(
+                                ctx.span,
+                                now.as_millis(),
+                                EventKind::ValidationFailure,
+                                |f| f.push_shared("qname", current.shared()),
+                            );
+                            break 'settled Some(Resolved::Fail); // bogus data ⇒ SERVFAIL
                         }
-                        if let RData::Cname(target) = &cname.rdata {
-                            current = target.clone();
-                            continue;
+                        // Prefer the cache view (clamped, coherent TTLs);
+                        // fall back to raw records for uncacheable TTL-0.
+                        if !self.answer_from_cache(&current, qtype, now, answer) {
+                            let clamp = |r: &'_ Record| self.policy.clamp_ttl(r.ttl);
+                            answer.extend(direct.map(|r| (&r.name, clamp(r), &r.rdata)));
+                        }
+                        break 'settled Some(Resolved::Answer { stale: false });
+                    }
+                    if qtype != RecordType::CNAME {
+                        if let Some(cname) = response
+                            .answers
+                            .iter()
+                            .find(|r| r.name == current && r.record_type() == RecordType::CNAME)
+                        {
+                            let ttl = self.policy.clamp_ttl(cname.ttl);
+                            answer.extend(std::iter::once((&cname.name, ttl, &cname.rdata)));
+                            if answer.len > MAX_DEPTH {
+                                break 'settled Some(Resolved::Fail);
+                            }
+                            if let RData::Cname(target) = &cname.rdata {
+                                current = target.clone();
+                                break 'settled None;
+                            }
                         }
                     }
+                    // Authoritative answer that does not answer the
+                    // question (misconfigured server): give up.
+                    break 'settled Some(Resolved::Fail);
                 }
-                // Authoritative answer that does not answer the
-                // question (misconfigured server): give up.
-                return Resolved::Fail;
-            }
 
-            if let Some(cut) = referral_cut {
-                // Lame referral: the cut must be deeper than the zone
-                // we asked, or we would loop forever.
-                if !cut.is_strict_subdomain_of(&zone) && *cut != current {
-                    return Resolved::Fail;
+                if let Some(cut) = referral_cut {
+                    // Lame referral: the cut must be deeper than the zone
+                    // we asked, or we would loop forever.
+                    if !cut.is_strict_subdomain_of(&zone) && *cut != current {
+                        break 'settled Some(Resolved::Fail);
+                    }
+                    break 'settled None;
                 }
-                continue;
-            }
 
-            if response.header.authoritative && response.answers.is_empty() {
-                // NODATA.
-                self.cache_negative_from(&response, &current, qtype, now);
-                return Resolved::Negative(Rcode::NoError);
-            }
+                if response.header.authoritative && response.answers.is_empty() {
+                    // NODATA.
+                    self.cache_negative_from(&response, &current, qtype, now);
+                    break 'settled Some(Resolved::Negative(Rcode::NoError));
+                }
 
-            // Anything else (REFUSED, FORMERR from every server…).
-            return Resolved::Fail;
+                // Anything else (REFUSED, FORMERR from every server…).
+                Some(Resolved::Fail)
+            };
+            net.recycle(response);
+            if let Some(resolved) = settled {
+                return resolved;
+            }
         }
         Resolved::Fail
     }
@@ -788,7 +877,7 @@ impl RecursiveResolver {
         now: SimTime,
         net: &mut Network,
         ctx: &mut Ctx,
-    ) -> Option<(Name, Vec<IpAddr>)> {
+    ) -> Option<(Name, Candidates)> {
         // Deepest first; the root (the one suffix without a label) is
         // the hints' job.
         for suffix in name.suffixes().take_while(|s| !s.label().is_empty()) {
@@ -803,7 +892,7 @@ impl RecursiveResolver {
                         RData::Ns(n) => Some(n),
                         _ => None,
                     });
-                    let candidates: Vec<IpAddr> = targets
+                    let candidates: Candidates = targets
                         .clone()
                         .filter_map(|t| self.cached_address(t, now))
                         .collect();
@@ -872,7 +961,7 @@ impl RecursiveResolver {
             }
         }
         // Root hints.
-        let mut candidates: Vec<IpAddr> = self.roots.iter().map(|h| h.addr).collect();
+        let mut candidates: Candidates = self.roots.iter().map(|h| h.addr).collect();
         if candidates.is_empty() {
             return None;
         }
@@ -903,7 +992,7 @@ impl RecursiveResolver {
     /// Rotates candidates (resolvers rotate across authoritatives,
     /// paper §3.4 / [37]); sticky resolvers pin their remembered server
     /// to the front instead.
-    fn order_candidates(&mut self, zone: &Name, candidates: &mut Vec<IpAddr>) {
+    fn order_candidates(&mut self, zone: &Name, candidates: &mut Candidates) {
         self.rng.shuffle(candidates);
         if self.policy.sticky {
             if let Some(&addr) = self.sticky_server.get(zone) {
@@ -912,7 +1001,7 @@ impl RecursiveResolver {
                 } else {
                     // The sticky address may no longer be in the NS set
                     // (renumbered); stay loyal to it anyway.
-                    candidates.insert(0, addr);
+                    candidates.push_front(addr);
                 }
             }
         }
@@ -951,8 +1040,9 @@ impl RecursiveResolver {
                 ctx.elapsed = ctx.elapsed + outcome.elapsed();
                 // RFC 1035 §4.2.1: a truncated UDP response is retried
                 // over TCP (extra handshake RTT, counted above).
-                if let ExchangeOutcome::Response { message, .. } = &outcome {
+                if let ExchangeOutcome::Response { message, .. } = &mut outcome {
                     if message.header.truncated {
+                        net.recycle(std::mem::take(message));
                         bump(
                             &mut self.stats.tcp_fallbacks,
                             &self.telemetry,
@@ -1008,7 +1098,10 @@ impl RecursiveResolver {
                                 return Some((message, from_root, *addr));
                             }
                             // REFUSED / SERVFAIL / …: try the next server.
-                            _ => break,
+                            _ => {
+                                net.recycle(message);
+                                break;
+                            }
                         }
                     }
                     ExchangeOutcome::Timeout { .. } => {
@@ -1308,6 +1401,27 @@ mod tests {
 
     fn ip(last: u8) -> IpAddr {
         IpAddr::V4(Ipv4Addr::new(198, 51, 100, last))
+    }
+
+    #[test]
+    fn candidates_spill_past_the_inline_count_and_keep_vec_order() {
+        // Inline, at the boundary and spilled: the same slice a vector
+        // holds after the same pushes, the same shuffle and a front insert.
+        for count in [0, 1, Candidates::INLINE, Candidates::INLINE + 1, 40] {
+            let addrs = (0..count as u8).map(ip);
+            let (mut inline, mut vec): (Candidates, Vec<IpAddr>) =
+                (addrs.clone().collect(), addrs.collect());
+            assert_eq!(&inline[..], &vec[..], "{count} collected");
+            SimRng::seed_from(7).shuffle(&mut inline);
+            SimRng::seed_from(7).shuffle(&mut vec);
+            inline.push_front(ip(200));
+            vec.insert(0, ip(200));
+            assert_eq!(
+                &inline[..],
+                &vec[..],
+                "{count} shuffled, then a front insert"
+            );
+        }
     }
 
     /// Builds the paper's Table 1 world: a root delegating `.cl` with

@@ -233,17 +233,34 @@ impl Message {
 
     /// Starts a response to `query`, echoing ID and question.
     pub fn response_to(query: &Message) -> Message {
-        Message {
-            header: Header {
-                id: query.header.id,
-                response: true,
-                opcode: query.header.opcode,
-                recursion_desired: query.header.recursion_desired,
-                ..Header::default()
-            },
-            question: query.question.clone(),
-            ..Message::default()
-        }
+        let mut response = Message::default();
+        response.reuse_as_response_to(query);
+        response
+    }
+
+    /// Turns this message, whatever it held, into
+    /// [`Message::response_to`]`(query)`, keeping the three sections'
+    /// capacity: a recycled response is filled without allocating.
+    pub fn reuse_as_response_to(&mut self, query: &Message) {
+        // Destructured, so a new field cannot be left stale.
+        let Message {
+            header,
+            question,
+            answers,
+            authorities,
+            additionals,
+        } = self;
+        *header = Header {
+            id: query.header.id,
+            response: true,
+            opcode: query.header.opcode,
+            recursion_desired: query.header.recursion_desired,
+            ..Header::default()
+        };
+        question.clone_from(&query.question);
+        answers.clear();
+        authorities.clear();
+        additionals.clear();
     }
 
     /// Iterates `(section, record)` over all three response sections.

@@ -30,7 +30,8 @@
 //!   borrowed [`NameSuffix`]es, and a map keyed on `Name` can be probed
 //!   with one through [`NameKey`] — no ancestor `Name` is built.
 
-use crate::WireError;
+use crate::record::fnv1a_step;
+use crate::{WireError, FNV_OFFSET};
 use std::fmt;
 use std::sync::{Arc, OnceLock};
 
@@ -64,12 +65,8 @@ pub struct Name {
 
 /// FNV-1a over case-folded bytes — the cached `Name::hash` value.
 fn folded_fnv(repr: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in repr.as_bytes() {
-        h ^= b.to_ascii_lowercase() as u64;
-        h = h.wrapping_mul(0x0100_0000_01b3);
-    }
-    h
+    let bytes = repr.as_bytes().iter();
+    bytes.fold(FNV_OFFSET, |h, b| fnv1a_step(h, b.to_ascii_lowercase()))
 }
 
 impl Name {

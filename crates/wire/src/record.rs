@@ -114,12 +114,14 @@ pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 /// FNV-1a-64 of `bytes`, continued from the hash `h`: the one digest
 /// behind record fingerprints, dataset digests and the artifact digest
 /// table. Stable across runs and platforms, not collision-resistant.
-pub fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
+pub fn fnv1a(h: u64, bytes: &[u8]) -> u64 {
+    bytes.iter().fold(h, |h, &b| fnv1a_step(h, b))
+}
+
+/// One FNV-1a-64 step: `byte` folded into the hash `h`. [`fnv1a`] and
+/// `Name`'s case-folded hash both take it, so the prime is spelled once.
+pub(crate) fn fnv1a_step(h: u64, byte: u8) -> u64 {
+    (h ^ byte as u64).wrapping_mul(0x0000_0100_0000_01b3)
 }
 
 impl fmt::Display for Record {

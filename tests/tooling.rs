@@ -839,6 +839,17 @@ const GUARDS: &[Guard] = &[
         exempt: &[],
         files: 0,
     },
+    // The authoritative fills its response from `Zone::walk` in place.
+    // `ZoneLookup` is that walk's owned form, built in `zone.rs` and read
+    // by `master.rs`'s parse test; a server or a second walk building a
+    // response from it fails.
+    Guard {
+        step: "one zone walk, filled in place",
+        pattern: r"ZoneLookup::|\.lookup\(",
+        paths: &["crates/auth/src"],
+        exempt: &[],
+        files: 2,
+    },
     // A caller that drops the answer asks `resolve_verdict`, which
     // builds no answer message.
     Guard {
