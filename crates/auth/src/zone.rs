@@ -526,19 +526,6 @@ impl ZoneBuilder {
         self
     }
 
-    /// Adds an MX record.
-    pub fn mx(mut self, owner: &str, preference: u16, exchange: &str, ttl: Ttl) -> ZoneBuilder {
-        self.zone.add(Record::new(
-            Self::name(owner),
-            ttl,
-            RData::Mx {
-                preference,
-                exchange: Self::name(exchange),
-            },
-        ));
-        self
-    }
-
     /// Adds a CNAME record.
     pub fn cname(mut self, owner: &str, target: &str, ttl: Ttl) -> ZoneBuilder {
         self.zone.add(Record::new(

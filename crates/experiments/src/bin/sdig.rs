@@ -218,21 +218,28 @@ fn print_walkthrough(telemetry: &Telemetry, from_seq: u64, json: bool) -> u64 {
 /// counts cache transactions; the ledger is where each one is kept.
 fn print_ledger(resolver: &RecursiveResolver, from: u64, json: bool) -> u64 {
     let printed = resolver.cache().with_ledger(|ledger| {
-        let journal = ledger.journal();
-        let new = (journal.total_recorded() - from) as usize;
-        for rec in journal.records().skip(journal.len().saturating_sub(new)) {
+        let new = (ledger.total_recorded() - from) as usize;
+        let records = ledger.records();
+        let seen = records.len().saturating_sub(new);
+        for rec in records.skip(seen) {
             if json {
                 println!("{}", rec.to_line());
                 continue;
             }
+            let p = &rec.provenance;
             let mut text = format!(
                 "n={} ty={} rk={} or={} bw={} tx={}",
-                rec.name, rec.rtype, rec.rank, rec.origin, rec.bailiwick, rec.txn
+                rec.name,
+                rec.rtype,
+                rec.rank.as_str(),
+                p.origin.as_str(),
+                p.bailiwick.as_str(),
+                p.txn
             );
-            if let Some(server) = rec.server {
+            if let Some(server) = p.server {
                 let _ = write!(text, " sv={server}");
             }
-            let _ = write!(text, " et={}", rec.effective_ttl);
+            let _ = write!(text, " et={}", p.effective_ttl.as_secs());
             if let Some(res) = rec.residency_ms {
                 let _ = write!(text, " res={res}");
             }
@@ -243,7 +250,7 @@ fn print_ledger(resolver: &RecursiveResolver, from: u64, json: bool) -> u64 {
                 rec.op.as_str()
             );
         }
-        journal.total_recorded()
+        ledger.total_recorded()
     });
     printed.unwrap_or(from)
 }

@@ -21,7 +21,7 @@
 use crate::config::ExpConfig;
 use crate::report::Report;
 use crate::resilience;
-use crate::worlds::{self, CachetestWorld};
+use crate::worlds::{self, name, CachetestWorld};
 use dnsttl_analysis::{ascii_cdf_multi, Ecdf, Table};
 use dnsttl_auth::{sign_zone, AuthoritativeServer, ZoneBuilder};
 use dnsttl_core::{hit_rate, PolicyMix, ResolverPolicy};
@@ -30,13 +30,9 @@ use dnsttl_netsim::{
 };
 use dnsttl_resolver::{RecursiveResolver, RootHint};
 use dnsttl_telemetry::Telemetry;
-use dnsttl_wire::{Name, RData, Rcode, RecordType, Ttl};
+use dnsttl_wire::{RData, Rcode, RecordType, Ttl};
 use std::cell::RefCell;
 use std::rc::Rc;
-
-fn n(s: &str) -> Name {
-    Name::parse(s).expect("static experiment name")
-}
 
 /// `count` default-policy resolvers in Europe named `{prefix}-{i}`,
 /// each on its own fork of `rng`.
@@ -108,7 +104,7 @@ pub(crate) fn offline_child(cfg: &ExpConfig) -> Report {
             rng.fork(i as u64),
         );
         let out = r.resolve(
-            &n("zurrundedu.com"),
+            &name("zurrundedu.com"),
             RecordType::NS,
             SimTime::ZERO,
             &mut net,
@@ -197,7 +193,7 @@ pub(crate) fn dnssec_centricity(cfg: &ExpConfig) -> Report {
                     roots.clone(),
                     rng.fork(7_000 + i as u64),
                 );
-                let out = r.resolve(&n("uy"), RecordType::NS, SimTime::ZERO, net);
+                let out = r.resolve(&name("uy"), RecordType::NS, SimTime::ZERO, net);
                 out.answer
                     .answers
                     .iter()
@@ -219,8 +215,8 @@ pub(crate) fn dnssec_centricity(cfg: &ExpConfig) -> Report {
     // Tamper: rewrite www.gub.uy's address without re-signing.
     {
         let mut child = child.borrow_mut();
-        let zone = child.zone_mut(&n("uy")).expect("uy zone");
-        zone.replace_address(&n("www.gub.uy"), "6.6.6.6".parse().unwrap(), Ttl::HOUR);
+        let zone = child.zone_mut(&name("uy")).expect("uy zone");
+        zone.replace_address(&name("www.gub.uy"), "6.6.6.6".parse().unwrap(), Ttl::HOUR);
     }
     let mut probe = |policy: ResolverPolicy, tag: u64| -> (Rcode, Option<RData>) {
         let mut r = RecursiveResolver::new(
@@ -231,7 +227,7 @@ pub(crate) fn dnssec_centricity(cfg: &ExpConfig) -> Report {
             roots.clone(),
             rng.fork(tag),
         );
-        let out = r.resolve(&n("www.gub.uy"), RecordType::A, SimTime::ZERO, &mut net);
+        let out = r.resolve(&name("www.gub.uy"), RecordType::A, SimTime::ZERO, &mut net);
         (
             out.answer.header.rcode,
             out.answer.answers.first().map(|rec| rec.rdata.clone()),
@@ -398,7 +394,7 @@ pub(crate) fn hitrate_validation(cfg: &ExpConfig) -> Report {
             if now > SimTime::ZERO + horizon {
                 break;
             }
-            let out = r.resolve(&n("www.example"), RecordType::A, now, &mut net);
+            let out = r.resolve(&name("www.example"), RecordType::A, now, &mut net);
             total += 1;
             // Only count the leaf-record hit/miss (infrastructure
             // records have their own, much longer TTLs).
@@ -471,7 +467,7 @@ pub(crate) fn load_balancing_agility(cfg: &ExpConfig) -> Report {
             .iter()
             .map(|gap| SimTime::from_millis(rng.below((*gap).max(1))));
         let mut counts = vec![0u64; backends.len()];
-        let www = n("www.example");
+        let www = name("www.example");
         drive(starts, SimTime::ZERO + horizon, |now, client| {
             let out = resolvers[client].resolve(&www, RecordType::A, now, &mut net);
             // The client uses the first answer — that backend gets
@@ -541,7 +537,7 @@ pub(crate) fn negative_ttl_load(cfg: &ExpConfig) -> Report {
         drive(starts, SimTime::ZERO + horizon, |now, client| {
             // Each client hammers one typo name (think a
             // misconfigured app retrying).
-            let qname = n(&format!("typo{client}.example"));
+            let qname = name(&format!("typo{client}.example"));
             let out = resolvers[client].resolve(&qname, RecordType::A, now, &mut net);
             debug_assert_eq!(out.answer.header.rcode, Rcode::NxDomain);
             query_gap
@@ -620,7 +616,7 @@ pub(crate) fn secondary_propagation(cfg: &ExpConfig) -> Report {
         let secondary = SecondaryServer::new(
             "ns2.example",
             primary.clone(),
-            n("example"),
+            name("example"),
             dnsttl_netsim::SimDuration::from_secs(refresh_s),
         );
         net.register("192.0.2.1".parse().unwrap(), Region::Eu, primary.clone());
@@ -641,16 +637,16 @@ pub(crate) fn secondary_propagation(cfg: &ExpConfig) -> Report {
             if now.as_secs() == renumber_at {
                 primary
                     .borrow_mut()
-                    .zone_mut(&n("example"))
+                    .zone_mut(&name("example"))
                     .unwrap()
                     .replace_address(
-                        &n("www.example"),
+                        &name("www.example"),
                         "198.51.100.9".parse().unwrap(),
                         Ttl::MINUTE,
                     );
             }
             for r in &mut resolvers {
-                let out = r.resolve(&n("www.example"), RecordType::A, now, &mut net);
+                let out = r.resolve(&name("www.example"), RecordType::A, now, &mut net);
                 if out
                     .answer
                     .answers

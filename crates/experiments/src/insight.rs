@@ -110,13 +110,12 @@ fn run_scenario(
     let (ns_a_residency_s, ns_a_original_ttl_s, cells) = resolver
         .cache()
         .with_ledger(|ledger| {
-            // Journal names are FQDN-rendered (trailing dot).
-            let ns_host_fqdn = format!("{ns_host}.");
+            let ns_host = worlds::name(ns_host);
             let mut residency = None;
             let mut original = None;
-            for rec in ledger.journal().records() {
-                if rec.rtype == "A" && rec.name.as_ref() == ns_host_fqdn {
-                    original = Some(rec.original_ttl as u64);
+            for rec in ledger.records() {
+                if rec.rtype == RecordType::A && rec.name == ns_host {
+                    original = Some(u64::from(rec.provenance.original_ttl.as_secs()));
                     if let Some(res) = rec.residency_ms {
                         let res_s = res / 1_000;
                         if residency.is_none_or(|r| res_s > r) {

@@ -26,17 +26,13 @@ use crate::artifacts::{write_artifact, write_csv};
 use crate::config::ExpConfig;
 use crate::report::Report;
 use crate::sharded;
-use crate::worlds;
+use crate::worlds::{self, name};
 use dnsttl_analysis::{CsvWriter, Table};
 use dnsttl_auth::{AuthoritativeServer, ZoneBuilder};
 use dnsttl_core::ResolverPolicy;
 use dnsttl_netsim::{drive, FaultPlan, LatencyModel, Region, SimDuration, SimRng, SimTime};
 use dnsttl_resolver::RecursiveResolver;
-use dnsttl_wire::{Name, Rcode, RecordType, Ttl};
-
-fn n(s: &str) -> Name {
-    Name::parse(s).expect("static experiment name")
-}
+use dnsttl_wire::{Rcode, RecordType, Ttl};
 
 /// When the scripted outage starts (45 simulated minutes in — long
 /// enough for every client to have the name cached).
@@ -152,7 +148,7 @@ pub(crate) fn simulate_clients(
         queries: 0,
         failures: 0,
     };
-    let qname = n("www.example");
+    let qname = name("www.example");
     drive(
         starts,
         outage.end + SimDuration::from_secs(600),

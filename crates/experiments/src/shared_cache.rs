@@ -24,17 +24,13 @@
 use crate::artifacts::write_csv;
 use crate::config::ExpConfig;
 use crate::report::Report;
-use crate::worlds;
+use crate::worlds::{self, name};
 use dnsttl_analysis::{CsvWriter, Table};
 use dnsttl_auth::{AuthoritativeServer, ZoneBuilder};
 use dnsttl_core::ResolverPolicy;
 use dnsttl_netsim::{drive, LatencyModel, Network, Region, SimDuration, SimRng, SimTime};
 use dnsttl_resolver::RecursiveResolver;
-use dnsttl_wire::{Name, Rcode, RecordType, Ttl};
-
-fn n(s: &str) -> Name {
-    Name::parse(s).expect("static experiment name")
-}
+use dnsttl_wire::{Rcode, RecordType, Ttl};
 
 /// Names published under `pool.example`, queried with a harmonic
 /// (Zipf-like) popularity profile.
@@ -131,7 +127,7 @@ fn simulate_topology(
     let mut cell = CellResult::default();
     drive(starts, SimTime::from_secs(HORIZON_S), |now, client| {
         let name_idx = client_rngs[client].weighted_index(&weights);
-        let qname = n(&format!("p{name_idx:02}.pool.example"));
+        let qname = name(&format!("p{name_idx:02}.pool.example"));
         let resolver = if shared { 0 } else { client % GROUPS };
         let out = resolvers[resolver].resolve_verdict(&qname, RecordType::A, now, &mut net);
         debug_assert_eq!(out.rcode, Rcode::NoError);

@@ -58,7 +58,7 @@ fn rc(server: AuthoritativeServer) -> Rc<RefCell<AuthoritativeServer>> {
     Rc::new(RefCell::new(server))
 }
 
-fn name(s: &str) -> Name {
+pub(crate) fn name(s: &str) -> Name {
     Name::parse(s).expect("static experiment name")
 }
 
@@ -342,8 +342,6 @@ pub(crate) struct SyntheticZoneService {
     /// Whether this server serves the `ns_name` A record at all (false
     /// when the NS host's zone lives elsewhere).
     pub serves_ns_a: bool,
-    /// Queries answered (authoritative-side accounting, Table 3).
-    pub queries: u64,
 }
 
 impl SyntheticZoneService {
@@ -365,16 +363,29 @@ impl SyntheticZoneService {
 }
 
 impl DnsService for SyntheticZoneService {
-    fn handle_query(&mut self, query: &Message, _client: ClientId, _now: SimTime) -> Message {
-        self.queries += 1;
-        let mut response = Message::response_to(query);
+    fn handle_query(&mut self, query: &Message, client: ClientId, now: SimTime) -> Message {
+        let mut response = Message::default();
+        self.respond_into(query, client, now, &mut response);
+        response
+    }
+
+    /// Fills `response` in place, so a recycled message is answered
+    /// without allocating its sections.
+    fn respond_into(
+        &mut self,
+        query: &Message,
+        _client: ClientId,
+        _now: SimTime,
+        response: &mut Message,
+    ) {
+        response.reuse_as_response_to(query);
         let Some(q) = &query.question else {
             response.header.rcode = Rcode::FormErr;
-            return response;
+            return;
         };
         let Some(apex) = self.apexes.iter().find(|a| q.qname.is_subdomain_of(a)) else {
             response.header.rcode = Rcode::Refused;
-            return response;
+            return;
         };
         response.header.authoritative = true;
         match q.qtype {
@@ -411,7 +422,6 @@ impl DnsService for SyntheticZoneService {
                 response.authorities.push(soa);
             }
         }
-        response
     }
 }
 
@@ -531,7 +541,6 @@ pub fn cachetest_world(out_of_bailiwick: bool) -> CachetestWorld {
         aaaa_ttl: Ttl::MINUTE,
         marker: OLD_MARKER,
         serves_ns_a: true,
-        queries: 0,
     };
     let new = SyntheticZoneService {
         apexes,
@@ -542,7 +551,6 @@ pub fn cachetest_world(out_of_bailiwick: bool) -> CachetestWorld {
         aaaa_ttl: Ttl::MINUTE,
         marker: NEW_MARKER,
         serves_ns_a: true,
-        queries: 0,
     };
     net.register(addrs::SUB_OLD, Region::Eu, Rc::new(RefCell::new(old)));
     net.register(addrs::SUB_NEW, Region::Eu, Rc::new(RefCell::new(new)));
@@ -638,7 +646,6 @@ pub(crate) fn controlled_world(aaaa_ttl: Ttl, anycast: bool) -> (Network, Vec<Ro
         aaaa_ttl,
         marker: Ipv6Addr::new(0x2001, 0xdb8, 0xaa, 0, 0, 0, 0, 1),
         serves_ns_a: true,
-        queries: 0,
     };
     let handle = Rc::new(RefCell::new(service));
     if anycast {
@@ -689,6 +696,55 @@ mod tests {
             roots,
             SimRng::seed_from(5),
         )
+    }
+
+    /// A recycled message — TC and AA set, every section full — comes
+    /// back from `respond_into` as `handle_query`'s fresh answer, on
+    /// every branch of the service.
+    #[test]
+    fn a_synthetic_zone_fills_a_recycled_message_as_it_answers_afresh() {
+        let mut service = SyntheticZoneService {
+            apexes: vec![name("sub.cachetest.net")],
+            ns_name: name("ns1.sub.cachetest.net"),
+            ns_ttl: Ttl::HOUR,
+            a_ttl: Ttl::from_secs(7_200),
+            ns_addr: v4(addrs::SUB_OLD),
+            aaaa_ttl: Ttl::MINUTE,
+            marker: OLD_MARKER,
+            serves_ns_a: true,
+        };
+        let ask = |qname: &str, qtype| Message::query(7, name(qname), qtype);
+        let mut question_less = ask("sub.cachetest.net", RecordType::NS);
+        question_less.question = None;
+        let cases = [
+            (ask("sub.cachetest.net", RecordType::NS), Rcode::NoError),
+            (ask("ns1.sub.cachetest.net", RecordType::A), Rcode::NoError),
+            (ask("1.sub.cachetest.net", RecordType::AAAA), Rcode::NoError),
+            (ask("1.sub.cachetest.net", RecordType::TXT), Rcode::NoError),
+            (ask("www.example", RecordType::AAAA), Rcode::Refused),
+            (question_less, Rcode::FormErr),
+        ];
+        let client = ClientId {
+            region: Region::Eu,
+            tag: 0,
+        };
+        let stale = Record::new(
+            name("stale.example"),
+            Ttl::HOUR,
+            RData::A(Ipv4Addr::BROADCAST),
+        );
+        for (query, rcode) in cases {
+            let mut recycled = ask("old.example", RecordType::MX);
+            recycled.header.truncated = true;
+            recycled.header.authoritative = true;
+            recycled.answers = vec![stale.clone(); 3];
+            recycled.authorities = vec![stale.clone(); 2];
+            recycled.additionals = vec![stale.clone(); 2];
+            service.respond_into(&query, client, SimTime::ZERO, &mut recycled);
+            let fresh = service.handle_query(&query, client, SimTime::ZERO);
+            assert_eq!(recycled, fresh, "{:?}", query.question);
+            assert_eq!(fresh.header.rcode, rcode, "{:?}", query.question);
+        }
     }
 
     #[test]

@@ -26,7 +26,7 @@
 
 use dnsttl_core::{Centricity, ResolverPolicy};
 use dnsttl_netsim::{SimDuration, SimTime};
-use dnsttl_telemetry::{CacheOp, EventKind, Telemetry};
+use dnsttl_telemetry::{EventKind, Telemetry};
 use dnsttl_wire::name::NameKey;
 use dnsttl_wire::{Name, RData, RRset, Rcode, RecordType, Ttl};
 use std::borrow::Borrow;
@@ -34,7 +34,9 @@ use std::cell::RefCell;
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hash, Hasher};
 
-use crate::ledger::{CacheStats, Ledger, Provenance, RecordOrigin, StoreContext};
+use crate::ledger::{
+    CacheOp, CacheStats, Ledger, LedgerRecord, Provenance, RecordOrigin, StoreContext,
+};
 
 /// Trustworthiness of cached data, descending (RFC 2181 §5.4.1).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -47,6 +49,18 @@ pub enum Credibility {
     AuthAuthority,
     /// Data from the answer section of an authoritative (AA) answer.
     AuthAnswer,
+}
+
+impl Credibility {
+    /// The stable token a rank gets in ledger lines and snapshots.
+    pub fn as_str(&self) -> &'static str {
+        match self {
+            Credibility::ReferralAdditional => "referral_additional",
+            Credibility::ReferralAuthority => "referral_authority",
+            Credibility::AuthAuthority => "auth_authority",
+            Credibility::AuthAnswer => "auth_answer",
+        }
+    }
 }
 
 /// One positive cache entry.
@@ -243,15 +257,16 @@ impl CacheMeta {
         if let Some(ledger) = self.ledger.as_mut() {
             let installs = matches!(op, CacheOp::Insert | CacheOp::Refresh | CacheOp::NegCache);
             let residency_ms = (!installs).then(|| now.since(e.stored_at).as_millis());
-            ledger.record(
-                now,
+            ledger.record(LedgerRecord {
+                t_ms: now.as_millis(),
                 op,
-                &e.rrset,
-                e.rank,
-                &e.provenance,
+                name: e.rrset.name.clone(),
+                rtype: e.rrset.rtype,
+                rank: e.rank,
+                provenance: e.provenance,
                 residency_ms,
-                e.fingerprint,
-            );
+                fingerprint: e.fingerprint,
+            });
         }
         self.telemetry.count_event(event_kind(op));
     }
@@ -1450,9 +1465,10 @@ mod tests {
             stats.hits > 100 && stats.expiries > 0 && stats.overwrites > 0,
             "the tape reaches hits, expiries and overwrites: {stats:?}"
         );
-        let lines = |cache: &Cache| cache.with_ledger(|l| l.journal().to_jsonl());
-        assert!(lines(&via_get).is_some_and(|text| text.lines().count() > 1_000));
-        assert_eq!(lines(&via_get), lines(&via_read));
+        let records =
+            |cache: &Cache| cache.with_ledger(|l| l.records().cloned().collect::<Vec<_>>());
+        assert!(records(&via_get).is_some_and(|r| r.len() > 1_000));
+        assert_eq!(records(&via_get), records(&via_read));
     }
 
     fn v4(last: u8) -> RData {
@@ -1487,13 +1503,8 @@ mod tests {
 
     /// The journal's ops and fingerprints, oldest first.
     fn journal(c: &Cache) -> Vec<(CacheOp, u64)> {
-        c.with_ledger(|l| {
-            l.journal()
-                .records()
-                .map(|rec| (rec.op, rec.fingerprint))
-                .collect()
-        })
-        .expect("ledger enabled")
+        c.with_ledger(|l| l.records().map(|rec| (rec.op, rec.fingerprint)).collect())
+            .expect("ledger enabled")
     }
 
     #[test]

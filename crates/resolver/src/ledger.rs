@@ -1,5 +1,6 @@
-//! Cache provenance: where a cached record came from, and the
-//! attribution ledger that aggregates per-cell residency statistics.
+//! Cache provenance: where a cached record came from, and the ledger
+//! that journals every cache transaction and aggregates per-cell
+//! residency statistics.
 //!
 //! The paper's central question — which published TTL *actually*
 //! governs an entry's residency (Tables 3–4, Figures 5–8) — is a
@@ -9,16 +10,71 @@
 //! answer on every entry and aggregates it per
 //! `(record type, origin, bailiwick)` cell, so the effective-lifetime
 //! claims can be audited from cache state alone.
+//!
+//! It also owns the ledger's line format: one [`LedgerRecord`] per
+//! transaction — insert, refresh, overwrite, serve, expiry, stale serve,
+//! failure caching — in the spirit of dnstap's per-message framing, but
+//! for cache state, written by [`LedgerRecord::to_line`] as one compact
+//! JSON object (short keys, hex fingerprints, no optional-field noise).
 
-use std::borrow::Cow;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 use std::net::IpAddr;
 
-use dnsttl_netsim::SimTime;
-use dnsttl_telemetry::{CacheOp, Journal, LedgerRecord};
-use dnsttl_wire::{RRset, RecordType, Ttl};
+use dnsttl_telemetry::{ObjectWriter, Value};
+use dnsttl_wire::{Name, RecordType, Ttl};
 
 use crate::cache::Credibility;
+
+/// What a ledger record describes. Every journalled removal carries
+/// exactly one cause, so `expire + overwrite` counts sum to total
+/// journalled removals — the conservation law the accounting tests
+/// enforce.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub enum CacheOp {
+    /// A fresh RRset entered the cache under a previously-empty key.
+    Insert,
+    /// A re-store found identical data already cached: only the clock
+    /// restarted. (The paper's "TTL refresh" — §4.2.)
+    Refresh,
+    /// A re-store replaced an entry with *different* data; the old
+    /// entry's residency ends here.
+    Overwrite,
+    /// A cached entry answered a client query.
+    Serve,
+    /// An entry was removed because its effective TTL had passed.
+    Expire,
+    /// An *expired* entry answered a client query past its TTL because
+    /// every authoritative server was unreachable (RFC 8767
+    /// serve-stale). Not a removal: the entry stays resident until its
+    /// stale window also lapses.
+    StaleServe,
+    /// An upstream failure (SERVFAIL / all-servers-dead) was negatively
+    /// cached per RFC 2308 §7, shielding the servers from retry storms.
+    /// Tracked in the ledger because it shapes what clients observe,
+    /// but it never holds an RRset, so it is not a residency event.
+    NegCache,
+}
+
+impl CacheOp {
+    /// The stable token written to ledger lines.
+    pub fn as_str(&self) -> &'static str {
+        match self {
+            CacheOp::Insert => "insert",
+            CacheOp::Refresh => "refresh",
+            CacheOp::Overwrite => "overwrite",
+            CacheOp::Serve => "serve",
+            CacheOp::Expire => "expire",
+            CacheOp::StaleServe => "stale_serve",
+            CacheOp::NegCache => "neg_cache",
+        }
+    }
+
+    /// Whether this op ends an entry's residency in the cache.
+    /// (`Overwrite` both ends one residency and starts another.)
+    pub(crate) fn is_removal(&self) -> bool {
+        matches!(self, CacheOp::Overwrite | CacheOp::Expire)
+    }
+}
 
 /// Which side of the zone cut installed a record: the parent's
 /// referral (authority NS + additional glue) or the child's
@@ -248,76 +304,127 @@ impl LedgerCell {
     }
 }
 
+/// One cache transaction: the entry it touched, as the ledger keeps it.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct LedgerRecord {
+    /// Simulation time of the transaction, milliseconds.
+    pub t_ms: u64,
+    /// The transaction kind.
+    pub op: CacheOp,
+    /// Owner name of the cached RRset.
+    pub name: Name,
+    /// Record type of the cached RRset.
+    pub rtype: RecordType,
+    /// Credibility rank the entry was stored under.
+    pub rank: Credibility,
+    /// The entry's provenance: installing transaction and server,
+    /// origin, bailiwick, published and effective TTL.
+    pub provenance: Provenance,
+    /// For every op but an install: how long the entry had been
+    /// resident at transaction time, milliseconds.
+    pub residency_ms: Option<u64>,
+    /// TTL-excluded FNV-1a fingerprint of the RRset data.
+    pub fingerprint: u64,
+}
+
+impl LedgerRecord {
+    /// The record as one compact JSON line (no newline). Keys, in
+    /// order: `t` (sim ms), `op`, `n` (owner name), `ty` (record type),
+    /// `tx` (installing transaction id), `sv` (source server, omitted
+    /// if unknown), `or` (origin), `bw` (bailiwick class), `rk`
+    /// (credibility rank), `ot`/`et` (original/effective TTL seconds),
+    /// `res` (residency ms, omitted on installs), `fp` (16-hex-digit
+    /// fingerprint).
+    pub fn to_line(&self) -> String {
+        let p = &self.provenance;
+        let mut w = ObjectWriter::new();
+        w.field("t", &Value::U64(self.t_ms))
+            .field("op", &Value::Static(self.op.as_str()))
+            .field("n", &Value::Shared(self.name.shared().clone()))
+            .field("ty", &Value::Static(self.rtype.as_str()))
+            .field("tx", &Value::U64(p.txn));
+        if let Some(server) = p.server {
+            w.field("sv", &Value::Addr(server));
+        }
+        w.field("or", &Value::Static(p.origin.as_str()))
+            .field("bw", &Value::Static(p.bailiwick.as_str()))
+            .field("rk", &Value::Static(self.rank.as_str()))
+            .field("ot", &Value::U64(p.original_ttl.as_secs().into()))
+            .field("et", &Value::U64(p.effective_ttl.as_secs().into()));
+        if let Some(res) = self.residency_ms {
+            w.field("res", &Value::U64(res));
+        }
+        // Hex, not a JSON number: u64 fingerprints exceed f64's exact
+        // integer range, which is what JSON readers parse numbers into.
+        w.field("fp", &Value::Hex64(self.fingerprint));
+        w.finish()
+    }
+}
+
+/// How many records the journal keeps — generous for the paper-scale
+/// runs while bounding a pathological run.
+const JOURNAL_CAPACITY: usize = 1 << 17;
+
 /// The full provenance ledger: a bounded journal of every transaction
 /// plus per-cell aggregation. Opt-in via
 /// [`crate::Cache::enable_ledger`]; the always-on path keeps only
 /// [`CacheStats`].
 #[derive(Debug)]
 pub struct Ledger {
-    journal: Journal,
+    /// Records, oldest first. Like the trace ring: when full, the
+    /// oldest record is dropped and counted, so recent history always
+    /// survives.
+    journal: VecDeque<LedgerRecord>,
+    dropped: u64,
     cells: BTreeMap<LedgerKey, LedgerCell>,
 }
 
 impl Ledger {
-    /// An empty ledger with the default journal capacity.
+    /// An empty ledger.
     pub fn new() -> Ledger {
         Ledger {
-            journal: Journal::default(),
+            journal: VecDeque::new(),
+            dropped: 0,
             cells: BTreeMap::new(),
         }
     }
 
-    /// Records one transaction into the journal and its cell.
-    #[allow(clippy::too_many_arguments)]
-    pub fn record(
-        &mut self,
-        now: SimTime,
-        op: CacheOp,
-        rrset: &RRset,
-        rank: Credibility,
-        prov: &Provenance,
-        residency_ms: Option<u64>,
-        fingerprint: u64,
-    ) {
+    /// Journals one transaction and counts it in its cell.
+    pub(crate) fn record(&mut self, rec: LedgerRecord) {
         let key = LedgerKey {
-            rtype: rrset.rtype,
-            origin: prov.origin,
-            bailiwick: prov.bailiwick,
+            rtype: rec.rtype,
+            origin: rec.provenance.origin,
+            bailiwick: rec.provenance.bailiwick,
         };
-        self.cells.entry(key).or_default().apply(op, residency_ms);
-        // Every field below is either shared (the name buffer), borrowed
-        // from a `'static` mnemonic table, or plain data — recording a
-        // transaction allocates nothing beyond the journal slot.
-        self.journal.push(LedgerRecord {
-            t_ms: now.as_millis(),
-            op,
-            name: rrset.name.shared().clone(),
-            rtype: Cow::Borrowed(rrset.rtype.as_str()),
-            txn: prov.txn,
-            server: prov.server,
-            origin: Cow::Borrowed(prov.origin.as_str()),
-            bailiwick: Cow::Borrowed(prov.bailiwick.as_str()),
-            rank: Cow::Borrowed(rank_token(rank)),
-            original_ttl: prov.original_ttl.as_secs(),
-            effective_ttl: prov.effective_ttl.as_secs(),
-            residency_ms,
-            fingerprint,
-        });
+        self.cells
+            .entry(key)
+            .or_default()
+            .apply(rec.op, rec.residency_ms);
+        if self.journal.len() == JOURNAL_CAPACITY {
+            self.journal.pop_front();
+            self.dropped += 1;
+        }
+        self.journal.push_back(rec);
     }
 
-    /// The transaction journal, oldest first.
-    pub fn journal(&self) -> &Journal {
-        &self.journal
+    /// The journalled records, oldest first.
+    pub fn records(&self) -> impl ExactSizeIterator<Item = &LedgerRecord> {
+        self.journal.iter()
+    }
+
+    /// Records dropped because the journal was full.
+    pub fn dropped(&self) -> u64 {
+        self.dropped
+    }
+
+    /// Records ever journalled (kept + dropped).
+    pub fn total_recorded(&self) -> u64 {
+        self.journal.len() as u64 + self.dropped
     }
 
     /// Attribution cells in deterministic order.
     pub fn cells(&self) -> impl Iterator<Item = (&LedgerKey, &LedgerCell)> {
         self.cells.iter()
-    }
-
-    /// One cell, if it has seen any transaction.
-    pub fn cell(&self, key: &LedgerKey) -> Option<&LedgerCell> {
-        self.cells.get(key)
     }
 }
 
@@ -327,20 +434,63 @@ impl Default for Ledger {
     }
 }
 
-/// The stable token a credibility rank gets in ledger lines and
-/// snapshots.
-pub(crate) fn rank_token(rank: Credibility) -> &'static str {
-    match rank {
-        Credibility::ReferralAdditional => "referral_additional",
-        Credibility::ReferralAuthority => "referral_authority",
-        Credibility::AuthAuthority => "auth_authority",
-        Credibility::AuthAnswer => "auth_answer",
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn sample(op: CacheOp, t_ms: u64) -> LedgerRecord {
+        LedgerRecord {
+            t_ms,
+            op,
+            name: Name::parse("ns1.sub.cachetest.net").unwrap(),
+            rtype: RecordType::A,
+            rank: Credibility::AuthAnswer,
+            provenance: Provenance {
+                txn: 7,
+                server: Some("192.0.2.53".parse().unwrap()),
+                origin: RecordOrigin::Child,
+                bailiwick: BailiwickClass::In,
+                original_ttl: Ttl::from_secs(7200),
+                effective_ttl: Ttl::from_secs(3600),
+            },
+            residency_ms: op.is_removal().then_some(3_600_000),
+            fingerprint: 0xdead_beef_cafe_f00d,
+        }
+    }
+
+    #[test]
+    fn lines_keep_their_pinned_bytes() {
+        // The first line is the one pinned while the record's fields
+        // were strings.
+        let mut rec = sample(CacheOp::Expire, 42_000);
+        assert_eq!(
+            rec.to_line(),
+            r#"{"t":42000,"op":"expire","n":"ns1.sub.cachetest.net.","ty":"A","tx":7,"sv":"192.0.2.53","or":"child","bw":"in","rk":"auth_answer","ot":7200,"et":3600,"res":3600000,"fp":"deadbeefcafef00d"}"#
+        );
+        rec.provenance = Provenance::default();
+        rec.rank = Credibility::ReferralAdditional;
+        rec.residency_ms = None;
+        rec.fingerprint = u64::MAX - 1; // not representable in f64
+        assert_eq!(
+            rec.to_line(),
+            r#"{"t":42000,"op":"expire","n":"ns1.sub.cachetest.net.","ty":"A","tx":0,"or":"seed","bw":"none","rk":"referral_additional","ot":0,"et":0,"fp":"fffffffffffffffe"}"#
+        );
+    }
+
+    #[test]
+    fn the_journal_keeps_the_newest_records_and_counts_the_rest() {
+        let mut ledger = Ledger::new();
+        let total = JOURNAL_CAPACITY as u64 + 3;
+        for t in 0..total {
+            ledger.record(sample(CacheOp::Serve, t));
+        }
+        assert_eq!(ledger.records().len(), JOURNAL_CAPACITY);
+        assert_eq!(ledger.records().next().unwrap().t_ms, 3);
+        assert_eq!((ledger.dropped(), ledger.total_recorded()), (3, total));
+        // The cells count every record, dropped or kept.
+        let (_, cell) = ledger.cells().next().unwrap();
+        assert_eq!(cell.serves, total);
+    }
 
     #[test]
     fn origin_splits_at_the_zone_cut() {

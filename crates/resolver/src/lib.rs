@@ -35,8 +35,8 @@ pub mod snapshot;
 
 pub use cache::{Cache, CachedAnswer, Credibility};
 pub use ledger::{
-    BailiwickClass, CacheStats, Ledger, LedgerCell, LedgerKey, Provenance, RecordOrigin,
-    StoreContext,
+    BailiwickClass, CacheOp, CacheStats, Ledger, LedgerCell, LedgerKey, LedgerRecord, Provenance,
+    RecordOrigin, StoreContext,
 };
 pub use resolver::ResolutionVerdict;
 pub use resolver::{RecursiveResolver, ResolutionOutcome, ResolverStats, RootHint};

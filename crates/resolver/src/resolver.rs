@@ -2020,14 +2020,14 @@ mod tests {
         let mut r = resolver(ResolverPolicy::default(), hints);
         r.enable_cache_ledger();
         r.resolve(&n("www.example"), RecordType::A, SimTime::ZERO, &mut net);
-        let serves = |r: &RecursiveResolver, name: &str, rtype: &str| {
+        let serves = |r: &RecursiveResolver, name: &str, rtype: RecordType| {
+            let name = n(name);
             r.cache()
                 .with_ledger(|l| {
-                    l.journal()
-                        .records()
+                    l.records()
                         .filter(|rec| {
-                            rec.op == dnsttl_telemetry::CacheOp::Serve
-                                && &*rec.name == name
+                            rec.op == crate::CacheOp::Serve
+                                && rec.name == name
                                 && rec.rtype == rtype
                         })
                         .count()
@@ -2036,21 +2036,24 @@ mod tests {
         };
         let later = SimTime::from_secs(120);
 
-        let before = (serves(&r, "www.example.", "CNAME"), r.cache().stats().hits);
+        let before = (
+            serves(&r, "www.example", RecordType::CNAME),
+            r.cache().stats().hits,
+        );
         let out = r.resolve(&n("www.example"), RecordType::A, later, &mut net);
         assert_eq!(out.answer.answers.len(), 2, "alias + refetched address");
         assert_eq!(out.upstream_queries, 1);
-        assert_eq!(serves(&r, "www.example.", "CNAME") - before.0, 1);
+        assert_eq!(serves(&r, "www.example", RecordType::CNAME) - before.0, 1);
         // The whole question costs four hits: the alias, the zone's NS
         // and its glue on the way upstream, the refetched address on
         // the way back.
         assert_eq!(r.cache().stats().hits - before.1, 4);
 
-        let before = serves(&r, "ns.example.", "A");
+        let before = serves(&r, "ns.example", RecordType::A);
         let out = r.resolve(&n("ns.example"), RecordType::A, later, &mut net);
         assert_eq!(out.upstream_queries, 1, "glue does not answer a client");
         // The consult, the address lookup for the walk, the answer.
-        assert_eq!(serves(&r, "ns.example.", "A") - before, 3);
+        assert_eq!(serves(&r, "ns.example", RecordType::A) - before, 3);
     }
 
     /// A world with one of every way a question ends: `example` holds a
@@ -2212,8 +2215,10 @@ mod tests {
                 assert_eq!(counted.stats(), full.stats(), "{label}");
                 assert_eq!(counted.cache().stats(), full.cache().stats(), "{label}");
                 assert_eq!(counted.next_id, full.next_id, "{label}");
-                let ledger =
-                    |r: &RecursiveResolver| r.cache().with_ledger(|l| l.journal().to_jsonl());
+                let ledger = |r: &RecursiveResolver| {
+                    r.cache()
+                        .with_ledger(|l| l.records().cloned().collect::<Vec<_>>())
+                };
                 assert_eq!(ledger(&counted), ledger(&full), "{label}");
                 let (t, u) = (counted.telemetry(), full.telemetry());
                 assert_eq!(t.prometheus_text(), u.prometheus_text(), "{label}");

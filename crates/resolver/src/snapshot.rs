@@ -14,7 +14,6 @@ use dnsttl_telemetry::{flat_get, parse_flat_object, JsonScalar, ObjectWriter, Va
 use dnsttl_wire::Ttl;
 
 use crate::cache::Cache;
-use crate::ledger::rank_token;
 
 /// The schema tag written on every snapshot header line.
 pub(crate) const SNAPSHOT_SCHEMA: &str = "dnsttl-cache-snapshot/1";
@@ -333,7 +332,7 @@ impl Cache {
                 SnapshotEntry {
                     name: e.rrset.name.to_string(),
                     rtype: e.rrset.rtype.to_string(),
-                    rank: rank_token(e.rank).to_string(),
+                    rank: e.rank.as_str().to_string(),
                     pinned: e.pinned,
                     stored_at_ms: e.stored_at.as_millis(),
                     expires_at_ms: e.expires_at.as_millis(),

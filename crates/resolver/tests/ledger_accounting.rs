@@ -13,8 +13,9 @@
 
 use dnsttl_core::ResolverPolicy;
 use dnsttl_netsim::{SimRng, SimTime};
-use dnsttl_resolver::{BailiwickClass, Cache, CacheStats, CachedAnswer, Credibility, StoreContext};
-use dnsttl_telemetry::CacheOp;
+use dnsttl_resolver::{
+    BailiwickClass, Cache, CacheOp, CacheStats, CachedAnswer, Credibility, StoreContext,
+};
 use dnsttl_wire::{Name, RData, RRset, RecordType, Ttl};
 
 fn rrset(host: u64, ttl: u32, data: u8) -> RRset {
@@ -113,9 +114,9 @@ fn randomized_workload_conserves_entries_across_causes() {
     // if nothing was dropped).
     cache
         .with_ledger(|ledger| {
-            if ledger.journal().dropped() == 0 {
+            if ledger.dropped() == 0 {
                 let mut by_op = std::collections::BTreeMap::new();
-                for rec in ledger.journal().records() {
+                for rec in ledger.records() {
                     *by_op.entry(rec.op).or_insert(0u64) += 1;
                 }
                 assert_eq!(
@@ -318,9 +319,10 @@ fn fnv1a(text: &str) -> u64 {
 
 /// Drives one seeded tape — mostly stores and reads, plus serve-stale
 /// reads, failure caching and negative reads, one line of transcript a
-/// step — and digests everything the cache produced. After the
-/// snapshot the tape ends with a negative store read back.
-fn run_tape(seed: u64, names: &[Name]) -> String {
+/// step — and digests everything the cache produced but its counters,
+/// which it returns beside the digests. After the snapshot the tape
+/// ends with a negative store read back.
+fn run_tape(seed: u64, names: &[Name]) -> (String, CacheStats) {
     let policy = ResolverPolicy::default();
     let mut cache = Cache::new();
     cache.enable_ledger();
@@ -389,10 +391,10 @@ fn run_tape(seed: u64, names: &[Name]) -> String {
     assert!(stats.hits > 1_000 && stats.stale_hits > 100, "{stats:?}");
     assert!(stats.expiries > 100, "{stats:?}");
     check_conservation(&stats, cache.len(), &format!("seed {seed} tape"));
-    let ledger = cache
+    let ledger: String = cache
         .with_ledger(|l| {
-            assert_eq!(l.journal().dropped(), 0, "journal wrapped");
-            l.journal().to_jsonl()
+            assert_eq!(l.dropped(), 0, "journal wrapped");
+            l.records().map(|r| r.to_line() + "\n").collect()
         })
         .expect("ledger enabled");
     // The cache traces nothing: it counts each transaction's kind,
@@ -414,42 +416,53 @@ fn run_tape(seed: u64, names: &[Name]) -> String {
         assert_eq!(t.kind_counts().collect::<Vec<_>>(), counted);
         assert_eq!(t.total_recorded(), 0, "a cache transaction was traced");
     });
-    format!(
+    let row = format!(
         "seed {seed} unbounded: answers {:016x} ledger {:016x} trace {:016x} \
-         snapshot {:016x} stats {:016x}",
+         snapshot {:016x}",
         fnv1a(&answers),
         fnv1a(&ledger),
         fnv1a(&telemetry.trace_jsonl()),
         fnv1a(&snapshot),
-        fnv1a(&stats_line(&stats)),
-    )
-}
-
-/// The cache's counters by name (all but `evictions`, always 0).
-fn stats_line(s: &CacheStats) -> String {
-    format!(
-        "inserts={} refreshes={} overwrites={} expiries={} clears={} hits={} stale_hits={} \
-         rejected_stores={}",
-        s.inserts,
-        s.refreshes,
-        s.overwrites,
-        s.expiries,
-        s.clears,
-        s.hits,
-        s.stale_hits,
-        s.rejected_stores
-    )
+    );
+    (row, stats)
 }
 
 /// [`run_tape`]'s rows as this test printed them at commit 772e60d. A
 /// cache counts its transactions instead of tracing them, so every
 /// trace is empty and digests to the FNV-1a offset basis.
 const PINNED_TAPES: [&str; 4] = [
-    "seed 3 unbounded: answers 4dab316176006989 ledger c0618dad95f85e61 trace cbf29ce484222325 snapshot 9fff47aef86ffd7b stats 517f67f397ab2fa6",
-    "seed 17 unbounded: answers 2123c41581450eaa ledger efc0e8c5d53a81e6 trace cbf29ce484222325 snapshot 89bfff399e1faea5 stats 5f51bc9e52614009",
-    "seed 2024 unbounded: answers a34c88295583d0d8 ledger d3452595614e5990 trace cbf29ce484222325 snapshot 42b054dbdd122592 stats bc5efe93f7a97bfb",
-    "seed 4242 unbounded: answers 0c9dce00e2398ee3 ledger f9fac542b9ced033 trace cbf29ce484222325 snapshot 9f72aabccc4dab58 stats 65b3ef12d50af7af",
+    "seed 3 unbounded: answers 4dab316176006989 ledger c0618dad95f85e61 trace cbf29ce484222325 snapshot 9fff47aef86ffd7b",
+    "seed 17 unbounded: answers 2123c41581450eaa ledger efc0e8c5d53a81e6 trace cbf29ce484222325 snapshot 89bfff399e1faea5",
+    "seed 2024 unbounded: answers a34c88295583d0d8 ledger d3452595614e5990 trace cbf29ce484222325 snapshot 42b054dbdd122592",
+    "seed 4242 unbounded: answers 0c9dce00e2398ee3 ledger f9fac542b9ced033 trace cbf29ce484222325 snapshot 9f72aabccc4dab58",
 ];
+
+/// Each tape's counters, by value. They are the counters pinned at
+/// commit 772e60d, there as the FNV-1a of one `name=value` line per
+/// tape (517f67f397ab2fa6, 5f51bc9e52614009, bc5efe93f7a97bfb,
+/// 65b3ef12d50af7af), which these values reproduce.
+const PINNED_STATS: [CacheStats; 4] = [
+    tape_stats([8501, 246, 745, 7564, 1058, 1086, 296]),
+    tape_stats([8431, 240, 716, 7523, 1129, 1068, 299]),
+    tape_stats([8430, 261, 741, 7497, 1030, 1009, 277]),
+    tape_stats([8418, 220, 735, 7491, 1067, 991, 298]),
+];
+
+/// A tape's counters from `[inserts, refreshes, overwrites, expiries,
+/// hits, stale_hits, rejected_stores]`; a tape never clears.
+const fn tape_stats(c: [u64; 7]) -> CacheStats {
+    CacheStats {
+        inserts: c[0],
+        refreshes: c[1],
+        overwrites: c[2],
+        expiries: c[3],
+        evictions: 0,
+        clears: 0,
+        hits: c[4],
+        stale_hits: c[5],
+        rejected_stores: c[6],
+    }
+}
 
 /// Every answer, ledger line, snapshot line and counter a `Cache`
 /// produces on a 20 000-step seeded tape is what it was before the
@@ -457,9 +470,10 @@ const PINNED_TAPES: [&str; 4] = [
 #[test]
 fn seeded_tapes_reproduce_the_digests_pinned_before_the_fold() {
     let names = name_pool();
-    let rows: Vec<String> = TAPE_SEEDS
+    let (rows, stats): (Vec<String>, Vec<CacheStats>) = TAPE_SEEDS
         .iter()
         .map(|&seed| run_tape(seed, &names))
-        .collect();
+        .unzip();
     assert_eq!(rows, PINNED_TAPES, "\n{}\n", rows.join("\n"));
+    assert_eq!(stats, PINNED_STATS);
 }

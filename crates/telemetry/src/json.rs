@@ -201,7 +201,7 @@ pub(crate) fn push_string(out: &mut String, s: &str) {
 }
 
 /// Appends `"name":` — one member's key. The streaming writers (trace
-/// events, ledger lines) put the `{` and the `,` around it themselves.
+/// events, [`ObjectWriter`]) put the `{` and the `,` around it themselves.
 pub(crate) fn push_key(out: &mut String, name: &str) {
     push_string(out, name);
     out.push(':');
@@ -432,8 +432,8 @@ impl JsonScalar {
 
 /// Parses one *flat* JSON object — scalars only, no nesting — as
 /// produced by [`ObjectWriter`]. Returns the fields in source order.
-/// This is the read half of the workspace's serde substitute: ledger
-/// lines, bench baselines and trace lines are all flat objects.
+/// This is the read half of the workspace's serde substitute: trace
+/// and time-series lines are flat objects.
 pub fn parse_flat_object(line: &str) -> Result<Vec<(String, JsonScalar)>, String> {
     let mut chars = line.trim().char_indices().peekable();
     let s = line.trim();

@@ -9,6 +9,10 @@
 //! JSON Lines, manifests) is byte-stable for a given sequence of calls.
 //! Wall-clock time never enters any exported artifact.
 //!
+//! The crate knows no DNS type. What a layer records about its own
+//! objects — the cache ledger's records, say, which `dnsttl-resolver`
+//! owns — it writes itself, through [`ObjectWriter`].
+//!
 //! The entry point is [`Telemetry`]: a cheaply cloneable handle
 //! (`Rc`-backed) that the simulation threads through the resolver, the
 //! authoritative servers, the network, and the measurement platform.
@@ -43,7 +47,6 @@
 
 mod block_queue;
 mod json;
-mod ledger;
 mod manifest;
 mod memo;
 mod registry;
@@ -52,7 +55,6 @@ mod timeseries;
 mod trace;
 
 pub use json::{flat_get, parse_flat_object, JsonScalar, ObjectWriter, Value};
-pub use ledger::{CacheOp, Journal, LedgerRecord};
 pub use manifest::RunManifest;
 pub use registry::{MetricId, MetricKey, Registry};
 pub use sketch::QuantileSketch;

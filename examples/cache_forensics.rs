@@ -10,8 +10,7 @@
 use dnsttl::core::ResolverPolicy;
 use dnsttl::experiments::worlds::{self, NEW_MARKER};
 use dnsttl::netsim::{Region, SimRng, SimTime};
-use dnsttl::resolver::RecursiveResolver;
-use dnsttl::telemetry::CacheOp;
+use dnsttl::resolver::{CacheOp, RecursiveResolver};
 use dnsttl::wire::{Name, RData, RecordType};
 
 fn main() {
@@ -68,8 +67,10 @@ fn main() {
         .cache()
         .with_ledger(|ledger| {
             println!("\nledger transactions for the glue record:");
-            for rec in ledger.journal().records() {
-                if rec.name.as_ref() == "ns1.sub.cachetest.net." && rec.rtype == "A" {
+            let glue = Name::parse("ns1.sub.cachetest.net").unwrap();
+            for rec in ledger.records() {
+                if rec.rtype == RecordType::A && rec.name == glue {
+                    let published = rec.provenance.original_ttl.as_secs();
                     let residency = rec
                         .residency_ms
                         .map(|ms| format!(" after {} s in cache", ms / 1_000))
@@ -78,13 +79,13 @@ fn main() {
                         "  t={:>6}s {:<9} ttl={}s{}",
                         rec.t_ms / 1_000,
                         rec.op.as_str(),
-                        rec.original_ttl,
+                        published,
                         residency
                     );
                     if rec.op == CacheOp::Overwrite {
                         println!(
                             "    -> published TTL was {} s, but the entry lived only {} s:",
-                            rec.original_ttl,
+                            published,
                             rec.residency_ms.unwrap_or(0) / 1_000
                         );
                         println!("       in-bailiwick glue is coupled to its NS record (§4.2).");

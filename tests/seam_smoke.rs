@@ -206,7 +206,9 @@ fn an_unbounded_cache_agrees_with_a_roomy_bounded_one() {
     }
     let stats = cache.stats();
     assert!(stats.hits > 0 && stats.stale_hits > 0 && stats.expiries > 20);
-    let ledger = cache.with_ledger(|l| l.journal().to_jsonl()).unwrap();
+    let ledger: String = cache
+        .with_ledger(|l| l.records().map(|r| r.to_line() + "\n").collect())
+        .unwrap();
     assert_eq!(
         (
             fnv1a(&transcript),
