@@ -4,22 +4,16 @@
 //! that external tooling can reproduce the paper's figures graphically.
 //! Quoting follows RFC 4180 for the small subset we emit.
 
-use std::fs;
-use std::io::{self, Write};
-use std::path::{Path, PathBuf};
-
-/// Writes rows to a CSV file, creating parent directories.
+/// Builds the text of a CSV file row by row; the caller writes it.
 pub struct CsvWriter {
-    path: PathBuf,
     buf: String,
     columns: usize,
 }
 
 impl CsvWriter {
-    /// Starts a CSV file with a header row.
-    pub fn new(path: impl Into<PathBuf>, headers: &[&str]) -> CsvWriter {
+    /// Starts a CSV text with a header row.
+    pub fn new(headers: &[&str]) -> CsvWriter {
         let mut w = CsvWriter {
-            path: path.into(),
             buf: String::new(),
             columns: headers.len(),
         };
@@ -59,19 +53,9 @@ impl CsvWriter {
         self.row(&cells)
     }
 
-    /// Writes the file to disk.
-    pub fn finish(self) -> io::Result<PathBuf> {
-        if let Some(parent) = self.path.parent() {
-            fs::create_dir_all(parent)?;
-        }
-        let mut f = fs::File::create(&self.path)?;
-        f.write_all(self.buf.as_bytes())?;
-        Ok(self.path)
-    }
-
-    /// The target path.
-    pub fn path(&self) -> &Path {
-        &self.path
+    /// The finished text.
+    pub fn finish(self) -> String {
+        self.buf
     }
 }
 
@@ -79,37 +63,25 @@ impl CsvWriter {
 mod tests {
     use super::*;
 
-    fn tmp(name: &str) -> PathBuf {
-        std::env::temp_dir().join(format!("dnsttl-csv-test-{name}-{}", std::process::id()))
-    }
-
     #[test]
     fn writes_header_and_rows() {
-        let path = tmp("basic");
-        let mut w = CsvWriter::new(&path, &["a", "b"]);
+        let mut w = CsvWriter::new(&["a", "b"]);
         w.row_display(&[1, 2]);
         w.row(&["x".into(), "y".into()]);
-        let written = w.finish().unwrap();
-        let content = std::fs::read_to_string(&written).unwrap();
-        assert_eq!(content, "a,b\n1,2\nx,y\n");
-        std::fs::remove_file(written).unwrap();
+        assert_eq!(w.finish(), "a,b\n1,2\nx,y\n");
     }
 
     #[test]
     fn quotes_fields_with_commas_and_quotes() {
-        let path = tmp("quote");
-        let mut w = CsvWriter::new(&path, &["v"]);
+        let mut w = CsvWriter::new(&["v"]);
         w.row(&["hello, \"world\"".into()]);
-        let written = w.finish().unwrap();
-        let content = std::fs::read_to_string(&written).unwrap();
-        assert_eq!(content, "v\n\"hello, \"\"world\"\"\"\n");
-        std::fs::remove_file(written).unwrap();
+        assert_eq!(w.finish(), "v\n\"hello, \"\"world\"\"\"\n");
     }
 
     #[test]
     #[should_panic(expected = "width mismatch")]
     fn wrong_width_panics() {
-        let mut w = CsvWriter::new(tmp("width"), &["a", "b"]);
+        let mut w = CsvWriter::new(&["a", "b"]);
         w.row(&["only-one".into()]);
     }
 }

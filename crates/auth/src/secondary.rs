@@ -73,11 +73,6 @@ impl SecondaryServer {
         self.telemetry = telemetry;
     }
 
-    /// Zone transfers performed (including the initial one).
-    pub fn transfers(&self) -> u64 {
-        self.transfers
-    }
-
     /// The serial of the copy currently being served.
     pub(crate) fn serving_serial(&self) -> u32 {
         self.inner
@@ -179,7 +174,7 @@ mod tests {
         let p = primary();
         let mut s =
             SecondaryServer::new("ns2.example", p, n("example"), SimDuration::from_secs(900));
-        assert_eq!(s.transfers(), 1);
+        assert_eq!(s.transfers, 1);
         assert_eq!(
             query_www(&mut s, SimTime::ZERO),
             RData::A("203.0.113.1".parse().unwrap())
@@ -216,7 +211,7 @@ mod tests {
             query_www(&mut s, SimTime::from_secs(901)),
             RData::A("198.51.100.9".parse().unwrap())
         );
-        assert_eq!(s.transfers(), 2);
+        assert_eq!(s.transfers, 2);
     }
 
     #[test]
@@ -227,7 +222,7 @@ mod tests {
         for t in [0u64, 20, 40, 60] {
             query_www(&mut s, SimTime::from_secs(t));
         }
-        assert_eq!(s.transfers(), 1, "no serial change ⇒ no transfers");
+        assert_eq!(s.transfers, 1, "no serial change ⇒ no transfers");
     }
 
     #[test]

@@ -154,7 +154,7 @@ impl Zone {
     }
 
     /// Sets the negative-caching TTL (SOA `minimum`).
-    pub fn set_negative_ttl(&mut self, ttl: Ttl) {
+    pub(crate) fn set_negative_ttl(&mut self, ttl: Ttl) {
         self.soa.minimum = ttl.as_secs();
     }
 
@@ -533,13 +533,6 @@ impl ZoneBuilder {
             ttl,
             RData::Cname(Self::name(target)),
         ));
-        self
-    }
-
-    /// Adds a TXT record.
-    pub fn txt(mut self, owner: &str, text: &str, ttl: Ttl) -> ZoneBuilder {
-        self.zone
-            .add(Record::new(Self::name(owner), ttl, RData::Txt(text.into())));
         self
     }
 

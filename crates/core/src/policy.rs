@@ -130,7 +130,7 @@ impl ResolverPolicy {
 
     /// A sticky resolver: child-centric but clings to responsive
     /// servers past TTL expiry (§4.4, Table 4).
-    pub fn sticky() -> ResolverPolicy {
+    pub(crate) fn sticky() -> ResolverPolicy {
         ResolverPolicy {
             sticky: true,
             ..ResolverPolicy::default()
@@ -220,7 +220,7 @@ impl PolicyMix {
     }
 
     /// The `(weight, policy)` entries.
-    pub fn entries(&self) -> &[(f64, ResolverPolicy)] {
+    pub(crate) fn entries(&self) -> &[(f64, ResolverPolicy)] {
         &self.entries
     }
 

@@ -1,18 +1,20 @@
-//! What one `repro` module run writes to its run directory, and the
-//! digest lines that pin those bytes.
+//! What one `repro` module run writes to its run directory, how that
+//! directory is laid out, and the digest lines that pin those bytes.
 //!
-//! `repro` runs every module through [`run_module`]: the module's CSVs
-//! plus its observability files — `<module>_trace.jsonl`,
+//! `repro` runs every module through [`run_module`]: the files the
+//! module writes through `Report::write` (its CSVs, snapshots, a
+//! fault plan) plus the four [`RunFile`]s — `<module>_trace.jsonl`,
 //! `<module>_timeseries.jsonl`, `<module>_metrics.prom` and
-//! `<module>_manifest.json`. The committed table
-//! `tests/data/artifact_digests.txt` holds [`digest_lines`] for the
-//! smoke set, so a change to any byte of any artifact shows up as a
-//! reviewed diff of that file.
+//! `<module>_manifest.json`, which lists every other file of the
+//! module. Readers of a run directory (`repro doctor`, `diff`,
+//! `timeline`, `flame`) find its files through [`run_files`]. The
+//! committed table `tests/data/artifact_digests.txt` holds
+//! [`digest_lines`] for the smoke set, so a change to any byte of any
+//! artifact shows up as a reviewed diff of that file.
 
-use std::path::Path;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 
-use dnsttl_analysis::CsvWriter;
 use dnsttl_telemetry::{RunManifest, Telemetry};
 use dnsttl_wire::{fnv1a, FNV_OFFSET};
 
@@ -153,47 +155,100 @@ pub fn write_failed() -> bool {
     WRITE_FAILED.load(Ordering::Relaxed)
 }
 
-fn note_write_failure(path: &Path, error: std::io::Error) {
-    eprintln!("cannot write {}: {error}", path.display());
-    WRITE_FAILED.store(true, Ordering::Relaxed);
-}
-
 /// Writes one artifact file, creating its directory; a failure goes to
 /// stderr and to [`write_failed`].
-pub(crate) fn write_artifact(path: &Path, bytes: impl AsRef<[u8]>) {
+fn write_artifact(path: &Path, bytes: &str) {
     let written = match path.parent() {
         Some(dir) => std::fs::create_dir_all(dir),
         None => Ok(()),
     }
     .and_then(|()| std::fs::write(path, bytes));
     if let Err(e) = written {
-        note_write_failure(path, e);
+        eprintln!("cannot write {}: {e}", path.display());
+        WRITE_FAILED.store(true, Ordering::Relaxed);
     }
 }
 
-/// Writes a finished CSV the way [`write_artifact`] writes a file.
-pub(crate) fn write_csv(w: CsvWriter) {
-    let path = w.path().to_owned();
-    if let Err(e) = w.finish() {
-        note_write_failure(&path, e);
+impl Report {
+    /// Writes `name` under `cfg.out_dir` with the text `contents`
+    /// returns and lists it among this report's artifacts, which the
+    /// module's manifest names. Without an out-dir it does nothing:
+    /// `contents` never runs and nothing is allocated.
+    pub(crate) fn write(&mut self, cfg: &ExpConfig, name: &str, contents: impl FnOnce() -> String) {
+        let Some(dir) = &cfg.out_dir else { return };
+        write_artifact(&dir.join(name), &contents());
+        self.artifacts.push(name.to_owned());
     }
 }
 
-/// Writes `<module>_manifest.json`, `<module>_trace.jsonl`,
-/// `<module>_timeseries.jsonl` and `<module>_metrics.prom` next to the
-/// module's CSVs. Wall time stays out: manifests and traces must be
-/// byte-identical across same-seed reruns.
+/// The four files [`run_module`] writes for every module next to the
+/// files the module writes itself, each named `<module>_<suffix>`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum RunFile {
+    /// The provenance record, listing every other file of the module.
+    Manifest,
+    /// The sim-time trace, one event per line.
+    Trace,
+    /// Counters per sim-time bucket.
+    Timeseries,
+    /// The final registry as Prometheus text.
+    Metrics,
+}
+
+impl RunFile {
+    /// What follows `<module>_` in the file's name.
+    pub fn suffix(self) -> &'static str {
+        match self {
+            RunFile::Manifest => "manifest.json",
+            RunFile::Trace => "trace.jsonl",
+            RunFile::Timeseries => "timeseries.jsonl",
+            RunFile::Metrics => "metrics.prom",
+        }
+    }
+
+    /// The file's name for `module`.
+    pub fn name(self, module: &str) -> String {
+        format!("{module}_{}", self.suffix())
+    }
+}
+
+/// Every `kind` file in run directory `dir` as `(module, path)`, sorted
+/// by file name; `Err` names a directory that cannot be read.
+pub fn run_files(dir: &Path, kind: RunFile) -> Result<Vec<(String, PathBuf)>, String> {
+    let files = sorted_files(dir).map_err(|e| format!("cannot read {}: {e}", dir.display()))?;
+    Ok(files
+        .into_iter()
+        .filter_map(|path| {
+            let name = path.file_name()?.to_str()?;
+            let module = name.strip_suffix(kind.suffix())?.strip_suffix('_')?;
+            Some((module.to_owned(), path))
+        })
+        .collect())
+}
+
+/// The paths of every entry of `dir`, sorted.
+fn sorted_files(dir: &Path) -> std::io::Result<Vec<PathBuf>> {
+    let mut files = std::fs::read_dir(dir)?
+        .map(|entry| entry.map(|e| e.path()))
+        .collect::<Result<Vec<_>, _>>()?;
+    files.sort();
+    Ok(files)
+}
+
+/// Writes the four [`RunFile`]s next to the module's own files. Wall
+/// time stays out: manifests and traces must be byte-identical across
+/// same-seed reruns.
 fn write_observability(module: &str, cfg: &ExpConfig, telemetry: &Telemetry, reports: &[Report]) {
     let Some(dir) = &cfg.out_dir else { return };
-    let write = |name: &str, text: String| write_artifact(&dir.join(name), text);
-    let trace_name = format!("{module}_trace.jsonl");
+    let write = |name: &str, text: String| write_artifact(&dir.join(name), &text);
+    let trace_name = RunFile::Trace.name(module);
     write(&trace_name, telemetry.trace_jsonl());
     // The time-resolved twin of the metrics: counters per sim-time
     // bucket, plus the final registry as Prometheus text so `repro
     // diff` and the doctor's conservation check can compare them.
-    let ts_name = format!("{module}_timeseries.jsonl");
+    let ts_name = RunFile::Timeseries.name(module);
     write(&ts_name, telemetry.timeseries_jsonl());
-    let prom_name = format!("{module}_metrics.prom");
+    let prom_name = RunFile::Metrics.name(module);
     write(&prom_name, telemetry.prometheus_text());
 
     let mut manifest = RunManifest::new(module, cfg.seed);
@@ -216,7 +271,7 @@ fn write_observability(module: &str, cfg: &ExpConfig, telemetry: &Telemetry, rep
     }
     let ids: Vec<String> = reports.iter().map(|r| r.id.clone()).collect();
     manifest.note("reports", ids.join(","));
-    write(&format!("{module}_manifest.json"), manifest.to_json());
+    write(&RunFile::Manifest.name(module), manifest.to_json());
 }
 
 /// One line per file in `dir`, sorted by file name:
@@ -224,11 +279,7 @@ fn write_observability(module: &str, cfg: &ExpConfig, telemetry: &Telemetry, rep
 /// rows of `tests/data/artifact_digests.txt`. `run` and `module` are
 /// labels copied into each line.
 pub fn digest_lines(run: &str, module: &str, dir: &Path) -> std::io::Result<Vec<String>> {
-    let mut files: Vec<_> = std::fs::read_dir(dir)?
-        .map(|entry| entry.map(|e| e.path()))
-        .collect::<Result<_, _>>()?;
-    files.sort();
-    files
+    sorted_files(dir)?
         .iter()
         .map(|path| {
             let bytes = std::fs::read(path)?;

@@ -16,7 +16,6 @@
 //!   (OpenDNS-style, trusting `.com`'s 2-day glue) hang on far longer,
 //!   forming Table 4's sticky population.
 
-use crate::artifacts::write_csv;
 use crate::config::ExpConfig;
 use crate::report::Report;
 use crate::worlds::{self, CachetestWorld};
@@ -28,7 +27,7 @@ use dnsttl_atlas::{
 use dnsttl_netsim::{SimRng, SimTime};
 use dnsttl_telemetry::EventKind;
 use dnsttl_wire::{Name, RecordType};
-use std::sync::Arc;
+use std::sync::{Arc, LazyLock};
 
 /// When the renumbering happens (the paper's t = 9 min).
 const RENUMBER_AT: SimTime = SimTime::from_secs(9 * 60);
@@ -119,13 +118,13 @@ fn run_config(cfg: &ExpConfig, out_of_bailiwick: bool) -> RunOutput {
 }
 
 fn is_new(answers: &[Arc<str>]) -> bool {
-    let marker = worlds::NEW_MARKER.to_string();
-    answers.iter().any(|a| **a == *marker)
+    static MARKER: LazyLock<String> = LazyLock::new(|| worlds::NEW_MARKER.to_string());
+    answers.iter().any(|a| **a == **MARKER)
 }
 
 fn is_old(answers: &[Arc<str>]) -> bool {
-    let marker = worlds::OLD_MARKER.to_string();
-    answers.iter().any(|a| **a == *marker)
+    static MARKER: LazyLock<String> = LazyLock::new(|| worlds::OLD_MARKER.to_string());
+    answers.iter().any(|a| **a == **MARKER)
 }
 
 /// Fraction of valid answers in `[from, to)` minutes that came from the
@@ -181,17 +180,17 @@ fn timeseries(ds: &Dataset) -> TimeSeries {
     ts
 }
 
-fn dump_timeseries(cfg: &ExpConfig, file: &str, ts: &TimeSeries) {
-    if let Some(dir) = &cfg.out_dir {
-        let mut w = CsvWriter::new(dir.join(file), &["t_s", "old", "new"]);
+fn dump_timeseries(report: &mut Report, cfg: &ExpConfig, file: &str, ts: &TimeSeries) {
+    report.write(cfg, file, || {
+        let mut w = CsvWriter::new(&["t_s", "old", "new"]);
         let old = ts.series("old");
         let new = ts.series("new");
         for (i, (t, o)) in old.iter().enumerate() {
             let n = new.get(i).map(|(_, n)| *n).unwrap_or(0);
             w.row_display(&[*t, *o, n]);
         }
-        write_csv(w);
-    }
+        w.finish()
+    });
 }
 
 /// Runs both configurations; returns fig5, fig6, fig7, fig8, table3,
@@ -241,7 +240,7 @@ pub fn run(cfg: &ExpConfig) -> Vec<Report> {
     fig6.metric("new_9_60", in_mid);
     fig6.metric("new_60_120", in_after_ns);
     fig6.metric("new_after_120", in_after_all);
-    dump_timeseries(cfg, "fig6_inbailiwick_timeseries.csv", &ts_in);
+    dump_timeseries(&mut fig6, cfg, "fig6_inbailiwick_timeseries.csv", &ts_in);
     reports.push(fig6);
 
     // ----- Figure 7: out-of-bailiwick time series -----
@@ -266,7 +265,7 @@ pub fn run(cfg: &ExpConfig) -> Vec<Report> {
     fig7.metric("new_9_60", out_mid);
     fig7.metric("new_60_120", out_after_ns);
     fig7.metric("new_after_120", out_after_all);
-    dump_timeseries(cfg, "fig7_outbailiwick_timeseries.csv", &ts_out);
+    dump_timeseries(&mut fig7, cfg, "fig7_outbailiwick_timeseries.csv", &ts_out);
     reports.push(fig7);
 
     // ----- Figure 8 + Table 4: sticky VPs and matched behaviour -----

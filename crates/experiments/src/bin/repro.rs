@@ -28,7 +28,7 @@
 //! (`<module>_timeseries.jsonl`), and the final metrics
 //! (`<module>_metrics.prom`) next to its CSVs, unless `--no-csv`.
 
-use dnsttl_experiments::artifacts::{self, ARTIFACTS};
+use dnsttl_experiments::artifacts::{self, RunFile, ARTIFACTS};
 use dnsttl_experiments::{flightdeck, rundiff, timeline, ExpConfig};
 
 /// Which experiment module regenerates an artifact; exits with a usage
@@ -168,23 +168,13 @@ fn run_flame(args: &[String]) -> ! {
     let mut traces: Vec<std::path::PathBuf> = Vec::new();
     for input in inputs {
         if input.is_dir() {
-            let mut found: Vec<std::path::PathBuf> = std::fs::read_dir(&input)
-                .map(|rd| {
-                    rd.filter_map(|e| e.ok().map(|e| e.path()))
-                        .filter(|p| {
-                            p.file_name()
-                                .and_then(|n| n.to_str())
-                                .is_some_and(|n| n.ends_with("_trace.jsonl"))
-                        })
-                        .collect()
-                })
-                .unwrap_or_default();
-            found.sort();
+            let found = artifacts::run_files(&input, RunFile::Trace).unwrap_or_default();
             if found.is_empty() {
-                eprintln!("no *_trace.jsonl in {}", input.display());
+                let suffix = RunFile::Trace.suffix();
+                eprintln!("no *_{suffix} in {}", input.display());
                 std::process::exit(1);
             }
-            traces.extend(found);
+            traces.extend(found.into_iter().map(|(_, path)| path));
         } else {
             traces.push(input);
         }

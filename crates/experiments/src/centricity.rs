@@ -10,7 +10,6 @@
 //!   parent value.
 //! * **Table 2** — the per-experiment probe/VP/query accounting.
 
-use crate::artifacts::write_csv;
 use crate::config::ExpConfig;
 use crate::report::Report;
 use crate::sharded::{self, WorldSpec};
@@ -122,15 +121,15 @@ pub fn run(cfg: &ExpConfig) -> Vec<Report> {
     fig1.metric("census_child_fraction", census.child_fraction());
     fig1.metric("census_pinned", census.pinned as f64);
     fig1.metric("census_mixed", census.mixed as f64);
-    if let Some(dir) = &cfg.out_dir {
-        let mut w = CsvWriter::new(dir.join("fig1_uy_ttl_cdf.csv"), &["series", "ttl_s", "cdf"]);
+    fig1.write(cfg, "fig1_uy_ttl_cdf.csv", || {
+        let mut w = CsvWriter::new(&["series", "ttl_s", "cdf"]);
         for (series, e) in [("uy-ns", &ns_ttls), ("a.nic.uy-a", &a_ttls)] {
             for (x, y) in e.points() {
                 w.row(&[series.into(), format!("{x}"), format!("{y}")]);
             }
         }
-        write_csv(w);
-    }
+        w.finish()
+    });
     reports.push(fig1);
 
     // ----- Figure 2 -----
@@ -151,13 +150,13 @@ pub fn run(cfg: &ExpConfig) -> Vec<Report> {
     fig2.metric("frac_above_parent", above_parent);
     fig2.metric("frac_cap_band", at_cap);
     fig2.metric("frac_at_parent", at_parent);
-    if let Some(dir) = &cfg.out_dir {
-        let mut w = CsvWriter::new(dir.join("fig2_googleco_ttl_cdf.csv"), &["ttl_s", "cdf"]);
+    fig2.write(cfg, "fig2_googleco_ttl_cdf.csv", || {
+        let mut w = CsvWriter::new(&["ttl_s", "cdf"]);
         for (x, y) in g_ttls.points() {
             w.row_display(&[x, y]);
         }
-        write_csv(w);
-    }
+        w.finish()
+    });
     reports.push(fig2);
 
     // ----- Table 2 -----

@@ -14,7 +14,6 @@
 //! on median latency by ~5×; and caching beats anycast at the median
 //! while anycast only compresses the tail.
 
-use crate::artifacts::write_csv;
 use crate::config::ExpConfig;
 use crate::report::Report;
 use crate::sharded::{self, WorldSpec};
@@ -198,11 +197,8 @@ pub fn run(cfg: &ExpConfig) -> Vec<Report> {
     fig11b.metric("p95_ttl60_s", e60s.quantile(0.95));
     fig11b.metric("p95_anycast", eany.quantile(0.95));
 
-    if let Some(dir) = &cfg.out_dir {
-        let mut w = CsvWriter::new(
-            dir.join("fig11_latency_cdfs.csv"),
-            &["series", "rtt_ms", "cdf"],
-        );
+    fig11a.write(cfg, "fig11_latency_cdfs.csv", || {
+        let mut w = CsvWriter::new(&["series", "rtt_ms", "cdf"]);
         for (series, e) in [
             ("ttl60-u", &e60u),
             ("ttl86400-u", &e86u),
@@ -214,11 +210,10 @@ pub fn run(cfg: &ExpConfig) -> Vec<Report> {
                 w.row(&[series.into(), format!("{x}"), format!("{y}")]);
             }
         }
-        write_csv(w);
-        let mut w = CsvWriter::new(
-            dir.join("table10_auth_counts.csv"),
-            &["campaign", "client_queries", "auth_queries", "auth_sources"],
-        );
+        w.finish()
+    });
+    table10.write(cfg, "table10_auth_counts.csv", || {
+        let mut w = CsvWriter::new(&["campaign", "client_queries", "auth_queries", "auth_sources"]);
         for c in campaigns {
             w.row(&[
                 c.label.into(),
@@ -227,8 +222,8 @@ pub fn run(cfg: &ExpConfig) -> Vec<Report> {
                 c.auth_sources.to_string(),
             ]);
         }
-        write_csv(w);
-    }
+        w.finish()
+    });
 
     vec![table10, fig11a, fig11b]
 }

@@ -1,6 +1,5 @@
 //! §5.1: TTLs in the wild — Table 5, Figure 9, Tables 6–9.
 
-use crate::artifacts::write_csv;
 use crate::config::ExpConfig;
 use crate::report::Report;
 use dnsttl_analysis::{ascii_cdf_log, CsvWriter, Ecdf, Table};
@@ -92,21 +91,16 @@ pub fn run(cfg: &ExpConfig) -> Vec<Report> {
         for (k, e) in &ecdfs {
             fig9.push(format!("  {:<9} {}", k.name(), e.summary()));
         }
-        if let Some(dir) = &cfg.out_dir {
-            let mut w = CsvWriter::new(
-                dir.join(format!(
-                    "fig9_{}_ttl_cdf.csv",
-                    rtype.to_string().to_lowercase()
-                )),
-                &["list", "ttl_s", "cdf"],
-            );
+        let file = format!("fig9_{}_ttl_cdf.csv", rtype.to_string().to_lowercase());
+        fig9.write(cfg, &file, || {
+            let mut w = CsvWriter::new(&["list", "ttl_s", "cdf"]);
             for (k, e) in &ecdfs {
                 for (x, y) in e.points() {
                     w.row(&[k.name().into(), format!("{x}"), format!("{y}")]);
                 }
             }
-            write_csv(w);
-        }
+            w.finish()
+        });
     }
     // Shape metrics.
     let root_ns = summaries[4].ttl_ecdf(RecordType::NS);

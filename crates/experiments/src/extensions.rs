@@ -523,11 +523,10 @@ pub(crate) fn negative_ttl_load(cfg: &ExpConfig) -> Report {
     let query_gap = SimDuration::from_secs(30);
 
     let auth_load = |neg_ttl: Ttl| -> u64 {
-        let mut zone = ZoneBuilder::new("example")
+        let zone = ZoneBuilder::new("example")
             .ns("example", "ns.example", Ttl::DAY)
             .negative_ttl(neg_ttl)
             .build();
-        zone.set_negative_ttl(neg_ttl);
         let child = AuthoritativeServer::new("ns.example").with_zone(zone);
         let mut net = worlds::example_world(LatencyModel::constant(20.0), child);
 

@@ -15,6 +15,7 @@
 //!   consistency, trace-ring drop counters, span-tree well-formedness,
 //!   and cache conservation across a run directory.
 
+use crate::artifacts::{run_files, RunFile};
 use dnsttl_atlas::Dataset;
 use dnsttl_telemetry::{flat_get, parse_flat_object, JsonScalar, Telemetry};
 use std::collections::BTreeMap;
@@ -533,36 +534,21 @@ impl DoctorReport {
 /// correctly ordered, and its span trees are well-formed.
 pub fn doctor_dir(dir: &Path) -> DoctorReport {
     let mut report = DoctorReport::default();
-    let mut entries: Vec<std::path::PathBuf> = match std::fs::read_dir(dir) {
-        Ok(rd) => rd.filter_map(|e| e.ok().map(|e| e.path())).collect(),
+    let manifests = match run_files(dir, RunFile::Manifest) {
+        Ok(manifests) => manifests,
         Err(e) => {
-            report.fail(format!("cannot read {}: {e}", dir.display()));
+            report.fail(e);
             return report;
         }
     };
-    entries.sort();
-
-    let manifests: Vec<&std::path::PathBuf> = entries
-        .iter()
-        .filter(|p| {
-            p.file_name()
-                .and_then(|n| n.to_str())
-                .is_some_and(|n| n.ends_with("_manifest.json"))
-        })
-        .collect();
     if manifests.is_empty() {
-        report.fail(format!("no *_manifest.json found in {}", dir.display()));
+        let suffix = RunFile::Manifest.suffix();
+        report.fail(format!("no *_{suffix} found in {}", dir.display()));
         return report;
     }
 
     let mut seeds: Vec<(String, u64)> = Vec::new();
-    for path in &manifests {
-        let module = path
-            .file_name()
-            .and_then(|n| n.to_str())
-            .unwrap_or_default()
-            .trim_end_matches("_manifest.json")
-            .to_string();
+    for (module, path) in &manifests {
         let text = match std::fs::read_to_string(path) {
             Ok(t) => t,
             Err(e) => {
@@ -615,16 +601,16 @@ pub fn doctor_dir(dir: &Path) -> DoctorReport {
         }
 
         // The paired trace, when present.
-        let trace_path = dir.join(format!("{module}_trace.jsonl"));
+        let trace_path = dir.join(RunFile::Trace.name(module));
         if trace_path.exists() {
-            audit_trace(&module, &trace_path, dropped == Some(0), &mut report);
+            audit_trace(module, &trace_path, dropped == Some(0), &mut report);
         }
 
         // The paired sim-time series, when present.
-        let ts_path = dir.join(format!("{module}_timeseries.jsonl"));
+        let ts_path = dir.join(RunFile::Timeseries.name(module));
         if ts_path.exists() {
-            let prom_path = dir.join(format!("{module}_metrics.prom"));
-            audit_timeseries(&module, &ts_path, &prom_path, &mut report);
+            let prom_path = dir.join(RunFile::Metrics.name(module));
+            audit_timeseries(module, &ts_path, &prom_path, &mut report);
         }
     }
 
@@ -713,8 +699,9 @@ fn audit_timeseries(module: &str, path: &Path, prom_path: &Path, report: &mut Do
     let prom = match std::fs::read_to_string(prom_path) {
         Ok(t) => t,
         Err(e) => {
+            let suffix = RunFile::Metrics.suffix();
             report.fail(format!(
-                "{module}: timeseries has counters but metrics.prom is unreadable: {e}"
+                "{module}: timeseries has counters but {suffix} is unreadable: {e}"
             ));
             return;
         }
@@ -891,19 +878,22 @@ mod tests {
     fn doctor_flags_drops_and_missing_artifacts() {
         let dir = std::env::temp_dir().join(format!("dnsttl-doctor-test-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
+        let trace = RunFile::Trace.name("m");
         std::fs::write(
-            dir.join("m_manifest.json"),
-            r#"{"experiment":"m","seed":42,"event_counts":{"cache_insert":5,"cache_expired_drop":1},"trace_dropped":0,"artifacts":["m_trace.jsonl"]}"#,
+            dir.join(RunFile::Manifest.name("m")),
+            format!(
+                r#"{{"experiment":"m","seed":42,"event_counts":{{"cache_insert":5,"cache_expired_drop":1}},"trace_dropped":0,"artifacts":["{trace}"]}}"#
+            ),
         )
         .unwrap();
-        std::fs::write(dir.join("m_trace.jsonl"), WELL_FORMED.trim_start()).unwrap();
+        std::fs::write(dir.join(trace), WELL_FORMED.trim_start()).unwrap();
         let report = doctor_dir(&dir);
         assert!(report.failures.is_empty(), "{:?}", report.failures);
         assert!(report.render().contains("span trees well-formed"));
 
         // Now a second manifest with a different seed and a drop.
         std::fs::write(
-            dir.join("n_manifest.json"),
+            dir.join(RunFile::Manifest.name("n")),
             r#"{"experiment":"n","seed":7,"event_counts":{},"trace_dropped":3,"artifacts":["gone.csv"]}"#,
         )
         .unwrap();
@@ -919,12 +909,12 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("dnsttl-doctor-ts-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         std::fs::write(
-            dir.join("m_manifest.json"),
+            dir.join(RunFile::Manifest.name("m")),
             r#"{"experiment":"m","seed":42,"event_counts":{},"trace_dropped":0,"artifacts":[]}"#,
         )
         .unwrap();
         std::fs::write(
-            dir.join("m_timeseries.jsonl"),
+            dir.join(RunFile::Timeseries.name("m")),
             concat!(
                 r#"{"series":"q","kind":"counter","t_ms":0,"width_ms":60000,"value":3}"#,
                 "\n",
@@ -933,7 +923,11 @@ mod tests {
             ),
         )
         .unwrap();
-        std::fs::write(dir.join("m_metrics.prom"), "# TYPE q counter\nq 7\n").unwrap();
+        std::fs::write(
+            dir.join(RunFile::Metrics.name("m")),
+            "# TYPE q counter\nq 7\n",
+        )
+        .unwrap();
         let report = doctor_dir(&dir);
         assert!(report.failures.is_empty(), "{:?}", report.failures);
         assert!(report
@@ -942,7 +936,11 @@ mod tests {
             .any(|p| p.contains("counter series conserve")));
 
         // A final registry value the buckets cannot reach is drift.
-        std::fs::write(dir.join("m_metrics.prom"), "# TYPE q counter\nq 9\n").unwrap();
+        std::fs::write(
+            dir.join(RunFile::Metrics.name("m")),
+            "# TYPE q counter\nq 9\n",
+        )
+        .unwrap();
         let report = doctor_dir(&dir);
         assert!(report
             .failures
@@ -951,7 +949,7 @@ mod tests {
 
         // A gap in the bucket boundaries is a shape failure.
         std::fs::write(
-            dir.join("m_timeseries.jsonl"),
+            dir.join(RunFile::Timeseries.name("m")),
             concat!(
                 r#"{"series":"q","kind":"counter","t_ms":0,"width_ms":60000,"value":3}"#,
                 "\n",
@@ -960,7 +958,11 @@ mod tests {
             ),
         )
         .unwrap();
-        std::fs::write(dir.join("m_metrics.prom"), "# TYPE q counter\nq 7\n").unwrap();
+        std::fs::write(
+            dir.join(RunFile::Metrics.name("m")),
+            "# TYPE q counter\nq 7\n",
+        )
+        .unwrap();
         let report = doctor_dir(&dir);
         assert!(report.failures.iter().any(|f| f.contains("has gaps")));
         std::fs::remove_dir_all(&dir).ok();

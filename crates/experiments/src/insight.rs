@@ -13,7 +13,6 @@
 //! before being overwritten or expiring. The attribution tables printed
 //! here are what `repro cache-report` shows.
 
-use crate::artifacts::write_artifact;
 use crate::config::ExpConfig;
 use crate::report::Report;
 use crate::worlds::{self, CachetestWorld, NEW_MARKER};
@@ -286,17 +285,13 @@ pub fn run(cfg: &ExpConfig) -> Vec<Report> {
     }
 
     // Artifacts: snapshots and the diff, for `repro cache-report --diff`.
-    if let Some(dir) = &cfg.out_dir {
-        write_artifact(
-            &dir.join("insight_snapshot_before.jsonl"),
-            in_run.snap_before.to_jsonl(),
-        );
-        write_artifact(
-            &dir.join("insight_snapshot_after.jsonl"),
-            in_run.snap_after.to_jsonl(),
-        );
-        write_artifact(&dir.join("insight_diff.txt"), diff.render());
-    }
+    report.write(cfg, "insight_snapshot_before.jsonl", || {
+        in_run.snap_before.to_jsonl()
+    });
+    report.write(cfg, "insight_snapshot_after.jsonl", || {
+        in_run.snap_after.to_jsonl()
+    });
+    report.write(cfg, "insight_diff.txt", || diff.render());
 
     vec![report]
 }

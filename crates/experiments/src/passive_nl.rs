@@ -13,7 +13,6 @@
 //! the same query stream through the simulated `.nl`, and the same
 //! grouping is applied to the logs of the two observed servers.
 
-use crate::artifacts::write_csv;
 use crate::config::ExpConfig;
 use crate::report::Report;
 use crate::worlds;
@@ -132,16 +131,13 @@ pub fn run(cfg: &ExpConfig) -> Vec<Report> {
     fig3.metric("groups", groups.len() as f64);
     fig3.metric("frac_single_query", single);
     fig3.metric("median_queries_per_group", all.median());
-    if let Some(dir) = &cfg.out_dir {
-        let mut w = CsvWriter::new(
-            dir.join("fig3_queries_per_group_cdf.csv"),
-            &["queries", "cdf"],
-        );
+    fig3.write(cfg, "fig3_queries_per_group_cdf.csv", || {
+        let mut w = CsvWriter::new(&["queries", "cdf"]);
         for (x, y) in all.points() {
             w.row_display(&[x, y]);
         }
-        write_csv(w);
-    }
+        w.finish()
+    });
 
     // Figure 4: CDF of minimum interarrival per multi-query group;
     // bumps at multiples of the child's 3600 s TTL.
@@ -172,16 +168,13 @@ pub fn run(cfg: &ExpConfig) -> Vec<Report> {
     ));
     fig4.metric("hour_bump_fraction", hour_bump);
     fig4.metric("groups_with_multi", mins.len() as f64);
-    if let Some(dir) = &cfg.out_dir {
-        let mut w = CsvWriter::new(
-            dir.join("fig4_min_interarrival_cdf.csv"),
-            &["seconds", "cdf"],
-        );
+    fig4.write(cfg, "fig4_min_interarrival_cdf.csv", || {
+        let mut w = CsvWriter::new(&["seconds", "cdf"]);
         for (x, y) in min_ecdf.points() {
             w.row_display(&[x, y]);
         }
-        write_csv(w);
-    }
+        w.finish()
+    });
 
     vec![fig3, fig4]
 }

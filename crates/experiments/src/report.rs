@@ -15,9 +15,9 @@ pub struct Report {
     pub text: String,
     /// Named scalar results (fractions, medians, counts).
     pub metrics: BTreeMap<String, f64>,
-    /// File names (relative to the experiment out-dir) this run wrote
-    /// beyond the standard CSV series — journalled into the run
-    /// manifest so provenance covers them (e.g. a fault-plan script).
+    /// Every file (relative to the experiment out-dir) this run wrote
+    /// through `Report::write` — CSVs, snapshots, a fault-plan
+    /// script — journalled into the run manifest's `artifacts`.
     pub artifacts: Vec<String>,
 }
 
@@ -33,12 +33,6 @@ impl Report {
         }
     }
 
-    /// Records a written artifact file (relative to the out-dir).
-    pub fn artifact(&mut self, name: &str) -> &mut Report {
-        self.artifacts.push(name.to_owned());
-        self
-    }
-
     /// Appends a line (or block) of text.
     pub fn push(&mut self, text: impl AsRef<str>) -> &mut Report {
         self.text.push_str(text.as_ref());
@@ -49,7 +43,7 @@ impl Report {
     }
 
     /// Records a named metric.
-    pub fn metric(&mut self, key: &str, value: f64) -> &mut Report {
+    pub(crate) fn metric(&mut self, key: &str, value: f64) -> &mut Report {
         self.metrics.insert(key.to_owned(), value);
         self
     }

@@ -22,7 +22,6 @@
 //!   the hardened-profile failure caching and server backoff). With
 //!   stale answers allowed, even a 60 s TTL bridges the outage.
 
-use crate::artifacts::{write_artifact, write_csv};
 use crate::config::ExpConfig;
 use crate::report::Report;
 use crate::sharded;
@@ -223,17 +222,14 @@ pub fn run(cfg: &ExpConfig) -> Vec<Report> {
          to short TTLs by bridging the outage with stale answers.",
     );
 
-    if let Some(dir) = &cfg.out_dir {
-        let mut w = CsvWriter::new(
-            dir.join("resilience_failure_rate.csv"),
-            &[
-                "ttl_s",
-                "serve_stale",
-                "queries",
-                "failures",
-                "failure_rate",
-            ],
-        );
+    report.write(cfg, "resilience_failure_rate.csv", || {
+        let mut w = CsvWriter::new(&[
+            "ttl_s",
+            "serve_stale",
+            "queries",
+            "failures",
+            "failure_rate",
+        ]);
         for (ttl, stale, cell) in &rows {
             w.row(&[
                 ttl.to_string(),
@@ -243,13 +239,10 @@ pub fn run(cfg: &ExpConfig) -> Vec<Report> {
                 format!("{:.6}", cell.rate()),
             ]);
         }
-        write_csv(w);
-        // Journal the exact outage script next to the CSVs; the run
-        // manifest lists it as an artifact.
-        write_artifact(&dir.join("resilience_fault_plan.txt"), plan.to_text());
-        report.artifact("resilience_failure_rate.csv");
-        report.artifact("resilience_fault_plan.txt");
-    }
+        w.finish()
+    });
+    // Journal the exact outage script next to the CSVs.
+    report.write(cfg, "resilience_fault_plan.txt", || plan.to_text());
 
     vec![report]
 }

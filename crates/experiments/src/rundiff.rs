@@ -15,6 +15,7 @@
 //! changes — e.g. comparing across a cache-policy PR where counters
 //! are expected to move a little.
 
+use crate::artifacts::{run_files, RunFile};
 use crate::flightdeck::{scan_str_array, scan_u64_field};
 use crate::timeline::{parse_timeseries_jsonl, TsLine};
 use dnsttl_telemetry::{ObjectWriter, Value};
@@ -166,21 +167,16 @@ fn trim_num(v: f64) -> String {
     }
 }
 
-fn read_dir_files(dir: &Path, suffix: &str) -> Result<BTreeMap<String, String>, String> {
-    let mut out = BTreeMap::new();
-    let rd = std::fs::read_dir(dir).map_err(|e| format!("cannot read {}: {e}", dir.display()))?;
-    for entry in rd.filter_map(|e| e.ok()) {
-        let path = entry.path();
-        let Some(name) = path.file_name().and_then(|n| n.to_str()) else {
-            continue;
-        };
-        if let Some(stem) = name.strip_suffix(suffix) {
+/// The text of every `kind` file in `dir`, by module.
+fn read_run_files(dir: &Path, kind: RunFile) -> Result<BTreeMap<String, String>, String> {
+    run_files(dir, kind)?
+        .into_iter()
+        .map(|(module, path)| {
             let text = std::fs::read_to_string(&path)
                 .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-            out.insert(stem.to_string(), text);
-        }
-    }
-    Ok(out)
+            Ok((module, text))
+        })
+        .collect()
 }
 
 /// Parses the sample lines of a Prometheus text exposition:
@@ -294,13 +290,14 @@ pub fn diff_dirs(a: &Path, b: &Path, cfg: &DiffConfig) -> Result<DiffVerdict, St
     let mut verdict = DiffVerdict::default();
 
     // 1. Module sets and manifests.
-    let man_a = read_dir_files(a, "_manifest.json")?;
-    let man_b = read_dir_files(b, "_manifest.json")?;
+    let man_a = read_run_files(a, RunFile::Manifest)?;
+    let man_b = read_run_files(b, RunFile::Manifest)?;
     if man_a.is_empty() && man_b.is_empty() {
         return Err(format!(
-            "neither {} nor {} contains *_manifest.json — are these repro run dirs?",
+            "neither {} nor {} contains *_{} — are these repro run dirs?",
             a.display(),
-            b.display()
+            b.display(),
+            RunFile::Manifest.suffix()
         ));
     }
     for module in man_a.keys().chain(man_b.keys()) {
@@ -364,8 +361,8 @@ pub fn diff_dirs(a: &Path, b: &Path, cfg: &DiffConfig) -> Result<DiffVerdict, St
 
     // 2. Every Prometheus sample: counters, gauges, and sketch
     // quantiles all live here.
-    let prom_a = read_dir_files(a, "_metrics.prom")?;
-    let prom_b = read_dir_files(b, "_metrics.prom")?;
+    let prom_a = read_run_files(a, RunFile::Metrics)?;
+    let prom_b = read_run_files(b, RunFile::Metrics)?;
     for (module, text_a) in &prom_a {
         let Some(text_b) = prom_b.get(module) else {
             verdict.notes.push(format!("{module}: no metrics in run B"));
@@ -383,8 +380,8 @@ pub fn diff_dirs(a: &Path, b: &Path, cfg: &DiffConfig) -> Result<DiffVerdict, St
     }
 
     // 3. Every time-series bucket.
-    let ts_a = read_dir_files(a, "_timeseries.jsonl")?;
-    let ts_b = read_dir_files(b, "_timeseries.jsonl")?;
+    let ts_a = read_run_files(a, RunFile::Timeseries)?;
+    let ts_b = read_run_files(b, RunFile::Timeseries)?;
     for (module, text_a) in &ts_a {
         let Some(text_b) = ts_b.get(module) else {
             verdict
@@ -413,20 +410,21 @@ mod tests {
 
     fn write_run(dir: &Path, seed: u64, hits: u64) {
         std::fs::create_dir_all(dir).unwrap();
+        let trace = RunFile::Trace.name("mod");
         std::fs::write(
-            dir.join("mod_manifest.json"),
+            dir.join(RunFile::Manifest.name("mod")),
             format!(
-                "{{\"schema\":\"x\",\"module\":\"mod\",\"seed\":{seed},\"artifacts\":[\"mod_trace.jsonl\"]}}"
+                "{{\"schema\":\"x\",\"module\":\"mod\",\"seed\":{seed},\"artifacts\":[\"{trace}\"]}}"
             ),
         )
         .unwrap();
         std::fs::write(
-            dir.join("mod_metrics.prom"),
+            dir.join(RunFile::Metrics.name("mod")),
             format!("# TYPE resolver_cache_hits counter\nresolver_cache_hits {hits}\n"),
         )
         .unwrap();
         std::fs::write(
-            dir.join("mod_timeseries.jsonl"),
+            dir.join(RunFile::Timeseries.name("mod")),
             format!(
                 "{{\"series\":\"resolver_cache_hits\",\"kind\":\"counter\",\"t_ms\":0,\"width_ms\":60000,\"value\":{hits}}}\n"
             ),
@@ -493,7 +491,7 @@ mod tests {
         write_run(&a, 42, 10);
         write_run(&b, 42, 10);
         std::fs::write(
-            b.join("mod_manifest.json"),
+            b.join(RunFile::Manifest.name("mod")),
             "{\"schema\":\"x\",\"module\":\"mod\",\"seed\":42,\"artifacts\":[]}",
         )
         .unwrap();

@@ -21,7 +21,6 @@
 //! clients fill one cache differs. Both axes sweep TTL ∈ {60 s, 1 h,
 //! 1 day}.
 
-use crate::artifacts::write_csv;
 use crate::config::ExpConfig;
 use crate::report::Report;
 use crate::worlds::{self, name};
@@ -223,20 +222,17 @@ pub fn run(cfg: &ExpConfig) -> Vec<Report> {
          and the gap is the same mechanism behind the paper's §5.3 latency win.",
     );
 
-    if let Some(dir) = &cfg.out_dir {
-        let mut w = CsvWriter::new(
-            dir.join("shared_cache_hit_rate.csv"),
-            &[
-                "ttl_s",
-                "backend",
-                "clients",
-                "queries",
-                "hits",
-                "hit_rate",
-                "mean_latency_ms",
-                "upstream_queries",
-            ],
-        );
+    report.write(cfg, "shared_cache_hit_rate.csv", || {
+        let mut w = CsvWriter::new(&[
+            "ttl_s",
+            "backend",
+            "clients",
+            "queries",
+            "hits",
+            "hit_rate",
+            "mean_latency_ms",
+            "upstream_queries",
+        ]);
         for (&(ttl, shared), cell) in matrix.iter().zip(&results) {
             w.row(&[
                 ttl.to_string(),
@@ -249,9 +245,8 @@ pub fn run(cfg: &ExpConfig) -> Vec<Report> {
                 cell.upstream.to_string(),
             ]);
         }
-        write_csv(w);
-        report.artifact("shared_cache_hit_rate.csv");
-    }
+        w.finish()
+    });
 
     vec![report]
 }

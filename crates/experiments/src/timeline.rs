@@ -11,6 +11,7 @@
 //! * **upstream_qps** — `resolver_upstream_queries / bucket seconds`
 //!   (the load the paper argues longer TTLs suppress).
 
+use crate::artifacts::{run_files, RunFile};
 use dnsttl_analysis::CsvWriter;
 use dnsttl_telemetry::{flat_get, parse_flat_object};
 use std::collections::BTreeMap;
@@ -133,29 +134,15 @@ pub(crate) fn derived_curves(lines: &[TsLine]) -> Vec<(u64, f64, f64)> {
 /// All `*_timeseries.jsonl` files under `dir`, as `(module, lines)`
 /// in name order.
 pub(crate) fn load_dir(dir: &Path) -> Result<Vec<(String, Vec<TsLine>)>, String> {
-    let mut files: Vec<std::path::PathBuf> = std::fs::read_dir(dir)
-        .map_err(|e| format!("cannot read {}: {e}", dir.display()))?
-        .filter_map(|e| e.ok().map(|e| e.path()))
-        .filter(|p| {
-            p.file_name()
-                .and_then(|n| n.to_str())
-                .is_some_and(|n| n.ends_with("_timeseries.jsonl"))
-        })
-        .collect();
-    files.sort();
+    let files = run_files(dir, RunFile::Timeseries)?;
     if files.is_empty() {
-        return Err(format!("no *_timeseries.jsonl in {}", dir.display()));
+        let suffix = RunFile::Timeseries.suffix();
+        return Err(format!("no *_{suffix} in {}", dir.display()));
     }
     let mut out = Vec::new();
-    for path in files {
+    for (module, path) in files {
         let text = std::fs::read_to_string(&path)
             .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-        let module = path
-            .file_name()
-            .and_then(|n| n.to_str())
-            .and_then(|n| n.strip_suffix("_timeseries.jsonl"))
-            .unwrap_or("unknown")
-            .to_string();
         let lines =
             parse_timeseries_jsonl(&text).map_err(|e| format!("{}: {e}", path.display()))?;
         out.push((module, lines));
@@ -167,10 +154,7 @@ pub(crate) fn load_dir(dir: &Path) -> Result<Vec<(String, Vec<TsLine>)>, String>
 /// and returns the sparkline text for stdout.
 pub fn render_dir(dir: &Path) -> Result<String, String> {
     let modules = load_dir(dir)?;
-    let mut csv = CsvWriter::new(
-        dir.join("timeline.csv"),
-        &["module", "series", "kind", "t_ms", "width_ms", "value"],
-    );
+    let mut csv = CsvWriter::new(&["module", "series", "kind", "t_ms", "width_ms", "value"]);
     let mut out = String::new();
     use std::fmt::Write as _;
     for (module, lines) in &modules {
@@ -257,7 +241,7 @@ pub fn render_dir(dir: &Path) -> Result<String, String> {
             );
         }
     }
-    csv.finish()
+    std::fs::write(dir.join("timeline.csv"), csv.finish())
         .map_err(|e| format!("cannot write timeline.csv: {e}"))?;
     Ok(out)
 }
@@ -313,7 +297,7 @@ mod tests {
     fn render_dir_writes_csv_and_sparklines() {
         let dir = std::env::temp_dir().join(format!("ttl-timeline-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
-        std::fs::write(dir.join("mod_timeseries.jsonl"), SAMPLE).unwrap();
+        std::fs::write(dir.join(RunFile::Timeseries.name("mod")), SAMPLE).unwrap();
         let out = render_dir(&dir).unwrap();
         assert!(out.contains("== mod =="));
         assert!(out.contains("hit_rate (derived)"));

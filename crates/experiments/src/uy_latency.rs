@@ -7,7 +7,6 @@
 //! queries miss and pay a trip to the authoritatives; with the long
 //! TTL the recursive answers directly.
 
-use crate::artifacts::write_csv;
 use crate::config::ExpConfig;
 use crate::flightdeck;
 use crate::report::Report;
@@ -110,18 +109,15 @@ pub fn run(cfg: &ExpConfig) -> Vec<Report> {
         "cache_hit_rate_after",
         after.valid().filter(|r| r.cache_hit).count() as f64 / after.valid_count().max(1) as f64,
     );
-    if let Some(dir) = &cfg.out_dir {
-        let mut w = CsvWriter::new(
-            dir.join("fig10a_uy_rtt_cdf.csv"),
-            &["phase", "rtt_ms", "cdf"],
-        );
+    fig10a.write(cfg, "fig10a_uy_rtt_cdf.csv", || {
+        let mut w = CsvWriter::new(&["phase", "rtt_ms", "cdf"]);
         for (phase, e) in [("before", &before_ecdf), ("after", &after_ecdf)] {
             for (x, y) in e.points() {
                 w.row(&[phase.into(), format!("{x}"), format!("{y}")]);
             }
         }
-        write_csv(w);
-    }
+        w.finish()
+    });
 
     // ----- Figure 10b: per-region quantiles -----
     let mut fig10b = Report::new("fig10b", "RTT quantiles per region, before vs after");
@@ -157,11 +153,8 @@ pub fn run(cfg: &ExpConfig) -> Vec<Report> {
     fig10b.push(t.render());
     fig10b.push("paper: all regions observe latency reduction after the TTL change.");
     fig10b.metric("all_regions_improved", all_regions_improved as u8 as f64);
-    if let Some(dir) = &cfg.out_dir {
-        let mut w = CsvWriter::new(
-            dir.join("fig10b_uy_rtt_by_region.csv"),
-            &["region", "phase", "p25", "p50", "p75"],
-        );
+    fig10b.write(cfg, "fig10b_uy_rtt_by_region.csv", || {
+        let mut w = CsvWriter::new(&["region", "phase", "p25", "p50", "p75"]);
         for region in Region::ALL {
             for (phase, ds) in [("before", &before), ("after", &after)] {
                 let e = Ecdf::from_u64(ds.rtts_ms_in(region));
@@ -177,8 +170,8 @@ pub fn run(cfg: &ExpConfig) -> Vec<Report> {
                 ]);
             }
         }
-        write_csv(w);
-    }
+        w.finish()
+    });
 
     vec![fig10a, fig10b]
 }

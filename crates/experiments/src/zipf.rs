@@ -16,7 +16,6 @@
 //! count, which `tests/shard_equivalence.rs` pins across cell counts
 //! {16, 64, 256}.
 
-use crate::artifacts::write_csv;
 use crate::config::ExpConfig;
 use crate::report::Report;
 use dnsttl_analysis::CsvWriter;
@@ -130,29 +129,22 @@ fn render(cfg: &ExpConfig, campaign: &ZipfCampaignConfig, outcome: &ZipfOutcome)
         (outcome.cache.inserts - outcome.cache.removals()) as f64,
     );
 
-    if let Some(dir) = &cfg.out_dir {
-        let mut w = CsvWriter::new(
-            dir.join("zipf_rank_popularity.csv"),
-            &["rank", "queries", "cache_hits"],
-        );
+    report.write(cfg, "zipf_rank_popularity.csv", || {
+        let mut w = CsvWriter::new(&["rank", "queries", "cache_hits"]);
         for (rank, (q, h)) in per_rank.iter().enumerate() {
             if *q > 0 {
                 w.row(&[format!("{rank}"), format!("{q}"), format!("{h}")]);
             }
         }
-        write_csv(w);
-        report.artifact("zipf_rank_popularity.csv");
-
-        let mut w = CsvWriter::new(
-            dir.join("zipf_load_curve.csv"),
-            &["hour", "queries", "cache_hits"],
-        );
+        w.finish()
+    });
+    report.write(cfg, "zipf_load_curve.csv", || {
+        let mut w = CsvWriter::new(&["hour", "queries", "cache_hits"]);
         for (hour, (q, h)) in per_hour.iter().enumerate() {
             w.row(&[format!("{hour}"), format!("{q}"), format!("{h}")]);
         }
-        write_csv(w);
-        report.artifact("zipf_load_curve.csv");
-    }
+        w.finish()
+    });
     report
 }
 

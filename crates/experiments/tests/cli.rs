@@ -5,6 +5,8 @@
 
 use std::process::Command;
 
+use dnsttl_experiments::artifacts::RunFile;
+
 fn sdig() -> Command {
     Command::new(env!("CARGO_BIN_EXE_sdig"))
 }
@@ -247,9 +249,11 @@ fn repro_resilience_is_deterministic_and_writes_schema_csv() {
                 .expect("fault plan journalled");
         let plan = dnsttl_netsim::FaultPlan::parse(&plan_text).expect("parseable plan");
         assert_eq!(plan.len(), 1, "one scripted outage");
-        let manifest =
-            std::fs::read_to_string(dir.join("target/experiments/resilience_manifest.json"))
-                .expect("manifest written");
+        let manifest = std::fs::read_to_string(
+            dir.join("target/experiments")
+                .join(RunFile::Manifest.name("resilience")),
+        )
+        .expect("manifest written");
         assert!(
             manifest.contains("resilience_fault_plan.txt"),
             "manifest must list the fault plan artifact:\n{manifest}"
@@ -305,8 +309,11 @@ fn repro_shared_cache_is_deterministic_across_reruns_and_shard_counts() {
              86400,partitioned,20,800,638,0.797500,1.062500,170\n\
              86400,shared,20,800,776,0.970000,0.156250,25\n"
         );
-        let trace = std::fs::metadata(dir.join("target/experiments/shared_cache_trace.jsonl"))
-            .expect("shared-cache trace written");
+        let trace = std::fs::metadata(
+            dir.join("target/experiments")
+                .join(RunFile::Trace.name("shared_cache")),
+        )
+        .expect("shared-cache trace written");
         assert!(trace.len() > 0, "the resolvers must report to the run");
         captures.push((stdout, csv));
     }
@@ -470,7 +477,9 @@ fn repro_flame_emits_collapsed_stack_lines() {
         "{}",
         String::from_utf8_lossy(&out.stderr)
     );
-    let trace = dir.join("target/experiments/uy_latency_trace.jsonl");
+    let trace = dir
+        .join("target/experiments")
+        .join(RunFile::Trace.name("uy_latency"));
     let folded = stdout_of(repro().arg("flame").arg(&trace).output().expect("runs"));
     assert!(!folded.trim().is_empty(), "no collapsed stacks emitted");
     for line in folded.lines() {
@@ -533,7 +542,7 @@ fn repro_doctor_passes_healthy_runs_and_flags_corruption() {
 
     // Corrupt the manifest (claim a missing artifact and a drop) and
     // the audit must fail with a nonzero exit.
-    let manifest_path = exp.join("resilience_manifest.json");
+    let manifest_path = exp.join(RunFile::Manifest.name("resilience"));
     let manifest = std::fs::read_to_string(&manifest_path).expect("manifest");
     std::fs::write(
         &manifest_path,

@@ -21,16 +21,14 @@
 //!   caches, so flushes are surfaced via [`FaultPlan::flushes_between`]
 //!   for the experiment driver to apply.
 //!
-//! Plans are plain data: replayable from a seed via [`FaultPlan::chaos`],
-//! and serializable through a line-oriented text codec
-//! ([`FaultPlan::to_text`] / [`FaultPlan::parse`]) so the exact script
-//! can be journalled into a run manifest or handed to `sdig
+//! Plans are plain data, serializable through a line-oriented text
+//! codec ([`FaultPlan::to_text`] / [`FaultPlan::parse`]) so the exact
+//! script can be journalled into a run manifest or handed to `sdig
 //! --fault-plan`.
 
 use crate::latency::Region;
 use crate::network::ServiceAddr;
-use crate::rng::SimRng;
-use crate::time::{SimDuration, SimTime};
+use crate::time::SimTime;
 
 /// What a single scripted fault does while its window is active.
 #[derive(Debug, Clone, PartialEq)]
@@ -87,7 +85,7 @@ impl Fault {
 
 /// Combined degradation in force against one server at one instant.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Degradation {
+pub(crate) struct Degradation {
     /// Extra loss probability (independent of the base model's loss).
     pub loss: f64,
     /// Multiplier on sampled RTTs.
@@ -164,11 +162,6 @@ impl FaultPlan {
         self
     }
 
-    /// The scripted faults, in insertion order.
-    pub fn faults(&self) -> &[Fault] {
-        &self.faults
-    }
-
     /// Number of scripted faults.
     pub fn len(&self) -> usize {
         self.faults.len()
@@ -196,7 +189,7 @@ impl FaultPlan {
     /// Combined degradation in force against `server` at `now`, if any.
     /// Overlapping windows compose: losses combine as independent
     /// events, latency factors multiply.
-    pub fn degradation(&self, server: ServiceAddr, now: SimTime) -> Option<Degradation> {
+    pub(crate) fn degradation(&self, server: ServiceAddr, now: SimTime) -> Option<Degradation> {
         let mut pass = 1.0f64;
         let mut factor = 1.0f64;
         let mut hit = false;
@@ -228,44 +221,6 @@ impl FaultPlan {
             .iter()
             .filter(|f| matches!(f.kind, FaultKind::Flush) && f.from > after && f.from <= upto)
             .count()
-    }
-
-    /// A seeded chaos script: for each server, a possible outage window,
-    /// a possible degradation, and fabric-level flushes, all drawn
-    /// deterministically from `rng` inside `[0, horizon)`. The same
-    /// seed always yields the same plan — the replayability contract
-    /// the chaos test matrix is built on.
-    pub fn chaos(rng: &mut SimRng, horizon: SimDuration, servers: &[ServiceAddr]) -> FaultPlan {
-        let mut plan = FaultPlan::new();
-        let h = horizon.as_millis().max(1);
-        for &server in servers {
-            if rng.chance(0.5) {
-                let len = h / 10 + rng.below(h / 5);
-                let start = rng.below(h.saturating_sub(len).max(1));
-                plan = plan.outage(
-                    server,
-                    SimTime::from_millis(start),
-                    SimTime::from_millis(start + len),
-                );
-            }
-            if rng.chance(0.3) {
-                let len = h / 10 + rng.below(h / 5);
-                let start = rng.below(h.saturating_sub(len).max(1));
-                let loss = 0.5 + 0.45 * rng.next_f64();
-                let factor = 2.0 + 6.0 * rng.next_f64();
-                plan = plan.degrade(
-                    Some(server),
-                    SimTime::from_millis(start),
-                    SimTime::from_millis(start + len),
-                    loss,
-                    factor,
-                );
-            }
-        }
-        if rng.chance(0.5) {
-            plan = plan.flush_at(SimTime::from_millis(rng.below(h)));
-        }
-        plan
     }
 
     /// Serializes the plan as its line-oriented text format (see
@@ -499,19 +454,6 @@ mod tests {
         assert!(FaultPlan::parse("blackout XX 1 2").is_err());
         assert!(FaultPlan::parse("teleport 1 2 3").is_err());
         assert!(FaultPlan::parse("degrade * 1 2 loss=x latency_x=2").is_err());
-    }
-
-    #[test]
-    fn chaos_plans_are_seed_deterministic() {
-        let servers = [ip(1), ip(2), ip(3)];
-        let horizon = SimDuration::from_hours(2);
-        let a = FaultPlan::chaos(&mut SimRng::seed_from(9), horizon, &servers);
-        let b = FaultPlan::chaos(&mut SimRng::seed_from(9), horizon, &servers);
-        let c = FaultPlan::chaos(&mut SimRng::seed_from(10), horizon, &servers);
-        assert_eq!(a, b, "same seed, same plan");
-        assert_ne!(a, c, "different seed, different plan");
-        // And the serialized form replays to the same plan.
-        assert_eq!(FaultPlan::parse(&a.to_text()).unwrap(), a);
     }
 
     #[test]

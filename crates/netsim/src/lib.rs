@@ -43,7 +43,7 @@ pub mod time;
 pub mod wheel;
 
 pub use event::drive;
-pub use fault::{Degradation, Fault, FaultKind, FaultPlan};
+pub use fault::{Fault, FaultKind, FaultPlan};
 pub use latency::{LatencyModel, Region};
 pub use network::{
     ClientId, DnsService, ExchangeOutcome, Network, ServiceAddr, ServiceHandle, Transport,

@@ -136,8 +136,9 @@ pub enum ExchangeOutcome {
 }
 
 impl ExchangeOutcome {
+    #[cfg(test)]
     /// The response message, if any.
-    pub fn response(&self) -> Option<&Message> {
+    pub(crate) fn response(&self) -> Option<&Message> {
         match self {
             ExchangeOutcome::Response { message, .. } => Some(message),
             ExchangeOutcome::Timeout { .. } => None,

@@ -167,11 +167,6 @@ impl SimRng {
             slice.swap(i, j);
         }
     }
-
-    /// Picks a uniformly random element.
-    pub fn pick<'a, T>(&mut self, slice: &'a [T]) -> &'a T {
-        &slice[self.below(slice.len() as u64) as usize]
-    }
 }
 
 #[cfg(test)]

@@ -320,16 +320,6 @@ impl RecursiveResolver {
         &self.policy
     }
 
-    /// The resolver's region.
-    pub fn region(&self) -> Region {
-        self.region
-    }
-
-    /// The resolver's source tag (visible to servers it queries).
-    pub fn tag(&self) -> u64 {
-        self.tag
-    }
-
     /// Read access to the cache (tests and analyses).
     pub fn cache(&self) -> &Cache {
         &self.cache

@@ -31,7 +31,8 @@ pub struct RunManifest {
     /// Drop totals split by the kind of the evicted event (empty when
     /// nothing was dropped).
     pub trace_dropped_by_kind: Vec<(String, u64)>,
-    /// Artifact files (CSVs, traces) written by the run.
+    /// Every file the run wrote besides the manifest itself: CSVs,
+    /// snapshots, the trace, time series and metrics.
     pub artifacts: Vec<String>,
     /// Extra experiment-specific fields, in insertion order.
     pub extra: Vec<(String, Value)>,

@@ -501,7 +501,7 @@ impl Registry {
     }
 
     /// Reads a counter (zero if never touched).
-    pub fn counter(&self, id: &MetricId) -> u64 {
+    pub(crate) fn counter(&self, id: &MetricId) -> u64 {
         self.counters.get(id).copied().unwrap_or(0)
     }
 
@@ -526,11 +526,6 @@ impl Registry {
         let (total, series) = self.sketches.timed(name, self.width_hint_ms);
         total.observe(value);
         series.record(t_ms, self.span_cap, |s| s.observe(value));
-    }
-
-    /// Iterates counters in deterministic order.
-    pub fn counters(&self) -> impl Iterator<Item = (&MetricId, u64)> {
-        self.counters.iter().map(|(k, v)| (k, *v))
     }
 
     #[cfg(test)]
@@ -799,7 +794,8 @@ undocumented_ms_count{k=\"v\"} 1
         let slot = remembered(&r, named);
         r.counter_add_at(MetricKey::new(named).name(), 1, 0);
         assert_eq!(remembered(&r, named), slot);
-        let counters: Vec<(String, u64)> = r.counters().map(|(id, v)| (id.render(), v)).collect();
+        let counters: Vec<(String, u64)> =
+            r.counters.iter().map(|(id, v)| (id.render(), *v)).collect();
         assert_eq!(
             counters,
             vec![

@@ -120,7 +120,7 @@ impl QuantileSketch {
     }
 
     /// Records one observation.
-    pub fn observe(&mut self, value: u64) {
+    pub(crate) fn observe(&mut self, value: u64) {
         *self.slot(Self::bucket_index(value)) += 1;
         self.count += 1;
         self.sum = self.sum.saturating_add(value);

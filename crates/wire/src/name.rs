@@ -189,7 +189,7 @@ impl Name {
     /// The precomputed case-folded FNV-1a hash of this name — the same
     /// value `Hash` writes, so consumers fold it in without rescanning
     /// the buffer; equal names (case-insensitively) carry equal words.
-    pub fn folded_hash(&self) -> u64 {
+    pub(crate) fn folded_hash(&self) -> u64 {
         self.hash
     }
 

@@ -296,6 +296,9 @@ fn classifier_matches_known_behaviours() {
 struct Library {
     /// Every identifier its code writes.
     words: HashSet<String>,
+    /// Every identifier its code calls as a method or names as the last
+    /// segment of a path.
+    members: HashSet<String>,
     /// Its `pub fn|struct|enum|trait|type|const|static` declarations.
     decls: Vec<PubDecl>,
     /// `(type, associated types)` of each trait impl: `impl Iterator for
@@ -310,6 +313,10 @@ struct PubDecl {
     site: String,
     name: String,
     signature: String,
+    /// A `pub fn` inside an `impl` block: named only by a `.name(` call
+    /// or a `::name` path, since a local, a field or a closure may share
+    /// its name.
+    associated: bool,
 }
 
 fn rust_files(dir: &Path, skip: Option<&Path>, out: &mut Vec<PathBuf>) {
@@ -335,6 +342,35 @@ fn add_identifiers(text: &str, into: &mut HashSet<String>) {
         if word.starts_with(|c: char| c.is_ascii_alphabetic() || c == '_') {
             into.insert(word.to_string());
         }
+    }
+}
+
+/// Adds the identifiers `text` calls as methods (`.name(`, `.name::<`)
+/// or names as the last segment of a path (`Type::name`, not
+/// `std::name::Item`).
+fn add_member_uses(text: &str, into: &mut HashSet<String>) {
+    let is_ident = |c: char| c.is_ascii_alphanumeric() || c == '_';
+    let mut start = 0;
+    while start < text.len() {
+        let len = text[start..]
+            .find(|c| !is_ident(c))
+            .unwrap_or(text.len() - start);
+        if len == 0 {
+            start += text[start..].chars().next().map_or(1, char::len_utf8);
+            continue;
+        }
+        let (before, word, after) = (
+            &text[..start],
+            &text[start..start + len],
+            &text[start + len..],
+        );
+        let turbofish = after.starts_with("::<");
+        let called = before.ends_with('.') && (after.starts_with('(') || turbofish);
+        let last_segment = before.ends_with("::") && (turbofish || !after.starts_with("::"));
+        if called || last_segment {
+            into.insert(word.to_string());
+        }
+        start += len;
     }
 }
 
@@ -404,6 +440,8 @@ fn test_module_len(lines: &[&str], at: usize) -> usize {
 /// associated types into `lib`, skipping `#[cfg(test)]` modules.
 fn scan_library_file(file: &str, code: &str, lib: &mut Library) {
     let lines: Vec<&str> = code.lines().collect();
+    // The first line after the `impl` block the scan is in.
+    let mut impl_end = 0;
     let mut i = 0;
     while i < lines.len() {
         let skip = test_module_len(&lines, i);
@@ -414,6 +452,11 @@ fn scan_library_file(file: &str, code: &str, lib: &mut Library) {
         let line = lines[i];
         let trimmed = line.trim_start();
         let indent = &line[..line.len() - trimmed.len()];
+        let opens_impl = trimmed.starts_with("impl ") || trimmed.starts_with("impl<");
+        if opens_impl && !trimmed.trim_end().ends_with(';') {
+            impl_end = i + 1 + block(&lines, i, indent).len();
+        }
+        let in_impl = i < impl_end;
         if let Some((_, ty)) = trimmed
             .strip_prefix("impl")
             .and_then(|r| r.split_once(" for "))
@@ -482,6 +525,7 @@ fn scan_library_file(file: &str, code: &str, lib: &mut Library) {
             site: format!("{file}:{i}"),
             name: name.to_string(),
             signature,
+            associated: in_impl && kind == "fn",
         });
     }
 }
@@ -501,8 +545,10 @@ fn every_pub_item_in_a_library_is_named_outside_its_crate() {
         .collect();
     crates.sort();
 
-    // Identifiers written outside every library target.
+    // Identifiers written, and those used as members, outside every
+    // library target.
     let mut elsewhere = HashSet::new();
+    let mut elsewhere_members = HashSet::new();
     let mut libraries = Vec::new();
     let mut other_units = Vec::new();
     for dir in ["src", "tests", "examples", "benchmark/src"] {
@@ -518,8 +564,10 @@ fn every_pub_item_in_a_library_is_named_outside_its_crate() {
         for file in files {
             let (code, doctests) = code_and_doctests(&file);
             add_identifiers(&code, &mut lib.words);
+            add_member_uses(&code, &mut lib.members);
             // A library's doc tests are compilation units of their own.
             add_identifiers(&doctests, &mut elsewhere);
+            add_member_uses(&doctests, &mut elsewhere_members);
             let rel = file.strip_prefix(root).expect("under the root").display();
             scan_library_file(&rel.to_string(), &code, &mut lib);
         }
@@ -527,55 +575,51 @@ fn every_pub_item_in_a_library_is_named_outside_its_crate() {
     }
     for file in &other_units {
         let (code, doctests) = code_and_doctests(file);
-        add_identifiers(&code, &mut elsewhere);
-        add_identifiers(&doctests, &mut elsewhere);
+        for text in [&code, &doctests] {
+            add_identifiers(text, &mut elsewhere);
+            add_member_uses(text, &mut elsewhere_members);
+        }
     }
 
     let mut stray = Vec::new();
     for (k, lib) in libraries.iter().enumerate() {
-        let named_outside = |w: &String| {
-            elsewhere.contains(w)
-                || libraries
-                    .iter()
-                    .enumerate()
-                    .any(|(j, l)| j != k && l.words.contains(w))
+        let others = || libraries.iter().enumerate().filter(move |&(j, _)| j != k);
+        let named_outside = |d: &PubDecl| {
+            if d.associated {
+                elsewhere_members.contains(&d.name)
+                    || others().any(|(_, l)| l.members.contains(&d.name))
+            } else {
+                elsewhere.contains(&d.name) || others().any(|(_, l)| l.words.contains(&d.name))
+            }
         };
-        let mut crossing: HashSet<&str> = lib
-            .decls
-            .iter()
-            .filter(|d| named_outside(&d.name))
-            .map(|d| d.name.as_str())
+        // Indices into `lib.decls`; a signature reaches types and free
+        // items by name, never a method.
+        let mut crossing: HashSet<usize> = (0..lib.decls.len())
+            .filter(|&i| named_outside(&lib.decls[i]))
             .collect();
         loop {
             let mut reached = HashSet::new();
-            for d in lib
-                .decls
-                .iter()
-                .filter(|d| crossing.contains(d.name.as_str()))
-            {
-                add_identifiers(&d.signature, &mut reached);
+            for &i in &crossing {
+                add_identifiers(&lib.decls[i].signature, &mut reached);
             }
             for (ty, assoc) in &lib.impl_types {
-                if crossing.contains(ty.as_str()) {
+                if crossing.iter().any(|&i| lib.decls[i].name == *ty) {
                     add_identifiers(assoc, &mut reached);
                 }
             }
             let before = crossing.len();
             crossing.extend(
-                lib.decls
-                    .iter()
-                    .filter(|d| reached.contains(&d.name))
-                    .map(|d| d.name.as_str()),
+                (0..lib.decls.len())
+                    .filter(|&i| !lib.decls[i].associated && reached.contains(&lib.decls[i].name)),
             );
             if crossing.len() == before {
                 break;
             }
         }
         stray.extend(
-            lib.decls
-                .iter()
-                .filter(|d| !crossing.contains(d.name.as_str()))
-                .map(|d| format!("{} {}", d.site, d.name)),
+            (0..lib.decls.len())
+                .filter(|i| !crossing.contains(i))
+                .map(|i| format!("{} {}", lib.decls[i].site, lib.decls[i].name)),
         );
     }
     assert!(
@@ -667,6 +711,16 @@ struct Guard {
 }
 
 const GUARDS: &[Guard] = &[
+    // A run directory's layout has one owner: the four per-module run
+    // files are named through `artifacts::RunFile`, so a string literal
+    // that spells one of their suffixes anywhere else fails.
+    Guard {
+        step: "one owner of the run-directory layout",
+        pattern: r#""[^"]*(manifest\.json|trace\.jsonl|timeseries\.jsonl|metrics\.prom)"#,
+        paths: &["src", "tests", "examples", "crates/*/src", "crates/*/tests"],
+        exempt: &[],
+        files: 1,
+    },
     // The cache ledger's records and their line writer live in
     // `resolver/src/ledger.rs`; the telemetry crate knows no DNS type,
     // so a string-typed mirror of them there fails.
