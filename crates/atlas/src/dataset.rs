@@ -33,7 +33,8 @@ pub struct MeasurementResult {
     /// used to tell the original from the renumbered server in Figures
     /// 6–8. An `NS` or `CNAME` answer shares the name's own buffer (a
     /// reference count, not a copy); any other type is rendered once.
-    pub answers: Vec<Arc<str>>,
+    /// Rows with the same answers share one list.
+    pub answers: Arc<[Arc<str>]>,
     /// Client-observed round-trip in ms (probe→resolver link plus the
     /// resolver's upstream work) — the quantity behind Figures 10–11.
     pub rtt_ms: u64,
@@ -153,7 +154,7 @@ impl Dataset {
             h = fnv1a(h, &(r.resolver_idx as u64).to_le_bytes());
             h = fnv1a(h, format!("{:?}", r.rcode).as_bytes());
             h = fnv1a(h, &r.ttl.unwrap_or(u64::MAX).to_le_bytes());
-            for a in &r.answers {
+            for a in r.answers.iter() {
                 h = fnv1a(h, a.as_bytes());
             }
         }
@@ -202,7 +203,7 @@ mod tests {
             qname: Name::parse("uy").unwrap(),
             rcode: Rcode::NoError,
             ttl,
-            answers: vec![],
+            answers: Arc::from([]),
             rtt_ms: rtt,
             cache_hit: false,
             valid,

@@ -11,7 +11,7 @@ use crate::dataset::{Dataset, MeasurementResult};
 use crate::population::Population;
 use dnsttl_netsim::{drive, Network, SimDuration, SimRng, SimTime};
 use dnsttl_telemetry::{EventKind, Telemetry, Value};
-use dnsttl_wire::{Name, RData, Rcode, RecordType};
+use dnsttl_wire::{Message, Name, RData, Rcode, Record, RecordType};
 use std::fmt::Write as _;
 use std::sync::Arc;
 
@@ -118,8 +118,9 @@ pub fn run_measurement_with_hooks(
         .div_ceil(spec.frequency.as_millis().max(1)) as usize;
     let mut dataset = Dataset::with_capacity(vps.len() * ticks_per_vp);
 
-    // One buffer renders every answer that is not a name.
-    let mut rendered = String::new();
+    // One message takes every answer, and the rows share their lists.
+    let mut answer = Message::default();
+    let mut lists = AnswerLists::default();
     drive(phases, SimTime::ZERO + spec.duration, |now, vp_index| {
         while let Some(hook) = hooks.next_if(|h| h.at <= now) {
             (hook.action)(net);
@@ -134,35 +135,19 @@ pub fn run_measurement_with_hooks(
 
         let backend = population.pick_backend(slot_ref, rng);
         let resolver = &mut population.resolvers[backend];
-        let outcome = resolver.resolve(&qname, spec.qtype, now, net);
+        let verdict = resolver.resolve_into(&qname, spec.qtype, now, net, &mut answer);
 
-        let rtt_ms = vp.link_rtt_ms + outcome.elapsed.as_millis();
-        let first_answer = outcome
-            .answer
+        let rtt_ms = vp.link_rtt_ms + verdict.elapsed.as_millis();
+        let first_answer = answer
             .answers
             .iter()
             .find(|r| r.record_type() == spec.qtype || r.record_type() == RecordType::CNAME);
         let ttl = first_answer.map(|r| r.ttl.as_secs() as u64);
-        let answers: Vec<Arc<str>> = outcome
-            .answer
-            .answers
-            .iter()
-            .map(|r| match &r.rdata {
-                RData::Ns(name) | RData::Cname(name) => name.shared().clone(),
-                other => {
-                    rendered.clear();
-                    // Writing into a `String` cannot fail.
-                    let _ = write!(rendered, "{other}");
-                    Arc::from(rendered.as_str())
-                }
-            })
-            .collect();
+        let answers = lists.list(&answer.answers);
 
         // A hijacked probe's answers are overwritten by a middlebox;
         // analysis marks them invalid, as the paper discards them.
-        let valid = !hijacked
-            && outcome.answer.header.rcode == Rcode::NoError
-            && !outcome.answer.answers.is_empty();
+        let valid = !hijacked && verdict.rcode == Rcode::NoError && verdict.answers > 0;
 
         // Valid/discard accounting rides on the resolver's telemetry
         // handle (all population resolvers share one when attached).
@@ -172,7 +157,7 @@ pub fn run_measurement_with_hooks(
         } else {
             let reason = if hijacked {
                 "hijacked"
-            } else if outcome.answer.header.rcode != Rcode::NoError {
+            } else if verdict.rcode != Rcode::NoError {
                 "rcode"
             } else {
                 "empty_answer"
@@ -193,17 +178,80 @@ pub fn run_measurement_with_hooks(
             resolver_idx: backend,
             region: probe_region,
             qname: qname.clone(),
-            rcode: outcome.answer.header.rcode,
+            rcode: verdict.rcode,
             ttl,
             answers,
             rtt_ms,
-            cache_hit: outcome.cache_hit,
+            cache_hit: verdict.cache_hit,
             valid,
-            timed_out: outcome.answer.header.rcode == Rcode::ServFail,
+            timed_out: verdict.rcode == Rcode::ServFail,
         });
         spec.frequency
     });
     dataset
+}
+
+/// The answer lists a campaign's rows hold. A row whose answers read as
+/// a list stored lately shares that list, so the probe loop allocates
+/// once per distinct answer, not once per row.
+#[derive(Default)]
+struct AnswerLists {
+    /// The last [`AnswerLists::RECENT`] lists stored, newest first,
+    /// compared by content.
+    recent: Vec<Arc<[Arc<str>]>>,
+    /// This row's answers in presentation form, one after another.
+    text: String,
+    /// Where each of them ends in `text`.
+    ends: Vec<usize>,
+}
+
+impl AnswerLists {
+    /// Enough for every order a three-server NS set is served in.
+    const RECENT: usize = 8;
+
+    /// `records`' data in presentation form, as a shared list. An `NS`
+    /// or `CNAME` member shares the name's own buffer (a reference
+    /// count, not a copy); any other type is rendered once.
+    fn list(&mut self, records: &[Record]) -> Arc<[Arc<str>]> {
+        self.text.clear();
+        self.ends.clear();
+        for r in records {
+            match &r.rdata {
+                RData::Ns(name) | RData::Cname(name) => self.text.push_str(name.as_str()),
+                other => {
+                    // Writing into a `String` cannot fail.
+                    let _ = write!(self.text, "{other}");
+                }
+            }
+            self.ends.push(self.text.len());
+        }
+        let (text, ends) = (&self.text, &self.ends);
+        let fields = || {
+            ends.iter().scan(0, |start, &end| {
+                let field = &text[*start..end];
+                *start = end;
+                Some(field)
+            })
+        };
+        let stored = self
+            .recent
+            .iter()
+            .find(|list| list.iter().map(|a| &**a).eq(fields()));
+        if let Some(list) = stored {
+            return Arc::clone(list);
+        }
+        let list: Arc<[Arc<str>]> = records
+            .iter()
+            .zip(fields())
+            .map(|(r, field)| match &r.rdata {
+                RData::Ns(name) | RData::Cname(name) => name.shared().clone(),
+                _ => Arc::from(field),
+            })
+            .collect();
+        self.recent.insert(0, Arc::clone(&list));
+        self.recent.truncate(AnswerLists::RECENT);
+        list
+    }
 }
 
 #[cfg(test)]
@@ -245,6 +293,35 @@ mod tests {
                 addr: ip(1),
             }],
         )
+    }
+
+    #[test]
+    fn rows_with_the_same_answers_share_one_list() {
+        let n = |s: &str| Name::parse(s).unwrap();
+        let ns = |host: &str| Record::new(n("uy"), Ttl::HOUR, RData::Ns(n(host)));
+        let a = |last: u8| {
+            let addr = std::net::Ipv4Addr::new(192, 0, 2, last);
+            Record::new(n("a.nic.uy"), Ttl::HOUR, RData::A(addr))
+        };
+        let mut lists = AnswerLists::default();
+        let first = lists.list(&[ns("a.nic.uy"), a(1)]);
+        assert_eq!(
+            first.iter().map(|s| &**s).collect::<Vec<_>>(),
+            ["a.nic.uy.", "192.0.2.1"]
+        );
+        assert!(Arc::ptr_eq(&first, &lists.list(&[ns("a.nic.uy"), a(1)])));
+        // Another order, a prefix and the empty answer are lists of their own.
+        for other in [vec![a(1), ns("a.nic.uy")], vec![ns("a.nic.uy")], vec![]] {
+            assert!(!Arc::ptr_eq(&first, &lists.list(&other)), "{other:?}");
+        }
+        // Past the last `RECENT` new lists, the first is stored again:
+        // the same content in a new list.
+        for last in 2..2 + AnswerLists::RECENT as u8 {
+            lists.list(&[a(last)]);
+        }
+        let again = lists.list(&[ns("a.nic.uy"), a(1)]);
+        assert!(!Arc::ptr_eq(&first, &again));
+        assert_eq!(first, again);
     }
 
     #[test]

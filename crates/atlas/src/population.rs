@@ -249,7 +249,7 @@ impl Population {
     ///
     /// One public service per 200 probes (at least two) alternates
     /// Google-like (TTL-capping) and OpenDNS-like (parent-centric,
-    /// root-mirroring) policies, each with [`BACKENDS_PER_SERVICE`]
+    /// root-mirroring) policies, each with `BACKENDS_PER_SERVICE`
     /// independent caches; local resolvers draw from
     /// [`PolicyMix::paper_population`]. Probe regions follow the Atlas
     /// skew ([`Region::atlas_weights`]).

@@ -100,7 +100,7 @@ fn rrset(node: Option<&Node>, rtype: RecordType) -> &[Record] {
 /// than the origin mark delegation cuts; A/AAAA records stored at or
 /// below a cut are *glue*, served only in referrals' additional section.
 ///
-/// The index is a hash map from owner name to [`Node`], so a query costs
+/// The index is a hash map from owner name to its `Node`, so a query costs
 /// one probe however large the zone is; canonical order exists only
 /// where it is observable ([`Zone::iter`], [`Zone::names`]) and is
 /// sorted there.
@@ -329,7 +329,7 @@ impl Zone {
         }
     }
 
-    /// Looks up `qname`/`qtype` following RFC 1034 §4.3.2: [`Zone::walk`]
+    /// Looks up `qname`/`qtype` following RFC 1034 §4.3.2: `Zone::walk`
     /// into sections of its own, handed back as owned values.
     pub fn lookup(&self, qname: &Name, qtype: RecordType) -> ZoneLookup {
         let mut out = Message::default();

@@ -4,12 +4,11 @@
 //! The paper's closing argument is that long TTLs are a resilience
 //! mechanism: during the 2016 Dyn DDoS, "users of Twitter could still
 //! reach the site if its DNS records were cached". This module
-//! reproduces it as a measurable curve on the scripted
-//! [`FaultPlan`](dnsttl_netsim::FaultPlan) machinery, so the exact
-//! outage script is plain data — journalled into the run manifest,
-//! replayable byte-for-byte from the same seed, and shared with
-//! `sdig --fault-plan`. The `ext-ddos` extension runs the same
-//! simulation over internet latencies.
+//! reproduces it as a measurable curve on the scripted [`FaultPlan`]
+//! machinery, so the exact outage script is plain data — journalled
+//! into the run manifest, replayable byte-for-byte from the same seed,
+//! and shared with `sdig --fault-plan`. The `ext-ddos` extension runs
+//! the same simulation over internet latencies.
 //!
 //! Design: a population of clients each re-resolves one cached name
 //! every two minutes. A one-hour hard outage of the only authoritative

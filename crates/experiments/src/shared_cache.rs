@@ -9,7 +9,7 @@
 //! centricity" observation from the other side of the cache). This
 //! experiment measures that directly:
 //!
-//! * **partitioned** — clients are split into [`GROUPS`] groups, each
+//! * **partitioned** — clients are split into `GROUPS` groups, each
 //!   with its own resolver. Every group pays its own cold misses.
 //! * **shared** — the same clients, same per-client query streams, one
 //!   resolver for all of them. One miss fills the cache for the whole

@@ -13,7 +13,7 @@ use crate::ledger::{BailiwickClass, StoreContext};
 use dnsttl_core::{Centricity, ResolverPolicy};
 use dnsttl_netsim::{ExchangeOutcome, Network, Region, SimDuration, SimRng, SimTime, Transport};
 use dnsttl_telemetry::{EventKind, MetricKey, SpanId, Telemetry, Value};
-use dnsttl_wire::{Message, Name, RData, Rcode, Record, RecordType, Ttl};
+use dnsttl_wire::{Header, Message, Name, Question, RData, Rcode, Record, RecordType, Ttl};
 use std::collections::HashMap;
 use std::net::IpAddr;
 
@@ -101,42 +101,78 @@ pub struct ResolutionVerdict {
     pub upstream_queries: u32,
 }
 
-/// Where one resolution writes its answer: the records when the caller
-/// reads them (or telemetry is on, for the answer-TTL sketch), otherwise
-/// only their count. Every path that answers (cache, fresh response,
-/// CNAME chain, serve-stale) appends here.
-struct Answer {
-    records: Option<Vec<Record>>,
+/// Where one resolution writes its answer. Every path that answers
+/// (cache, fresh response, CNAME chain, serve-stale) appends here.
+struct Answer<'m> {
+    kept: Kept<'m>,
     len: usize,
 }
 
-impl Answer {
-    fn new(records: Option<Vec<Record>>) -> Answer {
-        Answer { records, len: 0 }
+/// What an [`Answer`] keeps of the records appended to it.
+enum Kept<'m> {
+    /// The records, in a buffer the caller lends and reads afterwards.
+    Records(&'m mut Vec<Record>),
+    /// Only their TTLs, for the answer-TTL sketch of a caller that
+    /// reads no record while telemetry is on.
+    Ttls(AnswerTtls),
+    /// Only their count.
+    Count,
+}
+
+impl<'m> Answer<'m> {
+    /// An answer whose records land in `buf`, emptied first.
+    fn records(buf: &'m mut Vec<Record>) -> Answer<'m> {
+        buf.clear();
+        Answer {
+            kept: Kept::Records(buf),
+            len: 0,
+        }
+    }
+
+    /// An answer that builds no record: it counts them and, when
+    /// `ttls` is set, keeps their TTLs.
+    fn counted(ttls: bool) -> Answer<'m> {
+        let kept = if ttls {
+            Kept::Ttls(AnswerTtls::new(Ttl::ZERO))
+        } else {
+            Kept::Count
+        };
+        Answer { kept, len: 0 }
     }
 
     /// Appends records, each given as its owner, TTL and data.
     fn extend<'r>(&mut self, records: impl Iterator<Item = (&'r Name, Ttl, &'r RData)>) {
-        match &mut self.records {
-            Some(kept) => {
+        match &mut self.kept {
+            Kept::Records(kept) => {
                 kept.extend(records.map(|(n, ttl, rd)| Record::new(n.clone(), ttl, rd.clone())));
                 self.len = kept.len();
             }
-            None => self.len += records.count(),
+            Kept::Ttls(ttls) => {
+                records.for_each(|(_, ttl, _)| ttls.push(ttl));
+                self.len = ttls.len();
+            }
+            Kept::Count => self.len += records.count(),
         }
     }
 
     /// Drops every record after the first `len`.
     fn truncate(&mut self, len: usize) {
         self.len = self.len.min(len);
-        if let Some(records) = &mut self.records {
-            records.truncate(len);
+        match &mut self.kept {
+            Kept::Records(records) => records.truncate(len),
+            Kept::Ttls(ttls) => ttls.truncate(len),
+            Kept::Count => {}
         }
     }
 
     /// The kept records' TTLs, in order.
     fn ttls(&self) -> impl Iterator<Item = Ttl> + '_ {
-        self.records.iter().flatten().map(|r| r.ttl)
+        let (records, ttls): (&[Record], &[Ttl]) = match &self.kept {
+            Kept::Records(records) => (records, &[]),
+            Kept::Ttls(ttls) => (&[], ttls),
+            Kept::Count => (&[], &[]),
+        };
+        records.iter().map(|r| r.ttl).chain(ttls.iter().copied())
     }
 }
 
@@ -152,52 +188,78 @@ struct BackoffState {
     until: SimTime,
 }
 
-/// A zone's server addresses, in the order they are tried: inline up to
-/// [`Candidates::INLINE`], on the heap past it, so a miss asks the
-/// allocator for none of them and no NS set is cut short.
-struct Candidates {
+/// Values in the order they were pushed: inline up to `N`, on the heap
+/// past it, so a short list asks the allocator for nothing and no long
+/// one is cut short.
+struct InlineVec<T, const N: usize> {
     len: usize,
-    inline: [IpAddr; Candidates::INLINE],
-    /// Every address once there are more than `INLINE`; empty until then.
-    spilled: Vec<IpAddr>,
+    inline: [T; N],
+    /// Every value once there are more than `N`; empty until then.
+    spilled: Vec<T>,
 }
 
-impl Candidates {
-    /// The root's thirteen; no NS set a world builds has more.
-    const INLINE: usize = 13;
+/// A zone's server addresses, in the order they are tried: a miss asks
+/// the allocator for none of them. Inline up to the root's thirteen; no
+/// NS set a world builds has more.
+type Candidates = InlineVec<IpAddr, 13>;
 
-    fn new() -> Candidates {
-        Candidates {
+/// An answer's TTLs, kept for the answer-TTL sketch by a resolution
+/// that builds no record.
+type AnswerTtls = InlineVec<Ttl, 16>;
+
+impl<T: Copy, const N: usize> InlineVec<T, N> {
+    /// How many values are held without a heap block.
+    #[cfg(test)]
+    const INLINE: usize = N;
+
+    /// An empty list; `blank` fills the unused inline slots.
+    fn new(blank: T) -> InlineVec<T, N> {
+        InlineVec {
             len: 0,
-            inline: [IpAddr::from([0, 0, 0, 0]); Candidates::INLINE],
+            inline: [blank; N],
             spilled: Vec::new(),
         }
     }
 
-    fn push(&mut self, addr: IpAddr) {
-        if self.len < Candidates::INLINE {
-            self.inline[self.len] = addr;
+    fn push(&mut self, value: T) {
+        if self.len < N {
+            self.inline[self.len] = value;
         } else {
             if self.spilled.is_empty() {
                 self.spilled.extend_from_slice(&self.inline);
             }
-            self.spilled.push(addr);
+            self.spilled.push(value);
         }
         self.len += 1;
     }
 
-    /// `Vec::insert(0, addr)`: the others move back one place.
-    fn push_front(&mut self, addr: IpAddr) {
-        self.push(addr);
+    /// `Vec::insert(0, value)`: the others move back one place.
+    fn push_front(&mut self, value: T) {
+        self.push(value);
         self.rotate_right(1);
+    }
+
+    /// Drops every value after the first `len`.
+    fn truncate(&mut self, len: usize) {
+        if len >= self.len {
+            return;
+        }
+        if self.len > N {
+            self.spilled.truncate(len);
+            if len <= N {
+                self.inline[..len].copy_from_slice(&self.spilled);
+                self.spilled.clear();
+            }
+        }
+        self.len = len;
     }
 }
 
-impl std::ops::Deref for Candidates {
-    type Target = [IpAddr];
+impl<T, const N: usize> std::ops::Deref for InlineVec<T, N> {
+    type Target = [T];
 
-    fn deref(&self) -> &[IpAddr] {
-        if self.len <= Candidates::INLINE {
+    fn deref(&self) -> &[T] {
+        if self.len <= N {
             &self.inline[..self.len]
         } else {
             &self.spilled
@@ -205,9 +267,9 @@ impl std::ops::Deref for Candidates {
     }
 }
 
-impl std::ops::DerefMut for Candidates {
-    fn deref_mut(&mut self) -> &mut [IpAddr] {
-        if self.len <= Candidates::INLINE {
+impl<T, const N: usize> std::ops::DerefMut for InlineVec<T, N> {
+    fn deref_mut(&mut self) -> &mut [T] {
+        if self.len <= N {
             &mut self.inline[..self.len]
         } else {
             &mut self.spilled
@@ -217,7 +279,7 @@ impl std::ops::DerefMut for Candidates {
 
 impl FromIterator<IpAddr> for Candidates {
     fn from_iter<I: IntoIterator<Item = IpAddr>>(addrs: I) -> Candidates {
-        let mut candidates = Candidates::new();
+        let mut candidates = Candidates::new(IpAddr::from([0, 0, 0, 0]));
         addrs.into_iter().for_each(|addr| candidates.push(addr));
         candidates
     }
@@ -374,13 +436,8 @@ impl RecursiveResolver {
         now: SimTime,
         net: &mut Network,
     ) -> ResolutionOutcome {
-        let mut records = Answer::new(Some(Vec::new()));
-        let (id, verdict) = self.resolve_into(qname, qtype, now, net, &mut records);
-        let mut answer = Message::query(id, qname.clone(), qtype);
-        answer.header.response = true;
-        answer.header.recursion_available = true;
-        answer.header.rcode = verdict.rcode;
-        answer.answers = records.records.unwrap_or_default();
+        let mut answer = Message::default();
+        let verdict = self.resolve_into(qname, qtype, now, net, &mut answer);
         ResolutionOutcome {
             answer,
             elapsed: verdict.elapsed,
@@ -391,8 +448,45 @@ impl RecursiveResolver {
     }
 
     /// Answers one client question as [`resolve`](Self::resolve) does,
-    /// for a caller that reads only how it ended: no record is built
-    /// while telemetry is off (on, the records feed the answer-TTL sketch).
+    /// writing the client message over `answer`, whatever it held. The
+    /// answer section keeps its capacity, so a caller that reuses one
+    /// message takes a warm hit without allocating.
+    pub fn resolve_into(
+        &mut self,
+        qname: &Name,
+        qtype: RecordType,
+        now: SimTime,
+        net: &mut Network,
+        answer: &mut Message,
+    ) -> ResolutionVerdict {
+        // Destructured, so a new field cannot be left stale.
+        let Message {
+            header,
+            question,
+            answers,
+            authorities,
+            additionals,
+        } = answer;
+        authorities.clear();
+        additionals.clear();
+        let (id, verdict) =
+            self.answer_question(qname, qtype, now, net, &mut Answer::records(answers));
+        *header = Header {
+            id,
+            response: true,
+            recursion_desired: true,
+            recursion_available: true,
+            rcode: verdict.rcode,
+            ..Header::default()
+        };
+        *question = Some(Question::new(qname.clone(), qtype));
+        verdict
+    }
+
+    /// Answers one client question as [`resolve`](Self::resolve) does,
+    /// for a caller that reads only how it ended: no record is built.
+    /// With telemetry on, the answer's TTLs are kept inline for the
+    /// answer-TTL sketch.
     pub fn resolve_verdict(
         &mut self,
         qname: &Name,
@@ -400,12 +494,12 @@ impl RecursiveResolver {
         now: SimTime,
         net: &mut Network,
     ) -> ResolutionVerdict {
-        let mut counted = Answer::new(self.telemetry.is_enabled().then(Vec::new));
-        self.resolve_into(qname, qtype, now, net, &mut counted).1
+        let mut counted = Answer::counted(self.telemetry.is_enabled());
+        self.answer_question(qname, qtype, now, net, &mut counted).1
     }
 
-    /// The routine behind both entry points; returns the message id it took.
-    fn resolve_into(
+    /// The routine behind every entry point; returns the message id it took.
+    fn answer_question(
         &mut self,
         qname: &Name,
         qtype: RecordType,
@@ -925,16 +1019,23 @@ impl RecursiveResolver {
                     );
                     ctx.span = sub_span;
                     // The addresses are read, so this answer keeps its records.
-                    let mut found = Answer::new(Some(Vec::new()));
-                    let sub = self.resolve_inner(target, RecordType::A, now, net, ctx, &mut found);
+                    let mut found = Vec::new();
+                    let sub = self.resolve_inner(
+                        target,
+                        RecordType::A,
+                        now,
+                        net,
+                        ctx,
+                        &mut Answer::records(&mut found),
+                    );
                     ctx.span = parent_span;
                     self.telemetry
                         .span_end(sub_span, (now + ctx.elapsed).as_millis(), |f| {
                             f.push("elapsed_ms", ctx.elapsed.as_millis() - elapsed_before);
                         });
                     ctx.in_flight.pop();
-                    if let (Resolved::Answer { .. }, Some(records)) = (sub, found.records) {
-                        for r in records {
+                    if let Resolved::Answer { .. } = sub {
+                        for r in &found {
                             if let RData::A(a) = r.rdata {
                                 candidates.push(IpAddr::V4(a));
                             }
@@ -1411,6 +1512,18 @@ mod tests {
                 &vec[..],
                 "{count} shuffled, then a front insert"
             );
+            // Cut back to inline length (or below), then grown again.
+            for keep in [0, count / 2, Candidates::INLINE] {
+                let (mut inline, mut vec) =
+                    (inline.iter().copied().collect::<Candidates>(), vec.clone());
+                inline.truncate(keep);
+                vec.truncate(keep);
+                for addr in [ip(201), ip(202)] {
+                    inline.push(addr);
+                    vec.push(addr);
+                }
+                assert_eq!(&inline[..], &vec[..], "{count} cut to {keep}, then grown");
+            }
         }
     }
 
@@ -2176,31 +2289,48 @@ mod tests {
         ];
         for policy in policies {
             for traced in [false, true] {
-                let run = |counted: bool| {
+                // Through `resolve` (`None`), `resolve_verdict` (`Some(false)`)
+                // or `resolve_into` one reused message (`Some(true)`); the
+                // messages the first and last hand back.
+                let run = |counted: Option<bool>| {
                     let (mut net, hints) = build_tape_world();
                     let mut r = resolver(policy.clone(), hints);
                     r.enable_cache_ledger();
                     if traced {
                         r.set_telemetry(Telemetry::new());
                     }
+                    let mut reused = Message::default();
+                    let mut messages = Vec::new();
                     let verdicts: Vec<ResolutionVerdict> = tape
                         .iter()
                         .map(|&(at, name, qtype)| {
                             let now = SimTime::from_secs(at);
-                            if counted {
-                                r.resolve_verdict(&n(name), qtype, now, &mut net)
-                            } else {
-                                implied(&r.resolve(&n(name), qtype, now, &mut net))
+                            match counted {
+                                None => {
+                                    let out = r.resolve(&n(name), qtype, now, &mut net);
+                                    messages.push(out.answer.clone());
+                                    implied(&out)
+                                }
+                                Some(false) => r.resolve_verdict(&n(name), qtype, now, &mut net),
+                                Some(true) => {
+                                    let verdict =
+                                        r.resolve_into(&n(name), qtype, now, &mut net, &mut reused);
+                                    messages.push(reused.clone());
+                                    verdict
+                                }
                             }
                         })
                         .collect();
-                    (r, verdicts)
+                    (r, verdicts, messages)
                 };
-                let (full, want) = run(false);
-                let (counted, got) = run(true);
+                let (full, want, messages) = run(None);
+                let (counted, got, _) = run(Some(false));
+                let (_, into, reused) = run(Some(true));
                 let label = format!("{policy:?}, traced {traced}");
                 for (step, (want, got)) in want.iter().zip(&got).enumerate() {
                     assert_eq!(got, want, "{label}: step {step} {:?}", tape[step]);
+                    assert_eq!(&into[step], want, "{label}: step {step} into");
+                    assert_eq!(reused[step], messages[step], "{label}: step {step} message");
                 }
                 assert_eq!(counted.stats(), full.stats(), "{label}");
                 assert_eq!(counted.cache().stats(), full.cache().stats(), "{label}");

@@ -222,14 +222,22 @@ impl RRset {
         let mut two = members.clone();
         if let (Some(only), None) = (two.next(), two.next()) {
             w.member(only);
-        } else if let Some(mut names) = members
-            .clone()
-            .map(|rd| match rd {
-                RData::Ns(n) | RData::Cname(n) => Some(n.as_str()),
-                _ => None,
-            })
-            .collect::<Option<Vec<&str>>>()
-        {
+        } else if members.clone().all(|rd| name_member(rd).is_some()) {
+            // Sorted on the stack: a root's thirteen fit, and only a
+            // longer set asks for a vector.
+            const INLINE: usize = 13;
+            let mut inline = [""; INLINE];
+            let mut spilled = Vec::new();
+            let count = members.clone().count();
+            let names: &mut [&str] = if count <= INLINE {
+                for (slot, n) in inline.iter_mut().zip(members.filter_map(name_member)) {
+                    *slot = n;
+                }
+                &mut inline[..count]
+            } else {
+                spilled.extend(members.filter_map(name_member));
+                &mut spilled
+            };
             names.sort_unstable();
             for n in names {
                 w.text(n);
@@ -242,6 +250,15 @@ impl RRset {
             }
         }
         w.0
+    }
+}
+
+/// The name an `NS` or `CNAME` member holds, as
+/// [`RRset::fingerprint_of`] sorts it.
+fn name_member(rd: &RData) -> Option<&str> {
+    match rd {
+        RData::Ns(n) | RData::Cname(n) => Some(n.as_str()),
+        _ => None,
     }
 }
 
@@ -481,6 +498,23 @@ mod tests {
             RRset::fingerprint_of(&three[0].name, RecordType::A, in_place),
             reference_fingerprint(&fwd)
         );
+        // NS sets sorted on the stack, at its bound, and past it.
+        for members in [2, 13, 14, 20] {
+            let mut rdatas: Vec<RData> = (0..members)
+                .map(|k| RData::Ns(name(&format!("NS{}.example", (k * 11) % members))))
+                .collect();
+            let mut set = RRset {
+                name: name("example"),
+                rtype: RecordType::NS,
+                ttl: Ttl::HOUR,
+                rdatas: rdatas.clone(),
+            };
+            assert_eq!(set.fingerprint(), reference_fingerprint(&set), "{members}");
+            rdatas.reverse();
+            let forward = set.fingerprint();
+            set.rdatas = rdatas;
+            assert_eq!(set.fingerprint(), forward, "{members} reversed");
+        }
         // The empty set (manual construction only) keeps its value too.
         let empty = RRset {
             rdatas: vec![],

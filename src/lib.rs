@@ -22,7 +22,7 @@
 //! * [`experiments`] — one module per table and figure;
 //! * [`telemetry`] — metrics, simulation-time tracing, run manifests,
 //!   and the cache-ledger JSONL codec;
-//! * [`bench`] — the headless paired suite behind `repro bench`, its
+//! * [`bench`](mod@bench) — the headless paired suite behind `repro bench`, its
 //!   schema-versioned report and the in-report gates CI enforces.
 //!
 //! ## Quickstart

@@ -12,13 +12,15 @@
 //! harness's main thread allocates the first time it waits for a
 //! result, which can land inside a counted region.
 
-use dnsttl::atlas::{ZipfDataset, ZipfRow};
+use dnsttl::atlas::{
+    run_measurement, MeasurementSpec, Population, PopulationConfig, QueryName, ZipfDataset, ZipfRow,
+};
 use dnsttl::auth::{AuthoritativeServer, ZoneBuilder};
 use dnsttl::core::ResolverPolicy;
-use dnsttl::netsim::{LatencyModel, Network, Region, SimRng, SimTime};
+use dnsttl::netsim::{drive, LatencyModel, Network, Region, SimRng, SimTime};
 use dnsttl::resolver::{RecursiveResolver, RootHint};
 use dnsttl::telemetry::{EventKind, Telemetry, Value};
-use dnsttl::wire::{Name, Rcode, RecordType, Ttl};
+use dnsttl::wire::{Message, Name, Rcode, RecordType, Ttl};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::{Cell, RefCell};
 use std::net::IpAddr;
@@ -189,6 +191,33 @@ fn a_question_stays_inside_its_allocation_budget() {
         assert_eq!(allocs, 1, "warm hit for {name}");
     }
 
+    // The same hit into a message the caller reuses: its answer section
+    // kept its capacity from the first, so nothing is allocated. This
+    // is the probe loop's path (`run_measurement`). Measured: 0 for
+    // every name.
+    let mut reused = Message::default();
+    resolver.resolve_into(
+        &names[0],
+        RecordType::A,
+        SimTime::from_secs(2),
+        &mut net,
+        &mut reused,
+    );
+    for name in &names {
+        let (verdict, allocs) = allocations(|| {
+            resolver.resolve_into(
+                name,
+                RecordType::A,
+                SimTime::from_secs(2),
+                &mut net,
+                &mut reused,
+            )
+        });
+        assert!(verdict.cache_hit && verdict.answers == 1);
+        assert_eq!(reused.answers.len(), 1);
+        assert_eq!(allocs, 0, "warm hit into a reused message for {name}");
+    }
+
     // The same hit for a caller that reads only the verdict: no message
     // and no record is built. Measured: 0 for every name.
     for name in &names {
@@ -303,11 +332,13 @@ fn a_question_stays_inside_its_allocation_budget() {
         hits_on <= hits_off + 3,
         "1 000 traced hits allocated {hits_on} times, {hits_off} untraced"
     );
-    // Counted, a traced hit records the same events, and the counted
-    // path keeps its answer's records while telemetry is on, for the
-    // answer-TTL sketch: it costs what `resolve` costs. A new handle,
-    // warmed as the one above, puts the counted hits at the same ring
-    // positions.
+    // Counted, a traced hit records the same events and builds no
+    // record: the answer-TTL sketch reads the TTLs it keeps inline, so
+    // it adds only what the trace adds to the untraced counted hits
+    // (0). Measured: 3 — the same ring and field-slot blocks, where it
+    // was 1 003 while the counted path kept each answer's records for
+    // the sketch. A new handle, warmed as the one above, puts the
+    // counted hits at the same ring positions.
     let telemetry = Telemetry::new();
     resolver.set_telemetry(telemetry.clone());
     hits(&mut resolver, &mut net, true);
@@ -315,8 +346,8 @@ fn a_question_stays_inside_its_allocation_budget() {
     let ((), counted_on) = allocations(|| hits(&mut resolver, &mut net, true));
     assert_eq!(telemetry.events_recorded() - before, 2_000);
     assert!(
-        counted_on <= hits_off + 3,
-        "1 000 counted traced hits allocated {counted_on} times, {hits_off} untraced"
+        counted_on <= counted_off + 3,
+        "1 000 counted traced hits allocated {counted_on} times, {counted_off} untraced"
     );
 
     // The export: one buffer, however many events it renders.
@@ -348,6 +379,78 @@ fn a_question_stays_inside_its_allocation_budget() {
             "exporting {events} events allocated {allocs} times"
         );
     }
+}
+
+#[test]
+fn a_warm_probe_loop_allocates_nothing_per_query() {
+    // `run_measurement` over a `.uy`-shaped world whose every TTL is a
+    // day, for one hour and then for two from the same seed: the second
+    // hour is warm hits only. Each answer lands in the one message the
+    // loop reuses and each row shares a stored answer list (the child's
+    // two servers, or the root's one for a parent-centric cache), so that
+    // hour adds no allocation of its own. What it does add is the event
+    // wheel's, whose timers reach slots the first hour never used: a
+    // bare `drive` over the same start times counts those. The two runs
+    // also differ in the size of the dataset's one pre-sized buffer, not
+    // in its count. Measured: 0 more than the wheel's 260 (two per query
+    // more while each answer was a new message and each row a new list).
+    let campaign = |hours: u64| {
+        let root_addr: IpAddr = "198.41.0.4".parse().unwrap();
+        let child_addr: IpAddr = "192.0.2.53".parse().unwrap();
+        let root = AuthoritativeServer::new("root").with_zone(
+            ZoneBuilder::new(".")
+                .ns("uy", "a.nic.uy", Ttl::TWO_DAYS)
+                .a("a.nic.uy", "192.0.2.53", Ttl::TWO_DAYS)
+                .build(),
+        );
+        let child = AuthoritativeServer::new("a.nic.uy").with_zone(
+            ZoneBuilder::new("uy")
+                .ns("uy", "a.nic.uy", Ttl::DAY)
+                .ns("uy", "b.nic.uy", Ttl::DAY)
+                .a("a.nic.uy", "192.0.2.53", Ttl::DAY)
+                .a("b.nic.uy", "192.0.2.53", Ttl::DAY)
+                .build(),
+        );
+        let mut net = Network::new(LatencyModel::constant(5.0));
+        net.register(root_addr, Region::Eu, Rc::new(RefCell::new(root)));
+        net.register(child_addr, Region::Sa, Rc::new(RefCell::new(child)));
+        let hints = vec![RootHint {
+            ns_name: Name::parse("root").unwrap(),
+            addr: root_addr,
+        }];
+        let mut rng = SimRng::seed_from(42);
+        let mut population = Population::build(&PopulationConfig::small(200), &hints, &mut rng);
+        let spec = MeasurementSpec::every_600s(
+            QueryName::Fixed(Name::parse("uy").unwrap()),
+            RecordType::NS,
+            hours,
+        );
+        // The start times the campaign draws first, one per vantage
+        // point (a probe's resolver slot), through the same schedule.
+        let mut phases = rng.clone();
+        let vps: usize = population.probes.iter().map(|p| p.resolvers.len()).sum();
+        let starts: Vec<SimTime> = (0..vps)
+            .map(|_| SimTime::from_millis(phases.below(spec.frequency.as_millis())))
+            .collect();
+        let ((), wheel) =
+            allocations(|| drive(starts, SimTime::ZERO + spec.duration, |_, _| spec.frequency));
+        let (dataset, allocs) =
+            allocations(|| run_measurement(&spec, &mut population, &mut net, &mut rng));
+        (dataset, allocs, wheel)
+    };
+    let (one, one_hour, one_hour_wheel) = campaign(1);
+    let (two, two_hours, two_hours_wheel) = campaign(2);
+    assert_eq!(two.len(), 2 * one.len());
+    let second_hour = &two.results()[one.len()..];
+    assert!(second_hour.iter().all(|r| r.cache_hit && r.valid));
+    let wheel = two_hours_wheel - one_hour_wheel;
+    assert_eq!(
+        two_hours - one_hour,
+        wheel,
+        "{} warm queries added {} allocations, the wheel {wheel}",
+        second_hour.len(),
+        two_hours - one_hour,
+    );
 }
 
 #[test]

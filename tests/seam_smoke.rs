@@ -612,7 +612,7 @@ fn the_one_merge_orders_both_row_types_by_time_then_part() {
         qname: Name::parse("uy").unwrap(),
         rcode: Rcode::NoError,
         ttl: Some(at_ms),
-        answers: vec![],
+        answers: Vec::new().into(),
         rtt_ms: 1,
         cache_hit: false,
         valid: true,
