@@ -33,22 +33,27 @@
 //! and heartbeat. A [`ZipfDataset`] keeps each cell's rows in the
 //! vector the cell wrote, so a campaign holds every row once, and
 //! [`ZipfDataset::digest`] streams their time order through
-//! [`merge_by_time`]. Each cell builds
-//! its own world and RNG from `shard_seed(run_seed, cell_id)`, so any
-//! power-of-two cell count is valid and the worker count never touches
-//! the output. The **cell count, unlike the worker count, is part of
-//! the experiment's identity** — changing it repartitions probes and
-//! reseeds cells.
+//! [`merge_by_time`]. A campaign builds its `zipf` zone once; each
+//! cell builds its own servers, network and resolvers over that one
+//! read-only zone, and its own RNG from `shard_seed(run_seed,
+//! cell_id)`, so any power-of-two cell count is valid and the worker
+//! count never touches the output. The **cell count, unlike the worker
+//! count, is part of the experiment's identity** — changing it
+//! repartitions probes and reseeds cells.
 
 use crate::population::{DiurnalCurve, ZipfSampler};
 use crate::shard::{fan_out, merge_by_time, partition, partition_bases, FanOut, ShardProfile};
+use dnsttl_auth::{Zone, ZoneBuilder};
 use dnsttl_netsim::{shard_seed, LatencyModel, Network, Region, SimDuration, SimRng, TimingWheel};
 use dnsttl_resolver::{CacheStats, RecursiveResolver, RootHint};
 use dnsttl_telemetry::{MetricKey, Telemetry};
-use dnsttl_wire::{fnv1a, Name, Rcode, RecordType, Ttl, FNV_OFFSET};
+use dnsttl_wire::{fnv1a, Name, RData, Rcode, Record, RecordType, Ttl, FNV_OFFSET};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
+use std::fmt::Write;
 use std::iter::Flatten;
+use std::net::Ipv4Addr;
+use std::sync::Arc;
 
 /// Campaign-level counters, keyed once so the hot loop never hashes
 /// metric names.
@@ -451,15 +456,31 @@ impl Default for ZipfRunOpts {
     }
 }
 
-/// Builds one cell's authoritative world: a root delegating `zipf` to
-/// a child zone holding one `A` record per universe name. The owners are
-/// the campaign's own `names`, so a probe's question and the record it
-/// finds share one buffer.
-fn zipf_world(names: &[Name], record_ttl: Ttl) -> (Network, Vec<RootHint>) {
-    use dnsttl_auth::{AuthoritativeServer, ZoneBuilder};
-    use dnsttl_wire::{RData, Record};
+/// The `zipf` zone every cell of a campaign serves: one `A` record per
+/// universe name. The owners are the campaign's own `names`, so a
+/// probe's question and the record it finds share one buffer. No cell
+/// changes it, so a campaign builds it once and its cells share it.
+fn zipf_zone(names: &[Name], record_ttl: Ttl) -> Arc<Zone> {
+    let mut zone = ZoneBuilder::new("zipf").ns("zipf", "ns.zipf", Ttl::HOUR).a(
+        "ns.zipf",
+        "192.0.2.53",
+        Ttl::HOUR,
+    );
+    for (k, name) in names.iter().enumerate() {
+        let addr = Ipv4Addr::new(10, (k >> 16) as u8, (k >> 8) as u8, k as u8);
+        zone = zone.record(Record::new(name.clone(), record_ttl, RData::A(addr)));
+    }
+    Arc::new(zone.build())
+}
+
+/// Builds one cell's authoritative world over the shared `zipf` zone:
+/// a root of its own delegating `zipf` to a child server, and the
+/// network they sit on. A cell's servers, like its resolvers, are its
+/// own; only the read-only zone is not.
+fn zipf_world(zone: &Arc<Zone>) -> (Network, Vec<RootHint>) {
+    use dnsttl_auth::AuthoritativeServer;
     use std::cell::RefCell;
-    use std::net::{IpAddr, Ipv4Addr};
+    use std::net::IpAddr;
     use std::rc::Rc;
 
     let root_addr: IpAddr = "198.41.0.4".parse().expect("static");
@@ -470,16 +491,7 @@ fn zipf_world(names: &[Name], record_ttl: Ttl) -> (Network, Vec<RootHint>) {
             .a("ns.zipf", "192.0.2.53", Ttl::TWO_DAYS)
             .build(),
     );
-    let mut child_zone = ZoneBuilder::new("zipf").ns("zipf", "ns.zipf", Ttl::HOUR).a(
-        "ns.zipf",
-        "192.0.2.53",
-        Ttl::HOUR,
-    );
-    for (k, name) in names.iter().enumerate() {
-        let addr = Ipv4Addr::new(10, (k >> 16) as u8, (k >> 8) as u8, k as u8);
-        child_zone = child_zone.record(Record::new(name.clone(), record_ttl, RData::A(addr)));
-    }
-    let child = AuthoritativeServer::new("ns.zipf").with_zone(child_zone.build());
+    let child = AuthoritativeServer::new("ns.zipf").with_zone(Arc::clone(zone));
     let mut net = Network::new(LatencyModel::constant(5.0));
     net.register(root_addr, Region::Eu, Rc::new(RefCell::new(root)));
     net.register(child_addr, Region::Eu, Rc::new(RefCell::new(child)));
@@ -529,7 +541,9 @@ fn fire_one(
     verdict.cache_hit
 }
 
-/// Runs one cell end to end with the chosen engine.
+/// Runs one cell end to end with the chosen engine, over a `zipf` zone
+/// built for it alone: [`run_zipf_campaign`] builds that zone once and
+/// runs every cell over it through the same routine.
 ///
 /// The RNG stream is `shard_seed`-derived by the caller; world
 /// construction, resolver forks, and frame build consume it in a fixed
@@ -545,13 +559,41 @@ pub fn run_zipf_cell(
     engine: ZipfEngine,
     telemetry: &Telemetry,
 ) -> ZipfCellOut {
+    let zone = zipf_zone(names, cfg.record_ttl);
+    zipf_cell(
+        cfg,
+        sampler,
+        names,
+        &zone,
+        cell_probes,
+        probe_base,
+        seed,
+        engine,
+        telemetry,
+    )
+}
+
+/// Runs one cell over the campaign's shared `zone`, which serves
+/// `names`.
+#[allow(clippy::too_many_arguments)]
+fn zipf_cell(
+    cfg: &ZipfCampaignConfig,
+    sampler: &ZipfSampler,
+    names: &[Name],
+    zone: &Arc<Zone>,
+    cell_probes: usize,
+    probe_base: u32,
+    seed: u64,
+    engine: ZipfEngine,
+    telemetry: &Telemetry,
+) -> ZipfCellOut {
     if cell_probes == 0 {
         // Nothing to simulate: skip world construction entirely so an
         // oversized cell count doesn't pay for empty worlds. Zero
         // resolvers keeps the merge rebase exact.
         return ZipfCellOut::default();
     }
-    let (mut net, roots) = zipf_world(names, cfg.record_ttl);
+    let (mut net, roots) = zipf_world(zone);
     let mut rng = SimRng::seed_from(seed);
     let mut resolvers: Vec<RecursiveResolver> = (0..cfg.resolvers_per_cell.max(1))
         .map(|i| {
@@ -757,9 +799,15 @@ pub fn run_zipf_campaign_profiled(
 ) -> (ZipfOutcome, ShardProfile) {
     cfg.validate_cells().expect("validated by CLI layers");
     let sampler = ZipfSampler::new(cfg.names.max(1), cfg.exponent);
+    let mut text = String::new();
     let names: Vec<Name> = (0..cfg.names.max(1))
-        .map(|k| Name::parse(&format!("r{k}.zipf")).expect("static name shape"))
+        .map(|k| {
+            text.clear();
+            write!(text, "r{k}.zipf").expect("a String takes every write");
+            Name::parse(&text).expect("static name shape")
+        })
         .collect();
+    let zone = zipf_zone(&names, cfg.record_ttl);
     let sizes = partition(cfg.probes, cfg.cells);
     let bases = partition_bases(&sizes);
 
@@ -770,10 +818,11 @@ pub fn run_zipf_campaign_profiled(
     };
     let engine = opts.engine;
     let (cell_outs, profile) = fan_out(&plan, &opts.telemetry, |cell, telemetry| {
-        let out = run_zipf_cell(
+        let out = zipf_cell(
             cfg,
             &sampler,
             &names,
+            &zone,
             sizes[cell],
             bases[cell] as u32,
             shard_seed(run_seed, cell as u64),
@@ -815,7 +864,7 @@ mod tests {
         let names: Vec<Name> = (0..8)
             .map(|k| Name::parse(&format!("r{k}.zipf")).unwrap())
             .collect();
-        let (mut net, roots) = zipf_world(&names, Ttl::HOUR);
+        let (mut net, roots) = zipf_world(&zipf_zone(&names, Ttl::HOUR));
         let policy = dnsttl_core::ResolverPolicy::default();
         let rng = SimRng::seed_from(3);
         let mut resolver = RecursiveResolver::new("case", policy, Region::Eu, 0, roots, rng);

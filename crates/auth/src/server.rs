@@ -4,6 +4,7 @@ use crate::zone::{Walk, Zone};
 use dnsttl_netsim::{ClientId, DnsService, SimTime};
 use dnsttl_telemetry::Telemetry;
 use dnsttl_wire::{Message, Name, Rcode};
+use std::sync::Arc;
 
 /// One logged query, as a passive capture (ENTRADA-style) would record
 /// it: who asked what, when.
@@ -26,8 +27,9 @@ pub struct AuthoritativeServer {
     /// Human-readable identity, e.g. `"ns1.dns.nl"`.
     pub name: String,
     /// Each zone with its origin's label count, which `best_zone`
-    /// ranks by on every query.
-    zones: Vec<(usize, Zone)>,
+    /// ranks by on every query. A zone is shared: servers built from
+    /// one `Arc<Zone>` (every cell of a Zipf campaign) hold one copy.
+    zones: Vec<(usize, Arc<Zone>)>,
     /// Queries logged since the last [`Self::drain_log`]; `None` when
     /// logging is off.
     log: Option<Vec<LoggedQuery>>,
@@ -70,14 +72,16 @@ impl AuthoritativeServer {
         self.rotate_answers = true;
     }
 
-    /// Adds a zone this server is authoritative for.
-    pub fn add_zone(&mut self, zone: Zone) -> &mut Self {
+    /// Adds a zone this server is authoritative for: an owned `Zone`,
+    /// or an `Arc<Zone>` other servers hold too.
+    pub fn add_zone(&mut self, zone: impl Into<Arc<Zone>>) -> &mut Self {
+        let zone = zone.into();
         self.zones.push((zone.origin().label_count(), zone));
         self
     }
 
     /// Builder-style variant of [`Self::add_zone`].
-    pub fn with_zone(mut self, zone: Zone) -> AuthoritativeServer {
+    pub fn with_zone(mut self, zone: impl Into<Arc<Zone>>) -> AuthoritativeServer {
         self.add_zone(zone);
         self
     }
@@ -97,9 +101,12 @@ impl AuthoritativeServer {
     }
 
     /// Mutable access to a zone by origin, for renumbering mid-run.
+    /// Copy-on-write: a zone other servers share is copied first, so
+    /// they keep answering from the old one; a zone this server holds
+    /// alone is changed in place.
     pub fn zone_mut(&mut self, origin: &Name) -> Option<&mut Zone> {
         let (_, zone) = self.zones.iter_mut().find(|(_, z)| z.origin() == origin)?;
-        Some(zone)
+        Some(Arc::make_mut(zone))
     }
 
     /// Shared access to a zone by origin.
@@ -126,7 +133,7 @@ impl AuthoritativeServer {
             .iter()
             .filter(|(_, z)| qname.is_subdomain_of(z.origin()))
             .max_by_key(|(depth, _)| *depth)
-            .map(|(_, z)| z)
+            .map(|(_, z)| &**z)
     }
 }
 
@@ -406,6 +413,43 @@ mod tests {
             .rdata
             .to_string();
         assert_eq!(a1, a2);
+    }
+
+    #[test]
+    fn renumbering_a_shared_zone_leaves_the_other_server_alone() {
+        let cl = Arc::new(
+            ZoneBuilder::new("cl")
+                .ns("cl", "a.nic.cl", Ttl::HOUR)
+                .a("a.nic.cl", "190.124.27.10", Ttl::from_secs(43_200))
+                .build(),
+        );
+        let mut renumbered = AuthoritativeServer::new("a.nic.cl").with_zone(Arc::clone(&cl));
+        let mut other = AuthoritativeServer::new("b.nic.cl").with_zone(Arc::clone(&cl));
+        let q = Message::iterative_query(1, n("a.nic.cl"), RecordType::A);
+        let before = other.handle_query(&q, client(1), SimTime::ZERO);
+        renumbered.zone_mut(&n("cl")).unwrap().replace_address(
+            &n("a.nic.cl"),
+            "198.51.100.7".parse().unwrap(),
+            Ttl::HOUR,
+        );
+        let moved = renumbered.handle_query(&q, client(1), SimTime::ZERO);
+        assert_eq!(moved.answers[0].rdata.to_string(), "198.51.100.7");
+        assert_eq!(other.handle_query(&q, client(1), SimTime::ZERO), before);
+        assert_eq!(
+            cl.soa().serial,
+            1,
+            "the shared zone was copied, not changed"
+        );
+        // The copy is the renumbered server's own now: a second change
+        // lands in place, and the zone the others share is untouched.
+        let copy: *const Zone = renumbered.zone(&n("cl")).unwrap();
+        renumbered.zone_mut(&n("cl")).unwrap().replace_address(
+            &n("a.nic.cl"),
+            "198.51.100.8".parse().unwrap(),
+            Ttl::HOUR,
+        );
+        assert!(std::ptr::eq(copy, renumbered.zone(&n("cl")).unwrap()));
+        assert_eq!(Arc::strong_count(&cl), 2);
     }
 
     #[test]

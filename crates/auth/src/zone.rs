@@ -8,6 +8,7 @@ use dnsttl_wire::name::NameKey;
 use dnsttl_wire::{Message, Name, RData, Record, RecordType, SoaData, Ttl};
 use std::collections::HashMap;
 use std::net::{Ipv4Addr, Ipv6Addr};
+use std::ops::Range;
 
 /// What [`Zone::walk`] found; its records are in the sections it filled.
 pub(crate) enum Walk<'z> {
@@ -70,22 +71,28 @@ pub enum ZoneLookup {
 }
 
 /// Everything the zone holds at one owner name.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 struct Node {
-    /// The RRsets here, sorted by type: a handful at most, so a scan
-    /// beats a map, and [`Zone::iter`] shows them in this order.
-    rrsets: Vec<(RecordType, Vec<Record>)>,
+    /// The records here in one vector, sorted by type and in insertion
+    /// order within a type, so each RRset is a contiguous run and
+    /// [`Zone::iter`] shows them in this order. An owner costs one
+    /// allocation, not one per RRset.
+    records: Vec<Record>,
     /// An NS RRset below the apex: a delegation cut.
     is_cut: bool,
 }
 
 impl Node {
-    fn slot(&self, rtype: RecordType) -> Result<usize, usize> {
-        self.rrsets.binary_search_by_key(&rtype, |(t, _)| *t)
+    /// Where the RRset of `rtype` lies in `records`; empty (at the
+    /// position it would take) when there is none.
+    fn span(&self, rtype: RecordType) -> Range<usize> {
+        let start = self.records.partition_point(|r| r.record_type() < rtype);
+        let end = self.records.partition_point(|r| r.record_type() <= rtype);
+        start..end
     }
 
     fn get(&self, rtype: RecordType) -> &[Record] {
-        self.slot(rtype).map_or(&[], |i| &self.rrsets[i].1)
+        &self.records[self.span(rtype)]
     }
 }
 
@@ -119,6 +126,12 @@ pub struct Zone {
     /// Nodes holding an RRSIG RRset; zero means the zone is unsigned.
     signed_nodes: usize,
 }
+
+// Campaign cells on worker threads share one zone behind an `Arc`.
+const _: () = {
+    const fn assert_send_sync<T: Send + Sync>() {}
+    assert_send_sync::<Zone>();
+};
 
 impl Zone {
     /// Creates an empty zone with a default SOA.
@@ -184,9 +197,17 @@ impl Zone {
         }
         let rtype = record.record_type();
         let below_apex = record.name != self.origin;
-        let node = self.nodes.entry(record.name.clone()).or_default();
-        let slot = node.slot(rtype).unwrap_or_else(|at| {
-            node.rrsets.insert(at, (rtype, Vec::new()));
+        // Most owners hold one record: a new node starts with room for
+        // exactly that one, not the four a first push would reserve.
+        let node = self
+            .nodes
+            .entry(record.name.clone())
+            .or_insert_with(|| Node {
+                records: Vec::with_capacity(1),
+                is_cut: false,
+            });
+        let span = node.span(rtype);
+        if span.is_empty() {
             if rtype == RecordType::NS && below_apex {
                 node.is_cut = true;
                 self.cuts += 1;
@@ -194,9 +215,8 @@ impl Zone {
             if rtype == RecordType::RRSIG {
                 self.signed_nodes += 1;
             }
-            at
-        });
-        node.rrsets[slot].1.push(record);
+        }
+        node.records.insert(span.end, record);
     }
 
     /// Removes all records of `rtype` at `name`, returning how many were
@@ -205,10 +225,11 @@ impl Zone {
         let Some(node) = self.nodes.get_mut(name) else {
             return 0;
         };
-        let Ok(slot) = node.slot(rtype) else {
+        let span = node.span(rtype);
+        if span.is_empty() {
             return 0;
-        };
-        let (_, removed) = node.rrsets.remove(slot);
+        }
+        let removed = node.records.drain(span).count();
         if rtype == RecordType::NS && node.is_cut {
             node.is_cut = false;
             self.cuts -= 1;
@@ -216,11 +237,11 @@ impl Zone {
         if rtype == RecordType::RRSIG {
             self.signed_nodes -= 1;
         }
-        if node.rrsets.is_empty() {
+        if node.records.is_empty() {
             self.nodes.remove(name);
             self.count_owner(name, false);
         }
-        removed.len()
+        removed
     }
 
     /// Counts a new owner name into (or a vanished one out of)
@@ -290,7 +311,7 @@ impl Zone {
     pub fn iter(&self) -> impl Iterator<Item = &Record> {
         self.nodes_in_order()
             .into_iter()
-            .flat_map(|(_, node)| node.rrsets.iter().flat_map(|(_, records)| records))
+            .flat_map(|(_, node)| &node.records)
     }
 
     /// Owner names present in the zone (including glue owners), in

@@ -5,7 +5,10 @@
 //! (default: the classic 16, tunable as a power of two via `--cells`),
 //! each run as a self-contained simulation (its own world, population,
 //! resolver caches, and RNG stream derived via `shard_seed`), and
-//! merges the per-cell datasets back together in fixed cell order.
+//! merges the per-cell datasets back together in fixed cell order. The
+//! Zipf campaign on the same engine is the one that shares anything:
+//! it builds its `zipf` zone once, and each cell's own servers and
+//! network serve that one read-only zone.
 //! `--shards N` only picks how many worker threads run the cells;
 //! without it they run on one. What is left here is the part that
 //! needs `ExpConfig` and the worlds: [`WorldSpec`] and the mapping from

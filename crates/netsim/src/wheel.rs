@@ -140,9 +140,11 @@ pub struct TimingWheel<T> {
     len: usize,
     /// Slots re-binned by cascades since construction (telemetry).
     cascades: u64,
-    /// Reusable cascade drain buffer, so re-binning a bucket moves
-    /// entries without allocator traffic.
-    scratch: Vec<(u64, T)>,
+    /// Empty buffers of buckets that cascades drained. A bucket with no
+    /// buffer takes one from here before it allocates, so the buffers
+    /// in use follow the occupied buckets, not every slot the wheel's
+    /// base has ever passed.
+    spare: Vec<Vec<(u64, T)>>,
 }
 
 impl<T: Ord> TimingWheel<T> {
@@ -154,7 +156,7 @@ impl<T: Ord> TimingWheel<T> {
             base: 0,
             len: 0,
             cascades: 0,
-            scratch: Vec::new(),
+            spare: Vec::new(),
         }
     }
 
@@ -195,7 +197,13 @@ impl<T: Ord> TimingWheel<T> {
         match self.placement(when) {
             Placement::Slot(level, slot) => {
                 let levels = self.levels.get_or_insert_with(new_levels);
-                levels[level].slots[slot].push((at_ms, tie));
+                let bucket = &mut levels[level].slots[slot];
+                if bucket.capacity() == 0 {
+                    if let Some(buffer) = self.spare.pop() {
+                        *bucket = buffer;
+                    }
+                }
+                bucket.push((at_ms, tie));
                 levels[level].set(slot);
             }
             Placement::Overflow => self.overflow.push((at_ms, tie)),
@@ -276,18 +284,18 @@ impl<T: Ord> TimingWheel<T> {
                 let slot_start = (self.base & !span_mask) | ((slot as u64) << shift);
                 debug_assert!(slot_start >= self.base);
                 self.base = slot_start;
-                // Drain through the reusable scratch buffer: the slot
-                // keeps its allocation for future inserts and the
-                // cascade itself never touches the allocator.
-                let mut scratch = mem::take(&mut self.scratch);
-                scratch.append(&mut levels[level].slots[slot]);
+                // Every entry lands at a lower level, never back in
+                // this slot, so the bucket's own buffer is the drain
+                // buffer; emptied, it goes to the spare list for the
+                // next bucket that needs one.
+                let mut bucket = mem::take(&mut levels[level].slots[slot]);
                 levels[level].unset(slot);
-                self.len -= scratch.len();
+                self.len -= bucket.len();
                 self.cascades += 1;
-                for (t, tie) in scratch.drain(..) {
+                for (t, tie) in bucket.drain(..) {
                     self.insert(t, tie);
                 }
-                self.scratch = scratch;
+                self.spare.push(bucket);
             } else {
                 // Only the overflow bucket is occupied: re-anchor at its
                 // earliest time and re-distribute. Entries still beyond
@@ -300,14 +308,14 @@ impl<T: Ord> TimingWheel<T> {
                     .min()
                     .expect("len > 0 with empty levels implies overflow entries");
                 self.base = min_t.max(self.base);
-                let mut scratch = mem::take(&mut self.scratch);
-                scratch.append(&mut self.overflow);
-                self.len -= scratch.len();
+                let fresh = self.spare.pop().unwrap_or_default();
+                let mut pending = mem::replace(&mut self.overflow, fresh);
+                self.len -= pending.len();
                 self.cascades += 1;
-                for (t, tie) in scratch.drain(..) {
+                for (t, tie) in pending.drain(..) {
                     self.insert(t, tie);
                 }
-                self.scratch = scratch;
+                self.spare.push(pending);
                 // The minimum is now inside the wheel levels; loop once
                 // more in case its bucket still needs splitting.
             }
@@ -421,6 +429,26 @@ mod tests {
         assert_eq!(w.pop_first(), Some((10, 6)));
         assert_eq!(w.pop_first(), Some((10, 7)));
         assert_eq!(w.pop_first(), Some((500_000, 1)));
+    }
+
+    #[test]
+    fn a_drained_bucket_lends_its_buffer_to_the_next() {
+        let mut w = TimingWheel::new();
+        // 20 timers in one level-1 slot: the first pop cascades it.
+        for tie in 0..20u32 {
+            w.insert(1_000, tie);
+        }
+        assert_eq!(w.pop_first(), Some((1_000, 0)));
+        assert_eq!(w.cascades(), 1);
+        assert_eq!(w.spare.len(), 1);
+        let lent = w.spare[0].capacity();
+        assert!(lent >= 20);
+        // A level-2 slot never used before takes that buffer.
+        w.insert(10_000_000, 99);
+        assert!(w.spare.is_empty());
+        let levels = w.levels.as_deref().expect("levels exist");
+        let slot = (10_000_000 >> 16) & (SLOTS - 1);
+        assert_eq!(levels[2].slots[slot].capacity(), lent);
     }
 
     #[test]

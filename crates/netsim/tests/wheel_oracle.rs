@@ -10,6 +10,12 @@
 //! zero-delay timers, near-term millisecond churn, far-future times that
 //! must cascade down through every level, and `u64::MAX` sentinels that
 //! exercise the overflow bucket.
+//!
+//! A cascade hands the buffer of the bucket it drains to the next
+//! bucket that needs one, so the renewal schedules below run for
+//! several level-2 rotations (2²⁴ ms, about 4.66 h each): every slot
+//! comes round again, and the buffers it then fills were other
+//! buckets' before.
 
 use dnsttl_netsim::{SimRng, TimingWheel};
 use std::collections::BTreeSet;
@@ -141,4 +147,74 @@ fn max_simtime_entries_survive_full_drain() {
         assert_eq!(wheel.pop_first(), Some(expect));
     }
     assert!(wheel.is_empty());
+}
+
+/// One level-2 rotation: 256 slots of 2¹⁶ ms.
+const LEVEL2_SPAN_MS: u64 = 1 << 24;
+
+/// A renewal schedule, the shape both of the wheel's consumers run:
+/// `timers` timers each re-armed when it pops, at a gap drawn from
+/// `gap`, until simulated time passes `rotations` level-2 rotations.
+/// Every pop and every length is checked against the oracle.
+fn renewal_trajectory(seed: u64, timers: u64, rotations: u64, gap: fn(&mut SimRng) -> u64) {
+    let mut rng = SimRng::seed_from(seed);
+    let mut wheel = TimingWheel::new();
+    let mut oracle: BTreeSet<(u64, u64)> = BTreeSet::new();
+    for timer in 0..timers {
+        let first_gap = gap(&mut rng);
+        let t = rng.below(first_gap + 1);
+        wheel.insert(t, timer);
+        oracle.insert((t, timer));
+    }
+    let end = rotations * LEVEL2_SPAN_MS;
+    let mut pops = 0u64;
+    loop {
+        let expect = oracle.pop_first().expect("every pop re-arms its timer");
+        assert_eq!(wheel.pop_first(), Some(expect), "seed {seed:#x} pop {pops}");
+        pops += 1;
+        let (t, timer) = expect;
+        if t >= end {
+            break;
+        }
+        let next = t + 1 + gap(&mut rng);
+        wheel.insert(next, timer);
+        oracle.insert((next, timer));
+        assert_eq!(wheel.len(), oracle.len(), "seed {seed:#x} pop {pops}");
+    }
+    assert!(
+        wheel.cascades() > rotations,
+        "seed {seed:#x}: too few cascades"
+    );
+    while let Some(expect) = oracle.pop_first() {
+        assert_eq!(wheel.pop_first(), Some(expect), "seed {seed:#x} drain");
+    }
+    assert!(wheel.is_empty());
+}
+
+#[test]
+fn probe_schedules_agree_with_the_oracle_across_level_two_rotations() {
+    // The Zipf sweep's shape: polling gaps up to ten minutes, with a
+    // tail of hour-long ones that park in level 2 and cascade down.
+    fn gap(rng: &mut SimRng) -> u64 {
+        if rng.below(16) == 0 {
+            rng.below(3 * 3_600_000)
+        } else {
+            rng.below(600_000)
+        }
+    }
+    for seed in SEEDS {
+        renewal_trajectory(seed, 512, 3, gap);
+    }
+}
+
+#[test]
+fn crowded_buckets_agree_with_the_oracle_across_level_two_rotations() {
+    // Few distinct gaps, so buckets fill past the cascade threshold and
+    // every rotation drains and refills them.
+    fn gap(rng: &mut SimRng) -> u64 {
+        [65_536, 262_144, 4_194_304][rng.below(3) as usize]
+    }
+    for seed in SEEDS {
+        renewal_trajectory(seed, 256, 4, gap);
+    }
 }

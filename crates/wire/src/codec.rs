@@ -10,7 +10,7 @@
 //! of this crate.
 
 use crate::message::{Header, Message, Opcode, Question, Rcode};
-use crate::name::{NameKey, NameSuffix};
+use crate::name::{NameKey, NameSuffix, ReprBuf};
 use crate::rdata::{RData, RecordType, SoaData};
 use crate::record::{Class, Record};
 use crate::{Name, Ttl, WireError};
@@ -463,7 +463,7 @@ impl<'a> Decoder<'a> {
     /// Pointers must point strictly backwards, which also bounds the
     /// number of jumps and rules out loops.
     fn name(&mut self) -> Result<Name, WireError> {
-        let mut repr = String::new();
+        let mut repr = ReprBuf::new();
         let mut pos = self.pos;
         let mut followed_pointer = false;
         let mut end_after_first_pointer = self.pos;
@@ -510,8 +510,8 @@ impl<'a> Decoder<'a> {
                 if let Some(&b) = bytes.iter().find(|&&b| !b.is_ascii() || b == b'.') {
                     return Err(WireError::InvalidCharacter(b as char));
                 }
-                repr.push_str(std::str::from_utf8(bytes).expect("checked ASCII"));
-                repr.push('.');
+                repr.push(std::str::from_utf8(bytes).expect("checked ASCII"));
+                repr.push(".");
                 pos += 1 + len;
             }
         }
@@ -520,7 +520,7 @@ impl<'a> Decoder<'a> {
         } else {
             pos
         };
-        Name::from_wire_repr(repr)
+        repr.finish()
     }
 
     fn question(&mut self) -> Result<Question, WireError> {

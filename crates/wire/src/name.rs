@@ -78,12 +78,12 @@ impl Name {
         Name { repr, hash }
     }
 
-    /// Builds a name from an already-validated dot-terminated buffer.
-    fn from_valid_repr(repr: String) -> Name {
-        let hash = folded_fnv(&repr);
+    /// Builds a name from an already-validated dot-terminated buffer:
+    /// the one allocation a name costs.
+    fn from_valid_repr(repr: &str) -> Name {
         Name {
             repr: Arc::from(repr),
-            hash,
+            hash: folded_fnv(repr),
         }
     }
 
@@ -112,15 +112,10 @@ impl Name {
                 return Err(WireError::InvalidCharacter(c));
             }
         }
-        // wire form: one length octet per label plus the terminator =
-        // presentation length (labels + dots) + 1.
-        if s.len() + 2 > MAX_NAME_LEN {
-            return Err(WireError::NameTooLong(s.len() + 2));
-        }
-        let mut repr = String::with_capacity(s.len() + 1);
-        repr.push_str(s);
-        repr.push('.');
-        Ok(Name::from_valid_repr(repr))
+        let mut repr = ReprBuf::new();
+        repr.push(s);
+        repr.push(".");
+        repr.finish()
     }
 
     /// Builds a name from raw labels, most-specific first.
@@ -135,7 +130,7 @@ impl Name {
         I: IntoIterator<Item = S>,
         S: AsRef<str>,
     {
-        let mut repr = String::new();
+        let mut repr = ReprBuf::new();
         for l in labels {
             let l = l.as_ref();
             if l.is_empty() {
@@ -147,30 +142,10 @@ impl Name {
             if let Some(c) = l.chars().find(|&c| !c.is_ascii() || c == '.') {
                 return Err(WireError::InvalidCharacter(c));
             }
-            repr.push_str(l);
-            repr.push('.');
+            repr.push(l);
+            repr.push(".");
         }
-        if repr.is_empty() {
-            return Ok(Name::root());
-        }
-        if repr.len() + 1 > MAX_NAME_LEN {
-            return Err(WireError::NameTooLong(repr.len() + 1));
-        }
-        Ok(Name::from_valid_repr(repr))
-    }
-
-    /// Crate-internal: builds a name from a dot-terminated buffer whose
-    /// labels the wire decoder has already validated (non-empty ASCII, no
-    /// dots, each ≤ [`MAX_LABEL_LEN`]). Only the total length remains to
-    /// be checked here.
-    pub(crate) fn from_wire_repr(repr: String) -> Result<Name, WireError> {
-        if repr.is_empty() {
-            return Ok(Name::root());
-        }
-        if repr.len() + 1 > MAX_NAME_LEN {
-            return Err(WireError::NameTooLong(repr.len() + 1));
-        }
-        Ok(Name::from_valid_repr(repr))
+        repr.finish()
     }
 
     /// The presentation form with its trailing dot (`"a.nic.uy."`,
@@ -243,7 +218,7 @@ impl Name {
         if rest.is_empty() {
             Some(Name::root())
         } else {
-            Some(Name::from_valid_repr(rest.to_owned()))
+            Some(Name::from_valid_repr(rest))
         }
     }
 
@@ -258,16 +233,13 @@ impl Name {
         if let Some(c) = label.chars().find(|&c| !c.is_ascii() || c == '.') {
             return Err(WireError::InvalidCharacter(c));
         }
-        let mut repr = String::with_capacity(label.len() + 1 + self.repr.len());
-        repr.push_str(label);
-        repr.push('.');
+        let mut repr = ReprBuf::new();
+        repr.push(label);
+        repr.push(".");
         if !self.is_root() {
-            repr.push_str(&self.repr);
+            repr.push(&self.repr);
         }
-        if repr.len() + 1 > MAX_NAME_LEN {
-            return Err(WireError::NameTooLong(repr.len() + 1));
-        }
-        Ok(Name::from_valid_repr(repr))
+        repr.finish()
     }
 
     /// True if `self` equals `zone` or sits below it in the tree.
@@ -313,6 +285,48 @@ impl Name {
     /// presentation form lowercased (`"a.nic.uy."`, root `"."`).
     pub fn canonical(&self) -> String {
         self.repr.to_ascii_lowercase()
+    }
+}
+
+/// A name's dot-terminated presentation form under construction, on
+/// the stack, so that building a [`Name`] allocates only its shared
+/// buffer. Bytes past [`MAX_NAME_LEN`] are not kept, but `len` goes on
+/// counting them, so an over-long name reports its full length.
+/// Callers push only validated ASCII labels and their dots.
+pub(crate) struct ReprBuf {
+    bytes: [u8; MAX_NAME_LEN],
+    len: usize,
+}
+
+impl ReprBuf {
+    /// An empty buffer: finished as is, the root.
+    pub(crate) fn new() -> ReprBuf {
+        ReprBuf {
+            bytes: [0; MAX_NAME_LEN],
+            len: 0,
+        }
+    }
+
+    /// Appends `text`, or only counts it once the name is too long.
+    pub(crate) fn push(&mut self, text: &str) {
+        let end = self.len + text.len();
+        if let Some(dst) = self.bytes.get_mut(self.len..end) {
+            dst.copy_from_slice(text.as_bytes());
+        }
+        self.len = end;
+    }
+
+    /// The name, checked against the wire limit: one length octet per
+    /// label plus the terminator is the presentation length plus one.
+    pub(crate) fn finish(self) -> Result<Name, WireError> {
+        if self.len == 0 {
+            return Ok(Name::root());
+        }
+        if self.len + 1 > MAX_NAME_LEN {
+            return Err(WireError::NameTooLong(self.len + 1));
+        }
+        let repr = std::str::from_utf8(&self.bytes[..self.len]).expect("labels are ASCII");
+        Ok(Name::from_valid_repr(repr))
     }
 }
 
@@ -526,6 +540,18 @@ mod tests {
         ));
         let long = vec!["abcdefgh"; 32].join("."); // 32*9 + 1 > 255
         assert!(matches!(Name::parse(&long), Err(WireError::NameTooLong(_))));
+    }
+
+    #[test]
+    fn an_over_long_name_reports_its_full_length() {
+        // The stack buffer keeps 255 bytes but counts every one pushed.
+        let label = "x".repeat(63);
+        let five = Name::from_labels([label.as_str(); 5]);
+        assert_eq!(five, Err(WireError::NameTooLong(5 * 64 + 1)));
+        let three = Name::from_labels([label.as_str(); 3]).unwrap();
+        assert_eq!(three.child(&label), Err(WireError::NameTooLong(4 * 64 + 1)));
+        let longest = Name::from_labels([&label[..61], &label, &label, &label]).unwrap();
+        assert_eq!(longest.wire_len(), MAX_NAME_LEN);
     }
 
     #[test]

@@ -13,11 +13,12 @@
 //! result, which can land inside a counted region.
 
 use dnsttl::atlas::{
-    run_measurement, MeasurementSpec, Population, PopulationConfig, QueryName, ZipfDataset, ZipfRow,
+    run_measurement, run_zipf_campaign, MeasurementSpec, Population, PopulationConfig, QueryName,
+    ZipfCampaignConfig, ZipfDataset, ZipfRow, ZipfRunOpts,
 };
 use dnsttl::auth::{AuthoritativeServer, ZoneBuilder};
 use dnsttl::core::ResolverPolicy;
-use dnsttl::netsim::{drive, LatencyModel, Network, Region, SimRng, SimTime};
+use dnsttl::netsim::{drive, LatencyModel, Network, Region, SimDuration, SimRng, SimTime};
 use dnsttl::resolver::{RecursiveResolver, RootHint};
 use dnsttl::telemetry::{EventKind, Telemetry, Value};
 use dnsttl::wire::{Message, Name, Rcode, RecordType, Ttl};
@@ -392,8 +393,11 @@ fn a_warm_probe_loop_allocates_nothing_per_query() {
     // wheel's, whose timers reach slots the first hour never used: a
     // bare `drive` over the same start times counts those. The two runs
     // also differ in the size of the dataset's one pre-sized buffer, not
-    // in its count. Measured: 0 more than the wheel's 260 (two per query
+    // in its count. Measured: 0 more than the wheel's 7 (two per query
     // more while each answer was a new message and each row a new list).
+    // The wheel's hour was 260 while each bucket allocated its own
+    // buffer the first time its slot came round; a bucket now takes the
+    // buffer of one a cascade drained.
     let campaign = |hours: u64| {
         let root_addr: IpAddr = "198.41.0.4".parse().unwrap();
         let child_addr: IpAddr = "192.0.2.53".parse().unwrap();
@@ -444,6 +448,10 @@ fn a_warm_probe_loop_allocates_nothing_per_query() {
     let second_hour = &two.results()[one.len()..];
     assert!(second_hour.iter().all(|r| r.cache_hit && r.valid));
     let wheel = two_hours_wheel - one_hour_wheel;
+    assert!(
+        wheel <= 64,
+        "the wheel's second hour allocated {wheel} times"
+    );
     assert_eq!(
         two_hours - one_hour,
         wheel,
@@ -487,6 +495,42 @@ fn an_idle_resolver_holds_little_more_than_its_label_and_root_hints() {
     assert!(
         bytes <= 128 * RESOLVERS as u64,
         "{RESOLVERS} idle resolvers asked for {bytes} bytes"
+    );
+}
+
+#[test]
+fn a_zipf_cell_costs_the_same_whatever_the_name_count() {
+    // A campaign builds its `zipf` zone once and every cell serves that
+    // one: what a cell allocates (its root zone, servers, network,
+    // resolvers, frame and wheel) does not grow with the names. One
+    // probe a cell and a campaign that lasts no time: every cell builds
+    // its world and nothing fires. Everything the campaign builds once
+    // cancels in the difference between 16 cells and 4. Measured: 570
+    // for the 12 more cells over either name count, where it was 2 442
+    // over 64 names and 50 118 over 2 048 while every cell built its
+    // own zone (two allocations per owner: its node's RRset list and
+    // the RRset).
+    let extra_cells = |names: usize| {
+        let campaign = |cells: usize| {
+            let cfg = ZipfCampaignConfig {
+                probes: cells,
+                names,
+                cells,
+                duration: SimDuration::ZERO,
+                ..ZipfCampaignConfig::small(cells)
+            };
+            let (outcome, allocs) =
+                allocations(|| run_zipf_campaign(&cfg, 42, &ZipfRunOpts::default()));
+            assert_eq!(outcome.resolvers, cells * cfg.resolvers_per_cell);
+            assert!(outcome.dataset.is_empty());
+            allocs
+        };
+        campaign(16) - campaign(4)
+    };
+    let (few, many) = (extra_cells(64), extra_cells(2_048));
+    assert_eq!(
+        few, many,
+        "12 more cells allocated {few} times over 64 names, {many} over 2 048"
     );
 }
 
