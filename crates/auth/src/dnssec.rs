@@ -99,10 +99,7 @@ mod tests {
         assert!(
             sigs.iter().any(|r| matches!(
                 &r.rdata,
-                RData::Rrsig {
-                    type_covered: RecordType::NS,
-                    ..
-                }
+                RData::Rrsig(sig) if sig.type_covered == RecordType::NS
             )),
             "apex NS RRset must be signed"
         );
@@ -110,10 +107,7 @@ mod tests {
         assert!(
             sigs.iter().any(|r| matches!(
                 &r.rdata,
-                RData::Rrsig {
-                    type_covered: RecordType::DNSKEY,
-                    ..
-                }
+                RData::Rrsig(sig) if sig.type_covered == RecordType::DNSKEY
             )),
             "the DNSKEY itself must be signed"
         );

@@ -19,6 +19,7 @@
 use crate::zone::Zone;
 use dnsttl_wire::{Name, RData, Record, RecordType, SoaData, Ttl, WireError};
 use std::fmt;
+use std::sync::Arc;
 
 /// Errors from master-file parsing, with 1-based line numbers.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -338,7 +339,7 @@ fn parse_rdata(
                     .parse()
                     .map_err(|_| err(line, MasterErrorKind::BadRdata(fields[i].into())))
             };
-            Ok(RData::Soa(SoaData {
+            Ok(RData::Soa(Arc::new(SoaData {
                 mname: resolve_name(fields[0], origin, line)?,
                 rname: resolve_name(fields[1], origin, line)?,
                 serial: num(2)?,
@@ -346,7 +347,7 @@ fn parse_rdata(
                 retry: num(4)?,
                 expire: num(5)?,
                 minimum: num(6)?,
-            }))
+            })))
         }
         "DNSKEY" => {
             need(4)?;
@@ -444,7 +445,7 @@ pub fn render_records(records: &[Record]) -> String {
                     let _ = writeln!(out, "; {name} {ttl} IN DNSKEY (binary key omitted)");
                 }
             },
-            RData::Rrsig { .. } | RData::Opt(_) => {
+            RData::Rrsig(_) | RData::Opt(_) => {
                 let _ = writeln!(
                     out,
                     "; {name} {ttl} IN {} (synthesised, not rendered)",

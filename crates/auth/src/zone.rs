@@ -9,6 +9,7 @@ use dnsttl_wire::{Message, Name, RData, Record, RecordType, SoaData, Ttl};
 use std::collections::HashMap;
 use std::net::{Ipv4Addr, Ipv6Addr};
 use std::ops::Range;
+use std::sync::Arc;
 
 /// What [`Zone::walk`] found; its records are in the sections it filled.
 pub(crate) enum Walk<'z> {
@@ -114,7 +115,9 @@ fn rrset(node: Option<&Node>, rtype: RecordType) -> &[Record] {
 #[derive(Debug, Clone)]
 pub struct Zone {
     origin: Name,
-    soa: SoaData,
+    /// Shared with every negative answer's SOA record, which
+    /// [`Zone::soa_record`] hands out without a copy.
+    soa: Arc<SoaData>,
     soa_ttl: Ttl,
     nodes: HashMap<Name, Node>,
     /// For each name from the origin down that has owner names strictly
@@ -136,7 +139,7 @@ const _: () = {
 impl Zone {
     /// Creates an empty zone with a default SOA.
     pub fn new(origin: Name) -> Zone {
-        let soa = SoaData {
+        let soa = Arc::new(SoaData {
             mname: origin.clone(),
             rname: Name::parse("hostmaster.invalid").expect("static name"),
             serial: 1,
@@ -144,7 +147,7 @@ impl Zone {
             retry: 3_600,
             expire: 1_209_600,
             minimum: 300,
-        };
+        });
         Zone {
             origin,
             soa,
@@ -168,10 +171,11 @@ impl Zone {
 
     /// Sets the negative-caching TTL (SOA `minimum`).
     pub(crate) fn set_negative_ttl(&mut self, ttl: Ttl) {
-        self.soa.minimum = ttl.as_secs();
+        Arc::make_mut(&mut self.soa).minimum = ttl.as_secs();
     }
 
-    /// The SOA as a servable record at the apex.
+    /// The SOA as a servable record at the apex: the zone's own SOA
+    /// data, shared, so building it allocates nothing.
     pub fn soa_record(&self) -> Record {
         Record::new(
             self.origin.clone(),
@@ -289,7 +293,7 @@ impl Zone {
             .map_or(fallback_ttl, |r| r.ttl);
         self.remove(name, rtype);
         self.add(Record::new(name.clone(), ttl, rdata));
-        self.soa.serial += 1;
+        Arc::make_mut(&mut self.soa).serial += 1;
     }
 
     /// Records of `rtype` at exactly `name`, as stored.
@@ -476,9 +480,9 @@ impl Zone {
         };
         let end = answers.len();
         for sig in node.get(RecordType::RRSIG) {
-            if let RData::Rrsig { type_covered, .. } = &sig.rdata {
+            if let RData::Rrsig(data) = &sig.rdata {
                 let covered = &answers[start..end];
-                if covered.iter().any(|r| r.record_type() == *type_covered) {
+                if covered.iter().any(|r| r.record_type() == data.type_covered) {
                     answers.push(sig.clone());
                 }
             }

@@ -8,6 +8,7 @@ use dnsttl_auth::{
 };
 use dnsttl_netsim::SimRng;
 use dnsttl_wire::{Name, RData, Record, SoaData, Ttl};
+use std::sync::Arc;
 
 fn gen_label(rng: &mut SimRng) -> String {
     let first = b"abcdefghijklmnopqrstuvwxyz";
@@ -48,7 +49,7 @@ fn gen_record(rng: &mut SimRng) -> Record {
                 .collect();
             RData::Txt(txt)
         }
-        _ => RData::Soa(SoaData {
+        _ => RData::Soa(Arc::new(SoaData {
             mname: gen_name(rng),
             rname: gen_name(rng),
             serial: rng.next_u64() as u32,
@@ -56,7 +57,7 @@ fn gen_record(rng: &mut SimRng) -> Record {
             retry: 3_600,
             expire: 1_209_600,
             minimum: 300,
-        }),
+        })),
     };
     Record::new(gen_name(rng), gen_ttl(rng), rdata)
 }

@@ -19,7 +19,8 @@
 
 use dnsttl_auth::{parse_zone, render_zone, sign_zone, AuthoritativeServer, Zone, ZoneLookup};
 use dnsttl_netsim::{ClientId, DnsService, Region, SimRng, SimTime};
-use dnsttl_wire::{Message, Name, RData, Rcode, Record, RecordType, Ttl};
+use dnsttl_wire::{Message, Name, RData, Rcode, Record, RecordType, RrsigData, Ttl};
+use std::sync::Arc;
 
 /// The reference: every record of the zone, in the order it was added.
 struct Model {
@@ -57,7 +58,7 @@ impl Model {
         self.remove(name, rtype);
         self.records.push(Record::new(name.clone(), ttl, rdata));
         if let RData::Soa(soa) = &mut self.soa.rdata {
-            soa.serial += 1;
+            Arc::make_mut(soa).serial += 1;
         }
     }
 
@@ -71,9 +72,7 @@ impl Model {
     fn signatures(&self, qname: &Name, answer: &[Record]) -> Vec<Record> {
         let mut sigs = self.at(qname, RecordType::RRSIG);
         sigs.retain(|sig| match &sig.rdata {
-            RData::Rrsig { type_covered, .. } => {
-                answer.iter().any(|r| r.record_type() == *type_covered)
-            }
+            RData::Rrsig(sig) => answer.iter().any(|r| r.record_type() == sig.type_covered),
             _ => false,
         });
         sigs
@@ -282,13 +281,13 @@ fn gen_record(rng: &mut SimRng, origin: &Name) -> Record {
             exchange: target(rng),
         },
         16..=17 => RData::Txt(format!("t{}", rng.below(100))),
-        _ => RData::Rrsig {
+        _ => RData::Rrsig(Arc::new(RrsigData {
             type_covered: pick(rng, &QTYPES[..6]),
             algorithm: 13,
             original_ttl: 300,
             signer: origin.clone(),
             signature: rng.next_u64().to_be_bytes().to_vec(),
-        },
+        })),
     };
     Record::new(owner, Ttl::from_secs(60 + rng.below(7_200) as u32), rdata)
 }
@@ -513,9 +512,9 @@ fn dump(zone: &Zone) -> String {
     let mut out = String::new();
     for r in zone.iter() {
         out += &r.to_string();
-        if let RData::Rrsig { signature, .. } = &r.rdata {
+        if let RData::Rrsig(sig) = &r.rdata {
             out.push(' ');
-            out.extend(signature.iter().map(|b| format!("{b:02x}")));
+            out.extend(sig.signature.iter().map(|b| format!("{b:02x}")));
         }
         out.push('\n');
     }

@@ -11,6 +11,7 @@ use dnsttl_wire::{Message, Name, RData, Rcode, Record, RecordType, SoaData, Ttl}
 use std::cell::RefCell;
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr};
 use std::rc::Rc;
+use std::sync::Arc;
 
 /// Address book for the simulated infrastructure.
 pub mod addrs {
@@ -349,7 +350,7 @@ impl SyntheticZoneService {
         Record::new(
             apex.clone(),
             Ttl::MINUTE,
-            RData::Soa(SoaData {
+            RData::Soa(Arc::new(SoaData {
                 mname: self.ns_name.clone(),
                 rname: name("hostmaster.invalid"),
                 serial: 1,
@@ -357,7 +358,7 @@ impl SyntheticZoneService {
                 retry: 3_600,
                 expire: 1_209_600,
                 minimum: 60,
-            }),
+            })),
         )
     }
 }

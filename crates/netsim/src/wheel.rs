@@ -143,8 +143,13 @@ pub struct TimingWheel<T> {
     /// Empty buffers of buckets that cascades drained. A bucket with no
     /// buffer takes one from here before it allocates, so the buffers
     /// in use follow the occupied buckets, not every slot the wheel's
-    /// base has ever passed.
+    /// base has ever passed. Their capacities add up to
+    /// `spare_capacity`, which never exceeds `len`: a buffer that would
+    /// take the spares past the live entry count is freed instead, and
+    /// a pop that leaves them above it frees spares until they fit.
     spare: Vec<Vec<(u64, T)>>,
+    /// Total capacity of the `spare` buffers, in entries.
+    spare_capacity: usize,
 }
 
 impl<T: Ord> TimingWheel<T> {
@@ -157,6 +162,7 @@ impl<T: Ord> TimingWheel<T> {
             len: 0,
             cascades: 0,
             spare: Vec::new(),
+            spare_capacity: 0,
         }
     }
 
@@ -200,6 +206,7 @@ impl<T: Ord> TimingWheel<T> {
                 let bucket = &mut levels[level].slots[slot];
                 if bucket.capacity() == 0 {
                     if let Some(buffer) = self.spare.pop() {
+                        self.spare_capacity -= buffer.capacity();
                         *bucket = buffer;
                     }
                 }
@@ -231,7 +238,20 @@ impl<T: Ord> TimingWheel<T> {
         self.cascade();
         let entry = self.pop_front_bucket_min()?;
         self.len -= 1;
+        while self.spare_capacity > self.len {
+            let freed = self.spare.pop().expect("spare capacity implies a spare");
+            self.spare_capacity -= freed.capacity();
+        }
         Some(entry)
+    }
+
+    /// Keeps an emptied buffer for the next bucket that needs one, if
+    /// the spares stay within the live entry count; frees it otherwise.
+    fn keep_spare(&mut self, buffer: Vec<(u64, T)>) {
+        if self.spare_capacity + buffer.capacity() <= self.len {
+            self.spare_capacity += buffer.capacity();
+            self.spare.push(buffer);
+        }
     }
 
     /// Removes the minimum entry of the earliest occupied bucket
@@ -287,7 +307,7 @@ impl<T: Ord> TimingWheel<T> {
                 // Every entry lands at a lower level, never back in
                 // this slot, so the bucket's own buffer is the drain
                 // buffer; emptied, it goes to the spare list for the
-                // next bucket that needs one.
+                // next bucket that needs one, if the list has room.
                 let mut bucket = mem::take(&mut levels[level].slots[slot]);
                 levels[level].unset(slot);
                 self.len -= bucket.len();
@@ -295,7 +315,7 @@ impl<T: Ord> TimingWheel<T> {
                 for (t, tie) in bucket.drain(..) {
                     self.insert(t, tie);
                 }
-                self.spare.push(bucket);
+                self.keep_spare(bucket);
             } else {
                 // Only the overflow bucket is occupied: re-anchor at its
                 // earliest time and re-distribute. Entries still beyond
@@ -309,13 +329,14 @@ impl<T: Ord> TimingWheel<T> {
                     .expect("len > 0 with empty levels implies overflow entries");
                 self.base = min_t.max(self.base);
                 let fresh = self.spare.pop().unwrap_or_default();
+                self.spare_capacity -= fresh.capacity();
                 let mut pending = mem::replace(&mut self.overflow, fresh);
                 self.len -= pending.len();
                 self.cascades += 1;
                 for (t, tie) in pending.drain(..) {
                     self.insert(t, tie);
                 }
-                self.spare.push(pending);
+                self.keep_spare(pending);
                 // The minimum is now inside the wheel levels; loop once
                 // more in case its bucket still needs splitting.
             }
@@ -434,9 +455,12 @@ mod tests {
     #[test]
     fn a_drained_bucket_lends_its_buffer_to_the_next() {
         let mut w = TimingWheel::new();
-        // 20 timers in one level-1 slot: the first pop cascades it.
+        // 20 timers in one level-1 slot: the first pop cascades it. 20
+        // more, far off, keep the live count above the drained buffer's
+        // capacity, so the spare list may keep it.
         for tie in 0..20u32 {
             w.insert(1_000, tie);
+            w.insert(1 << 40, tie);
         }
         assert_eq!(w.pop_first(), Some((1_000, 0)));
         assert_eq!(w.cascades(), 1);
@@ -449,6 +473,56 @@ mod tests {
         let levels = w.levels.as_deref().expect("levels exist");
         let slot = (10_000_000 >> 16) & (SLOTS - 1);
         assert_eq!(levels[2].slots[slot].capacity(), lent);
+    }
+
+    #[test]
+    fn a_drained_buffer_larger_than_the_live_count_is_freed() {
+        let mut w = TimingWheel::new();
+        // The 20 timers of one level-1 slot are all there is: once the
+        // cascade has re-binned them, the buffer that held them is
+        // larger than the 19 left, so no spare keeps it.
+        for tie in 0..20u32 {
+            w.insert(1_000, tie);
+        }
+        assert_eq!(w.pop_first(), Some((1_000, 0)));
+        assert_eq!(w.cascades(), 1);
+        assert!(w.spare.is_empty());
+        assert_eq!(w.spare_capacity, 0);
+    }
+
+    #[test]
+    fn draining_a_crowded_schedule_keeps_the_spares_within_the_live_count() {
+        let mut w = TimingWheel::new();
+        let mut x = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        // 5 000 clients over two days, each re-arming a few hours on,
+        // as `drive` runs them; then the schedule drains.
+        for tie in 0..5_000u32 {
+            w.insert(next() % 200_000_000, tie);
+        }
+        let (mut pops, mut most_kept) = (0, 0);
+        while let Some((at, tie)) = w.pop_first() {
+            if pops < 50_000 {
+                w.insert(at + next() % 20_000_000, tie);
+            }
+            pops += 1;
+            let kept: usize = w.spare.iter().map(Vec::capacity).sum();
+            assert_eq!(kept, w.spare_capacity);
+            assert!(
+                kept <= w.len(),
+                "after {pops} pops the spares hold {kept} entries' room, {} live",
+                w.len()
+            );
+            most_kept = most_kept.max(kept);
+        }
+        assert!(w.cascades() > 100, "{} cascades", w.cascades());
+        assert!(most_kept > 0, "no drained buffer was ever kept");
+        assert!(w.spare.is_empty());
     }
 
     #[test]

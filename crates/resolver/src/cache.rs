@@ -23,6 +23,11 @@
 //! sit together behind a `RefCell`, so the `&self` read path can record
 //! serves. A cache belongs to one resolver on one thread (DESIGN.md
 //! §14).
+//!
+//! A slot holds what the entry needs once: the owner name and type
+//! live in the table's key only, a one-member set's data sits in the
+//! slot (`Members`), and the policy-clamped TTL is the entry's
+//! `ttl`, not a second copy in its provenance (`Source`).
 
 use dnsttl_core::{Centricity, ResolverPolicy};
 use dnsttl_netsim::{SimDuration, SimTime};
@@ -35,7 +40,8 @@ use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hash, Hasher};
 
 use crate::ledger::{
-    CacheOp, CacheStats, Ledger, LedgerRecord, Provenance, RecordOrigin, StoreContext,
+    BailiwickClass, CacheOp, CacheStats, Ledger, LedgerRecord, Provenance, RecordOrigin,
+    StoreContext,
 };
 
 /// Trustworthiness of cached data, descending (RFC 2181 §5.4.1).
@@ -63,19 +69,21 @@ impl Credibility {
     }
 }
 
-/// One positive cache entry.
+/// One positive cache entry. Its owner name and type are the table
+/// key's, spelled as the latest store spelled them.
 #[derive(Debug, Clone)]
 pub(crate) struct Entry {
-    pub(crate) rrset: RRset,
+    members: Members,
+    /// The TTL the entry lives by: the published one after the
+    /// policy's clamp (the provenance's effective TTL).
+    pub(crate) ttl: Ttl,
     pub(crate) stored_at: SimTime,
     pub(crate) expires_at: SimTime,
     pub(crate) rank: Credibility,
     /// True for entries a local-root (RFC 7706) resolver treats as a
     /// mirrored copy: served at full TTL, never expiring.
     pub(crate) pinned: bool,
-    /// Where the entry came from (installing transaction, server,
-    /// origin, bailiwick, published vs effective TTL).
-    pub(crate) provenance: Provenance,
+    source: Source,
     /// TTL-excluded fingerprint of the RRset data — refresh vs
     /// overwrite detection, and the snapshot diff anchor.
     pub(crate) fingerprint: u64,
@@ -87,18 +95,84 @@ impl Entry {
         self.pinned || self.expires_at > now
     }
 
-    /// The entry as handed out, carrying `ttl`.
-    fn answer(&self, ttl: Ttl, stale: bool) -> CachedAnswer {
+    /// The member data, in the order they were stored.
+    pub(crate) fn members(&self) -> &[RData] {
+        self.members.as_slice()
+    }
+
+    /// Where the entry came from (installing transaction, server,
+    /// origin, bailiwick, published vs effective TTL).
+    pub(crate) fn provenance(&self) -> Provenance {
+        let Source {
+            txn,
+            server,
+            origin,
+            bailiwick,
+            original_ttl,
+        } = self.source;
+        Provenance {
+            txn,
+            server,
+            origin,
+            bailiwick,
+            original_ttl,
+            effective_ttl: self.ttl,
+        }
+    }
+
+    /// The entry under `owner`/`rtype` as handed out, carrying `ttl`.
+    fn answer(&self, owner: &Name, rtype: RecordType, ttl: Ttl, stale: bool) -> CachedAnswer {
         CachedAnswer {
             rrset: RRset {
+                name: owner.clone(),
+                rtype,
                 ttl,
-                ..self.rrset.clone()
+                rdatas: self.members().to_vec(),
             },
             rank: self.rank,
             stale,
-            provenance: self.provenance,
+            provenance: self.provenance(),
         }
     }
+}
+
+/// A cached set's data: one member in the slot itself, two or more in
+/// a boxed slice of exactly their number. Most sets a resolver holds
+/// are one address, so most stores copy nothing onto the heap.
+#[derive(Debug, Clone)]
+pub(crate) enum Members {
+    One(RData),
+    Many(Box<[RData]>),
+}
+
+impl Members {
+    fn as_slice(&self) -> &[RData] {
+        match self {
+            Members::One(only) => std::slice::from_ref(only),
+            Members::Many(all) => all,
+        }
+    }
+
+    /// Takes `rdatas` over: a lone member moves into the slot, more
+    /// keep their buffer (trimmed if it has room to spare).
+    fn from_vec(mut rdatas: Vec<RData>) -> Members {
+        if rdatas.len() == 1 {
+            Members::One(rdatas.pop().expect("one member"))
+        } else {
+            Members::Many(rdatas.into_boxed_slice())
+        }
+    }
+}
+
+/// [`Provenance`] as an entry stores it: everything but the effective
+/// TTL, which is the entry's own `ttl`.
+#[derive(Debug, Clone, Copy)]
+struct Source {
+    txn: u64,
+    server: Option<std::net::IpAddr>,
+    origin: RecordOrigin,
+    bailiwick: BailiwickClass,
+    original_ttl: Ttl,
 }
 
 /// One negative cache entry (RFC 2308).
@@ -237,13 +311,19 @@ struct CacheMeta {
 }
 
 impl CacheMeta {
-    /// Accounts one transaction on `e`: counts it, journals the ledger
-    /// line if the ledger is on (every op but an install carries how
-    /// long the entry had been resident), and counts its kind in the
-    /// telemetry's event totals. The trace gets no row: it records
-    /// queries, and a run that wants each transaction's provenance
-    /// enables the ledger.
-    fn record(&mut self, now: SimTime, op: CacheOp, e: &Entry) {
+    /// Accounts one transaction on the entry `e` under `owner` and
+    /// `rtype`: counts it, journals the ledger line if the ledger is on
+    /// (every op but an install carries how long the entry had been
+    /// resident), and counts its kind in the telemetry's event totals.
+    /// The trace gets no row: it records queries, and a run that wants
+    /// each transaction's provenance enables the ledger.
+    fn record(
+        &mut self,
+        now: SimTime,
+        op: CacheOp,
+        (owner, rtype): (&Name, RecordType),
+        e: &Entry,
+    ) {
         match op {
             CacheOp::Insert => self.stats.inserts += 1,
             CacheOp::Refresh => self.stats.refreshes += 1,
@@ -260,10 +340,10 @@ impl CacheMeta {
             ledger.record(LedgerRecord {
                 t_ms: now.as_millis(),
                 op,
-                name: e.rrset.name.clone(),
-                rtype: e.rrset.rtype,
+                name: owner.clone(),
+                rtype,
                 rank: e.rank,
-                provenance: e.provenance,
+                provenance: e.provenance(),
                 residency_ms,
                 fingerprint: e.fingerprint,
             });
@@ -344,9 +424,10 @@ impl Cache {
         self.meta.borrow().stats
     }
 
-    /// Iterates the positive entries (snapshot builders).
-    pub(crate) fn iter_entries(&self) -> impl Iterator<Item = &Entry> {
-        self.entries.values()
+    /// Iterates the positive entries with their keys (snapshot
+    /// builders).
+    pub(crate) fn iter_entries(&self) -> impl Iterator<Item = (&(Name, RecordType), &Entry)> {
+        self.entries.iter()
     }
 
     /// Stores an RRset under `rank`, applying the policy's TTL clamp and
@@ -403,8 +484,11 @@ impl Cache {
     /// it copies: a zero-TTL or rank-rejected store copies nothing; an
     /// entry that already holds the set's data, spelled the same way
     /// (the common case: a TTL-expired refetch, or the NS set and glue
-    /// every referral re-delivers), keeps its vector and fingerprint;
-    /// any other store allocates one vector of the exact length.
+    /// every referral re-delivers), keeps its members and fingerprint;
+    /// any other store copies the members, a lone one into the slot
+    /// and more into one slice of the exact length. A store that
+    /// spells the owner differently moves the entry to a key spelled
+    /// its way, so ledger lines, snapshots and answers print it.
     pub(crate) fn store_set<S: IncomingSet>(
         &mut self,
         set: S,
@@ -414,10 +498,11 @@ impl Cache {
         pinned: bool,
         ctx: StoreContext,
     ) {
-        let probe = Probe(set.owner(), set.rtype());
+        let rtype = set.rtype();
         // Empty unless something failed: answer before hashing.
         if !self.negatives.is_empty() {
-            self.negatives.remove(&probe as &dyn TableKey);
+            self.negatives
+                .remove(&Probe(set.owner(), rtype) as &dyn TableKey);
         }
         let meta = self.meta.get_mut();
         let original_ttl = set.ttl();
@@ -431,34 +516,28 @@ impl Cache {
         } else {
             RecordOrigin::from_rank(rank)
         };
-        let provenance = Provenance {
+        let source = Source {
             txn: ctx.txn,
             server: ctx.server,
             origin,
             bailiwick: ctx.bailiwick,
             original_ttl,
-            effective_ttl: ttl,
         };
-        let Some(existing) = self.entries.get_mut(&probe as &dyn TableKey) else {
-            let rtype = set.rtype();
-            let fingerprint = RRset::fingerprint_of(set.owner(), rtype, set.members());
-            let (name, rdatas) = set.into_parts();
+        let probe = Probe(set.owner(), rtype);
+        let Some((key, existing)) = self.entries.get_key_value(&probe as &dyn TableKey) else {
+            let key = (set.owner().clone(), rtype);
             let entry = Entry {
-                rrset: RRset {
-                    name: name.clone(),
-                    rtype,
-                    ttl,
-                    rdatas,
-                },
+                fingerprint: RRset::fingerprint_of(&key.0, rtype, set.members()),
+                members: set.into_members(),
+                ttl,
                 stored_at: now,
                 expires_at: now + ttl_span(ttl),
                 rank,
                 pinned,
-                provenance,
-                fingerprint,
+                source,
             };
-            meta.record(now, CacheOp::Insert, &entry);
-            self.entries.insert((name, rtype), entry);
+            meta.record(now, CacheOp::Insert, (&key.0, rtype), &entry);
+            self.entries.insert(key, entry);
             return;
         };
         let fresh = existing.is_fresh(now);
@@ -473,85 +552,111 @@ impl Cache {
             meta.stats.rejected_stores += 1;
             return;
         }
-        let held = &existing.rrset;
-        let same_spelling = held.name.as_str() == set.owner().as_str()
-            && held.rdatas.len() == set.len()
+        let respelled = key.0.as_str() != set.owner().as_str();
+        let held = existing.members();
+        let same_spelling = !respelled
+            && held.len() == set.len()
             && held
-                .rdatas
                 .iter()
                 .zip(set.members())
                 .all(|(a, b)| spelled_alike(a, b));
         let fingerprint = if same_spelling {
             existing.fingerprint
         } else {
-            RRset::fingerprint_of(set.owner(), set.rtype(), set.members())
+            RRset::fingerprint_of(set.owner(), rtype, set.members())
         };
         let refresh = fresh && fingerprint == existing.fingerprint;
         // Journalled before the entry changes: the ledger reads
-        // `Expire`/`Overwrite` of the old data first. Past its TTL,
-        // whatever replaces it, the old entry died of expiry.
+        // `Expire`/`Overwrite` of the old data, under the old spelling,
+        // first. Past its TTL, whatever replaces it, the old entry died
+        // of expiry.
         if !fresh {
-            meta.record(now, CacheOp::Expire, existing);
+            meta.record(now, CacheOp::Expire, (&key.0, rtype), existing);
         } else if !refresh {
-            meta.record(now, CacheOp::Overwrite, existing);
+            meta.record(now, CacheOp::Overwrite, (&key.0, rtype), existing);
         }
-        if !same_spelling {
-            if existing.rrset.name.as_str() != set.owner().as_str() {
-                existing.rrset.name = set.owner().clone();
+        let renew = |e: &mut Entry| {
+            if !same_spelling {
+                e.members = set.copy_members();
+                e.fingerprint = fingerprint;
             }
-            existing.rrset.rdatas = set.copy_members();
-            existing.fingerprint = fingerprint;
-        }
-        existing.rrset.ttl = ttl;
-        existing.stored_at = now;
-        existing.expires_at = now + ttl_span(ttl);
-        existing.rank = rank;
-        existing.pinned = pinned;
-        existing.provenance = provenance;
+            e.ttl = ttl;
+            e.stored_at = now;
+            e.expires_at = now + ttl_span(ttl);
+            e.rank = rank;
+            e.pinned = pinned;
+            e.source = source;
+        };
         let op = if refresh {
             CacheOp::Refresh
         } else {
             CacheOp::Insert
         };
-        meta.record(now, op, existing);
+        let just_read = "the entry was just read";
+        if respelled {
+            // A new spelling moves the entry to a key spelled that way.
+            let probe = &probe as &dyn TableKey;
+            let (_, mut entry) = self.entries.remove_entry(probe).expect(just_read);
+            renew(&mut entry);
+            meta.record(now, op, (set.owner(), rtype), &entry);
+            self.entries.insert((set.owner().clone(), rtype), entry);
+        } else {
+            let entry = self
+                .entries
+                .get_mut(&probe as &dyn TableKey)
+                .expect(just_read);
+            renew(entry);
+            meta.record(now, op, (set.owner(), rtype), entry);
+        }
     }
 
     /// Counts the hit on a fresh entry, journals the serve and returns
     /// the entry's age-decremented TTL (its full TTL when pinned).
-    fn serve(&self, e: &Entry, now: SimTime) -> Ttl {
-        self.meta.borrow_mut().record(now, CacheOp::Serve, e);
+    fn serve(&self, (owner, rtype): &(Name, RecordType), e: &Entry, now: SimTime) -> Ttl {
+        self.meta
+            .borrow_mut()
+            .record(now, CacheOp::Serve, (owner, *rtype), e);
         if e.pinned {
-            e.rrset.ttl
+            e.ttl
         } else {
             let age = now.secs_since(e.stored_at) as u32;
-            e.rrset.ttl.saturating_sub_secs(age)
+            e.ttl.saturating_sub_secs(age)
         }
+    }
+
+    /// The entry under `(name, rtype)`, fresh or not, with its key.
+    fn slot(&self, name: &dyn NameKey, rtype: RecordType) -> Option<(&(Name, RecordType), &Entry)> {
+        self.entries
+            .get_key_value(&Probe(name, rtype) as &dyn TableKey)
     }
 
     /// Fetches a fresh entry, decrementing TTLs by age. Pinned entries
     /// are served at full TTL (an RFC 7706 mirror is always fresh).
     pub fn get(&self, name: &Name, rtype: RecordType, now: SimTime) -> Option<CachedAnswer> {
-        self.read(name, rtype, now, |e, ttl| e.answer(ttl, false))
+        self.read(name, rtype, now, |owner, e, ttl| {
+            e.answer(owner, rtype, ttl, false)
+        })
     }
 
     /// [`Cache::get`] without the clone, the borrowed read every
     /// positive lookup goes through: finds the fresh entry under
     /// `(name, rtype)`, counts the hit, journals the serve, and hands
-    /// `f` the entry in place together with its age-decremented TTL —
-    /// nothing is cloned unless `f` clones it.
+    /// `f` the owner name as stored and the entry, in place, together
+    /// with its age-decremented TTL — nothing is cloned unless `f`
+    /// clones it.
     pub(crate) fn read<T>(
         &self,
         name: &dyn NameKey,
         rtype: RecordType,
         now: SimTime,
-        f: impl FnOnce(&Entry, Ttl) -> T,
+        f: impl FnOnce(&Name, &Entry, Ttl) -> T,
     ) -> Option<T> {
-        let e = self.entries.get(&Probe(name, rtype) as &dyn TableKey)?;
+        let (key, e) = self.slot(name, rtype)?;
         if !e.is_fresh(now) {
             return None;
         }
-        let ttl = self.serve(e, now);
-        Some(f(e, ttl))
+        let ttl = self.serve(key, e, now);
+        Some(f(&key.0, e, ttl))
     }
 
     /// If an entry exists for `(name, rtype)` but is past its TTL (and
@@ -565,7 +670,7 @@ impl Cache {
         rtype: RecordType,
         now: SimTime,
     ) -> Option<SimDuration> {
-        let e = self.entries.get(&Probe(name, rtype) as &dyn TableKey)?;
+        let (_, e) = self.slot(name, rtype)?;
         if e.is_fresh(now) {
             return None;
         }
@@ -582,17 +687,19 @@ impl Cache {
         now: SimTime,
         max_stale: Ttl,
     ) -> Option<CachedAnswer> {
-        let e = self.entries.get(&Probe(name, rtype) as &dyn TableKey)?;
+        let (key, e) = self.slot(name, rtype)?;
         if e.is_fresh(now) {
-            let ttl = self.serve(e, now);
-            return Some(e.answer(ttl, false));
+            let ttl = self.serve(key, e, now);
+            return Some(e.answer(&key.0, rtype, ttl, false));
         }
         let staleness = now.secs_since(e.expires_at);
         if staleness > max_stale.as_secs() as u64 {
             return None;
         }
-        self.meta.borrow_mut().record(now, CacheOp::StaleServe, e);
-        Some(e.answer(Ttl::from_secs(30), true))
+        self.meta
+            .borrow_mut()
+            .record(now, CacheOp::StaleServe, (&key.0, rtype), e);
+        Some(e.answer(&key.0, rtype, Ttl::from_secs(30), true))
     }
 
     /// Stores a negative answer (NXDOMAIN or NODATA) bounded by the SOA
@@ -637,24 +744,24 @@ impl Cache {
         let expires_at = now + ttl_span(ttl);
         // What the journal shows in place of the RRset nobody holds.
         let shell = Entry {
-            rrset: RRset {
-                name: name.clone(),
-                rtype,
-                ttl,
-                rdatas: vec![],
-            },
+            members: Members::Many(Box::default()),
+            ttl,
             stored_at: now,
             expires_at,
             rank: Credibility::AuthAuthority,
             pinned: false,
-            provenance: Provenance {
+            source: Source {
+                txn: 0,
+                server: None,
+                origin: RecordOrigin::Seed,
+                bailiwick: BailiwickClass::Unknown,
                 original_ttl: ttl,
-                effective_ttl: ttl,
-                ..Provenance::default()
             },
             fingerprint: 0,
         };
-        self.meta.get_mut().record(now, CacheOp::NegCache, &shell);
+        self.meta
+            .get_mut()
+            .record(now, CacheOp::NegCache, (&name, rtype), &shell);
         self.negatives.insert(
             (name, rtype),
             NegEntry {
@@ -727,17 +834,23 @@ pub(crate) trait IncomingSet {
     fn members(&self) -> impl Iterator<Item = &RData> + Clone;
     /// How many members [`IncomingSet::members`] yields.
     fn len(&self) -> usize;
-    /// The owner and the members, owned, for a vacant key: a borrowed
-    /// set copies them ([`IncomingSet::copy_members`]), an owned one
-    /// hands over its own.
-    fn into_parts(self) -> (Name, Vec<RData>);
+    /// The members, owned, for a vacant key: a borrowed set copies
+    /// them ([`IncomingSet::copy_members`]), an owned one hands over
+    /// its own.
+    fn into_members(self) -> Members;
 
-    /// The members, copied into a vector of exactly their number: the
-    /// cache keeps it.
-    fn copy_members(&self) -> Vec<RData> {
-        let mut rdatas = Vec::with_capacity(self.len());
-        rdatas.extend(self.members().cloned());
-        rdatas
+    /// The members, copied as the cache keeps them: a lone one into
+    /// the slot, more into one slice of exactly their number.
+    fn copy_members(&self) -> Members {
+        let mut members = self.members();
+        match (members.next(), self.len()) {
+            (Some(only), 1) => Members::One(only.clone()),
+            _ => {
+                let mut rdatas = Vec::with_capacity(self.len());
+                rdatas.extend(self.members().cloned());
+                Members::Many(rdatas.into_boxed_slice())
+            }
+        }
     }
 }
 
@@ -757,8 +870,8 @@ impl IncomingSet for RRset {
     fn len(&self) -> usize {
         self.rdatas.len()
     }
-    fn into_parts(self) -> (Name, Vec<RData>) {
-        (self.name, self.rdatas)
+    fn into_members(self) -> Members {
+        Members::from_vec(self.rdatas)
     }
 }
 
@@ -804,11 +917,17 @@ mod tests {
 
     /// The entry table's slot, pinned beside the public hot types in
     /// `tests/type_sizes.rs`: paper-scale fig3 holds about two million
-    /// of them. A change that grows it re-pins it and says why.
+    /// of them. A change that grows it re-pins it and says why. 128
+    /// bytes: the key's owner name and type (32), the members (32: one
+    /// `RData` inline, or a boxed slice), the stored provenance (32:
+    /// transaction, server, origin, bailiwick, published TTL), then the
+    /// fingerprint, two instants, the TTL, the rank and the pin flag.
     #[cfg(target_pointer_width = "64")]
     #[test]
     fn a_cache_slot_keeps_its_pinned_size() {
-        assert_eq!(std::mem::size_of::<((Name, RecordType), Entry)>(), 160);
+        assert_eq!(std::mem::size_of::<Members>(), 32);
+        assert_eq!(std::mem::size_of::<Source>(), 32);
+        assert_eq!(std::mem::size_of::<((Name, RecordType), Entry)>(), 128);
     }
 
     #[test]
@@ -1303,7 +1422,7 @@ mod tests {
         );
         let owners: Vec<Option<Name>> = name
             .suffixes()
-            .map(|s| c.read(&s, A, SimTime::from_secs(1), |e, _| e.rrset.name.clone()))
+            .map(|s| c.read(&s, A, SimTime::from_secs(1), |owner, _, _| owner.clone()))
             .collect();
         assert_eq!(owners, [None, Some(n("example.org")), None, None]);
         assert_eq!(owners[1].as_ref().unwrap().as_str(), "Example.ORG.");
@@ -1392,9 +1511,9 @@ mod tests {
                 let name = n(&format!("{owner}.example"));
                 let scanned = c
                     .iter_entries()
-                    .find(|e| e.rrset.name == name && e.rrset.rtype == RecordType::A)
-                    .filter(|e| !e.pinned && e.expires_at <= now)
-                    .map(|e| now.since(e.expires_at));
+                    .find(|(key, _)| key.0 == name && key.1 == RecordType::A)
+                    .filter(|(_, e)| !e.pinned && e.expires_at <= now)
+                    .map(|(_, e)| now.since(e.expires_at));
                 assert_eq!(
                     c.expired_since(&name, RecordType::A, now),
                     scanned,
@@ -1452,8 +1571,8 @@ mod tests {
                     let got = via_get
                         .get(&name, RecordType::A, now)
                         .map(|a| (a.rrset.ttl, a.rank, a.rrset.rdatas, a.provenance));
-                    let read = via_read.read(&name, RecordType::A, now, |e, ttl| {
-                        (ttl, e.rank, e.rrset.rdatas.clone(), e.provenance)
+                    let read = via_read.read(&name, RecordType::A, now, |_, e, ttl| {
+                        (ttl, e.rank, e.members().to_vec(), e.provenance())
                     });
                     assert_eq!(got, read, "at {now:?}");
                 }
@@ -1508,16 +1627,16 @@ mod tests {
     }
 
     #[test]
-    fn a_refresh_of_identical_data_keeps_the_vector_and_fingerprint() {
+    fn a_refresh_of_identical_data_keeps_the_members_and_fingerprint() {
         let mut c = Cache::new();
         c.enable_ledger();
         let referral = section("uy", 300, &[ns("a.nic.uy"), ns("b.nic.uy"), ns("c.nic.uy")]);
         store_section(&mut c, &referral, Credibility::ReferralAuthority, 0);
         let held = entry(&c, "uy", RecordType::NS);
-        let (ptr, fp) = (held.rrset.rdatas.as_ptr(), held.fingerprint);
+        let (ptr, fp) = (held.members().as_ptr(), held.fingerprint);
         store_section(&mut c, &referral, Credibility::ReferralAuthority, 100);
         let held = entry(&c, "uy", RecordType::NS);
-        assert_eq!(held.rrset.rdatas.as_ptr(), ptr);
+        assert_eq!(held.members().as_ptr(), ptr);
         assert_eq!(held.fingerprint, fp);
         assert_eq!(held.stored_at, SimTime::from_secs(100));
         assert_eq!(journal(&c), [(CacheOp::Insert, fp), (CacheOp::Refresh, fp)]);
@@ -1539,8 +1658,7 @@ mod tests {
         let held = entry(&c, "ns.example", RecordType::A);
         let new_fp = RRset::from_records(&renumbered).unwrap().fingerprint();
         assert_ne!(new_fp, old_fp);
-        assert_eq!(held.rrset.rdatas, [v4(3), v4(4)]);
-        assert_eq!(held.rrset.rdatas.capacity(), 2);
+        assert_eq!(held.members(), [v4(3), v4(4)]);
         assert_eq!(held.fingerprint, new_fp);
         assert_eq!(
             journal(&c),
@@ -1578,21 +1696,25 @@ mod tests {
         assert_eq!(c.stats().rejected_stores, 2);
     }
 
+    /// How an entry holds `len` members: inline for one, a slice of
+    /// exactly their number for more.
+    fn held_as(c: &Cache, owner: &str, rtype: RecordType) -> (&'static str, usize) {
+        match &entry(c, owner, rtype).members {
+            Members::One(_) => ("inline", 1),
+            Members::Many(all) => ("slice", all.len()),
+        }
+    }
+
     #[test]
-    fn a_new_or_resized_set_is_allocated_at_its_length() {
+    fn a_lone_member_sits_in_the_slot_and_more_in_one_slice() {
         let mut c = Cache::new();
-        // A vacant key copies a borrowed set at its exact length, here
-        // read from a section that interleaves another set.
+        // A vacant key copies a borrowed set, here read from a section
+        // that interleaves another set.
         let mut records = section("ns.example", 60, &[v4(1), v4(2), v4(3)]);
         records.insert(1, Record::new(n("example"), Ttl::HOUR, ns("ns.example")));
         store_section(&mut c, &records, Credibility::AuthAnswer, 0);
-        for (owner, rtype, len) in [
-            ("ns.example", RecordType::A, 3),
-            ("example", RecordType::NS, 1),
-        ] {
-            let rdatas = &entry(&c, owner, rtype).rrset.rdatas;
-            assert_eq!((rdatas.len(), rdatas.capacity()), (len, len), "{owner}");
-        }
+        assert_eq!(held_as(&c, "ns.example", RecordType::A), ("slice", 3));
+        assert_eq!(held_as(&c, "example", RecordType::NS), ("inline", 1));
         // A change of member count, borrowed or owned, is copied exactly.
         store_section(
             &mut c,
@@ -1600,8 +1722,14 @@ mod tests {
             Credibility::AuthAnswer,
             1,
         );
-        let rdatas = &entry(&c, "ns.example", RecordType::A).rrset.rdatas;
-        assert_eq!((rdatas.len(), rdatas.capacity()), (2, 2));
+        assert_eq!(held_as(&c, "ns.example", RecordType::A), ("slice", 2));
+        store_section(
+            &mut c,
+            &section("ns.example", 60, &[v4(9)]),
+            Credibility::AuthAnswer,
+            2,
+        );
+        assert_eq!(held_as(&c, "ns.example", RecordType::A), ("inline", 1));
         let mut roomy = Vec::with_capacity(16);
         roomy.extend([v4(5), v4(6), v4(7), v4(8)]);
         let grown = RRset {
@@ -1611,29 +1739,33 @@ mod tests {
         c.store(
             grown,
             Credibility::AuthAnswer,
-            SimTime::from_secs(2),
-            &policy(),
-            false,
-        );
-        let rdatas = &entry(&c, "ns.example", RecordType::A).rrset.rdatas;
-        assert_eq!((rdatas.len(), rdatas.capacity()), (4, 4));
-        // An owned set moves its vector into a vacant key.
-        let owned = a_rrset("new.example", 60, 9);
-        let ptr = owned.rdatas.as_ptr();
-        c.store(
-            owned,
-            Credibility::AuthAnswer,
             SimTime::from_secs(3),
             &policy(),
             false,
         );
-        assert_eq!(
-            entry(&c, "new.example", RecordType::A)
-                .rrset
-                .rdatas
-                .as_ptr(),
-            ptr
+        assert_eq!(held_as(&c, "ns.example", RecordType::A), ("slice", 4));
+        // An owned set moves its vector into a vacant key, and an owned
+        // lone member moves into the slot.
+        let mut owned = a_rrset("new.example", 60, 9);
+        owned.rdatas = vec![v4(1), v4(2)];
+        let ptr = owned.rdatas.as_ptr();
+        c.store(
+            owned,
+            Credibility::AuthAnswer,
+            SimTime::from_secs(4),
+            &policy(),
+            false,
         );
+        let held = entry(&c, "new.example", RecordType::A).members();
+        assert_eq!(held.as_ptr(), ptr);
+        c.store(
+            a_rrset("one.example", 60, 9),
+            Credibility::AuthAnswer,
+            SimTime::from_secs(4),
+            &policy(),
+            false,
+        );
+        assert_eq!(held_as(&c, "one.example", RecordType::A), ("inline", 1));
     }
 
     #[test]
@@ -1664,11 +1796,12 @@ mod tests {
                 vec![(CacheOp::Overwrite, old_fp), (CacheOp::Insert, new_fp)]
             };
             assert_eq!(journal(&c)[1..], expected, "{owner} {rdatas:?}");
-            let e = entry(&c, "uy", RecordType::NS);
-            assert_eq!(e.rrset.name.as_str(), format!("{owner}."));
+            let ((name, _), e) = c.slot(&n("uy"), RecordType::NS).expect("stored");
+            assert_eq!(name.as_str(), format!("{owner}."));
+            assert_eq!(c.len(), 1, "one entry, under the latest spelling");
             let spelled =
                 |rds: &[RData]| -> Vec<String> { rds.iter().map(|rd| rd.to_string()).collect() };
-            assert_eq!(spelled(&e.rrset.rdatas), spelled(&rdatas));
+            assert_eq!(spelled(e.members()), spelled(&rdatas));
             assert_eq!(e.fingerprint, new_fp);
         }
     }

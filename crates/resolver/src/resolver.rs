@@ -8,7 +8,7 @@
 //! addresses with sub-queries, retrying and failing over between
 //! servers, and accounting the RTT of every exchange.
 
-use crate::cache::{Cache, Credibility, IncomingSet};
+use crate::cache::{Cache, Credibility, IncomingSet, Members};
 use crate::ledger::{BailiwickClass, StoreContext};
 use dnsttl_core::{Centricity, ResolverPolicy};
 use dnsttl_netsim::{ExchangeOutcome, Network, Region, SimDuration, SimRng, SimTime, Transport};
@@ -839,8 +839,7 @@ impl RecursiveResolver {
         now: SimTime,
     ) -> bool {
         let sig = response.answers.iter().find(|r| {
-            r.name == *qname
-                && matches!(&r.rdata, RData::Rrsig { type_covered, .. } if *type_covered == qtype)
+            r.name == *qname && matches!(&r.rdata, RData::Rrsig(sig) if sig.type_covered == qtype)
         });
         let Some(sig) = sig else {
             return true; // insecure zone
@@ -918,13 +917,13 @@ impl RecursiveResolver {
         // result is `Some` — of the alias target, for a CNAME set.
         let mut serve = |name: &Name, rtype: RecordType| {
             self.cache
-                .read(name, rtype, now, |e, ttl| {
+                .read(name, rtype, now, |owner, e, ttl| {
                     if e.rank < min_rank {
                         return None;
                     }
-                    let set = &e.rrset;
-                    answer.extend(set.rdatas.iter().map(|rd| (&set.name, ttl, rd)));
-                    Some(match set.rdatas.first() {
+                    let members = e.members();
+                    answer.extend(members.iter().map(|rd| (owner, ttl, rd)));
+                    Some(match members.first() {
                         Some(RData::Cname(target)) => Some(target.clone()),
                         _ => None,
                     })
@@ -971,8 +970,8 @@ impl RecursiveResolver {
             // cold path, where none has one, takes the targets out of
             // the entry, because resolving them leaves the cache.
             let Some((zone, mut candidates, ns_targets)) =
-                self.cache.read(&suffix, RecordType::NS, now, |e, _| {
-                    let targets = e.rrset.rdatas.iter().filter_map(|rd| match rd {
+                self.cache.read(&suffix, RecordType::NS, now, |zone, e, _| {
+                    let targets = e.members().iter().filter_map(|rd| match rd {
                         RData::Ns(n) => Some(n),
                         _ => None,
                     });
@@ -985,7 +984,7 @@ impl RecursiveResolver {
                     } else {
                         Vec::new()
                     };
-                    (e.rrset.name.clone(), candidates, cold)
+                    (zone.clone(), candidates, cold)
                 })
             else {
                 continue;
@@ -1069,8 +1068,8 @@ impl RecursiveResolver {
             .into_iter()
             .find_map(|rtype| {
                 self.cache
-                    .read(target, rtype, now, |e, _| {
-                        e.rrset.rdatas.iter().find_map(|rd| match rd {
+                    .read(target, rtype, now, |_, e, _| {
+                        e.members().iter().find_map(|rd| match rd {
                             RData::A(a) => Some(IpAddr::V4(*a)),
                             RData::Aaaa(a) => Some(IpAddr::V6(*a)),
                             _ => None,
@@ -1471,8 +1470,8 @@ impl IncomingSet for SectionSet<'_> {
     fn len(&self) -> usize {
         self.len
     }
-    fn into_parts(self) -> (Name, Vec<RData>) {
-        (self.owner().clone(), self.copy_members())
+    fn into_members(self) -> Members {
+        self.copy_members()
     }
 }
 
@@ -2413,13 +2412,11 @@ mod tests {
 
     /// A borrowed set as the owned `RRset` it stands for.
     fn owned(set: SectionSet<'_>) -> RRset {
-        let (rtype, ttl) = (set.rtype(), set.ttl());
-        let (name, rdatas) = set.into_parts();
         RRset {
-            name,
-            rtype,
-            ttl,
-            rdatas,
+            name: set.owner().clone(),
+            rtype: set.rtype(),
+            ttl: set.ttl(),
+            rdatas: set.members().cloned().collect(),
         }
     }
 

@@ -317,34 +317,32 @@ impl Cache {
     pub fn snapshot(&self, now: SimTime) -> CacheSnapshot {
         let mut entries: Vec<SnapshotEntry> = self
             .iter_entries()
-            .map(|e| {
+            .map(|((name, rtype), e)| {
                 let remaining = if e.pinned {
-                    e.rrset.ttl
+                    e.ttl
                 } else if e.expires_at <= now {
                     Ttl::from_secs(0)
                 } else {
                     let age = now.secs_since(e.stored_at) as u32;
-                    e.rrset.ttl.saturating_sub_secs(age)
+                    e.ttl.saturating_sub_secs(age)
                 };
-                let mut datas: Vec<String> =
-                    e.rrset.rdatas.iter().map(|rd| rd.to_string()).collect();
+                let mut datas: Vec<String> = e.members().iter().map(|rd| rd.to_string()).collect();
                 datas.sort();
+                let provenance = e.provenance();
                 SnapshotEntry {
-                    name: e.rrset.name.to_string(),
-                    rtype: e.rrset.rtype.to_string(),
+                    name: name.to_string(),
+                    rtype: rtype.to_string(),
                     rank: e.rank.as_str().to_string(),
                     pinned: e.pinned,
                     stored_at_ms: e.stored_at.as_millis(),
                     expires_at_ms: e.expires_at.as_millis(),
                     remaining_ttl_s: remaining.as_secs(),
-                    original_ttl_s: e.provenance.original_ttl.as_secs(),
-                    effective_ttl_s: e.provenance.effective_ttl.as_secs(),
-                    origin: e.provenance.origin.as_str().to_string(),
-                    bailiwick: e.provenance.bailiwick.as_str().to_string(),
-                    txn: e.provenance.txn,
-                    server: e
-                        .provenance
-                        .server
+                    original_ttl_s: provenance.original_ttl.as_secs(),
+                    effective_ttl_s: provenance.effective_ttl.as_secs(),
+                    origin: provenance.origin.as_str().to_string(),
+                    bailiwick: provenance.bailiwick.as_str().to_string(),
+                    txn: provenance.txn,
+                    server: (provenance.server)
                         .map(|s| s.to_string())
                         .unwrap_or_default(),
                     fingerprint: e.fingerprint,

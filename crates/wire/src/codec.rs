@@ -11,10 +11,11 @@
 
 use crate::message::{Header, Message, Opcode, Question, Rcode};
 use crate::name::{NameKey, NameSuffix, ReprBuf};
-use crate::rdata::{RData, RecordType, SoaData};
+use crate::rdata::{RData, RecordType, RrsigData, SoaData};
 use crate::record::{Class, Record};
 use crate::{Name, Ttl, WireError};
 use std::net::{Ipv4Addr, Ipv6Addr};
+use std::sync::Arc;
 
 /// Upper bound on an encoded message (TCP-framed DNS limit).
 pub(crate) const MAX_MESSAGE_LEN: usize = 65_535;
@@ -293,23 +294,17 @@ impl<'m, S: Sink> Writer<'m, S> {
                 self.u8(*algorithm);
                 self.out.put(key);
             }
-            RData::Rrsig {
-                type_covered,
-                algorithm,
-                original_ttl,
-                signer,
-                signature,
-            } => {
-                self.u16(type_covered.code());
-                self.u8(*algorithm);
-                self.u32(*original_ttl);
+            RData::Rrsig(sig) => {
+                self.u16(sig.type_covered.code());
+                self.u8(sig.algorithm);
+                self.u32(sig.original_ttl);
                 // Signer name must NOT be compressed (RFC 4034 §3.1.7);
                 // we emit it label by label without registering offsets.
-                for label in signer.labels() {
+                for label in sig.signer.labels() {
                     self.label(label);
                 }
                 self.u8(0);
-                self.out.put(signature);
+                self.out.put(&sig.signature);
             }
             RData::Opt(bytes) => self.out.put(bytes),
         }
@@ -408,9 +403,7 @@ fn plain_len(msg: &Message) -> Option<usize> {
             RData::Txt(t) if t.is_ascii() => t.len() + t.len().div_ceil(255).max(1),
             RData::Txt(_) => return None,
             RData::Dnskey { key, .. } => 4 + key.len(),
-            RData::Rrsig {
-                signer, signature, ..
-            } => 7 + signer.wire_len() + signature.len(),
+            RData::Rrsig(sig) => 7 + sig.signer.wire_len() + sig.signature.len(),
             RData::Opt(bytes) => bytes.len(),
         };
     }
@@ -577,7 +570,7 @@ impl<'a> Decoder<'a> {
             }
             RecordType::NS => RData::Ns(self.name()?),
             RecordType::CNAME => RData::Cname(self.name()?),
-            RecordType::SOA => RData::Soa(SoaData {
+            RecordType::SOA => RData::Soa(Arc::new(SoaData {
                 mname: self.name()?,
                 rname: self.name()?,
                 serial: self.u32("SOA serial")?,
@@ -585,7 +578,7 @@ impl<'a> Decoder<'a> {
                 retry: self.u32("SOA retry")?,
                 expire: self.u32("SOA expire")?,
                 minimum: self.u32("SOA minimum")?,
-            }),
+            })),
             RecordType::MX => RData::Mx {
                 preference: self.u16("MX preference")?,
                 exchange: self.name()?,
@@ -634,13 +627,13 @@ impl<'a> Decoder<'a> {
                     at: self.pos,
                 })?;
                 let signature = self.bytes(sig_len, "RRSIG signature")?.to_vec();
-                RData::Rrsig {
+                RData::Rrsig(Arc::new(RrsigData {
                     type_covered,
                     algorithm,
                     original_ttl,
                     signer,
                     signature,
-                }
+                }))
             }
             RecordType::OPT => RData::Opt(self.bytes(rdlen, "OPT rdata")?.to_vec()),
         })
@@ -762,7 +755,7 @@ mod tests {
         m.answers.push(Record::new(
             name("example"),
             Ttl::HOUR,
-            RData::Soa(SoaData {
+            RData::Soa(Arc::new(SoaData {
                 mname: name("ns1.example"),
                 rname: name("hostmaster.example"),
                 serial: 2019031501,
@@ -770,7 +763,7 @@ mod tests {
                 retry: 3600,
                 expire: 1209600,
                 minimum: 300,
-            }),
+            })),
         ));
         m.answers.push(Record::new(
             name("example"),
@@ -788,13 +781,13 @@ mod tests {
         m.answers.push(Record::new(
             name("example"),
             Ttl::HOUR,
-            RData::Rrsig {
+            RData::Rrsig(Arc::new(RrsigData {
                 type_covered: RecordType::NS,
                 algorithm: 13,
                 original_ttl: 3600,
                 signer: name("example"),
                 signature: vec![9; 64],
-            },
+            })),
         ));
         let wire = encode_message(&m).unwrap();
         assert_eq!(decode_message(&wire).unwrap(), m);

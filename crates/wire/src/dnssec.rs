@@ -12,7 +12,8 @@
 //! Zone-level signing (which RRsets of a zone get signatures) lives in
 //! `dnsttl-auth`; resolver-side verification uses [`verify_rrset`].
 
-use crate::{fnv1a, Name, RData, RRset, Record, RecordType, Ttl, FNV_OFFSET};
+use crate::{fnv1a, Name, RData, RRset, Record, RecordType, RrsigData, Ttl, FNV_OFFSET};
+use std::sync::Arc;
 
 /// The algorithm number stamped on synthetic signatures
 /// (13 = ECDSA-P256-SHA256, the modern default).
@@ -51,13 +52,13 @@ pub fn sign_rrset(rrset: &RRset, signer: &Name) -> Record {
     Record::new(
         rrset.name.clone(),
         rrset.ttl, // RRSIG TTL equals the covered RRset's TTL (RFC 4034 §3)
-        RData::Rrsig {
+        RData::Rrsig(Arc::new(RrsigData {
             type_covered: rrset.rtype,
             algorithm: SYNTH_ALGORITHM,
             original_ttl: rrset.ttl.as_secs(),
             signer: signer.clone(),
             signature: digest.to_be_bytes().to_vec(),
-        },
+        })),
     )
 }
 
@@ -68,21 +69,15 @@ pub fn sign_rrset(rrset: &RRset, signer: &Name) -> Record {
 /// rdata or a stretched TTL does not (RFC 4035 §5.3.3 requires the
 /// validator to clamp the cache TTL to `original_ttl`).
 pub fn verify_rrset(name: &Name, rtype: RecordType, rdatas: &[RData], rrsig: &Record) -> bool {
-    let RData::Rrsig {
-        type_covered,
-        algorithm,
-        original_ttl,
-        signer,
-        signature,
-    } = &rrsig.rdata
-    else {
+    let RData::Rrsig(sig) = &rrsig.rdata else {
         return false;
     };
-    if *type_covered != rtype || *algorithm != SYNTH_ALGORITHM || rrsig.name != *name {
+    if sig.type_covered != rtype || sig.algorithm != SYNTH_ALGORITHM || rrsig.name != *name {
         return false;
     }
-    let digest = rrset_digest(name, rtype, Ttl::from_secs(*original_ttl), signer, rdatas);
-    signature.as_slice() == digest.to_be_bytes()
+    let original_ttl = Ttl::from_secs(sig.original_ttl);
+    let digest = rrset_digest(name, rtype, original_ttl, &sig.signer, rdatas);
+    sig.signature.as_slice() == digest.to_be_bytes()
 }
 
 #[cfg(test)]
@@ -121,8 +116,8 @@ mod tests {
     fn stretched_original_ttl_fails() {
         let rrset = sample_rrset();
         let mut sig = sign_rrset(&rrset, &n("uy"));
-        if let RData::Rrsig { original_ttl, .. } = &mut sig.rdata {
-            *original_ttl = 172_800;
+        if let RData::Rrsig(data) = &mut sig.rdata {
+            Arc::make_mut(data).original_ttl = 172_800;
         }
         assert!(!verify_rrset(&rrset.name, rrset.rtype, &rrset.rdatas, &sig));
     }

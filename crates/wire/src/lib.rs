@@ -47,6 +47,6 @@ pub use dnssec::{sign_rrset, verify_rrset};
 pub use error::WireError;
 pub use message::{Header, Message, Opcode, Question, Rcode, Section};
 pub use name::Name;
-pub use rdata::{RData, RecordType, SoaData};
+pub use rdata::{RData, RecordType, RrsigData, SoaData};
 pub use record::{fnv1a, Class, RRset, Record, FNV_OFFSET};
 pub use ttl::Ttl;

@@ -8,6 +8,7 @@
 use crate::{Name, WireError};
 use std::fmt;
 use std::net::{Ipv4Addr, Ipv6Addr};
+use std::sync::Arc;
 
 /// DNS record type codes (RFC 1035 §3.2.2 and successors).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -132,7 +133,29 @@ pub struct SoaData {
     pub minimum: u32,
 }
 
+/// RRSIG record contents (RFC 4034 §3), simplified: enough structure
+/// for the TTL interactions that matter here.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+pub struct RrsigData {
+    /// Type of the RRset covered by this signature.
+    pub type_covered: RecordType,
+    /// Signing algorithm number.
+    pub algorithm: u8,
+    /// Original TTL of the covered RRset — DNSSEC pins the TTL the
+    /// *child* zone published, which is why validating resolvers are
+    /// necessarily child-centric (§2 of the paper).
+    pub original_ttl: u32,
+    /// Name of the zone that signed.
+    pub signer: Name,
+    /// Signature bytes.
+    pub signature: Vec<u8>,
+}
+
 /// Typed record data.
+///
+/// 32 bytes: the two variants larger than that, [`RData::Soa`] and
+/// [`RData::Rrsig`], hold their data behind an `Arc`, so cloning any
+/// record still allocates nothing.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum RData {
     /// IPv4 address.
@@ -143,8 +166,10 @@ pub enum RData {
     Ns(Name),
     /// Alias target.
     Cname(Name),
-    /// Start of authority.
-    Soa(SoaData),
+    /// Start of authority. Shared: the variant is a pointer, so it
+    /// leaves every `RData` at the 32 bytes an `Mx` needs, and a zone's
+    /// SOA goes into each negative answer without a copy.
+    Soa(Arc<SoaData>),
     /// Mail exchange: preference and exchanger host.
     Mx {
         /// Preference value; lower is preferred.
@@ -165,22 +190,8 @@ pub enum RData {
         /// Public key bytes.
         key: Vec<u8>,
     },
-    /// DNSSEC signature over an RRset (simplified: enough structure for
-    /// the TTL interactions that matter here).
-    Rrsig {
-        /// Type of the RRset covered by this signature.
-        type_covered: RecordType,
-        /// Signing algorithm number.
-        algorithm: u8,
-        /// Original TTL of the covered RRset — DNSSEC pins the TTL the
-        /// *child* zone published, which is why validating resolvers are
-        /// necessarily child-centric (§2 of the paper).
-        original_ttl: u32,
-        /// Name of the zone that signed.
-        signer: Name,
-        /// Signature bytes.
-        signature: Vec<u8>,
-    },
+    /// DNSSEC signature over an RRset, shared like [`RData::Soa`].
+    Rrsig(Arc<RrsigData>),
     /// Opaque EDNS(0) pseudo-record payload.
     Opt(Vec<u8>),
 }
@@ -197,7 +208,7 @@ impl RData {
             RData::Mx { .. } => RecordType::MX,
             RData::Txt(_) => RecordType::TXT,
             RData::Dnskey { .. } => RecordType::DNSKEY,
-            RData::Rrsig { .. } => RecordType::RRSIG,
+            RData::Rrsig(_) => RecordType::RRSIG,
             RData::Opt(_) => RecordType::OPT,
         }
     }
@@ -238,13 +249,11 @@ impl fmt::Display for RData {
                 algorithm,
                 key,
             } => write!(f, "{flags} {protocol} {algorithm} ({} bytes)", key.len()),
-            RData::Rrsig {
-                type_covered,
-                algorithm,
-                original_ttl,
-                signer,
-                ..
-            } => write!(f, "{type_covered} {algorithm} {original_ttl} {signer}"),
+            RData::Rrsig(sig) => write!(
+                f,
+                "{} {} {} {}",
+                sig.type_covered, sig.algorithm, sig.original_ttl, sig.signer
+            ),
             RData::Opt(b) => write!(f, "OPT ({} bytes)", b.len()),
         }
     }

@@ -318,7 +318,9 @@ impl fmt::Write for FnvWriter {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::RrsigData;
     use std::net::Ipv4Addr;
+    use std::sync::Arc;
 
     fn name(s: &str) -> Name {
         Name::parse(s).unwrap()
@@ -420,7 +422,7 @@ mod tests {
             RData::Aaaa("2001:db8::1".parse().unwrap()),
             RData::Ns(host.clone()),
             RData::Cname(host.clone()),
-            RData::Soa(crate::SoaData {
+            RData::Soa(Arc::new(crate::SoaData {
                 mname: host.clone(),
                 rname: name("hostmaster.example.org"),
                 serial: 2019,
@@ -428,7 +430,7 @@ mod tests {
                 retry: 900,
                 expire: 1_209_600,
                 minimum: 300,
-            }),
+            })),
             RData::Mx {
                 preference: 10,
                 exchange: host.clone(),
@@ -440,13 +442,13 @@ mod tests {
                 algorithm: 13,
                 key: vec![1, 2, 3],
             },
-            RData::Rrsig {
+            RData::Rrsig(Arc::new(RrsigData {
                 type_covered: RecordType::A,
                 algorithm: 13,
                 original_ttl: 300,
                 signer: host.clone(),
                 signature: vec![9; 8],
-            },
+            })),
             RData::Opt(vec![0; 4]),
         ];
         // Mixed-case and folded owners are one fingerprint class.
@@ -565,7 +567,7 @@ mod tests {
                 "soa",
                 set(
                     "example.org",
-                    vec![RData::Soa(crate::SoaData {
+                    vec![RData::Soa(Arc::new(crate::SoaData {
                         mname: host.clone(),
                         rname: name("hostmaster.example.org"),
                         serial: 2019,
@@ -573,7 +575,7 @@ mod tests {
                         retry: 900,
                         expire: 1_209_600,
                         minimum: 300,
-                    })],
+                    }))],
                 ),
             ),
             (
@@ -609,13 +611,13 @@ mod tests {
                 "rrsig",
                 set(
                     "example.org",
-                    vec![RData::Rrsig {
+                    vec![RData::Rrsig(Arc::new(RrsigData {
                         type_covered: RecordType::A,
                         algorithm: 13,
                         original_ttl: 300,
                         signer: host.clone(),
                         signature: vec![9; 8],
-                    }],
+                    }))],
                 ),
             ),
             ("opt", set(".", vec![RData::Opt(vec![0; 4])])),
