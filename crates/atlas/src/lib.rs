@@ -35,7 +35,9 @@ pub use dataset::{Dataset, MeasurementResult};
 pub use measurement::{
     run_measurement, run_measurement_with_hooks, Hook, MeasurementSpec, QueryName,
 };
-pub use population::{DiurnalCurve, Population, PopulationConfig, Probe, ResolverRef, ZipfSampler};
+pub use population::{
+    DiurnalCurve, Population, PopulationConfig, Probe, ResolverRef, Slots, ZipfSampler,
+};
 pub use scale::{
     run_zipf_campaign, run_zipf_campaign_profiled, run_zipf_cell, ProbeFrame, Rows,
     ZipfCampaignConfig, ZipfCellOut, ZipfDataset, ZipfEngine, ZipfOutcome, ZipfRow, ZipfRunOpts,

@@ -10,9 +10,10 @@
 //! local resolvers are dedicated caches; public resolvers are groups of
 //! backends and every query lands on a random member.
 
-use dnsttl_core::PolicyMix;
+use dnsttl_core::{PolicyMix, ResolverPolicy};
 use dnsttl_netsim::{Region, SimRng};
-use dnsttl_resolver::{RecursiveResolver, RootHint};
+use dnsttl_resolver::{Labels, RecursiveResolver, RootHint};
+use std::sync::Arc;
 
 /// An exact seeded Zipf sampler over ranks `0..n`.
 ///
@@ -180,13 +181,55 @@ pub struct Probe {
     /// Continent the probe sits in.
     pub region: Region,
     /// The probe's resolver slots — each pairing is a vantage point.
-    pub resolvers: Vec<ResolverRef>,
+    pub resolvers: Slots<ResolverRef>,
     /// Probe→resolver RTT in ms per slot.
-    pub link_rtt_ms: Vec<u64>,
+    pub link_rtt_ms: Slots<u64>,
     /// True for probes whose DNS path is broken or hijacked; their
     /// responses are discarded in analysis, as the paper discards
     /// probes "with hijacked DNS traffic" (§3.2).
     pub hijacked: bool,
+}
+
+/// A probe's per-slot values, held inline: a probe has at most
+/// three resolvers, so its slots take no block of their own.
+/// Reads as a slice of the values pushed.
+#[derive(Clone, Copy)]
+pub struct Slots<T> {
+    len: u8,
+    items: [T; MAX_SLOTS],
+}
+
+impl<T: Copy> Slots<T> {
+    /// No slots; `fill` stands in the unused places.
+    fn new(fill: T) -> Slots<T> {
+        Slots {
+            len: 0,
+            items: [fill; MAX_SLOTS],
+        }
+    }
+
+    /// Appends a slot.
+    ///
+    /// # Panics
+    /// Panics past the third slot.
+    fn push(&mut self, item: T) {
+        self.items[usize::from(self.len)] = item;
+        self.len += 1;
+    }
+}
+
+impl<T> std::ops::Deref for Slots<T> {
+    type Target = [T];
+
+    fn deref(&self) -> &[T] {
+        &self.items[..usize::from(self.len)]
+    }
+}
+
+impl<T: std::fmt::Debug> std::fmt::Debug for Slots<T> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
 }
 
 /// A vantage point: one (probe, resolver-slot) pairing — the unit the
@@ -203,7 +246,9 @@ pub(crate) struct VantagePoint {
 
 /// Weights for a probe having 1, 2, or 3 resolvers. The paper sees
 /// ~15k VPs from ~9k probes, i.e. ≈1.7 resolvers per probe.
-const RESOLVERS_PER_PROBE: [f64; 3] = [0.55, 0.25, 0.20];
+const RESOLVERS_PER_PROBE: [f64; MAX_SLOTS] = [0.55, 0.25, 0.20];
+/// The most resolvers a probe has.
+const MAX_SLOTS: usize = 3;
 /// Backend caches per public service (cache fragmentation; queries
 /// balance across them).
 const BACKENDS_PER_SERVICE: usize = 4;
@@ -254,26 +299,30 @@ impl Population {
     /// [`PolicyMix::paper_population`]. Probe regions follow the Atlas
     /// skew ([`Region::atlas_weights`]).
     pub fn build(config: &PopulationConfig, roots: &[RootHint], rng: &mut SimRng) -> Population {
+        // Every resolver shares the root hints and its policy, and
+        // labels go through one buffer: a resolver costs its label.
+        let roots: Arc<[RootHint]> = roots.into();
+        let mut labels = Labels::default();
         let mut resolvers = Vec::new();
         let mut public_groups = Vec::new();
         let region_weights = Region::atlas_weights();
+        let public_policies = [
+            Arc::new(ResolverPolicy::google_like()),
+            Arc::new(ResolverPolicy::opendns_like()),
+        ];
 
         for s in 0..(config.probes / 200).max(2) {
-            let policy = if s % 2 == 0 {
-                dnsttl_core::ResolverPolicy::google_like()
-            } else {
-                dnsttl_core::ResolverPolicy::opendns_like()
-            };
+            let policy = &public_policies[s % 2];
             let mut group = Vec::new();
             for b in 0..BACKENDS_PER_SERVICE {
                 let region = [Region::Eu, Region::Na, Region::As][(s + b) % 3];
                 let idx = resolvers.len();
                 resolvers.push(RecursiveResolver::new(
-                    format!("public-{s}-{b}"),
+                    labels.format(format_args!("public-{s}-{b}")),
                     policy.clone(),
                     region,
                     idx as u64,
-                    roots.to_vec(),
+                    roots.clone(),
                     rng.fork(1_000_000 + idx as u64),
                 ));
                 group.push(idx);
@@ -287,8 +336,8 @@ impl Population {
         for pid in 0..config.probes {
             let region = Region::ALL[rng.weighted_index(&region_weights)];
             let n_resolvers = 1 + rng.weighted_index(&RESOLVERS_PER_PROBE);
-            let mut slots = Vec::with_capacity(n_resolvers);
-            let mut link_rtt_ms = Vec::with_capacity(n_resolvers);
+            let mut slots = Slots::new(ResolverRef::Local(0));
+            let mut link_rtt_ms = Slots::new(0);
             for _ in 0..n_resolvers {
                 if rng.chance(PUBLIC_FRACTION) {
                     let service = rng.below(public_groups.len() as u64) as usize;
@@ -304,11 +353,11 @@ impl Population {
                 let policy = policy_mix.policy(rng.weighted_index(&weights)).clone();
                 let idx = resolvers.len();
                 resolvers.push(RecursiveResolver::new(
-                    format!("local-{idx}"),
+                    labels.format(format_args!("local-{idx}")),
                     policy,
                     region,
                     idx as u64,
-                    roots.to_vec(),
+                    roots.clone(),
                     rng.fork(idx as u64),
                 ));
                 slots.push(ResolverRef::Local(idx));
@@ -431,7 +480,7 @@ mod tests {
         let pop = build(1_000, 3);
         let mut usage = vec![0usize; pop.public_groups.len()];
         for p in &pop.probes {
-            for slot in &p.resolvers {
+            for slot in p.resolvers.iter() {
                 if let ResolverRef::Public(s) = slot {
                     usage[*s] += 1;
                 }
@@ -455,7 +504,7 @@ mod tests {
         assert_eq!(a.vp_count(), b.vp_count());
         for (pa, pb) in a.probes.iter().zip(&b.probes) {
             assert_eq!(pa.region, pb.region);
-            assert_eq!(pa.resolvers, pb.resolvers);
+            assert_eq!(pa.resolvers[..], pb.resolvers[..]);
         }
     }
 

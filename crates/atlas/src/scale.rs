@@ -45,7 +45,7 @@ use crate::population::{DiurnalCurve, ZipfSampler};
 use crate::shard::{fan_out, merge_by_time, partition, partition_bases, FanOut, ShardProfile};
 use dnsttl_auth::{Zone, ZoneBuilder};
 use dnsttl_netsim::{shard_seed, LatencyModel, Network, Region, SimDuration, SimRng, TimingWheel};
-use dnsttl_resolver::{CacheStats, RecursiveResolver, RootHint};
+use dnsttl_resolver::{CacheStats, Labels, RecursiveResolver, RootHint};
 use dnsttl_telemetry::{MetricKey, Telemetry};
 use dnsttl_wire::{fnv1a, Name, RData, Rcode, Record, RecordType, Ttl, FNV_OFFSET};
 use std::cmp::Reverse;
@@ -477,7 +477,7 @@ fn zipf_zone(names: &[Name], record_ttl: Ttl) -> Arc<Zone> {
 /// a root of its own delegating `zipf` to a child server, and the
 /// network they sit on. A cell's servers, like its resolvers, are its
 /// own; only the read-only zone is not.
-fn zipf_world(zone: &Arc<Zone>) -> (Network, Vec<RootHint>) {
+fn zipf_world(zone: &Arc<Zone>) -> (Network, Arc<[RootHint]>) {
     use dnsttl_auth::AuthoritativeServer;
     use std::cell::RefCell;
     use std::net::IpAddr;
@@ -495,10 +495,10 @@ fn zipf_world(zone: &Arc<Zone>) -> (Network, Vec<RootHint>) {
     let mut net = Network::new(LatencyModel::constant(5.0));
     net.register(root_addr, Region::Eu, Rc::new(RefCell::new(root)));
     net.register(child_addr, Region::Eu, Rc::new(RefCell::new(child)));
-    let roots = vec![RootHint {
+    let roots = Arc::from([RootHint {
         ns_name: Name::parse("root").expect("static"),
         addr: root_addr,
-    }];
+    }]);
     (net, roots)
 }
 
@@ -595,11 +595,13 @@ fn zipf_cell(
     }
     let (mut net, roots) = zipf_world(zone);
     let mut rng = SimRng::seed_from(seed);
+    let policy = Arc::new(dnsttl_core::ResolverPolicy::default());
+    let mut labels = Labels::default();
     let mut resolvers: Vec<RecursiveResolver> = (0..cfg.resolvers_per_cell.max(1))
         .map(|i| {
             RecursiveResolver::new(
-                format!("zipf-{probe_base}-{i}"),
-                dnsttl_core::ResolverPolicy::default(),
+                labels.format(format_args!("zipf-{probe_base}-{i}")),
+                policy.clone(),
                 Region::Eu,
                 i as u64,
                 roots.clone(),

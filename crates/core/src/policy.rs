@@ -8,6 +8,7 @@
 //! [`PolicyMix`] expresses a weighted population of them.
 
 use dnsttl_wire::Ttl;
+use std::sync::Arc;
 
 /// Which copy of a record (and thus which TTL) a resolver prefers when
 /// the parent's glue and the child's authoritative data disagree.
@@ -183,9 +184,12 @@ impl ResolverPolicy {
 /// roughly 90% child-centric behaviour in §3.2, a parent-centric
 /// minority including RFC 7706 users, ~15% TTL capping visible in §3.3,
 /// and the small sticky population of Table 4.
+///
+/// Each policy is held once, behind an `Arc`: a population draws its
+/// resolvers' policies from one mixture and shares them.
 #[derive(Debug, Clone)]
 pub struct PolicyMix {
-    entries: Vec<(f64, ResolverPolicy)>,
+    entries: Vec<(f64, Arc<ResolverPolicy>)>,
 }
 
 impl PolicyMix {
@@ -199,7 +203,10 @@ impl PolicyMix {
             entries.iter().all(|(w, _)| *w >= 0.0),
             "negative weight in policy mix"
         );
-        PolicyMix { entries }
+        let entries = entries.into_iter().map(|(w, p)| (w, Arc::new(p)));
+        PolicyMix {
+            entries: entries.collect(),
+        }
     }
 
     /// The calibrated default population (see type-level docs).
@@ -220,7 +227,7 @@ impl PolicyMix {
     }
 
     /// The `(weight, policy)` entries.
-    pub(crate) fn entries(&self) -> &[(f64, ResolverPolicy)] {
+    pub(crate) fn entries(&self) -> &[(f64, Arc<ResolverPolicy>)] {
         &self.entries
     }
 
@@ -229,8 +236,8 @@ impl PolicyMix {
         self.entries.iter().map(|(w, _)| *w).collect()
     }
 
-    /// The policy at `index`.
-    pub fn policy(&self, index: usize) -> &ResolverPolicy {
+    /// The policy at `index`, shared: cloning it clones the `Arc`.
+    pub fn policy(&self, index: usize) -> &Arc<ResolverPolicy> {
         &self.entries[index].1
     }
 

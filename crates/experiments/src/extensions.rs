@@ -28,23 +28,27 @@ use dnsttl_core::{hit_rate, PolicyMix, ResolverPolicy};
 use dnsttl_netsim::{
     drive, FaultPlan, LatencyModel, Network, Region, SimDuration, SimRng, SimTime,
 };
-use dnsttl_resolver::{RecursiveResolver, RootHint};
+use dnsttl_resolver::{Labels, RecursiveResolver, RootHint};
 use dnsttl_telemetry::Telemetry;
 use dnsttl_wire::{RData, Rcode, RecordType, Ttl};
 use std::cell::RefCell;
 use std::rc::Rc;
+use std::sync::Arc;
 
 /// `count` default-policy resolvers in Europe named `{prefix}-{i}`,
 /// each on its own fork of `rng`.
 fn eu_clients(prefix: &str, count: usize, rng: &mut SimRng) -> Vec<RecursiveResolver> {
+    let policy = Arc::new(ResolverPolicy::default());
+    let roots: Arc<[RootHint]> = worlds::root_hints().into();
+    let mut labels = Labels::default();
     (0..count)
         .map(|i| {
             RecursiveResolver::new(
-                format!("{prefix}-{i}"),
-                ResolverPolicy::default(),
+                labels.format(format_args!("{prefix}-{i}")),
+                policy.clone(),
                 Region::Eu,
                 i as u64,
-                worlds::root_hints(),
+                roots.clone(),
                 rng.fork(i as u64),
             )
         })
@@ -74,6 +78,7 @@ pub fn run(cfg: &ExpConfig) -> Vec<Report> {
 /// time out or receive SERVFAIL".
 pub(crate) fn offline_child(cfg: &ExpConfig) -> Report {
     let CachetestWorld { mut net, roots, .. } = worlds::cachetest_world(true);
+    let roots: Arc<[RootHint]> = roots.into();
     // Kill the child's servers for the whole run; .com (the parent)
     // stays up.
     let forever = SimTime::from_millis(u64::MAX);
@@ -92,11 +97,12 @@ pub(crate) fn offline_child(cfg: &ExpConfig) -> Report {
     let mut total_parentish = 0usize;
     let mut answered_childish = 0usize;
     let mut total_childish = 0usize;
+    let mut labels = Labels::default();
     for i in 0..count {
         let policy = mix.policy(rng.weighted_index(&weights)).clone();
         let parentish = policy.centricity == dnsttl_core::Centricity::ParentCentric;
         let mut r = RecursiveResolver::new(
-            format!("off-{i}"),
+            labels.format(format_args!("off-{i}")),
             policy,
             Region::ALL[rng.weighted_index(&Region::atlas_weights())],
             i as u64,
@@ -179,14 +185,17 @@ fn signed_uy_world() -> (Network, Vec<RootHint>, Rc<RefCell<AuthoritativeServer>
 /// change (tampering) and measures who notices.
 pub(crate) fn dnssec_centricity(cfg: &ExpConfig) -> Report {
     let (mut net, roots, child) = signed_uy_world();
+    let roots: Arc<[RootHint]> = roots.into();
     let mut rng = SimRng::seed_from(cfg.seed_for("ext-dnssec"));
     let count = (cfg.probes / 8).max(30);
 
     let run_group = |policy: ResolverPolicy, net: &mut Network, rng: &mut SimRng| -> Vec<u64> {
+        let policy = Arc::new(policy);
+        let mut labels = Labels::default();
         (0..count)
             .map(|i| {
                 let mut r = RecursiveResolver::new(
-                    format!("g-{i}"),
+                    labels.format(format_args!("g-{i}")),
                     policy.clone(),
                     Region::ALL[rng.weighted_index(&Region::atlas_weights())],
                     i as u64,

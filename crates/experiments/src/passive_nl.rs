@@ -19,8 +19,9 @@ use crate::worlds;
 use dnsttl_analysis::{ascii_cdf_multi, ArrivalFold, CsvWriter, Ecdf};
 use dnsttl_core::PolicyMix;
 use dnsttl_netsim::{drive, SimDuration, SimRng, SimTime};
-use dnsttl_resolver::RecursiveResolver;
+use dnsttl_resolver::{Labels, RecursiveResolver, RootHint};
 use dnsttl_wire::RecordType;
+use std::sync::Arc;
 
 /// Runs the passive `.nl` study; returns fig3 and fig4.
 pub fn run(cfg: &ExpConfig) -> Vec<Report> {
@@ -33,8 +34,12 @@ pub fn run(cfg: &ExpConfig) -> Vec<Report> {
     // caches NATed behind one source address ([48]'s complex recursive
     // infrastructure). Their interleaved caches are what produces the
     // sub-hour minimum interarrivals of Figure 4.
+    // Every resolver shares the root hints and its mixture policy, and
+    // labels go through one buffer: an idle resolver costs its label.
     let mix = PolicyMix::paper_population();
     let weights = mix.weights();
+    let roots: Arc<[RootHint]> = world.roots.as_slice().into();
+    let mut labels = Labels::default();
     let mut resolvers: Vec<RecursiveResolver> = Vec::with_capacity(cfg.nl_resolvers);
     let mut source_tag: u64 = 0;
     for i in 0..cfg.nl_resolvers {
@@ -43,11 +48,11 @@ pub fn run(cfg: &ExpConfig) -> Vec<Report> {
             source_tag = i as u64;
         }
         resolvers.push(RecursiveResolver::new(
-            format!("nl-res-{i}"),
+            labels.format(format_args!("nl-res-{i}")),
             mix.policy(rng.weighted_index(&weights)).clone(),
             dnsttl_netsim::Region::ALL[rng.weighted_index(&dnsttl_netsim::Region::atlas_weights())],
             source_tag,
-            world.roots.clone(),
+            roots.clone(),
             rng.fork(i as u64),
         ));
     }

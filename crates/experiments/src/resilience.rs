@@ -29,8 +29,9 @@ use dnsttl_analysis::{CsvWriter, Table};
 use dnsttl_auth::{AuthoritativeServer, ZoneBuilder};
 use dnsttl_core::ResolverPolicy;
 use dnsttl_netsim::{drive, FaultPlan, LatencyModel, Region, SimDuration, SimRng, SimTime};
-use dnsttl_resolver::RecursiveResolver;
+use dnsttl_resolver::{Labels, RecursiveResolver, RootHint};
 use dnsttl_wire::{Rcode, RecordType, Ttl};
+use std::sync::Arc;
 
 /// When the scripted outage starts (45 simulated minutes in — long
 /// enough for every client to have the name cached).
@@ -121,14 +122,16 @@ pub(crate) fn simulate_clients(
     );
     let mut net = worlds::example_world(latency, child).with_faults(outage_plan());
     net.set_telemetry(telemetry.clone());
-    let roots = worlds::root_hints();
+    let roots: Arc<[RootHint]> = worlds::root_hints().into();
+    let policy = Arc::new(policy.clone());
+    let mut labels = Labels::default();
 
     let mut rng = SimRng::seed_from(seed);
     let mut resolvers: Vec<RecursiveResolver> = (0..clients)
         .map(|i| {
             let global = client_base + i;
             RecursiveResolver::new(
-                format!("c{global}"),
+                labels.format(format_args!("c{global}")),
                 policy.clone(),
                 Region::ALL[rng.weighted_index(&Region::atlas_weights())],
                 global as u64,

@@ -46,7 +46,7 @@ pub mod addrs {
     /// `ns1.cachetest.net`.
     pub const CACHETEST: IpAddr = IpAddr::V4(Ipv4Addr::new(18, 184, 0, 10));
     /// The original `sub.cachetest.net` server.
-    pub(crate) const SUB_OLD: IpAddr = IpAddr::V4(Ipv4Addr::new(18, 184, 0, 20));
+    pub const SUB_OLD: IpAddr = IpAddr::V4(Ipv4Addr::new(18, 184, 0, 20));
     /// The renumbered `sub.cachetest.net` server.
     pub(crate) const SUB_NEW: IpAddr = IpAddr::V4(Ipv4Addr::new(18, 184, 0, 21));
     /// The controlled-experiment test server (`mapache-de-madrid.co`).
@@ -343,23 +343,27 @@ pub(crate) struct SyntheticZoneService {
     /// Whether this server serves the `ns_name` A record at all (false
     /// when the NS host's zone lives elsewhere).
     pub serves_ns_a: bool,
+    /// The SOA data every negative answer carries ([`vm_soa`]), built
+    /// once: an NXDOMAIN or NODATA hands out another reference.
+    pub soa: Arc<SoaData>,
+}
+
+/// The SOA data of a synthetic zone served by `ns_name`.
+pub(crate) fn vm_soa(ns_name: &Name) -> Arc<SoaData> {
+    Arc::new(SoaData {
+        mname: ns_name.clone(),
+        rname: name("hostmaster.invalid"),
+        serial: 1,
+        refresh: 7_200,
+        retry: 3_600,
+        expire: 1_209_600,
+        minimum: 60,
+    })
 }
 
 impl SyntheticZoneService {
     fn soa(&self, apex: &Name) -> Record {
-        Record::new(
-            apex.clone(),
-            Ttl::MINUTE,
-            RData::Soa(Arc::new(SoaData {
-                mname: self.ns_name.clone(),
-                rname: name("hostmaster.invalid"),
-                serial: 1,
-                refresh: 7_200,
-                retry: 3_600,
-                expire: 1_209_600,
-                minimum: 60,
-            })),
-        )
+        Record::new(apex.clone(), Ttl::MINUTE, RData::Soa(self.soa.clone()))
     }
 }
 
@@ -533,25 +537,29 @@ pub fn cachetest_world(out_of_bailiwick: bool) -> CachetestWorld {
     if out_of_bailiwick {
         apexes.push(name("zurrundedu.com"));
     }
+    let ns_name = name(ns_host);
+    let soa = vm_soa(&ns_name);
     let old = SyntheticZoneService {
         apexes: apexes.clone(),
-        ns_name: name(ns_host),
+        ns_name: ns_name.clone(),
         ns_ttl: Ttl::HOUR,
         a_ttl: Ttl::from_secs(7_200),
         ns_addr: v4(addrs::SUB_OLD),
         aaaa_ttl: Ttl::MINUTE,
         marker: OLD_MARKER,
         serves_ns_a: true,
+        soa: soa.clone(),
     };
     let new = SyntheticZoneService {
         apexes,
-        ns_name: name(ns_host),
+        ns_name,
         ns_ttl: Ttl::HOUR,
         a_ttl: Ttl::from_secs(7_200),
         ns_addr: v4(addrs::SUB_NEW),
         aaaa_ttl: Ttl::MINUTE,
         marker: NEW_MARKER,
         serves_ns_a: true,
+        soa,
     };
     net.register(addrs::SUB_OLD, Region::Eu, Rc::new(RefCell::new(old)));
     net.register(addrs::SUB_NEW, Region::Eu, Rc::new(RefCell::new(new)));
@@ -638,9 +646,11 @@ pub(crate) fn controlled_world(aaaa_ttl: Ttl, anycast: bool) -> (Network, Vec<Ro
         rc(AuthoritativeServer::new("ns.cctld.co").with_zone(co_zone)),
     );
 
+    let ns_name = name("ns1.mapache-de-madrid.co");
     let service = SyntheticZoneService {
         apexes: vec![name("mapache-de-madrid.co")],
-        ns_name: name("ns1.mapache-de-madrid.co"),
+        soa: vm_soa(&ns_name),
+        ns_name,
         ns_ttl: Ttl::TWO_DAYS,
         a_ttl: Ttl::TWO_DAYS,
         ns_addr: v4(addrs::MAPACHE),
@@ -656,6 +666,9 @@ pub(crate) fn controlled_world(aaaa_ttl: Ttl, anycast: bool) -> (Network, Vec<Ro
         // A single EC2 Frankfurt origin.
         net.register(addrs::MAPACHE, Region::Eu, handle);
     }
+    // Table 10's "Querying IPs": the one address whose sources a
+    // campaign reads.
+    net.count_sources(addrs::MAPACHE);
 
     (net, root_hints(), addrs::MAPACHE)
 }
@@ -704,9 +717,11 @@ mod tests {
     /// every branch of the service.
     #[test]
     fn a_synthetic_zone_fills_a_recycled_message_as_it_answers_afresh() {
+        let ns_name = name("ns1.sub.cachetest.net");
         let mut service = SyntheticZoneService {
             apexes: vec![name("sub.cachetest.net")],
-            ns_name: name("ns1.sub.cachetest.net"),
+            soa: vm_soa(&ns_name),
+            ns_name,
             ns_ttl: Ttl::HOUR,
             a_ttl: Ttl::from_secs(7_200),
             ns_addr: v4(addrs::SUB_OLD),

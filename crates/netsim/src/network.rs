@@ -111,9 +111,10 @@ struct Site {
 struct Endpoint {
     sites: Vec<Site>,
     queries_received: u64,
-    /// Distinct sources are approximated by the count of distinct
-    /// `(client_region, client_tag)` pairs observed.
-    sources: std::collections::HashSet<(Region, u64)>,
+    /// Distinct sources, approximated by the distinct
+    /// `(client_region, client_tag)` pairs observed; kept only at an
+    /// address a world asked to count ([`Network::count_sources`]).
+    sources: Option<std::collections::HashSet<(Region, u64)>>,
 }
 
 /// Result of one query/response exchange.
@@ -212,15 +213,11 @@ impl Network {
     }
 
     /// Registers a unicast server at `addr` in `region`.
+    ///
+    /// Registering over an address starts its counts afresh; an address
+    /// whose sources were counted stays counted.
     pub fn register(&mut self, addr: ServiceAddr, region: Region, service: ServiceHandle) {
-        self.endpoints.insert(
-            addr,
-            Endpoint {
-                sites: vec![Site { region, service }],
-                queries_received: 0,
-                sources: Default::default(),
-            },
-        );
+        self.insert_endpoint(addr, vec![Site { region, service }]);
     }
 
     /// Registers an anycast address backed by one site per region given.
@@ -231,20 +228,39 @@ impl Network {
         regions: &[Region],
         service: ServiceHandle,
     ) {
-        self.endpoints.insert(
-            addr,
-            Endpoint {
-                sites: regions
-                    .iter()
-                    .map(|&region| Site {
-                        region,
-                        service: service.clone(),
-                    })
-                    .collect(),
-                queries_received: 0,
-                sources: Default::default(),
-            },
-        );
+        let sites = regions
+            .iter()
+            .map(|&region| Site {
+                region,
+                service: service.clone(),
+            })
+            .collect();
+        self.insert_endpoint(addr, sites);
+    }
+
+    fn insert_endpoint(&mut self, addr: ServiceAddr, sites: Vec<Site>) {
+        let counted = self
+            .endpoints
+            .get(&addr)
+            .is_some_and(|e| e.sources.is_some());
+        let endpoint = Endpoint {
+            sites,
+            queries_received: 0,
+            sources: counted.then(Default::default),
+        };
+        self.endpoints.insert(addr, endpoint);
+    }
+
+    /// Counts the distinct sources that query the registered `addr`
+    /// from now on, for [`Network::distinct_sources`]. Only an address
+    /// asked for keeps a set: every other exchange hashes nothing.
+    ///
+    /// # Panics
+    /// Panics if nothing is registered at `addr`.
+    pub fn count_sources(&mut self, addr: ServiceAddr) {
+        let endpoint = self.endpoints.get_mut(&addr);
+        let endpoint = endpoint.expect("count_sources: register the address first");
+        endpoint.sources.get_or_insert_with(Default::default);
     }
 
     /// Queries received by `addr` so far (for Table 10's authoritative-
@@ -257,12 +273,11 @@ impl Network {
     }
 
     /// Distinct querying sources seen by `addr` (Table 10's
-    /// "Querying IPs" row).
+    /// "Querying IPs" row); 0 unless [`Network::count_sources`] asked
+    /// for them.
     pub fn distinct_sources(&self, addr: ServiceAddr) -> usize {
-        self.endpoints
-            .get(&addr)
-            .map(|e| e.sources.len())
-            .unwrap_or(0)
+        let sources = self.endpoints.get(&addr).and_then(|e| e.sources.as_ref());
+        sources.map_or(0, |s| s.len())
     }
 
     /// Performs one query/response exchange from a client in
@@ -378,7 +393,9 @@ impl Network {
             return self.unencodable(now);
         }
         ep.queries_received += 1;
-        ep.sources.insert((client_region, client_tag));
+        if let Some(sources) = &mut ep.sources {
+            sources.insert((client_region, client_tag));
+        }
         if self.telemetry.is_enabled() && ep.sites.len() > 1 {
             // Anycast catchment accounting: which site this client
             // region lands on (the Figure 11b comparison).
@@ -535,6 +552,7 @@ mod tests {
             answer: Ipv4Addr::new(203, 0, 113, 7),
         }));
         net.register(addr(1), Region::Eu, svc);
+        net.count_sources(addr(1));
         let mut rng = SimRng::seed_from(1);
         let out = net.exchange(Region::Eu, 0, addr(1), &query(), SimTime::ZERO, &mut rng);
         let msg = out.response().expect("response");
@@ -984,11 +1002,52 @@ mod tests {
             answer: Ipv4Addr::LOCALHOST,
         }));
         net.register(addr(1), Region::Eu, svc);
+        net.count_sources(addr(1));
         let mut rng = SimRng::seed_from(5);
         for tag in [1u64, 2, 2, 3, 3, 3] {
             net.exchange(Region::Eu, tag, addr(1), &query(), SimTime::ZERO, &mut rng);
         }
         assert_eq!(net.distinct_sources(addr(1)), 3);
         assert_eq!(net.queries_received(addr(1)), 6);
+    }
+
+    #[test]
+    fn only_a_counted_address_keeps_a_source_set() {
+        let fixed = || {
+            Rc::new(RefCell::new(Fixed {
+                answer: Ipv4Addr::LOCALHOST,
+            }))
+        };
+        let mut net = Network::new(LatencyModel::constant(5.0));
+        net.register(addr(1), Region::Eu, fixed());
+        net.register(addr(2), Region::Eu, fixed());
+        net.count_sources(addr(2));
+        let mut rng = SimRng::seed_from(5);
+        let mut ask = |net: &mut Network, server: ServiceAddr, tags: &[u64]| {
+            for &tag in tags {
+                net.exchange(Region::Eu, tag, server, &query(), SimTime::ZERO, &mut rng);
+            }
+        };
+        ask(&mut net, addr(1), &[1, 2, 3]);
+        ask(&mut net, addr(2), &[1, 2, 2]);
+        // Nobody counts addr(1): its queries are counted, its sources
+        // are not, and it holds no set.
+        assert_eq!(net.queries_received(addr(1)), 3);
+        assert_eq!(net.distinct_sources(addr(1)), 0);
+        assert!(net.endpoints[&addr(1)].sources.is_none());
+        assert_eq!(net.distinct_sources(addr(2)), 2);
+
+        // Registering over the counted address resets its counts and
+        // keeps counting, as a fresh endpoint would; over the uncounted
+        // one, it stays uncounted.
+        net.register(addr(2), Region::Eu, fixed());
+        net.register_anycast(addr(1), &[Region::Eu, Region::Na], fixed());
+        assert_eq!(net.distinct_sources(addr(2)), 0);
+        assert_eq!(net.queries_received(addr(2)), 0);
+        ask(&mut net, addr(2), &[7, 7, 8]);
+        ask(&mut net, addr(1), &[7]);
+        assert_eq!(net.distinct_sources(addr(2)), 2);
+        assert_eq!(net.queries_received(addr(2)), 3);
+        assert!(net.endpoints[&addr(1)].sources.is_none());
     }
 }

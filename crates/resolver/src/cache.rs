@@ -379,7 +379,9 @@ impl CacheMeta {
 #[derive(Debug, Default)]
 pub struct Cache {
     entries: KeyTable<Entry>,
-    negatives: KeyTable<NegEntry>,
+    /// Negative and failure entries; `None` until the first one, as a
+    /// cache holds none unless something failed.
+    negatives: Option<Box<KeyTable<NegEntry>>>,
     /// Stats (always), provenance ledger (opt-in), telemetry handle.
     meta: RefCell<CacheMeta>,
 }
@@ -500,9 +502,8 @@ impl Cache {
     ) {
         let rtype = set.rtype();
         // Empty unless something failed: answer before hashing.
-        if !self.negatives.is_empty() {
-            self.negatives
-                .remove(&Probe(set.owner(), rtype) as &dyn TableKey);
+        if let Some(negatives) = self.negatives.as_mut().filter(|n| !n.is_empty()) {
+            negatives.remove(&Probe(set.owner(), rtype) as &dyn TableKey);
         }
         let meta = self.meta.get_mut();
         let original_ttl = set.ttl();
@@ -719,7 +720,7 @@ impl Cache {
         if ttl.is_zero() {
             return;
         }
-        self.negatives.insert(
+        self.negatives.get_or_insert_with(Box::default).insert(
             (name, rtype),
             NegEntry {
                 rcode,
@@ -762,7 +763,7 @@ impl Cache {
         self.meta
             .get_mut()
             .record(now, CacheOp::NegCache, (&name, rtype), &shell);
-        self.negatives.insert(
+        self.negatives.get_or_insert_with(Box::default).insert(
             (name, rtype),
             NegEntry {
                 rcode: Rcode::ServFail,
@@ -774,11 +775,9 @@ impl Cache {
     /// Fresh negative entry for the key, if any.
     pub fn get_negative(&self, name: &Name, rtype: RecordType, now: SimTime) -> Option<Rcode> {
         // Resolvers ask this first on every question, and the table is
-        // empty unless something failed: answer before hashing.
-        if self.negatives.is_empty() {
-            return None;
-        }
-        let e = self.negatives.get(&Probe(name, rtype) as &dyn TableKey)?;
+        // absent or empty unless something failed: answer before hashing.
+        let negatives = self.negatives.as_ref().filter(|n| !n.is_empty())?;
+        let e = negatives.get(&Probe(name, rtype) as &dyn TableKey)?;
         (e.expires_at > now).then_some(e.rcode)
     }
 
@@ -792,13 +791,18 @@ impl Cache {
         self.entries.is_empty()
     }
 
+    /// Makes room for `keys` more positive entries in one step.
+    pub(crate) fn reserve(&mut self, keys: usize) {
+        self.entries.reserve(keys);
+    }
+
     /// Removes every entry (used between experiment phases). Counted
     /// as `clears` in the stats; no per-entry ledger records — a phase
     /// boundary is not a cache event the paper cares about.
     pub fn clear(&mut self) {
         self.meta.get_mut().stats.clears += self.entries.len() as u64;
         self.entries.clear();
-        self.negatives.clear();
+        self.negatives = None;
     }
 }
 

@@ -39,7 +39,7 @@ pub use ledger::{
     RecordOrigin, StoreContext,
 };
 pub use resolver::ResolutionVerdict;
-pub use resolver::{RecursiveResolver, ResolutionOutcome, ResolverStats, RootHint};
+pub use resolver::{Labels, RecursiveResolver, ResolutionOutcome, ResolverStats, RootHint};
 pub use snapshot::{CacheSnapshot, SnapshotDiff, SnapshotEntry};
 
 /// The name `benchmark/src/kernels.rs` imports for the cache a resolver

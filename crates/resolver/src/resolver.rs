@@ -15,7 +15,9 @@ use dnsttl_netsim::{ExchangeOutcome, Network, Region, SimDuration, SimRng, SimTi
 use dnsttl_telemetry::{EventKind, MetricKey, SpanId, Telemetry, Value};
 use dnsttl_wire::{Header, Message, Name, Question, RData, Rcode, Record, RecordType, Ttl};
 use std::collections::HashMap;
+use std::fmt;
 use std::net::IpAddr;
+use std::sync::Arc;
 
 /// Maximum referral-chasing iterations per query.
 const MAX_ITERATIONS: usize = 16;
@@ -309,55 +311,85 @@ enum Resolved {
     Fail,
 }
 
+/// Labels for a population of resolvers, formatted through one reused
+/// buffer, so a label costs one block: its shared copy.
+#[derive(Debug, Default)]
+pub struct Labels(String);
+
+impl Labels {
+    /// `args` formatted, as a resolver label.
+    pub fn format(&mut self, args: fmt::Arguments<'_>) -> Arc<str> {
+        self.0.clear();
+        fmt::Write::write_fmt(&mut self.0, args).expect("a String takes any text");
+        Arc::from(self.0.as_str())
+    }
+}
+
 /// A recursive resolver with one cache and one policy.
+///
+/// A population builds hundreds of thousands of these (`passive_nl`
+/// 205 k), so what an idle one holds is kept to its label: the root
+/// hints and the policy are shared with every resolver built from the
+/// same values, and the sticky and backoff tables take no block until
+/// a policy that uses them writes one.
 pub struct RecursiveResolver {
     /// Diagnostic label, e.g. `"resolver-193"`. Shared so per-query
     /// trace events attach it without allocating.
-    pub label: std::sync::Arc<str>,
-    policy: ResolverPolicy,
+    pub label: Arc<str>,
+    policy: Arc<ResolverPolicy>,
     region: Region,
     tag: u64,
     cache: Cache,
-    roots: Vec<RootHint>,
+    roots: Arc<[RootHint]>,
     rng: SimRng,
-    /// Zone apex → server address that answered for it last
-    /// (sticky-resolver state, §4.4). Lookup-only: never iterated, so
-    /// HashMap order cannot leak into resolution output.
-    sticky_server: HashMap<Name, IpAddr>,
-    /// Server address → backoff state (only populated when the policy
-    /// enables `server_backoff`). Lookup-only, like `sticky_server`.
-    backoff: HashMap<IpAddr, BackoffState>,
+    /// Sticky and backoff state; `None` until the first write.
+    memory: Option<Box<ServerMemory>>,
     stats: ResolverStats,
     telemetry: Telemetry,
     next_id: u16,
 }
 
+/// What a resolver remembers about the servers it talked to. Both
+/// tables are lookup-only: never iterated, so `HashMap` order cannot
+/// leak into resolution output.
+#[derive(Default)]
+struct ServerMemory {
+    /// Zone apex → server address that answered for it last
+    /// (sticky-resolver state, §4.4).
+    sticky_server: HashMap<Name, IpAddr>,
+    /// Server address → backoff state (only populated when the policy
+    /// enables `server_backoff`).
+    backoff: HashMap<IpAddr, BackoffState>,
+}
+
 impl RecursiveResolver {
     /// Creates a resolver.
     ///
+    /// * `label` names it in traces and ledgers;
+    /// * `policy` and `roots` (the compiled-in root hints) are shared:
+    ///   a population passes one `Arc` of each to every resolver
+    ///   built from the same values, and a `ResolverPolicy` or a
+    ///   `Vec<RootHint>` is wrapped for this resolver alone;
     /// * `tag` identifies this resolver as a traffic source (its
     ///   simulated source address);
-    /// * `roots` are the compiled-in root hints;
     /// * `rng` drives server selection rotation.
     pub fn new(
-        label: impl Into<String>,
-        policy: ResolverPolicy,
+        label: impl Into<Arc<str>>,
+        policy: impl Into<Arc<ResolverPolicy>>,
         region: Region,
         tag: u64,
-        roots: Vec<RootHint>,
+        roots: impl Into<Arc<[RootHint]>>,
         rng: SimRng,
     ) -> RecursiveResolver {
-        let cache = Cache::new();
         RecursiveResolver {
-            label: label.into().into(),
-            policy,
+            label: label.into(),
+            policy: policy.into(),
             region,
             tag,
-            cache,
-            roots,
+            cache: Cache::new(),
+            roots: roots.into(),
             rng,
-            sticky_server: HashMap::new(),
-            backoff: HashMap::new(),
+            memory: None,
             stats: ResolverStats::default(),
             telemetry: Telemetry::disabled(),
             next_id: 1,
@@ -396,7 +428,9 @@ impl RecursiveResolver {
     /// Drops all cached state (between experiment phases).
     pub fn clear_cache(&mut self) {
         self.cache.clear();
-        self.sticky_server.clear();
+        if let Some(memory) = &mut self.memory {
+            memory.sticky_server.clear();
+        }
     }
 
     /// Applies a scheduled cache-flush fault
@@ -413,8 +447,7 @@ impl RecursiveResolver {
         self.telemetry
             .count_keyed_at(&metrics::FAULT_FLUSHES, 1, now.as_millis());
         self.cache.clear();
-        self.sticky_server.clear();
-        self.backoff.clear();
+        self.memory = None;
     }
 
     /// Accumulated counters.
@@ -1085,7 +1118,8 @@ impl RecursiveResolver {
     fn order_candidates(&mut self, zone: &Name, candidates: &mut Candidates) {
         self.rng.shuffle(candidates);
         if self.policy.sticky {
-            if let Some(&addr) = self.sticky_server.get(zone) {
+            let sticky = self.memory.as_ref().and_then(|m| m.sticky_server.get(zone));
+            if let Some(&addr) = sticky {
                 if let Some(pos) = candidates.iter().position(|a| *a == addr) {
                     candidates.swap(0, pos);
                 } else {
@@ -1170,8 +1204,10 @@ impl RecursiveResolver {
                     ExchangeOutcome::Response { message, .. } => {
                         responded = true;
                         // Empty under the default policy: skip the hash.
-                        if !self.backoff.is_empty() {
-                            self.backoff.remove(addr);
+                        if let Some(memory) = &mut self.memory {
+                            if !memory.backoff.is_empty() {
+                                memory.backoff.remove(addr);
+                            }
                         }
                         ctx.upstream += 1;
                         bump(
@@ -1183,7 +1219,8 @@ impl RecursiveResolver {
                         match message.header.rcode {
                             Rcode::NoError | Rcode::NxDomain => {
                                 if self.policy.sticky {
-                                    self.sticky_server.insert(zone.clone(), *addr);
+                                    let memory = self.memory.get_or_insert_with(Box::default);
+                                    memory.sticky_server.insert(zone.clone(), *addr);
                                 }
                                 return Some((message, from_root, *addr));
                             }
@@ -1225,7 +1262,7 @@ impl RecursiveResolver {
         if self.policy.server_backoff.is_none() {
             return false;
         }
-        let Some(b) = self.backoff.get(&addr) else {
+        let Some(b) = self.memory.as_ref().and_then(|m| m.backoff.get(&addr)) else {
             return false;
         };
         if now >= b.until {
@@ -1253,7 +1290,8 @@ impl RecursiveResolver {
         let Some(base) = self.policy.server_backoff else {
             return;
         };
-        let entry = self.backoff.entry(addr).or_insert(BackoffState {
+        let memory = self.memory.get_or_insert_with(Box::default);
+        let entry = memory.backoff.entry(addr).or_insert(BackoffState {
             failures: 0,
             until: SimTime::ZERO,
         });
@@ -1282,7 +1320,7 @@ impl RecursiveResolver {
         let pinned = from_root && self.policy.local_root;
         let aa = response.header.authoritative;
         let txn = response.header.id as u64;
-        for (records, rank) in [
+        let sections = [
             (
                 &response.answers,
                 if aa {
@@ -1300,7 +1338,12 @@ impl RecursiveResolver {
                 },
             ),
             (&response.additionals, Credibility::ReferralAdditional),
-        ] {
+        ];
+        if self.cache.is_empty() {
+            let sections = sections.map(|(records, _)| records.as_slice());
+            self.cache.reserve(first_store_keys(sections, &self.policy));
+        }
+        for (records, rank) in sections {
             for set in group_rrsets(records) {
                 if set.rtype() == RecordType::SOA {
                     continue; // negative-caching SOAs are handled separately
@@ -1354,6 +1397,29 @@ impl RecursiveResolver {
             &self.policy,
         );
     }
+}
+
+/// The distinct keys a store of `sections` into an empty cache inserts
+/// (not the SOA, nor a set whose TTL clamps to zero), so the first
+/// response sizes the table in one step: the bucket count growing one
+/// insert at a time would reach, without the blocks it would pass
+/// through. Once per cache, so kept out of line.
+#[cold]
+fn first_store_keys(sections: [&[Record]; 3], policy: &ResolverPolicy) -> usize {
+    let sets = || {
+        sections
+            .into_iter()
+            .flat_map(group_rrsets)
+            .filter(|set| set.rtype() != RecordType::SOA && !policy.clamp_ttl(set.ttl()).is_zero())
+    };
+    sets()
+        .enumerate()
+        .filter(|(i, set)| {
+            !sets()
+                .take(*i)
+                .any(|seen| seen.rtype() == set.rtype() && seen.owner() == set.owner())
+        })
+        .count()
 }
 
 /// Increments a [`ResolverStats`] cell and mirrors it onto the metrics
