@@ -133,9 +133,8 @@ impl ZipfCampaignConfig {
         }
     }
 
-    /// The large-scale configuration the benchmark's Zipf workloads and
-    /// `repro bench`'s `zipf_population` pair run: enough cells (64) to
-    /// saturate an 8-worker fan-out with headroom.
+    /// The large-scale configuration the benchmark's Zipf workloads run:
+    /// enough cells (64) to saturate an 8-worker fan-out with headroom.
     pub fn large(probes: usize) -> ZipfCampaignConfig {
         ZipfCampaignConfig {
             probes,
@@ -793,7 +792,8 @@ pub fn run_zipf_campaign(
 }
 
 /// [`run_zipf_campaign`] plus the wall-clock [`ShardProfile`] of the
-/// fan-out (bench attribution; never enters deterministic artifacts).
+/// fan-out (the benchmark's attribution; never enters deterministic
+/// artifacts).
 pub fn run_zipf_campaign_profiled(
     cfg: &ZipfCampaignConfig,
     run_seed: u64,

@@ -17,8 +17,8 @@
 //!   handle (shaped like the handle it is given), ticks the
 //!   `--progress` heartbeat, drains the cells' handles
 //!   (`Telemetry::take_parts`) and absorbs them into the given one in
-//!   cell order. The paper experiments, the Zipf scale campaign and
-//!   `repro bench` all schedule their cells through it.
+//!   cell order. The paper experiments and the Zipf scale campaign
+//!   schedule their cells through it.
 //! * [`population_campaign`] — the population cell loop: partition the
 //!   probes, seed each cell, run [`measure_population`] in it, rebase
 //!   and sum.
@@ -55,7 +55,8 @@ use std::time::{Duration, Instant};
 ///
 /// Everything here is wall-clock and therefore **must never enter a
 /// deterministic artifact** (DESIGN.md §10). Callers route it to stderr
-/// and to the bench report's timings section only.
+/// and to the benchmark's `atlas.fanout_*` and `atlas.cell_ms_*` metrics
+/// only.
 #[derive(Debug, Clone, Default)]
 pub struct ShardProfile {
     /// Per-cell busy time: how long `job(cell)` ran, in cell order.
@@ -238,7 +239,7 @@ impl<'a> FanOut<'a> {
     /// I/O, so threads beyond the core count only add scheduling
     /// overhead (on a one-core host, `--shards 8` used to run *slower*
     /// than the sequential oracle) — and at the cell count.
-    fn threads(&self) -> usize {
+    pub fn threads(&self) -> usize {
         let hw = std::thread::available_parallelism()
             .map(|n| n.get())
             .unwrap_or(1);

@@ -46,7 +46,8 @@ fn assert_bit_identical(cfg: &ZipfCampaignConfig, seed: u64, label: &str) {
     let (oracle, (oracle_ts, oracle_prom)) = run(cfg, seed, ZipfEngine::Oracle, 1);
 
     // Row-level equality first (the digest alone would hide where a
-    // divergence starts); then the digest, which the bench gate uses.
+    // divergence starts); then the digest, which the worker-invariance
+    // checks compare.
     assert_eq!(
         soa.dataset.rows().len(),
         oracle.dataset.rows().len(),

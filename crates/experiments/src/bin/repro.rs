@@ -14,8 +14,6 @@
 //!
 //! repro cache-report               # ledger forensics (Tables 3–4)
 //! repro cache-report --diff A B    # diff two cache snapshots (JSONL)
-//! repro bench --quick --check      # paired bench suite + its in-report gates
-//! repro bench --out BENCH_report.json      # full mode, report written
 //! repro flame RUN_DIR_OR_TRACE     # collapsed stacks from sim-time spans
 //! repro doctor RUN_DIR             # audit manifests, traces, time series
 //! repro timeline RUN_DIR           # sim-time series → CSV + sparklines
@@ -38,79 +36,6 @@ fn module_of(id: &str) -> &'static str {
         eprintln!("unknown artifact {id:?}; try --list");
         std::process::exit(2);
     })
-}
-
-/// `repro bench`: run the headless paired suite, write the
-/// schema-versioned report, and optionally hold the fresh report to
-/// its in-report gates.
-fn run_bench(args: &[String]) -> ! {
-    use dnsttl_bench::BenchConfig;
-
-    let mut seed = 42u64;
-    let mut quick = false;
-    let mut out: Option<std::path::PathBuf> = None;
-    let mut check = false;
-    let mut i = 0;
-    let bad = |msg: &str| -> ! {
-        eprintln!("{msg}");
-        eprintln!("usage: repro bench [--quick] [--seed N] [--out FILE] [--check]");
-        std::process::exit(2);
-    };
-    while i < args.len() {
-        match args[i].as_str() {
-            "--quick" => quick = true,
-            "--seed" => {
-                i += 1;
-                seed = args
-                    .get(i)
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| bad("--seed needs an integer"));
-            }
-            "--out" => {
-                i += 1;
-                out = Some(
-                    args.get(i)
-                        .unwrap_or_else(|| bad("--out needs a path"))
-                        .into(),
-                );
-            }
-            "--check" => check = true,
-            other => bad(&format!("unknown bench flag {other:?}")),
-        }
-        i += 1;
-    }
-
-    let config = if quick {
-        BenchConfig::quick(seed)
-    } else {
-        BenchConfig::full(seed)
-    };
-    let started = std::time::Instant::now();
-    let report = dnsttl_bench::runner::run(config);
-    eprint!("{}", report.summary());
-    eprintln!("({:.1}s wall)", started.elapsed().as_secs_f64());
-
-    if let Some(path) = &out {
-        if let Err(e) = std::fs::write(path, report.render()) {
-            eprintln!("cannot write {}: {e}", path.display());
-            std::process::exit(1);
-        }
-        println!("bench report written to {}", path.display());
-    }
-
-    if check {
-        // Every gate reads two rows of the report just produced. All
-        // verdicts print before the exit code is decided, so one failed
-        // gate cannot hide another.
-        let verdicts = report.check_gates();
-        for Ok(line) | Err(line) in &verdicts {
-            println!("{line}");
-        }
-        if verdicts.iter().any(Result::is_err) {
-            std::process::exit(1);
-        }
-    }
-    std::process::exit(0);
 }
 
 /// `repro cache-report --diff A B`: diff two cache snapshots.
@@ -314,9 +239,6 @@ fn peak_rss_mb() -> Option<u64> {
 
 fn main() {
     let argv: Vec<String> = std::env::args().skip(1).collect();
-    if argv.first().map(String::as_str) == Some("bench") {
-        run_bench(&argv[1..]);
-    }
     if argv.first().map(String::as_str) == Some("flame") {
         run_flame(&argv[1..]);
     }

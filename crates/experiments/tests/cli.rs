@@ -1,7 +1,6 @@
 //! Process-level tests for the `sdig`, `repro` and `zonecheck` binaries:
-//! the forensics flags (`--trace-json`, `--cache-dump`, snapshot diffing),
-//! `repro bench`'s determinism guarantee, gate verdicts and flags, and
-//! how bad input is rejected.
+//! the forensics flags (`--trace-json`, `--cache-dump`, snapshot diffing)
+//! and how bad input is rejected.
 
 use std::process::Command;
 
@@ -140,80 +139,6 @@ fn sdig_snapshots_diff_across_time_via_repro() {
         "diff must mention the re-fetched record:\n{out}"
     );
     let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn repro_bench_deterministic_section_is_byte_identical_across_reruns() {
-    let dir = std::env::temp_dir().join(format!("dnsttl-bench-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("tmp dir");
-    let r1 = dir.join("r1.json");
-    let r2 = dir.join("r2.json");
-    for path in [&r1, &r2] {
-        let out = repro()
-            .args(["bench", "--quick", "--seed", "42", "--out"])
-            .arg(path)
-            .output()
-            .expect("runs");
-        assert!(
-            out.status.success(),
-            "{}",
-            String::from_utf8_lossy(&out.stderr)
-        );
-    }
-    let t1 = std::fs::read_to_string(&r1).expect("report 1");
-    let t2 = std::fs::read_to_string(&r2).expect("report 2");
-    assert_eq!(
-        dnsttl_bench::BenchReport::deterministic_portion(&t1),
-        dnsttl_bench::BenchReport::deterministic_portion(&t2),
-        "same-seed bench reruns must agree byte-for-byte above the timings marker"
-    );
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn repro_bench_check_prints_a_verdict_for_every_gate() {
-    let out = repro()
-        .args(["bench", "--quick", "--seed", "42", "--check"])
-        .output()
-        .expect("runs");
-    // Timing noise on a loaded machine may fail a gate; what must hold
-    // is that `--check` needs no baseline file and evaluates all four
-    // gates whatever the first one says.
-    let text = String::from_utf8_lossy(&out.stdout);
-    for gate in ["fanout", "speedup", "wheel", "telemetry"] {
-        let line = text
-            .lines()
-            .find(|l| l.starts_with(&format!("gate {gate}: ")))
-            .unwrap_or_else(|| panic!("no verdict for the {gate} gate:\n{text}"));
-        assert!(
-            line.ends_with(": ok") || line.ends_with(": FAILED"),
-            "verdict line without a verdict: {line}"
-        );
-        assert!(!line.contains("missing timing row"), "{line}");
-    }
-    let failed = text.lines().filter(|l| l.ends_with(": FAILED")).count();
-    assert_eq!(
-        out.status.code(),
-        Some(i32::from(failed > 0)),
-        "exit code must follow the verdicts:\n{text}"
-    );
-}
-
-#[test]
-fn repro_bench_rejects_the_retired_baseline_flags() {
-    for flags in [&["--baseline", "x"], &["--tolerance", "5"]] {
-        let out = repro().arg("bench").args(flags).output().expect("runs");
-        assert_eq!(
-            out.status.code(),
-            Some(2),
-            "{flags:?} must be a usage error"
-        );
-        let stderr = String::from_utf8_lossy(&out.stderr);
-        assert!(
-            stderr.contains("usage: repro bench [--quick] [--seed N] [--out FILE] [--check]"),
-            "{flags:?}: {stderr}"
-        );
-    }
 }
 
 #[test]

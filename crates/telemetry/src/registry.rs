@@ -25,8 +25,8 @@ use crate::timeseries::{
 };
 
 /// The quantiles every sketch family exports, with their Prometheus
-/// label values. Shared by the text exposition, the dashboard, and the
-/// bench report so "p999" means the same thing everywhere.
+/// label values. Shared by the text exposition and the dashboard so
+/// "p999" means the same thing everywhere.
 pub(crate) const SKETCH_QUANTILES: [(f64, &str); 4] =
     [(0.5, "0.5"), (0.9, "0.9"), (0.99, "0.99"), (0.999, "0.999")];
 

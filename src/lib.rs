@@ -20,10 +20,12 @@
 //!   model: effective TTLs, cache-hit/latency trade-offs, and the §6
 //!   operator recommendations;
 //! * [`experiments`] — one module per table and figure;
-//! * [`telemetry`] — metrics, simulation-time tracing, run manifests,
-//!   and the cache-ledger JSONL codec;
-//! * [`bench`](mod@bench) — the headless paired suite behind `repro bench`, its
-//!   schema-versioned report and the in-report gates CI enforces.
+//! * [`telemetry`] — metrics, simulation-time tracing and run manifests
+//!   (the cache ledger belongs to the resolver).
+//!
+//! What the simulator costs is checked as counts by the tests under
+//! `tests/` (allocations per question, per fan-out, per traced hit) and
+//! timed across commits by the separate `benchmark/` package.
 //!
 //! ## Quickstart
 //!
@@ -48,7 +50,6 @@
 pub use dnsttl_analysis as analysis;
 pub use dnsttl_atlas as atlas;
 pub use dnsttl_auth as auth;
-pub use dnsttl_bench as bench;
 pub use dnsttl_core as core;
 pub use dnsttl_crawl as crawl;
 pub use dnsttl_experiments as experiments;

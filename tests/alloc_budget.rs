@@ -109,6 +109,20 @@ fn bytes_requested<T>(f: impl FnOnce() -> T) -> (T, u64) {
 const NAMES: usize = 64;
 const RECORD_TTL_S: u32 = 60;
 
+/// Trace JSONL bytes that 1 000 traced warm hits over the 64 names
+/// export: their 2 000 span starts and ends, about 125 bytes each.
+const TRACED_HIT_BYTES: usize = 250_840;
+
+/// Cache ledger line bytes of those hits' 1 000 `serve` records, about
+/// 165 bytes each. A line carries the entry's store time and
+/// transaction id, and release builds run the expired-miss checks
+/// before the hits, which store every entry again later.
+const LEDGERED_HIT_BYTES: usize = if cfg!(debug_assertions) {
+    167_001
+} else {
+    164_840
+};
+
 /// The Zipf campaigns' world (`atlas/src/scale.rs`): a root delegating
 /// `zipf` to one child server holding an `A` record per name.
 fn zipf_shaped_world() -> (Network, Vec<RootHint>, Vec<Name>) {
@@ -351,26 +365,23 @@ fn a_question_stays_inside_its_allocation_budget() {
     let telemetry = Telemetry::new();
     resolver.set_telemetry(telemetry.clone());
     hits(&mut resolver, &mut net, false);
-    let before = telemetry.events_recorded();
+    let (before, exported) = (telemetry.events_recorded(), telemetry.trace_jsonl().len());
     let ((), hits_on) = allocations(|| hits(&mut resolver, &mut net, false));
-    // Measured: 3 000 events and 6 allocations more than with telemetry
-    // off — the next 4 096-item blocks of the ring and of the field
-    // slots, and the vectors that file the full ones (it was 3 while
-    // the ring, the field slots and the spilled strings each doubled
-    // once); a hit's qname and its resolver's label are table ids,
-    // neither copied nor counted.
     // Measured: 2 000 events — a hit's span start and end; its cache
     // serve is counted, not traced (3 000 while it was) — and 3
     // allocations more than with telemetry off (6 while serves were
     // traced): the ring and its field slots growing into their next
     // blocks. A hit's qname and its resolver's label are table ids,
-    // neither copied nor counted. Events per hit is the deterministic
-    // proxy for the `telemetry` bench gate's ratio.
+    // neither copied nor counted. Events, exported bytes and
+    // allocations per traced hit are what the observer costs, counted:
+    // a hit that writes a field twice fails the byte count.
     assert_eq!(telemetry.events_recorded() - before, 2_000);
     assert!(
         hits_on <= hits_off + 3,
         "1 000 traced hits allocated {hits_on} times, {hits_off} untraced"
     );
+    let hit_bytes = telemetry.trace_jsonl().len() - exported;
+    assert_eq!(hit_bytes, TRACED_HIT_BYTES, "1 000 traced hits exported");
     // Counted, a traced hit records the same events and builds no
     // record: the answer-TTL sketch reads the TTLs it keeps inline, so
     // it adds only what the trace adds to the untraced counted hits
@@ -387,6 +398,41 @@ fn a_question_stays_inside_its_allocation_budget() {
     assert!(
         counted_on <= counted_off + 3,
         "1 000 counted traced hits allocated {counted_on} times, {counted_off} untraced"
+    );
+
+    // Fully observed — trace and cache ledger — as a resolver under
+    // `sdig --trace` runs: each hit adds one `serve` record to the
+    // ledger and nothing to the trace.
+    resolver.enable_cache_ledger();
+    let telemetry = Telemetry::new();
+    resolver.set_telemetry(telemetry.clone());
+    hits(&mut resolver, &mut net, false);
+    let (before, exported) = (telemetry.events_recorded(), telemetry.trace_jsonl().len());
+    let journalled = |resolver: &RecursiveResolver| -> (u64, usize) {
+        resolver
+            .cache()
+            .with_ledger(|l| {
+                (
+                    l.total_recorded(),
+                    l.records().map(|r| r.to_line().len()).sum(),
+                )
+            })
+            .expect("ledger enabled")
+    };
+    let (records, lines) = journalled(&resolver);
+    hits(&mut resolver, &mut net, false);
+    assert_eq!(telemetry.events_recorded() - before, 2_000);
+    assert_eq!(telemetry.trace_jsonl().len() - exported, TRACED_HIT_BYTES);
+    let (records_after, lines_after) = journalled(&resolver);
+    assert_eq!(
+        records_after - records,
+        1_000,
+        "ledger records of 1 000 hits"
+    );
+    assert_eq!(
+        lines_after - lines,
+        LEDGERED_HIT_BYTES,
+        "ledger lines of 1 000 hits"
     );
 
     // The export: one buffer, however many events it renders.

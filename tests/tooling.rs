@@ -2,13 +2,20 @@
 //! linting → migration planning → behaviour classification, through
 //! the public facade.
 
+mod common;
+
 use dnsttl::analysis::{classify_ttl_series, BehaviorCensus, TtlBehavior};
+use dnsttl::atlas::{
+    population_campaign, run_zipf_campaign, FanOut, MeasurementSpec, QueryName, ZipfCampaignConfig,
+    ZipfRunOpts, LOGICAL_SHARDS,
+};
 use dnsttl::auth::{parse_records, parse_zone, render_zone};
 use dnsttl::core::{
     lint_zone, plan_migration, Bailiwick, LintContext, MigrationSpec, ParentInfo, PolicyMix,
     PublishedTtls, ResolverPolicy,
 };
-use dnsttl::wire::{Name, Ttl};
+use dnsttl::telemetry::Telemetry;
+use dnsttl::wire::{Name, RecordType, Ttl};
 use std::collections::HashSet;
 use std::path::{Path, PathBuf};
 
@@ -100,7 +107,7 @@ fn cache_forensics_snapshot_and_ledger_through_the_facade() {
     use dnsttl::resolver::{
         cache::Cache, BailiwickClass, CacheSnapshot, Credibility, StoreContext,
     };
-    use dnsttl::wire::{RData, RRset, RecordType};
+    use dnsttl::wire::{RData, RRset};
 
     let policy = Policy::default();
     let mut cache = Cache::new();
@@ -173,64 +180,66 @@ fn cache_forensics_snapshot_and_ledger_through_the_facade() {
 
 #[test]
 fn bench_report_header_counts_its_lines_and_gates_find_their_rows() {
-    let report = dnsttl::bench::runner::run(dnsttl::bench::BenchConfig {
-        seed: 3,
-        quick: true,
-        // Report shape only — shrink the zipf population so the suite
-        // stays debug-runnable.
-        pop_scale: 0.02,
-    });
-    let text = report.render();
-    let (above, below) = text
-        .split_once(dnsttl::bench::TIMINGS_MARKER)
-        .expect("timings marker present");
-    let mut above = above.lines();
-    let header = above.next().expect("header line");
-    let counters = above.count();
-    let timings = below.lines().filter(|l| !l.is_empty()).count();
+    // The timing wheel's tape — one cell of the full-scale Zipf
+    // campaign, replayed on the wheel and on a `BTreeSet` — held to the
+    // counters it had while a paired report carried them: timers,
+    // re-arms and the wheel's cascades, with both replays popping the
+    // same sequence. `tests/wheel_timing.rs` times the same tape.
+    let tape = common::WheelTape::zipf_cell(42);
+    let (digest, cascades) = tape.replay_wheel();
+    assert_eq!(tape.timers(), 3_125);
+    assert_eq!(tape.rearms(), 17_029);
+    assert_eq!(cascades, 71);
     assert_eq!(
-        header,
-        format!(
-            "{{\"schema\":\"dnsttl-bench-report/1\",\"seed\":3,\"mode\":\"quick\",\
-             \"counters\":{counters},\"timings\":{timings}}}"
-        )
+        tape.replay_btree(),
+        digest,
+        "the replays popped different timers"
     );
-    // Debug-build timings at this scale may fail a ratio; what the
-    // suite owes the gates is every row they read.
-    for verdict in report.check_gates() {
-        let (Ok(line) | Err(line)) = verdict;
-        assert!(!line.contains("missing timing row"), "{line}");
-    }
 }
 
 #[test]
 fn bench_population_scenarios_reproduce_the_digests_pinned_before_the_shared_engine() {
-    // `sharded_population` used to gate a private copy of the cell
-    // loop; it now calls `dnsttl_atlas::population_campaign`, the engine
-    // `repro --shards` runs. These are the values the last commit with
-    // the private copy printed for `repro bench --quick --seed 42`, so
-    // the move — and any later change to the engine or the merge — is
-    // held to the identical row sequence.
-    let report = dnsttl::bench::runner::run(dnsttl::bench::BenchConfig::quick(42));
-    let value = |scenario: &str, metric: &str| {
-        report
-            .counters
-            .iter()
-            .find(|c| c.scenario == scenario && c.metric == metric)
-            .unwrap_or_else(|| panic!("no counter {scenario}/{metric}"))
-            .value
+    // The two-level population over the fixed cells, and the Zipf
+    // campaign at a tenth of its full scale, as a paired timing suite
+    // ran them at seed 42. The population's values date from before it
+    // left a private copy of the cell loop for the one cell engine
+    // (`dnsttl_atlas::population_campaign`, which `repro --shards`
+    // runs), so the move — and any later change to the engine or the
+    // merge — is held to the identical row sequence.
+    let spec = MeasurementSpec::every_600s(
+        QueryName::Fixed(Name::parse("www.example").expect("static")),
+        RecordType::A,
+        2,
+    );
+    let world = || {
+        let (net, roots) = common::two_level_network(Ttl::from_secs(300));
+        (net, roots, None)
     };
-    for (scenario, metric, pinned) in [
-        ("sharded_population", "results", 6_156.0),
-        ("sharded_population", "valid_results", 6_144.0),
-        ("sharded_population", "digest_hi", 1_469_452_638.0),
-        ("sharded_population", "digest_lo", 18_526_468.0),
-        ("zipf_population", "results", 108_966.0),
-        ("zipf_population", "digest_hi", 3_451_486_222.0),
-        ("zipf_population", "digest_lo", 2_243_215_305.0),
-    ] {
-        assert_eq!(value(scenario, metric), pinned, "{scenario}/{metric}");
-    }
+    let population = population_campaign(
+        &FanOut::new(1, LOGICAL_SHARDS),
+        &Telemetry::disabled(),
+        42,
+        320,
+        &spec,
+        world,
+    )
+    .dataset;
+    let digest = population.digest();
+    assert_eq!(population.len(), 6_156);
+    assert_eq!(population.valid_count(), 6_144);
+    assert_eq!(digest >> 32, 1_469_452_638);
+    assert_eq!(digest & 0xFFFF_FFFF, 18_526_468);
+
+    let zipf = run_zipf_campaign(
+        &ZipfCampaignConfig::large(20_000),
+        42,
+        &ZipfRunOpts::default(),
+    )
+    .dataset;
+    let digest = zipf.digest();
+    assert_eq!(zipf.len(), 108_966);
+    assert_eq!(digest >> 32, 3_451_486_222);
+    assert_eq!(digest & 0xFFFF_FFFF, 2_243_215_305);
 }
 
 #[test]
@@ -822,12 +831,22 @@ const GUARDS: &[Guard] = &[
         exempt: &[],
         files: 0,
     },
-    // `repro bench` owns in-report ratios and `benchmark/` cross-commit
-    // numbers: no Criterion shim, no `cargo bench` target.
+    // `benchmark/` owns every timing but the wheel's one paired ratio
+    // (`tests/wheel_timing.rs`): no Criterion shim, no `cargo bench`
+    // target.
     Guard {
         step: "one timing harness in the workspace",
         pattern: r"criterion|^\[\[bench\]\]",
         paths: &["Cargo.toml", "crates/*/Cargo.toml"],
+        exempt: &[],
+        files: 0,
+    },
+    // The paired bench suite's gates are counts in `tests/` now; its
+    // crate, subcommand, committed report and CI step stay gone.
+    Guard {
+        step: "no paired bench suite beside the benchmark",
+        pattern: r"dnsttl_bench|dnsttl-bench|BENCH_report|repro bench",
+        paths: &["crates", "src", "tests", "examples", ".github"],
         exempt: &[],
         files: 0,
     },
