@@ -14,6 +14,8 @@
 //!   TTL as an answer by the child (Table 1);
 //! * NXDOMAIN / NODATA negative answers with the zone SOA in the
 //!   authority section (the RFC 2308 negative-caching contract);
+//! * RFC 4592 wildcards, which the §4 and §6.2 experiment servers
+//!   answer every probe's own name from;
 //! * dynamic **renumbering** ([`Zone::replace_address`]) used by the §4
 //!   bailiwick experiments, which change a name server's address
 //!   mid-experiment and watch which resolvers notice;
@@ -36,4 +38,4 @@ pub use master::{
 };
 pub use secondary::SecondaryServer;
 pub use server::{AuthoritativeServer, LoggedQuery};
-pub use zone::{Zone, ZoneBuilder, ZoneLookup};
+pub use zone::{Zone, ZoneBuilder};

@@ -56,6 +56,10 @@ pub enum MasterErrorKind {
         /// The origin of the zone being parsed.
         origin: Name,
     },
+    /// An SOA record after the zone's first.
+    SecondSoa,
+    /// An SOA record whose owner is not the zone's origin.
+    SoaBelowApex(Name),
 }
 
 impl fmt::Display for MasterError {
@@ -73,6 +77,8 @@ impl fmt::Display for MasterError {
             MasterErrorKind::OutOfZone { owner, origin } => {
                 write!(f, "owner {owner} is outside zone {origin}")
             }
+            MasterErrorKind::SecondSoa => write!(f, "a second SOA record"),
+            MasterErrorKind::SoaBelowApex(owner) => write!(f, "SOA at {owner}, below the apex"),
         }
     }
 }
@@ -189,23 +195,10 @@ fn parse_numbered_records(
         let starts_blank = line.starts_with(' ') || line.starts_with('\t');
         // Tokens with byte offsets, so TXT rdata can recover the raw
         // remainder of the line (quoted strings keep their spaces).
-        let mut tokens: Vec<(usize, &str)> = Vec::new();
-        {
-            let bytes = line.as_bytes();
-            let mut i = 0;
-            while i < bytes.len() {
-                while i < bytes.len() && (bytes[i] as char).is_whitespace() {
-                    i += 1;
-                }
-                let start = i;
-                while i < bytes.len() && !(bytes[i] as char).is_whitespace() {
-                    i += 1;
-                }
-                if i > start {
-                    tokens.push((start, &line[start..i]));
-                }
-            }
-        }
+        let tokens: Vec<(usize, &str)> = line
+            .split_whitespace()
+            .map(|token| (token.as_ptr() as usize - line.as_ptr() as usize, token))
+            .collect();
         let mut fields: Vec<&str> = tokens.iter().map(|(_, t)| *t).collect();
 
         // Directives.
@@ -273,6 +266,13 @@ fn parse_numbered_records(
     Ok(records)
 }
 
+/// `fields[i]` parsed as a `T`; a field that does not parse is
+/// malformed record data.
+fn parsed<T: std::str::FromStr>(fields: &[&str], i: usize, line: usize) -> Result<T, MasterError> {
+    let bad = || err(line, MasterErrorKind::BadRdata(fields[i].into()));
+    fields[i].parse().map_err(|_| bad())
+}
+
 fn parse_rdata(
     rtype: &str,
     fields: &[&str],
@@ -290,17 +290,11 @@ fn parse_rdata(
     match rtype.to_ascii_uppercase().as_str() {
         "A" => {
             need(1)?;
-            fields[0]
-                .parse()
-                .map(RData::A)
-                .map_err(|_| err(line, MasterErrorKind::BadRdata(fields[0].into())))
+            parsed(fields, 0, line).map(RData::A)
         }
         "AAAA" => {
             need(1)?;
-            fields[0]
-                .parse()
-                .map(RData::Aaaa)
-                .map_err(|_| err(line, MasterErrorKind::BadRdata(fields[0].into())))
+            parsed(fields, 0, line).map(RData::Aaaa)
         }
         "NS" => {
             need(1)?;
@@ -312,11 +306,8 @@ fn parse_rdata(
         }
         "MX" => {
             need(2)?;
-            let preference = fields[0]
-                .parse()
-                .map_err(|_| err(line, MasterErrorKind::BadRdata(fields[0].into())))?;
             Ok(RData::Mx {
-                preference,
+                preference: parsed(fields, 0, line)?,
                 exchange: resolve_name(fields[1], origin, line)?,
             })
         }
@@ -334,36 +325,22 @@ fn parse_rdata(
         }
         "SOA" => {
             need(7)?;
-            let num = |i: usize| -> Result<u32, MasterError> {
-                fields[i]
-                    .parse()
-                    .map_err(|_| err(line, MasterErrorKind::BadRdata(fields[i].into())))
-            };
             Ok(RData::Soa(Arc::new(SoaData {
                 mname: resolve_name(fields[0], origin, line)?,
                 rname: resolve_name(fields[1], origin, line)?,
-                serial: num(2)?,
-                refresh: num(3)?,
-                retry: num(4)?,
-                expire: num(5)?,
-                minimum: num(6)?,
+                serial: parsed(fields, 2, line)?,
+                refresh: parsed(fields, 3, line)?,
+                retry: parsed(fields, 4, line)?,
+                expire: parsed(fields, 5, line)?,
+                minimum: parsed(fields, 6, line)?,
             })))
         }
         "DNSKEY" => {
             need(4)?;
-            let flags = fields[0]
-                .parse()
-                .map_err(|_| err(line, MasterErrorKind::BadRdata(fields[0].into())))?;
-            let protocol = fields[1]
-                .parse()
-                .map_err(|_| err(line, MasterErrorKind::BadRdata(fields[1].into())))?;
-            let algorithm = fields[2]
-                .parse()
-                .map_err(|_| err(line, MasterErrorKind::BadRdata(fields[2].into())))?;
             Ok(RData::Dnskey {
-                flags,
-                protocol,
-                algorithm,
+                flags: parsed(fields, 0, line)?,
+                protocol: parsed(fields, 1, line)?,
+                algorithm: parsed(fields, 2, line)?,
                 key: fields[3].as_bytes().to_vec(),
             })
         }
@@ -466,18 +443,26 @@ pub fn render_zone(zone: &Zone) -> String {
 
 /// Parses a whole zone: origin plus master-file text. Records outside
 /// the origin are rejected by [`Zone::add`]'s invariant, surfaced here
-/// as an error instead of a panic.
+/// as an error instead of a panic. The file's SOA, if it has one,
+/// becomes the zone's; one below the apex or a second one is an error.
 pub fn parse_zone(origin: &str, text: &str) -> Result<Zone, MasterError> {
     let origin_name = Name::parse(origin).map_err(|e| err(0, MasterErrorKind::BadName(e)))?;
     let records = parse_numbered_records(text, Some(&origin_name))?;
     let mut zone = Zone::new(origin_name.clone());
+    let mut soa_seen = false;
     for (line, record) in records {
         if !record.name.is_subdomain_of(&origin_name) {
             let (owner, origin) = (record.name, origin_name);
             return Err(err(line, MasterErrorKind::OutOfZone { owner, origin }));
         }
-        if let RData::Soa(soa) = &record.rdata {
-            zone.set_negative_ttl(Ttl::from_secs(soa.minimum));
+        if record.record_type() == RecordType::SOA {
+            if record.name != origin_name {
+                return Err(err(line, MasterErrorKind::SoaBelowApex(record.name)));
+            }
+            if soa_seen {
+                return Err(err(line, MasterErrorKind::SecondSoa));
+            }
+            soa_seen = true;
         }
         zone.add(record);
     }
@@ -487,7 +472,9 @@ pub fn parse_zone(origin: &str, text: &str) -> Result<Zone, MasterError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::zone::ZoneLookup;
+    use crate::AuthoritativeServer;
+    use dnsttl_netsim::{ClientId, DnsService, Region, SimTime};
+    use dnsttl_wire::Message;
 
     const UY_ZONE: &str = r#"
 ; the .uy zone as of 2019-02-14
@@ -557,6 +544,25 @@ $TTL 3600
         )
         .unwrap();
         assert_eq!(zone.soa().minimum, 42);
+        assert_eq!(zone.soa_record().ttl, Ttl::HOUR);
+    }
+
+    #[test]
+    fn a_second_soa_is_an_error_that_names_its_line() {
+        let text =
+            "$TTL 60\n@ SOA ns1 host 1 2 3 4 5\n\nwww A 192.0.2.1\n@ SOA ns1 host 2 2 3 4 5\n";
+        let e = parse_zone("example", text).unwrap_err();
+        assert_eq!(e, err(5, MasterErrorKind::SecondSoa));
+        assert_eq!(e.to_string(), "line 5: a second SOA record");
+    }
+
+    #[test]
+    fn an_soa_below_the_apex_is_an_error_that_names_its_line() {
+        let text = "$TTL 60\nwww A 192.0.2.1\nsub SOA ns1 host 1 2 3 4 5\n";
+        let e = parse_zone("example", text).unwrap_err();
+        let owner = Name::parse("sub.example").unwrap();
+        assert_eq!(e, err(3, MasterErrorKind::SoaBelowApex(owner)));
+        assert_eq!(e.to_string(), "line 3: SOA at sub.example., below the apex");
     }
 
     #[test]
@@ -579,6 +585,16 @@ $TTL 3600
     }
 
     #[test]
+    fn a_line_split_by_unicode_whitespace_parses() {
+        // A no-break space (U+00A0, bytes C2 A0) separates fields like
+        // any other whitespace, and no token ends inside a character.
+        let records = parse_records("$ORIGIN e.\nx\u{a0}60 A 192.0.2.1\n", None).unwrap();
+        assert_eq!(records[0].name, Name::parse("x.e").unwrap());
+        let e = parse_records("$ORIGIN e.\n$TTL 60\nx TXT\u{a0}é\u{a0}\n", None).unwrap();
+        assert_eq!(e[0].rdata, RData::Txt("é".into()));
+    }
+
+    #[test]
     fn comments_and_blank_lines_ignored() {
         let records = parse_records(
             "; top comment\n\n$ORIGIN e.\n$TTL 60\nx A 192.0.2.1 ; trailing\n",
@@ -591,12 +607,16 @@ $TTL 3600
     #[test]
     fn parsed_zone_answers_queries() {
         let zone = parse_zone("uy", UY_ZONE).unwrap();
-        match zone.lookup(&Name::parse("a.nic.uy").unwrap(), RecordType::A) {
-            ZoneLookup::Answer { records, .. } => {
-                assert_eq!(records[0].ttl.as_secs(), 120);
-            }
-            other => panic!("expected answer, got {other:?}"),
-        }
+        let mut server = AuthoritativeServer::new("a.nic.uy").with_zone(zone);
+        let query = Message::iterative_query(1, Name::parse("a.nic.uy").unwrap(), RecordType::A);
+        let client = ClientId {
+            region: Region::Sa,
+            tag: 1,
+        };
+        let response = server.handle_query(&query, client, SimTime::ZERO);
+        assert!(response.header.authoritative);
+        assert_eq!(response.answers.len(), 1);
+        assert_eq!(response.answers[0].ttl.as_secs(), 120);
     }
 
     #[test]

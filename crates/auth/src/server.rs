@@ -212,10 +212,6 @@ impl DnsService for AuthoritativeServer {
                 response.header.rcode = Rcode::NxDomain;
                 "nxdomain"
             }
-            Walk::NotInZone => {
-                response.header.rcode = Rcode::Refused;
-                "refused"
-            }
         };
         self.note_response(outcome);
     }

@@ -12,6 +12,7 @@ use std::ops::Range;
 use std::sync::Arc;
 
 /// What [`Zone::walk`] found; its records are in the sections it filled.
+#[derive(Debug, PartialEq)]
 pub(crate) enum Walk<'z> {
     /// The zone answers: the answer section holds the `records` that
     /// answer (possibly preceded by a CNAME chain), then the RRSIGs
@@ -30,45 +31,6 @@ pub(crate) enum Walk<'z> {
     NoData,
     /// The name does not exist: the SOA is the authority.
     NxDomain,
-    /// The name is not within this zone; nothing was written.
-    NotInZone,
-}
-
-/// Result of looking a name up in one zone.
-#[derive(Debug, Clone, PartialEq)]
-pub enum ZoneLookup {
-    /// The zone is authoritative for the name and has matching records.
-    Answer {
-        /// Matching records (possibly preceded by a CNAME chain).
-        records: Vec<Record>,
-        /// Additional-section addresses for NS/MX targets in this zone.
-        additionals: Vec<Record>,
-        /// RRSIGs at the query name covering a type in `records`
-        /// (signed zones only; RFC 4035 §3.1.1).
-        signatures: Vec<Record>,
-    },
-    /// The name is at or below a delegation cut: here are the NS records
-    /// (parent-side TTL!) and whatever glue this zone holds.
-    Referral {
-        /// The delegated zone's apex.
-        cut: Name,
-        /// NS records at the cut, with this (parent) zone's TTLs.
-        ns_records: Vec<Record>,
-        /// Glue A/AAAA records for in-bailiwick server names.
-        glue: Vec<Record>,
-    },
-    /// The name exists but has no records of the requested type.
-    NoData {
-        /// Zone SOA for negative caching.
-        soa: Record,
-    },
-    /// The name does not exist in this zone.
-    NxDomain {
-        /// Zone SOA for negative caching.
-        soa: Record,
-    },
-    /// The name is not within this zone at all.
-    NotInZone,
 }
 
 /// Everything the zone holds at one owner name.
@@ -107,6 +69,10 @@ fn rrset(node: Option<&Node>, rtype: RecordType) -> &[Record] {
 /// Records are stored per owner name and type. NS RRsets at names other
 /// than the origin mark delegation cuts; A/AAAA records stored at or
 /// below a cut are *glue*, served only in referrals' additional section.
+/// An SOA record added at the origin becomes the zone's SOA instead
+/// ([`Zone::soa_record`]). An owner whose leftmost label is `*` is a
+/// wildcard (RFC 4592), answering for the names below its parent that
+/// the zone lacks.
 ///
 /// The index is a hash map from owner name to its `Node`, so a query costs
 /// one probe however large the zone is; canonical order exists only
@@ -115,8 +81,8 @@ fn rrset(node: Option<&Node>, rtype: RecordType) -> &[Record] {
 #[derive(Debug, Clone)]
 pub struct Zone {
     origin: Name,
-    /// Shared with every negative answer's SOA record, which
-    /// [`Zone::soa_record`] hands out without a copy.
+    /// Shared with every SOA record [`Zone::soa_record`] hands out, so
+    /// a negative answer copies no SOA data.
     soa: Arc<SoaData>,
     soa_ttl: Ttl,
     nodes: HashMap<Name, Node>,
@@ -128,6 +94,9 @@ pub struct Zone {
     cuts: usize,
     /// Nodes holding an RRSIG RRset; zero means the zone is unsigned.
     signed_nodes: usize,
+    /// Owners with a `*` label; zero means no wildcard name exists, so
+    /// a lookup skips the wildcard step.
+    wildcards: usize,
 }
 
 // Campaign cells on worker threads share one zone behind an `Arc`.
@@ -156,6 +125,7 @@ impl Zone {
             owners_below: HashMap::new(),
             cuts: 0,
             signed_nodes: 0,
+            wildcards: 0,
         }
     }
 
@@ -175,7 +145,8 @@ impl Zone {
     }
 
     /// The SOA as a servable record at the apex: the zone's own SOA
-    /// data, shared, so building it allocates nothing.
+    /// data, shared, so building it allocates nothing. An SOA record
+    /// added at the origin replaces it, data and TTL.
     pub fn soa_record(&self) -> Record {
         Record::new(
             self.origin.clone(),
@@ -184,7 +155,8 @@ impl Zone {
         )
     }
 
-    /// Adds a record. The owner must be at or below the origin.
+    /// Adds a record. The owner must be at or below the origin. An SOA
+    /// at the origin becomes the zone's SOA instead of a stored record.
     ///
     /// # Panics
     /// Panics if the owner is outside the zone — zone files with records
@@ -196,6 +168,13 @@ impl Zone {
             record.name,
             self.origin
         );
+        if let RData::Soa(soa) = &record.rdata {
+            if record.name == self.origin {
+                self.soa = Arc::clone(soa);
+                self.soa_ttl = record.ttl;
+                return;
+            }
+        }
         if !self.nodes.contains_key(&record.name) {
             self.count_owner(&record.name, true);
         }
@@ -249,8 +228,14 @@ impl Zone {
     }
 
     /// Counts a new owner name into (or a vanished one out of)
-    /// `owners_below` at each of its ancestors up to the origin.
+    /// `owners_below` at each of its ancestors up to the origin, and
+    /// into `wildcards` if it has a `*` label.
     fn count_owner(&mut self, owner: &Name, added: bool) {
+        let star = usize::from(owner.labels().any(|label| label == "*"));
+        match added {
+            true => self.wildcards += star,
+            false => self.wildcards -= star,
+        }
         // `owner` is in the zone, so its suffixes at least as long as
         // the origin are exactly its ancestors from the origin down.
         let floor = self.origin.as_str().len();
@@ -354,40 +339,13 @@ impl Zone {
         }
     }
 
-    /// Looks up `qname`/`qtype` following RFC 1034 §4.3.2: `Zone::walk`
-    /// into sections of its own, handed back as owned values.
-    pub fn lookup(&self, qname: &Name, qtype: RecordType) -> ZoneLookup {
-        let mut out = Message::default();
-        match self.walk(qname, qtype, &mut out) {
-            Walk::Answer { records } => ZoneLookup::Answer {
-                signatures: out.answers.split_off(records),
-                records: out.answers,
-                additionals: out.additionals,
-            },
-            Walk::Referral { cut } => ZoneLookup::Referral {
-                cut: cut.clone(),
-                ns_records: out.authorities,
-                glue: out.additionals,
-            },
-            Walk::NoData => ZoneLookup::NoData {
-                soa: out.authorities.pop().expect("the walk wrote the SOA"),
-            },
-            Walk::NxDomain => ZoneLookup::NxDomain {
-                soa: out.authorities.pop().expect("the walk wrote the SOA"),
-            },
-            Walk::NotInZone => ZoneLookup::NotInZone,
-        }
-    }
-
-    /// The one RFC 1034 §4.3.2 walk: appends what the zone serves for
-    /// `qname`/`qtype` to `out`'s three sections and says what it was.
-    /// The authoritative fills its response with it in place;
-    /// [`Zone::lookup`] is the same walk into vectors of its own.
+    /// The one RFC 1034 §4.3.2 walk, with RFC 4592 wildcards: appends
+    /// what the zone serves for `qname`, a name at or below the origin,
+    /// to `out`'s three sections and says what it was. The
+    /// authoritative fills its response with it in place.
     pub(crate) fn walk(&self, qname: &Name, qtype: RecordType, out: &mut Message) -> Walk<'_> {
-        if !qname.is_subdomain_of(&self.origin) {
-            return Walk::NotInZone;
-        }
-        let (node, cut) = self.locate(qname);
+        debug_assert!(qname.is_subdomain_of(&self.origin));
+        let (mut node, cut) = self.locate(qname);
 
         // Step: delegation cut above or at the qname → referral, unless
         // the question is for the cut's NS records from the parent side
@@ -408,8 +366,26 @@ impl Zone {
             return Walk::Referral { cut };
         }
 
-        // Exact-name processing.
+        // The zone's SOA answers at the apex.
         let start = out.answers.len();
+        if qtype == RecordType::SOA && *qname == self.origin {
+            out.answers.push(self.soa_record());
+            self.sign(node, &mut out.answers, start);
+            return Walk::Answer { records: 1 };
+        }
+
+        // The name exists if it owns records or is an empty
+        // non-terminal (an ancestor of an owner name). One that does
+        // not is read at its wildcard, if it has one, as its owner.
+        let mut exists = node.is_some() || self.owners_below.contains_key(qname);
+        let mut owner = None;
+        if !exists && self.wildcards > 0 {
+            if let Some(source) = self.source_of_synthesis(qname) {
+                (node, exists, owner) = (source, true, Some(qname));
+            }
+        }
+
+        // Exact-name processing.
         let direct = rrset(node, qtype);
         if !direct.is_empty() {
             out.answers.extend_from_slice(direct);
@@ -421,6 +397,7 @@ impl Zone {
                 }
             }
             self.sign(node, &mut out.answers, start);
+            own(&mut out.answers[start..], owner);
             return Walk::Answer {
                 records: direct.len(),
             };
@@ -430,9 +407,11 @@ impl Zone {
         // Chase the chain iteratively with a hop bound: zones can
         // contain CNAME loops (misconfiguration), and a server must
         // answer with the partial chain rather than recurse forever.
+        // Targets are read as stored: the chase synthesises nothing.
         if qtype != RecordType::CNAME {
             if let Some(first) = rrset(node, RecordType::CNAME).first() {
                 out.answers.push(first.clone());
+                own(&mut out.answers[start..], owner);
                 let mut cursor = first;
                 for _ in 0..8 {
                     let RData::Cname(target) = &cursor.rdata else {
@@ -458,18 +437,39 @@ impl Zone {
                 }
                 let records = out.answers.len() - start;
                 self.sign(node, &mut out.answers, start);
+                own(&mut out.answers[start + records..], owner);
                 return Walk::Answer { records };
             }
         }
 
-        // The name exists if it owns records or is an empty
-        // non-terminal (an ancestor of an owner name).
         out.authorities.push(self.soa_record());
-        if node.is_some() || self.owners_below.contains_key(qname) {
+        if exists {
             Walk::NoData
         } else {
             Walk::NxDomain
         }
+    }
+
+    /// The source of synthesis for `qname`, a name the zone lacks: the
+    /// wildcard below its closest encloser (its deepest ancestor that
+    /// exists), if that exists; `Some(None)` if it owns nothing.
+    fn source_of_synthesis(&self, qname: &Name) -> Option<Option<&Node>> {
+        let floor = self.origin.as_str().len();
+        let ancestors = qname.suffixes().skip(1);
+        for ancestor in ancestors.take_while(|a| a.as_str().len() >= floor) {
+            // An owner with no names below is a leaf: no wildcard.
+            if self.owners_below.contains_key(&ancestor as &dyn NameKey) {
+                let wildcard = ancestor.wildcard()?;
+                let key = &wildcard as &dyn NameKey;
+                let node = self.nodes.get(key);
+                let exists = node.is_some() || self.owners_below.contains_key(key);
+                return exists.then_some(node);
+            }
+            if self.nodes.contains_key(&ancestor as &dyn NameKey) {
+                return None;
+            }
+        }
+        None
     }
 
     /// Appends the RRSIGs in the query name's node that cover a type in
@@ -487,6 +487,14 @@ impl Zone {
                 }
             }
         }
+    }
+}
+
+/// Gives records a wildcard supplied the query name as their owner,
+/// spelled as asked; `None` when no wildcard supplied them.
+fn own(records: &mut [Record], qname: Option<&Name>) {
+    if let Some(qname) = qname {
+        records.iter_mut().for_each(|r| r.name = qname.clone());
     }
 }
 
@@ -582,6 +590,9 @@ impl ZoneBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::AuthoritativeServer;
+    use dnsttl_netsim::{ClientId, DnsService, Region, SimTime};
+    use dnsttl_wire::Rcode;
 
     fn n(s: &str) -> Name {
         Name::parse(s).unwrap()
@@ -608,24 +619,26 @@ mod tests {
             .build()
     }
 
+    /// The walk of `qname`/`qtype` into a fresh message, with what it
+    /// said it was.
+    fn ask(zone: &Zone, qname: &str, qtype: RecordType) -> (String, Message) {
+        let mut out = Message::default();
+        let walk = format!("{:?}", zone.walk(&n(qname), qtype, &mut out));
+        (walk, out)
+    }
+
     #[test]
     fn referral_at_delegation_carries_parent_ttl_and_glue() {
         let root = root_zone();
-        match root.lookup(&n("www.example.cl"), RecordType::A) {
-            ZoneLookup::Referral {
-                cut,
-                ns_records,
-                glue,
-            } => {
-                assert_eq!(cut, n("cl"));
-                assert_eq!(ns_records.len(), 1);
-                assert_eq!(ns_records[0].ttl, Ttl::TWO_DAYS);
-                // Glue: both A and AAAA of a.nic.cl.
-                assert_eq!(glue.len(), 2);
-                assert!(glue.iter().all(|g| g.name == n("a.nic.cl")));
-            }
-            other => panic!("expected referral, got {other:?}"),
-        }
+        let mut out = Message::default();
+        let walk = root.walk(&n("www.example.cl"), RecordType::A, &mut out);
+        assert_eq!(walk, Walk::Referral { cut: &n("cl") });
+        assert!(out.answers.is_empty());
+        assert_eq!(out.authorities.len(), 1);
+        assert_eq!(out.authorities[0].ttl, Ttl::TWO_DAYS);
+        // Glue: both A and AAAA of a.nic.cl.
+        assert_eq!(out.additionals.len(), 2);
+        assert!(out.additionals.iter().all(|g| g.name == n("a.nic.cl")));
     }
 
     #[test]
@@ -633,91 +646,69 @@ mod tests {
         // The parent is not authoritative for the cut's NS set; it
         // serves it as a referral (no AA) — which is why parent-side
         // TTLs reach resolvers at all.
-        let root = root_zone();
-        assert!(matches!(
-            root.lookup(&n("cl"), RecordType::NS),
-            ZoneLookup::Referral { .. }
-        ));
+        let (walk, _) = ask(&root_zone(), "cl", RecordType::NS);
+        assert_eq!(walk, "Referral { cut: Name(\"cl.\") }");
     }
 
     #[test]
     fn child_answers_its_apex_ns_authoritatively() {
-        let cl = cl_zone();
-        match cl.lookup(&n("cl"), RecordType::NS) {
-            ZoneLookup::Answer {
-                records,
-                additionals,
-                ..
-            } => {
-                assert_eq!(records[0].ttl, Ttl::HOUR); // child's own TTL
-                                                       // Additional carries the in-zone address of the NS host
-                                                       // with the child's A TTL (43200 s, Table 1 row 2).
-                assert_eq!(additionals.len(), 1);
-                assert_eq!(additionals[0].ttl.as_secs(), 43_200);
-            }
-            other => panic!("expected answer, got {other:?}"),
-        }
+        let (walk, out) = ask(&cl_zone(), "cl", RecordType::NS);
+        assert_eq!(walk, "Answer { records: 1 }");
+        assert_eq!(out.answers[0].ttl, Ttl::HOUR); // child's own TTL
+                                                   // Additional carries the in-zone address of the NS host with
+                                                   // the child's A TTL (43200 s, Table 1 row 2).
+        assert_eq!(out.additionals.len(), 1);
+        assert_eq!(out.additionals[0].ttl.as_secs(), 43_200);
     }
 
     #[test]
     fn direct_a_query_gets_child_ttl() {
-        let cl = cl_zone();
-        match cl.lookup(&n("a.nic.cl"), RecordType::A) {
-            ZoneLookup::Answer { records, .. } => {
-                assert_eq!(records[0].ttl.as_secs(), 43_200);
-            }
-            other => panic!("expected answer, got {other:?}"),
-        }
+        let (walk, out) = ask(&cl_zone(), "a.nic.cl", RecordType::A);
+        assert_eq!(walk, "Answer { records: 1 }");
+        assert_eq!(out.answers[0].ttl.as_secs(), 43_200);
     }
 
     #[test]
     fn delegation_below_child_origin_refers() {
-        let cl = cl_zone();
-        match cl.lookup(&n("www.example.cl"), RecordType::A) {
-            ZoneLookup::Referral { cut, glue, .. } => {
-                assert_eq!(cut, n("example.cl"));
-                assert_eq!(glue.len(), 1);
-                assert_eq!(glue[0].name, n("ns.example.cl"));
-            }
-            other => panic!("expected referral, got {other:?}"),
-        }
+        let (walk, out) = ask(&cl_zone(), "www.example.cl", RecordType::A);
+        assert_eq!(walk, "Referral { cut: Name(\"example.cl.\") }");
+        assert_eq!(out.additionals.len(), 1);
+        assert_eq!(out.additionals[0].name, n("ns.example.cl"));
     }
 
     #[test]
     fn nxdomain_and_nodata_carry_soa() {
         let cl = cl_zone();
-        match cl.lookup(&n("nonexistent.cl"), RecordType::A) {
-            ZoneLookup::NxDomain { soa } => {
-                assert_eq!(soa.record_type(), RecordType::SOA);
-            }
-            other => panic!("expected NXDOMAIN, got {other:?}"),
-        }
+        let (walk, out) = ask(&cl, "nonexistent.cl", RecordType::A);
+        assert_eq!(walk, "NxDomain");
+        assert_eq!(out.authorities, [cl.soa_record()]);
         // a.nic.cl exists but has no MX.
-        assert!(matches!(
-            cl.lookup(&n("a.nic.cl"), RecordType::MX),
-            ZoneLookup::NoData { .. }
-        ));
+        let (walk, out) = ask(&cl, "a.nic.cl", RecordType::MX);
+        assert_eq!(walk, "NoData");
+        assert_eq!(out.authorities, [cl.soa_record()]);
     }
 
     #[test]
     fn empty_non_terminal_is_nodata_not_nxdomain() {
-        let cl = cl_zone();
         // "example.cl" exists (it has NS), and "www.example.cl" exists
         // below the cut; but "nic.cl" exists only as an empty
         // non-terminal above a.nic.cl.
-        assert!(matches!(
-            cl.lookup(&n("nic.cl"), RecordType::A),
-            ZoneLookup::NoData { .. }
-        ));
+        let (walk, _) = ask(&cl_zone(), "nic.cl", RecordType::A);
+        assert_eq!(walk, "NoData");
     }
 
     #[test]
     fn out_of_zone_query_is_rejected() {
-        let cl = cl_zone();
-        assert_eq!(
-            cl.lookup(&n("example.org"), RecordType::A),
-            ZoneLookup::NotInZone
-        );
+        // The server walks only the zones that hold the name.
+        let mut srv = AuthoritativeServer::new("a.nic.cl").with_zone(cl_zone());
+        let query = Message::iterative_query(1, n("example.org"), RecordType::A);
+        let client = ClientId {
+            region: Region::Eu,
+            tag: 1,
+        };
+        let response = srv.handle_query(&query, client, SimTime::ZERO);
+        assert_eq!(response.header.rcode, Rcode::Refused);
+        assert!(response.answers.is_empty() && response.authorities.is_empty());
     }
 
     #[test]
@@ -726,14 +717,10 @@ mod tests {
             .cname("www.example.cl", "web.example.cl", Ttl::HOUR)
             .a("web.example.cl", "203.0.113.80", Ttl::HOUR)
             .build();
-        match zone.lookup(&n("www.example.cl"), RecordType::A) {
-            ZoneLookup::Answer { records, .. } => {
-                assert_eq!(records.len(), 2);
-                assert_eq!(records[0].record_type(), RecordType::CNAME);
-                assert_eq!(records[1].record_type(), RecordType::A);
-            }
-            other => panic!("expected answer, got {other:?}"),
-        }
+        let (walk, out) = ask(&zone, "www.example.cl", RecordType::A);
+        assert_eq!(walk, "Answer { records: 2 }");
+        assert_eq!(out.answers[0].record_type(), RecordType::CNAME);
+        assert_eq!(out.answers[1].record_type(), RecordType::A);
     }
 
     #[test]
@@ -743,13 +730,12 @@ mod tests {
             .cname("b.example.cl", "a.example.cl", Ttl::HOUR)
             .build();
         // Must not recurse forever; serves the partial chain.
-        match zone.lookup(&n("a.example.cl"), RecordType::A) {
-            ZoneLookup::Answer { records, .. } => {
-                assert!(!records.is_empty());
-                assert!(records.iter().all(|r| r.record_type() == RecordType::CNAME));
-            }
-            other => panic!("expected partial CNAME answer, got {other:?}"),
-        }
+        let (walk, out) = ask(&zone, "a.example.cl", RecordType::A);
+        assert_eq!(walk, "Answer { records: 2 }");
+        assert!(out
+            .answers
+            .iter()
+            .all(|r| r.record_type() == RecordType::CNAME));
     }
 
     #[test]
@@ -760,13 +746,173 @@ mod tests {
             .cname("c.example.cl", "d.example.cl", Ttl::HOUR)
             .a("d.example.cl", "203.0.113.4", Ttl::HOUR)
             .build();
-        match zone.lookup(&n("a.example.cl"), RecordType::A) {
-            ZoneLookup::Answer { records, .. } => {
-                assert_eq!(records.len(), 4, "3 CNAMEs + final A");
-                assert_eq!(records.last().unwrap().record_type(), RecordType::A);
-            }
-            other => panic!("expected chain answer, got {other:?}"),
+        let (walk, out) = ask(&zone, "a.example.cl", RecordType::A);
+        assert_eq!(walk, "Answer { records: 4 }", "3 CNAMEs + final A");
+        assert_eq!(out.answers[3].record_type(), RecordType::A);
+    }
+
+    /// A §4-style experiment zone: apex NS and SOA, the NS host's
+    /// address, and a wildcard AAAA for every probe's name.
+    fn wildcard_zone() -> Zone {
+        let soa = SoaData {
+            mname: n("ns1.sub.cachetest.net"),
+            rname: n("hostmaster.invalid"),
+            serial: 1,
+            refresh: 7_200,
+            retry: 3_600,
+            expire: 1_209_600,
+            minimum: 60,
+        };
+        ZoneBuilder::new("sub.cachetest.net")
+            .ns("sub.cachetest.net", "ns1.sub.cachetest.net", Ttl::HOUR)
+            .a(
+                "ns1.sub.cachetest.net",
+                "18.184.0.20",
+                Ttl::from_secs(7_200),
+            )
+            .aaaa("*.sub.cachetest.net", "2001:db8::1", Ttl::MINUTE)
+            .record(Record::new(
+                n("sub.cachetest.net"),
+                Ttl::MINUTE,
+                RData::Soa(Arc::new(soa)),
+            ))
+            .build()
+    }
+
+    #[test]
+    fn a_wildcard_answers_one_and_two_labels_below_its_encloser() {
+        let zone = wildcard_zone();
+        for qname in ["p1.sub.cachetest.net", "A.b.SUB.cachetest.net"] {
+            let (walk, out) = ask(&zone, qname, RecordType::AAAA);
+            assert_eq!(walk, "Answer { records: 1 }", "{qname}");
+            // The owner is the query name, spelled as asked.
+            assert_eq!(out.answers[0].name.as_str(), format!("{qname}."));
+            assert_eq!(out.answers[0].ttl, Ttl::MINUTE);
+            assert_eq!(out.answers[0].rdata.to_string(), "2001:db8::1");
+            assert!(out.authorities.is_empty() && out.additionals.is_empty());
         }
+        // The wildcard owner itself is an exact match.
+        let (_, out) = ask(&zone, "*.sub.cachetest.net", RecordType::AAAA);
+        assert_eq!(out.answers[0].name.as_str(), "*.sub.cachetest.net.");
+    }
+
+    #[test]
+    fn a_wildcard_gives_any_other_type_nodata_with_the_soa() {
+        let zone = wildcard_zone();
+        for qtype in [RecordType::A, RecordType::TXT, RecordType::NS] {
+            let (walk, out) = ask(&zone, "p1.sub.cachetest.net", qtype);
+            assert_eq!(walk, "NoData", "{qtype}");
+            assert_eq!(out.authorities, [zone.soa_record()]);
+            assert_eq!(out.authorities[0].ttl, Ttl::MINUTE);
+        }
+    }
+
+    #[test]
+    fn a_wildcard_does_not_answer_for_a_name_that_exists() {
+        let zone = wildcard_zone();
+        // An owner: its own data or NODATA, never the wildcard's.
+        let (walk, out) = ask(&zone, "ns1.sub.cachetest.net", RecordType::AAAA);
+        assert_eq!(walk, "NoData");
+        assert!(out.answers.is_empty());
+        // Below an owner that has no wildcard of its own: NXDOMAIN.
+        let (walk, _) = ask(&zone, "x.ns1.sub.cachetest.net", RecordType::AAAA);
+        assert_eq!(walk, "NxDomain");
+        // An empty non-terminal exists too.
+        let mut zone = zone;
+        zone.add(Record::new(
+            n("a.b.sub.cachetest.net"),
+            Ttl::HOUR,
+            RData::Txt("t".into()),
+        ));
+        let (walk, _) = ask(&zone, "b.sub.cachetest.net", RecordType::AAAA);
+        assert_eq!(walk, "NoData");
+        // Below it the closest encloser is `b`, which has no wildcard.
+        let (walk, _) = ask(&zone, "x.b.sub.cachetest.net", RecordType::AAAA);
+        assert_eq!(walk, "NxDomain");
+    }
+
+    #[test]
+    fn a_cut_takes_precedence_over_a_wildcard() {
+        let zone = ZoneBuilder::new("cachetest.net")
+            .aaaa("*.cachetest.net", "2001:db8::1", Ttl::MINUTE)
+            .ns("sub.cachetest.net", "ns1.sub.cachetest.net", Ttl::HOUR)
+            .build();
+        let (walk, out) = ask(&zone, "p1.sub.cachetest.net", RecordType::AAAA);
+        assert_eq!(walk, "Referral { cut: Name(\"sub.cachetest.net.\") }");
+        assert!(out.answers.is_empty());
+        let (walk, _) = ask(&zone, "p1.cachetest.net", RecordType::AAAA);
+        assert_eq!(walk, "Answer { records: 1 }");
+    }
+
+    #[test]
+    fn a_star_inside_a_label_is_no_wildcard() {
+        let zone = ZoneBuilder::new("example")
+            .a("a*b.example", "192.0.2.1", Ttl::HOUR)
+            .a("x.*y.example", "192.0.2.2", Ttl::HOUR)
+            .build();
+        assert_eq!(zone.wildcards, 0);
+        for qname in ["c.example", "q.*y.example"] {
+            let (walk, _) = ask(&zone, qname, RecordType::A);
+            assert_eq!(walk, "NxDomain", "{qname}");
+        }
+        let (walk, _) = ask(&zone, "a*b.example", RecordType::A);
+        assert_eq!(walk, "Answer { records: 1 }");
+    }
+
+    #[test]
+    fn a_wildcard_with_names_below_it_answers_nodata() {
+        // `*.example` owns nothing but `x.*.example` does: the
+        // wildcard exists, as an empty non-terminal (RFC 4592 §2.2.2).
+        let mut zone = ZoneBuilder::new("example")
+            .a("x.*.example", "192.0.2.1", Ttl::HOUR)
+            .build();
+        let (walk, out) = ask(&zone, "q.example", RecordType::A);
+        assert_eq!(walk, "NoData");
+        assert_eq!(out.authorities, [zone.soa_record()]);
+        // Remove the one owner and no wildcard is left to count.
+        zone.remove(&n("x.*.example"), RecordType::A);
+        assert_eq!(zone.wildcards, 0);
+        let (walk, _) = ask(&zone, "q.example", RecordType::A);
+        assert_eq!(walk, "NxDomain");
+    }
+
+    #[test]
+    fn a_wildcard_owner_round_trips_through_a_zone_file() {
+        let text = crate::render_zone(&wildcard_zone());
+        assert!(text.contains("\n*.sub.cachetest.net. 60 IN AAAA 2001:db8::1\n"));
+        let zone = crate::parse_zone("sub.cachetest.net", &text).unwrap();
+        assert_eq!(crate::render_zone(&zone), text);
+        let (walk, out) = ask(&zone, "p7.sub.cachetest.net", RecordType::AAAA);
+        assert_eq!(walk, "Answer { records: 1 }");
+        assert_eq!(out.answers[0].name, n("p7.sub.cachetest.net"));
+    }
+
+    #[test]
+    fn a_wildcard_cname_is_chased_from_the_query_name() {
+        let zone = ZoneBuilder::new("example")
+            .cname("*.example", "web.example", Ttl::HOUR)
+            .a("web.example", "192.0.2.80", Ttl::HOUR)
+            .build();
+        let (walk, out) = ask(&zone, "Shop.example", RecordType::A);
+        assert_eq!(walk, "Answer { records: 2 }");
+        assert_eq!(out.answers[0].name.as_str(), "Shop.example.");
+        assert_eq!(out.answers[1].name, n("web.example"));
+    }
+
+    #[test]
+    fn an_apex_soa_record_is_the_zone_soa_and_answers_soa() {
+        let zone = wildcard_zone();
+        assert_eq!(zone.soa().minimum, 60);
+        assert_eq!(zone.soa().mname, n("ns1.sub.cachetest.net"));
+        // Stored once: not among the records.
+        assert!(zone.iter().all(|r| r.record_type() != RecordType::SOA));
+        let (walk, out) = ask(&zone, "SUB.cachetest.net", RecordType::SOA);
+        assert_eq!(walk, "Answer { records: 1 }");
+        assert_eq!(out.answers, [zone.soa_record()]);
+        // A zone without one answers with its default SOA.
+        let (walk, out) = ask(&cl_zone(), "cl", RecordType::SOA);
+        assert_eq!(walk, "Answer { records: 1 }");
+        assert_eq!(out.answers[0].record_type(), RecordType::SOA);
     }
 
     #[test]

@@ -4,10 +4,13 @@
 //! environment is offline, so no external property-testing harness).
 
 use dnsttl_auth::{
-    parse_records, parse_zone, render_records, render_zone, MasterErrorKind, ZoneBuilder,
+    parse_records, parse_zone, render_records, render_zone, AuthoritativeServer, MasterErrorKind,
+    SecondaryServer, ZoneBuilder,
 };
-use dnsttl_netsim::SimRng;
-use dnsttl_wire::{Name, RData, Record, SoaData, Ttl};
+use dnsttl_netsim::{ClientId, DnsService, Region, SimDuration, SimRng, SimTime};
+use dnsttl_wire::{Message, Name, RData, Rcode, Record, RecordType, SoaData, Ttl};
+use std::cell::RefCell;
+use std::rc::Rc;
 use std::sync::Arc;
 
 fn gen_label(rng: &mut SimRng) -> String {
@@ -109,6 +112,93 @@ fn zone_render_parse_preserves_lookups() {
         let original = zone.get(&name, dnsttl_wire::RecordType::A);
         let round = reparsed.get(&name, dnsttl_wire::RecordType::A);
         assert_eq!(original, round, "case {case}");
+        assert_eq!(render_zone(&reparsed), text, "case {case}");
+    }
+}
+
+/// The SOA data of a zone's answer: the answer's for an SOA question,
+/// the authority's for a negative one.
+fn soa_in(response: &Message) -> (Ttl, SoaData) {
+    let records = match response.answers.is_empty() {
+        true => &response.authorities,
+        false => &response.answers,
+    };
+    match &records[..] {
+        [record] => match &record.rdata {
+            RData::Soa(soa) => (record.ttl, (**soa).clone()),
+            other => panic!("an SOA, not {other:?}"),
+        },
+        other => panic!("one record, not {other:?}"),
+    }
+}
+
+#[test]
+fn a_zone_file_keeps_its_own_soa() {
+    let mut rng = SimRng::seed_from(15);
+    let client = ClientId {
+        region: Region::Eu,
+        tag: 1,
+    };
+    for case in 0..64 {
+        let soa = SoaData {
+            mname: Name::parse("ns1.example").unwrap(),
+            rname: Name::parse("host.example").unwrap(),
+            serial: rng.range_u64(2, 1 << 31) as u32,
+            refresh: rng.range_u64(60, 86_400) as u32,
+            retry: rng.range_u64(60, 86_400) as u32,
+            expire: rng.range_u64(60, 1 << 21) as u32,
+            minimum: rng.range_u64(1, 86_400) as u32,
+        };
+        let soa_ttl = gen_ttl(&mut rng);
+        let text = format!(
+            "$TTL 300\n@ {} SOA ns1 host {} {} {} {} {}\n@ NS ns1\nns1 A 192.0.2.53\n",
+            soa_ttl.as_secs(),
+            soa.serial,
+            soa.refresh,
+            soa.retry,
+            soa.expire,
+            soa.minimum
+        );
+        let zone = parse_zone("example", &text).expect("the file parses");
+        assert_eq!(*zone.soa(), soa, "case {case}");
+        // One SOA line, however often the zone goes round.
+        let rendered = render_zone(&zone);
+        assert_eq!(rendered.matches(" SOA ").count(), 1, "case {case}");
+        let again = parse_zone("example", &rendered).expect("rendered zone parses");
+        assert_eq!(render_zone(&again), rendered, "case {case}");
+
+        // Negative answers and the apex SOA answer carry the file's SOA,
+        // from the primary and from a secondary that transferred it.
+        let primary = Rc::new(RefCell::new(
+            AuthoritativeServer::new("ns1.example").with_zone(zone),
+        ));
+        let apex = Name::parse("example").unwrap();
+        let mut secondary = SecondaryServer::new(
+            "ns2.example",
+            Rc::clone(&primary),
+            apex.clone(),
+            SimDuration::from_secs(u64::from(soa.refresh)),
+        );
+        let questions = [
+            ("ns1.example", RecordType::TXT, Rcode::NoError),
+            ("absent.example", RecordType::A, Rcode::NxDomain),
+            ("example", RecordType::SOA, Rcode::NoError),
+        ];
+        for (qname, qtype, rcode) in questions {
+            let query = Message::iterative_query(1, Name::parse(qname).unwrap(), qtype);
+            let from_primary = primary
+                .borrow_mut()
+                .handle_query(&query, client, SimTime::ZERO);
+            let from_secondary = secondary.handle_query(&query, client, SimTime::ZERO);
+            for response in [from_primary, from_secondary] {
+                assert_eq!(response.header.rcode, rcode, "case {case}: {qname} {qtype}");
+                assert_eq!(
+                    soa_in(&response),
+                    (soa_ttl, soa.clone()),
+                    "case {case}: {qname} {qtype}"
+                );
+            }
+        }
     }
 }
 

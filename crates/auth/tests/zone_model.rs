@@ -1,28 +1,53 @@
-//! Differential test of the zone index: `Zone::lookup` and
-//! `AuthoritativeServer::handle_query` — and its `respond_into`, over the
-//! previous step's response — against a brute-force model of RFC 1034
-//! §4.3.2 kept in this file.
+//! Differential test of the zone index: `AuthoritativeServer::handle_query`
+//! — and its `respond_into`, over the previous step's response — against
+//! a brute-force model of RFC 1034 §4.3.2 and RFC 4592 wildcards kept in
+//! this file.
 //!
 //! The model is a flat `Vec<Record>` in insertion order and answers
 //! every question by linear scans over it, so it shares nothing with
-//! `Zone`'s hash index, its cut and signature counters, or its
+//! `Zone`'s hash index, its cut, signature and wildcard counters, or its
 //! empty-non-terminal map — the bookkeeping `add`/`remove` must keep
 //! right. Zones are random and hostile on purpose: nested cuts, glue,
-//! empty non-terminals, CNAME chains and loops, RRSIGs that come and go,
-//! owners and queries in mixed case, and mutations interleaved with the
-//! queries.
+//! empty non-terminals, wildcards (some owning nothing but names below),
+//! CNAME chains and loops, RRSIGs that come and go, SOA records at the
+//! apex and below it, owners and queries in mixed case, and mutations
+//! interleaved with the queries.
 //!
 //! The last test pins what stays ordered: `iter()`/`names()` in RFC 4034
 //! §6.1 canonical order, and `render_zone`/`sign_zone` output equal, byte
 //! for byte, to what the `BTreeMap` index produced for `data/uy.zone`
 //! (`data/uy.rendered`, `data/uy.signed`: written by that commit).
 
-use dnsttl_auth::{parse_zone, render_zone, sign_zone, AuthoritativeServer, Zone, ZoneLookup};
+use dnsttl_auth::{parse_zone, render_zone, sign_zone, AuthoritativeServer, Zone};
 use dnsttl_netsim::{ClientId, DnsService, Region, SimRng, SimTime};
-use dnsttl_wire::{Message, Name, RData, Rcode, Record, RecordType, RrsigData, Ttl};
+use dnsttl_wire::{Message, Name, RData, Rcode, Record, RecordType, RrsigData, SoaData, Ttl};
 use std::sync::Arc;
 
-/// The reference: every record of the zone, in the order it was added.
+/// What the model says a one-zone server owes a question.
+#[derive(Debug)]
+enum Outcome {
+    /// Matching records (possibly preceded by a CNAME chain), the
+    /// RRSIGs covering them, and the NS/MX targets' addresses.
+    Answer {
+        records: Vec<Record>,
+        additionals: Vec<Record>,
+        signatures: Vec<Record>,
+    },
+    /// The NS records at the cut (parent-side TTLs) and their glue.
+    Referral {
+        ns_records: Vec<Record>,
+        glue: Vec<Record>,
+    },
+    /// The name exists without the type; the SOA is the authority.
+    NoData,
+    /// The name does not exist; the SOA is the authority.
+    NxDomain,
+    /// The name is not within the zone.
+    NotInZone,
+}
+
+/// The reference: every record of the zone, in the order it was added,
+/// except the apex SOA, which is the zone's SOA record.
 struct Model {
     origin: Name,
     soa: Record,
@@ -36,6 +61,39 @@ impl Model {
             soa: zone.soa_record(),
             records: Vec::new(),
         }
+    }
+
+    /// `Zone::add`: an SOA at the apex replaces the zone's SOA record.
+    fn add(&mut self, record: Record) {
+        match &record.rdata {
+            RData::Soa(_) if record.name == self.origin => {
+                self.soa = Record::new(self.origin.clone(), record.ttl, record.rdata);
+            }
+            _ => self.records.push(record),
+        }
+    }
+
+    /// A name exists if it, or anything below it, owns a record.
+    fn exists(&self, name: &Name) -> bool {
+        self.records.iter().any(|r| r.name.is_subdomain_of(name))
+    }
+
+    /// RFC 4592's source of synthesis for a name that does not exist:
+    /// `*.` under its deepest existing ancestor, if that exists.
+    fn wildcard_for(&self, qname: &Name) -> Option<Name> {
+        let mut ancestor = qname.parent();
+        while let Some(name) = ancestor {
+            if !name.is_subdomain_of(&self.origin) {
+                return None;
+            }
+            if self.exists(&name) {
+                let text = format!("*.{}", name.as_str().trim_start_matches('.'));
+                let source = Name::parse(&text).ok()?;
+                return self.exists(&source).then_some(source);
+            }
+            ancestor = name.parent();
+        }
+        None
     }
 
     fn at(&self, name: &Name, rtype: RecordType) -> Vec<Record> {
@@ -78,9 +136,9 @@ impl Model {
         sigs
     }
 
-    fn lookup(&self, qname: &Name, qtype: RecordType) -> ZoneLookup {
+    fn lookup(&self, qname: &Name, qtype: RecordType) -> Outcome {
         if !qname.is_subdomain_of(&self.origin) {
-            return ZoneLookup::NotInZone;
+            return Outcome::NotInZone;
         }
         // The cut closest to the apex hides everything at and below it.
         let cut = self
@@ -101,14 +159,34 @@ impl Model {
                     _ => {}
                 }
             }
-            return ZoneLookup::Referral {
-                cut: cut.clone(),
-                ns_records,
-                glue,
+            return Outcome::Referral { ns_records, glue };
+        }
+
+        if qtype == RecordType::SOA && *qname == self.origin {
+            let records = vec![self.soa.clone()];
+            return Outcome::Answer {
+                signatures: self.signatures(qname, &records),
+                records,
+                additionals: Vec::new(),
             };
         }
 
-        let direct = self.at(qname, qtype);
+        // A name that does not exist is read at its wildcard, if any;
+        // what is found there is owned by the query name.
+        let exists = self.exists(qname);
+        let source = match exists {
+            true => None,
+            false => self.wildcard_for(qname),
+        };
+        let at_name = source.as_ref().unwrap_or(qname);
+        let owned = |mut records: Vec<Record>| {
+            if source.is_some() {
+                records.iter_mut().for_each(|r| r.name = qname.clone());
+            }
+            records
+        };
+
+        let direct = self.at(at_name, qtype);
         if !direct.is_empty() {
             let mut additionals = Vec::new();
             for r in &direct {
@@ -122,18 +200,19 @@ impl Model {
                     _ => {}
                 }
             }
-            return ZoneLookup::Answer {
-                signatures: self.signatures(qname, &direct),
-                records: direct,
+            return Outcome::Answer {
+                signatures: owned(self.signatures(at_name, &direct)),
+                records: owned(direct),
                 additionals,
             };
         }
 
-        let alias = self.at(qname, RecordType::CNAME).into_iter().next();
+        let alias = self.at(at_name, RecordType::CNAME).into_iter().next();
         if let (Some(first), true) = (alias, qtype != RecordType::CNAME) {
             // Follow the chain for at most eight targets, never twice
             // through the same name; whatever was collected is served.
-            let mut chain = vec![first];
+            // Targets are read as stored, wildcards or not.
+            let mut chain = owned(vec![first]);
             let mut visited = vec![qname.clone()];
             for _hop in 0..8 {
                 let RData::Cname(target) = chain.last().expect("non-empty").rdata.clone() else {
@@ -153,19 +232,16 @@ impl Model {
                     None => break,
                 }
             }
-            return ZoneLookup::Answer {
-                signatures: self.signatures(qname, &chain),
+            return Outcome::Answer {
+                signatures: owned(self.signatures(at_name, &chain)),
                 records: chain,
                 additionals: Vec::new(),
             };
         }
 
-        // A name exists if it, or anything below it, owns a record.
-        let soa = self.soa.clone();
-        if self.records.iter().any(|r| r.name.is_subdomain_of(qname)) {
-            ZoneLookup::NoData { soa }
-        } else {
-            ZoneLookup::NxDomain { soa }
+        match exists || source.is_some() {
+            true => Outcome::NoData,
+            false => Outcome::NxDomain,
         }
     }
 
@@ -174,7 +250,7 @@ impl Model {
         let mut response = Message::response_to(query);
         let question = query.question.as_ref().expect("queries carry a question");
         match self.lookup(&question.qname, question.qtype) {
-            ZoneLookup::Answer {
+            Outcome::Answer {
                 records,
                 additionals,
                 signatures,
@@ -184,22 +260,20 @@ impl Model {
                 response.answers.extend(signatures);
                 response.additionals = additionals;
             }
-            ZoneLookup::Referral {
-                ns_records, glue, ..
-            } => {
+            Outcome::Referral { ns_records, glue } => {
                 response.authorities = ns_records;
                 response.additionals = glue;
             }
-            ZoneLookup::NoData { soa } => {
+            Outcome::NoData => {
                 response.header.authoritative = true;
-                response.authorities.push(soa);
+                response.authorities.push(self.soa.clone());
             }
-            ZoneLookup::NxDomain { soa } => {
+            Outcome::NxDomain => {
                 response.header.authoritative = true;
                 response.header.rcode = Rcode::NxDomain;
-                response.authorities.push(soa);
+                response.authorities.push(self.soa.clone());
             }
-            ZoneLookup::NotInZone => response.header.rcode = Rcode::Refused,
+            Outcome::NotInZone => response.header.rcode = Rcode::Refused,
         }
         response
     }
@@ -216,7 +290,7 @@ impl Model {
     }
 }
 
-const LABELS: [&str; 5] = ["a", "b", "ns", "w", "x1"];
+const LABELS: [&str; 6] = ["a", "b", "ns", "w", "x1", "*"];
 const QTYPES: [RecordType; 9] = [
     RecordType::A,
     RecordType::AAAA,
@@ -271,7 +345,24 @@ fn gen_record(rng: &mut SimRng, origin: &Name) -> Record {
         let depth = 1 + rng.below(3);
         gen_name(rng, origin, depth, true)
     };
-    let rdata = match rng.below(20) {
+    let rdata = match rng.below(21) {
+        // Mostly at the apex, where it becomes the zone's SOA.
+        20 => {
+            let soa = RData::Soa(Arc::new(SoaData {
+                mname: target(rng),
+                rname: origin.clone(),
+                serial: rng.below(1_000) as u32,
+                refresh: 7_200,
+                retry: 3_600,
+                expire: 1_209_600,
+                minimum: 60 + rng.below(600) as u32,
+            }));
+            let owner = match rng.chance(0.8) {
+                true => gen_name(rng, origin, 0, false),
+                false => owner,
+            };
+            return Record::new(owner, Ttl::from_secs(60 + rng.below(7_200) as u32), soa);
+        }
         0..=6 => RData::A(std::net::Ipv4Addr::from(rng.next_u64() as u32)),
         7..=9 => RData::Aaaa(std::net::Ipv6Addr::from(rng.next_u64() as u128)),
         10..=11 => RData::Ns(target(rng)),
@@ -305,12 +396,16 @@ struct Seen {
     empty_non_terminals: usize,
     nxdomain: usize,
     refused: usize,
+    synthesised_answers: usize,
+    synthesised_nodata: usize,
+    apex_soa_answers: usize,
 }
 
 impl Seen {
-    fn note(&mut self, model: &Model, qname: &Name, outcome: &ZoneLookup) {
+    fn note(&mut self, model: &Model, qname: &Name, outcome: &Outcome) {
+        let synthesised = !model.exists(qname) && model.wildcard_for(qname).is_some();
         match outcome {
-            ZoneLookup::Answer {
+            Outcome::Answer {
                 records,
                 signatures,
                 ..
@@ -318,18 +413,22 @@ impl Seen {
                 self.answers += 1;
                 self.chains += usize::from(records.len() > 1 && records[0].name != records[1].name);
                 self.signed += usize::from(!signatures.is_empty());
+                self.synthesised_answers += usize::from(synthesised);
+                let soa = records[0].record_type() == RecordType::SOA;
+                self.apex_soa_answers += usize::from(soa && *qname == model.origin);
             }
-            ZoneLookup::Referral { glue, .. } => {
+            Outcome::Referral { glue, .. } => {
                 self.referrals += 1;
                 self.glued += usize::from(!glue.is_empty());
             }
-            ZoneLookup::NoData { .. } => {
+            Outcome::NoData => {
                 self.nodata += 1;
                 let owned = model.records.iter().any(|r| r.name == *qname);
-                self.empty_non_terminals += usize::from(!owned);
+                self.empty_non_terminals += usize::from(!owned && !synthesised);
+                self.synthesised_nodata += usize::from(synthesised);
             }
-            ZoneLookup::NxDomain { .. } => self.nxdomain += 1,
-            ZoneLookup::NotInZone => self.refused += 1,
+            Outcome::NxDomain => self.nxdomain += 1,
+            Outcome::NotInZone => self.refused += 1,
         }
     }
 }
@@ -369,7 +468,7 @@ fn run_seed(seed: u64, origin: &str) -> Seen {
             match rng.below(if step < 90 { 5 } else { 10 }) {
                 0..=4 => {
                     let record = gen_record(&mut rng, &origin);
-                    model.records.push(record.clone());
+                    model.add(record.clone());
                     zone.add(record);
                 }
                 5..=7 => {
@@ -406,17 +505,15 @@ fn run_seed(seed: u64, origin: &str) -> Seen {
         let depth = rng.below(6);
         let qname = gen_name(&mut rng, &origin, depth, true);
         let qtype = pick(&mut rng, &QTYPES);
-        let expected = model.lookup(&qname, qtype);
-        let zone = srv.zone(&origin).unwrap();
-        assert_eq!(
-            zone.lookup(&qname, qtype),
-            expected,
-            "seed {seed} step {step}: {qname} {qtype}"
-        );
-        seen.note(&model, &qname, &expected);
+        seen.note(&model, &qname, &model.lookup(&qname, qtype));
         let query = Message::iterative_query(step as u16, qname, qtype);
         let response = srv.handle_query(&query, client, SimTime::from_secs(step as u64));
-        assert_eq!(response, model.respond(&query), "seed {seed} step {step}");
+        assert_eq!(
+            response,
+            model.respond(&query),
+            "seed {seed} step {step}: {:?}",
+            query.question
+        );
         srv.respond_into(
             &query,
             client,
@@ -441,11 +538,9 @@ fn run_seed(seed: u64, origin: &str) -> Seen {
     assert_eq!(zone.iter().count(), 0);
     for depth in 0..4 {
         let qname = gen_name(&mut rng, &origin, depth, false);
-        let outcome = zone.lookup(&qname, RecordType::A);
-        assert!(
-            matches!(outcome, ZoneLookup::NxDomain { .. }),
-            "{qname}: {outcome:?}"
-        );
+        let query = Message::iterative_query(1, qname, RecordType::A);
+        let response = srv.handle_query(&query, client, SimTime::ZERO);
+        assert_eq!(response.header.rcode, Rcode::NxDomain, "{response:?}");
     }
     seen
 }
@@ -475,6 +570,9 @@ fn lookup_and_handle_query_match_the_flat_record_model() {
         floor(seen.nodata, "NODATA");
         floor(seen.empty_non_terminals, "empty non-terminals");
         floor(seen.nxdomain, "NXDOMAIN");
+        floor(seen.synthesised_answers, "answers from a wildcard");
+        floor(seen.synthesised_nodata, "NODATA from a wildcard");
+        floor(seen.apex_soa_answers, "apex SOA answers");
         // Nothing is outside the root zone.
         if origin != "." {
             floor(seen.refused, "out-of-zone queries");
@@ -485,25 +583,41 @@ fn lookup_and_handle_query_match_the_flat_record_model() {
 #[test]
 fn nested_cuts_refer_to_the_highest_and_resurface_when_it_goes() {
     let text = "$TTL 60\na.b NS ns.a.b\nns.a.b A 192.0.2.1\nb NS ns.elsewhere.\nw.a.b TXT \"t\"\n";
-    let mut zone = parse_zone("test", text).unwrap();
     let n = |s: &str| Name::parse(s).unwrap();
-    let cut_for = |zone: &Zone, qname: &str| match zone.lookup(&n(qname), RecordType::TXT) {
-        ZoneLookup::Referral { cut, .. } => Some(cut),
-        _ => None,
+    let test = n("test");
+    let mut srv = AuthoritativeServer::new("test").with_zone(parse_zone("test", text).unwrap());
+    let ask = |srv: &mut AuthoritativeServer, qname: &str| {
+        let query = Message::iterative_query(1, n(qname), RecordType::TXT);
+        let client = ClientId {
+            region: Region::Eu,
+            tag: 1,
+        };
+        srv.handle_query(&query, client, SimTime::ZERO)
     };
-    assert_eq!(cut_for(&zone, "W.A.B.test"), Some(n("b.test")));
-    assert_eq!(cut_for(&zone, "b.TEST"), Some(n("b.test")));
+    // A referral's authority section holds the cut's NS records.
+    let cut_for = |srv: &mut AuthoritativeServer, qname: &str| {
+        let response = ask(srv, qname);
+        response
+            .is_referral()
+            .then(|| response.authorities[0].name.clone())
+    };
+    assert_eq!(cut_for(&mut srv, "W.A.B.test"), Some(n("b.test")));
+    assert_eq!(cut_for(&mut srv, "b.TEST"), Some(n("b.test")));
     // With the upper cut gone the lower one is the zone's edge.
+    let zone = srv.zone_mut(&test).unwrap();
     assert_eq!(zone.remove(&n("B.test"), RecordType::NS), 1);
-    assert_eq!(cut_for(&zone, "w.a.b.test"), Some(n("a.b.test")));
-    assert_eq!(cut_for(&zone, "b.test"), None);
-    // `b.test` owns nothing now but still has names below it.
-    let outcome = zone.lookup(&n("b.test"), RecordType::TXT);
-    assert!(matches!(outcome, ZoneLookup::NoData { .. }), "{outcome:?}");
+    assert_eq!(cut_for(&mut srv, "w.a.b.test"), Some(n("a.b.test")));
+    assert_eq!(cut_for(&mut srv, "b.test"), None);
+    // `b.test` owns nothing now but still has names below it: NODATA.
+    let response = ask(&mut srv, "b.test");
+    assert_eq!(response.header.rcode, Rcode::NoError);
+    assert!(response.header.authoritative && response.answers.is_empty());
     // With no cut left the data below answers for itself.
+    let zone = srv.zone_mut(&test).unwrap();
     assert_eq!(zone.remove(&n("a.b.test"), RecordType::NS), 1);
-    let outcome = zone.lookup(&n("w.a.b.test"), RecordType::TXT);
-    assert!(matches!(outcome, ZoneLookup::Answer { .. }), "{outcome:?}");
+    let response = ask(&mut srv, "w.a.b.test");
+    assert!(response.header.authoritative);
+    assert_eq!(response.answers.len(), 1);
 }
 
 /// One line per record; RRSIGs with their signature bytes, which

@@ -5,9 +5,9 @@
 //! same TTLs, same parent/child disagreements, same bailiwick layouts.
 
 use dnsttl_auth::{AuthoritativeServer, ZoneBuilder};
-use dnsttl_netsim::{ClientId, DnsService, LatencyModel, Network, Region, SimTime};
+use dnsttl_netsim::{LatencyModel, Network, Region};
 use dnsttl_resolver::RootHint;
-use dnsttl_wire::{Message, Name, RData, Rcode, Record, RecordType, SoaData, Ttl};
+use dnsttl_wire::{Name, RData, Record, SoaData, Ttl};
 use std::cell::RefCell;
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr};
 use std::rc::Rc;
@@ -48,7 +48,7 @@ pub mod addrs {
     /// The original `sub.cachetest.net` server.
     pub const SUB_OLD: IpAddr = IpAddr::V4(Ipv4Addr::new(18, 184, 0, 20));
     /// The renumbered `sub.cachetest.net` server.
-    pub(crate) const SUB_NEW: IpAddr = IpAddr::V4(Ipv4Addr::new(18, 184, 0, 21));
+    pub const SUB_NEW: IpAddr = IpAddr::V4(Ipv4Addr::new(18, 184, 0, 21));
     /// The controlled-experiment test server (`mapache-de-madrid.co`).
     pub(crate) const MAPACHE: IpAddr = IpAddr::V4(Ipv4Addr::new(18, 184, 0, 40));
     /// `ns.example`, the one server of [`example_world`](super::example_world).
@@ -314,120 +314,39 @@ pub fn nl_world() -> NlWorld {
 // §4: the cachetest.net renumbering worlds
 // ---------------------------------------------------------------------
 
-/// A synthetic authoritative server used where the paper ran custom
-/// zones on EC2 VMs: it answers AAAA queries for *any* name under its
-/// apex with a marker address (the paper's per-probe
-/// `PROBEID.sub.cachetest.net` names), serves its apex NS set, and —
-/// when it hosts its own name server record — the server's A record.
-///
-/// The old and new VMs of §4's renumbering experiments are two
-/// instances with different markers and addresses.
-pub(crate) struct SyntheticZoneService {
-    /// Apexes this server is authoritative for (wildcard AAAA under
-    /// each).
-    pub apexes: Vec<Name>,
-    /// The NS host name advertised for every apex.
-    pub ns_name: Name,
-    /// NS record TTL.
-    pub ns_ttl: Ttl,
-    /// TTL of the NS host's A record.
-    pub a_ttl: Ttl,
-    /// The NS host's address as this server believes it (old VMs keep
-    /// answering with the old address after a renumber).
-    pub ns_addr: Ipv4Addr,
-    /// TTL of wildcard AAAA answers (60 s in §4: "one tenth our probe
-    /// interval").
-    pub aaaa_ttl: Ttl,
-    /// The marker address distinguishing this VM in responses.
-    pub marker: Ipv6Addr,
-    /// Whether this server serves the `ns_name` A record at all (false
-    /// when the NS host's zone lives elsewhere).
-    pub serves_ns_a: bool,
-    /// The SOA data every negative answer carries ([`vm_soa`]), built
-    /// once: an NXDOMAIN or NODATA hands out another reference.
-    pub soa: Arc<SoaData>,
-}
-
-/// The SOA data of a synthetic zone served by `ns_name`.
-pub(crate) fn vm_soa(ns_name: &Name) -> Arc<SoaData> {
-    Arc::new(SoaData {
-        mname: ns_name.clone(),
+/// An experiment VM, where the paper ran its own zones on EC2 (§4's
+/// renumbering, §6.2's controlled TTLs): one zone per apex, each with
+/// the apex NS set, the host's address `addr` where the host is in the
+/// zone, a 60 s SOA, and `*.<apex> AAAA marker`, which answers every
+/// probe's own `PROBEID.<apex>` and tells the VMs apart.
+fn vm(
+    apexes: &[&str],
+    ns_host: &str,
+    addr: IpAddr,
+    marker: Ipv6Addr,
+    [ns_ttl, a_ttl, aaaa_ttl]: [Ttl; 3],
+) -> AuthoritativeServer {
+    let soa = RData::Soa(Arc::new(SoaData {
+        mname: name(ns_host),
         rname: name("hostmaster.invalid"),
         serial: 1,
         refresh: 7_200,
         retry: 3_600,
         expire: 1_209_600,
         minimum: 60,
-    })
-}
-
-impl SyntheticZoneService {
-    fn soa(&self, apex: &Name) -> Record {
-        Record::new(apex.clone(), Ttl::MINUTE, RData::Soa(self.soa.clone()))
-    }
-}
-
-impl DnsService for SyntheticZoneService {
-    fn handle_query(&mut self, query: &Message, client: ClientId, now: SimTime) -> Message {
-        let mut response = Message::default();
-        self.respond_into(query, client, now, &mut response);
-        response
-    }
-
-    /// Fills `response` in place, so a recycled message is answered
-    /// without allocating its sections.
-    fn respond_into(
-        &mut self,
-        query: &Message,
-        _client: ClientId,
-        _now: SimTime,
-        response: &mut Message,
-    ) {
-        response.reuse_as_response_to(query);
-        let Some(q) = &query.question else {
-            response.header.rcode = Rcode::FormErr;
-            return;
-        };
-        let Some(apex) = self.apexes.iter().find(|a| q.qname.is_subdomain_of(a)) else {
-            response.header.rcode = Rcode::Refused;
-            return;
-        };
-        response.header.authoritative = true;
-        match q.qtype {
-            RecordType::NS if q.qname == *apex => {
-                response.answers.push(Record::new(
-                    apex.clone(),
-                    self.ns_ttl,
-                    RData::Ns(self.ns_name.clone()),
-                ));
-                if self.serves_ns_a {
-                    response.additionals.push(Record::new(
-                        self.ns_name.clone(),
-                        self.a_ttl,
-                        RData::A(self.ns_addr),
-                    ));
-                }
-            }
-            RecordType::A if self.serves_ns_a && q.qname == self.ns_name => {
-                response.answers.push(Record::new(
-                    q.qname.clone(),
-                    self.a_ttl,
-                    RData::A(self.ns_addr),
-                ));
-            }
-            RecordType::AAAA => {
-                response.answers.push(Record::new(
-                    q.qname.clone(),
-                    self.aaaa_ttl,
-                    RData::Aaaa(self.marker),
-                ));
-            }
-            _ => {
-                let soa = self.soa(apex);
-                response.authorities.push(soa);
-            }
+    }));
+    let mut server = AuthoritativeServer::new(ns_host);
+    for &apex in apexes {
+        let mut zone = ZoneBuilder::new(apex)
+            .ns(apex, ns_host, ns_ttl)
+            .record(Record::new(name(apex), Ttl::MINUTE, soa.clone()))
+            .aaaa(&format!("*.{apex}"), &marker.to_string(), aaaa_ttl);
+        if name(ns_host).is_subdomain_of(&name(apex)) {
+            zone = zone.a(ns_host, &addr.to_string(), a_ttl);
         }
+        server.add_zone(zone.build());
     }
+    server
 }
 
 /// The §4 experiment world, in either bailiwick configuration.
@@ -442,10 +361,6 @@ pub struct CachetestWorld {
     /// The `.com` registry server (glue for the out-of-bailiwick NS
     /// host; `None` in the in-bailiwick configuration).
     pub com: Option<Rc<RefCell<AuthoritativeServer>>>,
-    /// Marker returned by the original VM.
-    pub old_marker: Ipv6Addr,
-    /// Marker returned by the renumbered VM.
-    pub new_marker: Ipv6Addr,
 }
 
 /// The marker AAAA of the original server.
@@ -499,78 +414,46 @@ pub fn cachetest_world(out_of_bailiwick: bool) -> CachetestWorld {
     let parent =
         rc(AuthoritativeServer::new("ns1.cachetest.net").with_zone(cachetest_builder.build()));
 
-    let com = if out_of_bailiwick {
-        // .com delegates zurrundedu.com. The registry pins its own
-        // 2-day TTLs on delegation data — which is why §4.4 finds
-        // OpenDNS (parent-centric) serving the old address long after
-        // the child's 7200 s A record rolled over. Renumbering still
-        // propagates into this glue within seconds (.com dynamic
-        // updates), but parent-centric caches hold the *old* copy for
-        // up to two days.
-        let com_zone = ZoneBuilder::new("com")
-            .ns("com", "a.gtld-servers.net", Ttl::TWO_DAYS)
-            .ns("zurrundedu.com", "ns1.zurrundedu.com", Ttl::TWO_DAYS)
-            .a("ns1.zurrundedu.com", "18.184.0.20", Ttl::TWO_DAYS)
-            .build();
-        Some(rc(
-            AuthoritativeServer::new("a.gtld-servers.net").with_zone(com_zone)
-        ))
-    } else {
-        None
-    };
-
-    // The same gTLD infrastructure serves .net (and .com when needed).
+    // The same gTLD infrastructure serves .net and, out of bailiwick,
+    // .com, which delegates zurrundedu.com. The registry pins its own
+    // 2-day TTLs on delegation data — which is why §4.4 finds OpenDNS
+    // (parent-centric) serving the old address long after the child's
+    // 7200 s A record rolled over. Renumbering still propagates into
+    // this glue within seconds (.com dynamic updates), but
+    // parent-centric caches hold the *old* copy for up to two days.
     let mut gtld = AuthoritativeServer::new("a.gtld-servers.net").with_zone(net_zone);
-    if let Some(com) = &com {
-        // Serve .com from the same address; merge by registering the
-        // zone into the same server instance instead.
-        let com_zone = com.borrow().zone(&name("com")).cloned().expect("com zone");
-        gtld.add_zone(com_zone);
+    let mut apexes = vec!["sub.cachetest.net"];
+    if out_of_bailiwick {
+        gtld.add_zone(
+            ZoneBuilder::new("com")
+                .ns("com", "a.gtld-servers.net", Ttl::TWO_DAYS)
+                .ns("zurrundedu.com", "ns1.zurrundedu.com", Ttl::TWO_DAYS)
+                .a("ns1.zurrundedu.com", "18.184.0.20", Ttl::TWO_DAYS)
+                .build(),
+        );
+        apexes.push("zurrundedu.com");
     }
     let gtld = rc(gtld);
     net.register(addrs::NET, Region::Na, gtld.clone());
     net.register(addrs::CACHETEST, Region::Eu, parent.clone());
 
-    // The experiment VMs. Both serve sub.cachetest.net (and, out of
-    // bailiwick, the NS host's own zone zurrundedu.com).
-    let mut apexes = vec![name("sub.cachetest.net")];
-    if out_of_bailiwick {
-        apexes.push(name("zurrundedu.com"));
+    // The experiment VMs: NS 3600 s, A 7200 s and AAAA 60 s ("one
+    // tenth our probe interval"), for sub.cachetest.net and, out of
+    // bailiwick, the NS host's own zone zurrundedu.com.
+    let ttls = [Ttl::HOUR, Ttl::from_secs(7_200), Ttl::MINUTE];
+    for (addr, marker) in [(addrs::SUB_OLD, OLD_MARKER), (addrs::SUB_NEW, NEW_MARKER)] {
+        net.register(
+            addr,
+            Region::Eu,
+            rc(vm(&apexes, ns_host, addr, marker, ttls)),
+        );
     }
-    let ns_name = name(ns_host);
-    let soa = vm_soa(&ns_name);
-    let old = SyntheticZoneService {
-        apexes: apexes.clone(),
-        ns_name: ns_name.clone(),
-        ns_ttl: Ttl::HOUR,
-        a_ttl: Ttl::from_secs(7_200),
-        ns_addr: v4(addrs::SUB_OLD),
-        aaaa_ttl: Ttl::MINUTE,
-        marker: OLD_MARKER,
-        serves_ns_a: true,
-        soa: soa.clone(),
-    };
-    let new = SyntheticZoneService {
-        apexes,
-        ns_name,
-        ns_ttl: Ttl::HOUR,
-        a_ttl: Ttl::from_secs(7_200),
-        ns_addr: v4(addrs::SUB_NEW),
-        aaaa_ttl: Ttl::MINUTE,
-        marker: NEW_MARKER,
-        serves_ns_a: true,
-        soa,
-    };
-    net.register(addrs::SUB_OLD, Region::Eu, Rc::new(RefCell::new(old)));
-    net.register(addrs::SUB_NEW, Region::Eu, Rc::new(RefCell::new(new)));
 
     CachetestWorld {
         net,
         roots: root_hints(),
         parent,
-        com: com.map(|_| gtld),
-        old_marker: OLD_MARKER,
-        new_marker: NEW_MARKER,
+        com: out_of_bailiwick.then_some(gtld),
     }
 }
 
@@ -646,19 +529,13 @@ pub(crate) fn controlled_world(aaaa_ttl: Ttl, anycast: bool) -> (Network, Vec<Ro
         rc(AuthoritativeServer::new("ns.cctld.co").with_zone(co_zone)),
     );
 
-    let ns_name = name("ns1.mapache-de-madrid.co");
-    let service = SyntheticZoneService {
-        apexes: vec![name("mapache-de-madrid.co")],
-        soa: vm_soa(&ns_name),
-        ns_name,
-        ns_ttl: Ttl::TWO_DAYS,
-        a_ttl: Ttl::TWO_DAYS,
-        ns_addr: v4(addrs::MAPACHE),
-        aaaa_ttl,
-        marker: Ipv6Addr::new(0x2001, 0xdb8, 0xaa, 0, 0, 0, 0, 1),
-        serves_ns_a: true,
-    };
-    let handle = Rc::new(RefCell::new(service));
+    let handle = rc(vm(
+        &["mapache-de-madrid.co"],
+        "ns1.mapache-de-madrid.co",
+        addrs::MAPACHE,
+        Ipv6Addr::new(0x2001, 0xdb8, 0xaa, 0, 0, 0, 0, 1),
+        [Ttl::TWO_DAYS, Ttl::TWO_DAYS, aaaa_ttl],
+    ));
     if anycast {
         // Route53-like: sites on every continent.
         net.register_anycast(addrs::MAPACHE, &Region::ALL, handle);
@@ -698,8 +575,9 @@ pub(crate) fn example_world(latency: LatencyModel, child: AuthoritativeServer) -
 mod tests {
     use super::*;
     use dnsttl_core::ResolverPolicy;
-    use dnsttl_netsim::SimRng;
+    use dnsttl_netsim::{ClientId, DnsService, SimRng, SimTime};
     use dnsttl_resolver::RecursiveResolver;
+    use dnsttl_wire::{Message, Rcode, RecordType};
 
     fn resolver(roots: Vec<RootHint>) -> RecursiveResolver {
         RecursiveResolver::new(
@@ -714,21 +592,18 @@ mod tests {
 
     /// A recycled message — TC and AA set, every section full — comes
     /// back from `respond_into` as `handle_query`'s fresh answer, on
-    /// every branch of the service.
+    /// every kind of answer the §4 VM gives.
     #[test]
     fn a_synthetic_zone_fills_a_recycled_message_as_it_answers_afresh() {
-        let ns_name = name("ns1.sub.cachetest.net");
-        let mut service = SyntheticZoneService {
-            apexes: vec![name("sub.cachetest.net")],
-            soa: vm_soa(&ns_name),
-            ns_name,
-            ns_ttl: Ttl::HOUR,
-            a_ttl: Ttl::from_secs(7_200),
-            ns_addr: v4(addrs::SUB_OLD),
-            aaaa_ttl: Ttl::MINUTE,
-            marker: OLD_MARKER,
-            serves_ns_a: true,
-        };
+        let ttls = [Ttl::HOUR, Ttl::from_secs(7_200), Ttl::MINUTE];
+        let apexes = ["sub.cachetest.net"];
+        let mut service = vm(
+            &apexes,
+            "ns1.sub.cachetest.net",
+            addrs::SUB_OLD,
+            OLD_MARKER,
+            ttls,
+        );
         let ask = |qname: &str, qtype| Message::query(7, name(qname), qtype);
         let mut question_less = ask("sub.cachetest.net", RecordType::NS);
         question_less.question = None;

@@ -66,6 +66,25 @@ fn sdig_trace_json_emits_parseable_ledger_events() {
 }
 
 #[test]
+fn sdig_answers_an_apex_soa_question_with_the_zone_soa() {
+    // The zone's SOA answers `SOA` at its apex (it is not a record
+    // stored beside the others); `.uy` keeps the default one.
+    let out = stdout_of(
+        sdig()
+            .args(["--world", "uy", "uy", "SOA"])
+            .output()
+            .expect("runs"),
+    );
+    assert!(out.contains(" response NOERROR "), "{out}");
+    assert!(
+        out.lines()
+            .any(|l| l
+                == ";; answer: uy. 3600 IN SOA uy. hostmaster.invalid. 1 7200 3600 1209600 300"),
+        "the SOA is the answer:\n{out}"
+    );
+}
+
+#[test]
 fn sdig_cache_dump_lists_provenance_per_entry() {
     let out = stdout_of(
         sdig()

@@ -56,8 +56,9 @@ pub struct ClientId {
 
 /// A DNS server attached to the network.
 ///
-/// Implemented by authoritative servers in `dnsttl-auth` (and by test
-/// doubles). Servers are synchronous: one query in, one response out.
+/// Implemented by `dnsttl-auth`'s `AuthoritativeServer` (and its
+/// forwarding `SecondaryServer`) for every simulated zone, and by test
+/// doubles. Servers are synchronous: one query in, one response out.
 /// The fabric asks through [`DnsService::respond_into`], handing the
 /// server a recycled message to fill; a service that only implements
 /// [`DnsService::handle_query`] answers it with a new message, and one

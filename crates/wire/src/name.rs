@@ -325,8 +325,12 @@ impl ReprBuf {
         if self.len + 1 > MAX_NAME_LEN {
             return Err(WireError::NameTooLong(self.len + 1));
         }
-        let repr = std::str::from_utf8(&self.bytes[..self.len]).expect("labels are ASCII");
-        Ok(Name::from_valid_repr(repr))
+        Ok(Name::from_valid_repr(self.as_str()))
+    }
+
+    /// The bytes pushed so far, when they all fit.
+    fn as_str(&self) -> &str {
+        std::str::from_utf8(&self.bytes[..self.len]).expect("labels are ASCII")
     }
 }
 
@@ -379,7 +383,21 @@ impl<'a> NameSuffix<'a> {
             hash: self.hash,
         }
     }
+
+    /// The wildcard name just below this suffix (`*.nic.uy.` for
+    /// `nic.uy.`) as a map key on the stack, so a map keyed on [`Name`]
+    /// finds that owner without building one; `None` if over-long.
+    pub fn wildcard(&self) -> Option<WildcardKey> {
+        let mut repr = ReprBuf::new();
+        repr.push("*.");
+        repr.push(self.repr.strip_prefix('.').unwrap_or(self.repr));
+        (repr.len < MAX_NAME_LEN).then(|| WildcardKey(folded_fnv(repr.as_str()), repr))
+    }
 }
+
+/// A wildcard name built by [`NameSuffix::wildcard`]: its folded hash
+/// and its bytes, hashed and compared as the equal [`Name`] would be.
+pub struct WildcardKey(u64, ReprBuf);
 
 /// Iterator behind [`Name::suffixes`].
 #[derive(Debug, Clone)]
@@ -439,6 +457,15 @@ impl NameKey for NameSuffix<'_> {
     }
     fn repr(&self) -> &str {
         self.repr
+    }
+}
+
+impl NameKey for WildcardKey {
+    fn folded_hash(&self) -> u64 {
+        self.0
+    }
+    fn repr(&self) -> &str {
+        self.1.as_str()
     }
 }
 
@@ -675,6 +702,36 @@ mod tests {
         assert_eq!(found, [None, Some(&1), None, Some(&0)]);
         // Label boundaries still matter: `ic.uy.` is no suffix of it.
         assert!(!map.contains_key(&n("ic.uy") as &dyn NameKey));
+    }
+
+    #[test]
+    fn a_wildcard_key_finds_the_wildcard_owner_in_any_case() {
+        use std::collections::HashMap;
+        let mut map: HashMap<Name, u8> = HashMap::new();
+        map.insert(n("*.nic.UY"), 1);
+        map.insert(n("*"), 0);
+        map.insert(n("a*b.uy"), 2);
+        let name = n("x.a.NIC.uy");
+        let found: Vec<Option<&u8>> = name
+            .suffixes()
+            .map(|s| map.get(&s.wildcard().unwrap() as &dyn NameKey))
+            .collect();
+        assert_eq!(found, [None, None, Some(&1), None, Some(&0)]);
+        // A label that holds a `*` among other bytes is no wildcard.
+        let uy = n("q.uy");
+        let star_uy = uy.suffixes().nth(1).unwrap().wildcard().unwrap();
+        assert_eq!(map.get(&star_uy as &dyn NameKey), None);
+        // No key for a wildcard longer than a name may be.
+        let long = n(&[
+            "a".repeat(63),
+            "b".repeat(63),
+            "c".repeat(63),
+            "d".repeat(61),
+        ]
+        .join("."));
+        assert_eq!(long.as_str().len(), 254);
+        assert!(long.suffixes().next().unwrap().wildcard().is_none());
+        assert!(long.suffixes().nth(1).unwrap().wildcard().is_some());
     }
 
     #[test]

@@ -6,10 +6,14 @@
 
 use dnsttl::analysis::BehaviorCensus;
 use dnsttl::atlas::{Population, PopulationConfig};
-use dnsttl::experiments::worlds::{addrs, uy_world};
-use dnsttl::netsim::{SimRng, SimTime};
+use dnsttl::auth::{AuthoritativeServer, ZoneBuilder};
+use dnsttl::experiments::worlds::{addrs, cachetest_world, uy_world};
+use dnsttl::netsim::{Region, SimRng, SimTime};
 use dnsttl::resolver::CacheStats;
 use dnsttl::wire::{Name, Rcode, RecordType, Ttl};
+use std::cell::RefCell;
+use std::net::{IpAddr, Ipv4Addr};
+use std::rc::Rc;
 
 /// The `.uy` world as the paper found it: the child publishes its NS
 /// set for 300 s and its server addresses for 120 s, the root for two
@@ -140,5 +144,124 @@ fn a_question_asked_in_random_case_gets_the_same_answers_counts_and_findings() {
                 lower.server_load, mixed.server_load, lower.census, mixed.census
             );
         }
+    }
+}
+
+/// Where the zone no question reaches is served: `ns1.unused.cachetest.net`.
+const UNUSED: IpAddr = IpAddr::V4(Ipv4Addr::new(18, 184, 0, 30));
+
+/// What a run of §4's in-bailiwick renumbering yields: every answer's
+/// rcode, hit, upstream count, elapsed time and records (rendered, so
+/// the VM's marker shows), each resolver's cache counters, and the
+/// load on each server of the world.
+#[derive(Debug, PartialEq)]
+struct Renumbering {
+    answers: Vec<(Rcode, bool, u32, u64, Vec<String>)>,
+    caches: Vec<CacheStats>,
+    server_load: [u64; 5],
+}
+
+/// A 40-probe population asks its own `pK.sub.cachetest.net` AAAA and
+/// the VM's address every five minutes for two hours, with the VM
+/// renumbered nine minutes in (§4). With `unused`, the `cachetest.net`
+/// parent also delegates `unused.cachetest.net`, holds its glue, and
+/// serves that child zone itself, added after its own; a second server
+/// at [`UNUSED`] serves it too. No question is under it. Building a
+/// world draws no randomness, so every stream starts where it did.
+fn renumbering(unused: bool) -> Renumbering {
+    let mut world = cachetest_world(false);
+    if unused {
+        let host = "ns1.unused.cachetest.net";
+        let child = ZoneBuilder::new("unused.cachetest.net")
+            .ns("unused.cachetest.net", host, Ttl::HOUR)
+            .a(host, "18.184.0.30", Ttl::HOUR)
+            .a("www.unused.cachetest.net", "18.184.0.31", Ttl::MINUTE)
+            .build();
+        let mut parent = world.parent.borrow_mut();
+        let apex = Name::parse("cachetest.net").unwrap();
+        let zone = parent.zone_mut(&apex).expect("the parent zone");
+        for record in ZoneBuilder::new("cachetest.net")
+            .ns("unused.cachetest.net", host, Ttl::HOUR)
+            .a(host, "18.184.0.30", Ttl::HOUR)
+            .build()
+            .iter()
+        {
+            zone.add(record.clone());
+        }
+        parent.add_zone(child.clone());
+        let server = AuthoritativeServer::new(host).with_zone(child);
+        world
+            .net
+            .register(UNUSED, Region::Eu, Rc::new(RefCell::new(server)));
+    }
+    let mut rng = SimRng::seed_from(54);
+    let mut pop = Population::build(&PopulationConfig::small(40), &world.roots, &mut rng);
+    let host = Name::parse("ns1.sub.cachetest.net").unwrap();
+    let mut answers = Vec::new();
+    for round in 0..24u64 {
+        if round == 2 {
+            world.renumber();
+        }
+        for (k, resolver) in pop.resolvers.iter_mut().enumerate() {
+            let now = SimTime::from_secs(round * 300 + k as u64);
+            let probe = Name::parse(&format!("p{k}.sub.cachetest.net")).unwrap();
+            for (qname, qtype) in [(&probe, RecordType::AAAA), (&host, RecordType::A)] {
+                let out = resolver.resolve(qname, qtype, now, &mut world.net);
+                let msg = &out.answer;
+                let records = [&msg.answers, &msg.authorities, &msg.additionals]
+                    .into_iter()
+                    .flatten()
+                    .map(|r| r.to_string())
+                    .collect();
+                answers.push((
+                    msg.header.rcode,
+                    out.cache_hit,
+                    out.upstream_queries,
+                    out.elapsed.as_millis(),
+                    records,
+                ));
+            }
+        }
+    }
+    if unused {
+        assert_eq!(
+            world.net.queries_received(UNUSED),
+            0,
+            "no question reaches it"
+        );
+    }
+    Renumbering {
+        answers,
+        caches: pop.resolvers.iter().map(|r| r.cache().stats()).collect(),
+        server_load: [
+            addrs::ROOT,
+            addrs::NET,
+            addrs::CACHETEST,
+            addrs::SUB_OLD,
+            addrs::SUB_NEW,
+        ]
+        .map(|addr| world.net.queries_received(addr)),
+    }
+}
+
+#[test]
+fn a_delegated_zone_no_question_reaches_changes_nothing() {
+    let plain = renumbering(false);
+    let [_, _, parent, old_vm, new_vm] = plain.server_load;
+    assert!(
+        parent > 0 && old_vm > 0 && new_vm > 0,
+        "the parent is asked, and both VMs answer: {:?}",
+        plain.server_load
+    );
+    let with_unused = renumbering(true);
+    if with_unused != plain {
+        let first = (0..plain.answers.len())
+            .find(|&i| plain.answers.get(i) != with_unused.answers.get(i))
+            .map(|i| (i, &plain.answers[i], with_unused.answers.get(i)));
+        panic!(
+            "a zone no question reaches moved what resolvers saw; first differing answer \
+             (index, without, with): {first:?}\nserver load {:?} vs {:?}",
+            plain.server_load, with_unused.server_load
+        );
     }
 }

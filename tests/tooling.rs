@@ -929,16 +929,37 @@ const GUARDS: &[Guard] = &[
         exempt: &[],
         files: 0,
     },
-    // The authoritative fills its response from `Zone::walk` in place.
-    // `ZoneLookup` is that walk's owned form, built in `zone.rs` and read
-    // by `master.rs`'s parse test; a server or a second walk building a
-    // response from it fails.
+    // The authoritative fills its response from `Zone::walk` in place,
+    // and nothing in the crate walks a zone into vectors of its own.
     Guard {
         step: "one zone walk, filled in place",
         pattern: r"ZoneLookup::|\.lookup\(",
         paths: &["crates/auth/src"],
         exempt: &[],
-        files: 2,
+        files: 0,
+    },
+    // The zone walk's owned twin and the hand-written §4/§6.2 VM server
+    // stay gone: the VMs are `AuthoritativeServer`s over wildcard zones.
+    Guard {
+        step: "no second authoritative beside the zone walk",
+        pattern: r"ZoneLookup|SyntheticZoneService",
+        paths: SOURCES,
+        exempt: &[],
+        files: 0,
+    },
+    // Every simulated server answers through `AuthoritativeServer`:
+    // the only `DnsService` implementations in a library are it, the
+    // secondary that wraps it, and the network's own test doubles.
+    Guard {
+        step: "no hand-written server in a library",
+        pattern: r"impl DnsService for",
+        paths: &["crates/*/src"],
+        exempt: &[
+            "crates/auth/src/server.rs",
+            "crates/auth/src/secondary.rs",
+            "crates/netsim/src/network.rs",
+        ],
+        files: 0,
     },
     // A caller that drops the answer asks `resolve_verdict`, which
     // builds no answer message.
