@@ -11,7 +11,7 @@ use crate::dataset::{Dataset, MeasurementResult};
 use crate::population::Population;
 use dnsttl_netsim::{drive, Network, SimDuration, SimRng, SimTime};
 use dnsttl_telemetry::{EventKind, Telemetry, Value};
-use dnsttl_wire::{Message, Name, RData, Rcode, Record, RecordType};
+use dnsttl_wire::{Message, Name, RData, RRset, Rcode, RecordType};
 use std::fmt::Write as _;
 use std::sync::Arc;
 
@@ -141,8 +141,8 @@ pub fn run_measurement_with_hooks(
         let first_answer = answer
             .answers
             .iter()
-            .find(|r| r.record_type() == spec.qtype || r.record_type() == RecordType::CNAME);
-        let ttl = first_answer.map(|r| r.ttl.as_secs() as u64);
+            .find(|s| s.rtype == spec.qtype || s.rtype == RecordType::CNAME);
+        let ttl = first_answer.map(|s| s.ttl.as_secs() as u64);
         let answers = lists.list(&answer.answers);
 
         // A hijacked probe's answers are overwritten by a middlebox;
@@ -209,14 +209,15 @@ impl AnswerLists {
     /// Enough for every order a three-server NS set is served in.
     const RECENT: usize = 8;
 
-    /// `records`' data in presentation form, as a shared list. An `NS`
-    /// or `CNAME` member shares the name's own buffer (a reference
+    /// The members of `sets` in presentation form, as a shared list. An
+    /// `NS` or `CNAME` member shares the name's own buffer (a reference
     /// count, not a copy); any other type is rendered once.
-    fn list(&mut self, records: &[Record]) -> Arc<[Arc<str>]> {
+    fn list(&mut self, sets: &[RRset]) -> Arc<[Arc<str>]> {
         self.text.clear();
         self.ends.clear();
-        for r in records {
-            match &r.rdata {
+        let members = || sets.iter().flat_map(|s| s.rdatas.iter());
+        for rd in members() {
+            match rd {
                 RData::Ns(name) | RData::Cname(name) => self.text.push_str(name.as_str()),
                 other => {
                     // Writing into a `String` cannot fail.
@@ -240,10 +241,9 @@ impl AnswerLists {
         if let Some(list) = stored {
             return Arc::clone(list);
         }
-        let list: Arc<[Arc<str>]> = records
-            .iter()
+        let list: Arc<[Arc<str>]> = members()
             .zip(fields())
-            .map(|(r, field)| match &r.rdata {
+            .map(|(rd, field)| match rd {
                 RData::Ns(name) | RData::Cname(name) => name.shared().clone(),
                 _ => Arc::from(field),
             })
@@ -298,10 +298,10 @@ mod tests {
     #[test]
     fn rows_with_the_same_answers_share_one_list() {
         let n = |s: &str| Name::parse(s).unwrap();
-        let ns = |host: &str| Record::new(n("uy"), Ttl::HOUR, RData::Ns(n(host)));
+        let ns = |host: &str| RRset::new(n("uy"), RecordType::NS, Ttl::HOUR, RData::Ns(n(host)));
         let a = |last: u8| {
             let addr = std::net::Ipv4Addr::new(192, 0, 2, last);
-            Record::new(n("a.nic.uy"), Ttl::HOUR, RData::A(addr))
+            RRset::new(n("a.nic.uy"), RecordType::A, Ttl::HOUR, RData::A(addr))
         };
         let mut lists = AnswerLists::default();
         let first = lists.list(&[ns("a.nic.uy"), a(1)]);

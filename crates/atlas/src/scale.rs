@@ -878,7 +878,7 @@ mod tests {
         let again = resolver.resolve(&upper, RecordType::A, SimTime::from_secs(2), &mut net);
         assert!(again.cache_hit);
         let addrs =
-            |m: &Message| -> Vec<RData> { m.answers.iter().map(|r| r.rdata.clone()).collect() };
+            |m: &Message| -> Vec<RData> { m.sectioned_records().map(|(_, r)| r.rdata).collect() };
         assert_eq!(addrs(&stored.answer), [RData::A([10, 0, 0, 7].into())]);
         assert_eq!(addrs(&again.answer), addrs(&stored.answer));
     }

@@ -14,60 +14,48 @@ use dnsttl_wire::{Name, RData, RRset, Record, RecordType, Ttl};
 
 pub use dnsttl_wire::dnssec::{verify_rrset, SYNTH_ALGORITHM};
 
-/// Signs every authoritative RRset in the zone with the zone's own key
-/// and plants a DNSKEY at the apex. Data at or below delegation cuts
-/// (the cut NS sets and any glue) is left unsigned.
+/// Signs every authoritative RRset in the zone, its SOA included, with
+/// the zone's own key and plants a DNSKEY at the apex. Data at or below
+/// delegation cuts (the cut NS sets and any glue) is left unsigned.
 pub fn sign_zone(zone: &mut Zone) {
     let origin = zone.origin().clone();
 
     // Delegation cuts: non-apex names carrying NS records.
     let cuts: Vec<Name> = zone
         .names()
-        .filter(|n| **n != origin && !zone.get(n, RecordType::NS).is_empty())
+        .filter(|n| **n != origin && zone.get(n, RecordType::NS).is_some())
         .cloned()
         .collect();
 
-    // Collect RRsets to sign: group records by (name, type), skipping
-    // RRSIGs themselves and anything at/below a cut.
-    let mut groups: std::collections::BTreeMap<(Name, RecordType), Vec<Record>> =
-        std::collections::BTreeMap::new();
-    for record in zone.iter() {
-        let rtype = record.record_type();
-        if rtype == RecordType::RRSIG {
-            continue;
-        }
-        if cuts.iter().any(|cut| record.name.is_subdomain_of(cut)) {
-            continue;
-        }
-        groups
-            .entry((record.name.clone(), rtype))
-            .or_default()
-            .push(record.clone());
-    }
+    // The sets to sign, as the zone holds them: not the RRSIGs
+    // themselves nor anything at or below a cut, and the SOA, which the
+    // zone keeps apart from its nodes.
+    let mut sets: Vec<RRset> = zone
+        .iter()
+        .filter(|set| set.rtype != RecordType::RRSIG)
+        .filter(|set| !cuts.iter().any(|cut| set.name.is_subdomain_of(cut)))
+        .collect();
+    sets.push(zone.soa_rrset());
 
     // Apex DNSKEY (if absent), included in the signing set.
-    if zone.get(&origin, RecordType::DNSKEY).is_empty() {
-        let key_record = Record::new(
+    if zone.get(&origin, RecordType::DNSKEY).is_none() {
+        let key = RData::Dnskey {
+            flags: 257,
+            protocol: 3,
+            algorithm: SYNTH_ALGORITHM,
+            key: origin.canonical().into_bytes(),
+        };
+        sets.push(RRset::new(
             origin.clone(),
+            RecordType::DNSKEY,
             Ttl::HOUR,
-            RData::Dnskey {
-                flags: 257,
-                protocol: 3,
-                algorithm: SYNTH_ALGORITHM,
-                key: origin.canonical().into_bytes(),
-            },
-        );
-        groups
-            .entry((origin.clone(), RecordType::DNSKEY))
-            .or_default()
-            .push(key_record.clone());
-        zone.add(key_record);
+            key.clone(),
+        ));
+        zone.add(Record::new(origin.clone(), Ttl::HOUR, key));
     }
 
-    for ((_, _), records) in groups {
-        if let Some(rrset) = RRset::from_records(&records) {
-            zone.add(sign_rrset(&rrset, &origin));
-        }
+    for set in &sets {
+        zone.add(sign_rrset(set, &origin));
     }
 }
 
@@ -94,42 +82,39 @@ mod tests {
     #[test]
     fn signing_adds_rrsigs_and_dnskey() {
         let zone = signed_zone();
-        assert!(!zone.get(&n("uy"), RecordType::DNSKEY).is_empty());
-        let sigs = zone.get(&n("uy"), RecordType::RRSIG);
+        assert!(zone.get(&n("uy"), RecordType::DNSKEY).is_some());
+        let sigs = zone.get(&n("uy"), RecordType::RRSIG).unwrap();
+        let covers = |rtype: RecordType| {
+            sigs.rdatas
+                .iter()
+                .any(|rd| matches!(rd, RData::Rrsig(sig) if sig.type_covered == rtype))
+        };
+        assert!(covers(RecordType::NS), "apex NS RRset must be signed");
+        assert!(zone.get(&n("a.nic.uy"), RecordType::RRSIG).is_some());
         assert!(
-            sigs.iter().any(|r| matches!(
-                &r.rdata,
-                RData::Rrsig(sig) if sig.type_covered == RecordType::NS
-            )),
-            "apex NS RRset must be signed"
-        );
-        assert!(!zone.get(&n("a.nic.uy"), RecordType::RRSIG).is_empty());
-        assert!(
-            sigs.iter().any(|r| matches!(
-                &r.rdata,
-                RData::Rrsig(sig) if sig.type_covered == RecordType::DNSKEY
-            )),
+            covers(RecordType::DNSKEY),
             "the DNSKEY itself must be signed"
         );
+        assert!(covers(RecordType::SOA), "the SOA must be signed");
     }
 
     #[test]
     fn delegation_data_stays_unsigned() {
         let zone = signed_zone();
         // gub.uy is a cut: its NS set and glue are the child's to sign.
-        assert!(zone.get(&n("gub.uy"), RecordType::RRSIG).is_empty());
-        assert!(zone.get(&n("ns.gub.uy"), RecordType::RRSIG).is_empty());
+        assert!(zone.get(&n("gub.uy"), RecordType::RRSIG).is_none());
+        assert!(zone.get(&n("ns.gub.uy"), RecordType::RRSIG).is_none());
     }
 
     #[test]
     fn signatures_verify_against_zone_content() {
         let zone = signed_zone();
-        let a = zone.get(&n("a.nic.uy"), RecordType::A);
-        let sig = zone.get(&n("a.nic.uy"), RecordType::RRSIG)[0].clone();
-        let rdatas: Vec<RData> = a.iter().map(|r| r.rdata.clone()).collect();
-        assert!(verify_rrset(&n("a.nic.uy"), RecordType::A, &rdatas, &sig));
+        let a = zone.get(&n("a.nic.uy"), RecordType::A).unwrap();
+        let sigs = zone.get(&n("a.nic.uy"), RecordType::RRSIG).unwrap();
+        let sig = &sigs.rdatas[0];
+        assert!(verify_rrset(&n("a.nic.uy"), RecordType::A, &a.rdatas, sig));
         let forged = vec![RData::A("198.51.100.66".parse().unwrap())];
-        assert!(!verify_rrset(&n("a.nic.uy"), RecordType::A, &forged, &sig));
+        assert!(!verify_rrset(&n("a.nic.uy"), RecordType::A, &forged, sig));
     }
 
     #[test]
@@ -145,7 +130,7 @@ mod tests {
             tag: 0,
         };
         let r = srv.handle_query(&q, client, SimTime::ZERO);
-        let types: Vec<RecordType> = r.answers.iter().map(|x| x.record_type()).collect();
+        let types: Vec<RecordType> = r.answers.iter().map(|x| x.rtype).collect();
         assert!(types.contains(&RecordType::A));
         assert!(
             types.contains(&RecordType::RRSIG),

@@ -436,8 +436,10 @@ pub fn render_records(records: &[Record]) -> String {
 
 /// Renders a whole zone, SOA first, as master-file text.
 pub fn render_zone(zone: &Zone) -> String {
-    let mut records: Vec<Record> = vec![zone.soa_record()];
-    records.extend(zone.iter().cloned());
+    let mut records: Vec<Record> = zone.soa_rrset().records().collect();
+    for set in zone.iter() {
+        records.extend(set.records());
+    }
     format!("$ORIGIN {}\n{}", zone.origin(), render_records(&records))
 }
 
@@ -491,14 +493,14 @@ www.gub     3600   A 200.40.30.1
     fn parses_the_uy_zone() {
         let zone = parse_zone("uy", UY_ZONE).unwrap();
         let apex = Name::parse("uy").unwrap();
-        let ns = zone.get(&apex, RecordType::NS);
+        let ns = zone.get(&apex, RecordType::NS).unwrap();
         assert_eq!(ns.len(), 2);
-        assert_eq!(ns[0].ttl.as_secs(), 300, "default TTL applies");
+        assert_eq!(ns.ttl.as_secs(), 300, "default TTL applies");
         let a = zone.get(&Name::parse("a.nic.uy").unwrap(), RecordType::A);
-        assert_eq!(a[0].ttl.as_secs(), 120, "explicit TTL wins");
+        assert_eq!(a.unwrap().ttl.as_secs(), 120, "explicit TTL wins");
         // Relative name resolved against $ORIGIN.
         let www = zone.get(&Name::parse("www.gub.uy").unwrap(), RecordType::A);
-        assert_eq!(www.len(), 1);
+        assert_eq!(www.unwrap().len(), 1);
     }
 
     #[test]
@@ -544,7 +546,7 @@ $TTL 3600
         )
         .unwrap();
         assert_eq!(zone.soa().minimum, 42);
-        assert_eq!(zone.soa_record().ttl, Ttl::HOUR);
+        assert_eq!(zone.soa_rrset().ttl, Ttl::HOUR);
     }
 
     #[test]

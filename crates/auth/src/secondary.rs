@@ -166,7 +166,7 @@ mod tests {
     fn query_www(server: &mut SecondaryServer, at: SimTime) -> RData {
         let q = Message::iterative_query(1, n("www.example"), RecordType::A);
         let r = server.handle_query(&q, client(), at);
-        r.answers[0].rdata.clone()
+        r.answers[0].rdatas[0].clone()
     }
 
     #[test]

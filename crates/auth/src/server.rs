@@ -3,7 +3,7 @@
 use crate::zone::{Walk, Zone};
 use dnsttl_netsim::{ClientId, DnsService, SimTime};
 use dnsttl_telemetry::Telemetry;
-use dnsttl_wire::{Message, Name, Rcode};
+use dnsttl_wire::{Members, Message, Name, Rcode};
 use std::sync::Arc;
 
 /// One logged query, as a passive capture (ENTRADA-style) would record
@@ -37,8 +37,10 @@ pub struct AuthoritativeServer {
     /// Round-robin answer rotation (DNS-based load balancing, §6.1 of
     /// the paper: "each arriving DNS request provides an opportunity
     /// to adjust load"). Each response rotates multi-record answer
-    /// sets by one position.
-    rotate_answers: bool,
+    /// sets by one position. `None` when off; when on, the turns of the
+    /// set last rotated, `[k]` its members rotated left by `k` and `[0]`
+    /// the zone's own block, so answering that set again copies nothing.
+    rotations: Option<Vec<Members>>,
     telemetry: Telemetry,
     /// Arrival time of the previous query, for the interarrival
     /// sketch (how the paper's §3.4 classifies resolver behaviour).
@@ -53,7 +55,7 @@ impl AuthoritativeServer {
             zones: Vec::new(),
             log: None,
             queries_answered: 0,
-            rotate_answers: false,
+            rotations: None,
             telemetry: Telemetry::disabled(),
             last_query_at: None,
         }
@@ -69,7 +71,7 @@ impl AuthoritativeServer {
     /// Enables round-robin rotation of multi-record answers — the
     /// server side of DNS-based load balancing.
     pub fn enable_rotation(&mut self) {
-        self.rotate_answers = true;
+        self.rotations.get_or_insert_with(Vec::new);
     }
 
     /// Adds a zone this server is authoritative for: an owned `Zone`,
@@ -185,14 +187,30 @@ impl DnsService for AuthoritativeServer {
             return;
         };
         let outcome = match zone.walk(&question.qname, question.qtype, response) {
-            Walk::Answer { records } => {
+            Walk::Answer { sets } => {
                 response.header.authoritative = true;
-                // Rotation turns the answer set only: the RRSIGs
-                // covering it follow it wherever it starts.
-                // Validating resolvers need them; others ignore them.
-                if self.rotate_answers && records > 1 {
-                    let k = (self.queries_answered % records as u64) as usize;
-                    response.answers[..records].rotate_left(k);
+                // Rotation turns the members of the set of the asked
+                // type (the chain's last): the RRSIGs covering it sign
+                // the set in any order. Validating resolvers need
+                // them; others ignore them.
+                let answer = &mut response.answers[sets - 1];
+                if let Some(turns) = self.rotations.as_mut().filter(|_| answer.len() > 1) {
+                    if !turns
+                        .first()
+                        .is_some_and(|zone| zone.ptr_eq(&answer.rdatas))
+                    {
+                        let turn = |k| {
+                            let mut members = answer.rdatas.to_vec();
+                            members.rotate_left(k);
+                            Members::from(members)
+                        };
+                        let others = (1..answer.len()).map(turn);
+                        *turns = std::iter::once(answer.rdatas.clone())
+                            .chain(others)
+                            .collect();
+                    }
+                    let k = (self.queries_answered % answer.len() as u64) as usize;
+                    answer.rdatas = turns[k].clone();
                 }
                 "answer"
             }
@@ -296,7 +314,7 @@ mod tests {
         let r = srv.handle_query(&q, client(1), SimTime::ZERO);
         assert_eq!(r.header.rcode, Rcode::NxDomain);
         assert_eq!(r.authorities.len(), 1);
-        assert_eq!(r.authorities[0].record_type(), RecordType::SOA);
+        assert_eq!(r.authorities[0].rtype, RecordType::SOA);
     }
 
     #[test]
@@ -386,7 +404,7 @@ mod tests {
         let firsts: Vec<String> = (0..6)
             .map(|_| {
                 let r = srv.handle_query(&q, client(1), SimTime::ZERO);
-                r.answers[0].rdata.to_string()
+                r.answers[0].rdatas[0].to_string()
             })
             .collect();
         // All three backends appear in first position across a cycle.
@@ -402,12 +420,8 @@ mod tests {
                 .a("www.example", "203.0.113.2", Ttl::MINUTE)
                 .build(),
         );
-        let a1 = plain.handle_query(&q, client(1), SimTime::ZERO).answers[0]
-            .rdata
-            .to_string();
-        let a2 = plain.handle_query(&q, client(1), SimTime::ZERO).answers[0]
-            .rdata
-            .to_string();
+        let a1 = plain.handle_query(&q, client(1), SimTime::ZERO).answers[0].rdatas[0].to_string();
+        let a2 = plain.handle_query(&q, client(1), SimTime::ZERO).answers[0].rdatas[0].to_string();
         assert_eq!(a1, a2);
     }
 
@@ -429,7 +443,7 @@ mod tests {
             Ttl::HOUR,
         );
         let moved = renumbered.handle_query(&q, client(1), SimTime::ZERO);
-        assert_eq!(moved.answers[0].rdata.to_string(), "198.51.100.7");
+        assert_eq!(moved.answers[0].rdatas[0].to_string(), "198.51.100.7");
         assert_eq!(other.handle_query(&q, client(1), SimTime::ZERO), before);
         assert_eq!(
             cl.soa().serial,

@@ -5,23 +5,24 @@
 //! glue) belong to the child zone; queries for them produce referrals.
 
 use dnsttl_wire::name::NameKey;
-use dnsttl_wire::{Message, Name, RData, Record, RecordType, SoaData, Ttl};
+use dnsttl_wire::{Class, Members, Message, Name, RData, RRset, Record, RecordType, SoaData, Ttl};
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::net::{Ipv4Addr, Ipv6Addr};
-use std::ops::Range;
 use std::sync::Arc;
 
-/// What [`Zone::walk`] found; its records are in the sections it filled.
+/// What [`Zone::walk`] found; its sets are in the sections it filled.
 #[derive(Debug, PartialEq)]
 pub(crate) enum Walk<'z> {
-    /// The zone answers: the answer section holds the `records` that
-    /// answer (possibly preceded by a CNAME chain), then the RRSIGs
-    /// covering them; NS/MX targets' addresses are additionals.
+    /// The zone answers: the answer section holds the `sets` that
+    /// answer (a CNAME chain, if any, then the set of the asked type at
+    /// its end), then the RRSIGs covering them; NS/MX targets'
+    /// addresses are additionals.
     Answer {
-        /// How many of the answer records precede the RRSIGs.
-        records: usize,
+        /// How many of the answer sets precede the RRSIGs.
+        sets: usize,
     },
-    /// A delegation at `cut`: its NS records (parent-side TTLs) in the
+    /// A delegation at `cut`: its NS set (parent-side TTL) in the
     /// authority section, glue in the additional section.
     Referral {
         /// The delegated zone's apex.
@@ -33,56 +34,176 @@ pub(crate) enum Walk<'z> {
     NxDomain,
 }
 
+/// One RRset as its node holds it: everything but the owner name,
+/// which is the node's key.
+#[derive(Debug, Clone)]
+struct Stored {
+    rtype: RecordType,
+    class: Class,
+    ttl: Ttl,
+    rdatas: Members,
+}
+
+impl Stored {
+    /// The type an RRSIG set's signatures cover. A node keeps one RRSIG
+    /// set per covered type, since each carries its covered set's TTL
+    /// (RFC 4034 §3); `None` for any other type.
+    fn covers(&self) -> Option<RecordType> {
+        match self.rdatas.first() {
+            Some(RData::Rrsig(sig)) => Some(sig.type_covered),
+            _ => None,
+        }
+    }
+
+    /// Where the set sorts in its node: by type, RRSIGs by the type
+    /// they cover.
+    fn key(&self) -> (RecordType, Option<RecordType>) {
+        (self.rtype, self.covers())
+    }
+
+    /// Takes `more`'s members after its own, in a new block (a message
+    /// or cache holding the old one keeps it), at the smaller TTL (RFC
+    /// 2181 §5.2).
+    fn absorb(&mut self, more: &Stored) {
+        let mut members = self.rdatas.to_vec();
+        members.extend(more.rdatas.iter().cloned());
+        self.rdatas = members.into();
+        self.ttl = self.ttl.min(more.ttl);
+    }
+
+    /// The set at `owner`, sharing its members.
+    fn at(&self, owner: &Name) -> RRset {
+        RRset {
+            name: owner.clone(),
+            class: self.class,
+            rtype: self.rtype,
+            ttl: self.ttl,
+            rdatas: self.rdatas.clone(),
+        }
+    }
+}
+
 /// Everything the zone holds at one owner name.
 #[derive(Debug, Clone)]
 struct Node {
-    /// The records here in one vector, sorted by type and in insertion
-    /// order within a type, so each RRset is a contiguous run and
-    /// [`Zone::iter`] shows them in this order. An owner costs one
-    /// allocation, not one per RRset.
-    records: Vec<Record>,
+    sets: Sets,
     /// An NS RRset below the apex: a delegation cut.
     is_cut: bool,
 }
 
+/// A node's sets, sorted by [`Stored::key`]: most owners hold one set,
+/// which sits in the node itself, so such an owner costs no block.
+#[derive(Debug, Clone)]
+enum Sets {
+    One(Stored),
+    Many(Vec<Stored>),
+}
+
 impl Node {
-    /// Where the RRset of `rtype` lies in `records`; empty (at the
-    /// position it would take) when there is none.
-    fn span(&self, rtype: RecordType) -> Range<usize> {
-        let start = self.records.partition_point(|r| r.record_type() < rtype);
-        let end = self.records.partition_point(|r| r.record_type() <= rtype);
-        start..end
+    fn sets(&self) -> &[Stored] {
+        match &self.sets {
+            Sets::One(only) => std::slice::from_ref(only),
+            Sets::Many(all) => all,
+        }
     }
 
-    fn get(&self, rtype: RecordType) -> &[Record] {
-        &self.records[self.span(rtype)]
+    /// The set of `rtype` here (the first RRSIG set, for `RRSIG`).
+    fn get(&self, rtype: RecordType) -> Option<&Stored> {
+        self.sets().iter().find(|s| s.rtype == rtype)
+    }
+
+    /// The RRSIG sets here, one per covered type.
+    fn signatures(&self) -> impl Iterator<Item = &Stored> {
+        self.sets().iter().filter(|s| s.rtype == RecordType::RRSIG)
+    }
+
+    /// Adds `new`'s members to the set they belong to, or `new` as a
+    /// set of its own; true when it started a set.
+    fn add(&mut self, new: Stored) -> bool {
+        let sets = match &mut self.sets {
+            Sets::One(only) => std::slice::from_mut(only),
+            Sets::Many(all) => all.as_mut_slice(),
+        };
+        if let Some(held) = sets.iter_mut().find(|s| s.key() == new.key()) {
+            held.absorb(&new);
+            return false;
+        }
+        let mut sets = match std::mem::replace(&mut self.sets, Sets::Many(Vec::new())) {
+            Sets::One(only) => vec![only],
+            Sets::Many(all) => all,
+        };
+        let at = sets.partition_point(|s| s.key() <= new.key());
+        sets.insert(at, new);
+        self.sets = Sets::Many(sets);
+        true
+    }
+
+    /// Removes every set of `rtype`, returning how many records they held.
+    fn remove(&mut self, rtype: RecordType) -> usize {
+        let removed = self
+            .sets()
+            .iter()
+            .filter(|s| s.rtype == rtype)
+            .map(|s| s.rdatas.len())
+            .sum();
+        match &mut self.sets {
+            Sets::One(only) if only.rtype == rtype => self.sets = Sets::Many(Vec::new()),
+            Sets::One(_) => {}
+            Sets::Many(all) => all.retain(|s| s.rtype != rtype),
+        }
+        removed
     }
 }
 
-/// The RRset of `rtype` in a node that may not exist.
-fn rrset(node: Option<&Node>, rtype: RecordType) -> &[Record] {
-    node.map_or(&[], |node| node.get(rtype))
+/// The set of `rtype` at `owner` in a node that may not exist. For
+/// `RRSIG` that is every signature there, as one set.
+fn set_of(owner: &Name, node: Option<&Node>, rtype: RecordType) -> Option<RRset> {
+    let node = node?;
+    match rtype {
+        RecordType::RRSIG => signature_set(owner, node.signatures()),
+        _ => node.get(rtype).map(|s| s.at(owner)),
+    }
 }
 
-/// One zone of the namespace, with its records and delegations.
+/// The RRSIG set at `owner` made of `sigs`, one stored set per covered
+/// type: shared when there is one, merged at the smallest TTL when
+/// there are more (one set per owner and type, as on the wire).
+fn signature_set<'z>(owner: &Name, mut sigs: impl Iterator<Item = &'z Stored>) -> Option<RRset> {
+    let mut set = sigs.next()?.clone();
+    sigs.for_each(|more| set.absorb(more));
+    Some(set.at(owner))
+}
+
+/// A CNAME set as a walk serves it: its first target only (a zone may
+/// hold more, which RFC 2181 §10.1 forbids).
+fn first_alias(cname: &Stored, owner: &Name) -> RRset {
+    let mut set = cname.at(owner);
+    if set.len() > 1 {
+        set.rdatas = Members::from(cname.rdatas[0].clone());
+    }
+    set
+}
+
+/// One zone of the namespace, with its RRsets and delegations.
 ///
-/// Records are stored per owner name and type. NS RRsets at names other
+/// RRsets are stored per owner name and type. NS RRsets at names other
 /// than the origin mark delegation cuts; A/AAAA records stored at or
 /// below a cut are *glue*, served only in referrals' additional section.
 /// An SOA record added at the origin becomes the zone's SOA instead
-/// ([`Zone::soa_record`]). An owner whose leftmost label is `*` is a
+/// ([`Zone::soa_rrset`]). An owner whose leftmost label is `*` is a
 /// wildcard (RFC 4592), answering for the names below its parent that
 /// the zone lacks.
 ///
 /// The index is a hash map from owner name to its `Node`, so a query costs
 /// one probe however large the zone is; canonical order exists only
 /// where it is observable ([`Zone::iter`], [`Zone::names`]) and is
-/// sorted there.
+/// sorted there. A set's members are allocated once, here, and shared
+/// by every response that carries the set and every cache that keeps it.
 #[derive(Debug, Clone)]
 pub struct Zone {
     origin: Name,
-    /// Shared with every SOA record [`Zone::soa_record`] hands out, so
-    /// a negative answer copies no SOA data.
+    /// Shared with every SOA set [`Zone::soa_rrset`] hands out, so a
+    /// negative answer copies no SOA data.
     soa: Arc<SoaData>,
     soa_ttl: Ttl,
     nodes: HashMap<Name, Node>,
@@ -144,19 +265,22 @@ impl Zone {
         Arc::make_mut(&mut self.soa).minimum = ttl.as_secs();
     }
 
-    /// The SOA as a servable record at the apex: the zone's own SOA
-    /// data, shared, so building it allocates nothing. An SOA record
-    /// added at the origin replaces it, data and TTL.
-    pub fn soa_record(&self) -> Record {
-        Record::new(
+    /// The SOA as a servable set at the apex: the zone's own SOA data,
+    /// shared, so building it allocates nothing. An SOA record added at
+    /// the origin replaces it, data and TTL.
+    pub fn soa_rrset(&self) -> RRset {
+        RRset::new(
             self.origin.clone(),
+            RecordType::SOA,
             self.soa_ttl,
             RData::Soa(self.soa.clone()),
         )
     }
 
-    /// Adds a record. The owner must be at or below the origin. An SOA
-    /// at the origin becomes the zone's SOA instead of a stored record.
+    /// Adds a record to the RRset of its owner and type (of the type it
+    /// covers, for an RRSIG), which takes the smaller TTL if they
+    /// differ. The owner must be at or below the origin. An SOA at the
+    /// origin becomes the zone's SOA instead of a stored record.
     ///
     /// # Panics
     /// Panics if the owner is outside the zone — zone files with records
@@ -178,28 +302,41 @@ impl Zone {
         if !self.nodes.contains_key(&record.name) {
             self.count_owner(&record.name, true);
         }
-        let rtype = record.record_type();
         let below_apex = record.name != self.origin;
-        // Most owners hold one record: a new node starts with room for
-        // exactly that one, not the four a first push would reserve.
-        let node = self
-            .nodes
-            .entry(record.name.clone())
-            .or_insert_with(|| Node {
-                records: Vec::with_capacity(1),
-                is_cut: false,
-            });
-        let span = node.span(rtype);
-        if span.is_empty() {
-            if rtype == RecordType::NS && below_apex {
-                node.is_cut = true;
-                self.cuts += 1;
+        let Record {
+            name,
+            class,
+            ttl,
+            rdata,
+        } = record;
+        let rtype = rdata.record_type();
+        let stored = Stored {
+            rtype,
+            class,
+            ttl,
+            rdatas: Members::from(rdata),
+        };
+        let (node, started) = match self.nodes.entry(name) {
+            Entry::Vacant(slot) => {
+                let node = Node {
+                    sets: Sets::One(stored),
+                    is_cut: false,
+                };
+                (slot.insert(node), true)
             }
-            if rtype == RecordType::RRSIG {
-                self.signed_nodes += 1;
+            Entry::Occupied(slot) => {
+                let node = slot.into_mut();
+                let started = node.add(stored);
+                (node, started)
             }
+        };
+        if started && rtype == RecordType::NS && below_apex {
+            node.is_cut = true;
+            self.cuts += 1;
         }
-        node.records.insert(span.end, record);
+        if started && rtype == RecordType::RRSIG && node.signatures().count() == 1 {
+            self.signed_nodes += 1;
+        }
     }
 
     /// Removes all records of `rtype` at `name`, returning how many were
@@ -208,11 +345,10 @@ impl Zone {
         let Some(node) = self.nodes.get_mut(name) else {
             return 0;
         };
-        let span = node.span(rtype);
-        if span.is_empty() {
+        let removed = node.remove(rtype);
+        if removed == 0 {
             return 0;
         }
-        let removed = node.records.drain(span).count();
         if rtype == RecordType::NS && node.is_cut {
             node.is_cut = false;
             self.cuts -= 1;
@@ -220,7 +356,7 @@ impl Zone {
         if rtype == RecordType::RRSIG {
             self.signed_nodes -= 1;
         }
-        if node.records.is_empty() {
+        if node.sets().is_empty() {
             self.nodes.remove(name);
             self.count_owner(name, false);
         }
@@ -260,7 +396,8 @@ impl Zone {
     /// if none existed), and bumps the SOA serial.
     ///
     /// This is the paper's §4 *renumbering* operation: the name server
-    /// keeps its name but moves to a new VM.
+    /// keeps its name but moves to a new VM. The new set is a new
+    /// block: a cache holding the old one keeps the old address.
     pub fn replace_address(&mut self, name: &Name, new_addr: Ipv4Addr, fallback_ttl: Ttl) {
         self.replace_rrset(name, RData::A(new_addr), fallback_ttl);
     }
@@ -272,18 +409,17 @@ impl Zone {
 
     fn replace_rrset(&mut self, name: &Name, rdata: RData, fallback_ttl: Ttl) {
         let rtype = rdata.record_type();
-        let ttl = self
-            .get(name, rtype)
-            .first()
-            .map_or(fallback_ttl, |r| r.ttl);
+        let ttl = self.get(name, rtype).map_or(fallback_ttl, |set| set.ttl);
         self.remove(name, rtype);
         self.add(Record::new(name.clone(), ttl, rdata));
         Arc::make_mut(&mut self.soa).serial += 1;
     }
 
-    /// Records of `rtype` at exactly `name`, as stored.
-    pub fn get(&self, name: &Name, rtype: RecordType) -> &[Record] {
-        rrset(self.nodes.get(name), rtype)
+    /// The RRset of `rtype` at exactly `name`, sharing the zone's
+    /// members. For `RRSIG`, every signature there as one set.
+    pub fn get(&self, name: &Name, rtype: RecordType) -> Option<RRset> {
+        let (owner, node) = self.nodes.get_key_value(name)?;
+        set_of(owner, Some(node), rtype)
     }
 
     /// The nodes in RFC 4034 §6.1 canonical owner order. The hash index
@@ -295,12 +431,13 @@ impl Zone {
         nodes
     }
 
-    /// Iterates over all records in the zone: owners in canonical
-    /// order, each owner's RRsets by type.
-    pub fn iter(&self) -> impl Iterator<Item = &Record> {
+    /// Iterates over all RRsets in the zone, sharing their members:
+    /// owners in canonical order, each owner's sets by type, and one
+    /// RRSIG set per covered type.
+    pub fn iter(&self) -> impl Iterator<Item = RRset> + '_ {
         self.nodes_in_order()
             .into_iter()
-            .flat_map(|(_, node)| &node.records)
+            .flat_map(|(owner, node)| node.sets().iter().map(move |s| s.at(owner)))
     }
 
     /// Owner names present in the zone (including glue owners), in
@@ -309,10 +446,11 @@ impl Zone {
         self.nodes_in_order().into_iter().map(|(name, _)| name)
     }
 
-    /// Fetches the node at `qname`, and the closest-to-the-apex
-    /// delegation cut strictly below the origin at or above `qname` (a
-    /// zone cannot see past its first cut).
-    fn locate(&self, qname: &Name) -> (Option<&Node>, Option<(&Name, &Node)>) {
+    /// Fetches the node at `qname` with its key, and the
+    /// closest-to-the-apex delegation cut strictly below the origin at
+    /// or above `qname` (a zone cannot see past its first cut).
+    #[allow(clippy::type_complexity)]
+    fn locate(&self, qname: &Name) -> (Option<(&Name, &Node)>, Option<(&Name, &Node)>) {
         let own = self.nodes.get_key_value(qname);
         let mut cut = None;
         if self.cuts > 0 {
@@ -327,39 +465,50 @@ impl Zone {
                 cut = hit.filter(|(_, node)| node.is_cut).or(cut);
             }
         }
-        (own.map(|(_, node)| node), cut)
+        (own, cut)
     }
 
     /// Addresses (A/AAAA) this zone holds for `target`, used to populate
-    /// glue and additional sections.
-    fn addresses_for(&self, target: &Name, out: &mut Vec<Record>) {
-        if let Some(node) = self.nodes.get(target) {
-            out.extend_from_slice(node.get(RecordType::A));
-            out.extend_from_slice(node.get(RecordType::AAAA));
+    /// glue and additional sections; a set the section already holds
+    /// (two NS or MX targets naming one host) is not added twice.
+    fn addresses_for(&self, target: &Name, out: &mut Vec<RRset>) {
+        let Some((owner, node)) = self.nodes.get_key_value(target) else {
+            return;
+        };
+        for rtype in [RecordType::A, RecordType::AAAA] {
+            if let Some(set) = node.get(rtype) {
+                if !out
+                    .iter()
+                    .any(|held| held.rtype == rtype && held.name == *owner)
+                {
+                    out.push(set.at(owner));
+                }
+            }
         }
     }
 
     /// The one RFC 1034 §4.3.2 walk, with RFC 4592 wildcards: appends
     /// what the zone serves for `qname`, a name at or below the origin,
-    /// to `out`'s three sections and says what it was. The
-    /// authoritative fills its response with it in place.
+    /// to `out`'s three sections, cloning the zone's sets, and says what
+    /// it was. The authoritative fills its response with it in place.
     pub(crate) fn walk(&self, qname: &Name, qtype: RecordType, out: &mut Message) -> Walk<'_> {
         debug_assert!(qname.is_subdomain_of(&self.origin));
-        let (mut node, cut) = self.locate(qname);
+        let (found, cut) = self.locate(qname);
 
         // Step: delegation cut above or at the qname → referral, unless
         // the question is for the cut's NS records from the parent side
         // (still a referral per RFC 1034: the parent is not
         // authoritative below the cut).
         if let Some((cut, cut_node)) = cut {
-            let ns_records = cut_node.get(RecordType::NS);
-            out.authorities.extend_from_slice(ns_records);
-            for ns in ns_records {
-                if let RData::Ns(target) = &ns.rdata {
-                    // Glue is served for targets inside this zone's
-                    // namespace (typically in-bailiwick of the cut).
-                    if target.is_subdomain_of(&self.origin) {
-                        self.addresses_for(target, &mut out.additionals);
+            if let Some(ns) = cut_node.get(RecordType::NS) {
+                out.authorities.push(ns.at(cut));
+                for rd in ns.rdatas.iter() {
+                    if let RData::Ns(target) = rd {
+                        // Glue is served for targets inside this zone's
+                        // namespace (typically in-bailiwick of the cut).
+                        if target.is_subdomain_of(&self.origin) {
+                            self.addresses_for(target, &mut out.additionals);
+                        }
                     }
                 }
             }
@@ -368,39 +517,36 @@ impl Zone {
 
         // The zone's SOA answers at the apex.
         let start = out.answers.len();
+        let mut node = found.map(|(_, node)| node);
         if qtype == RecordType::SOA && *qname == self.origin {
-            out.answers.push(self.soa_record());
-            self.sign(node, &mut out.answers, start);
-            return Walk::Answer { records: 1 };
+            out.answers.push(self.soa_rrset());
+            self.sign(&self.origin, node, &mut out.answers, start);
+            return Walk::Answer { sets: 1 };
         }
 
-        // The name exists if it owns records or is an empty
+        // The name exists if it owns records, is the apex or is an empty
         // non-terminal (an ancestor of an owner name). One that does
-        // not is read at its wildcard, if it has one, as its owner.
-        let mut exists = node.is_some() || self.owners_below.contains_key(qname);
-        let mut owner = None;
+        // not is read at its wildcard, if it has one, with the query
+        // name, spelled as asked, as the owner of what it serves.
+        let mut owner = found.map_or(qname, |(key, _)| key);
+        let mut exists =
+            node.is_some() || *qname == self.origin || self.owners_below.contains_key(qname);
         if !exists && self.wildcards > 0 {
             if let Some(source) = self.source_of_synthesis(qname) {
-                (node, exists, owner) = (source, true, Some(qname));
+                (node, exists, owner) = (source, true, qname);
             }
         }
 
         // Exact-name processing.
-        let direct = rrset(node, qtype);
-        if !direct.is_empty() {
-            out.answers.extend_from_slice(direct);
-            for r in direct {
-                if let Some(target) = r.rdata.target_name() {
-                    if r.record_type() != RecordType::CNAME {
-                        self.addresses_for(target, &mut out.additionals);
-                    }
+        if let Some(direct) = set_of(owner, node, qtype) {
+            if qtype != RecordType::CNAME {
+                for target in direct.rdatas.iter().filter_map(RData::target_name) {
+                    self.addresses_for(target, &mut out.additionals);
                 }
             }
-            self.sign(node, &mut out.answers, start);
-            own(&mut out.answers[start..], owner);
-            return Walk::Answer {
-                records: direct.len(),
-            };
+            out.answers.push(direct);
+            self.sign(owner, node, &mut out.answers, start);
+            return Walk::Answer { sets: 1 };
         }
 
         // CNAME at the name (and the query was not for CNAME itself)?
@@ -409,40 +555,42 @@ impl Zone {
         // answer with the partial chain rather than recurse forever.
         // Targets are read as stored: the chase synthesises nothing.
         if qtype != RecordType::CNAME {
-            if let Some(first) = rrset(node, RecordType::CNAME).first() {
-                out.answers.push(first.clone());
-                own(&mut out.answers[start..], owner);
-                let mut cursor = first;
+            if let Some(cname) = node.and_then(|n| n.get(RecordType::CNAME)) {
+                out.answers.push(first_alias(cname, owner));
+                let mut cursor = &cname.rdatas[0];
                 for _ in 0..8 {
-                    let RData::Cname(target) = &cursor.rdata else {
+                    let RData::Cname(target) = cursor else {
                         break;
                     };
                     // The chain's owners are the names chased so far.
-                    if out.answers[start..].iter().any(|r| r.name == *target) {
+                    if out.answers[start..].iter().any(|s| s.name == *target) {
                         break; // loop: stop chasing, serve what we have
                     }
-                    let at_target = self.nodes.get(target);
-                    let direct = rrset(at_target, qtype);
-                    if !direct.is_empty() {
-                        out.answers.extend_from_slice(direct);
+                    let Some((key, at_target)) = self.nodes.get_key_value(target) else {
+                        break;
+                    };
+                    if let Some(direct) = set_of(key, Some(at_target), qtype) {
+                        out.answers.push(direct);
                         break;
                     }
-                    match rrset(at_target, RecordType::CNAME).first() {
+                    match at_target.get(RecordType::CNAME) {
                         Some(next) => {
-                            out.answers.push(next.clone());
-                            cursor = next;
+                            out.answers.push(first_alias(next, key));
+                            cursor = &next.rdatas[0];
                         }
                         None => break,
                     }
                 }
-                let records = out.answers.len() - start;
-                self.sign(node, &mut out.answers, start);
-                own(&mut out.answers[start + records..], owner);
-                return Walk::Answer { records };
+                let sets = out.answers.len() - start;
+                self.sign(owner, node, &mut out.answers, start);
+                return Walk::Answer { sets };
             }
         }
 
-        out.authorities.push(self.soa_record());
+        let start = out.authorities.len();
+        out.authorities.push(self.soa_rrset());
+        let apex = self.nodes.get(&self.origin);
+        self.sign(&self.origin, apex, &mut out.authorities, start);
         if exists {
             Walk::NoData
         } else {
@@ -472,29 +620,21 @@ impl Zone {
         None
     }
 
-    /// Appends the RRSIGs in the query name's node that cover a type in
-    /// `answers[start..]`; nothing to scan in an unsigned zone.
-    fn sign(&self, node: Option<&Node>, answers: &mut Vec<Record>, start: usize) {
+    /// Appends, at `owner`, the RRSIGs in `node` that cover a type in
+    /// `section[start..]`, as one set; nothing to scan in an unsigned
+    /// zone.
+    fn sign(&self, owner: &Name, node: Option<&Node>, section: &mut Vec<RRset>, start: usize) {
         let Some(node) = node.filter(|_| self.signed_nodes > 0) else {
             return;
         };
-        let end = answers.len();
-        for sig in node.get(RecordType::RRSIG) {
-            if let RData::Rrsig(data) = &sig.rdata {
-                let covered = &answers[start..end];
-                if covered.iter().any(|r| r.record_type() == data.type_covered) {
-                    answers.push(sig.clone());
-                }
-            }
+        let served = &section[start..];
+        let covering = node.signatures().filter(|sig| {
+            sig.covers()
+                .is_some_and(|t| served.iter().any(|s| s.rtype == t))
+        });
+        if let Some(sigs) = signature_set(owner, covering) {
+            section.push(sigs);
         }
-    }
-}
-
-/// Gives records a wildcard supplied the query name as their owner,
-/// spelled as asked; `None` when no wildcard supplied them.
-fn own(records: &mut [Record], qname: Option<&Name>) {
-    if let Some(qname) = qname {
-        records.iter_mut().for_each(|r| r.name = qname.clone());
     }
 }
 
@@ -653,7 +793,7 @@ mod tests {
     #[test]
     fn child_answers_its_apex_ns_authoritatively() {
         let (walk, out) = ask(&cl_zone(), "cl", RecordType::NS);
-        assert_eq!(walk, "Answer { records: 1 }");
+        assert_eq!(walk, "Answer { sets: 1 }");
         assert_eq!(out.answers[0].ttl, Ttl::HOUR); // child's own TTL
                                                    // Additional carries the in-zone address of the NS host with
                                                    // the child's A TTL (43200 s, Table 1 row 2).
@@ -664,7 +804,7 @@ mod tests {
     #[test]
     fn direct_a_query_gets_child_ttl() {
         let (walk, out) = ask(&cl_zone(), "a.nic.cl", RecordType::A);
-        assert_eq!(walk, "Answer { records: 1 }");
+        assert_eq!(walk, "Answer { sets: 1 }");
         assert_eq!(out.answers[0].ttl.as_secs(), 43_200);
     }
 
@@ -681,11 +821,11 @@ mod tests {
         let cl = cl_zone();
         let (walk, out) = ask(&cl, "nonexistent.cl", RecordType::A);
         assert_eq!(walk, "NxDomain");
-        assert_eq!(out.authorities, [cl.soa_record()]);
+        assert_eq!(out.authorities, [cl.soa_rrset()]);
         // a.nic.cl exists but has no MX.
         let (walk, out) = ask(&cl, "a.nic.cl", RecordType::MX);
         assert_eq!(walk, "NoData");
-        assert_eq!(out.authorities, [cl.soa_record()]);
+        assert_eq!(out.authorities, [cl.soa_rrset()]);
     }
 
     #[test]
@@ -718,9 +858,9 @@ mod tests {
             .a("web.example.cl", "203.0.113.80", Ttl::HOUR)
             .build();
         let (walk, out) = ask(&zone, "www.example.cl", RecordType::A);
-        assert_eq!(walk, "Answer { records: 2 }");
-        assert_eq!(out.answers[0].record_type(), RecordType::CNAME);
-        assert_eq!(out.answers[1].record_type(), RecordType::A);
+        assert_eq!(walk, "Answer { sets: 2 }");
+        assert_eq!(out.answers[0].rtype, RecordType::CNAME);
+        assert_eq!(out.answers[1].rtype, RecordType::A);
     }
 
     #[test]
@@ -731,11 +871,8 @@ mod tests {
             .build();
         // Must not recurse forever; serves the partial chain.
         let (walk, out) = ask(&zone, "a.example.cl", RecordType::A);
-        assert_eq!(walk, "Answer { records: 2 }");
-        assert!(out
-            .answers
-            .iter()
-            .all(|r| r.record_type() == RecordType::CNAME));
+        assert_eq!(walk, "Answer { sets: 2 }");
+        assert!(out.answers.iter().all(|r| r.rtype == RecordType::CNAME));
     }
 
     #[test]
@@ -747,8 +884,8 @@ mod tests {
             .a("d.example.cl", "203.0.113.4", Ttl::HOUR)
             .build();
         let (walk, out) = ask(&zone, "a.example.cl", RecordType::A);
-        assert_eq!(walk, "Answer { records: 4 }", "3 CNAMEs + final A");
-        assert_eq!(out.answers[3].record_type(), RecordType::A);
+        assert_eq!(walk, "Answer { sets: 4 }", "3 CNAMEs + final A");
+        assert_eq!(out.answers[3].rtype, RecordType::A);
     }
 
     /// A §4-style experiment zone: apex NS and SOA, the NS host's
@@ -784,11 +921,11 @@ mod tests {
         let zone = wildcard_zone();
         for qname in ["p1.sub.cachetest.net", "A.b.SUB.cachetest.net"] {
             let (walk, out) = ask(&zone, qname, RecordType::AAAA);
-            assert_eq!(walk, "Answer { records: 1 }", "{qname}");
+            assert_eq!(walk, "Answer { sets: 1 }", "{qname}");
             // The owner is the query name, spelled as asked.
             assert_eq!(out.answers[0].name.as_str(), format!("{qname}."));
             assert_eq!(out.answers[0].ttl, Ttl::MINUTE);
-            assert_eq!(out.answers[0].rdata.to_string(), "2001:db8::1");
+            assert_eq!(out.answers[0].rdatas[0].to_string(), "2001:db8::1");
             assert!(out.authorities.is_empty() && out.additionals.is_empty());
         }
         // The wildcard owner itself is an exact match.
@@ -802,7 +939,7 @@ mod tests {
         for qtype in [RecordType::A, RecordType::TXT, RecordType::NS] {
             let (walk, out) = ask(&zone, "p1.sub.cachetest.net", qtype);
             assert_eq!(walk, "NoData", "{qtype}");
-            assert_eq!(out.authorities, [zone.soa_record()]);
+            assert_eq!(out.authorities, [zone.soa_rrset()]);
             assert_eq!(out.authorities[0].ttl, Ttl::MINUTE);
         }
     }
@@ -841,7 +978,7 @@ mod tests {
         assert_eq!(walk, "Referral { cut: Name(\"sub.cachetest.net.\") }");
         assert!(out.answers.is_empty());
         let (walk, _) = ask(&zone, "p1.cachetest.net", RecordType::AAAA);
-        assert_eq!(walk, "Answer { records: 1 }");
+        assert_eq!(walk, "Answer { sets: 1 }");
     }
 
     #[test]
@@ -856,7 +993,7 @@ mod tests {
             assert_eq!(walk, "NxDomain", "{qname}");
         }
         let (walk, _) = ask(&zone, "a*b.example", RecordType::A);
-        assert_eq!(walk, "Answer { records: 1 }");
+        assert_eq!(walk, "Answer { sets: 1 }");
     }
 
     #[test]
@@ -868,7 +1005,7 @@ mod tests {
             .build();
         let (walk, out) = ask(&zone, "q.example", RecordType::A);
         assert_eq!(walk, "NoData");
-        assert_eq!(out.authorities, [zone.soa_record()]);
+        assert_eq!(out.authorities, [zone.soa_rrset()]);
         // Remove the one owner and no wildcard is left to count.
         zone.remove(&n("x.*.example"), RecordType::A);
         assert_eq!(zone.wildcards, 0);
@@ -883,7 +1020,7 @@ mod tests {
         let zone = crate::parse_zone("sub.cachetest.net", &text).unwrap();
         assert_eq!(crate::render_zone(&zone), text);
         let (walk, out) = ask(&zone, "p7.sub.cachetest.net", RecordType::AAAA);
-        assert_eq!(walk, "Answer { records: 1 }");
+        assert_eq!(walk, "Answer { sets: 1 }");
         assert_eq!(out.answers[0].name, n("p7.sub.cachetest.net"));
     }
 
@@ -894,7 +1031,7 @@ mod tests {
             .a("web.example", "192.0.2.80", Ttl::HOUR)
             .build();
         let (walk, out) = ask(&zone, "Shop.example", RecordType::A);
-        assert_eq!(walk, "Answer { records: 2 }");
+        assert_eq!(walk, "Answer { sets: 2 }");
         assert_eq!(out.answers[0].name.as_str(), "Shop.example.");
         assert_eq!(out.answers[1].name, n("web.example"));
     }
@@ -905,14 +1042,14 @@ mod tests {
         assert_eq!(zone.soa().minimum, 60);
         assert_eq!(zone.soa().mname, n("ns1.sub.cachetest.net"));
         // Stored once: not among the records.
-        assert!(zone.iter().all(|r| r.record_type() != RecordType::SOA));
+        assert!(zone.iter().all(|s| s.rtype != RecordType::SOA));
         let (walk, out) = ask(&zone, "SUB.cachetest.net", RecordType::SOA);
-        assert_eq!(walk, "Answer { records: 1 }");
-        assert_eq!(out.answers, [zone.soa_record()]);
+        assert_eq!(walk, "Answer { sets: 1 }");
+        assert_eq!(out.answers, [zone.soa_rrset()]);
         // A zone without one answers with its default SOA.
         let (walk, out) = ask(&cl_zone(), "cl", RecordType::SOA);
-        assert_eq!(walk, "Answer { records: 1 }");
-        assert_eq!(out.answers[0].record_type(), RecordType::SOA);
+        assert_eq!(walk, "Answer { sets: 1 }");
+        assert_eq!(out.answers[0].rtype, RecordType::SOA);
     }
 
     #[test]
@@ -920,10 +1057,10 @@ mod tests {
         let mut zone = cl_zone();
         let before_serial = zone.soa().serial;
         zone.replace_address(&n("a.nic.cl"), "198.51.100.99".parse().unwrap(), Ttl::HOUR);
-        let recs = zone.get(&n("a.nic.cl"), RecordType::A);
-        assert_eq!(recs.len(), 1);
-        assert_eq!(recs[0].ttl.as_secs(), 43_200, "TTL preserved");
-        assert_eq!(recs[0].rdata, RData::A("198.51.100.99".parse().unwrap()));
+        let set = zone.get(&n("a.nic.cl"), RecordType::A).unwrap();
+        assert_eq!(set.len(), 1);
+        assert_eq!(set.ttl.as_secs(), 43_200, "TTL preserved");
+        assert_eq!(set.rdatas[0], RData::A("198.51.100.99".parse().unwrap()));
         assert_eq!(zone.soa().serial, before_serial + 1);
     }
 
@@ -943,5 +1080,98 @@ mod tests {
             Ttl::HOUR,
             RData::A("192.0.2.1".parse().unwrap()),
         ));
+    }
+
+    #[test]
+    fn a_set_is_stored_once_and_shared_by_every_answer() {
+        let zone = ZoneBuilder::new("uy")
+            .ns("uy", "a.nic.uy", Ttl::from_secs(300))
+            .ns("uy", "b.nic.uy", Ttl::from_secs(120))
+            .ns("uy", "c.nic.uy", Ttl::from_secs(300))
+            .build();
+        let (_, first) = ask(&zone, "uy", RecordType::NS);
+        let (_, second) = ask(&zone, "UY", RecordType::NS);
+        let stored = zone.get(&n("uy"), RecordType::NS).unwrap();
+        // Three members in the order added, at the smallest TTL.
+        assert_eq!(stored.len(), 3);
+        assert_eq!(stored.ttl.as_secs(), 120);
+        assert!(first.answers[0].rdatas.ptr_eq(&stored.rdatas));
+        assert!(second.answers[0].rdatas.ptr_eq(&stored.rdatas));
+        // A change is a new block: the answers keep what they were given.
+        let mut changed = zone.clone();
+        changed.add(Record::new(n("uy"), Ttl::HOUR, RData::Ns(n("d.nic.uy"))));
+        let grown = changed.get(&n("uy"), RecordType::NS).unwrap();
+        assert_eq!(grown.len(), 4);
+        assert!(!grown.rdatas.ptr_eq(&stored.rdatas));
+        assert_eq!(first.answers[0].len(), 3);
+        let mut renumbered = cl_zone();
+        let held = renumbered.get(&n("a.nic.cl"), RecordType::A).unwrap();
+        renumbered.replace_address(&n("a.nic.cl"), "198.51.100.9".parse().unwrap(), Ttl::HOUR);
+        assert_eq!(held.rdatas[0], RData::A("190.124.27.10".parse().unwrap()));
+    }
+
+    /// `wildcard_zone` signed: every set, its SOA included.
+    fn signed_zone() -> Zone {
+        let mut zone = wildcard_zone();
+        crate::sign_zone(&mut zone);
+        zone
+    }
+
+    /// The signature over `set` in `section`, verified.
+    fn verified(section: &[RRset], set: &RRset) -> bool {
+        let sigs = section
+            .iter()
+            .find(|s| s.rtype == RecordType::RRSIG && s.name == set.name);
+        sigs.is_some_and(|sigs| {
+            sigs.rdatas
+                .iter()
+                .any(|sig| crate::verify_rrset(&set.name, set.rtype, &set.rdatas, sig))
+        })
+    }
+
+    #[test]
+    fn a_signed_zone_signs_its_soa_in_answers_and_denials() {
+        let zone = signed_zone();
+        let soa = zone.soa_rrset();
+        let (walk, out) = ask(&zone, "sub.cachetest.net", RecordType::SOA);
+        assert_eq!(walk, "Answer { sets: 1 }");
+        assert_eq!(out.answers[0], soa);
+        assert!(verified(&out.answers, &soa), "{out:?}");
+        // NXDOMAIN (below a name that exists, with no wildcard) and
+        // NODATA carry the SOA's signature in the authority section.
+        for (qname, qtype, outcome) in [
+            ("x.ns1.sub.cachetest.net", RecordType::A, "NxDomain"),
+            ("ns1.sub.cachetest.net", RecordType::TXT, "NoData"),
+        ] {
+            let (walk, out) = ask(&zone, qname, qtype);
+            assert_eq!(walk, outcome);
+            assert_eq!(out.authorities[0], soa);
+            assert_eq!(out.authorities.len(), 2, "{out:?}");
+            assert!(verified(&out.authorities, &soa), "{out:?}");
+        }
+        // An answer carries only the signature over what it answers.
+        let (_, out) = ask(&zone, "ns1.sub.cachetest.net", RecordType::A);
+        assert_eq!(out.answers.len(), 2);
+        assert!(verified(&out.answers, &out.answers[0]));
+        assert_eq!(out.answers[1].len(), 1);
+    }
+
+    #[test]
+    fn an_empty_apex_answers_nodata_for_every_type() {
+        // The apex owns nothing; a name below it does.
+        let zone = ZoneBuilder::new("example")
+            .a("www.example", "192.0.2.1", Ttl::HOUR)
+            .build();
+        for qtype in [RecordType::A, RecordType::NS, RecordType::TXT] {
+            let (walk, out) = ask(&zone, "EXAMPLE", qtype);
+            assert_eq!(walk, "NoData", "{qtype}");
+            assert_eq!(out.authorities, [zone.soa_rrset()]);
+        }
+        // A zone that holds nothing at all has its apex too.
+        let empty = Zone::new(n("example"));
+        let (walk, _) = ask(&empty, "example", RecordType::A);
+        assert_eq!(walk, "NoData");
+        let (walk, _) = ask(&empty, "www.example", RecordType::A);
+        assert_eq!(walk, "NxDomain");
     }
 }

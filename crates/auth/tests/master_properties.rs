@@ -119,16 +119,16 @@ fn zone_render_parse_preserves_lookups() {
 /// The SOA data of a zone's answer: the answer's for an SOA question,
 /// the authority's for a negative one.
 fn soa_in(response: &Message) -> (Ttl, SoaData) {
-    let records = match response.answers.is_empty() {
+    let sets = match response.answers.is_empty() {
         true => &response.authorities,
         false => &response.answers,
     };
-    match &records[..] {
-        [record] => match &record.rdata {
-            RData::Soa(soa) => (record.ttl, (**soa).clone()),
+    match &sets[..] {
+        [set] => match &set.rdatas[..] {
+            [RData::Soa(soa)] => (set.ttl, (**soa).clone()),
             other => panic!("an SOA, not {other:?}"),
         },
-        other => panic!("one record, not {other:?}"),
+        other => panic!("one set, not {other:?}"),
     }
 }
 

@@ -5,10 +5,13 @@
 //!
 //! The model is a flat `Vec<Record>` in insertion order and answers
 //! every question by linear scans over it, so it shares nothing with
-//! `Zone`'s hash index, its cut, signature and wildcard counters, or its
-//! empty-non-terminal map — the bookkeeping `add`/`remove` must keep
-//! right. Zones are random and hostile on purpose: nested cuts, glue,
-//! empty non-terminals, wildcards (some owning nothing but names below),
+//! `Zone`'s hash index, its sets, its cut, signature and wildcard
+//! counters, or its empty-non-terminal map — the bookkeeping
+//! `add`/`remove` must keep right. It groups the records it serves
+//! into sets only at the end, by the decoder's rule: in order of first
+//! appearance, at the smallest TTL of each owner and type (RFC 2181
+//! §5.2), RRSIGs ordered by the type they cover. Zones are random and
+//! hostile on purpose: nested cuts, glue, empty non-terminals, wildcards (some owning nothing but names below),
 //! CNAME chains and loops, RRSIGs that come and go, SOA records at the
 //! apex and below it, owners and queries in mixed case, and mutations
 //! interleaved with the queries.
@@ -16,11 +19,15 @@
 //! The last test pins what stays ordered: `iter()`/`names()` in RFC 4034
 //! §6.1 canonical order, and `render_zone`/`sign_zone` output equal, byte
 //! for byte, to what the `BTreeMap` index produced for `data/uy.zone`
-//! (`data/uy.rendered`, `data/uy.signed`: written by that commit).
+//! (`data/uy.rendered`, `data/uy.signed`: written by that commit;
+//! `uy.signed` has since gained the apex SOA's RRSIG, which `sign_zone`
+//! used to leave out).
 
 use dnsttl_auth::{parse_zone, render_zone, sign_zone, AuthoritativeServer, Zone};
 use dnsttl_netsim::{ClientId, DnsService, Region, SimRng, SimTime};
-use dnsttl_wire::{Message, Name, RData, Rcode, Record, RecordType, RrsigData, SoaData, Ttl};
+use dnsttl_wire::{
+    Message, Name, RData, RRset, Rcode, Record, RecordType, RrsigData, SoaData, Ttl,
+};
 use std::sync::Arc;
 
 /// What the model says a one-zone server owes a question.
@@ -58,7 +65,11 @@ impl Model {
     fn new(zone: &Zone) -> Model {
         Model {
             origin: zone.origin().clone(),
-            soa: zone.soa_record(),
+            soa: zone
+                .soa_rrset()
+                .records()
+                .next()
+                .expect("an SOA set holds one"),
             records: Vec::new(),
         }
     }
@@ -96,9 +107,22 @@ impl Model {
         None
     }
 
+    /// The records of `rtype` at `name` in insertion order; RRSIGs
+    /// ordered (stably) by the type they cover.
     fn at(&self, name: &Name, rtype: RecordType) -> Vec<Record> {
         let here = |r: &&Record| r.name == *name && r.record_type() == rtype;
-        self.records.iter().filter(here).cloned().collect()
+        let mut records: Vec<Record> = self.records.iter().filter(here).cloned().collect();
+        records.sort_by_key(covered);
+        records
+    }
+
+    /// The first CNAME at `name`, at the smallest TTL of the CNAMEs
+    /// there: its set's.
+    fn first_alias(&self, name: &Name) -> Option<Record> {
+        let aliases = self.at(name, RecordType::CNAME);
+        let ttl = aliases.iter().map(|r| r.ttl).min()?;
+        let first = aliases.into_iter().next()?;
+        Some(Record { ttl, ..first })
     }
 
     fn remove(&mut self, name: &Name, rtype: RecordType) -> usize {
@@ -112,7 +136,12 @@ impl Model {
     /// and a serial bump.
     fn replace(&mut self, name: &Name, rdata: RData, fallback: Ttl) {
         let rtype = rdata.record_type();
-        let ttl = self.at(name, rtype).first().map_or(fallback, |r| r.ttl);
+        let ttl = self
+            .at(name, rtype)
+            .iter()
+            .map(|r| r.ttl)
+            .min()
+            .unwrap_or(fallback);
         self.remove(name, rtype);
         self.records.push(Record::new(name.clone(), ttl, rdata));
         if let RData::Soa(soa) = &mut self.soa.rdata {
@@ -120,9 +149,17 @@ impl Model {
         }
     }
 
-    fn addresses(&self, target: &Name) -> Vec<Record> {
-        let mut out = self.at(target, RecordType::A);
-        out.extend(self.at(target, RecordType::AAAA));
+    /// The addresses of `targets`, each host once.
+    fn addresses<'t>(&self, targets: impl Iterator<Item = &'t Name>) -> Vec<Record> {
+        let mut seen: Vec<&Name> = Vec::new();
+        let mut out = Vec::new();
+        for target in targets {
+            if !seen.contains(&target) {
+                seen.push(target);
+                out.extend(self.at(target, RecordType::A));
+                out.extend(self.at(target, RecordType::AAAA));
+            }
+        }
         out
     }
 
@@ -150,15 +187,10 @@ impl Model {
             .min_by_key(|name| name.label_count());
         if let Some(cut) = cut {
             let ns_records = self.at(cut, RecordType::NS);
-            let mut glue = Vec::new();
-            for ns in &ns_records {
-                match &ns.rdata {
-                    RData::Ns(target) if target.is_subdomain_of(&self.origin) => {
-                        glue.extend(self.addresses(target));
-                    }
-                    _ => {}
-                }
-            }
+            let glue = self.addresses(ns_records.iter().filter_map(|ns| match &ns.rdata {
+                RData::Ns(target) if target.is_subdomain_of(&self.origin) => Some(target),
+                _ => None,
+            }));
             return Outcome::Referral { ns_records, glue };
         }
 
@@ -188,18 +220,13 @@ impl Model {
 
         let direct = self.at(at_name, qtype);
         if !direct.is_empty() {
-            let mut additionals = Vec::new();
-            for r in &direct {
-                match &r.rdata {
-                    RData::Ns(target)
-                    | RData::Mx {
-                        exchange: target, ..
-                    } => {
-                        additionals.extend(self.addresses(target));
-                    }
-                    _ => {}
-                }
-            }
+            let additionals = self.addresses(direct.iter().filter_map(|r| match &r.rdata {
+                RData::Ns(target)
+                | RData::Mx {
+                    exchange: target, ..
+                } => Some(target),
+                _ => None,
+            }));
             return Outcome::Answer {
                 signatures: owned(self.signatures(at_name, &direct)),
                 records: owned(direct),
@@ -207,7 +234,7 @@ impl Model {
             };
         }
 
-        let alias = self.at(at_name, RecordType::CNAME).into_iter().next();
+        let alias = self.first_alias(at_name);
         if let (Some(first), true) = (alias, qtype != RecordType::CNAME) {
             // Follow the chain for at most eight targets, never twice
             // through the same name; whatever was collected is served.
@@ -227,7 +254,7 @@ impl Model {
                     chain.extend(end);
                     break;
                 }
-                match self.at(&target, RecordType::CNAME).into_iter().next() {
+                match self.first_alias(&target) {
                     Some(next) => chain.push(next),
                     None => break,
                 }
@@ -239,10 +266,20 @@ impl Model {
             };
         }
 
-        match exists || source.is_some() {
+        // The apex exists even when it owns nothing.
+        match exists || source.is_some() || *qname == self.origin {
             true => Outcome::NoData,
             false => Outcome::NxDomain,
         }
+    }
+
+    /// The SOA and the RRSIGs at the apex covering it: a negative
+    /// answer's authority section.
+    fn negative_authority(&self) -> Vec<RRset> {
+        let soa = vec![self.soa.clone()];
+        let mut records = soa.clone();
+        records.extend(self.signatures(&self.origin, &soa));
+        grouped(records)
     }
 
     /// The response a one-zone server owes for `query`.
@@ -256,22 +293,22 @@ impl Model {
                 signatures,
             } => {
                 response.header.authoritative = true;
-                response.answers = records;
-                response.answers.extend(signatures);
-                response.additionals = additionals;
+                response.answers = grouped(records);
+                response.answers.extend(grouped(signatures));
+                response.additionals = grouped(additionals);
             }
             Outcome::Referral { ns_records, glue } => {
-                response.authorities = ns_records;
-                response.additionals = glue;
+                response.authorities = grouped(ns_records);
+                response.additionals = grouped(glue);
             }
             Outcome::NoData => {
                 response.header.authoritative = true;
-                response.authorities.push(self.soa.clone());
+                response.authorities = self.negative_authority();
             }
             Outcome::NxDomain => {
                 response.header.authoritative = true;
                 response.header.rcode = Rcode::NxDomain;
-                response.authorities.push(self.soa.clone());
+                response.authorities = self.negative_authority();
             }
             Outcome::NotInZone => response.header.rcode = Rcode::Refused,
         }
@@ -279,15 +316,64 @@ impl Model {
     }
 
     /// What `Zone::iter` must yield: owners in canonical order, each
-    /// owner's types in `RecordType` order, each RRset as added.
-    fn in_canonical_order(&self) -> Vec<Record> {
+    /// owner's types in `RecordType` order, RRSIGs one set per covered
+    /// type, each RRset's members as added, at their smallest TTL.
+    fn in_canonical_order(&self) -> Vec<RRset> {
         let mut sorted = self.records.clone();
-        sorted.sort_by(|a, b| {
-            let types = a.record_type().cmp(&b.record_type());
-            a.name.cmp(&b.name).then(types)
-        });
-        sorted
+        let key = |r: &Record| (r.record_type(), covered(r));
+        sorted.sort_by(|a, b| a.name.cmp(&b.name).then(key(a).cmp(&key(b))));
+        let mut sets: Vec<RRset> = Vec::new();
+        for run in sorted.chunk_by(|a, b| a.name == b.name && key(a) == key(b)) {
+            sets.push(set_of(run));
+        }
+        sets
     }
+}
+
+/// The type an RRSIG record covers; `None` for any other record.
+fn covered(r: &Record) -> Option<RecordType> {
+    match &r.rdata {
+        RData::Rrsig(sig) => Some(sig.type_covered),
+        _ => None,
+    }
+}
+
+/// Records of one owner and type as one set, spelled as the first, at
+/// the smallest TTL.
+fn set_of(records: &[Record]) -> RRset {
+    let first = &records[0];
+    RRset::new(
+        first.name.clone(),
+        first.record_type(),
+        records
+            .iter()
+            .map(|r| r.ttl)
+            .min()
+            .expect("a set holds a record"),
+        records.iter().map(|r| r.rdata.clone()).collect::<Vec<_>>(),
+    )
+}
+
+/// A section's records as sets: in order of first appearance, by owner
+/// (case-insensitively) and type.
+fn grouped(records: Vec<Record>) -> Vec<RRset> {
+    let mut keys: Vec<(Name, RecordType)> = Vec::new();
+    for r in &records {
+        let key = (r.name.clone(), r.record_type());
+        if !keys.contains(&key) {
+            keys.push(key);
+        }
+    }
+    keys.iter()
+        .map(|(name, rtype)| {
+            let members: Vec<Record> = records
+                .iter()
+                .filter(|r| r.name == *name && r.record_type() == *rtype)
+                .cloned()
+                .collect();
+            set_of(&members)
+        })
+        .collect()
 }
 
 const LABELS: [&str; 6] = ["a", "b", "ns", "w", "x1", "*"];
@@ -373,7 +459,7 @@ fn gen_record(rng: &mut SimRng, origin: &Name) -> Record {
         },
         16..=17 => RData::Txt(format!("t{}", rng.below(100))),
         _ => RData::Rrsig(Arc::new(RrsigData {
-            type_covered: pick(rng, &QTYPES[..6]),
+            type_covered: pick(rng, &QTYPES[..7]),
             algorithm: 13,
             original_ttl: 300,
             signer: origin.clone(),
@@ -435,15 +521,15 @@ impl Seen {
 
 fn check_stored_view(zone: &Zone, model: &Model, step: usize) {
     let expected = model.in_canonical_order();
-    let stored: Vec<Record> = zone.iter().cloned().collect();
+    let stored: Vec<RRset> = zone.iter().collect();
     assert_eq!(stored, expected, "step {step}: iter()");
-    let mut owners: Vec<Name> = expected.iter().map(|r| r.name.clone()).collect();
+    let mut owners: Vec<Name> = expected.iter().map(|s| s.name.clone()).collect();
     owners.dedup();
     let names: Vec<Name> = zone.names().cloned().collect();
     assert_eq!(names, owners, "step {step}: names()");
-    for r in &expected {
-        let rtype = r.record_type();
-        assert_eq!(zone.get(&r.name, rtype), model.at(&r.name, rtype));
+    for s in &expected {
+        let at = model.at(&s.name, s.rtype);
+        assert_eq!(zone.get(&s.name, s.rtype), Some(set_of(&at)), "step {step}");
     }
 }
 
@@ -540,7 +626,13 @@ fn run_seed(seed: u64, origin: &str) -> Seen {
         let qname = gen_name(&mut rng, &origin, depth, false);
         let query = Message::iterative_query(1, qname, RecordType::A);
         let response = srv.handle_query(&query, client, SimTime::ZERO);
-        assert_eq!(response.header.rcode, Rcode::NxDomain, "{response:?}");
+        // The apex exists even in an empty zone: NODATA there.
+        let rcode = match depth {
+            0 => Rcode::NoError,
+            _ => Rcode::NxDomain,
+        };
+        assert_eq!(response.header.rcode, rcode, "{response:?}");
+        assert!(response.answers.is_empty(), "{response:?}");
     }
     seen
 }
@@ -624,7 +716,10 @@ fn nested_cuts_refer_to_the_highest_and_resurface_when_it_goes() {
 /// `Display` leaves out.
 fn dump(zone: &Zone) -> String {
     let mut out = String::new();
-    for r in zone.iter() {
+    for r in zone
+        .iter()
+        .flat_map(|set| set.records().collect::<Vec<_>>())
+    {
         out += &r.to_string();
         if let RData::Rrsig(sig) = &r.rdata {
             out.push(' ');

@@ -76,11 +76,9 @@ pub(crate) fn crawl_served_domain(domain: &CrawledDomain) -> Option<Vec<RecordTe
     for rtype in crate::crawler::CRAWLED_TYPES {
         let q = Message::iterative_query(1, origin.clone(), rtype);
         let response = server.handle_query(&q, client, SimTime::ZERO);
-        for r in &response.answers {
-            if r.record_type() != rtype {
-                continue;
-            }
-            let value = match &r.rdata {
+        let sets = response.answers.iter().filter(|set| set.rtype == rtype);
+        for (set, rdata) in sets.flat_map(|set| set.rdatas.iter().map(move |rd| (set, rd))) {
+            let value = match rdata {
                 RData::Ns(n) | RData::Cname(n) => {
                     let mut s = n.to_string();
                     s.pop(); // crawler stores names without trailing dot
@@ -96,7 +94,7 @@ pub(crate) fn crawl_served_domain(domain: &CrawledDomain) -> Option<Vec<RecordTe
                 RData::Dnskey { key, .. } => String::from_utf8_lossy(key).into_owned(),
                 other => other.to_string(),
             };
-            out.push((rtype, r.ttl.as_secs(), value));
+            out.push((rtype, set.ttl.as_secs(), value));
         }
     }
     Some(out)

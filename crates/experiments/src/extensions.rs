@@ -206,8 +206,8 @@ pub(crate) fn dnssec_centricity(cfg: &ExpConfig) -> Report {
                 out.answer
                     .answers
                     .iter()
-                    .find(|rec| rec.record_type() == RecordType::NS)
-                    .map(|rec| rec.ttl.as_secs() as u64)
+                    .find(|set| set.rtype == RecordType::NS)
+                    .map(|set| set.ttl.as_secs() as u64)
                     .unwrap_or(0)
             })
             .collect()
@@ -239,7 +239,10 @@ pub(crate) fn dnssec_centricity(cfg: &ExpConfig) -> Report {
         let out = r.resolve(&name("www.gub.uy"), RecordType::A, SimTime::ZERO, &mut net);
         (
             out.answer.header.rcode,
-            out.answer.answers.first().map(|rec| rec.rdata.clone()),
+            out.answer
+                .answers
+                .first()
+                .and_then(|set| set.rdatas.first().cloned()),
         )
     };
     let (validator_rcode, _) = probe(ResolverPolicy::validating(), 90_001);
@@ -482,7 +485,7 @@ pub(crate) fn load_balancing_agility(cfg: &ExpConfig) -> Report {
             // The client uses the first answer — that backend gets
             // the connection.
             if let Some(first) = out.answer.answers.first() {
-                if let RData::A(a) = &first.rdata {
+                if let Some(RData::A(a)) = first.rdatas.first() {
                     if let Some(idx) = backends.iter().position(|b| *b == a.to_string()) {
                         counts[idx] += 1;
                     }
@@ -659,7 +662,8 @@ pub(crate) fn secondary_propagation(cfg: &ExpConfig) -> Report {
                     .answer
                     .answers
                     .iter()
-                    .any(|rec| rec.rdata == dnsttl_wire::RData::A("203.0.113.1".parse().unwrap()))
+                    .flat_map(|set| set.rdatas.iter())
+                    .any(|rd| *rd == dnsttl_wire::RData::A("203.0.113.1".parse().unwrap()))
                     && now.as_secs() > renumber_at
                 {
                     last_old_seen = now.as_secs();

@@ -96,7 +96,8 @@ fn run_scenario(
             .answer
             .answers
             .iter()
-            .any(|r| r.rdata == RData::Aaaa(NEW_MARKER));
+            .flat_map(|set| set.rdatas.iter())
+            .any(|rd| *rd == RData::Aaaa(NEW_MARKER));
         if new_vm && switch_s.is_none() {
             switch_s = Some(t);
             break;

@@ -577,7 +577,7 @@ mod tests {
     use dnsttl_core::ResolverPolicy;
     use dnsttl_netsim::{ClientId, DnsService, SimRng, SimTime};
     use dnsttl_resolver::RecursiveResolver;
-    use dnsttl_wire::{Message, Rcode, RecordType};
+    use dnsttl_wire::{Message, RRset, Rcode, RecordType};
 
     fn resolver(roots: Vec<RootHint>) -> RecursiveResolver {
         RecursiveResolver::new(
@@ -619,8 +619,9 @@ mod tests {
             region: Region::Eu,
             tag: 0,
         };
-        let stale = Record::new(
+        let stale = RRset::new(
             name("stale.example"),
+            RecordType::A,
             Ttl::HOUR,
             RData::A(Ipv4Addr::BROADCAST),
         );
@@ -687,7 +688,7 @@ mod tests {
         let q = name("p1.sub.cachetest.net");
         let out = r.resolve(&q, RecordType::AAAA, SimTime::ZERO, &mut world.net);
         assert_eq!(
-            out.answer.answers[0].rdata,
+            out.answer.answers[0].rdatas[0],
             RData::Aaaa(OLD_MARKER),
             "before renumber: old VM answers"
         );
@@ -699,7 +700,7 @@ mod tests {
             SimTime::from_secs(1_200),
             &mut world.net,
         );
-        assert_eq!(out.answer.answers[0].rdata, RData::Aaaa(OLD_MARKER));
+        assert_eq!(out.answer.answers[0].rdatas[0], RData::Aaaa(OLD_MARKER));
         // After the NS TTL (3600 s): the re-fetched referral glue
         // carries the new address (§4.2's coupled lifetimes).
         let out = r.resolve(
@@ -708,7 +709,7 @@ mod tests {
             SimTime::from_secs(3_700),
             &mut world.net,
         );
-        assert_eq!(out.answer.answers[0].rdata, RData::Aaaa(NEW_MARKER));
+        assert_eq!(out.answer.answers[0].rdatas[0], RData::Aaaa(NEW_MARKER));
     }
 
     #[test]
@@ -717,7 +718,7 @@ mod tests {
         let mut r = resolver(world.roots.clone());
         let q = name("p1.sub.cachetest.net");
         let out = r.resolve(&q, RecordType::AAAA, SimTime::ZERO, &mut world.net);
-        assert_eq!(out.answer.answers[0].rdata, RData::Aaaa(OLD_MARKER));
+        assert_eq!(out.answer.answers[0].rdatas[0], RData::Aaaa(OLD_MARKER));
         world.renumber();
         // Past the NS TTL but inside the address's 7200 s: still old
         // (§4.3: out-of-bailiwick addresses live their full TTL).
@@ -727,7 +728,7 @@ mod tests {
             SimTime::from_secs(3_700),
             &mut world.net,
         );
-        assert_eq!(out.answer.answers[0].rdata, RData::Aaaa(OLD_MARKER));
+        assert_eq!(out.answer.answers[0].rdatas[0], RData::Aaaa(OLD_MARKER));
         // Past the address TTL: new server.
         let out = r.resolve(
             &q,
@@ -735,7 +736,7 @@ mod tests {
             SimTime::from_secs(7_300),
             &mut world.net,
         );
-        assert_eq!(out.answer.answers[0].rdata, RData::Aaaa(NEW_MARKER));
+        assert_eq!(out.answer.answers[0].rdatas[0], RData::Aaaa(NEW_MARKER));
     }
 
     #[test]

@@ -514,8 +514,13 @@ fn wire_fits(msg: &Message) -> Result<bool, WireError> {
 mod tests {
     use super::*;
     use dnsttl_telemetry::flat_get;
-    use dnsttl_wire::{Name, RData, Rcode, Record, RecordType, Ttl};
+    use dnsttl_wire::{Name, RData, RRset, Rcode, RecordType, Ttl};
     use std::net::Ipv4Addr;
+
+    /// A one-member set.
+    fn one(owner: Name, ttl: Ttl, rdata: RData) -> RRset {
+        RRset::new(owner, rdata.record_type(), ttl, rdata)
+    }
 
     /// Echo server: answers every query with a fixed A record.
     struct Fixed {
@@ -528,11 +533,8 @@ mod tests {
             r.header.authoritative = true;
             r.header.rcode = Rcode::NoError;
             if let Some(q) = &query.question {
-                r.answers.push(Record::new(
-                    q.qname.clone(),
-                    Ttl::MINUTE,
-                    RData::A(self.answer),
-                ));
+                r.answers
+                    .push(one(q.qname.clone(), Ttl::MINUTE, RData::A(self.answer)));
             }
             r
         }
@@ -726,13 +728,15 @@ mod tests {
             let mut r = Message::response_to(query);
             r.header.authoritative = true;
             if let Some(q) = &query.question {
-                for i in 0..40u8 {
-                    r.answers.push(Record::new(
-                        q.qname.clone(),
-                        Ttl::MINUTE,
-                        RData::A(Ipv4Addr::new(203, 0, 113, i)),
-                    ));
-                }
+                let addresses: Vec<RData> = (0..40u8)
+                    .map(|i| RData::A(Ipv4Addr::new(203, 0, 113, i)))
+                    .collect();
+                r.answers.push(RRset::new(
+                    q.qname.clone(),
+                    RecordType::A,
+                    Ttl::MINUTE,
+                    addresses,
+                ));
             }
             r
         }
@@ -758,7 +762,7 @@ mod tests {
         );
         let msg = tcp.response().unwrap();
         assert!(!msg.header.truncated);
-        assert_eq!(msg.answers.len(), 40);
+        assert_eq!(msg.answers[0].len(), 40);
         // TCP pays the handshake: exactly two constant RTTs.
         assert_eq!(tcp.elapsed(), SimDuration::from_millis(20));
     }
@@ -773,9 +777,9 @@ mod tests {
         fn handle_query(&mut self, query: &Message, _client: ClientId, _now: SimTime) -> Message {
             let mut r = Message::response_to(query);
             r.additionals
-                .push(Record::new(Name::root(), Ttl::ZERO, RData::Opt(Vec::new())));
+                .push(one(Name::root(), Ttl::ZERO, RData::Opt(Vec::new())));
             let pad = self.octets - encoded_len(&r).expect("encodable");
-            r.additionals[0].rdata = RData::Opt(vec![0; pad]);
+            r.additionals[0].rdatas = RData::Opt(vec![0; pad]).into();
             assert_eq!(encoded_len(&r), Ok(self.octets));
             r
         }
@@ -828,19 +832,18 @@ mod tests {
         fn handle_query(&mut self, query: &Message, _client: ClientId, _now: SimTime) -> Message {
             let mut r = Message::response_to(query);
             let zone = Name::parse("example").unwrap();
+            let mut servers = Vec::new();
             for i in 0..13u8 {
                 let ns = Name::parse(&format!("{}.ns.example", (b'a' + i) as char)).unwrap();
-                r.authorities.push(Record::new(
-                    zone.clone(),
-                    Ttl::TWO_DAYS,
-                    RData::Ns(ns.clone()),
-                ));
-                r.additionals.push(Record::new(
+                servers.push(RData::Ns(ns.clone()));
+                r.additionals.push(one(
                     ns,
                     Ttl::TWO_DAYS,
                     RData::A(Ipv4Addr::new(192, 0, 2, i)),
                 ));
             }
+            r.authorities
+                .push(RRset::new(zone, RecordType::NS, Ttl::TWO_DAYS, servers));
             r
         }
     }
@@ -853,7 +856,7 @@ mod tests {
         let out = net.exchange(Region::Eu, 0, addr(1), &query(), SimTime::ZERO, &mut rng);
         let msg = out.response().expect("response");
         assert!(!msg.header.truncated, "446 octets compressed fit in 512");
-        assert_eq!((msg.authorities.len(), msg.additionals.len()), (13, 13));
+        assert_eq!((msg.authorities[0].len(), msg.additionals.len()), (13, 13));
         // The sizes the doc comment states: over the limit in full, under
         // it compressed.
         let full = |n: &Name| n.as_str().len() + 1;
@@ -869,7 +872,7 @@ mod tests {
 
     /// A server that answers with whatever records it was built with.
     struct Canned {
-        answers: Vec<Record>,
+        answers: Vec<RRset>,
     }
 
     impl DnsService for Canned {
@@ -883,12 +886,17 @@ mod tests {
     #[test]
     fn unencodable_messages_are_counted_timeouts_not_panics() {
         let owner = || Name::parse("x.example").unwrap();
-        let txt = |t: String| Record::new(owner(), Ttl::MINUTE, RData::Txt(t));
+        let txt = |t: String| one(owner(), Ttl::MINUTE, RData::Txt(t));
         let bad_answers = [
             vec![txt("x".repeat(70_000))],
             vec![txt("caf\u{e9}".into())],
             // 5 000 address records: each fine, together past 65 535 octets.
-            vec![Record::new(owner(), Ttl::MINUTE, RData::A(Ipv4Addr::LOCALHOST)); 5_000],
+            vec![RRset::new(
+                owner(),
+                RecordType::A,
+                Ttl::MINUTE,
+                vec![RData::A(Ipv4Addr::LOCALHOST); 5_000],
+            )],
         ];
         let telemetry = Telemetry::new();
         let mut net = Network::new(LatencyModel::constant(10.0));
@@ -952,11 +960,7 @@ mod tests {
         fn respond_into(&mut self, query: &Message, _: ClientId, _: SimTime, r: &mut Message) {
             r.reuse_as_response_to(query);
             let owner = query.question.as_ref().expect("asked").qname.clone();
-            (r.answers).push(Record::new(
-                owner,
-                Ttl::MINUTE,
-                RData::A(Ipv4Addr::LOCALHOST),
-            ));
+            (r.answers).push(one(owner, Ttl::MINUTE, RData::A(Ipv4Addr::LOCALHOST)));
         }
     }
 
@@ -965,7 +969,7 @@ mod tests {
         let mut net = Network::new(LatencyModel::constant(5.0));
         net.register(addr(1), Region::Eu, Rc::new(RefCell::new(InPlace)));
         let mut rng = SimRng::seed_from(14);
-        let stale = Record::new(Name::root(), Ttl::HOUR, RData::A(Ipv4Addr::BROADCAST));
+        let stale = one(Name::root(), Ttl::HOUR, RData::A(Ipv4Addr::BROADCAST));
         let mut dirty =
             Message::iterative_query(9, Name::parse("old.example").unwrap(), RecordType::NS);
         dirty.header.response = true;

@@ -26,14 +26,16 @@
 //!
 //! A slot holds what the entry needs once: the owner name and type
 //! live in the table's key only, a one-member set's data sits in the
-//! slot (`Members`), and the policy-clamped TTL is the entry's
-//! `ttl`, not a second copy in its provenance (`Source`).
+//! slot and a larger set's members are the block the zone allocated,
+//! shared through every response that carried them ([`Members`]), and
+//! the policy-clamped TTL is the entry's `ttl`, not a second copy in
+//! its provenance (`Source`).
 
 use dnsttl_core::{Centricity, ResolverPolicy};
 use dnsttl_netsim::{SimDuration, SimTime};
 use dnsttl_telemetry::{EventKind, Telemetry};
 use dnsttl_wire::name::NameKey;
-use dnsttl_wire::{Name, RData, RRset, Rcode, RecordType, Ttl};
+use dnsttl_wire::{Class, Members, Name, RData, RRset, Rcode, RecordType, Ttl};
 use std::borrow::Borrow;
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -97,7 +99,7 @@ impl Entry {
 
     /// The member data, in the order they were stored.
     pub(crate) fn members(&self) -> &[RData] {
-        self.members.as_slice()
+        &self.members
     }
 
     /// Where the entry came from (installing transaction, server,
@@ -120,46 +122,25 @@ impl Entry {
         }
     }
 
-    /// The entry under `owner`/`rtype` as handed out, carrying `ttl`.
+    /// The entry's members, as a set shares them.
+    pub(crate) fn shared_members(&self) -> &Members {
+        &self.members
+    }
+
+    /// The entry under `owner`/`rtype` as handed out, carrying `ttl`
+    /// and sharing the entry's members.
     fn answer(&self, owner: &Name, rtype: RecordType, ttl: Ttl, stale: bool) -> CachedAnswer {
         CachedAnswer {
             rrset: RRset {
                 name: owner.clone(),
+                class: Class::In,
                 rtype,
                 ttl,
-                rdatas: self.members().to_vec(),
+                rdatas: self.members.clone(),
             },
             rank: self.rank,
             stale,
             provenance: self.provenance(),
-        }
-    }
-}
-
-/// A cached set's data: one member in the slot itself, two or more in
-/// a boxed slice of exactly their number. Most sets a resolver holds
-/// are one address, so most stores copy nothing onto the heap.
-#[derive(Debug, Clone)]
-pub(crate) enum Members {
-    One(RData),
-    Many(Box<[RData]>),
-}
-
-impl Members {
-    fn as_slice(&self) -> &[RData] {
-        match self {
-            Members::One(only) => std::slice::from_ref(only),
-            Members::Many(all) => all,
-        }
-    }
-
-    /// Takes `rdatas` over: a lone member moves into the slot, more
-    /// keep their buffer (trimmed if it has room to spare).
-    fn from_vec(mut rdatas: Vec<RData>) -> Members {
-        if rdatas.len() == 1 {
-            Members::One(rdatas.pop().expect("one member"))
-        } else {
-            Members::Many(rdatas.into_boxed_slice())
         }
     }
 }
@@ -363,12 +344,12 @@ impl CacheMeta {
 /// let policy = ResolverPolicy::default();
 /// let mut cache = Cache::new();
 /// let name = Name::parse("a.nic.uy").unwrap();
-/// let rrset = RRset {
-///     name: name.clone(),
-///     rtype: RecordType::A,
-///     ttl: Ttl::from_secs(120),
-///     rdatas: vec![RData::A("200.40.241.1".parse().unwrap())],
-/// };
+/// let rrset = RRset::new(
+///     name.clone(),
+///     RecordType::A,
+///     Ttl::from_secs(120),
+///     RData::A("200.40.241.1".parse().unwrap()),
+/// );
 /// cache.store(rrset, Credibility::AuthAnswer, SimTime::ZERO, &policy, false);
 /// // 50 s later the remaining TTL is 70 s…
 /// let got = cache.get(&name, RecordType::A, SimTime::from_secs(50)).unwrap();
@@ -479,34 +460,35 @@ impl Cache {
         pinned: bool,
         ctx: StoreContext,
     ) {
-        self.store_set(rrset, rank, now, policy, pinned, ctx);
+        self.store_set(&rrset, rank, now, policy, pinned, ctx);
     }
 
-    /// [`Cache::store_with`] for any [`IncomingSet`], deciding before
-    /// it copies: a zero-TTL or rank-rejected store copies nothing; an
-    /// entry that already holds the set's data, spelled the same way
-    /// (the common case: a TTL-expired refetch, or the NS set and glue
-    /// every referral re-delivers), keeps its members and fingerprint;
-    /// any other store copies the members, a lone one into the slot
-    /// and more into one slice of the exact length. A store that
-    /// spells the owner differently moves the entry to a key spelled
-    /// its way, so ledger lines, snapshots and answers print it.
-    pub(crate) fn store_set<S: IncomingSet>(
+    /// [`Cache::store_with`] for a set the caller keeps (a response's):
+    /// a zero-TTL or rank-rejected store takes nothing; an entry that
+    /// already holds the set's data, spelled the same way (the common
+    /// case: a TTL-expired refetch, or the NS set and glue every
+    /// referral re-delivers), keeps its members and fingerprint, and
+    /// knows so without comparing when both share one block; any other
+    /// store clones the set's members — a lone one into the slot, more
+    /// by sharing their block, so no member is ever copied. A store
+    /// that spells the owner differently moves the entry to a key
+    /// spelled its way, so ledger lines, snapshots and answers print it.
+    pub(crate) fn store_set(
         &mut self,
-        set: S,
+        set: &RRset,
         rank: Credibility,
         now: SimTime,
         policy: &ResolverPolicy,
         pinned: bool,
         ctx: StoreContext,
     ) {
-        let rtype = set.rtype();
+        let rtype = set.rtype;
         // Empty unless something failed: answer before hashing.
         if let Some(negatives) = self.negatives.as_mut().filter(|n| !n.is_empty()) {
-            negatives.remove(&Probe(set.owner(), rtype) as &dyn TableKey);
+            negatives.remove(&Probe(&set.name, rtype) as &dyn TableKey);
         }
         let meta = self.meta.get_mut();
-        let original_ttl = set.ttl();
+        let original_ttl = set.ttl;
         let ttl = policy.clamp_ttl(original_ttl);
         if ttl.is_zero() {
             meta.stats.rejected_stores += 1;
@@ -524,12 +506,12 @@ impl Cache {
             bailiwick: ctx.bailiwick,
             original_ttl,
         };
-        let probe = Probe(set.owner(), rtype);
+        let probe = Probe(&set.name, rtype);
         let Some((key, existing)) = self.entries.get_key_value(&probe as &dyn TableKey) else {
-            let key = (set.owner().clone(), rtype);
+            let key = (set.name.clone(), rtype);
             let entry = Entry {
-                fingerprint: RRset::fingerprint_of(&key.0, rtype, set.members()),
-                members: set.into_members(),
+                fingerprint: set.fingerprint(),
+                members: set.rdatas.clone(),
                 ttl,
                 stored_at: now,
                 expires_at: now + ttl_span(ttl),
@@ -553,18 +535,19 @@ impl Cache {
             meta.stats.rejected_stores += 1;
             return;
         }
-        let respelled = key.0.as_str() != set.owner().as_str();
-        let held = existing.members();
+        let respelled = key.0.as_str() != set.name.as_str();
+        let held = &existing.members;
         let same_spelling = !respelled
-            && held.len() == set.len()
-            && held
-                .iter()
-                .zip(set.members())
-                .all(|(a, b)| spelled_alike(a, b));
+            && (held.ptr_eq(&set.rdatas)
+                || (held.len() == set.len()
+                    && held
+                        .iter()
+                        .zip(set.rdatas.iter())
+                        .all(|(a, b)| spelled_alike(a, b))));
         let fingerprint = if same_spelling {
             existing.fingerprint
         } else {
-            RRset::fingerprint_of(set.owner(), rtype, set.members())
+            set.fingerprint()
         };
         let refresh = fresh && fingerprint == existing.fingerprint;
         // Journalled before the entry changes: the ledger reads
@@ -578,7 +561,7 @@ impl Cache {
         }
         let renew = |e: &mut Entry| {
             if !same_spelling {
-                e.members = set.copy_members();
+                e.members = set.rdatas.clone();
                 e.fingerprint = fingerprint;
             }
             e.ttl = ttl;
@@ -599,15 +582,15 @@ impl Cache {
             let probe = &probe as &dyn TableKey;
             let (_, mut entry) = self.entries.remove_entry(probe).expect(just_read);
             renew(&mut entry);
-            meta.record(now, op, (set.owner(), rtype), &entry);
-            self.entries.insert((set.owner().clone(), rtype), entry);
+            meta.record(now, op, (&set.name, rtype), &entry);
+            self.entries.insert((set.name.clone(), rtype), entry);
         } else {
             let entry = self
                 .entries
                 .get_mut(&probe as &dyn TableKey)
                 .expect(just_read);
             renew(entry);
-            meta.record(now, op, (set.owner(), rtype), entry);
+            meta.record(now, op, (&set.name, rtype), entry);
         }
     }
 
@@ -745,7 +728,7 @@ impl Cache {
         let expires_at = now + ttl_span(ttl);
         // What the journal shows in place of the RRset nobody holds.
         let shell = Entry {
-            members: Members::Many(Box::default()),
+            members: Members::default(),
             ttl,
             stored_at: now,
             expires_at,
@@ -824,61 +807,6 @@ fn ttl_span(ttl: Ttl) -> dnsttl_netsim::SimDuration {
     dnsttl_netsim::SimDuration::from_secs(ttl.as_secs() as u64)
 }
 
-/// An RRset on its way into the cache, read in place until
-/// [`Cache::store_set`] knows what it keeps: an owned [`RRset`], or a
-/// set of a response section that the resolver hands over unbuilt.
-pub(crate) trait IncomingSet {
-    /// The owner name, spelled as the set spells it.
-    fn owner(&self) -> &Name;
-    /// The type every member shares.
-    fn rtype(&self) -> RecordType;
-    /// The set's TTL: the minimum of its members' (RFC 2181 §5.2).
-    fn ttl(&self) -> Ttl;
-    /// The member data, in the set's order.
-    fn members(&self) -> impl Iterator<Item = &RData> + Clone;
-    /// How many members [`IncomingSet::members`] yields.
-    fn len(&self) -> usize;
-    /// The members, owned, for a vacant key: a borrowed set copies
-    /// them ([`IncomingSet::copy_members`]), an owned one hands over
-    /// its own.
-    fn into_members(self) -> Members;
-
-    /// The members, copied as the cache keeps them: a lone one into
-    /// the slot, more into one slice of exactly their number.
-    fn copy_members(&self) -> Members {
-        let mut members = self.members();
-        match (members.next(), self.len()) {
-            (Some(only), 1) => Members::One(only.clone()),
-            _ => {
-                let mut rdatas = Vec::with_capacity(self.len());
-                rdatas.extend(self.members().cloned());
-                Members::Many(rdatas.into_boxed_slice())
-            }
-        }
-    }
-}
-
-impl IncomingSet for RRset {
-    fn owner(&self) -> &Name {
-        &self.name
-    }
-    fn rtype(&self) -> RecordType {
-        self.rtype
-    }
-    fn ttl(&self) -> Ttl {
-        self.ttl
-    }
-    fn members(&self) -> impl Iterator<Item = &RData> + Clone {
-        self.rdatas.iter()
-    }
-    fn len(&self) -> usize {
-        self.rdatas.len()
-    }
-    fn into_members(self) -> Members {
-        Members::from_vec(self.rdatas)
-    }
-}
-
 /// True when a cached member and an incoming one are the same data
 /// spelled the same way, so the fingerprint the entry holds is the
 /// one the incoming set would hash to: addresses by value, names by
@@ -899,7 +827,6 @@ fn spelled_alike(held: &RData, incoming: &RData) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dnsttl_wire::Record;
     use std::hash::BuildHasher;
 
     fn policy() -> ResolverPolicy {
@@ -911,19 +838,19 @@ mod tests {
     }
 
     fn a_rrset(name: &str, ttl: u32, last: u8) -> RRset {
-        RRset {
-            name: n(name),
-            rtype: RecordType::A,
-            ttl: Ttl::from_secs(ttl),
-            rdatas: vec![RData::A(std::net::Ipv4Addr::new(192, 0, 2, last))],
-        }
+        RRset::new(
+            n(name),
+            RecordType::A,
+            Ttl::from_secs(ttl),
+            RData::A(std::net::Ipv4Addr::new(192, 0, 2, last)),
+        )
     }
 
     /// The entry table's slot, pinned beside the public hot types in
     /// `tests/type_sizes.rs`: paper-scale fig3 holds about two million
     /// of them. A change that grows it re-pins it and says why. 128
     /// bytes: the key's owner name and type (32), the members (32: one
-    /// `RData` inline, or a boxed slice), the stored provenance (32:
+    /// `RData` inline, or a shared slice), the stored provenance (32:
     /// transaction, server, origin, bailiwick, published TTL), then the
     /// fingerprint, two instants, the TTL, the rank and the pin flag.
     #[cfg(target_pointer_width = "64")]
@@ -1576,7 +1503,7 @@ mod tests {
                         .get(&name, RecordType::A, now)
                         .map(|a| (a.rrset.ttl, a.rank, a.rrset.rdatas, a.provenance));
                     let read = via_read.read(&name, RecordType::A, now, |_, e, ttl| {
-                        (ttl, e.rank, e.members().to_vec(), e.provenance())
+                        (ttl, e.rank, e.shared_members().clone(), e.provenance())
                     });
                     assert_eq!(got, read, "at {now:?}");
                 }
@@ -1602,20 +1529,17 @@ mod tests {
         RData::Ns(n(target))
     }
 
-    /// One RRset's records, as a response section carries them.
-    fn section(owner: &str, ttl: u32, rdatas: &[RData]) -> Vec<Record> {
-        rdatas
-            .iter()
-            .map(|rd| Record::new(n(owner), Ttl::from_secs(ttl), rd.clone()))
-            .collect()
+    /// One RRset, as a response section carries it.
+    fn section(owner: &str, ttl: u32, rdatas: &[RData]) -> RRset {
+        let rtype = rdatas[0].record_type();
+        RRset::new(n(owner), rtype, Ttl::from_secs(ttl), rdatas.to_vec())
     }
 
-    /// Stores a section as `ingest` does: each set borrowed in place.
-    fn store_section(c: &mut Cache, records: &[Record], rank: Credibility, secs: u64) {
-        for set in crate::resolver::group_rrsets(records) {
-            let now = SimTime::from_secs(secs);
-            c.store_set(set, rank, now, &policy(), false, StoreContext::default());
-        }
+    /// Stores a response's set as `ingest` does: borrowed, the response
+    /// keeping it.
+    fn store_section(c: &mut Cache, set: &RRset, rank: Credibility, secs: u64) {
+        let now = SimTime::from_secs(secs);
+        c.store_set(set, rank, now, &policy(), false, StoreContext::default());
     }
 
     fn entry<'c>(c: &'c Cache, owner: &str, rtype: RecordType) -> &'c Entry {
@@ -1638,12 +1562,24 @@ mod tests {
         store_section(&mut c, &referral, Credibility::ReferralAuthority, 0);
         let held = entry(&c, "uy", RecordType::NS);
         let (ptr, fp) = (held.members().as_ptr(), held.fingerprint);
+        assert!(held.shared_members().ptr_eq(&referral.rdatas));
         store_section(&mut c, &referral, Credibility::ReferralAuthority, 100);
+        // The same data in another block (a zone rebuilt with it) is a
+        // refresh too, and the entry keeps the block it holds.
+        let copy = section("uy", 300, &[ns("a.nic.uy"), ns("b.nic.uy"), ns("c.nic.uy")]);
+        store_section(&mut c, &copy, Credibility::ReferralAuthority, 200);
         let held = entry(&c, "uy", RecordType::NS);
         assert_eq!(held.members().as_ptr(), ptr);
         assert_eq!(held.fingerprint, fp);
-        assert_eq!(held.stored_at, SimTime::from_secs(100));
-        assert_eq!(journal(&c), [(CacheOp::Insert, fp), (CacheOp::Refresh, fp)]);
+        assert_eq!(held.stored_at, SimTime::from_secs(200));
+        assert_eq!(
+            journal(&c),
+            [
+                (CacheOp::Insert, fp),
+                (CacheOp::Refresh, fp),
+                (CacheOp::Refresh, fp)
+            ]
+        );
     }
 
     #[test]
@@ -1660,7 +1596,7 @@ mod tests {
         let renumbered = section("ns.example", 60, &[v4(3), v4(4)]);
         store_section(&mut c, &renumbered, Credibility::AuthAnswer, 61);
         let held = entry(&c, "ns.example", RecordType::A);
-        let new_fp = RRset::from_records(&renumbered).unwrap().fingerprint();
+        let new_fp = renumbered.fingerprint();
         assert_ne!(new_fp, old_fp);
         assert_eq!(held.members(), [v4(3), v4(4)]);
         assert_eq!(held.fingerprint, new_fp);
@@ -1700,33 +1636,40 @@ mod tests {
         assert_eq!(c.stats().rejected_stores, 2);
     }
 
-    /// How an entry holds `len` members: inline for one, a slice of
-    /// exactly their number for more.
+    /// How an entry holds its members: inline for one, else in a
+    /// block it shares (a clone of the entry's members points at it).
     fn held_as(c: &Cache, owner: &str, rtype: RecordType) -> (&'static str, usize) {
-        match &entry(c, owner, rtype).members {
-            Members::One(_) => ("inline", 1),
-            Members::Many(all) => ("slice", all.len()),
+        let members = entry(c, owner, rtype).shared_members();
+        match members.ptr_eq(&members.clone()) {
+            false => ("inline", members.len()),
+            true => ("shared", members.len()),
         }
     }
 
     #[test]
-    fn a_lone_member_sits_in_the_slot_and_more_in_one_slice() {
+    fn a_lone_member_sits_in_the_slot_and_more_share_the_sets_block() {
         let mut c = Cache::new();
-        // A vacant key copies a borrowed set, here read from a section
-        // that interleaves another set.
-        let mut records = section("ns.example", 60, &[v4(1), v4(2), v4(3)]);
-        records.insert(1, Record::new(n("example"), Ttl::HOUR, ns("ns.example")));
-        store_section(&mut c, &records, Credibility::AuthAnswer, 0);
-        assert_eq!(held_as(&c, "ns.example", RecordType::A), ("slice", 3));
-        assert_eq!(held_as(&c, "example", RecordType::NS), ("inline", 1));
-        // A change of member count, borrowed or owned, is copied exactly.
+        let three = section("ns.example", 60, &[v4(1), v4(2), v4(3)]);
+        store_section(&mut c, &three, Credibility::AuthAnswer, 0);
         store_section(
             &mut c,
-            &section("ns.example", 60, &[v4(1), v4(2)]),
+            &section("example", 3600, &[ns("ns.example")]),
             Credibility::AuthAnswer,
-            1,
+            0,
         );
-        assert_eq!(held_as(&c, "ns.example", RecordType::A), ("slice", 2));
+        assert_eq!(held_as(&c, "ns.example", RecordType::A), ("shared", 3));
+        assert!(entry(&c, "ns.example", RecordType::A)
+            .shared_members()
+            .ptr_eq(&three.rdatas));
+        assert_eq!(held_as(&c, "example", RecordType::NS), ("inline", 1));
+        // A change of member count takes the new set's block, or its
+        // lone member into the slot.
+        let two = section("ns.example", 60, &[v4(1), v4(2)]);
+        store_section(&mut c, &two, Credibility::AuthAnswer, 1);
+        assert_eq!(held_as(&c, "ns.example", RecordType::A), ("shared", 2));
+        assert!(entry(&c, "ns.example", RecordType::A)
+            .shared_members()
+            .ptr_eq(&two.rdatas));
         store_section(
             &mut c,
             &section("ns.example", 60, &[v4(9)]),
@@ -1734,24 +1677,8 @@ mod tests {
             2,
         );
         assert_eq!(held_as(&c, "ns.example", RecordType::A), ("inline", 1));
-        let mut roomy = Vec::with_capacity(16);
-        roomy.extend([v4(5), v4(6), v4(7), v4(8)]);
-        let grown = RRset {
-            rdatas: roomy,
-            ..a_rrset("ns.example", 60, 0)
-        };
-        c.store(
-            grown,
-            Credibility::AuthAnswer,
-            SimTime::from_secs(3),
-            &policy(),
-            false,
-        );
-        assert_eq!(held_as(&c, "ns.example", RecordType::A), ("slice", 4));
-        // An owned set moves its vector into a vacant key, and an owned
-        // lone member moves into the slot.
-        let mut owned = a_rrset("new.example", 60, 9);
-        owned.rdatas = vec![v4(1), v4(2)];
+        // An owned set hands its block over.
+        let owned = section("new.example", 60, &[v4(1), v4(2)]);
         let ptr = owned.rdatas.as_ptr();
         c.store(
             owned,
@@ -1775,11 +1702,7 @@ mod tests {
     #[test]
     fn case_variants_take_the_incoming_spelling_and_classify_by_fingerprint() {
         let held = [ns("a.nic.uy"), ns("b.nic.uy")];
-        let fingerprint = |owner: &str, rdatas: &[RData]| {
-            RRset::from_records(&section(owner, 300, rdatas))
-                .unwrap()
-                .fingerprint()
-        };
+        let fingerprint = |owner: &str, rdatas: &[RData]| section(owner, 300, rdatas).fingerprint();
         let variants = [
             ("uy", vec![ns("a.nic.uy"), ns("b.nic.uy")]),
             ("UY", vec![ns("a.nic.uy"), ns("b.nic.uy")]),

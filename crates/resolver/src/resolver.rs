@@ -8,12 +8,12 @@
 //! addresses with sub-queries, retrying and failing over between
 //! servers, and accounting the RTT of every exchange.
 
-use crate::cache::{Cache, Credibility, IncomingSet, Members};
+use crate::cache::{Cache, Credibility};
 use crate::ledger::{BailiwickClass, StoreContext};
 use dnsttl_core::{Centricity, ResolverPolicy};
 use dnsttl_netsim::{ExchangeOutcome, Network, Region, SimDuration, SimRng, SimTime, Transport};
 use dnsttl_telemetry::{EventKind, MetricKey, SpanId, Telemetry, Value};
-use dnsttl_wire::{Header, Message, Name, Question, RData, Rcode, Record, RecordType, Ttl};
+use dnsttl_wire::{Header, Members, Message, Name, Question, RData, RRset, Rcode, RecordType, Ttl};
 use std::collections::HashMap;
 use std::fmt;
 use std::net::IpAddr;
@@ -91,7 +91,7 @@ pub struct ResolutionOutcome {
 pub struct ResolutionVerdict {
     /// The answer's response code.
     pub rcode: Rcode,
-    /// How many records the answer section holds.
+    /// How many records the answer section's sets hold.
     pub answers: usize,
     /// Resolver-side time spent.
     pub elapsed: SimDuration,
@@ -104,29 +104,37 @@ pub struct ResolutionVerdict {
 }
 
 /// Where one resolution writes its answer. Every path that answers
-/// (cache, fresh response, CNAME chain, serve-stale) appends here.
+/// (cache, fresh response, CNAME chain, serve-stale) appends a set here.
 struct Answer<'m> {
     kept: Kept<'m>,
+    /// Records appended so far: the sets' members.
     len: usize,
 }
 
-/// What an [`Answer`] keeps of the records appended to it.
+/// What an [`Answer`] keeps of the sets appended to it.
 enum Kept<'m> {
-    /// The records, in a buffer the caller lends and reads afterwards.
-    Records(&'m mut Vec<Record>),
-    /// Only their TTLs, for the answer-TTL sketch of a caller that
-    /// reads no record while telemetry is on.
+    /// The sets, in a buffer the caller lends and reads afterwards.
+    Sets(&'m mut Vec<RRset>),
+    /// Only their records' TTLs, for the answer-TTL sketch of a caller
+    /// that reads no record while telemetry is on.
     Ttls(AnswerTtls),
-    /// Only their count.
+    /// Only their record count.
     Count,
 }
 
+/// How much an [`Answer`] held at one point, to go back to.
+#[derive(Clone, Copy, Default)]
+struct Mark {
+    sets: usize,
+    records: usize,
+}
+
 impl<'m> Answer<'m> {
-    /// An answer whose records land in `buf`, emptied first.
-    fn records(buf: &'m mut Vec<Record>) -> Answer<'m> {
+    /// An answer whose sets land in `buf`, emptied first.
+    fn sets(buf: &'m mut Vec<RRset>) -> Answer<'m> {
         buf.clear();
         Answer {
-            kept: Kept::Records(buf),
+            kept: Kept::Sets(buf),
             len: 0,
         }
     }
@@ -142,39 +150,49 @@ impl<'m> Answer<'m> {
         Answer { kept, len: 0 }
     }
 
-    /// Appends records, each given as its owner, TTL and data.
-    fn extend<'r>(&mut self, records: impl Iterator<Item = (&'r Name, Ttl, &'r RData)>) {
+    /// Appends the set `rtype` at `owner` with `ttl`, sharing `members`.
+    fn push(&mut self, owner: &Name, rtype: RecordType, ttl: Ttl, members: &Members) {
+        self.len += members.len();
         match &mut self.kept {
-            Kept::Records(kept) => {
-                kept.extend(records.map(|(n, ttl, rd)| Record::new(n.clone(), ttl, rd.clone())));
-                self.len = kept.len();
-            }
-            Kept::Ttls(ttls) => {
-                records.for_each(|(_, ttl, _)| ttls.push(ttl));
-                self.len = ttls.len();
-            }
-            Kept::Count => self.len += records.count(),
+            Kept::Sets(sets) => sets.push(RRset::new(owner.clone(), rtype, ttl, members.clone())),
+            Kept::Ttls(ttls) => members.iter().for_each(|_| ttls.push(ttl)),
+            Kept::Count => {}
         }
     }
 
-    /// Drops every record after the first `len`.
-    fn truncate(&mut self, len: usize) {
-        self.len = self.len.min(len);
+    /// What the answer holds now.
+    fn mark(&self) -> Mark {
+        let sets = match &self.kept {
+            Kept::Sets(sets) => sets.len(),
+            Kept::Ttls(_) | Kept::Count => 0,
+        };
+        Mark {
+            sets,
+            records: self.len,
+        }
+    }
+
+    /// Drops every set appended since `mark` was taken.
+    fn truncate(&mut self, mark: Mark) {
+        self.len = self.len.min(mark.records);
         match &mut self.kept {
-            Kept::Records(records) => records.truncate(len),
-            Kept::Ttls(ttls) => ttls.truncate(len),
+            Kept::Sets(sets) => sets.truncate(mark.sets),
+            Kept::Ttls(ttls) => ttls.truncate(mark.records),
             Kept::Count => {}
         }
     }
 
     /// The kept records' TTLs, in order.
     fn ttls(&self) -> impl Iterator<Item = Ttl> + '_ {
-        let (records, ttls): (&[Record], &[Ttl]) = match &self.kept {
-            Kept::Records(records) => (records, &[]),
+        let (sets, ttls): (&[RRset], &[Ttl]) = match &self.kept {
+            Kept::Sets(sets) => (sets, &[]),
             Kept::Ttls(ttls) => (&[], ttls),
             Kept::Count => (&[], &[]),
         };
-        records.iter().map(|r| r.ttl).chain(ttls.iter().copied())
+        let set_ttls = sets
+            .iter()
+            .flat_map(|s| std::iter::repeat_n(s.ttl, s.len()));
+        set_ttls.chain(ttls.iter().copied())
     }
 }
 
@@ -503,7 +521,7 @@ impl RecursiveResolver {
         authorities.clear();
         additionals.clear();
         let (id, verdict) =
-            self.answer_question(qname, qtype, now, net, &mut Answer::records(answers));
+            self.answer_question(qname, qtype, now, net, &mut Answer::sets(answers));
         *header = Header {
             id,
             response: true,
@@ -626,11 +644,11 @@ impl RecursiveResolver {
             }
             // No record answers a negative or failed question, not even a chain.
             Resolved::Negative(rcode) => {
-                answer.truncate(0);
+                answer.truncate(Mark::default());
                 rcode
             }
             Resolved::Fail => {
-                answer.truncate(0);
+                answer.truncate(Mark::default());
                 bump(
                     &mut self.stats.servfails,
                     &self.telemetry,
@@ -784,16 +802,10 @@ impl RecursiveResolver {
                     let direct = response
                         .answers
                         .iter()
-                        .filter(|r| r.name == current && r.record_type() == qtype);
-                    if direct.clone().next().is_some() {
+                        .find(|s| s.name == current && s.rtype == qtype);
+                    if let Some(direct) = direct {
                         if self.policy.validate_dnssec
-                            && !self.validate_answer(
-                                &current,
-                                qtype,
-                                direct.clone(),
-                                &response,
-                                now,
-                            )
+                            && !self.validate_answer(&current, qtype, direct, &response, now)
                         {
                             self.telemetry.span_event(
                                 ctx.span,
@@ -804,25 +816,29 @@ impl RecursiveResolver {
                             break 'settled Some(Resolved::Fail); // bogus data ⇒ SERVFAIL
                         }
                         // Prefer the cache view (clamped, coherent TTLs);
-                        // fall back to raw records for uncacheable TTL-0.
+                        // fall back to the response's set for uncacheable TTL-0.
                         if !self.answer_from_cache(&current, qtype, now, answer) {
-                            let clamp = |r: &'_ Record| self.policy.clamp_ttl(r.ttl);
-                            answer.extend(direct.map(|r| (&r.name, clamp(r), &r.rdata)));
+                            let ttl = self.policy.clamp_ttl(direct.ttl);
+                            answer.push(&direct.name, qtype, ttl, &direct.rdatas);
                         }
                         break 'settled Some(Resolved::Answer { stale: false });
                     }
                     if qtype != RecordType::CNAME {
-                        if let Some(cname) = response
+                        let cname = response
                             .answers
                             .iter()
-                            .find(|r| r.name == current && r.record_type() == RecordType::CNAME)
+                            .find(|s| s.name == current && s.rtype == RecordType::CNAME);
+                        if let Some((cname, first)) =
+                            cname.and_then(|s| Some((s, s.rdatas.first()?)))
                         {
                             let ttl = self.policy.clamp_ttl(cname.ttl);
-                            answer.extend(std::iter::once((&cname.name, ttl, &cname.rdata)));
+                            // The first alias only, as one set.
+                            let alias = Members::from(first.clone());
+                            answer.push(&cname.name, RecordType::CNAME, ttl, &alias);
                             if answer.len > MAX_DEPTH {
                                 break 'settled Some(Resolved::Fail);
                             }
-                            if let RData::Cname(target) = &cname.rdata {
+                            if let RData::Cname(target) = first {
                                 current = target.clone();
                                 break 'settled None;
                             }
@@ -863,22 +879,27 @@ impl RecursiveResolver {
     /// RRSIG covering the answered type, it must verify (RFC 4035 §5).
     /// Absence of a signature means an unsigned (insecure) zone, which
     /// a validator accepts — there is no DS chain in the simulation.
-    fn validate_answer<'a>(
+    fn validate_answer(
         &mut self,
         qname: &Name,
         qtype: RecordType,
-        direct: impl Iterator<Item = &'a Record>,
+        direct: &RRset,
         response: &Message,
         now: SimTime,
     ) -> bool {
-        let sig = response.answers.iter().find(|r| {
-            r.name == *qname && matches!(&r.rdata, RData::Rrsig(sig) if sig.type_covered == qtype)
+        let sigs = response
+            .answers
+            .iter()
+            .find(|s| s.name == *qname && s.rtype == RecordType::RRSIG);
+        let sig = sigs.and_then(|sigs| {
+            sigs.rdatas
+                .iter()
+                .find(|rd| matches!(rd, RData::Rrsig(sig) if sig.type_covered == qtype))
         });
         let Some(sig) = sig else {
             return true; // insecure zone
         };
-        let rdatas: Vec<RData> = direct.map(|r| r.rdata.clone()).collect();
-        if dnsttl_wire::verify_rrset(qname, qtype, &rdatas, sig) {
+        if dnsttl_wire::verify_rrset(qname, qtype, &direct.rdatas, sig) {
             bump(
                 &mut self.stats.validations,
                 &self.telemetry,
@@ -908,8 +929,8 @@ impl RecursiveResolver {
         if let Some(window) = self.policy.serve_stale {
             if let Some(hit) = self.cache.get_stale(qname, qtype, now, window) {
                 let set = &hit.rrset;
-                answer.truncate(0);
-                answer.extend(set.rdatas.iter().map(|rd| (&set.name, set.ttl, rd)));
+                answer.truncate(Mark::default());
+                answer.push(&set.name, set.rtype, set.ttl, &set.rdatas);
                 return Resolved::Answer { stale: hit.stale };
             }
         }
@@ -944,19 +965,19 @@ impl RecursiveResolver {
                 Centricity::ParentCentric => Credibility::ReferralAdditional,
             }
         };
-        let start = answer.len;
-        // Reads one entry in place. If its rank qualifies, its records
-        // go onto `answer` at the cache's decremented TTL and the
-        // result is `Some` — of the alias target, for a CNAME set.
+        let start = answer.mark();
+        // Reads one entry in place. If its rank qualifies, its set goes
+        // onto `answer` at the cache's decremented TTL, sharing the
+        // entry's members, and the result is `Some` — of the alias
+        // target, for a CNAME set.
         let mut serve = |name: &Name, rtype: RecordType| {
             self.cache
                 .read(name, rtype, now, |owner, e, ttl| {
                     if e.rank < min_rank {
                         return None;
                     }
-                    let members = e.members();
-                    answer.extend(members.iter().map(|rd| (owner, ttl, rd)));
-                    Some(match members.first() {
+                    answer.push(owner, rtype, ttl, e.shared_members());
+                    Some(match e.members().first() {
                         Some(RData::Cname(target)) => Some(target.clone()),
                         _ => None,
                     })
@@ -1050,7 +1071,7 @@ impl RecursiveResolver {
                         },
                     );
                     ctx.span = sub_span;
-                    // The addresses are read, so this answer keeps its records.
+                    // The addresses are read, so this answer keeps its sets.
                     let mut found = Vec::new();
                     let sub = self.resolve_inner(
                         target,
@@ -1058,7 +1079,7 @@ impl RecursiveResolver {
                         now,
                         net,
                         ctx,
-                        &mut Answer::records(&mut found),
+                        &mut Answer::sets(&mut found),
                     );
                     ctx.span = parent_span;
                     self.telemetry
@@ -1067,9 +1088,9 @@ impl RecursiveResolver {
                         });
                     ctx.in_flight.pop();
                     if let Resolved::Answer { .. } = sub {
-                        for r in &found {
-                            if let RData::A(a) = r.rdata {
-                                candidates.push(IpAddr::V4(a));
+                        for rd in found.iter().flat_map(|set| set.rdatas.iter()) {
+                            if let RData::A(a) = rd {
+                                candidates.push(IpAddr::V4(*a));
                             }
                         }
                     }
@@ -1340,15 +1361,15 @@ impl RecursiveResolver {
             (&response.additionals, Credibility::ReferralAdditional),
         ];
         if self.cache.is_empty() {
-            let sections = sections.map(|(records, _)| records.as_slice());
+            let sections = sections.map(|(sets, _)| sets.as_slice());
             self.cache.reserve(first_store_keys(sections, &self.policy));
         }
-        for (records, rank) in sections {
-            for set in group_rrsets(records) {
-                if set.rtype() == RecordType::SOA {
+        for (sets, rank) in sections {
+            for set in sets {
+                if set.rtype == RecordType::SOA {
                     continue; // negative-caching SOAs are handled separately
                 }
-                let bailiwick = if set.owner().is_subdomain_of(zone) {
+                let bailiwick = if set.name.is_subdomain_of(zone) {
                     BailiwickClass::In
                 } else {
                     BailiwickClass::Out
@@ -1381,11 +1402,13 @@ impl RecursiveResolver {
         let Some(soa) = response
             .authorities
             .iter()
-            .find(|r| r.record_type() == RecordType::SOA)
+            .find(|s| s.rtype == RecordType::SOA)
         else {
             return;
         };
-        let RData::Soa(data) = &soa.rdata else { return };
+        let Some(RData::Soa(data)) = soa.rdatas.first() else {
+            return;
+        };
         let rcode = response.header.rcode;
         self.cache.store_negative(
             qname.clone(),
@@ -1405,19 +1428,19 @@ impl RecursiveResolver {
 /// insert at a time would reach, without the blocks it would pass
 /// through. Once per cache, so kept out of line.
 #[cold]
-fn first_store_keys(sections: [&[Record]; 3], policy: &ResolverPolicy) -> usize {
+fn first_store_keys(sections: [&[RRset]; 3], policy: &ResolverPolicy) -> usize {
     let sets = || {
         sections
             .into_iter()
-            .flat_map(group_rrsets)
-            .filter(|set| set.rtype() != RecordType::SOA && !policy.clamp_ttl(set.ttl()).is_zero())
+            .flatten()
+            .filter(|set| set.rtype != RecordType::SOA && !policy.clamp_ttl(set.ttl).is_zero())
     };
     sets()
         .enumerate()
         .filter(|(i, set)| {
             !sets()
                 .take(*i)
-                .any(|seen| seen.rtype() == set.rtype() && seen.owner() == set.owner())
+                .any(|seen| seen.rtype == set.rtype && seen.name == set.name)
         })
         .count()
 }
@@ -1458,8 +1481,8 @@ mod metrics {
     pub(crate) const BACKOFF_SKIPS: MetricKey = MetricKey::new("resolver_backoff_skips");
 }
 
-/// The zone cut a referral delegates to — the owner of its first
-/// authority-section NS record — or `None` when `response` is not a
+/// The zone cut a referral delegates to — the owner of its
+/// authority-section NS set — or `None` when `response` is not a
 /// referral ([`Message::is_referral`]).
 fn referral_cut(response: &Message) -> Option<&Name> {
     if !response.is_referral() {
@@ -1468,77 +1491,8 @@ fn referral_cut(response: &Message) -> Option<&Name> {
     response
         .authorities
         .iter()
-        .find(|r| r.record_type() == RecordType::NS)
-        .map(|r| &r.name)
-}
-
-/// Groups a section's records into RRsets, in order of first
-/// appearance, each at the minimum of its members' TTLs (RFC 2181
-/// §5.2), spelled as its first record is. Each set is a view of the
-/// section, not a copy: the cache reads it in place and copies only
-/// what it does not already hold ([`Cache::store_set`]). A record that
-/// opens a set gathers the later records of its name and type
-/// (sections hold a handful of records, so the rescans cost less than
-/// a list).
-pub(crate) fn group_rrsets(records: &[Record]) -> impl Iterator<Item = SectionSet<'_>> {
-    records.iter().enumerate().filter_map(move |(i, first)| {
-        if records[..i].iter().any(|r| same_set(r, first)) {
-            return None; // a member of a set already seen
-        }
-        let mut set = SectionSet {
-            records: &records[i..],
-            ttl: first.ttl,
-            len: 0,
-        };
-        for r in set.records() {
-            set.ttl = set.ttl.min(r.ttl);
-            set.len += 1;
-        }
-        Some(set)
-    })
-}
-
-/// Same owner (case-insensitively) and type: members of one RRset.
-fn same_set(a: &Record, b: &Record) -> bool {
-    a.record_type() == b.record_type() && a.name == b.name
-}
-
-/// One RRset of a response section, borrowed: the section from the
-/// set's first record on, with the set's TTL and member count.
-#[derive(Debug)]
-pub(crate) struct SectionSet<'a> {
-    records: &'a [Record],
-    ttl: Ttl,
-    len: usize,
-}
-
-impl<'a> SectionSet<'a> {
-    /// The set's records, in order of appearance.
-    fn records(&self) -> impl Iterator<Item = &'a Record> + Clone {
-        let first = &self.records[0];
-        self.records.iter().filter(move |r| same_set(r, first))
-    }
-}
-
-impl IncomingSet for SectionSet<'_> {
-    fn owner(&self) -> &Name {
-        &self.records[0].name
-    }
-    fn rtype(&self) -> RecordType {
-        self.records[0].record_type()
-    }
-    fn ttl(&self) -> Ttl {
-        self.ttl
-    }
-    fn members(&self) -> impl Iterator<Item = &RData> + Clone {
-        self.records().map(|r| &r.rdata)
-    }
-    fn len(&self) -> usize {
-        self.len
-    }
-    fn into_members(self) -> Members {
-        self.copy_members()
-    }
+        .find(|s| s.rtype == RecordType::NS)
+        .map(|s| &s.name)
 }
 
 #[cfg(test)]
@@ -1546,7 +1500,6 @@ mod tests {
     use super::*;
     use dnsttl_auth::{AuthoritativeServer, ZoneBuilder};
     use dnsttl_netsim::{FaultPlan, LatencyModel, ServiceHandle};
-    use dnsttl_wire::RRset;
     use std::cell::RefCell;
     use std::net::Ipv4Addr;
     use std::rc::Rc;
@@ -1805,7 +1758,7 @@ mod tests {
         let mut r = resolver(ResolverPolicy::default(), hints);
         let out = r.resolve(&n("www.example"), RecordType::A, SimTime::ZERO, &mut net);
         assert_eq!(out.answer.header.rcode, Rcode::NoError);
-        let types: Vec<RecordType> = out.answer.answers.iter().map(|r| r.record_type()).collect();
+        let types: Vec<RecordType> = out.answer.answers.iter().map(|s| s.rtype).collect();
         assert!(types.contains(&RecordType::CNAME));
         assert!(types.contains(&RecordType::A));
     }
@@ -1866,7 +1819,7 @@ mod tests {
         );
         assert_eq!(out.answer.header.rcode, Rcode::NoError);
         assert_eq!(
-            out.answer.answers[0].rdata,
+            out.answer.answers[0].rdatas[0],
             RData::A("203.0.113.80".parse().unwrap())
         );
         // Root, org (referral), then the glue chase (root hit from
@@ -1889,9 +1842,11 @@ mod tests {
         ) -> Message {
             let mut response =
                 dnsttl_netsim::DnsService::handle_query(&mut self.inner, query, client, now);
-            for r in &mut response.answers {
-                if let RData::A(a) = &mut r.rdata {
-                    *a = Ipv4Addr::new(6, 6, 6, 6); // hijack
+            for set in &mut response.answers {
+                if set.rtype == RecordType::A {
+                    // hijack
+                    let forged = vec![RData::A(Ipv4Addr::new(6, 6, 6, 6)); set.len()];
+                    set.rdatas = forged.into();
                 }
             }
             response
@@ -1959,7 +1914,7 @@ mod tests {
         let out = r.resolve(&n("www.gub.uy"), RecordType::A, SimTime::ZERO, &mut net);
         assert_eq!(out.answer.header.rcode, Rcode::NoError);
         assert_eq!(
-            out.answer.answers[0].rdata,
+            out.answer.answers[0].rdatas[0],
             RData::A(Ipv4Addr::new(6, 6, 6, 6))
         );
     }
@@ -2026,8 +1981,9 @@ mod tests {
             ) -> Message {
                 let mut r = Message::response_to(query);
                 r.header.authoritative = false;
-                r.authorities.push(Record::new(
+                r.authorities.push(RRset::new(
                     n("example"),
+                    RecordType::NS,
                     Ttl::HOUR,
                     RData::Ns(n("ns.example")),
                 ));
@@ -2078,7 +2034,7 @@ mod tests {
         let mut r = resolver(ResolverPolicy::default(), hints);
         let out = r.resolve(&n("www.big"), RecordType::A, SimTime::ZERO, &mut net);
         assert_eq!(out.answer.header.rcode, Rcode::NoError);
-        assert_eq!(out.answer.answers.len(), 40);
+        assert_eq!(out.answer.answers[0].len(), 40);
         assert!(r.stats().tcp_fallbacks >= 1);
         // Latency accounting: root referral (10) + truncated UDP try
         // (10) + TCP retry with handshake (2 × 10) = 40 ms.
@@ -2111,7 +2067,7 @@ mod tests {
         // to: nothing at all, glue without an NS, an NS owned by a
         // sibling, an NS owned by the root. Each must end as one
         // SERVFAIL — never a panic, never a loop.
-        struct NoCut(Option<Record>);
+        struct NoCut(Option<RRset>);
         impl dnsttl_netsim::DnsService for NoCut {
             fn handle_query(
                 &mut self,
@@ -2125,9 +2081,17 @@ mod tests {
                 r
             }
         }
-        let ns = |owner: &str| Record::new(n(owner), Ttl::HOUR, RData::Ns(n("ns.elsewhere")));
-        let glue_only = Record::new(
+        let ns = |owner: &str| {
+            RRset::new(
+                n(owner),
+                RecordType::NS,
+                Ttl::HOUR,
+                RData::Ns(n("ns.elsewhere")),
+            )
+        };
+        let glue_only = RRset::new(
             n("ns.example"),
+            RecordType::A,
             Ttl::HOUR,
             RData::A(Ipv4Addr::new(198, 51, 100, 2)),
         );
@@ -2315,7 +2279,7 @@ mod tests {
     fn implied(out: &ResolutionOutcome) -> ResolutionVerdict {
         ResolutionVerdict {
             rcode: out.answer.header.rcode,
-            answers: out.answer.answers.len(),
+            answers: out.answer.answers.iter().map(RRset::len).sum(),
             elapsed: out.elapsed,
             cache_hit: out.cache_hit,
             served_stale: out.served_stale,
@@ -2434,103 +2398,6 @@ mod tests {
                     assert!(t.prometheus_text().contains("resolver_answer_ttl_s"));
                 }
             }
-        }
-    }
-
-    fn rec(owner: &str, ttl: u32, rdata: RData) -> Record {
-        Record::new(n(owner), Ttl::from_secs(ttl), rdata)
-    }
-
-    #[test]
-    fn group_rrsets_merges_an_interleaved_section() {
-        let x1 = RData::A(Ipv4Addr::new(192, 0, 2, 1));
-        let x2 = RData::A(Ipv4Addr::new(192, 0, 2, 2));
-        let y = RData::Ns(n("ns.example"));
-        let section = [
-            rec("x.example", 30, x1.clone()),
-            rec("example", 3600, y.clone()),
-            rec("X.example", 10, x2.clone()),
-        ];
-        let sets: Vec<RRset> = group_rrsets(&section).map(owned).collect();
-        let expected = [
-            RRset {
-                name: n("x.example"),
-                rtype: RecordType::A,
-                ttl: Ttl::from_secs(10),
-                rdatas: vec![x1, x2],
-            },
-            RRset {
-                name: n("example"),
-                rtype: RecordType::NS,
-                ttl: Ttl::HOUR,
-                rdatas: vec![y],
-            },
-        ];
-        assert_eq!(sets, expected);
-        // The set is spelled as its first record was.
-        assert_eq!(sets[0].name.as_str(), "x.example.");
-        // Each set is read in place: its owner is the first record's.
-        let first = group_rrsets(&section).next().unwrap();
-        assert!(std::ptr::eq(first.owner(), &section[0].name));
-        assert_eq!(first.len(), 2);
-        assert_eq!(group_rrsets(&[]).count(), 0);
-    }
-
-    /// A borrowed set as the owned `RRset` it stands for.
-    fn owned(set: SectionSet<'_>) -> RRset {
-        RRset {
-            name: set.owner().clone(),
-            rtype: set.rtype(),
-            ttl: set.ttl(),
-            rdatas: set.members().cloned().collect(),
-        }
-    }
-
-    /// The map-based grouping `group_rrsets` replaced, kept as the
-    /// reference its in-place form must agree with.
-    fn group_rrsets_by_map(records: &[Record]) -> Vec<RRset> {
-        let mut order: Vec<(Name, RecordType)> = Vec::new();
-        let mut groups: HashMap<(Name, RecordType), Vec<Record>> = HashMap::new();
-        for r in records {
-            let key = (r.name.clone(), r.record_type());
-            if !groups.contains_key(&key) {
-                order.push(key.clone());
-            }
-            groups.entry(key).or_default().push(r.clone());
-        }
-        order
-            .into_iter()
-            .filter_map(|key| RRset::from_records(&groups[&key]))
-            .collect()
-    }
-
-    #[test]
-    fn group_rrsets_agrees_with_the_map_based_grouping() {
-        let owners = ["a.example", "A.Example", "b.example", "example"];
-        let mut rng = SimRng::seed_from(0x6_0A_B5);
-        for _ in 0..500 {
-            let section: Vec<Record> = (0..rng.below(9))
-                .map(|_| {
-                    let owner = owners[rng.below(owners.len() as u64) as usize];
-                    let rdata = match rng.below(3) {
-                        0 => RData::A(Ipv4Addr::new(192, 0, 2, rng.below(4) as u8)),
-                        1 => RData::Ns(n(owners[rng.below(owners.len() as u64) as usize])),
-                        _ => RData::Txt(format!("t{}", rng.below(4))),
-                    };
-                    rec(owner, 1 + rng.below(600) as u32, rdata)
-                })
-                .collect();
-            let sets: Vec<RRset> = group_rrsets(&section).map(owned).collect();
-            let reference = group_rrsets_by_map(&section);
-            assert_eq!(sets, reference, "{section:?}");
-            for set in group_rrsets(&section) {
-                assert_eq!(set.members().count(), set.len(), "{set:?}");
-            }
-            // `Name` equality folds case; the spelling must agree too.
-            let spelled = |sets: &[RRset]| -> Vec<String> {
-                sets.iter().map(|s| s.name.as_str().to_owned()).collect()
-            };
-            assert_eq!(spelled(&sets), spelled(&reference));
         }
     }
 }

@@ -367,12 +367,12 @@ mod tests {
     use dnsttl_wire::{Name, RData, RRset, RecordType};
 
     fn a_rrset(name: &str, ttl: u32, last: u8) -> RRset {
-        RRset {
-            name: Name::parse(name).unwrap(),
-            rtype: RecordType::A,
-            ttl: Ttl::from_secs(ttl),
-            rdatas: vec![RData::A(std::net::Ipv4Addr::new(192, 0, 2, last))],
-        }
+        RRset::new(
+            Name::parse(name).unwrap(),
+            RecordType::A,
+            Ttl::from_secs(ttl),
+            RData::A(std::net::Ipv4Addr::new(192, 0, 2, last)),
+        )
     }
 
     fn ctx(txn: u64) -> StoreContext {

@@ -20,17 +20,8 @@ use dnsttl_wire::{Name, RData, RRset, RecordType, Ttl};
 
 fn rrset(host: u64, ttl: u32, data: u8) -> RRset {
     let name = Name::parse(&format!("h{host}.workload.example")).unwrap();
-    RRset {
-        name,
-        rtype: RecordType::A,
-        ttl: Ttl::from_secs(ttl),
-        rdatas: vec![RData::A(std::net::Ipv4Addr::new(
-            10,
-            0,
-            (host % 250) as u8,
-            data,
-        ))],
-    }
+    let addr = std::net::Ipv4Addr::new(10, 0, (host % 250) as u8, data);
+    RRset::new(name, RecordType::A, Ttl::from_secs(ttl), RData::A(addr))
 }
 
 fn check_conservation(stats: &CacheStats, len: usize, context: &str) {
@@ -353,12 +344,7 @@ fn run_tape(seed: u64, names: &[Name]) -> (String, CacheStats) {
                     RecordType::A => RData::A(std::net::Ipv4Addr::new(192, 0, 2, data)),
                     _ => RData::Ns(Name::parse(&format!("ns{data}.example")).unwrap()),
                 };
-                let set = RRset {
-                    name: name.clone(),
-                    rtype,
-                    ttl: Ttl::from_secs(ttl),
-                    rdatas: vec![rdata],
-                };
+                let set = RRset::new(name.clone(), rtype, Ttl::from_secs(ttl), rdata);
                 let ctx = StoreContext {
                     txn: step + 1,
                     server: Some("198.51.100.7".parse().unwrap()),

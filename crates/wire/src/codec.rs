@@ -12,7 +12,7 @@
 use crate::message::{Header, Message, Opcode, Question, Rcode};
 use crate::name::{NameKey, NameSuffix, ReprBuf};
 use crate::rdata::{RData, RecordType, RrsigData, SoaData};
-use crate::record::{Class, Record};
+use crate::record::{Class, Members, RRset, Record};
 use crate::{Name, Ttl, WireError};
 use std::net::{Ipv4Addr, Ipv6Addr};
 use std::sync::Arc;
@@ -229,19 +229,23 @@ impl<'m, S: Sink> Writer<'m, S> {
         self.u16(q.qclass.code());
     }
 
-    fn record(&mut self, r: &'m Record) -> Result<(), WireError> {
-        self.name(&r.name);
-        self.u16(r.record_type().code());
-        self.u16(r.class.code());
-        self.u32(r.ttl.as_secs());
-        // Reserve RDLENGTH, fill in after writing RDATA.
-        let len_pos = self.out.pos();
-        self.u16(0);
-        let start = self.out.pos();
-        self.rdata(&r.rdata)?;
-        let rdlen = self.out.pos() - start;
-        let field = u16::try_from(rdlen).map_err(|_| WireError::RdataTooLong(rdlen))?;
-        self.out.patch_u16(len_pos, field);
+    /// An RRset: one record per member, in the set's order, each at
+    /// the set's owner, class and TTL.
+    fn rrset(&mut self, set: &'m RRset) -> Result<(), WireError> {
+        for rd in set.rdatas.iter() {
+            self.name(&set.name);
+            self.u16(rd.record_type().code());
+            self.u16(set.class.code());
+            self.u32(set.ttl.as_secs());
+            // Reserve RDLENGTH, fill in after writing RDATA.
+            let len_pos = self.out.pos();
+            self.u16(0);
+            let start = self.out.pos();
+            self.rdata(rd)?;
+            let rdlen = self.out.pos() - start;
+            let field = u16::try_from(rdlen).map_err(|_| WireError::RdataTooLong(rdlen))?;
+            self.out.patch_u16(len_pos, field);
+        }
         Ok(())
     }
 
@@ -335,14 +339,15 @@ impl<'m, S: Sink> Writer<'m, S> {
         self.u16(flags);
         let sections = [&msg.answers, &msg.authorities, &msg.additionals];
         self.u16(u16::from(msg.question.is_some()));
-        for count in sections.map(Vec::len) {
+        for sets in sections {
+            let count = sets.iter().map(RRset::len).sum();
             self.u16(u16::try_from(count).map_err(|_| WireError::TooManyRecords(count))?);
         }
         if let Some(q) = &msg.question {
             self.question(q);
         }
-        for r in sections.into_iter().flatten() {
-            self.record(r)?;
+        for set in sections.into_iter().flatten() {
+            self.rrset(set)?;
         }
         if self.out.pos() > MAX_MESSAGE_LEN {
             return Err(WireError::MessageTooLarge(self.out.pos()));
@@ -351,10 +356,13 @@ impl<'m, S: Sink> Writer<'m, S> {
     }
 }
 
-/// Encodes a message to wire format.
+/// Encodes a message to wire format: each section's sets in order,
+/// each set as its members in order.
 ///
 /// `Ok(bytes)` means [`decode_message`] turns `bytes` back into a
-/// message equal to `msg`; a message with no such encoding (a record's
+/// message equal to `msg` when no section holds two sets of one owner,
+/// type and class (the decoder would merge them) or a member of another
+/// type than its set's; a message with no encoding at all (a record's
 /// data or a section's count past 16 bits, non-ASCII text, more than
 /// `MAX_MESSAGE_LEN` octets) is an error.
 pub fn encode_message(msg: &Message) -> Result<Vec<u8>, WireError> {
@@ -391,9 +399,14 @@ pub fn fits(msg: &Message, limit: usize) -> Result<bool, WireError> {
 /// least a label and the terminator. `None` for text the codec rejects.
 fn plain_len(msg: &Message) -> Option<usize> {
     let mut len = 12 + msg.question.as_ref().map_or(0, |q| q.qname.wire_len() + 4);
-    for (_, r) in msg.sectioned_records() {
-        len += r.name.wire_len() + 10;
-        len += match &r.rdata {
+    let sets = [&msg.answers, &msg.authorities, &msg.additionals];
+    for (set, rdata) in sets
+        .into_iter()
+        .flatten()
+        .flat_map(|s| s.rdatas.iter().map(move |rd| (s, rd)))
+    {
+        len += set.name.wire_len() + 10;
+        len += match rdata {
             RData::A(_) => 4,
             RData::Aaaa(_) => 16,
             RData::Ns(n) | RData::Cname(n) => n.wire_len(),
@@ -556,6 +569,53 @@ impl<'a> Decoder<'a> {
         })
     }
 
+    /// Reads a section of `count` records into RRsets, in order of
+    /// first appearance: a record joins the set of an earlier one with
+    /// its owner (compared case-insensitively), type and class, and the
+    /// set keeps its first record's spelling and the minimum of its
+    /// members' TTLs (RFC 2181 §5.2).
+    ///
+    /// A set's members gather in `run` while its records run on
+    /// together, as the encoder writes them, and move into one block
+    /// when the run ends; a lone member goes straight into its set.
+    fn section(
+        &mut self,
+        count: u16,
+        sets: &mut Vec<RRset>,
+        run: &mut Vec<RData>,
+    ) -> Result<(), WireError> {
+        let first = sets.len();
+        // The set whose members are in `run`.
+        let mut open: Option<usize> = None;
+        for _ in 0..count {
+            let r = self.record()?;
+            let rtype = r.record_type();
+            let same = |s: &RRset| s.rtype == rtype && s.class == r.class && s.name == r.name;
+            let Some(i) = sets[first..].iter().position(same).map(|i| first + i) else {
+                close(sets, &mut open, run);
+                sets.push(RRset {
+                    name: r.name,
+                    class: r.class,
+                    rtype,
+                    ttl: r.ttl,
+                    rdatas: Members::from(r.rdata),
+                });
+                continue;
+            };
+            if open != Some(i) {
+                // A new run, or a set interleaved with another: its
+                // members so far start the run.
+                close(sets, &mut open, run);
+                run.extend(sets[i].rdatas.iter().cloned());
+                open = Some(i);
+            }
+            run.push(r.rdata);
+            sets[i].ttl = sets[i].ttl.min(r.ttl);
+        }
+        close(sets, &mut open, run);
+        Ok(())
+    }
+
     fn rdata(&mut self, rtype: RecordType, rdlen: usize) -> Result<RData, WireError> {
         Ok(match rtype {
             RecordType::A => {
@@ -669,42 +729,48 @@ pub fn decode_message(buf: &[u8]) -> Result<Message, WireError> {
     if qd == 1 {
         msg.question = Some(d.question()?);
     }
-    for _ in 0..an {
-        msg.answers.push(d.record()?);
-    }
-    for _ in 0..ns {
-        msg.authorities.push(d.record()?);
-    }
-    for _ in 0..ar {
-        msg.additionals.push(d.record()?);
-    }
+    let mut run = Vec::new();
+    d.section(an, &mut msg.answers, &mut run)?;
+    d.section(ns, &mut msg.authorities, &mut run)?;
+    d.section(ar, &mut msg.additionals, &mut run)?;
     Ok(msg)
+}
+
+/// Moves the members gathered in `run` into the set `open` names, if
+/// any, as one block.
+fn close(sets: &mut [RRset], open: &mut Option<usize>, run: &mut Vec<RData>) {
+    if let Some(i) = open.take() {
+        sets[i].rdatas = Members::drained(run);
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::message::Message;
+    use std::collections::HashMap;
 
     fn name(s: &str) -> Name {
         Name::parse(s).unwrap()
+    }
+
+    /// A one-member set.
+    fn set(owner: Name, ttl: Ttl, rdata: RData) -> RRset {
+        RRset::new(owner, rdata.record_type(), ttl, rdata)
     }
 
     fn sample_message() -> Message {
         let q = Message::iterative_query(0x1234, name("example.cl"), RecordType::A);
         let mut r = Message::response_to(&q);
         r.header.rcode = Rcode::NoError;
-        r.authorities.push(Record::new(
-            name("cl"),
-            Ttl::TWO_DAYS,
-            RData::Ns(name("a.nic.cl")),
-        ));
-        r.additionals.push(Record::new(
+        r.authorities
+            .push(set(name("cl"), Ttl::TWO_DAYS, RData::Ns(name("a.nic.cl"))));
+        r.additionals.push(set(
             name("a.nic.cl"),
             Ttl::TWO_DAYS,
             RData::A("190.124.27.10".parse().unwrap()),
         ));
-        r.additionals.push(Record::new(
+        r.additionals.push(set(
             name("a.nic.cl"),
             Ttl::TWO_DAYS,
             RData::Aaaa("2001:1398:1::300".parse().unwrap()),
@@ -742,7 +808,7 @@ mod tests {
     #[test]
     fn decodes_all_rdata_types() {
         let mut m = Message::default();
-        m.answers.push(Record::new(
+        m.answers.push(set(
             name("k.example"),
             Ttl::HOUR,
             RData::Dnskey {
@@ -752,7 +818,7 @@ mod tests {
                 key: vec![1, 2, 3, 4],
             },
         ));
-        m.answers.push(Record::new(
+        m.answers.push(set(
             name("example"),
             Ttl::HOUR,
             RData::Soa(Arc::new(SoaData {
@@ -765,7 +831,7 @@ mod tests {
                 minimum: 300,
             })),
         ));
-        m.answers.push(Record::new(
+        m.answers.push(set(
             name("example"),
             Ttl::HOUR,
             RData::Mx {
@@ -773,12 +839,12 @@ mod tests {
                 exchange: name("mail.example"),
             },
         ));
-        m.answers.push(Record::new(
+        m.answers.push(set(
             name("example"),
             Ttl::HOUR,
             RData::Txt("v=spf1 -all".into()),
         ));
-        m.answers.push(Record::new(
+        m.answers.push(set(
             name("example"),
             Ttl::HOUR,
             RData::Rrsig(Arc::new(RrsigData {
@@ -837,7 +903,7 @@ mod tests {
     #[test]
     fn ttl_high_bit_decodes_as_zero() {
         let mut m = Message::default();
-        m.answers.push(Record::new(
+        m.answers.push(set(
             name("x.example"),
             Ttl::HOUR,
             RData::A("192.0.2.1".parse().unwrap()),
@@ -854,12 +920,113 @@ mod tests {
     #[test]
     fn empty_txt_round_trips() {
         let mut m = Message::default();
-        m.answers.push(Record::new(
+        m.answers.push(set(
             name("t.example"),
             Ttl::MINUTE,
             RData::Txt(String::new()),
         ));
         let wire = encode_message(&m).unwrap();
         assert_eq!(decode_message(&wire).unwrap(), m);
+    }
+
+    /// A message whose answer section holds `records` as they are, one
+    /// set each, so the encoder writes them in their order.
+    fn encoded_section(records: &[Record]) -> Vec<u8> {
+        let m = Message {
+            answers: records
+                .iter()
+                .map(|r| RRset::from_records(std::slice::from_ref(r)).unwrap())
+                .collect(),
+            ..Message::default()
+        };
+        encode_message(&m).unwrap()
+    }
+
+    fn rec(owner: &str, ttl: u32, rdata: RData) -> Record {
+        Record::new(name(owner), Ttl::from_secs(ttl), rdata)
+    }
+
+    #[test]
+    fn decoding_merges_an_interleaved_section_into_sets() {
+        let x1 = RData::A(Ipv4Addr::new(192, 0, 2, 1));
+        let x2 = RData::A(Ipv4Addr::new(192, 0, 2, 2));
+        let y = RData::Ns(name("ns.example"));
+        let section = [
+            rec("x.example", 30, x1.clone()),
+            rec("example", 3600, y.clone()),
+            rec("X.example", 10, x2.clone()),
+        ];
+        let sets = decode_message(&encoded_section(&section)).unwrap().answers;
+        let expected = [
+            RRset::new(
+                name("x.example"),
+                RecordType::A,
+                Ttl::from_secs(10),
+                vec![x1, x2],
+            ),
+            RRset::new(name("example"), RecordType::NS, Ttl::HOUR, y),
+        ];
+        assert_eq!(sets, expected);
+        // The set is spelled as its first record was.
+        assert_eq!(sets[0].name.as_str(), "x.example.");
+        // Re-encoding writes the members together, at the set's TTL.
+        let again = decode_message(
+            &encode_message(&Message {
+                answers: sets.clone(),
+                ..Message::default()
+            })
+            .unwrap(),
+        )
+        .unwrap();
+        assert_eq!(again.answers, sets);
+    }
+
+    /// The map-based grouping of a resolver's section, the reference
+    /// the decoder's must agree with.
+    fn grouped_by_map(records: &[Record]) -> Vec<RRset> {
+        let mut order: Vec<(Name, RecordType)> = Vec::new();
+        let mut groups: HashMap<(Name, RecordType), Vec<Record>> = HashMap::new();
+        for r in records {
+            let key = (r.name.clone(), r.record_type());
+            if !groups.contains_key(&key) {
+                order.push(key.clone());
+            }
+            groups.entry(key).or_default().push(r.clone());
+        }
+        order
+            .into_iter()
+            .filter_map(|key| RRset::from_records(&groups[&key]))
+            .collect()
+    }
+
+    #[test]
+    fn decoding_groups_as_the_map_based_grouping_does() {
+        let owners = ["a.example", "A.Example", "b.example", "example"];
+        let mut state = 0x6_0A_B5_u64;
+        let mut below = |n: u64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state % n
+        };
+        for _ in 0..500 {
+            let section: Vec<Record> = (0..below(9))
+                .map(|_| {
+                    let owner = owners[below(owners.len() as u64) as usize];
+                    let rdata = match below(3) {
+                        0 => RData::A(Ipv4Addr::new(192, 0, 2, below(4) as u8)),
+                        1 => RData::Ns(name(owners[below(owners.len() as u64) as usize])),
+                        _ => RData::Txt(format!("t{}", below(4))),
+                    };
+                    rec(owner, 1 + below(600) as u32, rdata)
+                })
+                .collect();
+            let sets = decode_message(&encoded_section(&section)).unwrap().answers;
+            let reference = grouped_by_map(&section);
+            // `Name` equality folds case; the spelling is not compared,
+            // because compression writes a later spelling of a name as
+            // a pointer to the first.
+            assert_eq!(sets, reference, "{section:?}");
+        }
     }
 }

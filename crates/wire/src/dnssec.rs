@@ -62,17 +62,19 @@ pub fn sign_rrset(rrset: &RRset, signer: &Name) -> Record {
     )
 }
 
-/// Verifies an RRSIG against the RRset it claims to cover.
+/// Verifies an RRSIG's data against the RRset it claims to cover, the
+/// set `rtype` at `name` holding `rdatas`.
 ///
 /// Verification recomputes the digest using the RRSIG's **original**
 /// TTL, so a decremented-but-authentic RRset verifies while tampered
 /// rdata or a stretched TTL does not (RFC 4035 §5.3.3 requires the
-/// validator to clamp the cache TTL to `original_ttl`).
-pub fn verify_rrset(name: &Name, rtype: RecordType, rdatas: &[RData], rrsig: &Record) -> bool {
-    let RData::Rrsig(sig) = &rrsig.rdata else {
+/// validator to clamp the cache TTL to `original_ttl`). The digest
+/// binds the owner, so a signature made for another owner fails too.
+pub fn verify_rrset(name: &Name, rtype: RecordType, rdatas: &[RData], rrsig: &RData) -> bool {
+    let RData::Rrsig(sig) = rrsig else {
         return false;
     };
-    if sig.type_covered != rtype || sig.algorithm != SYNTH_ALGORITHM || rrsig.name != *name {
+    if sig.type_covered != rtype || sig.algorithm != SYNTH_ALGORITHM {
         return false;
     }
     let original_ttl = Ttl::from_secs(sig.original_ttl);
@@ -89,19 +91,24 @@ mod tests {
     }
 
     fn sample_rrset() -> RRset {
-        RRset {
-            name: n("a.nic.uy"),
-            rtype: RecordType::A,
-            ttl: Ttl::from_secs(120),
-            rdatas: vec![RData::A("200.40.241.1".parse().unwrap())],
-        }
+        RRset::new(
+            n("a.nic.uy"),
+            RecordType::A,
+            Ttl::from_secs(120),
+            RData::A("200.40.241.1".parse().unwrap()),
+        )
     }
 
     #[test]
     fn sign_then_verify() {
         let rrset = sample_rrset();
         let sig = sign_rrset(&rrset, &n("uy"));
-        assert!(verify_rrset(&rrset.name, rrset.rtype, &rrset.rdatas, &sig));
+        assert!(verify_rrset(
+            &rrset.name,
+            rrset.rtype,
+            &rrset.rdatas,
+            &sig.rdata
+        ));
     }
 
     #[test]
@@ -109,7 +116,7 @@ mod tests {
         let rrset = sample_rrset();
         let sig = sign_rrset(&rrset, &n("uy"));
         let forged = vec![RData::A("198.51.100.66".parse().unwrap())];
-        assert!(!verify_rrset(&rrset.name, rrset.rtype, &forged, &sig));
+        assert!(!verify_rrset(&rrset.name, rrset.rtype, &forged, &sig.rdata));
     }
 
     #[test]
@@ -119,7 +126,12 @@ mod tests {
         if let RData::Rrsig(data) = &mut sig.rdata {
             Arc::make_mut(data).original_ttl = 172_800;
         }
-        assert!(!verify_rrset(&rrset.name, rrset.rtype, &rrset.rdatas, &sig));
+        assert!(!verify_rrset(
+            &rrset.name,
+            rrset.rtype,
+            &rrset.rdatas,
+            &sig.rdata
+        ));
     }
 
     #[test]
@@ -130,20 +142,20 @@ mod tests {
             &n("b.nic.uy"),
             rrset.rtype,
             &rrset.rdatas,
-            &sig
+            &sig.rdata
         ));
         assert!(!verify_rrset(
             &rrset.name,
             RecordType::AAAA,
             &rrset.rdatas,
-            &sig
+            &sig.rdata
         ));
         let not_a_sig = Record::new(n("a.nic.uy"), Ttl::HOUR, RData::Txt("x".into()));
         assert!(!verify_rrset(
             &rrset.name,
             rrset.rtype,
             &rrset.rdatas,
-            &not_a_sig
+            &not_a_sig.rdata
         ));
     }
 

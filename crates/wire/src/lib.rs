@@ -48,5 +48,5 @@ pub use error::WireError;
 pub use message::{Header, Message, Opcode, Question, Rcode, Section};
 pub use name::Name;
 pub use rdata::{RData, RecordType, RrsigData, SoaData};
-pub use record::{fnv1a, Class, RRset, Record, FNV_OFFSET};
+pub use record::{fnv1a, Class, Members, RRset, Record, FNV_OFFSET};
 pub use ttl::Ttl;

@@ -7,7 +7,7 @@
 //! Which one a resolver believes determines the effective TTL.
 
 use crate::record::Class;
-use crate::{Name, Record, RecordType};
+use crate::{Name, RRset, Record, RecordType};
 use std::fmt;
 
 /// Message opcode (RFC 1035 §4.1.1). Only `Query` is exercised here;
@@ -200,12 +200,12 @@ pub struct Message {
     /// exactly one; `None` is QDCOUNT 0, which an authoritative answers
     /// with FORMERR. QDCOUNT above one does not decode.
     pub question: Option<Question>,
-    /// Answer-section records.
-    pub answers: Vec<Record>,
-    /// Authority-section records.
-    pub authorities: Vec<Record>,
-    /// Additional-section records.
-    pub additionals: Vec<Record>,
+    /// The answer section's RRsets.
+    pub answers: Vec<RRset>,
+    /// The authority section's RRsets.
+    pub authorities: Vec<RRset>,
+    /// The additional section's RRsets.
+    pub additionals: Vec<RRset>,
 }
 
 impl Message {
@@ -263,13 +263,19 @@ impl Message {
         additionals.clear();
     }
 
-    /// Iterates `(section, record)` over all three response sections.
-    pub fn sectioned_records(&self) -> impl Iterator<Item = (Section, &Record)> {
-        self.answers
-            .iter()
-            .map(|r| (Section::Answer, r))
-            .chain(self.authorities.iter().map(|r| (Section::Authority, r)))
-            .chain(self.additionals.iter().map(|r| (Section::Additional, r)))
+    /// Iterates `(section, record)` over all three response sections,
+    /// each set's members in order, as the wire carries them: the one
+    /// flattened view, for readers that want records rather than sets.
+    pub fn sectioned_records(&self) -> impl Iterator<Item = (Section, Record)> + '_ {
+        let sections = [
+            (Section::Answer, &self.answers),
+            (Section::Authority, &self.authorities),
+            (Section::Additional, &self.additionals),
+        ];
+        sections.into_iter().flat_map(|(section, sets)| {
+            sets.iter()
+                .flat_map(move |set| set.records().map(move |r| (section, r)))
+        })
     }
 
     /// True if this response is a referral: no answers, NS records in
@@ -278,10 +284,7 @@ impl Message {
         self.header.response
             && self.header.rcode == Rcode::NoError
             && self.answers.is_empty()
-            && self
-                .authorities
-                .iter()
-                .any(|r| r.record_type() == RecordType::NS)
+            && self.authorities.iter().any(|s| s.rtype == RecordType::NS)
     }
 }
 
@@ -345,15 +348,17 @@ mod tests {
         let q = Message::query(1, name("example.uy"), RecordType::A);
         let mut r = Message::response_to(&q);
         assert!(!r.is_referral());
-        r.authorities.push(Record::new(
+        r.authorities.push(RRset::new(
             name("uy"),
+            RecordType::NS,
             Ttl::TWO_DAYS,
             RData::Ns(name("a.nic.uy")),
         ));
         assert!(r.is_referral());
         // An actual answer means it is not a referral.
-        r.answers.push(Record::new(
+        r.answers.push(RRset::new(
             name("example.uy"),
+            RecordType::A,
             Ttl::HOUR,
             RData::A(Ipv4Addr::new(192, 0, 2, 1)),
         ));
@@ -363,25 +368,34 @@ mod tests {
     #[test]
     fn sectioned_records_covers_all_sections() {
         let mut m = Message::default();
-        m.answers.push(Record::new(
+        m.answers.push(RRset::new(
             name("a.example"),
+            RecordType::A,
             Ttl::HOUR,
-            RData::A(Ipv4Addr::LOCALHOST),
+            vec![RData::A(Ipv4Addr::LOCALHOST), RData::A(Ipv4Addr::BROADCAST)],
         ));
-        m.authorities.push(Record::new(
+        m.authorities.push(RRset::new(
             name("example"),
+            RecordType::NS,
             Ttl::HOUR,
             RData::Ns(name("a.example")),
         ));
-        m.additionals.push(Record::new(
+        m.additionals.push(RRset::new(
             name("a.example"),
+            RecordType::A,
             Ttl::HOUR,
-            RData::A(Ipv4Addr::LOCALHOST),
+            RData::A(Ipv4Addr::new(192, 0, 2, 1)),
         ));
-        let sections: Vec<Section> = m.sectioned_records().map(|(s, _)| s).collect();
+        let sections: Vec<(Section, RData)> =
+            m.sectioned_records().map(|(s, r)| (s, r.rdata)).collect();
         assert_eq!(
             sections,
-            [Section::Answer, Section::Authority, Section::Additional]
+            [
+                (Section::Answer, RData::A(Ipv4Addr::LOCALHOST)),
+                (Section::Answer, RData::A(Ipv4Addr::BROADCAST)),
+                (Section::Authority, RData::Ns(name("a.example"))),
+                (Section::Additional, RData::A(Ipv4Addr::new(192, 0, 2, 1))),
+            ]
         );
     }
 

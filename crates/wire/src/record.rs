@@ -2,6 +2,7 @@
 
 use crate::{Name, RData, RecordType, Ttl, WireError};
 use std::fmt::{self, Write as _};
+use std::sync::Arc;
 
 /// DNS class. Only `IN` matters in practice; `CH`/`HS` are kept so the
 /// codec can round-trip real-world oddities (version.bind queries etc.).
@@ -138,24 +139,131 @@ impl fmt::Display for Record {
     }
 }
 
-/// A set of records sharing owner name, class, and type.
+/// The data of an RRset's members, in the set's order: one member held
+/// inline, two or more in one shared block of exactly their number.
+///
+/// Most sets are one address, so most sets need no block at all; a
+/// larger one (a zone's NS set) is allocated once, where the zone
+/// stores it, and every message, cache and answer that holds the set
+/// afterwards shares that block: cloning `Members` never copies a
+/// member. It reads as a slice.
+///
+/// ```
+/// use dnsttl_wire::{Members, RData};
+/// let one = Members::from(RData::A("192.0.2.1".parse().unwrap()));
+/// let ns = |s: &str| RData::Ns(s.parse().unwrap());
+/// let two = Members::from(vec![ns("a.nic.uy"), ns("b.nic.uy")]);
+/// let shared = two.clone();
+/// assert!(shared.ptr_eq(&two));
+/// assert_eq!((one.len(), two.len()), (1, 2));
+/// ```
+#[derive(Clone)]
+pub struct Members(Held);
+
+#[derive(Clone)]
+enum Held {
+    One(RData),
+    Many(Arc<[RData]>),
+}
+
+impl Members {
+    /// True when `self` and `other` share one block: a clone of the
+    /// same set. Always false for a lone member, which is not shared.
+    pub fn ptr_eq(&self, other: &Members) -> bool {
+        match (&self.0, &other.0) {
+            (Held::Many(a), Held::Many(b)) => Arc::ptr_eq(a, b),
+            _ => false,
+        }
+    }
+
+    /// Takes every member out of `run`, leaving its buffer for reuse: a
+    /// lone one inline, more into one block of exactly their number.
+    pub(crate) fn drained(run: &mut Vec<RData>) -> Members {
+        match run.len() {
+            1 => Members(Held::One(run.pop().expect("one member"))),
+            _ => Members(Held::Many(run.drain(..).collect())),
+        }
+    }
+}
+
+impl Default for Members {
+    /// No member; takes no block.
+    fn default() -> Members {
+        Members(Held::Many(Arc::default()))
+    }
+}
+
+impl std::ops::Deref for Members {
+    type Target = [RData];
+
+    fn deref(&self) -> &[RData] {
+        match &self.0 {
+            Held::One(only) => std::slice::from_ref(only),
+            Held::Many(all) => all,
+        }
+    }
+}
+
+impl From<RData> for Members {
+    fn from(only: RData) -> Members {
+        Members(Held::One(only))
+    }
+}
+
+impl From<Vec<RData>> for Members {
+    /// A lone member moves inline; more move into one block.
+    fn from(mut rdatas: Vec<RData>) -> Members {
+        Members::drained(&mut rdatas)
+    }
+}
+
+impl PartialEq for Members {
+    fn eq(&self, other: &Members) -> bool {
+        **self == **other
+    }
+}
+
+impl Eq for Members {}
+
+impl fmt::Debug for Members {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
+/// A set of records sharing owner name, class, and type: the unit a
+/// zone stores, a message section carries and a cache keeps.
 ///
 /// RFC 2181 §5.2 requires all records of an RRset to share one TTL; the
 /// constructor normalises differing TTLs to the minimum, as resolvers do.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Clone, PartialEq, Eq)]
 pub struct RRset {
     /// Owner name shared by every record in the set.
     pub name: Name,
+    /// Class shared by every record in the set (almost always `IN`).
+    pub class: Class,
     /// Type shared by every record in the set.
     pub rtype: RecordType,
     /// The common TTL (minimum of the members' TTLs).
     pub ttl: Ttl,
-    /// The member records' data.
-    pub rdatas: Vec<RData>,
+    /// The member records' data; cloning the set shares them.
+    pub rdatas: Members,
 }
 
 impl RRset {
-    /// Assembles an RRset from records, which must share name and type.
+    /// An `IN`-class set of `rdatas` at `name`, all of `rtype`.
+    pub fn new(name: Name, rtype: RecordType, ttl: Ttl, rdatas: impl Into<Members>) -> RRset {
+        RRset {
+            name,
+            class: Class::In,
+            rtype,
+            ttl,
+            rdatas: rdatas.into(),
+        }
+    }
+
+    /// Assembles an RRset from records, which must share name, class
+    /// and type.
     ///
     /// Returns `None` for an empty slice or on mixed names/types.
     pub fn from_records(records: &[Record]) -> Option<RRset> {
@@ -163,16 +271,23 @@ impl RRset {
         let rtype = first.record_type();
         let mut ttl = first.ttl;
         for r in records {
-            if r.name != first.name || r.record_type() != rtype {
+            if r.name != first.name || r.record_type() != rtype || r.class != first.class {
                 return None;
             }
             ttl = ttl.min(r.ttl); // RFC 2181 §5.2: differing TTLs → minimum
         }
+        let rdatas = match records {
+            [only] => Members::from(only.rdata.clone()),
+            _ => Members(Held::Many(
+                records.iter().map(|r| r.rdata.clone()).collect(),
+            )),
+        };
         Some(RRset {
             name: first.name.clone(),
+            class: first.class,
             rtype,
             ttl,
-            rdatas: records.iter().map(|r| r.rdata.clone()).collect(),
+            rdatas,
         })
     }
 
@@ -185,6 +300,17 @@ impl RRset {
     /// [`RRset::from_records`], but reachable by manual construction).
     pub fn is_empty(&self) -> bool {
         self.rdatas.is_empty()
+    }
+
+    /// The members as records, each at the set's owner, class and TTL:
+    /// the per-record view of tools that print or inspect records.
+    pub fn records(&self) -> impl Iterator<Item = Record> + '_ {
+        self.rdatas.iter().map(|rdata| Record {
+            name: self.name.clone(),
+            class: self.class,
+            ttl: self.ttl,
+            rdata: rdata.clone(),
+        })
     }
 
     /// A stable, TTL-excluded, member-order-insensitive fingerprint of
@@ -206,36 +332,29 @@ impl RRset {
     /// it. Every path hashes the bytes `RData`'s `Display` prints, so
     /// the value is the one traces and ledgers have always exported.
     pub fn fingerprint(&self) -> u64 {
-        RRset::fingerprint_of(&self.name, self.rtype, &self.rdatas)
-    }
-
-    /// [`RRset::fingerprint`] of the set `name`/`rtype` holding
-    /// `members`, wherever they are held: a cache fingerprints a
-    /// response's set in place, before it decides whether to copy it.
-    pub fn fingerprint_of<'a, I>(name: &Name, rtype: RecordType, members: I) -> u64
-    where
-        I: IntoIterator<Item = &'a RData>,
-        I::IntoIter: Clone,
-    {
-        let members = members.into_iter();
-        let mut w = FnvWriter(fnv1a(name.folded_hash(), &rtype.code().to_be_bytes()));
-        let mut two = members.clone();
-        if let (Some(only), None) = (two.next(), two.next()) {
+        let members = &self.rdatas[..];
+        let mut w = FnvWriter(fnv1a(
+            self.name.folded_hash(),
+            &self.rtype.code().to_be_bytes(),
+        ));
+        if let [only] = members {
             w.member(only);
-        } else if members.clone().all(|rd| name_member(rd).is_some()) {
+        } else if members.iter().all(|rd| name_member(rd).is_some()) {
             // Sorted on the stack: a root's thirteen fit, and only a
             // longer set asks for a vector.
             const INLINE: usize = 13;
             let mut inline = [""; INLINE];
             let mut spilled = Vec::new();
-            let count = members.clone().count();
-            let names: &mut [&str] = if count <= INLINE {
-                for (slot, n) in inline.iter_mut().zip(members.filter_map(name_member)) {
+            let names: &mut [&str] = if members.len() <= INLINE {
+                for (slot, n) in inline
+                    .iter_mut()
+                    .zip(members.iter().filter_map(name_member))
+                {
                     *slot = n;
                 }
-                &mut inline[..count]
+                &mut inline[..members.len()]
             } else {
-                spilled.extend(members.filter_map(name_member));
+                spilled.extend(members.iter().filter_map(name_member));
                 &mut spilled
             };
             names.sort_unstable();
@@ -243,7 +362,7 @@ impl RRset {
                 w.text(n);
             }
         } else {
-            let mut datas: Vec<String> = members.map(|rd| rd.to_string()).collect();
+            let mut datas: Vec<String> = members.iter().map(|rd| rd.to_string()).collect();
             datas.sort();
             for d in &datas {
                 w.text(d);
@@ -253,8 +372,24 @@ impl RRset {
     }
 }
 
+impl fmt::Debug for RRset {
+    /// The fields, the class only when it is not `IN`: almost every set
+    /// is, and traces and pinned transcripts print sets this way.
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let mut d = f.debug_struct("RRset");
+        d.field("name", &self.name);
+        if self.class != Class::In {
+            d.field("class", &self.class);
+        }
+        d.field("rtype", &self.rtype)
+            .field("ttl", &self.ttl)
+            .field("rdatas", &self.rdatas)
+            .finish()
+    }
+}
+
 /// The name an `NS` or `CNAME` member holds, as
-/// [`RRset::fingerprint_of`] sorts it.
+/// [`RRset::fingerprint`] sorts it.
 fn name_member(rd: &RData) -> Option<&str> {
     match rd {
         RData::Ns(n) | RData::Cname(n) => Some(n.as_str()),
@@ -454,18 +589,8 @@ mod tests {
         // Mixed-case and folded owners are one fingerprint class.
         for owner in ["A.Nic.UY", "a.nic.uy", "."] {
             for rd in &variants {
-                let set = RRset {
-                    name: name(owner),
-                    rtype: rd.record_type(),
-                    ttl: Ttl::HOUR,
-                    rdatas: vec![rd.clone()],
-                };
+                let set = RRset::new(name(owner), rd.record_type(), Ttl::HOUR, rd.clone());
                 assert_eq!(set.fingerprint(), reference_fingerprint(&set), "{set:?}");
-                // The member-iterator form, over a filtered view.
-                assert_eq!(
-                    RRset::fingerprint_of(&set.name, set.rtype, set.rdatas.iter().filter(|_| true)),
-                    set.fingerprint()
-                );
                 assert_eq!(
                     set.fingerprint(),
                     RRset {
@@ -488,38 +613,21 @@ mod tests {
         assert_eq!(fwd.fingerprint(), reference_fingerprint(&fwd));
         assert_eq!(rev.fingerprint(), reference_fingerprint(&rev));
         assert_eq!(fwd.fingerprint(), rev.fingerprint());
-        // The members read in place from a section that interleaves
-        // another set, as a cache fingerprints a response's set.
-        let mut section = three.to_vec();
-        section.insert(1, a("other.example", 60, [10, 0, 0, 2]));
-        let in_place = section
-            .iter()
-            .filter(|r| r.name == fwd.name)
-            .map(|r| &r.rdata);
-        assert_eq!(
-            RRset::fingerprint_of(&three[0].name, RecordType::A, in_place),
-            reference_fingerprint(&fwd)
-        );
         // NS sets sorted on the stack, at its bound, and past it.
         for members in [2, 13, 14, 20] {
             let mut rdatas: Vec<RData> = (0..members)
                 .map(|k| RData::Ns(name(&format!("NS{}.example", (k * 11) % members))))
                 .collect();
-            let mut set = RRset {
-                name: name("example"),
-                rtype: RecordType::NS,
-                ttl: Ttl::HOUR,
-                rdatas: rdatas.clone(),
-            };
+            let mut set = RRset::new(name("example"), RecordType::NS, Ttl::HOUR, rdatas.clone());
             assert_eq!(set.fingerprint(), reference_fingerprint(&set), "{members}");
             rdatas.reverse();
             let forward = set.fingerprint();
-            set.rdatas = rdatas;
+            set.rdatas = rdatas.into();
             assert_eq!(set.fingerprint(), forward, "{members} reversed");
         }
         // The empty set (manual construction only) keeps its value too.
         let empty = RRset {
-            rdatas: vec![],
+            rdatas: Members::default(),
             ..fwd.clone()
         };
         assert_eq!(empty.fingerprint(), reference_fingerprint(&empty));
@@ -530,11 +638,8 @@ mod tests {
         let host = name("NS1.Example.ORG");
         let v4 = |o: [u8; 4]| RData::A(Ipv4Addr::from(o));
         let ns = |s: &str| RData::Ns(name(s));
-        let set = |owner: &str, rdatas: Vec<RData>| RRset {
-            name: name(owner),
-            rtype: rdatas[0].record_type(),
-            ttl: Ttl::HOUR,
-            rdatas,
+        let set = |owner: &str, rdatas: Vec<RData>| {
+            RRset::new(name(owner), rdatas[0].record_type(), Ttl::HOUR, rdatas)
         };
         vec![
             ("a", set("a.nic.uy", vec![v4([192, 0, 2, 1])])),

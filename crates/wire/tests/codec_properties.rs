@@ -8,7 +8,7 @@
 
 use dnsttl_wire::{
     decode_message, encode_message, encoded_len, fits, Header, Message, Name, Opcode, Question,
-    RData, Rcode, Record, RecordType, RrsigData, SoaData, Ttl, WireError,
+    RData, RRset, Rcode, RecordType, RrsigData, SoaData, Ttl, WireError,
 };
 use std::sync::Arc;
 
@@ -63,8 +63,9 @@ fn gen_ttl(rng: &mut Rng) -> Ttl {
     Ttl::from_secs((rng.next_u64() as u32) & 0x7FFF_FFFF)
 }
 
-fn gen_rdata(rng: &mut Rng) -> RData {
-    match rng.below(9) {
+/// Data of one of the nine kinds the generator draws (`kind` below 9).
+fn gen_rdata(rng: &mut Rng, kind: u64) -> RData {
+    match kind {
         0 => RData::A([rng.byte(), rng.byte(), rng.byte(), rng.byte()].into()),
         1 => {
             let mut o = [0u8; 16];
@@ -110,8 +111,44 @@ fn gen_rdata(rng: &mut Rng) -> RData {
     }
 }
 
-fn gen_record(rng: &mut Rng) -> Record {
-    Record::new(gen_name(rng), gen_ttl(rng), gen_rdata(rng))
+/// An RRset of one to three members of one kind.
+fn gen_set(rng: &mut Rng) -> RRset {
+    let kind = rng.below(9);
+    let members: Vec<RData> = (0..=rng.below(3)).map(|_| gen_rdata(rng, kind)).collect();
+    RRset::new(
+        gen_name(rng),
+        members[0].record_type(),
+        gen_ttl(rng),
+        members,
+    )
+}
+
+/// Adds `set` to a section as the decoder would read it back: into an
+/// earlier set of its owner (case-insensitively) and type, at the
+/// smaller TTL, or as a new set. A section the generator builds holds
+/// each owner and type once, so the codec round-trips it exactly.
+fn merge_into(section: &mut Vec<RRset>, set: RRset) {
+    match section
+        .iter_mut()
+        .find(|s| s.rtype == set.rtype && s.name == set.name)
+    {
+        Some(earlier) => {
+            let mut members = earlier.rdatas.to_vec();
+            members.extend(set.rdatas.iter().cloned());
+            earlier.rdatas = members.into();
+            earlier.ttl = earlier.ttl.min(set.ttl);
+        }
+        None => section.push(set),
+    }
+}
+
+fn gen_section(rng: &mut Rng, max_sets: u64) -> Vec<RRset> {
+    let mut section = Vec::new();
+    for _ in 0..rng.below(max_sets) {
+        let set = gen_set(rng);
+        merge_into(&mut section, set);
+    }
+    section
 }
 
 fn gen_message(rng: &mut Rng) -> Message {
@@ -128,9 +165,9 @@ fn gen_message(rng: &mut Rng) -> Message {
             rcode: Rcode::NoError,
         },
         question: (rng.below(2) == 1).then(|| Question::new(gen_name(rng), RecordType::A)),
-        answers: (0..rng.below(4)).map(|_| gen_record(rng)).collect(),
-        authorities: (0..rng.below(3)).map(|_| gen_record(rng)).collect(),
-        additionals: (0..rng.below(3)).map(|_| gen_record(rng)).collect(),
+        answers: gen_section(rng, 4),
+        authorities: gen_section(rng, 3),
+        additionals: gen_section(rng, 3),
     }
 }
 
@@ -196,18 +233,25 @@ fn gen_related_message(rng: &mut Rng) -> Message {
         q.qname = pick(rng);
     }
     let sections = [&mut msg.answers, &mut msg.authorities, &mut msg.additionals];
-    for r in sections.into_iter().flatten() {
-        r.name = pick(rng);
-        match &mut r.rdata {
-            RData::Ns(n) | RData::Cname(n) => *n = pick(rng),
-            RData::Mx { exchange, .. } => *exchange = pick(rng),
-            RData::Rrsig(sig) => Arc::make_mut(sig).signer = pick(rng),
-            RData::Soa(soa) => {
-                let soa = Arc::make_mut(soa);
-                soa.mname = pick(rng);
-                soa.rname = pick(rng);
+    for section in sections {
+        for mut set in std::mem::take(section) {
+            set.name = pick(rng);
+            let mut members = set.rdatas.to_vec();
+            for rdata in &mut members {
+                match rdata {
+                    RData::Ns(n) | RData::Cname(n) => *n = pick(rng),
+                    RData::Mx { exchange, .. } => *exchange = pick(rng),
+                    RData::Rrsig(sig) => Arc::make_mut(sig).signer = pick(rng),
+                    RData::Soa(soa) => {
+                        let soa = Arc::make_mut(soa);
+                        soa.mname = pick(rng);
+                        soa.rname = pick(rng);
+                    }
+                    _ => {}
+                }
             }
-            _ => {}
+            set.rdatas = members.into();
+            merge_into(section, set);
         }
     }
     msg
@@ -263,8 +307,19 @@ fn name(s: &str) -> Name {
     Name::parse(s).expect("valid test name")
 }
 
-fn a_record(owner: &str) -> Record {
-    Record::new(name(owner), Ttl::MINUTE, RData::A([192, 0, 2, 1].into()))
+/// `count` copies of one `A` record at `owner`, as one set.
+fn a_set(owner: &str, count: usize) -> RRset {
+    RRset::new(
+        name(owner),
+        RecordType::A,
+        Ttl::MINUTE,
+        vec![RData::A([192, 0, 2, 1].into()); count],
+    )
+}
+
+/// A one-member set.
+fn one(owner: Name, ttl: Ttl, rdata: RData) -> RRset {
+    RRset::new(owner, rdata.record_type(), ttl, rdata)
 }
 
 /// Header, then per record: owner octets + type, class, TTL, RDLENGTH
@@ -278,19 +333,19 @@ fn expected_len(records: &[(usize, usize)]) -> usize {
 fn referral() -> Message {
     let q = Message::iterative_query(7, name("x.example"), RecordType::A);
     let mut r = Message::response_to(&q);
+    let mut servers = Vec::new();
     for i in 0..13u8 {
         let ns = name(&format!("{}.ns.example", (b'a' + i) as char));
-        r.authorities.push(Record::new(
-            name("example"),
-            Ttl::TWO_DAYS,
-            RData::Ns(ns.clone()),
-        ));
-        r.additionals.push(Record::new(
-            ns,
-            Ttl::TWO_DAYS,
-            RData::A([192, 0, 2, i].into()),
-        ));
+        servers.push(RData::Ns(ns.clone()));
+        r.additionals
+            .push(one(ns, Ttl::TWO_DAYS, RData::A([192, 0, 2, i].into())));
     }
+    r.authorities.push(RRset::new(
+        name("example"),
+        RecordType::NS,
+        Ttl::TWO_DAYS,
+        servers,
+    ));
     r
 }
 
@@ -305,7 +360,7 @@ fn fits_agrees_with_encoded_len() {
         }
     }
     let with_answer = |rdata: RData| Message {
-        answers: vec![Record::new(name("t.example"), Ttl::MINUTE, rdata)],
+        answers: vec![one(name("t.example"), Ttl::MINUTE, rdata)],
         ..Message::default()
     };
     for chars in [0, 255, 256] {
@@ -320,11 +375,8 @@ fn fits_agrees_with_encoded_len() {
     }));
     assert_fits_agrees(&with_answer(rrsig), "rrsig");
     let mut opt = Message::iterative_query(1, name("x.example"), RecordType::A);
-    opt.additionals.push(Record::new(
-        Name::root(),
-        Ttl::ZERO,
-        RData::Opt(vec![0; 500]),
-    ));
+    opt.additionals
+        .push(one(Name::root(), Ttl::ZERO, RData::Opt(vec![0; 500])));
     assert_fits_agrees(&opt, "root-owned OPT");
     // Over 512 octets uncompressed and within them compressed: only the
     // compression walk can say it fits.
@@ -344,7 +396,7 @@ fn fits_agrees_with_encoded_len() {
     let too_long = with_answer(RData::Txt("x".repeat(70_000)));
     assert_fits_agrees(&too_long, "rdata too long");
     let too_large = Message {
-        answers: vec![a_record("."); 5_000],
+        answers: vec![a_set(".", 5_000)],
         ..Message::default()
     };
     assert_fits_agrees(&too_large, "message too large");
@@ -357,14 +409,10 @@ fn names_past_the_pointer_range_are_never_targets() {
     let message_with_name_at = |at: usize| {
         let mut m = Message::default();
         let pad = at - 12 - (1 + 10);
-        m.answers.push(Record::new(
-            Name::root(),
-            Ttl::ZERO,
-            RData::Opt(vec![0; pad]),
-        ));
-        m.answers.push(a_record("late.example"));
-        m.answers.push(a_record("late.example"));
-        m.answers.push(a_record("example"));
+        m.answers
+            .push(one(Name::root(), Ttl::ZERO, RData::Opt(vec![0; pad])));
+        m.answers.push(a_set("late.example", 2));
+        m.answers.push(a_set("example", 1));
         (m, pad)
     };
     // At 0x3FFE the whole name is still a target, its parent at 0x4003
@@ -387,7 +435,7 @@ fn names_past_the_pointer_range_are_never_targets() {
 #[test]
 fn rrsig_signer_is_neither_compressed_nor_a_target() {
     let rrsig = |owner: &str, signer: &str| {
-        Record::new(
+        one(
             name(owner),
             Ttl::HOUR,
             RData::Rrsig(Arc::new(RrsigData {
@@ -407,7 +455,7 @@ fn rrsig_signer_is_neither_compressed_nor_a_target() {
     // A signer seen nowhere else is no target for a later owner.
     let mut m = Message::default();
     m.answers.push(rrsig("example", "signer.zone"));
-    m.answers.push(a_record("signer.zone"));
+    m.answers.push(a_set("signer.zone", 1));
     assert_len_is_bytes(&m, "owner after signer");
     assert_eq!(
         encoded_len(&m),
@@ -418,13 +466,10 @@ fn rrsig_signer_is_neither_compressed_nor_a_target() {
 #[test]
 fn compression_folds_case_and_skips_the_root() {
     let mut m = Message::default();
-    m.answers.push(a_record("example.cl"));
-    m.answers.push(a_record("WWW.Example.CL"));
-    m.answers.push(Record::new(
-        Name::root(),
-        Ttl::MINUTE,
-        RData::Ns(Name::root()),
-    ));
+    m.answers.push(a_set("example.cl", 1));
+    m.answers.push(a_set("WWW.Example.CL", 1));
+    m.answers
+        .push(one(Name::root(), Ttl::MINUTE, RData::Ns(Name::root())));
     assert_len_is_bytes(&m, "mixed case and root");
     // `WWW` + a pointer to the lower-case twin; the root is one octet
     // wherever it stands.
@@ -438,7 +483,7 @@ fn compression_folds_case_and_skips_the_root() {
 fn txt_splits_into_character_strings() {
     for (chars, rdlen) in [(0, 1), (255, 256), (256, 258)] {
         let mut m = Message::default();
-        m.answers.push(Record::new(
+        m.answers.push(one(
             name("t.example"),
             Ttl::MINUTE,
             RData::Txt("x".repeat(chars)),
@@ -450,11 +495,11 @@ fn txt_splits_into_character_strings() {
 
 #[test]
 fn messages_without_an_encoding_are_errors_from_both_passes() {
-    let with_answers = |records: Vec<Record>| Message {
-        answers: records,
+    let with_answers = |sets: Vec<RRset>| Message {
+        answers: sets,
         ..Message::default()
     };
-    let txt = |t: String| Record::new(name("t.example"), Ttl::MINUTE, RData::Txt(t));
+    let txt = |t: String| one(name("t.example"), Ttl::MINUTE, RData::Txt(t));
     let cases = [
         (
             with_answers(vec![txt("x".repeat(70_000))]),
@@ -465,11 +510,11 @@ fn messages_without_an_encoding_are_errors_from_both_passes() {
             WireError::InvalidCharacter('\u{e9}'),
         ),
         (
-            with_answers(vec![a_record("."); 65_536]),
+            with_answers(vec![a_set(".", 65_536)]),
             WireError::TooManyRecords(65_536),
         ),
         (
-            with_answers(vec![a_record("."); 5_000]),
+            with_answers(vec![a_set(".", 5_000)]),
             WireError::MessageTooLarge(12 + 5_000 * 15),
         ),
     ];
@@ -479,8 +524,8 @@ fn messages_without_an_encoding_are_errors_from_both_passes() {
         assert_eq!(encode_message(&m), Err(err));
     }
     // The largest message that does fit, for contrast: 65 535 octets.
-    let mut m = with_answers(vec![a_record("."); 4_367]);
-    m.answers.push(Record::new(
+    let mut m = with_answers(vec![a_set(".", 4_367)]);
+    m.answers.push(one(
         Name::root(),
         Ttl::ZERO,
         RData::Opt(vec![0; 65_535 - 12 - 4_367 * 15 - 11]),

@@ -39,7 +39,7 @@ fn watch(mut world: CachetestWorld, label: &str) {
             .answer
             .answers
             .first()
-            .map(|r| match &r.rdata {
+            .map(|set| match &set.rdatas[0] {
                 RData::Aaaa(a) if *a == NEW_MARKER => "NEW",
                 RData::Aaaa(_) => "old",
                 _ => "?",

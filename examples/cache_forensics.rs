@@ -46,7 +46,8 @@ fn main() {
             .answer
             .answers
             .iter()
-            .any(|r| r.rdata == RData::Aaaa(NEW_MARKER));
+            .flat_map(|set| set.rdatas.iter())
+            .any(|rd| *rd == RData::Aaaa(NEW_MARKER));
         if new_vm {
             switch = Some(now);
             break;

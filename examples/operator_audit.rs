@@ -116,8 +116,9 @@ fn main() {
             .answer
             .answers
             .iter()
-            .filter_map(|r| match r.rdata {
-                RData::A(a) => Some(a),
+            .flat_map(|set| set.rdatas.iter())
+            .filter_map(|rd| match rd {
+                RData::A(a) => Some(*a),
                 _ => None,
             })
             .collect();

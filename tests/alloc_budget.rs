@@ -469,23 +469,28 @@ fn a_question_stays_inside_its_allocation_budget() {
 #[test]
 fn a_cached_set_goes_to_the_heap_only_past_one_member() {
     // Straight into a cache: data that replaces what a key holds is
-    // copied in, a lone address into the entry's own slot and a
-    // three-member NS set into one block of its own. Measured: 0 for
-    // the 64 addresses and 1 for the NS set (64 and 1 while every
-    // entry kept a vector).
+    // taken in, a lone address into the entry's own slot and a
+    // three-member NS set by sharing the block the set already has.
+    // Measured: 0 for the 64 addresses and 0 for the NS set (64 and 1
+    // while every entry kept a vector, 0 and 1 while the cache copied
+    // a set's members into a block of its own).
     let policy = ResolverPolicy::default();
     let (_, _, names) = zipf_shaped_world();
-    let address = |name: &Name, last: u8| RRset {
-        name: name.clone(),
-        rtype: RecordType::A,
-        ttl: Ttl::from_secs(RECORD_TTL_S),
-        rdatas: vec![RData::A([10, 0, 0, last].into())],
+    let address = |name: &Name, last: u8| {
+        RRset::new(
+            name.clone(),
+            RecordType::A,
+            Ttl::from_secs(RECORD_TTL_S),
+            RData::A([10, 0, 0, last].into()),
+        )
     };
-    let servers = |names: [&str; 3]| RRset {
-        name: Name::parse("zipf").unwrap(),
-        rtype: RecordType::NS,
-        ttl: Ttl::HOUR,
-        rdatas: names.map(|n| RData::Ns(Name::parse(n).unwrap())).to_vec(),
+    let servers = |names: [&str; 3]| {
+        RRset::new(
+            Name::parse("zipf").unwrap(),
+            RecordType::NS,
+            Ttl::HOUR,
+            names.map(|n| RData::Ns(Name::parse(n).unwrap())).to_vec(),
+        )
     };
     let mut cache = Cache::new();
     let rank = Credibility::AuthAnswer;
@@ -509,18 +514,19 @@ fn a_cached_set_goes_to_the_heap_only_past_one_member() {
     assert_eq!(allocs, 0, "{NAMES} renumbered addresses allocated");
     let moved = servers(["d.zipf", "e.zipf", "f.zipf"]);
     let ((), allocs) = allocations(|| cache.store(moved, rank, now, &policy, false));
-    assert_eq!(allocs, 1, "a new three-member NS set");
+    assert_eq!(allocs, 0, "a new three-member NS set");
     assert_eq!(cache.stats().overwrites, NAMES as u64 + 1);
 
-    // Through a resolver, whose stores copy each set out of the
-    // response that carried it. A root delegating `tri` to three name
-    // servers with glue, and the child answering an `A` record per
-    // name: a cold miss stores a three-member NS set (one block) and
-    // four one-member `A` sets (none), a miss below the cached
+    // Through a resolver, whose stores share each set of the response
+    // that carried it. A root delegating `tri` to three name servers
+    // with glue, and the child answering an `A` record per name: a
+    // cold miss stores a three-member NS set (the zone's block, shared)
+    // and four one-member `A` sets (none), a miss below the cached
     // delegation one `A` set (none). The cache is flushed after a
     // first pass, so its table has room for every key. Release builds
-    // only, as the other miss budgets. Measured: 1 and 0 (5 and 1
-    // while every entry kept a vector).
+    // only, as the other miss budgets. Measured: 0 and 0 (5 and 1
+    // while every entry kept a vector, 1 and 0 while the resolver
+    // copied a response's multi-member sets).
     let (mut net, hints, names) = three_server_world();
     let mut resolver = RecursiveResolver::new(
         "sets",
@@ -549,12 +555,75 @@ fn a_cached_set_goes_to_the_heap_only_past_one_member() {
     assert!(counted[1..].iter().all(|&(queries, _)| queries == 1));
     if !cfg!(debug_assertions) {
         assert_eq!(
-            counted[0].1, 1,
+            counted[0].1, 0,
             "a cold miss through a three-server referral"
         );
         for (name, &(_, allocs)) in names.iter().zip(&counted).skip(1) {
             assert_eq!(allocs, 0, "a miss for {name} below the cached delegation");
         }
+    }
+}
+
+#[test]
+fn cold_resolvers_share_the_ns_set_of_one_referral() {
+    // Sixteen resolvers each ask a name under `tri` with a cold cache:
+    // each takes the root's referral to three servers and stores its
+    // NS set. The set's members are the block the root zone allocated,
+    // carried by the response and shared by every cache, so no
+    // resolver allocates for them. A first pass grows each cache's
+    // table and a flush empties it, so the count is of a cold miss
+    // alone. Release builds only, as the other miss budgets. Measured:
+    // 0 per resolver (1 while every resolver copied the set's members
+    // out of the response).
+    const RESOLVERS: u64 = 16;
+    let (mut net, hints, names) = three_server_world();
+    let hints: Arc<[RootHint]> = hints.into();
+    let mut resolvers: Vec<RecursiveResolver> = (0..RESOLVERS)
+        .map(|k| {
+            let label = format!("cold-{k}");
+            let rng = SimRng::seed_from(k);
+            RecursiveResolver::new(
+                label,
+                ResolverPolicy::default(),
+                Region::Eu,
+                k,
+                hints.clone(),
+                rng,
+            )
+        })
+        .collect();
+    let ask = |r: &mut RecursiveResolver, net: &mut Network| {
+        r.resolve_verdict(&names[0], RecordType::A, SimTime::ZERO, net)
+    };
+    for resolver in &mut resolvers {
+        ask(resolver, &mut net);
+        resolver.clear_cache();
+    }
+    let per_resolver: Vec<u64> = resolvers
+        .iter_mut()
+        .map(|resolver| {
+            let (verdict, allocs) = allocations(|| ask(resolver, &mut net));
+            assert_eq!((verdict.upstream_queries, verdict.answers), (2, 1));
+            allocs
+        })
+        .collect();
+    let tri = Name::parse("tri").unwrap();
+    let held: Vec<RRset> = resolvers
+        .iter()
+        .map(|r| {
+            r.cache()
+                .get(&tri, RecordType::NS, SimTime::ZERO)
+                .expect("cached")
+                .rrset
+        })
+        .collect();
+    assert!(
+        held.iter()
+            .all(|set| set.len() == 3 && set.rdatas.ptr_eq(&held[0].rdatas)),
+        "one block in every cache: {held:?}"
+    );
+    if !cfg!(debug_assertions) {
+        assert_eq!(per_resolver, [0; RESOLVERS as usize]);
     }
 }
 
@@ -588,7 +657,7 @@ fn a_negative_answer_shares_its_zone_soa() {
         assert_eq!(response.header.rcode, rcode, "{qname} {qtype}");
         assert!(response.answers.is_empty());
         assert_eq!(response.authorities.len(), 1);
-        assert_eq!(response.authorities[0].record_type(), RecordType::SOA);
+        assert_eq!(response.authorities[0].rtype, RecordType::SOA);
         assert_eq!(allocs, 0, "{rcode:?} for {qname} {qtype}");
     }
 
@@ -621,11 +690,11 @@ fn a_negative_answer_shares_its_zone_soa() {
         }
     };
     let soa_of = |m: &Message| match &m.authorities[..] {
-        [record] => match &record.rdata {
-            RData::Soa(data) => Arc::clone(data),
+        [set] => match &set.rdatas[..] {
+            [RData::Soa(data)] => Arc::clone(data),
             other => panic!("an SOA, not {other:?}"),
         },
-        other => panic!("one authority record, not {other:?}"),
+        other => panic!("one authority set, not {other:?}"),
     };
     let first = ask(&mut world.net);
     assert_eq!(first.header.rcode, Rcode::NoError);

@@ -186,7 +186,7 @@ fn renumbering(unused: bool) -> Renumbering {
             .build()
             .iter()
         {
-            zone.add(record.clone());
+            record.records().for_each(|r| zone.add(r));
         }
         parent.add_zone(child.clone());
         let server = AuthoritativeServer::new(host).with_zone(child);
@@ -208,10 +208,9 @@ fn renumbering(unused: bool) -> Renumbering {
             for (qname, qtype) in [(&probe, RecordType::AAAA), (&host, RecordType::A)] {
                 let out = resolver.resolve(qname, qtype, now, &mut world.net);
                 let msg = &out.answer;
-                let records = [&msg.answers, &msg.authorities, &msg.additionals]
-                    .into_iter()
-                    .flatten()
-                    .map(|r| r.to_string())
+                let records = msg
+                    .sectioned_records()
+                    .map(|(_, r)| r.to_string())
                     .collect();
                 answers.push((
                     msg.header.rcode,

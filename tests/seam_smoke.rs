@@ -102,12 +102,12 @@ fn zipf_soa_sweep_matches_the_heap_oracle_at_small_and_large_cells() {
 }
 
 fn a_rrset(name: &Name, ttl: u32, last: u8) -> RRset {
-    RRset {
-        name: name.clone(),
-        rtype: RecordType::A,
-        ttl: Ttl::from_secs(ttl),
-        rdatas: vec![RData::A(std::net::Ipv4Addr::new(192, 0, 2, last))],
-    }
+    RRset::new(
+        name.clone(),
+        RecordType::A,
+        Ttl::from_secs(ttl),
+        RData::A(std::net::Ipv4Addr::new(192, 0, 2, last)),
+    )
 }
 
 /// FNV-1a-64, the digest the pinned cache tapes are compared by.
@@ -269,20 +269,17 @@ fn authoritative_index_answers_on_the_zipf_world_shape() {
     assert!(answer.header.authoritative);
     let addr = RData::A(std::net::Ipv4Addr::new(10, 0, 4, 210));
     assert_eq!(answer.answers.len(), 1);
-    assert_eq!(answer.answers[0].rdata, addr);
+    assert_eq!(answer.answers[0].rdatas[..], [addr]);
     assert_eq!(ask(&mut child, "R1234.ZipF").answers, answer.answers);
 
     let missing = ask(&mut child, "r2048.zipf");
     assert_eq!(missing.header.rcode, Rcode::NxDomain);
-    assert_eq!(missing.authorities[0].record_type(), RecordType::SOA);
+    assert_eq!(missing.authorities[0].rtype, RecordType::SOA);
 
     let empty_non_terminal = ask(&mut child, "nic.zipf");
     assert_eq!(empty_non_terminal.header.rcode, Rcode::NoError);
     assert!(empty_non_terminal.header.authoritative && empty_non_terminal.answers.is_empty());
-    assert_eq!(
-        empty_non_terminal.authorities[0].record_type(),
-        RecordType::SOA
-    );
+    assert_eq!(empty_non_terminal.authorities[0].rtype, RecordType::SOA);
 
     let referral = ask(&mut root, "r1234.zipf");
     assert!(referral.is_referral() && !referral.header.authoritative);

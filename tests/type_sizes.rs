@@ -26,7 +26,13 @@ fn the_hot_types_keep_their_pinned_sizes() {
         ("RData", size_of::<RData>(), 32),
         // Owner name 24, data 32, TTL 4 and class 1.
         ("Record", size_of::<Record>(), 64),
-        ("RRset", size_of::<RRset>(), 56),
+        // Owner name 24, members 32 (one `RData` inline, or a shared
+        // block), TTL 4, type 2 and class 1. 56 while the members were
+        // a vector: a set is now what a message section carries, and a
+        // lone member needs no block.
+        ("RRset", size_of::<RRset>(), 64),
+        // Three section vectors and the question: the same 120 whether
+        // a section holds records or sets.
         ("Message", size_of::<Message>(), 120),
         ("Provenance", size_of::<Provenance>(), 40),
         // No per-resolver buffer: an exchange reuses the network's one
